@@ -53,17 +53,17 @@ bench-smoke:
 	$(PY) scripts/bench_smoke.py $(PARALLEL_FLAG)
 
 ## Gate a fresh sweep against the committed BENCH_engine.json: fails on
-## checksum drift, a >25% slowdown, or a pool-path checksum that
-## diverges from the serial one (see check_bench_regression.py for the
-## intentional-update procedure).  PARALLEL=N exercises the pool path
-## with that worker count.
+## sweep- or planner-checksum drift, a >25% slowdown, or a pool-path
+## checksum that diverges from the serial one (see
+## check_bench_regression.py for the intentional-update procedure).
+## PARALLEL=N exercises the pool path with that worker count.
 bench-check:
 	$(PY) scripts/check_bench_regression.py $(PARALLEL_FLAG)
 
 ## Print the planner's pick (schedule + parameters + predicted cost)
 ## for a smoke (N, P, M) grid; fails if planning breaks or blows the
 ## wall-time budget (the batched closed-form path plans the grid in
-## well under a second — the budget catches interpreter work sneaking
+## well under a second — the budget catches O(steps x P) work sneaking
 ## back onto the scoring hot path).
 PLAN_BUDGET_S ?= 20
 plan:

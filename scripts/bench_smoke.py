@@ -27,18 +27,11 @@ sub-1x "speedup".  On a machine with >= 4 cores the sweep is expected
 to run >= 1.5x faster than serial (``--parallel N`` pins the worker
 count).
 
-The ``accounting`` block records both trace evaluators over the same
-workload: the closed-form evaluator (the default sweep path — cost
-terms summed analytically per rank, no step log) and the chunked
-reference interpreter.  Their checksums must agree exactly — the
-cost-term IR's bit-for-bit contract — which
-``check_bench_regression.py`` gates alongside the pool-vs-serial one.
-
 The ``planner`` block times the auto-planner over a paper-scale grid
-twice — the batched :class:`~repro.engine.accounting.TermBatch` pass
-and the per-config reference loop — and records the chosen-plan
-checksum of each; ``check_bench_regression.py`` gates their equality
-(the batch evaluator must pick bit-identical plans).
+(every candidate scored in :class:`~repro.engine.accounting.TermBatch`
+passes) and records the chosen-plan checksum, which
+``check_bench_regression.py`` pins against the committed value exactly
+as it pins the sweep checksum.
 
 The ``atlas`` block measures the serving layer: a small plan atlas is
 cold-built into a temp dir (``build_s``), then a
@@ -98,7 +91,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro import obs  # noqa: E402
 from repro.analysis.harness import sweep_traces  # noqa: E402
-from repro.engine import accounting  # noqa: E402
 from repro.runtime import (  # noqa: E402
     ProcessPoolSweepExecutor,
     default_workers,
@@ -123,9 +115,7 @@ MIN_PARALLEL_SPEEDUP = 1.5
 MIN_CORES_FOR_SPEEDUP = 4
 
 #: The planner-grid workload: every feasible candidate of all three
-#: planners at three paper-scale points (>= 100 candidates total),
-#: scored once through the batched TermBatch pass and once through the
-#: per-config reference loop.
+#: planners at three paper-scale points (>= 100 candidates total).
 PLANNER_GRID = [(4096, 64), (16384, 1024), (65536, 4096)]
 PLANNER_API_COPIES = 3
 
@@ -180,15 +170,14 @@ def _checksum(results) -> float:
     return sum(r.mean_recv_words for r in results)
 
 
-def _plan_grid(batched: bool) -> tuple[float, int, float]:
+def _plan_grid() -> tuple[float, int, float]:
     """Run all three planners over ``PLANNER_GRID``; returns
     ``(wall_s, candidates, chosen_checksum)``."""
     from repro.analysis.harness import NODE_MEM_WORDS
     from repro.planner import plan_cholesky, plan_gemm, plan_lu
 
     # Wall time comes from the planner's own telemetry — the
-    # `planner.plan_batch.wall_s` histogram covers both the batched
-    # pass and the per-config reference loop (plan_batch is the single
+    # `planner.plan_batch.wall_s` histogram (plan_batch is the single
     # pipeline), so this measures exactly the planning work.
     hist = obs.metrics().histogram("planner.plan_batch.wall_s")
     before = hist.total
@@ -196,8 +185,7 @@ def _plan_grid(batched: bool) -> tuple[float, int, float]:
     for n, p in PLANNER_GRID:
         for planner in (plan_lu, plan_cholesky, plan_gemm):
             plans.append(planner(n, p, NODE_MEM_WORDS,
-                                 api_copies=PLANNER_API_COPIES,
-                                 batched=batched))
+                                 api_copies=PLANNER_API_COPIES))
     wall = hist.total - before
     cands = sum(len(plan.ranked) for plan in plans)
     checksum = sum(plan.chosen.predicted_words for plan in plans)
@@ -421,17 +409,6 @@ def run(parallel: int | None = None) -> dict:
         checksum = _checksum(results)
     best = min(times)
 
-    # The reference chunked interpreter over the same workload: its
-    # checksum must equal the closed-form one exactly (best of 2 — it
-    # is the slow path and only its checksum is gated).
-    chunked_times = []
-    chunked_checksum = 0.0
-    for _ in range(2):
-        t0 = time.perf_counter()
-        chunked_results = sweep_traces(CASES, evaluator="chunked")
-        chunked_times.append(time.perf_counter() - t0)
-        chunked_checksum = _checksum(chunked_results)
-
     cpus = default_workers()
     workers = (parallel if parallel is not None
                else min(MIN_CORES_FOR_SPEEDUP, cpus))
@@ -462,15 +439,9 @@ def run(parallel: int | None = None) -> dict:
             warm_checksum = _checksum(warm_results)
     warm_s = min(warm_times)
 
-    # The planner grid: batched TermBatch scoring vs the per-config
-    # reference loop (best of 2 each; the chosen-plan checksums must
-    # match bit-for-bit).
-    loop_s, loop_cands, loop_checksum = min(
-        (_plan_grid(batched=False) for _ in range(2)),
-        key=lambda r: r[0])
-    bat_s, bat_cands, bat_checksum = min(
-        (_plan_grid(batched=True) for _ in range(2)),
-        key=lambda r: r[0])
+    # The planner grid (best of 2).
+    plan_s, plan_cands, plan_checksum = min(
+        (_plan_grid() for _ in range(2)), key=lambda r: r[0])
 
     return {
         "workload": {
@@ -483,14 +454,6 @@ def run(parallel: int | None = None) -> dict:
             "all_reps_s": [round(t, 3) for t in times],
             "calib_s": round(calibrate(), 4),
             "checksum": checksum,
-            "chunk_target": accounting._CHUNK_TARGET,
-        },
-        "accounting": {
-            "mode": "closed",
-            "closed": {"sweep_s": round(best, 3), "checksum": checksum},
-            "chunked": {"sweep_s": round(min(chunked_times), 3),
-                        "checksum": chunked_checksum},
-            "checksum_matches": chunked_checksum == checksum,
         },
         "parallel": {
             "workers": workers,
@@ -513,14 +476,9 @@ def run(parallel: int | None = None) -> dict:
         "planner": {
             "grid": PLANNER_GRID,
             "api_copies": PLANNER_API_COPIES,
-            "candidates": bat_cands,
-            "batched_s": round(bat_s, 3),
-            "per_config_s": round(loop_s, 3),
-            "speedup": round(loop_s / bat_s, 1),
-            "chosen_checksum": bat_checksum,
-            "per_config_checksum": loop_checksum,
-            "chosen_matches": (bat_checksum == loop_checksum
-                               and bat_cands == loop_cands),
+            "candidates": plan_cands,
+            "batched_s": round(plan_s, 3),
+            "chosen_checksum": plan_checksum,
         },
         "obs": _obs_block(best, checksum),
         "atlas": _atlas_block(),
@@ -555,12 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     failures = []
     if snapshot["speedup_vs_seed"] < 1.0:
         failures.append("trace sweep slower than the seed baseline")
-    acct = snapshot["accounting"]
-    if not acct["checksum_matches"]:
-        failures.append(
-            f"closed-form checksum {acct['closed']['checksum']} != "
-            f"chunked {acct['chunked']['checksum']} — the evaluators "
-            "diverged")
     par = snapshot["parallel"]
     if not par["checksum_matches_serial"]:
         failures.append(
@@ -577,12 +529,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"parallel speedup {par['speedup']} < {MIN_PARALLEL_SPEEDUP} "
             f"with {par['workers']} workers on {par['cpus']} cores")
-    planner = snapshot["planner"]
-    if not planner["chosen_matches"]:
-        failures.append(
-            f"planner batched checksum {planner['chosen_checksum']} != "
-            f"per-config {planner['per_config_checksum']} — the batch "
-            "evaluator changed plan selection")
     atlas = snapshot["atlas"]
     if not atlas["served_matches_live"]:
         failures.append(

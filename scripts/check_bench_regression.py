@@ -17,13 +17,11 @@ committed ``BENCH_engine.json``:
   slowdown within ``NOISE_FLOOR_S`` absolute seconds is ignored — the
   closed-form sweep is sub-second, so ratio noise alone must not fail
   the gate;
-* **evaluator equality** — the closed-form trace evaluator's checksum
-  must equal the chunked reference interpreter's *exactly* (the
-  cost-term IR's bit-for-bit contract), alongside the existing
-  pool-vs-serial equality gate;
-* **planner parity** — the batched ``TermBatch`` planner pass must pick
-  plans with a chosen-plan checksum *exactly* equal to the per-config
-  reference loop's;
+* **pool parity** — the process-pool sweep must reproduce the serial
+  checksum exactly;
+* **planner checksum** — the planner grid's chosen-plan checksum must
+  equal the committed value, gated like the sweep checksum (plan
+  selection must never change silently);
 * **atlas serving parity** — every plan the atlas/service layer serves
   for a lattice point must be bit-identical to the live planner's
   output for the same request (``served_matches_live``);
@@ -90,6 +88,10 @@ NOISE_FLOOR_S = 0.25
 CHECKSUM_RTOL = 1e-9
 
 
+def _drifted(fresh: float, base: float) -> bool:
+    return abs(fresh - base) > CHECKSUM_RTOL * abs(base)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
@@ -125,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     base_sum, fresh_sum = base_engine["checksum"], fresh_engine["checksum"]
-    if abs(fresh_sum - base_sum) > CHECKSUM_RTOL * abs(base_sum):
+    if _drifted(fresh_sum, base_sum):
         failures.append(
             f"checksum drifted: {fresh_sum} vs committed {base_sum} — the "
             "accounting semantics changed; if intentional, rerun with "
@@ -144,22 +146,16 @@ def main(argv: list[str] | None = None) -> int:
             f"process-pool checksum {par['checksum']} != serial "
             f"{fresh_sum} — the parallel executor changed the sweep "
             "semantics")
-    # The closed-form evaluator must reproduce the chunked reference
-    # interpreter exactly (the cost-term IR's bit-for-bit contract).
-    acct = fresh.get("accounting")
-    if acct and acct["chunked"]["checksum"] != acct["closed"]["checksum"]:
-        failures.append(
-            f"closed-form checksum {acct['closed']['checksum']} != "
-            f"chunked {acct['chunked']['checksum']} — the two trace "
-            "evaluators diverged")
-    # The batched planner must pick bit-identical plans to the
-    # per-config reference loop (the TermBatch parity contract).
-    planner = fresh.get("planner")
-    if planner and not planner["chosen_matches"]:
-        failures.append(
-            f"planner batched checksum {planner['chosen_checksum']} != "
-            f"per-config {planner['per_config_checksum']} — the batch "
-            "evaluator changed plan selection")
+    # The planner must keep choosing the committed plans.
+    planner, base_planner = fresh.get("planner"), baseline.get("planner")
+    if planner and base_planner:
+        base_plan = base_planner["chosen_checksum"]
+        if _drifted(planner["chosen_checksum"], base_plan):
+            failures.append(
+                f"planner checksum drifted: {planner['chosen_checksum']} "
+                f"vs committed {base_plan} — plan selection changed; if "
+                "intentional, rerun with --update and commit "
+                "BENCH_engine.json")
     # Plans served from the atlas (and through the service's caches)
     # must be bit-identical to live planning of the same request.
     atlas = fresh.get("atlas")
@@ -219,8 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         base_wdag = baseline.get("workload_dag")
         if base_wdag:
             base_exec = base_wdag["exec_checksum"]
-            if (abs(wdag["exec_checksum"] - base_exec)
-                    > CHECKSUM_RTOL * abs(base_exec)):
+            if _drifted(wdag["exec_checksum"], base_exec):
                 failures.append(
                     f"workload execution checksum drifted: "
                     f"{wdag['exec_checksum']} vs committed {base_exec} — "

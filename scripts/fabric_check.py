@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -66,12 +67,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{len(run.batches)} batches")
 
         t0 = time.time()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
         procs = [
             subprocess.Popen(
-                [sys.executable, str(REPO / "scripts" / "sweep_worker.py"),
+                [sys.executable, "-m", "repro.runtime.fabric",
                  "--cache", tmp, "--run", run.run_id,
                  "--ttl", str(args.ttl),
-                 "--worker-id", f"ci-worker-{i}"])
+                 "--worker-id", f"ci-worker-{i}"], env=env)
             for i in range(args.workers)
         ]
         for proc in procs:

@@ -21,7 +21,7 @@ every point the current code fingerprint has already planned.
 ``--budget-s`` is a wall-time gate: planning the whole grid (plus the
 atlas build, when requested) must finish inside the budget, so a
 regression that drops the batched closed-form path (e.g. per-config
-interpreter work sneaking back into scoring) fails the build rather
+O(steps x P) work sneaking back into scoring) fails the build rather
 than just drifting the bench snapshot.  The grid plans in well under a
 second batched; the default CI budget leaves two orders of magnitude
 headroom for runner noise.

@@ -28,7 +28,6 @@ from .harness import (
     NODE_MEM_WORDS,
     RANKS_PER_NODE,
     TimedRun,
-    best_conflux_config,
     estimate_time,
     feasible,
     format_table,
@@ -41,7 +40,7 @@ from .harness import (
 __all__ = [
     "LU_IMPLEMENTATIONS", "CHOLESKY_IMPLEMENTATIONS",
     "NODE_MEM_WORDS", "RANKS_PER_NODE",
-    "max_replication", "feasible", "best_conflux_config",
+    "max_replication", "feasible",
     "MemoryFeasibility", "memory_feasibility",
     "trace_lu", "trace_cholesky",
     "block_size_ablation", "replication_ablation",

@@ -137,7 +137,7 @@ def fig8c_comm_reduction(
 
     Predictions use the *full* validated models for COnfLUX and the 2D
     codes (so COnfLUX's own O(M) and O(N v) terms are not wished away)
-    with tuned (c, v) per :func:`best_conflux_config`; CANDMC keeps its
+    with (c, v) tuned by :func:`repro.planner.plan_lu`; CANDMC keeps its
     author model, as in the paper.
     """
     rows: list[dict] = []
@@ -182,7 +182,7 @@ def fig8c_comm_reduction(
 # Figures 9 and 10 (achieved % of peak)
 # ---------------------------------------------------------------------------
 
-def _scaling_series(impls: dict, tracer, workloads: list[tuple[str, int, int]],
+def _scaling_series(impls: tuple, tracer, workloads: list[tuple[str, int, int]],
                     ) -> list[dict]:
     rows = []
     for label, n, p in workloads:
@@ -228,7 +228,7 @@ def fig10_cholesky_scaling(p_sweep=DEFAULT_P_SWEEP) -> list[dict]:
 # Figures 1 and 11 (heatmaps)
 # ---------------------------------------------------------------------------
 
-def _heatmap(impls: dict, tracer, ours: str, n_sweep, p_sweep,
+def _heatmap(impls: tuple, tracer, ours: str, n_sweep, p_sweep,
              min_peak: float = 0.03) -> list[dict]:
     cells = []
     for n in n_sweep:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
-from typing import Callable
 
 from ..factorizations.baselines import candmc_lu, capital_cholesky
 from ..factorizations.common import FactorizationResult
@@ -24,7 +22,7 @@ from ..planner.candidates import config_25d, panel_width_2d
 __all__ = [
     "LU_IMPLEMENTATIONS", "CHOLESKY_IMPLEMENTATIONS",
     "NODE_MEM_WORDS", "RANKS_PER_NODE",
-    "max_replication", "feasible", "best_conflux_config",
+    "max_replication", "feasible",
     "trace_lu", "trace_cholesky", "trace_case", "sweep_traces",
     "sweep_tasks",
     "MemoryFeasibility", "memory_feasibility",
@@ -56,44 +54,30 @@ def feasible(n: int, p: int,
     return n * n / p <= node_mem_words
 
 
-# Candidate/parameter search lives in repro.planner now (one source of
-# truth); these aliases keep the harness' historical private names
-# working for callers that reached in.
-_config_for = config_25d
-_nb_for = panel_width_2d
-
-
-def _trace(schedule, steps: str, evaluator: str | None,
-           ) -> FactorizationResult:
-    from ..engine.backends import TraceBackend
-
-    return TraceBackend(steps=steps, evaluator=evaluator).run(schedule)
-
-
 def _sched_conflux(n: int, p: int, c: int):
     from ..factorizations import ConfluxSchedule
 
-    c_ok, v = _config_for(n, p, c)
+    c_ok, v = config_25d(n, p, c)
     return ConfluxSchedule(n, p, v=v, c=c_ok)
 
 
 def _sched_confchox(n: int, p: int, c: int):
     from ..factorizations import ConfchoxSchedule
 
-    c_ok, v = _config_for(n, p, c)
+    c_ok, v = config_25d(n, p, c)
     return ConfchoxSchedule(n, p, v=v, c=c_ok)
 
 
 def _sched_mkl_lu(n: int, p: int, c: int):
     from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 
-    return ScalapackLUSchedule(n, p, nb=_nb_for(n))
+    return ScalapackLUSchedule(n, p, nb=panel_width_2d(n))
 
 
 def _sched_slate_lu(n: int, p: int, c: int):
     from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 
-    return ScalapackLUSchedule(n, p, nb=_nb_for(n), name="slate",
+    return ScalapackLUSchedule(n, p, nb=panel_width_2d(n), name="slate",
                                panel_rebroadcast=False)
 
 
@@ -102,7 +86,7 @@ def _sched_mkl_chol(n: int, p: int, c: int):
         ScalapackCholeskySchedule,
     )
 
-    return ScalapackCholeskySchedule(n, p, nb=_nb_for(n))
+    return ScalapackCholeskySchedule(n, p, nb=panel_width_2d(n))
 
 
 def _sched_slate_chol(n: int, p: int, c: int):
@@ -110,7 +94,7 @@ def _sched_slate_chol(n: int, p: int, c: int):
         ScalapackCholeskySchedule,
     )
 
-    return ScalapackCholeskySchedule(n, p, nb=_nb_for(n),
+    return ScalapackCholeskySchedule(n, p, nb=panel_width_2d(n),
                                      name="slate-chol")
 
 
@@ -130,180 +114,98 @@ _CHOL_SCHEDULES = {
 }
 
 
-def _run_conflux(n: int, p: int, c: int, steps: str = "columnar",
-                 evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_conflux(n, p, c), steps, evaluator)
+#: The model baselines (RankAccountant closed forms, no cost-term
+#: stream), called as ``model(n, p, c=c)``.
+_LU_MODELS = {"candmc": candmc_lu}
+_CHOL_MODELS = {"capital": capital_cholesky}
+
+LU_IMPLEMENTATIONS = (*_LU_SCHEDULES, *_LU_MODELS)
+CHOLESKY_IMPLEMENTATIONS = (*_CHOL_SCHEDULES, *_CHOL_MODELS)
 
 
-def _run_confchox(n: int, p: int, c: int, steps: str = "columnar",
-                  evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_confchox(n, p, c), steps, evaluator)
+def _trace_impl(kind: str, schedules: dict, models: dict, name: str,
+                n: int, p: int, c: int | None,
+                steps: str) -> FactorizationResult:
+    from ..engine.backends import TraceBackend
 
-
-def _run_mkl_lu(n: int, p: int, c: int, steps: str = "columnar",
-                evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_mkl_lu(n, p, c), steps, evaluator)
-
-
-def _run_slate_lu(n: int, p: int, c: int, steps: str = "columnar",
-                  evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_slate_lu(n, p, c), steps, evaluator)
-
-
-def _run_mkl_chol(n: int, p: int, c: int, steps: str = "columnar",
-                  evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_mkl_chol(n, p, c), steps, evaluator)
-
-
-def _run_slate_chol(n: int, p: int, c: int, steps: str = "columnar",
-                    evaluator: str | None = None) -> FactorizationResult:
-    return _trace(_sched_slate_chol(n, p, c), steps, evaluator)
-
-
-def _run_candmc(n: int, p: int, c: int, steps: str = "columnar",
-                evaluator: str | None = None) -> FactorizationResult:
-    # Model baseline (RankAccountant): no trace-evaluator choice.
-    return candmc_lu(n, p, c=c)
-
-
-def _run_capital(n: int, p: int, c: int, steps: str = "columnar",
-                 evaluator: str | None = None) -> FactorizationResult:
-    return capital_cholesky(n, p, c=c)
-
-
-LU_IMPLEMENTATIONS: dict[str, Callable[..., FactorizationResult]] = {
-    "conflux": _run_conflux,
-    "mkl": _run_mkl_lu,
-    "slate": _run_slate_lu,
-    "candmc": _run_candmc,
-}
-
-CHOLESKY_IMPLEMENTATIONS: dict[str, Callable[..., FactorizationResult]] = {
-    "confchox": _run_confchox,
-    "mkl-chol": _run_mkl_chol,
-    "slate-chol": _run_slate_chol,
-    "capital": _run_capital,
-}
-
-
-def best_conflux_config(n: int, p: int,
-                        node_mem_words: float = NODE_MEM_WORDS,
-                        ) -> tuple[int, int, float]:
-    """Deprecated: use :func:`repro.planner.plan_lu` instead.
-
-    Thin shim over the planner, kept for the historical call sites:
-    plans the COnfLUX-only search (the same divisor-aware ``c``/``v``
-    candidates and the same full cost model) and returns the old
-    ``(c, v, predicted_words)`` triple.  Raises ``ValueError`` when no
-    configuration fits (the planner's ``NoFeasiblePlanError`` is a
-    ``ValueError``).  One deliberate tightening vs the retired search:
-    the planner also prunes configs whose declared ``required_words()``
-    — replication footprint *plus* transients — exceeds the budget, so
-    a ``node_mem_words`` right at the old ``c N^2 / P`` boundary may
-    now degrade to a smaller ``c`` (or reject) instead of returning a
-    config that could never actually run there.
-    """
-    from ..planner import plan_lu
-
-    warnings.warn(
-        "best_conflux_config is deprecated; use repro.planner.plan_lu "
-        "(impls=('conflux',) reproduces this search)",
-        DeprecationWarning, stacklevel=2)
-    chosen = plan_lu(n, p, mem_words=node_mem_words,
-                     impls=("conflux",)).chosen
-    return (chosen.params["c"], chosen.params["v"], chosen.predicted_words)
+    if c is None:
+        c = max_replication(p, n)
+    if name in schedules:
+        return TraceBackend(steps=steps).run(schedules[name](n, p, c))
+    if name in models:
+        return models[name](n, p, c=c)
+    raise KeyError(f"unknown {kind} implementation {name!r}; "
+                   f"have {sorted((*schedules, *models))}")
 
 
 def trace_lu(name: str, n: int, p: int, c: int | None = None,
-             steps: str = "columnar",
-             evaluator: str | None = None) -> FactorizationResult:
+             steps: str = "columnar") -> FactorizationResult:
     """Trace one LU implementation at paper scale (no numerics).
 
-    ``steps``/``evaluator`` select the trace path: the default keeps a
-    columnar step log (what :func:`estimate_time` consumes) through the
-    chunked interpreter; ``steps="none"`` drops the log and evaluates
-    the cost terms in closed form — the O(P) path sweeps use.
+    ``steps`` selects the step log kept on the result: the default
+    columnar log is what :func:`estimate_time` consumes;
+    ``steps="none"`` drops it (what sweeps use).  Either way the cost
+    terms reduce in closed form, O(steps + P).
     """
-    if name not in LU_IMPLEMENTATIONS:
-        raise KeyError(f"unknown LU implementation {name!r}; "
-                       f"have {sorted(LU_IMPLEMENTATIONS)}")
-    if c is None:
-        c = max_replication(p, n)
-    return LU_IMPLEMENTATIONS[name](n, p, c, steps=steps,
-                                    evaluator=evaluator)
+    return _trace_impl("LU", _LU_SCHEDULES, _LU_MODELS, name, n, p, c,
+                       steps)
 
 
 def trace_cholesky(name: str, n: int, p: int, c: int | None = None,
-                   steps: str = "columnar",
-                   evaluator: str | None = None) -> FactorizationResult:
+                   steps: str = "columnar") -> FactorizationResult:
     """Trace one Cholesky implementation at paper scale."""
-    if name not in CHOLESKY_IMPLEMENTATIONS:
-        raise KeyError(f"unknown Cholesky implementation {name!r}; "
-                       f"have {sorted(CHOLESKY_IMPLEMENTATIONS)}")
-    if c is None:
-        c = max_replication(p, n)
-    return CHOLESKY_IMPLEMENTATIONS[name](n, p, c, steps=steps,
-                                          evaluator=evaluator)
+    return _trace_impl("Cholesky", _CHOL_SCHEDULES, _CHOL_MODELS, name,
+                       n, p, c, steps)
 
 
 def trace_case(n: int, p: int,
                lu_impls: tuple[str, ...] = ("conflux", "mkl"),
                chol_impls: tuple[str, ...] = ("confchox", "mkl-chol"),
-               steps: str = "none",
-               evaluator: str | None = None) -> list[FactorizationResult]:
+               steps: str = "none") -> list[FactorizationResult]:
     """Trace one ``(N, P)`` case's whole flavour set, batched.
 
-    Results come back in ``[*lu_impls, *chol_impls]`` order.  On the
-    hot path (``steps="none"`` with the default closed-form evaluator)
-    every engine schedule of the case is collected into one
+    Results come back in ``[*lu_impls, *chol_impls]`` order.  Every
+    engine schedule of the case is collected into one
     :class:`~repro.engine.accounting.TermBatch` and reduced in a single
     vectorized pass — bit-identical to tracing each implementation on
-    its own, which any other ``steps``/``evaluator`` combination (and
-    the model baselines candmc/capital, which have no cost-term
-    stream) falls back to.
+    its own, which the model baselines candmc/capital (no cost-term
+    stream) fall back to.
     """
     from ..engine.accounting import TermBatch
 
     c = max_replication(p, n)
-    entries = [("lu", name) for name in lu_impls] + \
-        [("cholesky", name) for name in chol_impls]
-    tracers = {"lu": trace_lu, "cholesky": trace_cholesky}
-    builders = {"lu": _LU_SCHEDULES, "cholesky": _CHOL_SCHEDULES}
-    batchable = steps == "none" and evaluator in (None, "closed")
+    entries = [(_LU_SCHEDULES, trace_lu, name) for name in lu_impls] + \
+        [(_CHOL_SCHEDULES, trace_cholesky, name) for name in chol_impls]
     results: list[FactorizationResult | None] = [None] * len(entries)
     batch, slots = TermBatch(), []
-    for pos, (kind, name) in enumerate(entries):
-        builder = builders[kind].get(name) if batchable else None
+    for pos, (builders, tracer, name) in enumerate(entries):
+        builder = builders.get(name)
         if builder is None:
-            results[pos] = tracers[kind](name, n, p, c=c, steps=steps,
-                                         evaluator=evaluator)
+            results[pos] = tracer(name, n, p, c=c, steps=steps)
             continue
         sched = builder(n, p, c)
         batch.add(sched)
         slots.append((pos, sched))
-    if slots:
-        for (pos, sched), stats in zip(slots, batch.evaluate()):
-            results[pos] = FactorizationResult(
-                sched.name, sched.n, sched.nranks, sched.mem_words,
-                stats, sched.params())
+    for (pos, sched), stats in zip(slots, batch.evaluate(steps)):
+        results[pos] = FactorizationResult(
+            sched.name, sched.n, sched.nranks, sched.mem_words,
+            stats, sched.params())
     return results
 
 
 def sweep_traces(cases: list[tuple[int, int]],
                  lu_impls: tuple[str, ...] = ("conflux", "mkl"),
                  chol_impls: tuple[str, ...] = ("confchox", "mkl-chol"),
-                 executor=None, steps: str = "none",
-                 evaluator: str | None = None) -> list[FactorizationResult]:
+                 executor=None,
+                 steps: str = "none") -> list[FactorizationResult]:
     """Trace every ``(impl, N, P)`` combination of the sweep.
 
     This is the paper-style evaluation loop the figure benchmarks and
     the ``bench-smoke`` perf snapshot share.  Each ``(N, P)`` case is
     one sweep task whose flavour set evaluates through
-    :func:`trace_case` — on the default ``steps="none"`` closed-form
-    path that is a single batched :class:`TermBatch` reduction per
-    case.  Pass ``steps="columnar"`` when per-step data is needed
-    downstream, or ``evaluator="chunked"`` to force the reference
-    interpreter (the bench snapshot records both paths' checksums).
+    :func:`trace_case` — a single batched :class:`TermBatch` reduction
+    per case.  Pass ``steps="columnar"`` when per-step data is needed
+    downstream.
 
     ``executor`` accepts a :mod:`repro.runtime` sweep executor (serial
     or process-pool, optionally cache-backed); the result order — and
@@ -312,7 +214,7 @@ def sweep_traces(cases: list[tuple[int, int]],
     from ..runtime.executor import SerialExecutor
 
     tasks = sweep_tasks(cases, lu_impls=lu_impls, chol_impls=chol_impls,
-                        steps=steps, evaluator=evaluator)
+                        steps=steps)
     results = (executor or SerialExecutor()).run(tasks)
     return [res for case in results for res in case]
 
@@ -320,7 +222,7 @@ def sweep_traces(cases: list[tuple[int, int]],
 def sweep_tasks(cases: list[tuple[int, int]],
                 lu_impls: tuple[str, ...] = ("conflux", "mkl"),
                 chol_impls: tuple[str, ...] = ("confchox", "mkl-chol"),
-                steps: str = "none", evaluator: str | None = None):
+                steps: str = "none"):
     """The declarative task list :func:`sweep_traces` executes — one
     ``"case"`` task per ``(N, P)`` point.  Exposed so out-of-process
     coordinators (the fabric CI check, external publishers) can build
@@ -329,8 +231,7 @@ def sweep_tasks(cases: list[tuple[int, int]],
     from ..runtime.executor import SweepTask
 
     extra = (("lu_impls", tuple(lu_impls)),
-             ("chol_impls", tuple(chol_impls)),
-             ("evaluator", evaluator), ("steps", steps))
+             ("chol_impls", tuple(chol_impls)), ("steps", steps))
     return [SweepTask("case", "all", n, p, extra=extra)
             for n, p in cases]
 
@@ -371,8 +272,8 @@ def _feasibility_schedules(n: int, p: int):
     )
     from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 
-    c, v = _config_for(n, p, max_replication(p, n))
-    nb = _nb_for(n)
+    c, v = config_25d(n, p, max_replication(p, n))
+    nb = panel_width_2d(n)
     try:
         summa = Matmul25DSchedule(n, p, c=c)
     except ValueError:             # no SUMMA strip width fits this c

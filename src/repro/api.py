@@ -57,7 +57,6 @@ The parameters a call actually ran with are recorded uniformly in
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Any
 
 import numpy as np
@@ -261,21 +260,13 @@ def _resolve_plan(machine: Machine, op: str, n: int, impl: str,
     return config.impl, dict(config.params), plan
 
 
-def _nb_from_v(nb: int | None, v: int | None, default: int = 16) -> int:
-    """The 2D baselines' panel width: the explicit ``nb=`` kwarg, with
-    the historical ``v``-as-``nb`` overload kept as a deprecated
-    alias."""
-    if nb is not None:
-        if v is not None and v != nb:
-            raise ValueError(f"conflicting panel widths: nb={nb} vs the "
-                             f"deprecated v={v}; pass nb= only")
-        return nb
+def _panel_width(nb: int | None, v: int | None) -> int:
+    """The 2D baselines' panel width ``nb``; ``v`` is the 2.5D tile
+    size and is rejected rather than silently ignored."""
     if v is not None:
-        warnings.warn(
-            "passing the 2D panel width as v= is deprecated; use nb=",
-            DeprecationWarning, stacklevel=3)
-        return v
-    return default
+        raise ValueError(f"the 2D baseline has no tile size v={v}; pass "
+                         "its panel width as nb=")
+    return 16 if nb is None else nb
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +369,12 @@ def pdgetrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
     ``impl`` selects the schedule: ``"conflux"`` (2.5D tournament
     pivoting, default; tile size ``v``, replication ``c``),
     ``"scalapack"`` (the 2D partial-pivoting baseline; panel width
-    ``nb``, requires ``c == 1``; passing it as ``v`` still works but is
-    deprecated) or ``"auto"`` (the machine's planning service picks
-    implementation and parameters under the memory budget, overriding
-    ``v``/``c``/``nb``) — all run through :class:`DistributedBackend`
-    on the caller's machine, so the counted volumes are directly
-    comparable.  ``plan=`` skips planning entirely and runs the given
+    ``nb``, requires ``c == 1``; ``v`` is rejected) or ``"auto"`` (the
+    machine's planning service picks implementation and parameters
+    under the memory budget, overriding ``v``/``c``/``nb``) — all run
+    through :class:`DistributedBackend` on the caller's machine, so the
+    counted volumes are directly comparable.  ``plan=`` skips planning
+    entirely and runs the given
     :class:`~repro.planner.Plan`/:class:`~repro.planner.PlannedConfig`.
     """
     out_name = out_name or name + ":lu"
@@ -402,7 +393,7 @@ def pdgetrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
         if c != 1:
             raise ValueError("the 2D baseline has no replication (c must "
                              "be 1)")
-        nb = _nb_from_v(nb, v)
+        nb = _panel_width(nb, v)
         schedule = ScalapackLUSchedule(desc.n, machine.nranks, nb=nb,
                                        panel_rebroadcast=False)
         v_run, params = schedule.nb, {"nb": schedule.nb}
@@ -422,7 +413,7 @@ def pdpotrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
 
     ``impl``: ``"confchox"`` (2.5D, default; tile size ``v``,
     replication ``c``), ``"scalapack"`` (the 2D baseline; panel width
-    ``nb``, requires ``c == 1``; ``v``-as-``nb`` is deprecated) or
+    ``nb``, requires ``c == 1``; ``v`` is rejected) or
     ``"auto"`` (service-selected under the machine's memory budget,
     overriding ``v``/``c``/``nb``).  ``plan=`` runs a caller-supplied
     plan without re-planning.
@@ -443,7 +434,7 @@ def pdpotrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
         if c != 1:
             raise ValueError("the 2D baseline has no replication (c must "
                              "be 1)")
-        nb = _nb_from_v(nb, v)
+        nb = _panel_width(nb, v)
         schedule = ScalapackCholeskySchedule(desc.n, machine.nranks, nb=nb)
         v_run, params = schedule.nb, {"nb": schedule.nb}
     else:

@@ -1,4 +1,4 @@
-"""Cost-term IR for trace accounting: closed-form and reference evaluators.
+"""Cost-term IR for trace accounting and its closed-form evaluator.
 
 The schedules' analytic accounting used to *write* raw
 ``(steps, ranks)`` NumPy matrices (step-column times coordinate-row
@@ -7,7 +7,7 @@ term — the dominant cost of paper-scale ``(impl, N, P)`` sweeps.  This
 module replaces the raw matrices with a small declarative IR: a
 schedule's :meth:`~repro.engine.schedule.Schedule.accounting` *emits*
 :class:`CostTerm` objects through the :class:`StepAccounting` builder,
-and an evaluator reduces them.
+and :class:`TermBatch` reduces them.
 
 A term's per-(step, rank) value factorizes as::
 
@@ -32,39 +32,28 @@ Message counts ride along per term: where the term's words are
 positive, ``msgs(t) = msgs_coeff * msgs_step(t)`` messages are charged
 — the same "messages follow words" rule the raw-matrix path applied.
 
-Two evaluators consume the IR:
+There is **one evaluator**, :meth:`TermBatch.evaluate`.  It stacks the
+terms of any number of schedules — a single trace is a batch of one —
+and reduces each term's sum over steps analytically per rank: the
+rank-uniform affine terms of every config flatten into shared arrays
+for one vectorized arithmetic-series pass; gated/owned terms go
+through residue-class moment contractions built on the decomposition
+``own(a, t) = q(t) + beta(a, t mod m)`` (full remaining cycles plus a
+periodic partial-cycle window; double-ownership products expand into
+moments and one ``beta_i M0 beta_j^T`` bilinear).  ``O(steps + P)``
+work per config, never an ``O(steps x P)`` allocation; a requested
+step log derives analytically from per-residue-class value columns in
+the same pass.
 
-* the **chunked interpreter** (:meth:`StepAccounting.run`) — the
-  parity-test reference backend, off every hot path.  It materializes
-  each term's ``(chunk, ranks)`` factors numerically, exactly like the
-  retired raw-matrix path, and produces the per-step log from them;
-* the **closed-form evaluator** (:meth:`StepAccounting.run_closed`,
-  :meth:`StepAccounting.run_analytic` when a step log is requested) —
-  reduces each term's sum over steps analytically per rank: affine
-  profiles via exact arithmetic-series sums, gated/owned terms via
-  residue-class moment contractions built on the decomposition
-  ``own(a, t) = q(t) + beta(a, t mod m)`` (full remaining cycles plus
-  a periodic partial-cycle window; double-ownership products expand
-  into moments and one ``beta_i M0 beta_j^T`` bilinear).  ``O(steps +
-  P)`` work, never an ``O(steps x P)`` allocation; step logs derive
-  analytically from per-residue-class value columns with per-step
-  maxima bitwise equal to the interpreter's.
-
-:class:`TermBatch` stacks the terms of many candidate configs and
-reduces the whole grid in one pass — the rank-uniform affine terms of
-every config flatten into shared arrays for a single vectorized
-arithmetic-series evaluation — which is what makes the planner's
-candidate scoring and the sweep harness' per-case flavour sets cheap;
-the batch is bit-identical to looping :meth:`run_closed` per config.
-
-The two agree **bit-for-bit** on the communication counters
-(received/sent words and message counts): every words/msgs profile is
-integer-valued, both evaluators accumulate those integers exactly
-(float64 sums of integers below 2^53 are associativity-free), and the
-single float ``coeff`` multiplies the identical integer total in the
-identical term order.  Flop terms may carry non-integer step columns
-(the 2D panel-LU count), where agreement is to float rounding instead;
-the parity suite pins both guarantees.
+The naive dense ``(steps x P)`` interpretation of the IR lives in
+``tests/oracle.py`` as the test oracle.  Evaluator and oracle agree
+**bit-for-bit** on the communication counters (received/sent words and
+message counts): every words/msgs profile is integer-valued, both
+accumulate those integers exactly (float64 sums of integers below 2^53
+are associativity-free), and the single float ``coeff`` multiplies the
+identical integer total in the identical term order.  Flop terms may
+carry non-integer step columns (the 2D panel-LU count), where
+agreement is to float rounding instead; the parity suite pins both.
 """
 
 from __future__ import annotations
@@ -77,7 +66,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..machine.grid import ProcessorGrid2D, ProcessorGrid3D
-from ..machine.stats import STEP_FIELDS, CommStats, NullStepLog, StepRecord
+from ..machine.stats import STEP_FIELDS, CommStats, StepRecord
 
 __all__ = ["StepAccounting", "StepFn", "CostTerm", "TermBatch",
            "butterfly_pair_exchanges"]
@@ -108,12 +97,6 @@ def butterfly_pair_exchanges(m: np.ndarray | int) -> np.ndarray:
         q *= 2
     return total
 
-
-#: Target elements per (chunk, ranks) scratch matrix of the chunked
-#: interpreter.  Sized so the handful of live accumulators stay
-#: cache-resident: large chunks turn the accounting memory-bandwidth-
-#: bound and end up *slower*.
-_CHUNK_TARGET = 131_072
 
 #: Magnitude bound under which float64 sums of integers are exact; the
 #: residue-class fast paths fall back to the dense reference reduction
@@ -155,8 +138,8 @@ class StepFn:
     Either affine — ``c0 + c1 * t`` — or an explicit ``column`` of
     per-step values covering all ``nsteps`` steps.  Words/msgs profiles
     are integer-valued (validated at emission), which is what makes the
-    evaluators' agreement exact; flop profiles may be fractional
-    (``exact`` is False then).
+    evaluator's sums exact; flop profiles may be fractional (``exact``
+    is False then).
     """
 
     c0: float = 0.0
@@ -212,14 +195,13 @@ class CostTerm:
 
 
 class StepAccounting:
-    """Builder and evaluators for a schedule's cost terms.
+    """Term builder and per-term reduction kernels of one schedule.
 
     A schedule's ``accounting(acct)`` runs exactly once per evaluation:
     it declares terms via :meth:`add_recv` / :meth:`add_sent` /
     :meth:`add_flops` and profile constructors :meth:`const` /
-    :meth:`affine` / :meth:`column`.  The evaluators —
-    :meth:`run` (chunked interpreter, reference) and :meth:`run_closed`
-    (closed-form) — then reduce the emitted terms into a
+    :meth:`affine` / :meth:`column`.  :class:`TermBatch` collects the
+    emitted terms and reduces them through the kernels below into a
     :class:`~repro.machine.stats.CommStats`.
     """
 
@@ -382,170 +364,9 @@ class StepAccounting:
         window = ((res[None, :] - t[:, None] - 1) % m) < (rem % m)[:, None]
         return ((rem // m)[:, None] + window).astype(np.float64)
 
-    def _rank_factor(self, term: CostTerm,
-                     t: np.ndarray) -> np.ndarray | None:
-        """The term's rank-dependent factor as a dense ``(chunk, P)``
-        matrix (the interpreter's reference semantics), or None for a
-        rank-uniform term."""
-        if term.uniform:
-            return None
-        fac = np.ones((t.size, self.nranks))
-        tc = t[:, None]
-        for atom in term.gate:
-            axis = atom.lstrip("!")
-            cond = self._axis_coords(axis)[None, :] == \
-                tc % self._axis_dim(axis)
-            fac = fac * np.where(atom.startswith("!"), ~cond, cond)
-        for axis in term.own:
-            own = self._own_matrix(axis, t)
-            fac = fac * own[:, self._axis_coords(axis)]
-        if term.rank_const is not None:
-            fac = fac * term.rank_const[None, :]
-        return fac
-
     # ------------------------------------------------------------------
-    # Chunked interpreter (reference backend)
+    # Dense per-term reduction (the fallback of _fast_sum)
     # ------------------------------------------------------------------
-    def run(self, accounting: Callable[["StepAccounting"], None],
-            stats: CommStats,
-            step_label: Callable[[int], str]) -> None:
-        """Evaluate the emitted terms chunk by chunk into ``stats``.
-
-        Per-rank totals accumulate in *base space* — the integer
-        ``step * gate * own`` products — with each term's ``coeff``
-        applied exactly once at the end, in emission order; that is the
-        contract the closed-form evaluator reproduces bit-for-bit.  The
-        per-step log (skipped when ``stats`` records no steps) applies
-        coefficients per step and folds rank-uniform columns into the
-        full-matrix aggregates, exactly as the raw-matrix path did.
-        """
-        terms = self._collect(accounting)
-        nt, P, T = len(terms), self.nranks, self.nsteps
-        want_steps = not isinstance(stats.steps, NullStepLog)
-        base_tot = np.zeros((nt, P))
-        msgs_tot = np.zeros((nt, P))
-        chunk = max(1, min(T, _CHUNK_TARGET // max(1, P)))
-        for s0 in range(0, T, chunk):
-            s1 = min(T, s0 + chunk)
-            t = np.arange(s0, s1, dtype=np.int64)
-            # Per-step accumulators for the log: rank-uniform columns
-            # stay columns, full matrices share one buffer per counter
-            # (single allocation site — the old msgs double-allocation
-            # cannot recur).
-            uni: dict[str, np.ndarray] = {}
-            full: dict[str, np.ndarray] = {}
-
-            def full_buf(key: str, n: int = s1 - s0) -> np.ndarray:
-                if key not in full:
-                    full[key] = np.zeros((n, P))
-                return full[key]
-
-            for i, term in enumerate(terms):
-                base = term.step.values(s0, s1)
-                fac = self._rank_factor(term, t)
-                mbase = (term.msgs_step.values(s0, s1)
-                         if term.msgs_step is not None else None)
-                if fac is None:
-                    base_tot[i] += base.sum()
-                    words = term.coeff * base
-                    if mbase is not None:
-                        msgs_tot[i] += np.where(words > 0, mbase,
-                                                0.0).sum()
-                    if want_steps:
-                        uni[term.counter] = uni.get(
-                            term.counter, 0.0) + words
-                        if mbase is not None and term.counter == "recv":
-                            uni["rmsgs"] = uni.get("rmsgs", 0.0) + \
-                                term.msgs_coeff * np.where(
-                                    words > 0, mbase, 0.0)
-                    continue
-                mat = base[:, None] * fac
-                base_tot[i] += mat.sum(axis=0)
-                words = term.coeff * mat
-                if mbase is not None:
-                    mmat = np.where(words > 0, mbase[:, None], 0.0)
-                    msgs_tot[i] += mmat.sum(axis=0)
-                if want_steps:
-                    full_buf(term.counter)[...] += words
-                    if mbase is not None and term.counter == "recv":
-                        full_buf("rmsgs")[...] += term.msgs_coeff * mmat
-            if want_steps:
-                self._flush_steps(stats, step_label, s0, s1, uni, full)
-        # Totals: coeff once per term, in emission order.
-        arrays = {"recv": (stats.recv_words, stats.recv_msgs),
-                  "sent": (stats.sent_words, stats.sent_msgs),
-                  "flops": (stats.flops, None)}
-        for i, term in enumerate(terms):
-            words_arr, msgs_arr = arrays[term.counter]
-            words_arr += term.coeff * base_tot[i]
-            if term.msgs_step is not None and msgs_arr is not None:
-                msgs_arr += term.msgs_coeff * msgs_tot[i]
-
-    def _flush_steps(self, stats: CommStats,
-                     step_label: Callable[[int], str], s0: int, s1: int,
-                     uni: dict[str, np.ndarray],
-                     full: dict[str, np.ndarray]) -> None:
-        """One chunk's per-step maxima/totals into the step log.
-
-        A rank-uniform column adds the same amount to every rank, so it
-        shifts the per-step max by itself and the per-step total by
-        ``P`` times itself — folding it in after aggregating the full
-        matrix is exact.
-        """
-        n, P = s1 - s0, self.nranks
-        zeros = np.zeros(n)
-
-        def series(key: str) -> tuple[np.ndarray, np.ndarray]:
-            u = np.broadcast_to(np.asarray(uni.get(key, zeros)), (n,))
-            f = full.get(key)
-            if f is None:
-                return u, u * P
-            return f.max(axis=1) + u, f.sum(axis=1) + u * P
-
-        recv_max, recv_tot = series("recv")
-        sent_max, sent_tot = series("sent")
-        flops_max, flops_tot = series("flops")
-        msgs_max, msgs_tot = series("rmsgs")
-        cols = dict(zip(STEP_FIELDS, (
-            flops_max, flops_tot, recv_max, recv_tot, sent_max, sent_tot,
-            msgs_max, msgs_tot)))
-        log = stats.steps
-        if hasattr(log, "extend"):
-            log.extend(step_label, s0, n, **cols)
-        else:
-            for i in range(n):
-                log.append(StepRecord(
-                    label=step_label(s0 + i),
-                    **{f: float(cols[f][i]) for f in STEP_FIELDS}))
-
-    # ------------------------------------------------------------------
-    # Closed-form evaluator
-    # ------------------------------------------------------------------
-    def run_closed(self, accounting: Callable[["StepAccounting"], None],
-                   stats: CommStats) -> None:
-        """Reduce every term's sum over steps analytically per rank.
-
-        No ``(steps, ranks)`` matrix is ever allocated: uniform terms
-        reduce to exact arithmetic-series sums, gated/owned terms to
-        per-residue-class contractions of at most ``(steps, dim)``
-        intermediates.  ``stats`` must not request a step log — there
-        is no per-step data on this path.
-        """
-        if not isinstance(stats.steps, NullStepLog):
-            raise ValueError(
-                "the closed-form evaluator produces no step log; use "
-                "CommStats(steps='none') or the chunked interpreter")
-        terms = self._collect(accounting)
-        arrays = {"recv": (stats.recv_words, stats.recv_msgs),
-                  "sent": (stats.sent_words, stats.sent_msgs),
-                  "flops": (stats.flops, None)}
-        for term in terms:
-            words_arr, msgs_arr = arrays[term.counter]
-            words_arr += term.coeff * self._closed_sum(term, msgs=False)
-            if term.msgs_step is not None and msgs_arr is not None:
-                msgs_arr += term.msgs_coeff * self._closed_sum(
-                    term, msgs=True)
-
     def _closed_sum(self, term: CostTerm,
                     msgs: bool) -> np.ndarray | float:
         """Exact per-rank sum over steps of the term's base product.
@@ -559,12 +380,6 @@ class StepAccounting:
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
         if hi <= lo or (msgs and term.coeff <= 0):
             return 0.0
-        # Pure-affine uniform terms get true closed forms (exact
-        # integer arithmetic); everything else reduces an O(steps)
-        # column.
-        if term.uniform and step.column is None and not msgs:
-            total = self._affine_series(step, lo, hi)
-            return total
         base = step.values(lo, hi)
         if msgs:
             mstep = term.msgs_step
@@ -576,7 +391,7 @@ class StepAccounting:
         # Split the involved axes: a positively-gated axis without
         # ownership contributes a per-step target residue (indexed); an
         # axis with ownership and/or a negated gate needs its dense
-        # (chunk, dim) weight matrix.
+        # (steps, dim) weight matrix.
         w = base.astype(np.float64)
         gate_of = {a.lstrip("!"): a for a in term.gate}
         axes = list(dict.fromkeys(
@@ -649,7 +464,7 @@ class StepAccounting:
         return float(int(step.c0) * length + int(step.c1) * t_sum)
 
     # ------------------------------------------------------------------
-    # Residue-class fast reductions (the batch evaluator's kernels)
+    # Residue-class fast reductions
     # ------------------------------------------------------------------
     def _term_total(self, term: CostTerm, msgs: bool) -> np.ndarray | float:
         """One term's per-rank step sum: the residue-class fast path
@@ -854,38 +669,8 @@ class StepAccounting:
         return pair[self._axis_coords(ax_i), self._axis_coords(ax_j)]
 
     # ------------------------------------------------------------------
-    # Analytic evaluator: closed-form totals + analytic step columns
+    # Analytic step columns
     # ------------------------------------------------------------------
-    def run_analytic(self, accounting: Callable[["StepAccounting"], None],
-                     stats: CommStats,
-                     step_label: Callable[[int], str]) -> None:
-        """Closed-form totals plus an *analytic* per-step log.
-
-        Totals are bit-identical to :meth:`run_closed`.  The step log
-        never materializes a ``(chunk, ranks)`` matrix: along each grid
-        axis the ranks split into a handful of residue classes — gate
-        hit/miss x inside/outside the cyclic ownership window x
-        rank-constant level — and every rank of a class combination
-        carries the *identical* per-step value column.  Each class
-        column repeats the chunked interpreter's float operations
-        element for element, so the per-step **maxima are bitwise
-        equal** to the chunked log; per-step totals multiply analytic
-        class counts instead of summing ranks and agree to float
-        rounding (the parity suite pins both).
-        """
-        terms = self._collect(accounting)
-        arrays = {"recv": (stats.recv_words, stats.recv_msgs),
-                  "sent": (stats.sent_words, stats.sent_msgs),
-                  "flops": (stats.flops, None)}
-        for term in terms:
-            words_arr, msgs_arr = arrays[term.counter]
-            words_arr += term.coeff * self._term_total(term, msgs=False)
-            if term.msgs_step is not None and msgs_arr is not None:
-                msgs_arr += term.msgs_coeff * self._term_total(
-                    term, msgs=True)
-        if not isinstance(stats.steps, NullStepLog):
-            self._analytic_steps(terms, stats, step_label)
-
     def _rc_axis(self, rank_const: np.ndarray) -> tuple[str, np.ndarray]:
         """Express a rank constant as a function of one grid axis's
         coordinate, returning ``(axis, per-coordinate values)``."""
@@ -899,13 +684,24 @@ class StepAccounting:
 
     def _analytic_steps(self, terms: list[CostTerm], stats: CommStats,
                         step_label: Callable[[int], str]) -> None:
+        """Emit the per-step log of ``terms`` into ``stats.steps``.
+
+        Along each grid axis the ranks split into a handful of residue
+        classes — gate hit/miss x inside/outside the cyclic ownership
+        window x rank-constant level — and every rank of a class
+        combination carries the *identical* per-step value column.
+        Each class column repeats the dense oracle's float operations
+        element for element, so per-step **maxima are bitwise equal**
+        to it; per-step totals multiply analytic class counts instead
+        of summing ranks and agree to float rounding.
+        """
         T, P = self.nsteps, self.nranks
         if T == 0:
             return
         t = np.arange(T, dtype=np.int64)
         nonuni = [tm for tm in terms if not tm.uniform]
-        # Rank-uniform columns fold in after aggregation, exactly as the
-        # chunked interpreter's _flush_steps does.
+        # Rank-uniform columns fold in after aggregation (the order the
+        # dense oracle aggregates in).
         uni: dict[str, np.ndarray] = {}
         for term in terms:
             if not term.uniform:
@@ -1142,28 +938,28 @@ def _positive_interval(c0: np.ndarray, c1: np.ndarray, lo: np.ndarray,
 
 
 class TermBatch:
-    """Batched closed-form evaluation of many candidate schedules.
+    """The cost-term evaluator: closed-form reduction of a batch of
+    schedules (a single trace is a batch of one).
 
     The planner and the sweep harness score whole grids of candidate
-    configs; evaluating each one through
-    :meth:`Schedule.trace_stats(steps="none")` repeats per-config
-    Python and small-array overhead hundreds of times.  ``TermBatch``
-    instead *collects* every candidate's emitted :class:`CostTerm`
-    stream (:meth:`add`) and reduces the whole batch at once
-    (:meth:`evaluate`): the rank-uniform affine terms — the bulk of the
-    stream — flatten into shared coefficient/range vectors and reduce
-    with one vectorized arithmetic-series pass, while gated/owned terms
-    reduce through the same exact residue-class kernels the per-config
-    evaluator uses.  Every accumulation repeats ``run_closed``'s exact
-    integer arithmetic and term emission order, so the returned
-    :class:`~repro.machine.stats.CommStats` are **bit-identical** to a
-    per-config ``run_closed`` loop (the parity suite pins this over
-    randomized grids of all five schedules).
+    configs, so ``TermBatch`` *collects* every candidate's emitted
+    :class:`CostTerm` stream (:meth:`add`) and reduces the whole batch
+    at once (:meth:`evaluate`): the rank-uniform affine terms — the
+    bulk of the stream — flatten into shared coefficient/range vectors
+    and reduce with one vectorized arithmetic-series pass, while
+    gated/owned terms reduce through the exact residue-class kernels of
+    :class:`StepAccounting`.  Every accumulation is exact integer
+    arithmetic in term emission order, so a candidate's
+    :class:`~repro.machine.stats.CommStats` are **bit-identical**
+    whatever else shares its batch (the parity suite pins this, and
+    the totals against the dense oracle, over randomized grids of all
+    five schedules).
     """
 
     def __init__(self) -> None:
         self._accts: list[StepAccounting] = []
         self._terms: list[list[CostTerm]] = []
+        self._labels: list[Callable[[int], str]] = []
 
     def __len__(self) -> int:
         return len(self._accts)
@@ -1173,11 +969,13 @@ class TermBatch:
         acct = StepAccounting(schedule.grid, schedule.steps())
         self._terms.append(acct._collect(schedule.accounting))
         self._accts.append(acct)
+        self._labels.append(schedule.step_label)
         return len(self._accts) - 1
 
-    def evaluate(self) -> list[CommStats]:
-        """Reduce the whole batch; one ``steps='none'``
-        :class:`CommStats` per added candidate, in :meth:`add` order."""
+    def evaluate(self, steps: str = "none") -> list[CommStats]:
+        """Reduce the whole batch; one :class:`CommStats` per added
+        candidate, in :meth:`add` order, with the ``steps`` flavour of
+        step log (derived analytically from the same terms)."""
         words: list[list[float | np.ndarray | None]] = \
             [[None] * len(ts) for ts in self._terms]
         msgs: list[list[float | None]] = \
@@ -1185,7 +983,7 @@ class TermBatch:
         self._reduce_uniform_affine(words, msgs)
         out = []
         for e, (acct, terms) in enumerate(zip(self._accts, self._terms)):
-            stats = CommStats(acct.nranks, steps="none")
+            stats = CommStats(acct.nranks, steps=steps)
             arrays = {"recv": (stats.recv_words, stats.recv_msgs),
                       "sent": (stats.sent_words, stats.sent_msgs),
                       "flops": (stats.flops, None)}
@@ -1200,6 +998,8 @@ class TermBatch:
                     if mv is None:
                         mv = acct._term_total(term, msgs=True)
                     msgs_arr += term.msgs_coeff * mv
+            if steps != "none":
+                acct._analytic_steps(terms, stats, self._labels[e])
             out.append(stats)
         return out
 

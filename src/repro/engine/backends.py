@@ -2,8 +2,8 @@
 
 * :class:`TraceBackend` — analytic accounting only.  No matrix data is
   touched, so paper-scale ``(impl, N, P)`` sweeps are cheap; the step
-  axis is vectorized (see :mod:`repro.engine.accounting`), which is what
-  makes the sweep harness fast.
+  axis reduces in closed form (see :mod:`repro.engine.accounting`),
+  which is what makes the sweep harness fast.
 * :class:`DenseBackend` — the same accounting plus global-view NumPy
   execution of every step, producing verifiable factors.  This is the
   seed repo's ``execute=True`` mode: counters are analytic, numerics are
@@ -116,20 +116,15 @@ class TraceBackend:
     ``steps`` picks the step-log flavour: ``"columnar"`` (default —
     per-step maxima as lazy NumPy columns, what the BSP perf model
     consumes), ``"records"`` (eager legacy records), or ``"none"``
-    (no log at all).  Every flavour defaults to the O(steps + P)
-    closed-form evaluator — step columns derive analytically too —
-    so ``evaluator`` only matters to select the chunked reference
-    interpreter explicitly (``"chunked"``), e.g. for parity checks.
+    (no log at all).  Every flavour is the O(steps + P) closed-form
+    evaluation — step columns derive analytically too.
     """
 
-    def __init__(self, steps: str = "columnar",
-                 evaluator: str | None = None) -> None:
+    def __init__(self, steps: str = "columnar") -> None:
         self.steps = steps
-        self.evaluator = evaluator
 
     def run(self, schedule: Schedule) -> "FactorizationResult":
-        stats = schedule.trace_stats(steps=self.steps,
-                                     evaluator=self.evaluator)
+        stats = schedule.trace_stats(steps=self.steps)
         return _result_cls()(
             schedule.name, schedule.n, schedule.nranks, schedule.mem_words,
             stats, schedule.params())

@@ -7,7 +7,7 @@ tile size, replication depth, processor grid) and exposes the same step
 sequence through three views, one per backend:
 
 * :meth:`accounting` — the analytic per-rank cost of every step,
-  written vectorized over ``(steps, ranks)`` via
+  declared as cost terms through
   :class:`~repro.engine.accounting.StepAccounting` (consumed by
   ``TraceBackend`` and, for the counters, by ``DenseBackend``);
 * :meth:`dense_init` / :meth:`dense_step` / :meth:`dense_finalize` —
@@ -33,7 +33,7 @@ import numpy as np
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
 from ..machine.stats import CommStats
-from .accounting import StepAccounting
+from .accounting import StepAccounting, TermBatch
 
 __all__ = ["Schedule"]
 
@@ -96,37 +96,21 @@ class Schedule(abc.ABC):
         :class:`~repro.engine.accounting.StepAccounting` — coefficient
         times integer step profile, gated by cyclic coordinate masks
         and cyclic-ownership factors.  No per-step state: the emitted
-        terms describe *all* steps at once and are reduced by either
-        the chunked interpreter or the closed-form evaluator.
+        terms describe *all* steps at once and are reduced in closed
+        form by :class:`~repro.engine.accounting.TermBatch`.
         """
 
-    def trace_stats(self, steps: str = "columnar",
-                    evaluator: str | None = None) -> CommStats:
-        """Run the accounting into a fresh :class:`CommStats`.
+    def trace_stats(self, steps: str = "columnar") -> CommStats:
+        """Evaluate the accounting into a fresh :class:`CommStats`.
 
-        ``steps`` selects the step-log flavour (``"none"`` /
-        ``"columnar"`` / ``"records"``); ``evaluator`` the reduction
-        (``"closed"`` / ``"chunked"``).  The closed-form evaluator is
-        the default: totals reduce analytically per rank, and a
-        requested step log is derived analytically too (per-step maxima
-        bitwise equal to the chunked interpreter, totals to rounding).
-        The chunked interpreter remains as the parity-test reference
-        backend.
+        A :class:`~repro.engine.accounting.TermBatch` of one: totals
+        reduce analytically per rank, and ``steps`` selects the step-log
+        flavour derived alongside (``"none"`` / ``"columnar"`` /
+        ``"records"``).
         """
-        if evaluator is None:
-            evaluator = "closed"
-        stats = CommStats(self.nranks, steps=steps)
-        acct = StepAccounting(self.grid, self.steps())
-        if evaluator == "closed":
-            if steps == "none":
-                acct.run_closed(self.accounting, stats)
-            else:
-                acct.run_analytic(self.accounting, stats, self.step_label)
-        elif evaluator == "chunked":
-            acct.run(self.accounting, stats, self.step_label)
-        else:
-            raise ValueError(f"unknown evaluator {evaluator!r}")
-        return stats
+        batch = TermBatch()
+        batch.add(self)
+        return batch.evaluate(steps)[0]
 
     # ------------------------------------------------------------------
     # Dense view (global NumPy arrays)

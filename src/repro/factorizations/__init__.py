@@ -1,9 +1,5 @@
 """Parallel matrix factorizations: COnfLUX, COnfCHOX, and the baselines."""
 
-import warnings
-
-import numpy as np
-
 from .common import FactorizationResult, RankAccountant
 from .confchox import ConfchoxCholesky, ConfchoxSchedule, confchox_cholesky
 from .conflux import (
@@ -22,43 +18,8 @@ __all__ = [
     "ConfluxLU", "ConfluxSchedule", "conflux_lu", "default_block_size",
     "ConfchoxCholesky", "ConfchoxSchedule", "confchox_cholesky",
     "Matmul25D", "Matmul25DSchedule", "matmul_25d",
-    "distributed_lu_2d",
     "TournamentResult", "tournament_pivot", "tournament_rounds",
     "SolveResult", "lu_solve", "cholesky_solve",
     "baselines",
 ]
 
-
-def distributed_lu_2d(a: np.ndarray, nranks: int, nb: int):
-    """Deprecated shim for the retired ``distributed2d`` module.
-
-    The special-cased message-passing 2D LU is now the distributed view
-    of :class:`~repro.factorizations.baselines.scalapack_lu.ScalapackLUSchedule`
-    run under the engine's
-    :class:`~repro.engine.backends.DistributedBackend` — with real
-    partial pivoting instead of the old module's block-diagonal
-    restriction.  Returns ``(lower, upper, machine)`` like the original
-    entry point, preserving its reconstruction contract
-    ``lower @ upper == a``: the pivot permutation is folded back into
-    ``lower`` (``P^T L``), which equals the old module's unit-lower
-    factor whenever the diagonal wins every pivot search — in
-    particular on the diagonally dominant inputs the old entry point
-    required.  For the pivot order itself use the backend API's
-    ``perm``.
-    """
-    warnings.warn(
-        "distributed_lu_2d is deprecated: use ScalapackLUSchedule with "
-        "DistributedBackend (repro.engine) instead",
-        DeprecationWarning, stacklevel=2)
-    from ..engine.backends import DistributedBackend
-    from ..machine.comm import Machine
-    from .baselines.scalapack_lu import ScalapackLUSchedule
-
-    a = np.asarray(a, dtype=np.float64)
-    schedule = ScalapackLUSchedule(a.shape[0], nranks, nb=nb,
-                                   panel_rebroadcast=False)
-    machine = Machine(nranks)
-    res = DistributedBackend(machine).run(schedule, a=a)
-    lower = np.empty_like(res.lower)
-    lower[res.perm] = res.lower      # P^T L: rows back in input order
-    return lower, res.upper, machine

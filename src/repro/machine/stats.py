@@ -20,7 +20,7 @@ Three step-log flavours exist, selected by ``CommStats(steps=...)``:
   ``begin_step``/``end_step`` bracketing uses this);
 * ``"columnar"`` — :class:`ColumnarStepLog`: per-field NumPy columns
   with *lazy* :class:`StepRecord` materialization, so a trace run can
-  flush whole chunks of steps as arrays and the perf model can consume
+  flush all its steps as arrays and the perf model can consume
   the columns vectorized, without ever building ``N/v`` records;
 * ``"none"`` — :class:`NullStepLog`: appends are dropped.  Sweeps and
   the planner use this together with the closed-form trace evaluator,
@@ -119,7 +119,7 @@ STEP_FIELDS = ("flops_max", "flops_total", "recv_words_max",
 class ColumnarStepLog:
     """Step log stored as per-field NumPy columns.
 
-    Trace evaluators flush whole chunks of steps at once through
+    The trace evaluator flushes all its steps at once through
     :meth:`extend`; labels stay *lazy* — a segment stores the label
     factory and its step range, and the string (like the
     :class:`StepRecord` itself) is only built when a caller actually

@@ -1,8 +1,8 @@
 """Divisor-aware parameter-candidate generation for the planner.
 
-One source of truth for the (c, v, nb, s) search spaces: the harness'
-old private helpers (``_config_for`` / ``_nb_for``) live here now, next
-to the enumerators the planner proper searches over.  Everything is a
+One source of truth for the (c, v, nb, s) search spaces: the sweep
+harness' defaults (:func:`config_25d` / :func:`panel_width_2d`) live
+next to the enumerators the planner proper searches over.  Everything is a
 pure function of the problem shape — candidate enumeration never builds
 a schedule, so the planner can prune cheaply before instantiating the
 few survivors.
@@ -36,8 +36,7 @@ def replication_candidates(p: int, n: int,
 def tile_candidates(n: int, c: int,
                     multiples: tuple[int, ...] = (1, 2, 4)) -> list[int]:
     """Tile sizes ``v = a * c`` for the paper's small constants ``a``
-    (Section 7.2) that divide ``N`` — the same set
-    ``best_conflux_config`` always searched."""
+    (Section 7.2) that divide ``N``."""
     return [a * c for a in multiples if a * c <= n and n % (a * c) == 0]
 
 

@@ -339,17 +339,15 @@ def _no_feasible_error(problem: str, n: int, p: int,
 
 def plan_batch(requests: list[PlanRequest],
                machine_params: MachineParams = PIZ_DAINT_XC40,
-               batched: bool = True,
                strict: bool = True) -> list[Plan | None]:
     """Plan many requests at once — *the* planning pipeline.
 
     Every request's candidates are enumerated and memory-gated, then
     **all** survivors across the whole batch reduce in a single
-    :class:`TermBatch` pass (``batched=False`` keeps the per-config
-    reference loop the parity gates compare against).  TermBatch
-    reduction is composition-independent — each candidate's stats are
-    bit-identical to a standalone ``run_closed`` — so the returned
-    plans equal planning each request alone, in order.
+    :class:`TermBatch` pass.  TermBatch reduction is
+    composition-independent — each candidate's stats are bit-identical
+    to a batch of one — so the returned plans equal planning each
+    request alone, in order.
 
     With ``strict`` (the default) an infeasible request raises
     :class:`NoFeasiblePlanError` exactly as :func:`plan_request` does;
@@ -362,30 +360,23 @@ def plan_batch(requests: list[PlanRequest],
     candidates = 0
     try:
         with tel.span("plan.batch", cat="planner",
-                      requests=len(requests), batched=batched):
+                      requests=len(requests)):
             staged = []
             batch = TermBatch()
             for req in requests:
                 flops, cands = _OPS[req.op](req)
                 survivors = _gate(cands, req.budget, req.api_copies)
                 candidates += len(survivors)
-                if batched:
-                    for _, sched, *_ in survivors:
-                        batch.add(sched)
+                for _, sched, *_ in survivors:
+                    batch.add(sched)
                 staged.append((req, flops, survivors))
-            if batched:
-                all_stats = batch.evaluate()
+            all_stats = batch.evaluate()
             plans: list[Plan | None] = []
             offset = 0
             for req, flops, survivors in staged:
-                if batched:
-                    words_list = [st.mean_recv_words for st in
-                                  all_stats[offset:offset + len(survivors)]]
-                    offset += len(survivors)
-                else:
-                    words_list = [
-                        sched.trace_stats(steps="none").mean_recv_words
-                        for _, sched, *_ in survivors]
+                words_list = [st.mean_recv_words for st in
+                              all_stats[offset:offset + len(survivors)]]
+                offset += len(survivors)
                 configs = _configs_from(survivors, words_list, flops,
                                         machine_params)
                 if not configs:
@@ -408,12 +399,11 @@ def plan_batch(requests: list[PlanRequest],
 
 
 def plan_request(request: PlanRequest,
-                 machine_params: MachineParams = PIZ_DAINT_XC40,
-                 batched: bool = True) -> Plan:
+                 machine_params: MachineParams = PIZ_DAINT_XC40) -> Plan:
     """Plan one :class:`PlanRequest` (raises
     :class:`NoFeasiblePlanError` when nothing fits)."""
     return plan_batch([request], machine_params=machine_params,
-                      batched=batched, strict=True)[0]
+                      strict=True)[0]
 
 
 # ----------------------------------------------------------------------
@@ -422,42 +412,39 @@ def plan_request(request: PlanRequest,
 def plan_lu(n: int, p: int, mem_words: float | None = None,
             machine_params: MachineParams = PIZ_DAINT_XC40,
             api_copies: int = 0,
-            impls: tuple[str, ...] = ("conflux", "scalapack"),
-            batched: bool = True) -> Plan:
+            impls: tuple[str, ...] = ("conflux", "scalapack")) -> Plan:
     """Plan an LU factorization: COnfLUX (2.5D tournament pivoting) vs
     the 2D partial-pivoting baseline, every feasible parameterization.
 
     ``mem_words`` is the per-rank budget (None = unbounded);
     ``api_copies`` adds the ``N^2/P``-per-rank layout copies
     :func:`repro.api.pdgetrf` keeps alive, so feasibility here equals
-    its pre-flight gate.  ``impls`` restricts the search (the
-    ``best_conflux_config`` shim plans with ``("conflux",)``).
-    ``batched=False`` scores candidates one at a time — the reference
-    loop the batched-parity gates compare against.
+    its pre-flight gate.  ``impls`` restricts the search
+    (``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
     """
     return plan_request(
         PlanRequest(op="lu", n=n, p=p, mem_words=mem_words,
                     api_copies=api_copies, impls=tuple(impls)),
-        machine_params=machine_params, batched=batched)
+        machine_params=machine_params)
 
 
 def plan_cholesky(n: int, p: int, mem_words: float | None = None,
                   machine_params: MachineParams = PIZ_DAINT_XC40,
                   api_copies: int = 0,
                   impls: tuple[str, ...] = ("confchox", "scalapack"),
-                  batched: bool = True) -> Plan:
+                  ) -> Plan:
     """Plan a Cholesky factorization: COnfCHOX vs the 2D baseline."""
     return plan_request(
         PlanRequest(op="cholesky", n=n, p=p, mem_words=mem_words,
                     api_copies=api_copies, impls=tuple(impls)),
-        machine_params=machine_params, batched=batched)
+        machine_params=machine_params)
 
 
 def plan_gemm(n: int, p: int, mem_words: float | None = None,
               machine_params: MachineParams = PIZ_DAINT_XC40,
-              api_copies: int = 0, batched: bool = True) -> Plan:
+              api_copies: int = 0) -> Plan:
     """Plan a square matmul: the 2.5D SUMMA over (c, s) candidates."""
     return plan_request(
         PlanRequest(op="gemm", n=n, p=p, mem_words=mem_words,
                     api_copies=api_copies),
-        machine_params=machine_params, batched=batched)
+        machine_params=machine_params)

@@ -16,7 +16,7 @@ the *coordination substrate* of a distributed sweep:
   duplicating work.
 * **Workers** — the coordinator's in-process loop, subprocesses it
   spawns, or any host running ``python -m repro.runtime.fabric --cache
-  DIR`` (``scripts/sweep_worker.py``) against the shared directory —
+  DIR`` against the shared directory —
   **lease** batches through lock files claimed with
   ``O_CREAT | O_EXCL`` (exactly one winner per claim), heartbeat the
   lease mtime while executing, and write every task result through the
@@ -674,7 +674,7 @@ class DistributedSweepExecutor:
 
 
 # ----------------------------------------------------------------------
-# Worker entry point: python -m repro.runtime.fabric / sweep_worker.py
+# Worker entry point: python -m repro.runtime.fabric
 
 
 def _discover_runs(cache_root: pathlib.Path) -> list[str]:

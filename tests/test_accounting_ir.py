@@ -1,22 +1,20 @@
 """The cost-term IR's central contract: the closed-form evaluator
-reproduces the chunked interpreter bit-for-bit on the communication
-counters, for every schedule and for randomized configurations.
-
-Three layers of guarantees:
+reproduces the dense ``(steps x P)`` oracle (``tests/oracle.py`` — the
+chunked reference interpretation of the term stream) for every schedule
+and for randomized configurations.
 
 * **Exactness** — received/sent words and message counts agree exactly
   (``==``, not approx): words/msgs profiles are integer-valued, both
-  evaluators accumulate those integers exactly, and the one float
+  sides accumulate those integers exactly, and the one float
   coefficient multiplies the identical integer total in the identical
   term order.  Flop terms may carry a non-integer step column (the 2D
   panel getrf count), so flops agree to float rounding.
-* **Chunk-size invariance** — the chunked interpreter's smoke-sweep
-  checksum is *identical* across ``_CHUNK_TARGET`` spanning single-step
-  chunks to one-shot evaluation (guards both the interpreter and the
-  uniform-column folding in the step log).
-* **Step-log equivalence** — when per-step maxima are requested, the
-  columnar log and the eager records log hold the same values, and the
-  chunked totals match the closed-form totals regardless.
+* **Step columns** — per-step maxima are bitwise equal to the oracle's,
+  per-step totals agree to rounding (``assert_matches_oracle`` checks
+  totals and columns together; ``test_analytic_steps.py`` spells the
+  step-log facets out per schedule).
+* **Step-log equivalence** — the columnar log and the eager records
+  log hold the same values.
 """
 
 import numpy as np
@@ -24,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.accounting as accounting_mod
+from oracle import assert_matches_oracle, oracle_stats
+from repro.analysis import harness
 from repro.analysis.harness import sweep_traces
 from repro.factorizations import (
     ConfchoxSchedule,
@@ -36,22 +35,6 @@ from repro.factorizations.baselines.scalapack_chol import (
 )
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 
-COMM_KEYS = ("recv_words", "sent_words", "recv_msgs", "sent_msgs")
-
-
-def assert_evaluators_agree(schedule):
-    """closed == chunked: exact on comm counters, 1e-12 on flops."""
-    chunked = schedule.trace_stats(steps="none", evaluator="chunked")
-    closed = schedule.trace_stats(steps="none", evaluator="closed")
-    for key in COMM_KEYS:
-        a, b = getattr(chunked, key), getattr(closed, key)
-        assert np.array_equal(a, b), \
-            f"{type(schedule).__name__}.{key}: chunked != closed"
-    np.testing.assert_allclose(closed.flops, chunked.flops, rtol=1e-12)
-    # Aggregates follow from the vectors, but pin the headline numbers.
-    assert closed.total_recv_words == chunked.total_recv_words
-    assert closed.mean_recv_words == chunked.mean_recv_words
-
 
 class TestFixedConfigs:
     """The parity suite's fixed grid: all five schedules."""
@@ -61,33 +44,33 @@ class TestFixedConfigs:
         (128, 4, 8, 1),
     ])
     def test_conflux(self, n, p, v, c):
-        assert_evaluators_agree(ConfluxSchedule(n, p, v=v, c=c))
+        assert_matches_oracle(ConfluxSchedule(n, p, v=v, c=c))
 
     @pytest.mark.parametrize("n,p,v,c", [
         (64, 8, 8, 2), (96, 12, 12, 3), (128, 16, 16, 4), (48, 6, 8, 2),
     ])
     def test_confchox(self, n, p, v, c):
-        assert_evaluators_agree(ConfchoxSchedule(n, p, v=v, c=c))
+        assert_matches_oracle(ConfchoxSchedule(n, p, v=v, c=c))
 
     @pytest.mark.parametrize("n,p,s,c", [
         (128, 32, 8, 2), (128, 64, 8, 4), (64, 16, 8, 1),
     ])
     def test_matmul25d(self, n, p, s, c):
-        assert_evaluators_agree(Matmul25DSchedule(n, p, s=s, c=c))
+        assert_matches_oracle(Matmul25DSchedule(n, p, s=s, c=c))
 
     @pytest.mark.parametrize("n,p,nb", [
         (96, 16, 8), (128, 16, 16), (128, 36, 8), (64, 4, 64),
     ])
     def test_scalapack_lu(self, n, p, nb):
-        assert_evaluators_agree(ScalapackLUSchedule(n, p, nb=nb))
-        assert_evaluators_agree(
+        assert_matches_oracle(ScalapackLUSchedule(n, p, nb=nb))
+        assert_matches_oracle(
             ScalapackLUSchedule(n, p, nb=nb, panel_rebroadcast=False))
 
     @pytest.mark.parametrize("n,p,nb", [
         (96, 16, 8), (128, 16, 16), (128, 36, 8), (64, 4, 64),
     ])
     def test_scalapack_chol(self, n, p, nb):
-        assert_evaluators_agree(ScalapackCholeskySchedule(n, p, nb=nb))
+        assert_matches_oracle(ScalapackCholeskySchedule(n, p, nb=nb))
 
 
 class TestHypothesisParity:
@@ -103,18 +86,17 @@ class TestHypothesisParity:
         from repro.machine.grid import ProcessorGrid3D
 
         grid = ProcessorGrid3D(pr, pc, c)
-        assert_evaluators_agree(ConfluxSchedule(n, p, v=v, c=c, grid=grid))
-        assert_evaluators_agree(ConfchoxSchedule(n, p, v=v, c=c,
-                                                 grid=grid))
+        assert_matches_oracle(ConfluxSchedule(n, p, v=v, c=c, grid=grid))
+        assert_matches_oracle(ConfchoxSchedule(n, p, v=v, c=c, grid=grid))
 
     @settings(max_examples=25, deadline=None)
     @given(nsteps=st.integers(1, 12), nb=st.sampled_from([4, 8, 16]),
            p=st.integers(1, 20), rebroadcast=st.booleans())
     def test_scalapack_2d(self, nsteps, nb, p, rebroadcast):
         n = nb * nsteps
-        assert_evaluators_agree(ScalapackLUSchedule(
+        assert_matches_oracle(ScalapackLUSchedule(
             n, p, nb=nb, panel_rebroadcast=rebroadcast))
-        assert_evaluators_agree(ScalapackCholeskySchedule(n, p, nb=nb))
+        assert_matches_oracle(ScalapackCholeskySchedule(n, p, nb=nb))
 
     @settings(max_examples=25, deadline=None)
     @given(rounds=st.integers(1, 10), s=st.sampled_from([2, 4, 8]),
@@ -125,27 +107,7 @@ class TestHypothesisParity:
             sched = Matmul25DSchedule(n, p, s=s, c=c)
         except ValueError:      # no 2.5D grid for this (p, c)
             return
-        assert_evaluators_agree(sched)
-
-    @settings(max_examples=15, deadline=None)
-    @given(nsteps=st.integers(2, 8), vk=st.integers(1, 3),
-           pr=st.integers(1, 3), pc=st.integers(1, 3),
-           c=st.integers(1, 2), chunk=st.sampled_from([1, 3, 64, 10 ** 9]))
-    def test_chunk_target_never_matters(self, nsteps, vk, pr, pc, c,
-                                        chunk):
-        """Per-rank counters are invariant to the interpreter's chunk
-        size — bit for bit — and always equal the closed form."""
-        from repro.machine.grid import ProcessorGrid3D
-
-        v = vk * c
-        sched = ConfluxSchedule(v * nsteps, pr * pc * c, v=v, c=c,
-                                grid=ProcessorGrid3D(pr, pc, c))
-        saved = accounting_mod._CHUNK_TARGET
-        accounting_mod._CHUNK_TARGET = chunk
-        try:
-            assert_evaluators_agree(sched)
-        finally:
-            accounting_mod._CHUNK_TARGET = saved
+        assert_matches_oracle(sched)
 
 
 class TestStepLogEquivalence:
@@ -230,25 +192,31 @@ class TestBuilderValidation:
 SWEEP_CASES = [(1024, 16), (2048, 64)]
 
 
-class TestSweepChecksum:
-    def test_chunk_size_invariant_checksum(self, monkeypatch):
-        """The smoke-sweep checksum is identical for _CHUNK_TARGET in
-        {1, 4096, 131072, 10**9} — the satellite guarantee guarding
-        both the chunked interpreter and the uniform-column folding."""
-        sums = []
-        for target in (1, 4096, 131072, 10 ** 9):
-            monkeypatch.setattr(accounting_mod, "_CHUNK_TARGET", target)
-            results = sweep_traces(SWEEP_CASES, evaluator="chunked")
-            sums.append(sum(r.mean_recv_words for r in results))
-        assert len(set(sums)) == 1, f"checksum varies with chunking: {sums}"
+def _case_schedules(n, p):
+    """The four default sweep flavours of one case, as
+    ``trace_case`` builds them."""
+    c = harness.max_replication(p, n)
+    return [harness._LU_SCHEDULES[name](n, p, c)
+            for name in ("conflux", "mkl")] + \
+        [harness._CHOL_SCHEDULES[name](n, p, c)
+         for name in ("confchox", "mkl-chol")]
 
+
+class TestSweepChecksum:
     def test_closed_equals_chunked_checksum(self):
-        closed = sweep_traces(SWEEP_CASES)              # default: closed
-        chunked = sweep_traces(SWEEP_CASES, evaluator="chunked")
+        closed = sweep_traces(SWEEP_CASES)
+        chunked = [oracle_stats(sched) for case in SWEEP_CASES
+                   for sched in _case_schedules(*case)]
         assert sum(r.mean_recv_words for r in closed) == \
-            sum(r.mean_recv_words for r in chunked)
+            sum(stats.mean_recv_words for stats in chunked)
         for a, b in zip(closed, chunked):
-            assert np.array_equal(a.comm.recv_words, b.comm.recv_words)
+            assert np.array_equal(a.comm.recv_words, b.recv_words)
+
+    def test_paper_scale_point_matches_oracle(self):
+        """One bench-matrix point, all four sweep flavours, totals and
+        step columns."""
+        for sched in _case_schedules(65536, 1024):
+            assert_matches_oracle(sched)
 
     def test_sweep_default_has_no_step_log(self):
         results = sweep_traces([(1024, 16)])

@@ -1,17 +1,17 @@
-"""Analytic step columns: the closed-form evaluator's per-step log vs
-the chunked interpreter's.
+"""Analytic step columns: the evaluator's per-step log vs the chunked
+dense reference in ``tests/oracle.py``.
 
-The analytic path repeats the interpreter's float operations on one
-column per residue class instead of one per rank, so per-step *maxima*
-are bitwise equal; per-step *totals* multiply analytic class counts and
+The analytic path repeats the oracle's float operations on one column
+per residue class instead of one per rank, so per-step *maxima* are
+bitwise equal; per-step *totals* multiply analytic class counts and
 agree to float rounding.  The BSP perf model must therefore time both
-logs identically (to rounding) — that is what lets the chunked
-interpreter retire from every sweep/planner hot path.
+logs identically (to rounding).
 """
 
 import numpy as np
 import pytest
 
+from oracle import oracle_stats
 from repro.machine import PerfModel
 from repro.machine.stats import STEP_FIELDS
 
@@ -47,44 +47,42 @@ TOTAL_FIELDS = [f for f in STEP_FIELDS if f.endswith("_total")]
                          ids=lambda s: s.name)
 class TestAnalyticStepColumns:
     def test_maxima_bitwise_equal_to_chunked(self, sched):
-        closed = sched.trace_stats(steps="columnar", evaluator="closed")
-        chunked = sched.trace_stats(steps="columnar", evaluator="chunked")
+        closed = sched.trace_stats(steps="columnar")
+        chunked = oracle_stats(sched)
         assert len(closed.steps) == len(chunked.steps)
         for field in MAX_FIELDS:
             assert np.array_equal(closed.steps.column(field),
                                   chunked.steps.column(field)), field
 
     def test_totals_agree_to_rounding(self, sched):
-        closed = sched.trace_stats(steps="columnar", evaluator="closed")
-        chunked = sched.trace_stats(steps="columnar", evaluator="chunked")
+        closed = sched.trace_stats(steps="columnar")
+        chunked = oracle_stats(sched)
         for field in TOTAL_FIELDS:
             assert np.allclose(closed.steps.column(field),
                                chunked.steps.column(field),
                                rtol=1e-12, atol=0.0), field
 
     def test_labels_match(self, sched):
-        closed = sched.trace_stats(steps="columnar", evaluator="closed")
-        chunked = sched.trace_stats(steps="columnar", evaluator="chunked")
+        closed = sched.trace_stats(steps="columnar")
+        chunked = oracle_stats(sched)
         for i in (0, len(closed.steps) - 1):
             assert closed.steps.label(i) == chunked.steps.label(i)
 
     def test_perf_model_times_both_logs_identically(self, sched):
         model = PerfModel()
         local_words = sched.n * sched.n / sched.nranks
-        a = model.evaluate(
-            sched.trace_stats(steps="columnar", evaluator="closed").steps,
-            sched.nranks, local_words)
-        b = model.evaluate(
-            sched.trace_stats(steps="columnar", evaluator="chunked").steps,
-            sched.nranks, local_words)
+        a = model.evaluate(sched.trace_stats(steps="columnar").steps,
+                           sched.nranks, local_words)
+        b = model.evaluate(oracle_stats(sched).steps,
+                           sched.nranks, local_words)
         assert a.total_s == pytest.approx(b.total_s, rel=1e-9)
         assert a.peak_fraction == pytest.approx(b.peak_fraction, rel=1e-9)
 
     def test_records_flavour_matches_columnar(self, sched):
         """The analytic path serves eager records too; both flavours
         carry the same numbers."""
-        col = sched.trace_stats(steps="columnar", evaluator="closed")
-        rec = sched.trace_stats(steps="records", evaluator="closed")
+        col = sched.trace_stats(steps="columnar")
+        rec = sched.trace_stats(steps="records")
         assert len(col.steps) == len(rec.steps)
         last = len(col.steps) - 1
         for field in STEP_FIELDS:

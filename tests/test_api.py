@@ -302,8 +302,8 @@ class TestAutoUsesService:
 
 
 class TestNbKwarg:
-    """nb= is the 2D baselines' panel width; v-as-nb is a deprecated
-    alias (satellite 2)."""
+    """nb= is the 2D baselines' panel width; the 2.5D tile size v= is
+    rejected there, never silently ignored."""
 
     def test_nb_runs_and_recorded(self, rng):
         machine, desc, _, a = setup_machine(rng)
@@ -311,21 +311,18 @@ class TestNbKwarg:
         assert res.params == {"impl": "scalapack", "nb": 8}
         assert res.v == 8
 
-    def test_v_alias_warns_and_still_works(self, rng):
+    def test_v_rejected_naming_nb(self, rng):
         machine, desc, _, a = setup_machine(rng)
-        with pytest.warns(DeprecationWarning, match="use nb="):
-            res = pdgetrf(machine, "A", desc, v=8, impl="scalapack")
-        assert res.params == {"impl": "scalapack", "nb": 8}
+        with pytest.raises(ValueError, match="nb="):
+            pdgetrf(machine, "A", desc, v=8, impl="scalapack")
+        machine, desc, _, a = setup_machine(rng, spd=True)
+        with pytest.raises(ValueError, match="nb="):
+            pdpotrf(machine, "A", desc, v=8, impl="scalapack")
 
     def test_conflicting_nb_and_v_rejected(self, rng):
         machine, desc, _, a = setup_machine(rng)
-        with pytest.raises(ValueError, match="conflicting panel widths"):
+        with pytest.raises(ValueError, match="nb="):
             pdgetrf(machine, "A", desc, v=16, nb=8, impl="scalapack")
-
-    def test_agreeing_nb_and_v_accepted_silently(self, rng):
-        machine, desc, _, a = setup_machine(rng)
-        res = pdgetrf(machine, "A", desc, v=8, nb=8, impl="scalapack")
-        assert res.params == {"impl": "scalapack", "nb": 8}
 
     def test_pdpotrf_nb(self, rng):
         machine, desc, _, a = setup_machine(rng, spd=True)
@@ -333,11 +330,6 @@ class TestNbKwarg:
         assert res.params == {"impl": "scalapack", "nb": 8}
         err = np.linalg.norm(a - res.lower @ res.lower.T)
         assert err / np.linalg.norm(a) < 1e-12
-
-    def test_pdpotrf_v_alias_warns(self, rng):
-        machine, desc, _, a = setup_machine(rng, spd=True)
-        with pytest.warns(DeprecationWarning, match="use nb="):
-            pdpotrf(machine, "A", desc, v=8, impl="scalapack")
 
 
 class TestNativeCopyLifecycle:

@@ -115,19 +115,16 @@ class TestVerdicts:
                              "checksum_matches_serial": True}
         assert gate(snapshot(1.0), fresh) == 0
 
-    def test_evaluator_divergence_fails(self, gate, capsys):
-        """Closed-form vs chunked checksum equality is gated exactly."""
-        fresh = snapshot(1.0)
-        fresh["accounting"] = {"closed": {"checksum": 1000.0},
-                               "chunked": {"checksum": 1000.5}}
-        assert gate(snapshot(1.0), fresh) == 1
-        assert "evaluators diverged" in capsys.readouterr().err
-
-    def test_evaluator_equality_passes(self, gate):
-        fresh = snapshot(1.0)
-        fresh["accounting"] = {"closed": {"checksum": 1000.0},
-                               "chunked": {"checksum": 1000.0}}
-        assert gate(snapshot(1.0), fresh) == 0
+    def test_planner_checksum_pinned(self, gate, capsys):
+        """The chosen-plan checksum is gated against the committed one
+        exactly like the sweep checksum: drift fails, equal passes."""
+        base, fresh = snapshot(1.0), snapshot(1.0)
+        base["planner"] = {"chosen_checksum": 2000.0}
+        fresh["planner"] = {"chosen_checksum": 2000.0}
+        assert gate(base, fresh) == 0
+        fresh["planner"] = {"chosen_checksum": 2000.5}
+        assert gate(base, fresh) == 1
+        assert "planner checksum drifted" in capsys.readouterr().err
 
     def test_old_snapshot_without_accounting_block_passes(self, gate):
         assert gate(snapshot(1.0), snapshot(1.0)) == 0

@@ -1,15 +1,18 @@
 """Tests for the execution engine (repro.engine)."""
 
+import types
+
 import numpy as np
 import pytest
 
+from oracle import assert_matches_oracle
 from repro.engine import (
     DenseBackend,
     DistributedBackend,
-    StepAccounting,
     TraceBackend,
     run_with,
 )
+from repro.engine.accounting import TermBatch
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -18,20 +21,25 @@ from repro.factorizations import (
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.machine import Machine
 from repro.machine.grid import ProcessorGrid3D
-from repro.machine.stats import CommStats
+
+
+def _evaluate(grid, nsteps, accounting):
+    """Evaluate an ad-hoc accounting callable: a batch of one."""
+    batch = TermBatch()
+    batch.add(types.SimpleNamespace(
+        grid=grid, steps=lambda: nsteps, accounting=accounting,
+        step_label=lambda t: f"t={t}"))
+    return batch.evaluate("columnar")[0]
 
 
 class TestStepAccounting:
     def test_uniform_and_full_paths_agree(self):
         """A rank-uniform term (no rank factors) equals the same term
-        forced down the full-matrix path via a trivial rank constant —
-        both in the totals and in the per-step log fold."""
+        forced down the rank-dependent path via a trivial rank constant
+        — both in the totals and in the per-step log fold."""
         grid = ProcessorGrid3D(2, 2, 2)
         results = []
         for expand in (False, True):
-            stats = CommStats(grid.size, steps="columnar")
-            acct = StepAccounting(grid, 6)
-
             def accounting(a, expand=expand):
                 rc = np.ones(a.nranks) if expand else None
                 a.add_recv(3.0, step=a.affine(1, 1), rank_const=rc,
@@ -39,8 +47,7 @@ class TestStepAccounting:
                 a.add_flops(1.0, step=a.affine(1, 1),
                             rank_const=np.asarray(a.pi + 1, dtype=float))
 
-            acct.run(accounting, stats, lambda t: f"t={t}")
-            results.append(stats)
+            results.append(_evaluate(grid, 6, accounting))
         u, f = results
         assert np.array_equal(u.recv_words, f.recv_words)
         assert np.array_equal(u.recv_msgs, f.recv_msgs)
@@ -51,19 +58,16 @@ class TestStepAccounting:
             assert ru.msgs_max == rf.msgs_max
 
     def test_full_after_uniform_transition(self):
-        """Regression for the old double-allocation bug: a uniform term
-        followed by a full-matrix term on the *same* counter must fold
-        into one per-step aggregate (max = full max + uniform shift),
-        and message matrices must allocate exactly once."""
+        """A uniform term followed by a rank-dependent term on the
+        *same* counter must fold into one per-step aggregate (max =
+        rank-dependent max + uniform shift)."""
         grid = ProcessorGrid3D(2, 2, 1)
-        stats = CommStats(grid.size, steps="columnar")
-        acct = StepAccounting(grid, 4)
 
         def accounting(a):
             a.add_recv(5.0, msgs=2.0)                    # uniform
-            a.add_recv(7.0, gate=("j",), msgs=3.0)       # full, same key
+            a.add_recv(7.0, gate=("j",), msgs=3.0)       # gated, same key
 
-        acct.run(accounting, stats, lambda t: f"t={t}")
+        stats = _evaluate(grid, 4, accounting)
         # Every rank: 4 steps x 5 words uniform; the step-t panel
         # column (2 of 4 ranks per step) adds 7.
         on_col = 4 * 5.0 + 2 * 7.0      # each rank is q_col every 2nd t
@@ -75,22 +79,6 @@ class TestStepAccounting:
             assert rec.recv_words_total == 4 * 5.0 + 2 * 7.0
             assert rec.msgs_max == 2.0 + 3.0
 
-    def test_chunking_invariant(self, monkeypatch):
-        """Totals and the step log must not depend on the chunk size —
-        the per-rank counters bit-for-bit (integer base sums), the
-        per-step maxima to the last ulp too."""
-        import repro.engine.accounting as accounting_mod
-
-        sched = ConfluxSchedule(128, 8, v=8, c=2)
-        base = TraceBackend().run(sched)
-        monkeypatch.setattr(accounting_mod, "_CHUNK_TARGET", 8)
-        small = TraceBackend().run(ConfluxSchedule(128, 8, v=8, c=2))
-        assert np.array_equal(base.comm.recv_words, small.comm.recv_words)
-        assert len(base.step_log) == len(small.step_log)
-        for rb, rs in zip(base.step_log, small.step_log):
-            assert rb.recv_words_max == rs.recv_words_max
-            assert rb.label == rs.label
-
     def test_step_labels(self):
         res = TraceBackend().run(Matmul25DSchedule(64, 8, c=2))
         labels = [r.label for r in res.step_log]
@@ -98,31 +86,14 @@ class TestStepAccounting:
         assert labels[0] == "summa-0"
 
     def test_closed_form_matches_chunked(self):
-        """The acceptance property at engine level: identical counters
-        from both evaluators on a real schedule."""
-        a = ConfluxSchedule(128, 16, v=16, c=4).trace_stats(steps="none")
-        b = ConfluxSchedule(128, 16, v=16, c=4).trace_stats(
-            steps="none", evaluator="chunked")
-        assert np.array_equal(a.recv_words, b.recv_words)
-        assert np.array_equal(a.recv_msgs, b.recv_msgs)
-        assert np.array_equal(a.flops, b.flops)
+        """The acceptance property at engine level: the evaluator's
+        counters equal the chunked dense oracle's on a real schedule."""
+        assert_matches_oracle(ConfluxSchedule(128, 16, v=16, c=4))
 
     def test_closed_form_step_log_matches_chunked(self):
-        """The closed evaluator now serves step logs analytically:
-        per-step maxima bitwise equal to the chunked interpreter's
-        columns, totals to rounding."""
-        a = ConfluxSchedule(64, 8, v=8, c=2).trace_stats(
-            steps="columnar", evaluator="closed")
-        b = ConfluxSchedule(64, 8, v=8, c=2).trace_stats(
-            steps="columnar", evaluator="chunked")
-        assert np.array_equal(a.steps.column("recv_words_max"),
-                              b.steps.column("recv_words_max"))
-        assert np.array_equal(a.steps.column("flops_max"),
-                              b.steps.column("flops_max"))
-        assert np.allclose(a.steps.column("recv_words_total"),
-                           b.steps.column("recv_words_total"),
-                           rtol=1e-12)
-        assert np.array_equal(a.recv_words, b.recv_words)
+        """Step logs derive analytically: per-step maxima bitwise equal
+        to the oracle's columns, totals to rounding."""
+        assert_matches_oracle(ConfluxSchedule(64, 8, v=8, c=2))
 
 
 class TestBackends:

@@ -1,8 +1,8 @@
 """Tests for the planner subsystem (repro.planner).
 
 Pins the contract the new subsystem introduces: deterministic ranked
-plans, agreement with the historical ``best_conflux_config`` search on
-the Table-2 points, feasibility identical to :mod:`repro.api`'s
+plans, the historical COnfLUX-only ``(c, v)`` search's answers on the
+Table-2 points, feasibility identical to :mod:`repro.api`'s
 pre-flight memory gate, and ``impl="auto"`` picking a configuration
 whose *counted* communication beats every explicitly named
 implementation at the same (N, P, M).
@@ -91,15 +91,17 @@ class TestPlanDeterminism:
 
 
 class TestAgreementWithLegacySearch:
-    """The deprecated best_conflux_config must be reproduced exactly by
-    the planner's conflux-only search — one source of truth."""
+    """The planner's conflux-only search reproduces what the retired
+    ``best_conflux_config`` search returned (values pinned when the
+    shim was deleted)."""
+
+    LEGACY = {(8192, 256): (4, 4, 3190398.25),
+              (16384, 1024): (4, 4, 5329853.40625),
+              (32768, 4096): (8, 8, 8688574.796875)}
 
     @pytest.mark.parametrize("n,p", TABLE2_POINTS)
     def test_table2_points(self, n, p):
-        with pytest.warns(DeprecationWarning):
-            from repro.analysis.harness import best_conflux_config
-
-            c_old, v_old, cost_old = best_conflux_config(n, p)
+        c_old, v_old, cost_old = self.LEGACY[n, p]
         chosen = plan_lu(n, p, mem_words=NODE_M, impls=("conflux",)).chosen
         assert (chosen.params["c"], chosen.params["v"]) == (c_old, v_old)
         assert chosen.predicted_words == pytest.approx(cost_old)
@@ -137,12 +139,12 @@ class TestFeasibility:
         budget = 1.2 * n * n / p      # < required + api layout copies
         with pytest.raises(NoFeasiblePlanError):
             plan_lu(n, p, mem_words=budget, api_copies=4)
-        for impl in ("conflux", "scalapack"):
+        for impl, kw in (("conflux", {"v": 16}), ("scalapack", {"nb": 16})):
             machine = Machine(p, mem_words=budget, enforce_memory=True)
             desc = ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
                                        prows=2, pcols=2)
             with pytest.raises(MemoryBudgetExceeded):
-                pdgetrf(machine, "A", desc, v=16, nb=16, impl=impl)
+                pdgetrf(machine, "A", desc, impl=impl, **kw)
 
     def test_planned_config_passes_api_gate(self, rng):
         """api_copies=4 (3 gate copies + the resident input) makes
@@ -195,9 +197,9 @@ class TestAutoImpl:
         budget = 6.0 * n * n / p + 4096
         machine, desc, _ = _auto_machine(rng, n, p, budget)
         auto = pdgetrf(machine, "A", desc, impl="auto")
-        for impl in ("conflux", "scalapack"):
+        for impl, kw in (("conflux", {"v": 16}), ("scalapack", {"nb": 16})):
             m2, d2, _ = _auto_machine(rng, n, p, budget)
-            explicit = pdgetrf(m2, "A", d2, v=16, nb=16, impl=impl)
+            explicit = pdgetrf(m2, "A", d2, impl=impl, **kw)
             assert (auto.factorization_words
                     <= explicit.factorization_words)
 
@@ -208,9 +210,9 @@ class TestAutoImpl:
         auto = pdpotrf(machine, "A", desc, impl="auto")
         err = np.linalg.norm(a - auto.lower @ auto.lower.T)
         assert err / np.linalg.norm(a) < 1e-11
-        for impl in ("confchox", "scalapack"):
+        for impl, kw in (("confchox", {"v": 16}), ("scalapack", {"nb": 16})):
             m2, d2, _ = _auto_machine(rng, n, p, budget, spd=True)
-            explicit = pdpotrf(m2, "A", d2, v=16, nb=16, impl=impl)
+            explicit = pdpotrf(m2, "A", d2, impl=impl, **kw)
             assert (auto.factorization_words
                     <= explicit.factorization_words)
 

@@ -1,11 +1,10 @@
-"""Batch-evaluation parity: ``TermBatch`` vs per-config ``run_closed``.
+"""Batch-composition parity: a ``TermBatch`` of N vs N batches of one.
 
-The batched closed-form evaluator must be *bit-identical* to tracing
-every schedule on its own — same exact integer accumulation, only
+The evaluator must return *bit-identical* stats for a schedule whatever
+else shares its batch — same exact integer accumulation, only
 vectorized across configs.  These tests randomize candidate grids over
-all five engine schedules (hypothesis) and pin the planner's batched
-scoring to the per-config reference loop on the paper's Table-2
-points.
+all five engine schedules (hypothesis) and pin the planner's whole-grid
+scoring to planning each request alone on the paper's Table-2 points.
 """
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import TOTAL_FIELDS, oracle_stats
 from repro.analysis.harness import NODE_MEM_WORDS
 from repro.engine.accounting import TermBatch
 from repro.machine.exceptions import GridError
@@ -25,7 +25,8 @@ from repro.factorizations.baselines.scalapack_chol import (
     ScalapackCholeskySchedule,
 )
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-from repro.planner import plan_cholesky, plan_gemm, plan_lu
+from repro.machine.stats import STEP_FIELDS
+from repro.planner import PlanRequest, plan_batch, plan_request
 
 TABLE2_POINTS = [(8192, 256), (16384, 1024), (32768, 4096)]
 
@@ -65,8 +66,7 @@ POOL = _candidate_pool()
 
 
 def _assert_stats_identical(batch_stats, ref_stats):
-    for field in ("recv_words", "sent_words", "recv_msgs", "sent_msgs",
-                  "flops"):
+    for field in TOTAL_FIELDS:
         got = getattr(batch_stats, field)
         want = getattr(ref_stats, field)
         assert np.array_equal(got, want), field
@@ -77,8 +77,8 @@ class TestBatchParity:
     @given(idx=st.lists(st.integers(0, len(POOL) - 1), min_size=1,
                         max_size=6))
     def test_random_grids_bit_identical(self, idx):
-        """Any mix of candidates reduces to the same bits as the
-        per-config closed-form loop."""
+        """Any mix of candidates reduces to the same bits as each
+        candidate alone (``trace_stats`` is a batch of one)."""
         scheds = [POOL[i] for i in idx]
         batch = TermBatch()
         for sched in scheds:
@@ -99,26 +99,31 @@ class TestBatchParity:
         assert len(batch) == len(scheds)
         for sched, stats in zip(scheds, batch.evaluate()):
             _assert_stats_identical(stats, sched.trace_stats(steps="none"))
+        # The step log is an output of the same pass: also unchanged
+        # by batch composition.
+        for sched, stats in zip(scheds, batch.evaluate("columnar")):
+            alone = sched.trace_stats(steps="columnar")
+            _assert_stats_identical(stats, alone)
+            for field in STEP_FIELDS:
+                assert np.array_equal(stats.steps.column(field),
+                                      alone.steps.column(field)), field
 
     def test_batch_matches_chunked_reference(self):
-        """Transitivity check straight to the original interpreter."""
+        """Transitivity check straight to the dense oracle."""
         sched = ConfchoxSchedule(128, 16, v=16, c=4)
-        batch = TermBatch()
-        batch.add(sched)
-        (stats,) = batch.evaluate()
-        _assert_stats_identical(
-            stats, sched.trace_stats(steps="none", evaluator="chunked"))
+        _assert_stats_identical(sched.trace_stats(steps="none"),
+                                oracle_stats(sched))
 
 
 class TestPlannerDeterminism:
     @pytest.mark.parametrize("n,p", TABLE2_POINTS)
     def test_batched_scoring_picks_identical_plans(self, n, p):
-        """``plan_*`` with batched TermBatch scoring returns the exact
-        ranked configurations of the per-config reference loop."""
-        for planner in (plan_lu, plan_cholesky, plan_gemm):
-            fast = planner(n, p, NODE_MEM_WORDS, api_copies=3,
-                           batched=True)
-            ref = planner(n, p, NODE_MEM_WORDS, api_copies=3,
-                          batched=False)
+        """Scoring all three ops' candidates in one ``TermBatch`` pass
+        returns the exact ranked configurations of planning each
+        request alone."""
+        requests = [PlanRequest(op, n, p, NODE_MEM_WORDS, api_copies=3)
+                    for op in ("lu", "cholesky", "gemm")]
+        for fast, req in zip(plan_batch(requests), requests):
+            ref = plan_request(req)
             assert fast.ranked == ref.ranked
             assert fast.chosen == ref.chosen
