@@ -9,7 +9,7 @@ PY ?= python
 COV_FLOOR ?= 85
 
 .PHONY: test lint coverage bench-smoke bench-check plan atlas trace \
-	fabric-check cache-gc
+	fabric-check cache-gc exec-smoke profile-exec
 
 # Worker count for the process-pool sweep path; empty = script default
 # (min(4, cores)).  Usage: make bench-smoke PARALLEL=4
@@ -19,6 +19,21 @@ PARALLEL_FLAG = $(if $(PARALLEL),--parallel $(PARALLEL))
 ## Run the tier-1 test suite (what CI and the PR driver gate on).
 test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
+
+## The executed, verified path at smoke scale: one quick run of each
+## message-bound perf/ workload (pd* call on the simulated machine,
+## residual <= 1e-10, peak <= the enforced budget on exec_chol25d).
+## Exits non-zero when an operation fails its check.  CI runs this
+## right after `make test`.
+exec-smoke:
+	$(PY) perf/run.py --workload exec_lu25d --quick --seconds 2
+	$(PY) perf/run.py --workload exec_chol25d --quick --seconds 2
+
+## cProfile top-25 (own time) of one exec_lu25d operation — pdgetrf
+## conflux, n=512, P=16, v=16, c=2 — built as perf/run.py builds it.
+## Where an execute-path PR starts; measure the result with perf/run.py.
+profile-exec:
+	$(PY) scripts/profile_exec.py
 
 ## Coverage gate: the tier-1 suite under pytest-cov, failing below
 ## COV_FLOOR percent line coverage of src/repro.  Degrades to a notice

@@ -1,0 +1,51 @@
+#!/usr/bin/env python
+"""cProfile one operation of an executed perf/ workload (``make profile-exec``).
+
+Builds the workload exactly as ``perf/run.py`` does (default: the
+``exec_lu25d`` point — ``pdgetrf`` conflux, n=512, P=16, v=16, c=2),
+runs one warm-up operation, profiles the next and prints the top
+functions by own time, so an execute-path change starts from a number.
+cProfile taxes every Python call but no native code: use it to find
+candidates, then measure with ``perf/run.py``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import pathlib
+import pstats
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+for _path in (str(ROOT / "src"), str(ROOT)):
+    sys.path.insert(0, _path)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="exec_lu25d",
+                        choices=["exec_lu25d", "exec_chol25d", "exec_bulk"])
+    args = parser.parse_args(argv)
+
+    from perf import run, workloads
+
+    run.pin_blas_threads()              # before NumPy is first imported
+
+    workload = workloads.load(args.workload)(args.workload, 1, "full")
+    workload.setup()
+    workload.run(workload.prepare(0))
+    ctx = workload.prepare(1)
+    profile = cProfile.Profile()
+    results = profile.runcall(workload.run, ctx)
+    failures = workload.check(ctx, results)
+    stats = pstats.Stats(profile)
+    stats.sort_stats("tottime").print_stats(25)
+    print(f"{args.workload}: {stats.total_calls} calls, "
+          f"{stats.total_tt:.3f} s under the profiler; "
+          f"check: {failures or 'ok'}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -149,8 +149,9 @@ def _check_memory_feasible(machine: Machine, schedule,
     ``required_words`` closed form *plus* ``api_copies`` matrix copies
     of ``N^2/P`` words per rank for the layout lifetimes this module
     keeps alive around the factorization itself: the adopted native
-    input (which the schedule copies but never frees), the written-back
-    native factors, and the output in the caller's layout.  The check
+    input (which the schedule copies; freed once the backend has run),
+    the written-back native factors, and the output in the caller's
+    layout.  The check
     is a per-rank :meth:`~repro.machine.store.RankStore.reserve`, so
     words already resident (the caller's distributed matrix, which
     stays put through the run) count against the budget on the rank
@@ -302,10 +303,12 @@ def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
     :class:`DistributedBackend` run on the caller's machine, counted
     writeback into the caller's layout, :class:`PDResult`.
 
-    The native layout copies are transient: the prepped inputs and the
-    written-back factors are discarded once the caller-layout output
-    exists, so chained calls do not accumulate dead copies against an
-    enforced budget.  :func:`run_workload` manages native residency
+    The native layout copies are transient: the prepped inputs are
+    discarded as soon as the backend has run (before writeback, so they
+    never coexist with the written-back copies the gate reserves for)
+    and the written-back factors once the caller-layout output exists,
+    so chained calls do not accumulate dead copies against an enforced
+    budget.  :func:`run_workload` manages native residency
     itself — it passes ``native_names`` (operand -> store key of
     already-native tiles, skipping the reshuffle in), ``keep_native``
     (the written-back native factors stay resident for later nodes to
@@ -336,9 +339,11 @@ def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
             res = DistributedBackend(machine).run(schedule, in_name=in_name)
         with tel.span("pd.writeback", cat="pd-phase"):
             packed = _PD_PACKED[op](res)
-            resh_out = _writeback(machine, out_name, desc, packed, native)
+            # The call's own prepped inputs are dead once the backend
+            # has run: free them before writeback adds two more copies.
             for name in created:
                 _discard_native(machine, name, native)
+            resh_out = _writeback(machine, out_name, desc, packed, native)
             if not keep_native:
                 _discard_native(machine, out_name + ":native", native)
         sp.set(reshuffle_words=resh_in + resh_out,

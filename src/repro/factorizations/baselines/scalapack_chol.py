@@ -33,13 +33,20 @@ from ...engine.backends import run_with
 from ...engine.distops import bcast_copy
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
-from ...layouts.block_cyclic import BlockCyclicLayout, block_key
+from ...layouts.block_cyclic import (
+    BlockCyclicLayout,
+    block_key,
+    work_name,
+)
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import FactorizationResult, validate_problem
 
 __all__ = ["ScalapackCholesky", "ScalapackCholeskySchedule",
            "scalapack_cholesky"]
+
+#: Store name of the in-place working matrix (not the caller's operand).
+WORK = work_name("A")
 
 
 class ScalapackCholeskySchedule(Schedule):
@@ -186,7 +193,7 @@ class ScalapackCholeskySchedule(Schedule):
                 else:
                     tile = a[bi * nb:(bi + 1) * nb,
                              bj * nb:(bj + 1) * nb].copy()
-                machine.store(r).put(block_key("A", bi, bj), tile)
+                machine.store(r).put(block_key(WORK, bi, bj), tile)
         return lay
 
     def dist_step(self, machine: Machine, lay: BlockCyclicLayout,
@@ -200,28 +207,28 @@ class ScalapackCholeskySchedule(Schedule):
 
         # Diagonal potrf at its owner, broadcast down the grid column
         # for the panel trsm.
-        tile = machine.store(diag_owner).get(block_key("A", k, k))
+        tile = machine.store(diag_owner).get(block_key(WORK, k, k))
         l00, fl = blas.potrf(tile)
         machine.compute(diag_owner, fl)
-        machine.store(diag_owner).put(block_key("A", k, k), l00)
+        machine.store(diag_owner).put(block_key(WORK, k, k), l00)
         if k + 1 >= nblocks:
             return
-        bcast_copy(machine, diag_owner, block_key("A", k, k),
+        bcast_copy(machine, diag_owner, block_key(WORK, k, k),
                    col_ranks, ("d", k))
 
         # Panel trsm on the owning grid column.
         for bi, r in lay.col_owners(k, first=k + 1):
             l00_local = machine.store(r).get(("d", k))
-            t = machine.store(r).get(block_key("A", bi, k))
+            t = machine.store(r).get(block_key(WORK, bi, k))
             sol, fl = blas.trsm(l00_local.T, t, side="right", lower=False)
             machine.compute(r, fl)
-            machine.store(r).put(block_key("A", bi, k), sol)
+            machine.store(r).put(block_key(WORK, bi, k), sol)
 
         # Fan each panel tile out along its grid row (left syrk factor)
         # and its grid column (transposed right factor).
         for bi, src in lay.col_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_row_ranks(bi), block_key("A", bi, k))
-            bcast_copy(machine, src, block_key("A", bi, k),
+            machine.bcast(src, lay.grid_row_ranks(bi), block_key(WORK, bi, k))
+            bcast_copy(machine, src, block_key(WORK, bi, k),
                        sorted(set(lay.grid_col_ranks(bi)) | {src}),
                        ("ct", k, bi))
 
@@ -230,18 +237,18 @@ class ScalapackCholeskySchedule(Schedule):
         for bi in range(k + 1, nblocks):
             for bj in range(k + 1, bi + 1):
                 owner = lay.owner_rank(bi, bj)
-                l_bi = machine.store(owner).get(block_key("A", bi, k))
+                l_bi = machine.store(owner).get(block_key(WORK, bi, k))
                 l_bj = machine.store(owner).get(("ct", k, bj))
-                c_t = machine.store(owner).get(block_key("A", bi, bj))
+                c_t = machine.store(owner).get(block_key(WORK, bi, bj))
                 upd, fl = blas.gemm(l_bi, l_bj.T, c_t, alpha=-1.0)
                 machine.compute(owner, fl if bi != bj else fl / 2.0)
-                machine.store(owner).put(block_key("A", bi, bj), upd)
+                machine.store(owner).put(block_key(WORK, bi, bj), upd)
 
         # Drop the transient copies.
         for bi, src in lay.col_owners(k, first=k + 1):
             for r in lay.grid_row_ranks(bi):
                 if r != src:
-                    machine.store(r).discard(block_key("A", bi, k))
+                    machine.store(r).discard(block_key(WORK, bi, k))
             for r in sorted(set(lay.grid_col_ranks(bi)) | {src}):
                 machine.store(r).discard(("ct", k, bi))
         for r in col_ranks:
@@ -255,7 +262,7 @@ class ScalapackCholeskySchedule(Schedule):
             for bj in range(bi + 1):
                 r = lay.owner_rank(bi, bj)
                 out[bi * nb:(bi + 1) * nb, bj * nb:(bj + 1) * nb] = \
-                    machine.store(r).get(block_key("A", bi, bj))
+                    machine.store(r).get(block_key(WORK, bi, bj))
         return {"lower": np.tril(out)}
 
 

@@ -44,12 +44,19 @@ from ...engine.backends import run_with
 from ...engine.distops import bcast_copy, maxloc_allreduce, swap_rows_2d
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
-from ...layouts.block_cyclic import BlockCyclicLayout, block_key
+from ...layouts.block_cyclic import (
+    BlockCyclicLayout,
+    block_key,
+    work_name,
+)
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import FactorizationResult, validate_problem
 
 __all__ = ["ScalapackLU", "ScalapackLUSchedule", "scalapack_lu"]
+
+#: Store name of the in-place working matrix (not the caller's operand).
+WORK = work_name("A")
 
 
 class _DenseState:
@@ -250,7 +257,7 @@ class ScalapackLUSchedule(Schedule):
                 for bj in range(lay.nblocks):
                     r = lay.owner_rank(bi, bj)
                     tile = machine.store(r).get((in_name, bi, bj))
-                    machine.store(r).put(block_key("A", bi, bj),
+                    machine.store(r).put(block_key(WORK, bi, bj),
                                          np.array(tile, dtype=np.float64))
         else:
             if a is None:
@@ -259,7 +266,7 @@ class ScalapackLUSchedule(Schedule):
             a = np.asarray(a, dtype=np.float64)
             if a.shape != (n, n):
                 raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-            lay.scatter_from(machine, "A", a)
+            lay.scatter_from(machine, WORK, a)
         return _DistState(lay, n)
 
     def dist_step(self, machine: Machine, st: _DistState, k: int) -> None:
@@ -282,7 +289,7 @@ class ScalapackLUSchedule(Schedule):
             # MAXLOC allreduce over the panel's grid column.
             entries: dict[int, tuple[float, int]] = {}
             for bi, r in lay.col_owners(k, first=k):
-                tile = machine.store(r).get(block_key("A", bi, k))
+                tile = machine.store(r).get(block_key(WORK, bi, k))
                 r0 = j if bi == k else 0
                 col = np.abs(tile[r0:, j])
                 if col.size == 0:
@@ -295,11 +302,11 @@ class ScalapackLUSchedule(Schedule):
             _, p_global = maxloc_allreduce(machine, ("piv", k, j), entries)
             st.piv_all[g] = p_global
             if p_global != g:
-                swap_rows_2d(machine, lay, "A", g, p_global)
+                swap_rows_2d(machine, lay, WORK, g, p_global)
             # Broadcast the eliminating row (pivot value + trailing
             # panel columns) from the diagonal tile's owner to the
             # grid-column ranks still holding rows below it.
-            diag_tile = machine.store(diag_owner).get(block_key("A", k, k))
+            diag_tile = machine.store(diag_owner).get(block_key(WORK, k, k))
             elim = diag_tile[j, j:].copy()
             below = sorted({r for bi, r in lay.col_owners(k, first=k)
                             if bi * nb + nb - 1 > g} | {diag_owner})
@@ -310,7 +317,7 @@ class ScalapackLUSchedule(Schedule):
                 if r0 >= nb:
                     continue
                 e = machine.store(r).get(("elim", k, j))
-                tile = machine.store(r).get(block_key("A", bi, k))
+                tile = machine.store(r).get(block_key(WORK, bi, k))
                 mult = tile[r0:, j] / e[0]
                 tile[r0:, j] = mult
                 if j + 1 < nb:
@@ -323,7 +330,7 @@ class ScalapackLUSchedule(Schedule):
             # MKL-style column-by-column panel broadcast: the grid
             # column sees the finished multipliers a second time.
             for bi, src in lay.col_owners(k, first=k):
-                bcast_copy(machine, src, block_key("A", bi, k),
+                bcast_copy(machine, src, block_key(WORK, bi, k),
                            col_ranks, ("prb", k, bi))
                 for r in col_ranks:
                     machine.store(r).discard(("prb", k, bi))
@@ -334,52 +341,52 @@ class ScalapackLUSchedule(Schedule):
         # --- U row panel: ship the factored diagonal tile along grid
         # row q_row, trsm each U tile at its owner. ---
         row_ranks = grid2d.row_ranks(qr)
-        bcast_copy(machine, diag_owner, block_key("A", k, k),
+        bcast_copy(machine, diag_owner, block_key(WORK, k, k),
                    row_ranks, ("d", k))
         for bj, r in lay.row_owners(k, first=k + 1):
             lu_kk = machine.store(r).get(("d", k))
             l_kk = np.tril(lu_kk, -1) + np.eye(nb)
-            tile = machine.store(r).get(block_key("A", k, bj))
+            tile = machine.store(r).get(block_key(WORK, k, bj))
             sol, fl = blas.trsm(l_kk, tile, side="left", lower=True,
                                 unit_diagonal=True)
             machine.compute(r, fl)
-            machine.store(r).put(block_key("A", k, bj), sol)
+            machine.store(r).put(block_key(WORK, k, bj), sol)
 
         # --- Broadcast panels: L tiles along their grid rows, U tiles
         # along their grid columns. ---
         for bi, src in lay.col_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_row_ranks(bi), block_key("A", bi, k))
+            machine.bcast(src, lay.grid_row_ranks(bi), block_key(WORK, bi, k))
         for bj, src in lay.row_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_col_ranks(bj), block_key("A", k, bj))
+            machine.bcast(src, lay.grid_col_ranks(bj), block_key(WORK, k, bj))
 
         # --- Trailing update: each owner updates its tiles from the
         # received panel copies. ---
         for bi in range(k + 1, nblocks):
             for bj in range(k + 1, nblocks):
                 owner = lay.owner_rank(bi, bj)
-                l_t = machine.store(owner).get(block_key("A", bi, k))
-                u_t = machine.store(owner).get(block_key("A", k, bj))
-                c_t = machine.store(owner).get(block_key("A", bi, bj))
+                l_t = machine.store(owner).get(block_key(WORK, bi, k))
+                u_t = machine.store(owner).get(block_key(WORK, k, bj))
+                c_t = machine.store(owner).get(block_key(WORK, bi, bj))
                 upd, fl = blas.gemm(l_t, u_t, c_t, alpha=-1.0)
                 machine.compute(owner, fl)
-                machine.store(owner).put(block_key("A", bi, bj), upd)
+                machine.store(owner).put(block_key(WORK, bi, bj), upd)
 
         # Drop the transient panel copies on non-owners.
         for bi, src in lay.col_owners(k, first=k + 1):
             for r in lay.grid_row_ranks(bi):
                 if r != src:
-                    machine.store(r).discard(block_key("A", bi, k))
+                    machine.store(r).discard(block_key(WORK, bi, k))
         for bj, src in lay.row_owners(k, first=k + 1):
             for r in lay.grid_col_ranks(bj):
                 if r != src:
-                    machine.store(r).discard(block_key("A", k, bj))
+                    machine.store(r).discard(block_key(WORK, k, bj))
         for r in row_ranks:
             machine.store(r).discard(("d", k))
 
     def dist_finalize(self, machine: Machine,
                       st: _DistState) -> dict[str, Any]:
         n = self.n
-        packed = st.layout.gather_to(machine, "A")
+        packed = st.layout.gather_to(machine, WORK)
         perm = blas.pivots_to_permutation(st.piv_all, n)
         return {"lower": np.tril(packed, -1) + np.eye(n),
                 "upper": np.triu(packed), "perm": perm}

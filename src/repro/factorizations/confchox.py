@@ -33,13 +33,18 @@ import numpy as np
 
 from ..engine.accounting import StepAccounting
 from ..engine.backends import run_with
-from ..engine.distops import distribute_rows_1d, fiber_reduce_subset, ship
+from ..engine.distops import (
+    distribute_rows_1d,
+    fiber_reduce_subset,
+    local_panels,
+    panel_fan_out_update,
+)
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
 from .common import FactorizationResult
-from .conflux import resolve_25d
+from .conflux import PARTIAL, resolve_25d
 
 __all__ = ["ConfchoxCholesky", "ConfchoxSchedule", "confchox_cholesky"]
 
@@ -141,8 +146,10 @@ class ConfchoxSchedule(Schedule):
     # ------------------------------------------------------------------
     # Dense view
     # ------------------------------------------------------------------
-    def dense_init(self, a: np.ndarray | None,
-                   rng: np.random.Generator | None) -> _DenseState:
+    def _input(self, a: np.ndarray | None,
+               rng: np.random.Generator | None) -> np.ndarray:
+        """The matrix to factor: ``a`` validated, or a random SPD
+        default."""
         n = self.n
         if a is None:
             rng = rng or np.random.default_rng(0)
@@ -153,7 +160,11 @@ class ConfchoxSchedule(Schedule):
             raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
         if not np.allclose(a, a.T, atol=1e-10):
             raise ValueError("input must be symmetric")
-        return _DenseState(a, n, self.c)
+        return a
+
+    def dense_init(self, a: np.ndarray | None,
+                   rng: np.random.Generator | None) -> _DenseState:
+        return _DenseState(self._input(a, rng), self.n, self.c)
 
     def dense_step(self, state: _DenseState, t: int) -> None:
         n, v, c = self.n, self.v, self.c
@@ -192,38 +203,15 @@ class ConfchoxSchedule(Schedule):
         """Lay out the lower tiles (``bi >= bj``) of the per-layer
         partials in the rank stores; the strictly-upper half is never
         read by the schedule (symmetry), so it is not stored."""
-        n, v, c = self.n, self.v, self.c
-        grid = self.grid
-        pr, pc = grid.rows, grid.cols
-        nb = n // v
+        n, v = self.n, self.v
         if in_name is None:
-            if a is None:
-                rng = rng or np.random.default_rng(0)
-                g = rng.standard_normal((n, n))
-                a = g @ g.T + n * np.eye(n)
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != (n, n):
-                raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-            if not np.allclose(a, a.T, atol=1e-10):
-                raise ValueError("input must be symmetric")
-        for bi in range(nb):
-            for bj in range(bi + 1):
-                r0 = grid.rank(bi % pr, bj % pc, 0)
-                if in_name is not None:
-                    tile = np.array(machine.store(r0).get((in_name, bi, bj)),
-                                    dtype=np.float64)
-                else:
-                    tile = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v].copy()
-                machine.store(r0).put(("P", bi, bj), tile)
-                for k in range(1, c):
-                    machine.store(grid.rank(bi % pr, bj % pc, k)).put(
-                        ("P", bi, bj), np.zeros((v, v)))
-        return _DistState(n)
+            a = self._input(a, rng)
+        return _DistState(n, local_panels(machine, self.grid, n // v, v,
+                                          PARTIAL, a, in_name, lower=True))
 
     def dist_step(self, machine: Machine, st: "_DistState", t: int) -> None:
         n, v, c = self.n, self.v, self.c
         grid = self.grid
-        pr, pc = grid.rows, grid.cols
         P = self.nranks
         nb = n // v
         k_t = t % c
@@ -237,7 +225,7 @@ class ConfchoxSchedule(Schedule):
         panel: dict[int, int] = {}
         for bi in range(t, nb):
             panel[bi] = fiber_reduce_subset(machine, grid, bi, t, all_rows,
-                                            k_t, ("P", bi, t), ("cr", t, bi))
+                                            k_t, (PARTIAL, bi, t), ("cr", t, bi))
 
         # Local potrf of the diagonal block at its owner, then
         # broadcast of the factor to every rank (Table 1: v^2 words).
@@ -272,49 +260,9 @@ class ConfchoxSchedule(Schedule):
             # (row tiles for the left factor, column tiles for the
             # transposed right factor, its layer's v/c planes) and apply
             # the deferred symmetric update to the lower tiles.
-            planes = v // c
-            for dst in all_ranks:
-                pi_d, pj_d, pk_d = grid.coords(dst)
-                sl = slice(pk_d * planes, (pk_d + 1) * planes)
-                rows_map: dict[int, np.ndarray] = {}
-                cols_map: dict[int, np.ndarray] = {}
-                for src, (ids, blk) in enumerate(a10_chunks):
-                    if blk is None:
-                        continue
-                    rsel = [i for i, g in enumerate(ids)
-                            if (int(g) // v) % pr == pi_d]
-                    if rsel:
-                        ship(machine, src, dst, ("a10r", t, src),
-                             blk[rsel, sl])
-                        arrived = machine.store(dst).get(("a10r", t, src))
-                        for i, row in zip(rsel, arrived):
-                            rows_map[int(ids[i])] = row
-                        machine.store(dst).discard(("a10r", t, src))
-                    csel = [i for i, g in enumerate(ids)
-                            if (int(g) // v) % pc == pj_d]
-                    if csel:
-                        ship(machine, src, dst, ("a10c", t, src),
-                             blk[csel, sl])
-                        arrived = machine.store(dst).get(("a10c", t, src))
-                        for i, row in zip(csel, arrived):
-                            cols_map[int(ids[i])] = row
-                        machine.store(dst).discard(("a10c", t, src))
-                if not rows_map or not cols_map:
-                    continue
-                for bi in range(t + 1, nb):
-                    if bi % pr != pi_d:
-                        continue
-                    a10_bi = np.stack([rows_map[g] for g in
-                                       range(bi * v, (bi + 1) * v)])
-                    for bj in range(t + 1, bi + 1):
-                        if bj % pc != pj_d:
-                            continue
-                        a10_bj = np.stack([cols_map[g] for g in
-                                           range(bj * v, (bj + 1) * v)])
-                        tile = machine.store(dst).get(("P", bi, bj))
-                        tile -= a10_bi @ a10_bj.T
-                        machine.compute(
-                            dst, flops.gemm_flops(v, v, planes))
+            panel_fan_out_update(machine, grid, st.panels, v, t,
+                                 "a10r", a10_chunks, "a10c", a10_chunks,
+                                 lower=True)
 
         for bi in range(t, nb):
             machine.store(panel[bi]).discard(("cr", t, bi))
@@ -328,9 +276,10 @@ class ConfchoxSchedule(Schedule):
 
 
 class _DistState:
-    __slots__ = ("lower",)
+    __slots__ = ("panels", "lower")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, panels: list[np.ndarray]) -> None:
+        self.panels = panels
         self.lower = np.zeros((n, n))
 
 

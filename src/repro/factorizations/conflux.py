@@ -46,16 +46,22 @@ from ..engine.distops import (
     assemble_cols_1d,
     distribute_rows_1d,
     fiber_reduce_subset,
+    local_panels,
+    panel_fan_out_update,
     ship,
 )
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
+from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D, choose_grid_25d, replication_factor
 from .common import FactorizationResult, validate_problem
 from .pivoting import _select_candidates
 
 __all__ = ["ConfluxLU", "ConfluxSchedule", "conflux_lu", "default_block_size"]
+
+#: Store name of the per-layer partial-sum tiles (shared with COnfCHOX).
+PARTIAL = work_name("P")
 
 
 def default_block_size(n: int, nranks: int, c: int, a: int = 4,
@@ -131,11 +137,13 @@ class _DenseState:
 
 
 class _DistState:
-    """Distributed execution bookkeeping (data lives in rank stores)."""
+    """Distributed execution bookkeeping (data lives in rank stores;
+    ``panels`` are the per-rank arrays the stored tiles are views of)."""
 
-    __slots__ = ("rows_left", "lower", "upper", "perm")
+    __slots__ = ("panels", "rows_left", "lower", "upper", "perm")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, panels: list[np.ndarray]) -> None:
+        self.panels = panels
         self.rows_left = np.arange(n)
         self.lower = np.zeros((n, n))
         self.upper = np.zeros((n, n))
@@ -290,8 +298,10 @@ class ConfluxSchedule(Schedule):
     # ------------------------------------------------------------------
     # Dense view: global-view numerics
     # ------------------------------------------------------------------
-    def dense_init(self, a: np.ndarray | None,
-                   rng: np.random.Generator | None) -> _DenseState:
+    def _input(self, a: np.ndarray | None,
+               rng: np.random.Generator | None) -> np.ndarray:
+        """The matrix to factor: ``a`` validated, or a random
+        well-conditioned default."""
         n = self.n
         if a is None:
             rng = rng or np.random.default_rng(0)
@@ -299,9 +309,13 @@ class ConfluxSchedule(Schedule):
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (n, n):
             raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
+        return a
+
+    def dense_init(self, a: np.ndarray | None,
+                   rng: np.random.Generator | None) -> _DenseState:
         # partials[k] = layer k's accumulated contribution; the current
         # Schur complement of any untouched entry is sum over layers.
-        return _DenseState(a, n, self.c)
+        return _DenseState(self._input(a, rng), self.n, self.c)
 
     def dense_step(self, state: _DenseState, t: int) -> None:
         from .pivoting import tournament_pivot
@@ -367,7 +381,8 @@ class ConfluxSchedule(Schedule):
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,
                   in_name: str | None = None) -> _DistState:
-        """Lay out the per-layer partials as v x v tiles in rank stores.
+        """Lay out the per-layer partials as v x v tiles in rank stores
+        (views of :func:`~repro.engine.distops.local_panels`).
 
         Layer 0 holds the input (either scattered from a dense ``a`` or
         adopted from existing ``(in_name, bi, bj)`` tiles, e.g. after a
@@ -375,38 +390,15 @@ class ConfluxSchedule(Schedule):
         Initial placement is free — the paper assumes the input already
         resides in the algorithm's layout (Section 7.4).
         """
-        n, v, c = self.n, self.v, self.c
-        grid = self.grid
-        pr, pc = grid.rows, grid.cols
-        nb = n // v
-        for bi in range(nb):
-            for bj in range(nb):
-                r0 = grid.rank(bi % pr, bj % pc, 0)
-                if in_name is not None:
-                    tile = machine.store(r0).get((in_name, bi, bj))
-                    machine.store(r0).put(("P", bi, bj),
-                                          np.array(tile, dtype=np.float64))
-                for k in range(1, c):
-                    machine.store(grid.rank(bi % pr, bj % pc, k)).put(
-                        ("P", bi, bj), np.zeros((v, v)))
+        n, v = self.n, self.v
         if in_name is None:
-            if a is None:
-                rng = rng or np.random.default_rng(0)
-                a = rng.standard_normal((n, n)) + n * np.eye(n)
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != (n, n):
-                raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-            for bi in range(nb):
-                for bj in range(nb):
-                    machine.store(grid.rank(bi % pr, bj % pc, 0)).put(
-                        ("P", bi, bj),
-                        a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v].copy())
-        return _DistState(n)
+            a = self._input(a, rng)
+        return _DistState(n, local_panels(machine, self.grid, n // v, v,
+                                          PARTIAL, a, in_name))
 
     def dist_step(self, machine: Machine, st: _DistState, t: int) -> None:
         n, v, c = self.n, self.v, self.c
         grid = self.grid
-        pr, pc = grid.rows, grid.cols
         P = self.nranks
         nb = n // v
         k_piv = t % c
@@ -423,7 +415,7 @@ class ConfluxSchedule(Schedule):
             if ids.size == 0:
                 continue
             root = fiber_reduce_subset(machine, grid, bi, t, ids - bi * v,
-                                       k_piv, ("P", bi, t), ("cr", t, bi))
+                                       k_piv, (PARTIAL, bi, t), ("cr", t, bi))
             panel[bi] = (ids, root)
 
         # Step 2: tournament pivoting among the panel-column ranks.
@@ -445,9 +437,7 @@ class ConfluxSchedule(Schedule):
         machine.store(tour_root).put(("piv", t), winners.astype(np.float64))
         machine.bcast(tour_root, all_ranks, ("piv", t))
 
-        piv_set = {int(g) for g in winners}
-        nonpiv = np.array([g for g in active if int(g) not in piv_set],
-                          dtype=int)
+        nonpiv = active[~np.isin(active, winners)]
         st.lower[winners, col0:col1] = l00
         st.upper[col0:col1, col0:col1] = np.triu(lu00)
         st.perm.extend(int(g) for g in winners)
@@ -459,8 +449,8 @@ class ConfluxSchedule(Schedule):
             pieces4: list[tuple[int, np.ndarray, np.ndarray]] = []
             for bi, (ids, root) in panel.items():
                 blk = machine.store(root).get(("cr", t, bi))
-                sel = [i for i, g in enumerate(ids) if int(g) not in piv_set]
-                if sel:
+                sel = ~np.isin(ids, winners)
+                if sel.any():
                     pieces4.append((root, ids[sel], blk[sel, :]))
             a10_chunks = distribute_rows_1d(machine, pieces4, P, ("a10", t))
             for dst, (ids, blk) in enumerate(a10_chunks):
@@ -490,7 +480,7 @@ class ConfluxSchedule(Schedule):
                     loc = np.asarray(gids, dtype=int) - bi * v
                     root = fiber_reduce_subset(
                         machine, grid, bi, bj, loc, k_piv,
-                        ("P", bi, bj), ("rr", t, bi, bj))
+                        (PARTIAL, bi, bj), ("rr", t, bi, bj))
                     rr_keys.append((root, ("rr", t, bi, bj)))
                     pieces6.append((root, np.asarray(gids, dtype=int), cols,
                                     machine.store(root).get(("rr", t, bi, bj))))
@@ -507,7 +497,7 @@ class ConfluxSchedule(Schedule):
                                     unit_diagonal=True)
                 machine.compute(dst, fl)
                 machine.store(dst).put((("a01", t), "1d"), sol)
-                a01_chunks[dst] = (cids, sol)
+                a01_chunks[dst] = (cids, sol.T)   # one row per column
                 st.upper[np.ix_(np.arange(col0, col1), cids)] = sol
 
         # Steps 8 + 10 + 11: distribute the panel pieces each rank's
@@ -515,61 +505,8 @@ class ConfluxSchedule(Schedule):
         # column's A01 columns, its layer's v/c planes) and apply the
         # local Schur update.
         if n11 > 0 and nonpiv.size:
-            planes = v // c
-            nonpiv_by_tile: dict[int, np.ndarray] = {}
-            for bi in range(nb):
-                sel = nonpiv[(nonpiv >= bi * v) & (nonpiv < (bi + 1) * v)]
-                if sel.size:
-                    nonpiv_by_tile[bi] = sel
-            for dst in all_ranks:
-                pi_d, pj_d, pk_d = grid.coords(dst)
-                sl = slice(pk_d * planes, (pk_d + 1) * planes)
-                # Step 8: A10 rows living on this rank's grid row.
-                rows_map: dict[int, np.ndarray] = {}
-                for src, (ids, blk) in enumerate(a10_chunks):
-                    if blk is None:
-                        continue
-                    sel = [i for i, g in enumerate(ids)
-                           if (int(g) // v) % pr == pi_d]
-                    if not sel:
-                        continue
-                    ship(machine, src, dst, ("a10d", t, src), blk[sel, sl])
-                    arrived = machine.store(dst).get(("a10d", t, src))
-                    for i, row in zip(sel, arrived):
-                        rows_map[int(ids[i])] = row
-                    machine.store(dst).discard(("a10d", t, src))
-                # Step 10: A01 columns living on this rank's grid column.
-                cols_map: dict[int, np.ndarray] = {}
-                for src, (cids, blk) in enumerate(a01_chunks):
-                    if blk is None:
-                        continue
-                    sel = [i for i, cg in enumerate(cids)
-                           if (int(cg) // v) % pc == pj_d]
-                    if not sel:
-                        continue
-                    ship(machine, src, dst, ("a01d", t, src), blk[sl, :][:, sel])
-                    arrived = machine.store(dst).get(("a01d", t, src))
-                    for i, j in enumerate(sel):
-                        cols_map[int(cids[j])] = arrived[:, i]
-                    machine.store(dst).discard(("a01d", t, src))
-                # Step 11: local update of this rank's trailing tiles.
-                if not rows_map or not cols_map:
-                    continue
-                for bi, gids in nonpiv_by_tile.items():
-                    if bi % pr != pi_d:
-                        continue
-                    a10_blk = np.stack([rows_map[int(g)] for g in gids])
-                    loc = gids - bi * v
-                    for bj in range(t + 1, nb):
-                        if bj % pc != pj_d:
-                            continue
-                        cols = range(bj * v, (bj + 1) * v)
-                        a01_blk = np.stack([cols_map[cg] for cg in cols],
-                                           axis=1)
-                        tile = machine.store(dst).get(("P", bi, bj))
-                        tile[loc, :] -= a10_blk @ a01_blk
-                        machine.compute(
-                            dst, flops.gemm_flops(len(gids), v, planes))
+            panel_fan_out_update(machine, grid, st.panels, v, t,
+                                 "a10d", a10_chunks, "a01d", a01_chunks)
 
         for r in all_ranks:
             machine.store(r).discard(("a00", t))

@@ -36,11 +36,16 @@ import numpy as np
 from ..engine.accounting import StepAccounting
 from ..engine.backends import run_with
 from ..engine.schedule import Schedule
+from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from ..machine.grid import choose_grid_25d, replication_factor
 from .common import FactorizationResult, validate_problem
 
 __all__ = ["Matmul25D", "Matmul25DSchedule", "matmul_25d"]
+
+#: Store names of the per-layer operand copies and the partial product
+#: (not the caller's operands).
+WORK_A, WORK_B, WORK_C = (work_name(x) for x in "ABC")
 
 
 class _DenseState:
@@ -224,9 +229,9 @@ class Matmul25DSchedule(Schedule):
         for (pi, pj), (ab, bb) in blocks.items():
             for kk in range(c):
                 store = machine.store(grid.rank(pi, pj, kk))
-                store.put(("A", pi, pj), ab if kk == 0 else ab.copy())
-                store.put(("B", pi, pj), bb if kk == 0 else bb.copy())
-                store.put(("C", pi, pj), np.zeros((rl, cl)))
+                store.put((WORK_A, pi, pj), ab if kk == 0 else ab.copy())
+                store.put((WORK_B, pi, pj), bb if kk == 0 else bb.copy())
+                store.put((WORK_C, pi, pj), np.zeros((rl, cl)))
         return None
 
     def _strip_pieces(self, lo: int, extent: int) -> list[tuple[int, int, int]]:
@@ -256,12 +261,12 @@ class Matmul25DSchedule(Schedule):
                     chunks = np.array_split(np.arange(rl), c)
                     keys = [("Cr", pi, pj, i) for i in range(c)]
                     for r in fiber:
-                        part = machine.store(r).get(("C", pi, pj))
+                        part = machine.store(r).get((WORK_C, pi, pj))
                         for key, idx in zip(keys, chunks):
                             machine.store(r).put(key, part[idx, :])
                     machine.reduce_scatter(fiber, keys)
                     for r in fiber:
-                        machine.store(r).discard(("C", pi, pj))
+                        machine.store(r).discard((WORK_C, pi, pj))
             return
 
         slice_len = n // c
@@ -276,7 +281,7 @@ class Matmul25DSchedule(Schedule):
                 row_group = [grid.rank(pi, j, kk) for j in range(pc)]
                 for jb, c0, c1 in a_pieces:
                     src = grid.rank(pi, jb, kk)
-                    block = machine.store(src).get(("A", pi, jb))
+                    block = machine.store(src).get((WORK_A, pi, jb))
                     machine.store(src).put(("Ap", t, jb),
                                            block[:, c0:c1].copy())
                     machine.bcast(src, row_group, ("Ap", t, jb))
@@ -284,7 +289,7 @@ class Matmul25DSchedule(Schedule):
                 col_group = [grid.rank(i, pj, kk) for i in range(pr)]
                 for ib, r0, r1 in b_pieces:
                     src = grid.rank(ib, pj, kk)
-                    block = machine.store(src).get(("B", ib, pj))
+                    block = machine.store(src).get((WORK_B, ib, pj))
                     machine.store(src).put(("Bp", t, ib),
                                            block[r0:r1, :].copy())
                     machine.bcast(src, col_group, ("Bp", t, ib))
@@ -297,7 +302,7 @@ class Matmul25DSchedule(Schedule):
                                          for jb, _, _ in a_pieces])
                     b_panel = np.vstack([store.get(("Bp", t, ib))
                                          for ib, _, _ in b_pieces])
-                    store.get(("C", pi, pj))[...] += a_panel @ b_panel
+                    store.get((WORK_C, pi, pj))[...] += a_panel @ b_panel
                     machine.compute(r, 2.0 * rl * cl * s)
                     for jb, _, _ in a_pieces:
                         store.discard(("Ap", t, jb))

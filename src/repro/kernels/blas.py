@@ -46,14 +46,16 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,
         raise KernelError(f"gemm inner dims differ: {a.shape} @ {b.shape}")
     m, k = a.shape
     n = b.shape[1]
-    prod = alpha * (a @ b)
+    prod = a @ b
+    if alpha != 1.0:
+        prod *= alpha           # the product is this call's own array
     if c is None:
         result = prod
     else:
         c = _as2d(c, "c")
         if c.shape != (m, n):
             raise KernelError(f"gemm C shape {c.shape} != ({m},{n})")
-        result = beta * c + prod
+        result = c + prod if beta == 1.0 else beta * c + prod
     return result, _flops.gemm_flops(m, n, k)
 
 

@@ -1,7 +1,7 @@
 """Distributed data layouts: ScaLAPACK descriptors, block-cyclic grids,
 2.5D replication, and COSTA-style redistribution."""
 
-from .block_cyclic import BlockCyclicLayout, block_key
+from .block_cyclic import BlockCyclicLayout, block_key, work_name
 from .costa import conversion_words, redistribute, redistribution_volume
 from .descriptors import (
     ScaLAPACKDescriptor,
@@ -14,6 +14,7 @@ from .grid25d import Replicated25DLayout
 __all__ = [
     "BlockCyclicLayout",
     "block_key",
+    "work_name",
     "Replicated25DLayout",
     "ScaLAPACKDescriptor",
     "numroc",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Hashable
 
 import numpy as np
 
@@ -22,12 +23,25 @@ from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from ..machine.grid import ProcessorGrid2D
 
-__all__ = ["BlockCyclicLayout", "block_key"]
+__all__ = ["BlockCyclicLayout", "block_key", "work_name"]
 
 
-def block_key(name: str, bi: int, bj: int) -> tuple[str, int, int]:
+def block_key(name: Hashable, bi: int, bj: int) -> tuple[Hashable, int, int]:
     """Canonical store key of tile ``(bi, bj)`` of distributed matrix ``name``."""
     return (name, bi, bj)
+
+
+def work_name(name: str) -> tuple[str, str]:
+    """Matrix name of a schedule's private working tiles.
+
+    Callers name their distributed operands with strings; a schedule
+    keeps its own tiles (the 2D baselines' ``A``, the matmul's
+    ``A``/``B``/``C``, the 2.5D partial sums ``P``) under this
+    tuple-valued name, which no operand name can equal — so a caller's
+    matrix called ``"A"`` is not overwritten by the schedule running
+    on it.
+    """
+    return ("work", name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,7 +150,7 @@ class BlockCyclicLayout:
     # ------------------------------------------------------------------
     # Data movement to/from a simulated machine
     # ------------------------------------------------------------------
-    def scatter_from(self, machine: Machine, name: str,
+    def scatter_from(self, machine: Machine, name: Hashable,
                      a: np.ndarray) -> None:
         """Place tiles of global matrix ``a`` into the owning rank stores.
 
@@ -154,7 +168,7 @@ class BlockCyclicLayout:
                 machine.store(rank).put(block_key(name, bi, bj),
                                         a[si, sj].copy())
 
-    def gather_to(self, machine: Machine, name: str) -> np.ndarray:
+    def gather_to(self, machine: Machine, name: Hashable) -> np.ndarray:
         """Reassemble the global matrix from the rank stores (free)."""
         out = np.zeros((self.m, self.n))
         for bi in range(self.mblocks):

@@ -82,11 +82,11 @@ class RankStore:
         self.step = None
         return peak
 
-    def _note_peak(self) -> None:
-        if self._words > self.peak_words:
-            self.peak_words = self._words
-        if self._words > self.step_peak_words:
-            self.step_peak_words = self._words
+    def _note_peak(self, words: float) -> None:
+        if words > self.peak_words:
+            self.peak_words = words
+        if words > self.step_peak_words:
+            self.step_peak_words = words
 
     # ------------------------------------------------------------------
     def reserve(self, words: float, key: Hashable = "<reserve>") -> None:
@@ -105,17 +105,25 @@ class RankStore:
                 self.rank, self.step, key, self._words + words,
                 self.capacity_words)
 
+    def stage(self, words: int, key: Hashable) -> None:
+        """Account ``words`` this rank holds only in passing — a
+        message packed here on its way out — exactly as a ``put`` under
+        ``key`` followed by its ``discard`` would: the capacity check
+        and both high-water marks see them, nothing is stored."""
+        self.reserve(words, key)
+        self._note_peak(self._words + words)
+
     def put(self, key: Hashable, value: np.ndarray | Any) -> None:
         """Insert or replace a block; enforces the capacity limit."""
         arr = np.asarray(value)
-        delta = arr.size - (self._blocks[key].size if key in self._blocks else 0)
-        if self._words + delta > self.capacity_words:
+        old = self._blocks.get(key)
+        total = self._words + arr.size - (0 if old is None else old.size)
+        if total > self.capacity_words:
             raise MemoryBudgetExceeded(
-                self.rank, self.step, key, self._words + delta,
-                self.capacity_words)
+                self.rank, self.step, key, total, self.capacity_words)
         self._blocks[key] = arr
-        self._words += delta
-        self._note_peak()
+        self._words = total
+        self._note_peak(total)
 
     def get(self, key: Hashable) -> np.ndarray:
         try:

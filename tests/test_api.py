@@ -5,10 +5,11 @@ import pytest
 
 from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
 from repro.engine import TraceBackend, machine_for
-from repro.factorizations import ConfluxSchedule
+from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, ProcessorGrid2D
+from repro.machine.exceptions import MemoryBudgetExceeded
 
 
 def setup_machine(rng, n=64, mb=16, spd=False):
@@ -374,6 +375,81 @@ class TestNativeCopyLifecycle:
         for res in (first, second):
             err = np.linalg.norm(a[res.perm] - res.lower @ res.upper)
             assert err / np.linalg.norm(a) < 1e-12
+
+
+class TestGateMatchesPeak:
+    """The pre-flight gate reserves ``required_words()`` + 3 layout
+    copies on top of the resident operand; the run must then fit.
+    Regression (perf/README finding a): the prepped native input used
+    to stay alive through writeback, so a machine sized
+    ``required_words() + 4 n^2/P`` passed the gate and overflowed by
+    256 words writing the factors back."""
+
+    N, P = 512, 16
+
+    def _machine(self, copies):
+        n, p = self.N, self.P
+        required = ConfchoxSchedule(n, p, v=16, c=2).required_words()
+        machine = Machine(p, mem_words=required + copies * n * n / p,
+                          enforce_memory=True)
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=32, nb=32, prows=4, pcols=4)
+        g = np.random.default_rng(7).standard_normal((n, n))
+        a = g @ g.T + n * np.eye(n)
+        BlockCyclicLayout(n, n, 32, 32, ProcessorGrid2D(4, 4)).scatter_from(
+            machine, "X", a)
+        return machine, desc, a
+
+    def test_passes_at_four_copies(self):
+        machine, desc, a = self._machine(4)
+        res = pdpotrf(machine, "X", desc, impl="confchox", v=16, c=2)
+        err = np.linalg.norm(a - res.lower @ res.lower.T)
+        assert err / np.linalg.norm(a) < 1e-12
+        assert machine.peak_words_per_rank().max() <= machine.mem_words
+
+    def test_still_rejected_up_front_at_three_copies(self):
+        machine, desc, _ = self._machine(3)
+        before = machine.stats.total_recv_words
+        with pytest.raises(MemoryBudgetExceeded) as exc_info:
+            pdpotrf(machine, "X", desc, impl="confchox", v=16, c=2)
+        assert exc_info.value.step == "<feasibility>"
+        assert machine.stats.total_recv_words == before
+
+
+class TestOperandNamesAreTheCallers:
+    """Schedules keep their working tiles under ``work_name(...)``
+    store names, so an operand may be called anything — including the
+    ``"A"``/``"B"``/``"C"``/``"P"`` the schedules used to claim
+    (perf/README finding d)."""
+
+    def test_operand_named_A_survives_scalapack_cholesky(self, rng):
+        machine, desc, layout, a = setup_machine(rng, spd=True)
+        res = pdpotrf(machine, "A", desc, impl="scalapack", nb=16)
+        assert np.array_equal(layout.gather_to(machine, "A"), a)
+        assert np.allclose(res.lower @ res.lower.T, a)
+
+    def test_operand_named_A_survives_scalapack_lu(self, rng):
+        machine, desc, layout, a = setup_machine(rng)
+        pdgetrf(machine, "A", desc, impl="scalapack", nb=16)
+        assert np.array_equal(layout.gather_to(machine, "A"), a)
+
+    def test_two_successive_pdgemm_calls_on_one_machine(self, rng):
+        machine, desc, layout, a = setup_machine(rng)
+        b = rng.standard_normal((64, 64))
+        layout.scatter_from(machine, "B", b)
+        first = pdgemm(machine, "A", desc, "B", desc, out_name="C")
+        second = pdgemm(machine, "A", desc, "B", desc, out_name="C2")
+        assert np.allclose(first.lower, a @ b)
+        assert np.allclose(second.lower, a @ b)
+        assert np.array_equal(layout.gather_to(machine, "A"), a)
+        assert np.array_equal(layout.gather_to(machine, "B"), b)
+        assert np.allclose(layout.gather_to(machine, "C"), a @ b)
+
+    def test_operand_named_P_survives_conflux(self, rng):
+        machine, desc, layout, a = setup_machine(rng)
+        layout.scatter_from(machine, "P", a)
+        res = pdgetrf(machine, "P", desc, v=16)
+        assert np.array_equal(layout.gather_to(machine, "P"), a)
+        assert np.allclose(a[res.perm], res.lower @ res.upper)
 
 
 class TestParamsRecorded:

@@ -1,5 +1,7 @@
 """Unit tests for the local kernels (repro.kernels)."""
 
+import timeit
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -207,3 +209,48 @@ class TestFlopFormulas:
     def test_getrf_symmetric_in_orientation(self):
         # LAPACK count depends only on {m, n} extents for m>=n vs n>=m.
         assert getrf_flops(10, 4) == getrf_flops(4, 10)
+
+    FORMULAS = [(gemm_flops, 3), (gemmt_flops, 2), (trsm_flops, 2),
+                (getrf_flops, 2), (potrf_flops, 1)]
+
+    @pytest.mark.parametrize("formula,arity", FORMULAS)
+    @pytest.mark.parametrize("scalar", [int, float, np.int64, np.float64])
+    def test_negative_scalar_rejected_for_every_scalar_type(
+            self, formula, arity, scalar):
+        """The scalar fast path of the validation is still a check."""
+        for bad in range(arity):
+            args = [scalar(-2) if i == bad else scalar(4)
+                    for i in range(arity)]
+            with pytest.raises(ValueError, match="non-negative"):
+                formula(*args)
+        assert formula(*[scalar(4)] * arity) >= 0
+
+    @pytest.mark.parametrize("formula,arity", FORMULAS)
+    def test_array_with_one_negative_entry_rejected(self, formula, arity):
+        good = np.arange(1.0, 9.0)
+        bad = good.copy()
+        bad[5] = -1.0
+        for pos in range(arity):
+            args = [bad if i == pos else good for i in range(arity)]
+            with pytest.raises(ValueError, match="non-negative"):
+                formula(*args)
+        assert np.all(formula(*[good] * arity) >= 0)
+
+
+class TestTileGemmOverhead:
+    def test_validated_gemm_within_4x_of_raw_on_a_16x16_tile(self):
+        """The kernel wrapper (shape checks + flop count) must stay a
+        small multiple of the arithmetic it wraps on the tile size the
+        executed schedules use (``kernels.gemm_tile_overhead_x`` in
+        perf/, 11-12x before the scalar flop-count fast path)."""
+        rng = np.random.default_rng(0)
+        a, b, c = (rng.standard_normal((16, 16)) for _ in range(3))
+
+        def best(fn):
+            return min(timeit.repeat(fn, number=2000, repeat=7))
+
+        for _ in range(3):           # ride out a noisy neighbour
+            ratio = best(lambda: gemm(a, b, c)) / best(lambda: c + a @ b)
+            if ratio < 4.0:
+                break
+        assert ratio < 4.0
