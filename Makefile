@@ -29,11 +29,14 @@ exec-smoke:
 	$(PY) perf/run.py --workload exec_lu25d --quick --seconds 2
 	$(PY) perf/run.py --workload exec_chol25d --quick --seconds 2
 
-## cProfile top-25 (own time) of one exec_lu25d operation — pdgetrf
-## conflux, n=512, P=16, v=16, c=2 — built as perf/run.py builds it.
-## Where an execute-path PR starts; measure the result with perf/run.py.
+## cProfile top-25 (own time) of one operation of a perf/ workload,
+## built as perf/run.py builds it.  WORKLOAD is any name in the ledger
+## (default exec_lu25d: pdgetrf conflux, n=512, P=16, v=16, c=2), e.g.
+## `make profile-exec WORKLOAD=sweep_closed`.  Where a performance PR
+## starts; measure the result with perf/run.py.
+WORKLOAD ?= exec_lu25d
 profile-exec:
-	$(PY) scripts/profile_exec.py
+	$(PY) scripts/profile_exec.py --workload $(WORKLOAD)
 
 ## Coverage gate: the tier-1 suite under pytest-cov, failing below
 ## COV_FLOOR percent line coverage of src/repro.  Degrades to a notice

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""cProfile one operation of an executed perf/ workload (``make profile-exec``).
+"""cProfile one operation of a perf/ workload (``make profile-exec``).
 
 Builds the workload exactly as ``perf/run.py`` does (default: the
-``exec_lu25d`` point — ``pdgetrf`` conflux, n=512, P=16, v=16, c=2),
+``exec_lu25d`` point — ``pdgetrf`` conflux, n=512, P=16, v=16, c=2;
+``--workload`` takes any name in the ledger, e.g. ``sweep_closed``),
 runs one warm-up operation, profiles the next and prints the top
-functions by own time, so an execute-path change starts from a number.
+functions by own time, so a performance change starts from a number.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """
@@ -23,22 +24,31 @@ for _path in (str(ROOT / "src"), str(ROOT)):
 
 
 def main(argv: list[str] | None = None) -> int:
+    from perf import run, workloads
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="exec_lu25d",
-                        choices=["exec_lu25d", "exec_chol25d", "exec_bulk"])
+                        choices=list(workloads.WORKLOADS))
     args = parser.parse_args(argv)
-
-    from perf import run, workloads
 
     run.pin_blas_threads()              # before NumPy is first imported
 
     workload = workloads.load(args.workload)(args.workload, 1, "full")
     workload.setup()
-    workload.run(workload.prepare(0))
-    ctx = workload.prepare(1)
     profile = cProfile.Profile()
-    results = profile.runcall(workload.run, ctx)
-    failures = workload.check(ctx, results)
+
+    def operation(i: int, call) -> list[str]:
+        ctx = workload.prepare(i)
+        try:
+            return workload.check(ctx, call(workload.run, ctx))
+        finally:
+            workload.cleanup(ctx)       # e.g. sweep_fanout's cache dir
+
+    try:
+        operation(0, lambda run_op, ctx: run_op(ctx))       # warm-up
+        failures = operation(1, profile.runcall)
+    finally:
+        workload.close()
     stats = pstats.Stats(profile)
     stats.sort_stats("tottime").print_stats(25)
     print(f"{args.workload}: {stats.total_calls} calls, "

@@ -32,7 +32,11 @@ from __future__ import annotations
 import math
 
 from ...kernels import flops
-from ...machine.grid import choose_grid_25d, replication_factor
+from ...machine.grid import (
+    choose_grid_25d,
+    replication_factor,
+    sorted_divisors,
+)
 from ...machine.stats import CommStats
 from ..common import FactorizationResult, RankAccountant, validate_problem
 from .. import pivoting
@@ -62,8 +66,7 @@ class CandmcLU:
             # (N^2/(P sqrt(M)) in the authors' notation), snapped to a
             # divisor of N.
             target = max(1, int(n / math.sqrt(nranks / c)))
-            divisors = [d for d in range(1, n + 1) if n % d == 0]
-            b = min(divisors, key=lambda d: abs(d - target))
+            b = min(sorted_divisors(n), key=lambda d: abs(d - target))
         validate_problem(n, b, nranks)
         self.n = n
         self.nranks = nranks

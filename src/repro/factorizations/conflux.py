@@ -54,7 +54,12 @@ from ..engine.schedule import Schedule
 from ..kernels import blas, flops
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
-from ..machine.grid import ProcessorGrid3D, choose_grid_25d, replication_factor
+from ..machine.grid import (
+    ProcessorGrid3D,
+    choose_grid_25d,
+    replication_factor,
+    sorted_divisors,
+)
 from .common import FactorizationResult, validate_problem
 from .pivoting import _select_candidates
 
@@ -80,7 +85,7 @@ def default_block_size(n: int, nranks: int, c: int, a: int = 4,
     if n <= 0 or nranks <= 0 or c <= 0:
         raise ValueError("n, nranks, c must be positive")
     want = max(a * c, c, (n + max_steps - 1) // max_steps)
-    candidates = [d for d in range(1, n + 1) if n % d == 0 and d % c == 0]
+    candidates = [d for d in sorted_divisors(n) if d % c == 0]
     if not candidates:
         raise ValueError(f"no tile size divides N={n} and replication c={c}")
     for d in candidates:

@@ -13,8 +13,9 @@ should fail at the kernel boundary, not as a silent broadcast.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-import scipy.linalg
 
 from . import flops as _flops
 
@@ -28,6 +29,18 @@ class KernelError(ValueError):
 
 class SingularMatrixError(KernelError):
     """Factorization hit an exactly-zero pivot."""
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg``, imported by the first ``trsm``/``potrf`` call.
+
+    Trace-mode processes (sweep workers, the planner, the plan service)
+    import this module through the schedules but never solve anything;
+    a module-level import would cost each of them SciPy's load time.
+    """
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _as2d(a: np.ndarray, name: str) -> np.ndarray:
@@ -103,14 +116,14 @@ def trsm(tri: np.ndarray, rhs: np.ndarray, side: str = "left",
     if side == "left":
         if rhs.shape[0] != t:
             raise KernelError(f"trsm left: {tri.shape} vs rhs {rhs.shape}")
-        x = scipy.linalg.solve_triangular(
+        x = _lapack().solve_triangular(
             tri, rhs, lower=lower, unit_diagonal=unit_diagonal)
         fl = _flops.trsm_flops(t, rhs.shape[1])
     elif side == "right":
         if rhs.shape[1] != t:
             raise KernelError(f"trsm right: {tri.shape} vs rhs {rhs.shape}")
         # X T = RHS  <=>  T^T X^T = RHS^T
-        x = scipy.linalg.solve_triangular(
+        x = _lapack().solve_triangular(
             tri.T, rhs.T, lower=not lower, unit_diagonal=unit_diagonal).T
         fl = _flops.trsm_flops(t, rhs.shape[0])
     else:
@@ -165,8 +178,8 @@ def potrf(a: np.ndarray) -> tuple[np.ndarray, float]:
     if a.shape[0] != a.shape[1]:
         raise KernelError(f"potrf needs a square block, got {a.shape}")
     try:
-        chol = scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        chol = _lapack().cholesky(a, lower=True)
+    except np.linalg.LinAlgError as exc:
         raise KernelError(f"block not positive definite: {exc}") from exc
     return chol, _flops.potrf_flops(a.shape[0])
 

@@ -32,11 +32,11 @@ known kernels against their closed forms in the tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .daap import Statement
 
@@ -49,6 +49,14 @@ __all__ = [
     "statement_intensity",
     "lemma6_intensity_cap",
 ]
+
+
+@functools.cache
+def _optimize():
+    """``scipy.optimize``, imported by the first solve: ``import repro``
+    reaches this module, and most processes never optimize anything."""
+    import scipy.optimize
+    return scipy.optimize
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +126,7 @@ def _solve_interior(masks: np.ndarray, logw: np.ndarray,
             if masks[j, t]:
                 y0[t] = min(y0[t], target)
     y0 = np.where(np.isfinite(y0), y0, 0.0)
-    res = scipy.optimize.minimize(
+    res = _optimize().minimize(
         neg_obj, y0, jac=neg_obj_grad, method="SLSQP",
         constraints=[{"type": "eq", "fun": eq, "jac": eq_grad}],
         options={"maxiter": 1000, "ftol": 1e-14},
@@ -280,7 +288,7 @@ def minimize_rho(chi, mem_words: float, x_hi_factor: float = 1e6,
         return chi(x) / (x - m)
 
     lo, hi = math.log(m * 1e-3 + 1.0), math.log(m * x_hi_factor)
-    res = scipy.optimize.minimize_scalar(
+    res = _optimize().minimize_scalar(
         rho_of, bounds=(lo, hi), method="bounded",
         options={"xatol": tol})
     x0 = m + math.exp(float(res.x))

@@ -32,6 +32,7 @@ from .grid import (
     choose_grid_2d,
     largest_square_divisor,
     replication_factor,
+    sorted_divisors,
 )
 from .perf_model import PIZ_DAINT_XC40, MachineParams, PerfModel, TimeBreakdown
 from .stats import (
@@ -61,6 +62,7 @@ __all__ = [
     "choose_grid_25d",
     "largest_square_divisor",
     "replication_factor",
+    "sorted_divisors",
     "MachineParams",
     "PerfModel",
     "TimeBreakdown",

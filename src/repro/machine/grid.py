@@ -30,6 +30,7 @@ __all__ = [
     "choose_grid_25d",
     "largest_square_divisor",
     "replication_factor",
+    "sorted_divisors",
 ]
 
 
@@ -44,6 +45,18 @@ def largest_square_divisor(p: int) -> tuple[int, int]:
     while px > 1 and p % px != 0:
         px -= 1
     return px, p // px
+
+
+def sorted_divisors(n: int) -> list[int]:
+    """Every positive divisor of ``n`` in ascending order (empty for
+    ``n == 0``), by trial division up to ``sqrt(n)``.
+
+    The tile-size and panel-width defaults snap to a divisor of ``N`` once
+    per schedule, and a sweep builds hundreds of schedules with ``N`` up
+    to 262,144: the pairing ``d <-> n // d`` keeps that at ``O(sqrt(N))``.
+    """
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @dataclasses.dataclass(frozen=True)

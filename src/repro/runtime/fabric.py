@@ -163,6 +163,16 @@ def _run_id(tasks: Sequence[SweepTask], batch_size: int,
     return h.hexdigest()[:16]
 
 
+def _tail(path: pathlib.Path) -> str:
+    """The last 2000 bytes of a worker's stderr file, for error text."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(max(0, os.path.getsize(path) - 2000))
+            return fh.read().decode(errors="replace")
+    except OSError as exc:
+        return f"(unreadable: {exc})"
+
+
 def _atomic_write(path: pathlib.Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     tmp.write_bytes(data)
@@ -448,9 +458,14 @@ class FabricReport:
     exactly one marker regardless of claim races).
 
     ``stolen`` counts batches completed off a stolen lease;
-    ``tasks_computed`` + ``tasks_cache_served`` == ``tasks`` always.
     ``by_worker`` maps worker id → batches completed; ``busy_s`` maps
-    worker id → summed batch execution wall.
+    worker id → summed batch execution wall — all three over the whole
+    run directory, whichever call finished the batch.
+    ``tasks_computed`` / ``tasks_cache_served`` describe *this*
+    ``run()`` call: a batch whose marker predates the call (a resume)
+    counts entirely as cache-served, so a resume over a finished run
+    reports 0 computed.  ``tasks_computed`` + ``tasks_cache_served``
+    == ``tasks`` always.
     """
 
     run_id: str
@@ -517,8 +532,14 @@ class DistributedSweepExecutor:
         self.last_report: FabricReport | None = None
 
     # ------------------------------------------------------------------
-    def _spawn_worker(self, run: FabricRun, index: int):
-        """One local worker subprocess, importing this very package."""
+    def _spawn_worker(self, run: FabricRun, index: int,
+                      ) -> tuple[subprocess.Popen, pathlib.Path]:
+        """One local worker subprocess, importing this very package.
+
+        Its stderr goes to a file in the run directory, returned with
+        the process: a pipe read only at join would block a worker that
+        writes more than the pipe buffer until the run timed out.
+        """
         import repro
 
         env = dict(os.environ)
@@ -526,14 +547,16 @@ class DistributedSweepExecutor:
         env["PYTHONPATH"] = os.pathsep.join(
             [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(
                 os.pathsep) if p])
+        worker_id = f"sub{index}-{os.getpid()}"
         cmd = [sys.executable, "-m", "repro.runtime.fabric",
                "--cache", str(run.cache_root), "--run", run.run_id,
                "--ttl", str(self.ttl_s), "--poll", str(self.poll_s),
-               "--worker-id", f"sub{index}-{os.getpid()}",
-               "--no-linger"]
-        return subprocess.Popen(cmd, env=env,
-                                stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+               "--worker-id", worker_id, "--no-linger"]
+        log = run.run_dir / f"worker-{worker_id}.stderr"
+        with open(log, "wb") as fh:
+            proc = subprocess.Popen(cmd, env=env,
+                                    stdout=subprocess.DEVNULL, stderr=fh)
+        return proc, log
 
     def run(self, tasks: Sequence[SweepTask]) -> list[Any]:
         """All task results in task order — bit-identical to
@@ -553,6 +576,9 @@ class DistributedSweepExecutor:
                               batch_size=self.batch_size,
                               expected_workers=active)
             sp.set(run=run.run_id, batches=len(run.batches))
+            # Batches finished before this call (a resume): this call
+            # only reads their results back.
+            prior = frozenset(run.done_batches())
             reg.gauge("fabric.workers").set(active)
             procs = [self._spawn_worker(run, i)
                      for i in range(self.workers)]
@@ -565,22 +591,22 @@ class DistributedSweepExecutor:
                     self._await_completion(run)
             finally:
                 errs = []
-                for proc in procs:
+                for proc, log in procs:
                     try:
-                        _, err = proc.communicate(timeout=self.ttl_s * 4)
+                        proc.wait(timeout=self.ttl_s * 4)
                     except subprocess.TimeoutExpired:
                         proc.kill()
-                        proc.communicate()
-                        err = b"worker join timed out"
-                    if proc.returncode not in (0, None, -9):
-                        errs.append(err.decode(errors="replace")[-2000:])
+                        proc.wait()
+                    if proc.returncode not in (0, -9):
+                        errs.append(f"exit {proc.returncode}, stderr in "
+                                    f"{log}:\n{_tail(log)}")
                 if errs and not run.complete():
                     raise RuntimeError(
                         "fabric worker subprocess failed:\n"
                         + "\n".join(errs))
             results = self._reconcile(run)
         wall = time.time() - t0
-        self.last_report = self._report(run, active, wall)
+        self.last_report = self._report(run, active, wall, prior)
         self._publish_report_metrics(self.last_report)
         reg.gauge("runtime.executor.last_run_s").set(wall)
         reg.histogram("runtime.executor.run.wall_s").observe(wall)
@@ -634,8 +660,8 @@ class DistributedSweepExecutor:
         return results
 
     # ------------------------------------------------------------------
-    def _report(self, run: FabricRun, workers: int,
-                wall_s: float) -> FabricReport:
+    def _report(self, run: FabricRun, workers: int, wall_s: float,
+                prior: frozenset[int]) -> FabricReport:
         by_worker: dict[str, int] = {}
         busy: dict[str, float] = {}
         stolen = computed = served = ntasks = 0
@@ -648,8 +674,11 @@ class DistributedSweepExecutor:
             by_worker[who] = by_worker.get(who, 0) + 1
             busy[who] = busy.get(who, 0.0) + marker.get("wall_s", 0.0)
             stolen += marker.get("stolen_from") is not None
-            computed += marker.get("computed", 0)
-            served += marker.get("cache_served", 0)
+            if b in prior:
+                served += marker.get("tasks", 0)
+            else:
+                computed += marker.get("computed", 0)
+                served += marker.get("cache_served", 0)
             ntasks += marker.get("tasks", 0)
         return FabricReport(run_id=run.run_id, workers=workers,
                             batches=len(run.batches), tasks=ntasks,

@@ -2,11 +2,15 @@
 CAPITAL)."""
 
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.factorizations import conflux_lu
 from repro.factorizations.baselines import (
+    CandmcLU,
+    CapitalCholesky,
     candmc_lu,
     capital_cholesky,
     scalapack_cholesky,
@@ -108,6 +112,20 @@ class TestVolumeModels:
             m = c * float(n) * n / p
             model = cm.capital_paper_model(n, p, m)
             assert res.mean_recv_words == pytest.approx(model, rel=0.25)
+
+    @pytest.mark.parametrize("n,p,c,b", [
+        (8192, 256, 4, 1024), (16384, 1024, 8, 1024),
+        (32768, 4096, 16, 2048),    # the Table-2 validation points
+        (3000, 12, 2, 1000),        # N not a power of two
+    ])
+    def test_default_panel_width_pinned(self, n, p, c, b):
+        """The divisor of N nearest N/sqrt(P/c), as the linear scan
+        over 1..N picked it."""
+        assert CandmcLU(n, p, c=c).b == b
+        assert CapitalCholesky(n, p, c=c).b == b
+        target = max(1, int(n / math.sqrt(p / c)))
+        assert b == min((d for d in range(1, n + 1) if n % d == 0),
+                        key=lambda d: abs(d - target))
 
     def test_candmc_execute_rejected(self):
         with pytest.raises(NotImplementedError):

@@ -3,10 +3,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.factorizations import ConfluxLU, conflux_lu, default_block_size
 from repro.lowerbounds import lu_io_lower_bound
 from repro.models import costmodels as cm
+
+
+def block_size_by_scan(n, c, a, max_steps):
+    """Reference for ``default_block_size``: the O(N) divisor scan it
+    replaced, kept here only to compare against."""
+    want = max(a * c, c, (n + max_steps - 1) // max_steps)
+    candidates = [d for d in range(1, n + 1) if n % d == 0 and d % c == 0]
+    if not candidates:
+        raise ValueError(f"no tile size divides N={n} and replication c={c}")
+    for d in candidates:
+        if d >= want:
+            return d
+    return candidates[-1]
 
 
 def lu_residual(a, res):
@@ -97,6 +112,23 @@ class TestParameterValidation:
             assert n % v == 0
             assert v % c == 0
             assert v >= c
+
+    @given(n=st.integers(1, 6000), c=st.integers(1, 12),
+           a=st.integers(1, 8), max_steps=st.integers(1, 5000))
+    def test_default_block_size_equals_scan(self, n, c, a, max_steps):
+        if n % c != 0:
+            with pytest.raises(ValueError, match="no tile size"):
+                default_block_size(n, 1, c, a, max_steps)
+            with pytest.raises(ValueError, match="no tile size"):
+                block_size_by_scan(n, c, a, max_steps)
+        else:
+            assert default_block_size(n, 1, c, a, max_steps) \
+                == block_size_by_scan(n, c, a, max_steps)
+
+    def test_default_block_size_at_large_n(self):
+        """Only an O(sqrt(N)) resolution returns at N = 2**40; the step
+        cap N / max_steps = 2**28 decides the tile here."""
+        assert default_block_size(2 ** 40, 4096, 16) == 2 ** 28
 
     def test_default_c_divides_p(self):
         algo = ConfluxLU(243, 27)

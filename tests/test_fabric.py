@@ -129,6 +129,27 @@ class TestResume:
         assert cache.hits == hits_before + len(tasks)
         assert [type(v) for v in r1] == [type(v) for v in r2]
         assert second.last_report.run_id == first.last_report.run_id
+        # The report describes the call, not the run directory's history.
+        assert first.last_report.tasks_computed == len(tasks)
+        assert second.last_report.tasks_computed == 0
+        assert second.last_report.tasks_cache_served == len(tasks)
+        assert second.last_report.tasks == len(tasks)
+
+    def test_partial_resume_counts_only_this_call(self, tmp_path):
+        """One batch finished by an earlier (dead) coordinator: the
+        resuming call computes the rest and reports exactly that."""
+        tasks = lu_tasks()
+        cache = ResultCache(tmp_path)
+        run = publish_run(cache, tasks, batch_size=1)
+        lease = fabric._try_claim(run, 0, "earlier", ttl_s=30.0)
+        fabric._execute_batch(run, lease, cache)
+        ex = DistributedSweepExecutor(cache, workers=0, batch_size=1)
+        ex.run(tasks)
+        report = ex.last_report
+        assert report.run_id == run.run_id
+        assert report.tasks_computed == len(tasks) - 1
+        assert report.tasks_cache_served == 1
+        assert report.by_worker["earlier"] == 1
 
     def test_partial_results_survive(self, tmp_path):
         """A pre-cached task is served, not recomputed — the resumable
@@ -278,6 +299,40 @@ class TestFaultInjection:
         assert checksum(fab) == checksum(serial)
         assert ex.last_report.tasks_computed \
             + ex.last_report.tasks_cache_served == ex.last_report.tasks
+
+
+class TestWorkerStderr:
+    def test_flooding_worker_does_not_block(self, tmp_path, monkeypatch):
+        """A spawned worker writing more than a pipe buffer to stderr
+        (here: the interpreter's import trace) before it claims anything
+        still does all the work — its stderr is a file, not a pipe that
+        nobody reads until join."""
+        monkeypatch.setenv("PYTHONVERBOSE", "2")
+        tasks = lu_tasks()
+        ex = DistributedSweepExecutor(tmp_path, workers=1,
+                                      participate=False, batch_size=1,
+                                      ttl_s=10.0, timeout_s=30.0)
+        results = ex.run(tasks)
+        assert len(results) == len(tasks)
+        assert ex.last_report.tasks_computed == len(tasks)
+        run = publish_run(tmp_path, tasks, batch_size=1)
+        (log,) = run.run_dir.glob("worker-*.stderr")
+        assert log.stat().st_size > 65536    # the Linux pipe buffer
+
+    def test_failed_worker_error_carries_stderr_tail(self, tmp_path):
+        """A worker that dies leaves its traceback in the run directory
+        and the coordinator's error quotes the end of it."""
+        tasks = lu_tasks()
+        run = publish_run(tmp_path, tasks, batch_size=1, expected_workers=1)
+        (run.run_dir / "tasks.pkl").write_bytes(b"not a pickle")
+        ex = DistributedSweepExecutor(tmp_path, workers=1,
+                                      participate=False, batch_size=1,
+                                      ttl_s=10.0, timeout_s=1.0)
+        with pytest.raises(RuntimeError, match="UnpicklingError") as info:
+            ex.run(tasks)
+        (log,) = run.run_dir.glob("worker-*.stderr")
+        assert str(log) in str(info.value)
+        assert "Traceback" in log.read_text()
 
 
 class TestShardedAtlasBuild:

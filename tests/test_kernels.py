@@ -92,6 +92,22 @@ class TestTrsm:
         x, _ = trsm(tri, rhs, side="left", lower=True, unit_diagonal=True)
         assert np.allclose(tri @ x, rhs)
 
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_bit_identical_to_lapack(self, rng, lower, unit):
+        """trsm is SciPy's solve_triangular, however the module gets
+        hold of it: the same bits for both sides."""
+        tri = rng.standard_normal((16, 16)) + 16 * np.eye(16)
+        tri = np.tril(tri) if lower else np.triu(tri)
+        rhs = rng.standard_normal((16, 5))
+        x, _ = trsm(tri, rhs, side="left", lower=lower, unit_diagonal=unit)
+        assert np.array_equal(x, scipy.linalg.solve_triangular(
+            tri, rhs, lower=lower, unit_diagonal=unit))
+        x, _ = trsm(tri, rhs.T, side="right", lower=lower,
+                    unit_diagonal=unit)
+        assert np.array_equal(x, scipy.linalg.solve_triangular(
+            tri.T, rhs, lower=not lower, unit_diagonal=unit).T)
+
     def test_singular_detected(self):
         tri = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(SingularMatrixError):
@@ -162,7 +178,7 @@ class TestPotrf:
         assert fl == potrf_flops(64)
 
     def test_not_spd_raises(self):
-        with pytest.raises(KernelError):
+        with pytest.raises(KernelError, match="not positive definite"):
             potrf(-np.eye(3))
 
     def test_nonsquare_rejected(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.machine import (
     GridError,
@@ -12,6 +14,7 @@ from repro.machine import (
     choose_grid_2d,
     largest_square_divisor,
     replication_factor,
+    sorted_divisors,
 )
 
 
@@ -32,6 +35,27 @@ class TestSquareDivisor:
     def test_rejects_nonpositive(self):
         with pytest.raises(GridError):
             largest_square_divisor(0)
+
+
+class TestSortedDivisors:
+    @given(st.integers(min_value=0, max_value=20000))
+    def test_equals_linear_scan(self, n):
+        assert sorted_divisors(n) == [d for d in range(1, n + 1)
+                                      if n % d == 0]
+
+    @pytest.mark.parametrize("n", [1, 4, 49, 262144, 510 * 510])
+    def test_perfect_square_root_listed_once(self, n):
+        divs = sorted_divisors(n)
+        assert divs == sorted(set(divs))
+        assert divs[0] == 1 and divs[-1] == n
+
+    def test_sqrt_cost_at_large_n(self):
+        """A linear scan of 2**40 candidates would not return."""
+        assert sorted_divisors(2 ** 40) == [2 ** k for k in range(41)]
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            sorted_divisors(-4)
 
 
 class TestGrid2D:
