@@ -8,13 +8,8 @@ PY ?= python
 # ratchet it up when coverage improves, never lower it silently.
 COV_FLOOR ?= 85
 
-.PHONY: test lint coverage bench-smoke bench-check plan atlas trace \
-	fabric-check cache-gc exec-smoke profile-exec
-
-# Worker count for the process-pool sweep path; empty = script default
-# (min(4, cores)).  Usage: make bench-smoke PARALLEL=4
-PARALLEL ?=
-PARALLEL_FLAG = $(if $(PARALLEL),--parallel $(PARALLEL))
+.PHONY: test lint coverage bench-check plan atlas trace cache-gc \
+	exec-smoke profile-exec
 
 ## Run the tier-1 test suite (what CI and the PR driver gate on).
 test:
@@ -64,19 +59,21 @@ lint:
 		echo "ruff not installed; skipping lint (config committed in ruff.toml)"; \
 	fi
 
-## Fast trace-sweep perf snapshot (serial + process-pool); rewrites
-## BENCH_engine.json at the root (the committed baseline bench-check
-## gates against).  PARALLEL=N pins the pool's worker count.
-bench-smoke:
-	$(PY) scripts/bench_smoke.py $(PARALLEL_FLAG)
-
-## Gate a fresh sweep against the committed BENCH_engine.json: fails on
-## sweep- or planner-checksum drift, a >25% slowdown, or a pool-path
-## checksum that diverges from the serial one (see
-## check_bench_regression.py for the intentional-update procedure).
-## PARALLEL=N exercises the pool path with that worker count.
+## The ledger gate: four perf/ workloads at the scale where their
+## checksums are pinned (~25 s).  Each run verifies every operation and
+## exits non-zero when one fails: sweep_closed pins 78781741034.0 and
+## the 12-point subset 1423773488.0 on the serial sweep; sweep_fanout
+## pins the same two through a cold pool, a cold 2-worker fabric and a
+## resume (so pool == fabric == resume == serial), every task computed
+## exactly once and the resume recomputing none; plan_grid pins 156
+## candidates, 130867515.140625 and joint <= independent; serve_mix
+## checks every served plan == the live plan with zero live fallbacks.
+## (sweep_fanout runs at full scale: --quick pins no checksum.)
 bench-check:
-	$(PY) scripts/check_bench_regression.py $(PARALLEL_FLAG)
+	$(PY) perf/run.py --workload sweep_closed --seconds 1
+	$(PY) perf/run.py --workload plan_grid --seconds 1
+	$(PY) perf/run.py --workload serve_mix --quick --seconds 1
+	$(PY) perf/run.py --workload sweep_fanout --seconds 1
 
 ## Print the planner's pick (schedule + parameters + predicted cost)
 ## for a smoke (N, P, M) grid; fails if planning breaks or blows the
@@ -103,15 +100,6 @@ atlas:
 TRACE_DIR ?= .trace-smoke
 trace:
 	$(PY) scripts/trace_report.py --out $(TRACE_DIR)
-
-## Two-worker fabric gate: shard the bench sweep matrix across
-## FABRIC_WORKERS concurrent worker processes leasing batches out of
-## one shared cache directory, reconcile on the coordinator, and fail
-## unless the checksum is bit-identical to the committed
-## BENCH_engine.json and every task is accounted for exactly once.
-FABRIC_WORKERS ?= 2
-fabric-check:
-	$(PY) scripts/fabric_check.py --workers $(FABRIC_WORKERS)
 
 ## Prune stale cache entries (fingerprints from edited code, orphaned
 ## .tmp files; CACHE_GC_MAX_AGE_S additionally prunes current entries

@@ -14,7 +14,8 @@ content-addressed :class:`~repro.planner.PlanAtlas` under ``DIR``, and
 the build is verified end-to-end — a fresh
 :class:`~repro.planner.PlanService` front-end must serve every lattice
 point **bit-identical** to the live plan computed in the same run
-(the atlas correctness contract CI gates here and in ``bench_smoke``).
+(the atlas correctness contract CI gates here and in the ``perf/``
+``serve_mix`` workload).
 Builds are resumable: rebuilding over an existing directory reuses
 every point the current code fingerprint has already planned.
 
@@ -22,7 +23,7 @@ every point the current code fingerprint has already planned.
 atlas build, when requested) must finish inside the budget, so a
 regression that drops the batched closed-form path (e.g. per-config
 O(steps x P) work sneaking back into scoring) fails the build rather
-than just drifting the bench snapshot.  The grid plans in well under a
+than just drifting the ledger.  The grid plans in well under a
 second batched; the default CI budget leaves two orders of magnitude
 headroom for runner noise.
 """

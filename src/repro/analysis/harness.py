@@ -201,7 +201,7 @@ def sweep_traces(cases: list[tuple[int, int]],
     """Trace every ``(impl, N, P)`` combination of the sweep.
 
     This is the paper-style evaluation loop the figure benchmarks and
-    the ``bench-smoke`` perf snapshot share.  Each ``(N, P)`` case is
+    the ``perf/`` sweep workloads share.  Each ``(N, P)`` case is
     one sweep task whose flavour set evaluates through
     :func:`trace_case` — a single batched :class:`TermBatch` reduction
     per case.  Pass ``steps="columnar"`` when per-step data is needed
@@ -209,7 +209,7 @@ def sweep_traces(cases: list[tuple[int, int]],
 
     ``executor`` accepts a :mod:`repro.runtime` sweep executor (serial
     or process-pool, optionally cache-backed); the result order — and
-    therefore the bench checksum — is identical to the in-process loop.
+    therefore the sweep checksum — is identical to the in-process loop.
     """
     from ..runtime.executor import SerialExecutor
 

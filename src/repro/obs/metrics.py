@@ -12,10 +12,11 @@ Unlike spans (see :mod:`repro.obs.core`), metrics are **always on**:
 an increment is a dict lookup plus a locked float add, cheap enough
 for every instrumented call site (plan batches, executor runs, cache
 lookups — never per-cost-term inner loops).  That is what lets
-``bench_smoke`` read wall times out of the snapshot instead of keeping
-its own ``perf_counter`` bookkeeping, and what lets
-:class:`~repro.planner.service.ServiceStats` become a view over
-registry counters without breaking when telemetry is disabled.
+``make trace`` export every layer's wall times from one snapshot
+instead of each layer keeping its own ``perf_counter`` bookkeeping,
+and what lets :class:`~repro.planner.service.ServiceStats` become a
+view over registry counters without breaking when telemetry is
+disabled.
 
 Thread safety: one lock per registry covers instrument creation and
 every mutation — the service's async wrappers and pool bookkeeping may

@@ -1,6 +1,6 @@
 """Sweep executors: serial and multiprocessing, cache-aware.
 
-The figure benchmarks and the perf snapshot evaluate grids of
+The figure benchmarks and the ``perf/`` sweeps evaluate grids of
 independent ``(impl, N, P)`` trace tasks.  This module gives that loop
 a pluggable execution strategy:
 
@@ -23,8 +23,8 @@ inside the worker to keep module import cycles out of the package
 graph.
 
 Telemetry: every run records wall time and task counts in the
-always-on metrics registry (``runtime.executor.*`` — this is where
-``bench_smoke`` reads sweep walls from).  With spans enabled, each
+always-on metrics registry (``runtime.executor.*`` — ``make trace``
+exports them in its metrics snapshot).  With spans enabled, each
 task gets a ``sweep.task`` span; pool workers run under a *fresh*
 telemetry (the fork start method would otherwise hand children the
 parent's span buffer) and ship their spans home inside the result,
@@ -164,25 +164,11 @@ def _run_task_traced(item: tuple[SweepTask, float]) -> _TracedResult:
 def default_workers() -> int:
     """Worker count for the pool: the cores this process may use.
 
-    A ``REPRO_WORKERS`` environment override wins outright — CI shards
-    and fabric workers pin it so their worker counts are deterministic
-    regardless of runner width.  Otherwise the CPU affinity mask, then
-    ``os.cpu_count()``, which may legitimately return None (rare
-    platforms, restricted containers) — that degrades to 1, not a
-    crash.
+    The CPU affinity mask, then ``os.cpu_count()``, which may
+    legitimately return None (rare platforms, restricted containers) —
+    that degrades to 1, not a crash.  Callers that need a fixed width
+    pass ``max_workers=``.
     """
-    env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            pinned = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_WORKERS must be a positive integer, got {env!r}"
-            ) from None
-        if pinned <= 0:
-            raise ValueError(
-                f"REPRO_WORKERS must be a positive integer, got {env!r}")
-        return pinned
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -246,7 +232,8 @@ class ProcessPoolSweepExecutor(SerialExecutor):
     The pool is **persistent**: lazily created on the first
     :meth:`run` and reused by every subsequent one, so repeated small
     sweeps pay the worker spawn/import cost once instead of per call
-    (the bench ``parallel`` block records the warm-vs-cold win).
+    (the ``perf/`` ledger records the warm-vs-cold win as
+    ``executor.pool_warm_s`` against ``executor.pool_cold_s``).
     Release it with :meth:`close` or use the executor as a context
     manager; an unclosed pool is reaped at interpreter exit like any
     ``ProcessPoolExecutor``.

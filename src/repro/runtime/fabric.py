@@ -1,7 +1,7 @@
 """Multi-host work-stealing sweep fabric over the content-addressed cache.
 
 One process pool tops out at one host; the paper-scale (n, P, M) grids
-behind Table 2 / Fig. 8, atlas builds, and the bench matrix want more.
+behind Table 2 / Fig. 8 and atlas builds want more.
 This module turns the :class:`~repro.runtime.cache.ResultCache`
 directory — already content-addressed, atomic, and stale-proof — into
 the *coordination substrate* of a distributed sweep:
@@ -38,7 +38,7 @@ the *coordination substrate* of a distributed sweep:
   the result list — and therefore the sweep checksum — is bit-identical
   to :class:`~repro.runtime.executor.SerialExecutor` by construction
   (the PR-4 contract extended one level: distributed == pool ==
-  serial, gated in ``scripts/check_bench_regression.py``).
+  serial, checked on every ``perf/`` ``sweep_fanout`` operation).
 
 Resumability falls out of the construction: killing *everything* and
 re-running the same sweep re-publishes the same run id, sees the done
@@ -483,8 +483,8 @@ class FabricReport:
 class DistributedSweepExecutor:
     """Work-stealing sweep executor over a shared cache directory —
     a drop-in for the executor protocol (``harness.sweep_traces``,
-    ``memory_feasibility``, ``PlanAtlas.build``, ``bench_smoke`` all
-    take it via ``executor=``).
+    ``memory_feasibility`` and ``PlanAtlas.build`` all take it via
+    ``executor=``).
 
     Parameters
     ----------

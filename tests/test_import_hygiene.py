@@ -1,18 +1,21 @@
-"""Import discipline: SciPy loads with the first numeric kernel call.
+"""Import discipline: SciPy loads with the first numeric kernel call,
+and the paper's Table-2 models stay out of everything but the figures.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
 time was most of their cold start.  ARCHITECTURE.md, "Import
-discipline", states the rule these tests hold the tree to.
+discipline", states the rules these tests hold the tree to.
 """
 
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
@@ -50,3 +53,41 @@ def test_scipy_absent_until_first_numeric_kernel():
         assert stages[stage] == [], f"{stage} loaded {stages[stage][:5]}"
     # The probe can see SciPy: the first solve loads it.
     assert "scipy.linalg" in stages["blas.trsm"]
+
+
+def _imports_models(path: pathlib.Path) -> bool:
+    """Whether ``path`` imports ``repro.models`` (whose ``__init__``
+    loads ``costmodels``) or anything below it, absolutely or
+    relatively."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(part in ("models", "costmodels")
+               for name in names for part in name.split(".")):
+            return True
+    return False
+
+
+def _importers(*roots: str) -> set[str]:
+    return {str(path.relative_to(ROOT))
+            for root in roots for path in (ROOT / root).rglob("*.py")
+            if _imports_models(path)}
+
+
+def test_costmodels_feed_only_figures_and_ablations():
+    """``models.costmodels`` restates the schedules as the paper's
+    Table-2 formulas, for comparison plots.  Planning, accounting and
+    execution must never read it: their numbers come from the cost-term
+    IR alone."""
+    assert _importers("src/repro") == {
+        "src/repro/models/__init__.py",
+        "src/repro/analysis/figures.py",
+        "src/repro/analysis/ablations.py",
+    }
+    assert _importers("benchmarks", "examples", "scripts", "perf") == {
+        "benchmarks/bench_table2_model_validation.py"}

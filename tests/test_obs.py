@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from oracle import TOTAL_FIELDS
 from repro import obs
 from repro.machine.stats import NullStepLog, StepLog, StepRecord
 from repro.obs.export import (
@@ -309,6 +310,12 @@ class TestCacheAccounting:
         assert [r.args["outcome"] for r in gets] == ["miss", "hit"]
 
 
+def _result_key(r):
+    """One sweep result with every per-rank counter, as plain values."""
+    return (r.name, r.n, r.nranks, r.mem_words, r.params,
+            [getattr(r.comm, field).tolist() for field in TOTAL_FIELDS])
+
+
 class TestExecutorTelemetry:
     def _tasks(self):
         from repro.runtime.executor import SweepTask
@@ -358,6 +365,28 @@ class TestExecutorTelemetry:
         assert tel.spans() == ()
         assert [r.mean_recv_words for r in pooled] == \
             [r.mean_recv_words for r in serial]
+
+    def test_recording_spans_never_perturbs_the_sweep(self, tel):
+        """The 12-point subset the ``perf/`` ledger pins, traced with
+        spans disabled, enabled, and enabled through the pool (worker
+        spans shipped home and adopted): identical results, identical
+        checksum."""
+        from repro.analysis.harness import sweep_traces
+        from repro.runtime.executor import ProcessPoolSweepExecutor
+
+        cases = [(65536, 1024), (65536, 4096), (131072, 4096)]
+        disabled = sweep_traces(cases)
+        assert tel.spans() == ()
+        tel.enable()
+        enabled = sweep_traces(cases)
+        with ProcessPoolSweepExecutor(2) as pool:
+            pooled = sweep_traces(cases, executor=pool)
+        names = [r.name for r in tel.spans()]
+        assert names.count("sweep.task") == 2 * len(cases)
+        for results in (enabled, pooled):
+            assert [_result_key(r) for r in results] == \
+                [_result_key(r) for r in disabled]
+            assert sum(r.mean_recv_words for r in results) == 1423773488.0
 
 
 class TestAbortedRunTelemetry:

@@ -149,7 +149,7 @@ class TestLemma9:
     def test_intensity_independent_of_p(self):
         """Lemma 9's core: rho depends on M only, so the bound scales
         exactly as 1/P."""
-        n, m = 4, 16
+        n, m = 4, 8
         b2 = derive_matmul_bound(n, m, p=2).parallel_bound
         b8 = derive_matmul_bound(n, m, p=8).parallel_bound
         assert b2 == pytest.approx(4 * b8)

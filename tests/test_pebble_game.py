@@ -145,19 +145,19 @@ class TestGreedyRespectsLowerBounds:
     """Q_greedy (an upper bound on optimal) must respect the Section-3
     lower bounds: greedy >= derived bound."""
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 10), (8, 16)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 10)])
     def test_matmul(self, n, m):
         q = run_greedy(matmul_cdag(n), m).io_cost
         bound = derive_matmul_bound(n, m).sequential_bound
         assert q >= bound
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
     def test_lu(self, n, m):
         q = run_greedy(lu_cdag(n), m).io_cost
         bound = derive_lu_bound(n, m).sequential_bound
         assert q >= bound
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
     def test_cholesky(self, n, m):
         """At toy scale the paper's rho=1 panel terms are approximate
         (they charge one load per panel vertex even when the value is

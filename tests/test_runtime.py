@@ -132,22 +132,9 @@ class TestPersistentPool:
 
 
 class TestDefaultWorkers:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_workers() == 3
-
-    def test_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            default_workers()
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            default_workers()
-
     def test_cpu_count_none_degrades_to_one(self, monkeypatch):
         """os.cpu_count() may return None on restricted platforms —
         that must mean 1 worker, not a TypeError."""
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert default_workers() == 1

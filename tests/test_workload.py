@@ -43,6 +43,7 @@ from repro.planner import (
     plan_request,
     plan_workload,
 )
+from repro.runtime import ProcessPoolSweepExecutor, SerialExecutor, SweepTask
 
 NODE_M = 32 * 2 ** 30 / 8
 
@@ -429,3 +430,15 @@ class TestWorkloadSweepTask:
         assert a == b
         assert a["exec_checksum"] > 0
         assert a["reused"] >= 1
+
+    def test_executed_row_on_the_pool_equals_serial(self):
+        """Workload execution is deterministic across executors: the
+        pool's row — joint and independent words, reuse count and the
+        checksum over counted traffic and dense factors — equals the
+        serial one."""
+        tasks = [SweepTask("workload", "dft", 64, 4,
+                           extra=(("execute", True),))]
+        serial = SerialExecutor().run(tasks)
+        with ProcessPoolSweepExecutor(2) as pool:
+            assert pool.run(tasks) == serial
+        assert serial[0]["exec_checksum"] > 0
