@@ -16,13 +16,16 @@ test:
 	PYTHONPATH=src $(PY) -m pytest -x -q
 
 ## The executed, verified path at smoke scale: one quick run of each
-## message-bound perf/ workload (pd* call on the simulated machine,
-## residual <= 1e-10, peak <= the enforced budget on exec_chol25d).
-## Exits non-zero when an operation fails its check.  CI runs this
-## right after `make test`.
+## executed perf/ workload (pd* calls on the simulated machine,
+## residual <= 1e-10, peak <= the enforced budget on exec_chol25d) —
+## the two message-bound 2.5D ones, and exec_bulk, whose 2D Cholesky
+## and two matmuls drive the same blas wrappers and COSTA reshuffles
+## with few large tiles.  Exits non-zero when an operation fails its
+## check.  CI runs this right after `make test`.
 exec-smoke:
 	$(PY) perf/run.py --workload exec_lu25d --quick --seconds 2
 	$(PY) perf/run.py --workload exec_chol25d --quick --seconds 2
+	$(PY) perf/run.py --workload exec_bulk --quick --seconds 2
 
 ## cProfile top-25 (own time) of one operation of a perf/ workload,
 ## built as perf/run.py builds it.  WORKLOAD is any name in the ledger

@@ -6,6 +6,12 @@ Builds the workload exactly as ``perf/run.py`` does (default: the
 ``--workload`` takes any name in the ledger, e.g. ``sweep_closed``),
 runs one warm-up operation, profiles the next and prints the top
 functions by own time, so a performance change starts from a number.
+On the executed 2.5D workloads the top of the list is the batched
+helpers of ``engine/distops.py`` — ``panel_fan_out_update`` (with its
+``exchange``), ``local_panels``, ``layered_reduce``, the 1D scatters
+``distribute_rows_1d`` / ``assemble_cols_1d`` — then ``RankStore.put``,
+the ``blas`` wrappers and COSTA's ``redistribute``; a per-message
+``ship`` or a per-tile reduce reappearing there is a regression.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

@@ -9,19 +9,23 @@ helpers implement the recurring movement patterns of the 2.5D
 schedules:
 
 * :func:`ship` — pack a sub-block at its owner and move it to a
-  destination rank (point-to-point, counted);
+  destination rank (one counted point-to-point message; what is
+  genuinely sequential — tournament rounds, row swaps — uses it);
+* :func:`exchange` — a whole point-to-point pattern charged at once
+  from ``(src, dst, words)`` index arrays, equal to one ``ship`` and
+  consumer ``pop`` per message;
 * :func:`local_panels` — one contiguous local panel per rank, its
   ``v x v`` tiles stored as views;
+* :func:`layered_reduce` — the layered reduction of Algorithm 1 steps
+  1 and 5: sum a set of rows of a range of tile columns over the ``c``
+  layers onto a chosen layer, one block per root;
+* :func:`distribute_rows_1d` — the 1D panel scatter of step 4: spread
+  panel rows contiguously over all ranks;
+* :func:`assemble_cols_1d` — the column-chunk counterpart of step 6
+  for the A01 panel, where each destination needs *all* rows of its
+  column chunk gathered from several sources;
 * :func:`panel_fan_out_update` — Algorithm 1 steps 8, 10 and 11: fan
   the factored panels out, then one Schur update per rank;
-* :func:`fiber_reduce_subset` — the layered reduction of Algorithm 1
-  steps 1 and 5: sum a row subset of one partial tile over the ``c``
-  layers onto a chosen layer's rank;
-* :func:`distribute_rows_1d` — the 1D panel scatter of steps 4 and 6:
-  spread panel rows contiguously over all ranks;
-* :func:`assemble_cols_1d` — the column-chunk counterpart used for the
-  A01 panel, where each destination needs *all* rows of its column
-  chunk gathered from several sources;
 * :func:`bcast_copy`, :func:`swap_rows_2d`, :func:`maxloc_allreduce` —
   the recurring patterns of the 2D block-cyclic schedules (panel/tile
   broadcasts, cross-matrix pivot-row exchange, MAXLOC pivot search),
@@ -35,20 +39,26 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
 
 __all__ = [
     "ship",
+    "exchange",
     "local_panels",
     "panel_fan_out_update",
-    "fiber_reduce_subset",
+    "layered_reduce",
     "distribute_rows_1d",
     "assemble_cols_1d",
     "bcast_copy",
     "swap_rows_2d",
     "maxloc_allreduce",
 ]
+
+
+#: Store name of the row segments :func:`swap_rows_2d` has in flight.
+SWAP = work_name("swap")
 
 
 def ship(machine: Machine, src: int, dst: int, key: Hashable,
@@ -109,10 +119,10 @@ def swap_rows_2d(machine: Machine, lay, name: Hashable, g1: int,
             t1[i1] = t2[i2]
             t2[i2] = row
             continue
-        ship(machine, r1, r2, ("swap", g1, bj), t1[i1])
-        ship(machine, r2, r1, ("swap", g2, bj), t2[i2])
-        t1[i1] = machine.store(r1).pop(("swap", g2, bj))
-        t2[i2] = machine.store(r2).pop(("swap", g1, bj))
+        ship(machine, r1, r2, (SWAP, g1, bj), t1[i1])
+        ship(machine, r2, r1, (SWAP, g2, bj), t2[i2])
+        t1[i1] = machine.store(r1).pop((SWAP, g2, bj))
+        t2[i2] = machine.store(r2).pop((SWAP, g1, bj))
 
 
 def maxloc_allreduce(machine: Machine, key: Hashable,
@@ -138,102 +148,206 @@ def maxloc_allreduce(machine: Machine, key: Hashable,
     return max(entries.values(), key=lambda e: (e[0], -e[1]))
 
 
-def fiber_reduce_subset(machine: Machine, grid: ProcessorGrid3D,
-                        bi: int, bj: int, rows_local: np.ndarray,
-                        k_root: int, tile_key: Hashable,
-                        out_key: Hashable) -> int:
-    """Sum rows ``rows_local`` of partial tile ``(bi, bj)`` over layers.
+def exchange(machine: Machine, src: np.ndarray, dst: np.ndarray,
+             words: np.ndarray, key: Hashable) -> None:
+    """Charge a whole point-to-point pattern at once: message ``i``
+    moves ``words[i] > 0`` elements from ``src[i]`` to ``dst[i]``.
 
-    Every layer's owner of tile ``(bi, bj)`` holds its partial
-    contribution under ``tile_key``; the reduced block lands on layer
-    ``k_root``'s owner under ``out_key`` (returned rank).  The root
-    receives ``(c-1) * len(rows_local) * width`` words — the flat
-    reduce accounting of Algorithm 1's layered reductions.
+    Equal, counter for counter and peak for peak, to one :func:`ship`
+    plus the consumer's ``pop`` per message, provided every message is
+    transient at both ends and nothing else changes residency while
+    the pattern is in flight (the caller moves the data itself).
+    Volume: remote messages count their words and one message at both
+    ends, self-sends nothing.  Memory: a rank holds one message at a
+    time, so it is charged the largest of those it receives (its own
+    self-sends included) and of the remote ones it sends — staged once
+    per rank touched, ranks ascending, so an overflow raises
+    :class:`~repro.machine.exceptions.MemoryBudgetExceeded` under
+    ``key`` at a deterministic rank before a peak above the budget is
+    noted.
     """
-    fiber = [grid.rank(bi % grid.rows, bj % grid.cols, k)
-             for k in range(grid.layers)]
-    root = fiber[k_root]
-    for r in fiber:
-        tile = machine.store(r).get(tile_key)
-        machine.store(r).put(out_key, tile[rows_local, :])
-    machine.reduce(root, fiber, out_key)
-    for r in fiber:
-        if r != root:
-            machine.store(r).discard(out_key)
-    return root
+    src, dst, words = np.asarray(src), np.asarray(dst), np.asarray(words)
+    machine.stats.record_transfers(src, dst, words)
+    remote = src != dst
+    _stage_largest(machine, np.concatenate([dst, src[remote]]),
+                   np.concatenate([words, words[remote]]), key)
+
+
+def _stage_largest(machine: Machine, ranks: np.ndarray, words: np.ndarray,
+                   key: Hashable) -> None:
+    """Stage, at every rank named in ``ranks`` (ascending), the largest
+    of the ``words`` entries naming it."""
+    held = np.zeros(machine.nranks, dtype=np.int64)
+    np.maximum.at(held, ranks, words)
+    for rank in np.flatnonzero(held):
+        machine.stores[rank].stage(int(held[rank]), key)
+
+
+def layered_reduce(machine: Machine, grid: ProcessorGrid3D,
+                   panels: Sequence[np.ndarray], v: int, rows: np.ndarray,
+                   bj0: int, bj1: int, k_root: int, key: Hashable,
+                   ) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The layered reduction of Algorithm 1 steps 1 and 5: sum global
+    rows ``rows`` of tile columns ``[bj0, bj1)`` over the ``c`` layers
+    onto layer ``k_root``.
+
+    Every fiber rank reads its share from its local panel in one
+    indexed read; contributions are added in layer order, the root's
+    own first.  The root at grid position ``(q, p)`` keeps its reduced
+    block under ``key`` and is returned as a piece ``(root, rsel,
+    csel, block)``: ``block`` holds rows ``rows[rsel]`` and the columns
+    at offsets ``csel`` from ``bj0 * v`` (``rsel`` and ``csel``
+    ascending); pieces come grid-row-major.  Accounting is per tile —
+    the flat reduce accounting, ``(c-1) * rows-in-tile * v`` words
+    received at the root per (row tile, column tile): every other layer
+    sends one message per tile and holds the largest of them in passing.
+    """
+    pr, pc = grid.rows, grid.cols
+    rows = np.asarray(rows)
+    tile = rows // v
+    local = (tile // pr) * v + rows % v
+    bi, in_tile = np.unique(tile, return_counts=True)
+    others = [k for k in range(grid.layers) if k != k_root]
+    if others and bi.size:
+        at = (bi % pr)[:, None] * pc + np.arange(bj0, bj1) % pc
+        src = (np.array(others) * grid.layer_size)[:, None, None] + at
+        machine.stats.record_transfers(
+            src.ravel(),
+            np.broadcast_to(k_root * grid.layer_size + at, src.shape).ravel(),
+            np.broadcast_to((in_tile * v)[:, None], src.shape).ravel())
+    # Grid column p's tile columns in range: one run of its panels.
+    col_groups = []
+    for p in range(pc):
+        bjs = np.arange(bj0 + (p - bj0) % pc, bj1, pc)
+        if bjs.size:
+            col_groups.append((
+                p, slice(bjs[0] // pc * v, (bjs[-1] // pc + 1) * v),
+                ((bjs - bj0)[:, None] * v + np.arange(v)).ravel()))
+    pieces = []
+    for q in range(pr):
+        rsel = np.flatnonzero(tile % pr == q)
+        if rsel.size == 0:
+            continue
+        largest = int(in_tile[bi % pr == q].max()) * v
+        for p, cols, csel in col_groups:
+            root = grid.rank(q, p, k_root)
+            acc = panels[root][local[rsel], cols]
+            for k in others:
+                rank = grid.rank(q, p, k)
+                machine.stores[rank].stage(largest, key)
+                acc += panels[rank][local[rsel], cols]
+            machine.store(root).put(key, acc)
+            pieces.append((root, rsel, csel, acc))
+    return pieces
+
+
+def _split_1d(n: int, parts: int) -> tuple[list[slice], np.ndarray]:
+    """``np.array_split``'s cut of ``n`` items into ``parts`` contiguous
+    chunks (the first ``n % parts`` one longer): the slice of every
+    chunk, and the chunk of every item."""
+    size, extra = divmod(n, parts)
+    sizes = size + (np.arange(parts) < extra)
+    ends = np.cumsum(sizes)
+    return ([slice(lo, hi) for lo, hi in zip((ends - sizes).tolist(),
+                                             ends.tolist())],
+            np.repeat(np.arange(parts), sizes))
+
+
+def _scatter_1d(machine: Machine, src: np.ndarray, dst: np.ndarray,
+                words: np.ndarray, key: Hashable,
+                chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
+                ) -> None:
+    """Charge the messages of a 1D scatter and land chunk ``r`` in rank
+    ``r``'s store under ``key``.
+
+    Destinations are served in rank order and a chunk lands once its
+    messages have arrived, so what a source sends to a *higher* rank
+    leaves while the source's own chunk is resident: those sends are
+    staged once more on top of the landed chunks, which makes every
+    rank's peak the per-message loop's.
+    """
+    exchange(machine, src, dst, words, key)
+    for rank, (_, block) in enumerate(chunks):
+        if block is not None:
+            machine.store(rank).put(key, block)
+    up = src < dst
+    _stage_largest(machine, src[up], words[up], key)
 
 
 def distribute_rows_1d(machine: Machine,
                        pieces: Sequence[tuple[int, np.ndarray, np.ndarray]],
-                       nranks: int, key_tag: Hashable,
+                       nranks: int, key: Hashable,
                        ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """1D-scatter panel rows contiguously over all ranks.
 
     ``pieces`` is ``(owner_rank, global_row_ids, block)`` triples; the
     union of rows, ordered by global id, is split into ``nranks``
-    contiguous chunks, chunk ``r`` assembled in rank ``r``'s store under
-    ``(key_tag, "1d")``.  Returns per-rank ``(row_ids, block)`` (block
-    None for empty chunks).  Only cross-rank pieces are counted.
+    contiguous chunks, chunk ``r`` landing in rank ``r``'s store under
+    ``key``.  Returns per-rank ``(row_ids, block)`` (block None for
+    empty chunks).  One message per (owner, destination) pair with
+    rows to move; only cross-rank ones are counted.
     """
-    owners = np.concatenate([np.full(len(ids), owner)
-                             for owner, ids, _ in pieces])
-    ids = np.concatenate([np.asarray(ids, dtype=int) for _, ids, _ in pieces])
-    rows = np.vstack([block for _, _, block in pieces])
+    owners = np.repeat([owner for owner, _, _ in pieces],
+                       [len(ids) for _, ids, _ in pieces])
+    ids = np.concatenate([ids for _, ids, _ in pieces])
+    rows = np.concatenate([block for _, _, block in pieces])
     order = np.argsort(ids)
     ids, owners, rows = ids[order], owners[order], rows[order]
-    out: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for dst, part in enumerate(np.array_split(np.arange(ids.size), nranks)):
-        if part.size == 0:
-            out.append((ids[part], None))
-            continue
-        chunk_block = np.empty((part.size, rows.shape[1]))
-        for src in dict.fromkeys(owners[part].tolist()):
-            sel = part[owners[part] == src]
-            ship(machine, src, dst, (key_tag, "s", src), rows[sel])
-            chunk_block[sel - part[0]] = machine.store(dst).pop(
-                (key_tag, "s", src))
-        machine.store(dst).put((key_tag, "1d"), chunk_block)
-        out.append((ids[part], chunk_block))
-    return out
+    parts, dst_of = _split_1d(ids.size, nranks)
+    chunks = [(ids[part], rows[part] if part.stop > part.start else None)
+              for part in parts]
+    moved = np.bincount(owners * nranks + dst_of)
+    pair = np.flatnonzero(moved)
+    _scatter_1d(machine, pair // nranks, pair % nranks,
+                moved[pair] * rows.shape[1], key, chunks)
+    return chunks
 
 
 def assemble_cols_1d(machine: Machine,
                      pieces: Sequence[tuple[int, np.ndarray, np.ndarray,
                                             np.ndarray]],
-                     row_order: np.ndarray, nranks: int,
-                     key_tag: Hashable,
+                     rows: np.ndarray, cols: np.ndarray, nranks: int,
+                     v: int, key: Hashable,
                      ) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """1D-scatter panel *columns* over all ranks, assembling full rows.
 
-    ``pieces`` is ``(owner_rank, row_ids, col_ids, block)``; every
-    destination needs all ``row_order`` rows of its contiguous column
-    chunk, so each source ships the intersection of its piece with the
-    chunk and the destination stitches them in ``row_order`` under
-    ``(key_tag, "1d")``.  Returns per-rank ``(col_ids, block)``.
+    ``pieces`` is :func:`layered_reduce`'s ``(owner, rsel, csel,
+    block)``: ``block`` holds global rows ``rows[rsel]`` and columns
+    ``cols[csel]`` of the ``len(rows) x len(cols)`` panel (``cols``
+    ascending, whole ``v``-wide tiles).  The columns are split into
+    ``nranks`` contiguous chunks and chunk ``r``, every row in ``rows``
+    order, lands in rank ``r``'s store under ``key``.  Returns per-rank
+    ``(col_ids, block)``.  Messages keep tile granularity: one per
+    (row tile, column tile) of a piece and destination chunk that
+    column tile meets.
     """
-    row_pos = {int(g): i for i, g in enumerate(row_order)}
-    col_order = np.array(sorted({int(cg) for _, _, cids, _ in pieces
-                                 for cg in cids}), dtype=int)
-    out: list[tuple[np.ndarray, np.ndarray | None]] = []
-    for dst, chunk in enumerate(np.array_split(col_order, nranks)):
-        if chunk.size == 0:
-            out.append((chunk, None))
-            continue
-        col_pos = {int(cg): i for i, cg in enumerate(chunk)}
-        acc = np.zeros((len(row_order), chunk.size))
-        for idx, (src, rids, cids, block) in enumerate(pieces):
-            csel = [i for i, cg in enumerate(cids) if int(cg) in col_pos]
-            if not csel:
-                continue
-            sub = block[:, csel]
-            ship(machine, src, dst, (key_tag, "s", src, idx), sub)
-            ri = [row_pos[int(g)] for g in rids]
-            ci = [col_pos[int(cids[i])] for i in csel]
-            acc[np.ix_(ri, ci)] = machine.store(dst).pop(
-                (key_tag, "s", src, idx))
-        machine.store(dst).put((key_tag, "1d"), acc)
-        out.append((chunk, acc))
-    return out
+    panel = np.empty((len(rows), len(cols)))
+    for _, rsel, csel, block in pieces:
+        panel[rsel[:, None], csel] = block
+    parts, dst_of = _split_1d(len(cols), nranks)
+    chunks = [(cols[part], panel[:, part] if part.stop > part.start else None)
+              for part in parts]
+    # Per piece, as (piece, tile[, dst]) codes with multiplicities: its
+    # row tiles with their row counts, and the destinations each of
+    # its column tiles meets with the columns they share.
+    index = np.arange(len(pieces))
+    rsel = np.concatenate([rsel for _, rsel, _, _ in pieces])
+    csel = np.concatenate([csel for _, _, csel, _ in pieces])
+    of_row = np.repeat(index, [len(rsel) for _, rsel, _, _ in pieces])
+    of_col = np.repeat(index, [len(csel) for _, _, csel, _ in pieces])
+    row_tiles = int(rows.max()) // v + 1
+    col_tiles = len(cols) // v
+    row_code, nrows = np.unique(of_row * row_tiles + rows[rsel] // v,
+                                return_counts=True)
+    col_code, ncols = np.unique(
+        (of_col * col_tiles + csel // v) * nranks + dst_of[csel],
+        return_counts=True)
+    i, j = np.nonzero((row_code // row_tiles)[:, None]
+                      == col_code // (col_tiles * nranks))
+    owners = np.array([owner for owner, _, _, _ in pieces])
+    _scatter_1d(machine, owners[row_code[i] // row_tiles],
+                col_code[j] % nranks, nrows[i] * ncols[j], key, chunks)
+    return chunks
 
 
 def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
@@ -254,94 +368,91 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
     Returns the panels, indexed by rank.
     """
     pr, pc = grid.rows, grid.cols
-    panels = [np.zeros((len(range(pi, nb, pr)) * v,
-                        len(range(pj, nb, pc)) * v))
-              for pi, pj, _ in map(grid.coords, range(grid.size))]
-    for bi in range(nb):
-        for bj in range(bi + 1 if lower else nb):
-            i0, j0 = (bi // pr) * v, (bj // pc) * v
-            for k in range(grid.layers):
-                rank = grid.rank(bi % pr, bj % pc, k)
-                tile = panels[rank][i0:i0 + v, j0:j0 + v]
+    panels = []
+    for rank in range(grid.size):
+        pi, pj, k = grid.coords(rank)
+        panel = np.zeros((len(range(pi, nb, pr)) * v,
+                          len(range(pj, nb, pc)) * v))
+        store = machine.store(rank)
+        for bi in range(pi, nb, pr):
+            for bj in range(pj, bi + 1 if lower else nb, pc):
+                i0, j0 = (bi // pr) * v, (bj // pc) * v
+                tile = panel[i0:i0 + v, j0:j0 + v]
                 if k == 0 and in_name is not None:
-                    tile[...] = machine.store(rank).get((in_name, bi, bj))
+                    tile[...] = store.get((in_name, bi, bj))
                 elif k == 0:
                     tile[...] = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v]
-                machine.store(rank).put((name, bi, bj), tile)
+                store.put((name, bi, bj), tile)
+        panels.append(panel)
     return panels
 
 
-def _split_by_owner(chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
-                    nprocs: int, v: int):
-    """Split 1D panel chunks ``(ids, block)`` (one block row per global
-    index) by the grid coordinate ``q`` cyclically owning each index's
-    tile: per ``q``, the ``(src, rows)`` pieces and the indices'
-    positions in ``q``'s local panel, both in source order."""
-    pieces: list[list] = [[] for _ in range(nprocs)]
-    local: list[list] = [[] for _ in range(nprocs)]
-    for src, (ids, block) in enumerate(chunks):
-        if block is None:
-            continue
-        tile = ids // v
-        owner = tile % nprocs
-        loc = (tile // nprocs) * v + ids % v
-        for q in range(nprocs):
-            sel = np.flatnonzero(owner == q)
-            if sel.size:
-                pieces[q].append((src, block[sel]))
-                local[q].append(loc[sel])
-    return pieces, [np.concatenate(x) if x else None for x in local]
-
-
-def _gather_planes(machine: Machine, dst: int, tag: str, t: int,
-                   pieces: Sequence[tuple[int, np.ndarray]],
-                   planes: slice) -> np.ndarray | None:
-    """Ship ``planes`` of every piece to ``dst``, one counted message
-    ``(tag, t, src)`` per source, and stack what arrived (or None)."""
-    store = machine.store(dst)
-    arrived = []
-    for src, rows in pieces:
-        ship(machine, src, dst, (tag, t, src), rows[:, planes])
-        arrived.append(store.pop((tag, t, src)))
-    return np.concatenate(arrived) if arrived else None
+def _by_grid_coord(chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
+                   nprocs: int, v: int):
+    """Stack 1D panel chunks ``(ids, block)`` (one ``v``-wide block row
+    per global index) and split them by the grid coordinate ``q``
+    cyclically owning each index's tile.  Returns ``counts[src, q]``
+    (indices of chunk ``src`` that ``q`` owns) and, per ``q``, its
+    block rows in source order with their positions in ``q``'s local
+    panel."""
+    ids = np.concatenate([ids for ids, _ in chunks])
+    stacked = np.concatenate([np.empty((0, v)) if block is None else block
+                              for _, block in chunks])
+    tile = ids // v
+    owner = tile % nprocs
+    local = (tile // nprocs) * v + ids % v
+    src = np.repeat(np.arange(len(chunks)), [len(ids) for ids, _ in chunks])
+    counts = np.bincount(src * nprocs + owner,
+                         minlength=len(chunks) * nprocs)
+    mine = [np.flatnonzero(owner == q) for q in range(nprocs)]
+    return (counts.reshape(len(chunks), nprocs),
+            [stacked[sel] for sel in mine], [local[sel] for sel in mine])
 
 
 def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
-                         panels: Sequence[np.ndarray], v: int, t: int,
-                         row_tag: str, row_chunks, col_tag: str, col_chunks,
+                         panels: Sequence[np.ndarray], v: int,
+                         row_chunks, col_chunks, key: Hashable,
                          lower: bool = False) -> None:
     """Fan the factored panels out and apply the local Schur update:
-    Algorithm 1 steps 8, 10 and 11 of step ``t``.
+    Algorithm 1 steps 8, 10 and 11 of one step.
 
     ``row_chunks[src]`` / ``col_chunks[src]`` are the 1D-scattered
     panels as ``(ids, block)`` with one ``v``-wide block row per global
     row (resp. column) index, i.e. A10 and A01 *transposed*; COnfCHOX
     passes its A10 chunks on both sides.  Columns are whole tiles in
     ascending order, so a rank's share is one run of its panel.  Rank
-    ``(pi, pj, k)`` is shipped its grid row's rows and its grid
-    column's columns, layer ``k``'s ``v/c`` planes of each (keys
-    ``(tag, t, src)``), stacks them into one A10 and one A01 operand
-    and subtracts their product from its panel in one indexed write —
-    on tiles ``bi >= bj`` only when ``lower``.  Flops: ``2mnk`` over
-    the entries updated, once per rank.
+    ``(pi, pj, k)`` receives, from every source holding any, one
+    message with its grid row's rows and one with its grid column's
+    columns, layer ``k``'s ``v/c`` planes of each — the whole pattern
+    is one :func:`exchange` under ``key``.  Each grid row's (column's)
+    operand is gathered once; a rank multiplies its planes of the two
+    and subtracts the product from its panel in one indexed write — on
+    tiles ``bi >= bj`` only when ``lower``.  Flops: ``2mnk`` over the
+    entries updated, once per rank.
     """
     pr, pc = grid.rows, grid.cols
     planes = v // grid.layers
-    row_pieces, row_local = _split_by_owner(row_chunks, pr, v)
-    col_pieces, col_local = _split_by_owner(col_chunks, pc, v)
-    for dst in range(grid.size):
-        pi, pj, pk = grid.coords(dst)
-        sl = slice(pk * planes, (pk + 1) * planes)
-        a10 = _gather_planes(machine, dst, row_tag, t, row_pieces[pi], sl)
-        a01t = _gather_planes(machine, dst, col_tag, t, col_pieces[pj], sl)
-        if a10 is None or a01t is None:
-            continue
-        rows, cols = row_local[pi], col_local[pj]
-        update = a10 @ a01t.T
-        if lower:
-            keep = ((rows // v * pr + pi)[:, None]
-                    >= (cols // v * pc + pj)[None, :])
-            update *= keep
-        panels[dst][rows, cols[0]:cols[-1] + 1] -= update
-        updated = np.count_nonzero(keep) if lower else update.size
-        machine.compute(dst, 2.0 * updated * planes)
+    row_counts, a10, row_local = _by_grid_coord(row_chunks, pr, v)
+    col_counts, a01t, col_local = _by_grid_coord(col_chunks, pc, v)
+    at = np.arange(grid.size) % grid.layer_size
+    words = np.concatenate([row_counts[:, at // pc],
+                            col_counts[:, at % pc]]) * planes
+    src, dst = np.nonzero(words)
+    exchange(machine, src % len(row_chunks), dst, words[src, dst], key)
+    for pi, rows in enumerate(row_local):
+        for pj, cols in enumerate(col_local):
+            if rows.size == 0 or cols.size == 0:
+                continue
+            updated = rows.size * cols.size
+            if lower:
+                keep = ((rows // v * pr + pi)[:, None]
+                        >= (cols // v * pc + pj)[None, :])
+                updated = np.count_nonzero(keep)
+            for pk in range(grid.layers):
+                sl = slice(pk * planes, (pk + 1) * planes)
+                update = a10[pi][:, sl] @ a01t[pj][:, sl].T
+                if lower:
+                    update *= keep
+                rank = grid.rank(pi, pj, pk)
+                panels[rank][rows, cols[0]:cols[-1] + 1] -= update
+                machine.compute(rank, 2.0 * updated * planes)

@@ -48,6 +48,10 @@ __all__ = ["ScalapackCholesky", "ScalapackCholeskySchedule",
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
 
+#: Store names of a step's transients: the diagonal factor's copy and
+#: the panel tiles fanned out down their grid columns.
+DIAG, COL = work_name("d"), work_name("ct")
+
 
 class ScalapackCholeskySchedule(Schedule):
     """The right-looking 2D Cholesky loop for the engine."""
@@ -214,11 +218,11 @@ class ScalapackCholeskySchedule(Schedule):
         if k + 1 >= nblocks:
             return
         bcast_copy(machine, diag_owner, block_key(WORK, k, k),
-                   col_ranks, ("d", k))
+                   col_ranks, (DIAG, k))
 
         # Panel trsm on the owning grid column.
         for bi, r in lay.col_owners(k, first=k + 1):
-            l00_local = machine.store(r).get(("d", k))
+            l00_local = machine.store(r).get((DIAG, k))
             t = machine.store(r).get(block_key(WORK, bi, k))
             sol, fl = blas.trsm(l00_local.T, t, side="right", lower=False)
             machine.compute(r, fl)
@@ -230,7 +234,7 @@ class ScalapackCholeskySchedule(Schedule):
             machine.bcast(src, lay.grid_row_ranks(bi), block_key(WORK, bi, k))
             bcast_copy(machine, src, block_key(WORK, bi, k),
                        sorted(set(lay.grid_col_ranks(bi)) | {src}),
-                       ("ct", k, bi))
+                       (COL, k, bi))
 
         # Trailing update of the lower tiles: gemmt-like, the diagonal
         # tiles cost half a gemm.
@@ -238,7 +242,7 @@ class ScalapackCholeskySchedule(Schedule):
             for bj in range(k + 1, bi + 1):
                 owner = lay.owner_rank(bi, bj)
                 l_bi = machine.store(owner).get(block_key(WORK, bi, k))
-                l_bj = machine.store(owner).get(("ct", k, bj))
+                l_bj = machine.store(owner).get((COL, k, bj))
                 c_t = machine.store(owner).get(block_key(WORK, bi, bj))
                 upd, fl = blas.gemm(l_bi, l_bj.T, c_t, alpha=-1.0)
                 machine.compute(owner, fl if bi != bj else fl / 2.0)
@@ -250,9 +254,9 @@ class ScalapackCholeskySchedule(Schedule):
                 if r != src:
                     machine.store(r).discard(block_key(WORK, bi, k))
             for r in sorted(set(lay.grid_col_ranks(bi)) | {src}):
-                machine.store(r).discard(("ct", k, bi))
+                machine.store(r).discard((COL, k, bi))
         for r in col_ranks:
-            machine.store(r).discard(("d", k))
+            machine.store(r).discard((DIAG, k))
 
     def dist_finalize(self, machine: Machine,
                       lay: BlockCyclicLayout) -> dict[str, Any]:

@@ -58,6 +58,10 @@ __all__ = ["ScalapackLU", "ScalapackLUSchedule", "scalapack_lu"]
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
 
+#: Store names of a step's transients: MAXLOC pairs, the eliminating
+#: row, the re-broadcast panel tiles and the diagonal tile's copy.
+PIV, ELIM, PRB, DIAG = map(work_name, ("piv", "elim", "prb", "d"))
+
 
 class _DenseState:
     __slots__ = ("work", "piv_all")
@@ -299,7 +303,7 @@ class ScalapackLUSchedule(Schedule):
                 if r not in entries or (cand[0], -cand[1]) > (
                         entries[r][0], -entries[r][1]):
                     entries[r] = cand
-            _, p_global = maxloc_allreduce(machine, ("piv", k, j), entries)
+            _, p_global = maxloc_allreduce(machine, (PIV, k, j), entries)
             st.piv_all[g] = p_global
             if p_global != g:
                 swap_rows_2d(machine, lay, WORK, g, p_global)
@@ -310,13 +314,13 @@ class ScalapackLUSchedule(Schedule):
             elim = diag_tile[j, j:].copy()
             below = sorted({r for bi, r in lay.col_owners(k, first=k)
                             if bi * nb + nb - 1 > g} | {diag_owner})
-            machine.store(diag_owner).put(("elim", k, j), elim)
-            machine.bcast(diag_owner, below, ("elim", k, j))
+            machine.store(diag_owner).put((ELIM, k, j), elim)
+            machine.bcast(diag_owner, below, (ELIM, k, j))
             for bi, r in lay.col_owners(k, first=k):
                 r0 = j + 1 if bi == k else 0
                 if r0 >= nb:
                     continue
-                e = machine.store(r).get(("elim", k, j))
+                e = machine.store(r).get((ELIM, k, j))
                 tile = machine.store(r).get(block_key(WORK, bi, k))
                 mult = tile[r0:, j] / e[0]
                 tile[r0:, j] = mult
@@ -324,16 +328,16 @@ class ScalapackLUSchedule(Schedule):
                     tile[r0:, j + 1:] -= np.outer(mult, e[1:])
                 machine.compute(r, 2.0 * mult.size * (nb - j))
             for r in below:
-                machine.store(r).discard(("elim", k, j))
+                machine.store(r).discard((ELIM, k, j))
 
         if self.panel_rebroadcast:
             # MKL-style column-by-column panel broadcast: the grid
             # column sees the finished multipliers a second time.
             for bi, src in lay.col_owners(k, first=k):
                 bcast_copy(machine, src, block_key(WORK, bi, k),
-                           col_ranks, ("prb", k, bi))
+                           col_ranks, (PRB, k, bi))
                 for r in col_ranks:
-                    machine.store(r).discard(("prb", k, bi))
+                    machine.store(r).discard((PRB, k, bi))
 
         if k + 1 >= nblocks:
             return
@@ -342,9 +346,9 @@ class ScalapackLUSchedule(Schedule):
         # row q_row, trsm each U tile at its owner. ---
         row_ranks = grid2d.row_ranks(qr)
         bcast_copy(machine, diag_owner, block_key(WORK, k, k),
-                   row_ranks, ("d", k))
+                   row_ranks, (DIAG, k))
         for bj, r in lay.row_owners(k, first=k + 1):
-            lu_kk = machine.store(r).get(("d", k))
+            lu_kk = machine.store(r).get((DIAG, k))
             l_kk = np.tril(lu_kk, -1) + np.eye(nb)
             tile = machine.store(r).get(block_key(WORK, k, bj))
             sol, fl = blas.trsm(l_kk, tile, side="left", lower=True,
@@ -381,7 +385,7 @@ class ScalapackLUSchedule(Schedule):
                 if r != src:
                     machine.store(r).discard(block_key(WORK, k, bj))
         for r in row_ranks:
-            machine.store(r).discard(("d", k))
+            machine.store(r).discard((DIAG, k))
 
     def dist_finalize(self, machine: Machine,
                       st: _DistState) -> dict[str, Any]:

@@ -35,18 +35,23 @@ from ..engine.accounting import StepAccounting
 from ..engine.backends import run_with
 from ..engine.distops import (
     distribute_rows_1d,
-    fiber_reduce_subset,
+    layered_reduce,
     local_panels,
     panel_fan_out_update,
 )
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
+from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
 from .common import FactorizationResult
-from .conflux import PARTIAL, resolve_25d
+from .conflux import A10, CR, FAN, PARTIAL, resolve_25d
 
 __all__ = ["ConfchoxCholesky", "ConfchoxSchedule", "confchox_cholesky"]
+
+#: Store name of a step's broadcast Cholesky factor (the other
+#: transients share COnfLUX's names).
+L00 = work_name("l00")
 
 
 class _DenseState:
@@ -213,46 +218,44 @@ class ConfchoxSchedule(Schedule):
         n, v, c = self.n, self.v, self.c
         grid = self.grid
         P = self.nranks
-        nb = n // v
-        k_t = t % c
         col0, col1 = t * v, (t + 1) * v
         n11 = n - col1
-        all_rows = np.arange(v)
         all_ranks = list(range(P))
 
         # Reduce the block column (tiles bi >= t of column t) over the
         # layers onto layer t%c — Algorithm 1 step 1 sans masking.
-        panel: dict[int, int] = {}
-        for bi in range(t, nb):
-            panel[bi] = fiber_reduce_subset(machine, grid, bi, t, all_rows,
-                                            k_t, (PARTIAL, bi, t), ("cr", t, bi))
+        below = np.arange(col0, n)
+        column = layered_reduce(machine, grid, st.panels, v, below,
+                                t, t + 1, t % c, (CR, t))
 
-        # Local potrf of the diagonal block at its owner, then
-        # broadcast of the factor to every rank (Table 1: v^2 words).
-        diag_root = panel[t]
-        l00, fl = blas.potrf(machine.store(diag_root).get(("cr", t, t)))
+        # Local potrf of the diagonal block at its owner (the piece
+        # that starts at the panel's first row), then broadcast of the
+        # factor to every rank (Table 1: v^2 words).
+        diag_root, diag_block = next(
+            (root, block[:v]) for root, rsel, _, block in column
+            if rsel[0] == 0)
+        l00, fl = blas.potrf(diag_block)
         machine.compute(diag_root, fl)
-        machine.store(diag_root).put(("l00", t), l00)
-        machine.bcast(diag_root, all_ranks, ("l00", t))
+        machine.store(diag_root).put((L00, t), l00)
+        machine.bcast(diag_root, all_ranks, (L00, t))
         st.lower[col0:col1, col0:col1] = l00
 
         if n11 > 0:
             # Scatter A10 1D over all ranks + local trsm against each
             # rank's broadcast L00 copy.
-            pieces = []
-            for bi in range(t + 1, nb):
-                ids = np.arange(bi * v, (bi + 1) * v)
-                pieces.append((panel[bi], ids,
-                               machine.store(panel[bi]).get(("cr", t, bi))))
-            a10_chunks = distribute_rows_1d(machine, pieces, P, ("a10", t))
+            a10_chunks = distribute_rows_1d(
+                machine, [(root, below[rsel][keep], block[keep])
+                          for root, rsel, _, block in column
+                          if (keep := below[rsel] >= col1).any()],
+                P, (A10, t))
             for dst, (ids, blk) in enumerate(a10_chunks):
                 if blk is None:
                     continue
-                l00_local = machine.store(dst).get(("l00", t))
+                l00_local = machine.store(dst).get((L00, t))
                 sol, fl = blas.trsm(l00_local.T, blk, side="right",
                                     lower=False)
                 machine.compute(dst, fl)
-                machine.store(dst).put((("a10", t), "1d"), sol)
+                machine.store(dst).put((A10, t), sol)
                 a10_chunks[dst] = (ids, sol)
                 st.lower[ids, col0:col1] = sol
 
@@ -260,15 +263,14 @@ class ConfchoxSchedule(Schedule):
             # (row tiles for the left factor, column tiles for the
             # transposed right factor, its layer's v/c planes) and apply
             # the deferred symmetric update to the lower tiles.
-            panel_fan_out_update(machine, grid, st.panels, v, t,
-                                 "a10r", a10_chunks, "a10c", a10_chunks,
-                                 lower=True)
+            panel_fan_out_update(machine, grid, st.panels, v, a10_chunks,
+                                 a10_chunks, (FAN, t), lower=True)
 
-        for bi in range(t, nb):
-            machine.store(panel[bi]).discard(("cr", t, bi))
-        for r in all_ranks:
-            machine.store(r).discard(("l00", t))
-            machine.store(r).discard((("a10", t), "1d"))
+        for root, _, _, _ in column:
+            machine.store(root).discard((CR, t))
+        for store in machine.stores:
+            store.discard((L00, t))
+            store.discard((A10, t))
 
     def dist_finalize(self, machine: Machine,
                       st: "_DistState") -> dict[str, Any]:

@@ -45,7 +45,7 @@ from ..engine.backends import run_with
 from ..engine.distops import (
     assemble_cols_1d,
     distribute_rows_1d,
-    fiber_reduce_subset,
+    layered_reduce,
     local_panels,
     panel_fan_out_update,
     ship,
@@ -61,12 +61,19 @@ from ..machine.grid import (
     sorted_divisors,
 )
 from .common import FactorizationResult, validate_problem
-from .pivoting import _select_candidates
+from .pivoting import _candidate_rows
 
 __all__ = ["ConfluxLU", "ConfluxSchedule", "conflux_lu", "default_block_size"]
 
 #: Store name of the per-layer partial-sum tiles (shared with COnfCHOX).
 PARTIAL = work_name("P")
+
+#: Store names of one step's transients — work names like the tiles', so
+#: no caller operand can sit under their keys: the reduced block column
+#: and pivot rows at their roots, the broadcast A00 and pivot ids, the
+#: 1D A10/A01 chunks, tournament blocks in flight, and the fan-out.
+CR, RR, A00, PIV, A10, A01, TP, FAN = map(
+    work_name, ("cr", "rr", "a00", "piv", "a10", "a01", "tp", "fan"))
 
 
 def default_block_size(n: int, nranks: int, c: int, a: int = 4,
@@ -414,110 +421,79 @@ class ConfluxSchedule(Schedule):
 
         # Step 1: reduce the block column's active rows over the layers
         # onto the pivot layer's panel-column ranks.
-        panel: dict[int, tuple[np.ndarray, int]] = {}
-        for bi in range(nb):
-            ids = active[(active >= bi * v) & (active < (bi + 1) * v)]
-            if ids.size == 0:
-                continue
-            root = fiber_reduce_subset(machine, grid, bi, t, ids - bi * v,
-                                       k_piv, (PARTIAL, bi, t), ("cr", t, bi))
-            panel[bi] = (ids, root)
+        column = layered_reduce(machine, grid, st.panels, v, active,
+                                t, t + 1, k_piv, (CR, t))
 
         # Step 2: tournament pivoting among the panel-column ranks.
-        by_rank: dict[int, list[int]] = {}
-        for bi in sorted(panel):
-            by_rank.setdefault(panel[bi][1], []).append(bi)
-        parts: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for root in sorted(by_rank):
-            ids = np.concatenate([panel[bi][0] for bi in by_rank[root]])
-            block = np.vstack([machine.store(root).get(("cr", t, bi))
-                               for bi in by_rank[root]])
-            parts.append((root, ids, block))
-        winners, lu00, tour_root = self._dist_tournament(machine, parts, t)
-        l00 = np.tril(lu00, -1) + np.eye(v)
+        winners, lu00, tour_root = self._dist_tournament(
+            machine, [(root, active[rsel], block)
+                      for root, rsel, _, block in column], t)
 
         # Step 3: broadcast the factored A00 and the pivot ids to all.
-        machine.store(tour_root).put(("a00", t), lu00)
-        machine.bcast(tour_root, all_ranks, ("a00", t))
-        machine.store(tour_root).put(("piv", t), winners.astype(np.float64))
-        machine.bcast(tour_root, all_ranks, ("piv", t))
+        machine.store(tour_root).put((A00, t), lu00)
+        machine.bcast(tour_root, all_ranks, (A00, t))
+        machine.store(tour_root).put((PIV, t), winners.astype(np.float64))
+        machine.bcast(tour_root, all_ranks, (PIV, t))
 
-        nonpiv = active[~np.isin(active, winners)]
-        st.lower[winners, col0:col1] = l00
+        masked = ~np.isin(active, winners)
+        nonpiv = active[masked]
+        st.lower[winners, col0:col1] = np.tril(lu00, -1) + np.eye(v)
         st.upper[col0:col1, col0:col1] = np.triu(lu00)
-        st.perm.extend(int(g) for g in winners)
+        st.perm.extend(winners.tolist())
 
         # Steps 4 + 7: scatter A10 1D over all ranks, then local trsm
-        # against each rank's broadcast A00 copy.
+        # against the U00 triangle of each rank's broadcast A00 copy.
         a10_chunks: list[tuple[np.ndarray, np.ndarray | None]] = []
         if nonpiv.size:
-            pieces4: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for bi, (ids, root) in panel.items():
-                blk = machine.store(root).get(("cr", t, bi))
-                sel = ~np.isin(ids, winners)
-                if sel.any():
-                    pieces4.append((root, ids[sel], blk[sel, :]))
-            a10_chunks = distribute_rows_1d(machine, pieces4, P, ("a10", t))
+            a10_chunks = distribute_rows_1d(
+                machine, [(root, active[rsel][keep], block[keep])
+                          for root, rsel, _, block in column
+                          if (keep := masked[rsel]).any()], P, (A10, t))
             for dst, (ids, blk) in enumerate(a10_chunks):
                 if blk is None:
                     continue
-                u00_local = np.triu(machine.store(dst).get(("a00", t)))
-                sol, fl = blas.trsm(u00_local, blk, side="right", lower=False)
+                sol, fl = blas.trsm(machine.store(dst).get((A00, t)), blk,
+                                    side="right", lower=False)
                 machine.compute(dst, fl)
-                machine.store(dst).put((("a10", t), "1d"), sol)
+                machine.store(dst).put((A10, t), sol)
                 a10_chunks[dst] = (ids, sol)
                 st.lower[ids, col0:col1] = sol
-        for bi, (ids, root) in panel.items():
-            machine.store(root).discard(("cr", t, bi))
+        for root, _, _, _ in column:
+            machine.store(root).discard((CR, t))
 
         # Steps 5 + 6 + 9: reduce the pivot rows over layers, scatter
-        # the A01 panel 1D by columns, local trsm.
+        # the A01 panel 1D by columns, local trsm against the unit L00
+        # triangle.
         a01_chunks: list[tuple[np.ndarray, np.ndarray | None]] = []
-        rr_keys: list[tuple[int, tuple]] = []
         if n11 > 0:
-            piv_by_tile: dict[int, list[int]] = {}
-            for g in winners:
-                piv_by_tile.setdefault(int(g) // v, []).append(int(g))
-            pieces6: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-            for bj in range(t + 1, nb):
-                cols = np.arange(bj * v, (bj + 1) * v)
-                for bi, gids in sorted(piv_by_tile.items()):
-                    loc = np.asarray(gids, dtype=int) - bi * v
-                    root = fiber_reduce_subset(
-                        machine, grid, bi, bj, loc, k_piv,
-                        (PARTIAL, bi, bj), ("rr", t, bi, bj))
-                    rr_keys.append((root, ("rr", t, bi, bj)))
-                    pieces6.append((root, np.asarray(gids, dtype=int), cols,
-                                    machine.store(root).get(("rr", t, bi, bj))))
-            a01_chunks = assemble_cols_1d(machine, pieces6, winners, P,
-                                          ("a01", t))
-            for root, key in rr_keys:
-                machine.store(root).discard(key)
+            pivot_rows = layered_reduce(machine, grid, st.panels, v, winners,
+                                        t + 1, nb, k_piv, (RR, t))
+            a01_chunks = assemble_cols_1d(machine, pivot_rows, winners,
+                                          np.arange(col1, n), P, v, (A01, t))
+            for root, _, _, _ in pivot_rows:
+                machine.store(root).discard((RR, t))
             for dst, (cids, blk) in enumerate(a01_chunks):
                 if blk is None:
                     continue
-                lu00_local = machine.store(dst).get(("a00", t))
-                l00_local = np.tril(lu00_local, -1) + np.eye(v)
-                sol, fl = blas.trsm(l00_local, blk, side="left", lower=True,
+                sol, fl = blas.trsm(machine.store(dst).get((A00, t)), blk,
+                                    side="left", lower=True,
                                     unit_diagonal=True)
                 machine.compute(dst, fl)
-                machine.store(dst).put((("a01", t), "1d"), sol)
+                machine.store(dst).put((A01, t), sol)
                 a01_chunks[dst] = (cids, sol.T)   # one row per column
-                st.upper[np.ix_(np.arange(col0, col1), cids)] = sol
+                st.upper[col0:col1, cids[0]:cids[-1] + 1] = sol
 
         # Steps 8 + 10 + 11: distribute the panel pieces each rank's
         # trailing tiles need (its grid row's A10 rows, its grid
         # column's A01 columns, its layer's v/c planes) and apply the
         # local Schur update.
         if n11 > 0 and nonpiv.size:
-            panel_fan_out_update(machine, grid, st.panels, v, t,
-                                 "a10d", a10_chunks, "a01d", a01_chunks)
+            panel_fan_out_update(machine, grid, st.panels, v, a10_chunks,
+                                 a01_chunks, (FAN, t))
 
-        for r in all_ranks:
-            machine.store(r).discard(("a00", t))
-            machine.store(r).discard(("piv", t))
-            machine.store(r).discard((("a10", t), "1d"))
-            machine.store(r).discard((("a01", t), "1d"))
+        for store in machine.stores:
+            for name in (A00, PIV, A10, A01):
+                store.discard((name, t))
         st.rows_left = nonpiv
 
     def _dist_tournament(self, machine: Machine,
@@ -534,11 +510,9 @@ class ConfluxSchedule(Schedule):
         v = self.v
         sets: list[tuple[int, np.ndarray, np.ndarray]] = []
         for rank, ids, block in parts:
-            cand_ids = _select_candidates(block, ids, v)
-            pos = {int(g): i for i, g in enumerate(ids)}
-            cand_blk = block[[pos[int(g)] for g in cand_ids], :]
+            cand = _candidate_rows(block, v)
             machine.compute(rank, flops.getrf_flops(block.shape[0], v))
-            sets.append((rank, cand_ids, cand_blk))
+            sets.append((rank, ids[cand], block[cand]))
         length = len(sets)
         r = 0
         while (1 << r) < length:
@@ -549,22 +523,20 @@ class ConfluxSchedule(Schedule):
                     continue
                 ri, ids_i, blk_i = sets[i]
                 rj, ids_j, blk_j = sets[j]
-                ship(machine, ri, rj, ("tp", t, r, i),
+                ship(machine, ri, rj, (TP, t, r, i),
                      np.hstack([blk_i, ids_i[:, None].astype(np.float64)]))
-                ship(machine, rj, ri, ("tp", t, r, j),
+                ship(machine, rj, ri, (TP, t, r, j),
                      np.hstack([blk_j, ids_j[:, None].astype(np.float64)]))
-                machine.store(ri).discard(("tp", t, r, j))
-                machine.store(rj).discard(("tp", t, r, i))
+                machine.store(ri).discard((TP, t, r, j))
+                machine.store(rj).discard((TP, t, r, i))
                 ids = np.concatenate([ids_i, ids_j])
                 blk = np.vstack([blk_i, blk_j])
-                m_ids = _select_candidates(blk, ids, v)
-                pos = {int(g): k for k, g in enumerate(ids)}
-                m_blk = blk[[pos[int(g)] for g in m_ids], :]
+                cand = _candidate_rows(blk, v)
                 fl = flops.getrf_flops(blk.shape[0], v)
                 machine.compute(ri, fl)
                 machine.compute(rj, fl)
-                nxt[i] = (ri, m_ids, m_blk)
-                nxt[j] = (rj, m_ids, m_blk)
+                nxt[i] = (ri, ids[cand], blk[cand])
+                nxt[j] = (rj, ids[cand], blk[cand])
             sets = nxt
             r += 1
         root, ids, blk = sets[0]

@@ -47,6 +47,9 @@ __all__ = ["Matmul25D", "Matmul25DSchedule", "matmul_25d"]
 #: (not the caller's operands).
 WORK_A, WORK_B, WORK_C = (work_name(x) for x in "ABC")
 
+#: Store names of a round's broadcast strips and of the reduced product.
+STRIP_A, STRIP_B, REDUCED = map(work_name, ("Ap", "Bp", "Cr"))
+
 
 class _DenseState:
     __slots__ = ("a", "b", "partials")
@@ -259,7 +262,7 @@ class Matmul25DSchedule(Schedule):
                 for pj in range(pc):
                     fiber = [grid.rank(pi, pj, kk) for kk in range(c)]
                     chunks = np.array_split(np.arange(rl), c)
-                    keys = [("Cr", pi, pj, i) for i in range(c)]
+                    keys = [(REDUCED, pi, pj, i) for i in range(c)]
                     for r in fiber:
                         part = machine.store(r).get((WORK_C, pi, pj))
                         for key, idx in zip(keys, chunks):
@@ -282,32 +285,32 @@ class Matmul25DSchedule(Schedule):
                 for jb, c0, c1 in a_pieces:
                     src = grid.rank(pi, jb, kk)
                     block = machine.store(src).get((WORK_A, pi, jb))
-                    machine.store(src).put(("Ap", t, jb),
+                    machine.store(src).put((STRIP_A, t, jb),
                                            block[:, c0:c1].copy())
-                    machine.bcast(src, row_group, ("Ap", t, jb))
+                    machine.bcast(src, row_group, (STRIP_A, t, jb))
             for pj in range(pc):
                 col_group = [grid.rank(i, pj, kk) for i in range(pr)]
                 for ib, r0, r1 in b_pieces:
                     src = grid.rank(ib, pj, kk)
                     block = machine.store(src).get((WORK_B, ib, pj))
-                    machine.store(src).put(("Bp", t, ib),
+                    machine.store(src).put((STRIP_B, t, ib),
                                            block[r0:r1, :].copy())
-                    machine.bcast(src, col_group, ("Bp", t, ib))
+                    machine.bcast(src, col_group, (STRIP_B, t, ib))
             # Local rank-s update on every rank of the layer.
             for pi in range(pr):
                 for pj in range(pc):
                     r = grid.rank(pi, pj, kk)
                     store = machine.store(r)
-                    a_panel = np.hstack([store.get(("Ap", t, jb))
+                    a_panel = np.hstack([store.get((STRIP_A, t, jb))
                                          for jb, _, _ in a_pieces])
-                    b_panel = np.vstack([store.get(("Bp", t, ib))
+                    b_panel = np.vstack([store.get((STRIP_B, t, ib))
                                          for ib, _, _ in b_pieces])
                     store.get((WORK_C, pi, pj))[...] += a_panel @ b_panel
                     machine.compute(r, 2.0 * rl * cl * s)
                     for jb, _, _ in a_pieces:
-                        store.discard(("Ap", t, jb))
+                        store.discard((STRIP_A, t, jb))
                     for ib, _, _ in b_pieces:
-                        store.discard(("Bp", t, ib))
+                        store.discard((STRIP_B, t, ib))
 
     def dist_finalize(self, machine: Machine,
                       state: None) -> dict[str, Any]:
@@ -321,7 +324,7 @@ class Matmul25DSchedule(Schedule):
                 for i, idx in enumerate(chunks):
                     r = grid.rank(pi, pj, i)
                     out[pi * rl + idx[:, None], pj * cl + np.arange(cl)] = \
-                        machine.store(r).get(("Cr", pi, pj, i))
+                        machine.store(r).get((REDUCED, pi, pj, i))
         return {"lower": out, "upper": np.eye(n)}
 
 

@@ -60,18 +60,21 @@ def tournament_rounds(parts: int) -> int:
     return max(0, math.ceil(math.log2(parts)))
 
 
+def _candidate_rows(block: np.ndarray, v: int) -> np.ndarray:
+    """Positions of the best ``v`` rows of ``block`` by partial-pivoting
+    LU row choice, in pivot order.  Blocks with at most ``v`` rows keep
+    all of them, in place."""
+    if block.shape[0] <= v:
+        return np.arange(block.shape[0])
+    _, piv, _ = blas.getrf(block[:, :v], tolerant=True)
+    return blas.pivots_to_permutation(piv, block.shape[0])[:v]
+
+
 def _select_candidates(block: np.ndarray, rows: np.ndarray,
                        v: int) -> np.ndarray:
-    """Best ``v`` rows of ``block`` by partial-pivoting LU row choice.
-
-    Returns the chosen subset of ``rows`` in pivot order.  Blocks with
-    fewer than ``v`` rows return all of them.
-    """
-    if block.shape[0] <= v:
-        return rows.copy()
-    lu, piv, _ = blas.getrf(block[:, :v], tolerant=True)
-    perm = blas.pivots_to_permutation(piv, block.shape[0])
-    return rows[perm[:v]]
+    """The subset of ``rows`` (row ids of ``block``) that
+    :func:`_candidate_rows` picks, in pivot order."""
+    return rows[_candidate_rows(block, v)]
 
 
 def tournament_pivot(panel: np.ndarray, v: int,

@@ -33,7 +33,8 @@ class SingularMatrixError(KernelError):
 
 @functools.cache
 def _lapack():
-    """``scipy.linalg``, imported by the first ``trsm``/``potrf`` call.
+    """``scipy.linalg``, imported by the first ``trsm``/``getrf``/
+    ``potrf`` call.
 
     Trace-mode processes (sweep workers, the planner, the plan service)
     import this module through the schedules but never solve anything;
@@ -116,19 +117,37 @@ def trsm(tri: np.ndarray, rhs: np.ndarray, side: str = "left",
     if side == "left":
         if rhs.shape[0] != t:
             raise KernelError(f"trsm left: {tri.shape} vs rhs {rhs.shape}")
-        x = _lapack().solve_triangular(
-            tri, rhs, lower=lower, unit_diagonal=unit_diagonal)
+        x = _trtrs(tri, rhs, lower, unit_diagonal)
         fl = _flops.trsm_flops(t, rhs.shape[1])
     elif side == "right":
         if rhs.shape[1] != t:
             raise KernelError(f"trsm right: {tri.shape} vs rhs {rhs.shape}")
         # X T = RHS  <=>  T^T X^T = RHS^T
-        x = _lapack().solve_triangular(
-            tri.T, rhs.T, lower=not lower, unit_diagonal=unit_diagonal).T
+        x = _trtrs(tri.T, rhs.T, not lower, unit_diagonal).T
         fl = _flops.trsm_flops(t, rhs.shape[0])
     else:
         raise KernelError(f"side must be 'left' or 'right', got {side!r}")
     return x, fl
+
+
+def _trtrs(tri: np.ndarray, rhs: np.ndarray, lower: bool,
+           unit_diagonal: bool) -> np.ndarray:
+    """``tri @ x = rhs`` through LAPACK ``dtrtrs``, called as
+    ``scipy.linalg.solve_triangular`` calls it (the same bits) minus
+    that wrapper's per-call validation.  ``dtrtrs`` wants Fortran
+    order, so a C-ordered triangle is passed as its transpose."""
+    if rhs.size == 0:
+        return np.empty_like(rhs)
+    trtrs = _lapack().lapack.dtrtrs
+    if tri.flags.f_contiguous:
+        x, info = trtrs(tri, rhs, lower=lower, trans=0,
+                        unitdiag=unit_diagonal)
+    else:
+        x, info = trtrs(tri.T, rhs, lower=not lower, trans=1,
+                        unitdiag=unit_diagonal)
+    if info:
+        raise KernelError(f"dtrtrs failed with info={info}")
+    return x
 
 
 def getrf(a: np.ndarray, pivot: bool = True,
@@ -138,34 +157,35 @@ def getrf(a: np.ndarray, pivot: bool = True,
     Returns ``(lu, piv, flops)`` where ``lu`` holds ``L`` (unit diagonal
     implicit) below and ``U`` on/above the diagonal, and ``piv[i]`` is the
     row swapped with row ``i`` at step ``i`` (LAPACK ipiv, 0-based).
-    With ``pivot=False`` no rows are swapped (used by the pebbling and
-    lower-bound cDAGs, which analyze the pivot-free dataflow).
+    The pivoting factorization is LAPACK ``dgetrf``.  With
+    ``pivot=False`` no rows are swapped (used by the pebbling and
+    lower-bound cDAGs, which analyze the pivot-free dataflow, and for
+    the tournament winners' A00, already in pivot order).
 
     ``tolerant=True`` mirrors LAPACK's ``info > 0`` behaviour: an exactly
     zero pivot leaves the column uneliminated instead of raising — used
     by tournament pivoting's candidate selection, where rank-deficient
     local blocks are legal (the playoff rounds weed them out).
     """
-    a = _as2d(a, "a").copy()
+    a = _as2d(a, "a")
     m, n = a.shape
-    piv = np.arange(min(m, n))
+    if pivot and min(m, n) > 0:
+        a, piv, info = _lapack().lapack.dgetrf(a)
+        if info < 0:
+            raise KernelError(f"dgetrf failed with info={info}")
+        if info > 0 and not tolerant:
+            raise SingularMatrixError(f"zero pivot at column {info - 1}")
+        return a, piv, _flops.getrf_flops(m, n)
+    a = a.copy()
     for k in range(min(m, n)):
-        if pivot:
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-        else:
-            p = k
-        if a[p, k] == 0.0:
+        if a[k, k] == 0.0:
             if not tolerant:
                 raise SingularMatrixError(f"zero pivot at column {k}")
-            piv[k] = k
             continue
-        piv[k] = p
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
         a[k + 1:, k] /= a[k, k]
         if k + 1 < n:
             a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    return a, piv, _flops.getrf_flops(m, n)
+    return a, np.arange(min(m, n)), _flops.getrf_flops(m, n)
 
 
 def potrf(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -204,11 +224,10 @@ def laswp(a: np.ndarray, piv: np.ndarray) -> np.ndarray:
 def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:
     """Convert LAPACK-style swap vector to a permutation ``perm`` such that
     ``A[perm]`` equals the row ordering produced by the swaps."""
-    perm = np.arange(m)
-    for i, p in enumerate(np.asarray(piv)):
-        p = int(p)
-        perm[[i, p]] = perm[[p, i]]
-    return perm
+    perm = list(range(m))
+    for i, p in enumerate(np.asarray(piv).tolist()):
+        perm[i], perm[p] = perm[p], perm[i]
+    return np.array(perm, dtype=np.intp)
 
 
 __all__.append("pivots_to_permutation")

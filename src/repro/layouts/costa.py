@@ -16,8 +16,6 @@ tests verify both the round-trip correctness and that cost bound.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from ..machine.comm import Machine
@@ -27,37 +25,50 @@ from .block_cyclic import BlockCyclicLayout, block_key
 __all__ = ["redistribute", "redistribution_volume", "conversion_words"]
 
 
-def _intersections(src: BlockCyclicLayout, dst: BlockCyclicLayout):
-    """Yield ``(src_block, dst_block, rows, cols)`` for every non-empty
-    intersection of a source tile with a destination tile.
+def _overlaps(extent: int, sb: int, db: int,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every non-empty overlap of a source block with a destination
+    block along one axis of length ``extent`` (block sizes ``sb`` /
+    ``db``): ``(src_block, dst_block, lo, hi)`` arrays in ascending
+    order.  Cutting the axis at every block boundary of either
+    partition leaves segments that lie in one block of each."""
+    lo = np.union1d(np.arange(0, extent, sb), np.arange(0, extent, db))
+    return lo // sb, lo // db, lo, np.append(lo[1:], extent)
 
-    Intersections are computed in global coordinates; each yields the
-    global row/col slices involved.
-    """
+
+def _cuts(overlaps: tuple[np.ndarray, ...], sb: int, db: int,
+          ) -> list[tuple[int, int, slice, slice]]:
+    """:func:`_overlaps` as ``(src_block, dst_block, slice inside the
+    source block, slice inside the destination block)`` per overlap."""
+    return [(s, d, slice(lo - s * sb, hi - s * sb),
+             slice(lo - d * db, hi - d * db))
+            for s, d, lo, hi in zip(*(x.tolist() for x in overlaps))]
+
+
+def _check_same_matrix(src: BlockCyclicLayout,
+                       dst: BlockCyclicLayout) -> None:
     if (src.m, src.n) != (dst.m, dst.n):
         raise LayoutError(
             f"layouts describe different matrices: "
             f"{src.m}x{src.n} vs {dst.m}x{dst.n}")
-    for sbi in range(src.mblocks):
-        si, _ = src.block_slice(sbi, 0)
-        # Destination row-blocks overlapping source row-block sbi.
-        first_d = si.start // dst.mb
-        last_d = (si.stop - 1) // dst.mb
-        for dbi in range(first_d, last_d + 1):
-            di, _ = dst.block_slice(dbi, 0)
-            r0, r1 = max(si.start, di.start), min(si.stop, di.stop)
-            if r0 >= r1:
-                continue
-            for sbj in range(src.nblocks):
-                _, sj = src.block_slice(0, sbj)
-                first_dc = sj.start // dst.nb
-                last_dc = (sj.stop - 1) // dst.nb
-                for dbj in range(first_dc, last_dc + 1):
-                    _, dj = dst.block_slice(0, dbj)
-                    c0, c1 = max(sj.start, dj.start), min(sj.stop, dj.stop)
-                    if c0 >= c1:
-                        continue
-                    yield (sbi, sbj), (dbi, dbj), slice(r0, r1), slice(c0, c1)
+
+
+def _traffic(src: BlockCyclicLayout, dst: BlockCyclicLayout):
+    """The tile intersections of two layouts of one matrix: the row
+    and column :func:`_overlaps` they are the product of, and their
+    source rank, destination rank and cross-rank word count (zero
+    where the two coincide) as ``(row overlap, column overlap)``
+    matrices."""
+    _check_same_matrix(src, dst)
+    rows = _overlaps(src.m, src.mb, dst.mb)
+    cols = _overlaps(src.n, src.nb, dst.nb)
+    (sbi, dbi, r0, r1), (sbj, dbj, c0, c1) = rows, cols
+    src_rank = ((sbi % src.grid.rows)[:, None] * src.grid.cols
+                + sbj % src.grid.cols)
+    dst_rank = ((dbi % dst.grid.rows)[:, None] * dst.grid.cols
+                + dbj % dst.grid.cols)
+    moved = np.multiply.outer(r1 - r0, c1 - c0) * (src_rank != dst_rank)
+    return rows, cols, src_rank, dst_rank, moved
 
 
 def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
@@ -68,31 +79,32 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
     ``block_key(name, bi, bj)``.  Destination tiles are created under
     ``block_key(dst_name or name + ':r', bi, bj)``.  Every element travels
     at most once between distinct ranks; co-located pieces are free.
+    One message per (source rank, destination rank) pair with words to
+    move.
     """
     out_name = dst_name if dst_name is not None else name + ":r"
-    # Accumulate destination tiles locally, tracking cross-rank volume.
-    dest_tiles: dict[tuple[int, int], np.ndarray] = {}
-    moved: dict[tuple[int, int], float] = defaultdict(float)
-    for (sbi, sbj), (dbi, dbj), rsl, csl in _intersections(src, dst):
-        src_rank = src.owner_rank(sbi, sbj)
-        dst_rank = dst.owner_rank(dbi, dbj)
-        tile = machine.store(src_rank).get(block_key(name, sbi, sbj))
-        # Local coordinates inside the source tile.
-        s_rsl = slice(rsl.start - sbi * src.mb, rsl.stop - sbi * src.mb)
-        s_csl = slice(csl.start - sbj * src.nb, csl.stop - sbj * src.nb)
-        piece = tile[s_rsl, s_csl]
-        if (dbi, dbj) not in dest_tiles:
-            dest_tiles[(dbi, dbj)] = np.zeros(dst.block_shape(dbi, dbj))
-        d_rsl = slice(rsl.start - dbi * dst.mb, rsl.stop - dbi * dst.mb)
-        d_csl = slice(csl.start - dbj * dst.nb, csl.stop - dbj * dst.nb)
-        dest_tiles[(dbi, dbj)][d_rsl, d_csl] = piece
-        if src_rank != dst_rank:
-            moved[(src_rank, dst_rank)] += piece.size
-    for (src_rank, dst_rank), words in moved.items():
-        machine.stats.record_transfer(src_rank, dst_rank, words)
-    for (dbi, dbj), tile in dest_tiles.items():
-        machine.store(dst.owner_rank(dbi, dbj)).put(
-            block_key(out_name, dbi, dbj), tile)
+    rows, cols, src_rank, dst_rank, words = _traffic(src, dst)
+
+    tiles = [[machine.store(rank).get(block_key(name, bi, bj))
+              for bj, rank in src.row_owners(bi)]
+             for bi in range(src.mblocks)]
+    out = [[np.empty(dst.block_shape(bi, bj)) for bj in range(dst.nblocks)]
+           for bi in range(dst.mblocks)]
+    col_cuts = _cuts(cols, src.nb, dst.nb)
+    for sbi, dbi, from_rows, to_rows in _cuts(rows, src.mb, dst.mb):
+        from_tiles, to_tiles = tiles[sbi], out[dbi]
+        for sbj, dbj, from_cols, to_cols in col_cuts:
+            to_tiles[dbj][to_rows, to_cols] = from_tiles[sbj][from_rows,
+                                                             from_cols]
+
+    nranks = machine.nranks
+    moved = np.bincount((src_rank * nranks + dst_rank).ravel(),
+                        weights=words.ravel())
+    pair = np.flatnonzero(moved)
+    machine.stats.record_transfers(pair // nranks, pair % nranks, moved[pair])
+    for bi, tile_row in enumerate(out):
+        for (bj, rank), tile in zip(dst.row_owners(bi), tile_row):
+            machine.store(rank).put(block_key(out_name, bi, bj), tile)
 
 
 def conversion_words(src: BlockCyclicLayout,
@@ -112,14 +124,12 @@ def conversion_words(src: BlockCyclicLayout,
     ``col_dst - col_src``.  Counting matches therefore factorizes into
     two 1-D histograms joined on that difference — which is what makes
     the cost usable as a *planning* term at paper scale, where the
-    intersection walk of :func:`redistribution_volume` is far too slow.
+    per-intersection matrices of :func:`redistribution_volume` are far
+    too large.
     The workload planner charges exactly this quantity (normalized per
     rank) for every producer→consumer edge whose native layouts differ.
     """
-    if (src.m, src.n) != (dst.m, dst.n):
-        raise LayoutError(
-            f"layouts describe different matrices: "
-            f"{src.m}x{src.n} vs {dst.m}x{dst.n}")
+    _check_same_matrix(src, dst)
     if src == dst:
         return 0.0
     i = np.arange(src.m)
@@ -143,11 +153,6 @@ def redistribution_volume(src: BlockCyclicLayout,
     Trace-mode companion used by the cost-model validation: confirms the
     O(N^2/P) bound the paper invokes for layout transformations.
     """
-    nranks = max(src.grid.size, dst.grid.size)
-    recv = np.zeros(nranks)
-    for (sbi, sbj), (dbi, dbj), rsl, csl in _intersections(src, dst):
-        src_rank = src.owner_rank(sbi, sbj)
-        dst_rank = dst.owner_rank(dbi, dbj)
-        if src_rank != dst_rank:
-            recv[dst_rank] += (rsl.stop - rsl.start) * (csl.stop - csl.start)
-    return recv
+    _, _, _, dst_rank, words = _traffic(src, dst)
+    return np.bincount(dst_rank.ravel(), weights=words.ravel(),
+                       minlength=max(src.grid.size, dst.grid.size))

@@ -305,6 +305,29 @@ class CommStats:
         self.record_send(src, words, msgs)
         self.record_recv(dst, words, msgs)
 
+    def record_transfers(self, src: np.ndarray, dst: np.ndarray,
+                         words: np.ndarray) -> None:
+        """One :meth:`record_transfer` per entry of three equal-length
+        arrays: message ``i`` moves ``words[i]`` elements from
+        ``src[i]`` to ``dst[i]``; entries with ``src == dst`` are local
+        and count nothing."""
+        src, dst, words = np.asarray(src), np.asarray(dst), np.asarray(words)
+        if not src.shape == dst.shape == words.shape or src.ndim != 1:
+            raise ValueError("src, dst and words must be equal-length vectors")
+        if src.size == 0:
+            return
+        n = self.nranks
+        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
+            raise RankError(f"rank out of range [0, {n})")
+        if words.min() < 0:
+            raise ValueError("words must be non-negative")
+        remote = src != dst
+        src, dst, words = src[remote], dst[remote], words[remote]
+        self.sent_words += np.bincount(src, weights=words, minlength=n)
+        self.recv_words += np.bincount(dst, weights=words, minlength=n)
+        self.sent_msgs += np.bincount(src, minlength=n)
+        self.recv_msgs += np.bincount(dst, minlength=n)
+
     def record_flops(self, rank: int, flops: float) -> None:
         r = self._check_rank(rank)
         if flops < 0:

@@ -452,6 +452,67 @@ class TestOperandNamesAreTheCallers:
         assert np.allclose(a[res.perm], res.lower @ res.upper)
 
 
+#: Every tag a schedule or ``distops`` helper keeps per-step
+#: transients under.  As bare strings their ``(tag, t, bi)`` keys were
+#: the ``block_key`` of an operand of that name.
+TRANSIENT_TAGS = ("cr", "rr", "a00", "piv", "a10", "a01", "tp", "fan", "l00",
+                  "swap", "elim", "prb", "d", "ct", "Ap", "Bp", "Cr")
+
+
+class TestOperandsNamedAfterTransients:
+    """Per-step transients live under ``work_name(tag)`` too: each
+    ``pd*`` x impl factors an operand named after any of their tags and
+    leaves the caller's tiles untouched.  8 x 8 tiles, panel width 8,
+    so every step index is also a tile index."""
+
+    N = 32
+
+    def scattered(self, names, matrices):
+        machine = Machine(4)
+        desc = ScaLAPACKDescriptor(m=self.N, n=self.N, mb=8, nb=8,
+                                   prows=2, pcols=2)
+        layout = BlockCyclicLayout(self.N, self.N, 8, 8,
+                                   ProcessorGrid2D(2, 2))
+        for name, a in zip(names, matrices):
+            layout.scatter_from(machine, name, a)
+        return machine, desc, layout
+
+    @pytest.mark.parametrize("tag", TRANSIENT_TAGS)
+    @pytest.mark.parametrize("kw", [dict(impl="conflux", v=8, c=2),
+                                    dict(impl="scalapack", nb=8)],
+                             ids=["conflux", "scalapack"])
+    def test_pdgetrf(self, rng, kw, tag):
+        a = rng.standard_normal((self.N, self.N))    # general: rows swap
+        machine, desc, layout = self.scattered([tag], [a])
+        res = pdgetrf(machine, tag, desc, **kw)
+        assert np.allclose(a[res.perm], res.lower @ res.upper,
+                           rtol=0, atol=1e-10)
+        assert np.array_equal(layout.gather_to(machine, tag), a)
+
+    @pytest.mark.parametrize("tag", TRANSIENT_TAGS)
+    @pytest.mark.parametrize("kw", [dict(impl="confchox", v=8, c=2),
+                                    dict(impl="scalapack", nb=8)],
+                             ids=["confchox", "scalapack"])
+    def test_pdpotrf(self, rng, kw, tag):
+        g = rng.standard_normal((self.N, self.N))
+        a = g @ g.T + self.N * np.eye(self.N)
+        machine, desc, layout = self.scattered([tag], [a])
+        res = pdpotrf(machine, tag, desc, **kw)
+        assert np.allclose(a, res.lower @ res.lower.T, rtol=0, atol=1e-10)
+        assert np.array_equal(layout.gather_to(machine, tag), a)
+
+    @pytest.mark.parametrize("tags", zip(TRANSIENT_TAGS,
+                                         TRANSIENT_TAGS[1:] + ("cr",)),
+                             ids=TRANSIENT_TAGS)
+    def test_pdgemm(self, rng, tags):
+        a, b = rng.standard_normal((2, self.N, self.N))
+        machine, desc, layout = self.scattered(tags, [a, b])
+        res = pdgemm(machine, tags[0], desc, tags[1], desc, s=8, c=2)
+        assert np.allclose(res.lower, a @ b, rtol=0, atol=1e-10)
+        assert np.array_equal(layout.gather_to(machine, tags[0]), a)
+        assert np.array_equal(layout.gather_to(machine, tags[1]), b)
+
+
 class TestParamsRecorded:
     """PDResult.params records what the call actually ran with,
     uniformly across entry points."""

@@ -108,6 +108,13 @@ class TestTrsm:
         assert np.array_equal(x, scipy.linalg.solve_triangular(
             tri.T, rhs, lower=not lower, unit_diagonal=unit).T)
 
+    def test_empty_rhs(self):
+        """No right-hand sides (an empty 1D chunk): nothing to solve,
+        and ``dtrtrs`` is not asked."""
+        assert trsm(np.eye(3), np.zeros((3, 0)))[0].shape == (3, 0)
+        assert trsm(np.eye(3), np.zeros((0, 3)),
+                    side="right")[0].shape == (0, 3)
+
     def test_singular_detected(self):
         tri = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(SingularMatrixError):
@@ -122,6 +129,70 @@ class TestTrsm:
             trsm(np.eye(3), np.ones((4, 2)), side="left")
         with pytest.raises(KernelError):
             trsm(np.ones((2, 3)), np.ones((3, 2)))
+
+
+def getrf_by_elimination(a: np.ndarray, tolerant: bool = False):
+    """The right-looking elimination loop ``getrf(pivot=True)`` ran
+    before it called LAPACK, kept as its oracle: first-largest pivot
+    per column; an exactly zero pivot raises, or with ``tolerant``
+    leaves its column uneliminated."""
+    a = np.array(a, dtype=np.float64)
+    m, n = a.shape
+    piv = np.arange(min(m, n))
+    for k in range(min(m, n)):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0.0:
+            if not tolerant:
+                raise SingularMatrixError(f"zero pivot at column {k}")
+            continue
+        piv[k] = p
+        if p != k:
+            a[[k, p], :] = a[[p, k], :]
+        a[k + 1:, k] /= a[k, k]
+        if k + 1 < n:
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    return a, piv
+
+
+class TestGetrfAgainstElimination:
+    """LAPACK-backed ``getrf`` against the loop it replaced."""
+
+    SHAPES = [(16, 16), (40, 8), (128, 16), (9, 1), (3, 7), (1, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_panels(self, shape, seed):
+        a = np.random.default_rng(seed).standard_normal(shape)
+        lu, piv, fl = getrf(a)
+        want_lu, want_piv = getrf_by_elimination(a)
+        assert np.array_equal(piv, want_piv)
+        assert np.allclose(lu, want_lu, rtol=1e-12, atol=1e-12)
+        assert fl == getrf_flops(*shape)
+
+    @pytest.mark.parametrize("shape", [(12, 4), (40, 8), (6, 6), (3, 7)])
+    @pytest.mark.parametrize("col", [0, 2])
+    def test_all_zero_column(self, rng, shape, col):
+        a = rng.standard_normal(shape)
+        a[:, col] = 0.0
+        lu, piv, _ = getrf(a, tolerant=True)
+        want_lu, want_piv = getrf_by_elimination(a, tolerant=True)
+        assert np.array_equal(piv, want_piv)
+        assert np.allclose(lu, want_lu, rtol=1e-12, atol=1e-12)
+        with pytest.raises(SingularMatrixError):
+            getrf(a)
+        with pytest.raises(SingularMatrixError):
+            getrf_by_elimination(a)
+
+    def test_dominant_rows_are_picked_identically(self, rng):
+        """A tournament block: a few rows dwarf the rest."""
+        a = rng.standard_normal((64, 8))
+        a[rng.choice(64, size=8, replace=False)] *= 1e3
+        assert np.array_equal(getrf(a)[1], getrf_by_elimination(a)[1])
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_panels(self, shape):
+        lu, piv, _ = getrf(np.zeros(shape))
+        assert lu.shape == shape and piv.size == 0
 
 
 class TestGetrf:

@@ -206,6 +206,38 @@ class TestCosta:
         # ... but never more than the whole matrix.
         assert m.stats.total_recv_words <= 64
 
+    def test_counters_match_an_elementwise_oracle(self, rng):
+        """Ragged tiles, unequal grids: an element moves iff its two
+        owners differ, and every communicating (source, destination)
+        pair exchanges exactly one message."""
+        grids = [(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (6, 1)]
+        for _ in range(25):
+            m, n = (int(x) for x in rng.integers(5, 40, size=2))
+            src, dst = (BlockCyclicLayout(
+                m, n, int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+                ProcessorGrid2D(*grids[int(rng.integers(len(grids)))]))
+                for _ in range(2))
+            machine = Machine(6)
+            a = rng.standard_normal((m, n))
+            src.scatter_from(machine, "A", a)
+            redistribute(machine, "A", src, dst, dst_name="B")
+            assert np.array_equal(dst.gather_to(machine, "B"), a)
+            i, j = np.indices((m, n))
+            owner = [(i // lay.mb % lay.grid.rows) * lay.grid.cols
+                     + j // lay.nb % lay.grid.cols for lay in (src, dst)]
+            moved = owner[0] != owner[1]
+            pairs = np.unique(owner[0][moved] * 6 + owner[1][moved])
+            stats = machine.stats
+            for got, want in [
+                    (stats.sent_words, np.bincount(owner[0][moved], minlength=6)),
+                    (stats.recv_words, np.bincount(owner[1][moved], minlength=6)),
+                    (stats.sent_msgs, np.bincount(pairs // 6, minlength=6)),
+                    (stats.recv_msgs, np.bincount(pairs % 6, minlength=6))]:
+                assert np.array_equal(got, want)
+            assert np.array_equal(redistribution_volume(src, dst),
+                                  stats.recv_words[:max(src.grid.size,
+                                                        dst.grid.size)])
+
     def test_same_layout_is_free(self, rng):
         src = BlockCyclicLayout(8, 8, 2, 2, ProcessorGrid2D(2, 2))
         vol = redistribution_volume(src, src)

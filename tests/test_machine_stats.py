@@ -103,6 +103,32 @@ class TestVectorizedRecording:
         s.add_flops_array(np.array([5.0, 7.0]))
         assert s.max_flops == 7.0
 
+    def test_record_transfers_is_one_record_transfer_per_entry(self):
+        rng = np.random.default_rng(0)
+        src, dst = rng.integers(0, 5, size=(2, 40))     # self-sends too
+        words = rng.integers(1, 30, size=40)
+        batched, looped = CommStats(5), CommStats(5)
+        batched.record_transfers(src, dst, words)
+        for s, d, w in zip(src, dst, words):
+            looped.record_transfer(s, d, w)
+        for field in ("sent_words", "recv_words", "sent_msgs", "recv_msgs"):
+            assert np.array_equal(getattr(batched, field),
+                                  getattr(looped, field))
+        assert batched.total_recv_words == words[src != dst].sum()
+
+    def test_record_transfers_validates(self):
+        s = CommStats(3)
+        s.record_transfers([], [], [])                  # empty: a no-op
+        with pytest.raises(RankError):
+            s.record_transfers([0, 3], [1, 3], [1, 1])  # even a self-send
+        with pytest.raises(RankError):
+            s.record_transfers([-1], [1], [1])
+        with pytest.raises(ValueError):
+            s.record_transfers([0], [1], [-2])
+        with pytest.raises(ValueError):
+            s.record_transfers([0, 1], [1], [2])
+        assert s.total_recv_words == 0
+
     def test_zero_words_no_message_count(self):
         s = CommStats(2)
         s.add_recv_array(np.array([0.0, 4.0]))

@@ -1,12 +1,16 @@
-"""The batched 2.5D fan-out + Schur update against its per-tile form.
+"""The batched 2.5D execute path against its per-tile and per-message
+forms.
 
 :func:`repro.engine.distops.panel_fan_out_update` runs Algorithm 1's
 steps 8, 10 and 11 with one stacked operand pair, one gemm and one
 indexed write per rank.  The reference here is what the schedules did
 before — per owned trailing tile, ``tile[loc] -= a10 @ a01`` on the
 rows of that tile that are still active — kept in ``tests/`` only.
-The second half pins the Python the executed path is allowed to cost,
-machine-independently (call counts under ``cProfile``, not seconds).
+:func:`repro.engine.distops.exchange` charges a whole point-to-point
+pattern from index arrays; its reference is the loop it replaced, one
+``ship`` and one consumer ``pop`` per message.  The last part pins the
+Python the executed path is allowed to cost, machine-independently
+(call counts under ``cProfile``, not seconds).
 """
 
 from __future__ import annotations
@@ -19,13 +23,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import pdgetrf
-from repro.engine.distops import local_panels, panel_fan_out_update
-from repro.kernels import flops
+from repro.engine.distops import (
+    assemble_cols_1d,
+    distribute_rows_1d,
+    exchange,
+    layered_reduce,
+    local_panels,
+    panel_fan_out_update,
+    ship,
+)
+from repro.kernels import blas, flops
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
-from repro.machine import Machine, ProcessorGrid2D
+from repro.machine import Machine, MemoryBudgetExceeded, ProcessorGrid2D
 from repro.machine.grid import ProcessorGrid3D
 
 NAME = ("work", "T")
+KEY = ("work", "fan")
 
 
 def _chunks(ids: np.ndarray, block: np.ndarray, nranks: int):
@@ -105,8 +118,8 @@ def test_batched_update_equals_the_per_tile_reference(scenario):
     col_chunks = _chunks(cols, a01.T, grid.size)
     words_before = machine.words_per_rank()
 
-    panel_fan_out_update(machine, grid, panels, v, t, "r", row_chunks,
-                         "c", col_chunks, lower=lower)
+    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+                         KEY, lower=lower)
 
     expected, fl = per_tile_reference(before, grid, v, t, nb, rows, a10,
                                       a01, lower)
@@ -130,8 +143,8 @@ def test_ranks_without_rows_or_columns_are_left_alone():
     rows = np.array([6, 7])
     row_chunks = _chunks(rows, np.ones((2, v)), 4)
     col_chunks = _chunks(np.array([6, 7]), np.ones((2, v)), 4)
-    panel_fan_out_update(machine, grid, panels, v, t, "r", row_chunks,
-                         "c", col_chunks)
+    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+                         KEY)
     assert np.array_equal(machine.stats.flops > 0, [False, False, False, True])
     for rank in range(3):
         assert np.array_equal(panels[rank], a[rank * v:(rank + 1) * v])
@@ -140,17 +153,281 @@ def test_ranks_without_rows_or_columns_are_left_alone():
 
 
 # ----------------------------------------------------------------------
+# exchange == one ship + one pop per message.
+
+def per_message(machine: Machine, src, dst, words, key) -> None:
+    """The loop :func:`exchange` replaces: every message packed at its
+    source, landed at its destination, consumed there."""
+    for i, (s, d, w) in enumerate(zip(src, dst, words)):
+        ship(machine, s, d, (key, i), np.zeros(w))
+        machine.store(d).pop((key, i))
+
+
+COUNTERS = ("sent_words", "recv_words", "sent_msgs", "recv_msgs")
+
+
+def charged(charge, resident, pattern, budget=None):
+    """Run ``charge`` on a machine holding ``resident[r]`` words at rank
+    ``r``, inside a superstep; returns the machine and the
+    :class:`MemoryBudgetExceeded` it raised, if any."""
+    machine = (Machine(len(resident)) if budget is None else
+               Machine(len(resident), mem_words=budget, enforce_memory=True))
+    for rank, words in enumerate(resident):
+        if words:
+            machine.store(rank).put("resident", np.zeros(words))
+    machine.begin_step("pattern")
+    raised = None
+    try:
+        charge(machine, *pattern, "msg")
+    except MemoryBudgetExceeded as exc:
+        raised = exc
+    return machine, raised
+
+
+@st.composite
+def patterns(draw):
+    nranks = draw(st.integers(1, 6))
+    rank = st.integers(0, nranks - 1)
+    resident = draw(st.lists(st.integers(0, 30), min_size=nranks,
+                             max_size=nranks))
+    messages = draw(st.lists(st.tuples(rank, rank, st.integers(1, 40)),
+                             max_size=25))
+    src, dst, words = (np.array(col, dtype=int) for col in
+                       ([m[0] for m in messages], [m[1] for m in messages],
+                        [m[2] for m in messages]))
+    return resident, (src, dst, words)
+
+
+@given(patterns())
+@settings(max_examples=200, deadline=None)
+def test_exchange_equals_one_ship_and_pop_per_message(scenario):
+    resident, pattern = scenario
+    batched, _ = charged(exchange, resident, pattern)
+    looped, _ = charged(per_message, resident, pattern)
+    for field in COUNTERS:
+        assert np.array_equal(getattr(batched.stats, field),
+                              getattr(looped.stats, field)), field
+    for got, want, words in zip(batched.stores, looped.stores, resident):
+        assert got.peak_words == want.peak_words
+        assert got.step_peak_words == want.step_peak_words
+        # Stores are left as found.
+        assert got.words == want.words == words
+        assert list(got.keys()) == (["resident"] if words else [])
+
+    # One word under the peak both abort, in the same superstep, the
+    # batched form at a rank the loop overflows on too, and neither
+    # has noted a peak it refused.
+    peaks = looped.peak_words_per_rank()
+    budget = peaks.max() - 1
+    if budget < max(resident + [1]):
+        return                      # the resident words alone overflow
+    for charge in (exchange, per_message):
+        machine, raised = charged(charge, resident, pattern, budget)
+        assert raised is not None and raised.step == "pattern"
+        assert peaks[raised.rank] > budget
+        assert machine.peak_words_per_rank().max() <= budget
+
+
+# ----------------------------------------------------------------------
+# Steps 1, 4, 5 and 6 of one COnfLUX step == their per-tile reduces and
+# per-message scatters (the helpers as they were, kept here only).
+
+def fiber_reduce_subset(machine, grid, bi, bj, rows_local, k_root, tile_key,
+                        out_key) -> int:
+    """Sum rows ``rows_local`` of partial tile ``(bi, bj)`` over the
+    layers onto layer ``k_root``'s owner, under ``out_key``."""
+    fiber = [grid.rank(bi % grid.rows, bj % grid.cols, k)
+             for k in range(grid.layers)]
+    root = fiber[k_root]
+    for r in fiber:
+        tile = machine.store(r).get(tile_key)
+        machine.store(r).put(out_key, tile[rows_local, :])
+    machine.reduce(root, fiber, out_key)
+    for r in fiber:
+        if r != root:
+            machine.store(r).discard(out_key)
+    return root
+
+
+def distribute_rows_per_message(machine, pieces, nranks, key):
+    owners = np.concatenate([np.full(len(ids), owner)
+                             for owner, ids, _ in pieces])
+    ids = np.concatenate([ids for _, ids, _ in pieces])
+    rows = np.vstack([block for _, _, block in pieces])
+    order = np.argsort(ids)
+    ids, owners, rows = ids[order], owners[order], rows[order]
+    out = []
+    for dst, part in enumerate(np.array_split(np.arange(ids.size), nranks)):
+        if part.size == 0:
+            out.append((ids[part], None))
+            continue
+        chunk_block = np.empty((part.size, rows.shape[1]))
+        for src in dict.fromkeys(owners[part].tolist()):
+            sel = part[owners[part] == src]
+            ship(machine, src, dst, (key, "s", src), rows[sel])
+            chunk_block[sel - part[0]] = machine.store(dst).pop(
+                (key, "s", src))
+        machine.store(dst).put(key, chunk_block)
+        out.append((ids[part], chunk_block))
+    return out
+
+
+def assemble_cols_per_message(machine, pieces, row_order, nranks, key):
+    row_pos = {int(g): i for i, g in enumerate(row_order)}
+    col_order = np.array(sorted({int(cg) for _, _, cids, _ in pieces
+                                 for cg in cids}), dtype=int)
+    out = []
+    for dst, chunk in enumerate(np.array_split(col_order, nranks)):
+        if chunk.size == 0:
+            out.append((chunk, None))
+            continue
+        col_pos = {int(cg): i for i, cg in enumerate(chunk)}
+        acc = np.zeros((len(row_order), chunk.size))
+        for idx, (src, rids, cids, block) in enumerate(pieces):
+            csel = [i for i, cg in enumerate(cids) if int(cg) in col_pos]
+            if not csel:
+                continue
+            ship(machine, src, dst, (key, "s", src, idx), block[:, csel])
+            ri = [row_pos[int(g)] for g in rids]
+            ci = [col_pos[int(cids[i])] for i in csel]
+            acc[np.ix_(ri, ci)] = machine.store(dst).pop((key, "s", src, idx))
+        machine.store(dst).put(key, acc)
+        out.append((chunk, acc))
+    return out
+
+
+def per_tile_panels(machine, grid, v, t, nb, active, winners):
+    """Steps 1 + 4 and 5 + 6 as the schedule ran them tile by tile;
+    returns the 1D A10 row chunks and A01 column chunks."""
+    k_root, nranks = t % grid.layers, grid.size
+    panel = {}
+    for bi in range(nb):
+        ids = active[(active >= bi * v) & (active < (bi + 1) * v)]
+        if ids.size:
+            panel[bi] = (ids, fiber_reduce_subset(
+                machine, grid, bi, t, ids - bi * v, k_root, (NAME, bi, t),
+                ("cr", bi)))
+    pieces = []
+    for bi, (ids, root) in panel.items():
+        sel = ~np.isin(ids, winners)
+        if sel.any():
+            pieces.append((root, ids[sel],
+                           machine.store(root).get(("cr", bi))[sel]))
+    rows = (distribute_rows_per_message(machine, pieces, nranks, "a10")
+            if pieces else [])
+    for bi, (_, root) in panel.items():
+        machine.store(root).discard(("cr", bi))
+    by_tile = {}
+    for g in winners.tolist():
+        by_tile.setdefault(g // v, []).append(g)
+    pieces, held = [], []
+    for bj in range(t + 1, nb):
+        for bi, gids in sorted(by_tile.items()):
+            root = fiber_reduce_subset(
+                machine, grid, bi, bj, np.array(gids) - bi * v, k_root,
+                (NAME, bi, bj), ("rr", bi, bj))
+            held.append((root, ("rr", bi, bj)))
+            pieces.append((root, np.array(gids),
+                           np.arange(bj * v, (bj + 1) * v),
+                           machine.store(root).get(("rr", bi, bj))))
+    cols = (assemble_cols_per_message(machine, pieces, winners, nranks, "a01")
+            if pieces else [])
+    for root, key in held:
+        machine.store(root).discard(key)
+    return rows, cols
+
+
+def batched_panels(machine, grid, panels, v, t, nb, active, winners):
+    """The same four sub-steps on the batched helpers, as
+    ``ConfluxSchedule.dist_step`` strings them together."""
+    k_root, nranks = t % grid.layers, grid.size
+    column = layered_reduce(machine, grid, panels, v, active, t, t + 1,
+                            k_root, "cr")
+    masked = ~np.isin(active, winners)
+    pieces = [(root, active[rsel][keep], block[keep])
+              for root, rsel, _, block in column
+              if (keep := masked[rsel]).any()]
+    rows = (distribute_rows_1d(machine, pieces, nranks, "a10")
+            if pieces else [])
+    for root, _, _, _ in column:
+        machine.store(root).discard("cr")
+    cols = []
+    if t + 1 < nb:
+        pivot_rows = layered_reduce(machine, grid, panels, v, winners, t + 1,
+                                    nb, k_root, "rr")
+        cols = assemble_cols_1d(machine, pivot_rows, winners,
+                                np.arange((t + 1) * v, nb * v), nranks, v,
+                                "a01")
+        for root, _, _, _ in pivot_rows:
+            machine.store(root).discard("rr")
+    return rows, cols
+
+
+@st.composite
+def panel_steps(draw):
+    pr, pc, c = (draw(st.integers(1, 3)) for _ in range(3))
+    v = c * draw(st.integers(1, 2))
+    nb = draw(st.integers(2, 6))
+    t = draw(st.integers(0, nb - 1))
+    n = nb * v
+    active = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n)))
+    # The step's pivots: up to v of the active rows, in tournament
+    # (arbitrary) order, over as many tiles as they happen to hit.
+    winners = np.array(draw(st.permutations(active.tolist()))[:v], dtype=int)
+    return pr, pc, c, v, nb, t, active, winners, draw(st.integers(0, 2**31))
+
+
+@given(panel_steps())
+@settings(max_examples=150, deadline=None)
+def test_batched_reduces_and_scatters_equal_the_per_tile_forms(scenario):
+    pr, pc, c, v, nb, t, active, winners, seed = scenario
+    if winners.size == 0:
+        return
+    grid = ProcessorGrid3D(pr, pc, c)
+    n = nb * v
+    runs = []
+    for batched in (True, False):
+        rng = np.random.default_rng(seed)
+        machine = Machine(grid.size)
+        panels = local_panels(machine, grid, nb, v, NAME,
+                              rng.standard_normal((n, n)), None)
+        for panel in panels:
+            panel += rng.standard_normal(panel.shape)
+        machine.begin_step("panels")
+        chunks = (batched_panels(machine, grid, panels, v, t, nb, active,
+                                 winners) if batched else
+                  per_tile_panels(machine, grid, v, t, nb, active, winners))
+        runs.append((machine, chunks))
+    (got, got_chunks), (want, want_chunks) = runs
+    for field in COUNTERS:
+        assert np.array_equal(getattr(got.stats, field),
+                              getattr(want.stats, field)), field
+    assert np.array_equal(got.peak_words_per_rank(),
+                          want.peak_words_per_rank())
+    assert np.array_equal(got.words_per_rank(), want.words_per_rank())
+    for got_side, want_side in zip(got_chunks, want_chunks):
+        assert len(got_side) == len(want_side)
+        for (ids, block), (want_ids, want_block) in zip(got_side, want_side):
+            assert np.array_equal(ids, want_ids)
+            assert (block is None) == (want_block is None)
+            assert block is None or np.array_equal(block, want_block)
+
+
+# ----------------------------------------------------------------------
 # Deterministic overhead ceiling.
 
-#: Python-level calls of one pdgetrf(conflux, n=128, P=16, v=8, c=2):
-#: 274 k when the batched path landed (481 k with the per-tile loops,
-#: 3420 of them ``np.stack`` calls from ``dist_step``); ceiling ~25 %
-#: above the new count.
-CALL_CEILING = 343_000
+#: Python-level calls of one pdgetrf(conflux, n=128, P=16, v=8, c=2),
+#: SciPy already imported: 100 k since the point-to-point patterns are
+#: index arrays (272 k with one ``ship`` per message, 481 k with the
+#: per-tile update loops before that); ceiling ~25 % above.
+CALL_CEILING = 125_000
 
-#: Functions of the fan-out/update path that must not stack per tile.
-HOT_PATH = {"dist_step", "panel_fan_out_update", "_gather_planes",
-            "_split_by_owner"}
+#: Functions of the batched path: none may stack operands per tile, and
+#: only the tournament still sends message by message.
+HOT_PATH = {"dist_step", "panel_fan_out_update", "_by_grid_coord",
+            "layered_reduce", "distribute_rows_1d", "assemble_cols_1d",
+            "_scatter_1d", "exchange"}
 
 
 def _profiled_pdgetrf() -> pstats.Stats:
@@ -160,6 +437,7 @@ def _profiled_pdgetrf() -> pstats.Stats:
     desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=4, pcols=4)
     BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(4, 4)).scatter_from(
         machine, "X", a)
+    blas._lapack()          # the first kernel call would import SciPy
     profile = cProfile.Profile()
     res = profile.runcall(pdgetrf, machine, "X", desc, impl="conflux",
                           v=8, c=2)
@@ -177,8 +455,11 @@ def _callers(stats: pstats.Stats, name: str) -> set[str]:
 def test_executed_conflux_python_overhead_stays_batched():
     stats = _profiled_pdgetrf()
     assert stats.total_calls < CALL_CEILING
-    # No per-tile operand rebuilds in the fan-out/update path ...
+    # No per-tile operand rebuilds and no per-message sends in the
+    # batched path: the tournament's rounds are the only ``ship``s ...
     assert not _callers(stats, "stack") & HOT_PATH
+    assert _callers(stats, "ship") == {"_dist_tournament"}
+    assert HOT_PATH <= {func[2] for func in stats.stats}
     # ... and scalar flop-count arguments are validated without a trip
     # through NumPy.
     asarray = "<built-in method numpy.asarray>"
