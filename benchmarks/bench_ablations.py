@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices of Section 7 (see DESIGN.md):
+"""Ablation benches for the design choices of Section 7:
 block size v, replication depth c, row masking vs swapping, and
 tournament vs partial pivoting latency.
 """

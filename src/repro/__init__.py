@@ -12,7 +12,7 @@ Public surface, by paper section:
   the evaluation's baselines (MKL/ScaLAPACK 2D, SLATE, CANDMC, CAPITAL).
 * :mod:`repro.machine` — the counting distributed-machine substrate and
   the alpha-beta-gamma performance model (substitutes the Piz Daint
-  testbed; see DESIGN.md).
+  testbed; see ARCHITECTURE.md, "Substitutions").
 * :mod:`repro.layouts` — block-cyclic layouts, ScaLAPACK descriptors,
   COSTA-style redistribution (Section 8).
 * :mod:`repro.kernels` — node-local BLAS/LAPACK with flop accounting.
@@ -38,8 +38,6 @@ Quick start::
 
 from .api import pdgetrf, pdgetrs, pdpotrf, pdpotrs
 from .factorizations import (
-    ConfchoxCholesky,
-    ConfluxLU,
     cholesky_solve,
     confchox_cholesky,
     conflux_lu,
@@ -59,8 +57,7 @@ from .planner import Plan, plan_cholesky, plan_gemm, plan_lu
 __version__ = "1.0.0"
 
 __all__ = [
-    "conflux_lu", "ConfluxLU",
-    "confchox_cholesky", "ConfchoxCholesky",
+    "conflux_lu", "confchox_cholesky",
     "lu_solve", "cholesky_solve",
     "pdgetrf", "pdpotrf", "pdgetrs", "pdpotrs",
     "lu_io_lower_bound", "cholesky_io_lower_bound",

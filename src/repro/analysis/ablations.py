@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for the design choices of Section 7.
 
 The paper motivates several choices qualitatively; these ablations
 quantify each on the counting substrate:

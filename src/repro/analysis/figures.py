@@ -2,8 +2,8 @@
 
 Each function returns plain data structures (lists/dicts) that the
 benchmark scripts print as the rows/series the paper plots; nothing here
-depends on plotting libraries.  See DESIGN.md's per-experiment index for
-the figure-to-function map.
+depends on plotting libraries.  The benchmark script of each figure
+(``benchmarks/bench_<figure>.py``) names the function it prints.
 """
 
 from __future__ import annotations
@@ -145,9 +145,8 @@ def fig8c_comm_reduction(
         for p in p_sweep:
             if not feasible(n, p):
                 continue
-            others = {}
-            for name in ("mkl", "slate", "candmc"):
-                others[name] = trace_lu(name, n, p).mean_recv_words
+            others = {name: trace_lu(name, n, p).mean_recv_words
+                      for name in LU_IMPLEMENTATIONS if name != "conflux"}
             ours = trace_lu("conflux", n, p).mean_recv_words
             best_name = min(others, key=others.get)
             rows.append({

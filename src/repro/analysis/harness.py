@@ -1,5 +1,5 @@
-"""Experiment harness: registry of implementations, trace runners, and
-text-table formatting shared by the figure benchmarks.
+"""Experiment harness: trace runners at the sweep's parameter defaults
+and text-table formatting shared by the figure benchmarks.
 
 The paper's evaluation space is (implementation, N, P) with the memory /
 replication policy of Section 9: every run gets the maximum replication
@@ -14,8 +14,10 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from ..factorizations.baselines import candmc_lu, capital_cholesky
+from ..engine.accounting import TermBatch
+from ..engine.schedule import Schedule
 from ..factorizations.common import FactorizationResult
+from ..factorizations.registry import build, implementation, labels
 from ..machine.perf_model import PIZ_DAINT_XC40, MachineParams, PerfModel
 from ..planner.candidates import config_25d, panel_width_2d
 
@@ -54,88 +56,40 @@ def feasible(n: int, p: int,
     return n * n / p <= node_mem_words
 
 
-def _sched_conflux(n: int, p: int, c: int):
-    from ..factorizations import ConfluxSchedule
-
-    c_ok, v = config_25d(n, p, c)
-    return ConfluxSchedule(n, p, v=v, c=c_ok)
-
-
-def _sched_confchox(n: int, p: int, c: int):
-    from ..factorizations import ConfchoxSchedule
-
-    c_ok, v = config_25d(n, p, c)
-    return ConfchoxSchedule(n, p, v=v, c=c_ok)
+#: The evaluation's implementations per kernel (Section 9), in the
+#: order the figures list them: every table label but ``"scalapack"``,
+#: the planner/pd* name of the 2D route.
+LU_IMPLEMENTATIONS, CHOLESKY_IMPLEMENTATIONS = (
+    tuple(name for name in labels(op) if name != "scalapack")
+    for op in ("lu", "cholesky"))
 
 
-def _sched_mkl_lu(n: int, p: int, c: int):
-    from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-
-    return ScalapackLUSchedule(n, p, nb=panel_width_2d(n))
-
-
-def _sched_slate_lu(n: int, p: int, c: int):
-    from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-
-    return ScalapackLUSchedule(n, p, nb=panel_width_2d(n), name="slate",
-                               panel_rebroadcast=False)
-
-
-def _sched_mkl_chol(n: int, p: int, c: int):
-    from ..factorizations.baselines.scalapack_chol import (
-        ScalapackCholeskySchedule,
-    )
-
-    return ScalapackCholeskySchedule(n, p, nb=panel_width_2d(n))
+def _sweep_schedule(op: str, name: str, n: int, p: int, c: int) -> Schedule:
+    """``(op, name)`` at the sweep's parameter defaults for replication
+    depth ``c``: the 2.5D schedules get :func:`config_25d`'s ``(c, v)``,
+    the 2D ones :func:`panel_width_2d`, the model baselines ``c`` with
+    their authors' panel width."""
+    if name not in labels(op):
+        raise KeyError(f"unknown {op} implementation {name!r}; have "
+                       f"{', '.join(labels(op))}")
+    tunable = implementation(op, name).params
+    if "v" in tunable:
+        c, v = config_25d(n, p, c)
+        return build(op, name, n, p, v=v, c=c)
+    if "nb" in tunable:
+        return build(op, name, n, p, nb=panel_width_2d(n))
+    return build(op, name, n, p, c=c)
 
 
-def _sched_slate_chol(n: int, p: int, c: int):
-    from ..factorizations.baselines.scalapack_chol import (
-        ScalapackCholeskySchedule,
-    )
-
-    return ScalapackCholeskySchedule(n, p, nb=panel_width_2d(n),
-                                     name="slate-chol")
-
-
-#: Engine-schedule builders per implementation name — the batchable
-#: subset of the registries below (the model baselines candmc/capital
-#: have no cost-term stream to batch).
-_LU_SCHEDULES = {
-    "conflux": _sched_conflux,
-    "mkl": _sched_mkl_lu,
-    "slate": _sched_slate_lu,
-}
-
-_CHOL_SCHEDULES = {
-    "confchox": _sched_confchox,
-    "mkl-chol": _sched_mkl_chol,
-    "slate-chol": _sched_slate_chol,
-}
-
-
-#: The model baselines (RankAccountant closed forms, no cost-term
-#: stream), called as ``model(n, p, c=c)``.
-_LU_MODELS = {"candmc": candmc_lu}
-_CHOL_MODELS = {"capital": capital_cholesky}
-
-LU_IMPLEMENTATIONS = (*_LU_SCHEDULES, *_LU_MODELS)
-CHOLESKY_IMPLEMENTATIONS = (*_CHOL_SCHEDULES, *_CHOL_MODELS)
-
-
-def _trace_impl(kind: str, schedules: dict, models: dict, name: str,
-                n: int, p: int, c: int | None,
-                steps: str) -> FactorizationResult:
-    from ..engine.backends import TraceBackend
-
-    if c is None:
-        c = max_replication(p, n)
-    if name in schedules:
-        return TraceBackend(steps=steps).run(schedules[name](n, p, c))
-    if name in models:
-        return models[name](n, p, c=c)
-    raise KeyError(f"unknown {kind} implementation {name!r}; "
-                   f"have {sorted((*schedules, *models))}")
+def _trace(schedules: list[Schedule],
+           steps: str) -> list[FactorizationResult]:
+    """Reduce the schedules in one :class:`TermBatch` pass."""
+    batch = TermBatch()
+    for sched in schedules:
+        batch.add(sched)
+    return [FactorizationResult(sched.name, sched.n, sched.nranks,
+                                sched.mem_words, stats, sched.params())
+            for sched, stats in zip(schedules, batch.evaluate(steps))]
 
 
 def trace_lu(name: str, n: int, p: int, c: int | None = None,
@@ -147,15 +101,15 @@ def trace_lu(name: str, n: int, p: int, c: int | None = None,
     ``steps="none"`` drops it (what sweeps use).  Either way the cost
     terms reduce in closed form, O(steps + P).
     """
-    return _trace_impl("LU", _LU_SCHEDULES, _LU_MODELS, name, n, p, c,
-                       steps)
+    c = max_replication(p, n) if c is None else c
+    return _trace([_sweep_schedule("lu", name, n, p, c)], steps)[0]
 
 
 def trace_cholesky(name: str, n: int, p: int, c: int | None = None,
                    steps: str = "columnar") -> FactorizationResult:
     """Trace one Cholesky implementation at paper scale."""
-    return _trace_impl("Cholesky", _CHOL_SCHEDULES, _CHOL_MODELS, name,
-                       n, p, c, steps)
+    c = max_replication(p, n) if c is None else c
+    return _trace([_sweep_schedule("cholesky", name, n, p, c)], steps)[0]
 
 
 def trace_case(n: int, p: int,
@@ -165,32 +119,16 @@ def trace_case(n: int, p: int,
     """Trace one ``(N, P)`` case's whole flavour set, batched.
 
     Results come back in ``[*lu_impls, *chol_impls]`` order.  Every
-    engine schedule of the case is collected into one
+    schedule of the case is collected into one
     :class:`~repro.engine.accounting.TermBatch` and reduced in a single
     vectorized pass — bit-identical to tracing each implementation on
-    its own, which the model baselines candmc/capital (no cost-term
-    stream) fall back to.
+    its own.
     """
-    from ..engine.accounting import TermBatch
-
     c = max_replication(p, n)
-    entries = [(_LU_SCHEDULES, trace_lu, name) for name in lu_impls] + \
-        [(_CHOL_SCHEDULES, trace_cholesky, name) for name in chol_impls]
-    results: list[FactorizationResult | None] = [None] * len(entries)
-    batch, slots = TermBatch(), []
-    for pos, (builders, tracer, name) in enumerate(entries):
-        builder = builders.get(name)
-        if builder is None:
-            results[pos] = tracer(name, n, p, c=c, steps=steps)
-            continue
-        sched = builder(n, p, c)
-        batch.add(sched)
-        slots.append((pos, sched))
-    for (pos, sched), stats in zip(slots, batch.evaluate(steps)):
-        results[pos] = FactorizationResult(
-            sched.name, sched.n, sched.nranks, sched.mem_words,
-            stats, sched.params())
-    return results
+    return _trace(
+        [_sweep_schedule("lu", name, n, p, c) for name in lu_impls]
+        + [_sweep_schedule("cholesky", name, n, p, c)
+           for name in chol_impls], steps)
 
 
 def sweep_traces(cases: list[tuple[int, int]],
@@ -225,8 +163,8 @@ def sweep_tasks(cases: list[tuple[int, int]],
                 steps: str = "none"):
     """The declarative task list :func:`sweep_traces` executes — one
     ``"case"`` task per ``(N, P)`` point.  Exposed so out-of-process
-    coordinators (the fabric CI check, external publishers) can build
-    the *identical* task list — same extras, same order, same cache
+    coordinators (the ``sweep_fanout`` ledger workload, external
+    publishers) can build the *identical* task list — same extras, same order, same cache
     tokens — without going through ``sweep_traces`` itself."""
     from ..runtime.executor import SweepTask
 
@@ -263,27 +201,20 @@ class MemoryFeasibility:
         return self.required_words / self.model_words
 
 
-def _feasibility_schedules(n: int, p: int):
-    """Instantiate all five engine schedules at their sweep defaults."""
-    from ..factorizations import ConfchoxSchedule, ConfluxSchedule
-    from ..factorizations import Matmul25DSchedule
-    from ..factorizations.baselines.scalapack_chol import (
-        ScalapackCholeskySchedule,
-    )
-    from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-
-    c, v = config_25d(n, p, max_replication(p, n))
-    nb = panel_width_2d(n)
+def _feasibility_schedules(n: int, p: int) -> list[Schedule]:
+    """Instantiate all five executable schedules at their sweep
+    defaults."""
+    c, _ = config_25d(n, p, max_replication(p, n))
     try:
-        summa = Matmul25DSchedule(n, p, c=c)
+        summa = build("gemm", "25d", n, p, c=c)
     except ValueError:             # no SUMMA strip width fits this c
-        summa = Matmul25DSchedule(n, p, c=1)
+        summa = build("gemm", "25d", n, p, c=1)
     return [
-        ConfluxSchedule(n, p, v=v, c=c),
-        ConfchoxSchedule(n, p, v=v, c=c),
+        _sweep_schedule("lu", "conflux", n, p, c),
+        _sweep_schedule("cholesky", "confchox", n, p, c),
         summa,
-        ScalapackLUSchedule(n, p, nb=nb),
-        ScalapackCholeskySchedule(n, p, nb=nb),
+        _sweep_schedule("lu", "mkl", n, p, c),
+        _sweep_schedule("cholesky", "mkl-chol", n, p, c),
     ]
 
 

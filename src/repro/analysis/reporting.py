@@ -29,7 +29,14 @@ from .figures import (
     lower_bound_ratios,
     table2_model_validation,
 )
-from .harness import estimate_time, format_table, trace_cholesky, trace_lu
+from .harness import (
+    CHOLESKY_IMPLEMENTATIONS,
+    LU_IMPLEMENTATIONS,
+    estimate_time,
+    format_table,
+    trace_cholesky,
+    trace_lu,
+)
 
 __all__ = ["full_report"]
 
@@ -111,10 +118,10 @@ def full_report(n_ref: int = 16384, p_ref: int = 1024,
     # ------------------------------------------------------------------
     _section(out, "5. Time-to-solution ranking (Figures 1/9)")
     rows = []
-    for name in ("conflux", "mkl", "slate", "candmc"):
+    for name in LU_IMPLEMENTATIONS:
         t = estimate_time(trace_lu(name, n_ref, p_ref))
         rows.append([name, t.time_s, 100 * t.peak_fraction])
-    for name in ("confchox", "mkl-chol", "slate-chol", "capital"):
+    for name in CHOLESKY_IMPLEMENTATIONS:
         t = estimate_time(trace_cholesky(name, n_ref, p_ref))
         rows.append([name, t.time_s, 100 * t.peak_fraction])
     out.write(format_table(

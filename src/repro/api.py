@@ -20,11 +20,14 @@ factorization *on the machine* through the engine's
 :class:`~repro.engine.backends.DistributedBackend` — every word the
 schedule moves is counted by the machine itself, not merged in from a
 separate accounting run — and writes the factors back in the caller's
-layout.  All three entry points share one execution path (``_run_pd``:
-pre-flight memory gate, COSTA in, backend run, COSTA out); they differ
-only in how the schedule is built and the factors are packed.  The
-reshuffle costs O(N^2/P) per rank — asymptotically free, as the paper
-argues (Section 7.4).
+layout.  All three entry points share one resolution (``_resolve``:
+``plan=`` / ``impl="auto"`` / explicit keywords to ``(impl, params)``)
+and one execution path (``_run_pd``: pre-flight memory gate, COSTA in,
+backend run, COSTA out); which schedule an ``impl`` names, how many
+layout copies the gate reserves and how the factors are packed come
+from the implementation table (:mod:`repro.factorizations.registry`).
+The reshuffle costs O(N^2/P) per rank — asymptotically free, as the
+paper argues (Section 7.4).
 
 On a machine that *enforces* a finite ``M``-words budget
 (``Machine(..., enforce_memory=True)``), every entry point first
@@ -48,7 +51,8 @@ Schedule selection has three forms, from most to least explicit:
   auto calls for the same ``(op, N, P, M)`` hit the service's LRU
   instead of re-enumerating the candidate grid;
 * explicit ``impl=`` + parameters (``v``/``c`` for the 2.5D schedules,
-  ``nb`` for the 2D baselines, ``s``/``c`` for the matmul).
+  ``nb`` for the 2D baselines, ``s``/``c`` for the matmul); a keyword
+  the chosen ``impl`` does not take is rejected, never dropped.
 
 The parameters a call actually ran with are recorded uniformly in
 ``PDResult.params``.
@@ -63,10 +67,9 @@ import numpy as np
 
 from . import obs
 from .engine.backends import DistributedBackend
-from .factorizations import ConfchoxSchedule, ConfluxSchedule, Matmul25DSchedule
-from .factorizations.baselines.scalapack_chol import ScalapackCholeskySchedule
-from .factorizations.baselines.scalapack_lu import ScalapackLUSchedule
+from .engine.schedule import Schedule
 from .factorizations.common import FactorizationResult
+from .factorizations.registry import OPS, build, implementation, width
 from .factorizations.solve import SolveResult, cholesky_solve, lu_solve
 from .layouts import (
     BlockCyclicLayout,
@@ -76,7 +79,7 @@ from .layouts import (
 )
 from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
-from .planner import Plan, PlannedConfig, PlanRequest
+from .planner import Plan, PlannedConfig, PlanRequest, planner_labels
 from .planner.service import PlanService, default_service
 from .planner.workload import (
     WorkloadPlan,
@@ -138,7 +141,7 @@ def _layout_from_desc(desc: ScaLAPACKDescriptor) -> BlockCyclicLayout:
     return BlockCyclicLayout(desc.m, desc.n, desc.mb, desc.nb, grid)
 
 
-def _check_memory_feasible(machine: Machine, schedule,
+def _check_memory_feasible(machine: Machine, schedule: Schedule,
                            api_copies: int) -> None:
     """Reject an infeasible ``(N, P, c)`` configuration up front.
 
@@ -205,11 +208,6 @@ def _writeback(machine: Machine, out_name: str,
     return machine.stats.total_recv_words - before
 
 
-def _square_layout(desc: ScaLAPACKDescriptor, v: int,
-                   layer_grid: ProcessorGrid2D) -> BlockCyclicLayout:
-    return BlockCyclicLayout(desc.n, desc.n, v, v, layer_grid)
-
-
 def _planner_budget(machine: Machine) -> float | None:
     """The per-rank budget the planner must respect: the machine's
     enforced ``M``, or None (unbounded) when nothing is enforced."""
@@ -219,15 +217,15 @@ def _planner_budget(machine: Machine) -> float | None:
 # ----------------------------------------------------------------------
 # Plan resolution (the ``plan=`` / ``impl="auto"`` front half).
 
-#: ``api_copies`` the planner charges per op when ``impl="auto"``: the
-#: pre-flight gate's layout copies *plus* the caller's already-resident
-#: distributed operand(s), which ``reserve()`` counts (3+1 for the
-#: factorizations, 4+2 for the two-operand matmul).
-_AUTO_API_COPIES = {"lu": 4, "cholesky": 4, "gemm": 6}
+#: The pd* keyword parameters' values when not passed; any other value
+#: is an explicit choice — honoured by an ``impl`` that takes the
+#: parameter, rejected by one that does not (so ``c`` must stay 1 on the
+#: 2D route, which has no replication).
+_UNSET = {"v": None, "nb": None, "s": None, "c": 1}
 
-#: ``api_copies`` the pre-flight gate itself reserves (the resident
-#: input already sits in the stores, so it is not re-reserved here).
-_GATE_API_COPIES = {"lu": 3, "cholesky": 3, "gemm": 4}
+#: What an unset tile size / panel width means on the explicit route
+#: (an unset ``s`` is the SUMMA schedule's own default).
+_EXPLICIT_DEFAULTS = {"v": 16, "nb": 16}
 
 
 def _service_for(machine: Machine) -> PlanService:
@@ -238,48 +236,48 @@ def _service_for(machine: Machine) -> PlanService:
     return service if service is not None else default_service()
 
 
-def _resolve_plan(machine: Machine, op: str, n: int, impl: str,
-                  plan: Plan | PlannedConfig | None):
-    """Resolve ``plan=`` / ``impl="auto"`` into concrete parameters.
+def _resolve(machine: Machine, op: str, n: int, impl: str,
+             plan: Plan | PlannedConfig | None, given: dict[str, Any],
+             ) -> tuple[str, dict[str, Any], Plan | PlannedConfig | None]:
+    """Resolve ``plan=`` / ``impl="auto"`` / explicit keywords into
+    ``(impl, params, plan)`` — the constructor parameters of the table
+    row ``(op, impl)`` and the planning evidence, if any.
 
-    Returns ``(impl, params, plan_obj)`` when the call is plan-driven,
-    or None for explicitly parameterized calls.  ``impl="auto"`` is
-    sugar over ``plan=``: it asks the machine's planning service and
-    then takes the same path a caller-supplied plan would.
+    ``impl="auto"`` is sugar over ``plan=``: it asks the machine's
+    planning service and then takes the same path a caller-supplied
+    plan would.  ``given`` holds the call's own keyword parameters: a
+    plan overrides them; without one, each must belong to ``impl``.
     """
     if plan is None and impl == "auto":
         request = PlanRequest(op=op, n=n, p=machine.nranks,
                               mem_words=_planner_budget(machine),
-                              api_copies=_AUTO_API_COPIES[op])
+                              api_copies=OPS[op].auto_copies)
         plan = _service_for(machine).plan(request)
+    if plan is not None:
+        config = plan.chosen if isinstance(plan, Plan) else plan
+        if not isinstance(config, PlannedConfig):
+            raise TypeError(f"plan= takes a Plan or PlannedConfig, got "
+                            f"{type(plan).__name__}")
+        impl, params = config.impl, dict(config.params)
+    if impl not in planner_labels(op):
+        raise ValueError(f"unknown impl {impl!r}; have "
+                         f"{', '.join(planner_labels(op))}, auto")
     if plan is None:
-        return None
-    config = plan.chosen if isinstance(plan, Plan) else plan
-    if not isinstance(config, PlannedConfig):
-        raise TypeError(f"plan= takes a Plan or PlannedConfig, got "
-                        f"{type(plan).__name__}")
-    return config.impl, dict(config.params), plan
-
-
-def _panel_width(nb: int | None, v: int | None) -> int:
-    """The 2D baselines' panel width ``nb``; ``v`` is the 2.5D tile
-    size and is rejected rather than silently ignored."""
-    if v is not None:
-        raise ValueError(f"the 2D baseline has no tile size v={v}; pass "
-                         "its panel width as nb=")
-    return 16 if nb is None else nb
+        names = implementation(op, impl).params
+        foreign = [f"{key}={value}" for key, value in given.items()
+                   if key not in names and value != _UNSET[key]]
+        if foreign:
+            raise ValueError(
+                f"impl {impl!r} takes {', '.join(k + '=' for k in names)}"
+                f" and has no {', '.join(foreign)}")
+        params = {key: (_EXPLICIT_DEFAULTS.get(key)
+                        if given[key] is None else given[key])
+                  for key in names}
+    return impl, params, plan
 
 
 # ----------------------------------------------------------------------
 # The shared execution path.
-
-#: How each op packs the backend's factors for writeback.
-_PD_PACKED = {
-    "lu": lambda res: np.tril(res.lower, -1) + res.upper,
-    "cholesky": lambda res: res.lower,
-    "gemm": lambda res: res.lower,
-}
-
 
 def _discard_native(machine: Machine, name: str,
                     layout: BlockCyclicLayout) -> None:
@@ -290,10 +288,9 @@ def _discard_native(machine: Machine, name: str,
                 block_key(name, bi, bj))
 
 
-def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
+def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
+            native: BlockCyclicLayout, desc: ScaLAPACKDescriptor,
             inputs: list[tuple[str, ScaLAPACKDescriptor]], out_name: str,
-            native: BlockCyclicLayout, v_run: int, impl: str,
-            params: dict[str, Any],
             plan: Plan | PlannedConfig | None, *,
             native_names: dict[str, str] | None = None,
             keep_native: bool = False,
@@ -320,7 +317,7 @@ def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
     with tel.span(f"pd.{op}", cat="pd", n=schedule.n, impl=impl) as sp:
         if preflight:
             _check_memory_feasible(machine, schedule,
-                                   api_copies=_GATE_API_COPIES[op])
+                                   api_copies=OPS[op].gate_copies)
         resh_in = 0.0
         names: dict[str, str] = {}
         created: list[str] = []
@@ -338,7 +335,7 @@ def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
                       schedule=type(schedule).__name__):
             res = DistributedBackend(machine).run(schedule, in_name=in_name)
         with tel.span("pd.writeback", cat="pd-phase"):
-            packed = _PD_PACKED[op](res)
+            packed = OPS[op].packed(res)
             # The call's own prepped inputs are dead once the backend
             # has run: free them before writeback adds two more copies.
             for name in created:
@@ -349,14 +346,29 @@ def _run_pd(machine: Machine, op: str, schedule, desc: ScaLAPACKDescriptor,
         sp.set(reshuffle_words=resh_in + resh_out,
                factorization_words=res.comm.total_recv_words)
     is_lu = op == "lu"
+    ran = {key: getattr(schedule, key)
+           for key in implementation(op, impl).params}
     return PDResult(out_name=out_name, desc=desc, machine=machine,
-                    v=v_run, comm=res.comm,
+                    v=width(schedule), comm=res.comm,
                     perm=res.perm if is_lu else None,
                     lower=res.lower,
                     upper=res.upper if is_lu else None,
                     reshuffle_words=resh_in + resh_out,
                     factorization_words=res.comm.total_recv_words,
-                    plan=plan, params={"impl": impl, **params})
+                    plan=plan, params={"impl": impl, **ran})
+
+
+def _pd(machine: Machine, op: str, impl: str,
+        plan: Plan | PlannedConfig | None, given: dict[str, Any],
+        inputs: list[tuple[str, ScaLAPACKDescriptor]],
+        out_name: str) -> PDResult:
+    """What every pd* entry point is: resolve, build the table row's
+    schedule and its native layout, run."""
+    desc = inputs[0][1]
+    impl, params, plan = _resolve(machine, op, desc.n, impl, plan, given)
+    schedule = build(op, impl, desc.n, machine.nranks, **params)
+    return _run_pd(machine, op, impl, schedule, native_layout(op, schedule),
+                   desc, inputs, out_name, plan)
 
 
 # ----------------------------------------------------------------------
@@ -382,32 +394,8 @@ def pdgetrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
     entirely and runs the given
     :class:`~repro.planner.Plan`/:class:`~repro.planner.PlannedConfig`.
     """
-    out_name = out_name or name + ":lu"
-    resolved = _resolve_plan(machine, "lu", desc.n, impl, plan)
-    if resolved is not None:
-        impl, chosen, plan = resolved
-        if impl == "conflux":
-            v, c = chosen["v"], chosen["c"]
-        else:
-            v, nb, c = None, chosen["nb"], 1
-    if impl == "conflux":
-        v = 16 if v is None else v
-        schedule = ConfluxSchedule(desc.n, machine.nranks, v=v, c=c)
-        v_run, params = schedule.v, {"v": schedule.v, "c": c}
-    elif impl == "scalapack":
-        if c != 1:
-            raise ValueError("the 2D baseline has no replication (c must "
-                             "be 1)")
-        nb = _panel_width(nb, v)
-        schedule = ScalapackLUSchedule(desc.n, machine.nranks, nb=nb,
-                                       panel_rebroadcast=False)
-        v_run, params = schedule.nb, {"nb": schedule.nb}
-    else:
-        raise ValueError(f"unknown impl {impl!r}; have conflux, scalapack, "
-                         "auto")
-    native = _square_layout(desc, v_run, schedule.grid.layer_grid())
-    return _run_pd(machine, "lu", schedule, desc, [(name, desc)], out_name,
-                   native, v_run=v_run, impl=impl, params=params, plan=plan)
+    return _pd(machine, "lu", impl, plan, {"v": v, "c": c, "nb": nb},
+               [(name, desc)], out_name or name + ":lu")
 
 
 def pdpotrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
@@ -423,32 +411,8 @@ def pdpotrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
     overriding ``v``/``c``/``nb``).  ``plan=`` runs a caller-supplied
     plan without re-planning.
     """
-    out_name = out_name or name + ":chol"
-    resolved = _resolve_plan(machine, "cholesky", desc.n, impl, plan)
-    if resolved is not None:
-        impl, chosen, plan = resolved
-        if impl == "confchox":
-            v, c = chosen["v"], chosen["c"]
-        else:
-            v, nb, c = None, chosen["nb"], 1
-    if impl == "confchox":
-        v = 16 if v is None else v
-        schedule = ConfchoxSchedule(desc.n, machine.nranks, v=v, c=c)
-        v_run, params = schedule.v, {"v": schedule.v, "c": c}
-    elif impl == "scalapack":
-        if c != 1:
-            raise ValueError("the 2D baseline has no replication (c must "
-                             "be 1)")
-        nb = _panel_width(nb, v)
-        schedule = ScalapackCholeskySchedule(desc.n, machine.nranks, nb=nb)
-        v_run, params = schedule.nb, {"nb": schedule.nb}
-    else:
-        raise ValueError(f"unknown impl {impl!r}; have confchox, scalapack, "
-                         "auto")
-    native = _square_layout(desc, v_run, schedule.grid.layer_grid())
-    return _run_pd(machine, "cholesky", schedule, desc, [(name, desc)],
-                   out_name, native, v_run=v_run, impl=impl, params=params,
-                   plan=plan)
+    return _pd(machine, "cholesky", impl, plan, {"v": v, "c": c, "nb": nb},
+               [(name, desc)], out_name or name + ":chol")
 
 
 def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
@@ -469,30 +433,14 @@ def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
     and replication under the machine's memory budget); ``plan=`` runs
     a caller-supplied plan without re-planning.
     """
-    out_name = out_name or a_name + ":gemm"
     if desc_a.m != desc_a.n or desc_b.m != desc_b.n:
         raise ValueError("need square operands")
     if desc_a.n != desc_b.n:
         raise ValueError(
             f"operand sizes differ: {desc_a.n} vs {desc_b.n}")
-    resolved = _resolve_plan(machine, "gemm", desc_a.n, impl, plan)
-    if resolved is not None:
-        impl, chosen, plan = resolved
-        s, c = chosen["s"], chosen["c"]
-    elif impl != "25d":
-        raise ValueError(f"unknown impl {impl!r}; have 25d, auto")
-    schedule = Matmul25DSchedule(desc_a.n, machine.nranks, s=s, c=c)
-    n = desc_a.n
-    pr, pc = schedule.grid.rows, schedule.grid.cols
-    if n % pr or n % pc:
-        raise ValueError(
-            f"distributed SUMMA needs the grid {pr}x{pc} to divide N={n}")
-    layer_grid = schedule.grid.layer_grid()
-    native = BlockCyclicLayout(n, n, n // pr, n // pc, layer_grid)
-    return _run_pd(machine, "gemm", schedule, desc_a,
-                   [(a_name, desc_a), (b_name, desc_b)], out_name, native,
-                   v_run=schedule.s, impl=impl,
-                   params={"s": schedule.s, "c": c}, plan=plan)
+    return _pd(machine, "gemm", impl, plan, {"s": s, "c": c},
+               [(a_name, desc_a), (b_name, desc_b)],
+               out_name or a_name + ":gemm")
 
 
 def _as_factorization(result: PDResult, name: str) -> FactorizationResult:
@@ -515,7 +463,7 @@ def pdgetrs(result: PDResult, b: np.ndarray) -> SolveResult:
 
 def pdpotrs(result: PDResult, b: np.ndarray) -> SolveResult:
     """Solve ``A x = b`` from a :func:`pdpotrf` result."""
-    return cholesky_solve(_as_factorization(result, "pdpotrs"), b)
+    return cholesky_solve(_as_factorization(result, "pdpotrf"), b)
 
 
 # ----------------------------------------------------------------------
@@ -605,16 +553,12 @@ def run_workload(machine: Machine,
     for idx, node in enumerate(request.nodes):
         last_use.setdefault(node.name, idx)
 
-    live: dict[tuple[str, tuple], tuple[str, BlockCyclicLayout]] = {}
+    live: dict[tuple[str, BlockCyclicLayout], str] = {}
     descs: dict[str, ScaLAPACKDescriptor] = dict(inputs)
     store_names: dict[str, str] = {}
     results: dict[str, PDResult] = {}
     reused: list[tuple[str, str]] = []
     resh_total = 0.0
-
-    def _sig(layout: BlockCyclicLayout) -> tuple:
-        return (layout.m, layout.n, layout.mb, layout.nb,
-                layout.grid.rows, layout.grid.cols)
 
     tel = obs.default_telemetry()
     reg = tel.metrics
@@ -622,19 +566,18 @@ def run_workload(machine: Machine,
                   nodes=len(request.nodes)) as wsp:
         for idx, (node, cfg) in enumerate(zip(request.nodes,
                                               plan.chosen.configs)):
-            schedule, v_run = config_schedule(node.op, node.n,
-                                              machine.nranks, cfg)
+            schedule, _ = config_schedule(node.op, node.n,
+                                          machine.nranks, cfg)
             native = native_layout(node.op, schedule)
-            sig = _sig(native)
             desc = descs[node.inputs[0]]
             _check_memory_feasible(machine, schedule,
-                                   api_copies=_GATE_API_COPIES[node.op])
+                                   api_copies=OPS[node.op].gate_copies)
             native_names: dict[str, str] = {}
             with tel.span("workload.node", cat="workload",
                           node=node.name, op=node.op):
                 for ref in node.inputs:
-                    if (ref, sig) in live:
-                        native_names[ref] = live[(ref, sig)][0]
+                    if (ref, native) in live:
+                        native_names[ref] = live[ref, native]
                         reused.append((node.name, ref))
                         reg.counter("workload.operands_adopted").inc()
                         continue
@@ -648,27 +591,25 @@ def run_workload(machine: Machine,
                     redistribute(machine, src_name, src, native,
                                  dst_name=key)
                     resh_total += machine.stats.total_recv_words - before
-                    live[(ref, sig)] = (key, native)
+                    live[ref, native] = key
                     native_names[ref] = key
                 out_store = out_names.get(node.name, node.name)
-                res = _run_pd(machine, node.op, schedule, desc,
+                res = _run_pd(machine, node.op, cfg.impl, schedule, native,
+                              desc,
                               [(ref, descs[ref]) for ref in node.inputs],
-                              out_store, native, v_run=v_run,
-                              impl=cfg.impl, params=dict(cfg.params),
-                              plan=cfg, native_names=native_names,
+                              out_store, cfg, native_names=native_names,
                               keep_native=True, preflight=False)
             resh_total += res.reshuffle_words
             results[node.name] = res
             descs[node.name] = desc
             store_names[node.name] = out_store
-            live[(node.name, sig)] = (out_store + ":native", native)
+            live[node.name, native] = out_store + ":native"
             # Retire everything whose last consumer just ran.
             for ref, last in last_use.items():
                 if last != idx:
                     continue
-                for ref_sig in [k for k in live if k[0] == ref]:
-                    key, layout = live.pop(ref_sig)
-                    _discard_native(machine, key, layout)
+                for held in [k for k in live if k[0] == ref]:
+                    _discard_native(machine, live.pop(held), held[1])
                 consumed = ref in producers and producers[ref] != last
                 if consumed and ref not in out_names:
                     _discard_native(machine, store_names[ref],

@@ -263,8 +263,8 @@ def _apply_delta(dst: CommStats, stats: CommStats,
     dst.flops += stats.flops - flops
 
 
-# Backwards-style convenience: how `execute=`-flagged wrappers pick a
-# backend.  Kept here so the wrapper classes stay one-liners.
+# How the `execute=`-flagged one-call functions (`conflux_lu`, ...) pick
+# a backend.
 def run_with(schedule: Schedule, execute: bool,
              a: np.ndarray | None = None,
              rng: np.random.Generator | None = None) -> "FactorizationResult":

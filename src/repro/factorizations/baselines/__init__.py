@@ -1,16 +1,13 @@
 """Comparison targets of the paper's evaluation (Section 9):
 MKL/ScaLAPACK 2D, SLATE 2D, CANDMC 2.5D (LU), CAPITAL 2.5D (Cholesky)."""
 
-from .candmc import CandmcLU, candmc_lu
-from .capital import CapitalCholesky, capital_cholesky
-from .scalapack_chol import ScalapackCholesky, scalapack_cholesky
-from .scalapack_lu import ScalapackLU, scalapack_lu
-from .slate import SlateCholesky, SlateLU, slate_cholesky, slate_lu
+from .candmc import candmc_lu
+from .capital import capital_cholesky
+from .scalapack_chol import scalapack_cholesky, slate_cholesky
+from .scalapack_lu import scalapack_lu, slate_lu
 
 __all__ = [
-    "ScalapackLU", "scalapack_lu",
-    "ScalapackCholesky", "scalapack_cholesky",
-    "SlateLU", "slate_lu", "SlateCholesky", "slate_cholesky",
-    "CandmcLU", "candmc_lu",
-    "CapitalCholesky", "capital_cholesky",
+    "scalapack_lu", "scalapack_cholesky",
+    "slate_lu", "slate_cholesky",
+    "candmc_lu", "capital_cholesky",
 ]

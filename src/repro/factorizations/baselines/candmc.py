@@ -19,52 +19,51 @@ schedule's five panel-sized movements per step, each costing
    granularity (CANDMC reduces eagerly per panel rather than deferring
    to pivot time).
 
-This implementation is a *model-faithful schedule trace*: it walks the
-block schedule performing exact per-step, per-rank accounting of those
-five movements (plus tournament pivoting and flops), which sums to the
-published model.  Numeric execution is intentionally not provided — the
-paper, too, compares against CANDMC's published cost model rather than
-instrumenting its internals (DESIGN.md, Substitutions).
+This implementation is a *model-faithful schedule trace*: a
+:class:`~repro.engine.schedule.Schedule` with a trace view only, whose
+cost terms charge those five movements (plus tournament pivoting and
+flops) per step and per rank, which sums to the published model.
+Numeric execution is intentionally not provided — the paper, too,
+compares against CANDMC's published cost model rather than
+instrumenting its internals (ARCHITECTURE.md, "Substitutions").
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any
 
+import numpy as np
+
+from ...engine.accounting import StepAccounting
+from ...engine.schedule import Schedule
 from ...kernels import flops
-from ...machine.grid import (
-    choose_grid_25d,
-    replication_factor,
-    sorted_divisors,
+from ...machine.grid import sorted_divisors
+from ..common import (
+    FactorizationResult,
+    resolve_25d,
+    run_impl,
+    validate_problem,
 )
-from ...machine.stats import CommStats
-from ..common import FactorizationResult, RankAccountant, validate_problem
 from .. import pivoting
 
-__all__ = ["CandmcLU", "candmc_lu"]
+__all__ = ["CandmcSchedule", "PanelModelSchedule", "candmc_lu"]
 
 
-class CandmcLU:
-    """Nested 2.5D LU with full row swapping (trace mode only)."""
-
-    name = "candmc"
+class PanelModelSchedule(Schedule):
+    """A published 2.5D cost model flattened to an iterative ``b``-wide
+    panel schedule: the parameters and step structure CANDMC and
+    CAPITAL share.  Cost-model level only — there is no dense or
+    distributed view."""
 
     def __init__(self, n: int, nranks: int, b: int | None = None,
                  c: int | None = None,
                  mem_words: float | None = None) -> None:
-        if mem_words is None and c is None:
-            c = max(1, int(round(nranks ** (1.0 / 3.0))))
-            while nranks % c != 0:
-                c -= 1
-        if c is None:
-            c = replication_factor(nranks, n, mem_words)
-        grid = choose_grid_25d(nranks, n, mem_words or c * n * n / nranks, c=c)
-        if mem_words is None:
-            mem_words = c * float(n) * n / nranks
+        c, mem_words, grid = resolve_25d(n, nranks, c, mem_words)
         if b is None:
-            # CANDMC's provided default: panel width ~ N / sqrt(P/c)
-            # (N^2/(P sqrt(M)) in the authors' notation), snapped to a
-            # divisor of N.
+            # The authors' provided default: panel width ~ N / sqrt(P/c)
+            # (N^2/(P sqrt(M)) in their notation), snapped to a divisor
+            # of N.
             target = max(1, int(n / math.sqrt(nranks / c)))
             b = min(sorted_divisors(n), key=lambda d: abs(d - target))
         validate_problem(n, b, nranks)
@@ -73,49 +72,65 @@ class CandmcLU:
         self.b = b
         self.c = c
         self.grid = grid
-        self.mem_words = float(mem_words)
-        self.stats = CommStats(nranks)
-        self.acct = RankAccountant(grid, self.stats)
+        self.mem_words = mem_words
 
-    def run(self) -> FactorizationResult:
-        n, b, c = self.n, self.b, self.c
-        steps = n // b
-        p = self.nranks
-        scp = math.sqrt(c * p)
-        for t in range(steps):
-            nrem = n - t * b
-            n11 = nrem - b
-            self.stats.begin_step(f"t={t}")
-            acct = self.acct
-            # Five panel-sized movements, each 2*(nrem * b)/sqrt(cP) per
-            # rank (every movement spans both the column- and row-panel
-            # extents of the step under the nested replication): L bcast,
-            # U bcast, swap out, swap in, eager Schur reduction.  Summed
-            # over steps: 5 * N^2/sqrt(cP) = 5 N^3/(P sqrt(M)).
-            per_panel = 2.0 * nrem * b / scp
-            acct.add_recv(per_panel, msgs=1.0)                 # L panel
-            acct.add_recv(per_panel * (n11 > 0), msgs=1.0)     # U panel
-            acct.add_recv(per_panel * (n11 > 0), msgs=1.0)     # swap out
-            acct.add_recv(per_panel * (n11 > 0), msgs=1.0)     # swap in
-            acct.add_recv(per_panel * (n11 > 0) * (c - 1.0) / max(c, 1),
-                          msgs=1.0)                            # reduction
-            acct.add_sent(per_panel * (4.0 + (c - 1.0) / max(c, 1)),
-                          msgs=5.0)
-            # Tournament pivoting across the panel's processor column.
-            rounds = pivoting.tournament_rounds(self.grid.rows)
-            on_piv = (self.acct.pj == t % self.grid.cols).astype(float) * \
-                (self.acct.pk == t % c)
-            acct.add_recv(on_piv * b * b * rounds, msgs=rounds)
-            # Flops: panel LU + trsm shares + trailing update share.
-            acct.add_flops(on_piv * flops.getrf_flops(nrem / self.grid.rows, b))
-            acct.add_flops(2.0 * nrem * n11 * b / p + 2.0 * flops.trsm_flops(
-                b, n11 / p))
-            self.stats.end_step()
-        params = {"b": b, "c": c,
-                  "grid": (self.grid.rows, self.grid.cols, c),
-                  "mem_words": self.mem_words}
-        return FactorizationResult(self.name, n, p, self.mem_words,
-                                   self.stats, params)
+    def steps(self) -> int:
+        return self.n // self.b
+
+    def params(self) -> dict[str, Any]:
+        return {"b": self.b, "c": self.c,
+                "grid": (self.grid.rows, self.grid.cols, self.c),
+                "mem_words": self.mem_words}
+
+    def _extents(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step ``(nrem, n11)``: rows left including the panel, and
+        the trailing extent — the quadratic flop profiles' inputs."""
+        nrem = self.n - self.b * np.arange(self.steps(), dtype=np.float64)
+        return nrem, nrem - self.b
+
+    def dense_init(self, *_: Any) -> Any:
+        raise NotImplementedError(
+            f"{self.name.upper()} is reproduced as a model-faithful "
+            "trace; the paper compares against its published cost model "
+            "(Table 2)")
+
+    # No dense state can exist, so the other dense hooks are the same
+    # refusal.
+    dense_step = dense_finalize = dense_init
+
+
+class CandmcSchedule(PanelModelSchedule):
+    """Nested 2.5D LU with full row swapping (trace view only)."""
+
+    name = "candmc"
+
+    def accounting(self, acct: StepAccounting) -> None:
+        n, b, c, p = self.n, self.b, self.c, self.nranks
+        rows = self.grid.rows
+        nrem = acct.affine(n, -b)
+        trailing = acct.affine(n, -b, hi=self.steps() - 1)  # while n11 > 0
+        # Five panel-sized movements, each 2*(nrem * b)/sqrt(cP) per
+        # rank (every movement spans both the column- and row-panel
+        # extents of the step under the nested replication).  Summed
+        # over steps: 5 * N^2/sqrt(cP) = 5 N^3/(P sqrt(M)).
+        panel = 2.0 * b / math.sqrt(c * p)
+        acct.add_recv(panel, step=nrem)                       # L panel
+        acct.add_recv(panel, step=trailing)                   # U panel
+        acct.add_recv(panel, step=trailing)                   # swap out
+        acct.add_recv(panel, step=trailing)                   # swap in
+        acct.add_recv(panel * (c - 1.0) / c, step=trailing)   # reduction
+        acct.add_sent(panel * (4.0 + (c - 1.0) / c), step=nrem, msgs=5.0)
+        # Tournament pivoting across the panel's processor column.
+        on_piv = ("j", "k")
+        rounds = pivoting.tournament_rounds(rows)
+        acct.add_recv(float(b * b * rounds), gate=on_piv, msgs=rounds)
+        # Flops: panel LU + trsm shares + trailing update share.
+        nrem_t, n11_t = self._extents()
+        acct.add_flops(1.0, gate=on_piv, step=acct.column(
+            flops.getrf_flops(nrem_t / rows, b)))
+        acct.add_flops(1.0, step=acct.column(
+            2.0 * nrem_t * n11_t * b / p
+            + 2.0 * flops.trsm_flops(b, n11_t / p)))
 
 
 def candmc_lu(n: int, nranks: int, b: int | None = None, c: int | None = None,
@@ -123,8 +138,5 @@ def candmc_lu(n: int, nranks: int, b: int | None = None, c: int | None = None,
               execute: bool = False) -> FactorizationResult:
     """One-call CANDMC 2.5D LU trace.  ``execute=True`` is rejected —
     CANDMC is reproduced at the cost-model level (see module docstring)."""
-    if execute:
-        raise NotImplementedError(
-            "CANDMC is reproduced as a model-faithful trace; the paper "
-            "compares against its published cost model (Table 2)")
-    return CandmcLU(n, nranks, b=b, c=c, mem_words=mem_words).run()
+    return run_impl("lu", "candmc", n, nranks, execute, b=b, c=c,
+                    mem_words=mem_words)

@@ -17,8 +17,9 @@ trace, dense *and* distributed views; the distributed view keeps only
 the lower tiles (``bi >= bj``) resident — the schedule never reads the
 strictly-upper half — and fans each factored panel tile out along both
 its grid row (left ``syrk`` factor) and its grid column (transposed
-right factor) through counted broadcasts.  :class:`ScalapackCholesky`
-is the wrapper (SLATE's flavour subclasses it with a different label).
+right factor) through counted broadcasts.  SLATE's tile Cholesky has
+the same volume structure and differs only in its label (a row of
+:mod:`repro.factorizations.registry`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Any
 import numpy as np
 
 from ...engine.accounting import StepAccounting
-from ...engine.backends import run_with
 from ...engine.distops import bcast_copy
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
@@ -40,10 +40,15 @@ from ...layouts.block_cyclic import (
 )
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
-from ..common import FactorizationResult, validate_problem
+from ..common import (
+    FactorizationResult,
+    default_input,
+    run_impl,
+    validate_problem,
+)
 
-__all__ = ["ScalapackCholesky", "ScalapackCholeskySchedule",
-           "scalapack_cholesky"]
+__all__ = ["ScalapackCholeskySchedule", "scalapack_cholesky",
+           "slate_cholesky"]
 
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
@@ -141,17 +146,7 @@ class ScalapackCholeskySchedule(Schedule):
     # ------------------------------------------------------------------
     def dense_init(self, a: np.ndarray | None,
                    rng: np.random.Generator | None) -> np.ndarray:
-        n = self.n
-        if a is None:
-            rng = rng or np.random.default_rng(0)
-            g = rng.standard_normal((n, n))
-            a = g @ g.T + n * np.eye(n)
-        work = np.asarray(a, dtype=np.float64).copy()
-        if work.shape != (n, n):
-            raise ValueError(f"matrix shape {work.shape} != ({n},{n})")
-        if not np.allclose(work, work.T, atol=1e-10):
-            raise ValueError("input must be symmetric")
-        return work
+        return default_input(self.n, a, rng, spd=True).copy()
 
     def dense_step(self, work: np.ndarray, k: int) -> None:
         n, nb = self.n, self.nb
@@ -179,15 +174,7 @@ class ScalapackCholeskySchedule(Schedule):
         n, nb = self.n, self.nb
         lay = BlockCyclicLayout(n, n, nb, nb, self.grid.layer_grid())
         if in_name is None:
-            if a is None:
-                rng = rng or np.random.default_rng(0)
-                g = rng.standard_normal((n, n))
-                a = g @ g.T + n * np.eye(n)
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != (n, n):
-                raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-            if not np.allclose(a, a.T, atol=1e-10):
-                raise ValueError("input must be symmetric")
+            a = default_input(n, a, rng, spd=True)
         for bi in range(lay.mblocks):
             for bj in range(bi + 1):
                 r = lay.owner_rank(bi, bj)
@@ -270,33 +257,19 @@ class ScalapackCholeskySchedule(Schedule):
         return {"lower": np.tril(out)}
 
 
-class ScalapackCholesky:
-    """2D block-cyclic Cholesky (MKL/ScaLAPACK flavour)."""
-
-    name = "mkl-chol"
-
-    def __init__(self, n: int, nranks: int, nb: int = 128,
-                 execute: bool = True,
-                 mem_words: float | None = None) -> None:
-        self.schedule = ScalapackCholeskySchedule(
-            n, nranks, nb=nb, mem_words=mem_words, name=type(self).name)
-        self.n = n
-        self.nranks = nranks
-        self.nb = nb
-        self.grid = self.schedule.grid
-        self.mem_words = self.schedule.mem_words
-        self.execute = execute
-
-    def run(self, a: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> FactorizationResult:
-        return run_with(self.schedule, self.execute, a=a, rng=rng)
-
-
 def scalapack_cholesky(n: int, nranks: int, nb: int = 128,
                        execute: bool = True, a: np.ndarray | None = None,
                        rng: np.random.Generator | None = None,
                        mem_words: float | None = None) -> FactorizationResult:
     """One-call 2D ScaLAPACK/MKL-style Cholesky."""
-    algo = ScalapackCholesky(n, nranks, nb=nb, execute=execute,
-                             mem_words=mem_words)
-    return algo.run(a=a, rng=rng)
+    return run_impl("cholesky", "mkl-chol", n, nranks, execute, a=a,
+                    rng=rng, nb=nb, mem_words=mem_words)
+
+
+def slate_cholesky(n: int, nranks: int, nb: int = 128, execute: bool = True,
+                   a: np.ndarray | None = None,
+                   rng: np.random.Generator | None = None,
+                   mem_words: float | None = None) -> FactorizationResult:
+    """One-call SLATE-style 2D Cholesky."""
+    return run_impl("cholesky", "slate-chol", n, nranks, execute, a=a,
+                    rng=rng, nb=nb, mem_words=mem_words)

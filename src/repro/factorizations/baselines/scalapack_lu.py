@@ -19,8 +19,12 @@ model for MKL/SLATE, asymptotically worse than 2.5D in ``P``.
 MKL's implementation rebroadcasts the current panel during its column-
 by-column factorization (the behaviour the paper's measurements pick up
 as a slight disadvantage against SLATE); the ``panel_rebroadcast`` knob
-models it and is on for the MKL flavour, off for SLATE's tile algorithm
-(see :mod:`repro.factorizations.baselines.slate`).
+models it and is on for the MKL flavour, off for SLATE's tile-centric
+task formulation (Gates et al., SC19), which broadcasts panels once as
+tiles — the paper observes SLATE's volume is "mostly equal [to MKL's],
+with a slight advantage for SLATE", which is exactly what dropping the
+rebroadcast produces.  The flavours are rows of the implementation
+table (:mod:`repro.factorizations.registry`).
 
 Implemented as an engine :class:`~repro.engine.schedule.Schedule` with
 trace, dense *and* distributed views — the distributed view runs the
@@ -28,8 +32,7 @@ same right-looking loop with every tile resident only in its
 block-cyclic owner's store: the panel is factored column by column with
 counted MAXLOC pivot-search allreduces, pivot rows are exchanged across
 the whole matrix (``laswp``), and the L/U panels broadcast along grid
-rows/columns before the local trailing update.  :class:`ScalapackLU` is
-the ``execute=``-style wrapper the harness and the SLATE subclass use.
+rows/columns before the local trailing update.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from typing import Any
 import numpy as np
 
 from ...engine.accounting import StepAccounting
-from ...engine.backends import run_with
 from ...engine.distops import bcast_copy, maxloc_allreduce, swap_rows_2d
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
@@ -51,9 +53,14 @@ from ...layouts.block_cyclic import (
 )
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
-from ..common import FactorizationResult, validate_problem
+from ..common import (
+    FactorizationResult,
+    default_input,
+    run_impl,
+    validate_problem,
+)
 
-__all__ = ["ScalapackLU", "ScalapackLUSchedule", "scalapack_lu"]
+__all__ = ["ScalapackLUSchedule", "scalapack_lu", "slate_lu"]
 
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
@@ -203,14 +210,7 @@ class ScalapackLUSchedule(Schedule):
     # ------------------------------------------------------------------
     def dense_init(self, a: np.ndarray | None,
                    rng: np.random.Generator | None) -> _DenseState:
-        n = self.n
-        if a is None:
-            rng = rng or np.random.default_rng(0)
-            a = rng.standard_normal((n, n)) + n * np.eye(n)
-        work = np.asarray(a, dtype=np.float64).copy()
-        if work.shape != (n, n):
-            raise ValueError(f"matrix shape {work.shape} != ({n},{n})")
-        return _DenseState(work, n)
+        return _DenseState(default_input(self.n, a, rng).copy(), self.n)
 
     def dense_step(self, state: _DenseState, k: int) -> None:
         n, nb = self.n, self.nb
@@ -264,13 +264,7 @@ class ScalapackLUSchedule(Schedule):
                     machine.store(r).put(block_key(WORK, bi, bj),
                                          np.array(tile, dtype=np.float64))
         else:
-            if a is None:
-                rng = rng or np.random.default_rng(0)
-                a = rng.standard_normal((n, n)) + n * np.eye(n)
-            a = np.asarray(a, dtype=np.float64)
-            if a.shape != (n, n):
-                raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-            lay.scatter_from(machine, WORK, a)
+            lay.scatter_from(machine, WORK, default_input(n, a, rng))
         return _DistState(lay, n)
 
     def dist_step(self, machine: Machine, st: _DistState, k: int) -> None:
@@ -396,37 +390,21 @@ class ScalapackLUSchedule(Schedule):
                 "upper": np.triu(packed), "perm": perm}
 
 
-class ScalapackLU:
-    """2D block-cyclic partial-pivoting LU (MKL/ScaLAPACK flavour)."""
-
-    name = "mkl"
-
-    def __init__(self, n: int, nranks: int, nb: int = 128,
-                 execute: bool = True, panel_rebroadcast: bool = True,
-                 mem_words: float | None = None) -> None:
-        self.schedule = ScalapackLUSchedule(
-            n, nranks, nb=nb, panel_rebroadcast=panel_rebroadcast,
-            mem_words=mem_words, name=type(self).name)
-        self.n = n
-        self.nranks = nranks
-        self.nb = nb
-        self.grid = self.schedule.grid
-        self.panel_rebroadcast = panel_rebroadcast
-        self.mem_words = self.schedule.mem_words
-        self.execute = execute
-
-    def run(self, a: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> FactorizationResult:
-        return run_with(self.schedule, self.execute, a=a, rng=rng)
-
-
 def scalapack_lu(n: int, nranks: int, nb: int = 128, execute: bool = True,
                  a: np.ndarray | None = None,
                  rng: np.random.Generator | None = None,
                  panel_rebroadcast: bool = True,
                  mem_words: float | None = None) -> FactorizationResult:
-    """One-call 2D ScaLAPACK/MKL-style LU. See :class:`ScalapackLU`."""
-    algo = ScalapackLU(n, nranks, nb=nb, execute=execute,
-                       panel_rebroadcast=panel_rebroadcast,
-                       mem_words=mem_words)
-    return algo.run(a=a, rng=rng)
+    """One-call 2D ScaLAPACK/MKL-style LU."""
+    return run_impl("lu", "mkl", n, nranks, execute, a=a, rng=rng, nb=nb,
+                    panel_rebroadcast=panel_rebroadcast,
+                    mem_words=mem_words)
+
+
+def slate_lu(n: int, nranks: int, nb: int = 128, execute: bool = True,
+             a: np.ndarray | None = None,
+             rng: np.random.Generator | None = None,
+             mem_words: float | None = None) -> FactorizationResult:
+    """One-call SLATE-style 2D LU."""
+    return run_impl("lu", "slate", n, nranks, execute, a=a, rng=rng,
+                    nb=nb, mem_words=mem_words)

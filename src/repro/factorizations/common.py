@@ -1,13 +1,12 @@
-"""Shared result/accounting types of the factorization schedules.
+"""Shared result type, parameter policies and input defaults of the
+factorization schedules.
 
 Every algorithm is an engine schedule (see ``ARCHITECTURE.md``) whose
 trace, dense, and distributed runs all produce a
 :class:`FactorizationResult`: per-rank counters plus (outside trace
-mode) verifiable factors.  :class:`RankAccountant` is the rank-
-vectorized accounting helper the remaining per-step model baselines
-(CANDMC, CAPITAL) use; the ported schedules account through the
-step-vectorized :class:`~repro.engine.accounting.StepAccounting`
-instead.
+mode) verifiable factors.  :func:`resolve_25d` is the one statement of
+the 2.5D default policy, :func:`default_input` the one default-matrix
+generator, and :func:`run_impl` the body of every one-call function.
 """
 
 from __future__ import annotations
@@ -17,10 +16,16 @@ from typing import Any
 
 import numpy as np
 
-from ..machine.grid import ProcessorGrid2D, ProcessorGrid3D
+from ..engine.backends import run_with
+from ..machine.grid import (
+    ProcessorGrid3D,
+    choose_grid_25d,
+    replication_factor,
+)
 from ..machine.stats import CommStats, StepLog
 
-__all__ = ["FactorizationResult", "RankAccountant", "validate_problem"]
+__all__ = ["FactorizationResult", "validate_problem", "resolve_25d",
+           "default_input", "run_impl"]
 
 
 def validate_problem(n: int, v: int, nranks: int) -> None:
@@ -29,6 +34,51 @@ def validate_problem(n: int, v: int, nranks: int) -> None:
         raise ValueError(f"need positive N={n}, v={v}, P={nranks}")
     if n % v != 0:
         raise ValueError(f"tile size v={v} must divide N={n}")
+
+
+def resolve_25d(n: int, nranks: int, c: int | None,
+                mem_words: float | None,
+                grid: ProcessorGrid3D | None = None,
+                copies: int = 1) -> tuple[int, float, ProcessorGrid3D]:
+    """The 2.5D default policy, shared by every replicated schedule.
+
+    Returns ``(c, mem_words, grid)``: ``c ~ P^(1/3)`` (clamped to a
+    divisor of ``P``) when nothing is given, else the depth the budget
+    allows; the as-square-as-possible ``[Pr, Pc, c]`` grid; and
+    ``M = copies * c N^2 / P`` for one replica of each of the
+    schedule's ``copies`` operands per layer (1 for the factorizations,
+    3 for the matmul's A/B/C).
+    """
+    if mem_words is None and c is None:
+        c = max(1, int(round(nranks ** (1.0 / 3.0))))
+        while nranks % c != 0:
+            c -= 1
+    if c is None:
+        c = replication_factor(nranks, n, mem_words)
+    if mem_words is None:
+        mem_words = copies * c * float(n) * n / nranks
+    if grid is None:
+        grid = choose_grid_25d(nranks, n, mem_words, c=c)
+    if grid.layers != c or grid.size != nranks:
+        raise ValueError(f"grid {grid} inconsistent with P={nranks}, c={c}")
+    return c, float(mem_words), grid
+
+
+def default_input(n: int, a: np.ndarray | None,
+                  rng: np.random.Generator | None,
+                  spd: bool = False) -> np.ndarray:
+    """The matrix to factor: ``a`` validated (float64, ``N x N``,
+    symmetric when ``spd``), or a random well-conditioned default."""
+    if a is None:
+        rng = rng or np.random.default_rng(0)
+        g = rng.standard_normal((n, n))
+        a = (g @ g.T if spd else g) + n * np.eye(n)
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (n, n):
+        raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
+    if spd and not np.allclose(a, a.T, atol=1e-10):
+        raise ValueError("input must be symmetric")
+    return a
 
 
 @dataclasses.dataclass
@@ -81,79 +131,16 @@ class FactorizationResult:
         return self.lower @ self.lower.T
 
 
-class RankAccountant:
-    """Vectorized per-rank accounting over a 3D (or degenerate 2D) grid.
+def run_impl(op: str, label: str, n: int, nranks: int, execute: bool,
+             a: np.ndarray | tuple | None = None,
+             rng: np.random.Generator | None = None,
+             **params: Any) -> FactorizationResult:
+    """Build ``(op, label)`` from the implementation table and trace
+    (``execute=False``) or densely execute it — what every one-call
+    function (``conflux_lu``, ``slate_lu`` ...) is."""
+    # Deferred: the table imports the schedule modules, which import
+    # this one.
+    from .registry import build
 
-    Provides coordinate index arrays aligned with
-    :meth:`~repro.machine.grid.ProcessorGrid3D.rank` ordering so schedules
-    can express "every rank with grid row pi receives f(pi) words" as one
-    NumPy expression, then flush into a :class:`CommStats`.
-    """
-
-    def __init__(self, grid: ProcessorGrid3D | ProcessorGrid2D,
-                 stats: CommStats) -> None:
-        if isinstance(grid, ProcessorGrid2D):
-            grid = ProcessorGrid3D(grid.rows, grid.cols, 1)
-        self.grid = grid
-        self.stats = stats
-        if stats.nranks != grid.size:
-            raise ValueError(
-                f"stats tracks {stats.nranks} ranks, grid has {grid.size}")
-        pk, pi, pj = np.meshgrid(
-            np.arange(grid.layers), np.arange(grid.rows),
-            np.arange(grid.cols), indexing="ij")
-        # Flattening (pk, pi, pj) row-major matches ProcessorGrid3D.rank.
-        self.pi = pi.reshape(-1)
-        self.pj = pj.reshape(-1)
-        self.pk = pk.reshape(-1)
-        self.nranks = grid.size
-
-    # ------------------------------------------------------------------
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.nranks)
-
-    def tiles_owned(self, total_tiles: int, first: int, coord: np.ndarray,
-                    nprocs: int) -> np.ndarray:
-        """Per-rank count of cyclic tile indices in ``[first, total)``
-        owned by grid coordinate ``coord`` (vectorized
-        :func:`~repro.machine.grid.balanced_block_count`)."""
-        remaining = max(0, total_tiles - first)
-        offset = (coord - first) % nprocs
-        return np.maximum(0, (remaining - offset + nprocs - 1) // nprocs)
-
-    def add_recv(self, words: np.ndarray | float,
-                 msgs: np.ndarray | float = 1.0) -> None:
-        w = np.broadcast_to(np.asarray(words, float), (self.nranks,))
-        m = np.broadcast_to(np.asarray(msgs, float), (self.nranks,))
-        self.stats.add_recv_array(w.copy(), np.where(w > 0, m, 0.0))
-
-    def add_sent(self, words: np.ndarray | float,
-                 msgs: np.ndarray | float = 1.0) -> None:
-        w = np.broadcast_to(np.asarray(words, float), (self.nranks,))
-        m = np.broadcast_to(np.asarray(msgs, float), (self.nranks,))
-        self.stats.add_sent_array(w.copy(), np.where(w > 0, m, 0.0))
-
-    def add_flops(self, flops: np.ndarray | float) -> None:
-        f = np.broadcast_to(np.asarray(flops, float), (self.nranks,))
-        self.stats.add_flops_array(f.copy())
-
-    def pipelined_reduce_recv(self, share_words: np.ndarray | float,
-                              participate: np.ndarray | None = None) -> None:
-        """Accounting of the layered (fiber) reduction of Algorithm 1.
-
-        A pipelined reduction across the ``c`` layers moves each rank's
-        panel share once per hop: every participating rank except the
-        ones on the source layer receives its share.  With ``c`` layers
-        that is ``(c - 1)/c`` of the fiber, which we spread as
-        ``share * (c - 1) / c`` per participating rank — the convention
-        under which the per-step costs of Algorithm 1 hold exactly.
-        """
-        c = self.grid.layers
-        if c <= 1:
-            return
-        factor = (c - 1.0) / c
-        w = np.broadcast_to(np.asarray(share_words, float), (self.nranks,))
-        if participate is not None:
-            w = w * participate
-        self.stats.add_recv_array(w * factor, np.where(w > 0, 1.0, 0.0))
-        self.stats.add_sent_array(w * factor, np.where(w > 0, 1.0, 0.0))
+    return run_with(build(op, label, n, nranks, **params), execute,
+                    a=a, rng=rng)

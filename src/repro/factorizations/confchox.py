@@ -32,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from ..engine.accounting import StepAccounting
-from ..engine.backends import run_with
 from ..engine.distops import (
     distribute_rows_1d,
     layered_reduce,
@@ -44,10 +43,15 @@ from ..kernels import blas, flops
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D
-from .common import FactorizationResult
-from .conflux import A10, CR, FAN, PARTIAL, resolve_25d
+from .common import (
+    FactorizationResult,
+    default_input,
+    resolve_25d,
+    run_impl,
+)
+from .conflux import A10, CR, FAN, PARTIAL, resolve_tile
 
-__all__ = ["ConfchoxCholesky", "ConfchoxSchedule", "confchox_cholesky"]
+__all__ = ["ConfchoxSchedule", "confchox_cholesky"]
 
 #: Store name of a step's broadcast Cholesky factor (the other
 #: transients share COnfLUX's names).
@@ -72,10 +76,10 @@ class ConfchoxSchedule(Schedule):
     def __init__(self, n: int, nranks: int, v: int | None = None,
                  c: int | None = None, mem_words: float | None = None,
                  grid: ProcessorGrid3D | None = None) -> None:
-        v, c, mem_words, grid = resolve_25d(n, nranks, v, c, mem_words, grid)
+        c, mem_words, grid = resolve_25d(n, nranks, c, mem_words, grid)
         self.n = n
         self.nranks = nranks
-        self.v = v
+        self.v = resolve_tile(n, nranks, v, c)
         self.c = c
         self.mem_words = mem_words
         self.grid = grid
@@ -151,25 +155,10 @@ class ConfchoxSchedule(Schedule):
     # ------------------------------------------------------------------
     # Dense view
     # ------------------------------------------------------------------
-    def _input(self, a: np.ndarray | None,
-               rng: np.random.Generator | None) -> np.ndarray:
-        """The matrix to factor: ``a`` validated, or a random SPD
-        default."""
-        n = self.n
-        if a is None:
-            rng = rng or np.random.default_rng(0)
-            g = rng.standard_normal((n, n))
-            a = g @ g.T + n * np.eye(n)
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (n, n):
-            raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-        if not np.allclose(a, a.T, atol=1e-10):
-            raise ValueError("input must be symmetric")
-        return a
-
     def dense_init(self, a: np.ndarray | None,
                    rng: np.random.Generator | None) -> _DenseState:
-        return _DenseState(self._input(a, rng), self.n, self.c)
+        return _DenseState(default_input(self.n, a, rng, spd=True),
+                           self.n, self.c)
 
     def dense_step(self, state: _DenseState, t: int) -> None:
         n, v, c = self.n, self.v, self.c
@@ -210,7 +199,7 @@ class ConfchoxSchedule(Schedule):
         read by the schedule (symmetry), so it is not stored."""
         n, v = self.n, self.v
         if in_name is None:
-            a = self._input(a, rng)
+            a = default_input(n, a, rng, spd=True)
         return _DistState(n, local_panels(machine, self.grid, n // v, v,
                                           PARTIAL, a, in_name, lower=True))
 
@@ -285,35 +274,12 @@ class _DistState:
         self.lower = np.zeros((n, n))
 
 
-class ConfchoxCholesky:
-    """One COnfCHOX factorization problem instance (engine wrapper)."""
-
-    def __init__(self, n: int, nranks: int, v: int | None = None,
-                 c: int | None = None, mem_words: float | None = None,
-                 execute: bool = True,
-                 grid: ProcessorGrid3D | None = None) -> None:
-        self.schedule = ConfchoxSchedule(n, nranks, v=v, c=c,
-                                         mem_words=mem_words, grid=grid)
-        self.n = n
-        self.nranks = nranks
-        self.v = self.schedule.v
-        self.c = self.schedule.c
-        self.mem_words = self.schedule.mem_words
-        self.grid = self.schedule.grid
-        self.execute = execute
-
-    def run(self, a: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> FactorizationResult:
-        """Factor an SPD matrix (random well-conditioned one by default)."""
-        return run_with(self.schedule, self.execute, a=a, rng=rng)
-
-
 def confchox_cholesky(n: int, nranks: int, v: int | None = None,
                       c: int | None = None, mem_words: float | None = None,
                       execute: bool = True, a: np.ndarray | None = None,
                       rng: np.random.Generator | None = None,
                       ) -> FactorizationResult:
-    """One-call COnfCHOX. See :class:`ConfchoxCholesky`."""
-    algo = ConfchoxCholesky(n, nranks, v=v, c=c, mem_words=mem_words,
-                            execute=execute)
-    return algo.run(a=a, rng=rng)
+    """One-call COnfCHOX: factor an SPD matrix (a random well-conditioned
+    one by default), or trace with ``execute=False``."""
+    return run_impl("cholesky", "confchox", n, nranks, execute, a=a,
+                    rng=rng, v=v, c=c, mem_words=mem_words)

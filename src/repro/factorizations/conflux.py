@@ -29,7 +29,7 @@ executes the factorization on global NumPy arrays; the *distributed*
 view runs the same eleven sub-steps through counted
 :class:`~repro.machine.comm.Machine` collectives on per-rank tile
 stores, so received words come from actual data movement.
-:class:`ConfluxLU` is the stable ``execute=True/False`` entry point on
+:func:`conflux_lu` is the one-call ``execute=True/False`` entry point on
 top of the trace and dense backends.
 """
 
@@ -41,7 +41,6 @@ from typing import Any
 import numpy as np
 
 from ..engine.accounting import StepAccounting, butterfly_pair_exchanges
-from ..engine.backends import run_with
 from ..engine.distops import (
     assemble_cols_1d,
     distribute_rows_1d,
@@ -54,16 +53,17 @@ from ..engine.schedule import Schedule
 from ..kernels import blas, flops
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
-from ..machine.grid import (
-    ProcessorGrid3D,
-    choose_grid_25d,
-    replication_factor,
-    sorted_divisors,
+from ..machine.grid import ProcessorGrid3D, sorted_divisors
+from .common import (
+    FactorizationResult,
+    default_input,
+    resolve_25d,
+    run_impl,
+    validate_problem,
 )
-from .common import FactorizationResult, validate_problem
 from .pivoting import _candidate_rows
 
-__all__ = ["ConfluxLU", "ConfluxSchedule", "conflux_lu", "default_block_size"]
+__all__ = ["ConfluxSchedule", "conflux_lu", "default_block_size"]
 
 #: Store name of the per-layer partial-sum tiles (shared with COnfCHOX).
 PARTIAL = work_name("P")
@@ -101,37 +101,16 @@ def default_block_size(n: int, nranks: int, c: int, a: int = 4,
     return candidates[-1]
 
 
-def resolve_25d(n: int, nranks: int, v: int | None, c: int | None,
-                mem_words: float | None,
-                grid: ProcessorGrid3D | None,
-                ) -> tuple[int, int, float, ProcessorGrid3D]:
-    """Resolve the shared 2.5D parameter defaults of COnfLUX/COnfCHOX.
-
-    Returns ``(v, c, mem_words, grid)`` after applying the paper's
-    policies: ``c ~ P^(1/3)`` (clamped to a divisor of ``P``) when
-    nothing is given, ``M = c N^2 / P`` for one replica per layer, and
-    the tuned tile size of :func:`default_block_size`.
-    """
-    if mem_words is None and c is None:
-        c = max(1, int(round(nranks ** (1.0 / 3.0))))
-        while nranks % c != 0:
-            c -= 1
-    if c is None:
-        c = replication_factor(nranks, n, mem_words)
-    if grid is None:
-        grid = choose_grid_25d(nranks, n, mem_words or c * n * n / nranks,
-                               c=c)
-    if grid.layers != c or grid.size != nranks:
-        raise ValueError(f"grid {grid} inconsistent with P={nranks}, c={c}")
-    if mem_words is None:
-        # One replicated copy per layer: M = c N^2 / P.
-        mem_words = c * float(n) * n / nranks
+def resolve_tile(n: int, nranks: int, v: int | None, c: int) -> int:
+    """COnfLUX/COnfCHOX's tile size: the tuned
+    :func:`default_block_size` unless given, validated to divide ``N``
+    and to hold whole reduction planes (``c | v``)."""
     if v is None:
         v = default_block_size(n, nranks, c)
     validate_problem(n, v, nranks)
     if v % c != 0:
         raise ValueError(f"v={v} must be a multiple of c={c}")
-    return v, c, float(mem_words), grid
+    return v
 
 
 class _DenseState:
@@ -171,10 +150,10 @@ class ConfluxSchedule(Schedule):
     def __init__(self, n: int, nranks: int, v: int | None = None,
                  c: int | None = None, mem_words: float | None = None,
                  grid: ProcessorGrid3D | None = None) -> None:
-        v, c, mem_words, grid = resolve_25d(n, nranks, v, c, mem_words, grid)
+        c, mem_words, grid = resolve_25d(n, nranks, c, mem_words, grid)
         self.n = n
         self.nranks = nranks
-        self.v = v
+        self.v = resolve_tile(n, nranks, v, c)
         self.c = c
         self.mem_words = mem_words
         self.grid = grid
@@ -310,24 +289,11 @@ class ConfluxSchedule(Schedule):
     # ------------------------------------------------------------------
     # Dense view: global-view numerics
     # ------------------------------------------------------------------
-    def _input(self, a: np.ndarray | None,
-               rng: np.random.Generator | None) -> np.ndarray:
-        """The matrix to factor: ``a`` validated, or a random
-        well-conditioned default."""
-        n = self.n
-        if a is None:
-            rng = rng or np.random.default_rng(0)
-            a = rng.standard_normal((n, n)) + n * np.eye(n)
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (n, n):
-            raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
-        return a
-
     def dense_init(self, a: np.ndarray | None,
                    rng: np.random.Generator | None) -> _DenseState:
         # partials[k] = layer k's accumulated contribution; the current
         # Schur complement of any untouched entry is sum over layers.
-        return _DenseState(self._input(a, rng), self.n, self.c)
+        return _DenseState(default_input(self.n, a, rng), self.n, self.c)
 
     def dense_step(self, state: _DenseState, t: int) -> None:
         from .pivoting import tournament_pivot
@@ -404,7 +370,7 @@ class ConfluxSchedule(Schedule):
         """
         n, v = self.n, self.v
         if in_name is None:
-            a = self._input(a, rng)
+            a = default_input(n, a, rng)
         return _DistState(n, local_panels(machine, self.grid, n // v, v,
                                           PARTIAL, a, in_name))
 
@@ -557,44 +523,15 @@ class ConfluxSchedule(Schedule):
         return {"lower": st.lower[perm], "upper": st.upper, "perm": perm}
 
 
-class ConfluxLU:
-    """One COnfLUX factorization problem instance.
-
-    ``execute=True`` runs the dense backend (real factors, analytic
-    counters); ``execute=False`` runs the trace backend (counters only,
-    paper scale).  For message-passing execution build a
-    :class:`ConfluxSchedule` and hand it to
-    :class:`~repro.engine.backends.DistributedBackend`.
-    """
-
-    def __init__(self, n: int, nranks: int, v: int | None = None,
-                 c: int | None = None, mem_words: float | None = None,
-                 execute: bool = True,
-                 grid: ProcessorGrid3D | None = None) -> None:
-        self.schedule = ConfluxSchedule(n, nranks, v=v, c=c,
-                                        mem_words=mem_words, grid=grid)
-        self.n = n
-        self.nranks = nranks
-        self.v = self.schedule.v
-        self.c = self.schedule.c
-        self.mem_words = self.schedule.mem_words
-        self.grid = self.schedule.grid
-        self.execute = execute
-
-    def run(self, a: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> FactorizationResult:
-        """Factorize.  In execution mode ``a`` (or a random well-conditioned
-        matrix) is factorized; in trace mode ``a`` and ``rng`` must be
-        None."""
-        return run_with(self.schedule, self.execute, a=a, rng=rng)
-
-
 def conflux_lu(n: int, nranks: int, v: int | None = None,
                c: int | None = None, mem_words: float | None = None,
                execute: bool = True, a: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
-    """One-call COnfLUX: factorize (or trace) an ``n x n`` system on
-    ``nranks`` simulated processors.  See :class:`ConfluxLU`."""
-    algo = ConfluxLU(n, nranks, v=v, c=c, mem_words=mem_words,
-                     execute=execute)
-    return algo.run(a=a, rng=rng)
+    """One-call COnfLUX: factorize (``execute=True``: the dense backend,
+    real factors with analytic counters) or trace (``execute=False``:
+    counters only, paper scale; takes no ``a``/``rng``) an ``n x n``
+    system on ``nranks`` simulated processors.  For message-passing
+    execution hand a :class:`ConfluxSchedule` to
+    :class:`~repro.engine.backends.DistributedBackend`."""
+    return run_impl("lu", "conflux", n, nranks, execute, a=a, rng=rng,
+                    v=v, c=c, mem_words=mem_words)

@@ -34,14 +34,17 @@ from typing import Any
 import numpy as np
 
 from ..engine.accounting import StepAccounting
-from ..engine.backends import run_with
 from ..engine.schedule import Schedule
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
-from ..machine.grid import choose_grid_25d, replication_factor
-from .common import FactorizationResult, validate_problem
+from .common import (
+    FactorizationResult,
+    resolve_25d,
+    run_impl,
+    validate_problem,
+)
 
-__all__ = ["Matmul25D", "Matmul25DSchedule", "matmul_25d"]
+__all__ = ["Matmul25DSchedule", "matmul_25d"]
 
 #: Store names of the per-layer operand copies and the partial product
 #: (not the caller's operands).
@@ -69,17 +72,8 @@ class Matmul25DSchedule(Schedule):
     def __init__(self, n: int, nranks: int, s: int | None = None,
                  c: int | None = None,
                  mem_words: float | None = None) -> None:
-        if mem_words is None and c is None:
-            c = max(1, int(round(nranks ** (1.0 / 3.0))))
-            while nranks % c != 0:
-                c -= 1
-        if c is None:
-            c = replication_factor(nranks, n, mem_words)
-        grid = choose_grid_25d(nranks, n,
-                               mem_words or 3 * c * n * n / nranks, c=c)
-        if mem_words is None:
-            # Three operands, one layer copy each.
-            mem_words = 3.0 * c * n * n / nranks
+        # Three operands, one layer copy each.
+        c, mem_words, grid = resolve_25d(n, nranks, c, mem_words, copies=3)
         if s is None:
             s = max(c, 32)
             while n % s != 0 and s > c:
@@ -95,7 +89,7 @@ class Matmul25DSchedule(Schedule):
         self.s = s
         self.c = c
         self.grid = grid
-        self.mem_words = float(mem_words)
+        self.mem_words = mem_words
         self.rounds = (n // c) // s          # SUMMA rounds per layer
 
     def steps(self) -> int:
@@ -328,36 +322,14 @@ class Matmul25DSchedule(Schedule):
         return {"lower": out, "upper": np.eye(n)}
 
 
-class Matmul25D:
-    """Square 2.5D SUMMA with dual execution/trace accounting."""
-
-    def __init__(self, n: int, nranks: int, s: int | None = None,
-                 c: int | None = None, mem_words: float | None = None,
-                 execute: bool = True) -> None:
-        self.schedule = Matmul25DSchedule(n, nranks, s=s, c=c,
-                                          mem_words=mem_words)
-        self.n = n
-        self.nranks = nranks
-        self.s = self.schedule.s
-        self.c = self.schedule.c
-        self.grid = self.schedule.grid
-        self.mem_words = self.schedule.mem_words
-        self.execute = execute
-
-    def run(self, a: np.ndarray | None = None, b: np.ndarray | None = None,
-            rng: np.random.Generator | None = None) -> FactorizationResult:
-        if not self.execute and (a is not None or b is not None):
-            raise ValueError("trace mode takes no operands")
-        operands = (a, b) if b is not None else a
-        return run_with(self.schedule, self.execute, a=operands, rng=rng)
-
-
 def matmul_25d(n: int, nranks: int, s: int | None = None,
                c: int | None = None, mem_words: float | None = None,
                execute: bool = True, a: np.ndarray | None = None,
                b: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
     """One-call 2.5D matmul; the product is in ``result.lower``."""
-    algo = Matmul25D(n, nranks, s=s, c=c, mem_words=mem_words,
-                     execute=execute)
-    return algo.run(a=a, b=b, rng=rng)
+    if not execute and (a is not None or b is not None):
+        raise ValueError("trace mode takes no operands")
+    return run_impl("gemm", "25d", n, nranks, execute,
+                    a=(a, b) if b is not None else a, rng=rng,
+                    s=s, c=c, mem_words=mem_words)

@@ -1,7 +1,7 @@
 """Simulated distributed-memory machine.
 
 This package is the substrate standing in for the paper's Piz Daint + MPI
-testbed (see DESIGN.md, "Substitutions"): ``P`` ranks with private
+testbed (see ARCHITECTURE.md, "Substitutions"): ``P`` ranks with private
 memories, explicit counted communication, and an alpha-beta-gamma time
 model calibrated to XC40 node parameters.
 """

@@ -17,9 +17,9 @@ of peak once ``N^2 / P > 2^27`` and a latency-dominated collapse below
 that, which a surface-to-volume half-saturation constant reproduces.
 
 This model is a *substitution* for the paper's wall-clock measurements
-(documented in DESIGN.md); relative orderings and scaling shapes — who
-wins, where the latency-bound corner starts — are what it preserves, not
-absolute seconds.
+(documented in ARCHITECTURE.md, "Substitutions"); relative orderings and
+scaling shapes — who wins, where the latency-bound corner starts — are
+what it preserves, not absolute seconds.
 """
 
 from __future__ import annotations

@@ -174,13 +174,13 @@ def _lu_2d_full_model(n: int, p: int, nb: int, rebroadcast: bool) -> float:
 
 
 def mkl_lu_full_model(n: int, p: int, nb: int = 128) -> float:
-    """Closed form of the :class:`ScalapackLU` schedule (max-rank volume
+    """Closed form of the ``mkl`` LU schedule (max-rank volume
     approximated by the rotating-panel average; exact to O(1/steps))."""
     return _lu_2d_full_model(n, p, nb, rebroadcast=True)
 
 
 def slate_lu_full_model(n: int, p: int, nb: int = 128) -> float:
-    """Closed form of the :class:`SlateLU` schedule."""
+    """Closed form of the ``slate`` LU schedule."""
     return _lu_2d_full_model(n, p, nb, rebroadcast=False)
 
 
@@ -206,7 +206,7 @@ def _cholesky_2d_full_model(n: int, p: int, nb: int) -> float:
 
 
 def mkl_cholesky_full_model(n: int, p: int, nb: int = 128) -> float:
-    """Closed form of the :class:`ScalapackCholesky` schedule."""
+    """Closed form of the ``mkl-chol`` Cholesky schedule."""
     return _cholesky_2d_full_model(n, p, nb)
 
 

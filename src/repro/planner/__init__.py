@@ -45,6 +45,7 @@ from .core import (
     plan_gemm,
     plan_lu,
     plan_request,
+    planner_labels,
 )
 from .service import (
     PlanService,
@@ -62,7 +63,7 @@ from .workload import (
 
 __all__ = [
     "Plan", "PlannedConfig", "PlanRequest", "NoFeasiblePlanError",
-    "plan_request", "plan_batch",
+    "plan_request", "plan_batch", "planner_labels",
     "plan_lu", "plan_cholesky", "plan_gemm",
     "WorkloadNode", "WorkloadRequest", "WorkloadAssignment",
     "WorkloadPlan", "plan_workload",

@@ -45,6 +45,8 @@ from typing import Any
 
 from .. import obs
 from ..engine.accounting import TermBatch
+from ..engine.schedule import Schedule
+from ..factorizations.registry import OPS, build
 from ..machine.perf_model import PIZ_DAINT_XC40, MachineParams, PerfModel
 from .candidates import (
     panel_candidates,
@@ -54,6 +56,7 @@ from .candidates import (
 )
 
 __all__ = ["Plan", "PlannedConfig", "PlanRequest", "NoFeasiblePlanError",
+           "planner_labels",
            "plan_request", "plan_batch",
            "plan_lu", "plan_cholesky", "plan_gemm"]
 
@@ -88,9 +91,8 @@ class PlanRequest:
     impls: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.op not in _OPS:
-            raise ValueError(f"unknown op {self.op!r}; have "
-                             f"{', '.join(sorted(_OPS))}")
+        object.__setattr__(self, "impls",
+                           _canonical_impls(self.op, self.impls))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "api_copies", int(self.api_copies))
@@ -98,15 +100,6 @@ class PlanRequest:
             mem = float(self.mem_words)
             object.__setattr__(self, "mem_words",
                                None if math.isinf(mem) else mem)
-        if self.impls is not None:
-            impls = tuple(self.impls)
-            # Canonical form: spelling out the op's full default search
-            # space is the same question as not restricting it at all
-            # (the service/atlas key on the request, so the two must
-            # compare equal).
-            if impls == _DEFAULT_IMPLS[self.op]:
-                impls = None
-            object.__setattr__(self, "impls", impls)
 
     @property
     def budget(self) -> float:
@@ -196,102 +189,97 @@ def _lg(p: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Candidate enumeration, per op.  Each enumerator returns
-# ``(flops_per_rank, [(impl, schedule, params, msgs), ...])`` for one
-# request; the scoring/gating pipeline below is op-independent.
+# The search space: per planned (op, label), the parameter grid the
+# planner tries and the message-count estimate of its latency term.
+# The schedule each label *is* comes from the implementation table.
 
-def _lu_candidates(req: PlanRequest) -> tuple[float, list[tuple]]:
-    from ..factorizations import ConfluxSchedule
-    from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-
-    n, p, budget = req.n, req.p, req.budget
-    impls = req.impls or ("conflux", "scalapack")
-    flops = 2.0 * n ** 3 / (3.0 * p)
-    cands: list[tuple] = []
-    if "conflux" in impls:
-        for c in replication_candidates(p, n, budget):
-            for v in tile_candidates(n, c):
-                try:
-                    sched = ConfluxSchedule(n, p, v=v, c=c)
-                except ValueError:
-                    continue
-                cands.append(("conflux", sched, {"v": v, "c": c},
-                              (n // v) * (3 + _lg(p))))
-    if "scalapack" in impls:
-        for nb in panel_candidates(n):
-            try:
-                # The API's 2D route runs without MKL's panel
-                # rebroadcast, so score the matching model.
-                sched = ScalapackLUSchedule(n, p, nb=nb,
-                                            panel_rebroadcast=False)
-            except ValueError:
-                continue
-            cands.append(("scalapack", sched, {"nb": nb},
-                          n * _lg(p) + 4 * (n // nb)))
-    return flops, cands
+def _tiles_25d(n: int, p: int, budget: float):
+    return ({"v": v, "c": c} for c in replication_candidates(p, n, budget)
+            for v in tile_candidates(n, c))
 
 
-def _cholesky_candidates(req: PlanRequest) -> tuple[float, list[tuple]]:
-    from ..factorizations import ConfchoxSchedule
-    from ..factorizations.baselines.scalapack_chol import (
-        ScalapackCholeskySchedule,
-    )
-
-    n, p, budget = req.n, req.p, req.budget
-    impls = req.impls or ("confchox", "scalapack")
-    flops = n ** 3 / (3.0 * p)
-    cands: list[tuple] = []
-    if "confchox" in impls:
-        for c in replication_candidates(p, n, budget):
-            for v in tile_candidates(n, c):
-                try:
-                    sched = ConfchoxSchedule(n, p, v=v, c=c)
-                except ValueError:
-                    continue
-                cands.append(("confchox", sched, {"v": v, "c": c},
-                              (n // v) * (3 + _lg(p))))
-    if "scalapack" in impls:
-        for nb in panel_candidates(n):
-            try:
-                sched = ScalapackCholeskySchedule(n, p, nb=nb)
-            except ValueError:
-                continue
-            cands.append(("scalapack", sched, {"nb": nb},
-                          4 * (n // nb)))
-    return flops, cands
+def _panels_2d(n: int, p: int, budget: float):
+    return ({"nb": nb} for nb in panel_candidates(n))
 
 
-def _gemm_candidates(req: PlanRequest) -> tuple[float, list[tuple]]:
+def _strips_25d(n: int, p: int, budget: float):
     # Volume is independent of the strip width ``s`` (rounds x strip is
     # fixed), so the perf-model tie-break picks the widest strip —
     # fewer rounds, fewer messages.
-    from ..factorizations import Matmul25DSchedule
+    return ({"s": s, "c": c}
+            for c in replication_candidates(p, n, budget, copies=3)
+            for s in strip_candidates(n, c))
 
-    n, p, budget = req.n, req.p, req.budget
-    flops = 2.0 * n ** 3 / p
+
+def _msgs_25d(sched: Schedule) -> float:
+    return (sched.n // sched.v) * (3 + _lg(sched.nranks))
+
+
+def _msgs_lu_2d(sched: Schedule) -> float:
+    return sched.n * _lg(sched.nranks) + 4 * (sched.n // sched.nb)
+
+
+def _msgs_chol_2d(sched: Schedule) -> float:
+    return 4 * (sched.n // sched.nb)
+
+
+def _msgs_summa(sched: Schedule) -> float:
+    return 2.0 * sched.rounds + sched.c
+
+
+_SEARCH = {
+    ("lu", "conflux"): (_tiles_25d, _msgs_25d),
+    ("lu", "scalapack"): (_panels_2d, _msgs_lu_2d),
+    ("cholesky", "confchox"): (_tiles_25d, _msgs_25d),
+    ("cholesky", "scalapack"): (_panels_2d, _msgs_chol_2d),
+    ("gemm", "25d"): (_strips_25d, _msgs_summa),
+}
+
+_PLANNED = {op: tuple(label for o, label in _SEARCH if o == op)
+            for op in OPS}
+
+
+def planner_labels(op: str) -> tuple[str, ...]:
+    """The implementations the planner searches for ``op`` — also the
+    ``impl=`` names the pd* entry points accept."""
+    if op not in _PLANNED:
+        raise ValueError(f"unknown op {op!r}; have "
+                         f"{', '.join(sorted(_PLANNED))}")
+    return _PLANNED[op]
+
+
+def _canonical_impls(op: str, impls) -> tuple[str, ...] | None:
+    """An ``impls=`` restriction in canonical form: validated against
+    the op's planner labels, and None when it spells out the full
+    search space — the same question as not restricting it at all (the
+    service/atlas key on the request, so the two must compare equal)."""
+    have = planner_labels(op)
+    if impls is None:
+        return None
+    impls = tuple(impls)
+    unknown = [name for name in impls if name not in have]
+    if unknown:
+        raise ValueError(
+            f"unknown {op} implementation(s) {', '.join(map(repr, unknown))}"
+            f" in impls=; the planner searches {', '.join(have)}")
+    return None if impls == have else impls
+
+
+def _candidates(req: PlanRequest) -> list[tuple]:
+    """Every instantiable ``(impl, schedule, params, msgs)`` of one
+    request: the restricted (or full) label set times each label's
+    parameter grid."""
+    n, p = req.n, req.p
     cands: list[tuple] = []
-    for c in replication_candidates(p, n, budget, copies=3):
-        for s in strip_candidates(n, c):
+    for label in req.impls or planner_labels(req.op):
+        grid, msgs = _SEARCH[req.op, label]
+        for params in grid(n, p, req.budget):
             try:
-                sched = Matmul25DSchedule(n, p, s=s, c=c)
+                sched = build(req.op, label, n, p, **params)
             except ValueError:
                 continue
-            cands.append(("25d", sched, {"s": s, "c": c},
-                          2.0 * sched.rounds + c))
-    return flops, cands
-
-
-_OPS = {
-    "lu": _lu_candidates,
-    "cholesky": _cholesky_candidates,
-    "gemm": _gemm_candidates,
-}
-
-_DEFAULT_IMPLS = {
-    "lu": ("conflux", "scalapack"),
-    "cholesky": ("confchox", "scalapack"),
-    "gemm": ("25d",),
-}
+            cands.append((label, sched, params, msgs(sched)))
+    return cands
 
 
 # ----------------------------------------------------------------------
@@ -364,8 +352,9 @@ def plan_batch(requests: list[PlanRequest],
             staged = []
             batch = TermBatch()
             for req in requests:
-                flops, cands = _OPS[req.op](req)
-                survivors = _gate(cands, req.budget, req.api_copies)
+                flops = OPS[req.op].flops(req.n, req.p)
+                survivors = _gate(_candidates(req), req.budget,
+                                  req.api_copies)
                 candidates += len(survivors)
                 for _, sched, *_ in survivors:
                     batch.add(sched)
@@ -412,31 +401,30 @@ def plan_request(request: PlanRequest,
 def plan_lu(n: int, p: int, mem_words: float | None = None,
             machine_params: MachineParams = PIZ_DAINT_XC40,
             api_copies: int = 0,
-            impls: tuple[str, ...] = ("conflux", "scalapack")) -> Plan:
+            impls: tuple[str, ...] | None = None) -> Plan:
     """Plan an LU factorization: COnfLUX (2.5D tournament pivoting) vs
     the 2D partial-pivoting baseline, every feasible parameterization.
 
     ``mem_words`` is the per-rank budget (None = unbounded);
     ``api_copies`` adds the ``N^2/P``-per-rank layout copies
     :func:`repro.api.pdgetrf` keeps alive, so feasibility here equals
-    its pre-flight gate.  ``impls`` restricts the search
-    (``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
+    its pre-flight gate.  ``impls`` restricts the search (None = every
+    planner label; ``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
     """
     return plan_request(
         PlanRequest(op="lu", n=n, p=p, mem_words=mem_words,
-                    api_copies=api_copies, impls=tuple(impls)),
+                    api_copies=api_copies, impls=impls),
         machine_params=machine_params)
 
 
 def plan_cholesky(n: int, p: int, mem_words: float | None = None,
                   machine_params: MachineParams = PIZ_DAINT_XC40,
                   api_copies: int = 0,
-                  impls: tuple[str, ...] = ("confchox", "scalapack"),
-                  ) -> Plan:
+                  impls: tuple[str, ...] | None = None) -> Plan:
     """Plan a Cholesky factorization: COnfCHOX vs the 2D baseline."""
     return plan_request(
         PlanRequest(op="cholesky", n=n, p=p, mem_words=mem_words,
-                    api_copies=api_copies, impls=tuple(impls)),
+                    api_copies=api_copies, impls=impls),
         machine_params=machine_params)
 
 

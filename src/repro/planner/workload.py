@@ -19,7 +19,7 @@ This module adds the workload IR and the joint planner:
   hashable like :class:`~repro.planner.core.PlanRequest`, with a
   :meth:`~WorkloadRequest.token` the atlas/service caches key on.
 * :func:`plan_workload` — per-node candidates come from the same
-  ``_OPS`` enumerators as single-call planning and every survivor of
+  enumerator as single-call planning and every survivor of
   every node reduces in **one** :class:`TermBatch` pass (via
   :func:`~repro.planner.core.plan_batch`, so each node's standalone
   ranking is bit-identical to :func:`~repro.planner.core.plan_request`
@@ -50,17 +50,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from typing import Any
 
+from ..engine.schedule import Schedule
+from ..factorizations.registry import OPS, build, width
 from ..layouts import BlockCyclicLayout, conversion_words
 from ..machine.perf_model import PIZ_DAINT_XC40, MachineParams
 from .core import (
-    _DEFAULT_IMPLS,
-    _OPS,
     NoFeasiblePlanError,
     Plan,
     PlannedConfig,
     PlanRequest,
+    _canonical_impls,
     _rank_key,
     plan_batch,
 )
@@ -68,14 +68,6 @@ from .core import (
 __all__ = ["WorkloadNode", "WorkloadRequest", "WorkloadAssignment",
            "WorkloadPlan", "EdgeConversion", "plan_workload",
            "config_schedule", "native_layout"]
-
-#: Operand arity per op (lu/cholesky factor one matrix, gemm takes two).
-_ARITY = {"lu": 1, "cholesky": 1, "gemm": 2}
-
-#: Default per-node ``api_copies``: the pre-flight gate's layout copies
-#: plus the resident operand(s) — the same arithmetic ``impl="auto"``
-#: charges in :mod:`repro.api` (kept in sync by the api tests).
-_WORKLOAD_API_COPIES = {"lu": 4, "cholesky": 4, "gemm": 6}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,20 +90,15 @@ class WorkloadNode:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("workload node needs a non-empty name")
-        if self.op not in _ARITY:
-            raise ValueError(f"unknown op {self.op!r}; have "
-                             f"{', '.join(sorted(_ARITY))}")
+        object.__setattr__(self, "impls",
+                           _canonical_impls(self.op, self.impls))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        if len(self.inputs) != _ARITY[self.op]:
+        arity = OPS[self.op].arity
+        if len(self.inputs) != arity:
             raise ValueError(
                 f"node {self.name!r}: {self.op} takes "
-                f"{_ARITY[self.op]} operand(s), got {len(self.inputs)}")
-        if self.impls is not None:
-            impls = tuple(self.impls)
-            if impls == _DEFAULT_IMPLS[self.op]:
-                impls = None
-            object.__setattr__(self, "impls", impls)
+                f"{arity} operand(s), got {len(self.inputs)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,7 +109,8 @@ class WorkloadRequest:
     outputs of nodes listed before it); ``p`` the rank count,
     ``mem_words`` the per-rank budget (None = unbounded, ``inf``
     normalizes to None) and ``api_copies`` the per-node layout-copy
-    charge (None = the op-specific ``impl="auto"`` defaults).
+    charge (None = what ``impl="auto"`` charges: the op's pre-flight
+    gate copies plus its resident operands).
 
     Instances are hashable and canonical, so the service LRU can key
     on them directly and the atlas can derive a content-addressed
@@ -193,7 +181,7 @@ class WorkloadRequest:
         return [PlanRequest(
             op=node.op, n=node.n, p=self.p, mem_words=self.mem_words,
             api_copies=(self.api_copies if self.api_copies is not None
-                        else _WORKLOAD_API_COPIES[node.op]),
+                        else OPS[node.op].auto_copies),
             impls=node.impls) for node in self.nodes]
 
     def token(self) -> str:
@@ -215,45 +203,21 @@ class WorkloadRequest:
 # Config -> schedule -> native layout (shared with repro.api).
 
 def config_schedule(op: str, n: int, p: int,
-                    config: PlannedConfig) -> tuple[Any, int]:
+                    config: PlannedConfig) -> tuple[Schedule, int]:
     """Instantiate the engine schedule a :class:`PlannedConfig` names;
     returns ``(schedule, v_run)`` where ``v_run`` is the scalar tile /
     panel / strip width the pd* layer reports."""
-    from ..factorizations import (
-        ConfchoxSchedule,
-        ConfluxSchedule,
-        Matmul25DSchedule,
-    )
-    from ..factorizations.baselines.scalapack_chol import (
-        ScalapackCholeskySchedule,
-    )
-    from ..factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-
-    params = config.params
-    if config.impl == "conflux":
-        sched = ConfluxSchedule(n, p, v=params["v"], c=params["c"])
-        return sched, sched.v
-    if config.impl == "confchox":
-        sched = ConfchoxSchedule(n, p, v=params["v"], c=params["c"])
-        return sched, sched.v
-    if config.impl == "scalapack":
-        if op == "lu":
-            sched = ScalapackLUSchedule(n, p, nb=params["nb"],
-                                        panel_rebroadcast=False)
-        else:
-            sched = ScalapackCholeskySchedule(n, p, nb=params["nb"])
-        return sched, sched.nb
-    if config.impl == "25d":
-        sched = Matmul25DSchedule(n, p, s=params["s"], c=params["c"])
-        return sched, sched.s
-    raise ValueError(f"unknown planned impl {config.impl!r}")
+    sched = build(op, config.impl, n, p, **config.params)
+    return sched, width(sched)
 
 
-def native_layout(op: str, schedule) -> BlockCyclicLayout:
+def native_layout(op: str, schedule: Schedule) -> BlockCyclicLayout:
     """The native block-cyclic layout the pd* layer reshuffles into for
     ``schedule`` — the layout whose agreement across stages makes a
-    conversion free.  Raises ``ValueError`` for a configuration the
-    api layer could not execute (a SUMMA grid not dividing ``n``)."""
+    conversion free: one block per rank for the SUMMA, else square
+    tiles of the schedule's own width.  Raises ``ValueError`` for a
+    configuration the api layer could not execute (a SUMMA grid not
+    dividing ``n``)."""
     layer_grid = schedule.grid.layer_grid()
     n = schedule.n
     if op == "gemm":
@@ -263,13 +227,8 @@ def native_layout(op: str, schedule) -> BlockCyclicLayout:
                 f"distributed SUMMA needs the grid {pr}x{pc} to divide "
                 f"N={n}")
         return BlockCyclicLayout(n, n, n // pr, n // pc, layer_grid)
-    v = schedule.v if hasattr(schedule, "v") else schedule.nb
+    v = width(schedule)
     return BlockCyclicLayout(n, n, v, v, layer_grid)
-
-
-def _layout_sig(layout: BlockCyclicLayout) -> tuple:
-    return (layout.m, layout.n, layout.mb, layout.nb,
-            layout.grid.rows, layout.grid.cols)
 
 
 # ----------------------------------------------------------------------
@@ -376,11 +335,10 @@ def _score(request: WorkloadRequest, producers: dict[str, int],
     conv_total = 0.0
     edges: list[EdgeConversion] = []
     # Per operand: the anchor layout conversions are charged from, and
-    # the layout signatures already paid for (resident at run time).
+    # the layouts already paid for (resident at run time).
     anchors: dict[str, BlockCyclicLayout] = {}
     paid: dict[str, set] = {}
     for node, (cfg, layout) in zip(request.nodes, combo):
-        sig = _layout_sig(layout)
         for ref in node.inputs:
             if ref not in anchors:
                 # First touch: a node output anchors at its producer's
@@ -389,11 +347,11 @@ def _score(request: WorkloadRequest, producers: dict[str, int],
                 # assignment-independent, hence not in the objective.
                 idx = producers.get(ref)
                 anchors[ref] = combo[idx][1] if idx is not None else layout
-                paid[ref] = {_layout_sig(anchors[ref])}
-            if sig in paid[ref]:
+                paid[ref] = {anchors[ref]}
+            if layout in paid[ref]:
                 continue
-            paid[ref].add(sig)
-            key = (_layout_sig(anchors[ref]), sig)
+            paid[ref].add(layout)
+            key = (anchors[ref], layout)
             if key not in conv_cache:
                 conv_cache[key] = conversion_words(anchors[ref], layout)
             words = conv_cache[key] / p

@@ -196,9 +196,9 @@ def _case_schedules(n, p):
     """The four default sweep flavours of one case, as
     ``trace_case`` builds them."""
     c = harness.max_replication(p, n)
-    return [harness._LU_SCHEDULES[name](n, p, c)
+    return [harness._sweep_schedule("lu", name, n, p, c)
             for name in ("conflux", "mkl")] + \
-        [harness._CHOL_SCHEDULES[name](n, p, c)
+        [harness._sweep_schedule("cholesky", name, n, p, c)
          for name in ("confchox", "mkl-chol")]
 
 

@@ -138,6 +138,19 @@ class TestDistributedSolves:
         assert np.allclose(sol.x, x, atol=1e-7)
         assert sol.comm.total_recv_words < res.factorization_words
 
+    def test_solves_name_their_factorization(self, rng, monkeypatch):
+        import repro.api as api
+
+        seen = []
+        monkeypatch.setattr(api, "lu_solve", lambda fact, b: seen.append(fact))
+        monkeypatch.setattr(api, "cholesky_solve",
+                            lambda fact, b: seen.append(fact))
+        machine, desc, _, a = setup_machine(rng)
+        pdgetrs(pdgetrf(machine, "A", desc, v=8), a)
+        machine, desc, _, a = setup_machine(rng, spd=True)
+        pdpotrs(pdpotrf(machine, "A", desc, v=8), a)
+        assert [fact.name for fact in seen] == ["pdgetrf", "pdpotrf"]
+
     def test_pdpotrs_volume_matches_analytic_substitution(self, rng):
         """Counted solve volume equals the 1D block substitution model:
         per block step every non-owner receives the solved block, twice
@@ -324,6 +337,21 @@ class TestNbKwarg:
         machine, desc, _, a = setup_machine(rng)
         with pytest.raises(ValueError, match="nb="):
             pdgetrf(machine, "A", desc, v=16, nb=8, impl="scalapack")
+
+    @pytest.mark.parametrize("pd,impl,kwargs,foreign", [
+        (pdgetrf, "conflux", dict(v=8, c=1, nb=32), "nb=32"),
+        (pdgetrf, "conflux", dict(nb=8), "nb=8"),
+        (pdpotrf, "confchox", dict(v=8, nb=32), "nb=32"),
+        (pdgetrf, "scalapack", dict(nb=8, c=2), "c=2"),
+        (pdpotrf, "scalapack", dict(v=8), "v=8"),
+    ])
+    def test_foreign_kwarg_rejected_for_every_impl(self, rng, pd, impl,
+                                                   kwargs, foreign):
+        """An explicit keyword the impl does not take is rejected in
+        both directions — the 2.5D impls used to drop ``nb``."""
+        machine, desc, _, _ = setup_machine(rng, spd=pd is pdpotrf)
+        with pytest.raises(ValueError, match=foreign):
+            pd(machine, "A", desc, impl=impl, **kwargs)
 
     def test_pdpotrf_nb(self, rng):
         machine, desc, _, a = setup_machine(rng, spd=True)

@@ -2,15 +2,21 @@
 CAPITAL)."""
 
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.factorizations import conflux_lu
+from repro.analysis.harness import (
+    estimate_time,
+    trace_case,
+    trace_cholesky,
+    trace_lu,
+)
+from repro.factorizations import build, conflux_lu
 from repro.factorizations.baselines import (
-    CandmcLU,
-    CapitalCholesky,
     candmc_lu,
     capital_cholesky,
     scalapack_cholesky,
@@ -121,8 +127,8 @@ class TestVolumeModels:
     def test_default_panel_width_pinned(self, n, p, c, b):
         """The divisor of N nearest N/sqrt(P/c), as the linear scan
         over 1..N picked it."""
-        assert CandmcLU(n, p, c=c).b == b
-        assert CapitalCholesky(n, p, c=c).b == b
+        assert build("lu", "candmc", n, p, c=c).b == b
+        assert build("cholesky", "capital", n, p, c=c).b == b
         target = max(1, int(n / math.sqrt(p / c)))
         assert b == min((d for d in range(1, n + 1) if n % d == 0),
                         key=lambda d: abs(d - target))
@@ -134,6 +140,54 @@ class TestVolumeModels:
     def test_capital_execute_rejected(self):
         with pytest.raises(NotImplementedError):
             capital_cholesky(1024, 64, execute=True)
+
+
+#: Per-rank counters, params and time estimates of CANDMC/CAPITAL as the
+#: per-step ``RankAccountant`` loops produced them at commit 135e8bb,
+#: before the two models became cost-term schedules.
+PINNED = json.loads((pathlib.Path(__file__).parent
+                     / "baseline_models_pinned.json").read_text())
+
+
+class TestPortedModelsPinned:
+    @pytest.mark.parametrize(
+        "row", PINNED,
+        ids=lambda r: f"{r['impl']}-{r['n']}-{r['p']}-c{r['c']}")
+    def test_counters_params_and_time(self, row):
+        model = candmc_lu if row["impl"] == "candmc" else capital_cholesky
+        res = model(row["n"], row["p"], c=row["c"],
+                    mem_words=row["mem_words"])
+        for field in ("recv_words", "sent_words", "flops"):
+            arr = getattr(res.comm, field)
+            assert [arr.mean(), arr.max()] == pytest.approx(
+                row[field], rel=1e-12)
+        for field in ("recv_msgs", "sent_msgs"):
+            arr = getattr(res.comm, field)
+            assert [arr.sum(), arr.max()] == row[field]
+        assert dict(res.params, grid=list(res.params["grid"])) \
+            == row["params"]
+        timed = estimate_time(res)
+        assert timed.time_s == pytest.approx(row["time_s"], rel=1e-12)
+        assert timed.peak_fraction == pytest.approx(
+            row["peak_fraction"], rel=1e-12)
+
+    def test_trace_case_equals_each_label_alone(self):
+        """The models batch with the executable schedules: one
+        TermBatch over all eight labels is bit-identical to eight
+        single traces."""
+        n, p = 4096, 64
+        lu = ("conflux", "mkl", "slate", "candmc")
+        chol = ("confchox", "mkl-chol", "slate-chol", "capital")
+        batched = trace_case(n, p, lu_impls=lu, chol_impls=chol)
+        alone = [trace_lu(name, n, p, steps="none") for name in lu] + \
+            [trace_cholesky(name, n, p, steps="none") for name in chol]
+        assert [r.name for r in batched] == [*lu, *chol]
+        for got, want in zip(batched, alone):
+            assert (got.name, got.params) == (want.name, want.params)
+            for field in ("recv_words", "sent_words", "flops",
+                          "recv_msgs", "sent_msgs"):
+                assert np.array_equal(getattr(got.comm, field),
+                                      getattr(want.comm, field))
 
 
 class TestPaperOrdering:

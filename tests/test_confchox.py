@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.factorizations import ConfchoxCholesky, confchox_cholesky, conflux_lu
+from repro.factorizations import (
+    ConfchoxSchedule,
+    confchox_cholesky,
+    conflux_lu,
+)
 from repro.lowerbounds import cholesky_io_lower_bound
 from repro.models import costmodels as cm
 
@@ -59,19 +63,18 @@ class TestNumericalCorrectness:
 class TestParameterValidation:
     def test_v_must_divide_n(self):
         with pytest.raises(ValueError):
-            ConfchoxCholesky(60, 4, v=8, c=2)
+            ConfchoxSchedule(60, 4, v=8, c=2)
 
     def test_trace_mode_rejects_matrix(self):
-        algo = ConfchoxCholesky(64, 8, v=8, c=2, execute=False)
         with pytest.raises(ValueError):
-            algo.run(a=np.eye(64))
+            confchox_cholesky(64, 8, v=8, c=2, execute=False, a=np.eye(64))
 
 
 class TestCommunicationCost:
     def test_trace_matches_execution_accounting(self, rng):
         kw = dict(n=64, nranks=8, v=8, c=2)
-        t = ConfchoxCholesky(execute=False, **kw).run()
-        e = ConfchoxCholesky(execute=True, **kw).run(rng=rng)
+        t = confchox_cholesky(execute=False, **kw)
+        e = confchox_cholesky(execute=True, rng=rng, **kw)
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)
 
     def test_volume_matches_full_model(self):

@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.factorizations import ConfluxLU, conflux_lu, default_block_size
+from repro.factorizations import (
+    ConfluxSchedule,
+    conflux_lu,
+    default_block_size,
+)
 from repro.lowerbounds import lu_io_lower_bound
 from repro.models import costmodels as cm
 
@@ -90,21 +94,19 @@ class TestNumericalCorrectness:
 class TestParameterValidation:
     def test_v_must_divide_n(self):
         with pytest.raises(ValueError):
-            ConfluxLU(60, 4, v=8, c=2)
+            ConfluxSchedule(60, 4, v=8, c=2)
 
     def test_c_must_divide_v(self):
         with pytest.raises(ValueError):
-            ConfluxLU(64, 32, v=8, c=16)
+            ConfluxSchedule(64, 32, v=8, c=16)
 
     def test_trace_mode_rejects_matrix(self, rng):
-        algo = ConfluxLU(64, 8, v=8, c=2, execute=False)
         with pytest.raises(ValueError):
-            algo.run(a=np.eye(64))
+            conflux_lu(64, 8, v=8, c=2, execute=False, a=np.eye(64))
 
     def test_wrong_matrix_shape(self):
-        algo = ConfluxLU(64, 8, v=8, c=2)
         with pytest.raises(ValueError):
-            algo.run(a=np.eye(32))
+            conflux_lu(64, 8, v=8, c=2, a=np.eye(32))
 
     def test_default_block_size_properties(self):
         for n, p, c in [(1024, 64, 4), (4096, 512, 8), (512, 8, 2)]:
@@ -131,7 +133,7 @@ class TestParameterValidation:
         assert default_block_size(2 ** 40, 4096, 16) == 2 ** 28
 
     def test_default_c_divides_p(self):
-        algo = ConfluxLU(243, 27)
+        algo = ConfluxSchedule(243, 27)
         assert 27 % algo.c == 0
         assert algo.c == 3
 
@@ -140,8 +142,8 @@ class TestCommunicationCost:
     def test_trace_matches_execution_accounting(self, rng):
         """Trace mode and execution mode run the same accounting."""
         kw = dict(n=64, nranks=8, v=8, c=2)
-        t = ConfluxLU(execute=False, **kw).run()
-        e = ConfluxLU(execute=True, **kw).run(rng=rng)
+        t = conflux_lu(execute=False, **kw)
+        e = conflux_lu(execute=True, rng=rng, **kw)
         assert t.max_recv_words == e.max_recv_words
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)
 

@@ -1,5 +1,6 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
-and the paper's Table-2 models stay out of everything but the figures.
+the paper's Table-2 models stay out of everything but the figures, and
+schedules are built only through the implementation table.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -8,6 +9,7 @@ discipline", states the rules these tests hold the tree to.
 """
 
 import ast
+import inspect
 import json
 import os
 import pathlib
@@ -91,3 +93,48 @@ def test_costmodels_feed_only_figures_and_ablations():
     }
     assert _importers("benchmarks", "examples", "scripts", "perf") == {
         "benchmarks/bench_table2_model_validation.py"}
+
+
+def _schedule_calls(path: pathlib.Path) -> list[int]:
+    """Line numbers where ``path`` calls a name ending in ``Schedule``
+    (``ConfluxSchedule(...)``, ``mod.ScalapackLUSchedule(...)``)."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None)
+                 or getattr(node.func, "attr", "")).endswith("Schedule")]
+
+
+def test_schedules_are_built_only_through_the_table():
+    """Which schedule class (with which pinned arguments) a label *is*
+    is stated once, in ``factorizations/registry.py``; the harness, the
+    planner and the pd* layer look it up via ``build``."""
+    offenders = {
+        str(path.relative_to(ROOT)): lines
+        for path in (SRC / "repro").rglob("*.py")
+        if "factorizations" not in path.parts
+        and (lines := _schedule_calls(path))}
+    assert offenders == {}
+
+
+def test_every_accepted_label_is_a_table_row():
+    from repro import api
+    from repro.analysis import harness
+    from repro.factorizations.registry import IMPLS, labels
+    from repro.planner import core
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert set(core._SEARCH) <= set(IMPLS)
+    accepted = {
+        "lu": {*harness.LU_IMPLEMENTATIONS, *core.planner_labels("lu"),
+               *default(harness.trace_case, "lu_impls"),
+               default(api.pdgetrf, "impl")},
+        "cholesky": {*harness.CHOLESKY_IMPLEMENTATIONS,
+                     *core.planner_labels("cholesky"),
+                     *default(harness.trace_case, "chol_impls"),
+                     default(api.pdpotrf, "impl")},
+        "gemm": {*core.planner_labels("gemm"), default(api.pdgemm, "impl")},
+    }
+    for op, names in accepted.items():
+        assert names <= set(labels(op)), (op, names - set(labels(op)))

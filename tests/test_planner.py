@@ -18,6 +18,7 @@ from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, MemoryBudgetExceeded, ProcessorGrid2D
 from repro.planner import (
     NoFeasiblePlanError,
+    PlanRequest,
     config_25d,
     panel_candidates,
     panel_width_2d,
@@ -131,6 +132,20 @@ class TestFeasibility:
     def test_infeasible_is_value_error(self):
         """The shim's historical contract: ValueError on no-fit."""
         assert issubclass(NoFeasiblePlanError, ValueError)
+
+    @pytest.mark.parametrize("op,impls,valid", [
+        ("lu", ("conflx",), "conflux, scalapack"),       # misspelt
+        ("lu", ("conflux", "mkl"), "conflux, scalapack"),  # not planned
+        ("cholesky", ("conflux",), "confchox, scalapack"),  # another op's
+        ("gemm", ("bogus",), "25d"),
+    ])
+    def test_unknown_impls_name_the_valid_labels(self, op, impls, valid):
+        """A misspelt or foreign ``impls=`` is a spelling problem, not
+        a memory problem (it used to gate every candidate out, or — for
+        gemm — be ignored)."""
+        with pytest.raises(ValueError, match=valid) as exc_info:
+            PlanRequest(op, 1024, 16, impls=impls)
+        assert not isinstance(exc_info.value, NoFeasiblePlanError)
 
     def test_rejection_matches_api_gate(self, rng):
         """A budget the planner rejects is one the API's pre-flight

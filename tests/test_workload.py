@@ -97,6 +97,16 @@ class TestWorkloadNode:
         node = WorkloadNode("x", "lu", 64, ("A",), impls=["conflux"])
         assert node.impls == ("conflux",)
 
+    @pytest.mark.parametrize("op,inputs,impls,valid", [
+        ("lu", ("A",), ("conflx",), "conflux, scalapack"),
+        ("cholesky", ("A",), ("conflux",), "confchox, scalapack"),
+        ("gemm", ("A", "B"), ("bogus",), "25d"),
+    ])
+    def test_unknown_impls_name_the_valid_labels(self, op, inputs, impls,
+                                                 valid):
+        with pytest.raises(ValueError, match=valid):
+            WorkloadNode("x", op, 64, inputs, impls=impls)
+
 
 class TestWorkloadRequest:
     def test_empty_rejected(self):
