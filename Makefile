@@ -1,5 +1,6 @@
 # Repo entry points.  Tier-1 verification is `make test`; CI
-# (.github/workflows/ci.yml) gates on test + lint + bench-check.
+# (.github/workflows/ci.yml) gates on test + lint + bench-check, and on
+# bench-paper (the figure/table benches tier-1 does not collect).
 
 PY ?= python
 
@@ -8,8 +9,8 @@ PY ?= python
 # ratchet it up when coverage improves, never lower it silently.
 COV_FLOOR ?= 85
 
-.PHONY: test lint coverage bench-check plan atlas trace cache-gc \
-	exec-smoke profile-exec
+.PHONY: test lint coverage bench-check bench-paper plan atlas trace \
+	cache-gc exec-smoke profile-exec
 
 ## Run the tier-1 test suite (what CI and the PR driver gate on).
 test:
@@ -77,6 +78,15 @@ bench-check:
 	$(PY) perf/run.py --workload plan_grid --seconds 1
 	$(PY) perf/run.py --workload serve_mix --quick --seconds 1
 	$(PY) perf/run.py --workload sweep_fanout --seconds 1
+
+## The paper's figures and tables, regenerated with their shape
+## assertions (23 tests, ~30 s; timing disabled, needs pytest-benchmark
+## for the fixture).  Named explicitly because `pytest benchmarks`
+## collects nothing: pytest.ini keeps the default test_*.py pattern so
+## that tier-1 stays a minute long.  Tables land in the git-ignored
+## benchmarks/results/.  CI runs this in the `test` job on one Python.
+bench-paper:
+	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_*.py --benchmark-disable
 
 ## Print the planner's pick (schedule + parameters + predicted cost)
 ## for a smoke (N, P, M) grid; fails if planning breaks or blows the

@@ -120,9 +120,8 @@ def trace_case(n: int, p: int,
 
     Results come back in ``[*lu_impls, *chol_impls]`` order.  Every
     schedule of the case is collected into one
-    :class:`~repro.engine.accounting.TermBatch` and reduced in a single
-    vectorized pass — bit-identical to tracing each implementation on
-    its own.
+    :class:`~repro.engine.accounting.TermBatch` — bit-identical to
+    tracing each implementation on its own.
     """
     c = max_replication(p, n)
     return _trace(
@@ -141,9 +140,8 @@ def sweep_traces(cases: list[tuple[int, int]],
     This is the paper-style evaluation loop the figure benchmarks and
     the ``perf/`` sweep workloads share.  Each ``(N, P)`` case is
     one sweep task whose flavour set evaluates through
-    :func:`trace_case` — a single batched :class:`TermBatch` reduction
-    per case.  Pass ``steps="columnar"`` when per-step data is needed
-    downstream.
+    :func:`trace_case` — one :class:`TermBatch` per case.  Pass
+    ``steps="columnar"`` when per-step data is needed downstream.
 
     ``executor`` accepts a :mod:`repro.runtime` sweep executor (serial
     or process-pool, optionally cache-backed); the result order — and

@@ -1,13 +1,10 @@
 """Cost-term IR for trace accounting and its closed-form evaluator.
 
-The schedules' analytic accounting used to *write* raw
-``(steps, ranks)`` NumPy matrices (step-column times coordinate-row
-broadcasts).  That made every sweep pay O(steps x P) array work per
-term — the dominant cost of paper-scale ``(impl, N, P)`` sweeps.  This
-module replaces the raw matrices with a small declarative IR: a
-schedule's :meth:`~repro.engine.schedule.Schedule.accounting` *emits*
+A schedule's :meth:`~repro.engine.schedule.Schedule.accounting` *emits*
 :class:`CostTerm` objects through the :class:`StepAccounting` builder,
-and :class:`TermBatch` reduces them.
+and :class:`TermBatch` reduces them — a small declarative IR in place
+of raw ``(steps, ranks)`` matrices, whose O(steps x P) array work per
+term would dominate paper-scale ``(impl, N, P)`` sweeps.
 
 A term's per-(step, rank) value factorizes as::
 
@@ -30,20 +27,24 @@ A term's per-(step, rank) value factorizes as::
 
 Message counts ride along per term: where the term's words are
 positive, ``msgs(t) = msgs_coeff * msgs_step(t)`` messages are charged
-— the same "messages follow words" rule the raw-matrix path applied.
+("messages follow words").
 
-There is **one evaluator**, :meth:`TermBatch.evaluate`.  It stacks the
-terms of any number of schedules — a single trace is a batch of one —
-and reduces each term's sum over steps analytically per rank: the
-rank-uniform affine terms of every config flatten into shared arrays
-for one vectorized arithmetic-series pass; gated/owned terms go
-through residue-class moment contractions built on the decomposition
-``own(a, t) = q(t) + beta(a, t mod m)`` (full remaining cycles plus a
-periodic partial-cycle window; double-ownership products expand into
-moments and one ``beta_i M0 beta_j^T`` bilinear).  ``O(steps + P)``
-work per config, never an ``O(steps x P)`` allocation; a requested
-step log derives analytically from per-residue-class value columns in
-the same pass.
+There is **one evaluator**, :meth:`TermBatch.evaluate`, and one
+reduction per term, :meth:`StepAccounting._term_total`: each term's sum
+over steps reduces analytically per rank.  Rank-uniform affine terms
+are an O(1) integer arithmetic series (their message counts the same
+series over the integer interval where the words profile is positive);
+gated/owned terms go through residue-class moment contractions built on
+the decomposition ``own(a, t) = q(t) + beta(a, t mod m)`` (full
+remaining cycles plus a periodic partial-cycle window; double-ownership
+products expand into moments and one ``beta_i M0 beta_j^T`` bilinear).
+``O(steps + P)`` work per schedule, never an ``O(steps x P)``
+allocation; a requested step log derives analytically from
+per-residue-class value columns in the same pass.  What the kernels
+cannot reduce is refused, not routed elsewhere: words/msgs sums that
+could cross ``2^52`` raise :class:`OverflowError` (flops, with no
+exactness contract, are never refused), a gated or message-carrying
+two-axis ownership product raises :class:`NotImplementedError`.
 
 The naive dense ``(steps x P)`` interpretation of the IR lives in
 ``tests/oracle.py`` as the test oracle.  Evaluator and oracle agree
@@ -52,8 +53,9 @@ message counts): every words/msgs profile is integer-valued, both
 accumulate those integers exactly (float64 sums of integers below 2^53
 are associativity-free), and the single float ``coeff`` multiplies the
 identical integer total in the identical term order.  Flop terms may
-carry non-integer step columns (the 2D panel-LU count), where
-agreement is to float rounding instead; the parity suite pins both.
+carry non-integer step columns (the 2D panel-LU count), which the same
+kernels reduce as they are; agreement is to float rounding there, and
+the parity suite pins both.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..machine.grid import ProcessorGrid2D, ProcessorGrid3D
-from ..machine.stats import STEP_FIELDS, CommStats, StepRecord
+from ..machine.stats import STEP_FIELDS, CommStats
 
 __all__ = ["StepAccounting", "StepFn", "CostTerm", "TermBatch",
            "butterfly_pair_exchanges"]
@@ -98,9 +100,8 @@ def butterfly_pair_exchanges(m: np.ndarray | int) -> np.ndarray:
     return total
 
 
-#: Magnitude bound under which float64 sums of integers are exact; the
-#: residue-class fast paths fall back to the dense reference reduction
-#: when a term's intermediate moments could cross it.
+#: Magnitude bound under which float64 sums of integers are exact; a
+#: words/msgs term that could cross it is refused (OverflowError).
 _EXACT_GUARD = 2.0 ** 52
 
 #: Grid-axis letters: pi ('i'), pj ('j'), pk ('k').
@@ -138,8 +139,8 @@ class StepFn:
     Either affine — ``c0 + c1 * t`` — or an explicit ``column`` of
     per-step values covering all ``nsteps`` steps.  Words/msgs profiles
     are integer-valued (validated at emission), which is what makes the
-    evaluator's sums exact; flop profiles may be fractional (``exact``
-    is False then).
+    evaluator's sums exact; flop profiles may be fractional (``exact``,
+    derived once at construction, is False then).
     """
 
     c0: float = 0.0
@@ -147,14 +148,16 @@ class StepFn:
     column: np.ndarray | None = None
     lo: int = 0
     hi: int = 0
+    #: True when every value is an integer (exact summation).
+    exact: bool = dataclasses.field(init=False)
 
-    @property
-    def exact(self) -> bool:
-        """True when every value is an integer (exact summation)."""
+    def __post_init__(self) -> None:
         if self.column is None:
-            return float(self.c0).is_integer() and \
+            exact = float(self.c0).is_integer() and \
                 float(self.c1).is_integer()
-        return bool(np.all(self.column == np.floor(self.column)))
+        else:
+            exact = bool(np.all(self.column == np.floor(self.column)))
+        object.__setattr__(self, "exact", exact)
 
     def values(self, t0: int, t1: int) -> np.ndarray:
         """Profile values for steps ``[t0, t1)`` as a float column."""
@@ -349,137 +352,52 @@ class StepAccounting:
         terms, self._terms = self._terms, []
         return terms
 
-    def _own_matrix(self, axis: str, t: np.ndarray) -> np.ndarray:
-        """``(len(t), dim)`` cyclic tiles-owned counts: residue ``a``
-        owns ``#{j in [t+1, nsteps): j = a (mod dim)}`` tiles.
-
-        Computed as ``q + [a in window]``: every residue owns
-        ``q = (nsteps - 1 - t) // dim`` full cycles of the remaining
-        steps, and the ``(nsteps - 1 - t) mod dim`` residues of the
-        partial cycle starting at ``t + 1`` own one more (the same
-        decomposition the closed-form kernels use analytically)."""
-        m = self._axis_dim(axis)
-        rem = self.nsteps - 1 - t
-        res = np.arange(m, dtype=np.int64)
-        window = ((res[None, :] - t[:, None] - 1) % m) < (rem % m)[:, None]
-        return ((rem // m)[:, None] + window).astype(np.float64)
-
     # ------------------------------------------------------------------
-    # Dense per-term reduction (the fallback of _fast_sum)
+    # Per-term reduction
     # ------------------------------------------------------------------
-    def _closed_sum(self, term: CostTerm,
-                    msgs: bool) -> np.ndarray | float:
-        """Exact per-rank sum over steps of the term's base product.
-
-        For ``msgs`` the base becomes the msgs profile restricted to
-        the term's support (``words > 0``): step values where the words
-        profile is positive, ownership factors replaced by their
-        positivity indicators, rank constants likewise.
-        """
-        step = term.step
-        lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
-        if hi <= lo or (msgs and term.coeff <= 0):
-            return 0.0
-        base = step.values(lo, hi)
-        if msgs:
-            mstep = term.msgs_step
-            base = mstep.values(lo, hi) * (base > 0)
-        t = np.arange(lo, hi, dtype=np.int64)
-        if term.uniform:
-            total = float(base.sum())
-            return total
-        # Split the involved axes: a positively-gated axis without
-        # ownership contributes a per-step target residue (indexed); an
-        # axis with ownership and/or a negated gate needs its dense
-        # (steps, dim) weight matrix.
-        w = base.astype(np.float64)
-        gate_of = {a.lstrip("!"): a for a in term.gate}
-        axes = list(dict.fromkeys(
-            [a.lstrip("!") for a in term.gate] + list(term.own)))
-        idx_dims: list[int] = []
-        idx_list: list[np.ndarray] = []
-        dense: list[np.ndarray] = []
-        dense_dims: list[int] = []
-        dense_axes: list[str] = []
-        idx_axes: list[str] = []
-        for axis in axes:
-            m = self._axis_dim(axis)
-            has_own = axis in term.own
-            atom = gate_of.get(axis)
-            own_m = None
-            if has_own:
-                own_m = self._own_matrix(axis, t)
-                if msgs:
-                    own_m = (own_m > 0).astype(np.float64)
-            if atom is not None and not atom.startswith("!"):
-                r_t = (t % m).astype(np.int64)
-                if own_m is not None:
-                    w = w * own_m[np.arange(t.size), r_t]
-                idx_list.append(r_t)
-                idx_dims.append(m)
-                idx_axes.append(axis)
-            else:
-                weight = (own_m if own_m is not None
-                          else np.ones((t.size, m)))
-                if atom is not None:          # negated gate
-                    weight = weight.copy()
-                    weight[np.arange(t.size), (t % m).astype(np.int64)] \
-                        = 0.0
-                dense.append(weight)
-                dense_dims.append(m)
-                dense_axes.append(axis)
-        if len(dense) > 2 or (len(dense) == 2 and idx_list):
-            raise NotImplementedError(
-                "closed form supports at most two dense axes and no "
-                "index axes alongside a dense pair")
-        # Contract into C over (idx axes..., dense axes...).
-        if not dense:
-            if idx_dims:
-                C = np.zeros(idx_dims)
-                np.add.at(C, tuple(idx_list), w)
-            else:        # rank_const-only term: scalar step sum
-                C = w.sum()
-        elif len(dense) == 1:
-            tmp = w[:, None] * dense[0]
-            if idx_list:
-                C = np.zeros(tuple(idx_dims) + (dense_dims[0],))
-                np.add.at(C, tuple(idx_list), tmp)
-            else:
-                C = tmp.sum(axis=0)
-        else:
-            C = (w[:, None] * dense[0]).T @ dense[1]
-        coords = [self._axis_coords(a) for a in idx_axes + dense_axes]
-        per_rank = C[tuple(coords)] if coords else \
-            np.full(self.nranks, float(C))
-        if term.rank_const is not None:
-            rc = term.rank_const
-            per_rank = per_rank * ((rc > 0) if msgs else rc)
-        return per_rank
+    @staticmethod
+    def _affine_series(step: StepFn, lo: int, hi: int) -> int:
+        """Exact ``sum_{t=lo}^{hi-1} (c0 + c1 t)`` in integer math."""
+        length = max(0, hi - lo)
+        t_sum = (lo + hi - 1) * length // 2
+        return int(step.c0) * length + int(step.c1) * t_sum
 
     @staticmethod
-    def _affine_series(step: StepFn, lo: int, hi: int) -> float:
-        """Exact ``sum_{t=lo}^{hi-1} (c0 + c1 t)`` in integer math."""
-        length = hi - lo
-        t_sum = (lo + hi - 1) * length // 2
-        return float(int(step.c0) * length + int(step.c1) * t_sum)
+    def _positive_range(step: StepFn, lo: int, hi: int) -> tuple[int, int]:
+        """Integer interval ``[s0, s1) <= [lo, hi)`` where the affine
+        profile ``c0 + c1 t`` is positive: keeps uniform affine message
+        counts O(1) (summing the masked column instead costs
+        ``plan_grid`` +14 % op_p50_s, slower in 10 of 10 pairs)."""
+        c0, c1 = int(step.c0), int(step.c1)
+        if c1 > 0:
+            lo = max(lo, -c0 // c1 + 1)
+        elif c1 < 0:
+            hi = min(hi, (c0 - 1) // -c1 + 1 if c0 > 0 else 0)
+        elif c0 <= 0:
+            hi = lo
+        return lo, max(lo, hi)
 
-    # ------------------------------------------------------------------
-    # Residue-class fast reductions
-    # ------------------------------------------------------------------
+    @staticmethod
+    def _check_exact(term: CostTerm, bound: float) -> None:
+        """Refuse a words/msgs term whose integer sums could reach
+        ``bound`` past float64 exactness.  Flop terms carry no such
+        contract (fractional profiles; moments ~ ``N (N/v)^2`` pass
+        ``2^52`` at N = 262144) and match the oracle to rounding."""
+        if term.counter != "flops" and bound >= _EXACT_GUARD:
+            raise OverflowError(
+                f"{term.counter} term (coeff={term.coeff}, "
+                f"gate={term.gate}, own={term.own}): step moments up to "
+                f"{bound:.3g} cross 2^52, float64 integer sums are no "
+                f"longer exact")
+
     def _term_total(self, term: CostTerm, msgs: bool) -> np.ndarray | float:
-        """One term's per-rank step sum: the residue-class fast path
-        when the term's shape supports it, else the dense
-        :meth:`_closed_sum` reference.  Both accumulate the same exact
-        integers, so the result is bit-identical either way."""
-        fast = self._fast_sum(term, msgs)
-        return self._closed_sum(term, msgs) if fast is None else fast
+        """One term's per-rank sum over steps of its base product — the
+        only reduction of a cost term, never through a dense
+        ``(steps, dim)`` intermediate.
 
-    def _fast_sum(self, term: CostTerm,
-                  msgs: bool) -> np.ndarray | float | None:
-        """Closed-form per-rank sum without any dense ``(steps, dim)``
-        intermediate, or None when the term needs the reference path
-        (two ownership axes, fractional profiles, or moments large
-        enough to threaten float64 integer exactness).
+        For ``msgs`` the base becomes the msgs profile where the words
+        profile is positive, ownership factors and rank constants
+        replaced by their positivity indicators.
 
         Ownership sums collapse analytically: with ``m`` the axis size
         and ``a`` a residue, ``own(a, t) = C_tot(a) - c_le(a, t)`` where
@@ -488,41 +406,47 @@ class StepAccounting:
         multiples of ``m`` plus ``a`` at or below ``t``.  Summed against
         per-residue weight moments (bincounts of ``w`` and ``w * t``)
         this reduces every gated/owned contraction to ``O(steps + dims)``
-        exact integer arithmetic; negated gates expand by
-        inclusion-exclusion over the at-most-two negated axes.
+        arithmetic; negated gates expand by inclusion-exclusion.
         """
         step = term.step
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
         if hi <= lo or (msgs and term.coeff <= 0):
             return 0.0
-        if term.uniform and step.column is None and not msgs:
-            return self._affine_series(step, lo, hi)
-        if not step.exact:
-            return None
+        if term.uniform and step.column is None and \
+                (not msgs or term.msgs_step.column is None):
+            if msgs:
+                lo, hi = self._positive_range(step, lo, hi)
+                step = term.msgs_step
+                lo, hi = max(lo, step.lo), min(hi, step.hi)
+            series = self._affine_series(step, lo, hi)
+            self._check_exact(term, abs(series))
+            return float(series)
         base = step.values(lo, hi)
         if msgs:
             base = term.msgs_step.values(lo, hi) * (base > 0)
+        # |sum_t base| at most; only the ownership kernels also form
+        # the moment sum_t base * t, a factor ``hi`` above it.
+        bound = float(np.abs(base).max()) * (hi - lo)
         if term.uniform:
+            self._check_exact(term, bound)
             return float(base.sum())
-        amax = float(np.abs(base).max()) if base.size else 0.0
         t = np.arange(lo, hi, dtype=np.int64)
         if len(term.own) > 1:
             # An ungated two-axis ownership product (the trailing-update
-            # flops terms) splits over own = q + beta with beta periodic
-            # in t; anything richer keeps the dense reference.
+            # flops) splits over own = q + beta, beta periodic in t.
             if len(term.own) != 2 or term.gate or msgs:
-                return None
+                raise NotImplementedError(
+                    f"{term.counter} term with ownership {term.own}, "
+                    f"gate {term.gate}: only an ungated, message-free "
+                    f"two-axis ownership product has a closed form")
             qcap_i = self.nsteps // self._axis_dim(term.own[0]) + 1
             qcap_j = self.nsteps // self._axis_dim(term.own[1]) + 1
-            if amax * (hi - lo) * qcap_i * qcap_j >= _EXACT_GUARD:
-                return None
-            total = self._own_pair_reduce(base.astype(np.float64), t,
-                                          term.own[0], term.own[1])
+            self._check_exact(term, bound * qcap_i * qcap_j)
+            total = self._own_pair_reduce(base, t, term.own[0], term.own[1])
             if term.rank_const is not None:
                 total = total * term.rank_const
             return total
-        if amax * (hi - lo) * max(hi, 1) >= _EXACT_GUARD:
-            return None
+        self._check_exact(term, bound * max(hi, 1) if term.own else bound)
         gate_pos = [a for a in term.gate if not a.startswith("!")]
         gate_neg = [a.lstrip("!") for a in term.gate if a.startswith("!")]
         own_ax = term.own[0] if term.own else None
@@ -643,16 +567,14 @@ class StepAccounting:
     def _own_pair_reduce(self, w: np.ndarray, t: np.ndarray, ax_i: str,
                          ax_j: str) -> np.ndarray:
         """``sum_t w(t) own_i(a, t) own_j(b, t)`` for every residue pair
-        gathered onto ranks, without the dense ``(steps, dim)``
-        matrices.
+        gathered onto ranks.
 
         Expanding both factors as ``q + beta`` (full cycles plus the
         periodic window of :meth:`_own_window`) splits the sum into a
         scalar ``sum w q_i q_j``, two per-residue marginals against the
         ``w q`` moments, and a bilinear ``beta_i @ M0 @ beta_j^T`` over
-        the joint residue-class weight counts ``M0``.  Every
-        intermediate is an exact integer under the caller's magnitude
-        guard, so the result is bit-identical to the dense reference."""
+        the joint residue-class weight counts ``M0`` (exact integers on
+        a words profile under the caller's guard)."""
         m_i, m_j = self._axis_dim(ax_i), self._axis_dim(ax_j)
         rem = self.nsteps - 1 - t
         q_i = (rem // m_i).astype(np.float64)
@@ -796,14 +718,7 @@ class StepAccounting:
         cols = dict(zip(STEP_FIELDS, (
             flops_max, flops_tot, recv_max, recv_tot, sent_max, sent_tot,
             msgs_max, msgs_tot)))
-        log = stats.steps
-        if hasattr(log, "extend"):
-            log.extend(step_label, 0, T, **cols)
-        else:
-            for i in range(T):
-                log.append(StepRecord(
-                    label=step_label(i),
-                    **{f: float(cols[f][i]) for f in STEP_FIELDS}))
+        stats.steps.extend(step_label, 0, T, **cols)
 
     def _axis_classes(self, axis: str, t: np.ndarray, gate_used: bool,
                       own_used: bool, funcs: list[np.ndarray]) -> dict:
@@ -904,145 +819,52 @@ class StepAccounting:
         return F
 
 
-def _affine_series_batch(c0: np.ndarray, c1: np.ndarray, lo: np.ndarray,
-                         hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``sum_{t=lo}^{hi-1} (c0 + c1 t)`` over many terms,
-    with a per-term mask of where float64 integer exactness held (the
-    caller re-reduces the rest through the scalar exact path)."""
-    length = np.maximum(0, hi - lo)
-    tsum = (lo + hi - 1) * length // 2
-    a = c0 * length.astype(np.float64)
-    b = c1 * tsum.astype(np.float64)
-    exact = (np.abs(a) < _EXACT_GUARD) & (np.abs(b) < _EXACT_GUARD) \
-        & (np.abs(tsum) < 2 ** 53)
-    return a + b, exact
-
-
-def _positive_interval(c0: np.ndarray, c1: np.ndarray, lo: np.ndarray,
-                       hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer interval ``[s0, s1) <= [lo, hi)`` where the affine
-    profile ``c0 + c1 t`` is positive (vectorized, exact)."""
-    c0 = c0.astype(np.int64)
-    c1 = c1.astype(np.int64)
-    s0 = lo.copy()
-    s1 = hi.copy()
-    pos = c1 > 0
-    tmin = (-c0) // np.where(pos, c1, 1) + 1
-    s0 = np.where(pos, np.maximum(s0, tmin), s0)
-    neg = c1 < 0
-    tend = np.where(c0 > 0, (c0 - 1) // np.where(neg, -c1, 1) + 1,
-                    np.int64(0))
-    s1 = np.where(neg, np.minimum(s1, tend), s1)
-    s1 = np.where((c1 == 0) & (c0 <= 0), s0, s1)
-    return s0, np.maximum(s0, s1)
-
-
 class TermBatch:
-    """The cost-term evaluator: closed-form reduction of a batch of
-    schedules (a single trace is a batch of one).
+    """The cost-term evaluator over a collection of schedules (a single
+    trace is a batch of one).
 
     The planner and the sweep harness score whole grids of candidate
-    configs, so ``TermBatch`` *collects* every candidate's emitted
-    :class:`CostTerm` stream (:meth:`add`) and reduces the whole batch
-    at once (:meth:`evaluate`): the rank-uniform affine terms — the
-    bulk of the stream — flatten into shared coefficient/range vectors
-    and reduce with one vectorized arithmetic-series pass, while
-    gated/owned terms reduce through the exact residue-class kernels of
-    :class:`StepAccounting`.  Every accumulation is exact integer
-    arithmetic in term emission order, so a candidate's
-    :class:`~repro.machine.stats.CommStats` are **bit-identical**
-    whatever else shares its batch (the parity suite pins this, and
-    the totals against the dense oracle, over randomized grids of all
-    five schedules).
+    configs: :meth:`add` collects each candidate's emitted
+    :class:`CostTerm` stream, :meth:`evaluate` reduces every term
+    through :meth:`StepAccounting._term_total`.  Each candidate is
+    reduced on its own, in term emission order, so its
+    :class:`~repro.machine.stats.CommStats` do not depend on what else
+    shares the batch (the parity suite pins this, and the totals
+    against the dense oracle, over randomized grids of all five
+    schedules).
     """
 
     def __init__(self) -> None:
-        self._accts: list[StepAccounting] = []
-        self._terms: list[list[CostTerm]] = []
-        self._labels: list[Callable[[int], str]] = []
+        # (accounting, its terms, the schedule's step_label) per candidate.
+        self._entries: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._accts)
+        return len(self._entries)
 
     def add(self, schedule) -> int:
         """Collect one candidate's cost terms; returns its batch index."""
         acct = StepAccounting(schedule.grid, schedule.steps())
-        self._terms.append(acct._collect(schedule.accounting))
-        self._accts.append(acct)
-        self._labels.append(schedule.step_label)
-        return len(self._accts) - 1
+        self._entries.append((acct, acct._collect(schedule.accounting),
+                              schedule.step_label))
+        return len(self._entries) - 1
 
     def evaluate(self, steps: str = "none") -> list[CommStats]:
-        """Reduce the whole batch; one :class:`CommStats` per added
-        candidate, in :meth:`add` order, with the ``steps`` flavour of
-        step log (derived analytically from the same terms)."""
-        words: list[list[float | np.ndarray | None]] = \
-            [[None] * len(ts) for ts in self._terms]
-        msgs: list[list[float | None]] = \
-            [[None] * len(ts) for ts in self._terms]
-        self._reduce_uniform_affine(words, msgs)
+        """One :class:`CommStats` per added candidate, in :meth:`add`
+        order, with the ``steps`` flavour of step log (derived
+        analytically from the same terms)."""
         out = []
-        for e, (acct, terms) in enumerate(zip(self._accts, self._terms)):
+        for acct, terms, label in self._entries:
             stats = CommStats(acct.nranks, steps=steps)
             arrays = {"recv": (stats.recv_words, stats.recv_msgs),
                       "sent": (stats.sent_words, stats.sent_msgs),
                       "flops": (stats.flops, None)}
-            for i, term in enumerate(terms):
-                w = words[e][i]
-                if w is None:
-                    w = acct._term_total(term, msgs=False)
+            for term in terms:
                 words_arr, msgs_arr = arrays[term.counter]
-                words_arr += term.coeff * w
-                if term.msgs_step is not None and msgs_arr is not None:
-                    mv = msgs[e][i]
-                    if mv is None:
-                        mv = acct._term_total(term, msgs=True)
-                    msgs_arr += term.msgs_coeff * mv
+                words_arr += term.coeff * acct._term_total(term, msgs=False)
+                if term.msgs_step is not None:
+                    msgs_arr += term.msgs_coeff * \
+                        acct._term_total(term, msgs=True)
             if steps != "none":
-                acct._analytic_steps(terms, stats, self._labels[e])
+                acct._analytic_steps(terms, stats, label)
             out.append(stats)
         return out
-
-    def _reduce_uniform_affine(self, words: list[list],
-                               msgs: list[list]) -> None:
-        """One vectorized arithmetic-series pass across every config's
-        rank-uniform affine terms; message counts reduce over the exact
-        integer interval where the words profile is positive.  Terms
-        whose moments could round (mask from the series kernel) stay
-        ``None`` and re-reduce through the scalar exact path."""
-        sel = [(e, i, tm)
-               for e, ts in enumerate(self._terms)
-               for i, tm in enumerate(ts)
-               if tm.uniform and tm.step.column is None
-               and (tm.msgs_step is None or tm.msgs_step.column is None)]
-        if not sel:
-            return
-        nst = np.array([self._accts[e].nsteps for e, _, _ in sel],
-                       dtype=np.int64)
-        c0 = np.array([tm.step.c0 for _, _, tm in sel])
-        c1 = np.array([tm.step.c1 for _, _, tm in sel])
-        lo = np.maximum(0, np.array([tm.step.lo for _, _, tm in sel],
-                                    dtype=np.int64))
-        hi = np.minimum(nst, np.array([tm.step.hi for _, _, tm in sel],
-                                      dtype=np.int64))
-        wtot, wok = _affine_series_batch(c0, c1, lo, hi)
-        have_m = np.array([tm.msgs_step is not None for _, _, tm in sel])
-        coeff_pos = np.array([tm.coeff > 0 for _, _, tm in sel])
-        mc0 = np.array([0.0 if tm.msgs_step is None else tm.msgs_step.c0
-                        for _, _, tm in sel])
-        mc1 = np.array([0.0 if tm.msgs_step is None else tm.msgs_step.c1
-                        for _, _, tm in sel])
-        mlo = np.array([0 if tm.msgs_step is None else tm.msgs_step.lo
-                        for _, _, tm in sel], dtype=np.int64)
-        mhi = np.array([0 if tm.msgs_step is None else tm.msgs_step.hi
-                        for _, _, tm in sel], dtype=np.int64)
-        s0, s1 = _positive_interval(c0, c1, lo, hi)
-        i0 = np.maximum(s0, mlo)
-        i1 = np.maximum(i0, np.minimum(s1, mhi))
-        mtot, mok = _affine_series_batch(mc0, mc1, i0, i1)
-        mtot = np.where(coeff_pos, mtot, 0.0)
-        for k, (e, i, tm) in enumerate(sel):
-            if wok[k]:
-                words[e][i] = float(wtot[k])
-            if have_m[k] and (mok[k] or not coeff_pos[k]):
-                msgs[e][i] = float(mtot[k])

@@ -115,9 +115,9 @@ class TraceBackend:
 
     ``steps`` picks the step-log flavour: ``"columnar"`` (default —
     per-step maxima as lazy NumPy columns, what the BSP perf model
-    consumes), ``"records"`` (eager legacy records), or ``"none"``
-    (no log at all).  Every flavour is the O(steps + P) closed-form
-    evaluation — step columns derive analytically too.
+    consumes) or ``"none"`` (no log at all).  Either way it is the
+    O(steps + P) closed-form evaluation — step columns derive
+    analytically too.
     """
 
     def __init__(self, steps: str = "columnar") -> None:

@@ -105,8 +105,7 @@ class Schedule(abc.ABC):
 
         A :class:`~repro.engine.accounting.TermBatch` of one: totals
         reduce analytically per rank, and ``steps`` selects the step-log
-        flavour derived alongside (``"none"`` / ``"columnar"`` /
-        ``"records"``).
+        flavour derived alongside (``"none"`` / ``"columnar"``).
         """
         batch = TermBatch()
         batch.add(self)

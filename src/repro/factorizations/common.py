@@ -22,7 +22,7 @@ from ..machine.grid import (
     choose_grid_25d,
     replication_factor,
 )
-from ..machine.stats import CommStats, StepLog
+from ..machine.stats import ColumnarStepLog, CommStats, NullStepLog
 
 __all__ = ["FactorizationResult", "validate_problem", "resolve_25d",
            "default_input", "run_impl"]
@@ -114,7 +114,7 @@ class FactorizationResult:
         return self.comm.total_flops
 
     @property
-    def step_log(self) -> StepLog:
+    def step_log(self) -> ColumnarStepLog | NullStepLog:
         return self.comm.steps
 
     def local_words(self) -> float:

@@ -39,7 +39,6 @@ from .stats import (
     ColumnarStepLog,
     CommStats,
     NullStepLog,
-    StepLog,
     StepRecord,
 )
 from .store import RankStore
@@ -50,7 +49,6 @@ __all__ = [
     "recursive_halving_reduce_scatter", "pipelined_reduce",
     "collective_cost_model",
     "CommStats",
-    "StepLog",
     "ColumnarStepLog",
     "NullStepLog",
     "StepRecord",

@@ -4,7 +4,7 @@
 :class:`~repro.machine.stats.CommStats` counter object and exposes the
 communication operations the factorization schedules need: point-to-point
 moves plus the collectives of Algorithm 1 (broadcast, reduce,
-reduce-scatter, scatter, gather, allgather, allreduce).
+reduce-scatter, allreduce).
 
 The per-collective counting conventions (receive-centric, flat reduce
 accounting, binomial-tree sent attribution) are documented in
@@ -245,48 +245,6 @@ class Machine:
             for r in group:
                 if r != dest:
                     self.stores[r].discard(key)
-
-    def scatter(self, root: int, group: Sequence[int],
-                keys: Sequence[Hashable]) -> None:
-        """Send block ``keys[i]`` from ``root`` to ``group[i]``."""
-        group = self._check_group(group)
-        root = self._check_rank(root)
-        if len(keys) != len(group):
-            raise CommunicationError("need exactly one key per group rank")
-        for dst, key in zip(group, keys):
-            self.send(root, dst, key)
-
-    def gather(self, root: int, group: Sequence[int],
-               keys: Sequence[Hashable]) -> None:
-        """Collect block ``keys[i]`` from ``group[i]`` at ``root``."""
-        group = self._check_group(group)
-        root = self._check_rank(root)
-        if len(keys) != len(group):
-            raise CommunicationError("need exactly one key per group rank")
-        for src, key in zip(group, keys):
-            if src == root:
-                continue
-            block = self.stores[src].get(key)
-            self.stats.record_transfer(src, root, block.size)
-            self.stores[root].put(key, block.copy())
-
-    def allgather(self, group: Sequence[int], keys: Sequence[Hashable]) -> None:
-        """After the call every rank in ``group`` holds every ``keys[i]``.
-
-        Received words per rank: sum of the other ranks' block sizes
-        (ring allgather accounting).
-        """
-        group = self._check_group(group)
-        if len(keys) != len(group):
-            raise CommunicationError("need exactly one key per group rank")
-        blocks = [self.stores[r].get(k) for r, k in zip(group, keys)]
-        for i, dst in enumerate(group):
-            for j, src in enumerate(group):
-                if i == j:
-                    continue
-                self.stats.record_transfer(src, dst, blocks[j].size,
-                                           msgs=1.0 / max(1, len(group) - 1))
-                self.stores[dst].put(keys[j], blocks[j].copy())
 
     # ------------------------------------------------------------------
     # Local compute attribution

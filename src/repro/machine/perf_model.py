@@ -10,7 +10,7 @@ costs with the standard distributed-memory cost model
     t_total = sum over supersteps of t_step,
 
 where the per-step maxima over ranks (from
-:class:`~repro.machine.stats.StepLog`) serve as the bulk-synchronous
+:class:`~repro.machine.stats.ColumnarStepLog`) serve as the bulk-synchronous
 critical path.  ``eff`` models local BLAS efficiency as a saturating
 function of the per-rank working-set size: the paper observes roughly 40%
 of peak once ``N^2 / P > 2^27`` and a latency-dominated collapse below
@@ -28,7 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from .stats import StepLog, StepRecord
+from .stats import ColumnarStepLog, StepRecord
 
 __all__ = ["MachineParams", "PIZ_DAINT_XC40", "PerfModel", "TimeBreakdown"]
 
@@ -108,7 +108,8 @@ class TimeBreakdown:
 
 
 class PerfModel:
-    """Turns a :class:`StepLog` into a time / %-of-peak estimate."""
+    """Turns a :class:`ColumnarStepLog` into a time / %-of-peak
+    estimate."""
 
     def __init__(self, params: MachineParams = PIZ_DAINT_XC40) -> None:
         self.params = params
@@ -129,15 +130,16 @@ class PerfModel:
         return self._step_times(rec.flops_max, rec.recv_words_max,
                                 rec.msgs_max, local_words)
 
-    def evaluate(self, log: StepLog, nranks: int,
+    def evaluate(self, log: ColumnarStepLog, nranks: int,
                  local_words: float) -> TimeBreakdown:
         """Estimate time and achieved fraction of machine peak.
 
         Parameters
         ----------
         log:
-            Per-superstep maxima recorded by the algorithm.  Must hold
-            at least one step: a trace run evaluated with
+            Per-superstep maxima recorded by the algorithm, consumed as
+            whole-run columns (no per-step record is materialized).
+            Must hold at least one step: a trace run evaluated with
             ``steps="none"`` (the closed-form sweep default) carries no
             per-step data, and silently timing it would return nonsense
             — re-trace with ``steps="columnar"`` instead.
@@ -155,21 +157,9 @@ class PerfModel:
                 "traced with steps='none' (no per-step maxima exist); "
                 "re-run the trace with steps='columnar'")
         p = self.params
-        if hasattr(log, "column"):
-            # Columnar log: whole-run array arithmetic, no per-step
-            # record materialization.
-            flops_max = log.column("flops_max")
-            recv_max = log.column("recv_words_max")
-            msgs_max = log.column("msgs_max")
-            flops_total = float(log.column("flops_total").sum())
-        else:
-            recs = list(log)
-            flops_max = np.array([r.flops_max for r in recs])
-            recv_max = np.array([r.recv_words_max for r in recs])
-            msgs_max = np.array([r.msgs_max for r in recs])
-            flops_total = float(sum(r.flops_total for r in recs))
-        t_comp, t_bw, t_lat = self._step_times(flops_max, recv_max,
-                                               msgs_max, local_words)
+        t_comp, t_bw, t_lat = self._step_times(
+            log.column("flops_max"), log.column("recv_words_max"),
+            log.column("msgs_max"), local_words)
         comp = float(t_comp.sum())
         bw = float(t_bw.sum())
         lat = float(t_lat.sum())
@@ -177,7 +167,7 @@ class PerfModel:
                        + t_lat).sum())
         if total <= 0:
             total = max(lat, 1e-30)
-        achieved = flops_total / total
+        achieved = log.total("flops_total") / total
         return TimeBreakdown(
             compute_s=comp, bandwidth_s=bw, latency_s=lat, total_s=total,
             achieved_flops=achieved,

@@ -13,15 +13,12 @@ Counters are plain ``numpy`` arrays of length ``P`` so that recording is
 O(1) per event and aggregation (max / total / per-rank) is vectorized.
 A step log optionally captures per-superstep maxima, which the
 BSP-style performance model (:mod:`repro.machine.perf_model`) consumes.
-Three step-log flavours exist, selected by ``CommStats(steps=...)``:
+Two step-log flavours exist, selected by ``CommStats(steps=...)``:
 
-* ``"records"`` — the eager :class:`StepLog` of :class:`StepRecord`
-  objects (one Python object per superstep; the machine's incremental
-  ``begin_step``/``end_step`` bracketing uses this);
 * ``"columnar"`` — :class:`ColumnarStepLog`: per-field NumPy columns
-  with *lazy* :class:`StepRecord` materialization, so a trace run can
-  flush all its steps as arrays and the perf model can consume
-  the columns vectorized, without ever building ``N/v`` records;
+  with *lazy* :class:`StepRecord` materialization, filled by a trace
+  run as whole arrays and by the machine's ``begin_step``/``end_step``
+  bracketing one step at a time; the perf model reads the columns;
 * ``"none"`` — :class:`NullStepLog`: appends are dropped.  Sweeps and
   the planner use this together with the closed-form trace evaluator,
   where no per-step data exists in the first place.
@@ -36,8 +33,7 @@ import numpy as np
 
 from .exceptions import RankError
 
-__all__ = ["CommStats", "StepRecord", "StepLog", "ColumnarStepLog",
-           "NullStepLog"]
+__all__ = ["CommStats", "StepRecord", "ColumnarStepLog", "NullStepLog"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,33 +79,6 @@ class StepRecord:
         )
 
 
-class StepLog:
-    """Ordered sequence of :class:`StepRecord` for one algorithm run."""
-
-    def __init__(self) -> None:
-        self._records: list[StepRecord] = []
-
-    def append(self, record: StepRecord) -> None:
-        self._records.append(record)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[StepRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, idx: int) -> StepRecord:
-        return self._records[idx]
-
-    @property
-    def records(self) -> Sequence[StepRecord]:
-        return tuple(self._records)
-
-    def total(self, field: str) -> float:
-        """Sum of ``field`` over all steps (e.g. ``"recv_words_max"``)."""
-        return float(sum(getattr(r, field) for r in self._records))
-
-
 #: The numeric fields of a StepRecord, in declaration order.
 STEP_FIELDS = ("flops_max", "flops_total", "recv_words_max",
                "recv_words_total", "sent_words_max", "sent_words_total",
@@ -120,27 +89,31 @@ class ColumnarStepLog:
     """Step log stored as per-field NumPy columns.
 
     The trace evaluator flushes all its steps at once through
-    :meth:`extend`; labels stay *lazy* — a segment stores the label
-    factory and its step range, and the string (like the
-    :class:`StepRecord` itself) is only built when a caller actually
-    indexes or iterates the log.  The perf model reads the columns
-    directly via :meth:`column`, so the common paths never materialize
-    a single record.
+    :meth:`extend`, the machine's superstep bracketing adds one record
+    at a time through :meth:`append` (O(1): scalars that :meth:`column`
+    folds into one array on the next read).  Labels stay *lazy* — a
+    segment stores the label factory and its step range, and the string
+    (like the :class:`StepRecord` itself) is only built when a caller
+    indexes or iterates the log; the perf model reads the columns
+    directly, so the common paths never materialize a single record.
     """
 
     def __init__(self) -> None:
         # Label segments: ("lazy", fn, start, count) | ("list", [str]).
         self._labels: list[tuple] = []
-        self._blocks: dict[str, list[np.ndarray]] = {f: [] for f
-                                                     in STEP_FIELDS}
+        self._blocks: dict[str, list[np.ndarray | float]] = {
+            f: [] for f in STEP_FIELDS}
         self._cache: dict[str, np.ndarray] = {}
         self._n = 0
 
     # -- writing -------------------------------------------------------
     def append(self, record: StepRecord) -> None:
         for f in STEP_FIELDS:
-            self._blocks[f].append(np.array([getattr(record, f)]))
-        self._labels.append(("list", [record.label]))
+            self._blocks[f].append(getattr(record, f))
+        if self._labels and self._labels[-1][0] == "list":
+            self._labels[-1][1].append(record.label)
+        else:
+            self._labels.append(("list", [record.label]))
         self._cache.clear()
         self._n += 1
 
@@ -164,12 +137,11 @@ class ColumnarStepLog:
     # -- reading -------------------------------------------------------
     def column(self, field: str) -> np.ndarray:
         """The whole log's values of one field, as one array."""
-        if field not in self._blocks:
-            raise KeyError(field)
         if field not in self._cache:
-            blocks = self._blocks[field]
-            self._cache[field] = (np.concatenate(blocks) if blocks
-                                  else np.zeros(0))
+            blocks = self._blocks[field]    # arrays and appended scalars
+            blocks[:] = [np.hstack(blocks).astype(np.float64, copy=False)
+                         if blocks else np.zeros(0)]
+            self._cache[field] = blocks[0]
         return self._cache[field]
 
     def label(self, idx: int) -> str:
@@ -238,14 +210,12 @@ class NullStepLog:
 
 
 def _make_step_log(mode: str):
-    if mode == "records":
-        return StepLog()
     if mode == "columnar":
         return ColumnarStepLog()
     if mode == "none":
         return NullStepLog()
     raise ValueError(f"unknown steps mode {mode!r}; "
-                     "use 'none', 'columnar' or 'records'")
+                     "use 'none' or 'columnar'")
 
 
 class CommStats:
@@ -256,7 +226,7 @@ class CommStats:
     trace-mode accounting in the factorization modules are its clients.
     """
 
-    def __init__(self, nranks: int, steps: str = "records") -> None:
+    def __init__(self, nranks: int, steps: str = "columnar") -> None:
         if nranks <= 0:
             raise RankError(f"need at least one rank, got {nranks}")
         self.nranks = int(nranks)
@@ -334,33 +304,6 @@ class CommStats:
             raise ValueError("flops must be non-negative")
         self.flops[r] += flops
 
-    # Vectorized bulk recording (trace mode feeds arrays indexed by rank).
-    def add_recv_array(self, words: np.ndarray, msgs: np.ndarray | None = None) -> None:
-        words = np.asarray(words, dtype=np.float64)
-        if words.shape != (self.nranks,):
-            raise ValueError(f"expected shape ({self.nranks},), got {words.shape}")
-        if np.any(words < 0):
-            raise ValueError("negative word counts")
-        self.recv_words += words
-        self.recv_msgs += np.ceil(words > 0) if msgs is None else np.asarray(msgs)
-
-    def add_sent_array(self, words: np.ndarray, msgs: np.ndarray | None = None) -> None:
-        words = np.asarray(words, dtype=np.float64)
-        if words.shape != (self.nranks,):
-            raise ValueError(f"expected shape ({self.nranks},), got {words.shape}")
-        if np.any(words < 0):
-            raise ValueError("negative word counts")
-        self.sent_words += words
-        self.sent_msgs += np.ceil(words > 0) if msgs is None else np.asarray(msgs)
-
-    def add_flops_array(self, flops: np.ndarray) -> None:
-        flops = np.asarray(flops, dtype=np.float64)
-        if flops.shape != (self.nranks,):
-            raise ValueError(f"expected shape ({self.nranks},), got {flops.shape}")
-        if np.any(flops < 0):
-            raise ValueError("negative flop counts")
-        self.flops += flops
-
     # ------------------------------------------------------------------
     # Superstep bracketing
     # ------------------------------------------------------------------
@@ -424,10 +367,6 @@ class CommStats:
     @property
     def max_flops(self) -> float:
         return float(self.flops.max())
-
-    def volume_per_rank(self) -> np.ndarray:
-        """Received words per rank (copy)."""
-        return self.recv_words.copy()
 
     def reset(self) -> None:
         for arr in (self.sent_words, self.recv_words, self.sent_msgs,

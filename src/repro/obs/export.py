@@ -64,10 +64,10 @@ def span_events(records: Iterable[SpanRecord]) -> list[dict]:
 def step_timeline_events(step_log, pid: str = TIMELINE_PID) -> list[dict]:
     """Counter events for a step log's per-superstep maxima/totals.
 
-    Accepts any step-log flavour (:class:`StepLog`,
-    :class:`ColumnarStepLog`; a :class:`NullStepLog` yields no
-    events).  Each superstep ``i`` emits one counter sample per field
-    at ``ts = i`` (microseconds — the synthetic superstep timebase)
+    Accepts either step-log flavour (a :class:`ColumnarStepLog`; a
+    :class:`NullStepLog` yields no events).  Each superstep ``i`` emits
+    one counter sample per field at ``ts = i`` (microseconds — the
+    synthetic superstep timebase)
     plus an instant event naming the step's label, so the phase
     structure stays readable in the viewer.
     """

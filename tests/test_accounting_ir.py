@@ -13,9 +13,14 @@ and for randomized configurations.
   per-step totals agree to rounding (``assert_matches_oracle`` checks
   totals and columns together; ``test_analytic_steps.py`` spells the
   step-log facets out per schedule).
-* **Step-log equivalence** — the columnar log and the eager records
-  log hold the same values.
+* **Step-log equivalence** — the columnar log's lazily materialized
+  records hold the columns' values.
+* **One path** — there is one reduction per term; what it cannot reduce
+  exactly is refused with a typed error, and fractional flop columns
+  go through the same kernels as integer ones.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from hypothesis import strategies as st
 from oracle import assert_matches_oracle, oracle_stats
 from repro.analysis import harness
 from repro.analysis.harness import sweep_traces
+from repro.engine.accounting import TermBatch
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -34,6 +40,9 @@ from repro.factorizations.baselines.scalapack_chol import (
     ScalapackCholeskySchedule,
 )
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
+from repro.machine.grid import ProcessorGrid3D
+from repro.machine.stats import STEP_FIELDS, StepRecord
+from repro.planner import PlanRequest, plan_request
 
 
 class TestFixedConfigs:
@@ -119,11 +128,13 @@ class TestStepLogEquivalence:
         lambda: Matmul25DSchedule(64, 16, s=8, c=2),
     ])
     def test_columnar_equals_records(self, sched_fn):
-        columnar = sched_fn().trace_stats(steps="columnar")
-        records = sched_fn().trace_stats(steps="records")
-        assert len(columnar.steps) == len(records.steps)
-        for rc, rr in zip(columnar.steps, records.steps):
-            assert rc == rr          # StepRecord is a frozen dataclass
+        sched = sched_fn()
+        log = sched.trace_stats(steps="columnar").steps
+        assert len(log.records) == len(log) == sched.steps()
+        for t, rec in enumerate(log):
+            assert rec == StepRecord(      # a frozen dataclass
+                label=sched.step_label(t),
+                **{f: float(log.column(f)[t]) for f in STEP_FIELDS})
 
     def test_columnar_labels_are_lazy(self):
         calls = []
@@ -161,6 +172,9 @@ class TestBuilderValidation:
             acct.affine(1.5, 1.0)
         # Flops may carry fractional columns (documented exception).
         acct.add_flops(1.0, step=acct.column(np.full(4, 0.5)))
+        # Integrality is settled once, when the profile is built.
+        assert acct.column(np.full(4, 0.5)).exact is False
+        assert acct.column(np.arange(4.0)).exact and acct.affine(3, 2).exact
 
     def test_negative_words_coeff_rejected(self):
         acct = self._acct()
@@ -186,6 +200,139 @@ class TestBuilderValidation:
         acct = self._acct()
         with pytest.raises(ValueError, match="column"):
             acct.column(np.zeros(3))
+
+
+def _adhoc(grid, nsteps, accounting):
+    """An accounting callable as the schedule the evaluator and the
+    oracle both accept."""
+    return types.SimpleNamespace(
+        grid=grid, steps=lambda: nsteps, accounting=accounting,
+        step_label=lambda t: f"t={t}")
+
+
+def _evaluate(sched, steps="columnar"):
+    batch = TermBatch()
+    batch.add(sched)
+    return batch.evaluate(steps)[0]
+
+
+class TestOnePath:
+    """``_term_total`` is the only reduction: no silent second path."""
+
+    GRID = ProcessorGrid3D(2, 2, 2)
+
+    @pytest.mark.parametrize("emit", [
+        lambda a: a.add_recv(1.0, step=a.affine(0, 2 ** 51)),
+        lambda a: a.add_recv(1.0, step=a.affine(2 ** 50), gate=("j",)),
+        lambda a: a.add_sent(1.0, step=a.affine(2 ** 50), own=("i",)),
+        lambda a: a.add_recv(1.0, msgs_step=a.affine(0, 2 ** 51)),
+    ], ids=["uniform", "gated", "owned", "msgs"])
+    def test_moments_past_2_52_raise_instead_of_rounding(self, emit):
+        with pytest.raises(OverflowError,
+                           match=r"(recv|sent) term .*cross 2\^52"):
+            _evaluate(_adhoc(self.GRID, 4, emit))
+
+    def test_moments_below_the_guard_match_the_oracle(self):
+        sched = _adhoc(self.GRID, 4, lambda a: (
+            a.add_recv(1.0, step=a.affine(0, 2 ** 40)),
+            a.add_recv(1.0, step=a.affine(2 ** 40), gate=("j",))))
+        assert np.array_equal(_evaluate(sched).recv_words,
+                              oracle_stats(sched).recv_words)
+
+    def test_ownership_free_words_are_guarded_on_the_sum_only(self):
+        """Without an ownership factor no ``w * t`` moment is formed, so
+        the refusal tracks the sum (``amax * steps``), not the moment
+        (``amax * steps^2``, 2^54 here): the planner's 2D candidates at
+        N = 2^21 have this shape."""
+        sched = _adhoc(self.GRID, 4096, lambda a: (
+            a.add_recv(1.0, step=a.affine(2 ** 30), gate=("!j",)),
+            a.add_sent(1.0, step=a.affine(2 ** 30, -2 ** 10),
+                       gate=("j", "k"))))
+        got, want = _evaluate(sched, "none"), oracle_stats(sched)
+        assert np.array_equal(got.recv_words, want.recv_words)
+        assert np.array_equal(got.sent_words, want.sent_words)
+        assert np.array_equal(got.recv_msgs, want.recv_msgs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(), dict(gate=("j", "k")), dict(gate=("!i",), own=("i",)),
+        dict(own=("j",)), dict(own=("i", "j")),
+    ], ids=["uniform", "gated", "negated-owned", "owned", "two-axis"])
+    def test_flops_carry_no_exactness_refusal(self, kwargs):
+        """Flop moments pass 2^52 at paper scale (COnfLUX's
+        ``N (N/v)^2`` at N = 262144, v <= 2); flops have no exactness
+        contract, so they are summed, to rounding, never refused."""
+        sched = _adhoc(self.GRID, 64, lambda a: a.add_flops(
+            0.5, step=a.affine(2 ** 50, -2 ** 44), **kwargs))
+        np.testing.assert_allclose(_evaluate(sched, "none").flops,
+                                   oracle_stats(sched).flops, rtol=1e-12)
+
+    def test_largest_sweep_n_at_the_planners_smallest_tile(self):
+        """N = 262144 (the sweep's largest) at v = 1 — a planner
+        candidate — evaluates, as it did through the dense fallback."""
+        stats = ConfluxSchedule(262144, 1024, v=1, c=1).trace_stats("none")
+        # The parent's value (dense fallback), here to rounding.
+        assert stats.flops.sum() == pytest.approx(1.2009702169111836e16,
+                                                  rel=1e-12)
+        plan = plan_request(PlanRequest("lu", 262144, 1024,
+                                        harness.NODE_MEM_WORDS))
+        assert plan.ranked[0].params == {"v": 4, "c": 4}
+
+    @pytest.mark.parametrize("emit", [
+        lambda a: a.add_flops(1.0, gate=("k",), own=("i", "j")),
+        lambda a: a.add_flops(1.0, gate=("!i",), own=("i", "j")),
+        lambda a: a.add_recv(1.0, own=("i", "j")),      # msgs ride along
+        lambda a: a.add_flops(1.0, own=("i", "j", "k")),
+    ], ids=["gated", "negated", "msgs", "three-axis"])
+    def test_rich_two_axis_ownership_is_refused_at_evaluation(self, emit):
+        sched = _adhoc(self.GRID, 6, emit)
+        batch = TermBatch()
+        batch.add(sched)                  # emission accepts the term
+        with pytest.raises(NotImplementedError, match="two-axis ownership"):
+            batch.evaluate()
+
+    def test_plain_two_axis_ownership_matches_the_oracle(self):
+        sched = _adhoc(self.GRID, 6, lambda a: (
+            a.add_flops(2.0, own=("i", "j")),
+            a.add_recv(3.0, own=("i", "j"), msgs=0.0)))
+        got, want = _evaluate(sched), oracle_stats(sched)
+        assert np.array_equal(got.flops, want.flops)
+        assert np.array_equal(got.recv_words, want.recv_words)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(*[st.integers(1, 4)] * 3),
+           column=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1,
+                           max_size=24),
+           gate=st.lists(st.sampled_from(["i", "j", "k"]), unique=True,
+                         max_size=3),
+           negate=st.tuples(*[st.booleans()] * 3),
+           window=st.tuples(st.integers(0, 24), st.integers(0, 24)),
+           own=st.sampled_from([(), ("i",), ("j",)]))
+    def test_gated_fractional_flop_column(self, dims, column, gate, negate,
+                                          window, own):
+        """A non-integer flop column reduces through the residue-class
+        kernels like any other — only the mkl/candmc/capital schedules
+        reach that shape (positive gates only); here every gate sign,
+        a step window and an ownership factor."""
+        column = np.asarray(column) + 0.25           # fractional for sure
+        atoms = tuple(("!" if neg else "") + axis
+                      for axis, neg in zip(gate, negate))
+
+        def accounting(a):
+            a.add_flops(1.5, step=a.column(column, lo=min(window),
+                                           hi=max(window)),
+                        gate=atoms, own=own)
+
+        sched = _adhoc(ProcessorGrid3D(*dims), column.size, accounting)
+        got, want = _evaluate(sched), oracle_stats(sched)
+        # Negated gates subtract bucket sums from the whole column's:
+        # rounding is relative to the term's magnitude, not each rank's.
+        scale = 1.5 * column.sum() * (column.size if own else 1)
+        np.testing.assert_allclose(got.flops, want.flops, rtol=1e-12,
+                                   atol=1e-12 * scale)
+        for field in ("flops_max", "flops_total"):
+            np.testing.assert_allclose(
+                got.steps.column(field), want.steps.column(field),
+                rtol=1e-12, atol=1e-12 * scale)
 
 
 #: Small paper-shaped smoke-sweep cases (fast, non-trivial steps).

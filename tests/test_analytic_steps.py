@@ -13,7 +13,7 @@ import pytest
 
 from oracle import oracle_stats
 from repro.machine import PerfModel
-from repro.machine.stats import STEP_FIELDS
+from repro.machine.stats import STEP_FIELDS, ColumnarStepLog
 
 
 def _five_schedules():
@@ -79,12 +79,15 @@ class TestAnalyticStepColumns:
         assert a.peak_fraction == pytest.approx(b.peak_fraction, rel=1e-9)
 
     def test_records_flavour_matches_columnar(self, sched):
-        """The analytic path serves eager records too; both flavours
-        carry the same numbers."""
-        col = sched.trace_stats(steps="columnar")
-        rec = sched.trace_stats(steps="records")
-        assert len(col.steps) == len(rec.steps)
-        last = len(col.steps) - 1
+        """One log, two writers: the trace flushes its steps as arrays
+        (``extend``), the machine's superstep bracketing appends one
+        record at a time.  The trace's records appended one by one
+        rebuild its columns bit for bit."""
+        col = sched.trace_stats(steps="columnar").steps
+        rec = ColumnarStepLog()
+        for record in col:
+            rec.append(record)
+        assert len(col) == len(rec)
         for field in STEP_FIELDS:
-            assert col.steps.column(field)[last] == pytest.approx(
-                getattr(rec.steps.records[last], field), rel=1e-12)
+            assert np.array_equal(col.column(field), rec.column(field))
+        assert col.label(len(col) - 1) == rec.label(len(rec) - 1)

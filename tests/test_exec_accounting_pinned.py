@@ -16,6 +16,12 @@ the commit before the point-to-point patterns were batched) spread
 each step's pivots over up to eight tiles and several ranks, so steps
 5 and 6 run their multi-tile paths; they pin the row permutation too.
 
+The step columns were recorded from the eager per-step record log the
+machine used to keep.  The machine now appends to the same
+:class:`ColumnarStepLog` the trace evaluator fills, so the pinned
+records double as the reference for that log, and ``PARENT_TIMES``
+holds what the perf model made of the eager log at that commit.
+
 Regenerate (only for an intended accounting change, from the commit
 whose numbers are to be pinned)::
 
@@ -24,6 +30,7 @@ whose numbers are to be pinned)::
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 
@@ -33,7 +40,8 @@ import pytest
 from repro.engine.backends import DistributedBackend
 from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
 from repro.machine.grid import ProcessorGrid3D
-from repro.machine.stats import STEP_FIELDS
+from repro.machine.perf_model import PerfModel
+from repro.machine.stats import STEP_FIELDS, ColumnarStepLog, StepRecord
 
 PINNED = pathlib.Path(__file__).with_name("exec_accounting_pinned.json")
 
@@ -63,16 +71,46 @@ CASES.update({f"conflux/{cfg}/normal": ("conflux", config, True)
               for cfg, config in PIVOTING.items()})
 
 
-def measure(impl: str, config: tuple, normal: bool) -> dict:
-    """One distributed run's counted accounting: on the schedule's
+#: ``PerfModel().evaluate(step_log, P, N^2/P)`` ``(total_s,
+#: peak_fraction)`` of each run at the last commit with the eager log.
+PARENT_TIMES = {
+    "conflux/n128-p16-v8-c2":
+        (0.0062113362967229895, 2.4808696238936344e-05),
+    "conflux/n96-p8-v8-c2-grid4x1":
+        (0.00487292116994747, 2.9248668315311876e-05),
+    "conflux/n64-p4-v8-c1":
+        (0.00278580034348865, 3.0295241691048543e-05),
+    "confchox/n128-p16-v8-c2":
+        (0.0034413835786823686, 2.2852488859812322e-05),
+    "confchox/n96-p8-v8-c2-grid4x1":
+        (0.0024663111236748786, 2.757931845712525e-05),
+    "confchox/n64-p4-v8-c1":
+        (0.001631808081583888, 2.58339722249485e-05),
+    "conflux/n128-p16-v8-c2/normal":
+        (0.006948266211170849, 2.2185335289480965e-05),
+    "conflux/n96-p8-v8-c2-grid4x1/normal":
+        (0.005084213248314559, 2.8230216189499824e-05),
+    "conflux/n128-p16-v8-c4/normal":
+        (0.008840597325695511, 1.7436561116448035e-05),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def run(key: str):
+    """One distributed run (and its backend): on the schedule's
     default input, or on a seeded general matrix with its pivots."""
-    n, p, v, c, grid = config
+    impl, (n, p, v, c, grid), normal = CASES[key]
     sched = SCHEDULES[impl](
         n, p, v=v, c=c, grid=ProcessorGrid3D(*grid) if grid else None)
     backend = DistributedBackend()
     a = (np.random.default_rng(NORMAL_SEED).standard_normal((n, n))
          if normal else None)
-    result = backend.run(sched, a=a)
+    return backend.run(sched, a=a), backend
+
+
+def measure(key: str) -> dict:
+    """The counted accounting of :func:`run`, in the pinned shape."""
+    result, backend = run(key)
     comm = result.comm
     out = {field: getattr(comm, field).tolist()
            for field in ("recv_words", "sent_words", "recv_msgs", "flops")}
@@ -80,7 +118,7 @@ def measure(impl: str, config: tuple, normal: bool) -> dict:
                     for field in ("label",) + STEP_FIELDS}
     out["step_peaks"] = [list(lp) for lp in
                          backend.memory_report().step_peaks]
-    if normal:
+    if CASES[key][2]:
         out["perm"] = result.perm.tolist()
     return out
 
@@ -93,7 +131,7 @@ def pinned() -> dict:
 @pytest.mark.parametrize("key", CASES,
                          ids=[key.replace("/", "-") for key in CASES])
 def test_counted_accounting_equals_the_pinned_run(pinned, key):
-    got = measure(*CASES[key])
+    got = measure(key)
     want = pinned[key]
     assert got.keys() == want.keys()
     for field in want.keys() - {"steps"}:
@@ -102,7 +140,27 @@ def test_counted_accounting_equals_the_pinned_run(pinned, key):
         assert got["steps"][field] == column, f"step column {field}"
 
 
+@pytest.mark.parametrize("key", CASES,
+                         ids=[key.replace("/", "-") for key in CASES])
+def test_executed_step_log_is_columnar_and_times_as_before(pinned, key):
+    """The machine's superstep bracketing writes the columnar log:
+    its records are the pinned (eager-era) ones, and the perf model
+    reads it to the value it read off the eager log.  To 1e-12, not
+    ``==``: the eager branch summed ``flops_total`` in Python order,
+    the columns sum through ``ndarray.sum``."""
+    result, _ = run(key)
+    log = result.step_log
+    assert isinstance(log, ColumnarStepLog)
+    steps = pinned[key]["steps"]
+    assert list(log.records) == [
+        StepRecord(**dict(zip(steps, row))) for row in zip(*steps.values())]
+    got = PerfModel().evaluate(log, result.nranks,
+                               result.n ** 2 / result.nranks)
+    total_s, peak_fraction = PARENT_TIMES[key]
+    assert got.total_s == pytest.approx(total_s, rel=1e-12)
+    assert got.peak_fraction == pytest.approx(peak_fraction, rel=1e-12)
+
+
 if __name__ == "__main__":
     PINNED.write_text(json.dumps(
-        {key: measure(*case) for key, case in CASES.items()},
-        indent=1) + "\n")
+        {key: measure(key) for key in CASES}, indent=1) + "\n")

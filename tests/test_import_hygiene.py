@@ -1,6 +1,7 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
-the paper's Table-2 models stay out of everything but the figures, and
-schedules are built only through the implementation table.
+the paper's Table-2 models stay out of everything but the figures,
+schedules are built only through the implementation table, and the
+trace evaluator has one reduction and one step-log shape.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -114,6 +115,28 @@ def test_schedules_are_built_only_through_the_table():
         if "factorizations" not in path.parts
         and (lines := _schedule_calls(path))}
     assert offenders == {}
+
+
+def test_one_reduction_and_no_duck_typed_forks():
+    """The only ``hasattr(`` calls the tree ever had chose between
+    step-log shapes; there is one shape now.  And a cost term has one
+    reduction, ``StepAccounting._term_total``: the names of the dense
+    fallback, its fast twin and the cross-config pre-pass stay gone."""
+    offenders = {
+        str(path.relative_to(ROOT)): lines
+        for path in (SRC / "repro").rglob("*.py")
+        if (lines := [node.lineno
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "hasattr"])}
+    assert offenders == {}
+    accounting = ast.parse(
+        (SRC / "repro" / "engine" / "accounting.py").read_text())
+    defined = {node.name for node in ast.walk(accounting)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_term_total" in defined
+    assert not defined & {"_closed_sum", "_fast_sum",
+                          "_reduce_uniform_affine"}
 
 
 def test_every_accepted_label_is_a_table_row():

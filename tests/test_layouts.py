@@ -1,11 +1,10 @@
-"""Unit tests for data layouts (descriptors, block-cyclic, 2.5D, COSTA)."""
+"""Unit tests for data layouts (descriptors, block-cyclic, COSTA)."""
 
 import numpy as np
 import pytest
 
 from repro.layouts import (
     BlockCyclicLayout,
-    Replicated25DLayout,
     ScaLAPACKDescriptor,
     global_to_local,
     local_to_global,
@@ -13,7 +12,7 @@ from repro.layouts import (
     redistribute,
     redistribution_volume,
 )
-from repro.machine import LayoutError, Machine, ProcessorGrid2D, ProcessorGrid3D
+from repro.machine import LayoutError, Machine, ProcessorGrid2D
 
 
 class TestNumroc:
@@ -145,41 +144,6 @@ class TestBlockCyclic:
             BlockCyclicLayout(0, 4, 2, 2, ProcessorGrid2D(1, 1))
         with pytest.raises(LayoutError):
             BlockCyclicLayout(4, 4, 0, 2, ProcessorGrid2D(1, 1))
-
-
-class TestReplicated25D:
-    def test_validation(self):
-        g = ProcessorGrid3D(2, 2, 2)
-        with pytest.raises(LayoutError):
-            Replicated25DLayout(10, 3, g)   # 3 does not divide 10
-        with pytest.raises(LayoutError):
-            Replicated25DLayout(12, 3, g)   # c=2 does not divide v=3
-
-    def test_planes_per_layer(self):
-        g = ProcessorGrid3D(2, 2, 2)
-        lay = Replicated25DLayout(16, 4, g)
-        assert lay.planes_per_layer == 2
-        assert lay.ntiles == 4
-
-    def test_owner_rank_per_layer(self):
-        g = ProcessorGrid3D(2, 2, 2)
-        lay = Replicated25DLayout(16, 4, g)
-        r0 = lay.owner_rank(1, 0, 0)
-        r1 = lay.owner_rank(1, 0, 1)
-        assert g.coords(r0)[:2] == g.coords(r1)[:2]
-        assert g.coords(r0)[2] == 0 and g.coords(r1)[2] == 1
-
-    def test_tile_counts_cover_trailing(self):
-        g = ProcessorGrid3D(2, 2, 1)
-        lay = Replicated25DLayout(32, 4, g)
-        for first in range(8):
-            counts = lay.tile_counts_per_coord(first)
-            assert counts.sum() == (8 - first) ** 2
-
-    def test_local_words(self):
-        g = ProcessorGrid3D(2, 2, 2)
-        lay = Replicated25DLayout(16, 4, g)
-        assert lay.local_words() == 64.0  # 256 / 4 ranks per layer
 
 
 class TestCosta:

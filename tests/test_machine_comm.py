@@ -172,35 +172,13 @@ class TestMachineCollectives:
         with pytest.raises(CommunicationError):
             m.reduce(0, [0, 1], "x", op="prod")
 
-    def test_scatter_gather_roundtrip(self):
-        m = Machine(3)
-        for i in range(3):
-            m.store(0).put(("blk", i), np.full(2, float(i)))
-        m.scatter(0, [0, 1, 2], [("blk", 0), ("blk", 1), ("blk", 2)])
-        assert np.array_equal(m.store(2).get(("blk", 2)), np.full(2, 2.0))
-        m2 = Machine(3)
-        for i in range(3):
-            m2.store(i).put(("blk", i), np.full(2, float(i)))
-        m2.gather(0, [0, 1, 2], [("blk", 0), ("blk", 1), ("blk", 2)])
-        assert np.array_equal(m2.store(0).get(("blk", 1)), np.full(2, 1.0))
-
-    def test_allgather(self):
-        m = Machine(2)
-        m.store(0).put("a", np.zeros(2))
-        m.store(1).put("b", np.ones(2))
-        m.allgather([0, 1], ["a", "b"])
-        assert np.array_equal(m.store(0).get("b"), np.ones(2))
-        assert np.array_equal(m.store(1).get("a"), np.zeros(2))
-        assert m.stats.recv_words[0] == 2
-        assert m.stats.recv_words[1] == 2
-
     def test_group_validation(self):
         m = Machine(3)
         m.store(0).put("k", np.ones(1))
         with pytest.raises(CommunicationError):
             m.bcast(0, [0, 0, 1], "k")
         with pytest.raises(CommunicationError):
-            m.scatter(0, [0, 1], ["k"])
+            m.reduce_scatter([0, 1], ["k"])
 
     def test_memory_enforcement_through_comm(self):
         m = Machine(2, mem_words=4, enforce_memory=True)

@@ -82,27 +82,6 @@ class TestCommStatsBasics:
 
 
 class TestVectorizedRecording:
-    def test_add_recv_array(self):
-        s = CommStats(3)
-        s.add_recv_array(np.array([1.0, 2.0, 3.0]))
-        assert s.max_recv_words == 3.0
-        assert s.total_recv_words == 6.0
-
-    def test_add_recv_array_shape_check(self):
-        s = CommStats(3)
-        with pytest.raises(ValueError):
-            s.add_recv_array(np.zeros(4))
-
-    def test_add_recv_array_negative_rejected(self):
-        s = CommStats(2)
-        with pytest.raises(ValueError):
-            s.add_recv_array(np.array([1.0, -1.0]))
-
-    def test_add_flops_array(self):
-        s = CommStats(2)
-        s.add_flops_array(np.array([5.0, 7.0]))
-        assert s.max_flops == 7.0
-
     def test_record_transfers_is_one_record_transfer_per_entry(self):
         rng = np.random.default_rng(0)
         src, dst = rng.integers(0, 5, size=(2, 40))     # self-sends too
@@ -128,12 +107,6 @@ class TestVectorizedRecording:
         with pytest.raises(ValueError):
             s.record_transfers([0, 1], [1], [2])
         assert s.total_recv_words == 0
-
-    def test_zero_words_no_message_count(self):
-        s = CommStats(2)
-        s.add_recv_array(np.array([0.0, 4.0]))
-        assert s.recv_msgs[0] == 0
-        assert s.recv_msgs[1] == 1
 
 
 class TestSteps:
@@ -172,12 +145,14 @@ class TestSteps:
         assert s.steps[1].label == "s1"
 
     def test_steps_mode_selects_log_flavour(self):
-        assert isinstance(CommStats(2).steps.records, tuple)
+        assert isinstance(CommStats(2).steps, ColumnarStepLog)
         assert isinstance(CommStats(2, steps="columnar").steps,
                           ColumnarStepLog)
         assert isinstance(CommStats(2, steps="none").steps, NullStepLog)
         with pytest.raises(ValueError, match="steps mode"):
             CommStats(2, steps="sometimes")
+        with pytest.raises(ValueError, match="steps mode"):
+            CommStats(2, steps="records")
 
     def test_reset_keeps_steps_mode(self):
         s = CommStats(2, steps="columnar")
@@ -239,6 +214,26 @@ class TestColumnarStepLog:
         assert len(log) == 4
         assert log[3].label == "extra"
         assert log.column("recv_words_max")[3] == 9.0
+
+    def test_appends_reads_and_extends_keep_step_order(self):
+        """The executed path appends one record per superstep; a column
+        read between appends, or an ``extend`` in the middle, must not
+        reorder or drop anything."""
+        log = ColumnarStepLog()
+        log.append(StepRecord("a", flops_max=1))        # an int is fine
+        assert np.array_equal(log.column("flops_max"), [1.0])
+        log.append(StepRecord("b", flops_max=2.5))
+        log.extend(lambda t: f"t={t}", 5, 2,
+                   **{f: np.full(2, 7.0) for f in STEP_FIELDS})
+        for i in range(3):
+            log.append(StepRecord(f"c{i}", flops_max=10.0 + i))
+        assert [r.label for r in log.records] == \
+            ["a", "b", "t=5", "t=6", "c0", "c1", "c2"]
+        col = log.column("flops_max")
+        assert col.dtype == np.float64
+        assert np.array_equal(col, [1.0, 2.5, 7.0, 7.0, 10.0, 11.0, 12.0])
+        assert log.label(-1) == "c2" and log[1] == StepRecord(
+            "b", flops_max=2.5)
 
     def test_extend_shape_checked(self):
         log = ColumnarStepLog()

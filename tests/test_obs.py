@@ -19,7 +19,7 @@ import pytest
 
 from oracle import TOTAL_FIELDS
 from repro import obs
-from repro.machine.stats import NullStepLog, StepLog, StepRecord
+from repro.machine.stats import ColumnarStepLog, NullStepLog, StepRecord
 from repro.obs.export import (
     chrome_trace,
     metrics_json,
@@ -166,7 +166,7 @@ class TestExport:
         assert ev["args"] == {"k": "v"}
 
     def test_step_timeline_from_step_log(self):
-        log = StepLog()
+        log = ColumnarStepLog()
         log.append(StepRecord(label="panel", recv_words_max=10.0,
                               recv_words_total=40.0))
         log.append(StepRecord(label="update", recv_words_max=20.0,
