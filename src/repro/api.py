@@ -71,12 +71,8 @@ from .engine.schedule import Schedule
 from .factorizations.common import FactorizationResult
 from .factorizations.registry import OPS, build, implementation, width
 from .factorizations.solve import SolveResult, cholesky_solve, lu_solve
-from .layouts import (
-    BlockCyclicLayout,
-    ScaLAPACKDescriptor,
-    block_key,
-    redistribute,
-)
+from .layouts import BlockCyclicLayout, ScaLAPACKDescriptor, redistribute
+from .layouts.block_cyclic import discard_matrix, discard_work
 from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
 from .planner import Plan, PlannedConfig, PlanRequest, planner_labels
@@ -279,15 +275,6 @@ def _resolve(machine: Machine, op: str, n: int, impl: str,
 # ----------------------------------------------------------------------
 # The shared execution path.
 
-def _discard_native(machine: Machine, name: str,
-                    layout: BlockCyclicLayout) -> None:
-    """Free every tile of a native-layout copy from the stores."""
-    for bi in range(layout.mblocks):
-        for bj in range(layout.nblocks):
-            machine.store(layout.owner_rank(bi, bj)).discard(
-                block_key(name, bi, bj))
-
-
 def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
             native: BlockCyclicLayout, desc: ScaLAPACKDescriptor,
             inputs: list[tuple[str, ScaLAPACKDescriptor]], out_name: str,
@@ -300,12 +287,13 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
     :class:`DistributedBackend` run on the caller's machine, counted
     writeback into the caller's layout, :class:`PDResult`.
 
-    The native layout copies are transient: the prepped inputs are
-    discarded as soon as the backend has run (before writeback, so they
-    never coexist with the written-back copies the gate reserves for)
-    and the written-back factors once the caller-layout output exists,
-    so chained calls do not accumulate dead copies against an enforced
-    budget.  :func:`run_workload` manages native residency
+    What the call allocates it frees: the schedule's working set
+    (everything under a ``work_name``: tiles, replicas, transients) and
+    the prepped inputs as soon as the backend has run (before
+    writeback, so they never coexist with the written-back copies the
+    gate reserves for), the written-back factors once the caller-layout
+    output exists — chained calls do not accumulate dead copies against
+    an enforced budget.  :func:`run_workload` manages native residency
     itself — it passes ``native_names`` (operand -> store key of
     already-native tiles, skipping the reshuffle in), ``keep_native``
     (the written-back native factors stay resident for later nodes to
@@ -334,15 +322,16 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
         with tel.span("pd.backend", cat="pd-phase",
                       schedule=type(schedule).__name__):
             res = DistributedBackend(machine).run(schedule, in_name=in_name)
+            discard_work(machine)
         with tel.span("pd.writeback", cat="pd-phase"):
             packed = OPS[op].packed(res)
             # The call's own prepped inputs are dead once the backend
             # has run: free them before writeback adds two more copies.
             for name in created:
-                _discard_native(machine, name, native)
+                discard_matrix(machine, name)
             resh_out = _writeback(machine, out_name, desc, packed, native)
             if not keep_native:
-                _discard_native(machine, out_name + ":native", native)
+                discard_matrix(machine, out_name + ":native")
         sp.set(reshuffle_words=resh_in + resh_out,
                factorization_words=res.comm.total_recv_words)
     is_lu = op == "lu"
@@ -609,11 +598,10 @@ def run_workload(machine: Machine,
                 if last != idx:
                     continue
                 for held in [k for k in live if k[0] == ref]:
-                    _discard_native(machine, live.pop(held), held[1])
+                    discard_matrix(machine, live.pop(held))
                 consumed = ref in producers and producers[ref] != last
                 if consumed and ref not in out_names:
-                    _discard_native(machine, store_names[ref],
-                                    _layout_from_desc(descs[ref]))
+                    discard_matrix(machine, store_names[ref])
         wsp.set(adopted=len(reused), reshuffle_words=resh_total)
     return WorkloadResult(plan=plan, results=results,
                           reshuffle_words=resh_total,

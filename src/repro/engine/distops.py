@@ -10,7 +10,7 @@ schedules:
 
 * :func:`ship` — pack a sub-block at its owner and move it to a
   destination rank (one counted point-to-point message; what is
-  genuinely sequential — tournament rounds, row swaps — uses it);
+  genuinely sequential — the tournament rounds — uses it);
 * :func:`exchange` — a whole point-to-point pattern charged at once
   from ``(src, dst, words)`` index arrays, equal to one ``ship`` and
   consumer ``pop`` per message;
@@ -26,11 +26,11 @@ schedules:
   column chunk gathered from several sources;
 * :func:`panel_fan_out_update` — Algorithm 1 steps 8, 10 and 11: fan
   the factored panels out, then one Schur update per rank;
-* :func:`bcast_copy`, :func:`swap_rows_2d`, :func:`maxloc_allreduce` —
-  the recurring patterns of the 2D block-cyclic schedules (panel/tile
-  broadcasts, cross-matrix pivot-row exchange, MAXLOC pivot search),
-  promoted here from the retired special-cased ``distributed2d`` module
-  so ScaLAPACK LU/Cholesky and the 2.5D SUMMA share them.
+* :func:`maxloc_allreduce`, :func:`swap_rows`, :func:`fan_out_panel`,
+  :func:`gather_panels` — the 2D block-cyclic schedules on the same
+  panels (sliced at :func:`local_start`): MAXLOC pivot search, the
+  pivot-row exchange (``laswp``), a factored panel broadcast along
+  its tiles' grid rows or columns, and the factors' assembly.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ..layouts.block_cyclic import work_name
+from ..layouts.descriptors import global_to_local
 from ..machine.comm import Machine
-from ..machine.grid import ProcessorGrid3D
+from ..machine.grid import ProcessorGrid3D, balanced_block_count
 
 __all__ = [
     "ship",
@@ -51,14 +51,12 @@ __all__ = [
     "layered_reduce",
     "distribute_rows_1d",
     "assemble_cols_1d",
-    "bcast_copy",
-    "swap_rows_2d",
     "maxloc_allreduce",
+    "local_start",
+    "swap_rows",
+    "fan_out_panel",
+    "gather_panels",
 ]
-
-
-#: Store name of the row segments :func:`swap_rows_2d` has in flight.
-SWAP = work_name("swap")
 
 
 def ship(machine: Machine, src: int, dst: int, key: Hashable,
@@ -77,52 +75,6 @@ def ship(machine: Machine, src: int, dst: int, key: Hashable,
     machine.store(src).stage(packed.size, key)
     machine.stats.record_transfer(src, dst, packed.size)
     machine.store(dst).put(key, packed)
-
-
-def bcast_copy(machine: Machine, src: int, src_key: Hashable,
-               group: Sequence[int], key: Hashable) -> None:
-    """Broadcast the block stored under ``src_key`` at ``src`` to every
-    rank in ``group`` under the transient key ``key``.
-
-    Unlike a bare :meth:`Machine.bcast` this does not require the block
-    to already sit under the destination key, so a schedule can fan the
-    same tile out along several communicators (e.g. a Cholesky panel
-    tile along both its grid row and its grid column) without the
-    copies shadowing each other.  ``src`` must be in ``group``.
-    """
-    machine.store(src).put(key, machine.store(src).get(src_key))
-    machine.bcast(src, group, key)
-
-
-def swap_rows_2d(machine: Machine, lay, name: Hashable, g1: int,
-                 g2: int) -> None:
-    """Exchange global rows ``g1`` and ``g2`` of block-cyclic matrix
-    ``name`` across every block column (the ``laswp`` of a pivoted 2D
-    schedule).
-
-    Per block column the two row segments either share an owner (a free
-    local swap) or travel between the two owners as counted
-    point-to-point messages — both directions move, matching the 2D
-    trace's ``2 * nb * width`` swap charge.
-    """
-    if g1 == g2:
-        return
-    bi1, i1 = divmod(g1, lay.mb)
-    bi2, i2 = divmod(g2, lay.mb)
-    for bj in range(lay.nblocks):
-        r1 = lay.owner_rank(bi1, bj)
-        r2 = lay.owner_rank(bi2, bj)
-        t1 = machine.store(r1).get((name, bi1, bj))
-        t2 = machine.store(r2).get((name, bi2, bj))
-        if r1 == r2:
-            row = t1[i1].copy()
-            t1[i1] = t2[i2]
-            t2[i2] = row
-            continue
-        ship(machine, r1, r2, (SWAP, g1, bj), t1[i1])
-        ship(machine, r2, r1, (SWAP, g2, bj), t2[i2])
-        t1[i1] = machine.store(r1).pop((SWAP, g2, bj))
-        t2[i2] = machine.store(r2).pop((SWAP, g1, bj))
 
 
 def maxloc_allreduce(machine: Machine, key: Hashable,
@@ -146,6 +98,81 @@ def maxloc_allreduce(machine: Machine, key: Hashable,
     for r in group:
         machine.store(r).discard(key)
     return max(entries.values(), key=lambda e: (e[0], -e[1]))
+
+
+def local_start(k: int, nprocs: int, v: int) -> np.ndarray:
+    """Per grid coordinate of a cyclic axis, the offset in its local
+    panel where its tiles with index ``>= k`` begin."""
+    return balanced_block_count(k, nprocs, np.arange(nprocs)) * v
+
+
+def swap_rows(machine: Machine, grid: ProcessorGrid3D,
+              panels: Sequence[np.ndarray], v: int, g1: int, g2: int,
+              key: Hashable) -> None:
+    """Exchange global rows ``g1`` and ``g2`` across every tile column
+    (the ``laswp`` of a pivoted 2D schedule): every rank of the two
+    owning grid rows swaps its whole local row.  Between different
+    grid rows the segments travel tile by tile — per tile column one
+    ``v``-word message each way, the 2D trace's ``2 * nb * width`` swap
+    charge — as one :func:`exchange` under ``key``; within a grid row
+    the swap is local and free."""
+    pc = grid.cols
+    (q1, l1), (q2, l2) = (global_to_local(g, v, grid.rows) for g in (g1, g2))
+    if q1 != q2:
+        tiles = sum(panels[pj].shape[1] for pj in range(pc)) // v
+        one = q1 * pc + np.arange(tiles) % pc
+        two = one + (q2 - q1) * pc
+        exchange(machine, np.concatenate([one, two]),
+                 np.concatenate([two, one]), np.full(2 * tiles, v), key)
+    for pj in range(pc):
+        ours, theirs = panels[q1 * pc + pj], panels[q2 * pc + pj]
+        ours[l1], theirs[l2] = theirs[l2].copy(), ours[l1].copy()
+
+
+def fan_out_panel(machine: Machine, grid: ProcessorGrid3D,
+                  panels: Sequence[np.ndarray], v: int, k: int,
+                  key: Hashable, along_rows: bool) -> list[np.ndarray]:
+    """Broadcast step ``k``'s factored panel over a 2D grid: counted
+    tile by tile, moved slab by slab.
+
+    ``along_rows``: the tiles ``(bi, k)``, ``bi > k``, of block column
+    ``k`` go along their grid rows (an L panel); otherwise the tiles
+    ``(k, bj)``, ``bj > k``, of block row ``k`` down their grid columns
+    (a U panel).  Per grid row (column) the root — its rank holding
+    block ``k`` — is charged one :meth:`Machine.charge_bcast` with its
+    tile count, and every other rank of it holds the root's stacked
+    tiles under ``key`` until the caller discards them.  Returns the
+    stacked tiles per grid row (column), empty where none is left.
+    """
+    lines, roots = (grid.rows, grid.cols) if along_rows else (grid.cols, grid.rows)
+    at = k // roots * v
+    slabs = []
+    for q, start in enumerate(local_start(k + 1, lines, v).tolist()):
+        group = [grid.rank(q, o, 0) if along_rows else grid.rank(o, q, 0)
+                 for o in range(roots)]
+        root = group[k % roots]
+        slab = np.array(panels[root][start:, at:at + v] if along_rows
+                        else panels[root][at:at + v, start:])
+        slabs.append(slab)
+        if slab.size:
+            machine.charge_bcast(root, group, v * v, slab.size // (v * v))
+            for rank in group:
+                if rank != root:
+                    machine.store(rank).put(key, slab)
+    return slabs
+
+
+def gather_panels(grid: ProcessorGrid3D, panels: Sequence[np.ndarray],
+                  n: int, v: int) -> np.ndarray:
+    """Assemble layer 0's panels into the ``n x n`` matrix they tile
+    (control space, free): one strided assignment per rank."""
+    out = np.zeros((n, n))
+    tiles = out.reshape(n // v, v, n // v, v)
+    for rank, panel in enumerate(panels[:grid.layer_size]):
+        pi, pj, _ = grid.coords(rank)
+        tiles[pi::grid.rows, :, pj::grid.cols] = panel.reshape(
+            panel.shape[0] // v, v, panel.shape[1] // v, v)
+    return out
 
 
 def exchange(machine: Machine, src: np.ndarray, dst: np.ndarray,

@@ -15,11 +15,12 @@ model of Table 2, which weak-scales sub-optimally exactly like 2D LU.
 Implemented as an engine :class:`~repro.engine.schedule.Schedule` with
 trace, dense *and* distributed views; the distributed view keeps only
 the lower tiles (``bi >= bj``) resident — the schedule never reads the
-strictly-upper half — and fans each factored panel tile out along both
-its grid row (left ``syrk`` factor) and its grid column (transposed
-right factor) through counted broadcasts.  SLATE's tile Cholesky has
-the same volume structure and differs only in its label (a row of
-:mod:`repro.factorizations.registry`).
+strictly-upper half — as views of each rank's local panel
+(:func:`~repro.engine.distops.local_panels`), and fans each panel tile
+out along both its grid row (left ``syrk`` factor) and its grid column
+(transposed right factor) through counted broadcasts.
+SLATE's tile Cholesky has the same volume structure and differs only in
+its label (a row of :mod:`repro.factorizations.registry`).
 """
 
 from __future__ import annotations
@@ -30,14 +31,15 @@ from typing import Any
 import numpy as np
 
 from ...engine.accounting import StepAccounting
-from ...engine.distops import bcast_copy
+from ...engine.distops import (
+    fan_out_panel,
+    gather_panels,
+    local_panels,
+    local_start,
+)
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
-from ...layouts.block_cyclic import (
-    BlockCyclicLayout,
-    block_key,
-    work_name,
-)
+from ...layouts.block_cyclic import work_name
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import (
@@ -54,8 +56,9 @@ __all__ = ["ScalapackCholeskySchedule", "scalapack_cholesky",
 WORK = work_name("A")
 
 #: Store names of a step's transients: the diagonal factor's copy and
-#: the panel tiles fanned out down their grid columns.
-DIAG, COL = work_name("d"), work_name("ct")
+#: the panel tiles a rank received along its grid row and down its
+#: grid column.
+DIAG, ROW, COL = map(work_name, ("d", "rt", "ct"))
 
 
 class ScalapackCholeskySchedule(Schedule):
@@ -168,93 +171,90 @@ class ScalapackCholeskySchedule(Schedule):
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,
-                  in_name: str | None = None) -> BlockCyclicLayout:
-        """Scatter the lower tiles (``bi >= bj``) to their block-cyclic
-        owners; the strictly-upper half is never stored (symmetry)."""
+                  in_name: str | None = None) -> list[np.ndarray]:
+        """Lay the lower tiles (``bi >= bj``) out in their owners' stores
+        (views of :func:`~repro.engine.distops.local_panels`); the
+        strictly-upper half is never stored (symmetry)."""
         n, nb = self.n, self.nb
-        lay = BlockCyclicLayout(n, n, nb, nb, self.grid.layer_grid())
         if in_name is None:
             a = default_input(n, a, rng, spd=True)
-        for bi in range(lay.mblocks):
-            for bj in range(bi + 1):
-                r = lay.owner_rank(bi, bj)
-                if in_name is not None:
-                    tile = np.array(machine.store(r).get((in_name, bi, bj)),
-                                    dtype=np.float64)
-                else:
-                    tile = a[bi * nb:(bi + 1) * nb,
-                             bj * nb:(bj + 1) * nb].copy()
-                machine.store(r).put(block_key(WORK, bi, bj), tile)
-        return lay
+        return local_panels(machine, self.grid, n // nb, nb, WORK, a,
+                            in_name, lower=True)
 
-    def dist_step(self, machine: Machine, lay: BlockCyclicLayout,
+    def dist_step(self, machine: Machine, panels: list[np.ndarray],
                   k: int) -> None:
         n, nb = self.n, self.nb
-        grid2d = lay.grid
+        grid = self.grid
+        pr, pc = grid.rows, grid.cols
         nblocks = n // nb
-        qc = k % grid2d.cols
-        diag_owner = lay.owner_rank(k, k)
-        col_ranks = grid2d.col_ranks(qc)
+        col_ranks = [grid.rank(pi, k % pc, 0) for pi in range(pr)]
+        diag_owner = col_ranks[k % pr]
+        r0, c0 = k // pr * nb, k // pc * nb     # tile (k, k), locally
 
         # Diagonal potrf at its owner, broadcast down the grid column
         # for the panel trsm.
-        tile = machine.store(diag_owner).get(block_key(WORK, k, k))
-        l00, fl = blas.potrf(tile)
+        diag = panels[diag_owner][r0:r0 + nb, c0:c0 + nb]
+        l00, fl = blas.potrf(diag)
         machine.compute(diag_owner, fl)
-        machine.store(diag_owner).put(block_key(WORK, k, k), l00)
+        diag[...] = l00
         if k + 1 >= nblocks:
             return
-        bcast_copy(machine, diag_owner, block_key(WORK, k, k),
-                   col_ranks, (DIAG, k))
+        machine.store(diag_owner).put((DIAG, k), diag)
+        machine.bcast(diag_owner, col_ranks, (DIAG, k))
 
-        # Panel trsm on the owning grid column.
-        for bi, r in lay.col_owners(k, first=k + 1):
-            l00_local = machine.store(r).get((DIAG, k))
-            t = machine.store(r).get(block_key(WORK, bi, k))
-            sol, fl = blas.trsm(l00_local.T, t, side="right", lower=False)
-            machine.compute(r, fl)
-            machine.store(r).put(block_key(WORK, bi, k), sol)
+        # Panel trsm on the owning grid column, one per rank.
+        below = local_start(k + 1, pr, nb).tolist()
+        for pi, r in enumerate(col_ranks):
+            tiles = panels[r][below[pi]:, c0:c0 + nb]
+            if tiles.size:
+                sol, fl = blas.trsm(machine.store(r).get((DIAG, k)).T, tiles,
+                                    side="right", lower=False)
+                machine.compute(r, fl)
+                tiles[...] = sol
 
         # Fan each panel tile out along its grid row (left syrk factor)
-        # and its grid column (transposed right factor).
-        for bi, src in lay.col_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_row_ranks(bi), block_key(WORK, bi, k))
-            bcast_copy(machine, src, block_key(WORK, bi, k),
-                       sorted(set(lay.grid_col_ranks(bi)) | {src}),
-                       (COL, k, bi))
+        # and its grid column (transposed right factor): to its block
+        # row's grid column plus its owner, one group per residue class
+        # (bi % Pr, bi % Pc), charged with the class's tile count.  A
+        # grid column's ranks hold its tiles, ascending, under one key.
+        left = fan_out_panel(machine, grid, panels, nb, k, (ROW, k), along_rows=True)
+        trailing = np.arange(k + 1, nblocks)
+        for code, count in zip(*np.unique(trailing % pr * pc + trailing % pc,
+                                          return_counts=True)):
+            pi, pj = divmod(int(code), pc)
+            group = {grid.rank(i, pj, 0) for i in range(pr)} | {col_ranks[pi]}
+            machine.charge_bcast(col_ranks[pi], sorted(group), nb * nb,
+                                 int(count))
+        panel = np.empty((trailing.size, nb, nb))
+        for pi, slab in enumerate(left):
+            panel[(pi - k - 1) % pr::pr] = slab.reshape(-1, nb, nb)
+        for r in range(grid.size):
+            received = panel[(r % pc - k - 1) % pc::pc]
+            if received.size:
+                machine.store(r).put((COL, k), received)
 
-        # Trailing update of the lower tiles: gemmt-like, the diagonal
-        # tiles cost half a gemm.
-        for bi in range(k + 1, nblocks):
-            for bj in range(k + 1, bi + 1):
-                owner = lay.owner_rank(bi, bj)
-                l_bi = machine.store(owner).get(block_key(WORK, bi, k))
-                l_bj = machine.store(owner).get((COL, k, bj))
-                c_t = machine.store(owner).get(block_key(WORK, bi, bj))
-                upd, fl = blas.gemm(l_bi, l_bj.T, c_t, alpha=-1.0)
-                machine.compute(owner, fl if bi != bj else fl / 2.0)
-                machine.store(owner).put(block_key(WORK, bi, bj), upd)
+        # Trailing update of the lower tiles: gemmt-like, per tile
+        # column one product from its diagonal tile down on each rank
+        # of its grid column; the diagonal tiles cost half a gemm.
+        for bj in trailing.tolist():
+            c1 = bj // pc * nb
+            for pi, top in enumerate(local_start(bj, pr, nb).tolist()):
+                r = grid.rank(pi, bj % pc, 0)
+                tiles = panels[r][top:, c1:c1 + nb]
+                if tiles.size:
+                    tiles -= left[pi][top - below[pi]:] @ panel[bj - k - 1].T
+                    machine.compute(r, flops.gemm_flops(tiles.shape[0], nb, nb)
+                                    - (nb ** 3 if bj % pr == pi else 0))
 
         # Drop the transient copies.
-        for bi, src in lay.col_owners(k, first=k + 1):
-            for r in lay.grid_row_ranks(bi):
-                if r != src:
-                    machine.store(r).discard(block_key(WORK, bi, k))
-            for r in sorted(set(lay.grid_col_ranks(bi)) | {src}):
-                machine.store(r).discard((COL, k, bi))
-        for r in col_ranks:
-            machine.store(r).discard((DIAG, k))
+        for store in machine.stores:
+            for name in (DIAG, ROW, COL):
+                store.discard((name, k))
 
     def dist_finalize(self, machine: Machine,
-                      lay: BlockCyclicLayout) -> dict[str, Any]:
-        n, nb = self.n, self.nb
-        out = np.zeros((n, n))
-        for bi in range(lay.mblocks):
-            for bj in range(bi + 1):
-                r = lay.owner_rank(bi, bj)
-                out[bi * nb:(bi + 1) * nb, bj * nb:(bj + 1) * nb] = \
-                    machine.store(r).get(block_key(WORK, bi, bj))
-        return {"lower": np.tril(out)}
+                      panels: list[np.ndarray]) -> dict[str, Any]:
+        packed = gather_panels(self.grid, panels, self.n, self.nb)
+        return {"lower": np.tril(packed)}
 
 
 def scalapack_cholesky(n: int, nranks: int, nb: int = 128,

@@ -29,10 +29,11 @@ table (:mod:`repro.factorizations.registry`).
 Implemented as an engine :class:`~repro.engine.schedule.Schedule` with
 trace, dense *and* distributed views — the distributed view runs the
 same right-looking loop with every tile resident only in its
-block-cyclic owner's store: the panel is factored column by column with
-counted MAXLOC pivot-search allreduces, pivot rows are exchanged across
-the whole matrix (``laswp``), and the L/U panels broadcast along grid
-rows/columns before the local trailing update.
+block-cyclic owner's store, a view of that rank's local panel
+(:func:`~repro.engine.distops.local_panels`): the panel is factored
+column by column with counted MAXLOC pivot-search allreduces, pivot
+rows are exchanged across the whole matrix (``laswp``), and the L/U
+panels broadcast along grid rows/columns before one update per rank.
 """
 
 from __future__ import annotations
@@ -43,14 +44,17 @@ from typing import Any
 import numpy as np
 
 from ...engine.accounting import StepAccounting
-from ...engine.distops import bcast_copy, maxloc_allreduce, swap_rows_2d
+from ...engine.distops import (
+    fan_out_panel,
+    gather_panels,
+    local_panels,
+    local_start,
+    maxloc_allreduce,
+    swap_rows,
+)
 from ...engine.schedule import Schedule
 from ...kernels import blas, flops
-from ...layouts.block_cyclic import (
-    BlockCyclicLayout,
-    block_key,
-    work_name,
-)
+from ...layouts import local_to_global, work_name
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import (
@@ -66,26 +70,10 @@ __all__ = ["ScalapackLUSchedule", "scalapack_lu", "slate_lu"]
 WORK = work_name("A")
 
 #: Store names of a step's transients: MAXLOC pairs, the eliminating
-#: row, the re-broadcast panel tiles and the diagonal tile's copy.
-PIV, ELIM, PRB, DIAG = map(work_name, ("piv", "elim", "prb", "d"))
-
-
-class _DenseState:
-    __slots__ = ("work", "piv_all")
-
-    def __init__(self, work: np.ndarray, n: int) -> None:
-        self.work = work
-        self.piv_all = np.zeros(n, dtype=int)
-
-
-class _DistState:
-    """Distributed bookkeeping: tiles live in the rank stores."""
-
-    __slots__ = ("layout", "piv_all")
-
-    def __init__(self, layout: BlockCyclicLayout, n: int) -> None:
-        self.layout = layout
-        self.piv_all = np.zeros(n, dtype=int)
+#: row, a swap's row segments, the re-broadcast panel tiles, the
+#: diagonal tile's copy and the L and U panels a rank received.
+PIV, ELIM, SWAP, PRB, DIAG, LPAN, UPAN = map(
+    work_name, ("piv", "elim", "swap", "prb", "d", "l", "u"))
 
 
 class ScalapackLUSchedule(Schedule):
@@ -209,12 +197,14 @@ class ScalapackLUSchedule(Schedule):
 
     # ------------------------------------------------------------------
     def dense_init(self, a: np.ndarray | None,
-                   rng: np.random.Generator | None) -> _DenseState:
-        return _DenseState(default_input(self.n, a, rng).copy(), self.n)
+                   rng: np.random.Generator | None) -> tuple:
+        # State of both executed views: (matrix, global pivot vector).
+        return (default_input(self.n, a, rng).copy(),
+                np.zeros(self.n, dtype=int))
 
-    def dense_step(self, state: _DenseState, k: int) -> None:
+    def dense_step(self, state: tuple, k: int) -> None:
         n, nb = self.n, self.nb
-        work, piv_all = state.work, state.piv_all
+        work, piv_all = state
         n11 = n - (k + 1) * nb
         c0, c1 = k * nb, (k + 1) * nb
         # Panel factorization with partial pivoting.
@@ -234,10 +224,10 @@ class ScalapackLUSchedule(Schedule):
             work[c0:c1, c1:] = u01
             work[c1:, c1:] -= work[c1:, c0:c1] @ u01
 
-    def dense_finalize(self, state: _DenseState) -> dict[str, Any]:
+    def dense_finalize(self, state: tuple) -> dict[str, Any]:
         n = self.n
-        work = state.work
-        perm = blas.pivots_to_permutation(state.piv_all, n)
+        work, piv_all = state
+        perm = blas.pivots_to_permutation(piv_all, n)
         return {"lower": np.tril(work, -1) + np.eye(n),
                 "upper": np.triu(work), "perm": perm}
 
@@ -246,146 +236,128 @@ class ScalapackLUSchedule(Schedule):
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,
-                  in_name: str | None = None) -> _DistState:
-        """Scatter the ``nb x nb`` block-cyclic tiles to their owners.
+                  in_name: str | None = None) -> tuple:
+        """Lay the ``nb x nb`` block-cyclic tiles out in their owners'
+        stores (views of :func:`~repro.engine.distops.local_panels`).
 
         Initial placement is free (the input is assumed resident in the
         algorithm's layout, as for the 2.5D schedules); with ``in_name``
-        existing ``(in_name, bi, bj)`` tiles are adopted in place, e.g.
-        after a COSTA reshuffle.
+        existing ``(in_name, bi, bj)`` tiles are adopted, e.g. after a
+        COSTA reshuffle.
         """
         n, nb = self.n, self.nb
-        lay = BlockCyclicLayout(n, n, nb, nb, self.grid.layer_grid())
-        if in_name is not None:
-            for bi in range(lay.mblocks):
-                for bj in range(lay.nblocks):
-                    r = lay.owner_rank(bi, bj)
-                    tile = machine.store(r).get((in_name, bi, bj))
-                    machine.store(r).put(block_key(WORK, bi, bj),
-                                         np.array(tile, dtype=np.float64))
-        else:
-            lay.scatter_from(machine, WORK, default_input(n, a, rng))
-        return _DistState(lay, n)
+        if in_name is None:
+            a = default_input(n, a, rng)
+        return (local_panels(machine, self.grid, n // nb, nb, WORK, a,
+                             in_name), np.zeros(n, dtype=int))
 
-    def dist_step(self, machine: Machine, st: _DistState, k: int) -> None:
+    def dist_step(self, machine: Machine, state: tuple, k: int) -> None:
         n, nb = self.n, self.nb
-        lay = st.layout
-        grid2d = lay.grid
-        pr, pc = grid2d.rows, grid2d.cols
-        nblocks = n // nb
-        qc, qr = k % pc, k % pr
-        c0 = k * nb
-        diag_owner = lay.owner_rank(k, k)
-        col_ranks = grid2d.col_ranks(qc)
+        grid, (panels, piv_all) = self.grid, state
+        pr, pc = grid.rows, grid.cols
+        qr, qc = k % pr, k % pc
+        col_ranks = [grid.rank(pi, qc, 0) for pi in range(pr)]
+        diag_owner = col_ranks[qr]
+        c0 = k // pc * nb                   # block column k, locally
+        # Where each grid row's tiles bi >= k and bi > k begin.
+        top = local_start(k, pr, nb).tolist()
+        below = local_start(k + 1, pr, nb).tolist()
+        diag = panels[diag_owner][top[qr]:below[qr], c0:c0 + nb]
+        # The column ranks still holding rows below the diagonal tile.
+        holders = sorted({diag_owner, *(
+            r for r, start in zip(col_ranks, below)
+            if start < panels[r].shape[0])})
 
         # --- Panel factorization: column-by-column partial pivoting
         # over rows c0..n-1 of block column k (the arithmetic of the
-        # unblocked getrf the dense view runs on the same panel). ---
+        # unblocked getrf the dense view runs on the same panel), each
+        # column rank on its whole local slab.  Local rows ascend in
+        # global row id: argmax is getrf's smallest-index tie-break. ---
         for j in range(nb):
-            g = c0 + j
+            g = k * nb + j
             # Local pivot candidates per owning rank, then a counted
             # MAXLOC allreduce over the panel's grid column.
             entries: dict[int, tuple[float, int]] = {}
-            for bi, r in lay.col_owners(k, first=k):
-                tile = machine.store(r).get(block_key(WORK, bi, k))
-                r0 = j if bi == k else 0
-                col = np.abs(tile[r0:, j])
-                if col.size == 0:
-                    continue
-                i_loc = int(np.argmax(col))
-                cand = (float(col[i_loc]), bi * nb + r0 + i_loc)
-                if r not in entries or (cand[0], -cand[1]) > (
-                        entries[r][0], -entries[r][1]):
-                    entries[r] = cand
+            for pi, r in enumerate(col_ranks):
+                r0 = top[pi] + (j if pi == qr else 0)
+                col = np.abs(panels[r][r0:, c0 + j])
+                if col.size:
+                    i = r0 + int(np.argmax(col))
+                    entries[r] = (float(col[i - r0]),
+                                  local_to_global(i, nb, pi, 0, pr))
             _, p_global = maxloc_allreduce(machine, (PIV, k, j), entries)
-            st.piv_all[g] = p_global
+            piv_all[g] = p_global
             if p_global != g:
-                swap_rows_2d(machine, lay, WORK, g, p_global)
+                swap_rows(machine, grid, panels, nb, g, p_global,
+                          (SWAP, k, j))
             # Broadcast the eliminating row (pivot value + trailing
             # panel columns) from the diagonal tile's owner to the
             # grid-column ranks still holding rows below it.
-            diag_tile = machine.store(diag_owner).get(block_key(WORK, k, k))
-            elim = diag_tile[j, j:].copy()
-            below = sorted({r for bi, r in lay.col_owners(k, first=k)
-                            if bi * nb + nb - 1 > g} | {diag_owner})
-            machine.store(diag_owner).put((ELIM, k, j), elim)
-            machine.bcast(diag_owner, below, (ELIM, k, j))
-            for bi, r in lay.col_owners(k, first=k):
-                r0 = j + 1 if bi == k else 0
-                if r0 >= nb:
+            machine.store(diag_owner).put((ELIM, k, j), diag[j, j:].copy())
+            machine.bcast(diag_owner, holders, (ELIM, k, j))
+            for pi, r in enumerate(col_ranks):
+                rows = panels[r][top[pi] + (j + 1 if pi == qr else 0):,
+                                 c0:c0 + nb]
+                if rows.shape[0] == 0:
                     continue
                 e = machine.store(r).get((ELIM, k, j))
-                tile = machine.store(r).get(block_key(WORK, bi, k))
-                mult = tile[r0:, j] / e[0]
-                tile[r0:, j] = mult
-                if j + 1 < nb:
-                    tile[r0:, j + 1:] -= np.outer(mult, e[1:])
+                mult = rows[:, j] / e[0]
+                rows[:, j] = mult
+                rows[:, j + 1:] -= np.outer(mult, e[1:])
                 machine.compute(r, 2.0 * mult.size * (nb - j))
-            for r in below:
+            for r in holders:
                 machine.store(r).discard((ELIM, k, j))
 
         if self.panel_rebroadcast:
             # MKL-style column-by-column panel broadcast: the grid
             # column sees the finished multipliers a second time.
-            for bi, src in lay.col_owners(k, first=k):
-                bcast_copy(machine, src, block_key(WORK, bi, k),
-                           col_ranks, (PRB, k, bi))
-                for r in col_ranks:
-                    machine.store(r).discard((PRB, k, bi))
+            for pi, r in enumerate(col_ranks):
+                machine.charge_bcast(r, col_ranks, nb * nb,
+                                     (panels[r].shape[0] - top[pi]) // nb)
+                machine.store(r).stage(nb * nb, (PRB, k))
 
-        if k + 1 >= nblocks:
+        if (k + 1) * nb >= n:
             return
 
         # --- U row panel: ship the factored diagonal tile along grid
-        # row q_row, trsm each U tile at its owner. ---
-        row_ranks = grid2d.row_ranks(qr)
-        bcast_copy(machine, diag_owner, block_key(WORK, k, k),
-                   row_ranks, (DIAG, k))
-        for bj, r in lay.row_owners(k, first=k + 1):
-            lu_kk = machine.store(r).get((DIAG, k))
-            l_kk = np.tril(lu_kk, -1) + np.eye(nb)
-            tile = machine.store(r).get(block_key(WORK, k, bj))
-            sol, fl = blas.trsm(l_kk, tile, side="left", lower=True,
-                                unit_diagonal=True)
-            machine.compute(r, fl)
-            machine.store(r).put(block_key(WORK, k, bj), sol)
+        # row q_row, one trsm per rank holding U tiles. ---
+        row_ranks = [grid.rank(qr, pj, 0) for pj in range(pc)]
+        machine.store(diag_owner).put((DIAG, k), diag)
+        machine.bcast(diag_owner, row_ranks, (DIAG, k))
+        right = local_start(k + 1, pc, nb).tolist()
+        for pj, r in enumerate(row_ranks):
+            u = panels[r][top[qr]:below[qr], right[pj]:]
+            if u.size:
+                sol, fl = blas.trsm(machine.store(r).get((DIAG, k)), u,
+                                    side="left", lower=True,
+                                    unit_diagonal=True)
+                machine.compute(r, fl)
+                u[...] = sol
 
         # --- Broadcast panels: L tiles along their grid rows, U tiles
         # along their grid columns. ---
-        for bi, src in lay.col_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_row_ranks(bi), block_key(WORK, bi, k))
-        for bj, src in lay.row_owners(k, first=k + 1):
-            machine.bcast(src, lay.grid_col_ranks(bj), block_key(WORK, k, bj))
+        lower = fan_out_panel(machine, grid, panels, nb, k, (LPAN, k), along_rows=True)
+        upper = fan_out_panel(machine, grid, panels, nb, k, (UPAN, k), along_rows=False)
 
-        # --- Trailing update: each owner updates its tiles from the
-        # received panel copies. ---
-        for bi in range(k + 1, nblocks):
-            for bj in range(k + 1, nblocks):
-                owner = lay.owner_rank(bi, bj)
-                l_t = machine.store(owner).get(block_key(WORK, bi, k))
-                u_t = machine.store(owner).get(block_key(WORK, k, bj))
-                c_t = machine.store(owner).get(block_key(WORK, bi, bj))
-                upd, fl = blas.gemm(l_t, u_t, c_t, alpha=-1.0)
-                machine.compute(owner, fl)
-                machine.store(owner).put(block_key(WORK, bi, bj), upd)
+        # --- Trailing update: one gemm per rank on its trailing
+        # block, from the panel slabs it holds. ---
+        for pi, l_slab in enumerate(lower):
+            for pj, u_slab in enumerate(upper):
+                if l_slab.size and u_slab.size:
+                    r = grid.rank(pi, pj, 0)
+                    panels[r][below[pi]:, right[pj]:] -= l_slab @ u_slab
+                    machine.compute(r, flops.gemm_flops(
+                        l_slab.shape[0], u_slab.shape[1], nb))
 
-        # Drop the transient panel copies on non-owners.
-        for bi, src in lay.col_owners(k, first=k + 1):
-            for r in lay.grid_row_ranks(bi):
-                if r != src:
-                    machine.store(r).discard(block_key(WORK, bi, k))
-        for bj, src in lay.row_owners(k, first=k + 1):
-            for r in lay.grid_col_ranks(bj):
-                if r != src:
-                    machine.store(r).discard(block_key(WORK, k, bj))
-        for r in row_ranks:
-            machine.store(r).discard((DIAG, k))
+        # Drop the transient panel copies.
+        for store in machine.stores:
+            for name in (DIAG, LPAN, UPAN):
+                store.discard((name, k))
 
-    def dist_finalize(self, machine: Machine,
-                      st: _DistState) -> dict[str, Any]:
+    def dist_finalize(self, machine: Machine, state: tuple) -> dict[str, Any]:
         n = self.n
-        packed = st.layout.gather_to(machine, WORK)
-        perm = blas.pivots_to_permutation(st.piv_all, n)
+        packed = gather_panels(self.grid, state[0], n, self.nb)
+        perm = blas.pivots_to_permutation(state[1], n)
         return {"lower": np.tril(packed, -1) + np.eye(n),
                 "upper": np.triu(packed), "perm": perm}
 

@@ -23,7 +23,8 @@ from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from ..machine.grid import ProcessorGrid2D
 
-__all__ = ["BlockCyclicLayout", "block_key", "work_name"]
+__all__ = ["BlockCyclicLayout", "block_key", "work_name", "discard_matrix",
+           "discard_work"]
 
 
 def block_key(name: Hashable, bi: int, bj: int) -> tuple[Hashable, int, int]:
@@ -42,6 +43,27 @@ def work_name(name: str) -> tuple[str, str]:
     on it.
     """
     return ("work", name)
+
+
+def _discard_names(machine: Machine, match) -> None:
+    for store in machine.stores:
+        for key in [key for key in store.keys()
+                    if isinstance(key, tuple) and key and match(key[0])]:
+            store.discard(key)
+
+
+def discard_matrix(machine: Machine, name: Hashable) -> None:
+    """Free distributed matrix ``name``: every ``(name, ...)`` key of
+    every rank's store, whatever tiling it was stored in."""
+    _discard_names(machine, lambda first: first == name)
+
+
+def discard_work(machine: Machine) -> None:
+    """Free every key under any :func:`work_name` from every rank's
+    store: a schedule's tiles and transients belong to the call that
+    ran it (see :mod:`repro.api`)."""
+    _discard_names(machine, lambda first: isinstance(first, tuple)
+                   and first[:1] == ("work",))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,27 +132,9 @@ class BlockCyclicLayout:
                 for bi in range(pi, self.mblocks, self.grid.rows)
                 for bj in range(pj, self.nblocks, self.grid.cols)]
 
-    def col_owners(self, bj: int, first: int = 0) -> list[tuple[int, int]]:
-        """``(bi, owner_rank)`` for every tile of block column ``bj``
-        with ``bi >= first`` — the panel iteration of the 2D schedules."""
-        return [(bi, self.owner_rank(bi, bj))
-                for bi in range(first, self.mblocks)]
-
-    def row_owners(self, bi: int, first: int = 0) -> list[tuple[int, int]]:
-        """``(bj, owner_rank)`` for every tile of block row ``bi`` with
-        ``bj >= first``."""
-        return [(bj, self.owner_rank(bi, bj))
-                for bj in range(first, self.nblocks)]
-
-    def grid_row_ranks(self, bi: int) -> list[int]:
-        """Ranks of the grid row owning block row ``bi`` (the
-        communicator of an L-panel row broadcast)."""
-        return self.grid.row_ranks(bi % self.grid.rows)
-
-    def grid_col_ranks(self, bj: int) -> list[int]:
-        """Ranks of the grid column owning block column ``bj`` (the
-        communicator of a U-panel column broadcast)."""
-        return self.grid.col_ranks(bj % self.grid.cols)
+    def row_owners(self, bi: int) -> list[tuple[int, int]]:
+        """``(bj, owner_rank)`` for every tile of block row ``bi``."""
+        return [(bj, self.owner_rank(bi, bj)) for bj in range(self.nblocks)]
 
     def local_words(self, rank: int) -> int:
         """Words of the matrix resident on ``rank``."""

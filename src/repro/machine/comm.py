@@ -167,21 +167,30 @@ class Machine:
     # ------------------------------------------------------------------
     def bcast(self, root: int, group: Sequence[int], key: Hashable) -> None:
         """Broadcast block ``key`` from ``root`` to every rank in ``group``."""
+        block = self.store(root).get(key)
+        for r in self.charge_bcast(root, group, block.size):
+            if r != root:
+                self.stores[r].put(key, block.copy())
+
+    def charge_bcast(self, root: int, group: Sequence[int], words: int,
+                     count: int = 1) -> list[int]:
+        """The accounting half of :meth:`bcast`: ``count`` broadcasts of
+        ``words`` elements each from ``root`` to ``group`` (returned
+        validated), nothing moved — for a schedule that fans a panel
+        of equal tiles out and lands the data itself."""
         group = self._check_group(group)
         root = self._check_rank(root)
         if root not in group:
             raise CommunicationError(f"root {root} not in group")
-        block = self.stores[root].get(key)
-        sent = _tree_sent_attribution(group, root, float(block.size))
+        sent = _tree_sent_attribution(group, root, float(words))
         for r in group:
-            if r == root:
-                continue
-            self.stats.record_recv(r, block.size)
-            self.stores[r].put(key, block.copy())
+            if r != root:
+                self.stats.record_recv(r, count * words, msgs=count)
         for r, w in sent.items():
             if w > 0:
-                self.stats.record_send(r, w, msgs=max(1.0, w / block.size)
-                                       if block.size else 0.0)
+                self.stats.record_send(r, count * w,
+                                       msgs=count * max(1.0, w / words))
+        return group
 
     def reduce(self, root: int, group: Sequence[int], key: Hashable,
                op: str = "sum") -> np.ndarray:

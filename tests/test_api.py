@@ -405,6 +405,81 @@ class TestNativeCopyLifecycle:
             assert err / np.linalg.norm(a) < 1e-12
 
 
+def work_keys(machine):
+    """Store keys under any schedule-private ``work_name``."""
+    return [key for store in machine.stores for key in store.keys()
+            if isinstance(key, tuple) and isinstance(key[0], tuple)
+            and key[0][0] == "work"]
+
+
+class TestWorkingSetLifetime:
+    """Everything a schedule keeps under a ``work_name`` — its tiles,
+    the ``c`` partial-sum replicas, SUMMA's operand replicas and
+    reduced chunks — belongs to the ``pd*`` call that ran it and is
+    freed before the call returns.  Regression: it all stayed resident,
+    so an enforcing machine accepted a call once and refused the
+    identical second one at its own pre-flight gate."""
+
+    CALLS = {
+        "conflux": (pdgetrf, dict(impl="conflux", v=8, c=2)),
+        "scalapack-lu": (pdgetrf, dict(impl="scalapack", nb=8)),
+        "confchox": (pdpotrf, dict(impl="confchox", v=8, c=2)),
+        "scalapack-chol": (pdpotrf, dict(impl="scalapack", nb=8)),
+        "25d": (pdgemm, dict(impl="25d", s=8, c=2)),
+    }
+
+    @pytest.mark.parametrize("label", CALLS)
+    def test_call_leaves_operands_and_output_only(self, rng, label):
+        pd, kw = self.CALLS[label]
+        machine, desc, layout, _ = setup_machine(rng, spd=True)
+        operands = [("A", desc)]
+        if pd is pdgemm:
+            layout.scatter_from(machine, "B", rng.standard_normal((64, 64)))
+            operands.append(("B", desc))
+        args = [arg for operand in operands for arg in operand]
+        for out_name in ("R1", "R2"):       # the second call adds one output
+            operands.append((out_name, desc))
+            pd(machine, *args, out_name=out_name, **kw)
+            assert work_keys(machine) == []
+            assert np.array_equal(machine.words_per_rank(),
+                                  len(operands) * layout.words_per_rank())
+
+    def test_repeated_call_fits_the_budget_the_first_one_fit(self):
+        n, p = 128, 16
+        required = ConfchoxSchedule(n, p, v=8, c=2).required_words()
+        machine = Machine(p, mem_words=required + 5 * n * n / p,
+                          enforce_memory=True)
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=4, pcols=4)
+        g = np.random.default_rng(7).standard_normal((n, n))
+        a = g @ g.T + n * np.eye(n)
+        BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(4, 4)).scatter_from(
+            machine, "X", a)
+        for _ in range(3):
+            res = pdpotrf(machine, "X", desc, impl="confchox", v=8, c=2)
+            assert np.allclose(res.lower @ res.lower.T, a)
+            assert machine.peak_words_per_rank().max() <= machine.mem_words
+
+    def test_no_tile_of_another_width_is_left_behind(self, rng):
+        machine, desc, layout, a = setup_machine(rng)
+        for v in (8, 16):
+            res = pdgetrf(machine, "A", desc, v=v, c=2, out_name="F")
+            assert np.allclose(a[res.perm], res.lower @ res.upper)
+            assert work_keys(machine) == []
+        assert np.array_equal(machine.words_per_rank(),
+                              2 * layout.words_per_rank())
+
+    def test_bare_backend_run_keeps_its_final_tiles(self, rng):
+        """The free is the api layer's: a schedule run directly through
+        the backend returns with its owned tiles in place."""
+        from repro.engine import DistributedBackend
+
+        machine = Machine(4)
+        DistributedBackend(machine).run(
+            ScalapackLUSchedule(64, 4, nb=8, panel_rebroadcast=False))
+        assert len(work_keys(machine)) == 64
+        assert machine.words_per_rank().sum() == 64 * 64
+
+
 class TestGateMatchesPeak:
     """The pre-flight gate reserves ``required_words()`` + 3 layout
     copies on top of the resident operand; the run must then fit.
@@ -484,7 +559,8 @@ class TestOperandNamesAreTheCallers:
 #: transients under.  As bare strings their ``(tag, t, bi)`` keys were
 #: the ``block_key`` of an operand of that name.
 TRANSIENT_TAGS = ("cr", "rr", "a00", "piv", "a10", "a01", "tp", "fan", "l00",
-                  "swap", "elim", "prb", "d", "ct", "Ap", "Bp", "Cr")
+                  "swap", "elim", "prb", "d", "ct", "Ap", "Bp", "Cr",
+                  "l", "u", "rt")
 
 
 class TestOperandsNamedAfterTransients:

@@ -16,6 +16,18 @@ the commit before the point-to-point patterns were batched) spread
 each step's pivots over up to eight tiles and several ranks, so steps
 5 and 6 run their multi-tile paths; they pin the row permutation too.
 
+The 2D entries (``lu2d``: the ScaLAPACK/SLATE flavour, ``lu2d-mkl``:
+with the panel rebroadcast, each also ``/normal``; ``chol2d``) were
+recorded at the commit before the 2D views moved onto
+``local_panels``, on 4x4, 2x3, 2x4 (ragged tile counts) and 1x3 grids;
+the ``summa`` ones at the same commit, so that neither the new free nor
+a shared helper can move the matmul.  Counters, step columns and
+``perm`` compare ``==`` everywhere.  Per-step memory peaks compare
+``==`` for the 2.5D schedules and ``<=`` for the two 2D ones: that
+commit kept a second copy of every Cholesky panel tile at its own owner
+(and both in-flight segments of a row swap at one end), which nothing
+read.
+
 The step columns were recorded from the eager per-step record log the
 machine used to keep.  The machine now appends to the same
 :class:`ColumnarStepLog` the trace evaluator fills, so the pinned
@@ -38,14 +50,41 @@ import numpy as np
 import pytest
 
 from repro.engine.backends import DistributedBackend
-from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
+from repro.factorizations import (
+    ConfchoxSchedule,
+    ConfluxSchedule,
+    Matmul25DSchedule,
+)
+from repro.factorizations.baselines.scalapack_chol import (
+    ScalapackCholeskySchedule,
+)
+from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.machine.grid import ProcessorGrid3D
 from repro.machine.perf_model import PerfModel
 from repro.machine.stats import STEP_FIELDS, ColumnarStepLog, StepRecord
 
 PINNED = pathlib.Path(__file__).with_name("exec_accounting_pinned.json")
 
-SCHEDULES = {"conflux": ConfluxSchedule, "confchox": ConfchoxSchedule}
+
+def _schedule_25d(cls):
+    return lambda n, p, v, c, grid: cls(
+        n, p, v=v, c=c, grid=ProcessorGrid3D(*grid) if grid else None)
+
+
+#: JSON key prefix -> configuration tuple -> schedule.
+SCHEDULES = {
+    "conflux": _schedule_25d(ConfluxSchedule),
+    "confchox": _schedule_25d(ConfchoxSchedule),
+    "lu2d": lambda n, p, nb: ScalapackLUSchedule(
+        n, p, nb=nb, panel_rebroadcast=False),
+    "lu2d-mkl": lambda n, p, nb: ScalapackLUSchedule(
+        n, p, nb=nb, panel_rebroadcast=True),
+    "chol2d": lambda n, p, nb: ScalapackCholeskySchedule(n, p, nb=nb),
+    "summa": lambda n, p, s, c: Matmul25DSchedule(n, p, s=s, c=c),
+}
+
+#: The schedules whose per-step peaks may fall below the pinned ones.
+PEAKS_MAY_FALL = ("lu2d", "lu2d-mkl", "chol2d")
 
 #: name -> (n, P, v, c, explicit grid or None).  The second runs on a
 #: 4x1 layer grid with 12 tile rows, so late steps leave grid rows
@@ -64,11 +103,34 @@ PIVOTING = {
 }
 NORMAL_SEED = 17
 
+#: name -> (n, P, nb) of the 2D baselines: a 4x4 grid, 2x3, 2x4 with
+#: ragged tile counts (15 tiles a side), 1x3.
+CONFIGS_2D = {
+    "n128-p16-nb8": (128, 16, 8),
+    "n96-p6-nb8": (96, 6, 8),
+    "n120-p8-nb8": (120, 8, 8),
+    "n96-p3-nb8": (96, 3, 8),
+}
+
+#: name -> (n, P, s, c) of the SUMMA: the 2D shapes, and one replicated.
+CONFIGS_SUMMA = {f"n{n}-p{p}-s{s}-c{c}": (n, p, s, c) for n, p, s, c in
+                 [(*config, 1) for config in CONFIGS_2D.values()]
+                 + [(128, 32, 8, 2)]}
+
 #: JSON key -> (schedule, configuration, general input?)
 CASES = {f"{impl}/{cfg}": (impl, config, False)
-         for impl in SCHEDULES for cfg, config in CONFIGS.items()}
+         for impl in ("conflux", "confchox")
+         for cfg, config in CONFIGS.items()}
 CASES.update({f"conflux/{cfg}/normal": ("conflux", config, True)
               for cfg, config in PIVOTING.items()})
+CASES.update({f"{impl}/{cfg}": (impl, config, False)
+              for impl in PEAKS_MAY_FALL
+              for cfg, config in CONFIGS_2D.items()})
+CASES.update({f"{impl}/{cfg}/normal": (impl, config, True)
+              for impl in ("lu2d", "lu2d-mkl")
+              for cfg, config in CONFIGS_2D.items()})
+CASES.update({f"summa/{cfg}": ("summa", config, False)
+              for cfg, config in CONFIGS_SUMMA.items()})
 
 
 #: ``PerfModel().evaluate(step_log, P, N^2/P)`` ``(total_s,
@@ -99,12 +161,11 @@ PARENT_TIMES = {
 def run(key: str):
     """One distributed run (and its backend): on the schedule's
     default input, or on a seeded general matrix with its pivots."""
-    impl, (n, p, v, c, grid), normal = CASES[key]
-    sched = SCHEDULES[impl](
-        n, p, v=v, c=c, grid=ProcessorGrid3D(*grid) if grid else None)
+    impl, config, normal = CASES[key]
+    sched = SCHEDULES[impl](*config)
     backend = DistributedBackend()
-    a = (np.random.default_rng(NORMAL_SEED).standard_normal((n, n))
-         if normal else None)
+    a = (np.random.default_rng(NORMAL_SEED).standard_normal(
+        (sched.n, sched.n)) if normal else None)
     return backend.run(sched, a=a), backend
 
 
@@ -128,20 +189,27 @@ def pinned() -> dict:
     return json.loads(PINNED.read_text())
 
 
-@pytest.mark.parametrize("key", CASES,
-                         ids=[key.replace("/", "-") for key in CASES])
+def _ids(cases):
+    return [key.replace("/", "-") for key in cases]
+
+
+@pytest.mark.parametrize("key", CASES, ids=_ids(CASES))
 def test_counted_accounting_equals_the_pinned_run(pinned, key):
     got = measure(key)
     want = pinned[key]
     assert got.keys() == want.keys()
-    for field in want.keys() - {"steps"}:
+    for field in want.keys() - {"steps", "step_peaks"}:
         assert got[field] == want[field], field
     for field, column in want["steps"].items():
         assert got["steps"][field] == column, f"step column {field}"
+    if CASES[key][0] not in PEAKS_MAY_FALL:
+        assert got["step_peaks"] == want["step_peaks"]
+    for (label, peak), (want_label, ceiling) in zip(
+            got["step_peaks"], want["step_peaks"], strict=True):
+        assert label == want_label and peak <= ceiling, label
 
 
-@pytest.mark.parametrize("key", CASES,
-                         ids=[key.replace("/", "-") for key in CASES])
+@pytest.mark.parametrize("key", PARENT_TIMES, ids=_ids(PARENT_TIMES))
 def test_executed_step_log_is_columnar_and_times_as_before(pinned, key):
     """The machine's superstep bracketing writes the columnar log:
     its records are the pinned (eager-era) ones, and the perf model

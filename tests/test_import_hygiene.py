@@ -1,7 +1,8 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
 the paper's Table-2 models stay out of everything but the figures,
-schedules are built only through the implementation table, and the
-trace evaluator has one reduction and one step-log shape.
+schedules are built only through the implementation table, the trace
+evaluator has one reduction and one step-log shape, and the executed
+2D views have no tile-at-a-time helper to fall back on.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -137,6 +138,27 @@ def test_one_reduction_and_no_duck_typed_forks():
     assert "_term_total" in defined
     assert not defined & {"_closed_sum", "_fast_sum",
                           "_reduce_uniform_affine"}
+
+
+def test_the_tile_at_a_time_helpers_stay_gone():
+    """The 2D baselines work on ``local_panels`` slabs.  The helpers of
+    the per-tile idiom — a broadcast per tile copy, a row swap per tile
+    column, the ``(tile, owner)`` iterators and per-tile communicators —
+    are neither defined nor referenced anywhere in the package."""
+    gone = {"bcast_copy", "swap_rows_2d", "col_owners", "grid_row_ranks",
+            "grid_col_ranks"}
+    offenders = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            names.update(
+                getattr(node, field, None)
+                for field in ("name", "id", "attr"))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+        if names & gone:
+            offenders[str(path.relative_to(ROOT))] = sorted(names & gone)
+    assert offenders == {}
 
 
 def test_every_accepted_label_is_a_table_row():

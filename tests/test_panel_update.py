@@ -19,10 +19,12 @@ import cProfile
 import pstats
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import pdgetrf
+from repro.engine.backends import DistributedBackend
 from repro.engine.distops import (
     assemble_cols_1d,
     distribute_rows_1d,
@@ -32,6 +34,10 @@ from repro.engine.distops import (
     panel_fan_out_update,
     ship,
 )
+from repro.factorizations.baselines.scalapack_chol import (
+    ScalapackCholeskySchedule,
+)
+from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.kernels import blas, flops
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, MemoryBudgetExceeded, ProcessorGrid2D
@@ -466,3 +472,37 @@ def test_executed_conflux_python_overhead_stays_batched():
     assert _callers(stats, asarray)
     assert "_check_nonneg" not in _callers(stats, asarray)
     assert "_check_nonneg" in {func[2] for func in stats.stats}
+
+
+#: Python-level calls of one executed 2D view at n=512, nb=16, P=16:
+#: ``(schedule, ceiling)``.  On ``local_panels`` slabs LU makes 220 k
+#: (2.01 M tile by tile: 43 k ``RankStore.put``s, 22 k ``ship``s) and
+#: Cholesky 58 k (374 k); the ceilings sit well below the per-tile cost.
+CALL_CEILINGS_2D = {
+    "lu": (lambda: ScalapackLUSchedule(512, 16, nb=16,
+                                       panel_rebroadcast=False), 400_000),
+    "cholesky": (lambda: ScalapackCholeskySchedule(512, 16, nb=16), 80_000),
+}
+
+
+@pytest.mark.parametrize("op", CALL_CEILINGS_2D)
+def test_executed_2d_python_overhead_stays_batched(op):
+    make, ceiling = CALL_CEILINGS_2D[op]
+    a = np.random.default_rng(3).standard_normal((512, 512))
+    if op == "cholesky":
+        a = a @ a.T + 512 * np.eye(512)
+    blas._lapack()          # the first kernel call would import SciPy
+    profile = cProfile.Profile()
+    res = profile.runcall(DistributedBackend().run, make(), a=a)
+    if op == "lu":
+        assert np.allclose(a[res.perm], res.lower @ res.upper)
+    else:
+        assert np.allclose(a, res.lower @ res.lower.T)
+    stats = pstats.Stats(profile)
+    assert stats.total_calls < ceiling
+    # Nothing in the 2D views sends message by message, and the store
+    # is touched per rank and step, not per tile.
+    assert _callers(stats, "ship") == set()
+    puts = sum(calls for func, (_, calls, _, _, _) in stats.stats.items()
+               if func[2] == "put")
+    assert puts < 10_000

@@ -185,3 +185,72 @@ class TestFactorizationProperties:
         winners = res.winners.tolist()
         assert len(set(winners)) == 4
         assert all(0 <= w < 40 for w in winners)
+
+
+class TestGenerated2DBaselines:
+    """A fixed-seed slice of ROADMAP's generated-scenario net for the
+    2D baselines, oracles (b) — dense and distributed factors agree —
+    and (d) — the measured peak fits ``required_words()`` and one word
+    less is refused at a stable place.  One seeded generator draws the
+    whole scenario, so the slice is spread evenly however hypothesis
+    picks its seeds.  The 2D schedules take their grid from
+    ``choose_grid_2d(P)``: 1xP for a prime P, 2x3, 2x4, 3x3, 3x4, 4x4;
+    the tile count need not be a multiple of either side."""
+
+    RANKS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16)
+
+    @staticmethod
+    def scenario(seed):
+        """``(schedule, matrix)``: P, panel width, 2..9 tiles a side,
+        Cholesky or LU with or without the panel rebroadcast, on a
+        general (rows swap) or diagonally dominant matrix."""
+        from repro.factorizations.baselines.scalapack_chol import (
+            ScalapackCholeskySchedule,
+        )
+        from repro.factorizations.baselines.scalapack_lu import (
+            ScalapackLUSchedule,
+        )
+
+        rng = np.random.default_rng(seed)
+        p = int(rng.choice(TestGenerated2DBaselines.RANKS))
+        nb = int(rng.choice([4, 8, 16]))
+        n = nb * int(rng.integers(2, 10))
+        op, general = rng.integers(3), rng.integers(2)
+        a = rng.standard_normal((n, n))
+        if op == 2:
+            return ScalapackCholeskySchedule(n, p, nb=nb), a @ a.T + n * np.eye(n)
+        return (ScalapackLUSchedule(n, p, nb=nb, panel_rebroadcast=bool(op)),
+                a if general else a + n * np.eye(n))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_agrees_with_dense_within_its_declared_memory(self, seed):
+        from repro.engine import DenseBackend, DistributedBackend
+        from repro.machine import Machine, MemoryBudgetExceeded
+
+        sched, a = self.scenario(seed)
+        p = sched.nranks
+        dense = DenseBackend().run(sched, a=a)
+        machine = Machine(p)
+        dist = DistributedBackend(machine).run(sched, a=a)
+        assert np.abs(dense.lower - dist.lower).max() <= 1e-10
+        if dist.perm is None:
+            product = dist.lower @ dist.lower.T
+        else:
+            assert np.array_equal(dense.perm, dist.perm)
+            assert np.abs(dense.upper - dist.upper).max() <= 1e-10
+            product = (dist.lower @ dist.upper)[np.argsort(dist.perm)]
+        assert np.linalg.norm(a - product) <= 1e-12 * np.linalg.norm(a)
+
+        peaks = machine.peak_words_per_rank()
+        assert peaks.max() <= sched.required_words()
+        refused = []
+        for _ in range(2):
+            tight = Machine(p, mem_words=peaks.max() - 1,
+                            enforce_memory=True)
+            with pytest.raises(MemoryBudgetExceeded) as exc_info:
+                DistributedBackend(tight).run(sched, a=a)
+            refused.append((exc_info.value.rank, exc_info.value.step))
+        assert refused[0] == refused[1]
+        # Only a rank that touches the peak can be the one refused.
+        assert peaks[refused[0][0]] == peaks.max()

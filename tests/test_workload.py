@@ -324,6 +324,26 @@ class TestRunWorkload:
         run_workload(machine, chol_pair(), {"S": desc})
         assert native_keys(machine) == []
 
+    def test_dft_chain_leaves_externals_and_outputs_only(self):
+        """No node's working set (``work_name`` keys: tiles, replicas,
+        SUMMA chunks) outlives it: what stays is the three externals
+        and the three outputs nobody consumed, each one caller-layout
+        copy.  Regression: several N^2 dead words stayed beside them."""
+        n, p = 64, 4
+        machine = Machine(p)
+        desc, _ = scatter_spd(machine, n=n)
+        rng = np.random.default_rng(5)
+        layout = BlockCyclicLayout(n, n, 16, 16, ProcessorGrid2D(2, 2))
+        for name in "AB":
+            layout.scatter_from(
+                machine, name, rng.standard_normal((n, n)) + n * np.eye(n))
+        run_workload(machine, dft_workload_request(n, p),
+                     {"A": desc, "B": desc, "S": desc})
+        names = {key[0] for store in machine.stores for key in store.keys()}
+        assert names == {"A", "B", "S", "f1", "f2", "lu"}
+        assert np.array_equal(machine.words_per_rank(),
+                              6 * layout.words_per_rank())
+
     def test_retired_intermediate_freed_terminal_kept(self):
         n, p = 64, 4
         machine = Machine(p)
