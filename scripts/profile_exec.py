@@ -12,6 +12,11 @@ helpers of ``engine/distops.py`` — ``panel_fan_out_update`` (with its
 ``distribute_rows_1d`` / ``assemble_cols_1d`` — then ``RankStore.put``,
 the ``blas`` wrappers and COSTA's ``redistribute``; a per-message
 ``ship`` or a per-tile reduce reappearing there is a regression.
+On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
+``Matmul25DSchedule.dist_step``, about half the operation — then the
+2D Cholesky's ``dist_step`` and COSTA's ``redistribute``; an
+``ndarray.copy``, ``hstack`` or ``Machine.bcast`` under the SUMMA is a
+regression.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

@@ -293,9 +293,11 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
     writeback, so they never coexist with the written-back copies the
     gate reserves for), the written-back factors once the caller-layout
     output exists — chained calls do not accumulate dead copies against
-    an enforced budget.  :func:`run_workload` manages native residency
-    itself — it passes ``native_names`` (operand -> store key of
-    already-native tiles, skipping the reshuffle in), ``keep_native``
+    an enforced budget, and a call that raises (a singular matrix, a
+    budget overrun) frees the same and propagates the exception.
+    :func:`run_workload` manages native residency itself — it passes
+    ``native_names`` (operand -> store key of already-native tiles,
+    skipping the reshuffle in), ``keep_native``
     (the written-back native factors stay resident for later nodes to
     adopt) and ``preflight=False`` (it gates before prepping, so the
     gate does not double-count the already-resident native copies).
@@ -309,29 +311,34 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
         resh_in = 0.0
         names: dict[str, str] = {}
         created: list[str] = []
-        with tel.span("pd.prep", cat="pd-phase", inputs=len(inputs)):
-            for name, in_desc in inputs:
-                if native_names is not None and name in native_names:
-                    names[name] = native_names[name]
-                else:
-                    resh_in += _prepare(machine, name, in_desc, native)
-                    names[name] = name + ":native"
-                    created.append(name + ":native")
-        in_name = (names[inputs[0][0]] if len(inputs) == 1
-                   else tuple(names[name] for name, _ in inputs))
-        with tel.span("pd.backend", cat="pd-phase",
-                      schedule=type(schedule).__name__):
-            res = DistributedBackend(machine).run(schedule, in_name=in_name)
+        try:
+            with tel.span("pd.prep", cat="pd-phase", inputs=len(inputs)):
+                for name, in_desc in inputs:
+                    if native_names is not None and name in native_names:
+                        names[name] = native_names[name]
+                    else:
+                        names[name] = name + ":native"
+                        created.append(names[name])
+                        resh_in += _prepare(machine, name, in_desc, native)
+            in_name = (names[inputs[0][0]] if len(inputs) == 1
+                       else tuple(names[name] for name, _ in inputs))
+            with tel.span("pd.backend", cat="pd-phase",
+                          schedule=type(schedule).__name__):
+                res = DistributedBackend(machine).run(schedule,
+                                                      in_name=in_name)
+        finally:
+            # The working set and the prepped inputs are dead once the
+            # backend has run or raised; writeback adds two more copies.
             discard_work(machine)
-        with tel.span("pd.writeback", cat="pd-phase"):
-            packed = OPS[op].packed(res)
-            # The call's own prepped inputs are dead once the backend
-            # has run: free them before writeback adds two more copies.
             for name in created:
                 discard_matrix(machine, name)
-            resh_out = _writeback(machine, out_name, desc, packed, native)
-            if not keep_native:
-                discard_matrix(machine, out_name + ":native")
+        with tel.span("pd.writeback", cat="pd-phase"):
+            packed = OPS[op].packed(res)
+            try:
+                resh_out = _writeback(machine, out_name, desc, packed, native)
+            finally:
+                if not keep_native:
+                    discard_matrix(machine, out_name + ":native")
         sp.set(reshuffle_words=resh_in + resh_out,
                factorization_words=res.comm.total_recv_words)
     is_lu = op == "lu"

@@ -20,10 +20,10 @@ share once:
 The algorithm is an engine :class:`~repro.engine.schedule.Schedule`
 whose step sequence is the SUMMA rounds plus one final reduction step.
 All three views are implemented: the distributed view holds each
-layer's ``A``/``B`` copy as one local block per rank, broadcasts the
-round's panels along grid rows/columns, and combines the per-layer
-``C`` partials with one fiber reduce-scatter whose counted volume is
-exactly the trace's ``(c-1) N^2 / P`` per rank.
+layer's ``A``/``B`` copy as one block per rank (read-only views of one
+array), charges the round's strips as broadcasts along grid rows/columns
+and accumulates in place, and combines the per-layer ``C`` partials with
+a fiber reduce-scatter of exactly the trace's ``(c-1) N^2 / P`` per rank.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from ..engine.accounting import StepAccounting
 from ..engine.schedule import Schedule
+from ..kernels import blas
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from .common import (
@@ -50,8 +51,9 @@ __all__ = ["Matmul25DSchedule", "matmul_25d"]
 #: (not the caller's operands).
 WORK_A, WORK_B, WORK_C = (work_name(x) for x in "ABC")
 
-#: Store names of a round's broadcast strips and of the reduced product.
-STRIP_A, STRIP_B, REDUCED = map(work_name, ("Ap", "Bp", "Cr"))
+#: Store names a round's strips are staged under and the reduced
+#: product is stored under.
+STRIPS, REDUCED = work_name("strips"), work_name("Cr")
 
 
 class _DenseState:
@@ -143,20 +145,22 @@ class Matmul25DSchedule(Schedule):
         acct.add_sent(n * n * (c - 1.0) / self.nranks, step=in_reduce)
 
     # ------------------------------------------------------------------
-    def dense_init(self, a: np.ndarray | tuple | None,
-                   rng: np.random.Generator | None) -> _DenseState:
-        """``a`` may be None (random operands), a single array (random
-        right operand), or an ``(a, b)`` pair."""
+    def _operands(self, a: np.ndarray | tuple | None,
+                  rng: np.random.Generator | None) -> list[np.ndarray]:
+        """The dense ``[A, B]``: ``a`` may be None (random operands), a
+        single array (random right operand), or an ``(a, b)`` pair."""
         n = self.n
         rng = rng or np.random.default_rng(0)
         a, b = a if isinstance(a, tuple) else (a, None)
-        a = np.asarray(a if a is not None
-                       else rng.standard_normal((n, n)), dtype=float)
-        b = np.asarray(b if b is not None
-                       else rng.standard_normal((n, n)), dtype=float)
-        if a.shape != (n, n) or b.shape != (n, n):
+        pair = [np.asarray(x if x is not None else rng.standard_normal((n, n)),
+                           dtype=np.float64) for x in (a, b)]
+        if any(x.shape != (n, n) for x in pair):
             raise ValueError("operands must be N x N")
-        return _DenseState(a, b, n, self.c)
+        return pair
+
+    def dense_init(self, a: np.ndarray | tuple | None,
+                   rng: np.random.Generator | None) -> _DenseState:
+        return _DenseState(*self._operands(a, rng), self.n, self.c)
 
     def dense_step(self, state: _DenseState, t: int) -> None:
         if t >= self.rounds:
@@ -172,7 +176,7 @@ class Matmul25DSchedule(Schedule):
                 "upper": np.eye(self.n)}
 
     # ------------------------------------------------------------------
-    # Distributed view: per-layer operand copies, counted broadcasts
+    # Distributed view: shared operand blocks, charged broadcasts
     # ------------------------------------------------------------------
     def _check_divisible(self) -> tuple[int, int]:
         pr, pc = self.grid.rows, self.grid.cols
@@ -192,56 +196,61 @@ class Matmul25DSchedule(Schedule):
         replicas — is free, the convention shared with the 2.5D
         factorizations.  ``in_name`` may name existing layer-0 blocks
         ``(name_a, pi, pj)`` / ``(name_b, pi, pj)`` to adopt, e.g.
-        after a COSTA reshuffle.
+        after a COSTA reshuffle.  Operand blocks are only read: layer 0
+        holds the adopted arrays themselves, the replicas are read-only
+        views of them, and every rank is charged its block's words.
         """
-        n, c = self.n, self.c
+        c, grid = self.c, self.grid
         rl, cl = self._check_divisible()
-        grid = self.grid
-        if in_name is not None:
-            name_a, name_b = (in_name if isinstance(in_name, tuple)
-                              else (in_name + ":A", in_name + ":B"))
-            blocks = {}
-            for pi in range(grid.rows):
-                for pj in range(grid.cols):
-                    r0 = grid.rank(pi, pj, 0)
-                    blocks[pi, pj] = (
-                        np.array(machine.store(r0).get((name_a, pi, pj)),
-                                 dtype=np.float64),
-                        np.array(machine.store(r0).get((name_b, pi, pj)),
-                                 dtype=np.float64))
-        else:
-            rng = rng or np.random.default_rng(0)
-            a, b = a if isinstance(a, tuple) else (a, None)
-            a = np.asarray(a if a is not None
-                           else rng.standard_normal((n, n)), dtype=np.float64)
-            b = np.asarray(b if b is not None
-                           else rng.standard_normal((n, n)), dtype=np.float64)
-            if a.shape != (n, n) or b.shape != (n, n):
-                raise ValueError("operands must be N x N")
-            blocks = {(pi, pj): (a[pi * rl:(pi + 1) * rl,
-                                   pj * cl:(pj + 1) * cl].copy(),
-                                 b[pi * rl:(pi + 1) * rl,
-                                   pj * cl:(pj + 1) * cl].copy())
-                      for pi in range(grid.rows) for pj in range(grid.cols)}
-        for (pi, pj), (ab, bb) in blocks.items():
-            for kk in range(c):
-                store = machine.store(grid.rank(pi, pj, kk))
-                store.put((WORK_A, pi, pj), ab if kk == 0 else ab.copy())
-                store.put((WORK_B, pi, pj), bb if kk == 0 else bb.copy())
-                store.put((WORK_C, pi, pj), np.zeros((rl, cl)))
-        return None
+        if in_name is None:
+            dense = self._operands(a, rng)
+        elif not isinstance(in_name, tuple):
+            in_name = (in_name + ":A", in_name + ":B")
+        for pi in range(grid.rows):
+            for pj in range(grid.cols):
+                if in_name is None:
+                    blocks = [x[pi * rl:(pi + 1) * rl,
+                                pj * cl:(pj + 1) * cl].copy() for x in dense]
+                else:
+                    home = machine.store(grid.rank(pi, pj, 0))
+                    blocks = [np.asarray(home.get((name, pi, pj)),
+                                         dtype=np.float64) for name in in_name]
+                for kk in range(c):
+                    store = machine.store(grid.rank(pi, pj, kk))
+                    for name, block in zip((WORK_A, WORK_B), blocks):
+                        if kk:
+                            block = block.view()
+                            block.flags.writeable = False
+                        store.put((name, pi, pj), block)
+                    store.put((WORK_C, pi, pj), np.zeros((rl, cl)))
 
     def _strip_pieces(self, lo: int, extent: int) -> list[tuple[int, int, int]]:
         """Split the ``s``-wide strip at ``lo`` into per-block pieces
         ``(block, local_start, local_stop)`` of blocks of ``extent``."""
-        pieces = []
         hi = lo + self.s
-        b = lo // extent
-        while b * extent < hi:
-            pieces.append((b, max(lo, b * extent) - b * extent,
-                           min(hi, (b + 1) * extent) - b * extent))
-            b += 1
-        return pieces
+        return [(b, max(lo - b * extent, 0), min(hi - b * extent, extent))
+                for b in range(lo // extent, -(-hi // extent))]
+
+    def _reduce_chunks(self, rl: int) -> list[slice]:
+        """The ``c`` contiguous row ranges a block's ``rl`` rows are
+        reduce-scattered in (the first ``rl % c`` one row longer)."""
+        cuts = [i * (rl // self.c) + min(i, rl % self.c)
+                for i in range(self.c + 1)]
+        return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    @staticmethod
+    def _panel(machine: Machine, group: list[int], stack,
+               pieces: list[tuple[int, tuple, tuple]]) -> np.ndarray:
+        """One round's strip as all of ``group`` reads it: each piece
+        ``(owner, block key, window)`` charged as a broadcast from its
+        owner, the panel a view of the owner's block — stacked only
+        when the strip straddles blocks, copied for no receiver."""
+        parts = []
+        for src, key, window in pieces:
+            part = machine.store(src).get(key)[window]
+            machine.charge_bcast(src, group, part.size)
+            parts.append(part)
+        return parts[0] if len(parts) == 1 else stack(parts)
 
     def dist_step(self, machine: Machine, state: None, t: int) -> None:
         n, s, c = self.n, self.s, self.c
@@ -250,75 +259,65 @@ class Matmul25DSchedule(Schedule):
         pr, pc = grid.rows, grid.cols
 
         if t >= self.rounds:
-            # Final layered reduction: one reduce-scatter per fiber,
-            # leaving row-chunk i of the combined C on layer i.
+            # Final layered reduction: one reduce-scatter per fiber of
+            # row-slice views of C, leaving combined chunk i on layer i.
+            chunks = self._reduce_chunks(rl)
             for pi in range(pr):
                 for pj in range(pc):
                     fiber = [grid.rank(pi, pj, kk) for kk in range(c)]
-                    chunks = np.array_split(np.arange(rl), c)
                     keys = [(REDUCED, pi, pj, i) for i in range(c)]
                     for r in fiber:
-                        part = machine.store(r).get((WORK_C, pi, pj))
-                        for key, idx in zip(keys, chunks):
-                            machine.store(r).put(key, part[idx, :])
+                        store = machine.store(r)
+                        part = store.get((WORK_C, pi, pj))
+                        for key, rows in zip(keys, chunks):
+                            store.put(key, part[rows])
                     machine.reduce_scatter(fiber, keys)
                     for r in fiber:
                         machine.store(r).discard((WORK_C, pi, pj))
             return
 
-        slice_len = n // c
         for kk in range(c):
-            lo = kk * slice_len + t * s
-            # Broadcast the round's A column strip along grid rows and
-            # B row strip along grid columns (piecewise when the strip
-            # straddles a block boundary).
+            lo = kk * (n // c) + t * s
+            # The round's A column strip goes along grid rows, its B
+            # row strip along grid columns, piecewise when the strip
+            # straddles a block boundary.
             a_pieces = self._strip_pieces(lo, cl)
             b_pieces = self._strip_pieces(lo, rl)
+            a_panels, b_panels = [], []
             for pi in range(pr):
-                row_group = [grid.rank(pi, j, kk) for j in range(pc)]
-                for jb, c0, c1 in a_pieces:
-                    src = grid.rank(pi, jb, kk)
-                    block = machine.store(src).get((WORK_A, pi, jb))
-                    machine.store(src).put((STRIP_A, t, jb),
-                                           block[:, c0:c1].copy())
-                    machine.bcast(src, row_group, (STRIP_A, t, jb))
+                group = [grid.rank(pi, j, kk) for j in range(pc)]
+                a_panels.append(self._panel(machine, group, np.hstack, [
+                    (group[jb], (WORK_A, pi, jb), np.s_[:, c0:c1])
+                    for jb, c0, c1 in a_pieces]))
             for pj in range(pc):
-                col_group = [grid.rank(i, pj, kk) for i in range(pr)]
-                for ib, r0, r1 in b_pieces:
-                    src = grid.rank(ib, pj, kk)
-                    block = machine.store(src).get((WORK_B, ib, pj))
-                    machine.store(src).put((STRIP_B, t, ib),
-                                           block[r0:r1, :].copy())
-                    machine.bcast(src, col_group, (STRIP_B, t, ib))
-            # Local rank-s update on every rank of the layer.
+                group = [grid.rank(i, pj, kk) for i in range(pr)]
+                b_panels.append(self._panel(machine, group, np.vstack, [
+                    (group[ib], (WORK_B, ib, pj), np.s_[r0:r1, :])
+                    for ib, r0, r1 in b_pieces]))
+            # Local rank-s update on every rank of the layer: the two
+            # strips pass through its memory, the product lands in C.
             for pi in range(pr):
                 for pj in range(pc):
                     r = grid.rank(pi, pj, kk)
                     store = machine.store(r)
-                    a_panel = np.hstack([store.get((STRIP_A, t, jb))
-                                         for jb, _, _ in a_pieces])
-                    b_panel = np.vstack([store.get((STRIP_B, t, ib))
-                                         for ib, _, _ in b_pieces])
-                    store.get((WORK_C, pi, pj))[...] += a_panel @ b_panel
-                    machine.compute(r, 2.0 * rl * cl * s)
-                    for jb, _, _ in a_pieces:
-                        store.discard((STRIP_A, t, jb))
-                    for ib, _, _ in b_pieces:
-                        store.discard((STRIP_B, t, ib))
+                    store.stage(rl * s + s * cl, (STRIPS, t))
+                    machine.compute(r, blas.gemm_acc(
+                        store.get((WORK_C, pi, pj)), a_panels[pi],
+                        b_panels[pj]))
 
     def dist_finalize(self, machine: Machine,
                       state: None) -> dict[str, Any]:
-        n, c = self.n, self.c
+        n = self.n
         rl, cl = self._check_divisible()
         grid = self.grid
-        out = np.zeros((n, n))
+        chunks = self._reduce_chunks(rl)
+        out = np.empty((n, n))
         for pi in range(grid.rows):
             for pj in range(grid.cols):
-                chunks = np.array_split(np.arange(rl), c)
-                for i, idx in enumerate(chunks):
-                    r = grid.rank(pi, pj, i)
-                    out[pi * rl + idx[:, None], pj * cl + np.arange(cl)] = \
-                        machine.store(r).get((REDUCED, pi, pj, i))
+                block = out[pi * rl:(pi + 1) * rl, pj * cl:(pj + 1) * cl]
+                for i, rows in enumerate(chunks):
+                    block[rows] = machine.store(
+                        grid.rank(pi, pj, i)).get((REDUCED, pi, pj, i))
         return {"lower": out, "upper": np.eye(n)}
 
 

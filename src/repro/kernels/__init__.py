@@ -4,6 +4,7 @@ from .blas import (
     KernelError,
     SingularMatrixError,
     gemm,
+    gemm_acc,
     gemmt,
     getrf,
     laswp,
@@ -22,7 +23,7 @@ from .flops import (
 )
 
 __all__ = [
-    "gemm", "gemmt", "trsm", "getrf", "potrf", "laswp",
+    "gemm", "gemm_acc", "gemmt", "trsm", "getrf", "potrf", "laswp",
     "pivots_to_permutation",
     "KernelError", "SingularMatrixError",
     "gemm_flops", "gemmt_flops", "trsm_flops", "getrf_flops",

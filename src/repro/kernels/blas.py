@@ -19,7 +19,7 @@ import numpy as np
 
 from . import flops as _flops
 
-__all__ = ["gemm", "gemmt", "trsm", "getrf", "potrf", "laswp",
+__all__ = ["gemm", "gemm_acc", "gemmt", "trsm", "getrf", "potrf", "laswp",
            "KernelError", "SingularMatrixError"]
 
 
@@ -33,8 +33,8 @@ class SingularMatrixError(KernelError):
 
 @functools.cache
 def _lapack():
-    """``scipy.linalg``, imported by the first ``trsm``/``getrf``/
-    ``potrf`` call.
+    """``scipy.linalg``, imported by the first ``gemm_acc``/``trsm``/
+    ``getrf``/``potrf`` call.
 
     Trace-mode processes (sweep workers, the planner, the plan service)
     import this module through the schedules but never solve anything;
@@ -71,6 +71,25 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,
             raise KernelError(f"gemm C shape {c.shape} != ({m},{n})")
         result = c + prod if beta == 1.0 else beta * c + prod
     return result, _flops.gemm_flops(m, n, k)
+
+
+def gemm_acc(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """``C += A @ B`` into ``c`` itself, no ``m x n`` product temporary;
+    returns the flops.  BLAS ``dgemm`` with ``beta = 1`` wants Fortran
+    order, so a C-ordered ``c`` is updated through its transpose,
+    ``C^T += B^T A^T`` (cf. :func:`_trtrs`)."""
+    a, b = _as2d(a, "a"), _as2d(b, "b")
+    (m, k), n = a.shape, b.shape[1]
+    if k != b.shape[0]:
+        raise KernelError(f"gemm inner dims differ: {a.shape} @ {b.shape}")
+    if (not isinstance(c, np.ndarray) or c.dtype != np.float64
+            or c.shape != (m, n) or not c.flags.writeable):
+        raise KernelError(f"gemm_acc needs a writeable float64 ({m},{n}) C")
+    if c.flags.c_contiguous and c.size and k:
+        _lapack().blas.dgemm(1.0, b.T, a.T, 1.0, c.T, overwrite_c=True)
+    else:
+        c += a @ b
+    return _flops.gemm_flops(m, n, k)
 
 
 def gemmt(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,

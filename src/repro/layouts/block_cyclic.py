@@ -100,11 +100,6 @@ class BlockCyclicLayout:
         cols = min(self.nb, self.n - bj * self.nb)
         return rows, cols
 
-    def block_slice(self, bi: int, bj: int) -> tuple[slice, slice]:
-        rows, cols = self.block_shape(bi, bj)
-        return (slice(bi * self.mb, bi * self.mb + rows),
-                slice(bj * self.nb, bj * self.nb + cols))
-
     def _check_block(self, bi: int, bj: int) -> None:
         if not (0 <= bi < self.mblocks and 0 <= bj < self.nblocks):
             raise LayoutError(
@@ -154,6 +149,21 @@ class BlockCyclicLayout:
     # ------------------------------------------------------------------
     # Data movement to/from a simulated machine
     # ------------------------------------------------------------------
+    def _tiles(self, machine: Machine):
+        """``(owner's store, bi, bj, row range, column range)`` of every
+        tile.  The machine is checked against the grid once; owners and
+        (ragged) extents are computed per block row and column."""
+        grid = self.grid
+        machine.store(grid.rank(min(self.mblocks, grid.rows) - 1,
+                                min(self.nblocks, grid.cols) - 1))
+        cols = [slice(bj * self.nb, min((bj + 1) * self.nb, self.n))
+                for bj in range(self.nblocks)]
+        for bi in range(self.mblocks):
+            rows = slice(bi * self.mb, min((bi + 1) * self.mb, self.m))
+            first = grid.rank(bi % grid.rows, 0)
+            for bj, sj in enumerate(cols):
+                yield machine.stores[first + bj % grid.cols], bi, bj, rows, sj
+
     def scatter_from(self, machine: Machine, name: Hashable,
                      a: np.ndarray) -> None:
         """Place tiles of global matrix ``a`` into the owning rank stores.
@@ -165,19 +175,12 @@ class BlockCyclicLayout:
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (self.m, self.n):
             raise LayoutError(f"matrix shape {a.shape} != ({self.m},{self.n})")
-        for bi in range(self.mblocks):
-            for bj in range(self.nblocks):
-                rank = self.owner_rank(bi, bj)
-                si, sj = self.block_slice(bi, bj)
-                machine.store(rank).put(block_key(name, bi, bj),
-                                        a[si, sj].copy())
+        for store, bi, bj, rows, cols in self._tiles(machine):
+            store.put(block_key(name, bi, bj), a[rows, cols].copy())
 
     def gather_to(self, machine: Machine, name: Hashable) -> np.ndarray:
         """Reassemble the global matrix from the rank stores (free)."""
-        out = np.zeros((self.m, self.n))
-        for bi in range(self.mblocks):
-            for bj in range(self.nblocks):
-                rank = self.owner_rank(bi, bj)
-                si, sj = self.block_slice(bi, bj)
-                out[si, sj] = machine.store(rank).get(block_key(name, bi, bj))
+        out = np.empty((self.m, self.n))
+        for store, bi, bj, rows, cols in self._tiles(machine):
+            out[rows, cols] = store.get(block_key(name, bi, bj))
         return out

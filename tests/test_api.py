@@ -7,6 +7,7 @@ from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
 from repro.engine import TraceBackend, machine_for
 from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
+from repro.kernels.blas import KernelError
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, ProcessorGrid2D
 from repro.machine.exceptions import MemoryBudgetExceeded
@@ -459,6 +460,40 @@ class TestWorkingSetLifetime:
             assert np.allclose(res.lower @ res.lower.T, a)
             assert machine.peak_words_per_rank().max() <= machine.mem_words
 
+    @pytest.mark.parametrize("pd, schedule", [(pdpotrf, ConfchoxSchedule),
+                                              (pdgetrf, ConfluxSchedule)],
+                             ids=["pdpotrf", "pdgetrf"])
+    def test_failing_call_frees_what_it_allocated(self, pd, schedule):
+        """Regression: the free ran on success only.  A call refused by
+        its kernel mid-run (an indefinite matrix for Cholesky, a
+        singular one for LU) left its partial sums, transients and
+        prepped input resident, and the next — valid — call on the same
+        enforcing machine was refused at its own gate."""
+        n, p = 64, 8
+        machine = Machine(
+            p, mem_words=(schedule(n, p, v=8, c=2).required_words()
+                          + 5 * n * n / p), enforce_memory=True)
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=2, pcols=4)
+        layout = BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(2, 4))
+        g = np.random.default_rng(11).standard_normal((n, n))
+        good = g @ g.T + n * np.eye(n)
+        bad = g + g.T                       # symmetric, indefinite
+        if pd is pdgetrf:
+            bad = g.copy()
+            bad[:, 40:] = 0.0               # exactly singular from step 5
+        layout.scatter_from(machine, "X", bad)
+        layout.scatter_from(machine, "G", good)
+        before = machine.words_per_rank()
+        with pytest.raises(KernelError):
+            pd(machine, "X", desc, v=8, c=2)
+        assert work_keys(machine) == []
+        assert np.array_equal(machine.words_per_rank(), before)
+        assert np.array_equal(layout.gather_to(machine, "X"), bad)
+        res = pd(machine, "G", desc, v=8, c=2)
+        product = (res.lower @ res.lower.T if pd is pdpotrf
+                   else (res.lower @ res.upper)[np.argsort(res.perm)])
+        assert np.allclose(product, good)
+
     def test_no_tile_of_another_width_is_left_behind(self, rng):
         machine, desc, layout, a = setup_machine(rng)
         for v in (8, 16):
@@ -555,12 +590,13 @@ class TestOperandNamesAreTheCallers:
         assert np.allclose(a[res.perm], res.lower @ res.upper)
 
 
-#: Every tag a schedule or ``distops`` helper keeps per-step
-#: transients under.  As bare strings their ``(tag, t, bi)`` keys were
-#: the ``block_key`` of an operand of that name.
+#: Every tag a schedule or ``distops`` helper keeps (or, ``Ap`` /
+#: ``Bp``, kept) per-step transients under.  As bare strings their
+#: ``(tag, t, bi)`` keys were the ``block_key`` of an operand of that
+#: name.
 TRANSIENT_TAGS = ("cr", "rr", "a00", "piv", "a10", "a01", "tp", "fan", "l00",
                   "swap", "elim", "prb", "d", "ct", "Ap", "Bp", "Cr",
-                  "l", "u", "rt")
+                  "l", "u", "rt", "strips")
 
 
 class TestOperandsNamedAfterTransients:

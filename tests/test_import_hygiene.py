@@ -1,8 +1,9 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
 the paper's Table-2 models stay out of everything but the figures,
 schedules are built only through the implementation table, the trace
-evaluator has one reduction and one step-log shape, and the executed
-2D views have no tile-at-a-time helper to fall back on.
+evaluator has one reduction and one step-log shape, the executed
+2D views have no tile-at-a-time helper to fall back on, and the SUMMA
+rounds copy and send nothing per piece.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -159,6 +160,42 @@ def test_the_tile_at_a_time_helpers_stay_gone():
         if names & gone:
             offenders[str(path.relative_to(ROOT))] = sorted(names & gone)
     assert offenders == {}
+
+
+def _copying_calls(node: ast.AST) -> list[str]:
+    """``x.copy()``, ``np.array(...)`` and ``x.bcast(...)`` calls under
+    ``node``, as ``"<name>@<line>"``."""
+    found = []
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call) or \
+                not isinstance(call.func, ast.Attribute):
+            continue
+        func = call.func
+        if func.attr in ("copy", "bcast") or (
+                func.attr == "array" and getattr(func.value, "id", "") == "np"):
+            found.append(f"{func.attr}@{call.lineno}")
+    return found
+
+
+def test_summa_rounds_share_panels_and_replicas():
+    """A SUMMA round charges its strip pieces and lets every rank read
+    one panel: ``dist_step`` (and the ``_panel`` it builds them with)
+    holds no ``.copy()``, no ``np.array(`` and no ``.bcast(``.  Nor
+    does ``dist_init`` inside its per-layer loop — replicas are views;
+    slicing dense operands into blocks, before it, may copy."""
+    tree = ast.parse(
+        (SRC / "repro" / "factorizations" / "matmul25d.py").read_text())
+    methods = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert _copying_calls(methods["dist_step"]) == []
+    assert _copying_calls(methods["_panel"]) == []
+    layer_loops = [node for node in ast.walk(methods["dist_init"])
+                   if isinstance(node, ast.For)
+                   and ast.unparse(node.iter) == "range(c)"]
+    assert len(layer_loops) == 1
+    assert _copying_calls(layer_loops[0]) == []
+    # The probe sees what it looks for: the block slicing does copy.
+    assert _copying_calls(methods["dist_init"])
 
 
 def test_every_accepted_label_is_a_table_row():

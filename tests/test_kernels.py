@@ -11,6 +11,7 @@ from repro.kernels import (
     SingularMatrixError,
     cholesky_flops,
     gemm,
+    gemm_acc,
     gemm_flops,
     gemmt,
     gemmt_flops,
@@ -50,6 +51,50 @@ class TestGemm:
     def test_rejects_1d(self):
         with pytest.raises(KernelError):
             gemm(np.zeros(3), np.zeros((3, 2)))
+
+
+class TestGemmAcc:
+    """``C += A @ B`` into ``c`` itself, whatever views the operands
+    are and whatever order ``c`` is stored in."""
+
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_accumulates_in_place(self, rng, order):
+        block = rng.standard_normal((6, 9))
+        a = block[:, 2:6]                       # a column strip: a view
+        b = rng.standard_normal((7, 5))[1:5]    # a row strip
+        start = rng.standard_normal((6, 5))
+        c = {"C": start.copy(), "F": np.asfortranarray(start),
+             "strided": np.zeros((6, 10))[:, ::2]}[order]
+        c[...] = start
+        held, kept = c, block.copy()
+        fl = gemm_acc(c, a, b)
+        assert c is held and np.allclose(c, start + a @ b)
+        assert fl == gemm_flops(6, 5, 4)
+        assert np.array_equal(block, kept)
+
+    def test_matches_product_then_add_bitwise(self, rng):
+        a, b = rng.standard_normal((48, 16)), rng.standard_normal((16, 24))
+        c = rng.standard_normal((48, 24))
+        want = c + a @ b
+        gemm_acc(c, a, b)
+        assert np.array_equal(c, want)
+
+    def test_empty_inner_dimension_adds_nothing(self):
+        c = np.ones((3, 2))
+        assert gemm_acc(c, np.zeros((3, 0)), np.zeros((0, 2))) == 0.0
+        assert np.array_equal(c, np.ones((3, 2)))
+
+    def test_refuses_what_it_cannot_write(self, rng):
+        a, b = np.ones((3, 4)), np.ones((4, 2))
+        frozen = np.zeros((3, 2))
+        frozen.flags.writeable = False
+        for c in (frozen, np.zeros((2, 3)), np.zeros((3, 2), dtype=np.float32),
+                  [[0.0, 0.0]] * 3):
+            with pytest.raises(KernelError):
+                gemm_acc(c, a, b)
+        assert not frozen.any()
+        with pytest.raises(KernelError):
+            gemm_acc(np.zeros((3, 2)), a, np.ones((3, 2)))
 
 
 class TestGemmt:

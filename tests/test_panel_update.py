@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import pdgetrf
+from repro.api import pdgemm, pdgetrf
 from repro.engine.backends import DistributedBackend
 from repro.engine.distops import (
     assemble_cols_1d,
@@ -458,6 +458,12 @@ def _callers(stats: pstats.Stats, name: str) -> set[str]:
             if func[2] == name for caller in callers}
 
 
+def _calls(stats: pstats.Stats, name: str) -> int:
+    """How often the profiled function ``name`` was called."""
+    return sum(calls for func, (_, calls, _, _, _) in stats.stats.items()
+               if func[2] == name)
+
+
 def test_executed_conflux_python_overhead_stays_batched():
     stats = _profiled_pdgetrf()
     assert stats.total_calls < CALL_CEILING
@@ -503,6 +509,43 @@ def test_executed_2d_python_overhead_stays_batched(op):
     # Nothing in the 2D views sends message by message, and the store
     # is touched per rank and step, not per tile.
     assert _callers(stats, "ship") == set()
-    puts = sum(calls for func, (_, calls, _, _, _) in stats.stats.items()
-               if func[2] == "put")
-    assert puts < 10_000
+    assert _calls(stats, "put") < 10_000
+
+
+#: Python-level calls of one pdgemm(25d, n=96, P=16, s=16, c=2) on the
+#: 2x4x2 grid, where one A strip in three straddles two 24-column
+#: blocks: 14.1 k on shared panels (18.2 k with a ``put`` + ``bcast``
+#: per piece and a stack per rank); ceiling ~25 % above.
+CALL_CEILING_SUMMA = 17_700
+
+
+def _profiled_pdgemm(s: int) -> pstats.Stats:
+    n, p = 96, 16
+    machine = Machine(p)
+    a, b = np.random.default_rng(3).standard_normal((2, n, n))
+    desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=4, pcols=4)
+    layout = BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(4, 4))
+    layout.scatter_from(machine, "X", a)
+    layout.scatter_from(machine, "Y", b)
+    blas._lapack()          # the first kernel call would import SciPy
+    profile = cProfile.Profile()
+    res = profile.runcall(pdgemm, machine, "X", desc, "Y", desc, s=s, c=2)
+    assert np.allclose(res.lower, a @ b)
+    return pstats.Stats(profile)
+
+
+def test_executed_summa_moves_panels_not_pieces():
+    stats = _profiled_pdgemm(16)
+    assert stats.total_calls < CALL_CEILING_SUMMA
+    # Pieces are charged, not sent: nothing calls ``Machine.bcast``, no
+    # rank stacks a panel of its own (one ``hstack`` per grid row of
+    # the two straddling rounds, no ``vstack``: 48-row blocks hold
+    # every B strip), and the product accumulates in place.
+    assert _calls(stats, "bcast") == 0
+    assert _callers(stats, "charge_bcast") == {"_panel"}
+    assert _callers(stats, "hstack") == {"_panel"}
+    assert (_calls(stats, "hstack"), _calls(stats, "vstack")) == (4, 0)
+    assert _calls(stats, "gemm_acc") == _calls(stats, "stage") == 3 * 16
+    # Strips of 8 lie in one block each: nothing is stacked at all.
+    aligned = _profiled_pdgemm(8)
+    assert _calls(aligned, "hstack") == _calls(aligned, "vstack") == 0

@@ -254,3 +254,160 @@ class TestGenerated2DBaselines:
         assert refused[0] == refused[1]
         # Only a rank that touches the peak can be the one refused.
         assert peaks[refused[0][0]] == peaks.max()
+
+
+def per_piece_summa(sched):
+    """``sched`` with its SUMMA rounds as they ran before the panels
+    were shared: every strip piece stored at its owner and ``bcast`` to
+    the line (a private copy per receiver), every rank stacking its own
+    panels, the product formed in a temporary and added.  Kept here
+    only, as the counted reference of the form that was replaced."""
+    from repro.factorizations import matmul25d as mm
+
+    strip_a, strip_b = ("work", "ref-Ap"), ("work", "ref-Bp")
+
+    def dist_step(machine, state, t):
+        if t >= sched.rounds:
+            return type(sched).dist_step(sched, machine, state, t)
+        n, s, grid = sched.n, sched.s, sched.grid
+        pr, pc = grid.rows, grid.cols
+        rl, cl = n // pr, n // pc
+        for kk in range(sched.c):
+            lo = kk * (n // sched.c) + t * s
+            a_pieces = sched._strip_pieces(lo, cl)
+            b_pieces = sched._strip_pieces(lo, rl)
+            for pi in range(pr):
+                row_group = [grid.rank(pi, j, kk) for j in range(pc)]
+                for jb, c0, c1 in a_pieces:
+                    src = grid.rank(pi, jb, kk)
+                    block = machine.store(src).get((mm.WORK_A, pi, jb))
+                    machine.store(src).put((strip_a, t, jb),
+                                           block[:, c0:c1].copy())
+                    machine.bcast(src, row_group, (strip_a, t, jb))
+            for pj in range(pc):
+                col_group = [grid.rank(i, pj, kk) for i in range(pr)]
+                for ib, r0, r1 in b_pieces:
+                    src = grid.rank(ib, pj, kk)
+                    block = machine.store(src).get((mm.WORK_B, ib, pj))
+                    machine.store(src).put((strip_b, t, ib),
+                                           block[r0:r1, :].copy())
+                    machine.bcast(src, col_group, (strip_b, t, ib))
+            for pi in range(pr):
+                for pj in range(pc):
+                    r = grid.rank(pi, pj, kk)
+                    store = machine.store(r)
+                    a_panel = np.hstack([store.get((strip_a, t, jb))
+                                         for jb, _, _ in a_pieces])
+                    b_panel = np.vstack([store.get((strip_b, t, ib))
+                                         for ib, _, _ in b_pieces])
+                    store.get((mm.WORK_C, pi, pj))[...] += a_panel @ b_panel
+                    machine.compute(r, 2.0 * rl * cl * s)
+                    for jb, _, _ in a_pieces:
+                        store.discard((strip_a, t, jb))
+                    for ib, _, _ in b_pieces:
+                        store.discard((strip_b, t, ib))
+
+    sched.dist_step = dist_step         # instance attribute, this run only
+    return sched
+
+
+class TestGeneratedSumma:
+    """The same one-seed-draws-the-scenario net for the 2.5D SUMMA's
+    distributed view: P, replication and strip width drawn so that
+    layer grids are 1x1, 1x2, 1x3, 2x2, 2x3, 2x4, 3x4, 4x4 and 4x8 and
+    a round's strip lies in one operand block or straddles two or
+    three.  The run adopts named native blocks, the way ``pdgemm``
+    reaches it."""
+
+    RANKS = (1, 2, 4, 6, 8, 12, 16, 32)
+
+    @staticmethod
+    def scenario(seed):
+        """``(schedule, a, b)``: ``N`` a small multiple of what the
+        grid needs, the strip width a divisor of a layer's ``N / c``
+        slice — two times in three, where there is one, a divisor that
+        does not divide both block extents."""
+        import math
+
+        from repro.factorizations import Matmul25DSchedule
+        from repro.machine import sorted_divisors
+
+        rng = np.random.default_rng(seed)
+        p = int(rng.choice(TestGeneratedSumma.RANKS))
+        c = int(rng.choice([c for c in (1, 2, 4) if p % c == 0]))
+        pr, pc = largest_square_divisor(p // c)
+        n = math.lcm(pr, pc, c) * int(rng.integers(1, 13))
+        widths = sorted_divisors(n // c)
+        straddling = [s for s in widths if (n // pr) % s or (n // pc) % s]
+        s = int(rng.choice(straddling if straddling and rng.integers(3)
+                           else widths))
+        a, b = rng.standard_normal((2, n, n))
+        return Matmul25DSchedule(n, p, s=s, c=c), a, b
+
+    @staticmethod
+    def counters(result, machine):
+        comm = result.comm
+        return {**{field: getattr(comm, field).tolist()
+                   for field in ("recv_words", "sent_words", "recv_msgs",
+                                 "sent_msgs", "flops")},
+                "steps": list(comm.steps),
+                "peaks": machine.peak_words_per_rank().tolist()}
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_shared_panels_count_and_compute_as_the_per_piece_form(self, seed):
+        from repro.engine import DenseBackend, DistributedBackend
+        from repro.factorizations.matmul25d import WORK_A, WORK_B
+        from repro.machine import Machine, MemoryBudgetExceeded
+        from repro.planner.workload import native_layout
+
+        sched, a, b = self.scenario(seed)
+        p, c, grid = sched.nranks, sched.c, sched.grid
+        rl, cl = sched.n // grid.rows, sched.n // grid.cols
+        native = native_layout("gemm", sched)   # one block per layer-0 rank
+
+        def run(schedule, **machine_kw):
+            machine = Machine(p, **machine_kw)
+            native.scatter_from(machine, "X", a)
+            native.scatter_from(machine, "Y", b)
+            return machine, DistributedBackend(machine).run(
+                schedule, in_name=("X", "Y"))
+
+        machine, dist = run(sched)
+        ref_machine, ref = run(per_piece_summa(self.scenario(seed)[0]))
+        dense = DenseBackend().run(sched, a=(a, b))
+
+        # Counted exactly as the per-piece form and computed to its
+        # bits (NumPy sends a one-row or one-column block's product to
+        # gemv, not gemm: that one is equal to rounding).  So is the
+        # dense view, which multiplies N-wide strips, not blocks, and
+        # sums the c layers in another order.
+        assert self.counters(dist, machine) == self.counters(ref, ref_machine)
+        if min(rl, cl) > 1:
+            assert np.array_equal(dist.lower, ref.lower)
+        for other in (ref, dense):
+            assert np.abs(dist.lower - other.lower).max() <= 1e-12 * sched.n
+
+        # Operands are shared, never written: the caller's blocks are
+        # as they were, layer 0 holds them, the replicas refuse a write.
+        for work, name, x in ((WORK_A, "X", a), (WORK_B, "Y", b)):
+            assert np.array_equal(native.gather_to(machine, name), x)
+            block = machine.store(0).get((name, 0, 0))
+            assert machine.store(0).get((work, 0, 0)) is block
+            if c > 1:
+                replica = machine.store(grid.rank(0, 0, 1)).get((work, 0, 0))
+                assert np.shares_memory(replica, block)
+                with pytest.raises(ValueError):
+                    replica[0, 0] = 1.0
+
+        peaks = machine.peak_words_per_rank()
+        resident = 2 * rl * cl              # the adopted X and Y blocks
+        assert peaks.max() <= sched.required_words() + resident
+        refused = []
+        for _ in range(2):
+            with pytest.raises(MemoryBudgetExceeded) as exc_info:
+                run(sched, mem_words=peaks.max() - 1, enforce_memory=True)
+            refused.append((exc_info.value.rank, exc_info.value.step))
+        assert refused[0] == refused[1]
+        assert refused[0][1] is not None
+        assert peaks[refused[0][0]] == peaks.max()
