@@ -15,10 +15,11 @@ This example expresses that pipeline as a workload DAG, plans it
 *jointly* — every node's candidates scored in one batched pass, DAG
 assignments ranked by counted words *including* the closed-form COSTA
 layout-conversion cost between stages — and executes the plan
-end-to-end through :func:`repro.api.run_workload` on the simulated
-machine, where still-resident native tiles are adopted whenever
-consecutive nodes agree on a layout.  A paper-scale sweep then shows
-the joint charge against independently planned per-call schedules.
+end-to-end through :func:`repro.api.run_workload` on a simulated
+machine that *enforces* the plan's own per-rank memory peak, where
+still-resident native tiles are adopted whenever consecutive nodes
+agree on a layout.  A paper-scale sweep then shows the joint charge
+against independently planned per-call schedules.
 
 Run:  python examples/dft_workload.py
 """
@@ -52,7 +53,8 @@ def overlap_matrix(n_atoms: int, decay: float = 0.7,
 def main() -> None:
     # ------------------------------------------------------------------
     # Executable: a 128-orbital system on 4 simulated ranks, planned
-    # jointly and run end-to-end.
+    # jointly and run end-to-end with exactly the memory the plan says
+    # the chain needs: planned >= measured, or the run would abort.
     # ------------------------------------------------------------------
     n, p = 128, 4
     request = dft_workload_request(n, p)
@@ -65,7 +67,8 @@ def main() -> None:
     a = rng.standard_normal((n, n)) + n * np.eye(n)
     b = rng.standard_normal((n, n)) + n * np.eye(n)
 
-    machine = Machine(p)
+    planned = max(plan.chosen.node_peaks)
+    machine = Machine(p, mem_words=planned, enforce_memory=True)
     desc = ScaLAPACKDescriptor(m=n, n=n, mb=32, nb=32, prows=2, pcols=2)
     layout = BlockCyclicLayout(n, n, 32, 32, ProcessorGrid2D(2, 2))
     layout.scatter_from(machine, "A", a)
@@ -73,6 +76,13 @@ def main() -> None:
     layout.scatter_from(machine, "S", s)
 
     result = run_workload(machine, plan, {"A": desc, "B": desc, "S": desc})
+    unit = n * n / p
+    measured = machine.peak_words_per_rank().max()
+    print("Per-rank memory, in copies of N^2/P: planned peak "
+          + ", ".join(f"{node.name} {peak / unit:.2f}" for node, peak
+                      in zip(request.nodes, plan.chosen.node_peaks))
+          + f"; enforced M = {planned / unit:.2f}, "
+          f"measured {measured / unit:.2f}")
 
     cond = np.linalg.cond(s)
     print(f"Synthetic overlap matrix: N={n}, cond(S) = {cond:.1e}")

@@ -224,10 +224,10 @@ def memory_feasibility(cases: list[tuple[int, int]],
     For each configuration, evaluates every schedule's declared
     ``required_words`` closed form (no execution — paper scale is
     cheap) against the model memory and a physical node budget.  This
-    is the planning-side counterpart of running under
-    ``Machine(..., enforce_memory=True)``: a config reported
-    infeasible here is exactly one :func:`repro.api.pdgetrf` rejects
-    up front on a budget-enforced machine.
+    is the planning-side counterpart of a bare backend run under
+    ``Machine(..., enforce_memory=True)``; a pd* call needs its layout
+    copies on top (:func:`repro.planner.core.call_memory`), so a config
+    infeasible here is one :func:`repro.api.pdgetrf` refuses too.
 
     With an ``executor``, each ``(N, P)`` point is one sweep task
     (kind ``"feasibility"``); rows come back flattened in case order.

@@ -23,19 +23,18 @@ separate accounting run — and writes the factors back in the caller's
 layout.  All three entry points share one resolution (``_resolve``:
 ``plan=`` / ``impl="auto"`` / explicit keywords to ``(impl, params)``)
 and one execution path (``_run_pd``: pre-flight memory gate, COSTA in,
-backend run, COSTA out); which schedule an ``impl`` names, how many
-layout copies the gate reserves and how the factors are packed come
-from the implementation table (:mod:`repro.factorizations.registry`).
-The reshuffle costs O(N^2/P) per rank — asymptotically free, as the
-paper argues (Section 7.4).
+backend run, COSTA out); which schedule an ``impl`` names and how the
+factors are packed come from the implementation table
+(:mod:`repro.factorizations.registry`).  The reshuffle costs O(N^2/P)
+per rank — asymptotically free, as the paper argues (Section 7.4).
 
 On a machine that *enforces* a finite ``M``-words budget
 (``Machine(..., enforce_memory=True)``), every entry point first
-reserves, on every rank, the schedule's declared ``required_words``
-closed form plus the layout copies this module keeps alive around the
-factorization, and rejects an infeasible ``(N, P, c)`` configuration
-with :class:`~repro.machine.exceptions.MemoryBudgetExceeded` before
-moving a single word.
+reserves, on every rank, what the call needs there beyond what the rank
+holds (:func:`~repro.planner.core.call_memory`), and rejects an
+infeasible ``(N, P, c)`` configuration with
+:class:`~repro.machine.exceptions.MemoryBudgetExceeded` before moving a
+single word.
 
 Schedule selection has three forms, from most to least explicit:
 
@@ -61,6 +60,7 @@ The parameters a call actually ran with are recorded uniformly in
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any
 
 import numpy as np
@@ -76,13 +76,9 @@ from .layouts.block_cyclic import discard_matrix, discard_work
 from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
 from .planner import Plan, PlannedConfig, PlanRequest, planner_labels
+from .planner.core import call_memory, native_layout
 from .planner.service import PlanService, default_service
-from .planner.workload import (
-    WorkloadPlan,
-    WorkloadRequest,
-    config_schedule,
-    native_layout,
-)
+from .planner.workload import WorkloadPlan, WorkloadRequest, config_schedule
 
 __all__ = ["pdgetrf", "pdpotrf", "pdgemm", "pdgetrs", "pdpotrs",
            "run_workload", "PDResult", "WorkloadResult"]
@@ -137,77 +133,41 @@ def _layout_from_desc(desc: ScaLAPACKDescriptor) -> BlockCyclicLayout:
     return BlockCyclicLayout(desc.m, desc.n, desc.mb, desc.nb, grid)
 
 
-def _check_memory_feasible(machine: Machine, schedule: Schedule,
-                           api_copies: int) -> None:
-    """Reject an infeasible ``(N, P, c)`` configuration up front.
-
-    When the caller's machine enforces a finite ``M``-words budget, a
-    run whose working set cannot fit can never finish — fail before
-    any reshuffle moves a word, with the budget arithmetic in the
-    error.  The reserved working set is the schedule's declared
-    ``required_words`` closed form *plus* ``api_copies`` matrix copies
-    of ``N^2/P`` words per rank for the layout lifetimes this module
-    keeps alive around the factorization itself: the adopted native
-    input (which the schedule copies; freed once the backend has run),
-    the written-back native factors, and the output in the caller's
-    layout.  The check
-    is a per-rank :meth:`~repro.machine.store.RankStore.reserve`, so
-    words already resident (the caller's distributed matrix, which
-    stays put through the run) count against the budget on the rank
-    that holds them.
-    """
+def _check_memory_feasible(machine: Machine, op: str, schedule: Schedule,
+                           native: BlockCyclicLayout,
+                           desc: ScaLAPACKDescriptor, out_name: str,
+                           fresh: int, kept: int) -> None:
+    """Reject an infeasible ``(N, P, c)`` configuration up front: on a
+    machine enforcing a finite ``M`` a run that cannot fit can never
+    finish, so fail before any reshuffle moves a word.  Every rank
+    reserves what :func:`~repro.planner.core.call_memory` says the call
+    needs there beyond the words it holds; a refusal's ``key`` is
+    ``(op, out_name, CallMemory)``: the phase that peaks on the refused
+    rank and its held / native / required split."""
     if not machine.enforces_memory:
         return
-    n = schedule.n
-    needed = (schedule.required_words()
-              + api_copies * float(n) * n / machine.nranks)
-    key = f"{type(schedule).__name__}(n={n}, p={schedule.nranks})"
-    with obs.span("pd.gate", cat="pd-phase", schedule=key,
-                  needed_words=needed):
-        for store in machine.stores:
+    out = _layout_from_desc(desc)
+    needs = [call_memory(schedule, native, store.words, fresh, kept,
+                         store.rank, out) for store in machine.stores]
+    worst = max(needs, key=lambda need: need.words)
+    with obs.span("pd.gate", cat="pd-phase", op=op, out=out_name,
+                  needed_words=worst.words, **worst._asdict()):
+        for store, need in zip(machine.stores, needs):
             store.begin_step("<feasibility>")
             try:
-                store.reserve(needed, key=key)
+                store.reserve(need.native + need.required,
+                              key=(op, out_name, need))
             finally:
                 store.end_step()
 
 
-def _prepare(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
-             native: BlockCyclicLayout) -> float:
-    """COSTA-reshuffle the caller's matrix into the schedule's native
-    layout; returns the reshuffle volume.
-
-    The native tiles land under ``(name + ":native", bi, bj)`` on the
-    2D ranks of the native layout's grid — which coincide with layer 0
-    of the schedule's 3D grid, where :meth:`dist_init` adopts them.
-    """
-    if desc.m != desc.n:
-        raise ValueError(f"need a square matrix, got {desc.m}x{desc.n}")
-    if desc.prows * desc.pcols > machine.nranks:
-        raise ValueError("descriptor grid exceeds machine size")
-    src = _layout_from_desc(desc)
+def _reshuffle(machine: Machine, name: str, src: BlockCyclicLayout,
+               dst: BlockCyclicLayout, dst_name: str) -> float:
+    """COSTA-reshuffle matrix ``name`` from layout ``src`` into ``dst``
+    under ``dst_name``; returns the counted volume."""
     before = machine.stats.total_recv_words
-    redistribute(machine, name, src, native, dst_name=name + ":native")
+    redistribute(machine, name, src, dst, dst_name=dst_name)
     return machine.stats.total_recv_words - before
-
-
-def _writeback(machine: Machine, out_name: str,
-               desc: ScaLAPACKDescriptor, packed: np.ndarray,
-               native: BlockCyclicLayout) -> float:
-    """Scatter packed factors into native tiles, then COSTA back to the
-    caller's layout; returns the reshuffle volume."""
-    native.scatter_from(machine, out_name + ":native", packed)
-    dst = _layout_from_desc(desc)
-    before = machine.stats.total_recv_words
-    redistribute(machine, out_name + ":native", native, dst,
-                 dst_name=out_name)
-    return machine.stats.total_recv_words - before
-
-
-def _planner_budget(machine: Machine) -> float | None:
-    """The per-rank budget the planner must respect: the machine's
-    enforced ``M``, or None (unbounded) when nothing is enforced."""
-    return machine.mem_words if machine.enforces_memory else None
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +192,9 @@ def _service_for(machine: Machine) -> PlanService:
     return service if service is not None else default_service()
 
 
-def _resolve(machine: Machine, op: str, n: int, impl: str,
-             plan: Plan | PlannedConfig | None, given: dict[str, Any],
+def _resolve(machine: Machine, op: str, desc: ScaLAPACKDescriptor,
+             impl: str, plan: Plan | PlannedConfig | None,
+             given: dict[str, Any],
              ) -> tuple[str, dict[str, Any], Plan | PlannedConfig | None]:
     """Resolve ``plan=`` / ``impl="auto"`` / explicit keywords into
     ``(impl, params, plan)`` — the constructor parameters of the table
@@ -245,10 +206,16 @@ def _resolve(machine: Machine, op: str, n: int, impl: str,
     plan overrides them; without one, each must belong to ``impl``.
     """
     if plan is None and impl == "auto":
-        request = PlanRequest(op=op, n=n, p=machine.nranks,
-                              mem_words=_planner_budget(machine),
-                              api_copies=OPS[op].auto_copies)
-        plan = _service_for(machine).plan(request)
+        # Planned >= gated: the caller holds, in whole copies, the fullest
+        # rank's words plus the output's excess over a balanced N^2/P.
+        budget = machine.mem_words if machine.enforces_memory else None
+        unit = float(desc.n) * desc.n / machine.nranks
+        held = 0.0 if budget is None else (
+            max(store.words for store in machine.stores)
+            + _layout_from_desc(desc).local_words(0) - unit)
+        plan = _service_for(machine).plan(PlanRequest(
+            op, desc.n, machine.nranks, budget,
+            api_copies=max(0, math.ceil(held / unit))))
     if plan is not None:
         config = plan.chosen if isinstance(plan, Plan) else plan
         if not isinstance(config, PlannedConfig):
@@ -278,67 +245,81 @@ def _resolve(machine: Machine, op: str, n: int, impl: str,
 def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
             native: BlockCyclicLayout, desc: ScaLAPACKDescriptor,
             inputs: list[tuple[str, ScaLAPACKDescriptor]], out_name: str,
-            plan: Plan | PlannedConfig | None, *,
-            native_names: dict[str, str] | None = None,
-            keep_native: bool = False,
-            preflight: bool = True) -> PDResult:
+            plan: Plan | PlannedConfig | None,
+            live: dict[str, dict[BlockCyclicLayout, str]] | None = None,
+            ) -> PDResult:
     """The execution path every pd* entry point shares: pre-flight
     memory gate, counted COSTA reshuffle(s) in, one
     :class:`DistributedBackend` run on the caller's machine, counted
     writeback into the caller's layout, :class:`PDResult`.
 
     What the call allocates it frees: the schedule's working set
-    (everything under a ``work_name``: tiles, replicas, transients) and
-    the prepped inputs as soon as the backend has run (before
-    writeback, so they never coexist with the written-back copies the
-    gate reserves for), the written-back factors once the caller-layout
-    output exists — chained calls do not accumulate dead copies against
-    an enforced budget, and a call that raises (a singular matrix, a
-    budget overrun) frees the same and propagates the exception.
-    :func:`run_workload` manages native residency itself — it passes
-    ``native_names`` (operand -> store key of already-native tiles,
-    skipping the reshuffle in), ``keep_native``
-    (the written-back native factors stay resident for later nodes to
-    adopt) and ``preflight=False`` (it gates before prepping, so the
-    gate does not double-count the already-resident native copies).
+    (everything under a ``work_name``) and the prepped inputs as soon
+    as the backend has run — before writeback, so they never coexist
+    with the written-back copies — and the native factors once the
+    caller-layout output exists; a call that raises (a singular matrix,
+    a budget overrun) frees the same and propagates the exception.
+
+    ``live`` is how :func:`run_workload` amortizes reshuffles: operand
+    name -> ``{native layout: store name}`` for each operand
+    (``out_name`` included) that outlives this call.  Such an operand's
+    native copy is adopted when its layout is there, else made and
+    recorded there, and stays — the map's owner frees it.  A pd* call
+    is the case of an empty map.
     """
+    for _, d in inputs:
+        if d.m != d.n:
+            raise ValueError(f"need a square matrix, got {d.m}x{d.n}")
+        if d.prows * d.pcols > machine.nranks:
+            raise ValueError("descriptor grid exceeds machine size")
+    live = {} if live is None else live
     tel = obs.default_telemetry()
     tel.metrics.counter(f"api.pd.{op}").inc()
     with tel.span(f"pd.{op}", cat="pd", n=schedule.n, impl=impl) as sp:
-        if preflight:
-            _check_memory_feasible(machine, schedule,
-                                   api_copies=OPS[op].gate_copies)
+        fresh = {name: in_desc for name, in_desc in inputs
+                 if native not in live.get(name, ())}
+        _check_memory_feasible(machine, op, schedule, native, desc, out_name,
+                               len(fresh), len(fresh.keys() & live.keys()))
         resh_in = 0.0
-        names: dict[str, str] = {}
-        created: list[str] = []
+        natives = {name: live[name][native] for name, _ in inputs
+                   if name not in fresh}
+        mine: list[str] = []
         try:
             with tel.span("pd.prep", cat="pd-phase", inputs=len(inputs)):
-                for name, in_desc in inputs:
-                    if native_names is not None and name in native_names:
-                        names[name] = native_names[name]
-                    else:
-                        names[name] = name + ":native"
-                        created.append(names[name])
-                        resh_in += _prepare(machine, name, in_desc, native)
-            in_name = (names[inputs[0][0]] if len(inputs) == 1
-                       else tuple(names[name] for name, _ in inputs))
+                for name, in_desc in fresh.items():
+                    kept = live.get(name)
+                    if kept is None:
+                        natives[name] = key = name + ":native"
+                        mine.append(key)
+                    else:   # one key per layout of an operand
+                        natives[name] = key = f"{name}:native:{out_name}"
+                        kept[native] = key
+                    resh_in += _reshuffle(machine, name,
+                                          _layout_from_desc(in_desc),
+                                          native, key)
+            in_name = tuple(natives[name] for name, _ in inputs)
             with tel.span("pd.backend", cat="pd-phase",
                           schedule=type(schedule).__name__):
-                res = DistributedBackend(machine).run(schedule,
-                                                      in_name=in_name)
+                res = DistributedBackend(machine).run(
+                    schedule,
+                    in_name=in_name[0] if len(in_name) == 1 else in_name)
         finally:
-            # The working set and the prepped inputs are dead once the
-            # backend has run or raised; writeback adds two more copies.
+            # The working set and the call's own prepped inputs are
+            # dead once the backend has run or raised.
             discard_work(machine)
-            for name in created:
-                discard_matrix(machine, name)
+            for key in mine:
+                discard_matrix(machine, key)
         with tel.span("pd.writeback", cat="pd-phase"):
-            packed = OPS[op].packed(res)
+            factors = out_name + ":native"
             try:
-                resh_out = _writeback(machine, out_name, desc, packed, native)
+                native.scatter_from(machine, factors, OPS[op].packed(res))
+                resh_out = _reshuffle(machine, factors, native,
+                                      _layout_from_desc(desc), out_name)
             finally:
-                if not keep_native:
-                    discard_matrix(machine, out_name + ":native")
+                if out_name in live:
+                    live[out_name][native] = factors
+                else:
+                    discard_matrix(machine, factors)
         sp.set(reshuffle_words=resh_in + resh_out,
                factorization_words=res.comm.total_recv_words)
     is_lu = op == "lu"
@@ -361,7 +342,7 @@ def _pd(machine: Machine, op: str, impl: str,
     """What every pd* entry point is: resolve, build the table row's
     schedule and its native layout, run."""
     desc = inputs[0][1]
-    impl, params, plan = _resolve(machine, op, desc.n, impl, plan, given)
+    impl, params, plan = _resolve(machine, op, desc, impl, plan, given)
     schedule = build(op, impl, desc.n, machine.nranks, **params)
     return _run_pd(machine, op, impl, schedule, native_layout(op, schedule),
                    desc, inputs, out_name, plan)
@@ -429,8 +410,6 @@ def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
     and replication under the machine's memory budget); ``plan=`` runs
     a caller-supplied plan without re-planning.
     """
-    if desc_a.m != desc_a.n or desc_b.m != desc_b.n:
-        raise ValueError("need square operands")
     if desc_a.n != desc_b.n:
         raise ValueError(
             f"operand sizes differ: {desc_a.n} vs {desc_b.n}")
@@ -499,12 +478,10 @@ def run_workload(machine: Machine,
                  ) -> WorkloadResult:
     """Execute a planned workload DAG on ``machine``.
 
-    ``workload`` is a :class:`~repro.planner.workload.WorkloadPlan`
-    (from :func:`~repro.planner.workload.plan_workload` or the plan
-    service) or a bare
-    :class:`~repro.planner.workload.WorkloadRequest`, which is planned
-    through the machine's service first (inheriting the machine's
-    enforced budget when the request leaves ``mem_words`` unset).
+    ``workload`` is a :class:`~repro.planner.workload.WorkloadPlan` or
+    a bare :class:`~repro.planner.workload.WorkloadRequest`, which is
+    planned through the machine's service first (inheriting the
+    machine's enforced budget when it leaves ``mem_words`` unset).
     ``inputs`` maps every external operand name to the ScaLAPACK
     descriptor its tiles already follow in the stores; ``out_names``
     optionally renames node outputs (default: the node's own name) —
@@ -513,13 +490,14 @@ def run_workload(machine: Machine,
 
     Each node runs through the same :func:`_run_pd` path as the pd*
     entry points — gate, COSTA in, backend run, counted writeback —
-    with one difference: native layout copies stay resident while
-    still useful.  A node whose operand already has a live native copy
-    in *exactly* its layout adopts it and skips the reshuffle (the
-    joint plan's amortization; recorded in ``reused``); a node needing
-    a different layout preps its own copy.  Copies are freed as the
-    DAG retires their operand, so the peak footprint tracks the live
-    frontier, not the whole program.
+    in the request's node order, with one difference: the native
+    copies of an operand that outlives a node stay resident.  A node
+    whose operand already has a live native copy in *exactly* its
+    layout adopts it and skips the reshuffle (the joint plan's
+    amortization; recorded in ``reused``); a node needing a different
+    layout preps its own copy.  Copies are freed as the DAG retires
+    their operand, so the peak footprint tracks the live frontier
+    (:func:`~repro.planner.workload._frontier` replays it to plan).
     """
     if isinstance(workload, WorkloadRequest):
         request = workload
@@ -539,19 +517,13 @@ def run_workload(machine: Machine,
                          f"{', '.join(missing)}")
     out_names = dict(out_names or {})
     producers = request.producers()
-    # Operand lifetimes: the node index after which each operand is
-    # dead (a node output nobody consumes retires with its own node —
-    # its native copy is freed immediately, like a sequential call).
-    last_use: dict[str, int] = {}
-    for idx, node in enumerate(request.nodes):
-        for ref in node.inputs:
-            last_use[ref] = idx
-    for idx, node in enumerate(request.nodes):
-        last_use.setdefault(node.name, idx)
+    last_use = request.last_use()
+    # Operand -> the store name of its caller-layout tiles.
+    names = {ref: out_names.get(ref, ref) if ref in producers else ref
+             for ref in last_use}
 
-    live: dict[tuple[str, BlockCyclicLayout], str] = {}
+    live: dict[str, dict[BlockCyclicLayout, str]] = {}
     descs: dict[str, ScaLAPACKDescriptor] = dict(inputs)
-    store_names: dict[str, str] = {}
     results: dict[str, PDResult] = {}
     reused: list[tuple[str, str]] = []
     resh_total = 0.0
@@ -565,50 +537,33 @@ def run_workload(machine: Machine,
             schedule, _ = config_schedule(node.op, node.n,
                                           machine.nranks, cfg)
             native = native_layout(node.op, schedule)
-            desc = descs[node.inputs[0]]
-            _check_memory_feasible(machine, schedule,
-                                   api_copies=OPS[node.op].gate_copies)
-            native_names: dict[str, str] = {}
+            desc = descs[node.name] = descs[node.inputs[0]]
+            for ref in (*node.inputs, node.name):
+                if last_use[ref] > idx:
+                    live.setdefault(names[ref], {})
+            adopted = [ref for ref in node.inputs
+                       if native in live.get(names[ref], ())]
+            reused += [(node.name, ref) for ref in adopted]
+            reg.counter("workload.operands_adopted").inc(len(adopted))
+            reg.counter("workload.operands_reshuffled").inc(
+                len(set(node.inputs) - set(adopted)))
             with tel.span("workload.node", cat="workload",
                           node=node.name, op=node.op):
-                for ref in node.inputs:
-                    if (ref, native) in live:
-                        native_names[ref] = live[ref, native]
-                        reused.append((node.name, ref))
-                        reg.counter("workload.operands_adopted").inc()
-                        continue
-                    reg.counter("workload.operands_reshuffled").inc()
-                    src_name = store_names.get(ref, ref)
-                    src = _layout_from_desc(descs[ref])
-                    key = (f"{ref}:native"
-                           if not any(r == ref for r, _ in live)
-                           else f"{ref}:native:{node.name}")
-                    before = machine.stats.total_recv_words
-                    redistribute(machine, src_name, src, native,
-                                 dst_name=key)
-                    resh_total += machine.stats.total_recv_words - before
-                    live[ref, native] = key
-                    native_names[ref] = key
-                out_store = out_names.get(node.name, node.name)
                 res = _run_pd(machine, node.op, cfg.impl, schedule, native,
-                              desc,
-                              [(ref, descs[ref]) for ref in node.inputs],
-                              out_store, cfg, native_names=native_names,
-                              keep_native=True, preflight=False)
+                              desc, [(names[ref], descs[ref])
+                                     for ref in node.inputs],
+                              names[node.name], cfg, live)
             resh_total += res.reshuffle_words
             results[node.name] = res
-            descs[node.name] = desc
-            store_names[node.name] = out_store
-            live[node.name, native] = out_store + ":native"
             # Retire everything whose last consumer just ran.
             for ref, last in last_use.items():
                 if last != idx:
                     continue
-                for held in [k for k in live if k[0] == ref]:
-                    discard_matrix(machine, live.pop(held))
+                for key in live.pop(names[ref], {}).values():
+                    discard_matrix(machine, key)
                 consumed = ref in producers and producers[ref] != last
                 if consumed and ref not in out_names:
-                    discard_matrix(machine, store_names[ref])
+                    discard_matrix(machine, names[ref])
         wsp.set(adopted=len(reused), reshuffle_words=resh_total)
     return WorkloadResult(plan=plan, results=results,
                           reshuffle_words=resh_total,

@@ -35,34 +35,22 @@ __all__ = ["Op", "Impl", "OPS", "IMPLS", "labels", "implementation",
 class Op:
     """What every implementation of one problem kind shares.
 
-    ``arity`` is the operand count of a pd* call; ``gate_copies`` the
-    ``N^2/P``-per-rank layout copies the pd* pre-flight gate reserves
-    on top of the schedule's ``required_words`` (the adopted native
-    inputs, the written-back native factors, the output in the caller's
-    layout); ``flops(n, p)`` the leading flops per rank the planner's
-    time estimate uses; ``packed(result)`` the single matrix a pd* call
-    writes back.
+    ``arity`` is the operand count of a pd* call; ``flops(n, p)`` the
+    leading flops per rank the planner's time estimate uses;
+    ``packed(result)`` the single matrix a pd* call writes back.
     """
 
     arity: int
-    gate_copies: int
     flops: Callable[[int, int], float]
     packed: Callable[[FactorizationResult], np.ndarray]
 
-    @property
-    def auto_copies(self) -> int:
-        """Layout copies ``impl="auto"`` planning charges: the gate's
-        plus the caller's already-resident operand(s), which the gate's
-        ``reserve()`` counts too."""
-        return self.gate_copies + self.arity
-
 
 OPS: dict[str, Op] = {
-    "lu": Op(1, 3, lambda n, p: 2.0 * n ** 3 / (3.0 * p),
+    "lu": Op(1, lambda n, p: 2.0 * n ** 3 / (3.0 * p),
              lambda res: np.tril(res.lower, -1) + res.upper),
-    "cholesky": Op(1, 3, lambda n, p: n ** 3 / (3.0 * p),
+    "cholesky": Op(1, lambda n, p: n ** 3 / (3.0 * p),
                    lambda res: res.lower),
-    "gemm": Op(2, 4, lambda n, p: 2.0 * n ** 3 / p,
+    "gemm": Op(2, lambda n, p: 2.0 * n ** 3 / p,
                lambda res: res.lower),
 }
 

@@ -22,6 +22,7 @@ import numpy as np
 from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from ..machine.grid import ProcessorGrid2D
+from .descriptors import numroc
 
 __all__ = ["BlockCyclicLayout", "block_key", "work_name", "discard_matrix",
            "discard_work"]
@@ -132,19 +133,21 @@ class BlockCyclicLayout:
         return [(bj, self.owner_rank(bi, bj)) for bj in range(self.nblocks)]
 
     def local_words(self, rank: int) -> int:
-        """Words of the matrix resident on ``rank``."""
-        total = 0
-        for bi, bj in self.blocks_of_rank(rank):
-            r, c = self.block_shape(bi, bj)
-            total += r * c
-        return total
+        """Words resident on ``rank`` (0 outside the grid): local rows
+        times local columns; no rank holds more than rank 0."""
+        if rank >= self.grid.size:
+            return 0
+        pi, pj = self.grid.coords(rank)
+        return (numroc(self.m, self.mb, pi, 0, self.grid.rows)
+                * numroc(self.n, self.nb, pj, 0, self.grid.cols))
 
     def words_per_rank(self) -> np.ndarray:
-        """Vector of resident words for all ranks."""
-        out = np.zeros(self.grid.size)
-        for rank in range(self.grid.size):
-            out[rank] = self.local_words(rank)
-        return out
+        """Resident words of all ranks: local rows x local columns."""
+        rows, cols = self.grid.rows, self.grid.cols
+        return np.outer(
+            [numroc(self.m, self.mb, pi, 0, rows) for pi in range(rows)],
+            [numroc(self.n, self.nb, pj, 0, cols) for pj in range(cols)],
+        ).ravel().astype(float)
 
     # ------------------------------------------------------------------
     # Data movement to/from a simulated machine

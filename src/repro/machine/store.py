@@ -94,9 +94,9 @@ class RankStore:
 
         Raises :class:`MemoryBudgetExceeded` (with rank/step/key
         context) if not; stores nothing either way.  The api layer's
-        feasibility gate reserves a schedule's declared working set on
-        every rank before any word moves, so already-resident caller
-        data counts against the budget on the rank holding it.
+        feasibility gate reserves what a pd* call needs on every rank
+        before any word moves, so already-resident caller data counts
+        against the budget on the rank holding it.
         """
         if words < 0:
             raise ValueError("cannot reserve a negative word count")

@@ -4,11 +4,10 @@ For a given problem ``(N, P)`` and per-rank memory budget ``M`` (words),
 the planner enumerates every feasible engine-schedule configuration —
 divisor-aware ``c``/``v`` candidates for the 2.5D algorithms, panel
 widths for the 2D baselines, strip widths for the 2.5D matmul — prunes
-the ones whose declared :meth:`~repro.engine.schedule.Schedule.required_words`
-(plus the API's layout copies) exceed the budget, scores the survivors
-with the engine's closed-form trace evaluation and the
-alpha-beta-gamma :class:`~repro.machine.perf_model.PerfModel`, and
-returns a :class:`Plan`: the chosen configuration plus the ranked
+the ones whose pd* call (:func:`call_memory`) would not fit the budget,
+scores the survivors with the engine's closed-form trace evaluation
+and the alpha-beta-gamma :class:`~repro.machine.perf_model.PerfModel`,
+and returns a :class:`Plan`: the chosen configuration plus the ranked
 alternatives.
 
 The single entry shape is :class:`PlanRequest` — ``(op, n, p,
@@ -30,23 +29,23 @@ analytically per rank in O(P) — the same accounting the trace backend
 produces, so the planner ranks by what a run would actually count, not
 by a separate analytic model.  The perf-model time estimate tie-breaks
 configurations whose volumes agree (e.g. SUMMA strip widths, which
-trade only message counts).  Feasibility here is exactly
-:mod:`repro.api`'s pre-flight gate: a configuration the planner rejects
-for a budget ``M`` is one ``pdgetrf``/``pdpotrf``/``pdgemm`` would
-refuse up front on a machine enforcing ``M`` (pass ``api_copies`` for
-the layout copies those entry points keep alive).
+trade only message counts).  Feasibility is :func:`call_memory`, the
+one statement of what a pd* call needs — :mod:`repro.api`'s gate and
+the workload planner's frontier evaluate it too, so a configuration
+planned under ``M`` is one the gate admits and the run fits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 from .. import obs
 from ..engine.accounting import TermBatch
 from ..engine.schedule import Schedule
-from ..factorizations.registry import OPS, build
+from ..factorizations.registry import OPS, build, width
+from ..layouts import BlockCyclicLayout
 from ..machine.perf_model import PIZ_DAINT_XC40, MachineParams, PerfModel
 from .candidates import (
     panel_candidates,
@@ -56,13 +55,17 @@ from .candidates import (
 )
 
 __all__ = ["Plan", "PlannedConfig", "PlanRequest", "NoFeasiblePlanError",
-           "planner_labels",
-           "plan_request", "plan_batch",
-           "plan_lu", "plan_cholesky", "plan_gemm"]
+           "planner_labels", "native_layout", "CallMemory", "call_memory",
+           "plan_request", "plan_batch", "plan_lu", "plan_cholesky",
+           "plan_gemm"]
 
 
 class NoFeasiblePlanError(ValueError):
-    """No schedule configuration fits the given (N, P, M)."""
+    """No schedule configuration fits the given (N, P, M); the joint
+    planner adds the first ``node`` nothing fits and its ``peak_words``."""
+
+    node: str | None = None
+    peak_words: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,8 +75,8 @@ class PlanRequest:
     ``op`` is the problem kind (``"lu"``, ``"cholesky"``, ``"gemm"``),
     ``n``/``p`` the problem size and rank count, ``mem_words`` the
     per-rank budget (None = unbounded; ``inf`` normalizes to None) and
-    ``api_copies`` the ``N^2/P``-per-rank layout copies the caller
-    keeps alive (the API entry points' pre-flight gate arithmetic).
+    ``api_copies`` the ``N^2/P``-per-rank copies the caller holds while
+    the call runs (its resident operands included).
     ``impls`` optionally restricts the candidate implementations (None
     = the op's full search space).
 
@@ -127,9 +130,9 @@ class PlannedConfig:
     ``s``/``c`` for the matmul).  ``predicted_words`` is the *counted*
     received-words-per-rank of the candidate's closed-form trace
     evaluation, ``predicted_time_s`` the alpha-beta-gamma estimate, and
-    ``mem_margin`` is the budget headroom left above the schedule's
-    ``required_words`` plus the API's layout copies (``inf`` on an
-    unbounded machine).
+    ``required_words`` is the whole call's need (:func:`call_memory`,
+    the caller's ``api_copies`` included) and ``mem_margin`` the budget
+    headroom above it (``inf`` on an unbounded machine).
     """
 
     impl: str
@@ -265,38 +268,88 @@ def _canonical_impls(op: str, impls) -> tuple[str, ...] | None:
     return None if impls == have else impls
 
 
-def _candidates(req: PlanRequest) -> list[tuple]:
-    """Every instantiable ``(impl, schedule, params, msgs)`` of one
-    request: the restricted (or full) label set times each label's
-    parameter grid."""
-    n, p = req.n, req.p
-    cands: list[tuple] = []
-    for label in req.impls or planner_labels(req.op):
-        grid, msgs = _SEARCH[req.op, label]
-        for params in grid(n, p, req.budget):
-            try:
-                sched = build(req.op, label, n, p, **params)
-            except ValueError:
-                continue
-            cands.append((label, sched, params, msgs(sched)))
-    return cands
+# ----------------------------------------------------------------------
+# The memory model of a pd* call, stated once.
+
+def native_layout(op: str, schedule: Schedule) -> BlockCyclicLayout:
+    """The native block-cyclic layout the pd* layer reshuffles into for
+    ``schedule`` — the layout whose agreement across stages makes a
+    conversion free: one block per rank for the SUMMA, else square
+    tiles of the schedule's own width.  Raises ``ValueError`` for a
+    configuration the api layer could not execute (a SUMMA grid not
+    dividing ``n``)."""
+    layer_grid = schedule.grid.layer_grid()
+    n = schedule.n
+    if op == "gemm":
+        pr, pc = schedule.grid.rows, schedule.grid.cols
+        if n % pr or n % pc:
+            raise ValueError(
+                f"distributed SUMMA needs the grid {pr}x{pc} to divide "
+                f"N={n}")
+        return BlockCyclicLayout(n, n, n // pr, n // pc, layer_grid)
+    v = width(schedule)
+    return BlockCyclicLayout(n, n, v, v, layer_grid)
+
+
+class CallMemory(NamedTuple):
+    """What one rank needs in the ``phase`` of a pd* call that peaks:
+    ``held`` before the call + ``native``-layout copies + the phase's
+    own ``required`` (``required_words()``, or the written-back output)."""
+
+    phase: str
+    held: float
+    native: float
+    required: float
+
+    @property
+    def words(self) -> float:
+        return self.held + self.native + self.required
+
+
+def call_memory(schedule: Schedule, native: BlockCyclicLayout, held: float,
+                fresh: int, kept: int = 0, rank: int = 0,
+                out: BlockCyclicLayout | None = None) -> CallMemory:
+    """What ``rank``, holding ``held`` words, needs to run ``schedule``
+    as a pd* call — the two phases of ``api._run_pd``.  *backend*: a
+    ``native`` copy of each operand the call reshuffles itself
+    (``fresh``; an adopted copy is in ``held``) and the schedule's
+    ``required_words()``.  *writeback*: the ``kept`` of those copies a
+    workload keeps, the native factors and the output in the caller's
+    layout ``out`` (None: a balanced ``N^2/P``).  A native copy is on
+    layer 0 only (``c N^2/P`` there); rank 0 holds the most of any."""
+    copy = native.local_words(rank)
+    out_words = (float(schedule.n) * schedule.n / schedule.nranks
+                 if out is None else out.local_words(rank))
+    backend = CallMemory("backend", held, fresh * copy,
+                         schedule.required_words())
+    writeback = CallMemory("writeback", held, (kept + 1) * copy, out_words)
+    return writeback if writeback.words > backend.words else backend
 
 
 # ----------------------------------------------------------------------
 # Gate -> score -> rank.
 
-def _gate(cands: list[tuple], budget: float,
-          api_copies: int) -> list[tuple]:
-    """The memory gate (cheap, runs before any scoring): keep the
-    candidates whose ``required_words`` plus the API's layout copies
-    fit the budget."""
+def _gate(req: PlanRequest) -> list[tuple]:
+    """Every ``(impl, schedule, params, msgs, needed, margin)`` of one
+    request — the restricted (or full) label set times each label's
+    parameter grid — that a pd* call could run within the budget on
+    top of the caller's ``api_copies`` (cheap, before any scoring)."""
+    n, p = req.n, req.p
+    held = req.api_copies * float(n) * n / p
     survivors = []
-    for impl, sched, params, msgs in cands:
-        n, p = sched.n, sched.nranks
-        needed = sched.required_words() + api_copies * float(n) * n / p
-        margin = budget - needed
-        if margin >= 0:
-            survivors.append((impl, sched, params, msgs, needed, margin))
+    for label in req.impls or planner_labels(req.op):
+        grid, msgs = _SEARCH[req.op, label]
+        for params in grid(n, p, req.budget):
+            try:
+                sched = build(req.op, label, n, p, **params)
+                native = native_layout(req.op, sched)
+            except ValueError:
+                continue
+            needed = call_memory(sched, native, held,
+                                 OPS[req.op].arity).words
+            if needed <= req.budget:
+                survivors.append((label, sched, params, msgs(sched),
+                                  needed, req.budget - needed))
     return survivors
 
 
@@ -321,8 +374,8 @@ def _no_feasible_error(problem: str, n: int, p: int,
                        budget: float) -> NoFeasiblePlanError:
     return NoFeasiblePlanError(
         f"no feasible {problem} configuration for N={n}, P={p}, "
-        f"M={budget:.4g} words — every candidate's required_words "
-        f"(plus API layout copies) exceeds the budget")
+        f"M={budget:.4g} words — every candidate's pd* call needs more "
+        f"than the budget")
 
 
 def plan_batch(requests: list[PlanRequest],
@@ -353,8 +406,7 @@ def plan_batch(requests: list[PlanRequest],
             batch = TermBatch()
             for req in requests:
                 flops = OPS[req.op].flops(req.n, req.p)
-                survivors = _gate(_candidates(req), req.budget,
-                                  req.api_copies)
+                survivors = _gate(req)
                 candidates += len(survivors)
                 for _, sched, *_ in survivors:
                     batch.add(sched)
@@ -405,11 +457,10 @@ def plan_lu(n: int, p: int, mem_words: float | None = None,
     """Plan an LU factorization: COnfLUX (2.5D tournament pivoting) vs
     the 2D partial-pivoting baseline, every feasible parameterization.
 
-    ``mem_words`` is the per-rank budget (None = unbounded);
-    ``api_copies`` adds the ``N^2/P``-per-rank layout copies
-    :func:`repro.api.pdgetrf` keeps alive, so feasibility here equals
-    its pre-flight gate.  ``impls`` restricts the search (None = every
-    planner label; ``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
+    ``mem_words`` is the per-rank budget (None = unbounded),
+    ``api_copies`` the ``N^2/P`` copies the caller holds meanwhile;
+    ``impls`` restricts the search (None = every planner label;
+    ``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
     """
     return plan_request(
         PlanRequest(op="lu", n=n, p=p, mem_words=mem_words,

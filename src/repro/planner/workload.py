@@ -43,6 +43,10 @@ by keeping native copies resident and adopting them when a later node
 asks for the same layout; the model and the run agree that repeated
 layouts are free and distinct layouts are not, which is what the joint
 ranking needs.
+
+A request's node order *is* the execution order: :func:`_frontier`
+replays what the run keeps resident around each node, and an assignment
+that overflows the budget there is no plan.
 """
 
 from __future__ import annotations
@@ -61,7 +65,10 @@ from .core import (
     PlannedConfig,
     PlanRequest,
     _canonical_impls,
+    _gate,
     _rank_key,
+    call_memory,
+    native_layout,
     plan_batch,
 )
 
@@ -105,12 +112,10 @@ class WorkloadNode:
 class WorkloadRequest:
     """A workload-planning question, in canonical form.
 
-    ``nodes`` is the DAG in topological order (a node may only consume
-    outputs of nodes listed before it); ``p`` the rank count,
+    ``nodes`` is the DAG in execution order (a node may only consume
+    outputs of nodes listed before it); ``p`` the rank count and
     ``mem_words`` the per-rank budget (None = unbounded, ``inf``
-    normalizes to None) and ``api_copies`` the per-node layout-copy
-    charge (None = what ``impl="auto"`` charges: the op's pre-flight
-    gate copies plus its resident operands).
+    normalizes to None).
 
     Instances are hashable and canonical, so the service LRU can key
     on them directly and the atlas can derive a content-addressed
@@ -121,7 +126,6 @@ class WorkloadRequest:
     nodes: tuple[WorkloadNode, ...]
     p: int
     mem_words: float | None = None
-    api_copies: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -130,8 +134,6 @@ class WorkloadRequest:
             mem = float(self.mem_words)
             object.__setattr__(self, "mem_words",
                                None if math.isinf(mem) else mem)
-        if self.api_copies is not None:
-            object.__setattr__(self, "api_copies", int(self.api_copies))
         if not self.nodes:
             raise ValueError("workload needs at least one node")
         seen: dict[str, WorkloadNode] = {}
@@ -175,32 +177,35 @@ class WorkloadRequest:
         """Node-output operand name -> producing node index."""
         return {node.name: idx for idx, node in enumerate(self.nodes)}
 
+    def last_use(self) -> dict[str, int]:
+        """Operand -> index of its last user (its producer, if none)."""
+        nodes = list(enumerate(self.nodes))
+        return {**{node.name: idx for idx, node in nodes},
+                **{ref: idx for idx, node in nodes for ref in node.inputs}}
+
     def node_requests(self) -> list[PlanRequest]:
         """The per-node :class:`PlanRequest` list (what the joint
-        planner feeds :func:`plan_batch`)."""
+        planner feeds :func:`plan_batch`): node ``k`` runs while the
+        caller holds every external and the ``k`` earlier outputs."""
         return [PlanRequest(
             op=node.op, n=node.n, p=self.p, mem_words=self.mem_words,
-            api_copies=(self.api_copies if self.api_copies is not None
-                        else OPS[node.op].auto_copies),
-            impls=node.impls) for node in self.nodes]
+            api_copies=len(self.externals()) + idx, impls=node.impls)
+            for idx, node in enumerate(self.nodes)]
 
     def token(self) -> str:
         """A stable string spelling out the whole DAG — the atlas's
         cache-key payload, like :meth:`PlanRequest.token`."""
         mem = "inf" if self.mem_words is None else repr(self.mem_words)
-        copies = ("auto" if self.api_copies is None
-                  else str(self.api_copies))
         nodes = ";".join(
             f"{node.name}={node.op}:{node.n}"
             f"<-{','.join(node.inputs)}"
             + ("" if node.impls is None else f"!{','.join(node.impls)}")
             for node in self.nodes)
-        return (f"workload|p={self.p}|mem={mem}|copies={copies}"
-                f"|nodes={nodes}")
+        return f"workload|p={self.p}|mem={mem}|nodes={nodes}"
 
 
 # ----------------------------------------------------------------------
-# Config -> schedule -> native layout (shared with repro.api).
+# Config -> schedule (shared with repro.api).
 
 def config_schedule(op: str, n: int, p: int,
                     config: PlannedConfig) -> tuple[Schedule, int]:
@@ -209,26 +214,6 @@ def config_schedule(op: str, n: int, p: int,
     panel / strip width the pd* layer reports."""
     sched = build(op, config.impl, n, p, **config.params)
     return sched, width(sched)
-
-
-def native_layout(op: str, schedule: Schedule) -> BlockCyclicLayout:
-    """The native block-cyclic layout the pd* layer reshuffles into for
-    ``schedule`` — the layout whose agreement across stages makes a
-    conversion free: one block per rank for the SUMMA, else square
-    tiles of the schedule's own width.  Raises ``ValueError`` for a
-    configuration the api layer could not execute (a SUMMA grid not
-    dividing ``n``)."""
-    layer_grid = schedule.grid.layer_grid()
-    n = schedule.n
-    if op == "gemm":
-        pr, pc = schedule.grid.rows, schedule.grid.cols
-        if n % pr or n % pc:
-            raise ValueError(
-                f"distributed SUMMA needs the grid {pr}x{pc} to divide "
-                f"N={n}")
-        return BlockCyclicLayout(n, n, n // pr, n // pc, layer_grid)
-    v = width(schedule)
-    return BlockCyclicLayout(n, n, v, v, layer_grid)
 
 
 # ----------------------------------------------------------------------
@@ -251,14 +236,16 @@ class WorkloadAssignment:
 
     ``node_words`` sums the per-node counted factorization words (per
     rank), ``conversion_words`` the charged cross-stage conversions
-    (per rank, amortized across consumers sharing a layout), and
-    ``edges`` itemizes the charges.
+    (per rank, amortized across consumers sharing a layout),
+    ``edges`` itemizes the charges, and ``node_peaks`` the planned
+    per-rank peak of every node: ``max(node_peaks)`` words run it.
     """
 
     configs: tuple[PlannedConfig, ...]
     node_words: float
     conversion_words: float
     edges: tuple[EdgeConversion, ...]
+    node_peaks: tuple[float, ...]
 
     @property
     def total_words(self) -> float:
@@ -280,8 +267,8 @@ class WorkloadPlan:
     single-node workloads pin this), ``ranked`` the scored DAG
     assignments best first, and ``independent`` the assignment made of
     each node's standalone winner — the baseline the joint ``chosen``
-    can never exceed, since every standalone winner is in the joint
-    search space.
+    cannot exceed while that assignment fits the budget itself, since
+    every standalone winner is in the joint search space.
     """
 
     request: WorkloadRequest
@@ -325,20 +312,53 @@ class WorkloadPlan:
         return "\n".join(lines)
 
 
+def _frontier(request: WorkloadRequest, combo: tuple) -> tuple[float, ...]:
+    """Planned peak words per rank at every node of one assignment of
+    ``(config, schedule, native layout)``: the plan-time replay of what
+    :func:`repro.api.run_workload` keeps resident.  Every external and
+    earlier output is held at a balanced ``N^2/P`` (the descriptors are
+    unknown; an intermediate counts as named in ``out_names``, so the
+    plan bounds the run either way); the native copies of an operand
+    that outlives a node, from their layouts, until it retires."""
+    last_use = request.last_use()
+    words = {ref: float(node.n) * node.n / request.p
+             for node in request.nodes for ref in (*node.inputs, node.name)}
+    held = sum(words[ref] for ref in request.externals())
+    live: dict[str, set[BlockCyclicLayout]] = {}
+    peaks = []
+    for idx, (node, (_, sched, layout)) in enumerate(zip(request.nodes,
+                                                          combo)):
+        for ref in (*node.inputs, node.name):
+            if last_use[ref] > idx:
+                live.setdefault(ref, set())
+        fresh = {ref for ref in node.inputs
+                 if layout not in live.get(ref, ())}
+        kept = fresh & live.keys()
+        natives = sum(lay.local_words(0)
+                      for lays in live.values() for lay in lays)
+        peaks.append(call_memory(sched, layout, held + natives,
+                                 len(fresh), len(kept)).words)
+        for ref in kept | ({node.name} & live.keys()):
+            live[ref].add(layout)
+        held += words[node.name]
+        for ref in [ref for ref in live if last_use[ref] == idx]:
+            del live[ref]
+    return tuple(peaks)
+
+
 def _score(request: WorkloadRequest, producers: dict[str, int],
-           combo: tuple[tuple[PlannedConfig, BlockCyclicLayout], ...],
-           conv_cache: dict) -> WorkloadAssignment:
+           combo: tuple, conv_cache: dict) -> WorkloadAssignment:
     """Score one DAG assignment: node words plus amortized per-rank
     conversion charges (see the module docstring for the model)."""
     p = request.p
-    node_words = sum(cfg.predicted_words for cfg, _ in combo)
+    node_words = sum(cfg.predicted_words for cfg, _, _ in combo)
     conv_total = 0.0
     edges: list[EdgeConversion] = []
     # Per operand: the anchor layout conversions are charged from, and
     # the layouts already paid for (resident at run time).
     anchors: dict[str, BlockCyclicLayout] = {}
     paid: dict[str, set] = {}
-    for node, (cfg, layout) in zip(request.nodes, combo):
+    for node, (_, _, layout) in zip(request.nodes, combo):
         for ref in node.inputs:
             if ref not in anchors:
                 # First touch: a node output anchors at its producer's
@@ -346,7 +366,7 @@ def _score(request: WorkloadRequest, producers: dict[str, int],
                 # consumer's layout — its caller-layout reshuffle is
                 # assignment-independent, hence not in the objective.
                 idx = producers.get(ref)
-                anchors[ref] = combo[idx][1] if idx is not None else layout
+                anchors[ref] = combo[idx][2] if idx is not None else layout
                 paid[ref] = {anchors[ref]}
             if layout in paid[ref]:
                 continue
@@ -359,13 +379,25 @@ def _score(request: WorkloadRequest, producers: dict[str, int],
             edges.append(EdgeConversion(consumer=node.name, operand=ref,
                                         words=words))
     return WorkloadAssignment(
-        configs=tuple(cfg for cfg, _ in combo), node_words=node_words,
-        conversion_words=conv_total, edges=tuple(edges))
+        configs=tuple(cfg for cfg, _, _ in combo), node_words=node_words,
+        conversion_words=conv_total, edges=tuple(edges), node_peaks=())
 
 
 def _assignment_key(assignment: WorkloadAssignment) -> tuple:
     return (assignment.total_words, assignment.conversion_words,
             tuple(_rank_key(cfg) for cfg in assignment.configs))
+
+
+def _no_fit(request: WorkloadRequest, idx: int,
+            peak: float) -> NoFeasiblePlanError:
+    node = request.nodes[idx]
+    holding = (*request.externals(), *(n.name for n in request.nodes[:idx]))
+    err = NoFeasiblePlanError(
+        f"workload node {node.name!r} ({node.op}, N={node.n}, P={request.p}) "
+        f"fits under no assignment: holding {', '.join(holding)} it needs "
+        f"at least {peak:.0f} words per rank, over M = {request.budget:.0f}")
+    err.node, err.peak_words = node.name, peak
+    return err
 
 
 def plan_workload(request: WorkloadRequest,
@@ -375,50 +407,60 @@ def plan_workload(request: WorkloadRequest,
     """Jointly plan a workload DAG.
 
     Per-node candidates are planned in one batched
-    :func:`plan_batch` pass; each node's ``top_k`` best *executable*
-    configurations (those whose native layout the api layer can
-    actually build) enter the joint search, whose product is capped at
+    :func:`plan_batch` pass; each node's ``top_k`` best configurations
+    enter the joint search, whose product is capped at
     ``max_assignments`` by trimming the widest candidate lists first
-    (every node always keeps its standalone winner, so the joint
-    choice can never score worse than independent planning).  The best
-    ``keep`` assignments are returned ranked.
+    (every node always keeps its standalone winner).  An assignment
+    whose ``node_peaks`` exceed the budget anywhere is dropped — should
+    none be left, the search is repeated over each node's ``top_k``
+    *leanest* configurations — and the best ``keep`` are returned.
 
-    Raises :class:`NoFeasiblePlanError` when any node has no feasible
-    (or no executable) configuration.
+    Raises :class:`NoFeasiblePlanError` with the first ``node`` no
+    assignment gets past and the smallest ``peak_words`` planned for it.
     """
-    node_plans = tuple(plan_batch(request.node_requests(),
-                                  machine_params=machine_params,
-                                  strict=True))
-    cand_lists: list[list[tuple[PlannedConfig, BlockCyclicLayout]]] = []
-    for node, plan in zip(request.nodes, node_plans):
-        cands: list[tuple[PlannedConfig, BlockCyclicLayout]] = []
-        for cfg in plan.ranked:
-            try:
-                sched, _ = config_schedule(node.op, node.n, request.p, cfg)
-                layout = native_layout(node.op, sched)
-            except ValueError:
-                continue
-            cands.append((cfg, layout))
-            if len(cands) >= top_k:
-                break
-        if not cands:
-            raise NoFeasiblePlanError(
-                f"no executable configuration for workload node "
-                f"{node.name!r} ({node.op}, N={node.n}, P={request.p})")
-        cand_lists.append(cands)
-    while math.prod(len(c) for c in cand_lists) > max_assignments:
-        widest = max(cand_lists, key=len)
-        if len(widest) == 1:
-            break
-        widest.pop()
+    requests = request.node_requests()
+    node_plans = tuple(plan_batch(requests, machine_params=machine_params,
+                                  strict=False))
+    for idx, plan in enumerate(node_plans):
+        if plan is None:
+            free = dataclasses.replace(requests[idx], mem_words=None)
+            raise _no_fit(request, idx, min(
+                (cand[4] for cand in _gate(free)), default=math.inf))
+
     producers = request.producers()
     conv_cache: dict = {}
-    scored = [_score(request, producers, combo, conv_cache)
-              for combo in itertools.product(*cand_lists)]
-    scored.sort(key=_assignment_key)
-    independent = _score(
-        request, producers,
-        tuple(cands[0] for cands in cand_lists), conv_cache)
-    return WorkloadPlan(request=request, node_plans=node_plans,
-                        ranked=tuple(scored[:keep]),
-                        independent=independent)
+    independent = None
+    ranked: list[WorkloadAssignment] = []
+    stuck, least = 0, math.inf      # furthest overflowing node, its peak
+    for order in (_rank_key, lambda cfg: cfg.required_words):
+        cand_lists = [[(cfg, (sched := config_schedule(
+                            node.op, node.n, request.p, cfg)[0]),
+                        native_layout(node.op, sched))
+                       for cfg in sorted(plan.ranked, key=order)[:top_k]]
+                      for node, plan in zip(request.nodes, node_plans)]
+        while math.prod(len(c) for c in cand_lists) > max_assignments:
+            widest = max(cand_lists, key=len)
+            if len(widest) == 1:
+                break
+            widest.pop()
+        scored = [(_score(request, producers, combo, conv_cache), combo)
+                  for combo in itertools.product(*cand_lists)]
+        # Product order: the first assignment is every node's winner.
+        independent = independent or dataclasses.replace(
+            scored[0][0], node_peaks=_frontier(request, scored[0][1]))
+        scored.sort(key=lambda pair: _assignment_key(pair[0]))
+        for assignment, combo in scored:
+            peaks = _frontier(request, combo)
+            over = next((k for k, peak in enumerate(peaks)
+                         if peak > request.budget), None)
+            if over is None:
+                ranked.append(dataclasses.replace(assignment,
+                                                  node_peaks=peaks))
+                if len(ranked) == keep:
+                    break
+            elif (over, -peaks[over]) > (stuck, -least):
+                stuck, least = over, peaks[over]
+        if ranked:
+            return WorkloadPlan(request, node_plans, tuple(ranked),
+                                independent)
+    raise _no_fit(request, stuck, least)

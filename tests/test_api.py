@@ -516,8 +516,10 @@ class TestWorkingSetLifetime:
 
 
 class TestGateMatchesPeak:
-    """The pre-flight gate reserves ``required_words()`` + 3 layout
-    copies on top of the resident operand; the run must then fit.
+    """The pre-flight gate reserves what ``call_memory`` states: on top
+    of the resident operand (1 u = n^2/P) the native copy — 2 u on the
+    layer-0 ranks at ``c = 2`` — plus ``required_words()``; the run
+    must then fit, and one word less is refused before a word moves.
     Regression (perf/README finding a): the prepped native input used
     to stay alive through writeback, so a machine sized
     ``required_words() + 4 n^2/P`` passed the gate and overflowed by
@@ -525,10 +527,10 @@ class TestGateMatchesPeak:
 
     N, P = 512, 16
 
-    def _machine(self, copies):
+    def _machine(self, copies, slack=0):
         n, p = self.N, self.P
         required = ConfchoxSchedule(n, p, v=16, c=2).required_words()
-        machine = Machine(p, mem_words=required + copies * n * n / p,
+        machine = Machine(p, mem_words=required + copies * n * n / p + slack,
                           enforce_memory=True)
         desc = ScaLAPACKDescriptor(m=n, n=n, mb=32, nb=32, prows=4, pcols=4)
         g = np.random.default_rng(7).standard_normal((n, n))
@@ -544,13 +546,29 @@ class TestGateMatchesPeak:
         assert err / np.linalg.norm(a) < 1e-12
         assert machine.peak_words_per_rank().max() <= machine.mem_words
 
-    def test_still_rejected_up_front_at_three_copies(self):
-        machine, desc, _ = self._machine(3)
+    def test_passes_at_three_copies(self):
+        machine, desc, a = self._machine(3)
+        res = pdpotrf(machine, "X", desc, impl="confchox", v=16, c=2)
+        err = np.linalg.norm(a - res.lower @ res.lower.T)
+        assert err / np.linalg.norm(a) < 1e-12
+        assert machine.peak_words_per_rank().max() <= machine.mem_words
+
+    def test_still_rejected_up_front_one_word_under_three_copies(self):
+        machine, desc, _ = self._machine(3, slack=-1)
+        unit = self.N * self.N / self.P
         before = machine.stats.total_recv_words
         with pytest.raises(MemoryBudgetExceeded) as exc_info:
             pdpotrf(machine, "X", desc, impl="confchox", v=16, c=2)
-        assert exc_info.value.step == "<feasibility>"
+        exc = exc_info.value
+        assert exc.step == "<feasibility>"
         assert machine.stats.total_recv_words == before
+        # The refusal says which call, which phase and how it adds up.
+        op, out_name, need = exc.key
+        assert (op, out_name, need.phase) == ("cholesky", "X:chol", "backend")
+        assert (need.held, need.native) == (unit, 2 * unit)
+        assert need.required == machine.mem_words + 1 - 3 * unit
+        assert exc.needed_words == need.words == machine.mem_words + 1
+        assert exc.rank < self.P // 2       # layer 0 holds the native copy
 
 
 class TestOperandNamesAreTheCallers:

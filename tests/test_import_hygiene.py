@@ -2,8 +2,10 @@
 the paper's Table-2 models stay out of everything but the figures,
 schedules are built only through the implementation table, the trace
 evaluator has one reduction and one step-log shape, the executed
-2D views have no tile-at-a-time helper to fall back on, and the SUMMA
-rounds copy and send nothing per piece.
+2D views have no tile-at-a-time helper to fall back on, the SUMMA
+rounds copy and send nothing per piece, the memory a pd* call needs is
+stated in one function, and the pebble games, the plan service, the
+atlas and the sweep fabric are imported only where listed here.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -141,25 +143,123 @@ def test_one_reduction_and_no_duck_typed_forks():
                           "_reduce_uniform_affine"}
 
 
-def test_the_tile_at_a_time_helpers_stay_gone():
-    """The 2D baselines work on ``local_panels`` slabs.  The helpers of
-    the per-tile idiom — a broadcast per tile copy, a row swap per tile
-    column, the ``(tile, owner)`` iterators and per-tile communicators —
-    are neither defined nor referenced anywhere in the package."""
-    gone = {"bcast_copy", "swap_rows_2d", "col_owners", "grid_row_ranks",
-            "grid_col_ranks"}
+def _users_of(gone: set[str]) -> dict[str, list[str]]:
+    """Files under ``src/repro`` that define, reference, take as a
+    parameter, pass as a keyword or import any identifier in ``gone``."""
     offenders = {}
     for path in (SRC / "repro").rglob("*.py"):
         names = set()
         for node in ast.walk(ast.parse(path.read_text())):
             names.update(
                 getattr(node, field, None)
-                for field in ("name", "id", "attr"))
+                for field in ("name", "id", "attr", "arg"))
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name for alias in node.names)
         if names & gone:
             offenders[str(path.relative_to(ROOT))] = sorted(names & gone)
-    assert offenders == {}
+    return offenders
+
+
+def test_the_tile_at_a_time_helpers_stay_gone():
+    """The 2D baselines work on ``local_panels`` slabs.  The helpers of
+    the per-tile idiom — a broadcast per tile copy, a row swap per tile
+    column, the ``(tile, owner)`` iterators and per-tile communicators —
+    are neither defined nor referenced anywhere in the package."""
+    assert _users_of({"bcast_copy", "swap_rows_2d", "col_owners",
+                      "grid_row_ranks", "grid_col_ranks"}) == {}
+
+
+def _calls(node: ast.AST, name: str) -> list[ast.Call]:
+    """Calls under ``node`` of a function or method called ``name``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None),
+                         getattr(call.func, "attr", None))]
+
+
+def _functions(path: pathlib.Path) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_memory_of_a_pd_call_is_stated_once():
+    """``planner/core.call_memory`` is the one place a schedule's
+    ``required_words()`` meets layout copies: the per-op copy counts
+    and ``_run_pd``'s three workload flags stay gone, the planner and
+    the pd* layer read ``required_words()`` nowhere else, the gate has
+    one call site (the top of ``_run_pd``) and ``run_workload``
+    reshuffles and gates nothing itself."""
+    assert _users_of({"gate_copies", "auto_copies", "preflight",
+                      "native_names", "keep_native"}) == {}
+    api = _functions(SRC / "repro" / "api.py")
+    readers = {
+        f"{path.relative_to(SRC)}:{name}"
+        for path in [SRC / "repro" / "api.py",
+                     *(SRC / "repro" / "planner").glob("*.py")]
+        for name, fn in _functions(path).items()
+        if _calls(fn, "required_words")}
+    assert readers == {"repro/planner/core.py:call_memory"}
+    callers = {
+        f"{path.relative_to(SRC)}:{name}"
+        for path in (SRC / "repro").rglob("*.py")
+        for name, fn in _functions(path).items()
+        if _calls(fn, "call_memory")}
+    assert callers == {"repro/planner/core.py:_gate",
+                       "repro/planner/workload.py:_frontier",
+                       "repro/api.py:_check_memory_feasible"}
+    gates = [name for name, fn in api.items()
+             if _calls(fn, "_check_memory_feasible")]
+    assert gates == ["_run_pd"]
+    assert len(_calls(api["_run_pd"], "_check_memory_feasible")) == 1
+    for inner in ("redistribute", "_reshuffle", "_check_memory_feasible"):
+        assert _calls(api["run_workload"], inner) == []
+    # The probe sees a reshuffle where there is one.
+    assert _calls(api["_reshuffle"], "redistribute")
+
+
+def _imported(path: pathlib.Path) -> set[str]:
+    """Absolute names of everything ``path`` imports, at module level
+    or lazily: each module, and each ``from`` name under its module."""
+    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def _importers_of(module: str) -> set[str]:
+    """Files under ``src/repro``, outside ``module`` itself, that import
+    ``module`` or anything below it."""
+    own = SRC.joinpath(*module.split("."))
+    return {str(path.relative_to(SRC))
+            for path in (SRC / "repro").rglob("*.py")
+            if path != own.with_suffix(".py") and own not in path.parents
+            and any(name == module or name.startswith(module + ".")
+                    for name in _imported(path))}
+
+
+def test_leaf_subsystems_are_imported_only_where_listed():
+    """The pebble games are a self-contained illustration; the plan
+    service, the atlas and the sweep fabric are reached through their
+    package ``__init__`` (and the edges below).  A new importer is a
+    new dependency on a subsystem the rest of the tree runs without:
+    list it here, on purpose."""
+    assert _importers_of("repro.pebbles") == set()
+    assert _importers_of("repro.planner.service") == {
+        "repro/planner/__init__.py", "repro/api.py"}
+    assert _importers_of("repro.planner.atlas") == {
+        "repro/planner/__init__.py", "repro/planner/service.py",
+        "repro/runtime/executor.py"}        # a lazy ``Infeasible`` import
+    assert _importers_of("repro.runtime.fabric") == {
+        "repro/runtime/__init__.py"}
+    # The probe resolves relative imports: the planner is widely used.
+    assert "repro/api.py" in _importers_of("repro.planner")
 
 
 def _copying_calls(node: ast.AST) -> list[str]:

@@ -358,11 +358,11 @@ class TestApiFeasibilityGate:
         from repro.machine import ProcessorGrid2D
 
         n, p = 64, 4
-        # What the gate reserves: the schedule's declaration plus its
-        # three layout-copy lifetimes, on top of the caller's resident
-        # matrix (N^2/P per rank here).
+        # What the gate reserves: the schedule's declaration plus the
+        # native copy of the operand, on top of the caller's resident
+        # matrix (N^2/P per rank each here).
         required = ScalapackLUSchedule(n, p, nb=8).required_words()
-        budget = required + 4 * (n * n / p)
+        budget = required + 2 * (n * n / p)
         machine = Machine(p, mem_words=budget, enforce_memory=True)
         lay = BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(2, 2))
         a = _dominant(n, _seeded())
@@ -388,6 +388,97 @@ class TestApiFeasibilityGate:
         desc = self._desc(32, (2, 2))
         with pytest.raises(MemoryBudgetExceeded):
             api.pdpotrf(small, "A", desc, v=8, c=1)
+
+    #: Every explicit (op, impl, c) at n = 128 on 16 ranks, 4x4 caller
+    #: grid: c = 4 puts a 4 n^2/P native copy on each layer-0 rank.
+    N, P = 128, 16
+    CALLS = [("lu", "conflux", dict(v=16, c=1)),
+             ("lu", "conflux", dict(v=8, c=2)),
+             ("lu", "conflux", dict(v=8, c=4)),
+             ("lu", "scalapack", dict(nb=16)),
+             ("cholesky", "confchox", dict(v=16, c=1)),
+             ("cholesky", "confchox", dict(v=8, c=2)),
+             ("cholesky", "confchox", dict(v=8, c=4)),
+             ("cholesky", "scalapack", dict(nb=16)),
+             ("gemm", "25d", dict(s=16, c=1)),
+             ("gemm", "25d", dict(s=16, c=2)),
+             ("gemm", "25d", dict(s=8, c=4))]
+
+    def _loaded(self, op, mem_words):
+        """An enforcing machine holding the call's operand(s)."""
+        from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
+        from repro.machine import ProcessorGrid2D
+
+        n = self.N
+        machine = Machine(self.P, mem_words=mem_words, enforce_memory=True)
+        lay = BlockCyclicLayout(n, n, 32, 32, ProcessorGrid2D(4, 4))
+        make = _spd if op == "cholesky" else _dominant
+        for name in ("A", "B")[:1 + (op == "gemm")]:
+            lay.scatter_from(machine, name, make(n, _seeded()))
+        return machine, ScaLAPACKDescriptor(m=n, n=n, mb=32, nb=32,
+                                            prows=4, pcols=4)
+
+    @staticmethod
+    def _call(machine, desc, op, impl, kw):
+        from repro import api
+
+        if op == "gemm":
+            return api.pdgemm(machine, "A", desc, "B", desc, impl=impl, **kw)
+        entry = api.pdgetrf if op == "lu" else api.pdpotrf
+        return entry(machine, "A", desc, impl=impl, **kw)
+
+    @pytest.mark.parametrize("op,impl,kw", CALLS,
+                             ids=[f"{c[1]}-c{c[2].get('c', 1)}"
+                                  for c in CALLS])
+    def test_runs_at_the_stated_need_refused_one_word_under(self, op, impl,
+                                                            kw):
+        """``call_memory`` is the boundary: at its value the call
+        completes within the budget, one word under it no word moves."""
+        from repro.factorizations import build
+        from repro.planner.core import call_memory, native_layout
+
+        sched = build(op, impl, self.N, self.P, **kw)
+        arity = 1 + (op == "gemm")
+        need = call_memory(sched, native_layout(op, sched),
+                           arity * self.N * self.N / self.P, arity)
+        machine, desc = self._loaded(op, need.words)
+        self._call(machine, desc, op, impl, kw)
+        assert machine.peak_words_per_rank().max() <= need.words
+        machine, desc = self._loaded(op, need.words - 1)
+        with pytest.raises(MemoryBudgetExceeded) as exc_info:
+            self._call(machine, desc, op, impl, kw)
+        exc = exc_info.value
+        assert exc.step == "<feasibility>"
+        assert machine.stats.total_recv_words == 0
+        assert exc.key[0] == op and exc.key[2] == need
+        assert (exc.needed_words, exc.capacity_words) == (need.words,
+                                                          need.words - 1)
+
+    @pytest.mark.parametrize("op,impl,kw,arity", [
+        ("lu", "conflux", dict(v=8, c=4), 1),
+        ("gemm", "25d", dict(s=8, c=4), 2)])
+    def test_depth_four_is_refused_not_killed_mid_run(self, op, impl, kw,
+                                                      arity):
+        """Regression: ``required_words()`` plus a constant ``2 +
+        arity`` copies of ``N^2/P`` (over the resident operands)
+        admitted these two and the machine killed them in their first
+        superstep, 17 408 / 32 768 words in — the native copy of a
+        depth-4 schedule is ``4 N^2/P`` on layer 0."""
+        from repro.factorizations import build
+
+        required = build(op, impl, self.N, self.P, **kw).required_words()
+        unit = self.N * self.N / self.P
+        machine, desc = self._loaded(op,
+                                     required + (2 + 2 * arity) * unit)
+        with pytest.raises(MemoryBudgetExceeded) as exc_info:
+            self._call(machine, desc, op, impl, kw)
+        exc = exc_info.value
+        assert exc.step == "<feasibility>"
+        assert machine.stats.total_recv_words == 0
+        need = exc.key[2]
+        assert need.phase == "backend" and need.required == required
+        assert (need.held, need.native) == (arity * unit, arity * 4 * unit)
+        assert exc.rank < self.P // 4                  # a layer-0 rank
 
     def test_unenforced_machine_not_gated(self):
         """The pre-flight check keys on enforcement, not on mem_words:

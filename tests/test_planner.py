@@ -162,18 +162,38 @@ class TestFeasibility:
                 pdgetrf(machine, "A", desc, impl=impl, **kw)
 
     def test_planned_config_passes_api_gate(self, rng):
-        """api_copies=4 (3 gate copies + the resident input) makes
-        planner feasibility exactly the API gate: a planned config
-        never trips the pre-flight reserve, even at a budget barely
-        above its requirement."""
+        """api_copies=1 (the resident input) makes planner feasibility
+        the API gate's own arithmetic: a planned config never trips
+        the pre-flight reserve, even at a budget barely above its
+        requirement."""
         n, p = 64, 4
-        budget = plan_lu(n, p, api_copies=4).chosen.required_words * 1.05
+        budget = plan_lu(n, p, api_copies=1).chosen.required_words * 1.05
         machine = _auto_machine(rng, n, p, budget)[0]
         res = pdgetrf(machine, "A",
                       ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
                                           prows=2, pcols=2), impl="auto")
         assert res.plan is not None
         assert float(machine.peak_words_per_rank().max()) <= budget
+
+
+    @pytest.mark.parametrize("k", [22, 24, 26, 28])
+    def test_auto_depth_is_one_its_machine_can_hold(self, rng, k):
+        """Regression: at these budgets ``impl="auto"`` planned
+        ``c = 4`` counting its native copies as ``N^2/P`` each (they
+        are ``4 N^2/P`` on layer 0), passed the gate and died in
+        ``summa-0``.  Planned >= gated >= measured."""
+        n, p = 256, 64
+        budget = k * n * n / p
+        machine = Machine(p, mem_words=budget, enforce_memory=True)
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=32, nb=32, prows=8, pcols=8)
+        lay = BlockCyclicLayout(n, n, 32, 32, ProcessorGrid2D(8, 8))
+        a, b = rng.standard_normal((2, n, n))
+        lay.scatter_from(machine, "A", a)
+        lay.scatter_from(machine, "B", b)
+        res = pdgemm(machine, "A", desc, "B", desc, impl="auto")
+        assert np.allclose(res.lower, a @ b)
+        peak = float(machine.peak_words_per_rank().max())
+        assert peak <= res.plan.chosen.required_words <= budget
 
 
 def _auto_machine(rng, n, p, budget, spd=False):

@@ -66,6 +66,25 @@ class TestLayoutProperties:
         lay = BlockCyclicLayout(m, n, mb, nb, ProcessorGrid2D(pr, pc))
         assert int(lay.words_per_rank().sum()) == m * n
 
+    @given(m=st.integers(1, 60), n=st.integers(1, 60),
+           mb=st.integers(1, 17), nb=st.integers(1, 17),
+           pr=st.integers(1, 5), pc=st.integers(1, 5))
+    @settings(max_examples=50)
+    def test_words_per_rank_is_the_sum_of_its_blocks(self, m, n, mb, nb,
+                                                      pr, pc):
+        """The closed form (local rows x local columns) against the
+        block-by-block count, on ragged shapes and non-square grids;
+        rank 0 is the fullest, a rank off the grid holds nothing."""
+        lay = BlockCyclicLayout(m, n, mb, nb, ProcessorGrid2D(pr, pc))
+        by_block = [sum(rows * cols for rows, cols in
+                        (lay.block_shape(bi, bj)
+                         for bi, bj in lay.blocks_of_rank(rank)))
+                    for rank in range(pr * pc)]
+        assert lay.words_per_rank().tolist() == by_block
+        assert [lay.local_words(rank) for rank in range(pr * pc)] == by_block
+        assert sum(by_block) == m * n and max(by_block) == by_block[0]
+        assert lay.local_words(pr * pc) == 0
+
 
 class TestStatsProperties:
     @given(st.lists(st.tuples(st.integers(0, 7), st.floats(0, 1e6)),
@@ -411,3 +430,152 @@ class TestGeneratedSumma:
         assert refused[0] == refused[1]
         assert refused[0][1] is not None
         assert peaks[refused[0][0]] == peaks.max()
+
+
+class TestGeneratedWorkloadMemory:
+    """ROADMAP's oracle (f) on the same one-seed-draws-the-scenario
+    net: planned >= gated >= measured for workload DAGs.  Chains and
+    diamonds of 2-5 gemm / cholesky / lu nodes over shared externals
+    and producer->consumer edges (a gemm may take one operand twice),
+    some nodes held to one implementation, some outputs renamed, on
+    P = 4, 8, 16, 64 — the unbounded plans replicate at c = 1, 2 and 4.
+    The caller's layout is one block per rank, so every caller-layout
+    copy is exactly ``N^2/P`` words on every rank and the plan's
+    balanced assumption is the truth."""
+
+    LABELS = {"lu": (None, ("conflux",), ("scalapack",)),
+              "cholesky": (None, ("confchox",), ("scalapack",)),
+              "gemm": (None,)}
+
+    @staticmethod
+    def scenario(seed):
+        """``(request, out_names)``: a chain (node ``i`` consumes node
+        ``i-1``) or a diamond (``x1`` and ``x2`` both consume ``x0``,
+        ``x3`` multiplies them); a Cholesky only where its operand is
+        known SPD (``S``, or a product ``x @ x`` of an SPD ``x``)."""
+        from repro.planner import WorkloadNode, WorkloadRequest
+
+        rng = np.random.default_rng(seed)
+        p = int(rng.choice([4, 8, 16, 64]))
+        n = 64 if p == 64 else int(rng.choice([32, 64]))
+        count = int(rng.integers(2, 6))
+        diamond = count >= 4 and bool(rng.integers(2))
+        labels = TestGeneratedWorkloadMemory.LABELS
+        spd, nodes = {"S"}, []
+        for i in range(count):
+            name = f"x{i}"
+            if diamond and i == 3:
+                op, inputs = "gemm", ("x1", "x2")
+            else:
+                src = (str(rng.choice(["A", "S"])) if i == 0
+                       else "x0" if diamond and i == 2 else f"x{i - 1}")
+                op = str(rng.choice(["lu", "gemm", "cholesky"]
+                                    if src in spd else ["lu", "gemm"]))
+                inputs = (src,)
+                if op == "gemm":
+                    other = str(rng.choice(
+                        [src, "A", "B", "S"] + [f"x{j}" for j in range(i)]))
+                    inputs = (src, other)
+                    if other == src and src in spd:
+                        spd.add(name)
+            impls = labels[op][rng.integers(len(labels[op]))]
+            nodes.append(WorkloadNode(name, op, n, inputs, impls=impls))
+        out_names = {node.name: f"out:{node.name}"
+                     for node in nodes if rng.integers(3) == 0}
+        return WorkloadRequest(tuple(nodes), p=p), out_names
+
+    @staticmethod
+    def loaded(request, mem_words):
+        """An enforcing machine holding the externals, one block per
+        rank; returns it and the descriptor map."""
+        from repro.layouts import ScaLAPACKDescriptor
+        from repro.machine import Machine
+
+        n, p = request.nodes[0].n, request.p
+        pr, pc = largest_square_divisor(p)
+        machine = Machine(p, mem_words=mem_words, enforce_memory=True)
+        layout = BlockCyclicLayout(n, n, n // pr, n // pc,
+                                   ProcessorGrid2D(pr, pc))
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=n // pr, nb=n // pc,
+                                   prows=pr, pcols=pc)
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((n, n))
+        matrices = {"A": rng.standard_normal((n, n)) + n * np.eye(n),
+                    "B": rng.standard_normal((n, n)),
+                    "S": g @ g.T + n * np.eye(n)}
+        for name in request.externals():
+            layout.scatter_from(machine, name, matrices[name])
+        return machine, {name: desc for name in request.externals()}
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_planned_bounds_gated_bounds_measured(self, seed):
+        import dataclasses
+
+        from repro.api import run_workload
+        from repro.machine import MemoryBudgetExceeded
+        from repro.planner import NoFeasiblePlanError, plan_workload
+
+        request, out_names = self.scenario(seed)
+        names = [node.name for node in request.nodes]
+        plan = plan_workload(request)
+        planned = plan.chosen.node_peaks
+        budget = max(planned)
+        unit = request.nodes[0].n ** 2 / request.p
+
+        # At the planned peak the run completes, within it.
+        machine, descs = self.loaded(request, budget)
+        done = run_workload(machine, plan, descs, out_names)
+        peak = machine.peak_words_per_rank().max()
+        assert peak <= budget
+        moved = np.cumsum([0.0] + [
+            done.results[name].reshuffle_words
+            + done.results[name].factorization_words for name in names])
+        assert moved[-1] == machine.stats.total_recv_words
+
+        # What the gate sees at node j: the plan counts every earlier
+        # output as kept; the run has freed the intermediates that
+        # retired unnamed.
+        last_use = request.last_use()
+        gated = [planned[j] - unit * sum(
+            1 for i, name in enumerate(names[:j])
+            if i < last_use[name] < j and name not in out_names)
+            for j in range(len(names))]
+        first = planned.index(budget)
+        if request.nodes[first].op == "gemm" and gated[first] == budget:
+            assert peak == budget               # the SUMMA's need is exact
+
+        # One word under: refused up front at the first node whose gate
+        # no longer fits, having moved nothing since it began — or, the
+        # freed intermediates making room everywhere, completed.
+        machine, descs = self.loaded(request, budget - 1)
+        over = [j for j, words in enumerate(gated) if words > budget - 1]
+        if over:
+            with pytest.raises(MemoryBudgetExceeded) as exc_info:
+                run_workload(machine, plan, descs, out_names)
+            exc = exc_info.value
+            node = names[over[0]]
+            assert exc.step == "<feasibility>"
+            assert exc.key[1] == out_names.get(node, node)
+            assert exc.key[2].words == exc.needed_words == gated[over[0]]
+            assert machine.stats.total_recv_words == moved[over[0]]
+        else:
+            run_workload(machine, plan, descs, out_names)
+            assert machine.peak_words_per_rank().max() <= budget - 1
+
+        # Planning under a budget: feasible from some rung up, every
+        # plan within its budget, a refusal naming a node and a peak
+        # the budget is under.  (Three candidates a node keep the
+        # five-node searches at 3^5 assignments a rung.)
+        feasible = []
+        for rung in np.linspace(0.25, 1.0, 12) * budget:
+            asked = dataclasses.replace(request, mem_words=float(rung))
+            try:
+                tight = plan_workload(asked, top_k=3)
+            except NoFeasiblePlanError as err:
+                assert err.node in names and err.peak_words > rung
+                feasible.append(False)
+            else:
+                assert max(tight.chosen.node_peaks) <= rung
+                feasible.append(True)
+        assert feasible == sorted(feasible) and feasible[-1]

@@ -151,7 +151,6 @@ class TestWorkloadRequest:
             dft_workload_request(128, 4),
             dft_workload_request(64, 16),
             dft_workload_request(64, 4, mem_words=NODE_M),
-            WorkloadRequest(base.nodes, p=4, api_copies=3),
             WorkloadRequest(base.nodes[:-1], p=4),
             WorkloadRequest(base.nodes[:-1] + (WorkloadNode(
                 "lu", "lu", 64, ("k",), impls=("conflux",)),), p=4),
@@ -159,11 +158,28 @@ class TestWorkloadRequest:
         tokens = {base.token()} | {v.token() for v in variants}
         assert len(tokens) == 1 + len(variants)
 
-    def test_node_requests_use_auto_copy_charges(self):
+    def test_node_requests_hold_externals_and_earlier_outputs(self):
+        """Node ``k`` is planned holding every external and the ``k``
+        outputs before it; an operand retires after its last user."""
         req = dft_workload_request(64, 4)
-        assert [r.api_copies for r in req.node_requests()] == [6, 4, 4, 4]
-        spelled = WorkloadRequest(req.nodes, p=4, api_copies=3)
-        assert {r.api_copies for r in spelled.node_requests()} == {3}
+        assert [r.api_copies for r in req.node_requests()] == [3, 4, 5, 6]
+        assert req.last_use() == {"A": 0, "B": 0, "S": 2, "k": 3,
+                                  "f1": 1, "f2": 2, "lu": 3}
+
+    @pytest.mark.parametrize("op,inputs", [("lu", ("A",)),
+                                           ("cholesky", ("A",)),
+                                           ("gemm", ("A", "B"))])
+    def test_one_node_peak_is_the_plan_requests_requirement(self, op,
+                                                           inputs):
+        """A pd* call is the one-node workload: the joint planner's
+        peak for it is what ``plan_request`` says the call needs."""
+        req = WorkloadRequest((WorkloadNode("x", op, 128, inputs),), p=16)
+        plan = plan_workload(req)
+        [node_request] = req.node_requests()
+        assert node_request.api_copies == len(inputs)
+        standalone = plan_request(node_request)
+        assert plan.chosen.configs == (standalone.chosen,)
+        assert plan.chosen.node_peaks == (standalone.chosen.required_words,)
 
 
 class TestConversionWords:
@@ -205,7 +221,7 @@ class TestPlanWorkload:
                               p=64, mem_words=NODE_M)
         plan = plan_workload(req)
         standalone = plan_request(PlanRequest("lu", 4096, 64, NODE_M,
-                                              api_copies=4))
+                                              api_copies=1))
         assert plan.node_plans[0] == standalone
         assert plan.chosen.configs == (standalone.chosen,)
         assert plan.chosen.conversion_words == 0.0
@@ -221,7 +237,8 @@ class TestPlanWorkload:
         # Identical cholesky nodes agree on a layout: the second
         # consumer of S is free, so no conversion is charged at all.
         plan = plan_workload(chol_pair())
-        assert plan.chosen.configs[0] == plan.chosen.configs[1]
+        first, second = plan.chosen.configs      # f2 also holds f1
+        assert (first.impl, first.params) == (second.impl, second.params)
         assert plan.chosen.conversion_words == 0.0
         assert plan.chosen.edges == ()
 
