@@ -17,6 +17,14 @@ On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 2D Cholesky's ``dist_step`` and COSTA's ``redistribute``; an
 ``ndarray.copy``, ``hstack`` or ``Machine.bcast`` under the SUMMA is a
 regression.
+On ``plan_grid`` the top is what the ranking reads and nothing else:
+``_residue_reduce`` under ``TermBatch.recv_words`` (received words of
+each distinct surviving schedule), the tournament column
+``butterfly_pair_exchanges`` the 2.5D schedules emit, and the couple of
+dozen ``conversion_words`` the best-first joint search asks for;
+``_score`` or the ``hash`` of a ``BlockCyclicLayout`` back at the top
+(the whole candidate product being scored), or ``TermBatch.evaluate``
+anywhere, is a regression.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

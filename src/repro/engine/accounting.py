@@ -826,12 +826,12 @@ class TermBatch:
     The planner and the sweep harness score whole grids of candidate
     configs: :meth:`add` collects each candidate's emitted
     :class:`CostTerm` stream, :meth:`evaluate` reduces every term
-    through :meth:`StepAccounting._term_total`.  Each candidate is
-    reduced on its own, in term emission order, so its
+    through :meth:`StepAccounting._term_total` (:meth:`recv_words`:
+    only what the planner ranks by).  Each candidate is reduced on its
+    own, in term emission order, so its
     :class:`~repro.machine.stats.CommStats` do not depend on what else
-    shares the batch (the parity suite pins this, and the totals
-    against the dense oracle, over randomized grids of all five
-    schedules).
+    shares the batch (the parity suite pins this, and the totals against
+    the dense oracle, over randomized grids of all five schedules).
     """
 
     def __init__(self) -> None:
@@ -867,4 +867,15 @@ class TermBatch:
             if steps != "none":
                 acct._analytic_steps(terms, stats, label)
             out.append(stats)
+        return out
+
+    def recv_words(self) -> list[np.ndarray]:
+        """Per-rank received words per candidate, from its ``"recv"``
+        terms' words alone — bitwise ``evaluate()[k].recv_words``."""
+        out = []
+        for acct, terms, _ in self._entries:
+            out.append(np.zeros(acct.nranks))
+            for term in terms:
+                if term.counter == "recv":
+                    out[-1] += term.coeff * acct._term_total(term, msgs=False)
         return out

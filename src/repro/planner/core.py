@@ -10,24 +10,23 @@ and the alpha-beta-gamma :class:`~repro.machine.perf_model.PerfModel`,
 and returns a :class:`Plan`: the chosen configuration plus the ranked
 alternatives.
 
-The single entry shape is :class:`PlanRequest` — ``(op, n, p,
-mem_words, api_copies)`` — consumed by :func:`plan_request` (one
-request) and :func:`plan_batch` (many requests, every survivor of every
-request reduced in **one** :class:`~repro.engine.accounting.TermBatch`
-pass; bit-identical to planning each request alone, which the parity
-suite pins).  ``plan_lu`` / ``plan_cholesky`` / ``plan_gemm`` are thin
-wrappers that build the request; the atlas/service layer
-(:mod:`repro.planner.atlas`, :mod:`repro.planner.service`) keys its
-caches on the request.
+The single entry shape is :class:`PlanRequest` — ``(op, n, p, mem_words,
+api_copies)`` — consumed by :func:`plan_request` (one request) and
+:func:`plan_batch` (many requests in **one**
+:class:`~repro.engine.accounting.TermBatch`, each distinct surviving
+schedule reduced once; bit-identical to planning each request alone,
+which the parity suite pins).  ``plan_lu`` / ``plan_cholesky`` /
+``plan_gemm`` are thin wrappers that build the request; the
+atlas/service layer (:mod:`repro.planner.atlas`,
+:mod:`repro.planner.service`) keys its caches on the request.
 
 The ranking key is the paper's primary metric — *counted* received
-words per rank: every candidate's schedule is evaluated through the
-engine's closed-form trace evaluator
-(:meth:`~repro.engine.schedule.Schedule.trace_stats` with
-``steps="none"``), which sums the schedule's declarative cost terms
-analytically per rank in O(P) — the same accounting the trace backend
-produces, so the planner ranks by what a run would actually count, not
-by a separate analytic model.  The perf-model time estimate tie-breaks
+words per rank — and it is all the planner reduces:
+:meth:`~repro.engine.accounting.TermBatch.recv_words` sums each
+candidate's ``"recv"`` cost terms analytically per rank in O(P),
+bitwise what a trace of the schedule counts, so the planner ranks by
+what a run would count, not by a separate model.  The perf-model time
+estimate (the op's flops, the ``_SEARCH`` message estimate) tie-breaks
 configurations whose volumes agree (e.g. SUMMA strip widths, which
 trade only message counts).  Feasibility is :func:`call_memory`, the
 one statement of what a pd* call needs — :mod:`repro.api`'s gate and
@@ -353,23 +352,6 @@ def _gate(req: PlanRequest) -> list[tuple]:
     return survivors
 
 
-def _configs_from(survivors: list[tuple], words_list: list[float],
-                  flops_per_rank: float,
-                  machine_params: MachineParams) -> list[PlannedConfig]:
-    model = PerfModel(machine_params)
-    configs = []
-    for (impl, sched, params, msgs, needed, margin), words in zip(
-            survivors, words_list):
-        n, p = sched.n, sched.nranks
-        time_s = model.time_closed_form(
-            flops_per_rank, words, msgs, local_words=float(n) * n / p)
-        configs.append(PlannedConfig(
-            impl=impl, schedule=type(sched).__name__, params=params,
-            predicted_words=words, predicted_time_s=time_s,
-            required_words=needed, mem_margin=margin))
-    return configs
-
-
 def _no_feasible_error(problem: str, n: int, p: int,
                        budget: float) -> NoFeasiblePlanError:
     return NoFeasiblePlanError(
@@ -384,11 +366,11 @@ def plan_batch(requests: list[PlanRequest],
     """Plan many requests at once — *the* planning pipeline.
 
     Every request's candidates are enumerated and memory-gated, then
-    **all** survivors across the whole batch reduce in a single
-    :class:`TermBatch` pass.  TermBatch reduction is
-    composition-independent — each candidate's stats are bit-identical
-    to a batch of one — so the returned plans equal planning each
-    request alone, in order.
+    each *distinct* surviving schedule of the batch — its cost terms
+    depend on neither a budget nor ``api_copies`` — has its received
+    words reduced, once (:meth:`TermBatch.recv_words`).  The reduction
+    is composition-independent — bit-identical to a batch of one — so
+    the returned plans equal planning each request alone, in order.
 
     With ``strict`` (the default) an infeasible request raises
     :class:`NoFeasiblePlanError` exactly as :func:`plan_request` does;
@@ -399,27 +381,36 @@ def plan_batch(requests: list[PlanRequest],
     tel = obs.default_telemetry()
     t0 = tel.clock()
     candidates = 0
+    batch = TermBatch()
     try:
         with tel.span("plan.batch", cat="planner",
-                      requests=len(requests)):
+                      requests=len(requests)) as span:
             staged = []
-            batch = TermBatch()
+            slots: dict[tuple, int] = {}    # distinct schedule -> batch index
             for req in requests:
-                flops = OPS[req.op].flops(req.n, req.p)
                 survivors = _gate(req)
                 candidates += len(survivors)
-                for _, sched, *_ in survivors:
-                    batch.add(sched)
-                staged.append((req, flops, survivors))
-            all_stats = batch.evaluate()
+                keys = [(req.op, label, req.n, req.p, *sorted(params.items()))
+                        for label, _, params, *_ in survivors]
+                for key, (_, sched, *_) in zip(keys, survivors):
+                    if key not in slots:
+                        slots[key] = batch.add(sched)
+                staged.append((req, survivors, keys))
+            span.set(reduced=len(batch))
+            words = [float(recv.mean()) for recv in batch.recv_words()]
+            model = PerfModel(machine_params)
             plans: list[Plan | None] = []
-            offset = 0
-            for req, flops, survivors in staged:
-                words_list = [st.mean_recv_words for st in
-                              all_stats[offset:offset + len(survivors)]]
-                offset += len(survivors)
-                configs = _configs_from(survivors, words_list, flops,
-                                        machine_params)
+            for req, survivors, keys in staged:
+                flops = OPS[req.op].flops(req.n, req.p)
+                configs = [PlannedConfig(
+                    impl=impl, schedule=type(sched).__name__, params=params,
+                    predicted_words=words[slots[key]],
+                    predicted_time_s=model.time_closed_form(
+                        flops, words[slots[key]], msgs,
+                        local_words=float(sched.n) * sched.n / sched.nranks),
+                    required_words=needed, mem_margin=margin)
+                    for key, (impl, sched, params, msgs, needed, margin)
+                    in zip(keys, survivors)]
                 if not configs:
                     if strict:
                         raise _no_feasible_error(req.op, req.n, req.p,
@@ -437,6 +428,7 @@ def plan_batch(requests: list[PlanRequest],
             tel.clock() - t0)
         reg.counter("planner.requests").inc(len(requests))
         reg.counter("planner.candidates").inc(candidates)
+        reg.counter("planner.schedules_reduced").inc(len(batch))
 
 
 def plan_request(request: PlanRequest,

@@ -19,14 +19,13 @@ This module adds the workload IR and the joint planner:
   hashable like :class:`~repro.planner.core.PlanRequest`, with a
   :meth:`~WorkloadRequest.token` the atlas/service caches key on.
 * :func:`plan_workload` — per-node candidates come from the same
-  enumerator as single-call planning and every survivor of
-  every node reduces in **one** :class:`TermBatch` pass (via
-  :func:`~repro.planner.core.plan_batch`, so each node's standalone
-  ranking is bit-identical to :func:`~repro.planner.core.plan_request`
-  — the parity tests pin this).  DAG assignments — one candidate per
-  node — are then scored by total counted words *including* the
-  closed-form COSTA conversion words
-  (:func:`~repro.layouts.conversion_words`) charged on every edge
+  enumerator as single-call planning, in one
+  :func:`~repro.planner.core.plan_batch`: equal nodes share their
+  reductions, and each node's standalone ranking is bit-identical to
+  :func:`~repro.planner.core.plan_request` (the parity tests pin it).
+  DAG assignments — one candidate per node — are ranked, best first,
+  by total counted words *including* the closed-form COSTA conversion
+  words (:func:`~repro.layouts.conversion_words`) charged on every edge
   whose producer/consumer native layouts differ, with repeated layouts
   of a shared operand amortized: only the first consumer of each
   distinct layout pays.
@@ -52,9 +51,10 @@ that overflows the budget there is no plan.
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import heapq
 import math
 
+from .. import obs
 from ..engine.schedule import Schedule
 from ..factorizations.registry import OPS, build, width
 from ..layouts import BlockCyclicLayout, conversion_words
@@ -400,24 +400,60 @@ def _no_fit(request: WorkloadRequest, idx: int,
     return err
 
 
+_MAX_SCORED = 100_000       # assignments one pass of the search scores
+
+
+def _best_first(request: WorkloadRequest, lists: list[list],
+                conv_cache: dict, scored: list[tuple]):
+    """``(assignment, combo)`` of every assignment of one candidate per
+    list (each sorted by words), in :func:`_assignment_key` order,
+    scored lazily, into ``scored``.  Index tuples leave ``frontier`` in
+    non-decreasing ``sum(predicted_words)`` — a lower bound on
+    ``total_words``, conversions being >= 0 — each once (a successor
+    raises an index at or after the last one raised); the best pair
+    ``waiting`` goes out only when *strictly* below the next bound (at
+    equality an unscored one could still win on conversion words)."""
+    producers = request.producers()
+
+    def entry(idx: tuple, raised: int) -> tuple:
+        combo = tuple(cands[i] for cands, i in zip(lists, idx))
+        return (sum(cfg.predicted_words for cfg, _, _ in combo), idx,
+                raised, combo)
+
+    frontier, waiting = [entry((0,) * len(lists), 0)], []
+    stop = len(scored) + _MAX_SCORED
+    while frontier and len(scored) < stop:
+        _, idx, raised, combo = heapq.heappop(frontier)
+        scored.append((_score(request, producers, combo, conv_cache), combo))
+        heapq.heappush(waiting, (_assignment_key(scored[-1][0]), scored[-1]))
+        for j in range(raised, len(lists)):
+            if idx[j] + 1 < len(lists[j]):
+                heapq.heappush(frontier, entry(
+                    (*idx[:j], idx[j] + 1, *idx[j + 1:]), j))
+        while waiting and frontier and waiting[0][0][0] < frontier[0][0]:
+            yield heapq.heappop(waiting)[1]
+    while waiting:
+        yield heapq.heappop(waiting)[1]
+
+
 def plan_workload(request: WorkloadRequest,
                   machine_params: MachineParams = PIZ_DAINT_XC40,
-                  top_k: int = 6, max_assignments: int = 100_000,
-                  keep: int = 8) -> WorkloadPlan:
+                  top_k: int = 6, keep: int = 8) -> WorkloadPlan:
     """Jointly plan a workload DAG.
 
-    Per-node candidates are planned in one batched
-    :func:`plan_batch` pass; each node's ``top_k`` best configurations
-    enter the joint search, whose product is capped at
-    ``max_assignments`` by trimming the widest candidate lists first
-    (every node always keeps its standalone winner).  An assignment
-    whose ``node_peaks`` exceed the budget anywhere is dropped — should
-    none be left, the search is repeated over each node's ``top_k``
-    *leanest* configurations — and the best ``keep`` are returned.
+    Per-node candidates come from one :func:`plan_batch`; each node's
+    ``top_k`` best enter the joint search, which walks their product
+    best first (:func:`_best_first`) and scores no more assignments than
+    the best ``keep`` take to settle.  One whose ``node_peaks`` exceed
+    the budget anywhere is dropped — should none be left, the search is
+    repeated over each node's ``top_k`` *leanest* configurations.
 
     Raises :class:`NoFeasiblePlanError` with the first ``node`` no
     assignment gets past and the smallest ``peak_words`` planned for it.
     """
+    for name, value in (("top_k", top_k), ("keep", keep)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     requests = request.node_requests()
     node_plans = tuple(plan_batch(requests, machine_params=machine_params,
                                   strict=False))
@@ -427,40 +463,41 @@ def plan_workload(request: WorkloadRequest,
             raise _no_fit(request, idx, min(
                 (cand[4] for cand in _gate(free)), default=math.inf))
 
-    producers = request.producers()
     conv_cache: dict = {}
-    independent = None
+    scored: list[tuple] = []        # (assignment, combo), as scored
     ranked: list[WorkloadAssignment] = []
     stuck, least = 0, math.inf      # furthest overflowing node, its peak
-    for order in (_rank_key, lambda cfg: cfg.required_words):
-        cand_lists = [[(cfg, (sched := config_schedule(
-                            node.op, node.n, request.p, cfg)[0]),
-                        native_layout(node.op, sched))
-                       for cfg in sorted(plan.ranked, key=order)[:top_k]]
-                      for node, plan in zip(request.nodes, node_plans)]
-        while math.prod(len(c) for c in cand_lists) > max_assignments:
-            widest = max(cand_lists, key=len)
-            if len(widest) == 1:
+    product = 0
+    with obs.span("plan.workload", cat="planner",
+                  nodes=len(request.nodes)) as span:
+        for order in (_rank_key, lambda cfg: cfg.required_words):
+            # The top_k by ``order``, in rank order: fewest words first.
+            cand_lists = [[(cfg, (sched := config_schedule(
+                                node.op, node.n, request.p, cfg)[0]),
+                            native_layout(node.op, sched))
+                           for cfg in sorted(sorted(plan.ranked, key=order)
+                                             [:top_k], key=_rank_key)]
+                          for node, plan in zip(request.nodes, node_plans)]
+            product += math.prod(len(cands) for cands in cand_lists)
+            for assignment, combo in _best_first(request, cand_lists,
+                                                 conv_cache, scored):
+                peaks = _frontier(request, combo)
+                over = next((k for k, peak in enumerate(peaks)
+                             if peak > request.budget), None)
+                if over is None:
+                    ranked.append(dataclasses.replace(assignment,
+                                                      node_peaks=peaks))
+                    if len(ranked) == keep:
+                        break
+                elif (over, -peaks[over]) > (stuck, -least):
+                    stuck, least = over, peaks[over]
+            if ranked:
                 break
-            widest.pop()
-        scored = [(_score(request, producers, combo, conv_cache), combo)
-                  for combo in itertools.product(*cand_lists)]
-        # Product order: the first assignment is every node's winner.
-        independent = independent or dataclasses.replace(
-            scored[0][0], node_peaks=_frontier(request, scored[0][1]))
-        scored.sort(key=lambda pair: _assignment_key(pair[0]))
-        for assignment, combo in scored:
-            peaks = _frontier(request, combo)
-            over = next((k for k, peak in enumerate(peaks)
-                         if peak > request.budget), None)
-            if over is None:
-                ranked.append(dataclasses.replace(assignment,
-                                                  node_peaks=peaks))
-                if len(ranked) == keep:
-                    break
-            elif (over, -peaks[over]) > (stuck, -least):
-                stuck, least = over, peaks[over]
-        if ranked:
-            return WorkloadPlan(request, node_plans, tuple(ranked),
-                                independent)
-    raise _no_fit(request, stuck, least)
+        span.set(product=product, scored=len(scored),
+                 conversions=len(conv_cache))
+    obs.metrics().counter("planner.assignments_scored").inc(len(scored))
+    if not ranked:
+        raise _no_fit(request, stuck, least)
+    winners, combo = scored[0]      # lowest bound of the first pass
+    return WorkloadPlan(request, node_plans, tuple(ranked), dataclasses.replace(
+        winners, node_peaks=_frontier(request, combo)))

@@ -5,10 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def tel():
+    """A fresh telemetry installed as the process default (restored
+    afterwards), so instrumented library code records here."""
+    fresh = obs.Telemetry()
+    previous = obs.set_default_telemetry(fresh)
+    try:
+        yield fresh
+    finally:
+        obs.set_default_telemetry(previous)
 
 
 @pytest.fixture

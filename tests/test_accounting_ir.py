@@ -40,9 +40,11 @@ from repro.factorizations.baselines.scalapack_chol import (
     ScalapackCholeskySchedule,
 )
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
+from repro.factorizations.registry import IMPLS, build
 from repro.machine.grid import ProcessorGrid3D
 from repro.machine.stats import STEP_FIELDS, StepRecord
 from repro.planner import PlanRequest, plan_request
+from test_engine_parity import EDGE, GRID, GRID_2D, GRID_SUMMA
 
 
 class TestFixedConfigs:
@@ -117,6 +119,53 @@ class TestHypothesisParity:
         except ValueError:      # no 2.5D grid for this (p, c)
             return
         assert_matches_oracle(sched)
+
+
+def _assert_recv_words_is_the_full_reductions_column(schedules):
+    batch = TermBatch()
+    for sched in schedules:
+        batch.add(sched)
+    got, want = batch.recv_words(), batch.evaluate()
+    assert len(got) == len(want) == len(schedules)
+    for sched, words, stats in zip(schedules, got, want):
+        assert words.dtype == stats.recv_words.dtype
+        assert np.array_equal(words, stats.recv_words), type(sched).__name__
+        assert float(words.mean()) == stats.mean_recv_words
+
+
+class TestRecvWordsOnly:
+    """``TermBatch.recv_words()`` — the reduction the planner ranks by —
+    is bitwise the ``recv_words`` column of ``evaluate()``."""
+
+    #: The parity suite's points, keyed by a table row's tunable params.
+    POINTS = {("v", "c"): GRID + EDGE, ("b", "c"): GRID + EDGE,
+              ("nb",): GRID_2D, ("s", "c"): GRID_SUMMA}
+
+    @pytest.mark.parametrize("op, label", list(IMPLS))
+    def test_every_table_row_on_the_parity_points(self, op, label):
+        names = IMPLS[op, label].params
+        _assert_recv_words_is_the_full_reductions_column([
+            build(op, label, n, p, **dict(zip(names, params)))
+            for n, p, *params in self.POINTS[names]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(nsteps=st.integers(2, 12), vk=st.integers(1, 4),
+           pr=st.integers(1, 4), pc=st.integers(1, 4), c=st.integers(1, 3),
+           nb=st.sampled_from([4, 8, 16]), p2d=st.integers(1, 20))
+    def test_generated_grid(self, nsteps, vk, pr, pc, c, nb, p2d):
+        v = vk * c
+        grid = ProcessorGrid3D(pr, pc, c)
+        schedules = [
+            ConfluxSchedule(v * nsteps, grid.size, v=v, c=c, grid=grid),
+            ConfchoxSchedule(v * nsteps, grid.size, v=v, c=c, grid=grid),
+            ScalapackLUSchedule(nb * nsteps, p2d, nb=nb),
+            ScalapackCholeskySchedule(nb * nsteps, p2d, nb=nb)]
+        try:
+            schedules.append(Matmul25DSchedule(nsteps * nb * c, pr * c,
+                                               s=nb, c=c))
+        except ValueError:      # no 2.5D grid for this (p, c)
+            pass
+        _assert_recv_words_is_the_full_reductions_column(schedules)
 
 
 class TestStepLogEquivalence:

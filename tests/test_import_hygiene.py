@@ -1,11 +1,13 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
 the paper's Table-2 models stay out of everything but the figures,
 schedules are built only through the implementation table, the trace
-evaluator has one reduction and one step-log shape, the executed
-2D views have no tile-at-a-time helper to fall back on, the SUMMA
-rounds copy and send nothing per piece, the memory a pd* call needs is
-stated in one function, and the pebble games, the plan service, the
-atlas and the sweep fabric are imported only where listed here.
+evaluator has one reduction and one step-log shape, the planner reduces
+received words only and never walks a whole candidate product, the
+executed 2D views have no tile-at-a-time helper to fall back on, the
+SUMMA rounds copy and send nothing per piece, the memory a pd* call
+needs is stated in one function, and the pebble games, the plan
+service, the atlas and the sweep fabric are imported only where listed
+here.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -179,6 +181,22 @@ def _calls(node: ast.AST, name: str) -> list[ast.Call]:
 def _functions(path: pathlib.Path) -> dict[str, ast.FunctionDef]:
     return {node.name: node for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_planner_reduces_and_scores_only_what_it_ranks_by():
+    """The planner ranks by received words: it reads them through
+    ``TermBatch.recv_words()``, never the full ``evaluate()``; and the
+    joint search enumerates best first, never the whole
+    ``itertools.product`` (whose cap parameter stays gone)."""
+    offenders = {
+        str(path.relative_to(ROOT)): sorted({call.lineno for call in calls})
+        for path in (SRC / "repro" / "planner").glob("*.py")
+        if (calls := [call for name in ("evaluate", "product")
+                      for call in _calls(ast.parse(path.read_text()), name)])}
+    assert offenders == {}
+    assert _users_of({"max_assignments"}) == {}
+    core = _functions(SRC / "repro" / "planner" / "core.py")
+    assert len(_calls(core["plan_batch"], "recv_words")) == 1
 
 
 def test_the_memory_of_a_pd_call_is_stated_once():

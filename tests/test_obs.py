@@ -29,18 +29,6 @@ from repro.obs.export import (
 )
 
 
-@pytest.fixture
-def tel():
-    """A fresh telemetry installed as the process default (restored
-    afterwards), so instrumented library code records here."""
-    fresh = obs.Telemetry()
-    previous = obs.set_default_telemetry(fresh)
-    try:
-        yield fresh
-    finally:
-        obs.set_default_telemetry(previous)
-
-
 class TestSpans:
     def test_disabled_records_nothing_and_shares_null_span(self, tel):
         span = tel.span("x", cat="t", a=1)
@@ -308,6 +296,37 @@ class TestCacheAccounting:
         cache.get("tok")
         gets = [r for r in tel.spans() if r.name == "cache.get"]
         assert [r.args["outcome"] for r in gets] == ["miss", "hit"]
+
+
+class TestPlannerTelemetry:
+    def test_joint_plan_spans_and_counters(self, tel):
+        from repro.analysis.harness import dft_workload_request
+        from repro.planner import NoFeasiblePlanError, plan_workload
+
+        tel.enable()
+        plan_workload(dft_workload_request(128, 16))
+        batch, search = tel.spans()
+        assert (batch.name, search.name) == ("plan.batch", "plan.workload")
+        assert batch.cat == search.cat == "planner"
+        assert set(batch.args) == {"requests", "reduced"}
+        assert set(search.args) == {"nodes", "product", "scored",
+                                    "conversions"}
+        assert search.args["nodes"] == 4
+        assert search.args["product"] == 6 ** 4
+        assert 8 <= search.args["scored"] <= search.args["product"]
+        assert search.args["conversions"] >= 1
+        snap = tel.metrics.snapshot()
+        # f1 and f2 are the same question: their schedules reduce once.
+        assert (snap["planner.candidates"]
+                > snap["planner.schedules_reduced"] == batch.args["reduced"])
+        assert snap["planner.assignments_scored"] == search.args["scored"]
+
+        # A refused search still reports: both passes, every assignment.
+        with pytest.raises(NoFeasiblePlanError):
+            plan_workload(dft_workload_request(128, 16, 9.5 * 1024))
+        refused = tel.spans()[-1]
+        assert refused.name == "plan.workload"
+        assert refused.args["scored"] == refused.args["product"]
 
 
 def _result_key(r):

@@ -121,6 +121,25 @@ class TestPlanRequestRouting:
         batched = plan_batch(requests)
         assert batched == [plan_request(r) for r in requests]
 
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("change", [{"api_copies": 0},
+                                        {"mem_words": 12 * 4096 ** 2 / 64}])
+    def test_batch_shares_reductions_across_copies_and_budgets(
+            self, op, change, tel):
+        # A schedule's cost terms depend on neither field: the pair
+        # reduces each distinct schedule once, and plans as if alone.
+        first = PlanRequest(op, 4096, 64, NODE_M, api_copies=3)
+        second = dataclasses.replace(first, **change)
+        alone = [plan_request(first), plan_request(second)]
+        assert alone[0] != alone[1]
+        tel.metrics.reset()
+        assert plan_batch([first, second]) == alone
+        counts = tel.metrics.snapshot()
+        assert counts["planner.candidates"] == sum(
+            len(plan.ranked) for plan in alone)
+        assert counts["planner.schedules_reduced"] == max(
+            len(plan.ranked) for plan in alone)
+
     def test_batch_strict_false_marks_infeasible_slots(self):
         requests = [PlanRequest("lu", 4096, 64, NODE_M, api_copies=3),
                     PlanRequest("lu", 16384, 64, 100.0, api_copies=3)]

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.machine import (
 )
 from repro.machine.stats import CommStats
 from repro.pebbles import PebbleGame, greedy_schedule, matmul_cdag
+from workload_oracle import assert_search_equals_product, brute_force_plan
 
 
 class TestGridProperties:
@@ -579,3 +582,50 @@ class TestGeneratedWorkloadMemory:
                 assert max(tight.chosen.node_peaks) <= rung
                 feasible.append(True)
         assert feasible == sorted(feasible) and feasible[-1]
+
+    @staticmethod
+    def with_sibling(request, seed):
+        """``request`` with (on a coin flip, and within five nodes) one
+        node repeated under a new name right behind the original — same
+        op, operands and implementations, like the DFT chain's two
+        Cholesky factorizations of ``S``."""
+        rng = np.random.default_rng([seed, 1])
+        nodes = list(request.nodes)
+        if len(nodes) < 5 and rng.integers(2):
+            at = int(rng.integers(len(nodes)))
+            nodes.insert(at + 1, dataclasses.replace(
+                nodes[at], name=nodes[at].name + "b"))
+        return dataclasses.replace(request, nodes=tuple(nodes))
+
+    def test_best_first_search_is_the_sorted_product(self):
+        """``plan_workload`` scores a corner of the candidate product;
+        ``tests/workload_oracle.py`` scores and sorts all of it.  Same
+        ``ranked``, ``independent`` and refusal on the generated DAGs,
+        unbounded and down a budget ladder — and the net does reach
+        equal siblings, tied ``predicted_words``, refusals, and budgets
+        only the leanest second pass fits."""
+        seen = collections.Counter()
+        for seed in range(25):
+            request = self.with_sibling(self.scenario(seed)[0], seed)
+            # The default top_k while the reference's product stays
+            # a few hundred assignments (36, 216, 256, 243).
+            wide = {2: 6, 3: 6, 4: 4, 5: 3}[len(request.nodes)]
+            free, _ = brute_force_plan(request, wide)
+            budget = max(free.chosen.node_peaks)
+            seen["sibling"] += len({dataclasses.replace(node, name="x")
+                                    for node in request.nodes}
+                                   ) < len(request.nodes)
+            seen["tied"] += any(
+                a.predicted_words == b.predicted_words
+                for plan in free.node_plans
+                for a, b in zip(plan.ranked[:3], plan.ranked[1:3]))
+            asked = [(request, wide, 8)] + [
+                (dataclasses.replace(request, mem_words=float(rung)),
+                 *((3, 8), (2, 3))[k % 2])
+                for k, rung in enumerate(np.linspace(0.4, 1.0, 8) * budget)]
+            for req, top_k, keep in asked:
+                passes = assert_search_equals_product(req, top_k, keep)
+                seen["refused"] += passes == 0
+                seen["second pass"] += passes == 2
+        assert all(seen[what] >= 3 for what in
+                   ("sibling", "tied", "refused", "second pass")), seen

@@ -44,8 +44,27 @@ from repro.planner import (
     plan_workload,
 )
 from repro.runtime import ProcessPoolSweepExecutor, SerialExecutor, SweepTask
+from workload_oracle import assert_search_equals_product
 
 NODE_M = 32 * 2 ** 30 / 8
+
+#: ``(n, p, budget, top_k, keep, passes)`` of DFT chains for the
+#: search-vs-product comparison, budgets at n = 128 in units of
+#: ``n^2/P``: the two ledger chains, an unbounded one, two that only the
+#: leanest pass fits (``passes`` 2), one asking for more than the product
+#: holds, and three refusals (``passes`` 0: a node with no candidate,
+#: twice; a frontier overflowing in both passes).
+DFT_SEARCHES = [
+    (16384, 1024, NODE_M, 6, 8, 1),
+    (65536, 1024, NODE_M, 6, 8, 1),
+    (4096, 64, None, 6, 8, 1),
+    (128, 16, 10.0 * 1024, 3, 8, 2),
+    (128, 16, 10.5 * 1024, 3, 20, 2),
+    (128, 16, 16.5 * 1024, 2, 40, 1),
+    (128, 16, 8.0 * 1024, 6, 8, 0),
+    (128, 16, 9.5 * 1024, 6, 8, 0),
+    (16384, 64, 100.0, 6, 8, 0),
+]
 
 
 def chol_pair(impls_f1=None, impls_f2=None, n=64, p=4):
@@ -257,6 +276,42 @@ class TestPlanWorkload:
     def test_infeasible_budget_raises(self):
         with pytest.raises(NoFeasiblePlanError):
             plan_workload(dft_workload_request(16384, 64, mem_words=100.0))
+
+    @pytest.mark.parametrize("arg", ["top_k", "keep"])
+    def test_top_k_and_keep_must_be_positive(self, arg):
+        # top_k=0 used to die on scored[0]; keep=0 returned the whole
+        # product because len(ranked) == keep never fired.
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{arg} must be at least 1"):
+                plan_workload(chol_pair(), **{arg: value})
+
+    @pytest.mark.parametrize("n, p, mem, top_k, keep, passes", DFT_SEARCHES)
+    def test_best_first_search_equals_the_sorted_product(
+            self, n, p, mem, top_k, keep, passes):
+        assert assert_search_equals_product(
+            dft_workload_request(n, p, mem), top_k, keep) == passes
+
+    def test_the_search_scores_and_reduces_only_what_the_answer_needs(
+            self, tel):
+        # Counts, not timings: 1 296 assignments in the product, the two
+        # equal Cholesky nodes' 15 candidates reduced once.
+        plan_workload(dft_workload_request(16384, 1024, NODE_M))
+        counts = tel.metrics.snapshot()
+        assert counts["planner.assignments_scored"] <= 100
+        assert counts["planner.candidates"] == 67
+        assert counts["planner.schedules_reduced"] == 52
+
+    def test_a_capped_search_ranks_what_it_scored(self, monkeypatch, tel):
+        # Past the cap the search drains, in order, what it has — every
+        # node's winner (the lowest bound, scored first) included.
+        from repro.planner import workload
+
+        monkeypatch.setattr(workload, "_MAX_SCORED", 5)
+        plan = plan_workload(dft_workload_request(4096, 64))
+        assert tel.metrics.snapshot()["planner.assignments_scored"] == 5
+        totals = [a.total_words for a in plan.ranked]
+        assert totals == sorted(totals) and len(totals) == 5
+        assert plan.independent in plan.ranked
 
     def test_ranked_sorted_and_capped(self):
         plan = plan_workload(dft_workload_request(4096, 64), keep=4)
