@@ -1,6 +1,7 @@
 # Repo entry points.  Tier-1 verification is `make test`; CI
 # (.github/workflows/ci.yml) gates on test + lint + bench-check, and on
-# bench-paper (the figure/table benches tier-1 does not collect).
+# bench-paper (the paper's artefacts as a user prints them, plus the
+# pebble-game benches tier-1 does not collect).
 
 PY ?= python
 
@@ -79,14 +80,16 @@ bench-check:
 	$(PY) perf/run.py --workload serve_mix --quick --seconds 1
 	$(PY) perf/run.py --workload sweep_fanout --seconds 1
 
-## The paper's figures and tables, regenerated with their shape
-## assertions (23 tests, ~30 s; timing disabled, needs pytest-benchmark
-## for the fixture).  Named explicitly because `pytest benchmarks`
-## collects nothing: pytest.ini keeps the default test_*.py pattern so
-## that tier-1 stays a minute long.  Tables land in the git-ignored
-## benchmarks/results/.  CI runs this in the `test` job on one Python.
+## The paper's 16 figures and tables, printed from the FIGURES registry
+## (repro.analysis.reporting) with their claims; the exit code is 1 when
+## a claim is violated (~4 s; tier-1 holds the same claims and pins
+## every cell in tests/test_paper_artefacts.py).  Then the two
+## pebble-game benches (~22 s), named explicitly because pytest.ini
+## keeps the default test_*.py pattern.  CI runs this in the `test` job
+## on one Python.
 bench-paper:
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_*.py --benchmark-disable
+	PYTHONPATH=src $(PY) -m repro figures
+	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_pebbles.py
 
 ## Print the planner's pick (schedule + parameters + predicted cost)
 ## for a smoke (N, P, M) grid; fails if planning breaks or blows the

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from ..factorizations import conflux_lu
+from ..factorizations import conflux_lu, default_block_size
 from ..machine.perf_model import PIZ_DAINT_XC40, PerfModel
 from ..models import costmodels as cm
 from .harness import max_replication
@@ -48,7 +48,7 @@ def block_size_ablation(n: int = 16384, p: int = 1024, c: int = 8,
         res = conflux_lu(n, p, v=v, c=c, execute=False)
         t = model.evaluate(res.step_log, p, n * n / p)
         rows.append({
-            "v": v,
+            "n": n, "nranks": p, "c": c, "v": v,
             "mean_recv_words": res.mean_recv_words,
             "max_msgs": float(res.comm.recv_msgs.max()),
             "time_s": t.total_s,
@@ -72,7 +72,7 @@ def replication_ablation(n: int = 32768, p: int = 4096,
         res = conflux_lu(n, p, v=v, c=c, execute=False)
         m = c * float(n) * n / p
         rows.append({
-            "c": c,
+            "n": n, "nranks": p, "c": c,
             "mem_words": m,
             "leading_model": cm.conflux_paper_model(n, p, m),
             "mean_recv_words": res.mean_recv_words,
@@ -96,7 +96,7 @@ def row_swap_ablation(n: int = 16384, p: int = 1024,
     """
     if c is None:
         c = max_replication(p, n)
-    v = 32 if n % 32 == 0 else c
+    v = default_block_size(n, p, c)
     res = conflux_lu(n, p, v=v, c=c, execute=False)
     steps = n // v
     # Hypothetical swap volume: both rows of each swapped pair move
@@ -106,7 +106,7 @@ def row_swap_ablation(n: int = 16384, p: int = 1024,
     mask_words = sum(float(v) for _ in range(steps))  # pivot indices
     m = c * float(n) * n / p
     return {
-        "n": n, "nranks": p, "c": c,
+        "n": n, "nranks": p, "c": c, "v": v,
         "masking_words": mask_words,
         "swapping_words": swap_words,
         "conflux_total": res.mean_recv_words,

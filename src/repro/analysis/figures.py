@@ -1,9 +1,9 @@
 """Generators for every figure and table of the paper's evaluation.
 
-Each function returns plain data structures (lists/dicts) that the
-benchmark scripts print as the rows/series the paper plots; nothing here
-depends on plotting libraries.  The benchmark script of each figure
-(``benchmarks/bench_<figure>.py``) names the function it prints.
+Each function returns plain data structures (lists/dicts) holding the
+rows/series the paper plots; nothing here depends on plotting libraries.
+:data:`repro.analysis.reporting.FIGURES` registers each generator with
+its sweep, its table layout and the paper's claim about it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from ..planner.candidates import panel_width_2d
 from .harness import (
     CHOLESKY_IMPLEMENTATIONS,
     LU_IMPLEMENTATIONS,
-    RANKS_PER_NODE,
     estimate_time,
     feasible,
     max_replication,
@@ -47,14 +46,6 @@ class VolumePoint:
     measured_words: float
     model_words: float
 
-    @property
-    def measured_bytes_per_node(self) -> float:
-        return self.measured_words * 8 * RANKS_PER_NODE
-
-    @property
-    def model_bytes_per_node(self) -> float:
-        return self.model_words * 8 * RANKS_PER_NODE
-
 
 def _paper_model(name: str, n: int, p: int, mem_words: float) -> float:
     lu = cm.lu_models(n, p, mem_words)
@@ -70,40 +61,22 @@ def _mem_for(n: int, p: int) -> float:
 # Figure 8
 # ---------------------------------------------------------------------------
 
-def _volume_series(impls, kind: str, points: list[tuple[int, int]],
-                   executor=None) -> dict[str, list[VolumePoint]]:
-    """Trace every (impl, N, P) point — optionally through a
-    :mod:`repro.runtime` sweep executor — and pair each measured volume
-    with its leading-order model."""
-    from ..runtime.executor import SerialExecutor, SweepTask
-
-    tasks = [SweepTask(kind, name, n, p)
-             for n, p in points for name in impls]
-    results = (executor or SerialExecutor()).run(tasks)
-    series: dict[str, list[VolumePoint]] = {name: [] for name in impls}
-    for task, res in zip(tasks, results):
-        mem = _mem_for(task.n, task.p)
-        series[task.impl].append(VolumePoint(
-            name=task.impl, n=task.n, nranks=task.p,
-            measured_words=res.mean_recv_words,
-            model_words=_paper_model(task.impl, task.n, task.p, mem)))
-    return series
+def _volume_series(points) -> dict[str, list[VolumePoint]]:
+    """Trace every LU implementation at every ``(N, P)`` point and pair
+    each measured volume with its leading-order model."""
+    return {name: [VolumePoint(
+        name=name, n=n, nranks=p,
+        measured_words=trace_lu(name, n, p).mean_recv_words,
+        model_words=_paper_model(name, n, p, _mem_for(n, p)))
+        for n, p in points] for name in LU_IMPLEMENTATIONS}
 
 
-def fig8a_comm_volume(n: int = 16384, p_sweep=DEFAULT_P_SWEEP,
-                      kernel: str = "lu",
-                      executor=None) -> dict[str, list[VolumePoint]]:
-    """Figure 8a: communication volume per node vs P at fixed N.
-
-    Returns measured (traced) and leading-order-model volumes for every
-    implementation.  ``executor`` opts the sweep into the parallel
-    runtime (:mod:`repro.runtime`).
-    """
-    impls = (LU_IMPLEMENTATIONS if kernel == "lu"
-             else CHOLESKY_IMPLEMENTATIONS)
-    kind = "lu" if kernel == "lu" else "cholesky"
-    points = [(n, p) for p in p_sweep if feasible(n, p)]
-    return _volume_series(impls, kind, points, executor=executor)
+def fig8a_comm_volume(
+        n: int = 16384, p_sweep=DEFAULT_P_SWEEP) -> dict[str, list[VolumePoint]]:
+    """Figure 8a: LU communication volume per node vs P at fixed N —
+    measured (traced) and leading-order-model volumes for every
+    implementation."""
+    return _volume_series([(n, p) for p in p_sweep if feasible(n, p)])
 
 
 def weak_scaling_n(p: int, base: int = 3200, granule: int = 512) -> int:
@@ -114,15 +87,10 @@ def weak_scaling_n(p: int, base: int = 3200, granule: int = 512) -> int:
     return max(granule, int(round(raw / granule)) * granule)
 
 
-def fig8b_weak_scaling(p_sweep=DEFAULT_P_SWEEP, kernel: str = "lu",
-                       executor=None) -> dict[str, list[VolumePoint]]:
+def fig8b_weak_scaling(p_sweep=DEFAULT_P_SWEEP) -> dict[str, list[VolumePoint]]:
     """Figure 8b: weak scaling (N = 3200 * cbrt(P)) — 2.5D codes keep the
     per-node volume constant, 2D codes grow."""
-    impls = (LU_IMPLEMENTATIONS if kernel == "lu"
-             else CHOLESKY_IMPLEMENTATIONS)
-    kind = "lu" if kernel == "lu" else "cholesky"
-    points = [(weak_scaling_n(p), p) for p in p_sweep]
-    return _volume_series(impls, kind, points, executor=executor)
+    return _volume_series([(weak_scaling_n(p), p) for p in p_sweep])
 
 
 def fig8c_comm_reduction(
@@ -197,30 +165,26 @@ def _scaling_series(impls: tuple, tracer, workloads: list[tuple[str, int, int]],
     return rows
 
 
+def _scaling_workloads(p_sweep) -> list[tuple[str, int, int]]:
+    """The three scalings of Figures 9/10 per rank count: strong at
+    N = 2^17 and N = 2^14, weak at N = 8192 * sqrt(P/4) (snapped to a
+    multiple of 2048)."""
+    return [workload for p in p_sweep for workload in (
+        ("strong-131072", 131072, p), ("strong-16384", 16384, p),
+        ("weak", max(2048, int(8192 * math.sqrt(p / 4)) // 2048 * 2048), p))]
+
+
 def fig9_lu_scaling(p_sweep=DEFAULT_P_SWEEP) -> list[dict]:
     """Figure 9: LU %-of-peak for (a) strong N=2^17, (b) strong N=2^14,
     (c) weak N = 8192 * sqrt(P/4)."""
-    workloads: list[tuple[str, int, int]] = []
-    for p in p_sweep:
-        workloads.append(("strong-131072", 131072, p))
-        workloads.append(("strong-16384", 16384, p))
-        n_weak = int(8192 * math.sqrt(p / 4))
-        n_weak = max(2048, (n_weak // 2048) * 2048)
-        workloads.append(("weak", n_weak, p))
-    return _scaling_series(LU_IMPLEMENTATIONS, trace_lu, workloads)
+    return _scaling_series(LU_IMPLEMENTATIONS, trace_lu,
+                           _scaling_workloads(p_sweep))
 
 
 def fig10_cholesky_scaling(p_sweep=DEFAULT_P_SWEEP) -> list[dict]:
     """Figure 10: Cholesky %-of-peak, same three scalings."""
-    workloads: list[tuple[str, int, int]] = []
-    for p in p_sweep:
-        workloads.append(("strong-131072", 131072, p))
-        workloads.append(("strong-16384", 16384, p))
-        n_weak = int(8192 * math.sqrt(p / 4))
-        n_weak = max(2048, (n_weak // 2048) * 2048)
-        workloads.append(("weak", n_weak, p))
     return _scaling_series(CHOLESKY_IMPLEMENTATIONS, trace_cholesky,
-                           workloads)
+                           _scaling_workloads(p_sweep))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +271,20 @@ def table1_routine_costs(n: int = 16384, p: int = 1024, t: int = 0,
          "chol_comp": nrem * nrem * v / (2 * p)},
     ]
     return rows
+
+
+def table2_cost_models(n: int = 16384, p: int = 1024) -> list[dict]:
+    """Table 2 itself: each compared library's decomposition and
+    leading-order cost, evaluated at the sweep's replication depth."""
+    return [{"library": library, "decomposition": decomposition,
+             "leading_cost": formula, "n": n, "nranks": p,
+             "words": _paper_model(label, n, p, _mem_for(n, p))}
+            for library, decomposition, formula, label in (
+                ("MKL", "2D, panel", "N^2/sqrt(P)", "mkl"),
+                ("SLATE", "2D, block", "N^2/sqrt(P)", "slate"),
+                ("CANDMC", "nested 2.5D", "5N^3/(P sqrt(M))", "candmc"),
+                ("CAPITAL", "2.5D", "45N^3/(8P sqrt(M))", "capital"),
+                ("COnfLUX/CHOX", "1D/2.5D", "N^3/(P sqrt(M))", "conflux"))]
 
 
 def table2_model_validation(

@@ -1,5 +1,5 @@
 """Experiment harness: trace runners at the sweep's parameter defaults
-and text-table formatting shared by the figure benchmarks.
+and the text-table formatting the paper's artefacts print through.
 
 The paper's evaluation space is (implementation, N, P) with the memory /
 replication policy of Section 9: every run gets the maximum replication
@@ -137,11 +137,10 @@ def sweep_traces(cases: list[tuple[int, int]],
                  steps: str = "none") -> list[FactorizationResult]:
     """Trace every ``(impl, N, P)`` combination of the sweep.
 
-    This is the paper-style evaluation loop the figure benchmarks and
-    the ``perf/`` sweep workloads share.  Each ``(N, P)`` case is
-    one sweep task whose flavour set evaluates through
-    :func:`trace_case` — one :class:`TermBatch` per case.  Pass
-    ``steps="columnar"`` when per-step data is needed downstream.
+    This is the paper-style evaluation loop of the ``perf/`` sweep
+    workloads.  Each ``(N, P)`` case is one sweep task whose flavour set
+    evaluates through :func:`trace_case` — one :class:`TermBatch` per
+    case.  Pass ``steps="columnar"`` when per-step data is needed downstream.
 
     ``executor`` accepts a :mod:`repro.runtime` sweep executor (serial
     or process-pool, optionally cache-backed); the result order — and
@@ -373,7 +372,11 @@ def estimate_time(result: FactorizationResult,
 
 def format_table(headers: list[str], rows: list[list], title: str = "",
                  floatfmt: str = "{:.4g}") -> str:
-    """Plain-text table (the benches print what the paper tabulates)."""
+    """Plain-text table; a row must have one cell per header."""
+    for i, row in enumerate(rows):
+        if len(row) != len(headers):
+            raise ValueError(f"row {i} has {len(row)} cells for {len(headers)} headers")
+
     def fmt(x) -> str:
         if isinstance(x, float):
             if math.isnan(x):

@@ -264,7 +264,7 @@ def summa_25d_full_model(n: int, p: int, c: int, s: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Grouped accessors used by the figure benches
+# Grouped accessors used by the figure generators
 # ---------------------------------------------------------------------------
 
 def lu_models(n: float, p: float, mem_words: float) -> dict[str, float]:

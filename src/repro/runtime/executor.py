@@ -1,6 +1,6 @@
 """Sweep executors: serial and multiprocessing, cache-aware.
 
-The figure benchmarks and the ``perf/`` sweeps evaluate grids of
+The ``perf/`` sweeps evaluate grids of
 independent ``(impl, N, P)`` trace tasks.  This module gives that loop
 a pluggable execution strategy:
 

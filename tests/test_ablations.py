@@ -74,6 +74,24 @@ class TestRowSwapAblation:
         out = row_swap_ablation(16384, 1024)
         assert out["masking_words"] == 16384.0  # one index per row
 
+    def test_block_size_follows_the_replication_depth(self):
+        """P = 216 replicates c = 6 times, which does not divide 32:
+        the tile size is the sweep's default for (n, p, c), and the
+        bench-scale point keeps v = 32."""
+        out = row_swap_ablation(3456, 216)
+        assert (out["c"], out["v"]) == (6, 24)
+        assert out["masking_words"] == 3456.0
+        assert out["swapping_words"] > 50 * out["masking_words"]
+        assert row_swap_ablation(16384, 1024)["v"] == 32
+
+    def test_explicit_replication_depth_is_what_the_result_reports(self):
+        """Every number of the result is at the caller's ``c``; the
+        latency half of the Section-7.3 table (fixed at the maximal
+        depth) is merged in by the registry, not here."""
+        out = row_swap_ablation(16384, 1024, c=4)
+        assert out["c"] == 4 and "partial_rounds" not in out
+        assert out["leading_term"] > row_swap_ablation(16384, 1024)["leading_term"]
+
 
 class TestPivotingLatencyAblation:
     def test_round_reduction_is_v(self):

@@ -63,6 +63,15 @@ class TestHarness:
                            title="T")
         assert "T" in out and "a" in out and "2.5" in out and "-" in out
 
+    @pytest.mark.parametrize("headers, row", [(["a", "b"], [1]),
+                                              (["a"], [1, 2])])
+    def test_format_table_rejects_a_ragged_row(self, headers, row):
+        """A short row used to die with a bare IndexError, a long one
+        silently lost its last cell."""
+        with pytest.raises(ValueError, match=rf"row 1 has {len(row)} cells "
+                                             rf"for {len(headers)} headers"):
+            format_table(headers, [[0] * len(headers), row])
+
 
 class TestMemoryFeasibility:
     def test_all_five_schedules_per_case(self):

@@ -98,8 +98,7 @@ def test_costmodels_feed_only_figures_and_ablations():
         "src/repro/analysis/figures.py",
         "src/repro/analysis/ablations.py",
     }
-    assert _importers("benchmarks", "examples", "scripts", "perf") == {
-        "benchmarks/bench_table2_model_validation.py"}
+    assert _importers("benchmarks", "examples", "scripts", "perf") == set()
 
 
 def _schedule_calls(path: pathlib.Path) -> list[int]:

@@ -1,26 +1,36 @@
-"""Tests for the one-shot reproduction report."""
+"""Tests for the one-shot reproduction report, ``python -m repro
+figures`` (sections and names derived from ``FIGURES``)."""
+
+import contextlib
+import io
 
 import pytest
 
-from repro.analysis.reporting import full_report
+from repro.__main__ import main
+from repro.analysis.reporting import FIGURES
 
 
 class TestFullReport:
     @pytest.fixture(scope="class")
     def report(self):
-        # Small reference point keeps this fast; class-scoped so the
-        # content checks share one run.
-        return full_report(n_ref=8192, p_ref=256, quick=True)
+        # Class-scoped so the content checks share one run (~4 s).
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["figures"]) == 0
+        return out.getvalue()
 
     def test_all_sections_present(self, report):
-        for section in ("Lower bounds", "Communication volumes",
-                        "Model validation", "Communication reduction",
-                        "Time-to-solution", "Near-optimality", "Ablations"):
-            assert section in report
+        for name, artefact in FIGURES.items():
+            assert f"[{name}]  [{artefact.group}]" in report
+        assert report.count("claim: holds") == len(FIGURES)
 
     def test_all_implementations_reported(self, report):
-        for name in ("conflux", "confchox", "mkl", "slate", "candmc",
-                     "capital"):
+        names = {row["name"]
+                 for figure in ("fig9_lu_scaling", "fig10_cholesky_scaling")
+                 for row in FIGURES[figure].generator(**FIGURES[figure].kwargs)}
+        assert {"conflux", "confchox", "mkl", "slate", "candmc",
+                "capital"} <= names
+        for name in names:
             assert name in report
 
     def test_reduction_row_present(self, report):

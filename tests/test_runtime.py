@@ -248,17 +248,3 @@ class TestCacheGC:
     def test_gc_on_missing_directory_is_safe(self, tmp_path):
         cache = ResultCache(tmp_path / "never-created")
         assert cache.gc() == 0
-
-
-class TestFigureOptIn:
-    def test_fig8a_with_executor_matches_serial(self):
-        from repro.analysis import fig8a_comm_volume
-
-        serial = fig8a_comm_volume(n=4096, p_sweep=(16, 64))
-        par = fig8a_comm_volume(
-            n=4096, p_sweep=(16, 64),
-            executor=ProcessPoolSweepExecutor(max_workers=2))
-        assert serial.keys() == par.keys()
-        for name in serial:
-            assert [(pt.nranks, pt.measured_words) for pt in serial[name]] \
-                == [(pt.nranks, pt.measured_words) for pt in par[name]]
