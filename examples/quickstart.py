@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 import repro
+from repro.analysis.harness import trace
+from repro.factorizations import build
 
 
 def main() -> None:
@@ -52,7 +54,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Trace mode: paper-scale communication accounting, no numerics.
     # ------------------------------------------------------------------
-    big = repro.conflux_lu(16384, 1024, v=32, c=8, execute=False)
+    [big] = trace(build("lu", "conflux", 16384, 1024, v=32, c=8))
     model = 16384 ** 3 / (1024 * big.mem_words ** 0.5)
     print(f"\nTrace N=16384 P=1024 (paper scale)")
     print(f"  mean volume per rank             = {big.mean_recv_words:,.0f}")

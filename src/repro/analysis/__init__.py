@@ -33,6 +33,7 @@ from .harness import (
     format_table,
     max_replication,
     memory_feasibility,
+    trace,
     trace_cholesky,
     trace_lu,
 )
@@ -42,7 +43,7 @@ __all__ = [
     "NODE_MEM_WORDS", "RANKS_PER_NODE",
     "max_replication", "feasible",
     "MemoryFeasibility", "memory_feasibility",
-    "trace_lu", "trace_cholesky",
+    "trace", "trace_lu", "trace_cholesky",
     "block_size_ablation", "replication_ablation",
     "row_swap_ablation", "pivoting_latency_ablation",
     "estimate_time", "TimedRun", "format_table",

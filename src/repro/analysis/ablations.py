@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 
-from ..factorizations import conflux_lu, default_block_size
+from ..factorizations import build, default_block_size
 from ..machine.perf_model import PIZ_DAINT_XC40, PerfModel
 from ..models import costmodels as cm
-from .harness import max_replication
+from .harness import max_replication, trace
 
 __all__ = [
     "block_size_ablation",
@@ -45,7 +45,7 @@ def block_size_ablation(n: int = 16384, p: int = 1024, c: int = 8,
     for v in v_sweep:
         if v % c or n % v:
             continue
-        res = conflux_lu(n, p, v=v, c=c, execute=False)
+        [res] = trace(build("lu", "conflux", n, p, v=v, c=c))
         t = model.evaluate(res.step_log, p, n * n / p)
         rows.append({
             "n": n, "nranks": p, "c": c, "v": v,
@@ -61,15 +61,20 @@ def block_size_ablation(n: int = 16384, p: int = 1024, c: int = 8,
 
 def replication_ablation(n: int = 32768, p: int = 4096,
                          c_sweep=(1, 2, 4, 8, 16)) -> list[dict]:
-    """Sweep the replication depth ``c``: leading term vs O(M) overhead."""
+    """Sweep the replication depth ``c``: leading term vs O(M) overhead.
+
+    Each ``c`` runs at the smallest tile ``v >= max(4c, 16)`` that is a
+    multiple of ``c`` and divides ``n``; a ``c`` with no such ``v`` (or
+    not dividing ``p``) is skipped."""
     rows = []
     for c in c_sweep:
         if p % c:
             continue
-        v = max(4 * c, 16)
-        if n % v:
+        v = next((v for v in range(c, n + 1, c)
+                  if v >= max(4 * c, 16) and n % v == 0), None)
+        if v is None:
             continue
-        res = conflux_lu(n, p, v=v, c=c, execute=False)
+        [res] = trace(build("lu", "conflux", n, p, v=v, c=c))
         m = c * float(n) * n / p
         rows.append({
             "n": n, "nranks": p, "c": c,
@@ -97,7 +102,7 @@ def row_swap_ablation(n: int = 16384, p: int = 1024,
     if c is None:
         c = max_replication(p, n)
     v = default_block_size(n, p, c)
-    res = conflux_lu(n, p, v=v, c=c, execute=False)
+    [res] = trace(build("lu", "conflux", n, p, v=v, c=c))
     steps = n // v
     # Hypothetical swap volume: both rows of each swapped pair move
     # across the full remaining width, replicated on every layer; spread

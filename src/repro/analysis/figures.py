@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from ..factorizations import build, default_block_size
 from ..lowerbounds import cholesky_io_lower_bound, lu_io_lower_bound
 from ..models import costmodels as cm
 from ..planner.candidates import panel_width_2d
@@ -20,6 +21,7 @@ from .harness import (
     estimate_time,
     feasible,
     max_replication,
+    trace,
     trace_cholesky,
     trace_lu,
 )
@@ -247,8 +249,6 @@ def table1_routine_costs(n: int = 16384, p: int = 1024, t: int = 0,
     if c is None:
         c = max_replication(p, n)
     if v is None:
-        from ..factorizations.conflux import default_block_size
-
         v = default_block_size(n, p, c)
     p1 = p // c
     nrem = n - t * v
@@ -293,39 +293,28 @@ def table2_model_validation(
     """Table 2's validation: measured (traced) volume vs the full cost
     models; the paper reports +/-3% for MKL, SLATE and COnfLUX/CHOX, and
     30-40% overapproximation for the CANDMC/CAPITAL author models."""
-    from ..factorizations import confchox_cholesky, conflux_lu
-    from ..factorizations.baselines import (
-        scalapack_cholesky, scalapack_lu, slate_lu)
-    from ..factorizations.conflux import default_block_size
-
     rows = []
     for n, p in cases:
         c = max_replication(p, n)
         v = default_block_size(n, p, c)
         mem = c * float(n) * n / p
         checks = [
-            ("conflux", conflux_lu(n, p, v=v, c=c,
-                                   execute=False).mean_recv_words,
+            ("lu", "conflux", {"v": v, "c": c},
              cm.conflux_full_model(n, p, c, v)),
-            ("confchox", confchox_cholesky(n, p, v=v, c=c,
-                                           execute=False).mean_recv_words,
+            ("cholesky", "confchox", {"v": v, "c": c},
              cm.confchox_full_model(n, p, c, v)),
-            ("mkl", scalapack_lu(n, p, nb=128,
-                                 execute=False).mean_recv_words,
-             cm.mkl_lu_full_model(n, p, 128)),
-            ("slate", slate_lu(n, p, nb=128,
-                               execute=False).mean_recv_words,
-             cm.slate_lu_full_model(n, p, 128)),
-            ("mkl-chol", scalapack_cholesky(n, p, nb=128,
-                                            execute=False).mean_recv_words,
+            ("lu", "mkl", {"nb": 128}, cm.mkl_lu_full_model(n, p, 128)),
+            ("lu", "slate", {"nb": 128}, cm.slate_lu_full_model(n, p, 128)),
+            ("cholesky", "mkl-chol", {"nb": 128},
              cm.mkl_cholesky_full_model(n, p, 128)),
-            ("candmc", trace_lu("candmc", n, p, c=c).mean_recv_words,
-             cm.candmc_paper_model(n, p, mem)),
-            ("capital", trace_cholesky("capital", n, p,
-                                       c=c).mean_recv_words,
+            ("lu", "candmc", {"c": c}, cm.candmc_paper_model(n, p, mem)),
+            ("cholesky", "capital", {"c": c},
              cm.capital_paper_model(n, p, mem)),
         ]
-        for name, measured, model in checks:
+        traced = trace(*(build(op, name, n, p, **params)
+                         for op, name, params, _ in checks))
+        for (_, name, _, model), res in zip(checks, traced):
+            measured = res.mean_recv_words
             rows.append({
                 "name": name, "n": n, "nranks": p,
                 "measured": measured, "model": model,
@@ -339,16 +328,13 @@ def lower_bound_ratios(cases=((8192, 256), (16384, 1024)),
     """Section 6/7 headline: COnfLUX's volume vs the LU lower bound
     (factor ~1.5 plus lower-order terms) and COnfCHOX vs the Cholesky
     bound (factor ~3)."""
-    from ..factorizations import confchox_cholesky, conflux_lu
-    from ..factorizations.conflux import default_block_size
-
     rows = []
     for n, p in cases:
         c = max_replication(p, n)
         v = default_block_size(n, p, c)
         mem = c * float(n) * n / p
-        lu = conflux_lu(n, p, v=v, c=c, execute=False)
-        ch = confchox_cholesky(n, p, v=v, c=c, execute=False)
+        lu, ch = trace(build("lu", "conflux", n, p, v=v, c=c),
+                       build("cholesky", "confchox", n, p, v=v, c=c))
         rows.append({
             "kernel": "lu", "n": n, "nranks": p,
             "measured_max": lu.max_recv_words,

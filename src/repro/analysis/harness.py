@@ -25,7 +25,7 @@ __all__ = [
     "LU_IMPLEMENTATIONS", "CHOLESKY_IMPLEMENTATIONS",
     "NODE_MEM_WORDS", "RANKS_PER_NODE",
     "max_replication", "feasible",
-    "trace_lu", "trace_cholesky", "trace_case", "sweep_traces",
+    "trace", "trace_lu", "trace_cholesky", "trace_case", "sweep_traces",
     "sweep_tasks",
     "MemoryFeasibility", "memory_feasibility",
     "dft_workload_request", "workload_case",
@@ -81,9 +81,16 @@ def _sweep_schedule(op: str, name: str, n: int, p: int, c: int) -> Schedule:
     return build(op, name, n, p, c=c)
 
 
-def _trace(schedules: list[Schedule],
-           steps: str) -> list[FactorizationResult]:
-    """Reduce the schedules in one :class:`TermBatch` pass."""
+def trace(*schedules: Schedule,
+          steps: str = "columnar") -> list[FactorizationResult]:
+    """Trace-mode results of ``schedules``, in order: counters only, no
+    numerics, any problem scale.
+
+    The schedules' cost terms reduce in one :class:`TermBatch` pass —
+    bit-identical to tracing each alone.  ``steps`` selects the step
+    log kept on each result: ``"columnar"`` (per-step maxima, what
+    :func:`estimate_time` consumes) or ``"none"`` (what sweeps use).
+    """
     batch = TermBatch()
     for sched in schedules:
         batch.add(sched)
@@ -94,22 +101,17 @@ def _trace(schedules: list[Schedule],
 
 def trace_lu(name: str, n: int, p: int, c: int | None = None,
              steps: str = "columnar") -> FactorizationResult:
-    """Trace one LU implementation at paper scale (no numerics).
-
-    ``steps`` selects the step log kept on the result: the default
-    columnar log is what :func:`estimate_time` consumes;
-    ``steps="none"`` drops it (what sweeps use).  Either way the cost
-    terms reduce in closed form, O(steps + P).
-    """
+    """Trace one LU implementation at the sweep's parameter defaults
+    (see :func:`trace` for ``steps``)."""
     c = max_replication(p, n) if c is None else c
-    return _trace([_sweep_schedule("lu", name, n, p, c)], steps)[0]
+    return trace(_sweep_schedule("lu", name, n, p, c), steps=steps)[0]
 
 
 def trace_cholesky(name: str, n: int, p: int, c: int | None = None,
                    steps: str = "columnar") -> FactorizationResult:
     """Trace one Cholesky implementation at paper scale."""
     c = max_replication(p, n) if c is None else c
-    return _trace([_sweep_schedule("cholesky", name, n, p, c)], steps)[0]
+    return trace(_sweep_schedule("cholesky", name, n, p, c), steps=steps)[0]
 
 
 def trace_case(n: int, p: int,
@@ -124,10 +126,10 @@ def trace_case(n: int, p: int,
     tracing each implementation on its own.
     """
     c = max_replication(p, n)
-    return _trace(
-        [_sweep_schedule("lu", name, n, p, c) for name in lu_impls]
-        + [_sweep_schedule("cholesky", name, n, p, c)
-           for name in chol_impls], steps)
+    return trace(
+        *(_sweep_schedule("lu", name, n, p, c) for name in lu_impls),
+        *(_sweep_schedule("cholesky", name, n, p, c) for name in chol_impls),
+        steps=steps)
 
 
 def sweep_traces(cases: list[tuple[int, int]],
@@ -217,7 +219,7 @@ def _feasibility_schedules(n: int, p: int) -> list[Schedule]:
 
 def memory_feasibility(cases: list[tuple[int, int]],
                        node_mem_words: float = NODE_MEM_WORDS,
-                       executor=None) -> list[MemoryFeasibility]:
+                       ) -> list[MemoryFeasibility]:
     """Memory-budget sweep over ``(N, P)`` for all five schedules.
 
     For each configuration, evaluates every schedule's declared
@@ -227,17 +229,7 @@ def memory_feasibility(cases: list[tuple[int, int]],
     ``Machine(..., enforce_memory=True)``; a pd* call needs its layout
     copies on top (:func:`repro.planner.core.call_memory`), so a config
     infeasible here is one :func:`repro.api.pdgetrf` refuses too.
-
-    With an ``executor``, each ``(N, P)`` point is one sweep task
-    (kind ``"feasibility"``); rows come back flattened in case order.
     """
-    if executor is not None:
-        from ..runtime.executor import SweepTask
-
-        tasks = [SweepTask("feasibility", "all", n, p,
-                           extra=(("node_mem_words", node_mem_words),))
-                 for n, p in cases]
-        return [row for rows in executor.run(tasks) for row in rows]
     rows: list[MemoryFeasibility] = []
     for n, p in cases:
         for sched in _feasibility_schedules(n, p):

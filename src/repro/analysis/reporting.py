@@ -14,9 +14,9 @@ import math
 from typing import Any, Callable
 
 from .. import lowerbounds as lb
-from ..factorizations import confchox_cholesky, conflux_lu, default_block_size
+from ..factorizations import build, default_block_size
 from . import ablations, figures
-from .harness import RANKS_PER_NODE, max_replication
+from .harness import RANKS_PER_NODE, max_replication, trace
 
 __all__ = ["Artefact", "FIGURES"]
 
@@ -166,8 +166,8 @@ def table1_with_traces(n: int, p: int, t: int) -> dict[str, list[dict]]:
     algorithms at the same ``(c, v)``."""
     c = max_replication(p, n)
     v = default_block_size(n, p, c)
-    lu = conflux_lu(n, p, v=v, c=c, execute=False)
-    ch = confchox_cholesky(n, p, v=v, c=c, execute=False)
+    lu, ch = trace(build("lu", "conflux", n, p, v=v, c=c),
+                   build("cholesky", "confchox", n, p, v=v, c=c))
     return {"costs": [{"n": n, "nranks": p, "t": t, **row} for row in
                       figures.table1_routine_costs(n, p, t, v, c)],
             "traced": [{"metric": metric, "lu": a, "chol": b, "ratio": a / b}

@@ -45,10 +45,10 @@ Schedule selection has three forms, from most to least explicit:
   configuration without re-planning and attaches the passed object to
   ``PDResult.plan``;
 * ``impl="auto"`` — sugar over ``plan=``: the request is resolved
-  through the machine's ``plan_service`` attribute when set, else the
-  module-default :func:`~repro.planner.default_service` — so repeated
-  auto calls for the same ``(op, N, P, M)`` hit the service's LRU
-  instead of re-enumerating the candidate grid;
+  through the module-default :func:`~repro.planner.default_service`
+  (swap it with :func:`~repro.planner.set_default_service`) — so
+  repeated auto calls for the same ``(op, N, P, M)`` hit the service's
+  LRU instead of re-enumerating the candidate grid;
 * explicit ``impl=`` + parameters (``v``/``c`` for the 2.5D schedules,
   ``nb`` for the 2D baselines, ``s``/``c`` for the matmul); a keyword
   the chosen ``impl`` does not take is rejected, never dropped.
@@ -77,7 +77,7 @@ from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
 from .planner import Plan, PlannedConfig, PlanRequest, planner_labels
 from .planner.core import call_memory, native_layout
-from .planner.service import PlanService, default_service
+from .planner.service import default_service
 from .planner.workload import WorkloadPlan, WorkloadRequest, config_schedule
 
 __all__ = ["pdgetrf", "pdpotrf", "pdgemm", "pdgetrs", "pdpotrs",
@@ -184,14 +184,6 @@ _UNSET = {"v": None, "nb": None, "s": None, "c": 1}
 _EXPLICIT_DEFAULTS = {"v": 16, "nb": 16}
 
 
-def _service_for(machine: Machine) -> PlanService:
-    """The :class:`PlanService` an ``impl="auto"`` call consults: the
-    machine's own (``machine.plan_service = PlanService(...)``) when
-    set, else the module default."""
-    service = getattr(machine, "plan_service", None)
-    return service if service is not None else default_service()
-
-
 def _resolve(machine: Machine, op: str, desc: ScaLAPACKDescriptor,
              impl: str, plan: Plan | PlannedConfig | None,
              given: dict[str, Any],
@@ -213,7 +205,7 @@ def _resolve(machine: Machine, op: str, desc: ScaLAPACKDescriptor,
         held = 0.0 if budget is None else (
             max(store.words for store in machine.stores)
             + _layout_from_desc(desc).local_words(0) - unit)
-        plan = _service_for(machine).plan(PlanRequest(
+        plan = default_service().plan(PlanRequest(
             op, desc.n, machine.nranks, budget,
             api_copies=max(0, math.ceil(held / unit))))
     if plan is not None:
@@ -504,7 +496,7 @@ def run_workload(machine: Machine,
         if request.mem_words is None and machine.enforces_memory:
             request = dataclasses.replace(request,
                                           mem_words=machine.mem_words)
-        plan = _service_for(machine).plan_workload(request)
+        plan = default_service().plan_workload(request)
     else:
         plan = workload
     request = plan.request

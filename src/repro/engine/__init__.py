@@ -3,10 +3,10 @@
 See ``ARCHITECTURE.md`` at the repo root for the layer diagram.  In
 short: a :class:`~repro.engine.schedule.Schedule` describes *what
 happens at step t* of an algorithm; a backend decides *how* the steps
-run — analytically counted (:class:`TraceBackend`), executed on global
-NumPy arrays (:class:`DenseBackend`), or executed through counted
-:class:`~repro.machine.comm.Machine` collectives on per-rank stores
-(:class:`DistributedBackend`).
+run — executed on global NumPy arrays (:class:`DenseBackend`), or
+through counted :class:`~repro.machine.comm.Machine` collectives on
+per-rank stores (:class:`DistributedBackend`).  Counters alone come
+from :func:`repro.analysis.harness.trace`.
 """
 
 from .accounting import StepAccounting
@@ -14,19 +14,15 @@ from .backends import (
     DenseBackend,
     DistributedBackend,
     MemoryReport,
-    TraceBackend,
     machine_for,
-    run_with,
 )
 from .schedule import Schedule
 
 __all__ = [
     "Schedule",
     "StepAccounting",
-    "TraceBackend",
     "DenseBackend",
     "DistributedBackend",
     "MemoryReport",
     "machine_for",
-    "run_with",
 ]

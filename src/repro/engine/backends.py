@@ -1,18 +1,18 @@
-"""Execution backends: one schedule, three ways to run it.
+"""Execution backends: one schedule, two ways to run it.
 
-* :class:`TraceBackend` — analytic accounting only.  No matrix data is
-  touched, so paper-scale ``(impl, N, P)`` sweeps are cheap; the step
-  axis reduces in closed form (see :mod:`repro.engine.accounting`),
-  which is what makes the sweep harness fast.
-* :class:`DenseBackend` — the same accounting plus global-view NumPy
-  execution of every step, producing verifiable factors.  This is the
-  seed repo's ``execute=True`` mode: counters are analytic, numerics are
-  real.
+* :class:`DenseBackend` — the analytic accounting plus global-view
+  NumPy execution of every step, producing verifiable factors: counters
+  are analytic, numerics are real.  What every one-call function
+  (``conflux_lu``, ``slate_lu`` ...) runs.
 * :class:`DistributedBackend` — message-passing execution on a
   :class:`~repro.machine.comm.Machine`: operands live in per-rank
   stores and move only through counted collectives, so received-word
   counts come from actual data movement rather than formulas.  The
   parity tests check the two agree.
+
+Counters without numerics — any problem scale — are
+:func:`repro.analysis.harness.trace`: the accounting alone, reduced in
+closed form (see :mod:`repro.engine.accounting`).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .schedule import Schedule
 if TYPE_CHECKING:  # pragma: no cover
     from ..factorizations.common import FactorizationResult
 
-__all__ = ["TraceBackend", "DenseBackend", "DistributedBackend",
-           "MemoryReport", "machine_for", "run_with"]
+__all__ = ["DenseBackend", "DistributedBackend", "MemoryReport",
+           "machine_for"]
 
 
 def machine_for(schedule: Schedule, enforce_memory: bool = True,
@@ -108,26 +108,6 @@ def _result_cls():
     # schedules, so importing it at module load would be circular.
     from ..factorizations.common import FactorizationResult
     return FactorizationResult
-
-
-class TraceBackend:
-    """Analytic accounting only — no numerics, any problem scale.
-
-    ``steps`` picks the step-log flavour: ``"columnar"`` (default —
-    per-step maxima as lazy NumPy columns, what the BSP perf model
-    consumes) or ``"none"`` (no log at all).  Either way it is the
-    O(steps + P) closed-form evaluation — step columns derive
-    analytically too.
-    """
-
-    def __init__(self, steps: str = "columnar") -> None:
-        self.steps = steps
-
-    def run(self, schedule: Schedule) -> "FactorizationResult":
-        stats = schedule.trace_stats(steps=self.steps)
-        return _result_cls()(
-            schedule.name, schedule.n, schedule.nranks, schedule.mem_words,
-            stats, schedule.params())
 
 
 class DenseBackend:
@@ -261,22 +241,3 @@ def _apply_delta(dst: CommStats, stats: CommStats,
     dst.recv_msgs += stats.recv_msgs - rmsgs
     dst.sent_msgs += stats.sent_msgs - smsgs
     dst.flops += stats.flops - flops
-
-
-# How the `execute=`-flagged one-call functions (`conflux_lu`, ...) pick
-# a backend.
-def run_with(schedule: Schedule, execute: bool,
-             a: np.ndarray | None = None,
-             rng: np.random.Generator | None = None) -> "FactorizationResult":
-    """Trace (``execute=False``) or dense (``execute=True``) run.
-
-    Trace mode takes no inputs: passing a matrix or a generator there is
-    an error (the run could not honour them).
-    """
-    if not execute:
-        if a is not None:
-            raise ValueError("trace mode takes no input matrix")
-        if rng is not None:
-            raise ValueError("trace mode takes no random generator")
-        return TraceBackend().run(schedule)
-    return DenseBackend().run(schedule, a=a, rng=rng)

@@ -8,10 +8,12 @@ sequence through three views, one per backend:
 
 * :meth:`accounting` — the analytic per-rank cost of every step,
   declared as cost terms through
-  :class:`~repro.engine.accounting.StepAccounting` (consumed by
-  ``TraceBackend`` and, for the counters, by ``DenseBackend``);
+  :class:`~repro.engine.accounting.StepAccounting` (reduced by
+  :func:`repro.analysis.harness.trace` and, for the counters, by
+  ``DenseBackend``);
 * :meth:`dense_init` / :meth:`dense_step` / :meth:`dense_finalize` —
-  global-view NumPy execution producing verifiable factors;
+  global-view NumPy execution producing verifiable factors (optional:
+  the cost-model baselines have none);
 * :meth:`dist_init` / :meth:`dist_step` / :meth:`dist_finalize` —
   message-passing execution on a :class:`~repro.machine.comm.Machine`,
   where every operand a rank touches arrived through a counted
@@ -114,18 +116,21 @@ class Schedule(abc.ABC):
     # ------------------------------------------------------------------
     # Dense view (global NumPy arrays)
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def dense_init(self, a: np.ndarray | None,
                    rng: np.random.Generator | None) -> Any:
         """Build the dense execution state (generating inputs if needed)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no dense execution")
 
-    @abc.abstractmethod
     def dense_step(self, state: Any, t: int) -> None:
         """Execute step ``t`` on the global-view state."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no dense execution")
 
-    @abc.abstractmethod
     def dense_finalize(self, state: Any) -> dict[str, Any]:
         """Numeric outputs: ``lower`` / ``upper`` / ``perm`` (as applicable)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no dense execution")
 
     # ------------------------------------------------------------------
     # Distributed view (per-rank stores, counted collectives)

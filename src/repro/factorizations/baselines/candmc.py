@@ -39,15 +39,10 @@ from ...engine.accounting import StepAccounting
 from ...engine.schedule import Schedule
 from ...kernels import flops
 from ...machine.grid import sorted_divisors
-from ..common import (
-    FactorizationResult,
-    resolve_25d,
-    run_impl,
-    validate_problem,
-)
+from ..common import resolve_25d, validate_problem
 from .. import pivoting
 
-__all__ = ["CandmcSchedule", "PanelModelSchedule", "candmc_lu"]
+__all__ = ["CandmcSchedule", "PanelModelSchedule"]
 
 
 class PanelModelSchedule(Schedule):
@@ -88,16 +83,6 @@ class PanelModelSchedule(Schedule):
         nrem = self.n - self.b * np.arange(self.steps(), dtype=np.float64)
         return nrem, nrem - self.b
 
-    def dense_init(self, *_: Any) -> Any:
-        raise NotImplementedError(
-            f"{self.name.upper()} is reproduced as a model-faithful "
-            "trace; the paper compares against its published cost model "
-            "(Table 2)")
-
-    # No dense state can exist, so the other dense hooks are the same
-    # refusal.
-    dense_step = dense_finalize = dense_init
-
 
 class CandmcSchedule(PanelModelSchedule):
     """Nested 2.5D LU with full row swapping (trace view only)."""
@@ -132,11 +117,3 @@ class CandmcSchedule(PanelModelSchedule):
             2.0 * nrem_t * n11_t * b / p
             + 2.0 * flops.trsm_flops(b, n11_t / p)))
 
-
-def candmc_lu(n: int, nranks: int, b: int | None = None, c: int | None = None,
-              mem_words: float | None = None,
-              execute: bool = False) -> FactorizationResult:
-    """One-call CANDMC 2.5D LU trace.  ``execute=True`` is rejected —
-    CANDMC is reproduced at the cost-model level (see module docstring)."""
-    return run_impl("lu", "candmc", n, nranks, execute, b=b, c=c,
-                    mem_words=mem_words)

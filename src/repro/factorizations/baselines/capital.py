@@ -24,10 +24,9 @@ import math
 
 from ...engine.accounting import StepAccounting
 from ...kernels import flops
-from ..common import FactorizationResult, run_impl
 from .candmc import PanelModelSchedule
 
-__all__ = ["CapitalSchedule", "capital_cholesky"]
+__all__ = ["CapitalSchedule"]
 
 
 class CapitalSchedule(PanelModelSchedule):
@@ -52,11 +51,3 @@ class CapitalSchedule(PanelModelSchedule):
         acct.add_flops(1.0, step=acct.column(
             nrem_t * n11_t * b / p + flops.trsm_flops(b, n11_t / p)))
 
-
-def capital_cholesky(n: int, nranks: int, b: int | None = None,
-                     c: int | None = None, mem_words: float | None = None,
-                     execute: bool = False) -> FactorizationResult:
-    """One-call CAPITAL 2.5D Cholesky trace (model-faithful; no numeric
-    execution, matching the paper's model-based comparison)."""
-    return run_impl("cholesky", "capital", n, nranks, execute, b=b, c=c,
-                    mem_words=mem_words)

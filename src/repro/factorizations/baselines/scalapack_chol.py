@@ -258,18 +258,18 @@ class ScalapackCholeskySchedule(Schedule):
 
 
 def scalapack_cholesky(n: int, nranks: int, nb: int = 128,
-                       execute: bool = True, a: np.ndarray | None = None,
+                       a: np.ndarray | None = None,
                        rng: np.random.Generator | None = None,
                        mem_words: float | None = None) -> FactorizationResult:
     """One-call 2D ScaLAPACK/MKL-style Cholesky."""
-    return run_impl("cholesky", "mkl-chol", n, nranks, execute, a=a,
-                    rng=rng, nb=nb, mem_words=mem_words)
+    return run_impl("cholesky", "mkl-chol", n, nranks, a=a, rng=rng,
+                    nb=nb, mem_words=mem_words)
 
 
-def slate_cholesky(n: int, nranks: int, nb: int = 128, execute: bool = True,
+def slate_cholesky(n: int, nranks: int, nb: int = 128,
                    a: np.ndarray | None = None,
                    rng: np.random.Generator | None = None,
                    mem_words: float | None = None) -> FactorizationResult:
     """One-call SLATE-style 2D Cholesky."""
-    return run_impl("cholesky", "slate-chol", n, nranks, execute, a=a,
-                    rng=rng, nb=nb, mem_words=mem_words)
+    return run_impl("cholesky", "slate-chol", n, nranks, a=a, rng=rng,
+                    nb=nb, mem_words=mem_words)

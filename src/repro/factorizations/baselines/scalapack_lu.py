@@ -362,21 +362,19 @@ class ScalapackLUSchedule(Schedule):
                 "upper": np.triu(packed), "perm": perm}
 
 
-def scalapack_lu(n: int, nranks: int, nb: int = 128, execute: bool = True,
+def scalapack_lu(n: int, nranks: int, nb: int = 128,
                  a: np.ndarray | None = None,
                  rng: np.random.Generator | None = None,
-                 panel_rebroadcast: bool = True,
                  mem_words: float | None = None) -> FactorizationResult:
     """One-call 2D ScaLAPACK/MKL-style LU."""
-    return run_impl("lu", "mkl", n, nranks, execute, a=a, rng=rng, nb=nb,
-                    panel_rebroadcast=panel_rebroadcast,
+    return run_impl("lu", "mkl", n, nranks, a=a, rng=rng, nb=nb,
                     mem_words=mem_words)
 
 
-def slate_lu(n: int, nranks: int, nb: int = 128, execute: bool = True,
+def slate_lu(n: int, nranks: int, nb: int = 128,
              a: np.ndarray | None = None,
              rng: np.random.Generator | None = None,
              mem_words: float | None = None) -> FactorizationResult:
     """One-call SLATE-style 2D LU."""
-    return run_impl("lu", "slate", n, nranks, execute, a=a, rng=rng,
+    return run_impl("lu", "slate", n, nranks, a=a, rng=rng,
                     nb=nb, mem_words=mem_words)

@@ -3,8 +3,8 @@ factorization schedules.
 
 Every algorithm is an engine schedule (see ``ARCHITECTURE.md``) whose
 trace, dense, and distributed runs all produce a
-:class:`FactorizationResult`: per-rank counters plus (outside trace
-mode) verifiable factors.  :func:`resolve_25d` is the one statement of
+:class:`FactorizationResult`: per-rank counters plus (outside a trace)
+verifiable factors.  :func:`resolve_25d` is the one statement of
 the 2.5D default policy, :func:`default_input` the one default-matrix
 generator, and :func:`run_impl` the body of every one-call function.
 """
@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.backends import run_with
+from ..engine.backends import DenseBackend
 from ..machine.grid import (
     ProcessorGrid3D,
     choose_grid_25d,
@@ -87,8 +87,8 @@ class FactorizationResult:
 
     ``comm`` holds the per-rank counters; ``max_recv_words`` is the
     communicated-elements-per-processor metric of the paper's figures.
-    Numeric outputs (``lower``, ``upper``, ``perm``) are None in trace
-    mode.
+    Numeric outputs (``lower``, ``upper``, ``perm``) are None on a
+    trace (:func:`repro.analysis.harness.trace`).
     """
 
     name: str
@@ -131,16 +131,16 @@ class FactorizationResult:
         return self.lower @ self.lower.T
 
 
-def run_impl(op: str, label: str, n: int, nranks: int, execute: bool,
+def run_impl(op: str, label: str, n: int, nranks: int,
              a: np.ndarray | tuple | None = None,
              rng: np.random.Generator | None = None,
              **params: Any) -> FactorizationResult:
-    """Build ``(op, label)`` from the implementation table and trace
-    (``execute=False``) or densely execute it — what every one-call
-    function (``conflux_lu``, ``slate_lu`` ...) is."""
+    """Build ``(op, label)`` from the implementation table and run it on
+    the dense backend — what every one-call function (``conflux_lu``,
+    ``slate_lu`` ...) is."""
     # Deferred: the table imports the schedule modules, which import
     # this one.
     from .registry import build
 
-    return run_with(build(op, label, n, nranks, **params), execute,
-                    a=a, rng=rng)
+    return DenseBackend().run(build(op, label, n, nranks, **params),
+                              a=a, rng=rng)

@@ -276,10 +276,10 @@ class _DistState:
 
 def confchox_cholesky(n: int, nranks: int, v: int | None = None,
                       c: int | None = None, mem_words: float | None = None,
-                      execute: bool = True, a: np.ndarray | None = None,
+                      a: np.ndarray | None = None,
                       rng: np.random.Generator | None = None,
                       ) -> FactorizationResult:
     """One-call COnfCHOX: factor an SPD matrix (a random well-conditioned
-    one by default), or trace with ``execute=False``."""
-    return run_impl("cholesky", "confchox", n, nranks, execute, a=a,
-                    rng=rng, v=v, c=c, mem_words=mem_words)
+    one by default) on the dense backend."""
+    return run_impl("cholesky", "confchox", n, nranks, a=a, rng=rng,
+                    v=v, c=c, mem_words=mem_words)

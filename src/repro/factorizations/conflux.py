@@ -29,8 +29,8 @@ executes the factorization on global NumPy arrays; the *distributed*
 view runs the same eleven sub-steps through counted
 :class:`~repro.machine.comm.Machine` collectives on per-rank tile
 stores, so received words come from actual data movement.
-:func:`conflux_lu` is the one-call ``execute=True/False`` entry point on
-top of the trace and dense backends.
+:func:`conflux_lu` is the one-call entry point on top of the dense
+backend.
 """
 
 from __future__ import annotations
@@ -525,13 +525,13 @@ class ConfluxSchedule(Schedule):
 
 def conflux_lu(n: int, nranks: int, v: int | None = None,
                c: int | None = None, mem_words: float | None = None,
-               execute: bool = True, a: np.ndarray | None = None,
+               a: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
-    """One-call COnfLUX: factorize (``execute=True``: the dense backend,
-    real factors with analytic counters) or trace (``execute=False``:
-    counters only, paper scale; takes no ``a``/``rng``) an ``n x n``
-    system on ``nranks`` simulated processors.  For message-passing
-    execution hand a :class:`ConfluxSchedule` to
-    :class:`~repro.engine.backends.DistributedBackend`."""
-    return run_impl("lu", "conflux", n, nranks, execute, a=a, rng=rng,
+    """One-call COnfLUX: factorize an ``n x n`` system on ``nranks``
+    simulated processors on the dense backend (real factors, analytic
+    counters).  For message-passing execution hand a
+    :class:`ConfluxSchedule` to
+    :class:`~repro.engine.backends.DistributedBackend`; for counters
+    alone at paper scale, to :func:`repro.analysis.harness.trace`."""
+    return run_impl("lu", "conflux", n, nranks, a=a, rng=rng,
                     v=v, c=c, mem_words=mem_words)

@@ -323,12 +323,11 @@ class Matmul25DSchedule(Schedule):
 
 def matmul_25d(n: int, nranks: int, s: int | None = None,
                c: int | None = None, mem_words: float | None = None,
-               execute: bool = True, a: np.ndarray | None = None,
+               a: np.ndarray | None = None,
                b: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
-    """One-call 2.5D matmul; the product is in ``result.lower``."""
-    if not execute and (a is not None or b is not None):
-        raise ValueError("trace mode takes no operands")
-    return run_impl("gemm", "25d", n, nranks, execute,
+    """One-call 2.5D matmul on the dense backend; the product is in
+    ``result.lower``."""
+    return run_impl("gemm", "25d", n, nranks,
                     a=(a, b) if b is not None else a, rng=rng,
                     s=s, c=c, mem_words=mem_words)

@@ -261,6 +261,3 @@ class Machine:
     def compute(self, rank: int, flops: float) -> None:
         """Attribute ``flops`` local floating-point operations to ``rank``."""
         self.stats.record_flops(rank, flops)
-
-    def reset_stats(self) -> None:
-        self.stats.reset()

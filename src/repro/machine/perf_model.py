@@ -28,7 +28,7 @@ import dataclasses
 
 import numpy as np
 
-from .stats import ColumnarStepLog, StepRecord
+from .stats import ColumnarStepLog
 
 __all__ = ["MachineParams", "PIZ_DAINT_XC40", "PerfModel", "TimeBreakdown"]
 
@@ -125,11 +125,6 @@ class PerfModel:
         t_lat = msgs_max * p.latency_s
         return t_comp, t_bw, t_lat
 
-    def step_time(self, rec: StepRecord, local_words: float) -> tuple[float, float, float]:
-        """(compute, bandwidth, latency) seconds of one superstep."""
-        return self._step_times(rec.flops_max, rec.recv_words_max,
-                                rec.msgs_max, local_words)
-
     def evaluate(self, log: ColumnarStepLog, nranks: int,
                  local_words: float) -> TimeBreakdown:
         """Estimate time and achieved fraction of machine peak.
@@ -177,7 +172,6 @@ class PerfModel:
     def time_closed_form(self, flops_max: float, words_max: float,
                          msgs_max: float, local_words: float) -> float:
         """One-shot estimate without a step log (whole run as one step)."""
-        rec = StepRecord("run", flops_max=flops_max, flops_total=flops_max,
-                         recv_words_max=words_max, msgs_max=msgs_max)
-        t_comp, t_bw, t_lat = self.step_time(rec, local_words)
+        t_comp, t_bw, t_lat = self._step_times(flops_max, words_max,
+                                               msgs_max, local_words)
         return max(t_comp, (1.0 - self.params.overlap) * t_bw) + t_lat

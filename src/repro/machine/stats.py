@@ -64,20 +64,6 @@ class StepRecord:
     msgs_max: float = 0.0
     msgs_total: float = 0.0
 
-    def merged(self, other: "StepRecord", label: str | None = None) -> "StepRecord":
-        """Combine two records that execute *concurrently* (max of maxima)."""
-        return StepRecord(
-            label=label or self.label,
-            flops_max=max(self.flops_max, other.flops_max),
-            flops_total=self.flops_total + other.flops_total,
-            recv_words_max=max(self.recv_words_max, other.recv_words_max),
-            recv_words_total=self.recv_words_total + other.recv_words_total,
-            sent_words_max=max(self.sent_words_max, other.sent_words_max),
-            sent_words_total=self.sent_words_total + other.sent_words_total,
-            msgs_max=max(self.msgs_max, other.msgs_max),
-            msgs_total=self.msgs_total + other.msgs_total,
-        )
-
 
 #: The numeric fields of a StepRecord, in declaration order.
 STEP_FIELDS = ("flops_max", "flops_total", "recv_words_max",
@@ -230,7 +216,6 @@ class CommStats:
         if nranks <= 0:
             raise RankError(f"need at least one rank, got {nranks}")
         self.nranks = int(nranks)
-        self.steps_mode = steps
         self.sent_words = np.zeros(nranks, dtype=np.float64)
         self.recv_words = np.zeros(nranks, dtype=np.float64)
         self.sent_msgs = np.zeros(nranks, dtype=np.float64)
@@ -367,14 +352,6 @@ class CommStats:
     @property
     def max_flops(self) -> float:
         return float(self.flops.max())
-
-    def reset(self) -> None:
-        for arr in (self.sent_words, self.recv_words, self.sent_msgs,
-                    self.recv_msgs, self.flops):
-            arr[:] = 0.0
-        self.steps = _make_step_log(self.steps_mode)
-        self._step_label = None
-        self._snap = None
 
     def summary(self) -> dict[str, float]:
         return {

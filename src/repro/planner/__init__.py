@@ -13,9 +13,8 @@ On top of live planning sits the serving layer: :class:`PlanAtlas`
 (:mod:`repro.planner.atlas`) precomputes ranked plans over a request
 lattice into a content-addressed on-disk cache, and
 :class:`PlanService` (:mod:`repro.planner.service`) answers requests
-from an in-process LRU, the atlas, or live batched planning — with
-``plan_many`` / ``plan_async`` front-ends.  :mod:`repro.api` routes
-``impl="auto"`` through the default service.
+from an in-process LRU, the atlas, or live planning.  :mod:`repro.api`
+routes ``impl="auto"`` through the default service.
 
 Whole programs plan jointly through the workload IR
 (:mod:`repro.planner.workload`): a :class:`WorkloadRequest` DAG of pd*

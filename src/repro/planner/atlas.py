@@ -60,6 +60,31 @@ class Infeasible:
     message: str
 
 
+def _plan_live(requests: list[PlanRequest | WorkloadRequest],
+               machine_params: MachineParams,
+               ) -> list[Plan | WorkloadPlan | Infeasible]:
+    """Live plans for ``requests``, in order: every :class:`PlanRequest`
+    in **one** batched :func:`~repro.planner.core.plan_batch` pass, each
+    :class:`WorkloadRequest` jointly via
+    :func:`~repro.planner.workload.plan_workload`, and an
+    :class:`Infeasible` marker wherever nothing fits."""
+    single = [req for req in requests if isinstance(req, PlanRequest)]
+    plans = iter(plan_batch(single, machine_params=machine_params,
+                            strict=False))
+    out: list[Plan | WorkloadPlan | Infeasible] = []
+    for req in requests:
+        if isinstance(req, PlanRequest):
+            plan = next(plans)
+            out.append(plan if plan is not None else Infeasible(str(
+                _no_feasible_error(req.op, req.n, req.p, req.budget))))
+            continue
+        try:
+            out.append(plan_workload(req, machine_params=machine_params))
+        except NoFeasiblePlanError as exc:
+            out.append(Infeasible(str(exc)))
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class AtlasBuildStats:
     """One :meth:`PlanAtlas.build` outcome.
@@ -149,7 +174,7 @@ class PlanAtlas:
 
     # ------------------------------------------------------------------
     def build(self, lattice: list[PlanRequest | WorkloadRequest],
-              executor=None) -> AtlasBuildStats:
+              ) -> AtlasBuildStats:
         """Precompute (or resume precomputing) every lattice point.
 
         The lattice may mix :class:`PlanRequest` points (planned in
@@ -161,14 +186,6 @@ class PlanAtlas:
         under the current fingerprint are reused and everything is
         written through atomically.  The manifest is merged, not
         replaced, so incremental builds extend the lattice.
-
-        ``executor`` accepts any :mod:`repro.runtime` sweep executor
-        (pool or :class:`~repro.runtime.fabric.DistributedSweepExecutor`):
-        each missing point becomes one ``kind="plan"`` sweep task, so
-        large atlas builds shard across processes or hosts.  Planning a
-        request alone is bit-identical to the batched pass
-        (``plan_batch``'s contract), so the stored plans do not depend
-        on the execution strategy.
         """
         tel = obs.default_telemetry()
         t0 = tel.clock()
@@ -180,33 +197,10 @@ class PlanAtlas:
             points = list(dict.fromkeys(points))
             misses = [req for req in points if self.get(req) is None]
             infeasible = 0
-            if executor is not None:
-                infeasible = self._build_sharded(misses, executor)
-            else:
-                single = [req for req in misses
-                          if isinstance(req, PlanRequest)]
-                plans = plan_batch(single,
-                                   machine_params=self.machine_params,
-                                   strict=False)
-                for req, plan in zip(single, plans):
-                    if plan is None:
-                        infeasible += 1
-                        value: Plan | WorkloadPlan | Infeasible = \
-                            Infeasible(str(_no_feasible_error(
-                                req.op, req.n, req.p, req.budget)))
-                    else:
-                        value = plan
-                    self.cache.put(self._token(req), value)
-                for req in misses:
-                    if isinstance(req, PlanRequest):
-                        continue
-                    try:
-                        value = plan_workload(
-                            req, machine_params=self.machine_params)
-                    except NoFeasiblePlanError as exc:
-                        infeasible += 1
-                        value = Infeasible(str(exc))
-                    self.cache.put(self._token(req), value)
+            for req, value in zip(misses,
+                                  _plan_live(misses, self.machine_params)):
+                infeasible += isinstance(value, Infeasible)
+                self.cache.put(self._token(req), value)
             merged = dict.fromkeys(list(self.manifest()) + points)
             self._manifest = tuple(merged)
             self.cache.put(self._manifest_token(), list(self._manifest))
@@ -223,21 +217,3 @@ class PlanAtlas:
                                infeasible=infeasible,
                                wall_s=wall_s)
 
-    def _build_sharded(self, misses, executor) -> int:
-        """Plan the missing points through a sweep executor — one
-        ``kind="plan"`` task per point — and store the returned plans
-        (or :class:`Infeasible` markers).  Returns the infeasible
-        count."""
-        from ..runtime.executor import SweepTask
-
-        tasks = [SweepTask("plan", getattr(req, "op", "workload"),
-                           getattr(req, "n", 0), getattr(req, "p", 0),
-                           extra=(("machine_params", self.machine_params),
-                                  ("request", req)))
-                 for req in misses]
-        infeasible = 0
-        for req, value in zip(misses, executor.run(tasks)):
-            if isinstance(value, Infeasible):
-                infeasible += 1
-            self.cache.put(self._token(req), value)
-        return infeasible

@@ -375,8 +375,8 @@ def plan_batch(requests: list[PlanRequest],
     With ``strict`` (the default) an infeasible request raises
     :class:`NoFeasiblePlanError` exactly as :func:`plan_request` does;
     ``strict=False`` yields ``None`` in that request's slot instead, so
-    a caller batching unrelated questions (the atlas builder, the
-    service's ``plan_many``) keeps the feasible answers.
+    a caller batching unrelated questions (:meth:`PlanAtlas.build
+    <repro.planner.atlas.PlanAtlas.build>`) keeps the feasible answers.
     """
     tel = obs.default_telemetry()
     t0 = tel.clock()

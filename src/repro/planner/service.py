@@ -1,10 +1,10 @@
-"""The planning service: warm-cache, batched, async-friendly lookups.
+"""The planning service: warm-cache plan lookups.
 
 ``PlanService`` is the front-end the ``millions-of-users`` story needs:
 "best schedule for this problem on this machine" answered from an
 in-process LRU in O(1), from a precomputed
 :class:`~repro.planner.atlas.PlanAtlas` on first touch, and by live
-(batched) planning only when neither holds the answer.  Resolution
+planning only when neither holds the answer.  Resolution
 order for one :class:`~repro.planner.core.PlanRequest`:
 
 1. **LRU** — exact request key, pure dict lookup;
@@ -15,20 +15,13 @@ order for one :class:`~repro.planner.core.PlanRequest`:
 3. **atlas, snapped** — the nearest dominated lattice point (same
    ``(op, n, p, api_copies, impls)``, largest lattice budget that does
    not exceed the query's), whose plan is provably feasible for the
-   query though possibly conservative — disable with ``snap=False``
-   for exact-only serving;
-4. **live** — :func:`~repro.planner.core.plan_batch`; the answer is
-   remembered in the LRU.
+   query though possibly conservative;
+4. **live** — :func:`~repro.planner.core.plan_batch` of the one
+   request; the answer is remembered in the LRU.
 
-``plan_many`` resolves a whole request list that way and live-plans
-*all* its misses in one batched :class:`TermBatch` pass — bit-identical
-to calling :meth:`plan` sequentially (the parity tests pin this).
-``plan_async`` / ``plan_many_async`` are thin asyncio wrappers that run
-the lookup in the default executor, so an event-loop server can await
-plans without blocking on disk or live planning.  All resolution state
-(the LRU, the counters, live planning) sits behind one
-``threading.Lock``, so concurrent awaits are safe and overlapping
-queries for the same request live-plan it exactly once.
+All resolution state (the LRU, the counters, live planning) sits behind
+one ``threading.Lock``, so a service shared between threads is safe and
+overlapping queries for the same request live-plan it exactly once.
 
 ``plan_workload`` serves :class:`~repro.planner.workload.WorkloadRequest`
 DAGs through the same hierarchy (minus budget snapping, which has no
@@ -40,37 +33,30 @@ cached (as an :class:`~repro.planner.atlas.Infeasible` marker) and
 replayed on every repeat.
 
 :func:`default_service` is the module-level instance
-:mod:`repro.api`'s ``impl="auto"`` consults when the caller's
-:class:`~repro.machine.comm.Machine` does not carry its own
-``plan_service`` attribute — repeated auto calls on same-shaped
+:mod:`repro.api`'s ``impl="auto"`` consults (install another with
+:func:`set_default_service`) — repeated auto calls on same-shaped
 machines hit the LRU instead of re-planning.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from collections import OrderedDict
 
 from .. import obs
 from ..machine.perf_model import PIZ_DAINT_XC40, MachineParams
-from .atlas import Infeasible, PlanAtlas
-from .core import (
-    NoFeasiblePlanError,
-    Plan,
-    PlanRequest,
-    _no_feasible_error,
-    plan_batch,
-)
-from .workload import WorkloadPlan, WorkloadRequest, plan_workload
+from .atlas import Infeasible, PlanAtlas, _plan_live
+from .core import NoFeasiblePlanError, Plan, PlanRequest
+from .workload import WorkloadPlan, WorkloadRequest
 
 __all__ = ["PlanService", "ServiceStats", "default_service",
            "set_default_service"]
 
 
 class ServiceStats:
-    """Resolution counters, by path (one increment per :meth:`plan`
-    call or unique :meth:`plan_many` member).
+    """Resolution counters, by path (one increment per
+    :meth:`~PlanService.plan` or :meth:`~PlanService.plan_workload`
+    call).
 
     Since the telemetry layer landed this is a *view* over a
     :class:`~repro.obs.metrics.MetricsRegistry` — each field reads and
@@ -154,15 +140,13 @@ class PlanService:
         Machine model used for live planning — pass the atlas's
         ``machine_params`` when serving from one, so fallback plans are
         scored the same way.
-    snap:
-        Allow off-lattice queries to snap to the nearest dominated
-        lattice point (see :meth:`PlanAtlas.snap_candidates`); with
-        ``snap=False`` any atlas miss goes straight to live planning.
+
+    Off-lattice queries snap to the nearest dominated lattice point
+    (see :meth:`PlanAtlas.snap_candidates`) before planning live.
     """
 
     def __init__(self, atlas: PlanAtlas | None = None, lru_size: int = 1024,
-                 machine_params: MachineParams = PIZ_DAINT_XC40,
-                 snap: bool = True) -> None:
+                 machine_params: MachineParams = PIZ_DAINT_XC40) -> None:
         if atlas is not None and atlas.machine_params != machine_params:
             raise ValueError(
                 "atlas was built for different machine_params; serve it "
@@ -170,7 +154,6 @@ class PlanService:
         self.atlas = atlas
         self.lru_size = int(lru_size)
         self.machine_params = machine_params
-        self.snap = snap
         # Per-service registry: the resolution counters must stay
         # independently countable per instance (the global registry
         # would pool every service's numbers together).
@@ -179,11 +162,10 @@ class PlanService:
         self._lru: OrderedDict[PlanRequest | WorkloadRequest,
                                Plan | WorkloadPlan | Infeasible] = \
             OrderedDict()
-        # One lock over lookup + remember + stats + live planning:
-        # plan_async/plan_many_async run in executor threads, and the
+        # One lock over lookup + remember + stats + live planning: the
         # OrderedDict/counters are not safe to mutate concurrently.
-        # Holding it across live planning also means concurrent awaits
-        # of the same request plan it once — the second thread finds
+        # Holding it across live planning also means concurrent queries
+        # for the same request plan it once — the second thread finds
         # the first's answer in the LRU.
         self._lock = threading.Lock()
 
@@ -211,7 +193,7 @@ class PlanService:
             self.stats.atlas_hits += 1
             self._remember(request, value)
             return value
-        if self.snap and isinstance(request, PlanRequest):
+        if isinstance(request, PlanRequest):
             for point in self.atlas.snap_candidates(request):
                 value = self.atlas.get(point)
                 # An infeasible *smaller* budget proves nothing about
@@ -222,59 +204,29 @@ class PlanService:
                     return value
         return None
 
-    @staticmethod
-    def _unwrap(value: Plan | Infeasible) -> Plan:
+    def _serve(self, request: PlanRequest | WorkloadRequest, span: str,
+               **attrs) -> Plan | WorkloadPlan:
+        """LRU -> atlas -> live, remembering the answer; an
+        :class:`Infeasible` one raises :class:`NoFeasiblePlanError`."""
+        tel = obs.default_telemetry()
+        with tel.span(span, cat="planner", **attrs) as sp, self._lock:
+            value = self._lookup(request)
+            if value is None:
+                self.stats.live_plans += 1
+                sp.set(resolved="live")
+                with tel.span("plan.live", cat="planner", **attrs):
+                    [value] = _plan_live([request], self.machine_params)
+                self._remember(request, value)
+            else:
+                sp.set(resolved="cached")
         if isinstance(value, Infeasible):
             raise NoFeasiblePlanError(value.message)
         return value
 
-    # ------------------------------------------------------------------
     def plan(self, request: PlanRequest) -> Plan:
         """The plan for one request (raises
         :class:`NoFeasiblePlanError`, cached, when nothing fits)."""
-        return self.plan_many([request])[0]
-
-    def plan_many(self, requests: list[PlanRequest]) -> list[Plan]:
-        """Plans for a whole request list, in order.
-
-        Each unique request resolves through the cache hierarchy once
-        (duplicates are answered from the first resolution); all live
-        misses are planned together in one batched
-        :func:`~repro.planner.core.plan_batch` pass.  The returned
-        plans are bit-identical to sequential :meth:`plan` calls, and
-        an infeasible member raises exactly where the sequential loop
-        would (at the earliest infeasible request).
-        """
-        requests = list(requests)
-        tel = obs.default_telemetry()
-        with tel.span("plan.service.many", cat="planner",
-                      requests=len(requests)) as sp, self._lock:
-            resolved: dict[PlanRequest, Plan | Infeasible] = {}
-            misses: list[PlanRequest] = []
-            for request in requests:
-                if request in resolved:
-                    continue
-                value = self._lookup(request)
-                if value is not None:
-                    resolved[request] = value
-                else:
-                    resolved[request] = None  # placeholder keeps dedup
-                    misses.append(request)
-            sp.set(live=len(misses))
-            if misses:
-                with tel.span("plan.live", cat="planner",
-                              requests=len(misses)):
-                    plans = plan_batch(misses,
-                                       machine_params=self.machine_params,
-                                       strict=False)
-                for request, plan in zip(misses, plans):
-                    self.stats.live_plans += 1
-                    value = plan if plan is not None else Infeasible(
-                        str(_no_feasible_error(request.op, request.n,
-                                               request.p, request.budget)))
-                    self._remember(request, value)
-                    resolved[request] = value
-        return [self._unwrap(resolved[request]) for request in requests]
+        return self._serve(request, "plan.service.plan")
 
     def plan_workload(self, request: WorkloadRequest) -> WorkloadPlan:
         """The joint plan for one workload DAG, through the same cache
@@ -284,46 +236,8 @@ class PlanService:
         Infeasible workloads are cached and replayed like infeasible
         requests.
         """
-        tel = obs.default_telemetry()
-        with tel.span("plan.service.workload", cat="planner",
-                      nodes=len(request.nodes)) as sp, self._lock:
-            value = self._lookup(request)
-            if value is None:
-                self.stats.live_plans += 1
-                sp.set(resolved="live")
-                with tel.span("plan.live", cat="planner", workload=True):
-                    try:
-                        value = plan_workload(
-                            request, machine_params=self.machine_params)
-                    except NoFeasiblePlanError as exc:
-                        value = Infeasible(str(exc))
-                self._remember(request, value)
-            else:
-                sp.set(resolved="cached")
-        if isinstance(value, Infeasible):
-            raise NoFeasiblePlanError(value.message)
-        return value
-
-    # ------------------------------------------------------------------
-    async def plan_async(self, request: PlanRequest) -> Plan:
-        """Asyncio-friendly :meth:`plan`: the lookup (and any live
-        planning) runs in the event loop's default executor."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.plan, request)
-
-    async def plan_many_async(self, requests: list[PlanRequest]
-                              ) -> list[Plan]:
-        """Asyncio-friendly :meth:`plan_many`."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.plan_many,
-                                          list(requests))
-
-    async def plan_workload_async(self, request: WorkloadRequest
-                                  ) -> WorkloadPlan:
-        """Asyncio-friendly :meth:`plan_workload`."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, self.plan_workload,
-                                          request)
+        return self._serve(request, "plan.service.workload",
+                           nodes=len(request.nodes))
 
     # ------------------------------------------------------------------
     def cache_clear(self) -> None:

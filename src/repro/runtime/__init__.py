@@ -7,8 +7,8 @@ number of worker processes and hosts sharing one cache directory —
 with deterministic result ordering, and an on-disk cache keyed by
 (task, code fingerprint) makes sweeps resumable and never recomputes a
 trace the current code has already produced.
-``analysis.harness.sweep_traces`` / ``memory_feasibility`` and
-``PlanAtlas.build`` accept any of these executors via ``executor=``.
+``analysis.harness.sweep_traces`` accepts any of these executors via
+``executor=``.
 """
 
 from .cache import ResultCache, code_fingerprint

@@ -57,8 +57,7 @@ class SweepTask:
 
     ``kind`` selects the computation (``"lu"`` / ``"cholesky"`` trace a
     harness implementation; ``"case"`` batch-traces one (N, P) point's
-    whole flavour set; ``"feasibility"`` evaluates the memory-budget
-    rows of one (N, P) point; ``"workload"`` jointly plans — and with
+    whole flavour set; ``"workload"`` jointly plans — and with
     ``execute=True`` runs — the DFT workload chain at one (N, P)
     point); ``impl`` names the implementation within the kind
     (``"all"`` for the per-point kinds); ``extra`` carries any further
@@ -87,40 +86,9 @@ def run_task(task: SweepTask) -> Any:
         return harness.trace_cholesky(task.impl, task.n, task.p, **kw)
     if task.kind == "case":
         return harness.trace_case(task.n, task.p, **kw)
-    if task.kind == "feasibility":
-        return harness.memory_feasibility([(task.n, task.p)], **kw)
     if task.kind == "workload":
         return harness.workload_case(task.n, task.p, **kw)
-    if task.kind == "plan":
-        return _run_plan_task(kw)
     raise ValueError(f"unknown sweep task kind {task.kind!r}")
-
-
-def _run_plan_task(kw: dict) -> Any:
-    """One atlas lattice point: plan the carried request, returning the
-    :class:`~repro.planner.core.Plan` /
-    :class:`~repro.planner.workload.WorkloadPlan` or an
-    :class:`~repro.planner.atlas.Infeasible` marker.  Planning one
-    request alone is bit-identical to the batched pass
-    (``plan_batch``'s contract), so a sharded atlas build stores the
-    same plans a local one would."""
-    from ..planner.atlas import Infeasible
-    from ..planner.core import PlanRequest, _no_feasible_error, plan_batch
-    from ..planner.workload import NoFeasiblePlanError, plan_workload
-
-    request = kw["request"]
-    params = kw["machine_params"]
-    if isinstance(request, PlanRequest):
-        [plan] = plan_batch([request], machine_params=params,
-                            strict=False)
-        if plan is None:
-            return Infeasible(str(_no_feasible_error(
-                request.op, request.n, request.p, request.budget)))
-        return plan
-    try:
-        return plan_workload(request, machine_params=params)
-    except NoFeasiblePlanError as exc:
-        return Infeasible(str(exc))
 
 
 @dataclasses.dataclass

@@ -1,7 +1,7 @@
 """Multi-host work-stealing sweep fabric over the content-addressed cache.
 
 One process pool tops out at one host; the paper-scale (n, P, M) grids
-behind Table 2 / Fig. 8 and atlas builds want more.
+behind Table 2 / Fig. 8 want more.
 This module turns the :class:`~repro.runtime.cache.ResultCache`
 directory — already content-addressed, atomic, and stale-proof — into
 the *coordination substrate* of a distributed sweep:
@@ -482,9 +482,8 @@ class FabricReport:
 
 class DistributedSweepExecutor:
     """Work-stealing sweep executor over a shared cache directory —
-    a drop-in for the executor protocol (``harness.sweep_traces``,
-    ``memory_feasibility`` and ``PlanAtlas.build`` all take it via
-    ``executor=``).
+    a drop-in for the executor protocol (``harness.sweep_traces`` takes
+    it via ``executor=``).
 
     Parameters
     ----------

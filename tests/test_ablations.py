@@ -7,7 +7,9 @@ from repro.analysis import (
     pivoting_latency_ablation,
     replication_ablation,
     row_swap_ablation,
+    trace,
 )
+from repro.factorizations import build
 
 
 class TestBlockSizeAblation:
@@ -61,6 +63,18 @@ class TestReplicationAblation:
         vols = [r["mean_recv_words"] for r in rows]
         best = min(range(len(vols)), key=vols.__getitem__)
         assert 0 < best < len(vols) - 1
+
+    def test_tile_is_a_multiple_of_every_depth(self):
+        """P = 216 admits c = 3 and 6, of which 16 is no multiple: each
+        depth runs at the smallest multiple of c that is at least
+        max(4c, 16) and divides N (v = 18 and 24 here); a depth with no
+        such tile is skipped."""
+        rows = replication_ablation(3456, 216, c_sweep=(1, 2, 3, 6))
+        assert [r["c"] for r in rows] == [1, 2, 3, 6]
+        for row, v in zip(rows, (16, 16, 18, 24)):
+            [res] = trace(build("lu", "conflux", 3456, 216, v=v, c=row["c"]))
+            assert row["mean_recv_words"] == res.mean_recv_words
+        assert replication_ablation(8, 4, c_sweep=(1,)) == []
 
 
 class TestRowSwapAblation:

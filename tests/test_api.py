@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis import harness
 from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
-from repro.engine import TraceBackend, machine_for
+from repro.engine import machine_for
 from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.kernels.blas import KernelError
@@ -94,7 +95,7 @@ class TestBaselineRouting:
         layout = BlockCyclicLayout(n, n, 16, 16, ProcessorGrid2D(2, 2))
         layout.scatter_from(machine, "A", rng.standard_normal((n, n)))
         res = pdgetrf(machine, "A", desc, nb=16, impl="scalapack")
-        trace = TraceBackend().run(
+        [trace] = harness.trace(
             ScalapackLUSchedule(n, 4, nb=16, panel_rebroadcast=False))
         assert res.factorization_words <= trace.comm.total_recv_words
         assert res.factorization_words >= 0.5 * trace.comm.total_recv_words
@@ -194,7 +195,7 @@ class TestPdgemm:
         b = rng.standard_normal((desc.n, desc.n))
         layout.scatter_from(machine, "B", b)
         res = pdgemm(machine, "A", desc, "B", desc, s=8, c=2)
-        trace = TraceBackend().run(
+        [trace] = harness.trace(
             Matmul25DSchedule(desc.n, 4, s=8, c=2))
         assert res.factorization_words <= trace.comm.total_recv_words
         assert res.factorization_words == pytest.approx(
@@ -295,25 +296,32 @@ class TestPlanKwarg:
 
 
 class TestAutoUsesService:
-    def test_machine_service_consulted_and_plan_attached(self, rng):
-        from repro.planner import Plan, PlanService
+    @pytest.fixture
+    def service(self):
+        """A fresh default service for the test, the previous one
+        restored after."""
+        from repro.planner import PlanService, set_default_service
+
+        service = PlanService()
+        previous = set_default_service(service)
+        yield service
+        set_default_service(previous)
+
+    def test_default_service_consulted_and_plan_attached(self, rng, service):
+        from repro.planner import Plan
 
         machine, desc, _, a = setup_machine(rng)
-        machine.plan_service = PlanService()
         res = pdgetrf(machine, "A", desc, impl="auto")
         assert isinstance(res.plan, Plan)
-        assert machine.plan_service.stats.served == 1
+        assert service.stats.served == 1
         assert res.params["impl"] == res.plan.chosen.impl
 
-    def test_repeat_auto_hits_lru(self, rng):
-        from repro.planner import PlanService
-
+    def test_repeat_auto_hits_lru(self, rng, service):
         machine, desc, _, a = setup_machine(rng)
-        machine.plan_service = PlanService()
         pdgetrf(machine, "A", desc, impl="auto")
         pdgetrf(machine, "A", desc, impl="auto", out_name="A:lu2")
-        assert machine.plan_service.stats.lru_hits == 1
-        assert machine.plan_service.stats.live_plans == 1
+        assert service.stats.lru_hits == 1
+        assert service.stats.live_plans == 1
 
 
 class TestNbKwarg:

@@ -11,14 +11,14 @@ import pytest
 
 from repro.analysis.harness import (
     estimate_time,
+    trace,
     trace_case,
     trace_cholesky,
     trace_lu,
 )
-from repro.factorizations import build, conflux_lu
+from repro.engine import DenseBackend
+from repro.factorizations import build
 from repro.factorizations.baselines import (
-    candmc_lu,
-    capital_cholesky,
     scalapack_cholesky,
     scalapack_lu,
     slate_cholesky,
@@ -70,21 +70,42 @@ class TestScalapackCholeskyNumerics:
             scalapack_cholesky(32, 4, nb=8, a=a)
 
 
+class TestOneCallAccounting:
+    """A 2D one-call function is a dense run of its table row: it
+    factors, and it counts exactly what a trace of that row counts."""
+
+    @pytest.mark.parametrize("fn,op,label", [
+        (scalapack_lu, "lu", "mkl"),
+        (slate_lu, "lu", "slate"),
+        (scalapack_cholesky, "cholesky", "mkl-chol"),
+        (slate_cholesky, "cholesky", "slate-chol"),
+    ], ids=["mkl", "slate", "mkl-chol", "slate-chol"])
+    def test_dense_run_counts_its_trace(self, rng, fn, op, label):
+        n, p, nb = 64, 4, 16
+        dense = fn(n, p, nb=nb, rng=rng)
+        [traced] = trace(build(op, label, n, p, nb=nb))
+        assert dense.lower is not None and traced.lower is None
+        assert dense.params == traced.params
+        for field in ("recv_words", "sent_words", "flops"):
+            assert np.allclose(getattr(dense.comm, field),
+                               getattr(traced.comm, field)), field
+
+
 class TestVolumeModels:
     def test_mkl_matches_full_model(self):
         for (n, p) in [(8192, 256), (16384, 1024)]:
-            res = scalapack_lu(n, p, nb=128, execute=False)
+            res = trace(build("lu", "mkl", n, p, nb=128))[0]
             assert res.mean_recv_words == pytest.approx(
                 cm.mkl_lu_full_model(n, p, 128), rel=0.03)
 
     def test_slate_matches_full_model(self):
         for (n, p) in [(8192, 256), (16384, 1024)]:
-            res = slate_lu(n, p, nb=128, execute=False)
+            res = trace(build("lu", "slate", n, p, nb=128))[0]
             assert res.mean_recv_words == pytest.approx(
                 cm.slate_lu_full_model(n, p, 128), rel=0.03)
 
     def test_cholesky_2d_matches_full_model(self):
-        res = scalapack_cholesky(16384, 1024, nb=128, execute=False)
+        res = trace(build("cholesky", "mkl-chol", 16384, 1024, nb=128))[0]
         assert res.mean_recv_words == pytest.approx(
             cm.mkl_cholesky_full_model(16384, 1024, 128), rel=0.03)
 
@@ -92,29 +113,29 @@ class TestVolumeModels:
         """The paper: volumes 'mostly equal, with a slight advantage for
         SLATE'."""
         n, p = 16384, 1024
-        mkl = scalapack_lu(n, p, nb=128, execute=False).mean_recv_words
-        slate = slate_lu(n, p, nb=128, execute=False).mean_recv_words
+        mkl = trace(build("lu", "mkl", n, p, nb=128))[0].mean_recv_words
+        slate = trace(build("lu", "slate", n, p, nb=128))[0].mean_recv_words
         assert slate < mkl
         assert slate > 0.9 * mkl
 
     def test_2d_volume_scales_as_inverse_sqrt_p(self):
         """Table 2: 2D codes move ~N^2/sqrt(P) per rank."""
         n = 16384
-        v256 = scalapack_lu(n, 256, nb=128, execute=False).mean_recv_words
-        v1024 = scalapack_lu(n, 1024, nb=128, execute=False).mean_recv_words
+        v256 = trace(build("lu", "mkl", n, 256, nb=128))[0].mean_recv_words
+        v1024 = trace(build("lu", "mkl", n, 1024, nb=128))[0].mean_recv_words
         assert v256 / v1024 == pytest.approx(2.0, rel=0.15)
 
     def test_candmc_near_author_model(self):
         """CANDMC's traced volume tracks 5 N^3/(P sqrt(M))."""
         for (n, p, c) in [(16384, 1024, 8), (32768, 4096, 16)]:
-            res = candmc_lu(n, p, c=c)
+            [res] = trace(build("lu", "candmc", n, p, c=c))
             m = c * float(n) * n / p
             model = cm.candmc_paper_model(n, p, m)
             assert res.mean_recv_words == pytest.approx(model, rel=0.25)
 
     def test_capital_near_author_model(self):
         for (n, p, c) in [(16384, 1024, 8), (32768, 4096, 16)]:
-            res = capital_cholesky(n, p, c=c)
+            [res] = trace(build("cholesky", "capital", n, p, c=c))
             m = c * float(n) * n / p
             model = cm.capital_paper_model(n, p, m)
             assert res.mean_recv_words == pytest.approx(model, rel=0.25)
@@ -133,13 +154,13 @@ class TestVolumeModels:
         assert b == min((d for d in range(1, n + 1) if n % d == 0),
                         key=lambda d: abs(d - target))
 
-    def test_candmc_execute_rejected(self):
-        with pytest.raises(NotImplementedError):
-            candmc_lu(1024, 64, execute=True)
+    def test_candmc_has_no_dense_view(self):
+        with pytest.raises(NotImplementedError, match="no dense execution"):
+            DenseBackend().run(build("lu", "candmc", 1024, 64))
 
-    def test_capital_execute_rejected(self):
-        with pytest.raises(NotImplementedError):
-            capital_cholesky(1024, 64, execute=True)
+    def test_capital_has_no_dense_view(self):
+        with pytest.raises(NotImplementedError, match="no dense execution"):
+            DenseBackend().run(build("cholesky", "capital", 1024, 64))
 
 
 #: Per-rank counters, params and time estimates of CANDMC/CAPITAL as the
@@ -154,9 +175,9 @@ class TestPortedModelsPinned:
         "row", PINNED,
         ids=lambda r: f"{r['impl']}-{r['n']}-{r['p']}-c{r['c']}")
     def test_counters_params_and_time(self, row):
-        model = candmc_lu if row["impl"] == "candmc" else capital_cholesky
-        res = model(row["n"], row["p"], c=row["c"],
-                    mem_words=row["mem_words"])
+        op = "lu" if row["impl"] == "candmc" else "cholesky"
+        [res] = trace(build(op, row["impl"], row["n"], row["p"], c=row["c"],
+                            mem_words=row["mem_words"]))
         for field in ("recv_words", "sent_words", "flops"):
             arr = getattr(res.comm, field)
             assert [arr.mean(), arr.max()] == pytest.approx(
@@ -190,6 +211,17 @@ class TestPortedModelsPinned:
                                       getattr(want.comm, field))
 
 
+def lu_words(label, n, p, **params):
+    """Mean received words of a trace of LU implementation ``label``."""
+    return trace(build("lu", label, n, p, **params))[0].mean_recv_words
+
+
+def chol_words(label, n, p, **params):
+    """Mean received words of a trace of Cholesky implementation
+    ``label``."""
+    return trace(build("cholesky", label, n, p, **params))[0].mean_recv_words
+
+
 class TestPaperOrdering:
     """The headline comparison: COnfLUX < SLATE <= MKL < CANDMC at the
     paper's scales, and CANDMC ~5x COnfLUX's leading term."""
@@ -199,10 +231,10 @@ class TestPaperOrdering:
         c = max(1, int(round(p ** (1 / 3))))
         while p % c:
             c -= 1
-        conflux = conflux_lu(n, p, v=32, c=c, execute=False).mean_recv_words
-        mkl = scalapack_lu(n, p, nb=128, execute=False).mean_recv_words
-        slate = slate_lu(n, p, nb=128, execute=False).mean_recv_words
-        candmc = candmc_lu(n, p, c=c).mean_recv_words
+        conflux = lu_words("conflux", n, p, v=32, c=c)
+        mkl = lu_words("mkl", n, p, nb=128)
+        slate = lu_words("slate", n, p, nb=128)
+        candmc = lu_words("candmc", n, p, c=c)
         assert conflux < slate <= mkl < candmc
 
     def test_candmc_vs_conflux_factor(self):
@@ -210,8 +242,8 @@ class TestPaperOrdering:
         times less' (leading terms; measured factor above 2.5x once
         COnfLUX's O(M) term is included)."""
         n, p, c = 32768, 4096, 8
-        conflux = conflux_lu(n, p, v=32, c=c, execute=False).mean_recv_words
-        candmc = candmc_lu(n, p, c=c).mean_recv_words
+        conflux = lu_words("conflux", n, p, v=32, c=c)
+        candmc = lu_words("candmc", n, p, c=c)
         assert candmc / conflux > 2.5
         # Leading-order (model) factor is the full 5x.
         m = c * float(n) * n / p
@@ -223,21 +255,16 @@ class TestPaperOrdering:
         COnfLUX beats 2D immediately."""
         n, p = 16384, 64
         c = 4
-        mkl = scalapack_lu(n, p, nb=128, execute=False).mean_recv_words
-        candmc = candmc_lu(n, p, c=c).mean_recv_words
-        conflux = conflux_lu(n, p, v=32, c=c, execute=False).mean_recv_words
+        mkl = lu_words("mkl", n, p, nb=128)
+        candmc = lu_words("candmc", n, p, c=c)
+        conflux = lu_words("conflux", n, p, v=32, c=c)
         assert candmc > mkl          # CANDMC loses to 2D at small P
         assert conflux < mkl         # COnfLUX already wins
 
     def test_cholesky_volume_ordering(self):
         n, p, c = 16384, 1024, 8
-        from repro.factorizations import confchox_cholesky
-
-        ours = confchox_cholesky(n, p, v=32, c=c,
-                                 execute=False).mean_recv_words
-        mkl = scalapack_cholesky(n, p, nb=128,
-                                 execute=False).mean_recv_words
-        slate = slate_cholesky(n, p, nb=128,
-                               execute=False).mean_recv_words
-        capital = capital_cholesky(n, p, c=c).mean_recv_words
+        ours = chol_words("confchox", n, p, v=32, c=c)
+        mkl = chol_words("mkl-chol", n, p, nb=128)
+        slate = chol_words("slate-chol", n, p, nb=128)
+        capital = chol_words("capital", n, p, c=c)
         assert ours < slate <= mkl < capital

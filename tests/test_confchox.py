@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.factorizations import (
-    ConfchoxSchedule,
-    confchox_cholesky,
-    conflux_lu,
-)
+from repro.analysis.harness import trace
+from repro.factorizations import ConfchoxSchedule, build, confchox_cholesky
 from repro.lowerbounds import cholesky_io_lower_bound
 from repro.models import costmodels as cm
 
@@ -65,27 +62,22 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             ConfchoxSchedule(60, 4, v=8, c=2)
 
-    def test_trace_mode_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            confchox_cholesky(64, 8, v=8, c=2, execute=False, a=np.eye(64))
-
 
 class TestCommunicationCost:
     def test_trace_matches_execution_accounting(self, rng):
-        kw = dict(n=64, nranks=8, v=8, c=2)
-        t = confchox_cholesky(execute=False, **kw)
-        e = confchox_cholesky(execute=True, rng=rng, **kw)
+        t = trace(build("cholesky", "confchox", 64, 8, v=8, c=2))[0]
+        e = confchox_cholesky(64, 8, v=8, c=2, rng=rng)
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)
 
     def test_volume_matches_full_model(self):
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
-            res = confchox_cholesky(n, p, v=v, c=c, execute=False)
+            res = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
             model = cm.confchox_full_model(n, p, c, v)
             assert res.mean_recv_words == pytest.approx(model, rel=0.03)
 
     def test_volume_respects_lower_bound(self):
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
-            res = confchox_cholesky(n, p, v=v, c=c, execute=False)
+            res = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
             m = c * n * n / p
             assert res.max_recv_words >= cholesky_io_lower_bound(n, p, m)
 
@@ -93,28 +85,26 @@ class TestCommunicationCost:
         """Table 1's punchline: COnfCHOX moves about as much data as
         COnfLUX but performs half the flops."""
         n, p, c, v = 16384, 1024, 4, 32
-        lu = conflux_lu(n, p, v=v, c=c, execute=False)
-        ch = confchox_cholesky(n, p, v=v, c=c, execute=False)
+        lu = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
+        ch = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
         assert ch.mean_recv_words == pytest.approx(lu.mean_recv_words,
                                                    rel=0.25)
         assert ch.total_flops == pytest.approx(lu.total_flops / 2, rel=0.1)
 
     def test_flops_match_cholesky_total(self):
         for (n, p, c, v) in [(4096, 64, 4, 16), (8192, 256, 4, 32)]:
-            res = confchox_cholesky(n, p, v=v, c=c, execute=False)
+            res = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
             assert res.total_flops == pytest.approx(n ** 3 / 3, rel=0.05)
 
     def test_replication_reduces_volume(self):
         n, p = 32768, 512
-        v2 = confchox_cholesky(n, p, v=32, c=2,
-                               execute=False).mean_recv_words
-        v8 = confchox_cholesky(n, p, v=32, c=8,
-                               execute=False).mean_recv_words
+        v2 = trace(build("cholesky", "confchox", n, p, v=32, c=2))[0].mean_recv_words
+        v8 = trace(build("cholesky", "confchox", n, p, v=32, c=8))[0].mean_recv_words
         assert v8 < v2
 
     def test_beats_capital_model(self):
         """COnfCHOX's traced volume is far below CAPITAL's 45/8 model."""
         n, p, c, v = 32768, 1024, 8, 32
-        res = confchox_cholesky(n, p, v=v, c=c, execute=False)
+        res = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
         m = c * n * n / p
         assert res.mean_recv_words < cm.capital_paper_model(n, p, m) / 2

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.harness import trace
 from repro.factorizations import (
     ConfluxSchedule,
+    build,
     conflux_lu,
     default_block_size,
 )
@@ -100,10 +102,6 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             ConfluxSchedule(64, 32, v=8, c=16)
 
-    def test_trace_mode_rejects_matrix(self, rng):
-        with pytest.raises(ValueError):
-            conflux_lu(64, 8, v=8, c=2, execute=False, a=np.eye(64))
-
     def test_wrong_matrix_shape(self):
         with pytest.raises(ValueError):
             conflux_lu(64, 8, v=8, c=2, a=np.eye(32))
@@ -140,16 +138,15 @@ class TestParameterValidation:
 
 class TestCommunicationCost:
     def test_trace_matches_execution_accounting(self, rng):
-        """Trace mode and execution mode run the same accounting."""
-        kw = dict(n=64, nranks=8, v=8, c=2)
-        t = conflux_lu(execute=False, **kw)
-        e = conflux_lu(execute=True, rng=rng, **kw)
+        """A trace and a dense run share the same accounting."""
+        t = trace(build("lu", "conflux", 64, 8, v=8, c=2))[0]
+        e = conflux_lu(64, 8, v=8, c=2, rng=rng)
         assert t.max_recv_words == e.max_recv_words
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)
 
     def test_volume_matches_full_model(self):
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
-            res = conflux_lu(n, p, v=v, c=c, execute=False)
+            res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
             model = cm.conflux_full_model(n, p, c, v)
             assert res.mean_recv_words == pytest.approx(model, rel=0.03)
 
@@ -158,7 +155,7 @@ class TestCommunicationCost:
         approaches N^3/(P sqrt(M)) — Lemma 10's leading term."""
         n, p, c = 65536, 1024, 2
         v = 32
-        res = conflux_lu(n, p, v=v, c=c, execute=False)
+        res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
         m = c * n * n / p
         lead = cm.conflux_paper_model(n, p, m)
         assert res.mean_recv_words == pytest.approx(lead, rel=0.2)
@@ -166,7 +163,7 @@ class TestCommunicationCost:
     def test_volume_respects_lower_bound(self):
         """Counted max-rank volume >= the parallel I/O lower bound."""
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
-            res = conflux_lu(n, p, v=v, c=c, execute=False)
+            res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
             m = c * n * n / p
             assert res.max_recv_words >= lu_io_lower_bound(n, p, m)
 
@@ -175,7 +172,7 @@ class TestCommunicationCost:
         in a regime where O(M) is small the measured factor must be
         below 2."""
         n, p, c, v = 65536, 1024, 4, 32
-        res = conflux_lu(n, p, v=v, c=c, execute=False)
+        res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
         m = c * n * n / p
         ratio = res.max_recv_words / lu_io_lower_bound(n, p, m)
         assert 1.0 <= ratio < 2.0
@@ -184,21 +181,21 @@ class TestCommunicationCost:
         """More replication (larger c, hence larger M) must reduce the
         leading-order communication."""
         n, p = 32768, 512
-        v_small = conflux_lu(n, p, v=32, c=2, execute=False).mean_recv_words
-        v_large = conflux_lu(n, p, v=32, c=8, execute=False).mean_recv_words
+        v_small = trace(build("lu", "conflux", n, p, v=32, c=2))[0].mean_recv_words
+        v_large = trace(build("lu", "conflux", n, p, v=32, c=8))[0].mean_recv_words
         assert v_large < v_small
 
     def test_flops_match_lu_total(self):
         """Total attributed flops ~ 2N^3/3 regardless of grid."""
         for (n, p, c, v) in [(4096, 64, 4, 16), (8192, 256, 4, 32)]:
-            res = conflux_lu(n, p, v=v, c=c, execute=False)
+            res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
             assert res.total_flops == pytest.approx(2 * n ** 3 / 3, rel=0.05)
 
     def test_step_log_length(self):
-        res = conflux_lu(1024, 16, v=32, c=2, execute=False)
+        res = trace(build("lu", "conflux", 1024, 16, v=32, c=2))[0]
         assert len(res.step_log) == 1024 // 32
 
     def test_load_balance(self):
         """Max per-rank volume within a modest factor of the mean."""
-        res = conflux_lu(16384, 256, v=32, c=4, execute=False)
+        res = trace(build("lu", "conflux", 16384, 256, v=32, c=4))[0]
         assert res.max_recv_words <= 1.5 * res.mean_recv_words

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from oracle import assert_matches_oracle
-from repro.engine import (
-    DenseBackend,
-    DistributedBackend,
-    TraceBackend,
-    run_with,
-)
+from repro.analysis import harness
+from repro.engine import DenseBackend, DistributedBackend
 from repro.engine.accounting import TermBatch
 from repro.factorizations import (
     ConfchoxSchedule,
@@ -21,6 +17,7 @@ from repro.factorizations import (
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.machine import Machine
 from repro.machine.grid import ProcessorGrid3D
+from repro.machine.stats import STEP_FIELDS
 
 
 def _evaluate(grid, nsteps, accounting):
@@ -80,7 +77,7 @@ class TestStepAccounting:
             assert rec.msgs_max == 2.0 + 3.0
 
     def test_step_labels(self):
-        res = TraceBackend().run(Matmul25DSchedule(64, 8, c=2))
+        [res] = harness.trace(Matmul25DSchedule(64, 8, c=2))
         labels = [r.label for r in res.step_log]
         assert labels[-1] == "reduce"
         assert labels[0] == "summa-0"
@@ -99,17 +96,40 @@ class TestStepAccounting:
 class TestBackends:
     def test_trace_equals_dense_counters(self, rng):
         """Trace and dense backends run the same accounting."""
-        t = TraceBackend().run(ConfluxSchedule(64, 8, v=8, c=2))
+        [t] = harness.trace(ConfluxSchedule(64, 8, v=8, c=2))
         e = DenseBackend().run(ConfluxSchedule(64, 8, v=8, c=2), rng=rng)
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)
         assert np.allclose(t.comm.flops, e.comm.flops)
 
-    def test_run_with_rejects_inputs_in_trace_mode(self, rng):
-        sched = ConfluxSchedule(32, 4, v=8, c=1)
-        with pytest.raises(ValueError):
-            run_with(sched, execute=False, a=np.eye(32))
-        with pytest.raises(ValueError):
-            run_with(sched, execute=False, rng=rng)
+    def test_trace_of_several_is_each_alone(self):
+        """``harness.trace`` reduces its schedules in one batch: each
+        result, step log included, is bit-identical to tracing that
+        schedule on its own, and results come back in order."""
+        scheds = [ConfluxSchedule(64, 8, v=8, c=2),
+                  Matmul25DSchedule(64, 8, c=2),
+                  ScalapackLUSchedule(64, 4, nb=16)]
+        together = harness.trace(*scheds)
+        assert [r.name for r in together] == [s.name for s in scheds]
+        for res, sched in zip(together, scheds):
+            [alone] = harness.trace(sched)
+            assert (res.n, res.nranks, res.mem_words, res.params) == (
+                alone.n, alone.nranks, alone.mem_words, alone.params)
+            for field in ("recv_words", "sent_words", "flops"):
+                assert np.array_equal(getattr(res.comm, field),
+                                      getattr(alone.comm, field)), field
+            for field in STEP_FIELDS:
+                assert np.array_equal(res.step_log.column(field),
+                                      alone.step_log.column(field)), field
+
+    def test_trace_without_steps_keeps_the_counters(self):
+        sched = ConfluxSchedule(64, 8, v=8, c=2)
+        [full] = harness.trace(sched)
+        [bare] = harness.trace(sched, steps="none")
+        assert len(full.step_log) == sched.steps()
+        assert len(bare.step_log) == 0
+        for field in ("recv_words", "sent_words", "flops"):
+            assert np.array_equal(getattr(full.comm, field),
+                                  getattr(bare.comm, field)), field
 
     def test_distributed_requires_support(self):
         """All shipped schedules are distributed-capable now, so the

@@ -52,7 +52,8 @@ and the final stores may hold only tiles their rank owns.
 import numpy as np
 import pytest
 
-from repro.engine import DenseBackend, DistributedBackend, TraceBackend
+from repro.analysis import harness
+from repro.engine import DenseBackend, DistributedBackend
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -103,7 +104,7 @@ GRID_SUMMA = [(128, 32, 8, 2), (128, 64, 8, 4), (128, 128, 8, 2)]
 
 def lu_pair(n, p, v, c, rng):
     a = rng.standard_normal((n, n)) + n * np.eye(n)
-    trace = TraceBackend().run(ConfluxSchedule(n, p, v=v, c=c))
+    [trace] = harness.trace(ConfluxSchedule(n, p, v=v, c=c))
     dist = DistributedBackend().run(ConfluxSchedule(n, p, v=v, c=c), a=a)
     return trace, dist, a
 
@@ -111,7 +112,7 @@ def lu_pair(n, p, v, c, rng):
 def chol_pair(n, p, v, c, rng):
     g = rng.standard_normal((n, n))
     a = g @ g.T + n * np.eye(n)
-    trace = TraceBackend().run(ConfchoxSchedule(n, p, v=v, c=c))
+    [trace] = harness.trace(ConfchoxSchedule(n, p, v=v, c=c))
     dist = DistributedBackend().run(ConfchoxSchedule(n, p, v=v, c=c), a=a)
     return trace, dist, a
 
@@ -122,7 +123,7 @@ def lu2d_sched(n, p, nb):
 
 def lu2d_pair(n, p, nb, rng):
     a = rng.standard_normal((n, n))      # generic: pivoting engages
-    trace = TraceBackend().run(lu2d_sched(n, p, nb))
+    [trace] = harness.trace(lu2d_sched(n, p, nb))
     dist = DistributedBackend().run(lu2d_sched(n, p, nb), a=a)
     return trace, dist, a
 
@@ -130,7 +131,7 @@ def lu2d_pair(n, p, nb, rng):
 def chol2d_pair(n, p, nb, rng):
     g = rng.standard_normal((n, n))
     a = g @ g.T + n * np.eye(n)
-    trace = TraceBackend().run(ScalapackCholeskySchedule(n, p, nb=nb))
+    [trace] = harness.trace(ScalapackCholeskySchedule(n, p, nb=nb))
     dist = DistributedBackend().run(ScalapackCholeskySchedule(n, p, nb=nb),
                                     a=a)
     return trace, dist, a
@@ -139,7 +140,7 @@ def chol2d_pair(n, p, nb, rng):
 def summa_pair(n, p, s, c, rng):
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
-    trace = TraceBackend().run(Matmul25DSchedule(n, p, s=s, c=c))
+    [trace] = harness.trace(Matmul25DSchedule(n, p, s=s, c=c))
     dist = DistributedBackend().run(Matmul25DSchedule(n, p, s=s, c=c),
                                     a=(a, b))
     return trace, dist, a, b

@@ -21,7 +21,6 @@ import pytest
 
 from repro import obs
 from repro.analysis.harness import sweep_tasks, sweep_traces
-from repro.planner import PlanAtlas, PlanRequest
 from repro.runtime import (
     DistributedSweepExecutor,
     ResultCache,
@@ -333,23 +332,3 @@ class TestWorkerStderr:
         (log,) = run.run_dir.glob("worker-*.stderr")
         assert str(log) in str(info.value)
         assert "Traceback" in log.read_text()
-
-
-class TestShardedAtlasBuild:
-    def test_fabric_built_atlas_serves_identical_plans(self, tmp_path):
-        """An atlas built through the fabric stores the same plans a
-        local batched build would (plan_batch's single-request
-        bit-identity contract)."""
-        from repro.analysis.harness import NODE_MEM_WORDS
-
-        lattice = [PlanRequest(op, n, p, NODE_MEM_WORDS, api_copies=3)
-                   for n, p in [(4096, 64), (8192, 256)]
-                   for op in ("lu", "cholesky", "gemm")]
-        local = PlanAtlas(tmp_path / "local")
-        local.build(lattice)
-        sharded = PlanAtlas(tmp_path / "sharded")
-        ex = DistributedSweepExecutor(tmp_path / "fab-cache", workers=0)
-        stats = sharded.build(lattice, executor=ex)
-        assert stats.built == len(lattice)
-        for req in lattice:
-            assert sharded.get(req) == local.get(req)

@@ -5,9 +5,10 @@ evaluator has one reduction and one step-log shape, the planner reduces
 received words only and never walks a whole candidate product, the
 executed 2D views have no tile-at-a-time helper to fall back on, the
 SUMMA rounds copy and send nothing per piece, the memory a pd* call
-needs is stated in one function, and the pebble games, the plan
-service, the atlas and the sweep fabric are imported only where listed
-here.
+needs is stated in one function, the pebble games, the plan service,
+the atlas and the sweep fabric are imported only where listed here,
+the entry points only tests reached stay gone, and what ARCHITECTURE.md
+and README.md name exists.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -16,12 +17,17 @@ discipline", states the rules these tests hold the tree to.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -271,12 +277,106 @@ def test_leaf_subsystems_are_imported_only_where_listed():
     assert _importers_of("repro.planner.service") == {
         "repro/planner/__init__.py", "repro/api.py"}
     assert _importers_of("repro.planner.atlas") == {
-        "repro/planner/__init__.py", "repro/planner/service.py",
-        "repro/runtime/executor.py"}        # a lazy ``Infeasible`` import
+        "repro/planner/__init__.py", "repro/planner/service.py"}
     assert _importers_of("repro.runtime.fabric") == {
         "repro/runtime/__init__.py"}
     # The probe resolves relative imports: the planner is widely used.
     assert "repro/api.py" in _importers_of("repro.planner")
+
+
+def _defined(path: pathlib.Path, cls: str | None = None) -> set[str]:
+    """Names of the functions and classes defined at the top of
+    ``path``, or directly in its class ``cls``."""
+    body = ast.parse(path.read_text()).body
+    if cls is not None:
+        body = next(node.body for node in body
+                    if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {node.name for node in body if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_one_way_to_trace_factorize_and_be_served():
+    """A trace is ``harness.trace``, a one-call function is dense-only,
+    a plan is served by ``PlanService.plan`` alone, and no ``executor=``
+    hook survives that only tests set: no function in the
+    factorizations or the engine takes ``execute``, the planner has no
+    ``async def``, the knobs below are gone from their signatures, and
+    the surfaces that had a second way hold exactly what is listed
+    here — a new entry is a new way, added on purpose."""
+    from repro.analysis.harness import memory_feasibility
+    from repro.factorizations.baselines import scalapack_lu
+    from repro.planner import PlanAtlas, PlanService
+
+    takes_execute = [
+        f"{path.relative_to(SRC)}:{node.name}"
+        for package in ("factorizations", "engine")
+        for path in (SRC / "repro" / package).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "execute" in {arg.arg for arg in (*node.args.posonlyargs,
+                                              *node.args.args,
+                                              *node.args.kwonlyargs)}]
+    assert takes_execute == []
+    asyncs = [f"{path.relative_to(SRC)}:{node.name}"
+              for path in (SRC / "repro" / "planner").rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.AsyncFunctionDef)]
+    assert asyncs == []
+    for fn, knob in ((PlanService, "snap"), (memory_feasibility, "executor"),
+                     (PlanAtlas.build, "executor"),
+                     (scalapack_lu, "panel_rebroadcast")):
+        assert knob not in inspect.signature(fn).parameters, (fn, knob)
+    one_call = {node.name
+                for path in (SRC / "repro" / "factorizations").rglob("*.py")
+                for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+                and _calls(node, "run_impl")}
+    assert one_call == {"conflux_lu", "confchox_cholesky", "matmul_25d",
+                        "scalapack_lu", "slate_lu", "scalapack_cholesky",
+                        "slate_cholesky"}
+    assert _defined(SRC / "repro" / "engine" / "backends.py") == {
+        "machine_for", "MemoryReport", "_result_cls", "DenseBackend",
+        "DistributedBackend", "_snapshot", "_apply_delta"}
+    assert _defined(SRC / "repro" / "planner" / "service.py",
+                    "PlanService") == {
+        "__init__", "_remember", "_lookup", "_serve", "plan",
+        "plan_workload", "cache_clear", "__len__"}
+    assert _defined(SRC / "repro" / "planner" / "atlas.py", "PlanAtlas") == {
+        "__init__", "_token", "_manifest_token", "get", "manifest",
+        "snap_candidates", "build"}
+    assert _defined(SRC / "repro" / "runtime" / "executor.py") == {
+        "SweepTask", "run_task", "_TracedResult", "_run_task_traced",
+        "default_workers", "SerialExecutor", "ProcessPoolSweepExecutor"}
+
+
+def test_every_repro_import_resolves():
+    """Every ``from repro… import name`` under ``src/``, ``tests/``,
+    ``scripts/`` and ``examples/`` — lazy ones included — names a
+    module or an attribute that exists, so a deleted entry point is
+    imported nowhere, not only where tier-1 happens to run it."""
+    unresolved = []
+    for root in ("src", "tests", "scripts", "examples"):
+        for path in (ROOT / root).rglob("*.py"):
+            package = list(path.relative_to(SRC).with_suffix("").parts[:-1]) \
+                if root == "src" else []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                base = package[:len(package) - node.level + 1] \
+                    if node.level else []
+                module = ".".join(base + ([node.module] if node.module
+                                          else []))
+                if module.split(".")[0] != "repro":
+                    continue
+                mod = importlib.import_module(module)
+                for alias in node.names:
+                    submodule = hasattr(mod, "__path__") and \
+                        importlib.util.find_spec(f"{module}.{alias.name}")
+                    if not hasattr(mod, alias.name) and not submodule:
+                        unresolved.append(
+                            f"{path.relative_to(ROOT)}:{node.lineno} "
+                            f"{module}.{alias.name}")
+    assert unresolved == []
 
 
 def _copying_calls(node: ast.AST) -> list[str]:
@@ -337,3 +437,58 @@ def test_every_accepted_label_is_a_table_row():
     }
     for op, names in accepted.items():
         assert names <= set(labels(op)), (op, names - set(labels(op)))
+
+
+def _doc_references(doc: str) -> tuple[list[str], list[str], list[str]]:
+    """The references ``doc`` makes in backticks (and, for ``make``
+    targets, in fenced code blocks): dotted ``repro.…`` names, repo
+    paths under ``tests/``, ``scripts/`` and ``examples/``, and
+    ``make`` targets."""
+    text = (ROOT / doc).read_text()
+    spans = re.findall(r"`([^`\n]+)`", text)
+    fenced = [line for block in re.findall(r"```[^\n]*\n(.*?)```", text, re.S)
+              for line in block.splitlines()]
+    names = [m.group(0) for span in spans
+             if (m := re.match(r"repro(\.\w+)+", span))]
+    paths = [span.split()[0] for span in spans
+             if re.match(r"(tests|scripts|examples)/", span)]
+    targets = [m.group(1) for line in spans + fenced
+               if (m := re.match(r"\s*make ([\w-]+)", line))]
+    return names, paths, targets
+
+
+@pytest.mark.parametrize("doc", ["ARCHITECTURE.md", "README.md"])
+def test_doc_references_resolve(doc):
+    """What the docs name exists: every backticked ``repro.…`` name
+    imports (a module, or an attribute of the longest importable
+    prefix), every ``tests/``/``scripts/``/``examples/`` path (and a
+    ``::Name`` test node in it) is in the tree, and every ``make``
+    target is a rule of the Makefile."""
+    names, paths, targets = _doc_references(doc)
+    assert names and paths and targets      # the probe sees references
+    unresolved = []
+    for name in names:
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            try:
+                for attr in parts[cut:]:
+                    obj = getattr(obj, attr)
+            except AttributeError:
+                unresolved.append(name)
+            break
+        else:
+            unresolved.append(name)
+    missing = []
+    for ref in paths:
+        path, _, node = ref.partition("::")
+        if not (ROOT / path).exists() or (node and not re.search(
+                rf"^\s*(class|def) {re.escape(node)}\b",
+                (ROOT / path).read_text(), re.M)):
+            missing.append(ref)
+    rules = set(re.findall(r"^([\w-]+):", (ROOT / "Makefile").read_text(),
+                           re.M))
+    assert (unresolved, missing, sorted(set(targets) - rules)) == ([], [], [])

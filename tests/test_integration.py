@@ -5,8 +5,8 @@ games, and the distributed schedules must agree with each other."""
 import numpy as np
 import pytest
 
-from repro.analysis import estimate_time, trace_cholesky, trace_lu
-from repro.factorizations import confchox_cholesky, conflux_lu
+from repro.analysis import estimate_time, trace, trace_cholesky, trace_lu
+from repro.factorizations import build, conflux_lu
 from repro.factorizations.baselines import scalapack_lu
 from repro.layouts import BlockCyclicLayout, redistribute
 from repro.lowerbounds import (
@@ -26,16 +26,15 @@ class TestTheoryToAlgorithm:
     def test_sandwich_lu(self, n, p, c, v):
         m = c * float(n) * n / p
         bound = lu_io_lower_bound(n, p, m)
-        ours = conflux_lu(n, p, v=v, c=c, execute=False).max_recv_words
-        mkl = scalapack_lu(n, p, nb=128, execute=False).max_recv_words
+        ours = trace(build("lu", "conflux", n, p, v=v, c=c))[0].max_recv_words
+        mkl = trace(build("lu", "mkl", n, p, nb=128))[0].max_recv_words
         assert bound <= ours <= mkl
 
     def test_sandwich_cholesky(self):
         n, p, c, v = 16384, 512, 8, 32
         m = c * float(n) * n / p
         bound = cholesky_io_lower_bound(n, p, m)
-        ours = confchox_cholesky(n, p, v=v, c=c,
-                                 execute=False).max_recv_words
+        ours = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0].max_recv_words
         assert bound <= ours
 
     def test_derived_bound_equals_closed_form_at_algorithm_params(self):

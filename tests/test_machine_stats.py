@@ -69,17 +69,6 @@ class TestCommStatsBasics:
         assert s.mean_recv_words == 2.0
         assert s.max_recv_words == 8.0
 
-    def test_reset(self):
-        s = CommStats(2)
-        s.record_recv(0, 5)
-        s.record_flops(1, 9)
-        s.begin_step("a")
-        s.end_step()
-        s.reset()
-        assert s.total_recv_words == 0
-        assert s.total_flops == 0
-        assert len(s.steps) == 0
-
 
 class TestVectorizedRecording:
     def test_record_transfers_is_one_record_transfer_per_entry(self):
@@ -154,14 +143,6 @@ class TestSteps:
         with pytest.raises(ValueError, match="steps mode"):
             CommStats(2, steps="records")
 
-    def test_reset_keeps_steps_mode(self):
-        s = CommStats(2, steps="columnar")
-        s.begin_step("a")
-        s.end_step()
-        s.reset()
-        assert isinstance(s.steps, ColumnarStepLog)
-        assert len(s.steps) == 0
-
     def test_none_mode_drops_step_records(self):
         s = CommStats(2, steps="none")
         s.begin_step("a")
@@ -171,17 +152,6 @@ class TestSteps:
         assert len(s.steps) == 0            # ...but not retained
         with pytest.raises(IndexError):
             s.steps[0]
-
-    def test_step_record_merged(self):
-        a = StepRecord("a", flops_max=10, flops_total=20, recv_words_max=5,
-                       recv_words_total=9)
-        b = StepRecord("b", flops_max=4, flops_total=4, recv_words_max=8,
-                       recv_words_total=8)
-        m = a.merged(b)
-        assert m.flops_max == 10
-        assert m.flops_total == 24
-        assert m.recv_words_max == 8
-        assert m.recv_words_total == 17
 
 
 class TestColumnarStepLog:

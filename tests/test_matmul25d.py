@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.factorizations import matmul_25d
+from repro.analysis.harness import trace
+from repro.factorizations import build, matmul_25d
 from repro.lowerbounds import matmul_io_lower_bound
 
 
@@ -20,10 +21,6 @@ class TestNumerics:
         res = matmul_25d(32, 4, s=8, c=2, rng=rng)
         assert res.lower.shape == (32, 32)
 
-    def test_trace_rejects_operands(self):
-        with pytest.raises(ValueError):
-            matmul_25d(64, 8, s=8, c=2, execute=False, a=np.eye(64))
-
     def test_slice_divisibility_checked(self):
         with pytest.raises(ValueError):
             matmul_25d(48, 8, s=16, c=2)  # s*c=32 does not divide 48
@@ -31,13 +28,13 @@ class TestNumerics:
 
 class TestAccounting:
     def test_flops_exact(self):
-        res = matmul_25d(4096, 64, s=32, c=4, execute=False)
+        res = trace(build("gemm", "25d", 4096, 64, s=32, c=4))[0]
         assert res.total_flops == pytest.approx(2 * 4096 ** 3)
 
     def test_respects_sc19_bound(self):
         """Counted volume >= the SC19 parallel bound 2N^3/(P sqrt(M))."""
         for (n, p, c, s) in [(16384, 1024, 8, 32), (8192, 256, 4, 32)]:
-            res = matmul_25d(n, p, s=s, c=c, execute=False)
+            res = trace(build("gemm", "25d", n, p, s=s, c=c))[0]
             bound = matmul_io_lower_bound(n, p, res.mem_words)
             assert res.max_recv_words >= bound
             # Near-optimal: within a small constant (sqrt(3) from the
@@ -46,12 +43,11 @@ class TestAccounting:
 
     def test_replication_helps(self):
         n, p, s = 16384, 1024, 32
-        v1 = matmul_25d(n, p, s=s, c=1, execute=False).mean_recv_words
-        v8 = matmul_25d(n, p, s=s, c=8, execute=False).mean_recv_words
+        v1 = trace(build("gemm", "25d", n, p, s=s, c=1))[0].mean_recv_words
+        v8 = trace(build("gemm", "25d", n, p, s=s, c=8))[0].mean_recv_words
         assert v8 < v1
 
     def test_trace_equals_execute_accounting(self, rng):
-        kw = dict(n=64, nranks=8, s=8, c=2)
-        t = matmul_25d(execute=False, **kw)
-        e = matmul_25d(execute=True, rng=rng, **kw)
+        t = trace(build("gemm", "25d", 64, 8, s=8, c=2))[0]
+        e = matmul_25d(64, 8, s=8, c=2, rng=rng)
         assert np.allclose(t.comm.recv_words, e.comm.recv_words)

@@ -6,14 +6,14 @@ the service's caches is **bit-identical** to what live planning would
 produce for the same request — exact atlas hits replay the live
 planner's pickled output, snapped hits replay a provably feasible
 lattice neighbour, and a stale code fingerprint reads as a cold cache,
-never as stale data.  Batched resolution (``plan_many``) must equal
-sequential ``plan`` calls, and infeasibility must be cached and
-replayed, not re-proven.
+never as stale data.  Infeasibility must be cached and replayed, not
+re-proven.
 """
 
-import asyncio
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -223,6 +223,37 @@ class TestServiceResolution:
         assert service.stats.served == 2
         assert service.stats.hit_rate == 0.5
 
+    @pytest.mark.parametrize("op", OPS)
+    def test_live_plan_is_the_batch_of_one(self, op):
+        """A miss plans exactly what ``plan_batch`` of the one request
+        does: no batching with other queries changes the answer."""
+        req = PlanRequest(op, 4096, 64, NODE_M / 2, api_copies=3)
+        assert PlanService().plan(req) == plan_batch([req])[0]
+
+    def test_every_lattice_point_served_as_built(self, atlas):
+        service = PlanService(atlas=atlas)
+        for req in lattice():
+            stored = atlas.get(req)
+            if isinstance(stored, Infeasible):
+                with pytest.raises(NoFeasiblePlanError):
+                    service.plan(req)
+            else:
+                assert service.plan(req) == stored == plan_request(req)
+        assert service.stats.atlas_hits == len(lattice())
+        assert service.stats.live_plans == 0
+
+    def test_infeasible_request_leaves_the_lru_intact(self):
+        service = PlanService()
+        ok = PlanRequest("lu", 4096, 64, NODE_M, api_copies=3)
+        bad = PlanRequest("lu", 16384, 64, 100.0)
+        first = service.plan(ok)
+        with pytest.raises(NoFeasiblePlanError, match="16384"):
+            service.plan(bad)
+        assert service.plan(ok) == first
+        assert len(service) == 2
+        assert service.stats.live_plans == 2
+        assert service.stats.lru_hits == 1
+
     def test_atlas_hit_bit_identical_and_counted(self, atlas):
         service = PlanService(atlas=atlas)
         req = PlanRequest("cholesky", 4096, 64, NODE_M, api_copies=3)
@@ -248,12 +279,6 @@ class TestServiceResolution:
         assert service.plan(query) == plan_request(query)
         assert service.stats.live_plans == 1
         assert service.stats.atlas_snaps == 0
-
-    def test_snap_disabled_goes_live(self, atlas):
-        service = PlanService(atlas=atlas, snap=False)
-        query = PlanRequest("lu", 4096, 64, NODE_M / 2, api_copies=3)
-        assert service.plan(query) == plan_request(query)
-        assert service.stats.live_plans == 1
 
     def test_snap_never_serves_infeasible_marker(self, atlas):
         """An infeasible smaller budget proves nothing about a larger
@@ -305,63 +330,18 @@ class TestServiceResolution:
             PlanService(atlas=atlas, machine_params=other)
 
 
-class TestPlanMany:
-    def test_equals_sequential_plans(self, atlas):
-        requests = [r for r in lattice() if r.n == 4096]
-        batch = PlanService(atlas=atlas).plan_many(requests)
-        sequential = PlanService(atlas=atlas)
-        assert batch == [sequential.plan(r) for r in requests]
-
-    def test_equals_sequential_without_atlas(self):
-        requests = [r for r in lattice() if r.n == 4096]
-        batch = PlanService().plan_many(requests)
-        sequential = PlanService()
-        assert batch == [sequential.plan(r) for r in requests]
-
-    def test_duplicates_resolve_once(self):
-        service = PlanService()
-        req = PlanRequest("lu", 4096, 64, NODE_M, api_copies=3)
-        plans = service.plan_many([req, req, req])
-        assert plans[0] == plans[1] == plans[2]
-        assert service.stats.live_plans == 1
-
-    def test_raises_at_earliest_infeasible(self):
-        service = PlanService()
-        with pytest.raises(NoFeasiblePlanError, match="16384"):
-            service.plan_many([
-                PlanRequest("lu", 4096, 64, NODE_M, api_copies=3),
-                PlanRequest("lu", 16384, 64, 100.0),
-            ])
-        # The feasible member was still planned and cached.
-        assert service.stats.live_plans == 2
-
-
-class TestAsync:
-    def test_plan_async(self, atlas):
-        service = PlanService(atlas=atlas)
-        req = PlanRequest("lu", 4096, 64, NODE_M, api_copies=3)
-        assert asyncio.run(service.plan_async(req)) == plan_request(req)
-
-    def test_plan_many_async(self):
-        service = PlanService()
-        requests = [PlanRequest(op, 4096, 64, NODE_M, api_copies=3)
-                    for op in OPS]
-        plans = asyncio.run(service.plan_many_async(requests))
-        assert plans == [plan_request(r) for r in requests]
-
-
 class TestConcurrency:
-    """The service's state sits behind one lock: overlapping awaits of
-    the same request must live-plan it exactly once and keep the
-    counters consistent — no torn LRU, no double planning."""
+    """The service's state sits behind one lock: threads querying the
+    same request must live-plan it exactly once and keep the counters
+    consistent — no torn LRU, no double planning."""
 
     def test_concurrent_same_request_plans_once(self, monkeypatch):
         import time
 
-        from repro.planner import service as service_mod
+        from repro.planner import atlas as atlas_mod
 
         calls = []
-        real_plan_batch = service_mod.plan_batch
+        real_plan_batch = atlas_mod.plan_batch
 
         def slow_plan_batch(requests, **kwargs):
             calls.append(tuple(requests))
@@ -370,15 +350,11 @@ class TestConcurrency:
             time.sleep(0.02)
             return real_plan_batch(requests, **kwargs)
 
-        monkeypatch.setattr(service_mod, "plan_batch", slow_plan_batch)
+        monkeypatch.setattr(atlas_mod, "plan_batch", slow_plan_batch)
         service = PlanService()
         req = PlanRequest("lu", 4096, 64, NODE_M, api_copies=3)
-
-        async def fan_out():
-            return await asyncio.gather(
-                *(service.plan_async(req) for _ in range(8)))
-
-        plans = asyncio.run(fan_out())
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            plans = list(pool.map(service.plan, [req] * 8, timeout=60))
         assert len(calls) == 1
         assert all(p == plans[0] for p in plans)
         assert plans[0] == plan_request(req)
@@ -386,22 +362,51 @@ class TestConcurrency:
         assert service.stats.lru_hits == 7
         assert service.stats.served == 8
 
-    def test_concurrent_overlapping_batches_consistent(self):
+    def test_concurrent_mixed_requests_consistent(self):
         service = PlanService()
         requests = [PlanRequest(op, 4096, 64, NODE_M, api_copies=3)
                     for op in OPS]
-
-        async def fan_out():
-            return await asyncio.gather(
-                *(service.plan_many_async(requests) for _ in range(6)))
-
-        batches = asyncio.run(fan_out())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                plans = list(pool.map(service.plan, requests * 6,
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
         expected = [plan_request(r) for r in requests]
-        assert all(batch == expected for batch in batches)
+        assert plans == expected * 6
         # Each unique request was live-planned exactly once, whatever
         # the interleaving; every other resolution hit the LRU.
         assert service.stats.live_plans == len(requests)
         assert service.stats.served == 6 * len(requests)
+
+    def test_concurrent_infeasible_request_proven_once(self):
+        service = PlanService()
+        req = PlanRequest("lu", 16384, 64, 100.0)
+
+        def outcome(_):
+            try:
+                return service.plan(req)
+            except NoFeasiblePlanError as err:
+                return err
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            outcomes = list(pool.map(outcome, range(8), timeout=60))
+        assert all(isinstance(o, NoFeasiblePlanError) for o in outcomes)
+        assert service.stats.live_plans == 1
+        assert service.stats.lru_hits == 7
+
+    def test_concurrent_atlas_reads_consistent(self, atlas):
+        service = PlanService(atlas=atlas)
+        requests = [r for r in lattice() if r.n == 4096]
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            plans = list(pool.map(service.plan, requests * 4, timeout=60))
+        assert plans == [atlas.get(r) for r in requests] * 4
+        # Each point came from the atlas once; the repeats hit the LRU.
+        assert service.stats.atlas_hits == len(requests)
+        assert service.stats.lru_hits == 3 * len(requests)
+        assert service.stats.live_plans == 0
 
 
 class TestAtlasBuildDedupe:

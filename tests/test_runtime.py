@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.harness import memory_feasibility, sweep_traces
+from repro.analysis.harness import sweep_traces
 from repro.runtime import (
     ProcessPoolSweepExecutor,
     ResultCache,
@@ -77,12 +77,6 @@ class TestProcessPool:
             CASES, executor=ProcessPoolSweepExecutor(max_workers=2))
         assert_results_equal(serial, par)
         assert checksum(par) == checksum(serial)
-
-    def test_memory_feasibility_parallel(self):
-        serial = memory_feasibility(CASES)
-        par = memory_feasibility(
-            CASES, executor=ProcessPoolSweepExecutor(max_workers=2))
-        assert par == serial
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.analysis.harness import trace
 from repro.factorizations import (
+    build,
     cholesky_solve,
     confchox_cholesky,
     conflux_lu,
@@ -41,7 +43,7 @@ class TestLUSolve:
         assert np.allclose(sol.x, x, atol=1e-8)
 
     def test_trace_result_rejected(self):
-        res = conflux_lu(64, 8, v=8, c=2, execute=False)
+        res = trace(build("lu", "conflux", 64, 8, v=8, c=2))[0]
         with pytest.raises(ValueError):
             lu_solve(res, np.zeros(64))
 

@@ -18,8 +18,8 @@ The load-bearing contracts:
   caller-layout tiles too.
 """
 
-import asyncio
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -356,11 +356,15 @@ class TestServiceWorkload:
                 service.plan_workload(req)
         assert service.stats.live_plans == 1
 
-    def test_async_wrapper(self):
+    def test_threads_share_one_joint_plan(self):
         service = PlanService()
         req = dft_workload_request(4096, 64)
-        assert (asyncio.run(service.plan_workload_async(req))
-                == plan_workload(req))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            plans = list(pool.map(service.plan_workload, [req] * 4,
+                                  timeout=60))
+        assert plans == [plan_workload(req)] * 4
+        assert service.stats.live_plans == 1
+        assert service.stats.lru_hits == 3
 
 
 class TestRunWorkload:
