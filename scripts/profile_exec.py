@@ -12,6 +12,13 @@ helpers of ``engine/distops.py`` — ``panel_fan_out_update`` (with its
 ``distribute_rows_1d`` / ``assemble_cols_1d`` — then ``RankStore.put``,
 the ``blas`` wrappers and COSTA's ``redistribute``; a per-message
 ``ship`` or a per-tile reduce reappearing there is a regression.
+On ``exec_chol25d`` the update is still first, about a fifth of the
+operation's own time, its BLAS included: one product per local tile
+column of the triangle it keeps, then ``RankStore.put``, COnfCHOX's
+``dist_step`` and ``redistribute`` (whose tiles come from
+``BlockCyclicLayout._tiles``); a ``count_nonzero`` under the update,
+or an ``owner_rank`` / ``_check_block`` per tile under COSTA, is a
+regression.
 On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 ``Matmul25DSchedule.dist_step``, about half the operation — then the
 2D Cholesky's ``dist_step`` and COSTA's ``redistribute``; an

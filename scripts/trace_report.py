@@ -4,9 +4,10 @@
 
 Enables :mod:`repro.obs`, runs one representative slice of each layer —
 live + atlas-served planning, cached sweep execution (serial and
-process-pool, so worker spans ship home and re-parent), a ScaLAPACK-
-style ``pdgetrf`` call (gate / prep / backend / writeback phases over
-real superstep execution), and the DFT workload chain — then writes:
+process-pool, so worker spans ship home and re-parent), ScaLAPACK-style
+``pdgetrf`` and ``pdpotrf`` calls (gate / prep / backend / writeback
+phases over real superstep execution), and the DFT workload chain —
+then writes:
 
 * ``trace.json`` — Chrome trace-event JSON of the whole span tree plus
   the engine run's per-rank superstep comm counters and memory report
@@ -15,9 +16,10 @@ real superstep execution), and the DFT workload chain — then writes:
 * ``metrics.json`` — the flat metrics snapshot (global registry plus
   the default plan service's resolution counters).
 
-Exits non-zero if the trace comes out empty or any expected span layer
+Exits non-zero if the trace comes out empty, any expected span layer
 (planner / cache / executor / fabric / pd phases / engine / workload) is
-missing — CI runs this and archives ``trace.json`` as a workflow
+missing, or either executed factorization (``pd.lu``, ``pd.cholesky``)
+left no span — CI runs this and archives ``trace.json`` as a workflow
 artifact, so every main build leaves an inspectable timeline behind.
 """
 
@@ -39,6 +41,9 @@ from repro.obs.export import metrics_json, write_chrome_trace  # noqa: E402
 #: Span categories the trace must cover — one per instrumented layer.
 REQUIRED_CATS = {"planner", "cache", "executor", "pd", "pd-phase",
                  "engine", "workload", "fabric"}
+
+#: Spans the trace must hold by name: both executed factorizations.
+REQUIRED_SPANS = {"pd.lu", "pd.cholesky"}
 
 #: Sweep slice: two paper-plane points, 2.5D LU + Cholesky.
 SWEEP_POINTS = [(4096, 64), (8192, 256)]
@@ -107,9 +112,11 @@ def _drive_fabric() -> None:
 
 
 def _drive_engine():
-    """A real distributed run through the pd entry point plus one
-    explicit backend run; returns (step_log, memory_report)."""
-    from repro.api import pdgetrf
+    """Real distributed runs through the pd entry points (COnfLUX and
+    COnfCHOX, on a machine enforcing a loose budget so the gate runs
+    too) plus one explicit backend run; returns (step_log,
+    memory_report)."""
+    from repro.api import pdgetrf, pdpotrf
     from repro.engine.backends import DistributedBackend
     from repro.factorizations import ConfluxSchedule
     from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
@@ -117,12 +124,14 @@ def _drive_engine():
 
     rng = np.random.default_rng(0)
     n, p = ENGINE_N, ENGINE_P
-    machine = Machine(p)
+    machine = Machine(p, mem_words=4 * n * n, enforce_memory=True)
     desc = ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16, prows=2, pcols=2)
     layout = BlockCyclicLayout(n, n, 16, 16, ProcessorGrid2D(2, 2))
-    a = rng.standard_normal((n, n)) + n * np.eye(n)
-    layout.scatter_from(machine, "A", a)
+    a = rng.standard_normal((n, n))
+    layout.scatter_from(machine, "A", a + n * np.eye(n))
     pdgetrf(machine, "A", desc, v=8)
+    layout.scatter_from(machine, "S", a @ a.T + n * np.eye(n))
+    pdpotrf(machine, "S", desc, impl="confchox", v=8)
 
     backend = DistributedBackend(Machine(p))
     backend.run(ConfluxSchedule(n, p, v=8, c=1),
@@ -172,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         failures.append(
             f"span layers missing from the trace: {sorted(missing)}")
+    absent = REQUIRED_SPANS - {e["name"] for e in events}
+    if absent:
+        failures.append(f"spans missing from the trace: {sorted(absent)}")
     for f in failures:
         print(f"ERROR: {f}", file=sys.stderr)
     return 1 if failures else 0

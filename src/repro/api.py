@@ -298,9 +298,7 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
         finally:
             # The working set and the call's own prepped inputs are
             # dead once the backend has run or raised.
-            discard_work(machine)
-            for key in mine:
-                discard_matrix(machine, key)
+            discard_work(machine, *mine)
         with tel.span("pd.writeback", cat="pd-phase"):
             factors = out_name + ":native"
             try:

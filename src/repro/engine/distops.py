@@ -453,9 +453,11 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
     columns, layer ``k``'s ``v/c`` planes of each — the whole pattern
     is one :func:`exchange` under ``key``.  Each grid row's (column's)
     operand is gathered once; a rank multiplies its planes of the two
-    and subtracts the product from its panel in one indexed write — on
-    tiles ``bi >= bj`` only when ``lower``.  Flops: ``2mnk`` over the
-    entries updated, once per rank.
+    and subtracts the product from its panel in one indexed write.
+    With ``lower`` (COnfCHOX: a grid row's rows are one contiguous run,
+    else ``ValueError``) it updates tiles ``bi >= bj`` only, one product
+    per local tile column from the first row on or below its diagonal.
+    Flops: ``2mnk`` over the entries updated, once per rank.
     """
     pr, pc = grid.rows, grid.cols
     planes = v // grid.layers
@@ -467,19 +469,28 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
     src, dst = np.nonzero(words)
     exchange(machine, src % len(row_chunks), dst, words[src, dst], key)
     for pi, rows in enumerate(row_local):
+        if lower and np.any(np.diff(rows) != 1):
+            raise ValueError(f"lower=True needs one contiguous run of rows "
+                             f"per grid row; grid row {pi}'s are not")
         for pj, cols in enumerate(col_local):
             if rows.size == 0 or cols.size == 0:
                 continue
             updated = rows.size * cols.size
             if lower:
-                keep = ((rows // v * pr + pi)[:, None]
-                        >= (cols // v * pc + pj)[None, :])
-                updated = np.count_nonzero(keep)
+                starts = cols[::v]
+                top = np.searchsorted(rows // v * pr + pi,
+                                      starts // v * pc + pj)
+                updated = int((rows.size - top).sum()) * v
+                pieces = [(lo, cj, cj - cols[0]) for lo, cj in
+                          zip(top.tolist(), starts.tolist()) if lo < rows.size]
             for pk in range(grid.layers):
                 sl = slice(pk * planes, (pk + 1) * planes)
-                update = a10[pi][:, sl] @ a01t[pj][:, sl].T
-                if lower:
-                    update *= keep
                 rank = grid.rank(pi, pj, pk)
-                panels[rank][rows, cols[0]:cols[-1] + 1] -= update
+                if lower:
+                    for lo, cj, j in pieces:
+                        panels[rank][rows[lo]:rows[-1] + 1, cj:cj + v] -= (
+                            a10[pi][lo:, sl] @ a01t[pj][j:j + v, sl].T)
+                else:
+                    panels[rank][rows, cols[0]:cols[-1] + 1] -= (
+                        a10[pi][:, sl] @ a01t[pj][:, sl].T)
                 machine.compute(rank, 2.0 * updated * planes)

@@ -59,12 +59,13 @@ def discard_matrix(machine: Machine, name: Hashable) -> None:
     _discard_names(machine, lambda first: first == name)
 
 
-def discard_work(machine: Machine) -> None:
-    """Free every key under any :func:`work_name` from every rank's
-    store: a schedule's tiles and transients belong to the call that
-    ran it (see :mod:`repro.api`)."""
-    _discard_names(machine, lambda first: isinstance(first, tuple)
-                   and first[:1] == ("work",))
+def discard_work(machine: Machine, *names: Hashable) -> None:
+    """Free every key under any :func:`work_name`, and of the named
+    matrices ``names``, from every rank's store in one pass: a
+    schedule's tiles and transients belong to the call that ran it
+    (see :mod:`repro.api`)."""
+    _discard_names(machine, lambda first: first in names or (
+        isinstance(first, tuple) and first[:1] == ("work",)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,10 +128,6 @@ class BlockCyclicLayout:
         return [(bi, bj)
                 for bi in range(pi, self.mblocks, self.grid.rows)
                 for bj in range(pj, self.nblocks, self.grid.cols)]
-
-    def row_owners(self, bi: int) -> list[tuple[int, int]]:
-        """``(bj, owner_rank)`` for every tile of block row ``bi``."""
-        return [(bj, self.owner_rank(bi, bj)) for bj in range(self.nblocks)]
 
     def local_words(self, rank: int) -> int:
         """Words resident on ``rank`` (0 outside the grid): local rows

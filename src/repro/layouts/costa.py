@@ -85,26 +85,25 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
     out_name = dst_name if dst_name is not None else name + ":r"
     rows, cols, src_rank, dst_rank, words = _traffic(src, dst)
 
-    tiles = [[machine.store(rank).get(block_key(name, bi, bj))
-              for bj, rank in src.row_owners(bi)]
-             for bi in range(src.mblocks)]
-    out = [[np.empty(dst.block_shape(bi, bj)) for bj in range(dst.nblocks)]
-           for bi in range(dst.mblocks)]
+    # Both layouts' tiles row-major, as their owners' stores hold them.
+    tiles = [store.get(block_key(name, bi, bj))
+             for store, bi, bj, _, _ in src._tiles(machine)]
+    out = [np.empty((r.stop - r.start, c.stop - c.start))
+           for _, _, _, r, c in dst._tiles(machine)]
     col_cuts = _cuts(cols, src.nb, dst.nb)
     for sbi, dbi, from_rows, to_rows in _cuts(rows, src.mb, dst.mb):
-        from_tiles, to_tiles = tiles[sbi], out[dbi]
+        s0, d0 = sbi * src.nblocks, dbi * dst.nblocks
         for sbj, dbj, from_cols, to_cols in col_cuts:
-            to_tiles[dbj][to_rows, to_cols] = from_tiles[sbj][from_rows,
-                                                             from_cols]
+            out[d0 + dbj][to_rows, to_cols] = tiles[s0 + sbj][from_rows,
+                                                              from_cols]
 
     nranks = machine.nranks
     moved = np.bincount((src_rank * nranks + dst_rank).ravel(),
                         weights=words.ravel())
     pair = np.flatnonzero(moved)
     machine.stats.record_transfers(pair // nranks, pair % nranks, moved[pair])
-    for bi, tile_row in enumerate(out):
-        for (bj, rank), tile in zip(dst.row_owners(bi), tile_row):
-            machine.store(rank).put(block_key(out_name, bi, bj), tile)
+    for (store, bi, bj, _, _), tile in zip(dst._tiles(machine), out):
+        store.put(block_key(out_name, bi, bj), tile)
 
 
 def conversion_words(src: BlockCyclicLayout,

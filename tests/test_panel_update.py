@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import pdgemm, pdgetrf
+from repro.api import pdgemm, pdgetrf, pdpotrf
 from repro.engine.backends import DistributedBackend
 from repro.engine.distops import (
+    _by_grid_coord,
     assemble_cols_1d,
     distribute_rows_1d,
     exchange,
@@ -80,14 +81,43 @@ def per_tile_reference(before: dict, grid: ProcessorGrid3D, v: int, t: int,
     return expected, fl
 
 
+def masked_rectangle(grid: ProcessorGrid3D, panels, v: int, row_chunks,
+                     col_chunks):
+    """``panel_fan_out_update(lower=True)``'s update as it ran before
+    the per-tile-column product, kept in ``tests/`` only: per rank the
+    whole rectangle, masked to ``bi >= bj``, subtracted through a row
+    index.  Returns the updated panels and the per-rank flops."""
+    pr, pc = grid.rows, grid.cols
+    planes = v // grid.layers
+    _, a10, row_local = _by_grid_coord(row_chunks, pr, v)
+    _, a01t, col_local = _by_grid_coord(col_chunks, pc, v)
+    out = [panel.copy() for panel in panels]
+    fl = np.zeros(grid.size)
+    for pi, rows in enumerate(row_local):
+        for pj, cols in enumerate(col_local):
+            if rows.size == 0 or cols.size == 0:
+                continue
+            keep = ((rows // v * pr + pi)[:, None]
+                    >= (cols // v * pc + pj)[None, :])
+            for pk in range(grid.layers):
+                sl = slice(pk * planes, (pk + 1) * planes)
+                update = a10[pi][:, sl] @ a01t[pj][:, sl].T
+                update *= keep
+                rank = grid.rank(pi, pj, pk)
+                out[rank][rows, cols[0]:cols[-1] + 1] -= update
+                fl[rank] += 2.0 * np.count_nonzero(keep) * planes
+    return out, fl
+
+
 @st.composite
-def scenarios(draw):
+def scenarios(draw, lower=None):
     pr, pc, c = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 2))
     v = c * draw(st.integers(1, 3))
     nb = draw(st.integers(2, 7))
     t = draw(st.integers(0, nb - 1))        # t = nb-1: no trailing columns
-    lower = draw(st.booleans())
+    if lower is None:
+        lower = draw(st.booleans())
     n = nb * v
     if lower:
         # COnfCHOX: every row below the panel, tile-aligned.
@@ -100,9 +130,10 @@ def scenarios(draw):
     return pr, pc, c, v, nb, t, lower, active, draw(st.integers(0, 2**31))
 
 
-@given(scenarios())
-@settings(max_examples=60, deadline=None)
-def test_batched_update_equals_the_per_tile_reference(scenario):
+def _update_inputs(scenario):
+    """A scenario's machine with its panels (every layer non-zero, as
+    mid-run), the trailing rows and columns, random operands, and their
+    1D chunks."""
     pr, pc, c, v, nb, t, lower, active, seed = scenario
     rng = np.random.default_rng(seed)
     grid = ProcessorGrid3D(pr, pc, c)
@@ -110,18 +141,25 @@ def test_batched_update_equals_the_per_tile_reference(scenario):
     machine = Machine(grid.size)
     panels = local_panels(machine, grid, nb, v, NAME,
                           rng.standard_normal((n, n)), None, lower=lower)
-    for panel in panels:                    # layers > 0 are not zero mid-run
+    for panel in panels:
         panel += rng.standard_normal(panel.shape)
-    before = {(r, key[1], key[2]): tile.copy()
-              for r in range(grid.size)
-              for key, tile in machine.store(r).items()}
-
     rows = np.flatnonzero(active)
     cols = np.arange((t + 1) * v, n)
     a10 = rng.standard_normal((rows.size, v))
     a01 = rng.standard_normal((v, cols.size))
-    row_chunks = _chunks(rows, a10, grid.size)
-    col_chunks = _chunks(cols, a01.T, grid.size)
+    return (grid, machine, panels, rows, a10, a01,
+            _chunks(rows, a10, grid.size), _chunks(cols, a01.T, grid.size))
+
+
+@given(scenarios())
+@settings(max_examples=60, deadline=None)
+def test_batched_update_equals_the_per_tile_reference(scenario):
+    _, _, _, v, nb, t, lower, _, _ = scenario
+    (grid, machine, panels, rows, a10, a01, row_chunks,
+     col_chunks) = _update_inputs(scenario)
+    before = {(r, key[1], key[2]): tile.copy()
+              for r in range(grid.size)
+              for key, tile in machine.store(r).items()}
     words_before = machine.words_per_rank()
 
     panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
@@ -136,6 +174,48 @@ def test_batched_update_equals_the_per_tile_reference(scenario):
     # Nothing shipped stays behind, and each message was counted once.
     assert np.array_equal(machine.words_per_rank(), words_before)
     assert machine.stats.total_recv_words == machine.stats.sent_words.sum()
+
+
+@given(scenarios(lower=True))
+@settings(max_examples=60, deadline=None)
+def test_lower_update_equals_the_masked_rectangle(scenario):
+    """The per-tile-column product writes the masked rectangle's bits
+    and charges its flops."""
+    v = scenario[3]
+    grid, machine, panels, _, _, _, row_chunks, col_chunks = \
+        _update_inputs(scenario)
+    want, fl = masked_rectangle(grid, panels, v, row_chunks, col_chunks)
+
+    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+                         KEY, lower=True)
+
+    # Rows are whole tiles, so every per-column product is at least
+    # v x v; at v = 1 it is one column, which NumPy sends to gemv (other
+    # rounding than the rectangle's gemm).
+    exact = v >= 2
+    for rank in range(grid.size):
+        for key, got in machine.store(rank).items():
+            i0, j0 = key[1] // grid.rows * v, key[2] // grid.cols * v
+            ref = want[rank][i0:i0 + v, j0:j0 + v]
+            if exact:
+                assert np.array_equal(got, ref), (rank, key)
+            else:
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-12), (rank, key)
+    assert np.array_equal(machine.stats.flops, fl)
+
+
+def test_lower_update_refuses_rows_that_are_not_one_run():
+    """COnfCHOX updates every row below the panel; a grid row with a
+    gap in its rows has no per-tile-column form and is refused."""
+    grid, v, nb = ProcessorGrid3D(1, 1, 1), 2, 4
+    machine = Machine(1)
+    panels = local_panels(machine, grid, nb, v, NAME,
+                          np.eye(nb * v), None, lower=True)
+    rows = np.array([4, 6, 7])
+    with pytest.raises(ValueError, match="contiguous"):
+        panel_fan_out_update(
+            machine, grid, panels, v, _chunks(rows, np.ones((3, v)), 1),
+            _chunks(np.arange(4, 8), np.ones((4, v)), 1), KEY, lower=True)
 
 
 def test_ranks_without_rows_or_columns_are_left_alone():
@@ -436,18 +516,26 @@ HOT_PATH = {"dist_step", "panel_fan_out_update", "_by_grid_coord",
             "_scatter_1d", "exchange"}
 
 
-def _profiled_pdgetrf() -> pstats.Stats:
+def _profiled_pd(op: str) -> pstats.Stats:
+    """One profiled 2.5D ``pdgetrf`` (COnfLUX) or ``pdpotrf``
+    (COnfCHOX), n=128, P=16, v=8, c=2, from a 4x4, mb=8 descriptor."""
     n, p = 128, 16
     machine = Machine(p)
-    a = np.random.default_rng(3).standard_normal((n, n)) + n * np.eye(n)
+    a = np.random.default_rng(3).standard_normal((n, n))
+    a = a @ a.T + n * np.eye(n) if op == "cholesky" else a + n * np.eye(n)
     desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=4, pcols=4)
     BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(4, 4)).scatter_from(
         machine, "X", a)
     blas._lapack()          # the first kernel call would import SciPy
     profile = cProfile.Profile()
-    res = profile.runcall(pdgetrf, machine, "X", desc, impl="conflux",
-                          v=8, c=2)
-    assert np.allclose(a[res.perm], res.lower @ res.upper)
+    if op == "cholesky":
+        res = profile.runcall(pdpotrf, machine, "X", desc, impl="confchox",
+                              v=8, c=2)
+        assert np.allclose(a, res.lower @ res.lower.T)
+    else:
+        res = profile.runcall(pdgetrf, machine, "X", desc, impl="conflux",
+                              v=8, c=2)
+        assert np.allclose(a[res.perm], res.lower @ res.upper)
     return pstats.Stats(profile)
 
 
@@ -465,7 +553,7 @@ def _calls(stats: pstats.Stats, name: str) -> int:
 
 
 def test_executed_conflux_python_overhead_stays_batched():
-    stats = _profiled_pdgetrf()
+    stats = _profiled_pd("lu")
     assert stats.total_calls < CALL_CEILING
     # No per-tile operand rebuilds and no per-message sends in the
     # batched path: the tournament's rounds are the only ``ship``s ...
@@ -478,6 +566,22 @@ def test_executed_conflux_python_overhead_stays_batched():
     assert _callers(stats, asarray)
     assert "_check_nonneg" not in _callers(stats, asarray)
     assert "_check_nonneg" in {func[2] for func in stats.stats}
+
+
+#: Python-level calls of the same pdpotrf(confchox): 43 k with one
+#: product per tile column and COSTA walking each layout once (56 k with
+#: a masked rectangle per rank and an owner lookup per tile).
+CALL_CEILING_CHOL = 52_000
+
+
+def test_executed_confchox_python_overhead_stays_batched():
+    stats = _profiled_pd("cholesky")
+    assert stats.total_calls < CALL_CEILING_CHOL
+    # The lower update keeps no mask ...
+    assert "panel_fan_out_update" not in _callers(stats, "count_nonzero")
+    # ... and the two reshuffles validate no tile one by one: at most
+    # once per block row of each layout (16 + 16), in and out.
+    assert _calls(stats, "_check_block") <= 2 * (16 + 16)
 
 
 #: Python-level calls of one executed 2D view at n=512, nb=16, P=16:
