@@ -24,14 +24,19 @@ On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 2D Cholesky's ``dist_step`` and COSTA's ``redistribute``; an
 ``ndarray.copy``, ``hstack`` or ``Machine.bcast`` under the SUMMA is a
 regression.
-On ``plan_grid`` the top is what the ranking reads and nothing else:
-``_residue_reduce`` under ``TermBatch.recv_words`` (received words of
-each distinct surviving schedule), the tournament column
-``butterfly_pair_exchanges`` the 2.5D schedules emit, and the couple of
-dozen ``conversion_words`` the best-first joint search asks for;
-``_score`` or the ``hash`` of a ``BlockCyclicLayout`` back at the top
-(the whole candidate product being scored), or ``TermBatch.evaluate``
-anywhere, is a regression.
+On ``plan_grid`` the top is what the ranking reads and nothing else.
+First ``TermBatch.add`` building each surviving 2.5D candidate's terms:
+COnfLUX's ``accounting`` with its per-step columns (``m_rows``,
+``rounds_t``, the tournament's), ``_add`` and ``StepFn``'s exactness
+scan.  Then ``_residue_reduce`` under ``TermBatch.recv_words``: many
+small calls over the affine terms' residue classes, and one step-long
+bincount per candidate, the tournament column term's.  Any
+of these back at the top is a regression: ``_residue_reduce`` over a
+step-long array for an affine term (``StepFn.values`` under
+``recv_words``), a per-round loop in ``butterfly_pair_exchanges``, an
+n-long ``arange`` under ``conversion_words``, ``_score`` or the
+``hash`` of a ``BlockCyclicLayout`` (the whole candidate product being
+scored), or ``TermBatch.evaluate`` anywhere.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

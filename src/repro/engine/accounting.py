@@ -38,8 +38,10 @@ gated/owned terms go through residue-class moment contractions built on
 the decomposition ``own(a, t) = q(t) + beta(a, t mod m)`` (full
 remaining cycles plus a periodic partial-cycle window; double-ownership
 products expand into moments and one ``beta_i M0 beta_j^T`` bilinear).
-``O(steps + P)`` work per schedule, never an ``O(steps x P)``
-allocation; a requested step log derives analytically from
+An affine gated/owned term costs ``O(L + P)`` (``L`` the lcm of its
+axis dims: its moments are closed forms per residue class mod ``L``), a
+column or msgs profile ``O(steps + P)``; never an ``O(steps x P)``
+allocation.  A requested step log derives analytically from
 per-residue-class value columns in the same pass.  What the kernels
 cannot reduce is refused, not routed elsewhere: words/msgs sums that
 could cross ``2^52`` raise :class:`OverflowError` (flops, with no
@@ -55,7 +57,8 @@ are associativity-free), and the single float ``coeff`` multiplies the
 identical integer total in the identical term order.  Flop terms may
 carry non-integer step columns (the 2D panel-LU count), which the same
 kernels reduce as they are; agreement is to float rounding there, and
-the parity suite pins both.
+the parity suite pins both.  Affine flop moments are exact integers
+rounded once: past ``2^53`` they do not drift as step-order sums do.
 """
 
 from __future__ import annotations
@@ -85,19 +88,18 @@ def butterfly_pair_exchanges(m: np.ndarray | int) -> np.ndarray:
     ragged ``m`` — the late factorization steps where fewer panel ranks
     still hold active rows — it is strictly smaller, which is what the
     exact tournament accounting of the 2.5D schedules charges
-    (vectorized over a step column of ``m`` values).
+    (vectorized: a table over ``0 .. max(m)``, indexed by ``m``).
     """
-    m_arr = np.asarray(m, dtype=np.int64)
-    total = np.zeros_like(m_arr)
+    m_arr = np.maximum(np.asarray(m, dtype=np.int64), 0)
+    table = np.zeros(int(m_arr.max(initial=0)) + 1, dtype=np.int64)
     q = 1
-    while q < int(m_arr.max(initial=0)):
-        rem = np.maximum(m_arr - q, 0)
+    while q < table.size - 1:
+        rem = np.maximum(np.arange(table.size) - q, 0)
         # i < rem with bit log2(q) clear: full 2q-periods contribute q
         # values each, the tail contributes min(q, rem mod 2q).
-        count0 = (rem // (2 * q)) * q + np.minimum(q, rem % (2 * q))
-        total += 2 * count0
+        table += 2 * ((rem // (2 * q)) * q + np.minimum(q, rem % (2 * q)))
         q *= 2
-    return total
+    return table[m_arr.ravel()].reshape(m_arr.shape)
 
 
 #: Magnitude bound under which float64 sums of integers are exact; a
@@ -378,6 +380,26 @@ class StepAccounting:
         return lo, max(lo, hi)
 
     @staticmethod
+    def _class_moments(step: StepFn, lo: int, hi: int, period: int,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r, sum w, sum w t)`` over each class ``t = r (mod period)``
+        of ``[lo, hi)`` for ``w = c0 + c1 t``: arithmetic progressions,
+        so closed forms in exact integers (int64 while every
+        intermediate is under ``2^62``, Python ints past it), rounded
+        once to float.  ``period < hi - lo``: no class is empty."""
+        c0, c1 = int(step.c0), int(step.c1)
+        big = (4 * hi + abs(c0) + abs(c1) * hi) * hi * \
+            ((hi - lo) // period + 1)
+        r = np.arange(period, dtype=np.int64 if big < 2 ** 62 else object)
+        first = lo + (r - lo) % period
+        n = (hi - first + period - 1) // period
+        s1 = n * first + period * (n * (n - 1) // 2)
+        s2 = (n * first * first + period * first * (n * (n - 1))
+              + period * period * ((n - 1) * n * (2 * n - 1) // 6))
+        return (r.astype(np.int64), (c0 * n + c1 * s1).astype(np.float64),
+                (c0 * s1 + c1 * s2).astype(np.float64))
+
+    @staticmethod
     def _check_exact(term: CostTerm, bound: float) -> None:
         """Refuse a words/msgs term whose integer sums could reach
         ``bound`` past float64 exactness.  Flop terms carry no such
@@ -403,10 +425,13 @@ class StepAccounting:
         and ``a`` a residue, ``own(a, t) = C_tot(a) - c_le(a, t)`` where
         ``C_tot(a) = ceil((nsteps - a) / m)`` and
         ``c_le(a, t) = (t - a - ((t - a) mod m)) / m + 1`` counts the
-        multiples of ``m`` plus ``a`` at or below ``t``.  Summed against
-        per-residue weight moments (bincounts of ``w`` and ``w * t``)
-        this reduces every gated/owned contraction to ``O(steps + dims)``
-        arithmetic; negated gates expand by inclusion-exclusion.
+        multiples of ``m`` plus ``a`` at or below ``t``.  Contracted
+        with the weight moments ``sum w``, ``sum w t`` of residue classes
+        mod ``L`` (the lcm of the term's axis dims) — ``O(L + P)`` for an
+        affine profile on at most one ownership axis, one class per step
+        (``O(steps + P)``) for columns, msgs and two-axis products —
+        every gated/owned sum is closed-form; negated gates expand by
+        inclusion-exclusion.
         """
         step = term.step
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
@@ -421,16 +446,26 @@ class StepAccounting:
             series = self._affine_series(step, lo, hi)
             self._check_exact(term, abs(series))
             return float(series)
-        base = step.values(lo, hi)
-        if msgs:
-            base = term.msgs_step.values(lo, hi) * (base > 0)
-        # |sum_t base| at most; only the ownership kernels also form
-        # the moment sum_t base * t, a factor ``hi`` above it.
-        bound = float(np.abs(base).max()) * (hi - lo)
+        period = math.lcm(*(self._axis_dim(a.lstrip("!"))
+                            for a in term.gate + term.own))
+        if step.column is None and not msgs and len(term.own) < 2 and \
+                period < hi - lo:
+            r, M0, M1 = self._class_moments(step, lo, hi, period)
+            amax = max(abs(step.c0 + step.c1 * lo),     # at an endpoint
+                       abs(step.c0 + step.c1 * (hi - 1)))
+        else:
+            M0 = step.values(lo, hi)
+            if msgs:
+                M0 = term.msgs_step.values(lo, hi) * (M0 > 0)
+            r = np.arange(lo, hi, dtype=np.int64)
+            M1 = M0 * r if len(term.own) == 1 and not msgs else None
+            amax = float(np.abs(M0).max())
+        # |sum_t w| at most; only the ownership kernels also form the
+        # moment sum_t w * t, a factor ``hi`` above it.
+        bound = amax * (hi - lo)
         if term.uniform:
             self._check_exact(term, bound)
-            return float(base.sum())
-        t = np.arange(lo, hi, dtype=np.int64)
+            return float(M0.sum())
         if len(term.own) > 1:
             # An ungated two-axis ownership product (the trailing-update
             # flops) splits over own = q + beta, beta periodic in t.
@@ -442,7 +477,7 @@ class StepAccounting:
             qcap_i = self.nsteps // self._axis_dim(term.own[0]) + 1
             qcap_j = self.nsteps // self._axis_dim(term.own[1]) + 1
             self._check_exact(term, bound * qcap_i * qcap_j)
-            total = self._own_pair_reduce(base, t, term.own[0], term.own[1])
+            total = self._own_pair_reduce(M0, r, term.own[0], term.own[1])
             if term.rank_const is not None:
                 total = total * term.rank_const
             return total
@@ -451,24 +486,26 @@ class StepAccounting:
         gate_neg = [a.lstrip("!") for a in term.gate if a.startswith("!")]
         own_ax = term.own[0] if term.own else None
         total = np.zeros(self.nranks)
-        for r in range(len(gate_neg) + 1):
-            for sub in itertools.combinations(gate_neg, r):
+        for k in range(len(gate_neg) + 1):
+            for sub in itertools.combinations(gate_neg, k):
                 part = self._residue_reduce(
-                    base, t, gate_pos + list(sub), own_ax, msgs)
-                total = total + (-part if r % 2 else part)
+                    r, M0, M1, gate_pos + list(sub), own_ax, msgs)
+                total = total + (-part if k % 2 else part)
         if term.rank_const is not None:
             rc = term.rank_const
             total = total * ((rc > 0) if msgs else rc)
         return total
 
-    def _residue_reduce(self, w: np.ndarray, t: np.ndarray,
-                        pos_axes: list[str], own_ax: str | None,
-                        msgs: bool) -> np.ndarray | float:
+    def _residue_reduce(self, r: np.ndarray, M0: np.ndarray,
+                        M1: np.ndarray | None, pos_axes: list[str],
+                        own_ax: str | None, msgs: bool) -> np.ndarray | float:
         """``sum_t w(t) [coord_x = t mod m_x for x in pos_axes] *
         own(own_ax)`` contracted onto ranks (ownership becomes its
-        positivity indicator for ``msgs``)."""
+        positivity indicator for ``msgs``) from the moments ``M0 = sum w``
+        and ``M1 = sum w t`` of classes ``r`` mod a multiple of every
+        ``m`` — or of single steps, ``r = t`` (always for ``msgs``)."""
         if own_ax is None and not pos_axes:
-            return float(w.sum())
+            return float(M0.sum())
         dims = [self._axis_dim(a) for a in pos_axes]
         nkeys = 1
         for m in dims:
@@ -480,15 +517,14 @@ class StepAccounting:
             for a, m in zip(pos_axes, dims):
                 rank_key = rank_key * m + self._axis_coords(a)
             self._rank_keys[axes_key] = rank_key
-        t0 = int(t[0]) if t.size else 0
-        step_key = (axes_key, t0, t.size)
+        step_key = (axes_key, int(r[0]), r.size)
         key = self._step_keys.get(step_key)
         if key is None:
-            key = np.zeros(t.size, dtype=np.int64)
+            key = np.zeros(r.size, dtype=np.int64)
             for a, m in zip(pos_axes, dims):
-                key = key * m + t % m
+                key = key * m + r % m
             self._step_keys[step_key] = key
-        S0 = np.bincount(key, weights=w, minlength=nkeys)
+        S0 = np.bincount(key, weights=M0, minlength=nkeys)
         if own_ax is None:
             return S0[rank_key]
         m_o = self._axis_dim(own_ax)
@@ -502,18 +538,18 @@ class StepAccounting:
                 stride *= m
             a_key = (np.arange(nkeys, dtype=np.int64) // stride) % m_o
             if msgs:
-                sub = self._own_tail(w, t, key, nkeys, own_ax, a_key)
+                sub = self._own_tail(M0, r, key, nkeys, own_ax, a_key)
                 C = np.where(c_tot[a_key] > 0, S0 - sub, 0.0)
             else:
-                S1 = np.bincount(key, weights=w * t, minlength=nkeys)
+                S1 = np.bincount(key, weights=M1, minlength=nkeys)
                 C = c_tot[a_key] * S0 - ((S1 - a_key * S0) / m_o + S0)
             return C[rank_key]
         if msgs:
-            sub = self._own_tail(w, t, key, nkeys, own_ax)
+            sub = self._own_tail(M0, r, key, nkeys, own_ax)
             C = np.where((c_tot > 0)[None, :], S0[:, None] - sub, 0.0)
         else:
-            S1 = np.bincount(key, weights=w * t, minlength=nkeys)
-            joint = np.bincount(key * m_o + t % m_o, weights=w,
+            S1 = np.bincount(key, weights=M1, minlength=nkeys)
+            joint = np.bincount(key * m_o + r % m_o, weights=M0,
                                 minlength=nkeys * m_o).reshape(nkeys, m_o)
             dmat = ((res[:, None] - res[None, :]) % m_o).astype(np.float64)
             c_le = ((S1[:, None] - res[None, :] * S0[:, None]

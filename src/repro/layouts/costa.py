@@ -16,6 +16,8 @@ tests verify both the round-trip correctness and that cost bound.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..machine.comm import Machine
@@ -106,10 +108,32 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
         store.put(block_key(out_name, bi, bj), tile)
 
 
+def _owner_pairs(extent: int, sb: int, sp: int, db: int,
+                 dp: int) -> np.ndarray:
+    """``J[a, b]``: indices of ``[0, extent)`` on source slot ``a``
+    (block ``sb``, ``sp`` slots) and destination slot ``b`` (``db``,
+    ``dp``), walking the coarser partition's blocks in one period
+    ``lcm(sb sp, db dp)``, weighted by recurrence; below ``y`` the finer
+    one (``f``, ``P``) puts ``(y // fP) f + clip(y mod fP - b f, 0, f)``
+    indices on slot ``b``."""
+    period = math.lcm(sb * sp, db * dp)
+    full, tail = divmod(extent, period)
+    span = min(period, extent)
+    (cb, cp), (fb, fp) = sorted([(sb, sp), (db, dp)], reverse=True)
+    # Also cut at the tail (0 without a full period): nothing straddles.
+    y = np.union1d(np.arange(0, span, cb), [tail % span, span])[:, None]
+    cycle = fb * fp
+    below = y // cycle * fb + np.clip(y % cycle - np.arange(fp) * fb, 0, fb)
+    counts = np.zeros((cp, fp), dtype=np.int64)
+    np.add.at(counts, y[:-1, 0] // cb % cp,
+              (full + (y[1:] <= tail)) * np.diff(below, axis=0))
+    return counts if (cb, cp) == (sb, sp) else counts.T
+
+
 def conversion_words(src: BlockCyclicLayout,
                      dst: BlockCyclicLayout) -> float:
     """Total cross-rank words :func:`redistribute` would move, in
-    closed form — O(m + n), no per-tile intersection walk.
+    closed form — no per-tile intersection walk, no per-index array.
 
     An element ``(i, j)`` moves iff its source owner differs from its
     destination owner.  On a row-major grid the owner rank splits into
@@ -121,28 +145,28 @@ def conversion_words(src: BlockCyclicLayout,
     so the ranks agree exactly when the per-row difference
     ``row_src - row_dst`` equals the per-column difference
     ``col_dst - col_src``.  Counting matches therefore factorizes into
-    two 1-D histograms joined on that difference — which is what makes
-    the cost usable as a *planning* term at paper scale, where the
-    per-intersection matrices of :func:`redistribution_volume` are far
-    too large.
+    two 1-D histograms of :func:`_owner_pairs` joined on that
+    difference — O(coarse blocks per period x grid dimension), usable as
+    a *planning* term at paper scale, where the per-intersection
+    matrices of :func:`redistribution_volume` are far too large.
     The workload planner charges exactly this quantity (normalized per
     rank) for every producer→consumer edge whose native layouts differ.
     """
     _check_same_matrix(src, dst)
     if src == dst:
         return 0.0
-    i = np.arange(src.m)
-    row_diff = (((i // src.mb) % src.grid.rows) * src.grid.cols
-                - ((i // dst.mb) % dst.grid.rows) * dst.grid.cols)
-    j = np.arange(src.n)
-    col_diff = ((j // dst.nb) % dst.grid.cols
-                - (j // src.nb) % src.grid.cols)
+    sr, sc = src.grid.rows, src.grid.cols
+    dr, dc = dst.grid.rows, dst.grid.cols
+    row_diff = np.arange(sr)[:, None] * sc - np.arange(dr) * dc
+    col_diff = np.arange(dc) - np.arange(sc)[:, None]
     shift = min(int(row_diff.min()), int(col_diff.min()))
     length = max(int(row_diff.max()), int(col_diff.max())) - shift + 1
-    rows = np.bincount(row_diff - shift, minlength=length)
-    cols = np.bincount(col_diff - shift, minlength=length)
-    colocated = int(rows @ cols)
-    return float(src.m) * src.n - colocated
+    hist = np.zeros((2, length), dtype=np.int64)
+    np.add.at(hist[0], row_diff - shift,
+              _owner_pairs(src.m, src.mb, sr, dst.mb, dr))
+    np.add.at(hist[1], col_diff - shift,
+              _owner_pairs(src.n, src.nb, sc, dst.nb, dc))
+    return float(src.m) * src.n - int(hist[0] @ hist[1])
 
 
 def redistribution_volume(src: BlockCyclicLayout,

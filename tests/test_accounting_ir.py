@@ -20,17 +20,23 @@ and for randomized configurations.
   go through the same kernels as integer ones.
 """
 
+import operator
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import assert_matches_oracle, oracle_stats
 from repro.analysis import harness
 from repro.analysis.harness import sweep_traces
-from repro.engine.accounting import TermBatch
+from repro.engine.accounting import (
+    StepAccounting,
+    StepFn,
+    TermBatch,
+    butterfly_pair_exchanges,
+)
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -101,6 +107,23 @@ class TestHypothesisParity:
         assert_matches_oracle(ConfchoxSchedule(n, p, v=v, c=c, grid=grid))
 
     @settings(max_examples=25, deadline=None)
+    @example(nsteps=37, vk=1, pr=3, pc=5, c=2)
+    @given(nsteps=st.integers(13, 160), vk=st.integers(1, 2),
+           pr=st.integers(2, 5), pc=st.integers(2, 5), c=st.integers(1, 3))
+    def test_period_shorter_than_the_run(self, nsteps, vk, pr, pc, c):
+        """Several full cycles of the terms' periods (``lcm`` of their
+        axis dims, co-prime shapes like 3x5 included) plus a ragged
+        tail: the affine terms reduce per residue class, the oracle
+        step by step."""
+        v = vk * c
+        grid = ProcessorGrid3D(pr, pc, c)
+        schedules = [cls(v * nsteps, grid.size, v=v, c=c, grid=grid)
+                     for cls in (ConfluxSchedule, ConfchoxSchedule)]
+        for sched in schedules:
+            assert_matches_oracle(sched)
+        _assert_recv_words_is_the_full_reductions_column(schedules)
+
+    @settings(max_examples=25, deadline=None)
     @given(nsteps=st.integers(1, 12), nb=st.sampled_from([4, 8, 16]),
            p=st.integers(1, 20), rebroadcast=st.booleans())
     def test_scalapack_2d(self, nsteps, nb, p, rebroadcast):
@@ -168,7 +191,122 @@ class TestRecvWordsOnly:
         _assert_recv_words_is_the_full_reductions_column(schedules)
 
 
-class TestStepLogEquivalence:
+class TestClassMoments:
+    """Affine gated/owned terms reduce over residue classes, whose
+    moments are closed-form integers: O(period), and exact."""
+
+    @staticmethod
+    def _python_int_moments(c0, c1, lo, hi, period):
+        """``sum w`` and ``sum w t`` per class by brute-force ``sum()``
+        over the class's steps in Python ints (``sum t`` and ``sum t^2``
+        summed, then combined with the coefficients)."""
+        moments = []
+        for r in range(period):
+            ts = range(lo + (r - lo) % period, hi, period)
+            s1, s2 = sum(ts), sum(map(operator.mul, ts, ts))
+            moments.append((c0 * len(ts) + c1 * s1, c0 * s1 + c1 * s2))
+        return moments
+
+    @settings(max_examples=40, deadline=None)
+    @example(c0=2 ** 23, c1=-2 ** 10, lo=0, steps=2 ** 23, period=8)
+    @given(c0=st.integers(-2 ** 30, 2 ** 30),
+           c1=st.integers(-2 ** 10, 2 ** 10), lo=st.integers(0, 1000),
+           steps=st.integers(2, 3000), period=st.integers(1, 64))
+    def test_moments_are_python_int_sums_rounded_once(self, c0, c1, lo,
+                                                      steps, period):
+        """At ``2^23`` steps the ``sum w t`` moments pass ``2^63``:
+        plain int64 would wrap there."""
+        period = min(period, steps - 1)
+        hi = lo + steps
+        r, M0, M1 = StepAccounting._class_moments(
+            StepFn(c0=c0, c1=c1, lo=lo, hi=hi), lo, hi, period)
+        want = self._python_int_moments(c0, c1, lo, hi, period)
+        assert np.array_equal(r, np.arange(period))
+        assert M0.tolist() == [float(m0) for m0, _ in want]
+        assert M1.tolist() == [float(m1) for _, m1 in want]
+        if steps == 2 ** 23:
+            assert max(abs(m1) for _, m1 in want) > 2 ** 63
+
+    def test_affine_flops_past_2_53_are_exact(self):
+        """COnfLUX's Schur-update flops (``own=("j",)``) at N = 2^20,
+        v = 1 reach ~2^55 per rank; their closed form is the exact
+        integer, where step-order float sums were ~1.75e-12 off."""
+        sched = ConfluxSchedule(2 ** 20, 64, v=1, c=1)
+        acct = StepAccounting(sched.grid, sched.steps())
+        [term] = [tm for tm in acct._collect(sched.accounting)
+                  if tm.counter == "flops" and tm.own == ("j",)
+                  and tm.step.column is None and tm.step.c1 != 0]
+        total = acct._term_total(term, msgs=False)
+        nsteps, m, pj = acct.nsteps, acct.grid.cols, 3
+        # nrem = N - t times the tiles in (t, nsteps) owned by column pj.
+        want = sum((nsteps - t) * ((nsteps - 1 - pj) // m - (t - pj) // m)
+                   for t in range(nsteps))
+        assert want > 2 ** 53
+        assert total[np.flatnonzero(acct.pj == pj)[0]] == float(want)
+
+    def test_recv_words_of_affine_terms_materialise_no_step(self,
+                                                             monkeypatch):
+        calls = []
+        values = StepFn.values
+        monkeypatch.setattr(StepFn, "values", lambda self, t0, t1: (
+            calls.append((t0, t1)) or values(self, t0, t1)))
+        batch = TermBatch()
+        batch.add(ConfchoxSchedule(65536, 4096, v=1, c=1))
+        words = batch.recv_words()[0]
+        assert calls == []
+        assert words.min() > 0
+
+
+def _xor_pairings(m):
+    """Brute force: one transfer per participant per XOR-butterfly round
+    whose partner ``i ^ 2^r`` exists."""
+    total, q = 0, 1
+    while q < m:
+        total += sum(1 for i in range(m) if i ^ q < m)
+        q *= 2
+    return total
+
+
+class TestTournamentTable:
+    """``butterfly_pair_exchanges`` is a table over ``0 .. max(m)``
+    indexed by the step column."""
+
+    def test_every_participant_count_up_to_130(self):
+        m = np.arange(131)
+        got = butterfly_pair_exchanges(m)
+        assert got.dtype == np.int64 and got.shape == m.shape
+        assert got.tolist() == [_xor_pairings(k) for k in range(131)]
+        square = butterfly_pair_exchanges(m[:121].reshape(11, 11))
+        assert np.array_equal(square, got[:121].reshape(11, 11))
+
+    @pytest.mark.parametrize("m, want", [
+        (0, 0), (1, 0), (-1, 0), (-64, 0), (2, 2), (3, 4), (8, 24),
+        (np.int64(5), 10), (np.array(6), 14)])
+    def test_scalars_and_0d(self, m, want):
+        got = butterfly_pair_exchanges(m)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.dtype == np.int64 and got == want
+
+    def test_negative_counts_do_not_wrap(self):
+        got = butterfly_pair_exchanges(np.array([-130, -2, -1, 0, 1, 4]))
+        assert got.tolist() == [0, 0, 0, 0, 0, 8]
+
+    @pytest.mark.parametrize("n, p, v, c", GRID + EDGE)
+    def test_conflux_exchange_column_on_the_parity_points(self, n, p, v, c,
+                                                          monkeypatch):
+        from repro.factorizations import conflux
+
+        seen = []
+        monkeypatch.setattr(conflux, "butterfly_pair_exchanges", lambda m: (
+            seen.append((m, butterfly_pair_exchanges(m))) or seen[-1][1]))
+        sched = ConfluxSchedule(n, p, v=v, c=c)
+        acct = StepAccounting(sched.grid, sched.steps())
+        terms = acct._collect(sched.accounting)
+        [(m_t, exch)] = seen
+        assert exch.tolist() == [_xor_pairings(int(k)) for k in m_t]
+        assert [tm.step.column.tolist() for tm in terms
+                if tm.gate == ("j", "k") and tm.counter != "flops"
+                and tm.step.column is not None] == [exch.tolist()] * 2
     """Per-step maxima, when requested, agree across log flavours."""
 
     @pytest.mark.parametrize("sched_fn", [
@@ -208,9 +346,6 @@ class TestBuilderValidation:
     """The IR's emission-time contract (what makes exactness provable)."""
 
     def _acct(self, nsteps=4):
-        from repro.engine.accounting import StepAccounting
-        from repro.machine.grid import ProcessorGrid3D
-
         return StepAccounting(ProcessorGrid3D(2, 2, 1), nsteps)
 
     def test_words_profiles_must_be_integer_valued(self):
@@ -273,9 +408,12 @@ class TestOnePath:
     @pytest.mark.parametrize("emit", [
         lambda a: a.add_recv(1.0, step=a.affine(0, 2 ** 51)),
         lambda a: a.add_recv(1.0, step=a.affine(2 ** 50), gate=("j",)),
+        # Refused on its first step's 2^50, its largest value.
+        lambda a: a.add_recv(1.0, step=a.affine(2 ** 50, -2 ** 48),
+                             gate=("j",)),
         lambda a: a.add_sent(1.0, step=a.affine(2 ** 50), own=("i",)),
         lambda a: a.add_recv(1.0, msgs_step=a.affine(0, 2 ** 51)),
-    ], ids=["uniform", "gated", "owned", "msgs"])
+    ], ids=["uniform", "gated", "gated-decreasing", "owned", "msgs"])
     def test_moments_past_2_52_raise_instead_of_rounding(self, emit):
         with pytest.raises(OverflowError,
                            match=r"(recv|sent) term .*cross 2\^52"):

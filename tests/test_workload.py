@@ -216,12 +216,52 @@ class TestConversionWords:
                                     int(rng.integers(1, 17)),
                                     ProcessorGrid2D(*g2))
             yield src, dst
+        shapes = [
+            # One block per rank against small tiles.
+            ((96, 96, 48, 24, (2, 4)), (96, 96, 4, 4, (3, 3))),
+            # Rectangular, m != n.
+            ((72, 40, 6, 5, (3, 2)), (72, 40, 4, 8, (2, 4))),
+            # Extents no multiple of either period (lcm 120 and 24).
+            ((250, 131, 5, 3, (3, 2)), (250, 131, 4, 4, (2, 3))),
+            # Co-prime grids.
+            ((120, 120, 4, 3, (3, 5)), (120, 120, 5, 2, (4, 2))),
+            # Blocks larger than the matrix.
+            ((30, 50, 40, 7, (2, 3)), (30, 50, 3, 64, (4, 2))),
+        ]
+        for (m, n, mb, nb, g1), (_, _, mb2, nb2, g2) in shapes:
+            src = BlockCyclicLayout(m, n, mb, nb, ProcessorGrid2D(*g1))
+            dst = BlockCyclicLayout(m, n, mb2, nb2, ProcessorGrid2D(*g2))
+            yield src, dst
+            yield dst, src
 
     def test_matches_redistribution_volume(self):
         for src, dst in self.pairs():
             closed = conversion_words(src, dst)
             reference = redistribution_volume(src, dst).sum()
             assert closed == reference
+
+    def test_summa_against_small_tiles_walks_blocks_not_indices(self):
+        """O(coarse blocks per period x grid dimension): the SUMMA's one
+        block per rank against 4-wide tiles at n = 65536 allocates no
+        n-long array (which alone would be 512 KiB of int64)."""
+        import tracemalloc
+
+        n = 65536
+        summa = BlockCyclicLayout(n, n, n // 8, n // 16, ProcessorGrid2D(8, 16))
+        tiles = BlockCyclicLayout(n, n, 4, 4, ProcessorGrid2D(16, 16))
+        for src, dst in [(summa, tiles), (tiles, summa)]:
+            conversion_words(src, dst)
+            tracemalloc.start()
+            try:
+                words = conversion_words(src, dst)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
+            # Both grids have 16 columns, so the owners agree iff their
+            # grid rows and columns do: n/16 rows (block i of 8 192 meets
+            # its 4-row stripe 128 times) and n/16 columns, likewise.
+            assert words == n * n - (n // 16) ** 2
 
     def test_identical_layouts_are_free(self):
         lay = BlockCyclicLayout(64, 64, 16, 16, ProcessorGrid2D(2, 2))
