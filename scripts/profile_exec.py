@@ -37,6 +37,14 @@ step-long array for an affine term (``StepFn.values`` under
 n-long ``arange`` under ``conversion_words``, ``_score`` or the
 ``hash`` of a ``BlockCyclicLayout`` (the whole candidate product being
 scored), or ``TermBatch.evaluate`` anywhere.
+On ``sweep_closed`` the top is per-call overhead: ``_term_total`` and
+``_residue_reduce`` (about 1 800 and 1 400 calls per operation, most on
+small grids), then ``StepAccounting._reduce`` adding each term's
+grid-space total into the per-rank counters, then the bincounts and
+one ``cumsum`` per owned term on the 128 x 128 baselines.  A regression
+shows as a ``[rank_key, ...]`` gather, a ``joint @ dmat`` product or
+``np.add.at`` under ``_residue_reduce``, or ``_class_moments`` running
+twice on one profile within a candidate (273 calls per operation).
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

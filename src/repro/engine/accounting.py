@@ -38,15 +38,18 @@ gated/owned terms go through residue-class moment contractions built on
 the decomposition ``own(a, t) = q(t) + beta(a, t mod m)`` (full
 remaining cycles plus a periodic partial-cycle window; double-ownership
 products expand into moments and one ``beta_i M0 beta_j^T`` bilinear).
-An affine gated/owned term costs ``O(L + P)`` (``L`` the lcm of its
-axis dims: its moments are closed forms per residue class mod ``L``), a
-column or msgs profile ``O(steps + P)``; never an ``O(steps x P)``
-allocation.  A requested step log derives analytically from
-per-residue-class value columns in the same pass.  What the kernels
-cannot reduce is refused, not routed elsewhere: words/msgs sums that
-could cross ``2^52`` raise :class:`OverflowError` (flops, with no
-exactness contract, are never refused), a gated or message-carrying
-two-axis ownership product raises :class:`NotImplementedError`.
+Results live in grid space ``(layers, rows, cols)``, size 1 on the axes
+a term does not name: an affine gated/owned term costs ``O(L + cells)``
+(``L`` the lcm of its axis dims, moments in closed form per class mod
+``L``; ``cells`` those of its axes), a column or msgs profile
+``O(steps + cells)``, plus one ``P``-long add into its counter; never
+an ``O(steps x P)`` allocation.  A requested step log derives
+analytically from per-residue-class value columns in the same pass.
+What the kernels cannot reduce is refused, not routed elsewhere:
+words/msgs sums that could cross ``2^52`` raise :class:`OverflowError`
+(flops, with no exactness contract, are never refused), a gated or
+message-carrying two-axis ownership product raises
+:class:`NotImplementedError`.
 
 The naive dense ``(steps x P)`` interpretation of the IR lives in
 ``tests/oracle.py`` as the test oracle.  Evaluator and oracle agree
@@ -108,6 +111,9 @@ _EXACT_GUARD = 2.0 ** 52
 
 #: Grid-axis letters: pi ('i'), pj ('j'), pk ('k').
 _AXES = "ijk"
+#: The axes of ``StepAccounting.shape``: ranks flatten (pk, pi, pj)
+#: row-major, as ``ProcessorGrid3D.rank`` numbers them.
+_GRID_ORDER = "kij"
 
 #: Shared flattened coordinate vectors per grid shape.  Candidate grids
 #: re-use a handful of shapes across hundreds of configs; the meshgrid
@@ -220,22 +226,52 @@ class StepAccounting:
         self.pi, self.pj, self.pk = _grid_coords(
             grid.rows, grid.cols, grid.layers)
         self.nranks = grid.size
+        #: Grid space of the per-term totals, axes in ``_GRID_ORDER``.
+        self.shape = (grid.layers, grid.rows, grid.cols)
+        self._dims = {"i": grid.rows, "j": grid.cols, "k": grid.layers}
         self._terms: list[CostTerm] = []
-        # Per-instance keys reused across this accounting's terms by
-        # the residue-class kernels (many terms share gate axes).
-        self._rank_keys: dict[tuple[str, ...], np.ndarray] = {}
-        self._step_keys: dict[tuple, np.ndarray] = {}
-        self._own_windows: dict[str, np.ndarray] = {}
+        # What the reduction kernels share across one candidate's terms
+        # (step keys, profile values and moments, per-axis residues);
+        # cleared once the candidate is reduced (see _reduce).
+        self._memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Axis helpers
     # ------------------------------------------------------------------
     def _axis_dim(self, axis: str) -> int:
-        return {"i": self.grid.rows, "j": self.grid.cols,
-                "k": self.grid.layers}[axis]
+        return self._dims[axis]
 
     def _axis_coords(self, axis: str) -> np.ndarray:
         return {"i": self.pi, "j": self.pj, "k": self.pk}[axis]
+
+    def _to_grid(self, arr: np.ndarray, axes: Sequence[str]) -> np.ndarray:
+        """``arr``, indexed by the coordinates along ``axes`` in that
+        order (flat or not), as an array broadcastable to :attr:`shape`:
+        axes moved into grid order, size 1 on every axis not named."""
+        order = sorted(range(len(axes)),
+                       key=lambda n: _GRID_ORDER.index(axes[n]))
+        return arr.reshape([self._dims[a] for a in axes]).transpose(
+            order).reshape([self._dims[a] if a in axes else 1
+                            for a in _GRID_ORDER])
+
+    def _memoised(self, key: tuple, build: Callable, *args):
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build(*args)
+        return hit
+
+    def _values(self, step: StepFn, t0: int, t1: int) -> np.ndarray:
+        # A column is keyed by identity: its term outlives the memo.
+        return self._memoised(("values", id(step.column), step.c0, step.c1,
+                               step.lo, step.hi, t0, t1), step.values, t0, t1)
+
+    def _own_axis(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Residues ``a`` mod ``m`` and ``C_tot(a)``, the tiles of
+        ``[0, nsteps)`` each owns."""
+        def build():
+            res = np.arange(m)
+            return res, np.maximum(0, (self.nsteps - res + m - 1) // m)
+        return self._memoised(("own", m), build)
 
     # ------------------------------------------------------------------
     # Profile constructors
@@ -284,6 +320,8 @@ class StepAccounting:
             raise ValueError(f"non-finite coeff {coeff}")
         if counter != "flops" and coeff < 0:
             raise ValueError(f"negative {counter} coeff {coeff}")
+        if not (math.isfinite(msgs_coeff) and msgs_coeff >= 0):
+            raise ValueError(f"non-finite or negative msgs {msgs_coeff}")
         step = step if step is not None else self.const()
         if counter != "flops" and not step.exact:
             raise ValueError(
@@ -354,6 +392,26 @@ class StepAccounting:
         terms, self._terms = self._terms, []
         return terms
 
+    def _reduce(self, terms: list[CostTerm],
+                into: dict[str, tuple[np.ndarray, np.ndarray | None]],
+                ) -> None:
+        """Add each term's ``coeff * total`` (and messages) into the
+        ``(words, msgs | None)`` arrays ``into`` maps its counter to,
+        through :attr:`shape` views; the memo lives for this call."""
+        views = {counter: [None if a is None else a.reshape(self.shape)
+                           for a in arrays]
+                 for counter, arrays in into.items()}
+        try:
+            for term in terms:
+                if term.counter not in views:
+                    continue
+                words, msgs = views[term.counter]
+                words += term.coeff * self._term_total(term, msgs=False)
+                if msgs is not None and term.msgs_step is not None:
+                    msgs += term.msgs_coeff * self._term_total(term, msgs=True)
+        finally:
+            self._memo.clear()
+
     # ------------------------------------------------------------------
     # Per-term reduction
     # ------------------------------------------------------------------
@@ -415,7 +473,8 @@ class StepAccounting:
     def _term_total(self, term: CostTerm, msgs: bool) -> np.ndarray | float:
         """One term's per-rank sum over steps of its base product — the
         only reduction of a cost term, never through a dense
-        ``(steps, dim)`` intermediate.
+        ``(steps, dim)`` intermediate — in grid space: broadcastable to
+        :attr:`shape`, size 1 on every axis the term does not name.
 
         For ``msgs`` the base becomes the msgs profile where the words
         profile is positive, ownership factors and rank constants
@@ -424,14 +483,14 @@ class StepAccounting:
         Ownership sums collapse analytically: with ``m`` the axis size
         and ``a`` a residue, ``own(a, t) = C_tot(a) - c_le(a, t)`` where
         ``C_tot(a) = ceil((nsteps - a) / m)`` and
-        ``c_le(a, t) = (t - a - ((t - a) mod m)) / m + 1`` counts the
+        ``c_le(a, t) = floor(t / m) - [t mod m < a] + 1`` counts the
         multiples of ``m`` plus ``a`` at or below ``t``.  Contracted
         with the weight moments ``sum w``, ``sum w t`` of residue classes
-        mod ``L`` (the lcm of the term's axis dims) — ``O(L + P)`` for an
-        affine profile on at most one ownership axis, one class per step
-        (``O(steps + P)``) for columns, msgs and two-axis products —
-        every gated/owned sum is closed-form; negated gates expand by
-        inclusion-exclusion.
+        mod ``L`` (the lcm of the term's axis dims) — ``O(L + cells)``
+        (the cells of the term's axes) for an affine profile on at most
+        one ownership axis, one class per step (``O(steps + cells)``)
+        for columns, msgs and two-axis products — every gated/owned sum
+        is closed-form; negated gates expand by inclusion-exclusion.
         """
         step = term.step
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
@@ -446,18 +505,20 @@ class StepAccounting:
             series = self._affine_series(step, lo, hi)
             self._check_exact(term, abs(series))
             return float(series)
-        period = math.lcm(*(self._axis_dim(a.lstrip("!"))
+        period = math.lcm(*(self._dims[a.lstrip("!")]
                             for a in term.gate + term.own))
         if step.column is None and not msgs and len(term.own) < 2 and \
                 period < hi - lo:
-            r, M0, M1 = self._class_moments(step, lo, hi, period)
+            r, M0, M1 = self._memoised(
+                ("moments", step.c0, step.c1, lo, hi, period),
+                self._class_moments, step, lo, hi, period)
             amax = max(abs(step.c0 + step.c1 * lo),     # at an endpoint
                        abs(step.c0 + step.c1 * (hi - 1)))
         else:
-            M0 = step.values(lo, hi)
+            M0 = self._values(step, lo, hi)
             if msgs:
-                M0 = term.msgs_step.values(lo, hi) * (M0 > 0)
-            r = np.arange(lo, hi, dtype=np.int64)
+                M0 = self._values(term.msgs_step, lo, hi) * (M0 > 0)
+            r = self._memoised(("t", lo, hi), np.arange, lo, hi)
             M1 = M0 * r if len(term.own) == 1 and not msgs else None
             amax = float(np.abs(M0).max())
         # |sum_t w| at most; only the ownership kernels also form the
@@ -474,25 +535,25 @@ class StepAccounting:
                     f"{term.counter} term with ownership {term.own}, "
                     f"gate {term.gate}: only an ungated, message-free "
                     f"two-axis ownership product has a closed form")
-            qcap_i = self.nsteps // self._axis_dim(term.own[0]) + 1
-            qcap_j = self.nsteps // self._axis_dim(term.own[1]) + 1
+            qcap_i = self.nsteps // self._dims[term.own[0]] + 1
+            qcap_j = self.nsteps // self._dims[term.own[1]] + 1
             self._check_exact(term, bound * qcap_i * qcap_j)
             total = self._own_pair_reduce(M0, r, term.own[0], term.own[1])
             if term.rank_const is not None:
-                total = total * term.rank_const
+                total = total * term.rank_const.reshape(self.shape)
             return total
         self._check_exact(term, bound * max(hi, 1) if term.own else bound)
         gate_pos = [a for a in term.gate if not a.startswith("!")]
         gate_neg = [a.lstrip("!") for a in term.gate if a.startswith("!")]
         own_ax = term.own[0] if term.own else None
-        total = np.zeros(self.nranks)
+        total = 0.0
         for k in range(len(gate_neg) + 1):
             for sub in itertools.combinations(gate_neg, k):
                 part = self._residue_reduce(
                     r, M0, M1, gate_pos + list(sub), own_ax, msgs)
-                total = total + (-part if k % 2 else part)
+                total = total - part if k % 2 else total + part
         if term.rank_const is not None:
-            rc = term.rank_const
+            rc = term.rank_const.reshape(self.shape)
             total = total * ((rc > 0) if msgs else rc)
         return total
 
@@ -500,36 +561,23 @@ class StepAccounting:
                         M1: np.ndarray | None, pos_axes: list[str],
                         own_ax: str | None, msgs: bool) -> np.ndarray | float:
         """``sum_t w(t) [coord_x = t mod m_x for x in pos_axes] *
-        own(own_ax)`` contracted onto ranks (ownership becomes its
-        positivity indicator for ``msgs``) from the moments ``M0 = sum w``
-        and ``M1 = sum w t`` of classes ``r`` mod a multiple of every
-        ``m`` — or of single steps, ``r = t`` (always for ``msgs``)."""
+        own(own_ax)`` in grid space (ownership becomes its positivity
+        indicator for ``msgs``) from the moments ``M0 = sum w`` and
+        ``M1 = sum w t`` of classes ``r`` mod a multiple of every ``m``
+        — or of single steps, ``r = t`` (always for ``msgs``)."""
         if own_ax is None and not pos_axes:
             return float(M0.sum())
-        dims = [self._axis_dim(a) for a in pos_axes]
-        nkeys = 1
-        for m in dims:
-            nkeys *= m
-        axes_key = tuple(pos_axes)
-        rank_key = self._rank_keys.get(axes_key)
-        if rank_key is None:
-            rank_key = np.zeros(self.nranks, dtype=np.int64)
-            for a, m in zip(pos_axes, dims):
-                rank_key = rank_key * m + self._axis_coords(a)
-            self._rank_keys[axes_key] = rank_key
-        step_key = (axes_key, int(r[0]), r.size)
-        key = self._step_keys.get(step_key)
-        if key is None:
-            key = np.zeros(r.size, dtype=np.int64)
-            for a, m in zip(pos_axes, dims):
-                key = key * m + r % m
-            self._step_keys[step_key] = key
+        dims = [self._dims[a] for a in pos_axes]
+        nkeys = math.prod(dims)
+        # Each class's bucket, row-major over pos_axes (one bucket if none).
+        key = self._memoised(("key", *pos_axes, int(r[0]), r.size),
+                             lambda: np.ravel_multi_index(
+                                 [r % m for m in dims or [1]], dims or [1]))
         S0 = np.bincount(key, weights=M0, minlength=nkeys)
         if own_ax is None:
-            return S0[rank_key]
-        m_o = self._axis_dim(own_ax)
-        res = np.arange(m_o, dtype=np.int64)
-        c_tot = np.maximum(0, (self.nsteps - res + m_o - 1) // m_o)
+            return self._to_grid(S0, pos_axes)
+        m_o = self._dims[own_ax]
+        res, c_tot = self._own_axis(m_o)
         if own_ax in pos_axes:
             # The gate pins the own-axis residue, so per bucket the
             # ownership collapses to c_tot(a) - ((t - a)/m + 1).
@@ -543,19 +591,21 @@ class StepAccounting:
             else:
                 S1 = np.bincount(key, weights=M1, minlength=nkeys)
                 C = c_tot[a_key] * S0 - ((S1 - a_key * S0) / m_o + S0)
-            return C[rank_key]
+            return self._to_grid(C, pos_axes)
         if msgs:
             sub = self._own_tail(M0, r, key, nkeys, own_ax)
             C = np.where((c_tot > 0)[None, :], S0[:, None] - sub, 0.0)
         else:
+            # C = pre(a) + S0 (c_tot - 1) - Q: Q = sum w floor(t / m),
+            # pre(a) = sum of w over t mod m < a (exact integers).
             S1 = np.bincount(key, weights=M1, minlength=nkeys)
             joint = np.bincount(key * m_o + r % m_o, weights=M0,
                                 minlength=nkeys * m_o).reshape(nkeys, m_o)
-            dmat = ((res[:, None] - res[None, :]) % m_o).astype(np.float64)
-            c_le = ((S1[:, None] - res[None, :] * S0[:, None]
-                     - joint @ dmat) / m_o + S0[:, None])
-            C = c_tot[None, :] * S0[:, None] - c_le
-        return C[rank_key, self._axis_coords(own_ax)]
+            Q = (S1 - joint @ res) / m_o
+            C = np.zeros_like(joint)
+            np.cumsum(joint[:, :-1], axis=1, out=C[:, 1:])
+            C += S0[:, None] * (c_tot - 1) - Q[:, None]
+        return self._to_grid(C, pos_axes + [own_ax])
 
     def _own_tail(self, w: np.ndarray, t: np.ndarray, key: np.ndarray,
                   nkeys: int, own_ax: str,
@@ -564,24 +614,22 @@ class StepAccounting:
         (bucket, residue), where ``L_a`` is the last step owned by
         residue ``a`` — ``own(a, t) > 0`` iff ``t < L_a``, and ``L_a``
         lands within ``m`` steps of the end, so only the trailing slice
-        of the step range contributes."""
-        m_o = self._axis_dim(own_ax)
-        res = np.arange(m_o, dtype=np.int64)
-        last = self.nsteps - 1 - res
-        valid = last >= 0
-        if not valid.any():
-            return (np.zeros(nkeys) if a_key is not None
-                    else np.zeros((nkeys, m_o)))
-        L = res + m_o * (last // m_o)
+        of the step range contributes.  Residue 0 owns a step of any
+        non-empty run, so some ``L_a`` is valid."""
+        m_o = self._dims[own_ax]
+        res, c_tot = self._own_axis(m_o)
+        valid = c_tot > 0
+        L = res + m_o * (c_tot - 1)
         i0 = int(np.searchsorted(t, int(L[valid].min())))
         tt, wt, kt = t[i0:], w[i0:], key[i0:]
         if a_key is not None:
             ok = (tt >= L[a_key][kt]) & valid[a_key][kt]
             return np.bincount(kt[ok], weights=wt[ok], minlength=nkeys)
         mask = (tt[:, None] >= L[None, :]) & valid[None, :]
-        sub = np.zeros((nkeys, m_o))
-        np.add.at(sub, kt, wt[:, None] * mask)
-        return sub
+        # Per (bucket, residue) in step order, as np.add.at would.
+        return np.bincount((kt[:, None] * m_o + res).ravel(),
+                           weights=(wt[:, None] * mask).ravel(),
+                           minlength=nkeys * m_o).reshape(nkeys, m_o)
 
     def _own_window(self, axis: str) -> np.ndarray:
         """The periodic part of the ownership count as an ``(m, m)``
@@ -590,20 +638,16 @@ class StepAccounting:
         ``own(a, t) = (nsteps - 1 - t) // m + beta[a, t mod m]`` — both
         operands of the window comparison depend on ``t`` only through
         its residue, so one matrix covers every step."""
-        beta = self._own_windows.get(axis)
-        if beta is None:
-            m = self._axis_dim(axis)
-            res = np.arange(m, dtype=np.int64)
-            beta = (((res[:, None] - res[None, :] - 1) % m)
-                    < ((self.nsteps - 1 - res[None, :]) % m)
-                    ).astype(np.float64)
-            self._own_windows[axis] = beta
-        return beta
+        m = self._dims[axis]
+        res = self._own_axis(m)[0]
+        return self._memoised(("window", m), lambda: (
+            ((res[:, None] - res[None, :] - 1) % m)
+            < ((self.nsteps - 1 - res[None, :]) % m)).astype(np.float64))
 
     def _own_pair_reduce(self, w: np.ndarray, t: np.ndarray, ax_i: str,
                          ax_j: str) -> np.ndarray:
-        """``sum_t w(t) own_i(a, t) own_j(b, t)`` for every residue pair
-        gathered onto ranks.
+        """``sum_t w(t) own_i(a, t) own_j(b, t)`` for every residue pair,
+        in grid space.
 
         Expanding both factors as ``q + beta`` (full cycles plus the
         periodic window of :meth:`_own_window`) splits the sum into a
@@ -611,7 +655,7 @@ class StepAccounting:
         ``w q`` moments, and a bilinear ``beta_i @ M0 @ beta_j^T`` over
         the joint residue-class weight counts ``M0`` (exact integers on
         a words profile under the caller's guard)."""
-        m_i, m_j = self._axis_dim(ax_i), self._axis_dim(ax_j)
+        m_i, m_j = self._dims[ax_i], self._dims[ax_j]
         rem = self.nsteps - 1 - t
         q_i = (rem // m_i).astype(np.float64)
         q_j = (rem // m_j).astype(np.float64)
@@ -624,7 +668,7 @@ class StepAccounting:
                             minlength=m_i * m_j).reshape(m_i, m_j)
         pair = cross + marg_i[:, None] + marg_j[None, :] + \
             beta_i @ joint @ beta_j.T
-        return pair[self._axis_coords(ax_i), self._axis_coords(ax_j)]
+        return self._to_grid(pair, [ax_i, ax_j])
 
     # ------------------------------------------------------------------
     # Analytic step columns
@@ -891,15 +935,10 @@ class TermBatch:
         out = []
         for acct, terms, label in self._entries:
             stats = CommStats(acct.nranks, steps=steps)
-            arrays = {"recv": (stats.recv_words, stats.recv_msgs),
-                      "sent": (stats.sent_words, stats.sent_msgs),
-                      "flops": (stats.flops, None)}
-            for term in terms:
-                words_arr, msgs_arr = arrays[term.counter]
-                words_arr += term.coeff * acct._term_total(term, msgs=False)
-                if term.msgs_step is not None:
-                    msgs_arr += term.msgs_coeff * \
-                        acct._term_total(term, msgs=True)
+            acct._reduce(terms, {
+                "recv": (stats.recv_words, stats.recv_msgs),
+                "sent": (stats.sent_words, stats.sent_msgs),
+                "flops": (stats.flops, None)})
             if steps != "none":
                 acct._analytic_steps(terms, stats, label)
             out.append(stats)
@@ -911,7 +950,5 @@ class TermBatch:
         out = []
         for acct, terms, _ in self._entries:
             out.append(np.zeros(acct.nranks))
-            for term in terms:
-                if term.counter == "recv":
-                    out[-1] += term.coeff * acct._term_total(term, msgs=False)
+            acct._reduce(terms, {"recv": (out[-1], None)})
         return out

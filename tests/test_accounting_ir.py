@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import assert_matches_oracle, oracle_stats
+from oracle import TOTAL_FIELDS, assert_matches_oracle, oracle_stats
 from repro.analysis import harness
 from repro.analysis.harness import sweep_traces
 from repro.engine.accounting import (
@@ -236,7 +236,8 @@ class TestClassMoments:
         [term] = [tm for tm in acct._collect(sched.accounting)
                   if tm.counter == "flops" and tm.own == ("j",)
                   and tm.step.column is None and tm.step.c1 != 0]
-        total = acct._term_total(term, msgs=False)
+        total = np.broadcast_to(acct._term_total(term, msgs=False),
+                                acct.shape).reshape(-1)
         nsteps, m, pj = acct.nsteps, acct.grid.cols, 3
         # nrem = N - t times the tiles in (t, nsteps) owned by column pj.
         want = sum((nsteps - t) * ((nsteps - 1 - pj) // m - (t - pj) // m)
@@ -375,6 +376,20 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="ownership"):
             acct.add_recv(1.0, own=("j", "j"))
 
+    @pytest.mark.parametrize("msgs", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("with_step", [False, True],
+                             ids=["default-step", "msgs-step"])
+    def test_bad_msgs_coefficient_rejected(self, msgs, with_step):
+        """Like ``coeff``: a nan message count would poison every rank,
+        a negative one charge (or, without a ``msgs_step``, silently
+        drop) messages."""
+        acct = self._acct()
+        msgs_step = acct.const() if with_step else None
+        for add in (acct.add_recv, acct.add_sent):
+            with pytest.raises(ValueError, match="msgs"):
+                add(1.0, msgs=msgs, msgs_step=msgs_step)
+        assert acct._terms == []
+
     def test_rank_const_shape_checked(self):
         acct = self._acct()
         with pytest.raises(ValueError, match="rank_const"):
@@ -389,9 +404,11 @@ class TestBuilderValidation:
 def _adhoc(grid, nsteps, accounting):
     """An accounting callable as the schedule the evaluator and the
     oracle both accept."""
-    return types.SimpleNamespace(
+    sched = types.SimpleNamespace(
         grid=grid, steps=lambda: nsteps, accounting=accounting,
         step_label=lambda t: f"t={t}")
+    sched.trace_stats = lambda steps="columnar": _evaluate(sched, steps)
+    return sched
 
 
 def _evaluate(sched, steps="columnar"):
@@ -520,6 +537,111 @@ class TestOnePath:
             np.testing.assert_allclose(
                 got.steps.column(field), want.steps.column(field),
                 rtol=1e-12, atol=1e-12 * scale)
+
+
+#: One random cost term: its counter, gate atoms (one per axis at most),
+#: ownership (a two-axis pair in either order is emitted ungated and
+#: message-free), an optional axis-functional rank constant, an affine
+#: or integer-column profile (by rng seed) on a step window.
+_TERM = st.fixed_dictionaries({
+    "counter": st.sampled_from(["recv", "sent", "flops"]),
+    "coeff": st.sampled_from([1.0, 0.5, 3.0]),
+    "gate": st.lists(st.sampled_from(["i", "j", "k", "!i", "!j", "!k"]),
+                     max_size=3, unique_by=lambda atom: atom.lstrip("!")),
+    "own": st.sampled_from([(), ("i",), ("j",), ("k",), ("i", "j"),
+                            ("j", "i")]),
+    "rc": st.one_of(st.none(), st.tuples(st.sampled_from("ijk"),
+                                         st.integers(0, 2 ** 16))),
+    "profile": st.one_of(
+        st.tuples(st.just("affine"), st.integers(0, 40), st.integers(-3, 3)),
+        st.tuples(st.just("column"), st.integers(0, 2 ** 16))),
+    "window": st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    "msgs": st.sampled_from([0.0, 1.0, 2.0]),
+})
+
+
+def _emit(specs, nsteps):
+    def accounting(a):
+        for spec in specs:
+            kind, arg0, *arg1 = spec["profile"]
+            lo, hi = sorted(spec["window"])
+            if kind == "affine":
+                step = a.affine(arg0, arg1[0], lo=lo, hi=hi)
+            else:
+                step = a.column(np.random.default_rng(arg0).integers(
+                    0, 30, nsteps), lo=lo, hi=hi)
+            gate, msgs = spec["gate"], spec["msgs"]
+            if len(spec["own"]) == 2:
+                gate, msgs = (), 0.0
+            rank_const = None
+            if spec["rc"] is not None:
+                axis, seed = spec["rc"]
+                vals = np.random.default_rng(seed).integers(
+                    0, 4, a._axis_dim(axis))
+                rank_const = vals[a._axis_coords(axis)]
+            kw = dict(step=step, gate=gate, own=spec["own"],
+                      rank_const=rank_const)
+            if spec["counter"] == "flops":
+                a.add_flops(spec["coeff"], **kw)
+            else:
+                getattr(a, "add_" + spec["counter"])(spec["coeff"],
+                                                     msgs=msgs, **kw)
+    return accounting
+
+
+class TestGridSpace:
+    """Per-term totals live in grid space ``(layers, rows, cols)``: each
+    broadcasts to ``acct.shape``, size 1 on every axis the term does not
+    name.  Three distinct grid dims make a transposed reduction either
+    fail to broadcast or miss the oracle — the schedules' fixed axis
+    pairings cannot tell."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(dims=[3, 5, 2], nsteps=23, specs=[dict(
+        counter="recv", coeff=1.0, gate=["i"], own=("k",), rc=None,
+        profile=("affine", 7, 2), window=(0, 40), msgs=1.0)])
+    @example(dims=[5, 2, 3], nsteps=17, specs=[dict(
+        counter="flops", coeff=0.5, gate=[], own=("j", "i"), rc=("k", 1),
+        profile=("column", 3), window=(2, 40), msgs=0.0)])
+    @given(dims=st.lists(st.integers(2, 5), min_size=3, max_size=3,
+                         unique=True),
+           nsteps=st.integers(2, 40),
+           specs=st.lists(_TERM, min_size=1, max_size=4))
+    def test_random_terms_match_the_oracle(self, dims, nsteps, specs):
+        grid = ProcessorGrid3D(*dims)
+        sched = _adhoc(grid, nsteps, _emit(specs, nsteps))
+        assert_matches_oracle(sched)
+        acct = StepAccounting(grid, nsteps)
+        assert acct.shape == (grid.layers, grid.rows, grid.cols)
+        for term in acct._collect(sched.accounting):
+            named = {a.lstrip("!") for a in term.gate + term.own}
+            if term.rank_const is not None:
+                named = set("ijk")
+            for msgs in {False, term.msgs_step is not None}:
+                shape = np.shape(acct._term_total(term, msgs))
+                assert len(shape) in (0, 3)
+                assert np.broadcast_shapes(shape, acct.shape) == acct.shape
+                assert all(size == 1 for axis, size in zip("kij", shape)
+                           if axis not in named), (term, shape)
+
+
+class TestReturnedArrays:
+    """The counters are flat per-rank arrays however the terms reduce."""
+
+    def test_paper_scale_counters_are_flat_float64(self):
+        schedules = [ScalapackLUSchedule(65536, 16384),
+                     ConfluxSchedule(65536, 16384, v=64, c=16)]
+        assert [(s.grid.rows, s.grid.cols) for s in schedules] == \
+            [(128, 128), (32, 32)] and schedules[1].grid.layers == 16
+        batch = TermBatch()
+        for sched in schedules:
+            batch.add(sched)
+        arrays = [getattr(stats, field) for stats in batch.evaluate()
+                  for field in TOTAL_FIELDS] + batch.recv_words()
+        for arr in arrays:
+            assert arr.shape == (16384,) and arr.dtype == np.float64
+            assert arr.flags.c_contiguous
+        _assert_recv_words_is_the_full_reductions_column(schedules)
 
 
 #: Small paper-shaped smoke-sweep cases (fast, non-trivial steps).
