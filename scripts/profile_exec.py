@@ -8,10 +8,16 @@ runs one warm-up operation, profiles the next and prints the top
 functions by own time, so a performance change starts from a number.
 On the executed 2.5D workloads the top of the list is the batched
 helpers of ``engine/distops.py`` — ``panel_fan_out_update`` (with its
-``exchange``), ``local_panels``, ``layered_reduce``, the 1D scatters
-``distribute_rows_1d`` / ``assemble_cols_1d`` — then ``RankStore.put``,
-the ``blas`` wrappers and COSTA's ``redistribute``; a per-message
-``ship`` or a per-tile reduce reappearing there is a regression.
+``exchange``), ``layered_reduce``, then ``RankStore.put`` (about 4 600
+per ``exec_lu25d`` operation: COSTA's ``redistribute`` and
+``scatter_from``, the receivers of each broadcast, one chunk landing per
+rank and 1D scatter), the tournament's ``blas.getrf``, ``trsm_rows``
+under ``solve_1d`` (one in-place ``dtrtrs`` per rank and panel), COSTA's
+``redistribute`` and the 1D scatters ``distribute_rows_1d`` /
+``assemble_cols_1d``.  A per-message ``ship``, a per-tile reduce, a
+``blas.trsm`` or ``np.isin`` under ``dist_step``, or a ``put`` from
+``local_panels`` (it makes one ``put_many`` per rank) reappearing there
+is a regression.
 On ``exec_chol25d`` the update is still first, about a fifth of the
 operation's own time, its BLAS included: one product per local tile
 column of the triangle it keeps, then ``RankStore.put``, COnfCHOX's

@@ -23,7 +23,10 @@ schedules:
   panel rows contiguously over all ranks;
 * :func:`assemble_cols_1d` — the column-chunk counterpart of step 6
   for the A01 panel, where each destination needs *all* rows of its
-  column chunk gathered from several sources;
+  column chunk gathered from several sources; both return one
+  :class:`Panel1D`, each rank's chunk a view of it;
+* :func:`solve_1d` — steps 7 and 9: every rank's local trsm, in place
+  on its chunk;
 * :func:`panel_fan_out_update` — Algorithm 1 steps 8, 10 and 11: fan
   the factored panels out, then one Schur update per rank;
 * :func:`maxloc_allreduce`, :func:`swap_rows`, :func:`fan_out_panel`,
@@ -35,10 +38,11 @@ schedules:
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ..kernels import blas
 from ..layouts.descriptors import global_to_local
 from ..machine.comm import Machine
 from ..machine.grid import ProcessorGrid3D, balanced_block_count
@@ -49,8 +53,10 @@ __all__ = [
     "local_panels",
     "panel_fan_out_update",
     "layered_reduce",
+    "Panel1D",
     "distribute_rows_1d",
     "assemble_cols_1d",
+    "solve_1d",
     "maxloc_allreduce",
     "local_start",
     "swap_rows",
@@ -280,12 +286,33 @@ def _split_1d(n: int, parts: int) -> tuple[list[slice], np.ndarray]:
             np.repeat(np.arange(parts), sizes))
 
 
+class Panel1D(NamedTuple):
+    """A ``v``-wide panel 1D-scattered over all ranks, as one array.
+
+    ``rows`` is C-ordered with one row per global index ``ids``
+    (ascending); rank ``r`` holds the contiguous chunk ``rows[parts[r]]``
+    — a *view*, stored under the scatter's key, so the stored chunk
+    counts its words and an in-place solve on it is a solve on the
+    panel.  Nothing may ``put`` a fresh array under a chunk key: it
+    would detach the chunk from its panel.  ``rank_of[i]`` is the rank
+    holding row ``i``.
+    """
+
+    ids: np.ndarray
+    rows: np.ndarray
+    parts: list[slice]
+    rank_of: np.ndarray
+
+    def held(self) -> list[int]:
+        """The ranks holding a non-empty chunk, ascending."""
+        return [r for r, part in enumerate(self.parts)
+                if part.stop > part.start]
+
+
 def _scatter_1d(machine: Machine, src: np.ndarray, dst: np.ndarray,
-                words: np.ndarray, key: Hashable,
-                chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
-                ) -> None:
-    """Charge the messages of a 1D scatter and land chunk ``r`` in rank
-    ``r``'s store under ``key``.
+                words: np.ndarray, key: Hashable, panel: Panel1D) -> None:
+    """Charge the messages of a 1D scatter and land rank ``r``'s chunk
+    of ``panel`` in its store under ``key``.
 
     Destinations are served in rank order and a chunk lands once its
     messages have arrived, so what a source sends to a *higher* rank
@@ -294,25 +321,23 @@ def _scatter_1d(machine: Machine, src: np.ndarray, dst: np.ndarray,
     rank's peak the per-message loop's.
     """
     exchange(machine, src, dst, words, key)
-    for rank, (_, block) in enumerate(chunks):
-        if block is not None:
-            machine.store(rank).put(key, block)
+    for rank in panel.held():
+        machine.stores[rank].put(key, panel.rows[panel.parts[rank]])
     up = src < dst
     _stage_largest(machine, src[up], words[up], key)
 
 
 def distribute_rows_1d(machine: Machine,
                        pieces: Sequence[tuple[int, np.ndarray, np.ndarray]],
-                       nranks: int, key: Hashable,
-                       ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+                       nranks: int, key: Hashable) -> Panel1D:
     """1D-scatter panel rows contiguously over all ranks.
 
     ``pieces`` is ``(owner_rank, global_row_ids, block)`` triples; the
-    union of rows, ordered by global id, is split into ``nranks``
-    contiguous chunks, chunk ``r`` landing in rank ``r``'s store under
-    ``key``.  Returns per-rank ``(row_ids, block)`` (block None for
-    empty chunks).  One message per (owner, destination) pair with
-    rows to move; only cross-rank ones are counted.
+    union of rows, ordered by global id, is stacked into one
+    :class:`Panel1D` and split into ``nranks`` contiguous chunks, chunk
+    ``r`` landing in rank ``r``'s store under ``key``.  One message per
+    (owner, destination) pair with rows to move; only cross-rank ones
+    are counted.
     """
     owners = np.repeat([owner for owner, _, _ in pieces],
                        [len(ids) for _, ids, _ in pieces])
@@ -320,40 +345,35 @@ def distribute_rows_1d(machine: Machine,
     rows = np.concatenate([block for _, _, block in pieces])
     order = np.argsort(ids)
     ids, owners, rows = ids[order], owners[order], rows[order]
-    parts, dst_of = _split_1d(ids.size, nranks)
-    chunks = [(ids[part], rows[part] if part.stop > part.start else None)
-              for part in parts]
-    moved = np.bincount(owners * nranks + dst_of)
+    panel = Panel1D(ids, rows, *_split_1d(ids.size, nranks))
+    moved = np.bincount(owners * nranks + panel.rank_of)
     pair = np.flatnonzero(moved)
     _scatter_1d(machine, pair // nranks, pair % nranks,
-                moved[pair] * rows.shape[1], key, chunks)
-    return chunks
+                moved[pair] * rows.shape[1], key, panel)
+    return panel
 
 
 def assemble_cols_1d(machine: Machine,
                      pieces: Sequence[tuple[int, np.ndarray, np.ndarray,
                                             np.ndarray]],
                      rows: np.ndarray, cols: np.ndarray, nranks: int,
-                     v: int, key: Hashable,
-                     ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+                     v: int, key: Hashable) -> Panel1D:
     """1D-scatter panel *columns* over all ranks, assembling full rows.
 
     ``pieces`` is :func:`layered_reduce`'s ``(owner, rsel, csel,
     block)``: ``block`` holds global rows ``rows[rsel]`` and columns
     ``cols[csel]`` of the ``len(rows) x len(cols)`` panel (``cols``
-    ascending, whole ``v``-wide tiles).  The columns are split into
-    ``nranks`` contiguous chunks and chunk ``r``, every row in ``rows``
-    order, lands in rank ``r``'s store under ``key``.  Returns per-rank
-    ``(col_ids, block)``.  Messages keep tile granularity: one per
-    (row tile, column tile) of a piece and destination chunk that
-    column tile meets.
+    ascending, whole ``v``-wide tiles).  The panel is built transposed,
+    one :class:`Panel1D` row per column (its entries in ``rows``
+    order), and its columns split into ``nranks`` contiguous chunks,
+    chunk ``r`` landing in rank ``r``'s store under ``key``.  Messages
+    keep tile granularity: one per (row tile, column tile) of a piece
+    and destination chunk that column tile meets.
     """
-    panel = np.empty((len(rows), len(cols)))
+    panel = Panel1D(cols, np.empty((len(cols), len(rows))),
+                    *_split_1d(len(cols), nranks))
     for _, rsel, csel, block in pieces:
-        panel[rsel[:, None], csel] = block
-    parts, dst_of = _split_1d(len(cols), nranks)
-    chunks = [(cols[part], panel[:, part] if part.stop > part.start else None)
-              for part in parts]
+        panel.rows[csel[:, None], rsel] = block.T
     # Per piece, as (piece, tile[, dst]) codes with multiplicities: its
     # row tiles with their row counts, and the destinations each of
     # its column tiles meets with the columns they share.
@@ -367,14 +387,31 @@ def assemble_cols_1d(machine: Machine,
     row_code, nrows = np.unique(of_row * row_tiles + rows[rsel] // v,
                                 return_counts=True)
     col_code, ncols = np.unique(
-        (of_col * col_tiles + csel // v) * nranks + dst_of[csel],
+        (of_col * col_tiles + csel // v) * nranks + panel.rank_of[csel],
         return_counts=True)
     i, j = np.nonzero((row_code // row_tiles)[:, None]
                       == col_code // (col_tiles * nranks))
     owners = np.array([owner for owner, _, _, _ in pieces])
     _scatter_1d(machine, owners[row_code[i] // row_tiles],
-                col_code[j] % nranks, nrows[i] * ncols[j], key, chunks)
-    return chunks
+                col_code[j] % nranks, nrows[i] * ncols[j], key, panel)
+    return panel
+
+
+def solve_1d(machine: Machine, panel: Panel1D, tri_key: Hashable,
+             unit_diagonal: bool = False, transpose: bool = False) -> None:
+    """Algorithm 1 steps 7 and 9: every rank holding a chunk ``B`` of
+    ``panel`` solves ``X T = B`` into it (the chunk is a view, so the
+    panel holds the solution), ``T`` the upper triangle of its own
+    broadcast copy under ``tri_key`` — or of that copy's transpose with
+    ``transpose``.  One
+    :func:`~repro.kernels.blas.trsm_rows`, whose flops each rank is
+    charged; no communication."""
+    ranks = panel.held()
+    tris = [machine.stores[r].get(tri_key) for r in ranks]
+    fl = blas.trsm_rows([tri.T for tri in tris] if transpose else tris,
+                        panel.rows, [panel.parts[r] for r in ranks],
+                        unit_diagonal)
+    machine.compute_many(ranks, fl)
 
 
 def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
@@ -386,21 +423,25 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
     Rank ``(pi, pj, k)`` packs its tiles ``bi % Pr == pi``, ``bj % Pc
     == pj`` of layer ``k``'s partial sum as local tile ``(bi // Pr,
     bj // Pc)``.  Layer 0 is filled from the dense ``a`` or the
-    resident ``(in_name, bi, bj)`` tiles, the other layers with zeros;
-    ``lower`` registers only ``bi >= bj``.  Each tile is stored under
-    ``(name, bi, bj)`` *as a view of the panel*: same keys and words as
-    separately allocated tiles, but a rank's whole trailing block can
-    be updated in one indexed write.  Nothing may ``put`` a fresh
-    array under these keys — it would detach the tile from its panel.
-    Returns the panels, indexed by rank.
+    resident ``(in_name, bi, bj)`` tiles — adopted tiles must be finite
+    (``ValueError`` naming the first entry that is not, before anything
+    is registered) — the other layers with zeros; ``lower`` registers
+    only ``bi >= bj``.  Each tile is stored under ``(name, bi, bj)`` *as
+    a view of the panel*, one :meth:`~repro.machine.store.RankStore.put_many`
+    per rank: same keys and words as separately allocated tiles, but a
+    rank's whole trailing block can be updated in one indexed write.
+    Nothing may ``put`` a fresh array under these keys — it would
+    detach the tile from its panel.  Returns the panels, indexed by
+    rank.
     """
     pr, pc = grid.rows, grid.cols
-    panels = []
+    panels, tiles = [], []
     for rank in range(grid.size):
         pi, pj, k = grid.coords(rank)
         panel = np.zeros((len(range(pi, nb, pr)) * v,
                           len(range(pj, nb, pc)) * v))
-        store = machine.store(rank)
+        store = machine.stores[rank]
+        mine = []
         for bi in range(pi, nb, pr):
             for bj in range(pj, bi + 1 if lower else nb, pc):
                 i0, j0 = (bi // pr) * v, (bj // pc) * v
@@ -409,51 +450,68 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
                     tile[...] = store.get((in_name, bi, bj))
                 elif k == 0:
                     tile[...] = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v]
-                store.put((name, bi, bj), tile)
+                mine.append(((name, bi, bj), tile))
         panels.append(panel)
+        tiles.append(mine)
+    if in_name is not None:
+        _check_finite(grid, panels, v)
+    for store, mine in zip(machine.stores, tiles):
+        store.put_many(mine)
     return panels
 
 
-def _by_grid_coord(chunks: Sequence[tuple[np.ndarray, np.ndarray | None]],
-                   nprocs: int, v: int):
-    """Stack 1D panel chunks ``(ids, block)`` (one ``v``-wide block row
-    per global index) and split them by the grid coordinate ``q``
-    cyclically owning each index's tile.  Returns ``counts[src, q]``
-    (indices of chunk ``src`` that ``q`` owns) and, per ``q``, its
-    block rows in source order with their positions in ``q``'s local
-    panel."""
-    ids = np.concatenate([ids for ids, _ in chunks])
-    stacked = np.concatenate([np.empty((0, v)) if block is None else block
-                              for _, block in chunks])
+def _check_finite(grid: ProcessorGrid3D, panels: Sequence[np.ndarray],
+                  v: int) -> None:
+    """Refuse layer 0's panels if any entry is NaN or infinite, naming
+    the first such entry of the global matrix (row-major)."""
+    bad = []
+    for rank, panel in enumerate(panels[:grid.layer_size]):
+        if not np.isfinite(panel).all():
+            pi, pj, _ = grid.coords(rank)
+            i, j = np.argwhere(~np.isfinite(panel))[0].tolist()
+            bad.append(((i // v * grid.rows + pi) * v + i % v,
+                        (j // v * grid.cols + pj) * v + j % v, panel[i, j]))
+    if bad:
+        i, j, value = min(bad)
+        raise ValueError(f"input entry ({i}, {j}) is {value}; "
+                         "the matrix must be finite")
+
+
+def _by_grid_coord(panel: Panel1D, nprocs: int, v: int):
+    """Split a 1D panel's rows by the grid coordinate ``q`` cyclically
+    owning each index's tile.  Returns ``counts[src, q]`` (indices of
+    rank ``src``'s chunk that ``q`` owns) and, per ``q``, its rows in
+    index order with their positions in ``q``'s local panel."""
+    ids = panel.ids
     tile = ids // v
     owner = tile % nprocs
     local = (tile // nprocs) * v + ids % v
-    src = np.repeat(np.arange(len(chunks)), [len(ids) for ids, _ in chunks])
-    counts = np.bincount(src * nprocs + owner,
-                         minlength=len(chunks) * nprocs)
+    nranks = len(panel.parts)
+    counts = np.bincount(panel.rank_of * nprocs + owner,
+                         minlength=nranks * nprocs)
     mine = [np.flatnonzero(owner == q) for q in range(nprocs)]
-    return (counts.reshape(len(chunks), nprocs),
-            [stacked[sel] for sel in mine], [local[sel] for sel in mine])
+    return (counts.reshape(nranks, nprocs),
+            [panel.rows[sel] for sel in mine], [local[sel] for sel in mine])
 
 
 def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
                          panels: Sequence[np.ndarray], v: int,
-                         row_chunks, col_chunks, key: Hashable,
-                         lower: bool = False) -> None:
+                         row_panel: Panel1D, col_panel: Panel1D,
+                         key: Hashable, lower: bool = False) -> None:
     """Fan the factored panels out and apply the local Schur update:
     Algorithm 1 steps 8, 10 and 11 of one step.
 
-    ``row_chunks[src]`` / ``col_chunks[src]`` are the 1D-scattered
-    panels as ``(ids, block)`` with one ``v``-wide block row per global
-    row (resp. column) index, i.e. A10 and A01 *transposed*; COnfCHOX
-    passes its A10 chunks on both sides.  Columns are whole tiles in
-    ascending order, so a rank's share is one run of its panel.  Rank
-    ``(pi, pj, k)`` receives, from every source holding any, one
-    message with its grid row's rows and one with its grid column's
-    columns, layer ``k``'s ``v/c`` planes of each — the whole pattern
-    is one :func:`exchange` under ``key``.  Each grid row's (column's)
-    operand is gathered once; a rank multiplies its planes of the two
-    and subtracts the product from its panel in one indexed write.
+    ``row_panel`` / ``col_panel`` are the 1D-scattered panels, one
+    ``v``-wide row per global row (resp. column) index, i.e. A10 and
+    A01 *transposed*; COnfCHOX passes its A10 on both sides.  Columns
+    are whole tiles in ascending order, so a rank's share is one run of
+    its panel.  Rank ``(pi, pj, k)`` receives, from every source holding
+    any, one message with its grid row's rows and one with its grid
+    column's columns, layer ``k``'s ``v/c`` planes of each — the whole
+    pattern is one :func:`exchange` under ``key``.  Each grid row's
+    (column's) operand is gathered once; a rank multiplies its planes of
+    the two and subtracts the product from its panel in one indexed
+    write.
     With ``lower`` (COnfCHOX: a grid row's rows are one contiguous run,
     else ``ValueError``) it updates tiles ``bi >= bj`` only, one product
     per local tile column from the first row on or below its diagonal.
@@ -461,13 +519,15 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
     """
     pr, pc = grid.rows, grid.cols
     planes = v // grid.layers
-    row_counts, a10, row_local = _by_grid_coord(row_chunks, pr, v)
-    col_counts, a01t, col_local = _by_grid_coord(col_chunks, pc, v)
+    row_counts, a10, row_local = _by_grid_coord(row_panel, pr, v)
+    col_counts, a01t, col_local = _by_grid_coord(col_panel, pc, v)
     at = np.arange(grid.size) % grid.layer_size
     words = np.concatenate([row_counts[:, at // pc],
                             col_counts[:, at % pc]]) * planes
     src, dst = np.nonzero(words)
-    exchange(machine, src % len(row_chunks), dst, words[src, dst], key)
+    exchange(machine, src % len(row_panel.parts), dst, words[src, dst],
+             key)
+    fl = np.zeros(grid.size)
     for pi, rows in enumerate(row_local):
         if lower and np.any(np.diff(rows) != 1):
             raise ValueError(f"lower=True needs one contiguous run of rows "
@@ -493,4 +553,5 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
                 else:
                     panels[rank][rows, cols[0]:cols[-1] + 1] -= (
                         a10[pi][:, sl] @ a01t[pj][:, sl].T)
-                machine.compute(rank, 2.0 * updated * planes)
+                fl[rank] = 2.0 * updated * planes
+    machine.compute_many(np.arange(grid.size), fl)

@@ -68,7 +68,9 @@ def default_input(n: int, a: np.ndarray | None,
                   rng: np.random.Generator | None,
                   spd: bool = False) -> np.ndarray:
     """The matrix to factor: ``a`` validated (float64, ``N x N``,
-    symmetric when ``spd``), or a random well-conditioned default."""
+    finite, symmetric when ``spd``), or a random well-conditioned
+    default.  A NaN or infinite entry is refused by position, the first
+    in row-major order."""
     if a is None:
         rng = rng or np.random.default_rng(0)
         g = rng.standard_normal((n, n))
@@ -76,6 +78,10 @@ def default_input(n: int, a: np.ndarray | None,
     a = np.asarray(a, dtype=np.float64)
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} != ({n},{n})")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"input entry ({i}, {j}) is {a[i, j]}; "
+                         "the matrix must be finite")
     if spd and not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("input must be symmetric")
     return a

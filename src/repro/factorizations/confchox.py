@@ -37,6 +37,7 @@ from ..engine.distops import (
     layered_reduce,
     local_panels,
     panel_fan_out_update,
+    solve_1d,
 )
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
@@ -232,34 +233,25 @@ class ConfchoxSchedule(Schedule):
         if n11 > 0:
             # Scatter A10 1D over all ranks + local trsm against each
             # rank's broadcast L00 copy.
-            a10_chunks = distribute_rows_1d(
+            a10 = distribute_rows_1d(
                 machine, [(root, below[rsel][keep], block[keep])
                           for root, rsel, _, block in column
                           if (keep := below[rsel] >= col1).any()],
                 P, (A10, t))
-            for dst, (ids, blk) in enumerate(a10_chunks):
-                if blk is None:
-                    continue
-                l00_local = machine.store(dst).get((L00, t))
-                sol, fl = blas.trsm(l00_local.T, blk, side="right",
-                                    lower=False)
-                machine.compute(dst, fl)
-                machine.store(dst).put((A10, t), sol)
-                a10_chunks[dst] = (ids, sol)
-                st.lower[ids, col0:col1] = sol
+            solve_1d(machine, a10, (L00, t), transpose=True)
+            st.lower[a10.ids, col0:col1] = a10.rows
 
             # Distribute the A10 pieces each rank's trailing tiles need
             # (row tiles for the left factor, column tiles for the
             # transposed right factor, its layer's v/c planes) and apply
             # the deferred symmetric update to the lower tiles.
-            panel_fan_out_update(machine, grid, st.panels, v, a10_chunks,
-                                 a10_chunks, (FAN, t), lower=True)
+            panel_fan_out_update(machine, grid, st.panels, v, a10, a10,
+                                 (FAN, t), lower=True)
 
         for root, _, _, _ in column:
             machine.store(root).discard((CR, t))
         for store in machine.stores:
-            store.discard((L00, t))
-            store.discard((A10, t))
+            store.discard((L00, t), (A10, t))
 
     def dist_finalize(self, machine: Machine,
                       st: "_DistState") -> dict[str, Any]:

@@ -48,6 +48,7 @@ from ..engine.distops import (
     local_panels,
     panel_fan_out_update,
     ship,
+    solve_1d,
 )
 from ..engine.schedule import Schedule
 from ..kernels import blas, flops
@@ -401,7 +402,8 @@ class ConfluxSchedule(Schedule):
         machine.store(tour_root).put((PIV, t), winners.astype(np.float64))
         machine.bcast(tour_root, all_ranks, (PIV, t))
 
-        masked = ~np.isin(active, winners)
+        masked = np.ones(active.size, dtype=bool)
+        masked[np.searchsorted(active, winners)] = False
         nonpiv = active[masked]
         st.lower[winners, col0:col1] = np.tril(lu00, -1) + np.eye(v)
         st.upper[col0:col1, col0:col1] = np.triu(lu00)
@@ -409,57 +411,40 @@ class ConfluxSchedule(Schedule):
 
         # Steps 4 + 7: scatter A10 1D over all ranks, then local trsm
         # against the U00 triangle of each rank's broadcast A00 copy.
-        a10_chunks: list[tuple[np.ndarray, np.ndarray | None]] = []
         if nonpiv.size:
-            a10_chunks = distribute_rows_1d(
+            a10 = distribute_rows_1d(
                 machine, [(root, active[rsel][keep], block[keep])
                           for root, rsel, _, block in column
                           if (keep := masked[rsel]).any()], P, (A10, t))
-            for dst, (ids, blk) in enumerate(a10_chunks):
-                if blk is None:
-                    continue
-                sol, fl = blas.trsm(machine.store(dst).get((A00, t)), blk,
-                                    side="right", lower=False)
-                machine.compute(dst, fl)
-                machine.store(dst).put((A10, t), sol)
-                a10_chunks[dst] = (ids, sol)
-                st.lower[ids, col0:col1] = sol
+            solve_1d(machine, a10, (A00, t))
+            st.lower[a10.ids, col0:col1] = a10.rows
         for root, _, _, _ in column:
             machine.store(root).discard((CR, t))
 
         # Steps 5 + 6 + 9: reduce the pivot rows over layers, scatter
-        # the A01 panel 1D by columns, local trsm against the unit L00
-        # triangle.
-        a01_chunks: list[tuple[np.ndarray, np.ndarray | None]] = []
+        # the A01 panel 1D by columns (one row per column: A01
+        # transposed), local trsm against the unit L00 triangle.
         if n11 > 0:
             pivot_rows = layered_reduce(machine, grid, st.panels, v, winners,
                                         t + 1, nb, k_piv, (RR, t))
-            a01_chunks = assemble_cols_1d(machine, pivot_rows, winners,
-                                          np.arange(col1, n), P, v, (A01, t))
+            a01t = assemble_cols_1d(machine, pivot_rows, winners,
+                                    np.arange(col1, n), P, v, (A01, t))
             for root, _, _, _ in pivot_rows:
                 machine.store(root).discard((RR, t))
-            for dst, (cids, blk) in enumerate(a01_chunks):
-                if blk is None:
-                    continue
-                sol, fl = blas.trsm(machine.store(dst).get((A00, t)), blk,
-                                    side="left", lower=True,
-                                    unit_diagonal=True)
-                machine.compute(dst, fl)
-                machine.store(dst).put((A01, t), sol)
-                a01_chunks[dst] = (cids, sol.T)   # one row per column
-                st.upper[col0:col1, cids[0]:cids[-1] + 1] = sol
+            solve_1d(machine, a01t, (A00, t), unit_diagonal=True,
+                     transpose=True)
+            st.upper[col0:col1, col1:] = a01t.rows.T
 
         # Steps 8 + 10 + 11: distribute the panel pieces each rank's
         # trailing tiles need (its grid row's A10 rows, its grid
         # column's A01 columns, its layer's v/c planes) and apply the
         # local Schur update.
         if n11 > 0 and nonpiv.size:
-            panel_fan_out_update(machine, grid, st.panels, v, a10_chunks,
-                                 a01_chunks, (FAN, t))
+            panel_fan_out_update(machine, grid, st.panels, v, a10, a01t,
+                                 (FAN, t))
 
         for store in machine.stores:
-            for name in (A00, PIV, A10, A01):
-                store.discard((name, t))
+            store.discard((A00, t), (PIV, t), (A10, t), (A01, t))
         st.rows_left = nonpiv
 
     def _dist_tournament(self, machine: Machine,

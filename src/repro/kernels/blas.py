@@ -6,21 +6,23 @@ operations are provided as validated NumPy/SciPy routines that return both
 the result and the exact flop count, so schedules can attribute
 computation to the owning rank.
 
-All routines are pure (inputs are never mutated) unless the ``out``
-parameter is used, and all of them validate shapes eagerly: a schedule bug
-should fail at the kernel boundary, not as a silent broadcast.
+All routines are pure (inputs are never mutated) except the in-place
+``gemm_acc`` (into ``c``) and ``trsm_rows`` (into ``rows``), and all of
+them validate shapes eagerly: a schedule bug should fail at the kernel
+boundary, not as a silent broadcast.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 import numpy as np
 
 from . import flops as _flops
 
-__all__ = ["gemm", "gemm_acc", "gemmt", "trsm", "getrf", "potrf", "laswp",
-           "KernelError", "SingularMatrixError"]
+__all__ = ["gemm", "gemm_acc", "gemmt", "trsm", "trsm_rows", "getrf", "potrf",
+           "laswp", "KernelError", "SingularMatrixError"]
 
 
 class KernelError(ValueError):
@@ -149,6 +151,58 @@ def trsm(tri: np.ndarray, rhs: np.ndarray, side: str = "left",
     return x, fl
 
 
+def trsm_rows(tris: Sequence[np.ndarray], rows: np.ndarray,
+              parts: Sequence[slice],
+              unit_diagonal: bool = False) -> np.ndarray:
+    """``X T = B`` for an upper triangle ``T`` (:func:`trsm`'s
+    ``side="right", lower=False``) for every block of rows
+    ``B = rows[parts[i]]``, solved into ``rows`` itself; returns each
+    block's flops.
+
+    ``tris[i]`` is block ``i``'s copy of one triangle ``T`` (the copies
+    of one broadcast block: equal values, possibly different memory
+    orders).  ``rows`` must be a C-ordered, writeable float64 array, so
+    every block's transpose is Fortran-ordered and LAPACK ``dtrtrs``
+    solves it in place — the call :func:`trsm` makes, on the same
+    data.  The triangle's diagonal is validated once, before any block
+    changes; LAPACK's ``info`` is checked once, after the last solve.
+    """
+    if not parts:
+        return np.zeros(0)
+    tri = _as2d(tris[0], "tri")
+    t = tri.shape[0]
+    if tri.shape != (t, t):
+        raise KernelError(f"triangle must be square, got {tri.shape}")
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            and rows.ndim == 2 and rows.shape[1] == t
+            and rows.flags.c_contiguous and rows.flags.writeable):
+        raise KernelError(f"trsm_rows needs a writeable C-ordered float64 "
+                          f"(m,{t}) array")
+    if len(tris) != len(parts) or any(part.step not in (None, 1)
+                                      for part in parts):
+        raise KernelError("trsm_rows needs one triangle per contiguous block")
+    if not unit_diagonal and np.any(np.diagonal(tri) == 0.0):
+        raise SingularMatrixError("zero diagonal entry in triangular solve")
+    trtrs = _lapack().lapack.dtrtrs
+    info = 0
+    for tri, part in zip(tris, parts):
+        if part.stop <= part.start:
+            continue
+        # _trtrs(T^T, B^T) with B^T overwritten: a C-ordered T^T (lower)
+        # is passed as the upper T, transposed.
+        if tri.T.flags.f_contiguous:
+            _, bad = trtrs(tri.T, rows[part].T, True, 0, unit_diagonal,
+                           overwrite_b=True)
+        else:
+            _, bad = trtrs(tri, rows[part].T, False, 1, unit_diagonal,
+                           overwrite_b=True)
+        info = info or bad
+    if info:
+        raise KernelError(f"dtrtrs failed with info={info}")
+    return _flops.trsm_flops(t, np.array([part.stop - part.start
+                                          for part in parts]))
+
+
 def _trtrs(tri: np.ndarray, rhs: np.ndarray, lower: bool,
            unit_diagonal: bool) -> np.ndarray:
     """``tri @ x = rhs`` through LAPACK ``dtrtrs``, called as
@@ -203,7 +257,7 @@ def getrf(a: np.ndarray, pivot: bool = True,
             continue
         a[k + 1:, k] /= a[k, k]
         if k + 1 < n:
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
     return a, np.arange(min(m, n)), _flops.getrf_flops(m, n)
 
 

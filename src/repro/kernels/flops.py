@@ -28,12 +28,12 @@ __all__ = [
 def _check_nonneg(**kwargs: float) -> None:
     # Schedules attribute flops per kernel call with scalar extents:
     # decide those by plain comparison, arrays (the step-vectorized
-    # accounting) elementwise.
+    # accounting, a batch of kernel calls) elementwise.
     for name, value in kwargs.items():
         if isinstance(value, (int, float, np.generic)):
             negative = value < 0
         else:
-            negative = np.any(np.asarray(value) < 0)
+            negative = (value < 0).any()
         if negative:
             raise ValueError(f"{name} must be non-negative, got {value}")
 

@@ -48,9 +48,10 @@ def work_name(name: str) -> tuple[str, str]:
 
 def _discard_names(machine: Machine, match) -> None:
     for store in machine.stores:
-        for key in [key for key in store.keys()
-                    if isinstance(key, tuple) and key and match(key[0])]:
-            store.discard(key)
+        tiles = [key for key in store.keys() if isinstance(key, tuple) and key]
+        doomed = {first for first in {key[0] for key in tiles} if match(first)}
+        if doomed:
+            store.discard(*[key for key in tiles if key[0] in doomed])
 
 
 def discard_matrix(machine: Machine, name: Hashable) -> None:

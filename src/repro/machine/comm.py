@@ -20,6 +20,7 @@ factorization schedules this way.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Hashable, Sequence
 
@@ -51,24 +52,19 @@ def _combine(op: str, acc: np.ndarray, contrib: np.ndarray) -> None:
     combine(acc, contrib)
 
 
-def _tree_sent_attribution(group: Sequence[int], root: int,
-                           words: float) -> dict[int, float]:
-    """Sent-word attribution of a binomial-tree broadcast.
-
-    Every rank except the leaves forwards the payload to roughly half of
-    the remaining subtree.  We return per-rank sent words; they sum to
-    ``(g - 1) * words``.
-    """
-    order = [root] + [r for r in group if r != root]
-    sent: dict[int, float] = {r: 0.0 for r in group}
-    # Binomial tree: in round k, ranks [0, 2^k) send to ranks [2^k, 2^(k+1)).
+@functools.cache
+def _tree_forwards(g: int) -> np.ndarray:
+    """How often each position of a binomial-tree broadcast over ``g``
+    ranks, root first, forwards the payload: in round ``k`` positions
+    ``[0, 2^k)`` send to ``[2^k, 2^(k+1))``, so the counts sum to
+    ``g - 1``."""
+    forwards = np.zeros(g)
     active = 1
-    g = len(order)
     while active < g:
-        for i in range(min(active, g - active)):
-            sent[order[i]] += words
+        forwards[:min(active, g - active)] += 1
         active *= 2
-    return sent
+    forwards.flags.writeable = False
+    return forwards
 
 
 class Machine:
@@ -166,11 +162,18 @@ class Machine:
     # Collectives
     # ------------------------------------------------------------------
     def bcast(self, root: int, group: Sequence[int], key: Hashable) -> None:
-        """Broadcast block ``key`` from ``root`` to every rank in ``group``."""
+        """Broadcast block ``key`` from ``root`` to every rank in ``group``.
+
+        The receivers share one read-only copy, taken now: each holds
+        (and is charged) the block's words, none may write it, and a
+        later write to the root's block does not reach them.
+        """
         block = self.store(root).get(key)
+        shared = block.copy()
+        shared.flags.writeable = False
         for r in self.charge_bcast(root, group, block.size):
             if r != root:
-                self.stores[r].put(key, block.copy())
+                self.stores[r].put(key, shared)
 
     def charge_bcast(self, root: int, group: Sequence[int], words: int,
                      count: int = 1) -> list[int]:
@@ -182,14 +185,19 @@ class Machine:
         root = self._check_rank(root)
         if root not in group:
             raise CommunicationError(f"root {root} not in group")
-        sent = _tree_sent_attribution(group, root, float(words))
-        for r in group:
-            if r != root:
-                self.stats.record_recv(r, count * words, msgs=count)
-        for r, w in sent.items():
-            if w > 0:
-                self.stats.record_send(r, count * w,
-                                       msgs=count * max(1.0, w / words))
+        if words < 0 or count < 0:
+            raise ValueError("words and count must be non-negative")
+        # Binomial-tree attribution: every receiver gets the payload
+        # once, each forwarding rank sends it once per subtree it feeds.
+        order = np.array([root] + [r for r in group if r != root])
+        stats = self.stats
+        stats.recv_words[order[1:]] += count * words
+        stats.recv_msgs[order[1:]] += count
+        sent = _tree_forwards(len(order)) * float(words)
+        fwd = sent > 0
+        stats.sent_words[order[fwd]] += count * sent[fwd]
+        stats.sent_msgs[order[fwd]] += count * np.maximum(1.0,
+                                                          sent[fwd] / words)
         return group
 
     def reduce(self, root: int, group: Sequence[int], key: Hashable,
@@ -261,3 +269,8 @@ class Machine:
     def compute(self, rank: int, flops: float) -> None:
         """Attribute ``flops`` local floating-point operations to ``rank``."""
         self.stats.record_flops(rank, flops)
+
+    def compute_many(self, ranks: np.ndarray | Sequence[int],
+                     flops: np.ndarray) -> None:
+        """:meth:`compute` for every ``(ranks[i], flops[i])``, in order."""
+        self.stats.record_flops_many(ranks, flops)

@@ -289,6 +289,22 @@ class CommStats:
             raise ValueError("flops must be non-negative")
         self.flops[r] += flops
 
+    def record_flops_many(self, ranks: np.ndarray | Sequence[int],
+                          flops: np.ndarray) -> None:
+        """One :meth:`record_flops` per entry of two equal-length
+        vectors, in order: rank ``ranks[i]`` did ``flops[i]``."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        flops = np.asarray(flops, dtype=np.float64)
+        if not ranks.shape == flops.shape or ranks.ndim != 1:
+            raise ValueError("ranks and flops must be equal-length vectors")
+        if ranks.size == 0:
+            return
+        if ranks.min() < 0 or ranks.max() >= self.nranks:
+            raise RankError(f"rank out of range [0, {self.nranks})")
+        if flops.min() < 0:
+            raise ValueError("flops must be non-negative")
+        np.add.at(self.flops, ranks, flops)
+
     # ------------------------------------------------------------------
     # Superstep bracketing
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ copies).
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -113,17 +113,38 @@ class RankStore:
         self.reserve(words, key)
         self._note_peak(self._words + words)
 
-    def put(self, key: Hashable, value: np.ndarray | Any) -> None:
-        """Insert or replace a block; enforces the capacity limit."""
-        arr = np.asarray(value)
+    def _admit(self, words: float, key: Hashable, arr: np.ndarray) -> float:
+        """Store ``arr`` under ``key`` on top of ``words`` resident and
+        return the new total; refuses (storing nothing) past capacity.
+        The caller records the total and its peak."""
         old = self._blocks.get(key)
-        total = self._words + arr.size - (0 if old is None else old.size)
+        total = words + arr.size - (0 if old is None else old.size)
         if total > self.capacity_words:
             raise MemoryBudgetExceeded(
                 self.rank, self.step, key, total, self.capacity_words)
         self._blocks[key] = arr
-        self._words = total
+        return total
+
+    def put(self, key: Hashable, value: np.ndarray | Any) -> None:
+        """Insert or replace a block; enforces the capacity limit."""
+        self._words = total = self._admit(self._words, key, np.asarray(value))
         self._note_peak(total)
+
+    def put_many(self, items: Sequence[tuple[Hashable, np.ndarray]]) -> None:
+        """``put`` every ``(key, array)`` of ``items``, in order, in one
+        call: the same blocks, words and high-water marks as the loop.
+        On overflow the items before the refused one stay stored and the
+        :class:`MemoryBudgetExceeded` names the refused key and the
+        total it would have made, as the loop's ``put`` would."""
+        words = peak = self._words
+        try:
+            for key, arr in items:
+                words = self._admit(words, key, arr)
+                if words > peak:
+                    peak = words
+        finally:
+            self._words = words
+            self._note_peak(peak)
 
     def get(self, key: Hashable) -> np.ndarray:
         try:
@@ -138,9 +159,13 @@ class RankStore:
         self._words -= arr.size
         return arr
 
-    def discard(self, key: Hashable) -> None:
-        if key in self._blocks:
-            self.pop(key)
+    def discard(self, *keys: Hashable) -> None:
+        """Drop the blocks under ``keys`` that are resident; absent keys
+        are ignored."""
+        for key in keys:
+            arr = self._blocks.pop(key, None)
+            if arr is not None:
+                self._words -= arr.size
 
     def clear(self) -> None:
         self._blocks.clear()

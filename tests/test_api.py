@@ -6,12 +6,16 @@ import pytest
 from repro.analysis import harness
 from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
 from repro.engine import machine_for
+from repro.engine.backends import DistributedBackend
 from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
+from repro.factorizations.common import run_impl
+from repro.factorizations.registry import build, implementation, labels
 from repro.kernels.blas import KernelError
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, ProcessorGrid2D
 from repro.machine.exceptions import MemoryBudgetExceeded
+from repro.planner import planner_labels
 
 
 def setup_machine(rng, n=64, mb=16, spd=False):
@@ -521,6 +525,67 @@ class TestWorkingSetLifetime:
             ScalapackLUSchedule(64, 4, nb=8, panel_rebroadcast=False))
         assert len(work_keys(machine)) == 64
         assert machine.words_per_rank().sum() == 64 * 64
+
+
+def _tile_params(op, label):
+    """Small-problem parameters of an implementation table row."""
+    width = implementation(op, label).params[0]
+    return {width: 4 if width == "v" else 8}
+
+
+#: Every LU/Cholesky row of the implementation table with numerics
+#: (CANDMC and CAPITAL are trace-only).
+NUMERIC = [(op, label) for op in ("lu", "cholesky") for label in labels(op)
+           if build(op, label, 32, 4, **_tile_params(op, label))
+           .supports_distributed]
+
+
+class TestNonFiniteInput:
+    """NaN or infinite input is refused with a ``ValueError`` naming its
+    first entry (row-major), before any factor is formed — Cholesky's
+    too, ahead of the symmetry check.  Regression: LU turned it into
+    non-finite factors without an error, Cholesky called it "not
+    symmetric"."""
+
+    N = 32
+
+    def bad_matrix(self, op, value):
+        g = np.random.default_rng(5).standard_normal((self.N, self.N))
+        a = (g @ g.T if op == "cholesky" else g) + self.N * np.eye(self.N)
+        a[20, 3] = a[9, 5] = value          # lower: Cholesky reads it
+        return a
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("op,label", NUMERIC)
+    def test_one_call_and_distributed_views_refuse(self, op, label, value):
+        a = self.bad_matrix(op, value)
+        schedule = build(op, label, self.N, 4, **_tile_params(op, label))
+        match = rf"input entry \(9, 5\) is {value}"
+        with pytest.raises(ValueError, match=match):
+            run_impl(op, label, self.N, 4, a=a, **_tile_params(op, label))
+        machine = Machine(4)
+        with pytest.raises(ValueError, match=match):
+            DistributedBackend(machine).run(schedule, a=a)
+        assert work_keys(machine) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("op,impl", [(op, impl)
+                                         for op in ("lu", "cholesky")
+                                         for impl in planner_labels(op)])
+    def test_pd_call_refuses_the_tiles_it_adopts(self, op, impl, value):
+        machine = Machine(4)
+        desc = ScaLAPACKDescriptor(m=self.N, n=self.N, mb=8, nb=8,
+                                   prows=2, pcols=2)
+        layout = BlockCyclicLayout(self.N, self.N, 8, 8,
+                                   ProcessorGrid2D(2, 2))
+        layout.scatter_from(machine, "A", self.bad_matrix(op, value))
+        pd = pdgetrf if op == "lu" else pdpotrf
+        with pytest.raises(ValueError, match=rf"input entry \(9, 5\)"):
+            pd(machine, "A", desc, impl=impl, **_tile_params(op, impl))
+        # Nothing is left behind but the caller's operand.
+        assert work_keys(machine) == []
+        assert np.array_equal(machine.words_per_rank(),
+                              layout.words_per_rank())
 
 
 class TestGateMatchesPeak:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import (
     CommunicationError,
@@ -95,6 +97,26 @@ class TestMachineCollectives:
         assert m.stats.recv_words[1] == 0
         assert all(m.stats.recv_words[r] == 4 for r in (0, 2, 3))
         assert float(m.stats.sent_words.sum()) == 12
+
+    def test_bcast_receivers_share_one_read_only_copy(self):
+        """Receivers share one copy taken at the broadcast: none may
+        write it, and writing the root's block afterwards — here a view
+        of a panel, as the 2D baselines broadcast their diagonal tile —
+        does not reach them.  The root keeps its own block."""
+        m = Machine(4)
+        panel = np.arange(16.0).reshape(4, 4)
+        m.store(2).put("k", panel[:2, :2])
+        m.bcast(2, [0, 1, 2, 3], "k")
+        got = [m.store(r).get("k") for r in (0, 1, 3)]
+        assert got[0] is got[1] is got[2]
+        assert not got[0].flags.writeable
+        with pytest.raises(ValueError):
+            got[0][0, 0] = -1.0
+        assert np.shares_memory(m.store(2).get("k"), panel)
+        panel[:2, :2] = -5.0
+        assert np.array_equal(got[0], [[0.0, 1.0], [4.0, 5.0]])
+        # Each receiver is charged (and holds) the block's words.
+        assert m.words_per_rank().tolist() == [4.0, 4.0, 4.0, 4.0]
 
     def test_bcast_root_not_in_group(self):
         m = Machine(3)
@@ -246,3 +268,44 @@ class TestMachineSupersteps:
         assert exc_info.value.rank == 1
         assert exc_info.value.step == "panel-7"
         assert exc_info.value.key == "b"
+
+
+def per_rank_bcast_charge(machine, root, group, words, count):
+    """``Machine.charge_bcast``'s counting as a per-rank loop (kept here
+    only): each receiver records ``count * words`` in ``count``
+    messages; the binomial tree's forwarding ranks, in rounds ``[0,
+    2^k) -> [2^k, 2^(k+1))`` with the root first, each record what they
+    forwarded in as many messages."""
+    order = [root] + [r for r in group if r != root]
+    sent = {r: 0.0 for r in group}
+    active = 1
+    while active < len(order):
+        for i in range(min(active, len(order) - active)):
+            sent[order[i]] += float(words)
+        active *= 2
+    for r in group:
+        if r != root:
+            machine.stats.record_recv(r, count * words, msgs=count)
+    for r, w in sent.items():
+        if w > 0:
+            machine.stats.record_send(r, count * w,
+                                      msgs=count * max(1.0, w / words))
+
+
+@given(st.integers(1, 9).flatmap(lambda p: st.tuples(
+           st.just(p), st.permutations(range(p)), st.integers(1, p),
+           st.integers(0, 2))),
+       st.integers(0, 300), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_broadcast_counting_equals_the_per_rank_loop(case, words, count):
+    nranks, ranks, size, at = case
+    group = list(ranks[:size])
+    root = group[at % size]
+    got, want = Machine(nranks), Machine(nranks)
+    for m in (got, want):
+        m.stats.record_send(0, 0.5)          # counters already running
+    got.charge_bcast(root, group, words, count)
+    per_rank_bcast_charge(want, root, group, words, count)
+    for field in ("sent_words", "recv_words", "sent_msgs", "recv_msgs"):
+        assert np.array_equal(getattr(got.stats, field),
+                              getattr(want.stats, field)), field

@@ -97,6 +97,27 @@ class TestVectorizedRecording:
             s.record_transfers([0, 1], [1], [2])
         assert s.total_recv_words == 0
 
+    def test_record_flops_many_is_one_record_flops_per_entry(self):
+        rng = np.random.default_rng(1)
+        ranks = rng.integers(0, 5, size=40)             # repeats too
+        fl = rng.random(40) * 1e17                      # rounding-sensitive
+        batched, looped = CommStats(5), CommStats(5)
+        batched.record_flops_many(ranks, fl)
+        for r, f in zip(ranks, fl):
+            looped.record_flops(r, f)
+        assert np.array_equal(batched.flops, looped.flops)
+
+    def test_record_flops_many_validates(self):
+        s = CommStats(3)
+        s.record_flops_many([], [])                     # empty: a no-op
+        with pytest.raises(RankError):
+            s.record_flops_many([0, 3], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            s.record_flops_many([0], [-1.0])
+        with pytest.raises(ValueError):
+            s.record_flops_many([0, 1], [1.0])
+        assert s.total_flops == 0
+
 
 class TestSteps:
     def test_step_record_captures_deltas(self):

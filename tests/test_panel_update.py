@@ -8,9 +8,13 @@ before — per owned trailing tile, ``tile[loc] -= a10 @ a01`` on the
 rows of that tile that are still active — kept in ``tests/`` only.
 :func:`repro.engine.distops.exchange` charges a whole point-to-point
 pattern from index arrays; its reference is the loop it replaced, one
-``ship`` and one consumer ``pop`` per message.  The last part pins the
-Python the executed path is allowed to cost, machine-independently
-(call counts under ``cProfile``, not seconds).
+``ship`` and one consumer ``pop`` per message.  The 1D panels of steps
+4-10 are one stacked array whose chunks every rank solves in place
+(:func:`repro.engine.distops.solve_1d`); the reference is the
+per-chunk ``blas.trsm`` + ``put`` loop.  ``local_panels`` registers a
+rank's tiles in one call; the reference is one ``put`` per tile.  The
+last part pins the Python the executed path is allowed to cost,
+machine-independently (call counts under ``cProfile``, not seconds).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 from repro.api import pdgemm, pdgetrf, pdpotrf
 from repro.engine.backends import DistributedBackend
 from repro.engine.distops import (
+    Panel1D,
     _by_grid_coord,
     assemble_cols_1d,
     distribute_rows_1d,
@@ -34,6 +39,7 @@ from repro.engine.distops import (
     local_panels,
     panel_fan_out_update,
     ship,
+    solve_1d,
 )
 from repro.factorizations.baselines.scalapack_chol import (
     ScalapackCholeskySchedule,
@@ -48,11 +54,24 @@ NAME = ("work", "T")
 KEY = ("work", "fan")
 
 
-def _chunks(ids: np.ndarray, block: np.ndarray, nranks: int):
+def _panel(ids: np.ndarray, block: np.ndarray, nranks: int) -> Panel1D:
     """1D-scatter ``(ids, block rows)`` contiguously, as the schedules'
-    ``distribute_rows_1d`` / ``assemble_cols_1d`` leave them."""
-    parts = np.array_split(np.arange(ids.size), nranks)
-    return [(ids[p], block[p] if p.size else None) for p in parts]
+    ``distribute_rows_1d`` / ``assemble_cols_1d`` leave them: one
+    C-ordered array, ``np.array_split``'s chunks."""
+    sizes = [p.size for p in np.array_split(np.arange(ids.size), nranks)]
+    ends = np.cumsum(sizes).tolist()
+    return Panel1D(ids, np.ascontiguousarray(block),
+                   [slice(end - size, end) for size, end in zip(sizes, ends)],
+                   np.repeat(np.arange(nranks), sizes))
+
+
+def _chunks(panel: Panel1D):
+    """A :class:`Panel1D` as per-rank ``(ids, block)``, ``block`` None
+    for an empty chunk — the form the scatters returned before the
+    stacked panel."""
+    return [(panel.ids[part],
+             panel.rows[part] if part.stop > part.start else None)
+            for part in panel.parts]
 
 
 def per_tile_reference(before: dict, grid: ProcessorGrid3D, v: int, t: int,
@@ -81,16 +100,16 @@ def per_tile_reference(before: dict, grid: ProcessorGrid3D, v: int, t: int,
     return expected, fl
 
 
-def masked_rectangle(grid: ProcessorGrid3D, panels, v: int, row_chunks,
-                     col_chunks):
+def masked_rectangle(grid: ProcessorGrid3D, panels, v: int, row_panel,
+                     col_panel):
     """``panel_fan_out_update(lower=True)``'s update as it ran before
     the per-tile-column product, kept in ``tests/`` only: per rank the
     whole rectangle, masked to ``bi >= bj``, subtracted through a row
     index.  Returns the updated panels and the per-rank flops."""
     pr, pc = grid.rows, grid.cols
     planes = v // grid.layers
-    _, a10, row_local = _by_grid_coord(row_chunks, pr, v)
-    _, a01t, col_local = _by_grid_coord(col_chunks, pc, v)
+    _, a10, row_local = _by_grid_coord(row_panel, pr, v)
+    _, a01t, col_local = _by_grid_coord(col_panel, pc, v)
     out = [panel.copy() for panel in panels]
     fl = np.zeros(grid.size)
     for pi, rows in enumerate(row_local):
@@ -148,21 +167,21 @@ def _update_inputs(scenario):
     a10 = rng.standard_normal((rows.size, v))
     a01 = rng.standard_normal((v, cols.size))
     return (grid, machine, panels, rows, a10, a01,
-            _chunks(rows, a10, grid.size), _chunks(cols, a01.T, grid.size))
+            _panel(rows, a10, grid.size), _panel(cols, a01.T, grid.size))
 
 
 @given(scenarios())
 @settings(max_examples=60, deadline=None)
 def test_batched_update_equals_the_per_tile_reference(scenario):
     _, _, _, v, nb, t, lower, _, _ = scenario
-    (grid, machine, panels, rows, a10, a01, row_chunks,
-     col_chunks) = _update_inputs(scenario)
+    (grid, machine, panels, rows, a10, a01, row_panel,
+     col_panel) = _update_inputs(scenario)
     before = {(r, key[1], key[2]): tile.copy()
               for r in range(grid.size)
               for key, tile in machine.store(r).items()}
     words_before = machine.words_per_rank()
 
-    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+    panel_fan_out_update(machine, grid, panels, v, row_panel, col_panel,
                          KEY, lower=lower)
 
     expected, fl = per_tile_reference(before, grid, v, t, nb, rows, a10,
@@ -182,11 +201,11 @@ def test_lower_update_equals_the_masked_rectangle(scenario):
     """The per-tile-column product writes the masked rectangle's bits
     and charges its flops."""
     v = scenario[3]
-    grid, machine, panels, _, _, _, row_chunks, col_chunks = \
+    grid, machine, panels, _, _, _, row_panel, col_panel = \
         _update_inputs(scenario)
-    want, fl = masked_rectangle(grid, panels, v, row_chunks, col_chunks)
+    want, fl = masked_rectangle(grid, panels, v, row_panel, col_panel)
 
-    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+    panel_fan_out_update(machine, grid, panels, v, row_panel, col_panel,
                          KEY, lower=True)
 
     # Rows are whole tiles, so every per-column product is at least
@@ -214,8 +233,8 @@ def test_lower_update_refuses_rows_that_are_not_one_run():
     rows = np.array([4, 6, 7])
     with pytest.raises(ValueError, match="contiguous"):
         panel_fan_out_update(
-            machine, grid, panels, v, _chunks(rows, np.ones((3, v)), 1),
-            _chunks(np.arange(4, 8), np.ones((4, v)), 1), KEY, lower=True)
+            machine, grid, panels, v, _panel(rows, np.ones((3, v)), 1),
+            _panel(np.arange(4, 8), np.ones((4, v)), 1), KEY, lower=True)
 
 
 def test_ranks_without_rows_or_columns_are_left_alone():
@@ -227,9 +246,9 @@ def test_ranks_without_rows_or_columns_are_left_alone():
     a = np.arange(64.0).reshape(8, 8)
     panels = local_panels(machine, grid, nb, v, NAME, a, None)
     rows = np.array([6, 7])
-    row_chunks = _chunks(rows, np.ones((2, v)), 4)
-    col_chunks = _chunks(np.array([6, 7]), np.ones((2, v)), 4)
-    panel_fan_out_update(machine, grid, panels, v, row_chunks, col_chunks,
+    row_panel = _panel(rows, np.ones((2, v)), 4)
+    col_panel = _panel(np.array([6, 7]), np.ones((2, v)), 4)
+    panel_fan_out_update(machine, grid, panels, v, row_panel, col_panel,
                          KEY)
     assert np.array_equal(machine.stats.flops > 0, [False, False, False, True])
     for rank in range(3):
@@ -425,7 +444,9 @@ def per_tile_panels(machine, grid, v, t, nb, active, winners):
 
 def batched_panels(machine, grid, panels, v, t, nb, active, winners):
     """The same four sub-steps on the batched helpers, as
-    ``ConfluxSchedule.dist_step`` strings them together."""
+    ``ConfluxSchedule.dist_step`` strings them together; returns the
+    stacked A10 panel and the stacked, transposed A01 panel (None where
+    the step has none)."""
     k_root, nranks = t % grid.layers, grid.size
     column = layered_reduce(machine, grid, panels, v, active, t, t + 1,
                             k_root, "cr")
@@ -434,10 +455,10 @@ def batched_panels(machine, grid, panels, v, t, nb, active, winners):
               for root, rsel, _, block in column
               if (keep := masked[rsel]).any()]
     rows = (distribute_rows_1d(machine, pieces, nranks, "a10")
-            if pieces else [])
+            if pieces else None)
     for root, _, _, _ in column:
         machine.store(root).discard("cr")
-    cols = []
+    cols = None
     if t + 1 < nb:
         pivot_rows = layered_reduce(machine, grid, panels, v, winners, t + 1,
                                     nb, k_root, "rr")
@@ -485,35 +506,269 @@ def test_batched_reduces_and_scatters_equal_the_per_tile_forms(scenario):
                                  winners) if batched else
                   per_tile_panels(machine, grid, v, t, nb, active, winners))
         runs.append((machine, chunks))
-    (got, got_chunks), (want, want_chunks) = runs
+    (got, got_panels), (want, want_chunks) = runs
     for field in COUNTERS:
         assert np.array_equal(getattr(got.stats, field),
                               getattr(want.stats, field)), field
     assert np.array_equal(got.peak_words_per_rank(),
                           want.peak_words_per_rank())
     assert np.array_equal(got.words_per_rank(), want.words_per_rank())
-    for got_side, want_side in zip(got_chunks, want_chunks):
-        assert len(got_side) == len(want_side)
-        for (ids, block), (want_ids, want_block) in zip(got_side, want_side):
+    # A10 chunks are the panel's rows as they were; A01 chunks are its
+    # transposed columns (one stacked row per column), so compare them
+    # against the per-message blocks transposed.
+    for key, panel, want_side, flip in zip(("a10", "a01"), got_panels,
+                                           want_chunks, (False, True)):
+        assert (panel is None) == (len(want_side) == 0)
+        if panel is None:
+            continue
+        assert panel.rows.flags.c_contiguous
+        assert len(panel.parts) == len(want_side) == grid.size
+        for rank, ((ids, block), (want_ids, want_block)) in enumerate(
+                zip(_chunks(panel), want_side)):
             assert np.array_equal(ids, want_ids)
             assert (block is None) == (want_block is None)
-            assert block is None or np.array_equal(block, want_block)
+            if block is None:
+                assert key not in got.store(rank)
+                continue
+            assert np.array_equal(block.T if flip else block, want_block)
+            # Stored as the panel's own view, with the loop's values.
+            stored = got.store(rank).get(key)
+            assert np.shares_memory(stored, panel.rows)
+            assert np.array_equal(stored.T if flip else stored,
+                                  want.store(rank).get(key))
+
+
+# ----------------------------------------------------------------------
+# Steps 7 and 9 (and COnfCHOX's step 7): one in-place solve per rank on
+# the stacked panel == the per-chunk ``blas.trsm`` + ``put`` loop the
+# schedules ran before, kept here only.
+
+#: The three solves: ``(a left solve on the A01 orientation, unit
+#: diagonal, the triangle is the broadcast block's transpose)``.
+SOLVES = {
+    "lu_a10": (False, False, False),    # X U00 = A10
+    "lu_a01": (True, True, True),       # L00 X = A01 (unit)
+    "chol_a10": (False, False, True),   # X L00^T = A10
+}
+
+
+def per_chunk_solve(machine, chunks, key, tri_key, solve):
+    """Every rank's solve as the schedules ran it: ``blas.trsm`` on its
+    chunk (``(ids, block)``, A01 chunks as ``v x m`` blocks), the flops
+    charged, the fresh solution ``put`` over the chunk.  Returns the
+    solutions."""
+    left, unit, transpose = SOLVES[solve]
+    out = []
+    for rank, (ids, block) in enumerate(chunks):
+        if block is None:
+            out.append(None)
+            continue
+        tri = machine.store(rank).get(tri_key)
+        if left:
+            sol, fl = blas.trsm(tri, block, side="left", lower=True,
+                                unit_diagonal=unit)
+        else:
+            sol, fl = blas.trsm(tri.T if transpose else tri, block,
+                                side="right", lower=False)
+        machine.compute(rank, fl)
+        machine.store(rank).put(key, sol)
+        out.append(sol)
+    return out
+
+
+@st.composite
+def solve_cases(draw):
+    nranks = draw(st.integers(1, 6))
+    v = draw(st.integers(1, 4))
+    # Fewer rows than ranks leaves chunks empty, as many gives every
+    # rank a single row.
+    m = draw(st.sampled_from([1, nranks, nranks + 1,
+                              draw(st.integers(1, 4 * nranks))]))
+    return (nranks, v, m, draw(st.sampled_from(sorted(SOLVES))),
+            draw(st.booleans()), draw(st.integers(0, 2**31)))
+
+
+def _solve_setup(case, zero_diagonal=False):
+    """Two machines holding the same broadcast triangle (the root's in
+    Fortran or C order, as ``potrf`` and ``getrf`` leave it; every
+    receiver the broadcast copy) and the same 1D-scattered panel."""
+    nranks, v, m, solve, fortran_root, seed = case
+    rng = np.random.default_rng(seed)
+    tri = rng.standard_normal((v, v)) + v * np.eye(v)
+    if zero_diagonal:
+        tri[v // 2, v // 2] = 0.0
+    if fortran_root:
+        tri = np.asfortranarray(tri)
+    block = rng.standard_normal((m, v))
+    runs = []
+    for _ in range(2):
+        machine = Machine(nranks)
+        machine.store(0).put("tri", tri.copy(order="A"))
+        machine.bcast(0, list(range(nranks)), "tri")
+        panel = _panel(np.arange(m), block.copy(), nranks)
+        for rank in panel.held():
+            machine.store(rank).put("chunk", panel.rows[panel.parts[rank]])
+        machine.begin_step("solve")
+        runs.append((machine, panel))
+    return runs
+
+
+@given(solve_cases())
+@settings(max_examples=150, deadline=None)
+def test_in_place_solve_equals_the_per_chunk_trsm_loop(case):
+    solve = case[3]
+    left, unit, transpose = SOLVES[solve]
+    (got, panel), (want, ref_panel) = _solve_setup(case)
+    # The loop sees A01 chunks in their v x m orientation.
+    chunks = [(ids, None if block is None else block.T if left else block)
+              for ids, block in _chunks(ref_panel)]
+    want_sol = per_chunk_solve(want, chunks, "chunk", "tri", solve)
+
+    solve_1d(got, panel, "tri", unit_diagonal=unit, transpose=transpose)
+
+    for rank, sol in enumerate(want_sol):
+        if sol is None:
+            assert "chunk" not in got.store(rank)
+            continue
+        mine = panel.rows[panel.parts[rank]]
+        assert np.array_equal(mine.T if left else mine, sol)
+        stored = got.store(rank).get("chunk")
+        assert np.shares_memory(stored, panel.rows)
+        assert np.array_equal(stored, mine)
+    for field in COUNTERS + ("flops",):
+        assert np.array_equal(getattr(got.stats, field),
+                              getattr(want.stats, field)), field
+    for mine, theirs in zip(got.stores, want.stores):
+        assert (mine.words, mine.peak_words, mine.step_peak_words) == (
+            theirs.words, theirs.peak_words, theirs.step_peak_words)
+
+
+@given(solve_cases())
+@settings(max_examples=40, deadline=None)
+def test_zero_diagonal_refused_before_any_chunk_changes(case):
+    _, unit, transpose = SOLVES[case[3]]
+    if unit:
+        return                      # a unit triangle's diagonal is not read
+    (machine, panel), _ = _solve_setup(case, zero_diagonal=True)
+    before = panel.rows.copy()
+    with pytest.raises(blas.SingularMatrixError):
+        solve_1d(machine, panel, "tri", transpose=transpose)
+    assert np.array_equal(panel.rows, before)
+    assert not machine.stats.flops.any()
+
+
+def test_solve_refuses_a_panel_it_cannot_solve_in_place():
+    """A Fortran-ordered (or read-only) panel has no in-place solve:
+    ``trsm_rows`` refuses it rather than solving a copy."""
+    tri = np.eye(2)
+    parts = [slice(0, 3)]
+    with pytest.raises(blas.KernelError, match="C-ordered"):
+        blas.trsm_rows([tri], np.asfortranarray(np.ones((3, 2))), parts)
+    frozen = np.ones((3, 2))
+    frozen.flags.writeable = False
+    with pytest.raises(blas.KernelError, match="writeable"):
+        blas.trsm_rows([tri], frozen, parts)
+
+
+# ----------------------------------------------------------------------
+# local_panels registers a rank's tiles in one call == one ``put`` per
+# tile (the loop as it was, kept here only).
+
+def per_tile_local_panels(machine, grid, nb, v, name, a, lower=False):
+    pr, pc = grid.rows, grid.cols
+    panels = []
+    for rank in range(grid.size):
+        pi, pj, k = grid.coords(rank)
+        panel = np.zeros((len(range(pi, nb, pr)) * v,
+                          len(range(pj, nb, pc)) * v))
+        for bi in range(pi, nb, pr):
+            for bj in range(pj, bi + 1 if lower else nb, pc):
+                i0, j0 = (bi // pr) * v, (bj // pc) * v
+                tile = panel[i0:i0 + v, j0:j0 + v]
+                if k == 0:
+                    tile[...] = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v]
+                machine.store(rank).put((name, bi, bj), tile)
+        panels.append(panel)
+    return panels
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+       st.integers(1, 5), st.integers(1, 3), st.booleans(),
+       st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_one_registration_per_rank_equals_per_tile_puts(pr, pc, c, nb, v,
+                                                        lower, short):
+    """Same tiles, words and peaks; under a budget ``short`` words below
+    the loop's peak, the same refusal at the same (rank, step, key)."""
+    grid = ProcessorGrid3D(pr, pc, c)
+    n = nb * v
+    a = np.arange(float(n * n)).reshape(n, n)
+    # Every rank already holds a block under a tile key (its first
+    # tile's, where it has one, replaced by the registration) and one
+    # of another name.
+    held = {rank: [((NAME, grid.coords(rank)[0], grid.coords(rank)[1]),
+                    np.zeros(rank + 1)), ("other", np.zeros(3))]
+            for rank in range(grid.size)}
+
+    def run(register, budget=None):
+        machine = (Machine(grid.size) if budget is None else
+                   Machine(grid.size, mem_words=budget, enforce_memory=True))
+        for rank, items in held.items():
+            for key, block in items:
+                machine.store(rank).put(key, block)
+        machine.begin_step("init")
+        try:
+            panels = register(machine, grid, nb, v, NAME, a, lower=lower)
+        except MemoryBudgetExceeded as exc:
+            return machine, None, exc
+        return machine, panels, None
+
+    def batched(machine, grid, nb, v, name, a, lower):
+        return local_panels(machine, grid, nb, v, name, a, None, lower=lower)
+
+    (got, got_panels, _), (want, want_panels, _) = (
+        run(batched), run(per_tile_local_panels))
+    for g, w in zip(got_panels, want_panels):
+        assert np.array_equal(g, w)
+    for rank, (mine, theirs) in enumerate(zip(got.stores, want.stores)):
+        assert (mine.words, mine.peak_words, mine.step_peak_words) == (
+            theirs.words, theirs.peak_words, theirs.step_peak_words)
+        assert list(mine.keys()) == list(theirs.keys())
+        for key, tile in mine.items():
+            if not any(tile is block for _, block in held[rank]):
+                assert np.shares_memory(tile, got_panels[rank])
+    budget = want.peak_words_per_rank().max() - short
+    if budget < max(sum(block.size for _, block in items)
+                    for items in held.values()):
+        return                      # what is held already overflows
+    (got, _, err), (want, _, want_err) = (run(batched, budget),
+                                          run(per_tile_local_panels, budget))
+    assert (err is None) == (want_err is None)
+    if err is not None:
+        assert (err.rank, err.step, err.key, err.needed_words) == (
+            want_err.rank, want_err.step, want_err.key,
+            want_err.needed_words)
+    for mine, theirs in zip(got.stores, want.stores):
+        assert (mine.words, mine.peak_words, mine.step_peak_words) == (
+            theirs.words, theirs.peak_words, theirs.step_peak_words)
 
 
 # ----------------------------------------------------------------------
 # Deterministic overhead ceiling.
 
 #: Python-level calls of one pdgetrf(conflux, n=128, P=16, v=8, c=2),
-#: SciPy already imported: 100 k since the point-to-point patterns are
-#: index arrays (272 k with one ``ship`` per message, 481 k with the
-#: per-tile update loops before that); ceiling ~25 % above.
-CALL_CEILING = 125_000
+#: SciPy already imported: 43.0 k with the 1D panels stacked and solved
+#: in place, one registration per rank and vectorized broadcast
+#: counting (100 k with a ``blas.trsm`` + ``put`` per chunk and a
+#: ``put`` per tile, 272 k with one ``ship`` per message, 481 k with the
+#: per-tile update loops before that); ceiling 10 % above.
+CALL_CEILING = 47_500
 
 #: Functions of the batched path: none may stack operands per tile, and
 #: only the tournament still sends message by message.
 HOT_PATH = {"dist_step", "panel_fan_out_update", "_by_grid_coord",
             "layered_reduce", "distribute_rows_1d", "assemble_cols_1d",
-            "_scatter_1d", "exchange"}
+            "_scatter_1d", "exchange", "solve_1d", "trsm_rows"}
 
 
 def _profiled_pd(op: str) -> pstats.Stats:
@@ -552,6 +807,24 @@ def _calls(stats: pstats.Stats, name: str) -> int:
                if func[2] == name)
 
 
+def _calls_by(stats: pstats.Stats, name: str, caller: str) -> int:
+    """How often ``caller`` called the profiled function ``name``."""
+    return sum(counts[0] for func, (_, _, _, _, callers) in stats.stats.items()
+               if func[2] == name
+               for by, counts in callers.items() if by[2] == caller)
+
+
+def _batched_panel_steps(stats: pstats.Stats, nranks: int) -> None:
+    """What both 2.5D schedules share: every chunk solved in place (no
+    ``blas.trsm``, no ``isin`` mask), each rank's tiles registered by
+    one call."""
+    assert _calls(stats, "trsm") == 0
+    assert _calls(stats, "isin") == 0
+    assert _calls_by(stats, "solve_1d", "dist_step") > 0
+    assert "local_panels" not in _callers(stats, "put")
+    assert _calls_by(stats, "put_many", "local_panels") <= nranks
+
+
 def test_executed_conflux_python_overhead_stays_batched():
     stats = _profiled_pd("lu")
     assert stats.total_calls < CALL_CEILING
@@ -566,17 +839,21 @@ def test_executed_conflux_python_overhead_stays_batched():
     assert _callers(stats, asarray)
     assert "_check_nonneg" not in _callers(stats, asarray)
     assert "_check_nonneg" in {func[2] for func in stats.stats}
+    _batched_panel_steps(stats, 16)
 
 
-#: Python-level calls of the same pdpotrf(confchox): 43 k with one
-#: product per tile column and COSTA walking each layout once (56 k with
-#: a masked rectangle per rank and an owner lookup per tile).
-CALL_CEILING_CHOL = 52_000
+#: Python-level calls of the same pdpotrf(confchox): 29.5 k with the A10
+#: panel solved in place and one registration per rank (43 k with a
+#: ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 56 k with a
+#: masked rectangle per rank and an owner lookup per tile); ceiling
+#: 10 % above.
+CALL_CEILING_CHOL = 32_500
 
 
 def test_executed_confchox_python_overhead_stays_batched():
     stats = _profiled_pd("cholesky")
     assert stats.total_calls < CALL_CEILING_CHOL
+    _batched_panel_steps(stats, 16)
     # The lower update keeps no mask ...
     assert "panel_fan_out_update" not in _callers(stats, "count_nonzero")
     # ... and the two reshuffles validate no tile one by one: at most

@@ -13,6 +13,8 @@ interleavings:
   ``put``/``reserve`` leaves the store exactly as it was.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +158,59 @@ class TestStepPeaks:
         store.reserve(6)
         with pytest.raises(ValueError):
             store.reserve(-1)
+
+
+class TestOneCallRegistration:
+    """``put_many`` is the ``put`` loop in one call: the same blocks,
+    words and high-water marks, and on overflow the same refusal with
+    the items before it stored."""
+
+    @given(resident=st.lists(st.tuples(st.integers(0, 5),
+                                       st.integers(0, 20)), max_size=6),
+           items=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 20)),
+                          max_size=20),
+           capacity=st.one_of(st.none(), st.integers(1, 150)))
+    @settings(max_examples=300, deadline=None)
+    def test_put_many_equals_the_put_loop(self, resident, items, capacity):
+        stores, errors = [], []
+        blocks = [(key, np.zeros(size)) for key, size in items]
+        for register in ("loop", "once"):
+            store = RankStore(3, math.inf if capacity is None else capacity)
+            try:
+                for key, size in resident:   # replaced keys included
+                    store.put(key, np.zeros(size))
+            except MemoryBudgetExceeded:
+                return                       # the set-up alone overflows
+            store.begin_step("register")
+            err = None
+            try:
+                if register == "loop":
+                    for key, block in blocks:
+                        store.put(key, block)
+                else:
+                    store.put_many(blocks)
+            except MemoryBudgetExceeded as exc:
+                err = (exc.rank, exc.step, exc.key, exc.needed_words)
+            stores.append(store)
+            errors.append(err)
+        loop, once = stores
+        assert errors[0] == errors[1]
+        assert (once.words, once.peak_words, once.step_peak_words) == (
+            loop.words, loop.peak_words, loop.step_peak_words)
+        assert list(once.keys()) == list(loop.keys())
+        for key, block in once.items():
+            theirs = loop.get(key)
+            # Registered blocks are stored as given, not copied.
+            assert block.size == theirs.size
+            assert (block is theirs) == any(block is b for _, b in blocks)
+
+
+class TestMultiKeyDiscard:
+    def test_discard_drops_every_resident_key_and_ignores_the_rest(self):
+        store = RankStore(0)
+        for key, size in (("a", 3), ("b", 4), ("c", 5)):
+            store.put(key, np.zeros(size))
+        store.discard("a", "missing", "c")
+        assert list(store.keys()) == ["b"] and store.words == 4
+        store.discard()
+        assert store.words == 4
