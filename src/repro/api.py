@@ -391,7 +391,7 @@ def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
     operands, routed through :class:`DistributedBackend` like the
     factorizations: COSTA-reshuffle both operands into the schedule's
     per-rank blocks (counted), run the SUMMA rounds and the layered
-    reduction through Machine collectives (counted by the machine),
+    reduction through Machine communication (counted by the machine),
     COSTA the product back into ``desc_a``'s layout under ``out_name``.
 
     The product is returned dense in ``lower`` for verification, with

@@ -53,8 +53,8 @@ message-carrying two-axis ownership product raises
 
 The naive dense ``(steps x P)`` interpretation of the IR lives in
 ``tests/oracle.py`` as the test oracle.  Evaluator and oracle agree
-**bit-for-bit** on the communication counters (received/sent words and
-message counts): every words/msgs profile is integer-valued, both
+**bit-for-bit** on the communication counters (received words and
+messages): every words/msgs profile is integer-valued, both
 accumulate those integers exactly (float64 sums of integers below 2^53
 are associativity-free), and the single float ``coeff`` multiplies the
 identical integer total in the identical term order.  Flop terms may
@@ -190,7 +190,7 @@ class CostTerm:
     term's words are positive; flop terms carry none.
     """
 
-    counter: str                      # "recv" | "sent" | "flops"
+    counter: str                      # "recv" | "flops"
     coeff: float
     step: StepFn
     gate: tuple[str, ...] = ()
@@ -209,10 +209,10 @@ class StepAccounting:
     """Term builder and per-term reduction kernels of one schedule.
 
     A schedule's ``accounting(acct)`` runs exactly once per evaluation:
-    it declares terms via :meth:`add_recv` / :meth:`add_sent` /
-    :meth:`add_flops` and profile constructors :meth:`const` /
-    :meth:`affine` / :meth:`column`.  :class:`TermBatch` collects the
-    emitted terms and reduces them through the kernels below into a
+    it declares terms via :meth:`add_recv` / :meth:`add_flops` and
+    profile constructors :meth:`const` / :meth:`affine` /
+    :meth:`column`.  :class:`TermBatch` collects the emitted terms and
+    reduces them through the kernels below into a
     :class:`~repro.machine.stats.CommStats`.
     """
 
@@ -367,14 +367,6 @@ class StepAccounting:
         plus ``msgs * msgs_step`` messages wherever words are
         positive."""
         self._add("recv", coeff, step, gate, own, rank_const, msgs,
-                  msgs_step)
-
-    def add_sent(self, coeff: float, step: StepFn | None = None,
-                 gate: Sequence[str] = (), own: Sequence[str] = (),
-                 rank_const: np.ndarray | None = None,
-                 msgs: float = 1.0,
-                 msgs_step: StepFn | None = None) -> None:
-        self._add("sent", coeff, step, gate, own, rank_const, msgs,
                   msgs_step)
 
     def add_flops(self, coeff: float, step: StepFn | None = None,
@@ -710,7 +702,7 @@ class StepAccounting:
                 continue
             words = term.coeff * term.step.values(0, T)
             uni[term.counter] = uni.get(term.counter, 0.0) + words
-            if term.msgs_step is not None and term.counter == "recv":
+            if term.msgs_step is not None:
                 mbase = term.msgs_step.values(0, T)
                 uni["rmsgs"] = uni.get("rmsgs", 0.0) + \
                     term.msgs_coeff * np.where(words > 0, mbase, 0.0)
@@ -734,8 +726,7 @@ class StepAccounting:
         mbases = [tm.msgs_step.values(0, T) if tm.msgs_step is not None
                   else None for tm in nonuni]
         need = {tm.counter for tm in nonuni}
-        if any(tm.counter == "recv" and tm.msgs_step is not None
-               for tm in nonuni):
+        if any(tm.msgs_step is not None for tm in nonuni):
             need.add("rmsgs")
         # Per-step maxima: max over existing class combinations of the
         # combination's (shared) value column.
@@ -763,7 +754,7 @@ class StepAccounting:
                 prev = bufs.get(term.counter)
                 bufs[term.counter] = words if prev is None \
                     else prev + words
-                if term.msgs_step is not None and term.counter == "recv":
+                if term.msgs_step is not None:
                     mm = term.msgs_coeff * np.where(
                         words > 0, mbases[ti], 0.0)
                     prev = bufs.get("rmsgs")
@@ -779,7 +770,7 @@ class StepAccounting:
             rcv = (rc[0], axis_funcs[rc[0]][rc[1]]) if rc else None
             tot[term.counter] += term.coeff * bases[ti] * \
                 self._sum_factor(term, info, T, rcv, msgs=False)
-            if term.msgs_step is not None and term.counter == "recv":
+            if term.msgs_step is not None:
                 pos = (term.coeff > 0) & (bases[ti] > 0)
                 tot["rmsgs"] += term.msgs_coeff * mbases[ti] * pos * \
                     self._sum_factor(term, info, T, rcv, msgs=True)
@@ -792,12 +783,10 @@ class StepAccounting:
             return u, u * P
 
         recv_max, recv_tot = series("recv")
-        sent_max, sent_tot = series("sent")
         flops_max, flops_tot = series("flops")
         msgs_max, msgs_tot = series("rmsgs")
         cols = dict(zip(STEP_FIELDS, (
-            flops_max, flops_tot, recv_max, recv_tot, sent_max, sent_tot,
-            msgs_max, msgs_tot)))
+            flops_max, flops_tot, recv_max, recv_tot, msgs_max, msgs_tot)))
         stats.steps.extend(step_label, 0, T, **cols)
 
     def _axis_classes(self, axis: str, t: np.ndarray, gate_used: bool,
@@ -937,7 +926,6 @@ class TermBatch:
             stats = CommStats(acct.nranks, steps=steps)
             acct._reduce(terms, {
                 "recv": (stats.recv_words, stats.recv_msgs),
-                "sent": (stats.sent_words, stats.sent_msgs),
                 "flops": (stats.flops, None)})
             if steps != "none":
                 acct._analytic_steps(terms, stats, label)

@@ -6,7 +6,7 @@
   (``conflux_lu``, ``slate_lu`` ...) runs.
 * :class:`DistributedBackend` — message-passing execution on a
   :class:`~repro.machine.comm.Machine`: operands live in per-rank
-  stores and move only through counted collectives, so received-word
+  stores and move only through counted communication, so received-word
   counts come from actual data movement rather than formulas.  The
   parity tests check the two agree.
 
@@ -163,7 +163,7 @@ class DistributedBackend:
             rng: np.random.Generator | None = None,
             in_name: str | tuple[str, str] | None = None,
             ) -> "FactorizationResult":
-        """Run ``schedule`` through machine collectives.
+        """Run ``schedule`` through the machine's counted communication.
 
         ``in_name`` names already-resident input tiles for
         ``dist_init`` to adopt; multi-operand schedules (the 2.5D
@@ -228,16 +228,13 @@ class DistributedBackend:
 
 
 def _snapshot(stats: CommStats) -> tuple[np.ndarray, ...]:
-    return (stats.recv_words.copy(), stats.sent_words.copy(),
-            stats.recv_msgs.copy(), stats.sent_msgs.copy(),
+    return (stats.recv_words.copy(), stats.recv_msgs.copy(),
             stats.flops.copy())
 
 
 def _apply_delta(dst: CommStats, stats: CommStats,
                  before: tuple[np.ndarray, ...]) -> None:
-    recv, sent, rmsgs, smsgs, flops = before
+    recv, msgs, flops = before
     dst.recv_words += stats.recv_words - recv
-    dst.sent_words += stats.sent_words - sent
-    dst.recv_msgs += stats.recv_msgs - rmsgs
-    dst.sent_msgs += stats.sent_msgs - smsgs
+    dst.recv_msgs += stats.recv_msgs - msgs
     dst.flops += stats.flops - flops

@@ -133,7 +133,7 @@ class Schedule(abc.ABC):
             f"{type(self).__name__} has no dense execution")
 
     # ------------------------------------------------------------------
-    # Distributed view (per-rank stores, counted collectives)
+    # Distributed view (per-rank stores, counted communication)
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,

@@ -104,7 +104,6 @@ class CandmcSchedule(PanelModelSchedule):
         acct.add_recv(panel, step=trailing)                   # swap out
         acct.add_recv(panel, step=trailing)                   # swap in
         acct.add_recv(panel * (c - 1.0) / c, step=trailing)   # reduction
-        acct.add_sent(panel * (4.0 + (c - 1.0) / c), step=nrem, msgs=5.0)
         # Tournament pivoting across the panel's processor column.
         on_piv = ("j", "k")
         rounds = pivoting.tournament_rounds(rows)

@@ -42,7 +42,6 @@ class CapitalSchedule(PanelModelSchedule):
         per_step = 45.0 / 8.0 * 2.0 * b / math.sqrt(c * p)
         nrem = acct.affine(n, -b)
         acct.add_recv(per_step, step=nrem, msgs=9.0)
-        acct.add_sent(per_step, step=nrem, msgs=9.0)
         # potrf on the diagonal block's layer-0 owner; trsm and trailing
         # update shares everywhere.
         acct.add_flops(flops.potrf_flops(b), gate=("i", "j"),

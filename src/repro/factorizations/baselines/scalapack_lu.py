@@ -232,7 +232,7 @@ class ScalapackLUSchedule(Schedule):
                 "upper": np.triu(work), "perm": perm}
 
     # ------------------------------------------------------------------
-    # Distributed view: the same loop through Machine collectives
+    # Distributed view: the same loop through Machine communication
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,

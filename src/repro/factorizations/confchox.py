@@ -130,7 +130,6 @@ class ConfchoxSchedule(Schedule):
         # Reduce the block column (nrem x v) over layers (machine-wide
         # reduce-scatter, as in COnfLUX step 1).
         acct.add_recv(v * (c - 1.0) / self.nranks, step=nrem)
-        acct.add_sent(v * (c - 1.0) / self.nranks, step=nrem)
 
         # Local potrf of A00 on its owner; broadcast of the factor
         # (v^2 per rank, Table 1) and potrf flops v^3/6 at the owner.

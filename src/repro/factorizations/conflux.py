@@ -27,7 +27,7 @@ engine (:mod:`repro.engine`): the *trace* view is the exact per-rank
 accounting above, vectorized over all steps at once; the *dense* view
 executes the factorization on global NumPy arrays; the *distributed*
 view runs the same eleven sub-steps through counted
-:class:`~repro.machine.comm.Machine` collectives on per-rank tile
+:class:`~repro.machine.comm.Machine` communication on per-rank tile
 stores, so received words come from actual data movement.
 :func:`conflux_lu` is the one-call entry point on top of the dense
 backend.
@@ -201,9 +201,7 @@ class ConfluxSchedule(Schedule):
         the cyclic-ownership factor ``own=("j",)``.
         """
         n, v, c = self.n, self.v, self.c
-        grid = self.grid
-        pr, pc = grid.rows, grid.cols
-        p1 = pr * pc
+        pr = self.grid.rows
         steps = self.steps()
         planes = v // c                       # reduction planes per layer
         nrem = acct.affine(n, -v)             # unfactored rows (and cols)
@@ -231,7 +229,6 @@ class ConfluxSchedule(Schedule):
         # reduce-scatter: (c-1) of the c partial copies move, evenly over
         # all P ranks (the paper's (N-tv)*v*M/N^2 per-processor cost).
         acct.add_recv(v * (c - 1.0) / self.nranks, step=nrem)
-        acct.add_sent(v * (c - 1.0) / self.nranks, step=nrem)
 
         # Step 2: tournament pivoting on [*, q_col, k_piv]: candidate
         # blocks (v rows plus their global row ids, hence width v + 1)
@@ -247,8 +244,6 @@ class ConfluxSchedule(Schedule):
         exch = acct.column(butterfly_pair_exchanges(m_t))
         acct.add_recv(v * (v + 1.0) / pr, step=exch, gate=piv_layer,
                       msgs=1.0 / pr, msgs_step=exch)
-        acct.add_sent(v * (v + 1.0) / pr, step=exch, gate=piv_layer,
-                      msgs=1.0 / pr, msgs_step=exch)
         acct.add_flops(v * v / pr, step=m_rows, gate=piv_layer)
         acct.add_flops(k_getrf, gate=piv_layer)
         rounds_t = np.ceil(np.log2(np.maximum(m_t, 1)))
@@ -257,9 +252,6 @@ class ConfluxSchedule(Schedule):
 
         # Step 3: broadcast factored A00 (v^2) + v pivot indices to all.
         acct.add_recv(float(v * v + v))
-        acct.add_sent((v * v + v) * math.log2(max(2, p1 * c)),
-                      gate=piv_layer,
-                      msgs=math.ceil(math.log2(max(2, p1 * c))))
 
         # Step 4: scatter A10 ((nrem - v) x v) 1D over all P ranks.
         acct.add_recv(v / self.nranks, step=n11)
@@ -268,7 +260,6 @@ class ConfluxSchedule(Schedule):
         # machine-wide reduce-scatter convention as step 1 (pivot rows
         # are spread evenly over the ranks with high probability).
         acct.add_recv(v * (c - 1.0) / self.nranks, step=n11)
-        acct.add_sent(v * (c - 1.0) / self.nranks, step=n11)
 
         # Step 6: scatter A01 (v x n11) 1D over all P ranks.
         acct.add_recv(v / self.nranks, step=n11)
@@ -355,7 +346,7 @@ class ConfluxSchedule(Schedule):
                 "perm": perm}
 
     # ------------------------------------------------------------------
-    # Distributed view: the same sub-steps through Machine collectives
+    # Distributed view: the same sub-steps through Machine communication
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,

@@ -142,7 +142,6 @@ class Matmul25DSchedule(Schedule):
         acct.add_flops(2.0 * rows_local * cols_local * s, step=in_round)
         in_reduce = acct.const(lo=self.rounds)
         acct.add_recv(n * n * (c - 1.0) / self.nranks, step=in_reduce)
-        acct.add_sent(n * n * (c - 1.0) / self.nranks, step=in_reduce)
 
     # ------------------------------------------------------------------
     def _operands(self, a: np.ndarray | tuple | None,

@@ -68,8 +68,6 @@ def _block_triangular_solve(tri: np.ndarray, b: np.ndarray, v: int,
         for r in range(nranks):
             if r != owner:
                 stats.record_recv(r, words)
-        stats.record_send(owner, words * max(1, nranks - 1),
-                          msgs=math.ceil(math.log2(max(2, nranks))))
         # Trailing update: every rank updates its cyclic share of the
         # remaining rows.
         if lower:

@@ -6,14 +6,6 @@ memories, explicit counted communication, and an alpha-beta-gamma time
 model calibrated to XC40 node parameters.
 """
 
-from .collectives import (
-    binomial_bcast,
-    butterfly_allreduce,
-    collective_cost_model,
-    pipelined_reduce,
-    recursive_halving_reduce_scatter,
-    ring_allgather,
-)
 from .comm import Machine
 from .exceptions import (
     CommunicationError,
@@ -45,9 +37,6 @@ from .store import RankStore
 
 __all__ = [
     "Machine",
-    "binomial_bcast", "ring_allgather", "butterfly_allreduce",
-    "recursive_halving_reduce_scatter", "pipelined_reduce",
-    "collective_cost_model",
     "CommStats",
     "ColumnarStepLog",
     "NullStepLog",

@@ -3,13 +3,13 @@
 :class:`Machine` bundles ``P`` rank-private stores with a
 :class:`~repro.machine.stats.CommStats` counter object and exposes the
 communication operations the factorization schedules need: point-to-point
-moves plus the collectives of Algorithm 1 (broadcast, reduce,
+moves plus the collective operations of Algorithm 1 (broadcast, reduce,
 reduce-scatter, allreduce).
 
-The per-collective counting conventions (receive-centric, flat reduce
-accounting, binomial-tree sent attribution) are documented in
-``ARCHITECTURE.md`` at the repo root, alongside the engine layering that
-consumes them; ``stats.py`` holds the metric rationale.
+The per-collective counting conventions (receive-only, flat reduce
+accounting) are documented in ``ARCHITECTURE.md`` at the repo root,
+alongside the engine layering that consumes them; ``stats.py`` holds the
+metric rationale.
 
 All data-moving methods actually move ``numpy`` blocks between stores, so
 algorithms built on :class:`Machine` are *executable* and numerically
@@ -20,7 +20,6 @@ factorization schedules this way.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Hashable, Sequence
 
@@ -50,21 +49,6 @@ def _combine(op: str, acc: np.ndarray, contrib: np.ndarray) -> None:
             f"unknown reduce op {op!r}; have {sorted(_REDUCE_OPS)}"
         ) from None
     combine(acc, contrib)
-
-
-@functools.cache
-def _tree_forwards(g: int) -> np.ndarray:
-    """How often each position of a binomial-tree broadcast over ``g``
-    ranks, root first, forwards the payload: in round ``k`` positions
-    ``[0, 2^k)`` send to ``[2^k, 2^(k+1))``, so the counts sum to
-    ``g - 1``."""
-    forwards = np.zeros(g)
-    active = 1
-    while active < g:
-        forwards[:min(active, g - active)] += 1
-        active *= 2
-    forwards.flags.writeable = False
-    return forwards
 
 
 class Machine:
@@ -185,19 +169,13 @@ class Machine:
         root = self._check_rank(root)
         if root not in group:
             raise CommunicationError(f"root {root} not in group")
-        if words < 0 or count < 0:
-            raise ValueError("words and count must be non-negative")
-        # Binomial-tree attribution: every receiver gets the payload
-        # once, each forwarding rank sends it once per subtree it feeds.
-        order = np.array([root] + [r for r in group if r != root])
-        stats = self.stats
-        stats.recv_words[order[1:]] += count * words
-        stats.recv_msgs[order[1:]] += count
-        sent = _tree_forwards(len(order)) * float(words)
-        fwd = sent > 0
-        stats.sent_words[order[fwd]] += count * sent[fwd]
-        stats.sent_msgs[order[fwd]] += count * np.maximum(1.0,
-                                                          sent[fwd] / words)
+        if not (0 <= words < math.inf and 0 <= count < math.inf):
+            raise ValueError(f"words and count must be finite and "
+                             f"non-negative, got {words}, {count}")
+        # Every receiver gets the payload once per broadcast.
+        receivers = np.array([r for r in group if r != root], dtype=np.intp)
+        self.stats.recv_words[receivers] += count * words
+        self.stats.recv_msgs[receivers] += count
         return group
 
     def reduce(self, root: int, group: Sequence[int], key: Hashable,

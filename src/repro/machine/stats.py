@@ -4,10 +4,10 @@ The paper's primary evaluation metric is *communicated elements per
 processor* (measured on Piz Daint with Score-P).  In the parallel red-blue
 pebble game of Section 5, a communication is a remote vertex acquiring a
 local pebble, i.e. a *receive*; all per-step costs quoted in Algorithm 1 of
-the paper are receive volumes.  We therefore treat **words received per
-rank** as the primary volume metric, while also tracking sent words and
-message counts (for the latency term of the time model) and floating-point
-operations (for the compute term).
+the paper are receive volumes.  The counters are therefore **words
+received per rank** (the volume metric), messages received per rank (the
+latency term of the time model) and floating-point operations (the
+compute term).  A point-to-point move charges its receiver only.
 
 Counters are plain ``numpy`` arrays of length ``P`` so that recording is
 O(1) per event and aggregation (max / total / per-rank) is vectorized.
@@ -27,6 +27,7 @@ Two step-log flavours exist, selected by ``CommStats(steps=...)``:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,10 +49,8 @@ class StepRecord:
         Maximum per-rank and machine-total floating point operations.
     recv_words_max / recv_words_total:
         Maximum per-rank and machine-total received words (elements).
-    sent_words_max / sent_words_total:
-        Same for sent words.
     msgs_max / msgs_total:
-        Message counts; feed the latency (alpha) term.
+        Received message counts; feed the latency (alpha) term.
     """
 
     label: str
@@ -59,16 +58,13 @@ class StepRecord:
     flops_total: float = 0.0
     recv_words_max: float = 0.0
     recv_words_total: float = 0.0
-    sent_words_max: float = 0.0
-    sent_words_total: float = 0.0
     msgs_max: float = 0.0
     msgs_total: float = 0.0
 
 
 #: The numeric fields of a StepRecord, in declaration order.
 STEP_FIELDS = ("flops_max", "flops_total", "recv_words_max",
-               "recv_words_total", "sent_words_max", "sent_words_total",
-               "msgs_max", "msgs_total")
+               "recv_words_total", "msgs_max", "msgs_total")
 
 
 class ColumnarStepLog:
@@ -216,9 +212,7 @@ class CommStats:
         if nranks <= 0:
             raise RankError(f"need at least one rank, got {nranks}")
         self.nranks = int(nranks)
-        self.sent_words = np.zeros(nranks, dtype=np.float64)
         self.recv_words = np.zeros(nranks, dtype=np.float64)
-        self.sent_msgs = np.zeros(nranks, dtype=np.float64)
         self.recv_msgs = np.zeros(nranks, dtype=np.float64)
         self.flops = np.zeros(nranks, dtype=np.float64)
         self.steps = _make_step_log(steps)
@@ -238,27 +232,25 @@ class CommStats:
     # ------------------------------------------------------------------
     # Event recording
     # ------------------------------------------------------------------
-    def record_send(self, rank: int, words: float, msgs: float = 1.0) -> None:
-        r = self._check_rank(rank)
-        if words < 0 or msgs < 0:
-            raise ValueError("words and msgs must be non-negative")
-        self.sent_words[r] += words
-        self.sent_msgs[r] += msgs
-
     def record_recv(self, rank: int, words: float, msgs: float = 1.0) -> None:
         r = self._check_rank(rank)
-        if words < 0 or msgs < 0:
-            raise ValueError("words and msgs must be non-negative")
+        if not (0 <= words < math.inf and 0 <= msgs < math.inf):
+            raise ValueError(f"words and msgs must be finite and "
+                             f"non-negative, got {words}, {msgs}")
         self.recv_words[r] += words
         self.recv_msgs[r] += msgs
 
     def record_transfer(self, src: int, dst: int, words: float,
                         msgs: float = 1.0) -> None:
-        """A point-to-point move of ``words`` elements from ``src`` to ``dst``."""
-        if src == dst:
-            return  # local: no communication in the distributed model
-        self.record_send(src, words, msgs)
-        self.record_recv(dst, words, msgs)
+        """A point-to-point move of ``words`` elements from ``src`` to
+        ``dst``, charged to the receiver; a self-send is local and
+        counts nothing (its arguments are still checked)."""
+        self._check_rank(src)
+        if src != dst:
+            self.record_recv(dst, words, msgs)
+        elif not (0 <= words < math.inf and 0 <= msgs < math.inf):
+            raise ValueError(f"words and msgs must be finite and "
+                             f"non-negative, got {words}, {msgs}")
 
     def record_transfers(self, src: np.ndarray, dst: np.ndarray,
                          words: np.ndarray) -> None:
@@ -274,19 +266,18 @@ class CommStats:
         n = self.nranks
         if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
             raise RankError(f"rank out of range [0, {n})")
-        if words.min() < 0:
-            raise ValueError("words must be non-negative")
+        if not (0 <= words.min() and words.max() < math.inf):
+            raise ValueError("words must be finite and non-negative")
         remote = src != dst
-        src, dst, words = src[remote], dst[remote], words[remote]
-        self.sent_words += np.bincount(src, weights=words, minlength=n)
+        dst, words = dst[remote], words[remote]
         self.recv_words += np.bincount(dst, weights=words, minlength=n)
-        self.sent_msgs += np.bincount(src, minlength=n)
         self.recv_msgs += np.bincount(dst, minlength=n)
 
     def record_flops(self, rank: int, flops: float) -> None:
         r = self._check_rank(rank)
-        if flops < 0:
-            raise ValueError("flops must be non-negative")
+        if not 0 <= flops < math.inf:
+            raise ValueError(f"flops must be finite and non-negative, "
+                             f"got {flops}")
         self.flops[r] += flops
 
     def record_flops_many(self, ranks: np.ndarray | Sequence[int],
@@ -301,8 +292,8 @@ class CommStats:
             return
         if ranks.min() < 0 or ranks.max() >= self.nranks:
             raise RankError(f"rank out of range [0, {self.nranks})")
-        if flops.min() < 0:
-            raise ValueError("flops must be non-negative")
+        if not (0 <= flops.min() and flops.max() < math.inf):
+            raise ValueError("flops must be finite and non-negative")
         np.add.at(self.flops, ranks, flops)
 
     # ------------------------------------------------------------------
@@ -313,21 +304,19 @@ class CommStats:
             raise RuntimeError(f"step {self._step_label!r} still open")
         self._step_label = label
         self._snap = (self.flops.copy(), self.recv_words.copy(),
-                      self.sent_words.copy(), self.recv_msgs.copy())
+                      self.recv_msgs.copy())
 
     def end_step(self) -> StepRecord:
         if self._step_label is None or self._snap is None:
             raise RuntimeError("no open step")
-        flops0, recv0, sent0, msgs0 = self._snap
+        flops0, recv0, msgs0 = self._snap
         dflops = self.flops - flops0
         drecv = self.recv_words - recv0
-        dsent = self.sent_words - sent0
         dmsgs = self.recv_msgs - msgs0
         rec = StepRecord(
             label=self._step_label,
             flops_max=float(dflops.max()), flops_total=float(dflops.sum()),
             recv_words_max=float(drecv.max()), recv_words_total=float(drecv.sum()),
-            sent_words_max=float(dsent.max()), sent_words_total=float(dsent.sum()),
             msgs_max=float(dmsgs.max()), msgs_total=float(dmsgs.sum()),
         )
         self.steps.append(rec)
@@ -358,24 +347,9 @@ class CommStats:
         return float(self.recv_words.mean())
 
     @property
-    def max_sent_words(self) -> float:
-        return float(self.sent_words.max())
-
-    @property
     def total_flops(self) -> float:
         return float(self.flops.sum())
 
     @property
     def max_flops(self) -> float:
         return float(self.flops.max())
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "nranks": float(self.nranks),
-            "max_recv_words": self.max_recv_words,
-            "total_recv_words": self.total_recv_words,
-            "max_sent_words": self.max_sent_words,
-            "total_flops": self.total_flops,
-            "max_flops": self.max_flops,
-            "max_recv_msgs": float(self.recv_msgs.max()),
-        }

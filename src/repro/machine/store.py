@@ -96,10 +96,13 @@ class RankStore:
         context) if not; stores nothing either way.  The api layer's
         feasibility gate reserves what a pd* call needs on every rank
         before any word moves, so already-resident caller data counts
-        against the budget on the rank holding it.
+        against the budget on the rank holding it.  A negative or
+        non-finite ``words`` (a nan would pass the comparison with the
+        budget) raises :class:`ValueError`.
         """
-        if words < 0:
-            raise ValueError("cannot reserve a negative word count")
+        if not 0 <= words < math.inf:
+            raise ValueError(f"cannot reserve {words} words: need a finite, "
+                             f"non-negative count")
         if self._words + words > self.capacity_words:
             raise MemoryBudgetExceeded(
                 self.rank, self.step, key, self._words + words,

@@ -36,7 +36,7 @@ __all__ = [
     "slate_lu_paper_model", "slate_lu_full_model",
     "mkl_cholesky_full_model", "slate_cholesky_full_model",
     "candmc_paper_model", "capital_paper_model",
-    "summa_25d_paper_model", "summa_25d_full_model",
+    "summa_25d_paper_model",
     "lu_models", "cholesky_models",
     "grid_25d_dims", "grid_2d_dims",
 ]
@@ -237,30 +237,6 @@ def summa_25d_paper_model(n: float, p: float, mem_words: float) -> float:
     """SC19 leading term: ``2 N^3 / (P sqrt(M))``."""
     _check(n, p, mem_words)
     return 2.0 * n ** 3 / (p * math.sqrt(mem_words))
-
-
-def summa_25d_full_model(n: int, p: int, c: int, s: int) -> float:
-    """Closed-form per-rank received words of
-    :class:`~repro.factorizations.matmul25d.Matmul25DSchedule`.
-
-    Each of the ``N/(s c)`` SUMMA rounds broadcasts an A panel along
-    grid rows and a B panel along grid columns (``g - 1`` receivers: a
-    rank's own strip pieces never move, hence the ``(Pc-1)/Pc`` resp.
-    ``(Pr-1)/Pr`` shares), and the final layered reduce-scatter moves
-    ``(c-1)/c`` of every rank's C copy once.  This matches the trace —
-    and the counted distributed execution — exactly.
-    """
-    _check(n, p)
-    pr, pc, c = grid_25d_dims(p, c)
-    if s <= 0 or n % s != 0 or (n // c) % s != 0:
-        raise ValueError(f"strip width s={s} incompatible with N={n}, c={c}")
-    rounds = (n // c) // s
-    rows_local = n / pr
-    cols_local = n / pc
-    panels = rounds * s * (rows_local * (pc - 1.0) / pc
-                           + cols_local * (pr - 1.0) / pr)
-    reduce_words = float(n) * n * (c - 1.0) / p
-    return panels + reduce_words
 
 
 # ---------------------------------------------------------------------------

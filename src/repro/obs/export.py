@@ -42,8 +42,8 @@ __all__ = ["span_events", "step_timeline_events",
 TIMELINE_PID = "superstep-timeline"
 
 #: Step-log fields rendered as counter tracks.
-_STEP_FIELDS = ("recv_words_max", "recv_words_total", "sent_words_max",
-                "flops_max", "msgs_max")
+_STEP_FIELDS = ("recv_words_max", "recv_words_total", "flops_max",
+                "msgs_max")
 
 
 def span_events(records: Iterable[SpanRecord]) -> list[dict]:

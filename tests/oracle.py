@@ -17,9 +17,8 @@ from repro.engine.accounting import StepAccounting
 from repro.machine.stats import STEP_FIELDS, CommStats
 
 _SLAB = 128
-_KEYS = ("flops", "recv", "sent", "rmsgs")
-TOTAL_FIELDS = ("recv_words", "sent_words", "recv_msgs", "sent_msgs",
-                "flops")
+_KEYS = ("flops", "recv", "rmsgs")
+TOTAL_FIELDS = ("recv_words", "recv_msgs", "flops")
 
 
 def _rank_factor(acct, term, t):
@@ -74,7 +73,6 @@ def oracle_stats(schedule) -> CommStats:
                 dense[key].sum(axis=1) + uni[key] * P
         stats.steps.extend(schedule.step_label, s0, t.size, **cols)
     arrays = {"recv": (stats.recv_words, stats.recv_msgs),
-              "sent": (stats.sent_words, stats.sent_msgs),
               "flops": (stats.flops, None)}
     for i, term in enumerate(terms):
         words_arr, msgs_arr = arrays[term.counter]

@@ -3,7 +3,7 @@ reproduces the dense ``(steps x P)`` oracle (``tests/oracle.py`` — the
 chunked reference interpretation of the term stream) for every schedule
 and for randomized configurations.
 
-* **Exactness** — received/sent words and message counts agree exactly
+* **Exactness** — received words and message counts agree exactly
   (``==``, not approx): words/msgs profiles are integer-valued, both
   sides accumulate those integers exactly, and the one float
   coefficient multiplies the identical integer total in the identical
@@ -307,7 +307,7 @@ class TestTournamentTable:
         assert exch.tolist() == [_xor_pairings(int(k)) for k in m_t]
         assert [tm.step.column.tolist() for tm in terms
                 if tm.gate == ("j", "k") and tm.counter != "flops"
-                and tm.step.column is not None] == [exch.tolist()] * 2
+                and tm.step.column is not None] == [exch.tolist()]
     """Per-step maxima, when requested, agree across log flavours."""
 
     @pytest.mark.parametrize("sched_fn", [
@@ -385,9 +385,8 @@ class TestBuilderValidation:
         drop) messages."""
         acct = self._acct()
         msgs_step = acct.const() if with_step else None
-        for add in (acct.add_recv, acct.add_sent):
-            with pytest.raises(ValueError, match="msgs"):
-                add(1.0, msgs=msgs, msgs_step=msgs_step)
+        with pytest.raises(ValueError, match="msgs"):
+            acct.add_recv(1.0, msgs=msgs, msgs_step=msgs_step)
         assert acct._terms == []
 
     def test_rank_const_shape_checked(self):
@@ -428,12 +427,12 @@ class TestOnePath:
         # Refused on its first step's 2^50, its largest value.
         lambda a: a.add_recv(1.0, step=a.affine(2 ** 50, -2 ** 48),
                              gate=("j",)),
-        lambda a: a.add_sent(1.0, step=a.affine(2 ** 50), own=("i",)),
+        lambda a: a.add_recv(1.0, step=a.affine(2 ** 50), own=("i",)),
         lambda a: a.add_recv(1.0, msgs_step=a.affine(0, 2 ** 51)),
     ], ids=["uniform", "gated", "gated-decreasing", "owned", "msgs"])
     def test_moments_past_2_52_raise_instead_of_rounding(self, emit):
         with pytest.raises(OverflowError,
-                           match=r"(recv|sent) term .*cross 2\^52"):
+                           match=r"recv term .*cross 2\^52"):
             _evaluate(_adhoc(self.GRID, 4, emit))
 
     def test_moments_below_the_guard_match_the_oracle(self):
@@ -450,11 +449,10 @@ class TestOnePath:
         N = 2^21 have this shape."""
         sched = _adhoc(self.GRID, 4096, lambda a: (
             a.add_recv(1.0, step=a.affine(2 ** 30), gate=("!j",)),
-            a.add_sent(1.0, step=a.affine(2 ** 30, -2 ** 10),
+            a.add_recv(1.0, step=a.affine(2 ** 30, -2 ** 10),
                        gate=("j", "k"))))
         got, want = _evaluate(sched, "none"), oracle_stats(sched)
         assert np.array_equal(got.recv_words, want.recv_words)
-        assert np.array_equal(got.sent_words, want.sent_words)
         assert np.array_equal(got.recv_msgs, want.recv_msgs)
 
     @pytest.mark.parametrize("kwargs", [
@@ -544,7 +542,7 @@ class TestOnePath:
 #: message-free), an optional axis-functional rank constant, an affine
 #: or integer-column profile (by rng seed) on a step window.
 _TERM = st.fixed_dictionaries({
-    "counter": st.sampled_from(["recv", "sent", "flops"]),
+    "counter": st.sampled_from(["recv", "flops"]),
     "coeff": st.sampled_from([1.0, 0.5, 3.0]),
     "gate": st.lists(st.sampled_from(["i", "j", "k", "!i", "!j", "!k"]),
                      max_size=3, unique_by=lambda atom: atom.lstrip("!")),

@@ -86,7 +86,7 @@ class TestOneCallAccounting:
         [traced] = trace(build(op, label, n, p, nb=nb))
         assert dense.lower is not None and traced.lower is None
         assert dense.params == traced.params
-        for field in ("recv_words", "sent_words", "flops"):
+        for field in ("recv_words", "flops"):
             assert np.allclose(getattr(dense.comm, field),
                                getattr(traced.comm, field)), field
 
@@ -178,13 +178,12 @@ class TestPortedModelsPinned:
         op = "lu" if row["impl"] == "candmc" else "cholesky"
         [res] = trace(build(op, row["impl"], row["n"], row["p"], c=row["c"],
                             mem_words=row["mem_words"]))
-        for field in ("recv_words", "sent_words", "flops"):
+        for field in ("recv_words", "flops"):
             arr = getattr(res.comm, field)
             assert [arr.mean(), arr.max()] == pytest.approx(
                 row[field], rel=1e-12)
-        for field in ("recv_msgs", "sent_msgs"):
-            arr = getattr(res.comm, field)
-            assert [arr.sum(), arr.max()] == row[field]
+        arr = res.comm.recv_msgs
+        assert [arr.sum(), arr.max()] == row["recv_msgs"]
         assert dict(res.params, grid=list(res.params["grid"])) \
             == row["params"]
         timed = estimate_time(res)
@@ -205,8 +204,7 @@ class TestPortedModelsPinned:
         assert [r.name for r in batched] == [*lu, *chol]
         for got, want in zip(batched, alone):
             assert (got.name, got.params) == (want.name, want.params)
-            for field in ("recv_words", "sent_words", "flops",
-                          "recv_msgs", "sent_msgs"):
+            for field in ("recv_words", "flops", "recv_msgs"):
                 assert np.array_equal(getattr(got.comm, field),
                                       getattr(want.comm, field))
 

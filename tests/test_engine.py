@@ -114,7 +114,7 @@ class TestBackends:
             [alone] = harness.trace(sched)
             assert (res.n, res.nranks, res.mem_words, res.params) == (
                 alone.n, alone.nranks, alone.mem_words, alone.params)
-            for field in ("recv_words", "sent_words", "flops"):
+            for field in ("recv_words", "flops"):
                 assert np.array_equal(getattr(res.comm, field),
                                       getattr(alone.comm, field)), field
             for field in STEP_FIELDS:
@@ -127,7 +127,7 @@ class TestBackends:
         [bare] = harness.trace(sched, steps="none")
         assert len(full.step_log) == sched.steps()
         assert len(bare.step_log) == 0
-        for field in ("recv_words", "sent_words", "flops"):
+        for field in ("recv_words", "flops"):
             assert np.array_equal(getattr(full.comm, field),
                                   getattr(bare.comm, field)), field
 

@@ -5,7 +5,7 @@ The paper's central empirical claim is that the *measured* per-rank I/O
 of COnfLUX/COnfCHOX matches the analytic near-optimal cost, and that
 the 2D baselines measurably move more.  The engine makes both claims
 checkable in-repo: the trace backend produces the analytic volumes, the
-distributed backend counts words actually moved by Machine collectives,
+distributed backend counts words actually moved through the Machine,
 and the totals must agree for all five schedules (conflux, confchox,
 matmul25d, scalapack-lu, scalapack-chol).
 
@@ -38,10 +38,9 @@ things the executable schedules do not —
 
 Every idealization *over*-counts, so the measured volume sits below the
 trace; the gap shrinks with both the step count and the machine size,
-which the asymptotic tests assert.  Sent words are *not* compared: the
-trace attributes sent words only for the reductions and broadcasts
-(received words are the paper's primary metric), so there is no
-analytic sent total to match.
+which the asymptotic tests assert.  Both views count what the paper
+measures — received words, received messages and flops — and nothing
+on the sending side.
 
 This suite also absorbs the retired ``distributed2d`` module's checks:
 the 2D distributed factors must match the dense backend's numerically

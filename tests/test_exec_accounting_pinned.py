@@ -3,7 +3,7 @@
 ``exec_accounting_pinned.json`` holds, for three small configurations
 of each 2.5D schedule, what a :class:`DistributedBackend` run counted
 at the commit *before* the panel fan-out and Schur update were
-batched: the per-rank received/sent words, received messages and
+batched: the per-rank received words, received messages and
 flops, every per-step column of the step log, and the per-step memory
 peaks.  An execute-path optimisation may change how the Python gets
 there; it may not change one of these numbers, so the comparison is
@@ -174,7 +174,7 @@ def measure(key: str) -> dict:
     result, backend = run(key)
     comm = result.comm
     out = {field: getattr(comm, field).tolist()
-           for field in ("recv_words", "sent_words", "recv_msgs", "flops")}
+           for field in ("recv_words", "recv_msgs", "flops")}
     out["steps"] = {field: [getattr(rec, field) for rec in comm.steps]
                     for field in ("label",) + STEP_FIELDS}
     out["step_peaks"] = [list(lp) for lp in

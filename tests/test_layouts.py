@@ -193,9 +193,7 @@ class TestCosta:
             pairs = np.unique(owner[0][moved] * 6 + owner[1][moved])
             stats = machine.stats
             for got, want in [
-                    (stats.sent_words, np.bincount(owner[0][moved], minlength=6)),
                     (stats.recv_words, np.bincount(owner[1][moved], minlength=6)),
-                    (stats.sent_msgs, np.bincount(pairs // 6, minlength=6)),
                     (stats.recv_msgs, np.bincount(pairs % 6, minlength=6))]:
                 assert np.array_equal(got, want)
             assert np.array_equal(redistribution_volume(src, dst),

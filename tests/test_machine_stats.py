@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import CommStats, RankError
+from repro.machine import CommStats, Machine, RankError
 from repro.machine.stats import (
     STEP_FIELDS,
     ColumnarStepLog,
@@ -23,32 +23,32 @@ class TestCommStatsBasics:
         with pytest.raises(RankError):
             CommStats(0)
 
-    def test_record_send_recv(self):
+    def test_record_recv(self):
         s = CommStats(3)
-        s.record_send(0, 10)
         s.record_recv(1, 10)
-        assert s.sent_words[0] == 10
         assert s.recv_words[1] == 10
         assert s.recv_words[0] == 0
 
-    def test_record_transfer_counts_both_sides(self):
+    def test_record_transfer_counts_the_receiver(self):
         s = CommStats(2)
         s.record_transfer(0, 1, 7)
-        assert s.sent_words[0] == 7
-        assert s.recv_words[1] == 7
+        assert s.recv_words.tolist() == [0, 7]
+        assert s.recv_msgs.tolist() == [0, 1]
 
     def test_self_transfer_is_free(self):
         s = CommStats(2)
         s.record_transfer(1, 1, 100)
         assert s.total_recv_words == 0
-        assert float(s.sent_words.sum()) == 0
+        assert float(s.recv_msgs.sum()) == 0
 
     def test_rank_out_of_range(self):
         s = CommStats(2)
         with pytest.raises(RankError):
             s.record_recv(2, 1)
         with pytest.raises(RankError):
-            s.record_send(-1, 1)
+            s.record_recv(-1, 1)
+        with pytest.raises(RankError):
+            s.record_transfer(-7, -7, 3.0)      # even a self-send
 
     def test_negative_words_rejected(self):
         s = CommStats(2)
@@ -79,7 +79,7 @@ class TestVectorizedRecording:
         batched.record_transfers(src, dst, words)
         for s, d, w in zip(src, dst, words):
             looped.record_transfer(s, d, w)
-        for field in ("sent_words", "recv_words", "sent_msgs", "recv_msgs"):
+        for field in ("recv_words", "recv_msgs"):
             assert np.array_equal(getattr(batched, field),
                                   getattr(looped, field))
         assert batched.total_recv_words == words[src != dst].sum()
@@ -117,6 +117,40 @@ class TestVectorizedRecording:
         with pytest.raises(ValueError):
             s.record_flops_many([0, 1], [1.0])
         assert s.total_flops == 0
+
+
+#: Every way words, messages or flops reach a machine's counters, each
+#: fed one bad amount ``x``.
+RECORDERS = {
+    "record_recv-words": lambda m, x: m.stats.record_recv(1, x),
+    "record_recv-msgs": lambda m, x: m.stats.record_recv(1, 4, msgs=x),
+    "record_transfer-words": lambda m, x: m.stats.record_transfer(0, 1, x),
+    "record_transfer-msgs": lambda m, x: m.stats.record_transfer(
+        0, 1, 4, msgs=x),
+    "record_transfer-self": lambda m, x: m.stats.record_transfer(1, 1, x),
+    "record_transfers": lambda m, x: m.stats.record_transfers(
+        np.array([0, 1]), np.array([1, 1]), np.array([4.0, x])),
+    "record_flops": lambda m, x: m.stats.record_flops(1, x),
+    "record_flops_many": lambda m, x: m.stats.record_flops_many(
+        [0, 1], np.array([4.0, x])),
+    "charge_bcast-words": lambda m, x: m.charge_bcast(0, [0, 1, 2], x),
+    "charge_bcast-count": lambda m, x: m.charge_bcast(0, [0, 1, 2], 4, x),
+    "compute": lambda m, x: m.compute(1, x),
+    "compute_many": lambda m, x: m.compute_many([0, 1], np.array([4.0, x])),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("recorder", RECORDERS)
+def test_recorders_refuse_non_finite_or_negative_amounts(recorder, bad):
+    """A nan would poison every later max and total, an inf or negative
+    amount every total: each recorder refuses them and counts nothing."""
+    m = Machine(3)
+    with pytest.raises(ValueError):
+        RECORDERS[recorder](m, bad)
+    for field in ("recv_words", "recv_msgs", "flops"):
+        assert not getattr(m.stats, field).any(), field
 
 
 class TestSteps:

@@ -235,8 +235,7 @@ class TestNullStepLog:
     def test_totals_are_zero_for_every_field(self):
         log = NullStepLog()
         for field in ("flops_max", "flops_total", "recv_words_max",
-                      "recv_words_total", "sent_words_max",
-                      "sent_words_total", "msgs_max", "msgs_total"):
+                      "recv_words_total", "msgs_max", "msgs_total"):
             assert log.total(field) == 0.0
 
     def test_append_iter_len_getitem(self):

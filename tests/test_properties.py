@@ -370,8 +370,7 @@ class TestGeneratedSumma:
     def counters(result, machine):
         comm = result.comm
         return {**{field: getattr(comm, field).tolist()
-                   for field in ("recv_words", "sent_words", "recv_msgs",
-                                 "sent_msgs", "flops")},
+                   for field in ("recv_words", "recv_msgs", "flops")},
                 "steps": list(comm.steps),
                 "peaks": machine.peak_words_per_rank().tolist()}
 

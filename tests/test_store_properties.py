@@ -159,6 +159,23 @@ class TestStepPeaks:
         with pytest.raises(ValueError):
             store.reserve(-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("capacity", [10, math.inf],
+                             ids=["bounded", "unbounded"])
+    def test_non_finite_words_are_refused(self, bad, capacity):
+        """A nan compares false against the budget, so without the
+        refusal a nan reservation or staged message would clear the
+        M-words gate (and an inf one pass an unbounded store)."""
+        store = RankStore(0, capacity_words=capacity)
+        store.put("a", np.zeros(4))
+        with pytest.raises(ValueError, match="finite"):
+            store.reserve(bad)
+        with pytest.raises(ValueError, match="finite"):
+            store.stage(bad, "msg")
+        assert (store.words, store.peak_words, store.step_peak_words) == \
+            (4, 4, 4)
+
 
 class TestOneCallRegistration:
     """``put_many`` is the ``put`` loop in one call: the same blocks,
