@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +50,12 @@ from .cache import ResultCache
 
 __all__ = ["SweepTask", "SerialExecutor", "ProcessPoolSweepExecutor",
            "run_task", "default_workers"]
+
+#: The start method of every local worker, pool child and fabric
+#: worker alike: a forked child inherits the imported package instead
+#: of paying ``import repro`` again (the forkserver and spawn defaults
+#: of other platforms and Python versions would).
+FORK = multiprocessing.get_context("fork")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,7 +237,8 @@ class ProcessPoolSweepExecutor(SerialExecutor):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers, mp_context=FORK)
             obs.default_telemetry().metrics.counter(
                 "runtime.executor.pool.created").inc()
         return self._pool

@@ -14,9 +14,9 @@ the *coordination substrate* of a distributed sweep:
   coordinator publishing the same sweep against the same cache
   converges on the same run directory and cooperates instead of
   duplicating work.
-* **Workers** — the coordinator's in-process loop, subprocesses it
-  spawns, or any host running ``python -m repro.runtime.fabric --cache
-  DIR`` against the shared directory —
+* **Workers** — the coordinator's in-process loop, processes it forks,
+  or any host running ``python -m repro.runtime.fabric --cache DIR``
+  against the shared directory —
   **lease** batches through lock files claimed with
   ``O_CREAT | O_EXCL`` (exactly one winner per claim), heartbeat the
   lease mtime while executing, and write every task result through the
@@ -76,15 +76,15 @@ import math
 import os
 import pathlib
 import pickle
-import subprocess
 import sys
 import time
 import uuid
+from multiprocessing.process import BaseProcess
 from typing import Any, Sequence
 
 from .. import obs
 from .cache import ResultCache, code_fingerprint
-from .executor import SweepTask, run_task
+from .executor import FORK, SweepTask, run_task
 
 __all__ = [
     "DistributedSweepExecutor", "FabricRun", "FabricReport",
@@ -447,6 +447,21 @@ def work_run(run: FabricRun, worker_id: str | None = None,
     return mine
 
 
+def _forked_worker(cache_root: pathlib.Path, run_id: str, worker_id: str,
+                   ttl_s: float, poll_s: float, log: pathlib.Path) -> None:
+    """A coordinator's local worker, in the forked child: stderr (fd 2
+    and ``sys.stderr``) goes to ``log``, telemetry starts fresh, and the
+    run is rebuilt from the shared directory — the same on-disk protocol
+    a worker on another host follows."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND)
+    os.dup2(fd, 2)
+    os.close(fd)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
+    obs.set_default_telemetry(obs.Telemetry())
+    work_run(load_run(cache_root, run_id), worker_id=worker_id,
+             ttl_s=ttl_s, poll_s=poll_s, linger=False)
+
+
 # ----------------------------------------------------------------------
 # Coordinator
 
@@ -492,7 +507,7 @@ class DistributedSweepExecutor:
         leases, and done markers all live under it; any host pointing a
         worker at the same directory joins the sweep.
     workers:
-        Local worker *subprocesses* to spawn per run (0 = none; the
+        Local worker processes to fork per run (0 = none; the
         coordinator still participates unless ``participate=False``).
     participate:
         Whether the coordinator itself executes batches.  With
@@ -532,35 +547,24 @@ class DistributedSweepExecutor:
 
     # ------------------------------------------------------------------
     def _spawn_worker(self, run: FabricRun, index: int,
-                      ) -> tuple[subprocess.Popen, pathlib.Path]:
-        """One local worker subprocess, importing this very package.
-
-        Its stderr goes to a file in the run directory, returned with
-        the process: a pipe read only at join would block a worker that
-        writes more than the pipe buffer until the run timed out.
-        """
-        import repro
-
-        env = dict(os.environ)
-        pkg_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [pkg_root] + [p for p in env.get("PYTHONPATH", "").split(
-                os.pathsep) if p])
+                      ) -> tuple[BaseProcess, pathlib.Path]:
+        """One local worker, forked from this process, and its stderr
+        file in the run directory: a pipe read only at join would block
+        a worker that writes more than the pipe buffer until the run
+        timed out."""
         worker_id = f"sub{index}-{os.getpid()}"
-        cmd = [sys.executable, "-m", "repro.runtime.fabric",
-               "--cache", str(run.cache_root), "--run", run.run_id,
-               "--ttl", str(self.ttl_s), "--poll", str(self.poll_s),
-               "--worker-id", worker_id, "--no-linger"]
         log = run.run_dir / f"worker-{worker_id}.stderr"
-        with open(log, "wb") as fh:
-            proc = subprocess.Popen(cmd, env=env,
-                                    stdout=subprocess.DEVNULL, stderr=fh)
+        log.write_bytes(b"")
+        proc = FORK.Process(target=_forked_worker, name=worker_id,
+                            args=(run.cache_root, run.run_id, worker_id,
+                                  self.ttl_s, self.poll_s, log))
+        proc.start()
         return proc, log
 
     def run(self, tasks: Sequence[SweepTask]) -> list[Any]:
         """All task results in task order — bit-identical to
         :class:`~repro.runtime.executor.SerialExecutor` on the same
-        tasks, however many workers (local, spawned, or remote hosts)
+        tasks, however many workers (local, forked, or remote hosts)
         executed the batches."""
         tel = obs.default_telemetry()
         reg = tel.metrics
@@ -591,17 +595,16 @@ class DistributedSweepExecutor:
             finally:
                 errs = []
                 for proc, log in procs:
-                    try:
-                        proc.wait(timeout=self.ttl_s * 4)
-                    except subprocess.TimeoutExpired:
+                    proc.join(self.ttl_s * 4)
+                    if proc.exitcode is None:      # join timed out
                         proc.kill()
-                        proc.wait()
-                    if proc.returncode not in (0, -9):
-                        errs.append(f"exit {proc.returncode}, stderr in "
+                        proc.join()
+                    if proc.exitcode not in (0, -9):
+                        errs.append(f"exit {proc.exitcode}, stderr in "
                                     f"{log}:\n{_tail(log)}")
                 if errs and not run.complete():
                     raise RuntimeError(
-                        "fabric worker subprocess failed:\n"
+                        "fabric worker process failed:\n"
                         + "\n".join(errs))
             results = self._reconcile(run)
         wall = time.time() - t0

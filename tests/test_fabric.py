@@ -10,7 +10,9 @@ heartbeat, and a doubly-executed batch whose duplicate loses the
 ``O_EXCL`` done-marker race.
 """
 
+import atexit
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -24,6 +26,7 @@ from repro.analysis.harness import sweep_tasks, sweep_traces
 from repro.runtime import (
     DistributedSweepExecutor,
     ResultCache,
+    SerialExecutor,
     SweepTask,
     publish_run,
 )
@@ -302,11 +305,15 @@ class TestFaultInjection:
 
 class TestWorkerStderr:
     def test_flooding_worker_does_not_block(self, tmp_path, monkeypatch):
-        """A spawned worker writing more than a pipe buffer to stderr
-        (here: the interpreter's import trace) before it claims anything
-        still does all the work — its stderr is a file, not a pipe that
-        nobody reads until join."""
-        monkeypatch.setenv("PYTHONVERBOSE", "2")
+        """A forked worker writing more than a pipe buffer to stderr
+        (here: 128 KiB to fd 2 before every task) still does all the
+        work — its stderr is a file, not a pipe that nobody reads until
+        join."""
+        def flooding_run_task(task):
+            os.write(2, b"x" * 131072)
+            return run_task(task)
+
+        monkeypatch.setattr(fabric, "run_task", flooding_run_task)
         tasks = lu_tasks()
         ex = DistributedSweepExecutor(tmp_path, workers=1,
                                       participate=False, batch_size=1,
@@ -332,3 +339,55 @@ class TestWorkerStderr:
         (log,) = run.run_dir.glob("worker-*.stderr")
         assert str(log) in str(info.value)
         assert "Traceback" in log.read_text()
+
+
+class TestForkedWorkers:
+    def test_forked_workers_run_no_parent_exit_hooks(self, tmp_path):
+        """Forked workers leave through ``os._exit``: an ``atexit`` hook
+        the coordinator registered before the run never fires in them,
+        and every batch is done by a ``sub{i}-<coordinator pid>``
+        worker, reconciled bit-identical to serial."""
+        hook_log = tmp_path / "atexit.log"
+        hook_log.touch()
+
+        def hook():
+            with open(hook_log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+
+        atexit.register(hook)
+        try:
+            tasks = lu_tasks()
+            ex = DistributedSweepExecutor(tmp_path / "cache", workers=2,
+                                          participate=False, batch_size=1,
+                                          ttl_s=10.0, timeout_s=120.0)
+            results = ex.run(tasks)
+        finally:
+            atexit.unregister(hook)
+        assert hook_log.read_text() == ""
+        assert checksum(results) == checksum(SerialExecutor().run(tasks))
+        run = publish_run(tmp_path / "cache", tasks, batch_size=1)
+        workers = {json.loads(run.done_path(b).read_text())["worker"]
+                   for b in range(len(run.batches))}
+        assert workers <= {f"sub{i}-{os.getpid()}" for i in range(2)}
+
+    def test_hung_worker_is_killed_at_join(self, tmp_path, monkeypatch):
+        """A forked worker still alive ``4 * ttl_s`` after the run is
+        done is killed, not waited on: the coordinator returns the
+        serial checksum and leaves no child behind."""
+        coordinator = os.getpid()
+        real_work_run = fabric.work_run
+
+        def work_run(run, **kw):
+            if os.getpid() != coordinator:
+                time.sleep(120.0)
+            return real_work_run(run, **kw)
+
+        monkeypatch.setattr(fabric, "work_run", work_run)
+        tasks = lu_tasks()
+        ex = DistributedSweepExecutor(tmp_path, workers=1, batch_size=1,
+                                      ttl_s=0.25, timeout_s=60.0)
+        t0 = time.time()
+        results = ex.run(tasks)
+        assert time.time() - t0 < 30.0
+        assert checksum(results) == checksum(SerialExecutor().run(tasks))
+        assert multiprocessing.active_children() == []
