@@ -429,7 +429,7 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
     only ``bi >= bj``.  Each tile is stored under ``(name, bi, bj)`` *as
     a view of the panel*, one :meth:`~repro.machine.store.RankStore.put_many`
     per rank: same keys and words as separately allocated tiles, but a
-    rank's whole trailing block can be updated in one indexed write.
+    run of a rank's panel rows can be updated by one in-place gemm.
     Nothing may ``put`` a fresh array under these keys — it would
     detach the tile from its panel.  Returns the panels, indexed by
     rank.
@@ -503,22 +503,27 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
 
     ``row_panel`` / ``col_panel`` are the 1D-scattered panels, one
     ``v``-wide row per global row (resp. column) index, i.e. A10 and
-    A01 *transposed*; COnfCHOX passes its A10 on both sides.  Columns
-    are whole tiles in ascending order, so a rank's share is one run of
-    its panel.  Rank ``(pi, pj, k)`` receives, from every source holding
-    any, one message with its grid row's rows and one with its grid
-    column's columns, layer ``k``'s ``v/c`` planes of each — the whole
-    pattern is one :func:`exchange` under ``key``.  Each grid row's
-    (column's) operand is gathered once; a rank multiplies its planes of
-    the two and subtracts the product from its panel in one indexed
-    write.
-    With ``lower`` (COnfCHOX: a grid row's rows are one contiguous run,
-    else ``ValueError``) it updates tiles ``bi >= bj`` only, one product
-    per local tile column from the first row on or below its diagonal.
-    Flops: ``2mnk`` over the entries updated, once per rank.
+    A01 *transposed*; COnfCHOX passes its A10 on both sides.  Rank
+    ``(pi, pj, k)`` receives, from every source holding any, one
+    message with its grid row's rows and one with its grid column's
+    columns, layer ``k``'s ``v/c`` planes of each — the whole pattern
+    is one :func:`exchange` under ``key``.  Each grid row's rows become
+    one zero-padded left operand, placed at their local panel rows from
+    the first to the last; each grid column's columns one zero-padded
+    right operand, placed at their local panel columns.  A rank then
+    subtracts the product of its planes of the two from that run of
+    whole panel rows — C-ordered, so one in-place
+    :func:`~repro.kernels.blas.gemm_acc_many` product — and the padding
+    multiplies exact zeros: rows not in ``row_panel`` (COnfLUX's pivot
+    rows) and tile columns not in ``col_panel`` keep their bits.  With
+    ``lower`` (COnfCHOX: a grid row's rows are one contiguous run, else
+    ``ValueError`` before anything changes) only tiles ``bi >= bj`` are
+    registered, and are charged; the product also writes the
+    unregistered tiles above the diagonal, which nothing reads.
+    Flops: ``2mnk`` over the registered entries updated, once per rank.
     """
-    pr, pc = grid.rows, grid.cols
-    planes = v // grid.layers
+    pr, pc, layers = grid.rows, grid.cols, grid.layers
+    planes = v // layers
     row_counts, a10, row_local = _by_grid_coord(row_panel, pr, v)
     col_counts, a01t, col_local = _by_grid_coord(col_panel, pc, v)
     at = np.arange(grid.size) % grid.layer_size
@@ -527,31 +532,36 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
     src, dst = np.nonzero(words)
     exchange(machine, src % len(row_panel.parts), dst, words[src, dst],
              key)
+    # Operand planes are (layers, ...) arrays whose per-layer slices are
+    # C-ordered: the left (rows, planes), the right (planes, columns).
+    rights = []
+    for pj, cols in enumerate(col_local):
+        if cols.size:                   # rank (0, pj, 0) is pj
+            right = np.zeros((layers, planes, panels[pj].shape[1]))
+            right[..., cols] = a01t[pj].reshape(-1, layers,
+                                                planes).transpose(1, 2, 0)
+            rights.append((pj, cols, right))
     fl = np.zeros(grid.size)
+    products = []
     for pi, rows in enumerate(row_local):
+        if rows.size == 0 or not rights:
+            continue
         if lower and np.any(np.diff(rows) != 1):
             raise ValueError(f"lower=True needs one contiguous run of rows "
                              f"per grid row; grid row {pi}'s are not")
-        for pj, cols in enumerate(col_local):
-            if rows.size == 0 or cols.size == 0:
-                continue
+        r0, r1 = rows[0], rows[-1] + 1
+        left = np.zeros((layers, r1 - r0, planes))
+        left[:, rows - r0] = a10[pi].reshape(-1, layers,
+                                             planes).transpose(1, 0, 2)
+        for pj, cols, right in rights:
             updated = rows.size * cols.size
             if lower:
-                starts = cols[::v]
                 top = np.searchsorted(rows // v * pr + pi,
-                                      starts // v * pc + pj)
+                                      cols[::v] // v * pc + pj)
                 updated = int((rows.size - top).sum()) * v
-                pieces = [(lo, cj, cj - cols[0]) for lo, cj in
-                          zip(top.tolist(), starts.tolist()) if lo < rows.size]
-            for pk in range(grid.layers):
-                sl = slice(pk * planes, (pk + 1) * planes)
-                rank = grid.rank(pi, pj, pk)
-                if lower:
-                    for lo, cj, j in pieces:
-                        panels[rank][rows[lo]:rows[-1] + 1, cj:cj + v] -= (
-                            a10[pi][lo:, sl] @ a01t[pj][j:j + v, sl].T)
-                else:
-                    panels[rank][rows, cols[0]:cols[-1] + 1] -= (
-                        a10[pi][:, sl] @ a01t[pj][:, sl].T)
-                fl[rank] = 2.0 * updated * planes
+            fiber = range(pi * pc + pj, grid.size, grid.layer_size)
+            fl[fiber.start::fiber.step] = 2.0 * updated * planes
+            products += [(panels[rank][r0:r1], a, b)
+                         for rank, a, b in zip(fiber, left, right)]
+    blas.gemm_acc_many(products, -1.0)
     machine.compute_many(np.arange(grid.size), fl)

@@ -7,9 +7,9 @@ the result and the exact flop count, so schedules can attribute
 computation to the owning rank.
 
 All routines are pure (inputs are never mutated) except the in-place
-``gemm_acc`` (into ``c``) and ``trsm_rows`` (into ``rows``), and all of
-them validate shapes eagerly: a schedule bug should fail at the kernel
-boundary, not as a silent broadcast.
+``gemm_acc`` / ``gemm_acc_many`` (into ``c``) and ``trsm_rows`` (into
+``rows``), and all of them validate shapes eagerly: a schedule bug
+should fail at the kernel boundary, not as a silent broadcast.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import flops as _flops
 
-__all__ = ["gemm", "gemm_acc", "gemmt", "trsm", "trsm_rows", "getrf", "potrf",
-           "laswp", "KernelError", "SingularMatrixError"]
+__all__ = ["gemm", "gemm_acc", "gemm_acc_many", "gemmt", "trsm", "trsm_rows",
+           "getrf", "potrf", "laswp", "KernelError", "SingularMatrixError"]
 
 
 class KernelError(ValueError):
@@ -77,9 +77,8 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,
 
 def gemm_acc(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """``C += A @ B`` into ``c`` itself, no ``m x n`` product temporary;
-    returns the flops.  BLAS ``dgemm`` with ``beta = 1`` wants Fortran
-    order, so a C-ordered ``c`` is updated through its transpose,
-    ``C^T += B^T A^T`` (cf. :func:`_trtrs`)."""
+    returns the flops.  One product of :func:`gemm_acc_many`, its
+    operands validated first."""
     a, b = _as2d(a, "a"), _as2d(b, "b")
     (m, k), n = a.shape, b.shape[1]
     if k != b.shape[0]:
@@ -87,11 +86,44 @@ def gemm_acc(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     if (not isinstance(c, np.ndarray) or c.dtype != np.float64
             or c.shape != (m, n) or not c.flags.writeable):
         raise KernelError(f"gemm_acc needs a writeable float64 ({m},{n}) C")
-    if c.flags.c_contiguous and c.size and k:
-        _lapack().blas.dgemm(1.0, b.T, a.T, 1.0, c.T, overwrite_c=True)
-    else:
-        c += a @ b
+    gemm_acc_many([(c, a, b)])
     return _flops.gemm_flops(m, n, k)
+
+
+def gemm_acc_many(products: Sequence[tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]],
+                  alpha: float = 1.0) -> None:
+    """``C += alpha * A @ B`` into ``C`` itself, for every ``(C, A, B)``
+    of ``products``.
+
+    BLAS ``dgemm`` with ``beta = 1`` wants Fortran order, so a C-ordered
+    ``c`` (a run of rows of a C-ordered array is one) is updated through
+    its transpose, ``C^T += alpha B^T A^T`` (cf. :func:`_trtrs`); any
+    other ``c`` takes ``c += alpha * (a @ b)``.  Every operand must be a
+    2-D float64 ndarray, every ``c`` writeable, every product's shapes
+    must agree: all checked from attributes in one pass before any
+    ``c`` changes, so a product costs one Python-level call, the BLAS
+    one.  Returns nothing: a caller that pads its operands with zeros
+    charges the flops of the entries it means to update.
+    """
+    for c, a, b in products:
+        if not (c.dtype == a.dtype == b.dtype == np.float64
+                and c.ndim == a.ndim == b.ndim == 2 and c.flags.writeable
+                and c.shape == (a.shape[0], b.shape[1])
+                and a.shape[1] == b.shape[0]):
+            raise KernelError(f"gemm_acc needs writeable float64 C {c.shape}"
+                              f" += A {a.shape} @ B {b.shape}")
+    dgemm = _lapack().blas.dgemm
+    for c, a, b in products:
+        if not (c.size and a.shape[1]):
+            continue
+        if c.flags.c_contiguous:
+            dgemm(alpha, b.T, a.T, 1.0, c.T, overwrite_c=True)
+        else:
+            prod = a @ b
+            if alpha != 1.0:
+                prod *= alpha
+            c += prod
 
 
 def gemmt(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,

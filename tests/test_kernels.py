@@ -25,6 +25,7 @@ from repro.kernels import (
     trsm,
     trsm_flops,
 )
+from repro.kernels.blas import gemm_acc_many
 
 
 class TestGemm:
@@ -95,6 +96,60 @@ class TestGemmAcc:
         assert not frozen.any()
         with pytest.raises(KernelError):
             gemm_acc(np.zeros((3, 2)), a, np.ones((3, 2)))
+
+
+class TestGemmAccMany:
+    """``C -= A @ B`` (``alpha = -1``) into a run of rows of a panel:
+    the 2.5D trailing update's product."""
+
+    @staticmethod
+    def _operands(rng):
+        panel = rng.standard_normal((40, 24))
+        a, b = rng.standard_normal((31, 8)), rng.standard_normal((8, 24))
+        return panel, a, b, panel[9:] - a @ b
+
+    def test_row_run_of_a_c_ordered_panel_in_place(self, rng):
+        panel, a, b, want = self._operands(rng)
+        top = panel[:9].copy()
+        c = panel[9:]
+        assert c.flags.c_contiguous
+        gemm_acc_many([(c, a, b)], -1.0)
+        assert np.shares_memory(c, panel)
+        assert np.array_equal(panel[9:], want)
+        assert np.array_equal(panel[:9], top)
+
+    def test_fortran_ordered_c_gives_the_same_bits(self, rng):
+        panel, a, b, want = self._operands(rng)
+        c = np.asfortranarray(panel[9:])
+        gemm_acc_many([(c, a, b)], -1.0)
+        assert np.array_equal(c, want)
+
+    def test_strided_c_takes_the_numpy_path(self, rng, monkeypatch):
+        panel, a, b, want = self._operands(rng)
+        c = np.zeros((31, 48))[:, ::2]
+        c[...] = panel[9:]
+
+        class NoBlas:
+            class blas:
+                @staticmethod
+                def dgemm(*args, **kwargs):
+                    raise AssertionError("a strided C reached dgemm")
+
+        monkeypatch.setattr("repro.kernels.blas._lapack", lambda: NoBlas)
+        gemm_acc_many([(c, a, b)], -1.0)
+        assert np.array_equal(c, want)
+
+    def test_checks_every_product_before_writing_any(self, rng):
+        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        frozen = np.zeros((3, 2))
+        frozen.flags.writeable = False
+        for bad in [(frozen, a, b), (np.zeros((2, 3)), a, b),
+                    (np.zeros((3, 2)), a, a), (np.zeros(6), a, b),
+                    (np.zeros((3, 2), dtype=np.float32), a, b)]:
+            c = np.ones((3, 2))
+            with pytest.raises(KernelError):
+                gemm_acc_many([(c, a, b), bad], -1.0)
+            assert np.array_equal(c, np.ones((3, 2)))
 
 
 class TestGemmt:

@@ -2,10 +2,10 @@
 forms.
 
 :func:`repro.engine.distops.panel_fan_out_update` runs Algorithm 1's
-steps 8, 10 and 11 with one stacked operand pair, one gemm and one
-indexed write per rank.  The reference here is what the schedules did
-before — per owned trailing tile, ``tile[loc] -= a10 @ a01`` on the
-rows of that tile that are still active — kept in ``tests/`` only.
+steps 8, 10 and 11 with zero-padded operands and one in-place gemm
+per rank.  The reference here is what the schedules did before — per
+owned trailing tile, ``tile[loc] -= a10 @ a01`` on the rows of that
+tile that are still active — kept in ``tests/`` only.
 :func:`repro.engine.distops.exchange` charges a whole point-to-point
 pattern from index arrays; its reference is the loop it replaced, one
 ``ship`` and one consumer ``pop`` per message.  The 1D panels of steps
@@ -24,7 +24,7 @@ import pstats
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import pdgemm, pdgetrf, pdpotrf
@@ -102,10 +102,10 @@ def per_tile_reference(before: dict, grid: ProcessorGrid3D, v: int, t: int,
 
 def masked_rectangle(grid: ProcessorGrid3D, panels, v: int, row_panel,
                      col_panel):
-    """``panel_fan_out_update(lower=True)``'s update as it ran before
-    the per-tile-column product, kept in ``tests/`` only: per rank the
-    whole rectangle, masked to ``bi >= bj``, subtracted through a row
-    index.  Returns the updated panels and the per-rank flops."""
+    """``panel_fan_out_update(lower=True)``'s update in an earlier
+    form, kept in ``tests/`` only: per rank the whole rectangle, masked
+    to ``bi >= bj``, subtracted through a row index.  Returns the
+    updated panels and the per-rank flops."""
     pr, pc = grid.rows, grid.cols
     planes = v // grid.layers
     _, a10, row_local = _by_grid_coord(row_panel, pr, v)
@@ -197,8 +197,9 @@ def test_batched_update_equals_the_per_tile_reference(scenario):
 @given(scenarios(lower=True))
 @settings(max_examples=60, deadline=None)
 def test_lower_update_equals_the_masked_rectangle(scenario):
-    """The per-tile-column product writes the masked rectangle's bits
-    and charges its flops."""
+    """The product on zero-padded operands writes the masked
+    rectangle's bits into every registered tile and charges its
+    flops."""
     v = scenario[3]
     grid, machine, panels, _, _, _, row_panel, col_panel = \
         _update_inputs(scenario)
@@ -207,24 +208,45 @@ def test_lower_update_equals_the_masked_rectangle(scenario):
     panel_fan_out_update(machine, grid, panels, v, row_panel, col_panel,
                          KEY, lower=True)
 
-    # Rows are whole tiles, so every per-column product is at least
-    # v x v; at v = 1 it is one column, which NumPy sends to gemv (other
-    # rounding than the rectangle's gemm).
-    exact = v >= 2
     for rank in range(grid.size):
         for key, got in machine.store(rank).items():
             i0, j0 = key[1] // grid.rows * v, key[2] // grid.cols * v
-            ref = want[rank][i0:i0 + v, j0:j0 + v]
-            if exact:
-                assert np.array_equal(got, ref), (rank, key)
-            else:
-                assert np.allclose(got, ref, rtol=0.0, atol=1e-12), (rank, key)
+            assert np.array_equal(got, want[rank][i0:i0 + v, j0:j0 + v]), (
+                rank, key)
+    assert np.array_equal(machine.stats.flops, fl)
+
+
+@given(scenarios())
+@example((2, 1, 2, 2, 4, 0, False,
+          np.array([0, 0, 1, 0, 1, 1, 0, 1], dtype=bool), 7))
+@settings(max_examples=60, deadline=None)
+def test_update_leaves_the_entries_it_must_not_change(scenario):
+    """Every registered entry outside the update keeps its bits: tile
+    columns ``<= t`` and, for COnfLUX, the rows not in ``rows``, which
+    the zero-padded operands multiply by exact zeros.  Each rank is
+    charged ``2 * planes`` flops per entry it does update."""
+    _, _, _, v, _, t, lower, _, _ = scenario
+    grid, machine, panels, rows, _, _, row_panel, col_panel = \
+        _update_inputs(scenario)
+    before = {(rank, key): tile.copy() for rank in range(grid.size)
+              for key, tile in machine.store(rank).items()}
+
+    panel_fan_out_update(machine, grid, panels, v, row_panel, col_panel,
+                         KEY, lower=lower)
+
+    fl = np.zeros(grid.size)
+    for (rank, (_, bi, bj)), want in before.items():
+        got = machine.store(rank).get((NAME, bi, bj))
+        updated = np.isin(np.arange(bi * v, (bi + 1) * v), rows) & (bj > t)
+        assert np.array_equal(got[~updated], want[~updated]), (rank, bi, bj)
+        fl[rank] += 2.0 * v * updated.sum() * (v // grid.layers)
     assert np.array_equal(machine.stats.flops, fl)
 
 
 def test_lower_update_refuses_rows_that_are_not_one_run():
     """COnfCHOX updates every row below the panel; a grid row with a
-    gap in its rows has no per-tile-column form and is refused."""
+    gap in its rows is not that, and is refused before anything
+    changes."""
     grid, v, nb = ProcessorGrid3D(1, 1, 1), 2, 4
     machine = Machine(1)
     panels = local_panels(machine, grid, nb, v, NAME,
@@ -756,11 +778,14 @@ def test_one_registration_per_rank_equals_per_tile_puts(pr, pc, c, nb, v,
 # Deterministic overhead ceiling.
 
 #: Python-level calls of one pdgetrf(conflux, n=128, P=16, v=8, c=2),
-#: SciPy already imported: 43.0 k with the 1D panels stacked and solved
-#: in place, one registration per rank and vectorized broadcast
-#: counting (100 k with a ``blas.trsm`` + ``put`` per chunk and a
-#: ``put`` per tile, 272 k with one ``ship`` per message, 481 k with the
-#: per-tile update loops before that); ceiling 10 % above.
+#: SciPy already imported: 44.9 k with the trailing update one in-place
+#: gemm per rank on zero-padded operands (44.7 k with a row-indexed
+#: write per rank; 43.0 k when the 1D panels were first stacked and
+#: solved in place, with one registration per rank and vectorized
+#: broadcast counting; 100 k with a ``blas.trsm`` + ``put`` per chunk
+#: and a ``put`` per tile, 272 k with one ``ship`` per message, 481 k
+#: with the per-tile update loops before that); ceiling set 10 % above
+#: 43.0 k.
 CALL_CEILING = 47_500
 
 #: Functions of the batched path: none may stack operands per tile, and
@@ -816,12 +841,15 @@ def _calls_by(stats: pstats.Stats, name: str, caller: str) -> int:
 def _batched_panel_steps(stats: pstats.Stats, nranks: int) -> None:
     """What both 2.5D schedules share: every chunk solved in place (no
     ``blas.trsm``, no ``isin`` mask), each rank's tiles registered by
-    one call."""
+    one call, each step's trailing update one batch of in-place
+    gemms."""
     assert _calls(stats, "trsm") == 0
     assert _calls(stats, "isin") == 0
     assert _calls_by(stats, "solve_1d", "dist_step") > 0
     assert "local_panels" not in _callers(stats, "put")
     assert _calls_by(stats, "put_many", "local_panels") <= nranks
+    assert _calls_by(stats, "gemm_acc_many", "panel_fan_out_update") == (
+        _calls(stats, "panel_fan_out_update")) > 0
 
 
 def test_executed_conflux_python_overhead_stays_batched():
@@ -841,11 +869,13 @@ def test_executed_conflux_python_overhead_stays_batched():
     _batched_panel_steps(stats, 16)
 
 
-#: Python-level calls of the same pdpotrf(confchox): 29.5 k with the A10
-#: panel solved in place and one registration per rank (43 k with a
-#: ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 56 k with a
-#: masked rectangle per rank and an owner lookup per tile); ceiling
-#: 10 % above.
+#: Python-level calls of the same pdpotrf(confchox): 30.6 k with the
+#: trailing update one in-place gemm per rank on zero-padded operands
+#: (30.7 k with one product per local tile column; 29.5 k when the A10
+#: panel was first solved in place with one registration per rank; 43 k
+#: with a ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 56 k
+#: with a masked rectangle per rank and an owner lookup per tile);
+#: ceiling set 10 % above 29.5 k.
 CALL_CEILING_CHOL = 32_500
 
 
