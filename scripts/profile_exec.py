@@ -35,19 +35,22 @@ On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 2D Cholesky's ``dist_step`` and COSTA's ``redistribute``; an
 ``ndarray.copy``, ``hstack`` or ``Machine.bcast`` under the SUMMA is a
 regression.
-On ``plan_grid`` the top is what the ranking reads and nothing else.
-First ``TermBatch.add`` building each surviving 2.5D candidate's terms:
-COnfLUX's ``accounting`` with its per-step columns (``m_rows``,
-``rounds_t``, the tournament's), ``_add`` and ``StepFn``'s exactness
-scan.  Then ``_residue_reduce`` under ``TermBatch.recv_words``: many
-small calls over the affine terms' residue classes, and one step-long
-bincount per candidate, the tournament column term's.  Any
-of these back at the top is a regression: ``_residue_reduce`` over a
-step-long array for an affine term (``StepFn.values`` under
-``recv_words``), a per-round loop in ``butterfly_pair_exchanges``, an
-n-long ``arange`` under ``conversion_words``, ``_score`` or the
-``hash`` of a ``BlockCyclicLayout`` (the whole candidate product being
-scored), or ``TermBatch.evaluate`` anywhere.
+On ``plan_grid`` the top is what the ranking reads and nothing else:
+``_term_total``, ``_class_moments`` and ``_residue_reduce`` under
+``TermBatch.recv_words`` (small calls over residue classes, one per
+term: COnfLUX's tournament profiles join at most Pr tail steps to
+their affine head's classes), then ``TermBatch.add`` — ``_add``,
+``affine`` (one profile per distinct ``(c0, c1, lo, hi)``) and
+COnfLUX's ``accounting``.  Any of these back at the top is a
+regression: a step-long array or bincount under ``TermBatch.add`` or
+``recv_words`` for a COnfLUX candidate (``StepFn.values`` under
+``recv_words``, ``butterfly_pair_exchanges`` or ``np.maximum`` over
+``N/v`` steps in ``accounting``), ``_class_moments`` or
+``_residue_reduce`` running twice for one tournament term, a per-round
+loop in ``butterfly_pair_exchanges``, an n-long ``arange`` under
+``conversion_words``, ``_score`` or the ``hash`` of a
+``BlockCyclicLayout`` (the whole candidate product being scored), or
+``TermBatch.evaluate`` anywhere.
 On ``sweep_closed`` the top is per-call overhead: ``_term_total`` and
 ``_residue_reduce`` (about 1 800 and 1 400 calls per operation, most on
 small grids), then ``StepAccounting._reduce`` adding each term's

@@ -12,10 +12,11 @@ A term's per-(step, rank) value factorizes as::
 
 * ``coeff`` — one float scalar, applied exactly once per term;
 * ``step(t)`` — an integer-valued step profile (:class:`StepFn`):
-  constant, affine ``c0 + c1 t``, or an explicit per-step column (e.g.
-  the tournament's butterfly-exchange counts), restricted to a
-  half-open step range (how ``(n11 > 0)``-style phase gates are
-  expressed);
+  affine ``c0 + c1 t`` (constant when ``c1 = 0``) up to an explicit
+  tail of per-step values (e.g. the tournament's butterfly-exchange
+  counts, ragged only in their last ``Pr`` steps; a full explicit
+  column is the tail from step 0), restricted to a half-open step range
+  (how ``(n11 > 0)``-style phase gates are expressed);
 * ``gate(t, r)`` — a conjunction of cyclic coordinate masks
   ``coord_axis == t mod dim`` (or their negations): the
   "panel column of step t" / "pivot layer of step t" predicates;
@@ -39,9 +40,10 @@ the decomposition ``own(a, t) = q(t) + beta(a, t mod m)`` (full
 remaining cycles plus a periodic partial-cycle window; double-ownership
 products expand into moments and one ``beta_i M0 beta_j^T`` bilinear).
 Results live in grid space ``(layers, rows, cols)``, size 1 on the axes
-a term does not name: an affine gated/owned term costs ``O(L + cells)``
-(``L`` the lcm of its axis dims, moments in closed form per class mod
-``L``; ``cells`` those of its axes), a column or msgs profile
+a term does not name: a gated/owned term costs ``O(L + tail + cells)``
+(``L`` the lcm of its axis dims, the affine head's moments in closed
+form per class mod ``L``, one more class per explicit tail step;
+``cells`` those of its axes), a msgs profile or a two-axis product
 ``O(steps + cells)``, plus one ``P``-long add into its counter; never
 an ``O(steps x P)`` allocation.  A requested step log derives
 analytically from per-residue-class value columns in the same pass.
@@ -67,6 +69,7 @@ rounded once: past ``2^53`` they do not drift as step-order sums do.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -140,15 +143,35 @@ def _grid_coords(rows: int, cols: int,
     return hit
 
 
+@functools.cache
+def _check_axes(gate: tuple[str, ...], own: tuple[str, ...]) -> None:
+    """Validate a term's gate atoms and ownership axes (each distinct
+    pair once: a refused pair raises, and is not cached)."""
+    seen_axes = set()
+    for atom in gate:
+        axis = atom.lstrip("!")
+        if axis not in _AXES or len(atom) - len(axis) > 1:
+            raise ValueError(f"bad gate atom {atom!r}")
+        if axis in seen_axes:
+            raise ValueError(f"duplicate gate axis {axis!r}")
+        seen_axes.add(axis)
+    if len(set(own)) != len(own) or not set(own) <= set(_AXES):
+        raise ValueError(f"bad ownership axes {own!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class StepFn:
     """A per-step base profile on ``[lo, hi)`` (zero elsewhere).
 
-    Either affine — ``c0 + c1 * t`` — or an explicit ``column`` of
-    per-step values covering all ``nsteps`` steps.  Words/msgs profiles
-    are integer-valued (validated at emission), which is what makes the
-    evaluator's sums exact; flop profiles may be fractional (``exact``,
-    derived once at construction, is False then).
+    Affine — ``c0 + c1 * t`` — before ``start``; from ``start`` to the
+    last step, the explicit ``column`` when there is one
+    (``column[t - start]``).  A full explicit column is the
+    ``start = 0`` case; a profile that is affine but for its last few
+    steps (the tournament's ragged participant counts) keeps only
+    those as its tail.  Words/msgs profiles are integer-valued
+    (validated at emission), which is what makes the evaluator's sums
+    exact; flop profiles may be fractional (``exact``, derived once at
+    construction, is False then).
     """
 
     c0: float = 0.0
@@ -156,24 +179,24 @@ class StepFn:
     column: np.ndarray | None = None
     lo: int = 0
     hi: int = 0
+    start: int = 0
     #: True when every value is an integer (exact summation).
     exact: bool = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        if self.column is None:
-            exact = float(self.c0).is_integer() and \
-                float(self.c1).is_integer()
-        else:
-            exact = bool(np.all(self.column == np.floor(self.column)))
+        exact = float(self.c0).is_integer() and float(self.c1).is_integer()
+        if self.column is not None:
+            exact = exact and bool(
+                np.all(self.column == np.floor(self.column)))
         object.__setattr__(self, "exact", exact)
 
     def values(self, t0: int, t1: int) -> np.ndarray:
         """Profile values for steps ``[t0, t1)`` as a float column."""
         t = np.arange(t0, t1, dtype=np.float64)
+        vals = self.c0 + self.c1 * t
         if self.column is not None:
-            vals = np.asarray(self.column[t0:t1], dtype=np.float64)
-        else:
-            vals = self.c0 + self.c1 * t
+            s = min(max(t0, self.start), t1)
+            vals[s - t0:] = self.column[s - self.start:t1 - self.start]
         live = (t >= self.lo) & (t < self.hi)
         return np.where(live, vals, 0.0)
 
@@ -230,6 +253,8 @@ class StepAccounting:
         self.shape = (grid.layers, grid.rows, grid.cols)
         self._dims = {"i": grid.rows, "j": grid.cols, "k": grid.layers}
         self._terms: list[CostTerm] = []
+        # One affine StepFn per distinct (c0, c1, lo, hi).
+        self._affine: dict[tuple, StepFn] = {}
         # What the reduction kernels share across one candidate's terms
         # (step keys, profile values and moments, per-axis residues);
         # cleared once the candidate is reduced (see _reduce).
@@ -265,6 +290,15 @@ class StepAccounting:
         return self._memoised(("values", id(step.column), step.c0, step.c1,
                                step.lo, step.hi, t0, t1), step.values, t0, t1)
 
+    def _residues(self, rkey: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """The residue entries ``r`` a term's moments are taken over:
+        the ranges of ``rkey`` concatenated — ``(0, period)`` for an
+        affine head's classes, ``(t0, t1)`` for single steps.  Memo
+        keys name ``rkey`` itself, so arrays of one length holding
+        different residues never share buckets."""
+        return self._memoised(("r", rkey), lambda: np.concatenate(
+            [np.arange(a, b, dtype=np.int64) for a, b in rkey]))
+
     def _own_axis(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Residues ``a`` mod ``m`` and ``C_tot(a)``, the tiles of
         ``[0, nsteps)`` each owns."""
@@ -283,23 +317,49 @@ class StepAccounting:
     def affine(self, c0: float, c1: float = 0.0, lo: int = 0,
                hi: int | None = None) -> StepFn:
         """``c0 + c1 * t`` on ``[lo, hi)``; coefficients must be
-        integers (the exactness contract of the words counters)."""
-        if not (float(c0).is_integer() and float(c1).is_integer()):
-            raise ValueError(
-                f"affine profile needs integer coefficients, got "
-                f"({c0}, {c1}); fold fractions into the term coeff")
-        return StepFn(c0=float(c0), c1=float(c1), lo=int(lo),
-                      hi=self.nsteps if hi is None else int(hi))
+        integers (the exactness contract of the words counters).  One
+        profile per distinct ``(c0, c1, lo, hi)``: emission asks for the
+        same few again and again."""
+        key = (c0, c1, lo, hi)
+        step = self._affine.get(key)
+        if step is None:
+            if not (float(c0).is_integer() and float(c1).is_integer()):
+                raise ValueError(
+                    f"affine profile needs integer coefficients, got "
+                    f"({c0}, {c1}); fold fractions into the term coeff")
+            step = self._affine[key] = StepFn(
+                c0=float(c0), c1=float(c1), lo=int(lo),
+                hi=self.nsteps if hi is None else int(hi))
+        return step
+
+    def tail(self, c0: float, c1: float, values: np.ndarray, lo: int = 0,
+             hi: int | None = None) -> StepFn:
+        """The affine ``c0 + c1 * t`` (integer coefficients, as for
+        :meth:`affine`) up to the last ``len(values)`` steps, which take
+        ``values``: a profile whose explicit part is only its tail, so
+        reducing it costs the tail's length, not ``nsteps``."""
+        col = np.asarray(values, dtype=np.float64)
+        if col.ndim != 1 or col.size > self.nsteps:
+            raise ValueError(f"tail needs at most {self.nsteps} values, "
+                             f"got shape {col.shape}")
+        start = self.nsteps - col.size
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ValueError(f"non-finite profile value {col[bad[0]]} at "
+                             f"step {start + int(bad[0])}")
+        head = self.affine(c0, c1)
+        return StepFn(c0=head.c0, c1=head.c1, column=col, start=start,
+                      lo=int(lo), hi=self.nsteps if hi is None else int(hi))
 
     def column(self, values: np.ndarray, lo: int = 0,
                hi: int | None = None) -> StepFn:
-        """An explicit per-step column covering all ``nsteps`` steps."""
-        col = np.asarray(values, dtype=np.float64)
-        if col.shape != (self.nsteps,):
+        """An explicit column of all ``nsteps`` steps' values (finite;
+        integers for words and msgs): the :meth:`tail` with no head."""
+        shape = np.shape(values)
+        if shape != (self.nsteps,):
             raise ValueError(f"column needs shape ({self.nsteps},), "
-                             f"got {col.shape}")
-        return StepFn(column=col, lo=int(lo),
-                      hi=self.nsteps if hi is None else int(hi))
+                             f"got {shape}")
+        return self.tail(0, 0, values, lo=lo, hi=hi)
 
     def tiles_owned_static(self, axis: str) -> np.ndarray:
         """Per-rank count of cyclic tiles in ``[0, nsteps)`` owned along
@@ -332,16 +392,7 @@ class StepAccounting:
             raise ValueError("msgs profiles must be integer-valued")
         gate = tuple(gate)
         own = tuple(own)
-        seen_axes = set()
-        for atom in gate:
-            axis = atom.lstrip("!")
-            if axis not in _AXES or len(atom) - len(axis) > 1:
-                raise ValueError(f"bad gate atom {atom!r}")
-            if axis in seen_axes:
-                raise ValueError(f"duplicate gate axis {axis!r}")
-            seen_axes.add(axis)
-        if len(set(own)) != len(own) or not set(own) <= set(_AXES):
-            raise ValueError(f"bad ownership axes {own!r}")
+        _check_axes(gate, own)
         if rank_const is not None:
             rank_const = np.asarray(rank_const, dtype=np.float64)
             if rank_const.shape != (self.nranks,):
@@ -479,10 +530,12 @@ class StepAccounting:
         multiples of ``m`` plus ``a`` at or below ``t``.  Contracted
         with the weight moments ``sum w``, ``sum w t`` of residue classes
         mod ``L`` (the lcm of the term's axis dims) — ``O(L + cells)``
-        (the cells of the term's axes) for an affine profile on at most
-        one ownership axis, one class per step (``O(steps + cells)``)
-        for columns, msgs and two-axis products — every gated/owned sum
-        is closed-form; negated gates expand by inclusion-exclusion.
+        (the cells of the term's axes) for an affine head on at most
+        one ownership axis, its explicit tail's steps joining as one
+        class each in the same reduction; one class per step
+        (``O(steps + cells)``) for msgs and two-axis products — every
+        gated/owned sum is closed-form; negated gates expand by
+        inclusion-exclusion.
         """
         step = term.step
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
@@ -499,18 +552,31 @@ class StepAccounting:
             return float(series)
         period = math.lcm(*(self._dims[a.lstrip("!")]
                             for a in term.gate + term.own))
-        if step.column is None and not msgs and len(term.own) < 2 and \
-                period < hi - lo:
-            r, M0, M1 = self._memoised(
-                ("moments", step.c0, step.c1, lo, hi, period),
-                self._class_moments, step, lo, hi, period)
+        # The affine head [lo, split) and the explicit tail [split, hi).
+        split = hi if step.column is None else min(hi, max(lo, step.start))
+        if not msgs and len(term.own) < 2 and period < split - lo:
+            # The head's classes mod ``period``, then the tail's steps:
+            # one set of moments for one _residue_reduce call.
+            _, M0, M1 = self._memoised(
+                ("moments", step.c0, step.c1, lo, split, period),
+                self._class_moments, step, lo, split, period)
             amax = max(abs(step.c0 + step.c1 * lo),     # at an endpoint
-                       abs(step.c0 + step.c1 * (hi - 1)))
+                       abs(step.c0 + step.c1 * (split - 1)))
+            rkey = ((0, period),)
+            if split < hi:
+                steps = ((split, hi),)
+                w = step.column[split - step.start:hi - step.start]
+                M0 = np.concatenate((M0, w))
+                M1 = np.concatenate((M1, w * self._residues(steps))) \
+                    if term.own else None
+                amax = max(amax, float(np.abs(w).max()))
+                rkey += steps
         else:
             M0 = self._values(step, lo, hi)
             if msgs:
                 M0 = self._values(term.msgs_step, lo, hi) * (M0 > 0)
-            r = self._memoised(("t", lo, hi), np.arange, lo, hi)
+            rkey = ((lo, hi),)
+            r = self._residues(rkey)
             M1 = M0 * r if len(term.own) == 1 and not msgs else None
             amax = float(np.abs(M0).max())
         # |sum_t w| at most; only the ownership kernels also form the
@@ -542,32 +608,35 @@ class StepAccounting:
         for k in range(len(gate_neg) + 1):
             for sub in itertools.combinations(gate_neg, k):
                 part = self._residue_reduce(
-                    r, M0, M1, gate_pos + list(sub), own_ax, msgs)
+                    rkey, M0, M1, gate_pos + list(sub), own_ax, msgs)
                 total = total - part if k % 2 else total + part
         if term.rank_const is not None:
             rc = term.rank_const.reshape(self.shape)
             total = total * ((rc > 0) if msgs else rc)
         return total
 
-    def _residue_reduce(self, r: np.ndarray, M0: np.ndarray,
+    def _residue_reduce(self, rkey: tuple, M0: np.ndarray,
                         M1: np.ndarray | None, pos_axes: list[str],
                         own_ax: str | None, msgs: bool) -> np.ndarray | float:
         """``sum_t w(t) [coord_x = t mod m_x for x in pos_axes] *
         own(own_ax)`` in grid space (ownership becomes its positivity
         indicator for ``msgs``) from the moments ``M0 = sum w`` and
-        ``M1 = sum w t`` of classes ``r`` mod a multiple of every ``m``
-        — or of single steps, ``r = t`` (always for ``msgs``)."""
+        ``M1 = sum w t`` of the entries ``r`` of :meth:`_residues`
+        ``(rkey)``: classes mod a multiple of every ``m``, single steps,
+        or both (only ``r mod m`` is read; ``msgs`` is steps alone)."""
         if own_ax is None and not pos_axes:
             return float(M0.sum())
         dims = [self._dims[a] for a in pos_axes]
         nkeys = math.prod(dims)
         # Each class's bucket, row-major over pos_axes (one bucket if none).
-        key = self._memoised(("key", *pos_axes, int(r[0]), r.size),
+        key = self._memoised(("key", *pos_axes, rkey),
                              lambda: np.ravel_multi_index(
-                                 [r % m for m in dims or [1]], dims or [1]))
+                                 [self._residues(rkey) % m
+                                  for m in dims or [1]], dims or [1]))
         S0 = np.bincount(key, weights=M0, minlength=nkeys)
         if own_ax is None:
             return self._to_grid(S0, pos_axes)
+        r = self._residues(rkey)
         m_o = self._dims[own_ax]
         res, c_tot = self._own_axis(m_o)
         if own_ax in pos_axes:

@@ -209,8 +209,10 @@ class ConfluxSchedule(Schedule):
         # getrf of the (max(nrem/Pr, v) x v) local candidate panel is
         # linear in the row count m: v^2 m + K_getrf.
         k_getrf = -v ** 3 / 3.0 - v * v / 2.0 + 5.0 * v / 6.0
-        m_rows = acct.column(np.maximum(
-            n - v * np.arange(steps, dtype=np.int64), v * pr))
+        # max(N - t v, v Pr): affine while N - t v >= v Pr, a tail of at
+        # most Pr steps after.
+        t_rows = np.arange(min(steps, max(0, (n - v * pr) // v + 1)), steps)
+        m_rows = acct.tail(n, -v, np.maximum(n - v * t_rows, v * pr))
 
         if self.nranks == 1:
             # A single rank communicates nothing; only the compute
@@ -238,17 +240,23 @@ class ConfluxSchedule(Schedule):
         # drop pairings, so the exact per-step exchange total of
         # :func:`~repro.engine.accounting.butterfly_pair_exchanges`
         # replaces a rounds-at-every-rank idealization, spread uniformly
-        # over the panel column's pivot-layer ranks.
-        m_t = np.minimum(pr, np.minimum(
-            n // v, n - v * np.arange(steps, dtype=np.int64)))
-        exch = acct.column(butterfly_pair_exchanges(m_t))
+        # over the panel column's pivot-layer ranks.  The participant
+        # count is min(Pr, N/v) until fewer rows remain, so every
+        # per-step count is a constant head plus a tail of at most Pr/v
+        # steps; entry 0 below is the head's.
+        m_all = min(pr, n // v)
+        t_part = np.arange(min(steps, (n - m_all) // v + 1), steps)
+        m_t = np.concatenate(([m_all], np.minimum(m_all, n - v * t_part)))
+        exch_t = butterfly_pair_exchanges(m_t)
+        exch = acct.tail(exch_t[0], 0, exch_t[1:])
         acct.add_recv(v * (v + 1.0) / pr, step=exch, gate=piv_layer,
                       msgs=1.0 / pr, msgs_step=exch)
         acct.add_flops(v * v / pr, step=m_rows, gate=piv_layer)
         acct.add_flops(k_getrf, gate=piv_layer)
-        rounds_t = np.ceil(np.log2(np.maximum(m_t, 1)))
+        rounds_m = np.ceil(np.log2(np.maximum(m_t, 1))) * m_t
         acct.add_flops(flops.getrf_flops(2 * v, v) / pr,
-                       step=acct.column(rounds_t * m_t), gate=piv_layer)
+                       step=acct.tail(rounds_m[0], 0, rounds_m[1:]),
+                       gate=piv_layer)
 
         # Step 3: broadcast factored A00 (v^2) + v pivot indices to all.
         acct.add_recv(float(v * v + v))

@@ -20,6 +20,8 @@ and for randomized configurations.
   go through the same kernels as integer ones.
 """
 
+import itertools
+import math
 import operator
 import types
 
@@ -247,15 +249,25 @@ class TestClassMoments:
 
     def test_recv_words_of_affine_terms_materialise_no_step(self,
                                                              monkeypatch):
+        """At v = 1 a candidate has N steps; ranking it touches no
+        step-long array: COnfLUX's tournament profiles keep at most Pr
+        explicit steps, the rest reduces as affine residue classes."""
         calls = []
         values = StepFn.values
         monkeypatch.setattr(StepFn, "values", lambda self, t0, t1: (
             calls.append((t0, t1)) or values(self, t0, t1)))
-        batch = TermBatch()
-        batch.add(ConfchoxSchedule(65536, 4096, v=1, c=1))
-        words = batch.recv_words()[0]
-        assert calls == []
-        assert words.min() > 0
+        for sched in (ConfchoxSchedule(65536, 4096, v=1, c=1),
+                      ConfluxSchedule(65536, 4096, v=1, c=1),
+                      ConfluxSchedule(65536, 4096, v=16, c=16)):
+            acct = StepAccounting(sched.grid, sched.steps())
+            assert all(tm.step.column is None
+                       or tm.step.column.size <= sched.grid.rows
+                       for tm in acct._collect(sched.accounting))
+            batch = TermBatch()
+            batch.add(sched)
+            words = batch.recv_words()[0]
+            assert calls == []
+            assert words.min() > 0
 
 
 def _xor_pairings(m):
@@ -293,21 +305,18 @@ class TestTournamentTable:
         assert got.tolist() == [0, 0, 0, 0, 0, 8]
 
     @pytest.mark.parametrize("n, p, v, c", GRID + EDGE)
-    def test_conflux_exchange_column_on_the_parity_points(self, n, p, v, c,
-                                                          monkeypatch):
-        from repro.factorizations import conflux
-
-        seen = []
-        monkeypatch.setattr(conflux, "butterfly_pair_exchanges", lambda m: (
-            seen.append((m, butterfly_pair_exchanges(m))) or seen[-1][1]))
+    def test_conflux_exchange_column_on_the_parity_points(self, n, p, v, c):
+        """The exchange profile is a constant head plus a tail of at most
+        Pr steps; at every step it is the brute-force pairing count."""
         sched = ConfluxSchedule(n, p, v=v, c=c)
         acct = StepAccounting(sched.grid, sched.steps())
-        terms = acct._collect(sched.accounting)
-        [(m_t, exch)] = seen
-        assert exch.tolist() == [_xor_pairings(int(k)) for k in m_t]
-        assert [tm.step.column.tolist() for tm in terms
-                if tm.gate == ("j", "k") and tm.counter != "flops"
-                and tm.step.column is not None] == [exch.tolist()]
+        [term] = [tm for tm in acct._collect(sched.accounting)
+                  if tm.gate == ("j", "k") and tm.counter == "recv"]
+        T, pr = acct.nsteps, sched.grid.rows
+        assert term.msgs_step is term.step
+        assert term.step.values(0, T).tolist() == [
+            _xor_pairings(min(pr, n // v, n - v * t)) for t in range(T)]
+        assert term.step.column.size <= pr
     """Per-step maxima, when requested, agree across log flavours."""
 
     @pytest.mark.parametrize("sched_fn", [
@@ -398,6 +407,32 @@ class TestBuilderValidation:
         acct = self._acct()
         with pytest.raises(ValueError, match="column"):
             acct.column(np.zeros(3))
+        with pytest.raises(ValueError, match="tail"):
+            acct.tail(0, 0, np.zeros(5))
+        with pytest.raises(ValueError, match="integer coefficients"):
+            acct.tail(0.5, 0, np.zeros(2))
+
+    def test_nan_profile_value_is_refused_at_its_step(self):
+        """A NaN flop column used to yield NaN flop counters silently."""
+        acct = self._acct()
+        with pytest.raises(ValueError, match="nan at step 1"):
+            acct.add_flops(1.0, step=acct.column([1, np.nan, 2, 3]))
+        with pytest.raises(ValueError, match="nan at step 3"):
+            acct.tail(5, -1, [2, np.nan])
+        assert acct._terms == []
+
+    def test_inf_profile_value_is_refused_not_overflowed(self):
+        """``inf == floor(inf)`` passed the words integrality check, and
+        evaluation then failed with a misleading 2^52 OverflowError."""
+        acct = self._acct()
+        with pytest.raises(ValueError, match="inf at step 1"):
+            acct.add_recv(1.0, step=acct.column([1, np.inf, 2, 3]))
+        with pytest.raises(ValueError, match="-inf at step 2"):
+            acct.tail(0, 0, [-np.inf, 1])
+        # Negative values stay allowed (the oracle agrees with them).
+        acct.add_recv(1.0, step=acct.column([-1, 2, -3, 4]))
+        acct.add_recv(1.0, step=acct.tail(-2, 1, [-1, 0]))
+        assert len(acct._terms) == 2
 
 
 def _adhoc(grid, nsteps, accounting):
@@ -621,6 +656,132 @@ class TestGridSpace:
                 assert np.broadcast_shapes(shape, acct.shape) == acct.shape
                 assert all(size == 1 for axis, size in zip("kij", shape)
                            if axis not in named), (term, shape)
+
+
+def _head_tail_emit(specs, as_column):
+    """Emit each spec's ``acct.tail`` profile, or (``as_column``) the
+    same values as one full-length column."""
+    def accounting(a):
+        for spec in specs:
+            lo, hi = sorted(spec["window"])
+            vals = np.random.default_rng(spec["seed"]).integers(
+                0, 30, a.nsteps - min(spec["start"], a.nsteps))
+            step = a.tail(spec["c0"], spec["c1"], vals, lo=lo, hi=hi)
+            if as_column:
+                step = a.column(step.values(0, a.nsteps), lo=lo, hi=hi)
+            if spec["counter"] == "flops":
+                a.add_flops(0.5, step=step, gate=spec["gate"],
+                            own=spec["own"])
+            elif len(spec["own"]) == 2:
+                a.add_recv(2.0, step=step, own=spec["own"], msgs=0.0)
+            else:
+                a.add_recv(2.0, step=step, gate=spec["gate"],
+                           own=spec["own"], msgs=1.0, msgs_step=step)
+    return accounting
+
+
+def _assert_head_tail_is_the_column(grid, nsteps, specs):
+    """Head + tail profiles reduce bit for bit as their full columns do,
+    and match the dense oracle."""
+    split = _adhoc(grid, nsteps, _head_tail_emit(specs, False))
+    full = _adhoc(grid, nsteps, _head_tail_emit(specs, True))
+    got, want = _evaluate(split, "none"), _evaluate(full, "none")
+    for field in TOTAL_FIELDS:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), \
+            field
+    batches = []
+    for sched in (split, full):
+        batches.append(TermBatch())
+        batches[-1].add(sched)
+    [a], [b] = (batch.recv_words() for batch in batches)
+    assert np.array_equal(a, b)
+    assert_matches_oracle(split)
+
+
+_SIGNED_GATES = [tuple(atom for atom in combo if atom)
+                 for combo in itertools.product(
+                     ["", "i", "!i"], ["", "j", "!j"], ["", "k", "!k"])]
+#: Every signed gate with at most one ownership axis; two-axis ownership
+#: products reduce ungated only.
+_GATE_OWN = [(gate, own) for gate in _SIGNED_GATES
+             for own in [(), ("i",), ("j",), ("k",)]] + [
+    ((), own) for own in [("i", "j"), ("j", "k"), ("k", "i")]]
+
+
+class TestHeadTailProfiles:
+    """A profile that is affine but for its explicit tail (``acct.tail``)
+    reduces its head as residue classes and its tail as steps in one
+    pass: bit for bit the reduction of its full-length column."""
+
+    DIMS = (2, 3, 4)                   # rows, cols, layers: all distinct
+    T, LO, HI = 40, 3, 37
+
+    @pytest.mark.parametrize("gate, own", _GATE_OWN, ids=[
+        f"{','.join(gate) or 'ungated'}/{''.join(own) or 'unowned'}"
+        for gate, own in _GATE_OWN])
+    def test_every_gate_and_own_at_every_split(self, gate, own):
+        """Splits at ``lo``, at a period boundary, at ``hi``, inside the
+        first period, and no tail, all in one candidate — plus two tails
+        whose concatenated classes have one length but different steps
+        (a step-key memo that ignored the split would mix them)."""
+        period = math.lcm(*(self.DIMS["ijk".index(a.lstrip("!"))]
+                            for a in gate + own))
+        lo, hi = self.LO, self.HI
+        boundary = lo + 2 * period
+        starts = [lo, boundary, hi, lo + period - 1, self.T]
+        specs = [dict(counter=counter, gate=gate, own=own, c0=c0, c1=c1,
+                      start=start, window=(lo, hi), seed=seed)
+                 for seed, start in enumerate(starts)
+                 for counter, c0, c1 in (("recv", 50, -1), ("flops", 7, 2))]
+        specs.append(dict(specs[2], start=boundary - 1, window=(lo, hi - 1),
+                          seed=9))
+        _assert_head_tail_is_the_column(ProcessorGrid3D(*self.DIMS), self.T,
+                                        specs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(2, 5), min_size=3, max_size=3,
+                         unique=True),
+           nsteps=st.integers(2, 40),
+           specs=st.lists(st.fixed_dictionaries({
+               "counter": st.sampled_from(["recv", "flops"]),
+               "gate": st.sampled_from(_SIGNED_GATES),
+               "own": st.sampled_from([(), ("i",), ("j",), ("k",),
+                                       ("i", "j"), ("k", "j")]),
+               "c0": st.integers(-20, 60), "c1": st.integers(-3, 3),
+               "start": st.integers(0, 40), "seed": st.integers(0, 2 ** 16),
+               "window": st.tuples(st.integers(0, 40),
+                                   st.integers(0, 40))}),
+               min_size=1, max_size=4))
+    def test_generated_terms(self, dims, nsteps, specs):
+        specs = [dict(spec, gate=()) if len(spec["own"]) == 2 else spec
+                 for spec in specs]
+        _assert_head_tail_is_the_column(ProcessorGrid3D(*dims), nsteps,
+                                        specs)
+
+    @pytest.mark.parametrize("n, p, v, c", GRID + EDGE + [
+        (64, 16, 1, 1), (96, 12, 2, 1), (256, 64, 2, 2), (4096, 64, 4, 4),
+        (65536, 4096, 1, 1), (65536, 4096, 16, 16)])
+    def test_conflux_profiles_are_the_old_columns(self, n, p, v, c):
+        """COnfLUX's three tournament profiles hold the full-length
+        ``np.maximum`` / ``np.minimum`` formulas at every step, and each
+        tail is exactly the steps where the formula leaves the head."""
+        sched = ConfluxSchedule(n, p, v=v, c=c)
+        acct = StepAccounting(sched.grid, sched.steps())
+        terms = acct._collect(sched.accounting)
+        T, pr = acct.nsteps, sched.grid.rows
+        t = np.arange(T)
+        m_t = np.minimum(pr, np.minimum(n // v, n - v * t))
+        [exch] = [tm.step for tm in terms
+                  if tm.counter == "recv" and tm.gate == ("j", "k")]
+        m_rows, rounds = [tm.step for tm in terms
+                          if tm.counter == "flops" and tm.step.column is not None]
+        for step, want in (
+                (m_rows, np.maximum(n - v * t, v * pr)),
+                (exch, butterfly_pair_exchanges(m_t)),
+                (rounds, np.ceil(np.log2(np.maximum(m_t, 1))) * m_t)):
+            assert np.array_equal(step.values(0, T), want)
+            assert step.column.size == np.count_nonzero(
+                want != step.c0 + step.c1 * t)
 
 
 class TestReturnedArrays:
