@@ -36,7 +36,7 @@ On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 ``ndarray.copy``, ``hstack`` or ``Machine.bcast`` under the SUMMA is a
 regression.
 On ``plan_grid`` the top is what the ranking reads and nothing else:
-``_term_total``, ``_class_moments`` and ``_residue_reduce`` under
+``_term_total``, ``_class_basis`` and ``_residue_reduce`` under
 ``TermBatch.recv_words`` (small calls over residue classes, one per
 term: COnfLUX's tournament profiles join at most Pr tail steps to
 their affine head's classes), then ``TermBatch.add`` — ``_add``,
@@ -45,20 +45,27 @@ COnfLUX's ``accounting``.  Any of these back at the top is a
 regression: a step-long array or bincount under ``TermBatch.add`` or
 ``recv_words`` for a COnfLUX candidate (``StepFn.values`` under
 ``recv_words``, ``butterfly_pair_exchanges`` or ``np.maximum`` over
-``N/v`` steps in ``accounting``), ``_class_moments`` or
+``N/v`` steps in ``accounting``), ``_basis_moments`` or
 ``_residue_reduce`` running twice for one tournament term, a per-round
 loop in ``butterfly_pair_exchanges``, an n-long ``arange`` under
 ``conversion_words``, ``_score`` or the ``hash`` of a
 ``BlockCyclicLayout`` (the whole candidate product being scored), or
 ``TermBatch.evaluate`` anywhere.
 On ``sweep_closed`` the top is per-call overhead: ``_term_total`` and
-``_residue_reduce`` (about 1 800 and 1 400 calls per operation, most on
-small grids), then ``StepAccounting._reduce`` adding each term's
-grid-space total into the per-rank counters, then the bincounts and
-one ``cumsum`` per owned term on the 128 x 128 baselines.  A regression
-shows as a ``[rank_key, ...]`` gather, a ``joint @ dmat`` product or
-``np.add.at`` under ``_residue_reduce``, or ``_class_moments`` running
-twice on one profile within a candidate (273 calls per operation).
+``_residue_reduce`` (about 1 550 and 1 050 calls per operation, most
+on small grids), then ``StepAccounting._reduce`` adding each term's
+grid-space total into the per-rank counters, ``_entries`` joining a
+pass's head classes to its explicit steps, and ``_own_tail`` over the
+steps past an ownership cut.  A pass shares one memo per
+``(shape, nsteps)`` group, so ``_class_basis`` runs about 180 times
+and ``StepFn.values`` about 110 (short heads and tails, and the words
+of the ungated two-axis flop products).  A regression shows as a
+``StepFn.values`` over ``N/v`` steps under a msgs pass (its calls back
+near 250), ``_class_basis`` built twice for one ``(lo, hi, period)``
+in a group, two ``_residue_reduce`` calls for a single negated
+non-ownership atom (its calls back near 1 300), or a ``[rank_key,
+...]`` gather, a ``joint @ dmat`` product or ``np.add.at`` under
+``_residue_reduce``.
 cProfile taxes every Python call but no native code: use it to find
 candidates, then measure with ``perf/run.py``.
 """

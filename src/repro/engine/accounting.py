@@ -43,15 +43,22 @@ Results live in grid space ``(layers, rows, cols)``, size 1 on the axes
 a term does not name: a gated/owned term costs ``O(L + tail + cells)``
 (``L`` the lcm of its axis dims, the affine head's moments in closed
 form per class mod ``L``, one more class per explicit tail step;
-``cells`` those of its axes), a msgs profile or a two-axis product
-``O(steps + cells)``, plus one ``P``-long add into its counter; never
-an ``O(steps x P)`` allocation.  A requested step log derives
+``cells`` those of its axes), its messages the same (the msgs profile's
+head classes where the words head is positive, then the steps after
+them), a two-axis product ``O(steps + cells)``, plus one ``P``-long add
+into its counter; never an ``O(steps x P)`` allocation.  A negated gate
+is the complement of the gated reduction, so a term needs at most two.
+:class:`TermBatch` shares one memo (class bases ``(n, sum t, sum t^2)``
+per range and period, moments, step keys) across the candidates of one
+grid shape and step count.  A requested step log derives
 analytically from per-residue-class value columns in the same pass.
 What the kernels cannot reduce is refused, not routed elsewhere:
 words/msgs sums that could cross ``2^52`` raise :class:`OverflowError`
 (flops, with no exactness contract, are never refused), a gated or
 message-carrying two-axis ownership product raises
-:class:`NotImplementedError`.
+:class:`NotImplementedError`, and a fractional profile under a negated
+gate (whose complement would not be exact) :class:`ValueError` at
+emission.
 
 The naive dense ``(steps x P)`` interpretation of the IR lives in
 ``tests/oracle.py`` as the test oracle.  Evaluator and oracle agree
@@ -124,6 +131,10 @@ _GRID_ORDER = "kij"
 #: read-only views handed to every StepAccounting with that shape.
 _COORD_CACHE: dict[tuple[int, int, int],
                    tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _grid_coords(rows: int, cols: int,
@@ -255,9 +266,10 @@ class StepAccounting:
         self._terms: list[CostTerm] = []
         # One affine StepFn per distinct (c0, c1, lo, hi).
         self._affine: dict[tuple, StepFn] = {}
-        # What the reduction kernels share across one candidate's terms
-        # (step keys, profile values and moments, per-axis residues);
-        # cleared once the candidate is reduced (see _reduce).
+        # What the reduction kernels share across terms (step keys,
+        # profile values, class bases and moments, per-axis residues):
+        # a function of the grid shape and nsteps alone, so TermBatch
+        # hands one dict to each (shape, nsteps) group of a pass.
         self._memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
@@ -393,6 +405,11 @@ class StepAccounting:
         gate = tuple(gate)
         own = tuple(own)
         _check_axes(gate, own)
+        if not step.exact and any(a.startswith("!") for a in gate):
+            raise ValueError(
+                f"negated gate {gate} on a fractional profile: a negated "
+                f"gate reduces as the complement of the gated sum, exact "
+                f"on integer profiles only")
         if rank_const is not None:
             rank_const = np.asarray(rank_const, dtype=np.float64)
             if rank_const.shape != (self.nranks,):
@@ -440,20 +457,17 @@ class StepAccounting:
                 ) -> None:
         """Add each term's ``coeff * total`` (and messages) into the
         ``(words, msgs | None)`` arrays ``into`` maps its counter to,
-        through :attr:`shape` views; the memo lives for this call."""
+        through :attr:`shape` views (the memo is the caller's)."""
         views = {counter: [None if a is None else a.reshape(self.shape)
                            for a in arrays]
                  for counter, arrays in into.items()}
-        try:
-            for term in terms:
-                if term.counter not in views:
-                    continue
-                words, msgs = views[term.counter]
-                words += term.coeff * self._term_total(term, msgs=False)
-                if msgs is not None and term.msgs_step is not None:
-                    msgs += term.msgs_coeff * self._term_total(term, msgs=True)
-        finally:
-            self._memo.clear()
+        for term in terms:
+            if term.counter not in views:
+                continue
+            words, msgs = views[term.counter]
+            words += term.coeff * self._term_total(term, msgs=False)
+            if msgs is not None and term.msgs_step is not None:
+                msgs += term.msgs_coeff * self._term_total(term, msgs=True)
 
     # ------------------------------------------------------------------
     # Per-term reduction
@@ -481,24 +495,61 @@ class StepAccounting:
         return lo, max(lo, hi)
 
     @staticmethod
-    def _class_moments(step: StepFn, lo: int, hi: int, period: int,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(r, sum w, sum w t)`` over each class ``t = r (mod period)``
-        of ``[lo, hi)`` for ``w = c0 + c1 t``: arithmetic progressions,
-        so closed forms in exact integers (int64 while every
-        intermediate is under ``2^62``, Python ints past it), rounded
-        once to float.  ``period < hi - lo``: no class is empty."""
-        c0, c1 = int(step.c0), int(step.c1)
-        big = (4 * hi + abs(c0) + abs(c1) * hi) * hi * \
+    def _class_dtype(step: StepFn, lo: int, hi: int, period: int) -> type:
+        """int64 while every intermediate of :meth:`_class_moments` is
+        under ``2^62``, Python ints (``object``) past it."""
+        big = (4 * hi + abs(int(step.c0)) + abs(int(step.c1)) * hi) * hi * \
             ((hi - lo) // period + 1)
-        r = np.arange(period, dtype=np.int64 if big < 2 ** 62 else object)
+        return np.int64 if big < 2 ** 62 else object
+
+    @staticmethod
+    def _class_basis(lo: int, hi: int, period: int, dtype: type,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(n, sum t, sum t^2)`` over each class ``t = r (mod period)``
+        of ``[lo, hi)``: exact integers of ``dtype``, whatever the
+        profile."""
+        r = np.arange(period, dtype=dtype)
         first = lo + (r - lo) % period
         n = (hi - first + period - 1) // period
         s1 = n * first + period * (n * (n - 1) // 2)
         s2 = (n * first * first + period * first * (n * (n - 1))
               + period * period * ((n - 1) * n * (2 * n - 1) // 6))
-        return (r.astype(np.int64), (c0 * n + c1 * s1).astype(np.float64),
+        return n, s1, s2
+
+    @staticmethod
+    def _basis_moments(step: StepFn, basis: tuple,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``(sum w, sum w t)`` per class for ``w = c0 + c1 t`` from its
+        class basis: exact integers, rounded once to float."""
+        c0, c1 = int(step.c0), int(step.c1)
+        n, s1, s2 = basis
+        return ((c0 * n + c1 * s1).astype(np.float64),
                 (c0 * s1 + c1 * s2).astype(np.float64))
+
+    @staticmethod
+    def _class_moments(step: StepFn, lo: int, hi: int, period: int,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r, sum w, sum w t)`` over each class ``t = r (mod period)``
+        of ``[lo, hi)`` for ``w = c0 + c1 t``: arithmetic progressions,
+        so closed forms in exact integers (:meth:`_class_basis`, then
+        :meth:`_basis_moments`).  ``period < hi - lo``: no class is
+        empty."""
+        basis = StepAccounting._class_basis(
+            lo, hi, period, StepAccounting._class_dtype(step, lo, hi, period))
+        return (np.arange(period, dtype=np.int64),
+                *StepAccounting._basis_moments(step, basis))
+
+    def _moments(self, step: StepFn, lo: int, hi: int, period: int,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_class_moments` without ``r``, memoised: the basis per
+        ``(lo, hi, period, dtype)``, the moments per profile."""
+        def build():
+            dtype = self._class_dtype(step, lo, hi, period)
+            basis = self._memoised(("basis", lo, hi, period, dtype),
+                                   self._class_basis, lo, hi, period, dtype)
+            return self._basis_moments(step, basis)
+        return self._memoised(("moments", step.c0, step.c1, lo, hi, period),
+                              build)
 
     @staticmethod
     def _check_exact(term: CostTerm, bound: float) -> None:
@@ -519,9 +570,9 @@ class StepAccounting:
         ``(steps, dim)`` intermediate — in grid space: broadcastable to
         :attr:`shape`, size 1 on every axis the term does not name.
 
-        For ``msgs`` the base becomes the msgs profile where the words
-        profile is positive, ownership factors and rank constants
-        replaced by their positivity indicators.
+        For ``msgs`` the base becomes ``mu(t) = msgs_step(t) [step(t) >
+        0]``, ownership factors and rank constants replaced by their
+        positivity indicators.
 
         Ownership sums collapse analytically: with ``m`` the axis size
         and ``a`` a residue, ``own(a, t) = C_tot(a) - c_le(a, t)`` where
@@ -529,13 +580,20 @@ class StepAccounting:
         ``c_le(a, t) = floor(t / m) - [t mod m < a] + 1`` counts the
         multiples of ``m`` plus ``a`` at or below ``t``.  Contracted
         with the weight moments ``sum w``, ``sum w t`` of residue classes
-        mod ``L`` (the lcm of the term's axis dims) — ``O(L + cells)``
-        (the cells of the term's axes) for an affine head on at most
-        one ownership axis, its explicit tail's steps joining as one
-        class each in the same reduction; one class per step
-        (``O(steps + cells)``) for msgs and two-axis products — every
-        gated/owned sum is closed-form; negated gates expand by
-        inclusion-exclusion.
+        mod ``L`` (the lcm of the term's axis dims), every gated/owned sum
+        is closed-form in ``O(L + cells)`` (the cells of the term's axes)
+        for an affine head on at most one ownership axis, its explicit
+        steps joining as one class each in the same reduction; the
+        two-axis product takes one class per step.  ``mu`` is affine —
+        the msgs profile's head — where the words head is positive,
+        before the msgs profile's tail and, owned, before ``nsteps - m``
+        (every residue owns a tile there, the indicator is 1): those
+        classes plus the steps after them.  A head shorter than one
+        period enters as its own steps.  A negated gate ``!x`` is the
+        complement of the reduction gated on ``x`` (every step hits
+        exactly one coordinate along ``x``): at most two reductions per
+        term, the second without the ownership axis's gate when that
+        axis is negated.
         """
         step = term.step
         lo, hi = max(0, step.lo), min(self.nsteps, step.hi)
@@ -550,35 +608,38 @@ class StepAccounting:
             series = self._affine_series(step, lo, hi)
             self._check_exact(term, abs(series))
             return float(series)
-        period = math.lcm(*(self._dims[a.lstrip("!")]
-                            for a in term.gate + term.own))
+        if len(term.own) > 1 and (len(term.own) != 2 or term.gate or msgs):
+            raise NotImplementedError(
+                f"{term.counter} term with ownership {term.own}, "
+                f"gate {term.gate}: only an ungated, message-free "
+                f"two-axis ownership product has a closed form")
+        # The two-axis product reduces one class per step.
+        period = None if len(term.own) > 1 else math.lcm(
+            *(self._dims[a.lstrip("!")] for a in term.gate + term.own))
         # The affine head [lo, split) and the explicit tail [split, hi).
         split = hi if step.column is None else min(hi, max(lo, step.start))
-        if not msgs and len(term.own) < 2 and period < split - lo:
-            # The head's classes mod ``period``, then the tail's steps:
-            # one set of moments for one _residue_reduce call.
-            _, M0, M1 = self._memoised(
-                ("moments", step.c0, step.c1, lo, split, period),
-                self._class_moments, step, lo, split, period)
-            amax = max(abs(step.c0 + step.c1 * lo),     # at an endpoint
-                       abs(step.c0 + step.c1 * (split - 1)))
-            rkey = ((0, period),)
-            if split < hi:
-                steps = ((split, hi),)
-                w = step.column[split - step.start:hi - step.start]
-                M0 = np.concatenate((M0, w))
-                M1 = np.concatenate((M1, w * self._residues(steps))) \
-                    if term.own else None
-                amax = max(amax, float(np.abs(w).max()))
-                rkey += steps
+        tail = step.column[split - step.start:hi - step.start] \
+            if split < hi else None
+        if not msgs:
+            entries = self._entries(step, lo, split, period,
+                                    [((split, hi), tail)], len(term.own) == 1)
         else:
-            M0 = self._values(step, lo, hi)
-            if msgs:
-                M0 = self._values(term.msgs_step, lo, hi) * (M0 > 0)
-            rkey = ((lo, hi),)
-            r = self._residues(rkey)
-            M1 = M0 * r if len(term.own) == 1 and not msgs else None
-            amax = float(np.abs(M0).max())
+            ms = term.msgs_step
+            p0, p1 = self._positive_range(step, lo, split)
+            a = max(p0, ms.lo)
+            b = min(p1, ms.hi, hi if ms.column is None else ms.start)
+            if term.own:
+                b = min(b, self.nsteps - self._dims[term.own[0]])
+            b = max(a, b)
+            p1 = max(b, min(p1, ms.hi))
+            steps = [((b, p1), self._values(ms, b, p1))] if p1 > b else []
+            if split < hi:
+                steps.append(((split, hi),
+                              self._values(ms, split, hi) * (tail > 0)))
+            entries = self._entries(ms, a, b, period, steps, False)
+        if entries is None:                 # mu is 0 at every step
+            return 0.0
+        rkey, M0, M1, amax = entries
         # |sum_t w| at most; only the ownership kernels also form the
         # moment sum_t w * t, a factor ``hi`` above it.
         bound = amax * (hi - lo)
@@ -588,32 +649,66 @@ class StepAccounting:
         if len(term.own) > 1:
             # An ungated two-axis ownership product (the trailing-update
             # flops) splits over own = q + beta, beta periodic in t.
-            if len(term.own) != 2 or term.gate or msgs:
-                raise NotImplementedError(
-                    f"{term.counter} term with ownership {term.own}, "
-                    f"gate {term.gate}: only an ungated, message-free "
-                    f"two-axis ownership product has a closed form")
             qcap_i = self.nsteps // self._dims[term.own[0]] + 1
             qcap_j = self.nsteps // self._dims[term.own[1]] + 1
             self._check_exact(term, bound * qcap_i * qcap_j)
-            total = self._own_pair_reduce(M0, r, term.own[0], term.own[1])
+            total = self._own_pair_reduce(M0, self._residues(rkey),
+                                          term.own[0], term.own[1])
             if term.rank_const is not None:
                 total = total * term.rank_const.reshape(self.shape)
             return total
         self._check_exact(term, bound * max(hi, 1) if term.own else bound)
-        gate_pos = [a for a in term.gate if not a.startswith("!")]
-        gate_neg = [a.lstrip("!") for a in term.gate if a.startswith("!")]
+        pos = [a for a in term.gate if not a.startswith("!")]
+        neg = [a[1:] for a in term.gate if a.startswith("!")]
         own_ax = term.own[0] if term.own else None
-        total = 0.0
-        for k in range(len(gate_neg) + 1):
-            for sub in itertools.combinations(gate_neg, k):
-                part = self._residue_reduce(
-                    rkey, M0, M1, gate_pos + list(sub), own_ax, msgs)
-                total = total - part if k % 2 else total + part
+        total = self._residue_reduce(rkey, M0, M1, pos + neg, own_ax, msgs)
+        if own_ax in neg:
+            neg.remove(own_ax)
+            total = self._residue_reduce(
+                rkey, M0, M1, pos + neg, own_ax, msgs) - total
+        for axis in neg:
+            total = total.sum(axis=_GRID_ORDER.index(axis),
+                              keepdims=True) - total
         if term.rank_const is not None:
             rc = term.rank_const.reshape(self.shape)
             total = total * ((rc > 0) if msgs else rc)
         return total
+
+    def _entries(self, head: StepFn, a: int, b: int, period: int | None,
+                 steps: list[tuple[tuple[int, int], np.ndarray]],
+                 moment1: bool) -> tuple | None:
+        """One pass's weights as :meth:`_residue_reduce` entries: the
+        affine ``head`` on ``[a, b)`` as its classes mod ``period`` (its
+        own steps when ``period`` is None or not below ``b - a``), then
+        the explicit ``((t0, t1), w)`` parts, in step order.  Returns
+        ``(rkey, M0, M1, amax)`` — ``M1 = sum w t`` only for ``moment1``,
+        ``amax`` the largest ``|w|`` — or None when nothing is left."""
+        parts = []
+        amax = 0.0
+        if b > a:
+            # An affine profile peaks in magnitude at an endpoint.
+            amax = max(abs(head.c0 + head.c1 * a),
+                       abs(head.c0 + head.c1 * (b - 1)))
+            if period is not None and period < b - a:
+                parts.append(((0, period), *self._moments(head, a, b, period)))
+            else:
+                steps = [((a, b), self._values(head, a, b))] + steps
+        for (t0, t1), w in steps:
+            if t1 > t0:
+                parts.append(((t0, t1), w, None))
+                amax = max(amax, float(np.abs(w).max()))
+        if not parts:
+            return None
+        rkey: list[tuple[int, int]] = []
+        for (t0, t1), _, _ in parts:        # adjacent ranges merge
+            if rkey and rkey[-1][1] == t0:
+                t0 = rkey.pop()[0]
+            rkey.append((t0, t1))
+        M1 = None
+        if moment1:
+            M1 = _cat([m1 if m1 is not None else w * self._residues((rng,))
+                       for rng, w, m1 in parts])
+        return tuple(rkey), _cat([w for _, w, _ in parts]), M1, amax
 
     def _residue_reduce(self, rkey: tuple, M0: np.ndarray,
                         M1: np.ndarray | None, pos_axes: list[str],
@@ -965,8 +1060,13 @@ class TermBatch:
     configs: :meth:`add` collects each candidate's emitted
     :class:`CostTerm` stream, :meth:`evaluate` reduces every term
     through :meth:`StepAccounting._term_total` (:meth:`recv_words`:
-    only what the planner ranks by).  Each candidate is reduced on its
-    own, in term emission order, so its
+    only what the planner ranks by).  A pass visits the candidates
+    grouped by ``(shape, nsteps)`` (a stable sort; results stay in
+    :meth:`add` order) and each group shares one memo, emptied when the
+    group changes and after the pass: the two LU and two Cholesky
+    flavours of a sweep case each share a grid and a step count.  Every
+    memo entry is a function of its key, shape and ``nsteps``, and each
+    candidate is reduced in term emission order, so its
     :class:`~repro.machine.stats.CommStats` do not depend on what else
     shares the batch (the parity suite pins this, and the totals against
     the dense oracle, over randomized grids of all five schedules).
@@ -986,26 +1086,47 @@ class TermBatch:
                               schedule.step_label))
         return len(self._entries) - 1
 
+    def _pass(self, reduce: Callable[[int, StepAccounting, list, Callable],
+                                     None]) -> None:
+        """``reduce(k, acct, terms, step_label)`` for every candidate,
+        grouped by ``(shape, nsteps)``, one shared memo per group."""
+        def group(k: int) -> tuple:
+            acct = self._entries[k][0]
+            return acct.shape, acct.nsteps
+
+        memo: dict[tuple, object] = {}
+        last = None
+        try:
+            for k in sorted(range(len(self._entries)), key=group):
+                if group(k) != last:
+                    memo.clear()
+                    last = group(k)
+                self._entries[k][0]._memo = memo
+                reduce(k, *self._entries[k])
+        finally:
+            memo.clear()
+
     def evaluate(self, steps: str = "none") -> list[CommStats]:
         """One :class:`CommStats` per added candidate, in :meth:`add`
         order, with the ``steps`` flavour of step log (derived
         analytically from the same terms)."""
-        out = []
-        for acct, terms, label in self._entries:
-            stats = CommStats(acct.nranks, steps=steps)
+        out: list[CommStats] = [None] * len(self._entries)
+
+        def reduce(k, acct, terms, label):
+            stats = out[k] = CommStats(acct.nranks, steps=steps)
             acct._reduce(terms, {
                 "recv": (stats.recv_words, stats.recv_msgs),
                 "flops": (stats.flops, None)})
             if steps != "none":
                 acct._analytic_steps(terms, stats, label)
-            out.append(stats)
+
+        self._pass(reduce)
         return out
 
     def recv_words(self) -> list[np.ndarray]:
         """Per-rank received words per candidate, from its ``"recv"``
         terms' words alone — bitwise ``evaluate()[k].recv_words``."""
-        out = []
-        for acct, terms, _ in self._entries:
-            out.append(np.zeros(acct.nranks))
-            acct._reduce(terms, {"recv": (out[-1], None)})
+        out = [np.zeros(acct.nranks) for acct, _, _ in self._entries]
+        self._pass(lambda k, acct, terms, _: acct._reduce(
+            terms, {"recv": (out[k], None)}))
         return out

@@ -20,6 +20,7 @@ and for randomized configurations.
   go through the same kernels as integer ones.
 """
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -548,8 +549,10 @@ class TestOnePath:
                                           window, own):
         """A non-integer flop column reduces through the residue-class
         kernels like any other — only the mkl/candmc/capital schedules
-        reach that shape (positive gates only); here every gate sign,
-        a step window and an ownership factor."""
+        reach that shape (positive gates only); here every positive
+        gate, a step window and an ownership factor.  A negated gate
+        reduces as a complement, exact on integer profiles only, so
+        with a fractional profile it is refused at emission."""
         column = np.asarray(column) + 0.25           # fractional for sure
         atoms = tuple(("!" if neg else "") + axis
                       for axis, neg in zip(gate, negate))
@@ -560,9 +563,11 @@ class TestOnePath:
                         gate=atoms, own=own)
 
         sched = _adhoc(ProcessorGrid3D(*dims), column.size, accounting)
+        if any(atom.startswith("!") for atom in atoms):
+            with pytest.raises(ValueError, match="negated gate"):
+                TermBatch().add(sched)
+            return
         got, want = _evaluate(sched), oracle_stats(sched)
-        # Negated gates subtract bucket sums from the whole column's:
-        # rounding is relative to the term's magnitude, not each rank's.
         scale = 1.5 * column.sum() * (column.size if own else 1)
         np.testing.assert_allclose(got.flops, want.flops, rtol=1e-12,
                                    atol=1e-12 * scale)
@@ -680,11 +685,39 @@ def _head_tail_emit(specs, as_column):
     return accounting
 
 
-def _assert_head_tail_is_the_column(grid, nsteps, specs):
-    """Head + tail profiles reduce bit for bit as their full columns do,
-    and match the dense oracle."""
-    split = _adhoc(grid, nsteps, _head_tail_emit(specs, False))
-    full = _adhoc(grid, nsteps, _head_tail_emit(specs, True))
+def _msgs_emit(specs, as_column):
+    """Emit each spec as a recv term whose words and msgs profiles are
+    both ``acct.tail`` profiles, each ``(c0, c1, start, window, seed)``
+    (``as_column``: the same values as full-length columns), with a
+    rank constant that is zero on the even coordinates of ``rc``."""
+    def profile(a, c0, c1, start, window, seed):
+        lo, hi = sorted(window)
+        vals = np.random.default_rng(seed).integers(
+            0, 30, a.nsteps - min(start, a.nsteps))
+        step = a.tail(c0, c1, vals, lo=lo, hi=hi)
+        if as_column:
+            step = a.column(step.values(0, a.nsteps), lo=lo, hi=hi)
+        return step
+
+    def accounting(a):
+        for spec in specs:
+            rank_const = None
+            if spec.get("rc"):
+                coord = a._axis_coords(spec["rc"])
+                rank_const = 3.0 * (coord % 2)
+            a.add_recv(2.0, step=profile(a, *spec["words"]),
+                       gate=spec["gate"], own=spec["own"],
+                       rank_const=rank_const, msgs=1.0,
+                       msgs_step=profile(a, *spec["msgs"]))
+    return accounting
+
+
+def _assert_head_tail_is_the_column(grid, nsteps, specs,
+                                    emit=_head_tail_emit):
+    """Head + tail profiles reduce bit for bit as their full columns do
+    (whose steps all reduce one by one), and match the dense oracle."""
+    split = _adhoc(grid, nsteps, emit(specs, False))
+    full = _adhoc(grid, nsteps, emit(specs, True))
     got, want = _evaluate(split, "none"), _evaluate(full, "none")
     for field in TOTAL_FIELDS:
         assert np.array_equal(getattr(got, field), getattr(want, field)), \
@@ -782,6 +815,179 @@ class TestHeadTailProfiles:
             assert np.array_equal(step.values(0, T), want)
             assert step.column.size == np.count_nonzero(
                 want != step.c0 + step.c1 * t)
+
+
+class TestMsgsThroughClasses:
+    """A msgs pass weighs step ``t`` by ``mu(t) = msgs_step(t) [step(t) >
+    0]``, affine — the msgs profile's head — where the words head is
+    positive, before the msgs profile's tail and, owned, before
+    ``nsteps - m``: those residue classes plus the steps after them, in
+    one reduction, bit for bit the per-step reduction of the same
+    profiles as full columns."""
+
+    DIMS = (2, 3, 4)                   # rows, cols, layers: all distinct
+    T, LO = 40, 3
+
+    def specs(self, gate, own):
+        T, lo = self.T, self.LO
+        period = math.lcm(*(self.DIMS["ijk".index(a.lstrip("!"))]
+                            for a in gate + own))
+        full, words_const = (0, T), (5, 0, T, (0, T), 1)
+        cases = [
+            # Words positive up to t = 25, inside the head, then up to
+            # 30 with a tail from 34.
+            ((50, -2, T, (lo, T), 2), (1, 1, T, full, 3)),
+            ((60, -2, 34, (lo, T), 4), (2, 0, T, full, 5)),
+            # A msgs profile with its own tail, also cut at 38.
+            (words_const, (1, 0, 30, (lo, T), 6)),
+            ((4, 1, 33, full, 7), (3, 0, 28, (0, 38), 8)),
+            # The ownership cut nsteps - m inside the head, after it
+            # (head up to 20), before it (head from 38).
+            (words_const, (1, 1, T, full, 9)),
+            ((5, 1, 20, full, 10), (2, 1, T, full, 11)),
+            ((5, 1, T, (38, T), 12), (1, 0, T, full, 13)),
+            # A head shorter than one period.
+            ((5, 1, lo + period - 1, (lo, T), 14), (1, 1, T, full, 15)),
+        ]
+        specs = [dict(gate=gate, own=own, words=w, msgs=m)
+                 for w, m in cases]
+        # A rank constant with zeros.
+        specs.append(dict(specs[4], rc="j"))
+        return specs
+
+    @pytest.mark.parametrize("gate, own", _GATE_OWN[:-3], ids=[
+        f"{','.join(gate) or 'ungated'}/{''.join(own) or 'unowned'}"
+        for gate, own in _GATE_OWN[:-3]])
+    def test_every_gate_and_own(self, gate, own):
+        _assert_head_tail_is_the_column(ProcessorGrid3D(*self.DIMS), self.T,
+                                        self.specs(gate, own), _msgs_emit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(2, 5), min_size=3, max_size=3,
+                         unique=True),
+           nsteps=st.integers(2, 40),
+           specs=st.lists(st.fixed_dictionaries({
+               "gate": st.sampled_from(_SIGNED_GATES),
+               "own": st.sampled_from([(), ("i",), ("j",), ("k",)]),
+               "words": st.tuples(
+                   st.integers(-20, 60), st.integers(-3, 3),
+                   st.integers(0, 40),
+                   st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                   st.integers(0, 2 ** 16)),
+               "msgs": st.tuples(
+                   st.integers(0, 9), st.integers(0, 2), st.integers(0, 40),
+                   st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                   st.integers(0, 2 ** 16)),
+               "rc": st.sampled_from([None, "i", "j", "k"])}),
+               min_size=1, max_size=4))
+    def test_generated_terms(self, dims, nsteps, specs):
+        _assert_head_tail_is_the_column(ProcessorGrid3D(*dims), nsteps,
+                                        specs, _msgs_emit)
+
+    @pytest.mark.parametrize("sched", [
+        ConfluxSchedule(65536, 4096, v=1, c=1),
+        harness._sweep_schedule("lu", "mkl", 262144, 16384,
+                                harness.max_replication(16384, 262144)),
+    ], ids=["conflux-v1", "mkl-sweep-largest"])
+    def test_evaluate_reads_no_step_long_range(self, sched, monkeypatch):
+        """At v = 1 COnfLUX has N steps, the sweep's largest 2D LU 2048:
+        the words and msgs passes read profile values only on ranges of
+        at most ``max(grid dims, Pr)`` steps (short heads, tails and the
+        steps past the ownership cut)."""
+        calls = []
+        values = StepFn.values
+        monkeypatch.setattr(StepFn, "values", lambda self, t0, t1: (
+            calls.append(t1 - t0) or values(self, t0, t1)))
+        batch = TermBatch()
+        batch.add(sched)
+        [stats] = batch.evaluate()
+        grid = sched.grid
+        assert sched.steps() >= 16 * max(grid.rows, grid.cols, grid.layers)
+        assert calls and max(calls) <= max(grid.rows, grid.cols, grid.layers)
+        assert stats.recv_msgs.min() > 0
+
+
+class TestNegatedComplements:
+    """A negated gate ``!x`` reduces as the complement of the reduction
+    gated on ``x`` — every step hits one coordinate along ``x`` — or,
+    on the ownership axis, as the ungated owned reduction minus the
+    gated one: bit for bit the inclusion-exclusion over the negated
+    atoms, on words and msgs."""
+
+    DIMS = (2, 3, 4)
+    T = 40
+
+    @staticmethod
+    def _inclusion_exclusion(acct, term, msgs):
+        pos = tuple(a for a in term.gate if not a.startswith("!"))
+        neg = [a[1:] for a in term.gate if a.startswith("!")]
+        total = 0.0
+        for k in range(len(neg) + 1):
+            for sub in itertools.combinations(neg, k):
+                part = acct._term_total(
+                    dataclasses.replace(term, gate=pos + sub), msgs)
+                total = total - part if k % 2 else total + part
+        return total
+
+    @pytest.mark.parametrize("gate, own", [
+        (("!j",), ()), (("!j",), ("i",)), (("!i",), ("i",)),
+        (("k", "!j"), ("i",)), (("!j", "!k"), ()), (("!j", "!k"), ("i",)),
+        (("!i", "!k"), ("i",)), (("!i", "j", "!k"), ("k",)),
+    ], ids=["one", "one-off-own", "one-on-own", "one-with-positive",
+            "two", "two-off-own", "two-one-on-own", "two-on-own-gated"])
+    def test_complement_is_inclusion_exclusion(self, gate, own):
+        def accounting(a):
+            T = a.nsteps
+            a.add_recv(1.0, step=a.affine(T, -1), gate=gate, own=own)
+            a.add_recv(2.0, step=a.tail(30, -1, [4, 0, 7, 1], lo=2),
+                       gate=gate, own=own,
+                       msgs_step=a.tail(1, 1, [3, 3, 0], hi=T - 1))
+            a.add_recv(1.0, step=a.column(np.arange(T) % 5), gate=gate,
+                       own=own, rank_const=3.0 * (a.pj % 2), msgs=2.0)
+            a.add_flops(0.5, step=a.affine(7, 2), gate=gate, own=own)
+
+        sched = _adhoc(ProcessorGrid3D(*self.DIMS), self.T, accounting)
+        acct = StepAccounting(sched.grid, self.T)
+        for term in acct._collect(sched.accounting):
+            for msgs in {False, term.msgs_step is not None}:
+                got = np.broadcast_to(acct._term_total(term, msgs),
+                                      acct.shape)
+                want = np.broadcast_to(
+                    self._inclusion_exclusion(acct, term, msgs), acct.shape)
+                assert np.array_equal(got, want), (term.gate, msgs)
+        assert_matches_oracle(sched)
+
+    def test_two_reductions_per_term(self, monkeypatch):
+        """However many atoms are negated: one reduction, two when the
+        ownership axis is among them."""
+        calls = []
+        reduce = StepAccounting._residue_reduce
+        monkeypatch.setattr(StepAccounting, "_residue_reduce",
+                            lambda self, *args: (calls.append(args[3])
+                                                 or reduce(self, *args)))
+        acct = StepAccounting(ProcessorGrid3D(*self.DIMS), self.T)
+        for gate, own, want in ((("!i", "!j", "!k"), (), 1),
+                                (("!i", "!j", "!k"), ("j",), 2),
+                                (("!k",), ("i",), 1)):
+            acct._terms = []
+            acct.add_recv(1.0, gate=gate, own=own, msgs=0.0)
+            [term] = acct._terms
+            calls.clear()
+            acct._term_total(term, msgs=False)
+            assert len(calls) == want, (gate, own, calls)
+
+    @pytest.mark.parametrize("gate", [("!j",), ("i", "!k")])
+    def test_fractional_profile_under_a_negated_gate_is_refused(self, gate):
+        """Its complement would round: refused at emission, like every
+        shape the kernels cannot reduce exactly."""
+        acct = StepAccounting(ProcessorGrid3D(*self.DIMS), self.T)
+        with pytest.raises(ValueError, match="negated gate"):
+            acct.add_flops(1.0, step=acct.column(np.full(self.T, 0.5)),
+                           gate=gate)
+        acct.add_flops(1.0, step=acct.column(np.full(self.T, 0.5)),
+                       gate=tuple(a.lstrip("!") for a in gate))
+        acct.add_flops(1.0, step=acct.column(np.full(self.T, 2.0)),
+                       gate=gate)
 
 
 class TestReturnedArrays:

@@ -7,6 +7,8 @@ all five engine schedules (hypothesis) and pin the planner's whole-grid
 scoring to planning each request alone on the paper's Table-2 points.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from oracle import TOTAL_FIELDS, oracle_stats
 from repro.analysis.harness import NODE_MEM_WORDS
 from repro.engine.accounting import TermBatch
 from repro.machine.exceptions import GridError
+from repro.machine.grid import ProcessorGrid3D
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -113,6 +116,76 @@ class TestBatchParity:
         sched = ConfchoxSchedule(128, 16, v=16, c=4)
         _assert_stats_identical(sched.trace_stats(steps="none"),
                                 oracle_stats(sched))
+
+
+def _mixed_schedule(rows, cols, layers, nsteps):
+    """An ad-hoc schedule on any grid: gated, negated, owned, two-axis,
+    head-plus-tail and message-carrying terms — every kind of entry the
+    reduction memo holds (step keys, class bases, ownership residues)."""
+    def accounting(a):
+        T = a.nsteps
+        a.add_recv(1.0, step=a.affine(T, -1), gate=("j",), own=("i",))
+        a.add_recv(2.0, step=a.tail(3, 0, [1, 0, 2]), gate=("!i", "k"),
+                   msgs_step=a.affine(1, 1))
+        a.add_recv(1.0, gate=("!j",), own=("j",), msgs=2.0)
+        a.add_recv(3.0, step=a.affine(5, 1, lo=2), gate=("!k",), own=("i",))
+        a.add_flops(0.5, step=a.affine(2, 1), own=("i", "j"))
+        a.add_flops(1.5, step=a.column(np.arange(T) + 0.25), gate=("i",))
+
+    return types.SimpleNamespace(
+        grid=ProcessorGrid3D(rows, cols, layers), steps=lambda: nsteps,
+        accounting=accounting, step_label=lambda t: f"t={t}")
+
+
+class TestSharedMemo:
+    """A pass shares one reduction memo per ``(shape, nsteps)`` group;
+    what a candidate reduces to must not depend on its neighbours."""
+
+    @staticmethod
+    def _interleaved():
+        """Equal grids at different step counts, transposed grids, and
+        three schedules on one ``(shape, nsteps)``, interleaved."""
+        return [
+            _mixed_schedule(2, 3, 2, 17),
+            ScalapackLUSchedule(64, 8, nb=8),
+            _mixed_schedule(3, 2, 2, 17),             # transposed
+            ScalapackLUSchedule(64, 8, nb=4),         # 16 steps, same grid
+            _mixed_schedule(2, 3, 2, 23),             # 23 steps, same grid
+            ScalapackCholeskySchedule(64, 8, nb=8),   # the first's group
+            _mixed_schedule(3, 2, 2, 17),
+            ConfluxSchedule(64, 8, v=8, c=1),         # the first's group
+            _mixed_schedule(2, 3, 2, 17),
+        ]
+
+    def test_each_candidate_reduces_as_a_batch_of_one(self):
+        scheds = self._interleaved()
+        batch = TermBatch()
+        for sched in scheds:
+            batch.add(sched)
+        shapes = {(acct.shape, acct.nsteps) for acct, _, _ in batch._entries}
+        assert len({shape for shape, _ in shapes}) < len(shapes)
+        assert (1, 2, 4) in {shape for shape, _ in shapes}
+
+        def alone(sched, steps):
+            one = TermBatch()
+            one.add(sched)
+            return one.evaluate(steps)[0], one.recv_words()[0]
+
+        def memos_empty():
+            return all(not acct._memo for acct, _, _ in batch._entries)
+
+        for steps in ("none", "columnar"):
+            for sched, stats in zip(scheds, batch.evaluate(steps)):
+                assert memos_empty()
+                want, _ = alone(sched, steps)
+                _assert_stats_identical(stats, want)
+                for field in STEP_FIELDS if steps == "columnar" else ():
+                    assert np.array_equal(stats.steps.column(field),
+                                          want.steps.column(field)), field
+        for sched, words in zip(scheds, batch.recv_words()):
+            assert memos_empty()
+            assert np.array_equal(words, alone(sched, "none")[1])
+            assert np.array_equal(words, oracle_stats(sched).recv_words)
 
 
 class TestPlannerDeterminism:
