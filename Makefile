@@ -13,9 +13,10 @@ COV_FLOOR ?= 85
 .PHONY: test lint coverage bench-check bench-paper plan atlas trace \
 	cache-gc exec-smoke profile-exec
 
-## Run the tier-1 test suite (what CI and the PR driver gate on).
+## Run the tier-1 test suite (what CI gates on).  The ten slowest
+## tests are listed so that a slow path shows up in every CI log.
 test:
-	PYTHONPATH=src $(PY) -m pytest -x -q
+	PYTHONPATH=src $(PY) -m pytest -x -q --durations=10
 
 ## The executed, verified path: one short run of each executed perf/
 ## workload (pd* calls on the simulated machine, residual <= 1e-10,

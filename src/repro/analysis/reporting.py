@@ -243,12 +243,16 @@ def derived_bounds(kernels, n: int, mem_words: float, p: int = 1) -> list[dict]:
 
 def _pipeline_clauses(rows):
     by = {r["kernel"]: r for r in rows}
-    lu, m = by["LU"], by["LU"]["mem_words"]
+    lu, ch, m = by["LU"], by["Cholesky"], by["LU"]["mem_words"]
+    n, p = ch["n"], ch["nranks"]
+    vertex_count = (n * (n - 1) * (n - 2) / (3 * p * math.sqrt(m))
+                    + n * (n + 1) / (2 * p))
     return [
-        ("the derivation pipeline reproduces the closed-form LU and "
-         "Cholesky bounds within 1%",
-         all(math.isclose(by[k]["bound"], by[k]["closed_form"], rel_tol=1e-2)
-             for k in ("LU", "Cholesky"))),
+        ("the derivation pipeline reproduces the closed-form LU bound, and "
+         "Cholesky's exact vertex-count form N(N-1)(N-2)/(3P sqrt(M)) + "
+         "N(N+1)/(2P), to 1e-9",
+         math.isclose(lu["bound"], lu["closed_form"], rel_tol=1e-9)
+         and math.isclose(ch["bound"], vertex_count, rel_tol=1e-9)),
         ("LU's dominant statement S2 has intensity rho = sqrt(M)/2 (0.1%)",
          math.isclose(lu["rho"], math.sqrt(m) / 2, rel_tol=1e-3)),
         ("attained at X0 = 3M (1%)", math.isclose(lu["x0"], 3 * m, rel_tol=1e-2))]

@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .catalog import (
     derive_gemv_bound,
-    derive_jacobi2d_bound,
     derive_ldlt_bound,
     derive_syrk_bound,
     derive_trsm_bound,
@@ -71,6 +70,6 @@ __all__ = [
     "trsm_program", "syrk_program", "ldlt_program", "gemv_program",
     "jacobi2d_program",
     "derive_trsm_bound", "derive_syrk_bound", "derive_ldlt_bound",
-    "derive_gemv_bound", "derive_jacobi2d_bound",
+    "derive_gemv_bound",
     "memory_feasible", "max_usable_memory", "min_required_memory",
 ]

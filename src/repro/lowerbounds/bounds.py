@@ -17,9 +17,13 @@ Two layers live here:
   - Matrix multiplication (SC19, used as a framework cross-check):
     ``Q >= 2 N^3 / (P sqrt(M))``
 
-The tests verify that the pipeline reproduces the closed forms (intensity
-``sqrt(M)/2`` at ``X_0 = 3M`` for the Schur statements, ``rho = 1`` for
-the panel statements) to within the numeric optimizer's tolerance.
+The pipeline finds intensity ``sqrt(M)/2`` at ``X_0 = 3M`` for the Schur
+statements and ``rho = 1`` for the panel statements.  The tests hold the
+derived LU and matmul bounds equal to their closed forms to 1e-9 relative.
+The derived Cholesky bound is the exact vertex count of
+:func:`~repro.lowerbounds.daap.cholesky_program`,
+``N(N-1)(N-2) / (3 P sqrt(M)) + N(N+1) / (2P)``, to the same tolerance;
+the closed form above exceeds it by ``(3N^2 - 2N) / (3 P sqrt(M)) + N/(2P)``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ __all__ = [
     "max_usable_memory",
     "min_required_memory",
 ]
+
+
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +109,8 @@ def derive_program_bound(program: Program, n: float, mem_words: float,
     paper's kernels it only lowers low-order terms — the per-statement
     sum is already the bound quoted in Section 6.
     """
-    if n <= 1 or p <= 0 or mem_words <= 0:
-        raise ValueError("need n > 1, p > 0, mem_words > 0")
+    if not (_finite(n, p, mem_words) and n > 1 and p > 0 and mem_words > 0):
+        raise ValueError("need finite n > 1, p > 0, mem_words > 0")
     analyses: dict[str, StatementAnalysis] = {}
     rhos: dict[str, float] = {}
     for stmt in program.statements:
@@ -148,7 +156,7 @@ def lu_io_lower_bound(n: float, p: float, mem_words: float,
     ``Q >= (2N^3 - 6N^2 + 4N) / (3 P sqrt(M)) + N(N-1) / (2P)``;
     with ``leading_only`` just ``2N^3 / (3 P sqrt(M))``.
     """
-    if n < 0 or p <= 0 or mem_words <= 0:
+    if not (_finite(n, p, mem_words) and n >= 0 and p > 0 and mem_words > 0):
         raise ValueError("invalid arguments")
     sm = math.sqrt(mem_words)
     lead = 2.0 * n ** 3 / (3.0 * p * sm)
@@ -164,7 +172,7 @@ def cholesky_io_lower_bound(n: float, p: float, mem_words: float,
 
     ``Q >= N^3 / (3 P sqrt(M)) + N^2 / (2P) + N / P``.
     """
-    if n < 0 or p <= 0 or mem_words <= 0:
+    if not (_finite(n, p, mem_words) and n >= 0 and p > 0 and mem_words > 0):
         raise ValueError("invalid arguments")
     sm = math.sqrt(mem_words)
     lead = n ** 3 / (3.0 * p * sm)
@@ -175,6 +183,6 @@ def cholesky_io_lower_bound(n: float, p: float, mem_words: float,
 
 def matmul_io_lower_bound(n: float, p: float, mem_words: float) -> float:
     """Parallel square-matmul bound ``2 N^3 / (P sqrt(M))`` (SC19)."""
-    if n < 0 or p <= 0 or mem_words <= 0:
+    if not (_finite(n, p, mem_words) and n >= 0 and p > 0 and mem_words > 0):
         raise ValueError("invalid arguments")
     return 2.0 * n ** 3 / (p * math.sqrt(mem_words))

@@ -35,7 +35,7 @@ __all__ = [
     "trsm_program", "syrk_program", "ldlt_program", "gemv_program",
     "jacobi2d_program",
     "derive_trsm_bound", "derive_syrk_bound", "derive_ldlt_bound",
-    "derive_gemv_bound", "derive_jacobi2d_bound",
+    "derive_gemv_bound",
 ]
 
 
@@ -194,10 +194,3 @@ def derive_gemv_bound(n: float, mem_words: float,
                       p: float = 1.0) -> ProgramBound:
     """Pipeline on GEMV: Omega(N^2) regardless of M (BLAS-2)."""
     return derive_program_bound(gemv_program(), n, mem_words, p)
-
-
-def derive_jacobi2d_bound(n: float, mem_words: float,
-                          p: float = 1.0) -> ProgramBound:
-    """Raises DAAPError: stencils are outside the DAAP class (see
-    :func:`jacobi2d_program`)."""
-    return derive_program_bound(jacobi2d_program(), n, mem_words, p)

@@ -25,8 +25,12 @@ This module implements the core of Sections 3 and 5 of the paper:
    out-degree-one graph inputs, ``rho <= 1/u`` regardless of ``M``.
 
 The optimization is a geometric program, i.e. convex after the
-substitution ``y = log d``; we solve it with SLSQP and cross-check the
-known kernels against their closed forms in the tests.
+substitution ``y = log d``.  Each ``X`` gets one bounded SLSQP solve
+(``y >= 0`` covers the ``d_t = 1`` faces), and its point is returned only
+with a KKT certificate — budget spent (to 1e-7), one marginal shared by
+the free variables and none smaller on a pinned one (to 1e-6 relative).
+Convexity makes a certified point the global optimum; an uncertified
+solve raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -90,100 +94,54 @@ class IntensityResult:
     solution: SubcomputationSolution | None = None
 
 
-def _solve_interior(masks: np.ndarray, logw: np.ndarray,
-                    logx: float) -> np.ndarray | None:
-    """Maximize ``sum(y)`` subject to the *tight* constraint
-    ``sum_j exp(logw_j + masks_j . y) = X`` with ``y`` free (no bounds).
+def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> np.ndarray:
+    """Global optimum ``y = log d`` of the |H_max| geometric program.
 
-    Returns the solution or None when SLSQP cannot certify one.  Used on
-    the reduced problems of the support enumeration, where the optimum is
-    interior whenever the pinned set was guessed correctly.
+    Maximize ``sum(y)`` subject to ``sum_j exp(logw_j + masks_j . y) <= X``
+    and ``y >= 0``: one bounded SLSQP solve, whose bounds cover the
+    ``d_t = 1`` faces (the LU panel statement's optimum has ``|D_k| = 1``).
+    The program is convex, so a KKT point is the global optimum, and the
+    answer is returned only once it is certified to be one:
+
+    1. the budget is spent (every variable joins some access, so any
+       slack could still grow the objective);
+    2. the free variables (``y > 1e-9``) share one marginal
+       ``s = masks^T t / sum(t)``, ``t`` the access terms;
+    3. no pinned variable has a smaller marginal than that.
+
+    Raises :class:`ArithmeticError` when SLSQP's point fails any of them.
     """
     nvars = masks.shape[1]
-    nterms = masks.shape[0]
 
-    def neg_obj(y: np.ndarray) -> float:
-        return -float(np.sum(y))
-
-    def neg_obj_grad(y: np.ndarray) -> np.ndarray:
-        return -np.ones_like(y)
-
-    def eq(y: np.ndarray) -> float:
-        return 1.0 - float(np.sum(np.exp(logw + masks @ y - logx)))
-
-    def eq_grad(y: np.ndarray) -> np.ndarray:
-        terms = np.exp(logw + masks @ y - logx)
-        return -(masks.T @ terms)
+    def terms(y: np.ndarray) -> np.ndarray:
+        return np.exp(logw + masks @ y - logx)
 
     # Balanced start: every term gets an equal share of the budget, and
     # each variable takes the smallest target over the terms it joins so
     # the start is (approximately) feasible.
-    gsizes = np.maximum(np.sum(masks, axis=1), 1.0)
-    y0 = np.full(nvars, math.inf)
-    for j in range(nterms):
-        target = (logx - math.log(nterms) - logw[j]) / gsizes[j]
-        for t in range(nvars):
-            if masks[j, t]:
-                y0[t] = min(y0[t], target)
-    y0 = np.where(np.isfinite(y0), y0, 0.0)
+    target = (logx - math.log(len(logw)) - logw) / np.sum(masks, axis=1)
+    y0 = np.min(np.where(masks > 0, target[:, None], np.inf), axis=0)
     res = _optimize().minimize(
-        neg_obj, y0, jac=neg_obj_grad, method="SLSQP",
-        constraints=[{"type": "eq", "fun": eq, "jac": eq_grad}],
+        lambda y: -float(np.sum(y)), np.maximum(y0, 0.0),
+        jac=lambda y: -np.ones_like(y), method="SLSQP",
+        bounds=[(0.0, None)] * nvars,
+        constraints=[{"type": "ineq",
+                      "fun": lambda y: 1.0 - float(np.sum(terms(y))),
+                      "jac": lambda y: -(masks.T @ terms(y))}],
         options={"maxiter": 1000, "ftol": 1e-14},
     )
-    y = res.x
-    if abs(eq(y)) > 1e-7:
-        return None
+    y = np.maximum(res.x, 0.0)
+    t = terms(y)
+    s = masks.T @ t / np.sum(t)
+    free = y > 1e-9
+    level = float(np.mean(s[free])) if np.any(free) else 0.0
+    if not (abs(1.0 - float(np.sum(t))) <= 1e-7
+            and np.all(np.abs(s[free] - level) <= 1e-6 * level)
+            and np.all(s[~free] >= level * (1.0 - 1e-6))):
+        raise ArithmeticError(
+            f"X-partition solve not certified at X={math.exp(logx)!r}: "
+            f"{res.message}")
     return y
-
-
-def _solve_support_enumeration(masks: np.ndarray, logw: np.ndarray,
-                               logx: float) -> np.ndarray:
-    """Global solution of the |H_max| geometric program.
-
-    The KKT conditions admit optima on faces where some variables are
-    pinned at ``d_t = 1`` (e.g. the LU panel statement, whose optimum has
-    ``|D_k| = 1``).  Loop-nest depths are tiny (<= 4-5 for real kernels),
-    so we enumerate every pinned subset, solve the interior remainder
-    exactly, and keep the best feasible candidate.
-    """
-    nterms, nvars = masks.shape
-
-    def slack_norm(y: np.ndarray) -> float:
-        return 1.0 - float(np.sum(np.exp(logw + masks @ y - logx)))
-
-    best = np.zeros(nvars)
-    if slack_norm(best) < 0:
-        raise ValueError("X below the trivial dominator size")
-    best_obj = 0.0
-    for pinned_bits in range(2 ** nvars - 1):
-        free = [t for t in range(nvars) if not (pinned_bits >> t) & 1]
-        if not free:
-            continue
-        sub_masks = masks[:, free]
-        live = np.sum(sub_masks, axis=1) > 0
-        const = float(np.sum(np.exp(logw[~live]))) if np.any(~live) else 0.0
-        budget = math.exp(logx) - const
-        if budget <= 0:
-            continue
-        if not np.any(live):
-            continue
-        if np.any(np.sum(sub_masks[live], axis=0) == 0):
-            # Some free variable appears in no live term: unbounded on
-            # this face only if it appears in no term at all (already
-            # rejected by the caller); here it means the face is
-            # degenerate — skip it.
-            continue
-        y_sub = _solve_interior(sub_masks[live], logw[live],
-                                math.log(budget))
-        if y_sub is None:
-            continue
-        y = np.zeros(nvars)
-        y[free] = np.maximum(y_sub, 0.0)
-        if slack_norm(y) >= -1e-9 and float(np.sum(y)) > best_obj:
-            best = y
-            best_obj = float(np.sum(y))
-    return best
 
 
 def max_subcomputation(
@@ -219,8 +177,10 @@ def max_subcomputation(
         if not set(g) <= set(loop_vars):
             raise ValueError(f"group {g} uses unknown variables")
     w = np.ones(len(groups)) if weights is None else np.asarray(weights, float)
-    if len(w) != len(groups) or np.any(w <= 0):
-        raise ValueError("need one positive weight per access")
+    if len(w) != len(groups) or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("need one finite positive weight per access")
+    if not math.isfinite(x):
+        raise ValueError(f"X must be finite, got {x}")
     if x < float(np.sum(w)):
         raise ValueError(
             f"X={x} below the trivial dominator size {float(np.sum(w))}")
@@ -237,19 +197,18 @@ def max_subcomputation(
         raise ValueError(
             f"iteration variables {missing} appear in no input access; "
             "|H_max| would be unbounded (not a valid DAAP dominator)")
-    logx = math.log(x)
+    logw = np.log(w)
 
     def raw_slack(y: np.ndarray) -> float:
-        return x - float(np.sum(np.exp(np.log(w) + masks @ y)))
+        return x - float(np.sum(np.exp(logw + masks @ y)))
 
-    y = _solve_support_enumeration(masks, np.log(w), logx)
+    y = _solve(masks, logw, math.log(x))
     # Tiny infeasibilities from round-off: shrink uniformly until feasible.
     shrink = 0
     while raw_slack(y) < 0 and shrink < 60:
         y = y * (1.0 - 1e-12 * 2 ** shrink)
         shrink += 1
     y = np.maximum(y, 0.0)
-    logw = np.log(w)
     d = np.exp(y)
     access_sizes = tuple(float(np.exp(logw[j] + masks[j] @ y))
                          for j in range(len(groups)))
@@ -279,8 +238,9 @@ def minimize_rho(chi, mem_words: float, x_hi_factor: float = 1e6,
     ``chi(X) = X - 1``), ``x0`` is reported as ``math.inf`` and ``rho`` as
     the limiting value estimated at the ceiling.
     """
-    if mem_words <= 0:
-        raise ValueError("memory size must be positive")
+    if not (math.isfinite(mem_words) and mem_words > 0):
+        raise ValueError(f"memory size must be finite and positive, "
+                         f"got {mem_words}")
     m = float(mem_words)
 
     def rho_of(logx: float) -> float:

@@ -42,6 +42,10 @@ class TestMemoryRegimes:
             min_required_memory(0, 4)
 
 
+NON_FINITE = [(math.nan, 4, 64.0), (math.inf, 4, 64.0), (64, math.nan, 64.0),
+              (64, math.inf, 64.0), (64, 4, math.nan), (64, 4, math.inf)]
+
+
 class TestClosedForms:
     def test_lu_leading_term(self):
         n, p, m = 2.0 ** 14, 1024.0, 2.0 ** 20
@@ -82,6 +86,32 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             cholesky_io_lower_bound(10, 1, -1)
 
+    @pytest.mark.parametrize("closed", [
+        lu_io_lower_bound, cholesky_io_lower_bound, matmul_io_lower_bound])
+    @pytest.mark.parametrize("n, p, m", NON_FINITE)
+    def test_rejects_non_finite(self, closed, n, p, m):
+        with pytest.raises(ValueError):
+            closed(n, p, m)
+
+
+def cholesky_vertex_bound(n, p, m):
+    """Cholesky's bound over the exact vertex count of its program:
+    ``N(N-1)(N-2)/6`` Schur updates at intensity ``sqrt(M)/2`` and
+    ``N(N+1)/2`` panel vertices at intensity 1."""
+    return n * (n - 1) * (n - 2) / (3 * p * math.sqrt(m)) \
+        + n * (n + 1) / (2 * p)
+
+
+def assert_cholesky_identity(n, p, m):
+    """The derivation equals the vertex-count form, and the closed form
+    exceeds it by exactly ``(3N^2 - 2N)/(3P sqrt(M)) + N/(2P)``."""
+    derived = derive_cholesky_bound(n, m, p).parallel_bound
+    closed = cholesky_io_lower_bound(n, p, m)
+    assert derived == pytest.approx(cholesky_vertex_bound(n, p, m), rel=1e-9)
+    assert closed - derived == pytest.approx(
+        (3 * n * n - 2 * n) / (3 * p * math.sqrt(m)) + n / (2 * p),
+        abs=1e-9 * closed)
+
 
 class TestDerivationPipeline:
     """The DAAP machinery must reproduce the closed forms (Section 6)."""
@@ -91,21 +121,28 @@ class TestDerivationPipeline:
     def test_lu_matches_closed_form(self, n, p, m):
         derived = derive_lu_bound(n, m, p).parallel_bound
         closed = lu_io_lower_bound(n, p, m)
-        assert derived == pytest.approx(closed, rel=5e-3)
+        assert derived == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("n,p,m", [(4096, 16, 1024.0), (8192, 64, 4096.0)])
     def test_cholesky_matches_closed_form(self, n, p, m):
-        derived = derive_cholesky_bound(n, m, p).parallel_bound
-        closed = cholesky_io_lower_bound(n, p, m)
-        # The closed form uses N^3 while the pipeline uses the exact
-        # N(N-1)(N-2) vertex count; they agree to O(1/N).
-        assert derived == pytest.approx(closed, rel=5.0 / n + 5e-3)
+        assert_cholesky_identity(n, p, m)
 
     def test_matmul_matches_closed_form(self):
         n, m = 1024, 4096.0
         derived = derive_matmul_bound(n, m).sequential_bound
         assert derived == pytest.approx(matmul_io_lower_bound(n, 1, m),
-                                        rel=5e-3)
+                                        rel=1e-9)
+
+    @pytest.mark.parametrize("n", [8, 20, 64, 257, 4096])
+    @pytest.mark.parametrize("m, p", [
+        (16.0, 1), (121.0, 3), (256.0, 16), (2.0 ** 16, 64)])
+    def test_derived_equals_closed_form(self, n, m, p):
+        """Property over toy to large sizes: exact to 1e-9, not O(1/N)."""
+        assert derive_lu_bound(n, m, p).parallel_bound == pytest.approx(
+            lu_io_lower_bound(n, p, m), rel=1e-9)
+        assert derive_matmul_bound(n, m, p).parallel_bound == pytest.approx(
+            matmul_io_lower_bound(n, p, m), rel=1e-9)
+        assert_cholesky_identity(n, p, m)
 
     def test_parallel_is_sequential_over_p(self):
         b = derive_lu_bound(2048, 1024.0, p=32)
@@ -119,6 +156,13 @@ class TestDerivationPipeline:
     def test_validation(self):
         with pytest.raises(ValueError):
             derive_lu_bound(1, 100.0)
+
+    @pytest.mark.parametrize("derive", [
+        derive_lu_bound, derive_cholesky_bound, derive_matmul_bound])
+    @pytest.mark.parametrize("n, p, m", NON_FINITE)
+    def test_rejects_non_finite(self, derive, n, p, m):
+        with pytest.raises(ValueError):
+            derive(n, m, p)
 
 
 class TestReuse:

@@ -7,7 +7,6 @@ import pytest
 from repro.lowerbounds import (
     DAAPError,
     derive_gemv_bound,
-    derive_jacobi2d_bound,
     derive_ldlt_bound,
     derive_syrk_bound,
     derive_trsm_bound,
@@ -103,10 +102,6 @@ class TestJacobiBoundary:
         framework refuses rather than emitting an invalid bound."""
         with pytest.raises(DAAPError, match="constant offsets"):
             jacobi2d_program()
-
-    def test_derive_also_raises(self):
-        with pytest.raises(DAAPError):
-            derive_jacobi2d_bound(64, 64.0)
 
     def test_lu_not_flagged_by_offset_check(self):
         """The conservative check must not reject the paper's kernels."""

@@ -6,12 +6,16 @@ panel statements have rho = 1 (out-degree-one cap, Lemma 6).
 """
 
 import math
+import types
 
+import numpy as np
 import pytest
 
 from repro.lowerbounds import (
     cholesky_program,
     chi_function,
+    derive_lu_bound,
+    intensity,
     lemma6_intensity_cap,
     lu_program,
     matmul_program,
@@ -19,6 +23,8 @@ from repro.lowerbounds import (
     minimize_rho,
     statement_intensity,
 )
+
+MATMUL = [("i", "j"), ("i", "k"), ("k", "j")]
 
 
 class TestMaxSubcomputation:
@@ -75,6 +81,13 @@ class TestMaxSubcomputation:
         with pytest.raises(ValueError):
             max_subcomputation(("i",), [()], 10.0)
 
+    @pytest.mark.parametrize("x, weights", [
+        (math.nan, None), (math.inf, None), (100.0, [math.nan]),
+        (100.0, [math.inf])])
+    def test_rejects_non_finite(self, x, weights):
+        with pytest.raises(ValueError):
+            max_subcomputation(("i",), [("i",)], x, weights)
+
     def test_domains_at_least_one(self):
         sol = max_subcomputation(("i", "j", "k"),
                                  [("i", "j"), ("i", "k"), ("k", "j")], 12.0)
@@ -100,9 +113,98 @@ class TestMinimizeRho:
         assert math.isinf(x0)
         assert rho == pytest.approx(1.0, rel=1e-3)
 
-    def test_invalid_memory(self):
+    @pytest.mark.parametrize("mem", [0.0, math.nan, math.inf])
+    def test_invalid_memory(self, mem):
         with pytest.raises(ValueError):
-            minimize_rho(lambda x: x, 0.0)
+            minimize_rho(lambda x: x, mem)
+
+
+def _random_programs(seed: int, count: int):
+    """Seeded X-partition programs: 1-3 variables, 1-4 accesses over
+    random non-empty groups (duplicate groups and identical columns
+    included), random weights, and X from the trivial size to 1e12 times
+    it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        loop_vars = ("a", "b", "c")[:int(rng.integers(1, 4))]
+        full = 2 ** len(loop_vars) - 1
+        bits = rng.integers(1, full + 1, size=int(rng.integers(1, 5)))
+        bits[0] |= full & ~int(np.bitwise_or.reduce(bits))
+        groups = [tuple(v for t, v in enumerate(loop_vars) if b >> t & 1)
+                  for b in bits]
+        weights = rng.uniform(0.5, 4.0, len(groups))
+        yield loop_vars, groups, weights, weights.sum() * 10 ** rng.uniform(0, 12)
+
+
+def _grid_best(loop_vars, groups, weights, x, points=200):
+    """Largest ``sum(log d)`` over a dense grid of all but the last
+    log-domain in ``[0, log X]``; the last one is as large as the budget
+    allows, in closed form (the access terms are linear in it)."""
+    masks = np.array([[v in g for v in loop_vars] for g in groups], float)
+    free = len(loop_vars) - 1
+    axis = np.linspace(0.0, math.log(x), points)
+    y = np.array(np.meshgrid(*[axis] * free, indexing="ij")).reshape(
+        free, points ** free).T
+    terms = weights * np.exp(y @ masks[:, :-1].T)
+    last = masks[:, -1] > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_last = np.log((x - terms[:, ~last].sum(axis=1))
+                        / terms[:, last].sum(axis=1))
+    feasible = y_last >= 0.0
+    return float(np.max(y.sum(axis=1)[feasible] + y_last[feasible]))
+
+
+class TestCertifiedSolve:
+    """One bounded SLSQP solve per X, returned only with its KKT
+    certificate: the program is convex, so that point is the optimum."""
+
+    @staticmethod
+    def _stub_solver(monkeypatch, y):
+        result = types.SimpleNamespace(x=np.asarray(y, float), message="stub")
+        monkeypatch.setattr(intensity, "_optimize", lambda: types.SimpleNamespace(
+            minimize=lambda *args, **kwargs: result))
+
+    def test_unspent_budget_raises(self, monkeypatch):
+        """y = 0 at a large X is feasible but leaves the budget unspent."""
+        self._stub_solver(monkeypatch, [0.0, 0.0, 0.0])
+        with pytest.raises(ArithmeticError, match="not certified"):
+            max_subcomputation(("i", "j", "k"), MATMUL, 1e9)
+
+    def test_unequal_free_marginals_raise(self, monkeypatch):
+        """d = (10, 10, 145) spends X = 100 + 1450 + 1450 exactly, but
+        k's marginal (2900/3000) is not i's and j's (1550/3000)."""
+        self._stub_solver(monkeypatch, np.log([10.0, 10.0, 145.0]))
+        with pytest.raises(ArithmeticError, match="not certified"):
+            max_subcomputation(("i", "j", "k"), MATMUL, 3000.0)
+
+    def test_random_programs_certified_and_optimal(self):
+        """1e-7 nats, not 1e-9: the certificate's 1e-6 tolerance on the
+        marginals lets SLSQP stop on a flat ridge, e.g. groups (a,b,c),
+        (c), (a) at X ~ 1e11, where pinning a and c gains ~1e-8 nats,
+        and the round-off shrink loop can overshoot by ~1e-8 after SLSQP
+        stops just past the budget.  This seed's worst is 3.3e-8."""
+        for loop_vars, groups, weights, x in _random_programs(2024, 150):
+            sol = max_subcomputation(loop_vars, groups, x, weights)
+            assert sol.dominator_size() <= x * (1 + 1e-9)
+            assert _grid_best(loop_vars, groups, weights, x) \
+                <= math.log(sol.chi) + 1e-7, (loop_vars, groups, weights, x)
+
+    def test_duplicate_groups_regression(self):
+        """A log-sum-exp form of the constraint returned chi 7.4x too low
+        on these groups.  The optimum pins a = 1, so b = (X - 1)/2 and
+        c = (X - 1)/4."""
+        x = 1.69e12
+        sol = max_subcomputation(("a", "b", "c"),
+                                 [("a", "c"), ("a", "c"), ("a",), ("b",)], x)
+        assert sol.chi == pytest.approx((x - 1) ** 2 / 8, rel=1e-9)
+        assert sol.domain_sizes["a"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_start_regression(self):
+        """A zero start made SLSQP report incompatible constraints and
+        return y = 0: LU S1 rho 3.9e-9 and a bound of 5.1e11 here."""
+        bound = derive_lu_bound(64, 256.0)
+        assert bound.intensity("S1").rho == 1.0
+        assert bound.parallel_bound == pytest.approx(12432.0, rel=1e-9)
 
 
 class TestLemma6:
