@@ -253,9 +253,10 @@ def _pipeline_clauses(rows):
          "N(N+1)/(2P), to 1e-9",
          math.isclose(lu["bound"], lu["closed_form"], rel_tol=1e-9)
          and math.isclose(ch["bound"], vertex_count, rel_tol=1e-9)),
-        ("LU's dominant statement S2 has intensity rho = sqrt(M)/2 (0.1%)",
-         math.isclose(lu["rho"], math.sqrt(m) / 2, rel_tol=1e-3)),
-        ("attained at X0 = 3M (1%)", math.isclose(lu["x0"], 3 * m, rel_tol=1e-2))]
+        ("LU's dominant statement S2 has intensity rho = sqrt(M)/2 (1e-9)",
+         math.isclose(lu["rho"], math.sqrt(m) / 2, rel_tol=1e-9)),
+        ("attained at X0 = 3M (1e-12)",
+         math.isclose(lu["x0"], 3 * m, rel_tol=1e-12))]
 
 
 def _catalog_clauses(rows):
@@ -263,8 +264,8 @@ def _catalog_clauses(rows):
     q = [by[k]["bound"] for k in ("Matmul", "TRSM", "LU", "Cholesky")]
     return [
         ("the method carries over: every matrix-matrix kernel (LU, Cholesky, "
-         "Matmul, TRSM, SYRK, LDL^T) has maximal intensity sqrt(M)/2 (1%)",
-         all(math.isclose(r["rho"], math.sqrt(r["mem_words"]) / 2, rel_tol=1e-2)
+         "Matmul, TRSM, SYRK, LDL^T) has maximal intensity sqrt(M)/2 (1e-9)",
+         all(math.isclose(r["rho"], math.sqrt(r["mem_words"]) / 2, rel_tol=1e-9)
              for r in rows if r["kernel"] != "GEMV")),
         ("the bounds order as their constants: Matmul 2 > TRSM 1 > LU 2/3 > "
          "Cholesky 1/3", all(a > b for a, b in zip(q, q[1:]))),

@@ -496,8 +496,9 @@ class StepAccounting:
 
     @staticmethod
     def _class_dtype(step: StepFn, lo: int, hi: int, period: int) -> type:
-        """int64 while every intermediate of :meth:`_class_moments` is
-        under ``2^62``, Python ints (``object``) past it."""
+        """int64 while every intermediate of :meth:`_class_basis` and
+        :meth:`_basis_moments` is under ``2^62``, Python ints
+        (``object``) past it."""
         big = (4 * hi + abs(int(step.c0)) + abs(int(step.c1)) * hi) * hi * \
             ((hi - lo) // period + 1)
         return np.int64 if big < 2 ** 62 else object
@@ -526,23 +527,14 @@ class StepAccounting:
         return ((c0 * n + c1 * s1).astype(np.float64),
                 (c0 * s1 + c1 * s2).astype(np.float64))
 
-    @staticmethod
-    def _class_moments(step: StepFn, lo: int, hi: int, period: int,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(r, sum w, sum w t)`` over each class ``t = r (mod period)``
-        of ``[lo, hi)`` for ``w = c0 + c1 t``: arithmetic progressions,
-        so closed forms in exact integers (:meth:`_class_basis`, then
-        :meth:`_basis_moments`).  ``period < hi - lo``: no class is
-        empty."""
-        basis = StepAccounting._class_basis(
-            lo, hi, period, StepAccounting._class_dtype(step, lo, hi, period))
-        return (np.arange(period, dtype=np.int64),
-                *StepAccounting._basis_moments(step, basis))
-
     def _moments(self, step: StepFn, lo: int, hi: int, period: int,
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_class_moments` without ``r``, memoised: the basis per
-        ``(lo, hi, period, dtype)``, the moments per profile."""
+        """``(sum w, sum w t)`` over each class ``t = r (mod period)`` of
+        ``[lo, hi)`` for ``w = c0 + c1 t``: arithmetic progressions, so
+        closed forms in exact integers (:meth:`_class_basis`, then
+        :meth:`_basis_moments`), memoised: the basis per
+        ``(lo, hi, period, dtype)``, the moments per profile.
+        ``period < hi - lo``: no class is empty."""
         def build():
             dtype = self._class_dtype(step, lo, hi, period)
             basis = self._memoised(("basis", lo, hi, period, dtype),

@@ -41,7 +41,6 @@ from .daap import (
 from .intensity import (
     IntensityResult,
     SubcomputationSolution,
-    chi_function,
     lemma6_intensity_cap,
     max_subcomputation,
     minimize_rho,
@@ -59,7 +58,7 @@ __all__ = [
     "ArrayAccess", "Statement", "Program", "DAAPError",
     "lu_program", "cholesky_program", "matmul_program",
     "SubcomputationSolution", "IntensityResult",
-    "max_subcomputation", "chi_function", "minimize_rho",
+    "max_subcomputation", "minimize_rho",
     "statement_intensity", "lemma6_intensity_cap",
     "StatementAnalysis", "analyze_statement",
     "array_accesses_per_schedule", "input_reuse_bound",

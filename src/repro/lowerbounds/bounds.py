@@ -18,7 +18,10 @@ Two layers live here:
     ``Q >= 2 N^3 / (P sqrt(M))``
 
 The pipeline finds intensity ``sqrt(M)/2`` at ``X_0 = 3M`` for the Schur
-statements and ``rho = 1`` for the panel statements.  The tests hold the
+statements, exact to rounding (their certified marginal is ``2/3`` at every
+``X``, so Lemma 2's first-order condition gives ``3M`` in one step), and
+the limit ``rho = 1`` exactly for the panel statements, where Lemma 6's
+cap of 1 ties it and is reported.  The tests hold the
 derived LU and matmul bounds equal to their closed forms to 1e-9 relative.
 The derived Cholesky bound is the exact vertex count of
 :func:`~repro.lowerbounds.daap.cholesky_program`,

@@ -16,10 +16,10 @@ This module implements the core of Sections 3 and 5 of the paper:
    (see :mod:`repro.lowerbounds.reuse`).
 
 2. **Lemma 2** — the I/O bound follows from the ``X`` minimizing the
-   computational intensity ``rho(X) = chi(X) / (X - M)``; we locate
-   ``X_0`` by scalar minimization (with the closed forms of the paper's
-   kernels recovered to high accuracy: ``X_0 = 3M`` and
-   ``rho = sqrt(M)/2`` for the Schur statements of LU and Cholesky).
+   intensity ``rho(X) = chi(X) / (X - M)``: the root of ``1/s = X/(X - M)``,
+   ``s`` the certified marginal below (exactly ``X_0 = 3M``, ``rho =
+   sqrt(M)/2`` on the Schur statements of LU and Cholesky), or ``X_0 = inf``
+   and the limit of a face linear in ``X`` (1 on the panel statements).
 
 3. **Lemma 6** — if every compute vertex consumes at least ``u``
    out-degree-one graph inputs, ``rho <= 1/u`` regardless of ``M``.
@@ -48,11 +48,12 @@ __all__ = [
     "SubcomputationSolution",
     "IntensityResult",
     "max_subcomputation",
-    "chi_function",
     "minimize_rho",
     "statement_intensity",
     "lemma6_intensity_cap",
 ]
+
+_CEILING = 1e6  # Lemma 2's search ceiling is X_c = M (1 + _CEILING).
 
 
 @functools.cache
@@ -71,6 +72,7 @@ class SubcomputationSolution:
     domain_sizes: dict[str, float]
     access_sizes: tuple[float, ...]
     x: float
+    marginal: float
 
     def dominator_size(self) -> float:
         return float(sum(self.access_sizes))
@@ -89,13 +91,12 @@ class IntensityResult:
 
     rho: float
     x0: float
-    chi_x0: float
     limited_by: str
     solution: SubcomputationSolution | None = None
 
 
-def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> np.ndarray:
-    """Global optimum ``y = log d`` of the |H_max| geometric program.
+def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
+    """Global optimum ``y = log d`` of the |H_max| program, and its ``s``.
 
     Maximize ``sum(y)`` subject to ``sum_j exp(logw_j + masks_j . y) <= X``
     and ``y >= 0``: one bounded SLSQP solve, whose bounds cover the
@@ -141,7 +142,7 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> np.ndarray:
         raise ArithmeticError(
             f"X-partition solve not certified at X={math.exp(logx)!r}: "
             f"{res.message}")
-    return y
+    return y, level
 
 
 def max_subcomputation(
@@ -202,7 +203,7 @@ def max_subcomputation(
     def raw_slack(y: np.ndarray) -> float:
         return x - float(np.sum(np.exp(logw + masks @ y)))
 
-    y = _solve(masks, logw, math.log(x))
+    y, level = _solve(masks, logw, math.log(x))
     # Tiny infeasibilities from round-off: shrink uniformly until feasible.
     shrink = 0
     while raw_slack(y) < 0 and shrink < 60:
@@ -217,47 +218,50 @@ def max_subcomputation(
         domain_sizes={v: float(d[i]) for v, i in var_index.items()},
         access_sizes=access_sizes,
         x=float(x),
+        marginal=level,
     )
 
 
-def chi_function(loop_vars: Sequence[str],
-                 input_groups: Sequence[Sequence[str]],
-                 weights: Sequence[float] | None = None):
-    """Return ``chi(X)`` as a callable (Lemma 2's closed-form surrogate)."""
-    def chi(x: float) -> float:
-        return max_subcomputation(loop_vars, input_groups, x, weights).chi
-    return chi
+def minimize_rho(loop_vars: Sequence[str],
+                 input_groups: Sequence[Sequence[str]], mem_words: float,
+                 weights: Sequence[float] | None = None,
+                 ) -> tuple[float, float, SubcomputationSolution]:
+    """``(rho, x0, solution)`` at ``X_0 = argmin chi(X)/(X - M)`` (Lemma 2).
 
-
-def minimize_rho(chi, mem_words: float, x_hi_factor: float = 1e6,
-                 tol: float = 1e-10) -> tuple[float, float, float]:
-    """Find ``X_0 = argmin chi(X)/(X - M)`` (Lemma 2).
-
-    Returns ``(rho, x0, chi(x0))``.  When ``rho(X)`` keeps decreasing up
-    to the search ceiling (statements with asymptotic intensity, e.g.
-    ``chi(X) = X - 1``), ``x0`` is reported as ``math.inf`` and ``rho`` as
-    the limiting value estimated at the ceiling.
-    """
+    ``d log chi / d log X = 1/s`` (envelope theorem), so ``X_0`` is a root
+    of ``phi = 1/s - X/(X - M)``.  If ``phi < 0`` at the ceiling ``X_c``,
+    ``x0 = inf`` and ``rho = 1/W`` when every access touching the free
+    variables holds all of them (their face ``chi = (X - C)/W`` lasts past
+    ``X_c``; ``W`` their weights), else ``rho(X_c)``.  Otherwise the step
+    ``X_1 = M/(1 - s(X_c))``, exact for constant ``s`` (``3M``), or else a
+    bracketed ``brentq`` finds the root."""
     if not (math.isfinite(mem_words) and mem_words > 0):
         raise ValueError(f"memory size must be finite and positive, "
                          f"got {mem_words}")
     m = float(mem_words)
 
-    def rho_of(logx: float) -> float:
-        x = m + math.exp(logx)
-        return chi(x) / (x - m)
+    @functools.cache
+    def solve(logx: float) -> SubcomputationSolution:
+        return max_subcomputation(loop_vars, input_groups, m + math.exp(logx),
+                                  weights)
 
-    lo, hi = math.log(m * 1e-3 + 1.0), math.log(m * x_hi_factor)
-    res = _optimize().minimize_scalar(
-        rho_of, bounds=(lo, hi), method="bounded",
-        options={"xatol": tol})
-    x0 = m + math.exp(float(res.x))
-    rho = float(res.fun)
-    # Detect an asymptotic (monotone-decreasing) profile: minimum pinned at
-    # the upper search bound.
-    if res.x > hi - 1e-3:
-        return rho, math.inf, chi(x0)
-    return rho, x0, chi(x0)
+    def phi(logx: float) -> float:
+        return 1.0 / solve(logx).marginal - 1.0 - m * math.exp(-logx)
+
+    hi = math.log(m * _CEILING)
+    ceiling = solve(hi)
+    if phi(hi) < 0:
+        free = {v for v, d in ceiling.domain_sizes.items() if d > 1 + 1e-9}
+        w = [1.0] * len(input_groups) if weights is None else weights
+        touching = [j for j, g in enumerate(input_groups) if free & set(g)]
+        if all(free <= set(input_groups[j]) for j in touching):
+            return 1.0 / sum(w[j] for j in touching), math.inf, ceiling
+        return ceiling.chi / (ceiling.x - m), math.inf, ceiling
+    step = math.log(m / (1.0 - ceiling.marginal) - m)
+    if abs(phi(step)) > 1e-12:
+        step = _optimize().brentq(phi, math.log(m * 1e-3 + 1.0), hi)
+    sol = solve(step)
+    return sol.chi / (sol.x - m), sol.x, sol
 
 
 def lemma6_intensity_cap(u: int) -> float:
@@ -283,16 +287,12 @@ def statement_intensity(stmt: Statement, mem_words: float,
         rho = min(1.0 / len(stmt.inputs), cap)
         limited = ("out-degree-one" if cap < 1.0 / len(stmt.inputs)
                    else "no-reuse")
-        return IntensityResult(rho=rho, x0=math.inf, chi_x0=math.nan,
-                               limited_by=limited)
+        return IntensityResult(rho=rho, x0=math.inf, limited_by=limited)
 
-    groups = stmt.input_variable_groups()
-    chi = chi_function(stmt.loop_vars, groups, weights)
-    rho_opt, x0, chi_x0 = minimize_rho(chi, mem_words)
-    if cap < rho_opt:
-        return IntensityResult(rho=cap, x0=math.inf, chi_x0=math.nan,
+    rho, x0, solution = minimize_rho(
+        stmt.loop_vars, stmt.input_variable_groups(), mem_words, weights)
+    if cap <= rho:
+        return IntensityResult(rho=cap, x0=math.inf,
                                limited_by="out-degree-one")
-    solution = (max_subcomputation(stmt.loop_vars, groups, x0, weights)
-                if math.isfinite(x0) else None)
-    return IntensityResult(rho=rho_opt, x0=x0, chi_x0=chi_x0,
-                           limited_by="x-partition", solution=solution)
+    return IntensityResult(rho=rho, x0=x0, limited_by="x-partition",
+                           solution=solution)

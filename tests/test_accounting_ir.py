@@ -221,10 +221,11 @@ class TestClassMoments:
         plain int64 would wrap there."""
         period = min(period, steps - 1)
         hi = lo + steps
-        r, M0, M1 = StepAccounting._class_moments(
-            StepFn(c0=c0, c1=c1, lo=lo, hi=hi), lo, hi, period)
+        step = StepFn(c0=c0, c1=c1, lo=lo, hi=hi)
+        dtype = StepAccounting._class_dtype(step, lo, hi, period)
+        M0, M1 = StepAccounting._basis_moments(
+            step, StepAccounting._class_basis(lo, hi, period, dtype))
         want = self._python_int_moments(c0, c1, lo, hi, period)
-        assert np.array_equal(r, np.arange(period))
         assert M0.tolist() == [float(m0) for m0, _ in want]
         assert M1.tolist() == [float(m1) for _, m1 in want]
         if steps == 2 ** 23:
