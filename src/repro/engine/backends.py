@@ -1,14 +1,15 @@
 """Execution backends: one schedule, two ways to run it.
 
-* :class:`DenseBackend` — the analytic accounting plus global-view
-  NumPy execution of every step, producing verifiable factors: counters
-  are analytic, numerics are real.  What every one-call function
-  (``conflux_lu``, ``slate_lu`` ...) runs.
 * :class:`DistributedBackend` — message-passing execution on a
   :class:`~repro.machine.comm.Machine`: operands live in per-rank
   stores and move only through counted communication, so received-word
-  counts come from actual data movement rather than formulas.  The
-  parity tests check the two agree.
+  counts come from actual data movement rather than formulas.  What
+  the pd* entry points and every one-call function (``conflux_lu``,
+  ``slate_lu`` ...) run; the parity tests check its counts against
+  the trace.
+* :class:`DenseBackend` — the analytic accounting plus global-view
+  NumPy execution of every step: the algorithm without the machine,
+  kept only as the benchmark's reference for simulation overhead.
 
 Counters without numerics — any problem scale — are
 :func:`repro.analysis.harness.trace`: the accounting alone, reduced in
@@ -111,7 +112,8 @@ def _result_cls():
 
 
 class DenseBackend:
-    """Global-view NumPy execution with analytic per-rank accounting."""
+    """Global-view NumPy execution with analytic per-rank accounting
+    (the benchmark's machine-free reference)."""
 
     def run(self, schedule: Schedule, a: np.ndarray | None = None,
             rng: np.random.Generator | None = None) -> "FactorizationResult":

@@ -9,11 +9,10 @@ sequence through three views, one per backend:
 * :meth:`accounting` — the analytic per-rank cost of every step,
   declared as cost terms through
   :class:`~repro.engine.accounting.StepAccounting` (reduced by
-  :func:`repro.analysis.harness.trace` and, for the counters, by
-  ``DenseBackend``);
+  :func:`repro.analysis.harness.trace`);
 * :meth:`dense_init` / :meth:`dense_step` / :meth:`dense_finalize` —
-  global-view NumPy execution producing verifiable factors (optional:
-  the cost-model baselines have none);
+  global-view NumPy execution, the benchmark's machine-free reference
+  (optional: only the schedules it times have one);
 * :meth:`dist_init` / :meth:`dist_step` / :meth:`dist_finalize` —
   message-passing execution on a :class:`~repro.machine.comm.Machine`,
   where every operand a rank touches arrived through a counted

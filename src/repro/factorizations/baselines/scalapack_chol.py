@@ -13,7 +13,8 @@ Volume per rank sums to ``~N^2/2 * (1/Pr + 1/Pc) ~ N^2/sqrt(P)``: the 2D
 model of Table 2, which weak-scales sub-optimally exactly like 2D LU.
 
 Implemented as an engine :class:`~repro.engine.schedule.Schedule` with
-trace, dense *and* distributed views; the distributed view keeps only
+trace and distributed views (plus the dense reference the benchmark
+times); the distributed view keeps only
 the lower tiles (``bi >= bj``) resident — the schedule never reads the
 strictly-upper half — as views of each rank's local panel
 (:func:`~repro.engine.distops.local_panels`), and fans each panel tile

@@ -27,8 +27,8 @@ rebroadcast produces.  The flavours are rows of the implementation
 table (:mod:`repro.factorizations.registry`).
 
 Implemented as an engine :class:`~repro.engine.schedule.Schedule` with
-trace, dense *and* distributed views — the distributed view runs the
-same right-looking loop with every tile resident only in its
+trace and distributed views — the distributed view runs the
+right-looking loop with every tile resident only in its
 block-cyclic owner's store, a view of that rank's local panel
 (:func:`~repro.engine.distops.local_panels`): the panel is factored
 column by column with counted MAXLOC pivot-search allreduces, pivot
@@ -196,43 +196,7 @@ class ScalapackLUSchedule(Schedule):
         acct.add_flops(2.0 * nb * nb / pr, step=nrem, own=("j",))
 
     # ------------------------------------------------------------------
-    def dense_init(self, a: np.ndarray | None,
-                   rng: np.random.Generator | None) -> tuple:
-        # State of both executed views: (matrix, global pivot vector).
-        return (default_input(self.n, a, rng).copy(),
-                np.zeros(self.n, dtype=int))
-
-    def dense_step(self, state: tuple, k: int) -> None:
-        n, nb = self.n, self.nb
-        work, piv_all = state
-        n11 = n - (k + 1) * nb
-        c0, c1 = k * nb, (k + 1) * nb
-        # Panel factorization with partial pivoting.
-        lu_panel, piv, _ = blas.getrf(work[c0:, c0:c1])
-        # Apply the swaps across the whole trailing matrix.
-        for i, p in enumerate(piv):
-            p = int(p)
-            if p != i:
-                work[[c0 + i, c0 + p], :] = work[[c0 + p, c0 + i], :]
-            piv_all[c0 + i] = c0 + p
-        work[c0:, c0:c1] = lu_panel
-        if n11 > 0:
-            l00 = np.tril(lu_panel[:nb], -1) + np.eye(nb)
-            # U row panel via trsm, then the trailing update.
-            u01, _ = blas.trsm(l00, work[c0:c1, c1:], side="left",
-                               lower=True, unit_diagonal=True)
-            work[c0:c1, c1:] = u01
-            work[c1:, c1:] -= work[c1:, c0:c1] @ u01
-
-    def dense_finalize(self, state: tuple) -> dict[str, Any]:
-        n = self.n
-        work, piv_all = state
-        perm = blas.pivots_to_permutation(piv_all, n)
-        return {"lower": np.tril(work, -1) + np.eye(n),
-                "upper": np.triu(work), "perm": perm}
-
-    # ------------------------------------------------------------------
-    # Distributed view: the same loop through Machine communication
+    # Distributed view: the loop through Machine communication
     # ------------------------------------------------------------------
     def dist_init(self, machine: Machine, a: np.ndarray | None,
                   rng: np.random.Generator | None,
@@ -269,9 +233,9 @@ class ScalapackLUSchedule(Schedule):
             if start < panels[r].shape[0])})
 
         # --- Panel factorization: column-by-column partial pivoting
-        # over rows c0..n-1 of block column k (the arithmetic of the
-        # unblocked getrf the dense view runs on the same panel), each
-        # column rank on its whole local slab.  Local rows ascend in
+        # over rows c0..n-1 of block column k (the arithmetic of an
+        # unblocked getrf on the same panel), each column rank on its
+        # whole local slab.  Local rows ascend in
         # global row id: argmax is getrf's smallest-index tie-break. ---
         for j in range(nb):
             g = k * nb + j

@@ -2,7 +2,7 @@
 factorization schedules.
 
 Every algorithm is an engine schedule (see ``ARCHITECTURE.md``) whose
-trace, dense, and distributed runs all produce a
+trace and distributed runs both produce a
 :class:`FactorizationResult`: per-rank counters plus (outside a trace)
 verifiable factors.  :func:`resolve_25d` is the one statement of
 the 2.5D default policy, :func:`default_input` the one default-matrix
@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine.backends import DenseBackend
+from ..engine.backends import DistributedBackend
 from ..machine.grid import (
     ProcessorGrid3D,
     choose_grid_25d,
@@ -142,11 +142,12 @@ def run_impl(op: str, label: str, n: int, nranks: int,
              rng: np.random.Generator | None = None,
              **params: Any) -> FactorizationResult:
     """Build ``(op, label)`` from the implementation table and run it on
-    the dense backend — what every one-call function (``conflux_lu``,
-    ``slate_lu`` ...) is."""
+    a fresh, unbounded machine — what every one-call function
+    (``conflux_lu``, ``slate_lu`` ...) is: the pd* entry points'
+    execution, with counted words and the same factors."""
     # Deferred: the table imports the schedule modules, which import
     # this one.
     from .registry import build
 
-    return DenseBackend().run(build(op, label, n, nranks, **params),
-                              a=a, rng=rng)
+    return DistributedBackend().run(build(op, label, n, nranks, **params),
+                                    a=a, rng=rng)

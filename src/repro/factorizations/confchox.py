@@ -19,7 +19,8 @@ Total I/O per rank: ``N^3/(P sqrt(M)) + O(M)`` against the lower bound
 ``N^3/(3 P sqrt(M))``.
 
 Like COnfLUX, the algorithm is a :class:`~repro.engine.schedule.Schedule`
-with trace, dense, and distributed views; the distributed view keeps
+with trace and distributed views (plus the dense reference the
+benchmark times); the distributed view keeps
 only the lower tiles (``bi >= bj``) resident — the schedule never reads
 the strictly-upper half.
 """
@@ -271,6 +272,6 @@ def confchox_cholesky(n: int, nranks: int, v: int | None = None,
                       rng: np.random.Generator | None = None,
                       ) -> FactorizationResult:
     """One-call COnfCHOX: factor an SPD matrix (a random well-conditioned
-    one by default) on the dense backend."""
+    one by default) on a fresh, unbounded machine, with counted words."""
     return run_impl("cholesky", "confchox", n, nranks, a=a, rng=rng,
                     v=v, c=c, mem_words=mem_words)

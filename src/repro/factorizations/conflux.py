@@ -24,13 +24,13 @@ Per-processor I/O cost (Lemma 10): ``N^3/(P sqrt(M)) + O(M)`` — a factor
 
 :class:`ConfluxSchedule` expresses the step sequence for the execution
 engine (:mod:`repro.engine`): the *trace* view is the exact per-rank
-accounting above, vectorized over all steps at once; the *dense* view
-executes the factorization on global NumPy arrays; the *distributed*
-view runs the same eleven sub-steps through counted
+accounting above, vectorized over all steps at once; the *distributed*
+view runs the eleven sub-steps through counted
 :class:`~repro.machine.comm.Machine` communication on per-rank tile
 stores, so received words come from actual data movement.
-:func:`conflux_lu` is the one-call entry point on top of the dense
-backend.
+:func:`conflux_lu` is the one-call entry point on top of the
+distributed backend (a global-view *dense* view remains as the
+benchmark's machine-free reference).
 """
 
 from __future__ import annotations
@@ -512,9 +512,9 @@ def conflux_lu(n: int, nranks: int, v: int | None = None,
                a: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
     """One-call COnfLUX: factorize an ``n x n`` system on ``nranks``
-    simulated processors on the dense backend (real factors, analytic
-    counters).  For message-passing execution hand a
-    :class:`ConfluxSchedule` to
+    simulated processors of a fresh, unbounded machine (real factors,
+    counted words — the run ``pdgetrf(..., impl="conflux")`` makes).
+    To run on a machine of your own hand a :class:`ConfluxSchedule` to
     :class:`~repro.engine.backends.DistributedBackend`; for counters
     alone at paper scale, to :func:`repro.analysis.harness.trace`."""
     return run_impl("lu", "conflux", n, nranks, a=a, rng=rng,

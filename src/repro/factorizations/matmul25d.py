@@ -19,11 +19,15 @@ share once:
 
 The algorithm is an engine :class:`~repro.engine.schedule.Schedule`
 whose step sequence is the SUMMA rounds plus one final reduction step.
-All three views are implemented: the distributed view holds each
-layer's ``A``/``B`` copy as one block per rank (read-only views of one
-array), charges the round's strips as broadcasts along grid rows/columns
-and accumulates in place, and combines the per-layer ``C`` partials with
-a fiber reduce-scatter of exactly the trace's ``(c-1) N^2 / P`` per rank.
+Besides the trace view it has a distributed view (and the dense
+reference the benchmark times): the distributed view holds each
+layer's ``A``/``B`` copy as one contiguous block per rank — rows
+(columns) cut into ``Pr`` (``Pc``) blocks at ``i N // Pr``, so any grid
+runs — as read-only views of one array, charges the round's strips as
+broadcasts along grid rows/columns and accumulates in place, and
+combines the per-layer ``C`` partials with a fiber reduce-scatter of
+exactly the trace's ``(c-1) N^2`` words in all (``(c-1) N^2 / P`` per
+rank when the grid divides ``N``).
 """
 
 from __future__ import annotations
@@ -177,13 +181,10 @@ class Matmul25DSchedule(Schedule):
     # ------------------------------------------------------------------
     # Distributed view: shared operand blocks, charged broadcasts
     # ------------------------------------------------------------------
-    def _check_divisible(self) -> tuple[int, int]:
-        pr, pc = self.grid.rows, self.grid.cols
-        if self.n % pr or self.n % pc:
-            raise ValueError(
-                f"distributed 2.5D SUMMA needs the grid {pr}x{pc} to "
-                f"divide N={self.n}")
-        return self.n // pr, self.n // pc
+    def _cuts(self, parts: int) -> list[int]:
+        """Where the ``parts`` contiguous blocks of ``N`` start (block
+        ``i`` at ``i N // parts``), closed by ``N``."""
+        return [i * self.n // parts for i in range(parts + 1)]
 
     def dist_init(self, machine: Machine, a: np.ndarray | tuple | None,
                   rng: np.random.Generator | None,
@@ -200,7 +201,7 @@ class Matmul25DSchedule(Schedule):
         views of them, and every rank is charged its block's words.
         """
         c, grid = self.c, self.grid
-        rl, cl = self._check_divisible()
+        rows, cols = self._cuts(grid.rows), self._cuts(grid.cols)
         if in_name is None:
             dense = self._operands(a, rng)
         elif not isinstance(in_name, tuple):
@@ -208,8 +209,8 @@ class Matmul25DSchedule(Schedule):
         for pi in range(grid.rows):
             for pj in range(grid.cols):
                 if in_name is None:
-                    blocks = [x[pi * rl:(pi + 1) * rl,
-                                pj * cl:(pj + 1) * cl].copy() for x in dense]
+                    blocks = [x[rows[pi]:rows[pi + 1],
+                                cols[pj]:cols[pj + 1]].copy() for x in dense]
                 else:
                     home = machine.store(grid.rank(pi, pj, 0))
                     blocks = [np.asarray(home.get((name, pi, pj)),
@@ -221,14 +222,17 @@ class Matmul25DSchedule(Schedule):
                             block = block.view()
                             block.flags.writeable = False
                         store.put((name, pi, pj), block)
-                    store.put((WORK_C, pi, pj), np.zeros((rl, cl)))
+                    store.put((WORK_C, pi, pj), np.zeros(blocks[0].shape))
 
-    def _strip_pieces(self, lo: int, extent: int) -> list[tuple[int, int, int]]:
+    def _strip_pieces(self, lo: int,
+                      cuts: list[int]) -> list[tuple[int, int, int]]:
         """Split the ``s``-wide strip at ``lo`` into per-block pieces
-        ``(block, local_start, local_stop)`` of blocks of ``extent``."""
+        ``(block, local_start, local_stop)`` of the blocks ``cuts``
+        bound."""
         hi = lo + self.s
-        return [(b, max(lo - b * extent, 0), min(hi - b * extent, extent))
-                for b in range(lo // extent, -(-hi // extent))]
+        return [(b, max(lo - b0, 0), min(hi, b1) - b0)
+                for b, (b0, b1) in enumerate(zip(cuts, cuts[1:]))
+                if b0 < hi and lo < b1]
 
     def _reduce_chunks(self, rl: int) -> list[slice]:
         """The ``c`` contiguous row ranges a block's ``rl`` rows are
@@ -253,23 +257,23 @@ class Matmul25DSchedule(Schedule):
 
     def dist_step(self, machine: Machine, state: None, t: int) -> None:
         n, s, c = self.n, self.s, self.c
-        rl, cl = self._check_divisible()
         grid = self.grid
         pr, pc = grid.rows, grid.cols
+        rows, cols = self._cuts(pr), self._cuts(pc)
 
         if t >= self.rounds:
             # Final layered reduction: one reduce-scatter per fiber of
             # row-slice views of C, leaving combined chunk i on layer i.
-            chunks = self._reduce_chunks(rl)
             for pi in range(pr):
+                chunks = self._reduce_chunks(rows[pi + 1] - rows[pi])
                 for pj in range(pc):
                     fiber = [grid.rank(pi, pj, kk) for kk in range(c)]
                     keys = [(REDUCED, pi, pj, i) for i in range(c)]
                     for r in fiber:
                         store = machine.store(r)
                         part = store.get((WORK_C, pi, pj))
-                        for key, rows in zip(keys, chunks):
-                            store.put(key, part[rows])
+                        for key, chunk in zip(keys, chunks):
+                            store.put(key, part[chunk])
                     machine.reduce_scatter(fiber, keys)
                     for r in fiber:
                         machine.store(r).discard((WORK_C, pi, pj))
@@ -280,8 +284,8 @@ class Matmul25DSchedule(Schedule):
             # The round's A column strip goes along grid rows, its B
             # row strip along grid columns, piecewise when the strip
             # straddles a block boundary.
-            a_pieces = self._strip_pieces(lo, cl)
-            b_pieces = self._strip_pieces(lo, rl)
+            a_pieces = self._strip_pieces(lo, cols)
+            b_pieces = self._strip_pieces(lo, rows)
             a_panels, b_panels = [], []
             for pi in range(pr):
                 group = [grid.rank(pi, j, kk) for j in range(pc)]
@@ -299,7 +303,8 @@ class Matmul25DSchedule(Schedule):
                 for pj in range(pc):
                     r = grid.rank(pi, pj, kk)
                     store = machine.store(r)
-                    store.stage(rl * s + s * cl, (STRIPS, t))
+                    store.stage(a_panels[pi].size + b_panels[pj].size,
+                                (STRIPS, t))
                     machine.compute(r, blas.gemm_acc(
                         store.get((WORK_C, pi, pj)), a_panels[pi],
                         b_panels[pj]))
@@ -307,15 +312,15 @@ class Matmul25DSchedule(Schedule):
     def dist_finalize(self, machine: Machine,
                       state: None) -> dict[str, Any]:
         n = self.n
-        rl, cl = self._check_divisible()
         grid = self.grid
-        chunks = self._reduce_chunks(rl)
+        rows, cols = self._cuts(grid.rows), self._cuts(grid.cols)
         out = np.empty((n, n))
         for pi in range(grid.rows):
+            chunks = self._reduce_chunks(rows[pi + 1] - rows[pi])
             for pj in range(grid.cols):
-                block = out[pi * rl:(pi + 1) * rl, pj * cl:(pj + 1) * cl]
-                for i, rows in enumerate(chunks):
-                    block[rows] = machine.store(
+                block = out[rows[pi]:rows[pi + 1], cols[pj]:cols[pj + 1]]
+                for i, chunk in enumerate(chunks):
+                    block[chunk] = machine.store(
                         grid.rank(pi, pj, i)).get((REDUCED, pi, pj, i))
         return {"lower": out, "upper": np.eye(n)}
 
@@ -325,8 +330,8 @@ def matmul_25d(n: int, nranks: int, s: int | None = None,
                a: np.ndarray | None = None,
                b: np.ndarray | None = None,
                rng: np.random.Generator | None = None) -> FactorizationResult:
-    """One-call 2.5D matmul on the dense backend; the product is in
-    ``result.lower``."""
+    """One-call 2.5D matmul on a fresh, unbounded machine, with counted
+    words; the product is in ``result.lower``."""
     return run_impl("gemm", "25d", n, nranks,
                     a=(a, b) if b is not None else a, rng=rng,
                     s=s, c=c, mem_words=mem_words)

@@ -9,9 +9,14 @@ pinned against: per-rank totals accumulate in base space with each
 aggregate the rank-dependent terms first and fold the rank-uniform
 columns in afterwards.  Steps are walked in fixed slabs purely to bound
 memory.
+
+:func:`lapack_lu` is the factor reference of the LU tests: SciPy's
+partial-pivoting ``getrf`` in the ``(perm, lower, upper)`` form the
+schedules return.
 """
 
 import numpy as np
+import scipy.linalg
 
 from repro.engine.accounting import StepAccounting
 from repro.machine.stats import STEP_FIELDS, CommStats
@@ -36,6 +41,13 @@ def _rank_factor(acct, term, t):
     if term.rank_const is not None:
         fac = fac * term.rank_const[None, :]
     return fac
+
+
+def lapack_lu(a):
+    """``(perm, lower, upper)`` with ``a[perm] = lower @ upper``, as
+    LAPACK's partial pivoting factors ``a``."""
+    p, lower, upper = scipy.linalg.lu(a)
+    return p.argmax(axis=0), lower, upper
 
 
 def oracle_stats(schedule) -> CommStats:

@@ -7,7 +7,19 @@ from repro.analysis import harness
 from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
 from repro.engine import machine_for
 from repro.engine.backends import DistributedBackend
-from repro.factorizations import ConfchoxSchedule, ConfluxSchedule
+from repro.factorizations import (
+    ConfchoxSchedule,
+    ConfluxSchedule,
+    confchox_cholesky,
+    conflux_lu,
+    matmul_25d,
+)
+from repro.factorizations.baselines import (
+    scalapack_cholesky,
+    scalapack_lu,
+    slate_cholesky,
+    slate_lu,
+)
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
 from repro.factorizations.common import run_impl
 from repro.factorizations.registry import build, implementation, labels
@@ -75,6 +87,56 @@ class TestPdgetrf:
         x = rng.standard_normal(desc.n)
         sol = pdgetrs(res, a @ x)
         assert np.allclose(sol.x, x, atol=1e-8)
+
+
+#: The seven one-call functions, each with its table row and small
+#: parameters.
+ONE_CALL = [
+    (conflux_lu, "lu", "conflux", {"v": 8, "c": 2}),
+    (confchox_cholesky, "cholesky", "confchox", {"v": 8, "c": 2}),
+    (matmul_25d, "gemm", "25d", {"s": 8, "c": 2}),
+    (scalapack_lu, "lu", "mkl", {"nb": 16}),
+    (slate_lu, "lu", "slate", {"nb": 16}),
+    (scalapack_cholesky, "cholesky", "mkl-chol", {"nb": 16}),
+    (slate_cholesky, "cholesky", "slate-chol", {"nb": 16}),
+]
+
+
+class TestOneCall:
+    """A one-call function is its implementation-table row run on a
+    fresh, unbounded :class:`DistributedBackend` — the execution a pd*
+    call makes, so it reports counted words, not a formula."""
+
+    @pytest.mark.parametrize("fn,op,label,params", ONE_CALL,
+                             ids=[row[0].__name__ for row in ONE_CALL])
+    def test_runs_its_row_on_the_distributed_backend(self, fn, op, label,
+                                                     params):
+        n, p = 64, 8
+        one = fn(n, p, rng=np.random.default_rng(3), **params)
+        ref = DistributedBackend().run(build(op, label, n, p, **params),
+                                       rng=np.random.default_rng(3))
+        assert one.params == ref.params
+        for field in ("recv_words", "recv_msgs", "flops"):
+            assert np.array_equal(getattr(one.comm, field),
+                                  getattr(ref.comm, field)), field
+        for field in ("lower", "upper", "perm"):
+            mine, theirs = getattr(one, field), getattr(ref, field)
+            assert (mine is None and theirs is None
+                    or np.array_equal(mine, theirs)), field
+
+    def test_conflux_lu_pivots_as_pdgetrf(self, rng):
+        """On a general (non-dominant) matrix the tournament's pivots
+        are the ones ``pdgetrf(impl="conflux")`` picks."""
+        n, p = 64, 8
+        a = rng.standard_normal((n, n))
+        machine = Machine(p)
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=8, nb=8, prows=2, pcols=4)
+        BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(2, 4)).scatter_from(
+            machine, "A", a)
+        pd = pdgetrf(machine, "A", desc, impl="conflux", v=8, c=2)
+        one = conflux_lu(n, p, v=8, c=2, a=a)
+        assert np.array_equal(one.perm, pd.perm)
+        assert np.any(one.perm != np.arange(n))
 
 
 class TestBaselineRouting:

@@ -9,6 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from oracle import lapack_lu
 from repro.analysis.harness import (
     estimate_time,
     trace,
@@ -16,14 +17,9 @@ from repro.analysis.harness import (
     trace_cholesky,
     trace_lu,
 )
-from repro.engine import DenseBackend
+from repro.engine import DistributedBackend
 from repro.factorizations import build
-from repro.factorizations.baselines import (
-    scalapack_cholesky,
-    scalapack_lu,
-    slate_cholesky,
-    slate_lu,
-)
+from repro.factorizations.baselines import scalapack_cholesky, scalapack_lu
 from repro.models import costmodels as cm
 
 
@@ -43,16 +39,15 @@ class TestScalapackLUNumerics:
         assert err / np.linalg.norm(a) < 1e-10
 
     def test_matches_scipy_lu(self, rng):
-        import scipy.linalg
-
+        """Same pivot choices as unblocked partial pivoting, and the
+        same factors to rounding."""
         n = 32
         a = rng.standard_normal((n, n))
         res = scalapack_lu(n, 4, nb=8, a=a)
-        p_sp, l_sp, u_sp = scipy.linalg.lu(a)
-        assert np.allclose(res.lower @ res.upper, a[res.perm])
-        # Same pivot choices as unblocked partial pivoting.
-        assert np.allclose(np.abs(np.diag(res.upper)),
-                           np.abs(np.diag(u_sp)))
+        perm, lower, upper = lapack_lu(a)
+        assert np.array_equal(res.perm, perm)
+        assert np.abs(res.lower - lower).max() <= 1e-10
+        assert np.abs(res.upper - upper).max() <= 1e-10
 
 
 class TestScalapackCholeskyNumerics:
@@ -68,27 +63,6 @@ class TestScalapackCholeskyNumerics:
         a = rng.standard_normal((32, 32)) + 32 * np.eye(32)
         with pytest.raises(ValueError):
             scalapack_cholesky(32, 4, nb=8, a=a)
-
-
-class TestOneCallAccounting:
-    """A 2D one-call function is a dense run of its table row: it
-    factors, and it counts exactly what a trace of that row counts."""
-
-    @pytest.mark.parametrize("fn,op,label", [
-        (scalapack_lu, "lu", "mkl"),
-        (slate_lu, "lu", "slate"),
-        (scalapack_cholesky, "cholesky", "mkl-chol"),
-        (slate_cholesky, "cholesky", "slate-chol"),
-    ], ids=["mkl", "slate", "mkl-chol", "slate-chol"])
-    def test_dense_run_counts_its_trace(self, rng, fn, op, label):
-        n, p, nb = 64, 4, 16
-        dense = fn(n, p, nb=nb, rng=rng)
-        [traced] = trace(build(op, label, n, p, nb=nb))
-        assert dense.lower is not None and traced.lower is None
-        assert dense.params == traced.params
-        for field in ("recv_words", "flops"):
-            assert np.allclose(getattr(dense.comm, field),
-                               getattr(traced.comm, field)), field
 
 
 class TestVolumeModels:
@@ -154,13 +128,13 @@ class TestVolumeModels:
         assert b == min((d for d in range(1, n + 1) if n % d == 0),
                         key=lambda d: abs(d - target))
 
-    def test_candmc_has_no_dense_view(self):
-        with pytest.raises(NotImplementedError, match="no dense execution"):
-            DenseBackend().run(build("lu", "candmc", 1024, 64))
+    def test_candmc_has_no_execution(self):
+        with pytest.raises(NotImplementedError, match="no distributed"):
+            DistributedBackend().run(build("lu", "candmc", 1024, 64))
 
-    def test_capital_has_no_dense_view(self):
-        with pytest.raises(NotImplementedError, match="no dense execution"):
-            DenseBackend().run(build("cholesky", "capital", 1024, 64))
+    def test_capital_has_no_execution(self):
+        with pytest.raises(NotImplementedError, match="no distributed"):
+            DistributedBackend().run(build("cholesky", "capital", 1024, 64))
 
 
 #: Per-rank counters, params and time estimates of CANDMC/CAPITAL as the

@@ -43,16 +43,20 @@ measures — received words, received messages and flops — and nothing
 on the sending side.
 
 This suite also absorbs the retired ``distributed2d`` module's checks:
-the 2D distributed factors must match the dense backend's numerically
-identical elimination (bit-for-bit up to BLAS shape-dependent rounding)
-and the final stores may hold only tiles their rank owns.
+the 2D distributed factors must match LAPACK's (``scipy.linalg.lu`` —
+the same pivots — and ``scipy.linalg.cholesky``) to rounding, and the
+final stores may hold only tiles their rank owns.  A one-call function
+runs the same distributed view (``tests/test_api.py::TestOneCall``),
+so these relations hold for it too.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracle import lapack_lu
 from repro.analysis import harness
-from repro.engine import DenseBackend, DistributedBackend
+from repro.engine import DistributedBackend
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
@@ -264,17 +268,17 @@ class TestScalapackLUParity:
         _, dist, _ = lu2d_pair(96, 16, 8, rng)
         assert np.any(dist.perm != np.arange(96))
 
-    def test_factors_match_dense_backend(self, rng):
-        """Same elimination arithmetic, two execution models: on a
-        dominant input (deterministic pivots) the distributed factors
-        equal the dense backend's to rounding."""
+    def test_factors_match_lapack(self, rng):
+        """The distributed elimination is LAPACK's partial pivoting: on
+        a general input (pivoting engaged) it picks the same pivots and
+        forms the same factors to rounding."""
         n, p, nb = 64, 16, 8
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        dense = DenseBackend().run(lu2d_sched(n, p, nb), a=a)
+        a = rng.standard_normal((n, n))
         dist = DistributedBackend().run(lu2d_sched(n, p, nb), a=a)
-        assert np.array_equal(dense.perm, dist.perm)
-        assert np.max(np.abs(dense.lower - dist.lower)) < 1e-10
-        assert np.max(np.abs(dense.upper - dist.upper)) < 1e-10
+        perm, lower, upper = lapack_lu(a)
+        assert np.array_equal(dist.perm, perm)
+        assert np.max(np.abs(dist.lower - lower)) < 1e-10
+        assert np.max(np.abs(dist.upper - upper)) < 1e-10
 
     def test_final_stores_hold_only_owned_tiles(self, rng):
         """No rank may end up holding data it does not own: the
@@ -331,15 +335,14 @@ class TestScalapackCholParity:
         err = np.linalg.norm(a - dist.lower @ dist.lower.T)
         assert err / np.linalg.norm(a) < 1e-12
 
-    def test_factors_match_dense_backend(self, rng):
+    def test_factors_match_lapack(self, rng):
         n, p, nb = 64, 16, 8
         g = rng.standard_normal((n, n))
         a = g @ g.T + n * np.eye(n)
-        dense = DenseBackend().run(ScalapackCholeskySchedule(n, p, nb=nb),
-                                   a=a)
         dist = DistributedBackend().run(ScalapackCholeskySchedule(n, p,
                                                                   nb=nb), a=a)
-        assert np.max(np.abs(dense.lower - dist.lower)) < 1e-10
+        lower = scipy.linalg.cholesky(a, lower=True)
+        assert np.max(np.abs(dist.lower - lower)) < 1e-10
 
     def test_final_stores_hold_only_owned_lower_tiles(self, rng):
         from repro.layouts import BlockCyclicLayout

@@ -1,6 +1,7 @@
 """Smoke tests: every example script must run cleanly end to end."""
 
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -51,3 +52,10 @@ class TestExamples:
     def test_tournament_pivoting_stability(self, capsys):
         out = run_example("tournament_pivoting_stability.py", capsys)
         assert "wilkinson" in out
+        # The conclusion is derived from the measured rows (the run
+        # exits 1 instead when a residual ratio exceeds 2).
+        ratio = re.search(r"Worst tournament/partial residual ratio: "
+                          r"([0-9.]+)x \(([a-z-]+)\)\.", out)
+        assert ratio and float(ratio[1]) <= 2.0
+        assert ("Tournament residual within 2x of partial pivoting's on "
+                "every family.") in out

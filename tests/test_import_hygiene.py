@@ -296,13 +296,14 @@ def _defined(path: pathlib.Path, cls: str | None = None) -> set[str]:
 
 
 def test_one_way_to_trace_factorize_and_be_served():
-    """A trace is ``harness.trace``, a one-call function is dense-only,
-    a plan is served by ``PlanService.plan`` alone, and no ``executor=``
-    hook survives that only tests set: no function in the
-    factorizations or the engine takes ``execute``, the planner has no
-    ``async def``, the knobs below are gone from their signatures, and
-    the surfaces that had a second way hold exactly what is listed
-    here — a new entry is a new way, added on purpose."""
+    """A trace is ``harness.trace``, a one-call function is a
+    distributed run (``run_impl`` calls ``DistributedBackend``, not
+    ``DenseBackend``), a plan is served by ``PlanService.plan`` alone,
+    and no ``executor=`` hook survives that only tests set: no function
+    in the factorizations or the engine takes ``execute``, the planner
+    has no ``async def``, the knobs below are gone from their
+    signatures, and the surfaces that had a second way hold exactly
+    what is listed here — a new entry is a new way, added on purpose."""
     from repro.analysis.harness import memory_feasibility
     from repro.factorizations.baselines import scalapack_lu
     from repro.planner import PlanAtlas, PlanService
@@ -334,6 +335,10 @@ def test_one_way_to_trace_factorize_and_be_served():
     assert one_call == {"conflux_lu", "confchox_cholesky", "matmul_25d",
                         "scalapack_lu", "slate_lu", "scalapack_cholesky",
                         "slate_cholesky"}
+    run_impl = _functions(SRC / "repro" / "factorizations" / "common.py")[
+        "run_impl"]
+    assert _calls(run_impl, "DistributedBackend")
+    assert not _calls(run_impl, "DenseBackend")
     assert _defined(SRC / "repro" / "engine" / "backends.py") == {
         "machine_for", "MemoryReport", "_result_cls", "DenseBackend",
         "DistributedBackend", "_snapshot", "_apply_delta"}
@@ -347,6 +352,28 @@ def test_one_way_to_trace_factorize_and_be_served():
     assert _defined(SRC / "repro" / "runtime" / "executor.py") == {
         "SweepTask", "run_task", "_TracedResult", "_run_task_traced",
         "default_workers", "SerialExecutor", "ProcessPoolSweepExecutor"}
+
+
+def test_the_dense_view_is_left_only_to_its_benchmark_reference():
+    """``DenseBackend`` and the ``dense_*`` step views have one caller
+    left, ``perf/``'s machine-free reference: under ``src/``,
+    ``examples/`` and ``scripts/`` only the engine and the four
+    schedules that reference times mention them.  Deleting the dense
+    view shrinks this set to nothing."""
+    mentions = re.compile(r"DenseBackend|dense_(init|step|finalize)")
+    found = {path.relative_to(ROOT).as_posix()
+             for root in ("src", "examples", "scripts")
+             for path in (ROOT / root).rglob("*.py")
+             if mentions.search(path.read_text())}
+    assert found == {
+        "src/repro/engine/__init__.py",
+        "src/repro/engine/backends.py",
+        "src/repro/engine/schedule.py",
+        "src/repro/factorizations/conflux.py",
+        "src/repro/factorizations/confchox.py",
+        "src/repro/factorizations/matmul25d.py",
+        "src/repro/factorizations/baselines/scalapack_chol.py",
+    }
 
 
 def test_every_repro_import_resolves():

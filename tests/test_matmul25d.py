@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.harness import trace
+from repro.engine import DistributedBackend
 from repro.factorizations import build, matmul_25d
 from repro.lowerbounds import matmul_io_lower_bound
 
@@ -47,7 +48,24 @@ class TestAccounting:
         v8 = trace(build("gemm", "25d", n, p, s=s, c=8))[0].mean_recv_words
         assert v8 < v1
 
-    def test_trace_equals_execute_accounting(self, rng):
-        t = trace(build("gemm", "25d", 64, 8, s=8, c=2))[0]
-        e = matmul_25d(64, 8, s=8, c=2, rng=rng)
-        assert np.allclose(t.comm.recv_words, e.comm.recv_words)
+
+class TestRaggedGrid:
+    """Grids that do not divide ``N``: rows (columns) split into ``Pr``
+    (``Pc``) contiguous blocks at ``i N // Pr``, so blocks differ in
+    size by one and a round's strip may straddle two of them."""
+
+    @pytest.mark.parametrize("n,p,s,c", [
+        (16, 3, None, None), (16, 9, 4, 1), (16, 6, 4, 2), (32, 12, 4, 2)])
+    def test_multiplies_counts_and_fits(self, rng, n, p, s, c):
+        a, b = rng.standard_normal((2, n, n))
+        sched = build("gemm", "25d", n, p, s=s, c=c)
+        assert n % sched.grid.rows or n % sched.grid.cols
+        res = matmul_25d(n, p, s=s, c=c, a=a, b=b)
+        assert np.abs(res.lower - a @ b).max() <= 1e-12 * n
+        [traced] = trace(sched)
+        assert res.comm.total_recv_words == pytest.approx(
+            traced.comm.total_recv_words, rel=1e-12)
+        backend = DistributedBackend(enforce_memory=True)
+        backend.run(build("gemm", "25d", n, p, s=s, c=c), a=(a, b))
+        assert backend.memory_report().max_peak_words <= \
+            sched.required_words()

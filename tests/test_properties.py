@@ -211,9 +211,10 @@ class TestFactorizationProperties:
 
 class TestGenerated2DBaselines:
     """A fixed-seed slice of ROADMAP's generated-scenario net for the
-    2D baselines, oracles (b) — dense and distributed factors agree —
-    and (d) — the measured peak fits ``required_words()`` and one word
-    less is refused at a stable place.  One seeded generator draws the
+    2D baselines, oracles (b) — the distributed factors are LAPACK's,
+    pivots included — and (d) — the measured peak fits
+    ``required_words()`` and one word less is refused at a stable
+    place.  One seeded generator draws the
     whole scenario, so the slice is spread evenly however hypothesis
     picks its seeds.  The 2D schedules take their grid from
     ``choose_grid_2d(P)``: 1xP for a prime P, 2x3, 2x4, 3x3, 3x4, 4x4;
@@ -246,21 +247,26 @@ class TestGenerated2DBaselines:
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, derandomize=True, deadline=None)
-    def test_agrees_with_dense_within_its_declared_memory(self, seed):
-        from repro.engine import DenseBackend, DistributedBackend
+    def test_agrees_with_lapack_within_its_declared_memory(self, seed):
+        import scipy.linalg
+
+        from oracle import lapack_lu
+        from repro.engine import DistributedBackend
         from repro.machine import Machine, MemoryBudgetExceeded
 
         sched, a = self.scenario(seed)
         p = sched.nranks
-        dense = DenseBackend().run(sched, a=a)
         machine = Machine(p)
         dist = DistributedBackend(machine).run(sched, a=a)
-        assert np.abs(dense.lower - dist.lower).max() <= 1e-10
         if dist.perm is None:
+            lower = scipy.linalg.cholesky(a, lower=True)
+            assert np.abs(lower - dist.lower).max() <= 1e-10
             product = dist.lower @ dist.lower.T
         else:
-            assert np.array_equal(dense.perm, dist.perm)
-            assert np.abs(dense.upper - dist.upper).max() <= 1e-10
+            perm, lower, upper = lapack_lu(a)
+            assert np.array_equal(perm, dist.perm)
+            assert np.abs(lower - dist.lower).max() <= 1e-10
+            assert np.abs(upper - dist.upper).max() <= 1e-10
             product = (dist.lower @ dist.upper)[np.argsort(dist.perm)]
         assert np.linalg.norm(a - product) <= 1e-12 * np.linalg.norm(a)
 
@@ -293,11 +299,11 @@ def per_piece_summa(sched):
             return type(sched).dist_step(sched, machine, state, t)
         n, s, grid = sched.n, sched.s, sched.grid
         pr, pc = grid.rows, grid.cols
-        rl, cl = n // pr, n // pc
+        rows, cols = sched._cuts(pr), sched._cuts(pc)
         for kk in range(sched.c):
             lo = kk * (n // sched.c) + t * s
-            a_pieces = sched._strip_pieces(lo, cl)
-            b_pieces = sched._strip_pieces(lo, rl)
+            a_pieces = sched._strip_pieces(lo, cols)
+            b_pieces = sched._strip_pieces(lo, rows)
             for pi in range(pr):
                 row_group = [grid.rank(pi, j, kk) for j in range(pc)]
                 for jb, c0, c1 in a_pieces:
@@ -323,7 +329,8 @@ def per_piece_summa(sched):
                     b_panel = np.vstack([store.get((strip_b, t, ib))
                                          for ib, _, _ in b_pieces])
                     store.get((mm.WORK_C, pi, pj))[...] += a_panel @ b_panel
-                    machine.compute(r, 2.0 * rl * cl * s)
+                    machine.compute(r, 2.0 * (rows[pi + 1] - rows[pi])
+                                    * (cols[pj + 1] - cols[pj]) * s)
                     for jb, _, _ in a_pieces:
                         store.discard((strip_a, t, jb))
                     for ib, _, _ in b_pieces:
@@ -377,7 +384,7 @@ class TestGeneratedSumma:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, derandomize=True, deadline=None)
     def test_shared_panels_count_and_compute_as_the_per_piece_form(self, seed):
-        from repro.engine import DenseBackend, DistributedBackend
+        from repro.engine import DistributedBackend
         from repro.factorizations.matmul25d import WORK_A, WORK_B
         from repro.machine import Machine, MemoryBudgetExceeded
         from repro.planner.workload import native_layout
@@ -396,18 +403,17 @@ class TestGeneratedSumma:
 
         machine, dist = run(sched)
         ref_machine, ref = run(per_piece_summa(self.scenario(seed)[0]))
-        dense = DenseBackend().run(sched, a=(a, b))
 
         # Counted exactly as the per-piece form and computed to its
         # bits (NumPy sends a one-row or one-column block's product to
         # gemv, not gemm: that one is equal to rounding).  So is the
-        # dense view, which multiplies N-wide strips, not blocks, and
-        # sums the c layers in another order.
+        # plain product, formed in one gemm rather than per block,
+        # strip and layer.
         assert self.counters(dist, machine) == self.counters(ref, ref_machine)
         if min(rl, cl) > 1:
             assert np.array_equal(dist.lower, ref.lower)
-        for other in (ref, dense):
-            assert np.abs(dist.lower - other.lower).max() <= 1e-12 * sched.n
+        for other in (ref.lower, a @ b):
+            assert np.abs(dist.lower - other).max() <= 1e-12 * sched.n
 
         # Operands are shared, never written: the caller's blocks are
         # as they were, layer 0 holds them, the replicas refuse a write.
