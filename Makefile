@@ -1,7 +1,7 @@
-# Repo entry points.  Tier-1 verification is `make test`; CI
-# (.github/workflows/ci.yml) gates on test + lint + bench-check, and on
-# bench-paper (the paper's artefacts as a user prints them, plus the
-# pebble-game benches tier-1 does not collect).
+# Repo entry points.  Tier-1 verification is `make test`.  CI
+# (.github/workflows/ci.yml, which lists every step) gates on test,
+# exec-smoke, the example smoke, bench-paper, the sweep_fanout run,
+# profile-exec, lint, coverage, bench-check, atlas, plan and trace.
 
 PY ?= python
 

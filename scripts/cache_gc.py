@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Garbage-collect a sweep/atlas cache directory (``make cache-gc``).
 
-Since PR 9 every entry's filename carries its code fingerprint
+Every entry's filename carries its code fingerprint
 (``{digest}.{fp16}.pkl``), so entries written by an edited code base
 are stale *forever* — no lookup from the current tree can ever serve
 them.  This prunes those, plus orphaned ``*.tmp`` files from killed

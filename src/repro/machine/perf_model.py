@@ -103,9 +103,6 @@ class TimeBreakdown:
     achieved_flops: float
     peak_fraction: float
 
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
 
 class PerfModel:
     """Turns a :class:`ColumnarStepLog` into a time / %-of-peak

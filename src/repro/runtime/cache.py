@@ -19,8 +19,7 @@ digest exists under another fingerprint is counted as **stale**
 (invalidated by a code edit) rather than cold.  A readable file that
 fails to unpickle is **corrupt**: it is counted, deleted (so the next
 write is not fighting a poisoned entry), and logged as a one-line
-warning with the offending path — previously these were swallowed
-silently as misses.
+warning with the offending path.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Smoke tests: every example script must run cleanly end to end."""
 
+import os
 import pathlib
 import re
 import runpy
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def run_example(name: str, capsys) -> str:
@@ -14,6 +18,23 @@ def run_example(name: str, capsys) -> str:
     assert path.exists(), f"missing example {name}"
     runpy.run_path(str(path), run_name="__main__")
     return capsys.readouterr().out
+
+
+def test_readme_python_runs_as_written(tmp_path):
+    """README's ```python blocks, joined in order into one script (the
+    later blocks use the first block's names), run in a scratch
+    directory, so what they write (``.atlas-smoke``, cache dirs) lands
+    there."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    script = tmp_path / "readme.py"
+    script.write_text("\n".join(blocks))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 class TestExamples:

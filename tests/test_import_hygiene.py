@@ -484,13 +484,30 @@ def _doc_references(doc: str) -> tuple[list[str], list[str], list[str]]:
     return names, paths, targets
 
 
-@pytest.mark.parametrize("doc", ["ARCHITECTURE.md", "README.md"])
+def _defines(path: pathlib.Path, node: str) -> bool:
+    """Whether ``path`` defines the test node ``A::B::…``: each part a
+    ``class``/``def`` in the body of the part before it (the first at
+    module level)."""
+    scope = ast.parse(path.read_text()).body
+    for part in node.split("::"):
+        found = [n for n in scope if isinstance(
+            n, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and n.name == part]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+@pytest.mark.parametrize(
+    "doc", ["ARCHITECTURE.md", "README.md", ".claude/skills/verify/SKILL.md"])
 def test_doc_references_resolve(doc):
     """What the docs name exists: every backticked ``repro.…`` name
     imports (a module, or an attribute of the longest importable
     prefix), every ``tests/``/``scripts/``/``examples/`` path (and a
-    ``::Name`` test node in it) is in the tree, and every ``make``
-    target is a rule of the Makefile."""
+    ``::Class::method`` test node in it, part by part) is in the tree,
+    and every ``make`` target is a rule of the Makefile.  ROADMAP.md is
+    not probed: it names files it proposes."""
     names, paths, targets = _doc_references(doc)
     assert names and paths and targets      # the probe sees references
     unresolved = []
@@ -512,10 +529,29 @@ def test_doc_references_resolve(doc):
     missing = []
     for ref in paths:
         path, _, node = ref.partition("::")
-        if not (ROOT / path).exists() or (node and not re.search(
-                rf"^\s*(class|def) {re.escape(node)}\b",
-                (ROOT / path).read_text(), re.M)):
+        if not (ROOT / path).exists() or (
+                node and not _defines(ROOT / path, node)):
             missing.append(ref)
     rules = set(re.findall(r"^([\w-]+):", (ROOT / "Makefile").read_text(),
                            re.M))
     assert (unresolved, missing, sorted(set(targets) - rules)) == ([], [], [])
+
+
+def test_docs_state_the_present():
+    """The docs describe HEAD, not its history: ARCHITECTURE.md stays a
+    reference of at most 700 lines, no PR number appears in it, the
+    README or the verify skill, and CHANGES.md is one line per PR
+    (``PR <n> …``, at most 1 500 characters), in ascending order."""
+    assert len((ROOT / "ARCHITECTURE.md").read_text().splitlines()) <= 700
+    for doc in ("ARCHITECTURE.md", "README.md",
+                ".claude/skills/verify/SKILL.md"):
+        assert re.findall(r"\bPR \d+", (ROOT / doc).read_text()) == [], doc
+    entries = [line for line in
+               (ROOT / "CHANGES.md").read_text().splitlines() if line.strip()]
+    assert entries
+    numbers = []
+    for line in entries:
+        m = re.match(r"PR (\d+)\b", line)
+        assert m and len(line) <= 1500, line[:80]
+        numbers.append(int(m.group(1)))
+    assert all(a < b for a, b in zip(numbers, numbers[1:])), numbers
