@@ -6,26 +6,23 @@ nothing under ``src/repro``, so these are not rows of
 
 from repro.analysis import format_table
 from repro.lowerbounds import (
+    cholesky_program,
     derive_cholesky_bound,
     derive_lu_bound,
     derive_matmul_bound,
+    lu_program,
+    matmul_program,
 )
-from repro.pebbles import (
-    cholesky_cdag,
-    lu_cdag,
-    matmul_cdag,
-    run_blocked_matmul,
-    run_greedy,
-)
+from repro.pebbles import program_cdag, run_blocked_matmul, run_greedy
 
 
 def test_pebbling_respects_bounds():
     """Section 6: greedy red-blue pebblings of toy cDAGs never beat the
     derived sequential bounds."""
     costs = {
-        "lu": run_greedy(lu_cdag(8), 16).io_cost,
-        "cholesky": run_greedy(cholesky_cdag(8), 16).io_cost,
-        "matmul": run_greedy(matmul_cdag(6), 16).io_cost,
+        "lu": run_greedy(program_cdag(lu_program(), 8), 16).io_cost,
+        "cholesky": run_greedy(program_cdag(cholesky_program(), 8), 16).io_cost,
+        "matmul": run_greedy(program_cdag(matmul_program(), 6), 16).io_cost,
     }
     bounds = {
         "lu": derive_lu_bound(8, 16).sequential_bound,
@@ -48,7 +45,7 @@ def test_schedule_quality():
     rows = []
     for n, m in [(8, 27), (12, 48), (16, 80), (20, 121)]:
         blocked = run_blocked_matmul(n, m).io_cost
-        greedy = run_greedy(matmul_cdag(n), m).io_cost
+        greedy = run_greedy(program_cdag(matmul_program(), n), m).io_cost
         bound = derive_matmul_bound(n, m).sequential_bound
         rows.append([n, m, bound, blocked, greedy,
                      blocked / bound, greedy / bound])

@@ -63,7 +63,7 @@ def main() -> None:
                 ArrayAccess("A", ("i", "k")),
                 ArrayAccess("B", ("j", "k")),
                 ArrayAccess("w", ("k",))),
-        num_vertices=lambda size: float(size) ** 3,
+        domain=(("0", "n"),) * 3,            # i, j, k < n
     ),))
     b = derive_program_bound(contraction, n, mem)
     rho = b.intensity("S1").rho

@@ -25,7 +25,7 @@ from repro.lowerbounds import (
     max_subcomputation,
     statement_intensity,
 )
-from repro.pebbles import lu_cdag, run_greedy
+from repro.pebbles import program_cdag, run_greedy
 
 
 def main() -> None:
@@ -67,7 +67,7 @@ def main() -> None:
 
     # Stage 5: pebble the literal cDAG at a toy size.
     n_small, m_small = 8, 16
-    game = run_greedy(lu_cdag(n_small), m_small)
+    game = run_greedy(program_cdag(lu_program(), n_small), m_small)
     small_bound = derive_lu_bound(n_small, m_small).sequential_bound
     print(f"\nRed-blue pebbling of the LU cDAG (N={n_small}, M={m_small}):")
     print(f"  measured I/O (greedy schedule): {game.io_cost}")

@@ -21,12 +21,12 @@ The pipeline finds intensity ``sqrt(M)/2`` at ``X_0 = 3M`` for the Schur
 statements, exact to rounding (their certified marginal is ``2/3`` at every
 ``X``, so Lemma 2's first-order condition gives ``3M`` in one step), and
 the limit ``rho = 1`` exactly for the panel statements, where Lemma 6's
-cap of 1 ties it and is reported.  The tests hold the
-derived LU and matmul bounds equal to their closed forms to 1e-9 relative.
-The derived Cholesky bound is the exact vertex count of
-:func:`~repro.lowerbounds.daap.cholesky_program`,
-``N(N-1)(N-2) / (3 P sqrt(M)) + N(N+1) / (2P)``, to the same tolerance;
-the closed form above exceeds it by ``(3N^2 - 2N) / (3 P sqrt(M)) + N/(2P)``.
+cap of 1 ties it and is reported.  ``|V_S|`` is the exact point count of
+each statement's domain, so the derived matmul bound equals its closed
+form, the derived LU bound exceeds its closed form (which counts
+``N(N-1)(N-2)/3`` Schur updates, not ``(N-1)N(2N-1)/6``) by exactly
+``N(N-1) / (P sqrt(M))``, and the Cholesky closed form exceeds the derived
+``(N^3 - N) / (3 P sqrt(M)) + N(N+1) / (2P)`` by ``N/(3 P sqrt(M)) + N/(2P)``.
 """
 
 from __future__ import annotations

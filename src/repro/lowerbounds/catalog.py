@@ -52,7 +52,7 @@ def trsm_program() -> Program:
         loop_vars=("k", "j"),
         output=ArrayAccess("X", ("k", "j")),
         inputs=(ArrayAccess("B", ("k", "j")), ArrayAccess("L", ("k", "k"))),
-        num_vertices=lambda n: float(n) * n,
+        domain=(("0", "n"), ("0", "n")),
         min_unique_inputs=1,
     )
     s2 = Statement(
@@ -61,7 +61,7 @@ def trsm_program() -> Program:
         output=ArrayAccess("B", ("i", "j")),
         inputs=(ArrayAccess("B", ("i", "j")), ArrayAccess("L", ("i", "k")),
                 ArrayAccess("X", ("k", "j"))),
-        num_vertices=lambda n: n * n * (n - 1) / 2.0,
+        domain=(("0", "n"), ("k+1", "n"), ("0", "n")),
     )
     return Program("trsm", (s1, s2))
 
@@ -80,7 +80,7 @@ def syrk_program() -> Program:
         output=ArrayAccess("C", ("i", "j")),
         inputs=(ArrayAccess("C", ("i", "j")), ArrayAccess("A", ("i", "k")),
                 ArrayAccess("A", ("j", "k"))),
-        num_vertices=lambda n: n * n * (n + 1) / 2.0,
+        domain=(("0", "n"), ("0", "i+1"), ("0", "n")),
     )
     return Program("syrk", (s1,))
 
@@ -94,14 +94,14 @@ def ldlt_program() -> Program:
         S3: A[i,j] <- A[i,j] - L[i,k]*D[k]*L[j,k]  (k < j <= i)
 
     Cholesky-shaped: the Schur statement dominates with rho = sqrt(M)/2
-    and |V3| = n(n-1)(n-2)/6.
+    and |V3| = (n-1)n(n+1)/6.
     """
     s1 = Statement(
         name="S1",
         loop_vars=("k",),
         output=ArrayAccess("D", ("k",)),
         inputs=(ArrayAccess("A", ("k", "k")),),
-        num_vertices=lambda n: float(n),
+        domain=(("0", "n"),),
         min_unique_inputs=1,
     )
     s2 = Statement(
@@ -109,7 +109,7 @@ def ldlt_program() -> Program:
         loop_vars=("k", "i"),
         output=ArrayAccess("L", ("i", "k")),
         inputs=(ArrayAccess("A", ("i", "k")), ArrayAccess("D", ("k",))),
-        num_vertices=lambda n: n * (n - 1) / 2.0,
+        domain=(("0", "n"), ("k+1", "n")),
         min_unique_inputs=1,
     )
     s3 = Statement(
@@ -118,7 +118,7 @@ def ldlt_program() -> Program:
         output=ArrayAccess("A", ("i", "j")),
         inputs=(ArrayAccess("A", ("i", "j")), ArrayAccess("L", ("i", "k")),
                 ArrayAccess("L", ("j", "k"))),
-        num_vertices=lambda n: n * (n - 1) * (n - 2) / 6.0,
+        domain=(("0", "n"), ("k+1", "n"), ("k+1", "i+1")),
     )
     return Program("ldlt", (s1, s2, s3))
 
@@ -138,13 +138,13 @@ def gemv_program() -> Program:
         output=ArrayAccess("y", ("i",)),
         inputs=(ArrayAccess("y", ("i",)), ArrayAccess("A", ("i", "j")),
                 ArrayAccess("x", ("j",))),
-        num_vertices=lambda n: float(n) * n,
+        domain=(("0", "n"), ("0", "n")),
         min_unique_inputs=1,
     )
     return Program("gemv", (s1,))
 
 
-def jacobi2d_program(steps_fraction: float = 1.0) -> Program:
+def jacobi2d_program() -> Program:
     """T-step 2D Jacobi stencil — deliberately NOT a DAAP.
 
         S1: B[t,i,j] <- f(B[t-1,i,j], B[t-1,i-1,j], B[t-1,i+1,j],
@@ -167,7 +167,7 @@ def jacobi2d_program(steps_fraction: float = 1.0) -> Program:
                 ArrayAccess("B", ("t-1", "i+1", "j")),
                 ArrayAccess("B", ("t-1", "i", "j-1")),
                 ArrayAccess("B", ("t-1", "i", "j+1"))),
-        num_vertices=lambda n: steps_fraction * float(n) ** 3,
+        domain=(("1", "n"), ("1", "n-1"), ("1", "n-1")),
     )
     return Program("jacobi2d", (s1,))
 

@@ -17,8 +17,10 @@ Key notions captured here:
 * the *disjoint access property*: within one statement no two access
   function vectors may address the same vertex, which holds when the
   (array, subscript-pattern) pairs are pairwise distinct;
-* per-statement vertex counts ``|V_S|`` as functions of the problem size,
-  needed by Lemma 1 / Lemma 9 to turn intensities into bounds.
+* the *iteration domain* of each statement, whose point count is the
+  vertex count ``|V_S|`` Lemma 1 / Lemma 9 turn into bounds, and whose
+  points are the compute vertices of the program's cDAG
+  (:func:`repro.pebbles.builders.program_cdag`).
 
 The representation is deliberately symbolic-but-minimal: subscripts are
 strings over iteration-variable names (affine or not — the method "does
@@ -31,16 +33,28 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Iterator, Mapping, Sequence
 
 __all__ = ["ArrayAccess", "Statement", "Program", "DAAPError",
            "lu_program", "cholesky_program", "matmul_program"]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_AFFINE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)?([+-]?[0-9]+)?")
 
 
 class DAAPError(ValueError):
     """Malformed DAAP program."""
+
+
+def _value(expr: str, env: Mapping[str, int]) -> int:
+    """The value in ``env`` of ``expr``: an integer, or a name ± an integer."""
+    m = _AFFINE.fullmatch(str(expr).replace(" ", ""))
+    name = m and m.group(1)
+    if not (m and m.group(0)) or name not in (None, *env):
+        raise DAAPError(f"{expr!r} is not an integer or n or an enclosing "
+                        "loop variable ± an integer")
+    return (env[name] if name else 0) + int(m.group(2) or 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,10 +82,6 @@ class ArrayAccess:
     def access_dimension(self, loop_vars: Sequence[str]) -> int:
         return len(self.variables_in(loop_vars))
 
-    def pattern_key(self, loop_vars: Sequence[str]) -> tuple:
-        """Identity of the access for the disjoint-access check."""
-        return (self.array, self.subscripts)
-
     def per_dimension_variables(self, loop_vars: Sequence[str]
                                 ) -> tuple[tuple[str, ...], ...]:
         """For each subscript dimension, the loop variables it uses —
@@ -83,6 +93,11 @@ class ArrayAccess:
                           if v in set(_IDENT.findall(expr)) & loop_set)
             out.append(found)
         return tuple(out)
+
+    def element(self, env: Mapping[str, int]) -> tuple:
+        """``(array, *subscripts)`` at the iteration vector ``env``; each
+        subscript must be an integer or a loop variable ± an integer."""
+        return (self.array, *(_value(e, env) for e in self.subscripts))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,9 +114,11 @@ class Statement:
         The written access ``A_0[phi_0]``.
     inputs:
         The read accesses ``A_1[phi_1], ..., A_m[phi_m]``.
-    num_vertices:
-        ``|V_S|`` as a function of the problem size ``N`` — the number of
-        compute vertices this statement contributes to the cDAG.
+    domain:
+        The iteration domain: one half-open ``(lo, hi)`` pair per loop
+        variable, ``lo <= psi_t < hi``.  Each bound is an integer, ``n``
+        (the problem size) ± an integer, or an outer loop variable ± an
+        integer, e.g. ``(("0", "n"), ("k+1", "n"))`` for ``k < i < n``.
     min_unique_inputs:
         The paper's ``u`` (Lemma 6): every compute vertex has at least
         ``u`` direct predecessors that are out-degree-one graph inputs.
@@ -114,7 +131,7 @@ class Statement:
     loop_vars: tuple[str, ...]
     output: ArrayAccess
     inputs: tuple[ArrayAccess, ...]
-    num_vertices: Callable[[float], float]
+    domain: tuple[tuple[str, str], ...]
     min_unique_inputs: int = 0
 
     def __post_init__(self) -> None:
@@ -122,6 +139,13 @@ class Statement:
             raise DAAPError(f"{self.name}: empty loop nest")
         if len(set(self.loop_vars)) != len(self.loop_vars):
             raise DAAPError(f"{self.name}: duplicate loop variables")
+        if len(self.domain) != self.depth:
+            raise DAAPError(f"{self.name}: {len(self.domain)} domain ranges "
+                            f"for {self.depth} loop variables")
+        for t, (lo, hi) in enumerate(self.domain):
+            scope = dict.fromkeys(("n", *self.loop_vars[:t]), 0)
+            for bound in (lo, hi):
+                _value(bound, scope)  # raises on a name out of scope
         for acc in (self.output, *self.inputs):
             if not acc.variables_in(self.loop_vars):
                 raise DAAPError(
@@ -134,7 +158,7 @@ class Statement:
         # version* of the element (a different cDAG vertex).
         seen: set[tuple] = set()
         for acc in self.inputs:
-            key = acc.pattern_key(self.loop_vars)
+            key = (acc.array, acc.subscripts)
             if key in seen:
                 raise DAAPError(
                     f"{self.name}: disjoint access property violated for "
@@ -168,6 +192,40 @@ class Statement:
     def depth(self) -> int:
         """Loop-nest depth ``l``."""
         return len(self.loop_vars)
+
+    def points(self, n: int) -> Iterator[tuple[int, ...]]:
+        """The iteration vectors of the domain at problem size ``n``, in
+        execution (lexicographic) order."""
+        def nest(point: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            if len(point) == self.depth:
+                yield point
+                return
+            env = dict(zip(self.loop_vars, point), n=n)
+            lo, hi = self.domain[len(point)]
+            for v in range(_value(lo, env), _value(hi, env)):
+                yield from nest(point + (v,))
+        return nest(())
+
+    def num_vertices(self, n: float) -> float:
+        """``|V_S|``, the domain's point count at problem size ``n``: the
+        polynomial of degree ``<= depth`` through the exact counts at
+        ``n = 1 .. depth + 1`` (Newton's forward differences), checked at
+        ``depth + 2``; :class:`DAAPError` if the count is no such polynomial.
+        """
+        counts = [sum(1 for _ in self.points(size))
+                  for size in range(1, self.depth + 3)]
+        diffs = []
+        while counts:
+            diffs.append(counts[0])
+            counts = [b - a for a, b in zip(counts, counts[1:])]
+        if diffs.pop():
+            raise DAAPError(f"{self.name}: the point count of {self.domain} "
+                            f"is not a polynomial of degree <= {self.depth}")
+        x, total, binomial = Fraction(n) - 1, Fraction(0), Fraction(1)
+        for k, diff in enumerate(diffs):
+            total += diff * binomial          # diff * C(n - 1, k)
+            binomial = binomial * (x - k) / (k + 1)
+        return float(total)
 
     def input_variable_groups(self) -> tuple[tuple[str, ...], ...]:
         """For each input access, the distinct iteration variables used.
@@ -248,7 +306,7 @@ def lu_program() -> Program:
         loop_vars=("k", "i"),
         output=ArrayAccess("A", ("i", "k")),
         inputs=(ArrayAccess("A", ("i", "k")), ArrayAccess("A", ("k", "k"))),
-        num_vertices=lambda n: n * (n - 1) / 2.0,
+        domain=(("0", "n"), ("k+1", "n")),
         min_unique_inputs=1,  # previous version of A[i,k], out-degree 1
     )
     s2 = Statement(
@@ -257,7 +315,7 @@ def lu_program() -> Program:
         output=ArrayAccess("A", ("i", "j")),
         inputs=(ArrayAccess("A", ("i", "j")), ArrayAccess("A", ("i", "k")),
                 ArrayAccess("A", ("k", "j"))),
-        num_vertices=lambda n: n * (n - 1) * (n - 2) / 3.0,
+        domain=(("0", "n"), ("k+1", "n"), ("k+1", "n")),
     )
     return Program("lu", (s1, s2))
 
@@ -269,7 +327,7 @@ def cholesky_program() -> Program:
         loop_vars=("k",),
         output=ArrayAccess("L", ("k", "k")),
         inputs=(ArrayAccess("L", ("k", "k")),),
-        num_vertices=lambda n: float(n),
+        domain=(("0", "n"),),
         min_unique_inputs=1,
     )
     s2 = Statement(
@@ -277,7 +335,7 @@ def cholesky_program() -> Program:
         loop_vars=("k", "i"),
         output=ArrayAccess("L", ("i", "k")),
         inputs=(ArrayAccess("L", ("i", "k")), ArrayAccess("L", ("k", "k"))),
-        num_vertices=lambda n: n * (n - 1) / 2.0,
+        domain=(("0", "n"), ("k+1", "n")),
         min_unique_inputs=1,
     )
     s3 = Statement(
@@ -286,7 +344,7 @@ def cholesky_program() -> Program:
         output=ArrayAccess("L", ("i", "j")),
         inputs=(ArrayAccess("L", ("i", "j")), ArrayAccess("L", ("i", "k")),
                 ArrayAccess("L", ("j", "k"))),
-        num_vertices=lambda n: n * (n - 1) * (n - 2) / 6.0,
+        domain=(("0", "n"), ("k+1", "n"), ("k+1", "i+1")),  # j = k+1:i
     )
     return Program("cholesky", (s1, s2, s3))
 
@@ -305,6 +363,6 @@ def matmul_program() -> Program:
         output=ArrayAccess("C", ("i", "j")),
         inputs=(ArrayAccess("C", ("i", "j")), ArrayAccess("A", ("i", "k")),
                 ArrayAccess("B", ("k", "j"))),
-        num_vertices=lambda n: float(n) ** 3,
+        domain=(("0", "n"),) * 3,
     )
     return Program("matmul", (s1,))

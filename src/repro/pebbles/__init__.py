@@ -1,7 +1,7 @@
 """cDAGs, the red-blue pebble game, X-partitions, and the parallel
 pebble game of Section 5."""
 
-from .builders import cholesky_cdag, lu_cdag, matmul_cdag
+from .builders import program_cdag
 from .cdag import CDag, CDagError
 from .game import Move, PebbleGame, PebbleGameError, greedy_schedule, run_greedy
 from .parallel_game import (
@@ -25,7 +25,7 @@ from .partition import (
 
 __all__ = [
     "CDag", "CDagError",
-    "lu_cdag", "cholesky_cdag", "matmul_cdag",
+    "program_cdag",
     "Move", "PebbleGame", "PebbleGameError", "greedy_schedule", "run_greedy",
     "ParallelMove", "ParallelPebbleGame", "ParallelPebbleGameError",
     "block_row_schedule",

@@ -1,137 +1,51 @@
-"""cDAG builders for the paper's kernels (Figure 3 and Listing 1).
+"""The cDAG of a DAAP program (Figure 3 and Listing 1 of the paper).
 
-Vertex naming: ``(array, i, j, version)`` where ``version`` counts how many
-updates have been applied to element ``(i, j)``.  Version 0 vertices are
-the graph inputs (initial matrix), matching the paper's "multiple versions
-(vertices) of element A[3,1]" illustration.
-
-The version bookkeeping encodes the factorizations' dataflow exactly:
-
-* LU (no pivoting): element ``A[i,j]`` receives one Schur update per step
-  ``k < min(i, j)``; subdiagonal elements additionally receive the S1
-  division at step ``k = j``.
-* Cholesky: same with the triangular iteration space and the S1 sqrt on
-  the diagonal.
-* Matmul: ``C[i,j]`` accumulates ``n`` rank-1 contributions.
+Vertex naming: ``(array, *subscripts, version)`` where ``version`` counts
+how many writes have been applied to the element.  Version 0 vertices are
+the graph inputs (initial values), matching the paper's "multiple versions
+(vertices) of element A[3,1]" illustration.  ``program_cdag(lu_program(),
+n)`` is Figure 3's LU, ``cholesky_program()`` Listing 1's Cholesky and
+``matmul_program()`` ``C += A @ B`` with full accumulation chains.
 """
 
 from __future__ import annotations
 
+from ..lowerbounds.daap import DAAPError, Program
 from .cdag import CDag
 
-__all__ = ["lu_cdag", "cholesky_cdag", "matmul_cdag"]
+__all__ = ["program_cdag"]
 
 
-def _a(i: int, j: int, ver: int, name: str = "A") -> tuple:
-    return (name, i, j, ver)
+def program_cdag(program: Program, n: int) -> CDag:
+    """The cDAG of ``program`` at problem size ``n``.
 
-
-def lu_cdag(n: int) -> CDag:
-    """cDAG of in-place LU factorization without pivoting (Figure 3).
-
-    Statements::
-
-        S1: A[i,k] <- A[i,k] / A[k,k]            (k < i < n)
-        S2: A[i,j] <- A[i,j] - A[i,k] * A[k,j]   (k < i, j < n)
-
-    Final versions: ``A[i,j]`` is final after version ``min(i, j)`` for
-    ``i <= j`` (U part) and after version ``j + 1`` for ``i > j`` (L part:
-    ``j`` Schur updates then the S1 division).
+    The statements share their outermost loop variable; at each of its
+    values they run in program order, each over its domain in loop order.
+    Every statement instance is one compute vertex: a new version of the
+    element it writes, whose predecessors are the current versions of the
+    elements it reads.  The compute vertices are therefore exactly the
+    domain points, ``program.total_vertices(n)`` of them.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if len({s.loop_vars[0] for s in program.statements}) != 1:
+        raise DAAPError(
+            f"{program.name}: statements share no outermost loop variable")
+    steps: dict[int, list] = {}
+    for stmt in program.statements:
+        for point in stmt.points(n):
+            steps.setdefault(point[0], []).append((stmt, point))
     g = CDag()
-    for i in range(n):
-        for j in range(n):
-            g.add_vertex(_a(i, j, 0))
-
-    def final_u(k: int, j: int) -> tuple:
-        # U element A[k, j], k <= j: final after k Schur updates.
-        return _a(k, j, k)
-
-    def final_l(i: int, k: int) -> tuple:
-        # L element A[i, k], i > k: k Schur updates + the S1 division.
-        return _a(i, k, k + 1)
-
-    for k in range(n):
-        for i in range(k + 1, n):
-            # S1: divide A[i,k] (version k) by the pivot A[k,k] (version k).
-            g.add_edge(_a(i, k, k), final_l(i, k))
-            g.add_edge(_a(k, k, k), final_l(i, k))
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # S2: A[i,j](k+1) = A[i,j](k) - A[i,k](L) * A[k,j](U).
-                g.add_edge(_a(i, j, k), _a(i, j, k + 1))
-                g.add_edge(final_l(i, k), _a(i, j, k + 1))
-                g.add_edge(final_u(k, j), _a(i, j, k + 1))
-    return g
-
-
-def cholesky_cdag(n: int) -> CDag:
-    """cDAG of the Cholesky factorization of Listing 1 (lower triangle).
-
-    Statements::
-
-        S1: L[k,k] <- sqrt(L[k,k])
-        S2: L[i,k] <- L[i,k] / L[k,k]             (k < i < n)
-        S3: L[i,j] <- L[i,j] - L[i,k] * L[j,k]    (k < j <= i < n)
-
-    Element ``L[i,j]`` (``j <= i``) receives ``j`` Schur updates (steps
-    ``k < j``); then the S2 division (off-diagonal) or S1 sqrt (diagonal).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    g = CDag()
-    for i in range(n):
-        for j in range(i + 1):
-            g.add_vertex(_a(i, j, 0, "L"))
-
-    def final_l(i: int, k: int) -> tuple:
-        # Final L[i,k]: k updates + division (i > k) or sqrt (i == k).
-        return _a(i, k, k + 1, "L")
-
-    for k in range(n):
-        # S1: sqrt of the diagonal (version k -> k+1).
-        g.add_edge(_a(k, k, k, "L"), final_l(k, k))
-        for i in range(k + 1, n):
-            # S2: column scale by the final diagonal.
-            g.add_edge(_a(i, k, k, "L"), final_l(i, k))
-            g.add_edge(final_l(k, k), final_l(i, k))
-        for i in range(k + 1, n):
-            for j in range(k + 1, i + 1):
-                # S3: L[i,j](k+1) = L[i,j](k) - L[i,k] * L[j,k].
-                g.add_edge(_a(i, j, k, "L"), _a(i, j, k + 1, "L"))
-                g.add_edge(final_l(i, k), _a(i, j, k + 1, "L"))
-                if j != i:
-                    # On the diagonal (j == i) both factors are the same
-                    # vertex L[i,k]; adding it twice would be a no-op.
-                    g.add_edge(final_l(j, k), _a(i, j, k + 1, "L"))
-    return g
-
-
-def matmul_cdag(n: int, include_c_input: bool = True) -> CDag:
-    """cDAG of ``C += A @ B`` with full accumulation chains.
-
-    ``C[i,j]`` has versions ``0..n``; version ``k+1`` depends on version
-    ``k`` plus ``A[i,k]`` and ``B[k,j]``.  With ``include_c_input=False``
-    version 1 is computed directly from ``A`` and ``B`` (C initialized to
-    the first product), matching the SC19 analysis.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    g = CDag()
-    for i in range(n):
-        for k in range(n):
-            g.add_vertex(("A", i, k, 0))
-            g.add_vertex(("B", k, i, 0))
-    for i in range(n):
-        for j in range(n):
-            if include_c_input:
-                g.add_vertex(("C", i, j, 0))
-            for k in range(n):
-                v = ("C", i, j, k + 1)
-                if k > 0 or include_c_input:
-                    g.add_edge(("C", i, j, k), v)
-                g.add_edge(("A", i, k, 0), v)
-                g.add_edge(("B", k, j, 0), v)
+    version: dict[tuple, int] = {}
+    for outer in sorted(steps):
+        for stmt, point in steps[outer]:
+            env = dict(zip(stmt.loop_vars, point), n=n)
+            reads = [(*key, version.get(key, 0)) for key in
+                     (acc.element(env) for acc in stmt.inputs)]
+            out = stmt.output.element(env)
+            version[out] = version.get(out, 0) + 1
+            v = (*out, version[out])
+            g.add_vertex(v)
+            for u in reads:
+                g.add_edge(u, v)
     return g

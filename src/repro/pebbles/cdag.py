@@ -5,8 +5,9 @@ array element — Section 2.2: ``A[i,j]`` before and after an update are
 different vertices).  Vertices without incoming edges are the cDAG inputs,
 vertices without outgoing edges its outputs.
 
-Vertex ids are arbitrary hashables; the builders in
-:mod:`repro.pebbles.builders` use ``(array, i, j, version)`` tuples.
+Vertex ids are arbitrary hashables;
+:func:`repro.pebbles.builders.program_cdag` uses
+``(array, *subscripts, version)`` tuples.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ lacks the blocking insight.
 from __future__ import annotations
 
 import math
+
+from ..lowerbounds.daap import matmul_program
+from .builders import program_cdag
 from .game import Move, PebbleGame
 
 __all__ = ["blocked_matmul_schedule", "optimal_block_side",
@@ -41,7 +44,7 @@ def optimal_block_side(mem_pebbles: int) -> int:
 
 def blocked_matmul_schedule(n: int, mem_pebbles: int,
                             block: int | None = None) -> list[Move]:
-    """Schedule for :func:`~repro.pebbles.builders.matmul_cdag`.
+    """Schedule for ``program_cdag(matmul_program(), n)``.
 
     For each ``b x b`` result block, the C chains stay resident while the
     ``n`` k-planes stream through memory one at a time (a ``b``-column of
@@ -92,9 +95,7 @@ def run_blocked_matmul(n: int, mem_pebbles: int,
                        block: int | None = None) -> PebbleGame:
     """Build the matmul cDAG, run the blocked schedule validated, and
     return the finished game."""
-    from .builders import matmul_cdag
-
-    cdag = matmul_cdag(n)
+    cdag = program_cdag(matmul_program(), n)
     game = PebbleGame(cdag, mem_pebbles)
     game.run(blocked_matmul_schedule(n, mem_pebbles, block))
     if not game.finished():

@@ -94,34 +94,33 @@ class TestClosedForms:
             closed(n, p, m)
 
 
-def cholesky_vertex_bound(n, p, m):
-    """Cholesky's bound over the exact vertex count of its program:
-    ``N(N-1)(N-2)/6`` Schur updates at intensity ``sqrt(M)/2`` and
-    ``N(N+1)/2`` panel vertices at intensity 1."""
-    return n * (n - 1) * (n - 2) / (3 * p * math.sqrt(m)) \
-        + n * (n + 1) / (2 * p)
+def assert_lu_identity(n, p, m):
+    """The derivation over the exact vertex count (``(N-1)N(2N-1)/6``
+    Schur updates over ``k < i, j < N``) exceeds the printed Section 6.1
+    form, which counts ``N(N-1)(N-2)/3``, by exactly ``N(N-1)/(P sqrt(M))``."""
+    derived = derive_lu_bound(n, m, p).parallel_bound
+    closed = lu_io_lower_bound(n, p, m)
+    assert derived - closed == pytest.approx(
+        n * (n - 1) / (p * math.sqrt(m)), abs=1e-9 * closed)
 
 
 def assert_cholesky_identity(n, p, m):
-    """The derivation equals the vertex-count form, and the closed form
-    exceeds it by exactly ``(3N^2 - 2N)/(3P sqrt(M)) + N/(2P)``."""
+    """The derivation over the exact vertex count is
+    ``(N^3 - N)/(3P sqrt(M)) + N(N+1)/(2P)``; the printed Section 6.2 form
+    exceeds it by exactly ``N/(3P sqrt(M)) + N/(2P)``."""
     derived = derive_cholesky_bound(n, m, p).parallel_bound
     closed = cholesky_io_lower_bound(n, p, m)
-    assert derived == pytest.approx(cholesky_vertex_bound(n, p, m), rel=1e-9)
     assert closed - derived == pytest.approx(
-        (3 * n * n - 2 * n) / (3 * p * math.sqrt(m)) + n / (2 * p),
-        abs=1e-9 * closed)
+        n / (3 * p * math.sqrt(m)) + n / (2 * p), abs=1e-9 * closed)
 
 
 class TestDerivationPipeline:
-    """The DAAP machinery must reproduce the closed forms (Section 6)."""
+    """The DAAP machinery against the closed forms (Section 6)."""
 
     @pytest.mark.parametrize("n,p,m", [
         (4096, 16, 1024.0), (16384, 256, 2.0 ** 16), (1024, 1, 4096.0)])
     def test_lu_matches_closed_form(self, n, p, m):
-        derived = derive_lu_bound(n, m, p).parallel_bound
-        closed = lu_io_lower_bound(n, p, m)
-        assert derived == pytest.approx(closed, rel=1e-9)
+        assert_lu_identity(n, p, m)
 
     @pytest.mark.parametrize("n,p,m", [(4096, 16, 1024.0), (8192, 64, 4096.0)])
     def test_cholesky_matches_closed_form(self, n, p, m):
@@ -137,9 +136,9 @@ class TestDerivationPipeline:
     @pytest.mark.parametrize("m, p", [
         (16.0, 1), (121.0, 3), (256.0, 16), (2.0 ** 16, 64)])
     def test_derived_equals_closed_form(self, n, m, p):
-        """Property over toy to large sizes: exact to 1e-9, not O(1/N)."""
-        assert derive_lu_bound(n, m, p).parallel_bound == pytest.approx(
-            lu_io_lower_bound(n, p, m), rel=1e-9)
+        """Property over toy to large sizes: matmul equals its closed form,
+        LU and Cholesky differ from theirs by exact identities, to 1e-9."""
+        assert_lu_identity(n, p, m)
         assert derive_matmul_bound(n, m, p).parallel_bound == pytest.approx(
             matmul_io_lower_bound(n, p, m), rel=1e-9)
         assert_cholesky_identity(n, p, m)

@@ -1,8 +1,38 @@
-"""Unit tests for cDAGs and the kernel cDAG builders."""
+"""Unit tests for cDAGs and the cDAGs of the DAAP programs."""
+
+import hashlib
 
 import pytest
 
-from repro.pebbles import CDag, CDagError, cholesky_cdag, lu_cdag, matmul_cdag
+from repro.lowerbounds import (
+    ArrayAccess,
+    DAAPError,
+    Program,
+    Statement,
+    cholesky_program,
+    gemv_program,
+    ldlt_program,
+    lu_program,
+    matmul_program,
+    syrk_program,
+    trsm_program,
+)
+from repro.pebbles import CDag, CDagError, program_cdag
+
+PROGRAMS = [lu_program, cholesky_program, matmul_program, trsm_program,
+            syrk_program, ldlt_program, gemv_program]
+
+#: sha256 of the sorted vertex and edge lists for n = 2..8, recorded from
+#: the hand-written LU, Cholesky and matmul builders ``program_cdag``
+#: replaced.
+FINGERPRINTS = [
+    (lu_program,
+     "a655e698a52e3e4d2d123d5d7e0d03d0b33da770c57e35788d4d8cd5c999ee61"),
+    (cholesky_program,
+     "1069b048b9b181d7e3c10e0e23127e67d223947d2661757db7b16391d5d937a8"),
+    (matmul_program,
+     "ec5393bef5d4bfe80a8b6ce640bcea43f704d83e7bba01b9c0550ef9c0070510"),
+]
 
 
 class TestCDag:
@@ -73,55 +103,53 @@ class TestLUCDag:
     def test_vertex_count(self):
         """|V| = N^2 inputs + |V_S1| + |V_S2| (exact Schur count)."""
         for n in (2, 3, 4, 6):
-            g = lu_cdag(n)
+            g = program_cdag(lu_program(), n)
             s1 = n * (n - 1) // 2
             s2 = sum((n - k - 1) ** 2 for k in range(n))
             assert g.num_vertices == n * n + s1 + s2
 
     def test_inputs_are_version_zero(self):
-        g = lu_cdag(4)
+        g = program_cdag(lu_program(), 4)
         assert g.inputs() == {("A", i, j, 0) for i in range(4)
                               for j in range(4)}
 
     def test_outputs_are_final_factors(self):
-        g = lu_cdag(3)
+        g = program_cdag(lu_program(), 3)
         outs = g.outputs()
         # U diagonal corner A[2,2] final version (2 updates) is an output.
         assert ("A", 2, 2, 2) in outs
 
     def test_s2_vertex_dependencies(self):
-        g = lu_cdag(4)
+        g = program_cdag(lu_program(), 4)
         # A[2,3] after step-0 update depends on A[2,3]v0, L A[2,0], U A[0,3].
         v = ("A", 2, 3, 1)
         assert g.preds(v) == {("A", 2, 3, 0), ("A", 2, 0, 1), ("A", 0, 3, 0)}
 
     def test_s1_vertex_dependencies(self):
-        g = lu_cdag(4)
+        g = program_cdag(lu_program(), 4)
         # L entry A[3,1] (final at version 2): previous version + pivot.
         v = ("A", 3, 1, 2)
         assert g.preds(v) == {("A", 3, 1, 1), ("A", 1, 1, 1)}
 
     def test_acyclic(self):
-        lu_cdag(5).topological_order()
+        program_cdag(lu_program(), 5).topological_order()
 
     def test_n1_trivial(self):
-        g = lu_cdag(1)
-        assert g.num_vertices == 1
-        assert g.num_edges == 0
+        """At n = 1 no LU statement has an instance: no compute vertex."""
+        g = program_cdag(lu_program(), 1)
+        assert g.compute_vertices() == set()
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            lu_cdag(0)
+            program_cdag(lu_program(), 0)
 
 
 class TestCholeskyCDag:
     def test_vertex_count(self):
         # Listing 1's S3 loop is "for j = k+1:i" (inclusive), so each
-        # (k, i) pair contributes i - k update vertices; the paper's
-        # N(N-1)(N-2)/6 count in Section 6.2 is a conservative
-        # under-count that keeps the bound valid.
+        # (k, i) pair contributes i - k update vertices.
         for n in (2, 3, 5):
-            g = cholesky_cdag(n)
+            g = program_cdag(cholesky_program(), n)
             inputs = n * (n + 1) // 2
             s1 = n
             s2 = n * (n - 1) // 2
@@ -129,51 +157,88 @@ class TestCholeskyCDag:
             assert g.num_vertices == inputs + s1 + s2 + s3
 
     def test_only_lower_triangle(self):
-        g = cholesky_cdag(4)
+        g = program_cdag(cholesky_program(), 4)
         for v in g.vertices():
             _, i, j, _ = v
             assert i >= j
 
     def test_diagonal_sqrt_chain(self):
-        g = cholesky_cdag(3)
+        g = program_cdag(cholesky_program(), 3)
         # L[1,1]: one Schur update (k=0) then the sqrt -> version 2 final.
         assert ("L", 1, 1, 2) in g
         assert g.preds(("L", 1, 1, 2)) == {("L", 1, 1, 1)}
 
     def test_s2_depends_on_final_diagonal(self):
-        g = cholesky_cdag(3)
+        g = program_cdag(cholesky_program(), 3)
         v = ("L", 2, 0, 1)  # L[2,0] final: divide by sqrt'd L[0,0]
         assert g.preds(v) == {("L", 2, 0, 0), ("L", 0, 0, 1)}
 
     def test_acyclic(self):
-        cholesky_cdag(6).topological_order()
+        program_cdag(cholesky_program(), 6).topological_order()
 
 
 class TestMatmulCDag:
     def test_vertex_count_with_c_input(self):
         n = 3
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         # A, B inputs (2n^2) + C versions 0..n (n^2 * (n+1)).
         assert g.num_vertices == 2 * n * n + n * n * (n + 1)
 
-    def test_vertex_count_without_c_input(self):
-        n = 3
-        g = matmul_cdag(n, include_c_input=False)
-        assert g.num_vertices == 2 * n * n + n * n * n
-
     def test_accumulation_chain(self):
-        g = matmul_cdag(2)
+        g = program_cdag(matmul_program(), 2)
         v = ("C", 0, 1, 2)
         assert g.preds(v) == {("C", 0, 1, 1), ("A", 0, 1, 0), ("B", 1, 1, 0)}
 
     def test_outputs_are_final_c(self):
         n = 3
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         assert g.outputs() == {("C", i, j, n) for i in range(n)
                                for j in range(n)}
 
     def test_out_degree_one_inputs(self):
         # Every A/B input feeds n different C chains: out-degree n, so no
         # out-degree-one inputs for n > 1 (u = 0).
-        g = matmul_cdag(3)
+        g = program_cdag(matmul_program(), 3)
         assert g.min_outdegree_one_input_preds() == 0
+
+
+def fingerprint(program):
+    digest = hashlib.sha256()
+    for n in range(2, 9):
+        g = program_cdag(program, n)
+        vertices = sorted(g.vertices())
+        edges = sorted((u, v) for u in vertices for v in g.succs(u))
+        digest.update(repr((n, vertices, edges)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("make", PROGRAMS, ids=lambda f: f.__name__)
+class TestProgramCDag:
+    """One iteration domain per statement: its point count is ``|V_S|``
+    and its points are the compute vertices of the program's cDAG."""
+
+    def test_num_vertices_counts_the_domain(self, make):
+        for stmt in make().statements:
+            for n in range(1, 17):
+                assert stmt.num_vertices(n) == sum(1 for _ in stmt.points(n))
+
+    def test_compute_vertices_are_the_domain_points(self, make):
+        program = make()
+        for n in range(1, 13):
+            g = program_cdag(program, n)
+            g.topological_order()  # acyclic
+            assert len(g.compute_vertices()) == program.total_vertices(n)
+
+
+@pytest.mark.parametrize("make, digest", FINGERPRINTS,
+                         ids=["lu", "cholesky", "matmul"])
+def test_paper_kernels_match_their_hand_built_cdags(make, digest):
+    assert fingerprint(make()) == digest
+
+
+def test_statements_must_share_the_outermost_loop():
+    s1 = lu_program().statement("S1")
+    other = Statement("T", ("i",), ArrayAccess("x", ("i",)),
+                      (ArrayAccess("x", ("i",)),), (("0", "n"),))
+    with pytest.raises(DAAPError):
+        program_cdag(Program("mixed", (s1, other)), 3)

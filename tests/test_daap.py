@@ -44,7 +44,7 @@ class TestStatement:
             loop_vars=("i", "j"),
             output=ArrayAccess("C", ("i", "j")),
             inputs=(ArrayAccess("A", ("i",)), ArrayAccess("B", ("j",))),
-            num_vertices=lambda n: n * n,
+            domain=(("0", "n"), ("0", "n")),
         )
         defaults.update(kw)
         return Statement(**defaults)
@@ -75,6 +75,29 @@ class TestStatement:
         with pytest.raises(DAAPError):
             self.make(inputs=(ArrayAccess("A", ("0",)),))
 
+    def test_domain_counts_its_points(self):
+        s = self.make(domain=(("1", "n"), ("i", "n+2")))
+        assert list(s.points(2)) == [(1, 1), (1, 2), (1, 3)]
+        assert s.num_vertices(2) == 3
+        assert s.num_vertices(40) == sum(42 - i for i in range(1, 40))
+
+    @pytest.mark.parametrize("domain", [
+        (("0", "n"),),                      # one range for two loops
+        (("0", "j"), ("0", "n")),           # bound names an inner variable
+        (("0", "n"), ("0", "m")),           # bound names an unknown size
+        (("0", "n"), ("0", "2*i")),         # not name +- integer
+    ])
+    def test_malformed_domain_rejected(self, domain):
+        with pytest.raises(DAAPError):
+            self.make(domain=domain)
+
+    def test_non_polynomial_count_rejected(self):
+        """``0 <= j < i - 2`` counts max(0, i - 2) points per i: not a
+        polynomial in n from n = 1."""
+        s = self.make(domain=(("0", "n"), ("0", "i-2")))
+        with pytest.raises(DAAPError):
+            s.num_vertices(10)
+
     def test_trivially_no_reuse(self):
         s = self.make(inputs=(ArrayAccess("A", ("i", "j")),
                               ArrayAccess("B", ("j", "i"))))
@@ -95,12 +118,10 @@ class TestPrograms:
         prog = lu_program()
         n = 10
         assert prog.statement("S1").num_vertices(n) == 45       # n(n-1)/2
-        assert prog.statement("S2").num_vertices(n) == 240      # n(n-1)(n-2)/3
-        # Cross-check against the explicit sums of Section 6.1.  The
-        # paper counts |V2| = N(N-1)(N-2)/3 = sum_k (N-k-1)(N-k-2) — a
-        # valid (slightly conservative) count of the Schur vertices.
+        assert prog.statement("S2").num_vertices(n) == 285      # (n-1)n(2n-1)/6
+        # Cross-check against the explicit sums over k < i, j < N.
         s1_sum = sum(n - k - 1 for k in range(n))
-        s2_sum = sum((n - k - 1) * (n - k - 2) for k in range(n))
+        s2_sum = sum((n - k - 1) ** 2 for k in range(n))
         assert prog.statement("S1").num_vertices(n) == s1_sum
         assert prog.statement("S2").num_vertices(n) == s2_sum
 
@@ -109,8 +130,9 @@ class TestPrograms:
         n = 10
         assert prog.statement("S1").num_vertices(n) == n
         assert prog.statement("S2").num_vertices(n) == n * (n - 1) / 2
-        s3_sum = sum(i - k - 1 for k in range(n) for i in range(k + 1, n))
-        assert prog.statement("S3").num_vertices(n) == s3_sum
+        # k < j <= i < N: Listing 1's "for j = k+1:i" is inclusive.
+        s3_sum = sum(i - k for k in range(n) for i in range(k + 1, n))
+        assert prog.statement("S3").num_vertices(n) == s3_sum == 165
 
     def test_matmul_includes_accumulator(self):
         prog = matmul_program()

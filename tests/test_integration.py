@@ -13,9 +13,10 @@ from repro.lowerbounds import (
     cholesky_io_lower_bound,
     derive_lu_bound,
     lu_io_lower_bound,
+    lu_program,
 )
 from repro.machine import Machine, ProcessorGrid2D
-from repro.pebbles import lu_cdag, run_greedy
+from repro.pebbles import program_cdag, run_greedy
 
 
 class TestTheoryToAlgorithm:
@@ -48,7 +49,7 @@ class TestTheoryToAlgorithm:
         """Greedy pebbling of the literal LU cDAG respects the bound
         derived from the same program's DAAP form."""
         n, m = 8, 12
-        q = run_greedy(lu_cdag(n), m).io_cost
+        q = run_greedy(program_cdag(lu_program(), n), m).io_cost
         bound = derive_lu_bound(n, m).sequential_bound
         assert q >= bound
 

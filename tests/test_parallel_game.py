@@ -3,14 +3,13 @@
 
 import pytest
 
-from repro.lowerbounds import derive_matmul_bound
+from repro.lowerbounds import derive_matmul_bound, lu_program, matmul_program
 from repro.pebbles import (
     ParallelMove,
     ParallelPebbleGame,
     ParallelPebbleGameError,
     block_row_schedule,
-    lu_cdag,
-    matmul_cdag,
+    program_cdag,
 )
 
 
@@ -52,7 +51,7 @@ class TestRules:
             game.apply(ParallelMove("recv", 0, "a"))
 
     def test_overflowing_initial_distribution_rejected(self):
-        g = matmul_cdag(2)
+        g = program_cdag(matmul_program(), 2)
         # All 12 inputs on rank 0 exceed M=3.
         with pytest.raises(ValueError):
             ParallelPebbleGame(g, 2, 3, input_owner=lambda v: 0)
@@ -84,7 +83,7 @@ class TestRules:
 class TestBlockRowSchedule:
     @pytest.mark.parametrize("nprocs", [1, 2, 4])
     def test_matmul_completes(self, nprocs):
-        g = matmul_cdag(3)
+        g = program_cdag(matmul_program(), 3)
         sched, owner = block_row_schedule(
             g, nprocs, 64, part=lambda v: v[1] % nprocs)
         game = ParallelPebbleGame(g, nprocs, 64, input_owner=owner)
@@ -92,7 +91,7 @@ class TestBlockRowSchedule:
         assert game.finished()
 
     def test_lu_completes(self):
-        g = lu_cdag(4)
+        g = program_cdag(lu_program(), 4)
         sched, owner = block_row_schedule(g, 2, 40,
                                           part=lambda v: v[1] % 2)
         game = ParallelPebbleGame(g, 2, 40, input_owner=owner)
@@ -100,14 +99,14 @@ class TestBlockRowSchedule:
         assert game.finished()
 
     def test_single_proc_no_communication(self):
-        g = matmul_cdag(3)
+        g = program_cdag(matmul_program(), 3)
         sched, owner = block_row_schedule(g, 1, 64, part=lambda v: 0)
         game = ParallelPebbleGame(g, 1, 64, input_owner=owner)
         game.run(sched)
         assert game.total_io == 0
 
     def test_tight_memory_still_valid(self):
-        g = matmul_cdag(3)
+        g = program_cdag(matmul_program(), 3)
         m = 20
         sched, owner = block_row_schedule(g, 2, m, part=lambda v: v[1] % 2)
         game = ParallelPebbleGame(g, 2, m, input_owner=owner)
@@ -117,7 +116,7 @@ class TestBlockRowSchedule:
         assert game.total_io > 0
 
     def test_work_split_reduces_per_rank_io_vs_volume(self):
-        g = matmul_cdag(4)
+        g = program_cdag(matmul_program(), 4)
         sched, owner = block_row_schedule(g, 4, 64,
                                           part=lambda v: v[1] % 4)
         game = ParallelPebbleGame(g, 4, 64, input_owner=owner)
@@ -137,7 +136,7 @@ class TestLemma9:
         without I/O: the executed schedule must beat bound - M.
         Parameters are chosen so bound - M is strictly positive (needs
         P large enough that N^3/(P sqrt(M)) dominates M)."""
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         sched, owner = block_row_schedule(
             g, nprocs, m, part=lambda v: (v[1] * n + v[2]) % nprocs)
         game = ParallelPebbleGame(g, nprocs, m, input_owner=owner)

@@ -2,15 +2,15 @@
 
 import pytest
 
+from repro.lowerbounds import lu_program, matmul_program
 from repro.pebbles import (
     CDag,
     XPartitionError,
     greedy_schedule,
-    lu_cdag,
-    matmul_cdag,
     minimum_dominator_size,
     minimum_set,
     partition_from_schedule,
+    program_cdag,
     run_greedy,
     validate_x_partition,
 )
@@ -76,7 +76,7 @@ class TestMinimumDominator:
         is at most the 2n^2 A/B inputs + n^2 C inputs but at least n^2
         (the block itself cuts all paths)."""
         n = 3
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         h = {("C", i, j, 1) for i in range(n) for j in range(n)}
         dom = minimum_dominator_size(g, h)
         assert n * n <= dom <= 3 * n * n
@@ -124,7 +124,7 @@ class TestValidatePartition:
 class TestPartitionFromSchedule:
     def test_respects_lemma2_size_bound(self):
         """|P(X)| <= (Q + X - M)/(X - M) for the schedule's partition."""
-        g = lu_cdag(5)
+        g = program_cdag(lu_program(), 5)
         m = 10
         sched = greedy_schedule(g, m)
         game = run_greedy(g, m)
@@ -133,7 +133,7 @@ class TestPartitionFromSchedule:
             assert len(parts) <= (game.io_cost + x - m) / (x - m) + 1
 
     def test_partition_is_valid_x_partition(self):
-        g = matmul_cdag(3)
+        g = program_cdag(matmul_program(), 3)
         m = 10
         sched = greedy_schedule(g, m)
         x = 3 * m
@@ -143,7 +143,7 @@ class TestPartitionFromSchedule:
         validate_x_partition(g, parts, x=x)
 
     def test_covers_all_compute_vertices(self):
-        g = lu_cdag(4)
+        g = program_cdag(lu_program(), 4)
         sched = greedy_schedule(g, 8)
         parts = partition_from_schedule(g, sched, 8, 24)
         union = set().union(*parts)

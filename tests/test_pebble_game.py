@@ -3,19 +3,20 @@
 import pytest
 
 from repro.lowerbounds import (
+    cholesky_program,
     derive_cholesky_bound,
     derive_lu_bound,
     derive_matmul_bound,
+    lu_program,
+    matmul_program,
 )
 from repro.pebbles import (
     CDag,
     Move,
     PebbleGame,
     PebbleGameError,
-    cholesky_cdag,
     greedy_schedule,
-    lu_cdag,
-    matmul_cdag,
+    program_cdag,
     run_greedy,
 )
 
@@ -105,28 +106,28 @@ class TestGameRules:
 class TestGreedyScheduler:
     @pytest.mark.parametrize("n,m", [(3, 6), (4, 8), (6, 12), (6, 30)])
     def test_lu_schedule_valid_and_finishes(self, n, m):
-        game = run_greedy(lu_cdag(n), m)
+        game = run_greedy(program_cdag(lu_program(), n), m)
         assert game.finished()
-        assert game.computes == len(lu_cdag(n).compute_vertices())
+        assert game.computes == len(program_cdag(lu_program(), n).compute_vertices())
 
     @pytest.mark.parametrize("n,m", [(3, 6), (5, 10), (6, 24)])
     def test_cholesky_schedule_valid(self, n, m):
-        game = run_greedy(cholesky_cdag(n), m)
+        game = run_greedy(program_cdag(cholesky_program(), n), m)
         assert game.finished()
 
     @pytest.mark.parametrize("n,m", [(2, 4), (3, 8), (4, 16)])
     def test_matmul_schedule_valid(self, n, m):
-        game = run_greedy(matmul_cdag(n), m)
+        game = run_greedy(program_cdag(matmul_program(), n), m)
         assert game.finished()
 
     def test_never_exceeds_memory(self):
-        g = lu_cdag(5)
+        g = program_cdag(lu_program(), 5)
         game = PebbleGame(g, 7)
         game.run(greedy_schedule(g, 7))
         assert game.max_red <= 7
 
     def test_more_memory_never_hurts(self):
-        g = matmul_cdag(4)
+        g = program_cdag(matmul_program(), 4)
         q_small = run_greedy(g, 8).io_cost
         q_large = run_greedy(g, 64).io_cost
         assert q_large <= q_small
@@ -135,7 +136,7 @@ class TestGreedyScheduler:
         """Any complete pebbling loads every used input and stores every
         output at least once."""
         for n in (3, 4, 5):
-            g = lu_cdag(n)
+            g = program_cdag(lu_program(), n)
             game = run_greedy(g, 10)
             used_inputs = {v for v in g.inputs() if g.succs(v)}
             assert game.io_cost >= len(used_inputs) + len(g.outputs())
@@ -147,23 +148,25 @@ class TestGreedyRespectsLowerBounds:
 
     @pytest.mark.parametrize("n,m", [(4, 8), (6, 10)])
     def test_matmul(self, n, m):
-        q = run_greedy(matmul_cdag(n), m).io_cost
+        q = run_greedy(program_cdag(matmul_program(), n), m).io_cost
         bound = derive_matmul_bound(n, m).sequential_bound
         assert q >= bound
 
     @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
     def test_lu(self, n, m):
-        q = run_greedy(lu_cdag(n), m).io_cost
+        q = run_greedy(program_cdag(lu_program(), n), m).io_cost
         bound = derive_lu_bound(n, m).sequential_bound
         assert q >= bound
 
     @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
     def test_cholesky(self, n, m):
-        """At toy scale the paper's rho=1 panel terms are approximate
-        (they charge one load per panel vertex even when the value is
-        still resident), so we compare against the unambiguous dominant
-        term: the Schur statement's bound."""
-        q = run_greedy(cholesky_cdag(n), m).io_cost
+        """Compared against the Schur statement's bound only: the cDAG
+        has a single graph output (the last diagonal entry), so factor
+        entries that later updates read are never stored.  At (4, 8)
+        greedy does 10 loads and 1 store, 11 I/Os, under the full
+        derived bound of 17.07, whose rho = 1 panel terms charge an I/O
+        per panel vertex; S3's bound alone is 7.07."""
+        q = run_greedy(program_cdag(cholesky_program(), n), m).io_cost
         bound = derive_cholesky_bound(n, m)
         assert q >= bound.per_statement["S3"].io_lower_bound
 
@@ -171,6 +174,6 @@ class TestGreedyRespectsLowerBounds:
         """The greedy schedule should not be wildly suboptimal on matmul
         (sanity check that the bound is meaningful, not vacuous)."""
         n, m = 8, 27
-        q = run_greedy(matmul_cdag(n), m).io_cost
+        q = run_greedy(program_cdag(matmul_program(), n), m).io_cost
         bound = derive_matmul_bound(n, m).sequential_bound
         assert q <= 20 * bound

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from repro.kernels import blas
 from repro.layouts import BlockCyclicLayout, global_to_local, local_to_global, numroc
-from repro.lowerbounds import lu_io_lower_bound, max_subcomputation
+from repro.lowerbounds import (
+    lu_io_lower_bound,
+    matmul_program,
+    max_subcomputation,
+)
 from repro.machine import (
     ProcessorGrid2D,
     ProcessorGrid3D,
@@ -18,7 +22,7 @@ from repro.machine import (
     largest_square_divisor,
 )
 from repro.machine.stats import CommStats
-from repro.pebbles import PebbleGame, greedy_schedule, matmul_cdag
+from repro.pebbles import PebbleGame, greedy_schedule, program_cdag
 from workload_oracle import assert_search_equals_product, brute_force_plan
 
 
@@ -164,7 +168,7 @@ class TestPebbleGameProperties:
     @given(n=st.integers(2, 4), extra=st.integers(0, 20))
     @settings(max_examples=20, deadline=None)
     def test_greedy_always_valid_and_within_memory(self, n, extra):
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         m = 4 + extra
         game = PebbleGame(g, m)
         game.run(greedy_schedule(g, m))
@@ -175,7 +179,7 @@ class TestPebbleGameProperties:
            m2=st.integers(16, 120))
     @settings(max_examples=15, deadline=None)
     def test_io_monotone_in_memory(self, n, m1, m2):
-        g = matmul_cdag(n)
+        g = program_cdag(matmul_program(), n)
         game1 = PebbleGame(g, m1)
         game1.run(greedy_schedule(g, m1))
         game2 = PebbleGame(g, m2)

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.lowerbounds import derive_matmul_bound
+from repro.lowerbounds import derive_matmul_bound, matmul_program
 from repro.pebbles import (
     PebbleGame,
     blocked_matmul_schedule,
-    matmul_cdag,
     optimal_block_side,
+    program_cdag,
     run_blocked_matmul,
     run_greedy,
 )
@@ -56,7 +56,7 @@ class TestBlockedSchedule:
         caching without blocking."""
         for n, m in [(12, 48), (16, 80)]:
             blocked = run_blocked_matmul(n, m).io_cost
-            greedy = run_greedy(matmul_cdag(n), m).io_cost
+            greedy = run_greedy(program_cdag(matmul_program(), n), m).io_cost
             assert blocked < greedy
 
     def test_approaches_bound_constant(self):
@@ -85,8 +85,8 @@ class TestBlockedSchedule:
         fresh game gives identical cost."""
         n, m = 8, 27
         moves = blocked_matmul_schedule(n, m)
-        g1 = PebbleGame(matmul_cdag(n), m)
+        g1 = PebbleGame(program_cdag(matmul_program(), n), m)
         g1.run(moves)
-        g2 = PebbleGame(matmul_cdag(n), m)
+        g2 = PebbleGame(program_cdag(matmul_program(), n), m)
         g2.run(moves)
         assert g1.io_cost == g2.io_cost
