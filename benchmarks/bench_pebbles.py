@@ -26,8 +26,7 @@ def test_pebbling_respects_bounds():
     }
     bounds = {
         "lu": derive_lu_bound(8, 16).sequential_bound,
-        "cholesky": derive_cholesky_bound(
-            8, 16).per_statement["S3"].io_lower_bound,
+        "cholesky": derive_cholesky_bound(8, 16).sequential_bound,
         "matmul": derive_matmul_bound(6, 16).sequential_bound,
     }
     print("\n" + format_table(

@@ -21,8 +21,8 @@ from .harness import RANKS_PER_NODE, max_replication, trace
 __all__ = ["Artefact", "FIGURES"]
 
 #: Pin tolerances: traces and closed forms are exact; ``PerfModel`` sums
-#: floats in step order; ``derive_*`` accepts an SLSQP residual of 1e-7.
-EXACT, PERF_MODEL, OPTIMISER = 0.0, 1e-12, 1e-6
+#: floats in step order, and ``derive_*`` sums certified solves.
+EXACT, PERF_MODEL = 0.0, 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -378,7 +378,7 @@ FIGURES: dict[str, Artefact] = {
         _columns("Section 6 bounds at N={n}, P={nranks}, M=2^{log2_mem:g}",
                  ["kernel", "pipeline", "closed form", "paper formula"],
                  "kernel bound closed_form formula"),
-        _pipeline_clauses, OPTIMISER),
+        _pipeline_clauses, PERF_MODEL),
     "lower_bound_ratios": Artefact(
         "bounds", figures.lower_bound_ratios,
         dict(cases=(*_CASES[:2], (65536, 1024))),
@@ -392,7 +392,7 @@ FIGURES: dict[str, Artefact] = {
         _columns("Section-3 pipeline over the kernel catalog "
                  "(N={n}, M=2^{log2_mem:g})",
                  ["kernel", "max rho", "Q bound", "Q / N^2"],
-                 "kernel rho bound bound_per_n2"), _catalog_clauses, OPTIMISER),
+                 "kernel rho bound bound_per_n2"), _catalog_clauses, PERF_MODEL),
     "ablation_block_size": Artefact(
         "ablations", ablations.block_size_ablation,
         dict(n=16384, p=1024, c=8, v_sweep=(8, 16, 32, 64, 128)),

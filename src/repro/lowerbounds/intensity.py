@@ -25,12 +25,13 @@ This module implements the core of Sections 3 and 5 of the paper:
    out-degree-one graph inputs, ``rho <= 1/u`` regardless of ``M``.
 
 The optimization is a geometric program, i.e. convex after the
-substitution ``y = log d``.  Each ``X`` gets one bounded SLSQP solve
-(``y >= 0`` covers the ``d_t = 1`` faces), and its point is returned only
-with a KKT certificate — budget spent (to 1e-7), one marginal shared by
-the free variables and none smaller on a pinned one (to 1e-6 relative).
-Convexity makes a certified point the global optimum; an uncertified
-solve raises :class:`ArithmeticError`.
+substitution ``y = log d``.  Each ``X`` gets one exact solve: column
+dominance pins the variables that can never be free, and Newton's method
+with an active set finds the rest (:func:`_solve`).  Its point is
+returned only with a KKT certificate at machine precision — budget spent,
+one marginal shared by the free variables and none smaller on a pinned
+one.  Convexity makes a certified point the global optimum; an
+uncertified solve raises :class:`ArithmeticError`.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ __all__ = [
 ]
 
 _CEILING = 1e6  # Lemma 2's search ceiling is X_c = M (1 + _CEILING).
+_TOL = 2.0 ** -44  # the KKT certificate on log residuals, ~250 ulps
 
 
 @functools.cache
 def _optimize():
-    """``scipy.optimize``, imported by the first solve: ``import repro``
-    reaches this module, and most processes never optimize anything."""
+    """``scipy.optimize``, imported by the first bracketed root search:
+    ``import repro`` reaches this module, and most processes never need
+    one."""
     import scipy.optimize
     return scipy.optimize
 
@@ -99,50 +102,71 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
     """Global optimum ``y = log d`` of the |H_max| program, and its ``s``.
 
     Maximize ``sum(y)`` subject to ``sum_j exp(logw_j + masks_j . y) <= X``
-    and ``y >= 0``: one bounded SLSQP solve, whose bounds cover the
-    ``d_t = 1`` faces (the LU panel statement's optimum has ``|D_k| = 1``).
-    The program is convex, so a KKT point is the global optimum, and the
-    answer is returned only once it is certified to be one:
+    and ``y >= 0``.  The program is convex, so a KKT point is the global
+    optimum, and only one is returned, to ``_TOL``: the budget is spent,
+    the free variables share one marginal ``s = masks^T t / sum(t)`` (``t``
+    the access terms) and no pinned (``y = 0``) one has a smaller marginal.
 
-    1. the budget is spent (every variable joins some access, so any
-       slack could still grow the objective);
-    2. the free variables (``y > 1e-9``) share one marginal
-       ``s = masks^T t / sum(t)``, ``t`` the access terms;
-    3. no pinned variable has a smaller marginal than that.
-
-    Raises :class:`ArithmeticError` when SLSQP's point fails any of them.
+    A variable whose accesses strictly contain another's always has the
+    larger marginal, so it starts pinned (of identical columns, all but
+    the first).  Newton's method then solves ``mu + log s = 0`` (free
+    variables) and ``log sum(t) = 0`` with an active set: a step halves
+    until it shrinks the residual; one that would take a variable below 0
+    stops there and pins it; if none shrinks it, the variable whose
+    marginal most exceeds the level ``exp(-mu)`` is pinned; on a solved
+    face, a pinned variable whose marginal is below the level is freed.
+    Raises :class:`ArithmeticError` when no certified point is reached.
     """
-    nvars = masks.shape[1]
-
-    def terms(y: np.ndarray) -> np.ndarray:
-        return np.exp(logw + masks @ y - logx)
-
+    cols = [frozenset(np.flatnonzero(c)) for c in masks.T]
+    free = np.array([not any(a < b or (a == b and u < v)
+                             for u, a in enumerate(cols))
+                     for v, b in enumerate(cols)])
     # Balanced start: every term gets an equal share of the budget, and
-    # each variable takes the smallest target over the terms it joins so
-    # the start is (approximately) feasible.
+    # each variable takes the smallest target over the terms it joins.
     target = (logx - math.log(len(logw)) - logw) / np.sum(masks, axis=1)
-    y0 = np.min(np.where(masks > 0, target[:, None], np.inf), axis=0)
-    res = _optimize().minimize(
-        lambda y: -float(np.sum(y)), np.maximum(y0, 0.0),
-        jac=lambda y: -np.ones_like(y), method="SLSQP",
-        bounds=[(0.0, None)] * nvars,
-        constraints=[{"type": "ineq",
-                      "fun": lambda y: 1.0 - float(np.sum(terms(y))),
-                      "jac": lambda y: -(masks.T @ terms(y))}],
-        options={"maxiter": 1000, "ftol": 1e-14},
-    )
-    y = np.maximum(res.x, 0.0)
-    t = terms(y)
-    s = masks.T @ t / np.sum(t)
-    free = y > 1e-9
-    level = float(np.mean(s[free])) if np.any(free) else 0.0
-    if not (abs(1.0 - float(np.sum(t))) <= 1e-7
-            and np.all(np.abs(s[free] - level) <= 1e-6 * level)
-            and np.all(s[~free] >= level * (1.0 - 1e-6))):
-        raise ArithmeticError(
-            f"X-partition solve not certified at X={math.exp(logx)!r}: "
-            f"{res.message}")
-    return y, level
+    y = np.min(np.where(masks > 0, target[:, None], np.inf), axis=0)
+    y = np.where(free, np.maximum(y, 0.0), 0.0)
+
+    def kkt(y: np.ndarray, mu: float) -> tuple:
+        with np.errstate(over="ignore", divide="ignore"):
+            t = np.exp(logw + masks @ y - logx)
+            s = masks.T @ t
+            gap = mu + np.log(s)
+            return t, s, gap, np.append(gap[free], np.log(np.sum(t)))
+
+    mu = -float(np.mean(kkt(y, 0.0)[2][free]))
+    for _ in range(200):
+        t, s, gap, r = kkt(y, mu)
+        f = np.flatnonzero(free)
+        if np.max(np.abs(r)) <= _TOL:
+            gap[f] = np.inf
+            if np.min(gap) >= -_TOL:
+                return y, float(np.mean(s[f]) / np.sum(t))
+            free[np.argmin(gap)] = True
+            continue
+        jac = np.zeros((len(f) + 1, len(f) + 1))
+        jac[:-1, :-1] = masks[:, f].T @ (t[:, None] * masks[:, f]) / s[f, None]
+        jac[:-1, -1] = 1.0
+        jac[-1, :-1] = s[f] / np.sum(t)
+        step = np.linalg.lstsq(jac, -r)[0]
+        dy = np.zeros_like(y)
+        dy[f] = step[:-1]
+        ratios = np.divide(y, -dy, out=np.full_like(y, np.inf), where=dy < 0)
+        pin, reach = int(np.argmin(ratios)), float(np.min(ratios))
+        alpha, norm = min(1.0, reach), float(np.linalg.norm(r))
+        while alpha > 0 and not np.linalg.norm(kkt(
+                np.maximum(y + alpha * dy, 0.0), mu + alpha * step[-1])[3]) < norm:
+            alpha = alpha / 2 if alpha > 1e-18 else 0.0
+        if alpha == 0.0 < reach:
+            pin = int(f[np.argmax(gap[f])])
+        y = np.maximum(y + alpha * dy, 0.0)
+        mu += alpha * float(step[-1])
+        if alpha in (0.0, reach) and len(f) > 1:
+            y[pin], free[pin] = 0.0, False
+        elif alpha == 0.0:
+            break
+    raise ArithmeticError(
+        f"X-partition solve not certified at X={math.exp(logx)!r}")
 
 
 def max_subcomputation(
@@ -200,16 +224,7 @@ def max_subcomputation(
             "|H_max| would be unbounded (not a valid DAAP dominator)")
     logw = np.log(w)
 
-    def raw_slack(y: np.ndarray) -> float:
-        return x - float(np.sum(np.exp(logw + masks @ y)))
-
     y, level = _solve(masks, logw, math.log(x))
-    # Tiny infeasibilities from round-off: shrink uniformly until feasible.
-    shrink = 0
-    while raw_slack(y) < 0 and shrink < 60:
-        y = y * (1.0 - 1e-12 * 2 ** shrink)
-        shrink += 1
-    y = np.maximum(y, 0.0)
     d = np.exp(y)
     access_sizes = tuple(float(np.exp(logw[j] + masks[j] @ y))
                          for j in range(len(groups)))

@@ -24,7 +24,8 @@ def program_cdag(program: Program, n: int) -> CDag:
     Every statement instance is one compute vertex: a new version of the
     element it writes, whose predecessors are the current versions of the
     elements it reads.  The compute vertices are therefore exactly the
-    domain points, ``program.total_vertices(n)`` of them.
+    domain points, ``program.total_vertices(n)`` of them.  The final
+    version of every element written is an output.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -48,4 +49,6 @@ def program_cdag(program: Program, n: int) -> CDag:
             g.add_vertex(v)
             for u in reads:
                 g.add_edge(u, v)
+    for key, last in version.items():
+        g.mark_output((*key, last))
     return g

@@ -2,8 +2,10 @@
 
 Each vertex is the result of a unique computation (one *version* of an
 array element — Section 2.2: ``A[i,j]`` before and after an update are
-different vertices).  Vertices without incoming edges are the cDAG inputs,
-vertices without outgoing edges its outputs.
+different vertices).  Vertices without incoming edges are the cDAG inputs.
+Its outputs are the vertices without outgoing edges and those marked with
+:meth:`CDag.mark_output`: a result that later computations also read
+(an ``L`` entry of LU read by the trailing updates) must still be stored.
 
 Vertex ids are arbitrary hashables;
 :func:`repro.pebbles.builders.program_cdag` uses
@@ -32,6 +34,7 @@ class CDag:
     def __init__(self) -> None:
         self._preds: dict[Hashable, set[Hashable]] = {}
         self._succs: dict[Hashable, set[Hashable]] = {}
+        self._marked: set[Hashable] = set()
 
     # ------------------------------------------------------------------
     def add_vertex(self, v: Hashable) -> None:
@@ -46,6 +49,12 @@ class CDag:
         self.add_vertex(v)
         self._preds[v].add(u)
         self._succs[u].add(v)
+
+    def mark_output(self, v: Hashable) -> None:
+        """Make ``v`` an output even though other vertices read it."""
+        if v not in self._preds:
+            raise CDagError(f"unknown vertex {v!r}")
+        self._marked.add(v)
 
     # ------------------------------------------------------------------
     def __contains__(self, v: Hashable) -> bool:
@@ -88,8 +97,9 @@ class CDag:
         return {v for v, p in self._preds.items() if not p}
 
     def outputs(self) -> set[Hashable]:
-        """Vertices with no outgoing edges (final results)."""
-        return {v for v, s in self._succs.items() if not s}
+        """Final results: vertices with no outgoing edges, and the marked
+        ones."""
+        return {v for v, s in self._succs.items() if not s} | self._marked
 
     def compute_vertices(self) -> set[Hashable]:
         """Non-input vertices (the ones a schedule must compute)."""

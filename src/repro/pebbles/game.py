@@ -128,12 +128,13 @@ def greedy_schedule(cdag: CDag, mem_pebbles: int,
     (furthest-next-use) eviction.
 
     Every computed vertex that still has un-computed successors is stored
-    before eviction; outputs are stored when computed.  The result is an
+    before eviction; outputs are stored when computed (inputs start
+    blue), so every output ends blue.  The result is an
     *upper bound* schedule: ``Q_greedy >= Q_opt >= lower bound``.
     """
     topo = [v for v in (order or cdag.topological_order())
             if cdag.in_degree(v) > 0]
-    inputs = cdag.inputs()
+    inputs, outputs = cdag.inputs(), cdag.outputs()
 
     # next_use[v]: ascending positions at which v is consumed.
     next_use: dict[Hashable, list[int]] = {}
@@ -181,12 +182,7 @@ def greedy_schedule(cdag: CDag, mem_pebbles: int,
             evict_one(pinned, pos)
         moves.append(Move("compute", v))
         red.add(v)
-        if not cdag.succs(v):
-            moves.append(Move("store", v))
-            blue.add(v)
-    # Store any remaining outputs still resident only in red.
-    for v in sorted(cdag.outputs(), key=repr):
-        if v not in blue:
+        if v in outputs:
             moves.append(Move("store", v))
             blue.add(v)
     return moves

@@ -55,6 +55,15 @@ class TestCDag:
         assert g.outputs() == {"c"}
         assert g.compute_vertices() == {"b", "c"}
 
+    def test_marked_outputs(self):
+        g = CDag()
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        g.mark_output("b")
+        assert g.outputs() == {"b", "c"}
+        with pytest.raises(CDagError):
+            g.mark_output("d")
+
     def test_duplicate_edge_idempotent(self):
         g = CDag()
         g.add_edge("a", "b")
@@ -228,6 +237,15 @@ class TestProgramCDag:
             g = program_cdag(program, n)
             g.topological_order()  # acyclic
             assert len(g.compute_vertices()) == program.total_vertices(n)
+
+    def test_outputs_are_the_final_versions(self, make):
+        """Every element written ends as an output, read later or not."""
+        for n in range(1, 7):
+            g = program_cdag(make(), n)
+            last = {}
+            for v in g.compute_vertices():
+                last[v[:-1]] = max(last.get(v[:-1], 0), v[-1])
+            assert g.outputs() == {(*key, k) for key, k in last.items()}
 
 
 @pytest.mark.parametrize("make, digest", FINGERPRINTS,

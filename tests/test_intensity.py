@@ -6,7 +6,6 @@ panel statements have rho = 1 (out-degree-one cap, Lemma 6).
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -148,12 +147,12 @@ class TestMinimizeRho:
         assert rho >= m / (m + 1)
 
     def test_ridge_at_the_ceiling_stays_conservative(self):
-        """The ceiling solve lands on the flat ridge of
-        test_flat_ridge_optimum (both variables free), so the face rule
-        keeps rho(X_c), still no smaller than the limit 1/w_1."""
+        """The flat ridge of test_flat_ridge_optimum at the ceiling: the
+        solve pins k (its accesses contain i's), so the face rule gives
+        the limit 1/w_1 exactly."""
         rho, x0, _ = minimize_rho(("k", "i"), PANEL, 1.55e6, [3.3, 0.78])
         assert math.isinf(x0)
-        assert rho >= 1.0 / 3.3
+        assert rho == 1.0 / 3.3
 
     @pytest.mark.parametrize("derive, solves", [
         (derive_lu_bound, 3), (derive_cholesky_bound, 3),
@@ -173,14 +172,14 @@ class TestMinimizeRho:
         assert len(calls) <= solves
 
 
-def _random_programs(seed: int, count: int):
-    """Seeded X-partition programs: 1-3 variables, 1-4 accesses over
-    random non-empty groups (duplicate groups and identical columns
+def _random_programs(seed: int, count: int, nvars: int = 3):
+    """Seeded X-partition programs: 1-``nvars`` variables, 1-4 accesses
+    over random non-empty groups (duplicate groups and identical columns
     included), random weights, and X from the trivial size to 1e12 times
     it."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        loop_vars = ("a", "b", "c")[:int(rng.integers(1, 4))]
+        loop_vars = ("a", "b", "c", "d")[:int(rng.integers(1, nvars + 1))]
         full = 2 ** len(loop_vars) - 1
         bits = rng.integers(1, full + 1, size=int(rng.integers(1, 5)))
         bits[0] |= full & ~int(np.bitwise_or.reduce(bits))
@@ -209,39 +208,62 @@ def _grid_best(loop_vars, groups, weights, x, points=200):
 
 
 class TestCertifiedSolve:
-    """One bounded SLSQP solve per X, returned only with its KKT
-    certificate: the program is convex, so that point is the optimum."""
+    """One exact solve per X (column dominance, then Newton with an
+    active set), returned only with its KKT certificate: the program is
+    convex, so that point is the optimum."""
 
     @staticmethod
-    def _stub_solver(monkeypatch, y):
-        result = types.SimpleNamespace(x=np.asarray(y, float), message="stub")
-        monkeypatch.setattr(intensity, "_optimize", lambda: types.SimpleNamespace(
-            minimize=lambda *args, **kwargs: result))
+    def _stub_steps(monkeypatch, step):
+        """Replace the Newton step: ``step(jac, rhs)`` gives the step in
+        the free variables and the level's log."""
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda jac, rhs, *args: (step(jac, rhs),))
 
     def test_unspent_budget_raises(self, monkeypatch):
-        """y = 0 at a large X is feasible but leaves the budget unspent."""
-        self._stub_solver(monkeypatch, [0.0, 0.0, 0.0])
+        """With no step taken, the balanced start (i = j = sqrt(X/3) on
+        the GEMV groups) never spends the budget."""
+        self._stub_steps(monkeypatch, lambda jac, rhs: np.zeros_like(rhs))
         with pytest.raises(ArithmeticError, match="not certified"):
-            max_subcomputation(("i", "j", "k"), MATMUL, 1e9)
+            max_subcomputation(("i", "j"), GEMV, 1e9)
 
     def test_unequal_free_marginals_raise(self, monkeypatch):
-        """d = (10, 10, 145) spends X = 100 + 1450 + 1450 exactly, but
-        k's marginal (2900/3000) is not i's and j's (1550/3000)."""
-        self._stub_solver(monkeypatch, np.log([10.0, 10.0, 145.0]))
+        """Steps that only rescale the free variables spend the budget
+        but keep the start's proportions, where the weights 1, 1, 4 give
+        k a larger marginal than i."""
+        def rescale(jac, rhs):
+            spend = rhs[-1] / np.sum(jac[-1, :-1])
+            return np.append(np.full(len(rhs) - 1, spend), 0.0)
+
+        self._stub_steps(monkeypatch, rescale)
         with pytest.raises(ArithmeticError, match="not certified"):
-            max_subcomputation(("i", "j", "k"), MATMUL, 3000.0)
+            max_subcomputation(("i", "j", "k"), MATMUL, 3000.0, [1.0, 1.0, 4.0])
 
     def test_random_programs_certified_and_optimal(self):
-        """1e-7 nats, not 1e-9: the certificate's 1e-6 tolerance on the
-        marginals lets SLSQP stop on a flat ridge, e.g. groups (a,b,c),
-        (c), (a) at X ~ 1e11, where pinning a and c gains ~1e-8 nats,
-        and the round-off shrink loop can overshoot by ~1e-8 after SLSQP
-        stops just past the budget.  This seed's worst is 3.3e-8."""
+        """No program ends more than 1e-9 nats short of the grid's best
+        (seeds 0-4, 5 000 programs: the worst is 1.1e-14)."""
         for loop_vars, groups, weights, x in _random_programs(2024, 150):
             sol = max_subcomputation(loop_vars, groups, x, weights)
-            assert sol.dominator_size() <= x * (1 + 1e-9)
+            assert sol.dominator_size() <= x * (1 + 1e-12)
             assert _grid_best(loop_vars, groups, weights, x) \
-                <= math.log(sol.chi) + 1e-7, (loop_vars, groups, weights, x)
+                <= math.log(sol.chi) + 1e-9, (loop_vars, groups, weights, x)
+
+    def test_random_programs_meet_kkt(self):
+        """The KKT conditions, recomputed from the returned domain sizes
+        on 2 000 programs of 1-4 variables: the budget is spent, the
+        free variables (d > 1) share the returned marginal and no pinned
+        one (d = 1) has a smaller one."""
+        for loop_vars, groups, weights, x in _random_programs(40, 2000, 4):
+            sol = max_subcomputation(loop_vars, groups, x, weights)
+            d = np.array([sol.domain_sizes[v] for v in loop_vars])
+            masks = np.array([[v in g for v in loop_vars] for g in groups])
+            terms = weights * np.prod(np.where(masks, d, 1.0), axis=1) / x
+            s = masks.T @ terms / np.sum(terms)
+            case = (loop_vars, groups, weights, x)
+            assert np.all(d >= 1.0), case
+            assert abs(np.sum(terms) - 1.0) <= 1e-12, case
+            assert np.all(abs(s[d > 1.0] - sol.marginal)
+                          <= 1e-12 * sol.marginal), case
+            assert np.all(s >= sol.marginal * (1 - 1e-12)), case
 
     def test_duplicate_groups_regression(self):
         """A log-sum-exp form of the constraint returned chi 7.4x too low
@@ -253,20 +275,18 @@ class TestCertifiedSolve:
         assert sol.chi == pytest.approx((x - 1) ** 2 / 8, rel=1e-9)
         assert sol.domain_sizes["a"] == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP 'solve accuracy to 1e-9 nats': the 1e-6 marginal "
-        "tolerance certifies SLSQP's stop on a flat ridge"))
     def test_flat_ridge_optimum(self):
-        """The optimum pins b = 1, chi = (X - 0.78)/3.3; SLSQP stops at
-        a ~ b ~ 6.85e5, 3.45e-7 nats short, and is certified."""
+        """The optimum pins b = 1, chi = (X - 0.78)/3.3: b's accesses
+        contain a's.  A 1e-6 marginal tolerance once certified a stop
+        at a ~ b ~ 6.85e5, 3.45e-7 nats short."""
         x = 1.55e12
         sol = max_subcomputation(("a", "b"), [("a", "b"), ("b",)], x,
                                  [3.3, 0.78])
         assert math.log(sol.chi) >= math.log((x - 0.78) / 3.3) - 1e-9
 
     def test_zero_start_regression(self):
-        """A zero start made SLSQP report incompatible constraints and
-        return y = 0: LU S1 rho 3.9e-9 and a bound of 5.1e11 here."""
+        """A zero start once made the solve return y = 0: LU S1 rho
+        3.9e-9 and a bound of 5.1e11 here."""
         bound = derive_lu_bound(64, 256.0)
         assert bound.intensity("S1").rho == 1.0
         assert bound.parallel_bound == pytest.approx(12684.0, rel=1e-9)

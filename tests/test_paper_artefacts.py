@@ -90,8 +90,8 @@ def test_pins_cover_exactly_the_registry():
 
 
 def test_building_the_registry_loads_no_scipy():
-    """``derive_*`` import ``scipy.optimize`` on their first solve, not
-    when ``FIGURES`` (or the CLI's parser) is built."""
+    """``derive_*`` import ``scipy.optimize`` on their first bracketed
+    root search, not when ``FIGURES`` (or the CLI's parser) is built."""
     probe = ("import sys, repro.__main__; "
              "print([m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run(

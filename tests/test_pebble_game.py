@@ -5,10 +5,16 @@ import pytest
 from repro.lowerbounds import (
     cholesky_program,
     derive_cholesky_bound,
+    derive_ldlt_bound,
     derive_lu_bound,
     derive_matmul_bound,
+    derive_syrk_bound,
+    derive_trsm_bound,
+    ldlt_program,
     lu_program,
     matmul_program,
+    syrk_program,
+    trsm_program,
 )
 from repro.pebbles import (
     CDag,
@@ -158,17 +164,28 @@ class TestGreedyRespectsLowerBounds:
         bound = derive_lu_bound(n, m).sequential_bound
         assert q >= bound
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
     def test_cholesky(self, n, m):
-        """Compared against the Schur statement's bound only: the cDAG
-        has a single graph output (the last diagonal entry), so factor
-        entries that later updates read are never stored.  At (4, 8)
-        greedy does 10 loads and 1 store, 11 I/Os, under the full
-        derived bound of 17.07, whose rho = 1 panel terms charge an I/O
-        per panel vertex; S3's bound alone is 7.07."""
+        """Every final factor entry is an output and is stored: with only
+        the last diagonal entry stored, greedy did (4, 8) in 11 I/Os,
+        under this bound of 17.07."""
         q = run_greedy(program_cdag(cholesky_program(), n), m).io_cost
-        bound = derive_cholesky_bound(n, m)
-        assert q >= bound.per_statement["S3"].io_lower_bound
+        assert q >= derive_cholesky_bound(n, m).sequential_bound
+
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
+    def test_ldlt(self, n, m):
+        q = run_greedy(program_cdag(ldlt_program(), n), m).io_cost
+        assert q >= derive_ldlt_bound(n, m).sequential_bound
+
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
+    def test_trsm(self, n, m):
+        q = run_greedy(program_cdag(trsm_program(), n), m).io_cost
+        assert q >= derive_trsm_bound(n, m).sequential_bound
+
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+    def test_syrk(self, n, m):
+        q = run_greedy(program_cdag(syrk_program(), n), m).io_cost
+        assert q >= derive_syrk_bound(n, m).sequential_bound
 
     def test_greedy_within_constant_of_bound(self):
         """The greedy schedule should not be wildly suboptimal on matmul
