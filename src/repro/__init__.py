@@ -32,8 +32,8 @@ Quick start::
     result = repro.conflux_lu(256, nranks=8, v=16, c=2)
     residual = result.reconstruct()  # L @ U  ==  A[perm]
 
-    # The paper's headline lower bound.
-    q = repro.lu_io_lower_bound(n=16384, p=1024, mem_words=2**21)
+    # The LU lower bound derived from its DAAP program (Sections 3-6).
+    q = repro.derive_lu_bound(16384, mem_words=2**21, p=1024).parallel_bound
 """
 
 from .api import pdgetrf, pdgetrs, pdpotrf, pdpotrs
@@ -44,12 +44,9 @@ from .factorizations import (
     lu_solve,
 )
 from .lowerbounds import (
-    cholesky_io_lower_bound,
     derive_cholesky_bound,
     derive_lu_bound,
     derive_matmul_bound,
-    lu_io_lower_bound,
-    matmul_io_lower_bound,
 )
 from .machine import PIZ_DAINT_XC40, Machine, MachineParams, PerfModel
 from .planner import Plan, plan_cholesky, plan_gemm, plan_lu
@@ -60,8 +57,6 @@ __all__ = [
     "conflux_lu", "confchox_cholesky",
     "lu_solve", "cholesky_solve",
     "pdgetrf", "pdpotrf", "pdgetrs", "pdpotrs",
-    "lu_io_lower_bound", "cholesky_io_lower_bound",
-    "matmul_io_lower_bound",
     "derive_lu_bound", "derive_cholesky_bound", "derive_matmul_bound",
     "Machine", "MachineParams", "PerfModel", "PIZ_DAINT_XC40",
     "Plan", "plan_lu", "plan_cholesky", "plan_gemm",

@@ -12,7 +12,7 @@ import dataclasses
 import math
 
 from ..factorizations import build, default_block_size
-from ..lowerbounds import cholesky_io_lower_bound, lu_io_lower_bound
+from ..lowerbounds import derive_cholesky_bound, derive_lu_bound
 from ..models import costmodels as cm
 from ..planner.candidates import panel_width_2d
 from .harness import (
@@ -325,26 +325,21 @@ def table2_model_validation(
 
 def lower_bound_ratios(cases=((8192, 256), (16384, 1024)),
                        ) -> list[dict]:
-    """Section 6/7 headline: COnfLUX's volume vs the LU lower bound
-    (factor ~1.5 plus lower-order terms) and COnfCHOX vs the Cholesky
-    bound (factor ~3)."""
+    """Section 6/7 headline: COnfLUX's volume vs the derived LU lower
+    bound (factor ~1.5 plus lower-order terms) and COnfCHOX vs the
+    derived Cholesky bound (factor ~3)."""
     rows = []
     for n, p in cases:
         c = max_replication(p, n)
         v = default_block_size(n, p, c)
         mem = c * float(n) * n / p
-        lu, ch = trace(build("lu", "conflux", n, p, v=v, c=c),
+        traced = trace(build("lu", "conflux", n, p, v=v, c=c),
                        build("cholesky", "confchox", n, p, v=v, c=c))
-        rows.append({
-            "kernel": "lu", "n": n, "nranks": p,
-            "measured_max": lu.max_recv_words,
-            "lower_bound": lu_io_lower_bound(n, p, mem),
-            "ratio": lu.max_recv_words / lu_io_lower_bound(n, p, mem),
-        })
-        rows.append({
-            "kernel": "cholesky", "n": n, "nranks": p,
-            "measured_max": ch.max_recv_words,
-            "lower_bound": cholesky_io_lower_bound(n, p, mem),
-            "ratio": ch.max_recv_words / cholesky_io_lower_bound(n, p, mem),
-        })
+        for kernel, derive, res in zip(("lu", "cholesky"), (
+                derive_lu_bound, derive_cholesky_bound), traced):
+            bound = derive(n, mem, p).parallel_bound
+            rows.append({"kernel": kernel, "n": n, "nranks": p,
+                         "measured_max": res.max_recv_words,
+                         "lower_bound": bound,
+                         "ratio": res.max_recv_words / bound})
     return rows

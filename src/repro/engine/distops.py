@@ -556,9 +556,11 @@ def panel_fan_out_update(machine: Machine, grid: ProcessorGrid3D,
         for pj, cols, right in rights:
             updated = rows.size * cols.size
             if lower:
-                top = np.searchsorted(rows // v * pr + pi,
-                                      cols[::v] // v * pc + pj)
-                updated = int((rows.size - top).sum()) * v
+                # Rows in tiles bi >= bj start at local row ceil((bj -
+                # pi) / pr) * v; the run [r0, r1) holds r1 - max(that, r0).
+                first = -((pi - cols[::v] // v * pc - pj) // pr) * v
+                updated = int(np.maximum(
+                    r1 - np.maximum(first, r0), 0).sum()) * v
             fiber = range(pi * pc + pj, grid.size, grid.layer_size)
             fl[fiber.start::fiber.step] = 2.0 * updated * planes
             products += [(panels[rank][r0:r1], a, b)

@@ -494,12 +494,10 @@ class ConfluxSchedule(Schedule):
             raise ValueError(
                 f"tournament selected {ids.size} rows < v={v} "
                 "(rank-deficient panel)")
-        lu, piv, fl = blas.getrf(blk[:, :v], tolerant=True)
+        lu, piv, fl = blas.getrf(blk[:, :v])
         perm = blas.pivots_to_permutation(piv, ids.size)
-        winners = ids[perm[:v]]
-        lu00, _, fl2 = blas.getrf(blk[perm[:v], :v], pivot=False)
-        machine.compute(root, fl + fl2)
-        return winners, lu00, root
+        machine.compute(root, fl)
+        return ids[perm[:v]], lu[:v], root
 
     def dist_finalize(self, machine: Machine,
                       st: _DistState) -> dict[str, Any]:

@@ -131,12 +131,8 @@ def tournament_pivot(panel: np.ndarray, v: int,
         raise ValueError(
             f"tournament selected {winners.size} rows < v={v} "
             "(rank-deficient panel)")
-    # Final LU of the winning block; fold its internal row ordering into
-    # the winner order so downstream code needs no further pivoting.
+    # Final LU of the winning block, its row order folded into the winners:
+    # the leading v x v factor is A00, and nothing downstream pivots again.
     lu, piv, _ = blas.getrf(panel[winners][:, :v])
     perm = blas.pivots_to_permutation(piv, winners.size)
-    winners = winners[perm]
-    lu, piv2, _ = blas.getrf(panel[winners][:, :v], pivot=False)
-    if np.any(piv2 != np.arange(v)):  # pragma: no cover - by construction
-        raise AssertionError("pivot order not closed under final LU")
-    return TournamentResult(winners=winners, lu00=lu, rounds=rounds)
+    return TournamentResult(winners=winners[perm], lu00=lu[:v], rounds=rounds)

@@ -255,17 +255,16 @@ def _trtrs(tri: np.ndarray, rhs: np.ndarray, lower: bool,
     return x
 
 
-def getrf(a: np.ndarray, pivot: bool = True,
+def getrf(a: np.ndarray,
           tolerant: bool = False) -> tuple[np.ndarray, np.ndarray, float]:
     """Partial-pivoting LU of a rectangular panel, packed LAPACK-style.
 
     Returns ``(lu, piv, flops)`` where ``lu`` holds ``L`` (unit diagonal
     implicit) below and ``U`` on/above the diagonal, and ``piv[i]`` is the
     row swapped with row ``i`` at step ``i`` (LAPACK ipiv, 0-based).
-    The pivoting factorization is LAPACK ``dgetrf``.  With
-    ``pivot=False`` no rows are swapped (used by the pebbling and
-    lower-bound cDAGs, which analyze the pivot-free dataflow, and for
-    the tournament winners' A00, already in pivot order).
+    The factorization is LAPACK ``dgetrf``; the leading ``k x k`` block
+    of ``lu`` (``k = min(m, n)``) factors the first ``k`` rows of the
+    pivoted panel.
 
     ``tolerant=True`` mirrors LAPACK's ``info > 0`` behaviour: an exactly
     zero pivot leaves the column uneliminated instead of raising — used
@@ -274,23 +273,14 @@ def getrf(a: np.ndarray, pivot: bool = True,
     """
     a = _as2d(a, "a")
     m, n = a.shape
-    if pivot and min(m, n) > 0:
-        a, piv, info = _lapack().lapack.dgetrf(a)
-        if info < 0:
-            raise KernelError(f"dgetrf failed with info={info}")
-        if info > 0 and not tolerant:
-            raise SingularMatrixError(f"zero pivot at column {info - 1}")
-        return a, piv, _flops.getrf_flops(m, n)
-    a = a.copy()
-    for k in range(min(m, n)):
-        if a[k, k] == 0.0:
-            if not tolerant:
-                raise SingularMatrixError(f"zero pivot at column {k}")
-            continue
-        a[k + 1:, k] /= a[k, k]
-        if k + 1 < n:
-            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
-    return a, np.arange(min(m, n)), _flops.getrf_flops(m, n)
+    if min(m, n) == 0:
+        return a.copy(), np.arange(0), _flops.getrf_flops(m, n)
+    a, piv, info = _lapack().lapack.dgetrf(a)
+    if info < 0:
+        raise KernelError(f"dgetrf failed with info={info}")
+    if info > 0 and not tolerant:
+        raise SingularMatrixError(f"zero pivot at column {info - 1}")
+    return a, piv, _flops.getrf_flops(m, n)
 
 
 def potrf(a: np.ndarray) -> tuple[np.ndarray, float]:

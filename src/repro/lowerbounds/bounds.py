@@ -1,14 +1,13 @@
-"""Sequential and parallel I/O lower bounds (Sections 3-6).
-
-Two layers live here:
+"""Sequential and parallel I/O lower bounds (Sections 3-6), in two layers.
 
 * **Derivation pipeline** — :func:`derive_program_bound` runs the full
   DAAP machinery (per-statement intensity with output-reuse weights,
   Lemma 9 parallelization) on any :class:`~repro.lowerbounds.daap.Program`
-  and problem size, returning per-statement detail.
+  and problem size, returning per-statement detail.  Its
+  ``parallel_bound`` is the one bound every consumer divides by.
 
-* **Closed forms** — the paper's headline results, exported as plain
-  functions used throughout the benchmarks:
+* **Closed forms** — the formulas Section 6 prints, kept as the pipeline
+  table's checked reference column and for ``perf/``'s ``comm_over_bound``:
 
   - LU (Section 6.1):
     ``Q >= (2N^3 - 6N^2 + 4N) / (3 P sqrt(M)) + N(N-1) / (2P)``
@@ -22,11 +21,12 @@ statements, exact to rounding (their certified marginal is ``2/3`` at every
 ``X``, so Lemma 2's first-order condition gives ``3M`` in one step), and
 the limit ``rho = 1`` exactly for the panel statements, where Lemma 6's
 cap of 1 ties it and is reported.  ``|V_S|`` is the exact point count of
-each statement's domain, so the derived matmul bound equals its closed
-form, the derived LU bound exceeds its closed form (which counts
-``N(N-1)(N-2)/3`` Schur updates, not ``(N-1)N(2N-1)/6``) by exactly
-``N(N-1) / (P sqrt(M))``, and the Cholesky closed form exceeds the derived
-``(N^3 - N) / (3 P sqrt(M)) + N(N+1) / (2P)`` by ``N/(3 P sqrt(M)) + N/(2P)``.
+each statement's domain, so the derivation backs the matmul formula
+(equal) and the LU one (which counts ``N(N-1)(N-2)/3`` Schur updates, not
+``(N-1)N(2N-1)/6``: ``N(N-1) / (P sqrt(M))`` weaker), but not the Cholesky
+one: it exceeds the derived ``(N^3 - N) / (3 P sqrt(M)) + N(N+1) / (2P)``
+by ``N/(3 P sqrt(M)) + N/(2P)``, Listing 1's S3 and S2 domains rounded up
+to ``N^3/6`` and ``N^2/2`` points.
 """
 
 from __future__ import annotations
@@ -108,9 +108,8 @@ def derive_program_bound(program: Program, n: float, mem_words: float,
 
     Statements are processed in order; a statement's intensity feeds the
     output-reuse weights of statements consuming its results (Case II).
-    Case I input-reuse subtraction is not applied here because for the
-    paper's kernels it only lowers low-order terms — the per-statement
-    sum is already the bound quoted in Section 6.
+    Case I input-reuse subtraction is not applied: for the paper's
+    kernels it only lowers low-order terms.
     """
     if not (_finite(n, p, mem_words) and n > 1 and p > 0 and mem_words > 0):
         raise ValueError("need finite n > 1, p > 0, mem_words > 0")
@@ -152,36 +151,22 @@ def derive_matmul_bound(n: float, mem_words: float,
 # Closed forms (Section 6)
 # ---------------------------------------------------------------------------
 
-def lu_io_lower_bound(n: float, p: float, mem_words: float,
-                      leading_only: bool = False) -> float:
-    """Parallel LU I/O lower bound (Section 6.1).
-
-    ``Q >= (2N^3 - 6N^2 + 4N) / (3 P sqrt(M)) + N(N-1) / (2P)``;
-    with ``leading_only`` just ``2N^3 / (3 P sqrt(M))``.
-    """
+def lu_io_lower_bound(n: float, p: float, mem_words: float) -> float:
+    """The parallel LU I/O bound as Section 6.1 prints it."""
     if not (_finite(n, p, mem_words) and n >= 0 and p > 0 and mem_words > 0):
         raise ValueError("invalid arguments")
     sm = math.sqrt(mem_words)
-    lead = 2.0 * n ** 3 / (3.0 * p * sm)
-    if leading_only:
-        return lead
     return (2.0 * n ** 3 - 6.0 * n * n + 4.0 * n) / (3.0 * p * sm) \
         + n * (n - 1.0) / (2.0 * p)
 
 
-def cholesky_io_lower_bound(n: float, p: float, mem_words: float,
-                            leading_only: bool = False) -> float:
-    """Parallel Cholesky I/O lower bound (Section 6.2).
-
-    ``Q >= N^3 / (3 P sqrt(M)) + N^2 / (2P) + N / P``.
-    """
+def cholesky_io_lower_bound(n: float, p: float, mem_words: float) -> float:
+    """The parallel Cholesky I/O formula as Section 6.2 prints it; the
+    derivation does not back it (see the module docstring)."""
     if not (_finite(n, p, mem_words) and n >= 0 and p > 0 and mem_words > 0):
         raise ValueError("invalid arguments")
     sm = math.sqrt(mem_words)
-    lead = n ** 3 / (3.0 * p * sm)
-    if leading_only:
-        return lead
-    return lead + n * n / (2.0 * p) + n / p
+    return n ** 3 / (3.0 * p * sm) + n * n / (2.0 * p) + n / p
 
 
 def matmul_io_lower_bound(n: float, p: float, mem_words: float) -> float:

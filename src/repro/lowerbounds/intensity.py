@@ -27,7 +27,8 @@ This module implements the core of Sections 3 and 5 of the paper:
 The optimization is a geometric program, i.e. convex after the
 substitution ``y = log d``.  Each ``X`` gets one exact solve: column
 dominance pins the variables that can never be free, and Newton's method
-with an active set finds the rest (:func:`_solve`).  Its point is
+with an active set finds the rest, stepping along the objective where
+only terms below eps of the budget bound it (:func:`_solve`).  Its point is
 returned only with a KKT certificate at machine precision — budget spent,
 one marginal shared by the free variables and none smaller on a pinned
 one.  Convexity makes a certified point the global optimum; an
@@ -56,6 +57,7 @@ __all__ = [
 
 _CEILING = 1e6  # Lemma 2's search ceiling is X_c = M (1 + _CEILING).
 _TOL = 2.0 ** -44  # the KKT certificate on log residuals, ~250 ulps
+_RCOND = 1e-10  # null space: singular values under this share of the largest
 
 
 @functools.cache
@@ -115,15 +117,23 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
     stops there and pins it; if none shrinks it, the variable whose
     marginal most exceeds the level ``exp(-mu)`` is pinned; on a solved
     face, a pinned variable whose marginal is below the level is freed.
+    Directions the Jacobian cannot see (singular values under ``_RCOND``
+    of the largest) change only terms below eps of the budget, and along
+    them the objective is linear.  When most of the residual lies there,
+    the step is instead the objective's ascent in that null space, to
+    where the first such term reaches a balanced share of the budget (or
+    a variable reaches 0, which pins it).
     Raises :class:`ArithmeticError` when no certified point is reached.
     """
     cols = [frozenset(np.flatnonzero(c)) for c in masks.T]
     free = np.array([not any(a < b or (a == b and u < v)
                              for u, a in enumerate(cols))
                      for v, b in enumerate(cols)])
-    # Balanced start: every term gets an equal share of the budget, and
-    # each variable takes the smallest target over the terms it joins.
-    target = (logx - math.log(len(logw)) - logw) / np.sum(masks, axis=1)
+    # Balanced start: every term gets an equal share of the budget, split
+    # over its free variables; each takes the smallest target it joins.
+    count = np.sum(masks[:, free], axis=1)
+    target = np.divide(logx - math.log(len(logw)) - logw, count,
+                       out=np.full(len(logw), np.inf), where=count > 0)
     y = np.min(np.where(masks > 0, target[:, None], np.inf), axis=0)
     y = np.where(free, np.maximum(y, 0.0), 0.0)
 
@@ -148,17 +158,31 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
         jac[:-1, :-1] = masks[:, f].T @ (t[:, None] * masks[:, f]) / s[f, None]
         jac[:-1, -1] = 1.0
         jac[-1, :-1] = s[f] / np.sum(t)
-        step = np.linalg.lstsq(jac, -r)[0]
+        step, _, _, sv = np.linalg.lstsq(jac, -r)
+        along = sv[-1] < sv[0] * _RCOND
+        if along:
+            u, sv, vt = np.linalg.svd(jac)
+            null = sv < sv[0] * _RCOND
+            ray = vt[null, :-1].T @ np.sum(vt[null, :-1], axis=1)
+            along = np.linalg.norm(u[:, null].T @ r) > np.linalg.norm(r) / 2 \
+                and np.sum(ray) > _TOL
+            step = np.append(ray, 0.0) if along else step
         dy = np.zeros_like(y)
         dy[f] = step[:-1]
         ratios = np.divide(y, -dy, out=np.full_like(y, np.inf), where=dy < 0)
         pin, reach = int(np.argmin(ratios)), float(np.min(ratios))
         alpha, norm = min(1.0, reach), float(np.linalg.norm(r))
-        while alpha > 0 and not np.linalg.norm(kkt(
+        if along:
+            share, logt, rate = -math.log(len(t)), np.log(t), masks @ dy
+            grow = (rate > 0) & (logt < share)
+            alpha = min([reach, *((share - logt[grow]) / rate[grow])])
+        while not along and alpha > 0 and not np.linalg.norm(kkt(
                 np.maximum(y + alpha * dy, 0.0), mu + alpha * step[-1])[3]) < norm:
             alpha = alpha / 2 if alpha > 1e-18 else 0.0
         if alpha == 0.0 < reach:
             pin = int(f[np.argmax(gap[f])])
+        if not math.isfinite(alpha):
+            break
         y = np.maximum(y + alpha * dy, 0.0)
         mu += alpha * float(step[-1])
         if alpha in (0.0, reach) and len(f) > 1:
@@ -228,8 +252,10 @@ def max_subcomputation(
     d = np.exp(y)
     access_sizes = tuple(float(np.exp(logw[j] + masks[j] @ y))
                          for j in range(len(groups)))
+    with np.errstate(over="ignore"):  # chi past the float range is inf
+        chi = float(np.prod(d))
     return SubcomputationSolution(
-        chi=float(np.prod(d)),
+        chi=chi,
         domain_sizes={v: float(d[i]) for v, i in var_index.items()},
         access_sizes=access_sizes,
         x=float(x),

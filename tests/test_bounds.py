@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.analysis.reporting import derived_bounds
 from repro.lowerbounds import (
     analyze_statement,
     array_accesses_per_schedule,
@@ -46,39 +47,55 @@ NON_FINITE = [(math.nan, 4, 64.0), (math.inf, 4, 64.0), (64, math.nan, 64.0),
               (64, math.inf, 64.0), (64, 4, math.nan), (64, 4, math.inf)]
 
 
-class TestClosedForms:
-    def test_lu_leading_term(self):
-        n, p, m = 2.0 ** 14, 1024.0, 2.0 ** 20
-        assert lu_io_lower_bound(n, p, m, leading_only=True) == \
-            pytest.approx(2 * n ** 3 / (3 * p * math.sqrt(m)))
+#: kernel's pipeline entry point -> its Schur-update statement.
+SCHUR = {derive_lu_bound: "S2", derive_cholesky_bound: "S3"}
 
-    def test_lu_full_exceeds_leading(self):
-        n, p, m = 4096.0, 64.0, 2.0 ** 18
-        assert lu_io_lower_bound(n, p, m) > \
-            lu_io_lower_bound(n, p, m, leading_only=True)
+
+def schur_bound(derive, n, p, m):
+    """The bound's share from the Schur statement, per rank: its
+    leading term."""
+    return derive(n, m, p).per_statement[SCHUR[derive]].io_lower_bound / p
+
+
+class TestDerivedScaling:
+    def test_lu_leading_term(self):
+        """LU's Schur share is ``2 |S2| / (P sqrt(M))``, ``|S2| =
+        (N-1)N(2N-1)/6``: ``2N^3/(3P sqrt(M))`` to leading order."""
+        n, p, m = 2 ** 14, 1024, 2.0 ** 20
+        assert schur_bound(derive_lu_bound, n, p, m) == pytest.approx(
+            (n - 1) * n * (2 * n - 1) / (3 * p * math.sqrt(m)), rel=1e-12)
 
     def test_cholesky_is_half_of_lu(self):
         """Cholesky's leading term is half of LU's (Section 6.2)."""
-        n, p, m = 2.0 ** 16, 256.0, 2.0 ** 22
-        lu = lu_io_lower_bound(n, p, m, leading_only=True)
-        ch = cholesky_io_lower_bound(n, p, m, leading_only=True)
-        assert ch == pytest.approx(lu / 2)
+        n, p, m = 2 ** 16, 256, 2.0 ** 22
+        assert schur_bound(derive_cholesky_bound, n, p, m) == pytest.approx(
+            schur_bound(derive_lu_bound, n, p, m) / 2, rel=1e-4)
+
+    def test_scaling_in_p(self):
+        n, m = 8192, 2.0 ** 20
+        assert derive_lu_bound(n, m, 64).parallel_bound == pytest.approx(
+            2 * derive_lu_bound(n, m, 128).parallel_bound, rel=1e-15)
+
+    def test_scaling_in_m(self):
+        """Doubling M cuts the leading term by sqrt(2) — the 2.5D payoff."""
+        n, p = 2 ** 15, 512
+        q1 = schur_bound(derive_lu_bound, n, p, 2.0 ** 20)
+        q2 = schur_bound(derive_lu_bound, n, p, 2.0 ** 21)
+        assert q1 / q2 == pytest.approx(math.sqrt(2), rel=1e-12)
+
+    def test_full_bound_exceeds_leading(self):
+        n, p, m = 4096, 64, 2.0 ** 18
+        for derive in (derive_lu_bound, derive_cholesky_bound):
+            assert derive(n, m, p).parallel_bound > \
+                schur_bound(derive, n, p, m)
+
+
+class TestClosedForms:
+    """The printed Section 6 formulas, kept as a reference column."""
 
     def test_matmul(self):
         assert matmul_io_lower_bound(1024, 1, 4096) == \
             pytest.approx(2 * 1024 ** 3 / 64)
-
-    def test_scaling_in_p(self):
-        n, m = 8192.0, 2.0 ** 20
-        assert lu_io_lower_bound(n, 64, m) == pytest.approx(
-            2 * lu_io_lower_bound(n, 128, m))
-
-    def test_scaling_in_m(self):
-        """Doubling M cuts the leading term by sqrt(2) — the 2.5D payoff."""
-        n, p = 2.0 ** 15, 512.0
-        q1 = lu_io_lower_bound(n, p, 2.0 ** 20, leading_only=True)
-        q2 = lu_io_lower_bound(n, p, 2.0 ** 21, leading_only=True)
-        assert q1 / q2 == pytest.approx(math.sqrt(2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +129,43 @@ def assert_cholesky_identity(n, p, m):
     closed = cholesky_io_lower_bound(n, p, m)
     assert closed - derived == pytest.approx(
         n / (3 * p * math.sqrt(m)) + n / (2 * p), abs=1e-9 * closed)
+
+
+#: Two (P, M) per N: M = N^2/P and M = 4 N^2/P.
+GAP_POINTS = [(n, p, k * n * n / p) for n in (64, 4096, 16384, 65536)
+              for p, k in ((16, 1), (256, 4))]
+
+
+class TestPrintedFormulas:
+    """The pipeline table's "paper formula" column against the
+    derivation, to 1e-12 of the bound: the printed LU formula is weaker
+    by ``N(N-1)/(P sqrt(M))`` and the matmul one equal, so the derivation
+    backs both; the printed Cholesky formula exceeds it by
+    ``N/(3P sqrt(M)) + N/(2P)``, which it does not back."""
+
+    @pytest.mark.parametrize("n, p, m", GAP_POINTS)
+    def test_gaps_and_verdicts(self, n, p, m):
+        """What no lemma backs, the Cholesky excess, is exactly Listing
+        1's S3 and S2 domains rounded up to ``N^3/6`` and ``N^2/2``
+        points.  Lemma 6 caps S1/S2 at the rho = 1 they already have, the
+        bound counts received words (output stores, were they counted,
+        would add ``N(N+1)/(2P)``, not this), and Case I input reuse
+        only subtracts."""
+        rows = {r["kernel"]: r for r in derived_bounds(
+            ("LU", "Cholesky", "Matmul"), n, m, p)}
+        sm = math.sqrt(m)
+        size = {s.name: s.num_vertices(n) for s in cholesky_program().statements}
+        rounded = (2 * (n ** 3 / 6 - size["S3"]) / sm
+                   + n * n / 2 - size["S2"]) / p
+        gaps = {"LU": [-n * (n - 1) / (p * sm)],
+                "Cholesky": [n / (3 * p * sm) + n / (2 * p), rounded],
+                "Matmul": [0.0]}
+        for kernel, expected in gaps.items():
+            row = rows[kernel]
+            for gap in expected:
+                assert abs(row["closed_form"] - row["bound"] - gap) \
+                    <= 1e-12 * row["bound"], kernel
+            assert row["backed"] == ("no" if gap > 0 else "yes"), kernel
 
 
 class TestDerivationPipeline:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.harness import trace
 from repro.factorizations import ConfchoxSchedule, build, confchox_cholesky
-from repro.lowerbounds import cholesky_io_lower_bound
+from repro.lowerbounds import derive_cholesky_bound
 from repro.models import costmodels as cm
 
 
@@ -74,7 +74,8 @@ class TestCommunicationCost:
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
             res = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0]
             m = c * n * n / p
-            assert res.max_recv_words >= cholesky_io_lower_bound(n, p, m)
+            assert res.max_recv_words >= \
+                derive_cholesky_bound(n, m, p).parallel_bound
 
     def test_communicates_like_lu_but_computes_half(self):
         """Table 1's punchline: COnfCHOX moves about as much data as

@@ -13,7 +13,7 @@ from repro.factorizations import (
     conflux_lu,
     default_block_size,
 )
-from repro.lowerbounds import lu_io_lower_bound
+from repro.lowerbounds import derive_lu_bound
 from repro.models import costmodels as cm
 
 
@@ -154,11 +154,12 @@ class TestCommunicationCost:
         assert res.mean_recv_words == pytest.approx(lead, rel=0.2)
 
     def test_volume_respects_lower_bound(self):
-        """Counted max-rank volume >= the parallel I/O lower bound."""
+        """Counted max-rank volume >= the derived parallel I/O lower
+        bound."""
         for (n, p, c, v) in [(8192, 256, 4, 32), (16384, 1024, 8, 32)]:
             res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
             m = c * n * n / p
-            assert res.max_recv_words >= lu_io_lower_bound(n, p, m)
+            assert res.max_recv_words >= derive_lu_bound(n, m, p).parallel_bound
 
     def test_near_optimality_factor(self):
         """COnfLUX is within ~1.5x of the bound plus lower-order terms;
@@ -167,7 +168,7 @@ class TestCommunicationCost:
         n, p, c, v = 65536, 1024, 4, 32
         res = trace(build("lu", "conflux", n, p, v=v, c=c))[0]
         m = c * n * n / p
-        ratio = res.max_recv_words / lu_io_lower_bound(n, p, m)
+        ratio = res.max_recv_words / derive_lu_bound(n, m, p).parallel_bound
         assert 1.0 <= ratio < 2.0
 
     def test_replication_reduces_volume(self):

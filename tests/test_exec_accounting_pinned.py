@@ -34,6 +34,12 @@ machine used to keep.  The machine now appends to the same
 records double as the reference for that log, and ``PARENT_TIMES``
 holds what the perf model made of the eager log at that commit.
 
+COnfLUX's flops (per rank, and the ``flops_max``/``flops_total``
+columns) and its ``PARENT_TIMES`` were re-pinned once since: the
+tournament root takes A00 from its pivoted factor of the winners
+instead of factoring them again, one ``getrf_flops(v, v)`` less per
+step; nothing else moved.
+
 Regenerate (only for an intended accounting change, from the commit
 whose numbers are to be pinned)::
 
@@ -137,11 +143,11 @@ CASES.update({f"summa/{cfg}": ("summa", config, False)
 #: peak_fraction)`` of each run at the last commit with the eager log.
 PARENT_TIMES = {
     "conflux/n128-p16-v8-c2":
-        (0.0062113362967229895, 2.4808696238936344e-05),
+        (0.006122720545314901, 2.5082423330313073e-05),
     "conflux/n96-p8-v8-c2-grid4x1":
-        (0.00487292116994747, 2.9248668315311876e-05),
+        (0.004834390599694678, 2.9319667483359087e-05),
     "conflux/n64-p4-v8-c1":
-        (0.00278580034348865, 3.0295241691048543e-05),
+        (0.002742453782642089, 3.0393044977304977e-05),
     "confchox/n128-p16-v8-c2":
         (0.0034413835786823686, 2.2852488859812322e-05),
     "confchox/n96-p8-v8-c2-grid4x1":
@@ -149,11 +155,11 @@ PARENT_TIMES = {
     "confchox/n64-p4-v8-c1":
         (0.001631808081583888, 2.58339722249485e-05),
     "conflux/n128-p16-v8-c2/normal":
-        (0.006948266211170849, 2.2185335289480965e-05),
+        (0.0067411465555128865, 2.278946578861638e-05),
     "conflux/n96-p8-v8-c2-grid4x1/normal":
-        (0.005084213248314559, 2.8230216189499824e-05),
+        (0.005028009886262351, 2.8389902212547258e-05),
     "conflux/n128-p16-v8-c4/normal":
-        (0.008840597325695511, 1.7436561116448035e-05),
+        (0.008633477670037549, 1.7794350628376837e-05),
 }
 
 

@@ -1,7 +1,8 @@
 """Import discipline: SciPy loads with the first numeric kernel call,
 the paper's Table-2 models stay out of everything but the figures,
-schedules are built only through the implementation table, the trace
-evaluator has one reduction and one step-log shape, the planner reduces
+each kernel's lower bound is its DAAP derivation, schedules are built
+only through the implementation table, the trace evaluator has one
+reduction and one step-log shape, the planner reduces
 received words only and never walks a whole candidate product, the
 executed 2D views have no tile-at-a-time helper to fall back on, the
 SUMMA rounds copy and send nothing per piece, the memory a pd* call
@@ -165,6 +166,34 @@ def _users_of(gone: set[str]) -> dict[str, list[str]]:
         if names & gone:
             offenders[str(path.relative_to(ROOT))] = sorted(names & gone)
     return offenders
+
+
+#: The closed forms Section 6 prints.
+CLOSED_FORMS = {"lu_io_lower_bound", "cholesky_io_lower_bound",
+                "matmul_io_lower_bound"}
+
+
+def test_each_kernel_keeps_one_bound():
+    """Outside ``lowerbounds/`` the package divides by
+    ``derive_*_bound(...).parallel_bound`` only: the printed closed forms
+    are named nowhere but in the pipeline table's ``_DERIVE`` column,
+    their reference column."""
+    offenders = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        if "lowerbounds" in path.parts:
+            continue
+        tree = ast.parse(path.read_text())
+        table = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 and [getattr(t, "id", None) for t in stmt.targets]
+                 == ["_DERIVE"] for node in ast.walk(stmt)}
+        lines = sorted(
+            node.lineno for node in ast.walk(tree) if id(node) not in table
+            and ({getattr(node, "id", None), getattr(node, "attr", None)}
+                 | {alias.name for alias in getattr(node, "names", ())
+                    if isinstance(node, ast.ImportFrom)}) & CLOSED_FORMS)
+        if lines:
+            offenders[str(path.relative_to(ROOT))] = lines
+    assert offenders == {}
 
 
 def test_the_tile_at_a_time_helpers_stay_gone():

@@ -10,7 +10,7 @@ from repro.factorizations import build, conflux_lu
 from repro.factorizations.baselines import scalapack_lu
 from repro.layouts import BlockCyclicLayout, redistribute
 from repro.lowerbounds import (
-    cholesky_io_lower_bound,
+    derive_cholesky_bound,
     derive_lu_bound,
     lu_io_lower_bound,
     lu_program,
@@ -26,7 +26,7 @@ class TestTheoryToAlgorithm:
         (8192, 256, 4, 32), (16384, 512, 8, 32)])
     def test_sandwich_lu(self, n, p, c, v):
         m = c * float(n) * n / p
-        bound = lu_io_lower_bound(n, p, m)
+        bound = derive_lu_bound(n, m, p).parallel_bound
         ours = trace(build("lu", "conflux", n, p, v=v, c=c))[0].max_recv_words
         mkl = trace(build("lu", "mkl", n, p, nb=128))[0].max_recv_words
         assert bound <= ours <= mkl
@@ -34,16 +34,18 @@ class TestTheoryToAlgorithm:
     def test_sandwich_cholesky(self):
         n, p, c, v = 16384, 512, 8, 32
         m = c * float(n) * n / p
-        bound = cholesky_io_lower_bound(n, p, m)
+        bound = derive_cholesky_bound(n, m, p).parallel_bound
         ours = trace(build("cholesky", "confchox", n, p, v=v, c=c))[0].max_recv_words
         assert bound <= ours
 
-    def test_derived_bound_equals_closed_form_at_algorithm_params(self):
+    def test_derived_bound_backs_closed_form_at_algorithm_params(self):
+        """The printed Section 6.1 form is weaker than the derivation,
+        within 1 % at the algorithm's parameters."""
         n, p, c = 4096, 64, 4
         m = c * float(n) * n / p
         derived = derive_lu_bound(n, m, p).parallel_bound
         closed = lu_io_lower_bound(n, p, m)
-        assert derived == pytest.approx(closed, rel=1e-2)
+        assert closed <= derived <= closed * 1.01
 
     def test_pebbling_vs_derived_bound_same_cdag(self):
         """Greedy pebbling of the literal LU cDAG respects the bound

@@ -6,6 +6,7 @@ panel statements have rho = 1 (out-degree-one cap, Lemma 6).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,21 +173,22 @@ class TestMinimizeRho:
         assert len(calls) <= solves
 
 
-def _random_programs(seed: int, count: int, nvars: int = 3):
+def _random_programs(seed: int, count: int, nvars: int = 3,
+                     decades: float = 12):
     """Seeded X-partition programs: 1-``nvars`` variables, 1-4 accesses
     over random non-empty groups (duplicate groups and identical columns
-    included), random weights, and X from the trivial size to 1e12 times
-    it."""
+    included), random weights, and X from the trivial size to
+    ``10**decades`` times it."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        loop_vars = ("a", "b", "c", "d")[:int(rng.integers(1, nvars + 1))]
+        loop_vars = ("a", "b", "c", "d", "e")[:int(rng.integers(1, nvars + 1))]
         full = 2 ** len(loop_vars) - 1
         bits = rng.integers(1, full + 1, size=int(rng.integers(1, 5)))
         bits[0] |= full & ~int(np.bitwise_or.reduce(bits))
         groups = [tuple(v for t, v in enumerate(loop_vars) if b >> t & 1)
                   for b in bits]
         weights = rng.uniform(0.5, 4.0, len(groups))
-        yield loop_vars, groups, weights, weights.sum() * 10 ** rng.uniform(0, 12)
+        yield loop_vars, groups, weights, weights.sum() * 10 ** rng.uniform(0, decades)
 
 
 def _grid_best(loop_vars, groups, weights, x, points=200):
@@ -216,8 +218,8 @@ class TestCertifiedSolve:
     def _stub_steps(monkeypatch, step):
         """Replace the Newton step: ``step(jac, rhs)`` gives the step in
         the free variables and the level's log."""
-        monkeypatch.setattr(np.linalg, "lstsq",
-                            lambda jac, rhs, *args: (step(jac, rhs),))
+        monkeypatch.setattr(np.linalg, "lstsq", lambda jac, rhs, *args: (
+            step(jac, rhs), None, len(rhs), np.ones(len(rhs))))
 
     def test_unspent_budget_raises(self, monkeypatch):
         """With no step taken, the balanced start (i = j = sqrt(X/3) on
@@ -247,23 +249,56 @@ class TestCertifiedSolve:
             assert _grid_best(loop_vars, groups, weights, x) \
                 <= math.log(sol.chi) + 1e-9, (loop_vars, groups, weights, x)
 
+    @staticmethod
+    def _assert_kkt(loop_vars, groups, weights, x):
+        """The KKT conditions, recomputed from the returned domain sizes:
+        the budget is spent, the free variables (d > 1) share the
+        returned marginal and no pinned one (d = 1) has a smaller one."""
+        sol = max_subcomputation(loop_vars, groups, x, weights)
+        d = np.array([sol.domain_sizes[v] for v in loop_vars])
+        masks = np.array([[v in g for v in loop_vars] for g in groups])
+        terms = weights * np.prod(np.where(masks, d, 1.0), axis=1) / x
+        s = masks.T @ terms / np.sum(terms)
+        case = (loop_vars, groups, weights, x)
+        assert np.all(d >= 1.0), case
+        assert abs(np.sum(terms) - 1.0) <= 1e-12, case
+        assert np.all(abs(s[d > 1.0] - sol.marginal)
+                      <= 1e-12 * sol.marginal), case
+        assert np.all(s >= sol.marginal * (1 - 1e-12)), case
+
     def test_random_programs_meet_kkt(self):
-        """The KKT conditions, recomputed from the returned domain sizes
-        on 2 000 programs of 1-4 variables: the budget is spent, the
-        free variables (d > 1) share the returned marginal and no pinned
-        one (d = 1) has a smaller one."""
-        for loop_vars, groups, weights, x in _random_programs(40, 2000, 4):
-            sol = max_subcomputation(loop_vars, groups, x, weights)
-            d = np.array([sol.domain_sizes[v] for v in loop_vars])
-            masks = np.array([[v in g for v in loop_vars] for g in groups])
-            terms = weights * np.prod(np.where(masks, d, 1.0), axis=1) / x
-            s = masks.T @ terms / np.sum(terms)
-            case = (loop_vars, groups, weights, x)
-            assert np.all(d >= 1.0), case
-            assert abs(np.sum(terms) - 1.0) <= 1e-12, case
-            assert np.all(abs(s[d > 1.0] - sol.marginal)
-                          <= 1e-12 * sol.marginal), case
-            assert np.all(s >= sol.marginal * (1 - 1e-12)), case
+        """2 000 programs of 1-4 variables meet the KKT conditions."""
+        for case in _random_programs(40, 2000, 4):
+            self._assert_kkt(*case)
+
+    #: Programs whose Newton systems go singular on the way: terms the
+    #: optimum needs start below eps of the budget at these X.
+    TINY_TERMS = [
+        ([("c", "e"), ("b", "d"), ("d", "e"), ("a", "b", "c", "d"),
+          ("b", "d", "e"), ("a", "e")],
+         [0.0235715, 51.9199, 7.65314, 0.869055, 0.243123, 2.00134],
+         5.67184e40),
+        ([("b", "d", "e"), ("a", "b", "e"), ("a", "b", "c", "e"), ("c", "d"),
+          ("a", "b", "d")],
+         [47.4521, 48.5156, 19.8808, 0.659647, 0.239564], 5.50417e73),
+        ([("b", "c", "e"), ("a", "d", "e"), ("a", "b", "e"), ("b", "c", "e"),
+          ("b", "c", "d"), ("a", "c", "e")],
+         [6.63057, 4.94961, 0.486788, 0.0662806, 10.7352, 25.2627],
+         3.89495e99),
+    ]
+
+    def test_any_scale_meets_kkt(self):
+        """Five variables, X up to 1e150 times the trivial size: the three
+        programs above and 1 000 seeded ones are all certified, meet the
+        KKT conditions, and overflow nothing (chi past the float range
+        is inf)."""
+        cases = [(("a", "b", "c", "d", "e"), groups, np.array(w), x)
+                 for groups, w, x in self.TINY_TERMS]
+        cases += _random_programs(150, 1000, 5, decades=150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for case in cases:
+                self._assert_kkt(*case)
 
     def test_duplicate_groups_regression(self):
         """A log-sum-exp form of the constraint returned chi 7.4x too low

@@ -316,14 +316,6 @@ class TestGetrf:
         perm = pivots_to_permutation(piv, 8)
         assert np.allclose(a[perm], l @ u)
 
-    def test_no_pivot_mode(self, rng):
-        a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        lu, piv, _ = getrf(a, pivot=False)
-        assert np.array_equal(piv, np.arange(5))
-        l = np.tril(lu, -1) + np.eye(5)
-        u = np.triu(lu)
-        assert np.allclose(a, l @ u)
-
     def test_pivot_picks_largest(self):
         a = np.array([[1.0, 0.0], [10.0, 1.0]])
         _, piv, _ = getrf(a)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.harness import trace
 from repro.engine import DistributedBackend
 from repro.factorizations import build, matmul_25d
-from repro.lowerbounds import matmul_io_lower_bound
+from repro.lowerbounds import derive_matmul_bound
 
 
 class TestNumerics:
@@ -33,10 +33,11 @@ class TestAccounting:
         assert res.total_flops == pytest.approx(2 * 4096 ** 3)
 
     def test_respects_sc19_bound(self):
-        """Counted volume >= the SC19 parallel bound 2N^3/(P sqrt(M))."""
+        """Counted volume >= the derived parallel bound, SC19's
+        2N^3/(P sqrt(M))."""
         for (n, p, c, s) in [(16384, 1024, 8, 32), (8192, 256, 4, 32)]:
             res = trace(build("gemm", "25d", n, p, s=s, c=c))[0]
-            bound = matmul_io_lower_bound(n, p, res.mem_words)
+            bound = derive_matmul_bound(n, res.mem_words, p).parallel_bound
             assert res.max_recv_words >= bound
             # Near-optimal: within a small constant (sqrt(3) from the
             # three-operand memory convention + the layer reduction).

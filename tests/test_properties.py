@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.kernels import blas
 from repro.layouts import BlockCyclicLayout, global_to_local, local_to_global, numroc
 from repro.lowerbounds import (
-    lu_io_lower_bound,
+    derive_lu_bound,
     matmul_program,
     max_subcomputation,
 )
@@ -124,12 +124,13 @@ class TestIntensityProperties:
 
 
 class TestBoundProperties:
+    @settings(deadline=None)
     @given(n=st.floats(2, 1e6), p=st.floats(1, 1e6),
            m=st.floats(4, 1e12))
     def test_lu_bound_positive_and_monotone_in_n(self, n, p, m):
-        q = lu_io_lower_bound(n, p, m)
+        q = derive_lu_bound(n, m, p).parallel_bound
         assert q >= 0
-        assert lu_io_lower_bound(n * 2, p, m) >= q
+        assert derive_lu_bound(n * 2, m, p).parallel_bound >= q
 
 
 class TestKernelProperties:
