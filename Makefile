@@ -20,17 +20,17 @@ test:
 
 ## The executed, verified path: one short run of each executed perf/
 ## workload (pd* calls on the simulated machine, residual <= 1e-10,
-## peak <= the enforced budget on exec_chol25d).  The two
-## message-bound 2.5D ones run at full scale, where their counted words
-## are pinned (1356704.0 and 1087904.0; quick scale pins none), in
-## about the time of a quick run; exec_bulk, whose 2D Cholesky and two
-## matmuls drive the same blas wrappers and COSTA reshuffles with few
-## large tiles, runs quick.  Exits non-zero when an operation fails its
-## check.  CI runs this right after `make test`.
+## peak <= the enforced budget on exec_chol25d), all three at full
+## scale, where their counted words are pinned (1356704.0, 1087904.0
+## and 15060992.0; quick scale pins none).  exec_bulk's 2D Cholesky and
+## two matmuls drive the same blas wrappers and COSTA reshuffles with
+## few large tiles (a full run takes about as long as a quick one with
+## --seconds 2).  Exits non-zero when an operation fails its check.  CI
+## runs this right after `make test`.
 exec-smoke:
 	$(PY) perf/run.py --workload exec_lu25d --seconds 1
 	$(PY) perf/run.py --workload exec_chol25d --seconds 1
-	$(PY) perf/run.py --workload exec_bulk --quick --seconds 2
+	$(PY) perf/run.py --workload exec_bulk --seconds 1
 
 ## cProfile top-25 (own time) of one operation of a perf/ workload,
 ## built as perf/run.py builds it.  WORKLOAD is any name in the ledger

@@ -10,25 +10,26 @@ On the executed 2.5D workloads the top of the list is the batched
 helpers of ``engine/distops.py`` — ``layered_reduce``, the trailing
 update's ``blas.gemm_acc_many`` (one in-place ``dgemm`` per rank on
 zero-padded operands, its BLAS time included) under
-``panel_fan_out_update`` (with its ``exchange``), then
-``RankStore.put`` (about 4 600 per ``exec_lu25d`` operation: COSTA's
-``redistribute`` and ``scatter_from``, the receivers of each
-broadcast, one chunk landing per rank and 1D scatter), the
-tournament's ``blas.getrf``, ``trsm_rows`` under ``solve_1d`` (one
-in-place ``dtrtrs`` per rank and panel), COSTA's ``redistribute`` and
-the 1D scatters ``distribute_rows_1d`` / ``assemble_cols_1d``.  A
-per-message ``ship``, a per-tile reduce, a ``blas.trsm`` or
-``np.isin`` under ``dist_step``, a ``put`` from ``local_panels`` (it
-makes one ``put_many`` per rank), or a row-indexed write or a
-per-tile-column product loop under ``panel_fan_out_update`` (either
-shows as its own time growing past ``gemm_acc_many``'s) reappearing
-there is a regression.
+``panel_fan_out_update`` (with its ``exchange``), ``trsm_rows`` under
+``solve_1d`` (one in-place ``dtrtrs`` per rank and panel) — then the
+store: ``RankStore.put`` (about 2 300 per ``exec_lu25d`` operation:
+the receivers of each broadcast, one chunk landing per rank and 1D
+scatter, the layered reductions' roots), ``discard`` (a step's
+transients), COSTA's ``redistribute`` (one slice copy per tile
+overlap), ``put_many`` (about 50: one per rank of each layout move and
+of ``local_panels``), the tournament's
+``blas.getrf`` and the 1D scatters ``distribute_rows_1d`` /
+``assemble_cols_1d``.  A per-message ``ship``, a per-tile reduce, a
+``blas.trsm`` or ``np.isin`` under ``dist_step``, a ``put`` from
+``local_panels`` or a layout move (they make one ``put_many`` per
+rank), or a row-indexed write or a per-tile-column product loop under
+``panel_fan_out_update`` (either shows as its own time growing past
+``gemm_acc_many``'s) reappearing there is a regression.
 On ``exec_chol25d`` the update is first: ``gemm_acc_many``, then
 ``panel_fan_out_update``'s own time (building the padded operands),
-then COSTA's ``redistribute``, ``layered_reduce``, ``RankStore.put``
-and COnfCHOX's ``dist_step`` (COSTA's tiles come from
-``BlockCyclicLayout._tiles``); a ``count_nonzero`` under the update, or
-an ``owner_rank`` / ``_check_block`` per tile under COSTA, is a
+then ``layered_reduce``, COSTA's ``redistribute``, ``put_many`` and
+COnfCHOX's ``dist_step``; a ``count_nonzero`` under the update, or an
+``owner_rank`` / ``_check_block`` per tile under a layout move, is a
 regression.
 On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
 ``Matmul25DSchedule.dist_step``, about half the operation — then the

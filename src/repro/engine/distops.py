@@ -212,8 +212,9 @@ def _stage_largest(machine: Machine, ranks: np.ndarray, words: np.ndarray,
     of the ``words`` entries naming it."""
     held = np.zeros(machine.nranks, dtype=np.int64)
     np.maximum.at(held, ranks, words)
-    for rank in np.flatnonzero(held):
-        machine.stores[rank].stage(int(held[rank]), key)
+    for rank, largest in enumerate(held.tolist()):
+        if largest:
+            machine.stores[rank].stage(largest, key)
 
 
 def layered_reduce(machine: Machine, grid: ProcessorGrid3D,
@@ -428,8 +429,9 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
     is registered) — the other layers with zeros; ``lower`` registers
     only ``bi >= bj``.  Each tile is stored under ``(name, bi, bj)`` *as
     a view of the panel*, one :meth:`~repro.machine.store.RankStore.put_many`
-    per rank: same keys and words as separately allocated tiles, but a
-    run of a rank's panel rows can be updated by one in-place gemm.
+    per rank (the resident tiles read by one ``get_many``): same keys
+    and words as separately allocated tiles, but a run of a rank's
+    panel rows can be updated by one in-place gemm.
     Nothing may ``put`` a fresh array under these keys — it would
     detach the tile from its panel.  Returns the panels, indexed by
     rank.
@@ -438,19 +440,17 @@ def local_panels(machine: Machine, grid: ProcessorGrid3D, nb: int, v: int,
     panels, tiles = [], []
     for rank in range(grid.size):
         pi, pj, k = grid.coords(rank)
-        panel = np.zeros((len(range(pi, nb, pr)) * v,
-                          len(range(pj, nb, pc)) * v))
-        store = machine.stores[rank]
-        mine = []
-        for bi in range(pi, nb, pr):
-            for bj in range(pj, bi + 1 if lower else nb, pc):
-                i0, j0 = (bi // pr) * v, (bj // pc) * v
-                tile = panel[i0:i0 + v, j0:j0 + v]
-                if k == 0 and in_name is not None:
-                    tile[...] = store.get((in_name, bi, bj))
-                elif k == 0:
-                    tile[...] = a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v]
-                mine.append(((name, bi, bj), tile))
+        bis, bjs = range(pi, nb, pr), range(pj, nb, pc)
+        panel = np.zeros((len(bis) * v, len(bjs) * v))
+        views = panel.reshape(len(bis), v, len(bjs), v).swapaxes(1, 2)
+        mine = [((name, bi, bj), tile) for bi, row in zip(bis, views)
+                for bj, tile in zip(range(pj, bi + 1, pc) if lower else bjs, row)]
+        if k == 0:
+            held = (machine.stores[rank].get_many([(in_name, *key[1:]) for key, _ in mine])
+                    if in_name is not None else
+                    [a[bi * v:(bi + 1) * v, bj * v:(bj + 1) * v] for (_, bi, bj), _ in mine])
+            for (_, tile), block in zip(mine, held):
+                tile[...] = block
         panels.append(panel)
         tiles.append(mine)
     if in_name is not None:

@@ -22,6 +22,7 @@ import numpy as np
 from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from ..machine.grid import ProcessorGrid2D
+from ..machine.store import RankStore
 from .descriptors import numroc
 
 __all__ = ["BlockCyclicLayout", "block_key", "work_name", "discard_matrix",
@@ -150,24 +151,53 @@ class BlockCyclicLayout:
     # ------------------------------------------------------------------
     # Data movement to/from a simulated machine
     # ------------------------------------------------------------------
-    def _tiles(self, machine: Machine):
-        """``(owner's store, bi, bj, row range, column range)`` of every
-        tile.  The machine is checked against the grid once; owners and
-        (ragged) extents are computed per block row and column."""
+    def _ranks(self, machine: Machine) -> list[tuple[RankStore, list]]:
+        """``(store, blocks)`` of ranks ``0..`` the last one holding a
+        tile, the blocks row-major.  The machine is checked once."""
         grid = self.grid
-        machine.store(grid.rank(min(self.mblocks, grid.rows) - 1,
-                                min(self.nblocks, grid.cols) - 1))
-        cols = [slice(bj * self.nb, min((bj + 1) * self.nb, self.n))
-                for bj in range(self.nblocks)]
-        for bi in range(self.mblocks):
-            rows = slice(bi * self.mb, min((bi + 1) * self.mb, self.m))
-            first = grid.rank(bi % grid.rows, 0)
-            for bj, sj in enumerate(cols):
-                yield machine.stores[first + bj % grid.cols], bi, bj, rows, sj
+        last = grid.rank(min(self.mblocks, grid.rows) - 1,
+                         min(self.nblocks, grid.cols) - 1)
+        machine.store(last)
+        return [(machine.stores[rank], self.blocks_of_rank(rank))
+                for rank in range(last + 1)]
+
+    def _spans(self) -> tuple[list[slice], list[slice]]:
+        """The global rows of each block row, the columns of each block
+        column."""
+        return ([slice(i, min(i + self.mb, self.m)) for i in range(0, self.m, self.mb)],
+                [slice(j, min(j + self.nb, self.n)) for j in range(0, self.n, self.nb)])
+
+    def _held(self, machine: Machine, name: Hashable) -> list[list[np.ndarray]]:
+        """The tiles of matrix ``name`` as the stores hold them, indexed
+        ``[bi][bj]``."""
+        held = [[None] * self.nblocks for _ in range(self.mblocks)]
+        for store, blocks in self._ranks(machine):
+            for (bi, bj), tile in zip(blocks, store.get_many([(name, *b) for b in blocks])):
+                held[bi][bj] = tile
+        return held
+
+    def _register(self, machine: Machine, name: Hashable,
+                  tiles: list[list[np.ndarray]]) -> None:
+        """Store ``tiles`` (indexed ``[bi][bj]``) as matrix ``name``, one
+        ``put_many`` per rank, as a ``put`` per tile in row-major order
+        would: that loop refuses the least ``(bi, bj)`` that does not
+        fit, so every rank stores its tiles before that one, and the
+        refusing rank, last, raises at it."""
+        batches = [(store, [((name, bi, bj), tiles[bi][bj]) for bi, bj in blocks])
+                   for store, blocks in self._ranks(machine)]
+        refused = [(batch[fit][0][1:], r) for r, (store, batch) in enumerate(batches)
+                   if (fit := store.room(batch)) < len(batch)]
+        if refused:
+            cut, last = min(refused)
+            batches = [(store, [item for item in batch if item[0][1:] <= cut]) for store, batch
+                       in batches[:last] + batches[last + 1:] + batches[last:last + 1]]
+        for store, batch in batches:
+            store.put_many(batch)
 
     def scatter_from(self, machine: Machine, name: Hashable,
                      a: np.ndarray) -> None:
-        """Place tiles of global matrix ``a`` into the owning rank stores.
+        """Place tiles of global matrix ``a`` into the owning rank stores,
+        one array each.
 
         Initial distribution is free (the paper assumes the input already
         resides in the algorithm's layout; reshuffling costs only
@@ -176,12 +206,15 @@ class BlockCyclicLayout:
         a = np.asarray(a, dtype=np.float64)
         if a.shape != (self.m, self.n):
             raise LayoutError(f"matrix shape {a.shape} != ({self.m},{self.n})")
-        for store, bi, bj, rows, cols in self._tiles(machine):
-            store.put(block_key(name, bi, bj), a[rows, cols].copy())
+        rows, cols = self._spans()
+        self._register(machine, name, [[a[r, c].copy() for c in cols] for r in rows])
 
     def gather_to(self, machine: Machine, name: Hashable) -> np.ndarray:
-        """Reassemble the global matrix from the rank stores (free)."""
+        """Reassemble the global matrix from the tiles the stores hold
+        (free)."""
         out = np.empty((self.m, self.n))
-        for store, bi, bj, rows, cols in self._tiles(machine):
-            out[rows, cols] = store.get(block_key(name, bi, bj))
+        rows, cols = self._spans()
+        for r, held in zip(rows, self._held(machine, name)):
+            for c, tile in zip(cols, held):
+                out[r, c] = tile
         return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
-from .block_cyclic import BlockCyclicLayout, block_key
+from .block_cyclic import BlockCyclicLayout
 
 __all__ = ["redistribute", "redistribution_volume", "conversion_words"]
 
@@ -82,30 +82,29 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
     ``block_key(dst_name or name + ':r', bi, bj)``.  Every element travels
     at most once between distinct ranks; co-located pieces are free.
     One message per (source rank, destination rank) pair with words to
-    move.
+    move.  The source tiles are read as the stores hold them; the new
+    tiles are stored with one ``put_many`` per rank, an overrun raising
+    in tile order.
     """
     out_name = dst_name if dst_name is not None else name + ":r"
     rows, cols, src_rank, dst_rank, words = _traffic(src, dst)
 
-    # Both layouts' tiles row-major, as their owners' stores hold them.
-    tiles = [store.get(block_key(name, bi, bj))
-             for store, bi, bj, _, _ in src._tiles(machine)]
-    out = [np.empty((r.stop - r.start, c.stop - c.start))
-           for _, _, _, r, c in dst._tiles(machine)]
+    # The source tiles as their owners' stores hold them.
+    tiles = src._held(machine, name)
+    rows_to, cols_to = dst._spans()
+    out = [[np.empty((r.stop - r.start, c.stop - c.start)) for c in cols_to]
+           for r in rows_to]
     col_cuts = _cuts(cols, src.nb, dst.nb)
     for sbi, dbi, from_rows, to_rows in _cuts(rows, src.mb, dst.mb):
-        s0, d0 = sbi * src.nblocks, dbi * dst.nblocks
         for sbj, dbj, from_cols, to_cols in col_cuts:
-            out[d0 + dbj][to_rows, to_cols] = tiles[s0 + sbj][from_rows,
-                                                              from_cols]
+            out[dbi][dbj][to_rows, to_cols] = tiles[sbi][sbj][from_rows, from_cols]
 
     nranks = machine.nranks
     moved = np.bincount((src_rank * nranks + dst_rank).ravel(),
                         weights=words.ravel())
     pair = np.flatnonzero(moved)
     machine.stats.record_transfers(pair // nranks, pair % nranks, moved[pair])
-    for (store, bi, bj, _, _), tile in zip(dst._tiles(machine), out):
-        store.put(block_key(out_name, bi, bj), tile)
+    dst._register(machine, out_name, out)
 
 
 def _owner_pairs(extent: int, sb: int, sp: int, db: int,

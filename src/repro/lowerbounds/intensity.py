@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 _CEILING = 1e6  # Lemma 2's search ceiling is X_c = M (1 + _CEILING).
-_TOL = 2.0 ** -44  # the KKT certificate on log residuals, ~250 ulps
+_TOL = 2.0 ** -44  # the KKT certificate on log residuals, scaled past log X = 64
 _RCOND = 1e-10  # null space: singular values under this share of the largest
 
 
@@ -105,9 +105,10 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
 
     Maximize ``sum(y)`` subject to ``sum_j exp(logw_j + masks_j . y) <= X``
     and ``y >= 0``.  The program is convex, so a KKT point is the global
-    optimum, and only one is returned, to ``_TOL``: the budget is spent,
-    the free variables share one marginal ``s = masks^T t / sum(t)`` (``t``
-    the access terms) and no pinned (``y = 0``) one has a smaller marginal.
+    optimum, and only one is returned, to ``_TOL`` (scaled by ``|log X| /
+    64`` past 64: 4-8 ulps of ``log X``): the budget is spent, the free
+    variables share one marginal ``s = masks^T t / sum(t)`` (``t`` the
+    access terms) and no pinned (``y = 0``) one has a smaller marginal.
 
     A variable whose accesses strictly contain another's always has the
     larger marginal, so it starts pinned (of identical columns, all but
@@ -144,13 +145,14 @@ def _solve(masks: np.ndarray, logw: np.ndarray, logx: float) -> tuple:
             gap = mu + np.log(s)
             return t, s, gap, np.append(gap[free], np.log(np.sum(t)))
 
+    tol = _TOL * max(1.0, abs(logx) / 64)
     mu = -float(np.mean(kkt(y, 0.0)[2][free]))
     for _ in range(200):
         t, s, gap, r = kkt(y, mu)
         f = np.flatnonzero(free)
-        if np.max(np.abs(r)) <= _TOL:
+        if np.max(np.abs(r)) <= tol:
             gap[f] = np.inf
-            if np.min(gap) >= -_TOL:
+            if np.min(gap) >= -tol:
                 return y, float(np.mean(s[f]) / np.sum(t))
             free[np.argmin(gap)] = True
             continue

@@ -19,7 +19,7 @@ copies).
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,38 +116,53 @@ class RankStore:
         self.reserve(words, key)
         self._note_peak(self._words + words)
 
-    def _admit(self, words: float, key: Hashable, arr: np.ndarray) -> float:
-        """Store ``arr`` under ``key`` on top of ``words`` resident and
-        return the new total; refuses (storing nothing) past capacity.
-        The caller records the total and its peak."""
+    def put(self, key: Hashable, value: np.ndarray | Any) -> None:
+        """Insert or replace a block; enforces the capacity limit."""
+        arr = np.asarray(value)
         old = self._blocks.get(key)
-        total = words + arr.size - (0 if old is None else old.size)
+        total = self._words + arr.size - (0 if old is None else old.size)
         if total > self.capacity_words:
             raise MemoryBudgetExceeded(
                 self.rank, self.step, key, total, self.capacity_words)
         self._blocks[key] = arr
-        return total
-
-    def put(self, key: Hashable, value: np.ndarray | Any) -> None:
-        """Insert or replace a block; enforces the capacity limit."""
-        self._words = total = self._admit(self._words, key, np.asarray(value))
+        self._words = total
         self._note_peak(total)
 
-    def put_many(self, items: Sequence[tuple[Hashable, np.ndarray]]) -> None:
+    def put_many(self, items: Iterable[tuple[Hashable, np.ndarray]]) -> None:
         """``put`` every ``(key, array)`` of ``items``, in order, in one
         call: the same blocks, words and high-water marks as the loop.
         On overflow the items before the refused one stay stored and the
         :class:`MemoryBudgetExceeded` names the refused key and the
         total it would have made, as the loop's ``put`` would."""
+        blocks, capacity = self._blocks, self.capacity_words
         words = peak = self._words
         try:
             for key, arr in items:
-                words = self._admit(words, key, arr)
-                if words > peak:
-                    peak = words
+                old = blocks.get(key)
+                total = words + arr.size - (0 if old is None else old.size)
+                if total > capacity:
+                    raise MemoryBudgetExceeded(
+                        self.rank, self.step, key, total, capacity)
+                blocks[key] = arr
+                words = total
+                if total > peak:
+                    peak = total
         finally:
             self._words = words
             self._note_peak(peak)
+
+    def room(self, items: Sequence[tuple[Hashable, np.ndarray]]) -> int:
+        """How many leading ``items`` (distinct keys) :meth:`put_many`
+        would store before refusing one; stores nothing."""
+        if self.capacity_words == math.inf:
+            return len(items)
+        words = self._words
+        for i, (key, arr) in enumerate(items):
+            old = self._blocks.get(key)
+            words += arr.size - (0 if old is None else old.size)
+            if words > self.capacity_words:
+                return i
+        return len(items)
 
     def get(self, key: Hashable) -> np.ndarray:
         try:
@@ -155,6 +170,14 @@ class RankStore:
         except KeyError:
             raise CommunicationError(
                 f"rank {self.rank}: no block under key {key!r}") from None
+
+    def get_many(self, keys: Iterable[Hashable]) -> list[np.ndarray]:
+        """The blocks under ``keys``, in order, in one call."""
+        try:
+            return [self._blocks[key] for key in keys]
+        except KeyError as exc:
+            raise CommunicationError(
+                f"rank {self.rank}: no block under key {exc.args[0]!r}") from None
 
     def pop(self, key: Hashable) -> np.ndarray:
         arr = self.get(key)

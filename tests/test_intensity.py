@@ -300,6 +300,33 @@ class TestCertifiedSolve:
             for case in cases:
                 self._assert_kkt(*case)
 
+    #: One-group programs an absolute 2^-44 certificate refused: from
+    #: log X ~ 256 on it is one ulp of log X.  Program 861 of
+    #: ``_random_programs(150, 2000, 5, decades=300)`` and 7984 of
+    #: ``_random_programs(150, 8000, 5, decades=150)``.
+    ONE_GROUP = [
+        (("a", "b", "c"), [("a", "b", "c")], 1.6501143121914617e+134,
+         [3.5998994053320903]),
+        (("a", "b"), [("a", "b")], 1.557993076291668e+115,
+         [3.184849345224689]),
+    ]
+
+    @pytest.mark.parametrize("loop_vars, groups, x, weights", ONE_GROUP)
+    def test_one_group_optimum_at_any_scale(self, loop_vars, groups, x,
+                                            weights):
+        """With one access the optimum is any point spending the
+        budget: chi = X / w."""
+        sol = max_subcomputation(loop_vars, groups, x, weights)
+        assert sol.chi == pytest.approx(x / weights[0], rel=1e-12)
+
+    def test_no_refusal_up_to_1e300(self):
+        """2 000 seeded five-variable programs up to 1e300 times the
+        trivial size are all certified (seed 0 lost one to a certificate
+        not scaled by |log X|)."""
+        for loop_vars, groups, weights, x in _random_programs(0, 2000, 5,
+                                                              decades=300):
+            max_subcomputation(loop_vars, groups, x, weights)
+
     def test_duplicate_groups_regression(self):
         """A log-sum-exp form of the constraint returned chi 7.4x too low
         on these groups.  The optimum pins a = 1, so b = (X - 1)/2 and

@@ -12,7 +12,8 @@ pattern from index arrays; its reference is the loop it replaced, one
 4-10 are one stacked array whose chunks every rank solves in place
 (:func:`repro.engine.distops.solve_1d`); the reference is the
 per-chunk ``blas.trsm`` + ``put`` loop.  ``local_panels`` registers a
-rank's tiles in one call; the reference is one ``put`` per tile.  The
+rank's tiles in one call; the reference is one ``put`` per tile (the
+layout moves' references are in ``tests/test_layout_moves.py``).  The
 last part pins the Python the executed path is allowed to cost,
 machine-independently (call counts under ``cProfile``, not seconds).
 """
@@ -778,15 +779,18 @@ def test_one_registration_per_rank_equals_per_tile_puts(pr, pc, c, nb, v,
 # Deterministic overhead ceiling.
 
 #: Python-level calls of one pdgetrf(conflux, n=128, P=16, v=8, c=2),
-#: SciPy already imported: 44.9 k with the trailing update one in-place
-#: gemm per rank on zero-padded operands (44.7 k with a row-indexed
-#: write per rank; 43.0 k when the 1D panels were first stacked and
-#: solved in place, with one registration per rank and vectorized
-#: broadcast counting; 100 k with a ``blas.trsm`` + ``put`` per chunk
-#: and a ``put`` per tile, 272 k with one ``ship`` per message, 481 k
-#: with the per-tile update loops before that); ceiling set 10 % above
-#: 43.0 k.
-CALL_CEILING = 47_500
+#: SciPy already imported: 35.8 k with every layout move around the
+#: call made per rank — one ``get_many``/``put_many`` per rank, ``put``
+#: and ``put_many`` without an ``_admit`` call per block (44.7 k with a
+#: ``put`` per tile of the reshuffles and the native scatter; 44.9 k
+#: with the trailing update one in-place gemm per rank on zero-padded
+#: operands, 44.7 k with a row-indexed write per rank; 43.0 k when the
+#: 1D panels were first stacked and solved in place, with one
+#: registration per rank and vectorized broadcast counting; 100 k with
+#: a ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 272 k
+#: with one ``ship`` per message, 481 k with the per-tile update loops
+#: before that); ceiling set 10 % above 35.8 k.
+CALL_CEILING = 39_450
 
 #: Functions of the batched path: none may stack operands per tile, and
 #: only the tournament still sends message by message.
@@ -841,13 +845,19 @@ def _calls_by(stats: pstats.Stats, name: str, caller: str) -> int:
 def _batched_panel_steps(stats: pstats.Stats, nranks: int) -> None:
     """What both 2.5D schedules share: every chunk solved in place (no
     ``blas.trsm``, no ``isin`` mask), each rank's tiles registered by
-    one call, each step's trailing update one batch of in-place
-    gemms."""
+    one call — the working panels' and those of every layout move
+    around the call (COSTA in and out, the native scatter) — each
+    step's trailing update one batch of in-place gemms."""
     assert _calls(stats, "trsm") == 0
     assert _calls(stats, "isin") == 0
     assert _calls_by(stats, "solve_1d", "dist_step") > 0
-    assert "local_panels" not in _callers(stats, "put")
+    assert not {"local_panels", "scatter_from", "redistribute",
+                "_register"} & _callers(stats, "put")
     assert _calls_by(stats, "put_many", "local_panels") <= nranks
+    moves = _calls(stats, "scatter_from") + _calls(stats, "redistribute")
+    assert _calls(stats, "_register") == moves == 3
+    assert _callers(stats, "put_many") == {"local_panels", "_register"}
+    assert _calls_by(stats, "put_many", "_register") <= moves * nranks
     assert _calls_by(stats, "gemm_acc_many", "panel_fan_out_update") == (
         _calls(stats, "panel_fan_out_update")) > 0
 
@@ -869,14 +879,16 @@ def test_executed_conflux_python_overhead_stays_batched():
     _batched_panel_steps(stats, 16)
 
 
-#: Python-level calls of the same pdpotrf(confchox): 30.6 k with the
-#: trailing update one in-place gemm per rank on zero-padded operands
-#: (30.7 k with one product per local tile column; 29.5 k when the A10
-#: panel was first solved in place with one registration per rank; 43 k
-#: with a ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 56 k
-#: with a masked rectangle per rank and an owner lookup per tile);
-#: ceiling set 10 % above 29.5 k.
-CALL_CEILING_CHOL = 32_500
+#: Python-level calls of the same pdpotrf(confchox): 22.7 k with every
+#: layout move made per rank (30.0 k with a ``put`` per tile of the
+#: reshuffles and the native scatter; 30.6 k with the trailing update
+#: one in-place gemm per rank on zero-padded operands, 30.7 k with one
+#: product per local tile column; 29.5 k when the A10 panel was first
+#: solved in place with one registration per rank; 43 k with a
+#: ``blas.trsm`` + ``put`` per chunk and a ``put`` per tile, 56 k with a
+#: masked rectangle per rank and an owner lookup per tile); ceiling set
+#: 10 % above 22.7 k.
+CALL_CEILING_CHOL = 25_000
 
 
 def test_executed_confchox_python_overhead_stays_batched():
@@ -885,9 +897,8 @@ def test_executed_confchox_python_overhead_stays_batched():
     _batched_panel_steps(stats, 16)
     # The lower update keeps no mask ...
     assert "panel_fan_out_update" not in _callers(stats, "count_nonzero")
-    # ... and the two reshuffles validate no tile one by one: at most
-    # once per block row of each layout (16 + 16), in and out.
-    assert _calls(stats, "_check_block") <= 2 * (16 + 16)
+    # ... and the layout moves validate no tile one by one.
+    assert _calls(stats, "_check_block") == 0
 
 
 #: Python-level calls of one executed 2D view at n=512, nb=16, P=16:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.machine import MemoryBudgetExceeded, RankStore
@@ -180,7 +180,8 @@ class TestStepPeaks:
 class TestOneCallRegistration:
     """``put_many`` is the ``put`` loop in one call: the same blocks,
     words and high-water marks, and on overflow the same refusal with
-    the items before it stored."""
+    the items before it stored; ``room`` counts, storing nothing, the
+    items of distinct keys that loop stores."""
 
     @given(resident=st.lists(st.tuples(st.integers(0, 5),
                                        st.integers(0, 20)), max_size=6),
@@ -188,9 +189,11 @@ class TestOneCallRegistration:
                           max_size=20),
            capacity=st.one_of(st.none(), st.integers(1, 150)))
     @settings(max_examples=300, deadline=None)
+    @example(resident=[], items=[(0, 5), (1, 5)], capacity=10)  # fills it
     def test_put_many_equals_the_put_loop(self, resident, items, capacity):
         stores, errors = [], []
         blocks = [(key, np.zeros(size)) for key, size in items]
+        stored = room = 0
         for register in ("loop", "once"):
             store = RankStore(3, math.inf if capacity is None else capacity)
             try:
@@ -204,7 +207,11 @@ class TestOneCallRegistration:
                 if register == "loop":
                     for key, block in blocks:
                         store.put(key, block)
+                        stored += 1
                 else:
+                    before = (store.words, store.peak_words, len(store))
+                    room = store.room(blocks)
+                    assert (store.words, store.peak_words, len(store)) == before
                     store.put_many(blocks)
             except MemoryBudgetExceeded as exc:
                 err = (exc.rank, exc.step, exc.key, exc.needed_words)
@@ -212,6 +219,8 @@ class TestOneCallRegistration:
             errors.append(err)
         loop, once = stores
         assert errors[0] == errors[1]
+        if len({key for key, _ in items}) == len(items):
+            assert room == stored
         assert (once.words, once.peak_words, once.step_peak_words) == (
             loop.words, loop.peak_words, loop.step_peak_words)
         assert list(once.keys()) == list(loop.keys())
