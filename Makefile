@@ -1,7 +1,8 @@
 # Repo entry points.  Tier-1 verification is `make test`.  CI
 # (.github/workflows/ci.yml, which lists every step) gates on test,
-# exec-smoke, the example smoke, bench-paper, the sweep_fanout run,
-# profile-exec, lint, coverage, bench-check, atlas, plan and trace.
+# exec-smoke, the example smoke, bench-paper (every paper claim), the
+# sweep_fanout run, profile-exec, lint, coverage, bench-check, atlas,
+# plan and trace.
 
 PY ?= python
 
@@ -60,9 +61,9 @@ coverage:
 ## path never gates a merge.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples scripts; \
+		ruff check src tests examples scripts; \
 	elif $(PY) -c "import ruff" 2>/dev/null; then \
-		$(PY) -m ruff check src tests benchmarks examples scripts; \
+		$(PY) -m ruff check src tests examples scripts; \
 	else \
 		echo "ruff not installed; skipping lint (config committed in ruff.toml)"; \
 	fi
@@ -83,16 +84,14 @@ bench-check:
 	$(PY) perf/run.py --workload serve_mix --quick --seconds 1
 	$(PY) perf/run.py --workload sweep_fanout --seconds 1
 
-## The paper's 16 figures and tables, printed from the FIGURES registry
-## (repro.analysis.reporting) with their claims; the exit code is 1 when
-## a claim is violated (~4 s; tier-1 holds the same claims and pins
-## every cell in tests/test_paper_artefacts.py).  Then the two
-## pebble-game benches (~22 s), named explicitly because pytest.ini
-## keeps the default test_*.py pattern.  CI runs this in the `test` job
-## on one Python.
+## The paper's 19 figures and tables, printed from the FIGURES registry
+## (repro.analysis.reporting) with their claims, the pebblings and the
+## pivoting stability among them; the exit code is 1 when a claim is
+## violated (~10 s; tier-1 holds the same claims and pins every cell in
+## tests/test_paper_artefacts.py).  CI runs this in the `test` job on
+## one Python.
 bench-paper:
 	PYTHONPATH=src $(PY) -m repro figures
-	PYTHONPATH=src $(PY) -m pytest -q benchmarks/bench_pebbles.py
 
 ## Print the planner's pick (schedule + parameters + predicted cost)
 ## for a smoke (N, P, M) grid; fails if planning breaks or blows the

@@ -6,8 +6,8 @@ Public surface, by paper section:
 * :mod:`repro.lowerbounds` — DAAP programs, X-partition intensity
   optimization, inter-statement reuse, and the LU/Cholesky/matmul I/O
   lower bounds (Sections 2-6).
-* :mod:`repro.pebbles` — cDAGs, the sequential red-blue pebble game, the
-  parallel pebble game, X-partition validation (Sections 2.3, 5).
+* :mod:`repro.pebbles` — cDAGs, the sequential red-blue pebble game and
+  the X-partition-guided blocked matmul schedule (Sections 2.3, 12).
 * :mod:`repro.factorizations` — COnfLUX and COnfCHOX (Section 7) plus
   the evaluation's baselines (MKL/ScaLAPACK 2D, SLATE, CANDMC, CAPITAL).
 * :mod:`repro.machine` — the counting distributed-machine substrate and
@@ -22,7 +22,8 @@ Public surface, by paper section:
 * :mod:`repro.runtime` — parallel sweep executors and the
   content-addressed result cache.
 * :mod:`repro.analysis` — the experiment harness regenerating every
-  figure and table of Sections 9-10.
+  figure and table of Sections 9-10, and ``reporting.FIGURES``: every
+  claim of the paper with its generator (``python -m repro figures``).
 
 Quick start::
 

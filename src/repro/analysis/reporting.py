@@ -1,10 +1,14 @@
 """The paper's outputs, each described once: :data:`FIGURES` maps every
 artefact of the evaluation (Figures 1 and 8-11, Tables 1-2, the
-Section-6 bounds and ratios, the Section-7 ablations) to its generator,
-its sweep, its printed tables and the paper's claim about it as code.
-``python -m repro figures`` and ``tests/test_paper_artefacts.py``
-(claims, and every cell against ``tests/paper_tables_pinned.json``) are
-loops over it.
+Section-6 bounds and ratios, the pebblings of Sections 3-6 and 12, the
+Section-7 ablations) to its generator, its sweep, its printed tables
+and the paper's claim about it as code.  ``python -m repro figures``
+and ``tests/test_paper_artefacts.py`` (claims, and every cell against
+``tests/paper_tables_pinned.json``) are loops over it.
+
+This module is the only importer of :mod:`repro.pebbles`;
+``repro.analysis`` does not import it, so neither the harness nor a
+sweep worker loads the pebble games.
 """
 
 from __future__ import annotations
@@ -13,8 +17,12 @@ import dataclasses
 import math
 from typing import Any, Callable
 
+import numpy as np
+
 from .. import lowerbounds as lb
-from ..factorizations import build, default_block_size
+from .. import pebbles
+from ..factorizations import build, conflux_lu, default_block_size
+from ..factorizations.baselines import scalapack_lu
 from . import ablations, figures
 from .harness import RANKS_PER_NODE, max_replication, trace
 
@@ -23,6 +31,12 @@ __all__ = ["Artefact", "FIGURES"]
 #: Pin tolerances: traces and closed forms are exact; ``PerfModel`` sums
 #: floats in step order, and ``derive_*`` sums certified solves.
 EXACT, PERF_MODEL = 0.0, 1e-12
+#: Residuals of rounding size follow the BLAS kernels' summation order,
+#: which differs between CPUs and thread counts.  Perturbing
+#: ``pivoting_stability``'s inputs by one rounding (1e-16 relative, 20
+#: draws) moved its ill-scaled residual ratio from 1.30 to as far as
+#: 1.65; its growth factors did not move in 8 digits.
+ROUNDING = 0.3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,14 +60,15 @@ class Artefact:
 def _columns(title: str, headers: list[str], keys: str,
              floatfmt: str = "{:.4g}", part=lambda result: result):
     """Flattener for dict rows (``part(result)``): one table, the cell
-    under ``headers[i]`` being ``row[keys.split()[i]]``; title and
-    headers format from the first row."""
+    under ``headers[i]`` being ``row[keys.split()[i]]`` (``-`` for
+    ``None``); title and headers format from the first row."""
     columns = keys.split()
 
     def tables(result):
         rows = part(result)
         return [(title.format(**rows[0]), [h.format(**rows[0]) for h in headers],
-                 [[r[key] for key in columns] for r in rows], floatfmt)]
+                 [["-" if r[key] is None else r[key] for key in columns]
+                  for r in rows], floatfmt)]
     return tables
 
 
@@ -296,6 +311,112 @@ def _ratio_clauses(rows):
          all(2.5 < x < 4.5 for x in ratios["cholesky"]))]
 
 
+#: kernel -> its DAAP program, pebbled as the cDAG its ``_DERIVE`` bound
+#: is derived from.
+_PROGRAMS = {"LU": lb.lu_program, "Cholesky": lb.cholesky_program,
+             "Matmul": lb.matmul_program, "TRSM": lb.trsm_program,
+             "SYRK": lb.syrk_program, "LDL^T": lb.ldlt_program}
+
+
+def pebbling_vs_bounds(cells) -> list[dict]:
+    """Sections 3-6 on toy sizes: per ``(kernel, n, M)`` cell, the I/O of
+    a Belady-greedy red-blue pebbling of the kernel's cDAG (an upper
+    bound on the optimal pebbling) against the sequential bound derived
+    from the same program."""
+    rows = []
+    for kernel, n, m in cells:
+        cdag = pebbles.program_cdag(_PROGRAMS[kernel](), n)
+        greedy = pebbles.run_greedy(cdag, m).io_cost
+        bound = _DERIVE[kernel][0](n, m).sequential_bound
+        rows.append({"kernel": kernel, "n": n, "mem_words": m,
+                     "greedy": greedy, "bound": bound, "ratio": greedy / bound})
+    return rows
+
+
+def _pebbling_clauses(rows):
+    matmul, = [r for r in rows if (r["kernel"], r["n"], r["mem_words"])
+               == ("Matmul", 8, 27)]
+    return [
+        ("no greedy pebbling of the six kernels' cDAGs beats the sequential "
+         "bound derived from the same program",
+         all(r["greedy"] >= r["bound"] for r in rows)),
+        ("and the bound is not vacuous: greedy matmul stays within 20x of it "
+         "at n = 8, M = 27", matmul["greedy"] <= 20 * matmul["bound"])]
+
+
+def xpartition_schedule_quality(compared, blocked_only) -> list[dict]:
+    """Section 12's "powerful hints for obtaining schedules": the
+    X-partition-guided blocked matmul pebbling against the derived bound
+    at every ``(n, M)``, and against a Belady-greedy pebbling at the
+    ``compared`` ones."""
+    rows = []
+    for n, m in (*compared, *blocked_only):
+        bound = lb.derive_matmul_bound(n, m).sequential_bound
+        blocked = pebbles.run_blocked_matmul(n, m).io_cost
+        greedy = pebbles.run_greedy(pebbles.program_cdag(
+            lb.matmul_program(), n), m).io_cost if (n, m) in compared else None
+        rows.append({"n": n, "mem_words": m, "bound": bound,
+                     "blocked": blocked, "greedy": greedy,
+                     "blocked_ratio": blocked / bound,
+                     "greedy_ratio": None if greedy is None else greedy / bound})
+    return rows
+
+
+def _schedule_clauses(rows):
+    both = [r for r in rows if r["greedy"] is not None]
+    at_121 = [r["blocked_ratio"] for r in rows if r["mem_words"] == 121]
+    return [
+        ("the X-partition-guided blocked matmul never beats the derived "
+         "bound",
+         all(r["blocked"] >= r["bound"] for r in rows)),
+        ("it beats Belady greedy wherever both run",
+         all(r["blocked"] < r["greedy"] for r in both)),
+        ("it stays within 2.5x of the bound",
+         all(r["blocked_ratio"] < 2.5 for r in rows)),
+        ("greedy's gap to the bound widens with n",
+         both[-1]["greedy_ratio"] > both[0]["greedy_ratio"]),
+        ("at M = 121 blocking approaches the bound's constant: blocked/bound "
+         "falls from n = 20 to n = 40, to < 1.45 (limit sqrt(M)/b = 1.1)",
+         at_121[1] < at_121[0] and at_121[1] < 1.45)]
+
+
+def _matrix_families(n: int, rng: np.random.Generator):
+    yield "gaussian", rng.standard_normal((n, n))
+    yield "uniform", rng.uniform(-1, 1, (n, n))
+    yield "ill-scaled", (rng.standard_normal((n, n))
+                         * np.logspace(-8, 8, n)[None, :])
+    # Wilkinson's growth matrix: partial pivoting's worst case, 2^(n-1).
+    w = np.tril(-np.ones((n, n)), -1) + np.eye(n)
+    w[:, -1] = 1.0
+    yield "wilkinson", w
+    yield "orthogonal", np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def _residual(a: np.ndarray, res) -> float:
+    return float(np.linalg.norm(a[res.perm] - res.lower @ res.upper)
+                 / np.linalg.norm(a))
+
+
+def _growth(a: np.ndarray, res) -> float:
+    return float(np.abs(res.upper).max() / np.abs(a).max())
+
+
+def pivoting_stability(n: int, p: int, v: int, c: int, seed: int) -> list[dict]:
+    """Section 7.3: COnfLUX's tournament pivoting against ScaLAPACK's
+    partial pivoting (panel width ``v``) on five matrix families, by
+    backward error ``||A[perm] - LU|| / ||A||`` and growth
+    ``max|U| / max|A|``."""
+    rows = []
+    for family, a in _matrix_families(n, np.random.default_rng(seed)):
+        tp = conflux_lu(n, p, v=v, c=c, a=a)
+        pp = scalapack_lu(n, p, nb=v, a=a)
+        rows.append({"family": family, "n": n, "nranks": p, "v": v,
+                     "ratio": _residual(a, tp) / _residual(a, pp),
+                     "tournament_growth": _growth(a, tp),
+                     "partial_growth": _growth(a, pp)})
+    return rows
+
+
 def row_masking_with_latency(n: int, p: int) -> dict:
     """Section 7.3's two halves at the same defaulted ``(c, v)``."""
     swap = ablations.row_swap_ablation(n, p)
@@ -318,6 +439,9 @@ _CASES = ((8192, 256), (16384, 1024), (32768, 4096))
 _SUMMIT = (131072, 262144)
 _SCALING = (["workload", "implementation", "N", "ranks", "% of peak"],
             "workload name n nranks peak_pct", "{:.1f}")
+_PEBBLED = (*((kernel, n, m) for kernel in _PROGRAMS
+              for n, m in ((4, 8), (6, 12), (8, 16))),
+            ("Matmul", 6, 10), ("Matmul", 8, 27))
 _LATENCY = (["partial-pivoting sync rounds", "tournament sync rounds",
              "latency reduction factor"],
             "partial_rounds tournament_rounds round_reduction")
@@ -402,6 +526,23 @@ FIGURES: dict[str, Artefact] = {
                  "(N={n}, M=2^{log2_mem:g})",
                  ["kernel", "max rho", "Q bound", "Q / N^2"],
                  "kernel rho bound bound_per_n2"), _catalog_clauses, PERF_MODEL),
+    "pebbling_vs_bounds": Artefact(
+        "pebbles", pebbling_vs_bounds, dict(cells=_PEBBLED),
+        _columns("Red-blue pebbling: Belady greedy vs the derived "
+                 "sequential bound",
+                 ["kernel", "n", "M", "greedy Q", "lower bound",
+                  "greedy/bound"], "kernel n mem_words greedy bound ratio"),
+        _pebbling_clauses, PERF_MODEL),
+    "xpartition_schedule_quality": Artefact(
+        "pebbles", xpartition_schedule_quality,
+        dict(compared=((8, 27), (12, 48), (16, 80)),
+             blocked_only=((20, 121), (40, 121))),
+        _columns("Sequential matmul pebbling: X-partition-guided blocking "
+                 "vs Belady greedy",
+                 ["n", "M", "lower bound", "blocked Q", "greedy Q",
+                  "blocked/bound", "greedy/bound"],
+                 "n mem_words bound blocked greedy blocked_ratio "
+                 "greedy_ratio"), _schedule_clauses, PERF_MODEL),
     "ablation_block_size": Artefact(
         "ablations", ablations.block_size_ablation,
         dict(n=16384, p=1024, c=8, v_sweep=(8, 16, 32, 64, 128)),
@@ -446,4 +587,17 @@ FIGURES: dict[str, Artefact] = {
             "tournament pivoting synchronises once per tile, not once per "
             "column: exactly v times fewer rounds (O(N) -> O(N/v))",
             lat["round_reduction"] == lat["v"])]),
+    "pivoting_stability": Artefact(
+        "ablations", pivoting_stability,
+        dict(n=128, p=8, v=16, c=2, seed=11),
+        _columns("Tournament vs partial pivoting: backward error and growth "
+                 "(N={n}, P={nranks}, v={v})",
+                 ["family", "tournament/partial residual",
+                  "tournament growth", "partial growth"],
+                 "family ratio tournament_growth partial_growth", "{:.3g}"),
+        lambda rows: [(
+            "tournament pivoting is as stable as partial pivoting (Section "
+            "7.3): its residual is within 2x of partial pivoting's on every "
+            "family, Wilkinson's growth matrix included",
+            all(r["ratio"] <= 2.0 for r in rows))], ROUNDING),
 }

@@ -36,7 +36,6 @@ __all__ = [
     "slate_lu_paper_model", "slate_lu_full_model",
     "mkl_cholesky_full_model", "slate_cholesky_full_model",
     "candmc_paper_model", "capital_paper_model",
-    "summa_25d_paper_model",
     "lu_models", "cholesky_models",
     "grid_25d_dims", "grid_2d_dims",
 ]
@@ -227,16 +226,6 @@ def capital_paper_model(n: float, p: float, mem_words: float) -> float:
     """Hutter & Solomonik's model: ``45 N^3 / (8 P sqrt(M))``."""
     _check(n, p, mem_words)
     return 45.0 * n ** 3 / (8.0 * p * math.sqrt(mem_words))
-
-
-# ---------------------------------------------------------------------------
-# 2.5D SUMMA (the SC19 matmul substrate)
-# ---------------------------------------------------------------------------
-
-def summa_25d_paper_model(n: float, p: float, mem_words: float) -> float:
-    """SC19 leading term: ``2 N^3 / (P sqrt(M))``."""
-    _check(n, p, mem_words)
-    return 2.0 * n ** 3 / (p * math.sqrt(mem_words))
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,21 @@
-"""cDAGs, the red-blue pebble game, X-partitions, and the parallel
-pebble game of Section 5."""
+"""cDAGs of DAAP programs, the sequential red-blue pebble game with a
+Belady-greedy scheduler, and the X-partition-guided blocked matmul
+schedule (Sections 2.3, 12).  ``repro.analysis.reporting`` pebbles them
+against the derived bounds (``pebbling_vs_bounds``,
+``xpartition_schedule_quality``)."""
 
 from .builders import program_cdag
 from .cdag import CDag, CDagError
 from .game import Move, PebbleGame, PebbleGameError, greedy_schedule, run_greedy
-from .parallel_game import (
-    ParallelMove,
-    ParallelPebbleGame,
-    ParallelPebbleGameError,
-    block_row_schedule,
-)
 from .schedules import (
     blocked_matmul_schedule,
     optimal_block_side,
     run_blocked_matmul,
-)
-from .partition import (
-    XPartitionError,
-    minimum_dominator_size,
-    minimum_set,
-    partition_from_schedule,
-    validate_x_partition,
 )
 
 __all__ = [
     "CDag", "CDagError",
     "program_cdag",
     "Move", "PebbleGame", "PebbleGameError", "greedy_schedule", "run_greedy",
-    "ParallelMove", "ParallelPebbleGame", "ParallelPebbleGameError",
-    "block_row_schedule",
     "blocked_matmul_schedule", "optimal_block_side", "run_blocked_matmul",
-    "minimum_set", "minimum_dominator_size", "validate_x_partition",
-    "partition_from_schedule", "XPartitionError",
 ]

@@ -14,7 +14,7 @@ Vertex ids are arbitrary hashables;
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 __all__ = ["CDag", "CDagError"]
 
@@ -89,9 +89,6 @@ class CDag:
     def in_degree(self, v: Hashable) -> int:
         return len(self.preds(v))
 
-    def out_degree(self, v: Hashable) -> int:
-        return len(self.succs(v))
-
     def inputs(self) -> set[Hashable]:
         """Vertices with no incoming edges (initial element versions)."""
         return {v for v, p in self._preds.items() if not p}
@@ -122,38 +119,3 @@ class CDag:
         if len(order) != len(self._preds):
             raise CDagError("cDAG contains a cycle")
         return order
-
-    def min_outdegree_one_input_preds(self) -> int:
-        """The paper's ``u`` (Lemma 6): minimum over compute vertices of
-        the number of direct predecessors that are out-degree-one inputs."""
-        inputs = self.inputs()
-        u = None
-        for v in self.compute_vertices():
-            count = sum(1 for p in self._preds[v]
-                        if p in inputs and len(self._succs[p]) == 1)
-            u = count if u is None else min(u, count)
-        return u or 0
-
-    def subgraph_closure(self, seeds: Iterable[Hashable]) -> set[Hashable]:
-        """All vertices reachable *backwards* from ``seeds`` (ancestors
-        plus the seeds), used for dominator-set computations."""
-        seen: set[Hashable] = set()
-        stack = [s for s in seeds]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(self._preds[v])
-        return seen
-
-    def to_networkx(self):
-        """Export as :class:`networkx.DiGraph` (for min-cut computations)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self._preds.keys())
-        for u, succs in self._succs.items():
-            for v in succs:
-                g.add_edge(u, v)
-        return g

@@ -15,7 +15,8 @@ The I/O cost ``Q`` is the number of loads plus stores.
 raises :class:`PebbleGameError` on any illegal move, so schedulers cannot
 silently cheat the memory limit.  :func:`greedy_schedule` produces a valid
 schedule with Belady (furthest-next-use) eviction — an upper bound on the
-optimal ``Q`` that the tests compare against the Section-3 lower bounds.
+optimal ``Q`` that ``repro.analysis.reporting.pebbling_vs_bounds``
+compares against the Section-3 lower bounds.
 """
 
 from __future__ import annotations

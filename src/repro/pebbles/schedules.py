@@ -11,9 +11,9 @@ accumulation chains — intensity ``b/2 ~ sqrt(M)/2``, hence total I/O
 ``2n^3/sqrt(M)`` *including the constant*.
 
 :func:`blocked_matmul_schedule` emits that schedule as validated pebble
-moves; the tests and the schedule-quality benchmark compare its measured
-I/O against both the lower bound and the greedy (Belady) baseline, which
-lacks the blocking insight.
+moves; ``repro.analysis.reporting.xpartition_schedule_quality`` compares
+its measured I/O against both the lower bound and the greedy (Belady)
+baseline, which lacks the blocking insight.
 """
 
 from __future__ import annotations

@@ -94,19 +94,6 @@ class TestCDag:
         with pytest.raises(CDagError):
             g.preds("missing")
 
-    def test_subgraph_closure(self):
-        g = CDag()
-        g.add_edge("a", "b")
-        g.add_edge("b", "c")
-        g.add_edge("x", "y")
-        assert g.subgraph_closure(["c"]) == {"a", "b", "c"}
-
-    def test_to_networkx(self):
-        g = CDag()
-        g.add_edge("a", "b")
-        nxg = g.to_networkx()
-        assert nxg.has_edge("a", "b")
-
 
 class TestLUCDag:
     def test_vertex_count(self):
@@ -203,12 +190,6 @@ class TestMatmulCDag:
         g = program_cdag(matmul_program(), n)
         assert g.outputs() == {("C", i, j, n) for i in range(n)
                                for j in range(n)}
-
-    def test_out_degree_one_inputs(self):
-        # Every A/B input feeds n different C chains: out-degree n, so no
-        # out-degree-one inputs for n > 1 (u = 0).
-        g = program_cdag(matmul_program(), 3)
-        assert g.min_outdegree_one_input_preds() == 0
 
 
 def fingerprint(program):

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.harness import trace
+from repro.analysis.reporting import _matrix_families
 from repro.factorizations import (
     ConfluxSchedule,
     build,
     conflux_lu,
     default_block_size,
 )
+from repro.factorizations.baselines import scalapack_lu
 from repro.lowerbounds import derive_lu_bound
 from repro.models import costmodels as cm
 
@@ -91,6 +93,21 @@ class TestNumericalCorrectness:
         a = rng.standard_normal((32, 32)) + 32 * np.eye(32)
         res = conflux_lu(32, 4, v=8, c=2, a=a)
         assert np.allclose(res.reconstruct(), a[res.perm])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform", "ill-scaled",
+                                    "wilkinson", "orthogonal"])
+def test_tournament_residual_within_2x_of_partial(family):
+    """Section 7.3 at a second size and seed from ``pivoting_stability``:
+    on each of its matrix families, tournament pivoting's backward error
+    is within 2x of partial pivoting's (Wilkinson's growth matrix is
+    partial pivoting's worst case)."""
+    n, p, v = 64, 8, 16
+    a = dict(_matrix_families(n, np.random.default_rng(3)))[family]
+    tp = conflux_lu(n, p, v=v, c=2, a=a)
+    pp = scalapack_lu(n, p, nb=v, a=a)
+    assert sorted(tp.perm) == list(range(n))
+    assert lu_residual(a, tp) <= 2 * lu_residual(a, pp)
 
 
 class TestParameterValidation:

@@ -7,8 +7,6 @@ import runpy
 import subprocess
 import sys
 
-import pytest
-
 ROOT = pathlib.Path(__file__).parent.parent
 EXAMPLES = ROOT / "examples"
 
@@ -68,15 +66,3 @@ class TestExamples:
         assert "Memory feasibility" in out
         assert "Enforced COnfLUX" in out
         assert "caught as expected" in out
-
-    @pytest.mark.slow
-    def test_tournament_pivoting_stability(self, capsys):
-        out = run_example("tournament_pivoting_stability.py", capsys)
-        assert "wilkinson" in out
-        # The conclusion is derived from the measured rows (the run
-        # exits 1 instead when a residual ratio exceeds 2).
-        ratio = re.search(r"Worst tournament/partial residual ratio: "
-                          r"([0-9.]+)x \(([a-z-]+)\)\.", out)
-        assert ratio and float(ratio[1]) <= 2.0
-        assert ("Tournament residual within 2x of partial pivoting's on "
-                "every family.") in out

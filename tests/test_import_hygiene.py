@@ -8,8 +8,9 @@ executed 2D views have no tile-at-a-time helper to fall back on, the
 SUMMA rounds copy and send nothing per piece, the memory a pd* call
 needs is stated in one function, the pebble games, the plan service,
 the atlas and the sweep fabric are imported only where listed here,
-the entry points only tests reached stay gone, and what ARCHITECTURE.md
-and README.md name exists.
+the entry points only tests reached stay gone, every third-party
+import is a package CI installs, and what ARCHITECTURE.md and README.md
+name exists.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -105,7 +106,7 @@ def test_costmodels_feed_only_figures_and_ablations():
         "src/repro/analysis/figures.py",
         "src/repro/analysis/ablations.py",
     }
-    assert _importers("benchmarks", "examples", "scripts", "perf") == set()
+    assert _importers("examples", "scripts", "perf") == set()
 
 
 def _schedule_calls(path: pathlib.Path) -> list[int]:
@@ -297,12 +298,14 @@ def _importers_of(module: str) -> set[str]:
 
 
 def test_leaf_subsystems_are_imported_only_where_listed():
-    """The pebble games are a self-contained illustration; the plan
-    service, the atlas and the sweep fabric are reached through their
-    package ``__init__`` (and the edges below).  A new importer is a
-    new dependency on a subsystem the rest of the tree runs without:
-    list it here, on purpose."""
-    assert _importers_of("repro.pebbles") == set()
+    """The pebble games back two artefacts of the registry, and
+    ``repro.analysis`` does not import ``reporting``: the harness, the
+    sweep workers and ``perf/`` run without them.  The plan service, the
+    atlas and the sweep fabric are reached through their package
+    ``__init__`` (and the edges below).  A new importer is a new
+    dependency on a subsystem the rest of the tree runs without: list
+    it here, on purpose."""
+    assert _importers_of("repro.pebbles") == {"repro/analysis/reporting.py"}
     assert _importers_of("repro.planner.service") == {
         "repro/planner/__init__.py", "repro/api.py"}
     assert _importers_of("repro.planner.atlas") == {
@@ -433,6 +436,86 @@ def test_every_repro_import_resolves():
                             f"{path.relative_to(ROOT)}:{node.lineno} "
                             f"{module}.{alias.name}")
     assert unresolved == []
+
+
+def _third_party(root: str) -> set[str]:
+    """Top-level names of the absolute imports under ``root`` (lazy ones
+    included) that are neither the standard library nor this repo's:
+    ``repro``, ``perf`` and the modules beside the importing file."""
+    found = set()
+    for path in (ROOT / root).rglob("*.py"):
+        local = {"repro", "perf"} | {p.stem for p in path.parent.glob("*.py")}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update(top for name in names
+                         if (top := name.split(".")[0]) not in local
+                         and top not in sys.stdlib_module_names)
+    return found
+
+
+def _pip_installs() -> dict[str, set[str]]:
+    """CI job -> the packages its ``pip install`` steps name."""
+    jobs: dict[str, set[str]] = {}
+    job = None
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    for line in ci.splitlines():
+        if m := re.match(r"  ([\w-]+):$", line):
+            job = m.group(1)
+        elif m := re.search(r"pip install (.+)$", line):
+            jobs.setdefault(job, set()).update(m.group(1).split())
+    return jobs
+
+
+def test_third_party_imports_are_declared():
+    """The library needs numpy and scipy and nothing else; tests,
+    examples and scripts add only pytest and hypothesis, and CI's
+    ``test`` and ``coverage`` jobs install every one of them, so no
+    module fails to collect on a clean install."""
+    declared = {"numpy", "scipy", "pytest", "hypothesis"}
+    assert _third_party("src") == {"numpy", "scipy"}
+    for root in ("tests", "examples", "scripts"):
+        assert _third_party(root) <= declared, root
+    installs = _pip_installs()
+    for job in ("test", "coverage"):
+        assert declared <= installs[job], job
+
+
+def test_every_module_imports_without_networkx(tmp_path):
+    """A clean install has no networkx: with a ``networkx`` that fails
+    to import first on the path, every module under ``repro`` still
+    imports."""
+    (tmp_path / "networkx").mkdir()
+    (tmp_path / "networkx" / "__init__.py").write_text(
+        "raise ModuleNotFoundError('networkx is not installed')\n")
+    probe = ("import importlib, pkgutil, repro\n"
+             "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+             "    importlib.import_module(m.name)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path),
+                                                       str(SRC)]))
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                   capture_output=True, text=True, timeout=120)
+
+
+def test_the_analysis_package_loads_no_pebble_game():
+    """``repro.analysis`` (the harness and sweep workers' import) loads
+    no ``repro.pebbles``; its ``reporting`` module, the one importer,
+    does."""
+    probe = ("import sys\n"
+             "def pebbles(): return any(m.startswith('repro.pebbles') "
+             "for m in sys.modules)\n"
+             "import repro.analysis\n"
+             "before = pebbles()\n"
+             "import repro.analysis.reporting\n"
+             "print(before, pebbles())\n")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert out.stdout.split() == ["False", "True"]
 
 
 def _copying_calls(node: ast.AST) -> list[str]:

@@ -108,8 +108,11 @@ def test_every_public_generator_is_registered():
         ("fig*", "table*", "*_ablation", "lower_bound_ratios"))}
     registered = {generator.__name__ for artefact in FIGURES.values()
                   for generator in artefact.prints or (artefact.generator,)}
-    # ``derived_bounds`` fronts ``repro.lowerbounds``, not ``repro.analysis``.
-    assert registered == public | {"derived_bounds"}
+    # Four front ``repro.lowerbounds``, ``repro.pebbles`` and the one-call
+    # factorizations, not ``repro.analysis``.
+    assert registered == public | {
+        "derived_bounds", "pebbling_vs_bounds", "xpartition_schedule_quality",
+        "pivoting_stability"}
 
 
 def architecture_rows() -> list[str]:
@@ -150,6 +153,7 @@ DOCTORED = {
     "tables": ("table2_model_validation",
                lambda res: _scaled("error_pct", 50)(res["validation"])),
     "bounds": ("lower_bound_ratios", _scaled("ratio", 0.5)),
+    "pebbles": ("pebbling_vs_bounds", _scaled("greedy", 0.5)),
     "ablations": ("ablation_replication",
                   _scaled("mean_recv_words", 0.1, lambda r: r["c"] == 1)),
 }
@@ -163,6 +167,49 @@ def test_a_doctored_result_violates_the_claim(group):
     result = copy.deepcopy(bench(name)[0])
     doctor(result)
     assert violated(name, result) != []
+
+
+def _edit(key, value, **match):
+    """A doctor setting ``row[key] = value(row)`` on the one row that
+    matches ``match``."""
+    def doctor(rows):
+        row, = [r for r in rows if all(r[k] == v for k, v in match.items())]
+        row[key] = value(row)
+    return doctor
+
+
+#: (artefact, clause index) -> one cell edit that breaks that clause.
+CLAUSE_DOCTORS = {
+    ("pebbling_vs_bounds", 0):
+        _edit("greedy", lambda r: r["bound"] - 1, kernel="LU", n=4),
+    ("pebbling_vs_bounds", 1):
+        _edit("greedy", lambda r: 21 * r["bound"], kernel="Matmul", n=8,
+              mem_words=27),
+    ("xpartition_schedule_quality", 0):
+        _edit("blocked", lambda r: r["bound"] - 1, n=20),
+    ("xpartition_schedule_quality", 1):
+        _edit("blocked", lambda r: r["greedy"], n=12),
+    ("xpartition_schedule_quality", 2):
+        _edit("blocked_ratio", lambda r: 2.5, n=8),
+    ("xpartition_schedule_quality", 3):
+        _edit("greedy_ratio", lambda r: 0.0, n=16),
+    ("xpartition_schedule_quality", 4):
+        _edit("blocked_ratio", lambda r: 1.5, n=40),
+    ("pivoting_stability", 0):
+        _edit("ratio", lambda r: 2.5, family="wilkinson"),
+}
+
+
+@pytest.mark.parametrize("name, clause", CLAUSE_DOCTORS)
+def test_each_clause_of_the_pebbling_and_stability_claims_can_fail(
+        name, clause):
+    """The claims once checked outside the registry keep every clause
+    load-bearing: one edited cell violates that clause and no other."""
+    clauses = [text for text, _ in FIGURES[name].clauses(bench(name)[0])]
+    assert len(clauses) == sum(key[0] == name for key in CLAUSE_DOCTORS)
+    result = copy.deepcopy(bench(name)[0])
+    CLAUSE_DOCTORS[name, clause](result)
+    assert violated(name, result) == [clauses[clause]]
 
 
 def test_cli_prints_the_selected_artefacts_and_exits_by_the_claims(

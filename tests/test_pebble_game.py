@@ -147,18 +147,35 @@ class TestGreedyScheduler:
             used_inputs = {v for v in g.inputs() if g.succs(v)}
             assert game.io_cost >= len(used_inputs) + len(g.outputs())
 
+    @pytest.mark.parametrize("make", [
+        lu_program, cholesky_program, matmul_program, trsm_program,
+        syrk_program, ldlt_program], ids=lambda f: f.__name__)
+    def test_every_kernel_pebbles_within_memory(self, make):
+        """The schedule ``pebbling_vs_bounds`` counts is legal on each of
+        the six kernels' cDAGs: it computes every vertex once, stays
+        within M red pebbles, ends with every output blue, and loads
+        each used input and stores each output at least once."""
+        g = program_cdag(make(), 6)
+        game = PebbleGame(g, 12)
+        game.run(greedy_schedule(g, 12))
+        assert game.finished() and game.max_red <= 12
+        assert game.computes == len(g.compute_vertices())
+        used_inputs = {v for v in g.inputs() if g.succs(v)}
+        assert game.loads >= len(used_inputs)
+        assert game.stores >= len(g.outputs())
+
 
 class TestGreedyRespectsLowerBounds:
     """Q_greedy (an upper bound on optimal) must respect the Section-3
     lower bounds: greedy >= derived bound."""
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 10)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 10), (8, 16)])
     def test_matmul(self, n, m):
         q = run_greedy(program_cdag(matmul_program(), n), m).io_cost
         bound = derive_matmul_bound(n, m).sequential_bound
         assert q >= bound
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
     def test_lu(self, n, m):
         q = run_greedy(program_cdag(lu_program(), n), m).io_cost
         bound = derive_lu_bound(n, m).sequential_bound
@@ -182,7 +199,7 @@ class TestGreedyRespectsLowerBounds:
         q = run_greedy(program_cdag(trsm_program(), n), m).io_cost
         assert q >= derive_trsm_bound(n, m).sequential_bound
 
-    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12)])
+    @pytest.mark.parametrize("n,m", [(4, 8), (6, 12), (8, 16)])
     def test_syrk(self, n, m):
         q = run_greedy(program_cdag(syrk_program(), n), m).io_cost
         assert q >= derive_syrk_bound(n, m).sequential_bound

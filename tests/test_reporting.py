@@ -2,20 +2,33 @@
 figures`` (sections and names derived from ``FIGURES``)."""
 
 import contextlib
+import dataclasses
 import io
 
 import pytest
 
 from repro.__main__ import main
 from repro.analysis.reporting import FIGURES
+from test_paper_artefacts import bench
+
+
+def _swept(name: str):
+    """A generator returning ``bench``'s result for ``name``: the sweep
+    test_paper_artefacts runs once per session (~10 s for all of them)."""
+    result = bench(name)[0]
+    return lambda **kwargs: result
 
 
 class TestFullReport:
     @pytest.fixture(scope="class")
     def report(self):
-        # Class-scoped so the content checks share one run (~4 s).
+        # Class-scoped so the content checks share one run.
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out):
+            for name, artefact in FIGURES.items():
+                mp.setitem(FIGURES, name, dataclasses.replace(
+                    artefact, generator=_swept(name)))
             assert main(["figures"]) == 0
         return out.getvalue()
 

@@ -29,6 +29,14 @@ class TestOptimalBlockSide:
         with pytest.raises(ValueError):
             optimal_block_side(3)
 
+    @pytest.mark.parametrize("m", [4, 8, 9, 10, 12, 16, 27, 48, 80, 121])
+    def test_largest_block_that_fits(self, m):
+        """At the minimum, the first M with b = 2, and every M the
+        pebbling artefacts use, b is the *largest* side whose working set
+        (b + 1)^2 fits."""
+        b = optimal_block_side(m)
+        assert (b + 1) ** 2 <= m < (b + 2) ** 2
+
 
 class TestBlockedSchedule:
     @pytest.mark.parametrize("n,m", [(6, 16), (8, 27), (9, 27), (12, 48)])
@@ -44,6 +52,19 @@ class TestBlockedSchedule:
         assert n % b == 0
         game = run_blocked_matmul(n, m)
         assert game.io_cost == 2 * n ** 3 / b + 2 * n * n
+
+    @pytest.mark.parametrize("n,m", [(6, 16), (9, 16), (12, 16), (10, 36),
+                                     (12, 27)])
+    def test_ratio_to_bound_when_blocks_divide(self, n, m):
+        """With b | n, Q = 2n^3/b + 2n^2 against the bound 2n^3/sqrt(M):
+        blocked/bound = sqrt(M)/b + sqrt(M)/n."""
+        b = optimal_block_side(m)
+        assert n % b == 0
+        q = run_blocked_matmul(n, m).io_cost
+        assert q == 2 * n ** 3 / b + 2 * n * n
+        ratio = q / derive_matmul_bound(n, m).sequential_bound
+        assert ratio == pytest.approx(math.sqrt(m) / b + math.sqrt(m) / n,
+                                      rel=1e-12)
 
     def test_respects_lower_bound(self):
         for n, m in [(8, 27), (12, 48), (16, 80)]:
