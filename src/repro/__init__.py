@@ -27,23 +27,20 @@ Public surface, by paper section:
 
 Quick start::
 
+    import numpy as np
     import repro
 
     # Factorize on 8 simulated ranks with replication depth 2.
-    result = repro.conflux_lu(256, nranks=8, v=16, c=2)
-    residual = result.reconstruct()  # L @ U  ==  A[perm]
+    a = np.random.default_rng(0).standard_normal((256, 256))
+    result = repro.conflux_lu(256, nranks=8, v=16, c=2, a=a)
+    product = result.reconstruct()  # L @ U  ==  a[result.perm]
 
     # The LU lower bound derived from its DAAP program (Sections 3-6).
     q = repro.derive_lu_bound(16384, mem_words=2**21, p=1024).parallel_bound
 """
 
 from .api import pdgetrf, pdgetrs, pdpotrf, pdpotrs
-from .factorizations import (
-    cholesky_solve,
-    confchox_cholesky,
-    conflux_lu,
-    lu_solve,
-)
+from .factorizations import confchox_cholesky, conflux_lu
 from .lowerbounds import (
     derive_cholesky_bound,
     derive_lu_bound,
@@ -56,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "conflux_lu", "confchox_cholesky",
-    "lu_solve", "cholesky_solve",
     "pdgetrf", "pdpotrf", "pdgetrs", "pdpotrs",
     "derive_lu_bound", "derive_cholesky_bound", "derive_matmul_bound",
     "Machine", "MachineParams", "PerfModel", "PIZ_DAINT_XC40",

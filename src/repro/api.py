@@ -11,7 +11,8 @@ back.  This module reproduces that contract on the simulated machine:
 * :func:`pdpotrf` — Cholesky, descriptor in/out (COnfCHOX or the 2D
   baseline);
 * :func:`pdgemm` — 2.5D SUMMA matrix multiplication, descriptor in/out;
-* :func:`pdgetrs` / :func:`pdpotrs` — the corresponding solves.
+* :func:`pdgetrs` / :func:`pdpotrs` — the corresponding solves, two
+  local triangular solves on a result's factors (no words move).
 
 Each call takes a :class:`~repro.machine.comm.Machine` whose stores hold
 the distributed tiles under ``(name, bi, bj)`` keys, performs the counted
@@ -68,9 +69,8 @@ import numpy as np
 from . import obs
 from .engine.backends import DistributedBackend
 from .engine.schedule import Schedule
-from .factorizations.common import FactorizationResult
 from .factorizations.registry import OPS, build, implementation, width
-from .factorizations.solve import SolveResult, cholesky_solve, lu_solve
+from .kernels import blas
 from .layouts import BlockCyclicLayout, ScaLAPACKDescriptor, redistribute
 from .layouts.block_cyclic import discard_matrix, discard_work
 from .machine import Machine, ProcessorGrid2D
@@ -408,27 +408,32 @@ def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
                out_name or a_name + ":gemm")
 
 
-def _as_factorization(result: PDResult, name: str) -> FactorizationResult:
-    """Rebuild the factorization view a solve needs from a PDResult.
-
-    Carries the tile size ``v`` the factorization actually ran with
-    (*not* the descriptor's blocking) and its real counted communication.
-    """
-    return FactorizationResult(
-        name=name, n=result.desc.n, nranks=result.machine.nranks,
-        mem_words=result.machine.mem_words, comm=result.comm,
-        params={"v": result.v}, lower=result.lower,
-        upper=result.upper, perm=result.perm)
-
-
-def pdgetrs(result: PDResult, b: np.ndarray) -> SolveResult:
-    """Solve ``A x = b`` from a :func:`pdgetrf` result."""
-    return lu_solve(_as_factorization(result, "pdgetrf"), b)
+def pdgetrs(result: PDResult, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from a :func:`pdgetrf` result: the pivot
+    permutation, then the two triangular solves on its factors.  Local
+    to the caller; it moves and counts no words."""
+    if result.perm is None:
+        raise ValueError("not a pdgetrf result; use pdpotrs")
+    b = np.asarray(b, dtype=np.float64)
+    if len(b) != len(result.perm):
+        raise ValueError(f"rhs has {len(b)} rows, matrix is "
+                         f"{len(result.perm)}")
+    rhs = b[result.perm].reshape(len(b), -1)
+    y, _ = blas.trsm(result.lower, rhs, unit_diagonal=True)
+    x, _ = blas.trsm(result.upper, y, lower=False)
+    return x.reshape(b.shape)
 
 
-def pdpotrs(result: PDResult, b: np.ndarray) -> SolveResult:
-    """Solve ``A x = b`` from a :func:`pdpotrf` result."""
-    return cholesky_solve(_as_factorization(result, "pdpotrf"), b)
+def pdpotrs(result: PDResult, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from a :func:`pdpotrf` result: ``L y = b``,
+    then ``L^T x = y``.  Local to the caller; it moves and counts no
+    words."""
+    if result.perm is not None:
+        raise ValueError("a pdgetrf result; use pdgetrs")
+    b = np.asarray(b, dtype=np.float64)
+    y, _ = blas.trsm(result.lower, b.reshape(len(b), -1))
+    x, _ = blas.trsm(result.lower.T, y, lower=False)
+    return x.reshape(b.shape)
 
 
 # ----------------------------------------------------------------------

@@ -76,10 +76,6 @@ class MemoryReport:
         return float(self.peak_words.max())
 
     @property
-    def within_budget(self) -> bool:
-        return bool(self.max_peak_words <= self.budget_words)
-
-    @property
     def utilization(self) -> float:
         """Fraction of the budget the fullest rank touched (``nan``
         for an unbounded machine)."""

@@ -123,11 +123,6 @@ class FactorizationResult:
     def step_log(self) -> ColumnarStepLog | NullStepLog:
         return self.comm.steps
 
-    def local_words(self) -> float:
-        """Per-rank working-set estimate ``N^2 * c / P`` (with replication)."""
-        c = self.params.get("c", 1)
-        return self.n * self.n * c / self.nranks
-
     def reconstruct(self) -> np.ndarray:
         """``L @ U`` (or ``L @ L.T`` for Cholesky) — execution mode only."""
         if self.lower is None:

@@ -5,27 +5,15 @@ from .blas import (
     SingularMatrixError,
     gemm,
     gemm_acc,
-    gemmt,
     getrf,
-    laswp,
     pivots_to_permutation,
     potrf,
     trsm,
 )
-from .flops import (
-    cholesky_flops,
-    gemm_flops,
-    gemmt_flops,
-    getrf_flops,
-    lu_flops,
-    potrf_flops,
-    trsm_flops,
-)
+from .flops import gemm_flops, getrf_flops, potrf_flops, trsm_flops
 
 __all__ = [
-    "gemm", "gemm_acc", "gemmt", "trsm", "getrf", "potrf", "laswp",
-    "pivots_to_permutation",
+    "gemm", "gemm_acc", "trsm", "getrf", "potrf", "pivots_to_permutation",
     "KernelError", "SingularMatrixError",
-    "gemm_flops", "gemmt_flops", "trsm_flops", "getrf_flops",
-    "potrf_flops", "lu_flops", "cholesky_flops",
+    "gemm_flops", "trsm_flops", "getrf_flops", "potrf_flops",
 ]

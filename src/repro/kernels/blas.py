@@ -21,8 +21,8 @@ import numpy as np
 
 from . import flops as _flops
 
-__all__ = ["gemm", "gemm_acc", "gemm_acc_many", "gemmt", "trsm", "trsm_rows",
-           "getrf", "potrf", "laswp", "KernelError", "SingularMatrixError"]
+__all__ = ["gemm", "gemm_acc", "gemm_acc_many", "trsm", "trsm_rows",
+           "getrf", "potrf", "KernelError", "SingularMatrixError"]
 
 
 class KernelError(ValueError):
@@ -124,33 +124,6 @@ def gemm_acc_many(products: Sequence[tuple[np.ndarray, np.ndarray,
             if alpha != 1.0:
                 prod *= alpha
             c += prod
-
-
-def gemmt(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None,
-          alpha: float = 1.0, beta: float = 1.0) -> tuple[np.ndarray, float]:
-    """Triangular-output gemm: lower triangle of ``alpha*A@B + beta*C``.
-
-    The upper strict triangle of the result is zeroed; only the lower part
-    is meaningful (this mirrors MKL's ``gemmt``, used by COnfCHOX for the
-    symmetric trailing update, Table 1).
-    """
-    a = _as2d(a, "a")
-    b = _as2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise KernelError(f"gemmt inner dims differ: {a.shape} @ {b.shape}")
-    n = a.shape[0]
-    if b.shape[1] != n:
-        raise KernelError(f"gemmt output must be square, got {n}x{b.shape[1]}")
-    k = a.shape[1]
-    prod = alpha * np.tril(a @ b)
-    if c is None:
-        result = prod
-    else:
-        c = _as2d(c, "c")
-        if c.shape != (n, n):
-            raise KernelError(f"gemmt C shape {c.shape} != ({n},{n})")
-        result = beta * np.tril(c) + prod
-    return result, _flops.gemmt_flops(n, k)
 
 
 def trsm(tri: np.ndarray, rhs: np.ndarray, side: str = "left",
@@ -297,23 +270,6 @@ def potrf(a: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError as exc:
         raise KernelError(f"block not positive definite: {exc}") from exc
     return chol, _flops.potrf_flops(a.shape[0])
-
-
-def laswp(a: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """Apply LAPACK-style sequential row interchanges ``piv`` to ``a``.
-
-    ``piv`` uses the :func:`getrf` convention: at step ``i`` rows ``i`` and
-    ``piv[i]`` are swapped, in increasing ``i`` order.  Returns a new array.
-    """
-    a = _as2d(a, "a").copy()
-    piv = np.asarray(piv)
-    for i, p in enumerate(piv):
-        p = int(p)
-        if not i <= p < a.shape[0]:
-            raise KernelError(f"pivot {p} at step {i} out of range")
-        if p != i:
-            a[[i, p], :] = a[[p, i], :]
-    return a
 
 
 def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:

@@ -16,12 +16,9 @@ import numpy as np
 
 __all__ = [
     "gemm_flops",
-    "gemmt_flops",
     "trsm_flops",
     "getrf_flops",
     "potrf_flops",
-    "lu_flops",
-    "cholesky_flops",
 ]
 
 
@@ -42,16 +39,6 @@ def gemm_flops(m: float, n: float, k: float) -> float:
     """C (m x n) += A (m x k) @ B (k x n): ``2 m n k`` flops."""
     _check_nonneg(m=m, n=n, k=k)
     return 2.0 * m * n * k
-
-
-def gemmt_flops(n: float, k: float) -> float:
-    """Triangular-output gemm, C (n x n, lower) += A @ B: ``n (n+1) k`` flops.
-
-    This is the ``gemmt`` routine the paper uses for the Cholesky trailing
-    update (Table 1): half the cost of a square gemm.
-    """
-    _check_nonneg(n=n, k=k)
-    return n * (n + 1.0) * k
 
 
 def trsm_flops(m: float, n: float) -> float:
@@ -78,13 +65,3 @@ def potrf_flops(n: float) -> float:
     """Cholesky of an ``n x n`` block: ``n^3/3 + n^2/2 + n/6``."""
     _check_nonneg(n=n)
     return n ** 3 / 3.0 + n * n / 2.0 + n / 6.0
-
-
-def lu_flops(n: float) -> float:
-    """Full LU of an ``n x n`` matrix: ``2n^3/3`` leading term."""
-    return getrf_flops(n, n)
-
-
-def cholesky_flops(n: float) -> float:
-    """Full Cholesky of an ``n x n`` matrix: ``n^3/3`` leading term."""
-    return potrf_flops(n)

@@ -2,7 +2,7 @@
 and COSTA-style redistribution."""
 
 from .block_cyclic import BlockCyclicLayout, block_key, work_name
-from .costa import conversion_words, redistribute, redistribution_volume
+from .costa import conversion_words, redistribute
 from .descriptors import (
     ScaLAPACKDescriptor,
     global_to_local,
@@ -19,6 +19,5 @@ __all__ = [
     "local_to_global",
     "global_to_local",
     "redistribute",
-    "redistribution_volume",
     "conversion_words",
 ]

@@ -97,13 +97,6 @@ class BlockCyclicLayout:
     def nblocks(self) -> int:
         return math.ceil(self.n / self.nb)
 
-    def block_shape(self, bi: int, bj: int) -> tuple[int, int]:
-        """Extents of tile ``(bi, bj)`` (edge tiles may be smaller)."""
-        self._check_block(bi, bj)
-        rows = min(self.mb, self.m - bi * self.mb)
-        cols = min(self.nb, self.n - bj * self.nb)
-        return rows, cols
-
     def _check_block(self, bi: int, bj: int) -> None:
         if not (0 <= bi < self.mblocks and 0 <= bj < self.nblocks):
             raise LayoutError(
@@ -119,11 +112,6 @@ class BlockCyclicLayout:
     def owner_rank(self, bi: int, bj: int) -> int:
         pi, pj = self.owner_coords(bi, bj)
         return self.grid.rank(pi, pj)
-
-    def element_owner(self, ig: int, jg: int) -> int:
-        if not (0 <= ig < self.m and 0 <= jg < self.n):
-            raise LayoutError(f"element ({ig},{jg}) outside {self.m}x{self.n}")
-        return self.owner_rank(ig // self.mb, jg // self.nb)
 
     def blocks_of_rank(self, rank: int) -> list[tuple[int, int]]:
         pi, pj = self.grid.coords(rank)

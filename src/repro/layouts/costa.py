@@ -24,7 +24,7 @@ from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from .block_cyclic import BlockCyclicLayout
 
-__all__ = ["redistribute", "redistribution_volume", "conversion_words"]
+__all__ = ["redistribute", "conversion_words"]
 
 
 def _overlaps(extent: int, sb: int, db: int,
@@ -147,7 +147,7 @@ def conversion_words(src: BlockCyclicLayout,
     two 1-D histograms of :func:`_owner_pairs` joined on that
     difference — O(coarse blocks per period x grid dimension), usable as
     a *planning* term at paper scale, where the per-intersection
-    matrices of :func:`redistribution_volume` are far too large.
+    matrices of :func:`_traffic` are far too large.
     The workload planner charges exactly this quantity (normalized per
     rank) for every producer→consumer edge whose native layouts differ.
     """
@@ -166,15 +166,3 @@ def conversion_words(src: BlockCyclicLayout,
     np.add.at(hist[1], col_diff - shift,
               _owner_pairs(src.n, src.nb, sc, dst.nb, dc))
     return float(src.m) * src.n - int(hist[0] @ hist[1])
-
-
-def redistribution_volume(src: BlockCyclicLayout,
-                          dst: BlockCyclicLayout) -> np.ndarray:
-    """Per-rank received words of :func:`redistribute`, without moving data.
-
-    Trace-mode companion used by the cost-model validation: confirms the
-    O(N^2/P) bound the paper invokes for layout transformations.
-    """
-    _, _, _, dst_rank, words = _traffic(src, dst)
-    return np.bincount(dst_rank.ravel(), weights=words.ravel(),
-                       minlength=max(src.grid.size, dst.grid.size))

@@ -84,21 +84,3 @@ class ScaLAPACKDescriptor:
             raise LayoutError(f"invalid grid {self.prows}x{self.pcols}")
         if not (0 <= self.rsrc < self.prows and 0 <= self.csrc < self.pcols):
             raise LayoutError("source process outside grid")
-
-    def local_shape(self, pi: int, pj: int) -> tuple[int, int]:
-        """Local matrix extents on grid process ``(pi, pj)``."""
-        return (numroc(self.m, self.mb, pi, self.rsrc, self.prows),
-                numroc(self.n, self.nb, pj, self.csrc, self.pcols))
-
-    def owner(self, ig: int, jg: int) -> tuple[int, int]:
-        """Grid coordinates owning global element ``(ig, jg)``."""
-        if not (0 <= ig < self.m and 0 <= jg < self.n):
-            raise LayoutError(f"({ig},{jg}) outside {self.m}x{self.n}")
-        pi = ((ig // self.mb) + self.rsrc) % self.prows
-        pj = ((jg // self.nb) + self.csrc) % self.pcols
-        return pi, pj
-
-    def as_tuple(self) -> tuple[int, ...]:
-        """The classic 9-integer DESC array (DTYPE, CTXT=0 placeholder)."""
-        return (1, 0, self.m, self.n, self.mb, self.nb, self.rsrc, self.csrc,
-                max(1, numroc(self.m, self.mb, 0, self.rsrc, self.prows)))

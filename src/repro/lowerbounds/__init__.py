@@ -14,9 +14,6 @@ from .bounds import (
     derive_program_bound,
     lu_io_lower_bound,
     matmul_io_lower_bound,
-    max_usable_memory,
-    memory_feasible,
-    min_required_memory,
 )
 from .catalog import (
     derive_gemv_bound,
@@ -49,8 +46,6 @@ from .intensity import (
 from .reuse import (
     StatementAnalysis,
     analyze_statement,
-    array_accesses_per_schedule,
-    input_reuse_bound,
     output_reuse_weights,
 )
 
@@ -61,7 +56,6 @@ __all__ = [
     "max_subcomputation", "minimize_rho",
     "statement_intensity", "lemma6_intensity_cap",
     "StatementAnalysis", "analyze_statement",
-    "array_accesses_per_schedule", "input_reuse_bound",
     "output_reuse_weights",
     "ProgramBound", "derive_program_bound",
     "derive_lu_bound", "derive_cholesky_bound", "derive_matmul_bound",
@@ -70,5 +64,4 @@ __all__ = [
     "jacobi2d_program",
     "derive_trsm_bound", "derive_syrk_bound", "derive_ldlt_bound",
     "derive_gemv_bound",
-    "memory_feasible", "max_usable_memory", "min_required_memory",
 ]

@@ -47,38 +47,11 @@ __all__ = [
     "lu_io_lower_bound",
     "cholesky_io_lower_bound",
     "matmul_io_lower_bound",
-    "memory_feasible",
-    "max_usable_memory",
-    "min_required_memory",
 ]
 
 
 def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
-
-
-# ---------------------------------------------------------------------------
-# Memory regimes (Section 6, "Memory size")
-# ---------------------------------------------------------------------------
-
-def min_required_memory(n: float, p: float) -> float:
-    """``M >= N^2 / P``: below this the input cannot fit in aggregate."""
-    if n <= 0 or p <= 0:
-        raise ValueError("n and p must be positive")
-    return n * n / p
-
-
-def max_usable_memory(n: float, p: float) -> float:
-    """``M <= N^2 / P^(2/3)``: the memory-dependent regime's ceiling
-    (larger M transitions to the memory-independent regime)."""
-    if n <= 0 or p <= 0:
-        raise ValueError("n and p must be positive")
-    return n * n / p ** (2.0 / 3.0)
-
-
-def memory_feasible(n: float, p: float, mem_words: float) -> bool:
-    """True when ``(N, P, M)`` lies in the memory-dependent analysis band."""
-    return min_required_memory(n, p) <= mem_words <= max_usable_memory(n, p)
 
 
 # ---------------------------------------------------------------------------

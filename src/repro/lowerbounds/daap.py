@@ -79,9 +79,6 @@ class ArrayAccess:
                     found.append(token)
         return tuple(v for v in loop_vars if v in found)
 
-    def access_dimension(self, loop_vars: Sequence[str]) -> int:
-        return len(self.variables_in(loop_vars))
-
     def per_dimension_variables(self, loop_vars: Sequence[str]
                                 ) -> tuple[tuple[str, ...], ...]:
         """For each subscript dimension, the loop variables it uses —
@@ -262,30 +259,6 @@ class Program:
             if s.name == name:
                 return s
         raise KeyError(name)
-
-    def shared_input_arrays(self) -> dict[str, list[str]]:
-        """Arrays read by more than one statement -> statement names
-        (Case I, Section 4.1)."""
-        readers: dict[str, list[str]] = {}
-        for s in self.statements:
-            for acc in s.inputs:
-                readers.setdefault(acc.array, [])
-                if s.name not in readers[acc.array]:
-                    readers[acc.array].append(s.name)
-        return {a: names for a, names in readers.items() if len(names) > 1}
-
-    def producer_consumer_pairs(self) -> list[tuple[str, str, str]]:
-        """``(producer, consumer, array)`` triples where one statement's
-        output array is another's input (Case II, Section 4.2)."""
-        pairs = []
-        for prod in self.statements:
-            for cons in self.statements:
-                if prod.name == cons.name:
-                    continue
-                for acc in cons.inputs:
-                    if acc.array == prod.output.array:
-                        pairs.append((prod.name, cons.name, acc.array))
-        return pairs
 
     def total_vertices(self, n: float) -> float:
         return float(sum(s.num_vertices(n) for s in self.statements))

@@ -79,9 +79,6 @@ class SubcomputationSolution:
     x: float
     marginal: float
 
-    def dominator_size(self) -> float:
-        return float(sum(self.access_sizes))
-
 
 @dataclasses.dataclass(frozen=True)
 class IntensityResult:

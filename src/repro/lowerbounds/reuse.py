@@ -4,11 +4,10 @@ I/O cost is not composable: statements sharing data may avoid loads that a
 per-statement analysis would double-count.  The paper handles two cases:
 
 * **Case I, input overlap (Lemma 7).**  Statements ``S`` and ``T`` read
-  the same array ``A_i``.  The combined bound subtracts the *reuse bound*
-  ``Reuse(A_i) = min(|A_i(R_S)|, |A_i(R_T)|)`` where ``|A_i(R_S)|`` is the
-  total number of accesses to ``A_i`` in the I/O-optimal schedule of the
-  program containing only ``S``, estimated per Equation (6) as
-  (accesses per optimal subcomputation) x (number of subcomputations).
+  the same array ``A_i``; the combined bound may subtract the *reuse
+  bound* ``Reuse(A_i) = min(|A_i(R_S)|, |A_i(R_T)|)``.  It is not
+  applied here: for the paper's kernels it only lowers low-order terms
+  (:func:`~repro.lowerbounds.bounds.derive_program_bound`).
 
 * **Case II, output overlap (Lemma 8 / Corollary 1).**  Statement ``S``
   produces array elements consumed by ``T``.  Consumed vertices are no
@@ -22,7 +21,6 @@ per-statement analysis would double-count.  The paper handles two cases:
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from .daap import Program, Statement
 from .intensity import IntensityResult, statement_intensity
@@ -30,8 +28,6 @@ from .intensity import IntensityResult, statement_intensity
 __all__ = [
     "StatementAnalysis",
     "analyze_statement",
-    "array_accesses_per_schedule",
-    "input_reuse_bound",
     "output_reuse_weights",
 ]
 
@@ -56,47 +52,6 @@ def analyze_statement(stmt: Statement, n: float, mem_words: float,
     res = statement_intensity(stmt, mem_words, weights)
     return StatementAnalysis(statement=stmt, intensity=res,
                              num_vertices=float(stmt.num_vertices(n)))
-
-
-def array_accesses_per_schedule(analysis: StatementAnalysis,
-                                array: str) -> float:
-    """Estimate ``|A_i(R_S)|``: total accesses to ``array`` over the whole
-    I/O-optimal schedule of the single-statement program (Equation 6).
-
-    Computed as ``|A_i(R_max(X_0))| * |V_S| / |H_max|``.  For statements
-    whose optimal ``X_0`` is asymptotic (``rho`` capped by Lemma 6), each
-    vertex touches each access once, so the estimate degrades gracefully
-    to ``|V_S|`` scaled by the access dimension ratio.
-    """
-    stmt = analysis.statement
-    arrays = [acc.array for acc in stmt.inputs]
-    if array not in arrays:
-        raise ValueError(f"{stmt.name} does not read array {array!r}")
-    j = arrays.index(array)
-    sol = analysis.intensity.solution
-    if sol is None or not math.isfinite(analysis.intensity.x0):
-        # No interior optimum: one distinct access per vertex is the safe
-        # (maximal) estimate for a reuse *upper* bound.
-        return analysis.num_vertices
-    per_sub = sol.access_sizes[j]
-    num_subcomputations = analysis.num_vertices / sol.chi
-    return per_sub * num_subcomputations
-
-
-def input_reuse_bound(analyses: dict[str, StatementAnalysis],
-                      array: str, readers: list[str]) -> float:
-    """Lemma 7 (generalized): loads avoidable by sharing ``array`` among
-    ``readers``.
-
-    The total loads from ``array`` are lower-bounded by the *maximum*
-    single-statement requirement, so the avoidable amount is the sum of
-    all readers' requirements minus that maximum.
-    """
-    if len(readers) < 2:
-        return 0.0
-    amounts = [array_accesses_per_schedule(analyses[r], array)
-               for r in readers]
-    return float(sum(amounts) - max(amounts))
 
 
 def output_reuse_weights(program: Program, consumer: Statement,

@@ -84,14 +84,6 @@ class ProcessorGrid2D:
             raise GridError(f"rank {rank} outside grid of size {self.size}")
         return divmod(rank, self.cols)
 
-    def row_ranks(self, pi: int) -> list[int]:
-        """All ranks in grid row ``pi`` (communicator for row broadcasts)."""
-        return [self.rank(pi, pj) for pj in range(self.cols)]
-
-    def col_ranks(self, pj: int) -> list[int]:
-        """All ranks in grid column ``pj`` (communicator for column ops)."""
-        return [self.rank(pi, pj) for pi in range(self.rows)]
-
     def __iter__(self) -> Iterator[tuple[int, int]]:
         for pi in range(self.rows):
             for pj in range(self.cols):
@@ -138,18 +130,6 @@ class ProcessorGrid3D:
         pk, rem = divmod(rank, self.layer_size)
         pi, pj = divmod(rem, self.cols)
         return pi, pj, pk
-
-    def layer_ranks(self, pk: int) -> list[int]:
-        base = pk * self.layer_size
-        return list(range(base, base + self.layer_size))
-
-    def fiber_ranks(self, pi: int, pj: int) -> list[int]:
-        """Ranks sharing 2D position ``(pi, pj)`` across all layers.
-
-        This is the communicator of the reduction in steps 1 and 5 of
-        Algorithm 1 (summing partial Schur contributions over layers).
-        """
-        return [self.rank(pi, pj, pk) for pk in range(self.layers)]
 
     def layer_grid(self) -> ProcessorGrid2D:
         """The 2D grid of a single layer."""

@@ -349,7 +349,3 @@ class CommStats:
     @property
     def total_flops(self) -> float:
         return float(self.flops.sum())
-
-    @property
-    def max_flops(self) -> float:
-        return float(self.flops.max())

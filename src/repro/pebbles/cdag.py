@@ -67,22 +67,12 @@ class CDag:
     def num_vertices(self) -> int:
         return len(self._preds)
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(s) for s in self._succs.values())
-
     def vertices(self) -> Iterator[Hashable]:
         return iter(self._preds.keys())
 
     def preds(self, v: Hashable) -> frozenset:
         try:
             return frozenset(self._preds[v])
-        except KeyError:
-            raise CDagError(f"unknown vertex {v!r}") from None
-
-    def succs(self, v: Hashable) -> frozenset:
-        try:
-            return frozenset(self._succs[v])
         except KeyError:
             raise CDagError(f"unknown vertex {v!r}") from None
 

@@ -280,20 +280,6 @@ class WorkloadPlan:
     def chosen(self) -> WorkloadAssignment:
         return self.ranked[0]
 
-    def plan_for(self, name: str) -> Plan:
-        """The standalone :class:`Plan` of node ``name``."""
-        for node, plan in zip(self.request.nodes, self.node_plans):
-            if node.name == name:
-                return plan
-        raise KeyError(f"no node named {name!r}")
-
-    def config_for(self, name: str) -> PlannedConfig:
-        """The jointly chosen configuration of node ``name``."""
-        for node, cfg in zip(self.request.nodes, self.chosen.configs):
-            if node.name == name:
-                return cfg
-        raise KeyError(f"no node named {name!r}")
-
     def summary(self) -> str:
         budget = ("unbounded" if math.isinf(self.request.budget)
                   else f"{self.request.budget:.4g} words")

@@ -12,7 +12,8 @@ memory.
 
 :func:`lapack_lu` is the factor reference of the LU tests: SciPy's
 partial-pivoting ``getrf`` in the ``(perm, lower, upper)`` form the
-schedules return.
+schedules return.  :func:`redistribution_volume` is the COSTA volume
+reference: each element's two owners compared, one by one.
 """
 
 import numpy as np
@@ -48,6 +49,27 @@ def lapack_lu(a):
     LAPACK's partial pivoting factors ``a``."""
     p, lower, upper = scipy.linalg.lu(a)
     return p.argmax(axis=0), lower, upper
+
+
+def block_shape(layout, bi, bj) -> tuple[int, int]:
+    """Extents of tile ``(bi, bj)`` of ``layout`` (edge tiles may be
+    smaller)."""
+    return (min(layout.mb, layout.m - bi * layout.mb),
+            min(layout.nb, layout.n - bj * layout.nb))
+
+
+def redistribution_volume(src, dst) -> np.ndarray:
+    """Words each rank receives when ``redistribute`` moves a matrix from
+    layout ``src`` to ``dst``: the elements whose ``dst`` owner is not
+    their ``src`` owner, counted at the ``dst`` owner."""
+    assert (src.m, src.n) == (dst.m, dst.n)
+    i, j = np.indices((src.m, src.n))
+    src_owner, dst_owner = ((i // lay.mb % lay.grid.rows) * lay.grid.cols
+                            + j // lay.nb % lay.grid.cols
+                            for lay in (src, dst))
+    return np.bincount(dst_owner[src_owner != dst_owner],
+                       minlength=max(src.grid.size, dst.grid.size)
+                       ).astype(float)
 
 
 def oracle_stats(schedule) -> CommStats:

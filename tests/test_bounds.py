@@ -7,40 +7,16 @@ import pytest
 from repro.analysis.reporting import derived_bounds
 from repro.lowerbounds import (
     analyze_statement,
-    array_accesses_per_schedule,
     cholesky_io_lower_bound,
     cholesky_program,
     derive_cholesky_bound,
     derive_lu_bound,
     derive_matmul_bound,
-    input_reuse_bound,
     lu_io_lower_bound,
     lu_program,
     matmul_io_lower_bound,
-    max_usable_memory,
-    memory_feasible,
-    min_required_memory,
     output_reuse_weights,
 )
-
-
-class TestMemoryRegimes:
-    def test_min_memory(self):
-        assert min_required_memory(1000, 100) == 10000
-
-    def test_max_usable(self):
-        assert max_usable_memory(1000, 1000) == pytest.approx(10000.0)
-
-    def test_feasible_band(self):
-        n, p = 16384, 1024
-        assert memory_feasible(n, p, n * n / p)
-        assert memory_feasible(n, p, n * n / p ** (2 / 3))
-        assert not memory_feasible(n, p, n * n / p / 2)
-        assert not memory_feasible(n, p, 2 * n * n / p ** (2 / 3))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_required_memory(0, 4)
 
 
 NON_FINITE = [(math.nan, 4, 64.0), (math.inf, 4, 64.0), (64, math.nan, 64.0),
@@ -236,29 +212,6 @@ class TestReuse:
         # Only the A[i,k] access (the S1 output pattern) is affected.
         assert weights[1] == pytest.approx(0.25)
         assert weights[0] == weights[2] == 1.0
-
-    def test_input_reuse_bound_is_min_rule(self):
-        prog = lu_program()
-        m = 1024.0
-        analyses = {s.name: analyze_statement(s, 512, m)
-                    for s in prog.statements}
-        reuse = input_reuse_bound(analyses, "A", ["S1", "S2"])
-        a_s1 = array_accesses_per_schedule(analyses["S1"], "A")
-        a_s2 = array_accesses_per_schedule(analyses["S2"], "A")
-        assert reuse == pytest.approx(a_s1 + a_s2 - max(a_s1, a_s2))
-        assert reuse == pytest.approx(min(a_s1, a_s2))
-
-    def test_single_reader_no_reuse(self):
-        prog = lu_program()
-        analyses = {s.name: analyze_statement(s, 128, 256.0)
-                    for s in prog.statements}
-        assert input_reuse_bound(analyses, "A", ["S2"]) == 0.0
-
-    def test_accesses_per_schedule_unknown_array(self):
-        prog = lu_program()
-        analysis = analyze_statement(prog.statement("S2"), 128, 256.0)
-        with pytest.raises(ValueError):
-            array_accesses_per_schedule(analysis, "Z")
 
     def test_io_lower_bound_property(self):
         prog = cholesky_program()

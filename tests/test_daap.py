@@ -16,12 +16,12 @@ from repro.lowerbounds import (
 class TestArrayAccess:
     def test_access_dimension_distinct_vars(self):
         acc = ArrayAccess("A", ("i", "k"))
-        assert acc.access_dimension(("k", "i")) == 2
+        assert len(acc.variables_in(("k", "i"))) == 2
 
     def test_access_dimension_repeated_var(self):
         # A[k, k] has dimension 1 (the paper's S1 example).
         acc = ArrayAccess("A", ("k", "k"))
-        assert acc.access_dimension(("k", "i")) == 1
+        assert len(acc.variables_in(("k", "i"))) == 1
 
     def test_variables_in_loop_order(self):
         acc = ArrayAccess("A", ("j", "i"))
@@ -111,7 +111,7 @@ class TestPrograms:
         s1, s2 = prog.statements
         assert s1.depth == 2 and s2.depth == 3
         # S1's pivot access A[k,k] has access dimension 1.
-        assert s1.inputs[1].access_dimension(s1.loop_vars) == 1
+        assert len(s1.inputs[1].variables_in(s1.loop_vars)) == 1
         assert s1.min_unique_inputs == 1
 
     def test_lu_vertex_counts(self):
@@ -138,18 +138,6 @@ class TestPrograms:
         prog = matmul_program()
         arrays = [a.array for a in prog.statements[0].inputs]
         assert "C" in arrays
-
-    def test_shared_input_arrays(self):
-        prog = lu_program()
-        shared = prog.shared_input_arrays()
-        assert "A" in shared
-        assert set(shared["A"]) == {"S1", "S2"}
-
-    def test_producer_consumer_pairs(self):
-        prog = lu_program()
-        pairs = prog.producer_consumer_pairs()
-        assert ("S1", "S2", "A") in pairs
-        assert ("S2", "S1", "A") in pairs
 
     def test_total_vertices(self):
         prog = cholesky_program()

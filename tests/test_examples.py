@@ -6,6 +6,11 @@ import re
 import runpy
 import subprocess
 import sys
+import textwrap
+
+import numpy as np
+
+import repro
 
 ROOT = pathlib.Path(__file__).parent.parent
 EXAMPLES = ROOT / "examples"
@@ -33,6 +38,16 @@ def test_readme_python_runs_as_written(tmp_path):
                          env=env, capture_output=True, text=True,
                          timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_package_quick_start_runs_as_written():
+    """The ``Quick start::`` block of the ``repro`` docstring runs, and
+    its factors multiply back to the pivoted input."""
+    block = repro.__doc__.split("Quick start::\n", 1)[1]
+    names: dict = {}
+    exec(textwrap.dedent(block), names)
+    assert np.allclose(names["product"], names["a"][names["result"].perm])
+    assert names["q"] > 0
 
 
 class TestExamples:

@@ -8,9 +8,11 @@ executed 2D views have no tile-at-a-time helper to fall back on, the
 SUMMA rounds copy and send nothing per piece, the memory a pd* call
 needs is stated in one function, the pebble games, the plan service,
 the atlas and the sweep fabric are imported only where listed here,
-the entry points only tests reached stay gone, every third-party
-import is a package CI installs, and what ARCHITECTURE.md and README.md
-name exists.
+the entry points only tests reached stay gone, the sequential
+tournament serves the dense view only, every definition under ``src/``
+is named outside the tests, every import there is used, every
+third-party import is a package CI installs, and what ARCHITECTURE.md
+and README.md name exists.
 
 A sweep worker (pool child or ``python -m repro.runtime.fabric``), the
 planner and the plan service only evaluate closed forms; SciPy's load
@@ -19,6 +21,7 @@ discipline", states the rules these tests hold the tree to.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -406,6 +409,137 @@ def test_the_dense_view_is_left_only_to_its_benchmark_reference():
         "src/repro/factorizations/matmul25d.py",
         "src/repro/factorizations/baselines/scalapack_chol.py",
     }
+
+
+def test_the_sequential_tournament_is_dense_view_only():
+    """``tournament_pivot`` and its ``TournamentResult`` serve one
+    caller, ``ConfluxSchedule.dense_step``: the distributed tournament
+    picks rows with ``_candidate_rows``.  Deleting the dense view
+    shrinks this set to the module and its tests."""
+    mentions = re.compile(r"tournament_pivot|TournamentResult")
+    found = {path.relative_to(ROOT).as_posix()
+             for root in ("src", "examples", "scripts", "perf")
+             for path in (ROOT / root).rglob("*.py")
+             if mentions.search(path.read_text())}
+    assert found == {
+        "src/repro/factorizations/__init__.py",
+        "src/repro/factorizations/pivoting.py",
+        "src/repro/factorizations/conflux.py",
+    }
+    conflux = _functions(SRC / "repro" / "factorizations" / "conflux.py")
+    assert {name for name, fn in conflux.items()
+            if mentions.search(ast.unparse(fn))} == {"dense_step"}
+
+
+#: Definitions under ``src/repro`` that keep no caller outside tests, on
+#: purpose: name (``Class.method`` for a method) -> why it stays.
+UNCALLED = {
+    "scalapack_cholesky": "a one-call row of the implementation table, "
+                          "beside scalapack_lu",
+    "slate_cholesky": "a one-call row of the implementation table, "
+                      "beside slate_lu",
+    "matmul_25d": "a one-call row of the implementation table, beside "
+                  "conflux_lu and confchox_cholesky",
+    "ServiceStats.hit_rate": "goes with the serving layer",
+}
+
+
+def _definitions() -> list[tuple[pathlib.Path, int, int, str]]:
+    """``(path, first line, last line, name)`` of every non-dunder
+    function, method and class under ``src/repro``; a method is named
+    ``Class.method``."""
+    found = []
+    for path in (SRC / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(child): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for child in node.body}
+        found += [(path, node.lineno, node.end_lineno, ".".join(filter(
+                      None, (owner.get(id(node)), node.name))))
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                  and not re.fullmatch(r"__\w+__", node.name)]
+    return found
+
+
+def _lines_outside_tests() -> dict[tuple[pathlib.Path, int], list[str]]:
+    """The identifier-like words of every line under ``src/``,
+    ``perf/``, ``scripts/`` and ``examples/`` — code, docstrings and
+    comments alike — but the lines of an ``__all__`` list and of a
+    package ``__init__``'s imports."""
+    lines = {}
+    for root in ("src", "perf", "scripts", "examples"):
+        for path in (ROOT / root).rglob("*.py"):
+            text = path.read_text()
+            listed = {line for node in ast.walk(ast.parse(text))
+                      if (isinstance(node, ast.Assign) and "__all__" in {
+                          getattr(t, "id", None) for t in node.targets})
+                      or (path.name == "__init__.py"
+                          and isinstance(node, ast.ImportFrom))
+                      for line in range(node.lineno, node.end_lineno + 1)}
+            lines.update(((path, lineno), re.findall(r"\w+", line))
+                         for lineno, line in enumerate(text.splitlines(), 1)
+                         if lineno not in listed)
+    return lines
+
+
+def test_every_definition_is_used_outside_tests():
+    """Each function, method and class under ``src/repro`` is named
+    somewhere outside ``tests/`` other than on a line defining that
+    name, in an ``__all__`` list, in a package ``__init__``'s
+    re-exports or in the body of a definition that fails this test:
+    code only tests call goes, or moves to ``tests/oracle.py``.
+    ``UNCALLED`` lists the few kept on purpose."""
+    defs = _definitions()
+    lines = _lines_outside_tests()
+    uses = collections.Counter(word for words in lines.values()
+                               for word in words)
+    for path, first, _, name in defs:
+        word = name.rpartition(".")[2]
+        uses[word] -= lines[path, first].count(word)
+    uncalled: dict[str, str] = {}
+    while dead := [(path, first, last, name)
+                   for path, first, last, name in defs
+                   if name not in uncalled
+                   and uses[name.rpartition(".")[2]] <= 0]:
+        for path, first, last, name in dead:
+            uncalled[name] = f"{path.relative_to(ROOT)}:{first}"
+            if name not in UNCALLED:     # its callees lose a caller
+                uses.subtract(word for line in range(first + 1, last + 1)
+                              for word in lines.get((path, line), ()))
+    assert uncalled.keys() - UNCALLED.keys() == set(), uncalled
+    assert UNCALLED.keys() <= uncalled.keys()   # no stale exception
+
+
+def test_every_import_is_used():
+    """Ruff's F401 without ruff: every name a module under ``src/``
+    imports, at module level or lazily, is read in that module (as a
+    name, in a quoted annotation or in its ``__all__``).  Package
+    ``__init__`` modules re-export and are exempt, as in ``ruff.toml``."""
+    unused = []
+    for path in (SRC / "repro").rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        spelled = [getattr(node, field) for node in ast.walk(tree)
+                   for field in ("annotation", "returns")
+                   if getattr(node, field, None) is not None] + [
+            node.value for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | {
+            word for node in spelled for const in ast.walk(node)
+            if isinstance(const, ast.Constant)
+            and isinstance(const.value, str)
+            for word in re.findall(r"\w+", const.value)}
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {bound}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (bound := alias.asname or alias.name.split(".")[0])
+                   not in read]
+    assert unused == []
 
 
 def test_every_repro_import_resolves():

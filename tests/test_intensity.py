@@ -58,7 +58,7 @@ class TestMaxSubcomputation:
             sol = max_subcomputation(
                 ("i", "j", "k"),
                 [("i", "j"), ("i", "k"), ("k", "j")], x)
-            assert sol.dominator_size() <= x * (1 + 1e-9)
+            assert sum(sol.access_sizes) <= x * (1 + 1e-9)
 
     def test_weights_shrink_chi(self):
         x = 3000.0
@@ -245,7 +245,7 @@ class TestCertifiedSolve:
         (seeds 0-4, 5 000 programs: the worst is 1.1e-14)."""
         for loop_vars, groups, weights, x in _random_programs(2024, 150):
             sol = max_subcomputation(loop_vars, groups, x, weights)
-            assert sol.dominator_size() <= x * (1 + 1e-12)
+            assert sum(sol.access_sizes) <= x * (1 + 1e-12)
             assert _grid_best(loop_vars, groups, weights, x) \
                 <= math.log(sol.chi) + 1e-9, (loop_vars, groups, weights, x)
 

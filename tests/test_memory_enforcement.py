@@ -143,7 +143,7 @@ class TestBudgetedRunsSucceed:
     def test_completes_within_declared_budget(self, name):
         result, report, sched = enforced_reference(name)
         assert report.enforced
-        assert report.within_budget
+        assert report.max_peak_words <= report.budget_words
         assert result.comm.total_recv_words > 0
 
     @pytest.mark.parametrize("name", IDS)
@@ -272,7 +272,7 @@ class TestMachineFor:
         report = backend.memory_report()
         assert report.enforced
         assert report.budget_words == sched.required_words()
-        assert report.within_budget
+        assert report.max_peak_words <= report.budget_words
 
     def test_explicit_machine_with_enforce_flag_rejected(self):
         """An explicit machine carries its own enforcement policy;

@@ -23,6 +23,7 @@ from repro.machine import (
 )
 from repro.machine.stats import CommStats
 from repro.pebbles import PebbleGame, greedy_schedule, program_cdag
+from oracle import block_shape
 from workload_oracle import assert_search_equals_product, brute_force_plan
 
 
@@ -84,7 +85,7 @@ class TestLayoutProperties:
         rank 0 is the fullest, a rank off the grid holds nothing."""
         lay = BlockCyclicLayout(m, n, mb, nb, ProcessorGrid2D(pr, pc))
         by_block = [sum(rows * cols for rows, cols in
-                        (lay.block_shape(bi, bj)
+                        (block_shape(lay, bi, bj)
                          for bi, bj in lay.blocks_of_rank(rank)))
                     for rank in range(pr * pc)]
         assert lay.words_per_rank().tolist() == by_block

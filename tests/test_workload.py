@@ -30,7 +30,6 @@ from repro.layouts import (
     BlockCyclicLayout,
     ScaLAPACKDescriptor,
     conversion_words,
-    redistribution_volume,
 )
 from repro.machine import LayoutError, Machine, ProcessorGrid2D
 from repro.planner import (
@@ -44,6 +43,7 @@ from repro.planner import (
     plan_workload,
 )
 from repro.runtime import ProcessPoolSweepExecutor, SerialExecutor, SweepTask
+from oracle import redistribution_volume
 from workload_oracle import assert_search_equals_product
 
 NODE_M = 32 * 2 ** 30 / 8
@@ -359,12 +359,8 @@ class TestPlanWorkload:
         assert totals == sorted(totals)
         assert len(plan.ranked) <= 4
 
-    def test_plan_accessors(self):
+    def test_plan_summary(self):
         plan = plan_workload(dft_workload_request(4096, 64))
-        assert plan.config_for("lu") == plan.chosen.configs[3]
-        assert plan.plan_for("f1") == plan.node_plans[1]
-        with pytest.raises(KeyError):
-            plan.config_for("nope")
         assert "workload[4 nodes]" in plan.summary()
 
 
@@ -518,9 +514,8 @@ class TestRunWorkload:
         sequential = Machine(4)
         scatter_spd(sequential)
         seq_counted = 0.0
-        for name in ("f1", "f2"):
-            r = pdpotrf(sequential, "S", desc, out_name=name,
-                        plan=plan.config_for(name))
+        for name, config in zip(("f1", "f2"), plan.chosen.configs):
+            r = pdpotrf(sequential, "S", desc, out_name=name, plan=config)
             seq_counted += r.reshuffle_words + r.factorization_words
         assert workload_counted == seq_counted
 
@@ -537,9 +532,8 @@ class TestRunWorkload:
         sequential = Machine(4)
         scatter_spd(sequential)
         seq_counted = 0.0
-        for name in ("f1", "f2"):
-            r = pdpotrf(sequential, "S", desc, out_name=name,
-                        plan=plan.config_for(name))
+        for name, config in zip(("f1", "f2"), plan.chosen.configs):
+            r = pdpotrf(sequential, "S", desc, out_name=name, plan=config)
             seq_counted += r.reshuffle_words + r.factorization_words
         assert workload_counted < seq_counted
 
