@@ -444,12 +444,13 @@ UNCALLED = {
 }
 
 
-def _definitions() -> list[tuple[pathlib.Path, int, int, str]]:
+def _definitions(root: pathlib.Path
+                 ) -> list[tuple[pathlib.Path, int, int, str]]:
     """``(path, first line, last line, name)`` of every non-dunder
-    function, method and class under ``src/repro``; a method is named
-    ``Class.method``."""
+    function, method and class under ``root/src/repro``; a method is
+    named ``Class.method``."""
     found = []
-    for path in (SRC / "repro").rglob("*.py"):
+    for path in (root / "src" / "repro").rglob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {id(child): node.name for node in ast.walk(tree)
                  if isinstance(node, ast.ClassDef) for child in node.body}
@@ -462,14 +463,15 @@ def _definitions() -> list[tuple[pathlib.Path, int, int, str]]:
     return found
 
 
-def _lines_outside_tests() -> dict[tuple[pathlib.Path, int], list[str]]:
+def _lines_outside_tests(root: pathlib.Path
+                         ) -> dict[tuple[pathlib.Path, int], list[str]]:
     """The identifier-like words of every line under ``src/``,
-    ``perf/``, ``scripts/`` and ``examples/`` — code, docstrings and
-    comments alike — but the lines of an ``__all__`` list and of a
-    package ``__init__``'s imports."""
+    ``perf/``, ``scripts/`` and ``examples/`` of ``root`` — code,
+    docstrings and comments alike — but the lines of an ``__all__``
+    list and of a package ``__init__``'s imports."""
     lines = {}
-    for root in ("src", "perf", "scripts", "examples"):
-        for path in (ROOT / root).rglob("*.py"):
+    for top in ("src", "perf", "scripts", "examples"):
+        for path in (root / top).rglob("*.py"):
             text = path.read_text()
             listed = {line for node in ast.walk(ast.parse(text))
                       if (isinstance(node, ast.Assign) and "__all__" in {
@@ -483,15 +485,14 @@ def _lines_outside_tests() -> dict[tuple[pathlib.Path, int], list[str]]:
     return lines
 
 
-def test_every_definition_is_used_outside_tests():
-    """Each function, method and class under ``src/repro`` is named
-    somewhere outside ``tests/`` other than on a line defining that
-    name, in an ``__all__`` list, in a package ``__init__``'s
-    re-exports or in the body of a definition that fails this test:
-    code only tests call goes, or moves to ``tests/oracle.py``.
-    ``UNCALLED`` lists the few kept on purpose."""
-    defs = _definitions()
-    lines = _lines_outside_tests()
+def _uncalled(root: pathlib.Path, kept=()) -> dict[str, str]:
+    """Name -> ``path:line`` of each definition under ``root/src/repro``
+    that nothing outside ``root/tests`` names, but on its own ``def``
+    line, in an ``__all__``, in an ``__init__`` re-export or in the
+    body of another such definition.  A name in ``kept`` is reported
+    too, but its body still counts as a caller."""
+    defs = _definitions(root)
+    lines = _lines_outside_tests(root)
     uses = collections.Counter(word for words in lines.values()
                                for word in words)
     for path, first, _, name in defs:
@@ -503,21 +504,31 @@ def test_every_definition_is_used_outside_tests():
                    if name not in uncalled
                    and uses[name.rpartition(".")[2]] <= 0]:
         for path, first, last, name in dead:
-            uncalled[name] = f"{path.relative_to(ROOT)}:{first}"
-            if name not in UNCALLED:     # its callees lose a caller
+            uncalled[name] = f"{path.relative_to(root)}:{first}"
+            if name not in kept:         # its callees lose a caller
                 uses.subtract(word for line in range(first + 1, last + 1)
                               for word in lines.get((path, line), ()))
+    return uncalled
+
+
+def test_every_definition_is_used_outside_tests():
+    """Each function, method and class under ``src/repro`` is named
+    somewhere outside ``tests/`` other than on a line defining that
+    name, in an ``__all__`` list, in a package ``__init__``'s
+    re-exports or in the body of a definition that fails this test:
+    code only tests call goes, or moves to ``tests/oracle.py``.
+    ``UNCALLED`` lists the few kept on purpose."""
+    uncalled = _uncalled(ROOT, UNCALLED)
     assert uncalled.keys() - UNCALLED.keys() == set(), uncalled
     assert UNCALLED.keys() <= uncalled.keys()   # no stale exception
 
 
-def test_every_import_is_used():
-    """Ruff's F401 without ruff: every name a module under ``src/``
-    imports, at module level or lazily, is read in that module (as a
-    name, in a quoted annotation or in its ``__all__``).  Package
-    ``__init__`` modules re-export and are exempt, as in ``ruff.toml``."""
+def _unused_imports(root: pathlib.Path) -> list[str]:
+    """``path:line name`` of every name a non-``__init__`` module under
+    ``root/src/repro`` imports, at module level or lazily, and never
+    reads (as a name, in a quoted annotation or in its ``__all__``)."""
     unused = []
-    for path in (SRC / "repro").rglob("*.py"):
+    for path in (root / "src" / "repro").rglob("*.py"):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -532,14 +543,171 @@ def test_every_import_is_used():
             if isinstance(const, ast.Constant)
             and isinstance(const.value, str)
             for word in re.findall(r"\w+", const.value)}
-        unused += [f"{path.relative_to(ROOT)}:{node.lineno} {bound}"
+        unused += [f"{path.relative_to(root)}:{node.lineno} {bound}"
                    for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    and getattr(node, "module", None) != "__future__"
                    for alias in node.names
                    if (bound := alias.asname or alias.name.split(".")[0])
                    not in read]
-    assert unused == []
+    return unused
+
+
+def test_every_import_is_used():
+    """Ruff's F401 without ruff: every name a module under ``src/``
+    imports is read in that module.  Package ``__init__`` modules
+    re-export and are exempt, as in ``ruff.toml``."""
+    assert _unused_imports(ROOT) == []
+
+
+def _tree(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
+    """``root`` holding ``files`` (relative path -> source)."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(inspect.cleandoc(text) + "\n")
+    return root
+
+
+class TestDefinitionGuard:
+    """``_uncalled`` on small trees: what it reports and what it lets
+    pass."""
+
+    def test_flags_what_only_tests_call(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                def used():
+                    return 1
+
+                def only_tested():
+                    return 2
+            """,
+            "scripts/run.py": "from repro.mod import used\nused()",
+            "tests/test_mod.py": "from repro.mod import only_tested",
+        })
+        assert _uncalled(root) == {"only_tested": "src/repro/mod.py:4"}
+
+    def test_all_and_init_reexports_are_no_callers(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/__init__.py": """
+                from .mod import (
+                    exported,
+                )
+                __all__ = ["exported"]
+            """,
+            "src/repro/mod.py": """
+                __all__ = ["exported"]
+
+                def exported():
+                    pass
+            """,
+        })
+        assert _uncalled(root).keys() == {"exported"}
+
+    def test_every_root_outside_tests_counts(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                def probed():
+                    pass
+
+                def shown():
+                    pass
+
+                def scripted():
+                    pass
+
+                def internal():
+                    pass
+
+                def caller():
+                    internal()
+            """,
+            "perf/probe.py": "probed()",
+            "examples/demo.py": "shown()",
+            "scripts/tool.py": "# runs scripted() and caller()",
+        })
+        assert _uncalled(root) == {}
+
+    def test_callees_of_dead_code_are_dead(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                def helper():
+                    pass
+
+                def dead():
+                    helper()
+            """,
+        })
+        assert _uncalled(root).keys() == {"dead", "helper"}
+        assert _uncalled(root, kept={"dead"}).keys() == {"dead"}
+
+    def test_methods_are_named_by_class(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                class Box:
+                    def open(self):
+                        pass
+
+                    def forgotten(self):
+                        pass
+            """,
+            "examples/demo.py": "Box().open()",
+        })
+        assert _uncalled(root) == {"Box.forgotten": "src/repro/mod.py:5"}
+
+
+class TestImportGuard:
+    """``_unused_imports`` on small trees: ruff's F401, as ``ruff.toml``
+    configures it."""
+
+    def test_flags_a_stray_import(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                import os
+                from math import pi, tau
+
+                def area(r):
+                    return pi * r * r
+            """,
+        })
+        assert _unused_imports(root) == ["src/repro/mod.py:1 os",
+                                         "src/repro/mod.py:2 tau"]
+
+    def test_flags_a_stray_lazy_import(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                def load():
+                    import json as js
+                    return 1
+            """,
+        })
+        assert _unused_imports(root) == ["src/repro/mod.py:2 js"]
+
+    def test_quoted_annotations_and_all_are_reads(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                from __future__ import annotations
+                from collections.abc import Sequence
+                from math import pi
+                from typing import TYPE_CHECKING
+
+                if TYPE_CHECKING:
+                    from fractions import Fraction
+
+                __all__ = ["pi"]
+
+                def total(xs: "Sequence[Fraction]") -> float:
+                    return sum(xs)
+            """,
+        })
+        assert _unused_imports(root) == []
+
+    def test_package_inits_re_export(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/__init__.py": "from math import pi",
+            "src/repro/sub/__init__.py": "import os",
+        })
+        assert _unused_imports(root) == []
 
 
 def test_every_repro_import_resolves():

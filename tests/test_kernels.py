@@ -333,6 +333,13 @@ class TestPivotsToPermutation:
             swapped[[i, p]] = swapped[[p, i]]
         assert np.array_equal(a[pivots_to_permutation(piv, 6)], swapped)
 
+    def test_reorders_rows_as_getrf_pivoted(self, rng):
+        a = rng.standard_normal((7, 4))
+        lu, piv, _ = getrf(a)
+        lower = np.tril(lu, -1) + np.eye(7, 4)
+        assert np.allclose(a[pivots_to_permutation(piv, 7)],
+                           lower @ np.triu(lu[:4]))
+
 
 class TestFlopFormulas:
     def test_lu_leading_term(self):

@@ -90,6 +90,39 @@ class TestBlockCyclic:
         assert lay.owner_coords(1, 0) == (1, 0)
         assert lay.owner_coords(2, 1) == (0, 1)
 
+    def test_element_owner_consistent_with_block_owner(self):
+        """The owner of an element's block is the process ScaLAPACK's
+        index map gives its row and its column."""
+        lay = self.layout()
+        for ig in range(10):
+            for jg in range(8):
+                assert lay.owner_coords(ig // 3, jg // 2) == (
+                    global_to_local(ig, 3, 2)[0], global_to_local(jg, 2, 2)[0])
+
+    def test_local_shape_matches_numroc(self, rng):
+        """The tiles a rank holds after a scatter span NUMROC rows and
+        NUMROC columns."""
+        lay = self.layout(m=10, n=7, mb=3, nb=2, pr=2, pc=3)
+        machine = Machine(6)
+        lay.scatter_from(machine, "A", rng.standard_normal((10, 7)))
+        for rank in range(6):
+            pi, pj = lay.grid.coords(rank)
+            shapes = {(bi, bj): machine.store(rank).get(("A", bi, bj)).shape
+                      for bi, bj in lay.blocks_of_rank(rank)}
+            rows = sum(shape[0] for (bi, bj), shape in shapes.items()
+                       if bj == pj)
+            cols = sum(shape[1] for (bi, bj), shape in shapes.items()
+                       if bi == pi)
+            assert (rows, cols) == (numroc(10, 3, pi, 0, 2),
+                                    numroc(7, 2, pj, 0, 3))
+
+    def test_owner_bounds(self):
+        lay = self.layout()
+        with pytest.raises(LayoutError):
+            lay.owner_coords(4, 0)
+        with pytest.raises(LayoutError):
+            lay.owner_rank(0, -1)
+
     def test_blocks_partition(self):
         lay = self.layout()
         seen = set()

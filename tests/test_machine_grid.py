@@ -68,6 +68,11 @@ class TestGrid2D:
     def test_size(self):
         assert ProcessorGrid2D(3, 4).size == 12
 
+    def test_row_and_col_ranks(self):
+        g = ProcessorGrid2D(2, 3)
+        assert [g.rank(1, pj) for pj in range(3)] == [3, 4, 5]
+        assert [g.rank(pi, 2) for pi in range(2)] == [2, 5]
+
     def test_out_of_range(self):
         g = ProcessorGrid2D(2, 2)
         with pytest.raises(GridError):
@@ -94,6 +99,15 @@ class TestGrid3D:
         g = ProcessorGrid3D(2, 2, 2)
         # Layer 0 occupies ranks 0..3, layer 1 ranks 4..7.
         assert [g.coords(r)[2] for r in range(8)] == [0] * 4 + [1] * 4
+
+    def test_fiber_ranks(self):
+        """The ``c`` ranks of one (pi, pj) fiber are distinct, one per
+        layer, and sit ``layer_size`` apart."""
+        g = ProcessorGrid3D(2, 2, 3)
+        fiber = [g.rank(1, 0, pk) for pk in range(3)]
+        assert len(set(fiber)) == 3
+        assert all(g.coords(r) == (1, 0, pk) for pk, r in enumerate(fiber))
+        assert np.diff(fiber).tolist() == [g.layer_size] * 2
 
     def test_layer_grid(self):
         g = ProcessorGrid3D(2, 3, 4)

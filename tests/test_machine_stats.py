@@ -61,6 +61,7 @@ class TestCommStatsBasics:
         s.record_flops(0, 50)
         assert s.flops[0] == 150
         assert s.total_flops == 150
+        assert s.flops.max() == 150
 
     def test_mean_recv_words(self):
         s = CommStats(4)
