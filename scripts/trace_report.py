@@ -14,7 +14,8 @@ then writes:
   on a synthetic superstep timeline.  Load it in ``chrome://tracing``
   or https://ui.perfetto.dev.
 * ``metrics.json`` — the flat metrics snapshot (global registry plus
-  the default plan service's resolution counters).
+  the resolution counters of the plan service the planner slice
+  builds).
 
 Exits non-zero if the trace comes out empty, any expected span layer
 (planner / cache / executor / fabric / pd phases / engine / workload) is
@@ -64,9 +65,9 @@ def _sweep_tasks():
     return tasks
 
 
-def _drive_planner() -> None:
+def _drive_planner():
     """Live planning, a cold atlas build, and atlas-served queries —
-    the planner + cache span sources."""
+    the planner + cache span sources; returns the plan service."""
     from repro.analysis.harness import NODE_MEM_WORDS
     from repro.planner import PlanAtlas, PlanRequest, PlanService
 
@@ -80,6 +81,7 @@ def _drive_planner() -> None:
             service.plan(req)          # atlas hits
         for req in lattice:
             service.plan(req)          # LRU hits
+    return service
 
 
 def _drive_executors(workers: int) -> None:
@@ -149,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     out = pathlib.Path(args.out)
 
     obs.enable()
-    _drive_planner()
+    service = _drive_planner()
     _drive_executors(args.workers)
     _drive_fabric()
     step_log, memory_report = _drive_engine()
@@ -158,9 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     trace_path = write_chrome_trace(
         out / "trace.json", obs.default_telemetry(),
         step_log=step_log, memory_report=memory_report)
-    from repro.planner.service import default_service
-    snapshot = metrics_json(obs.metrics(), default_service().metrics,
-                            prefix=("", "default_service"))
+    snapshot = metrics_json(obs.metrics(), service.metrics,
+                            prefix=("", "plan_service"))
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(snapshot, indent=1) + "\n")
 

@@ -33,7 +33,7 @@ Quick start::
     # Factorize on 8 simulated ranks with replication depth 2.
     a = np.random.default_rng(0).standard_normal((256, 256))
     result = repro.conflux_lu(256, nranks=8, v=16, c=2, a=a)
-    product = result.reconstruct()  # L @ U  ==  a[result.perm]
+    product = result.lower @ result.upper  # == a[result.perm]
 
     # The LU lower bound derived from its DAAP program (Sections 3-6).
     q = repro.derive_lu_bound(16384, mem_words=2**21, p=1024).parallel_bound
@@ -47,7 +47,7 @@ from .lowerbounds import (
     derive_matmul_bound,
 )
 from .machine import PIZ_DAINT_XC40, Machine, MachineParams, PerfModel
-from .planner import Plan, plan_cholesky, plan_gemm, plan_lu
+from .planner import Plan, PlanRequest, plan_request
 
 __version__ = "1.0.0"
 
@@ -56,6 +56,6 @@ __all__ = [
     "pdgetrf", "pdpotrf", "pdgetrs", "pdpotrs",
     "derive_lu_bound", "derive_cholesky_bound", "derive_matmul_bound",
     "Machine", "MachineParams", "PerfModel", "PIZ_DAINT_XC40",
-    "Plan", "plan_lu", "plan_cholesky", "plan_gemm",
+    "Plan", "PlanRequest", "plan_request",
     "__version__",
 ]

@@ -107,7 +107,7 @@ def fig8c_comm_reduction(
 
     Predictions use the *full* validated models for COnfLUX and the 2D
     codes (so COnfLUX's own O(M) and O(N v) terms are not wished away)
-    with (c, v) tuned by :func:`repro.planner.plan_lu`; CANDMC keeps its
+    with (c, v) tuned by :func:`repro.planner.plan_request`; CANDMC keeps its
     author model, as in the paper.
     """
     rows: list[dict] = []
@@ -124,15 +124,16 @@ def fig8c_comm_reduction(
                 "second_best": best_name,
                 "reduction": others[best_name] / ours,
             })
-    from ..planner import plan_lu
+    from ..planner import PlanRequest, plan_request
     from .harness import NODE_MEM_WORDS
 
     for n, p in predicted_cells:
         if not feasible(n, p):
             continue
         mem = _mem_for(n, p)
-        ours = plan_lu(n, p, mem_words=NODE_MEM_WORDS,
-                       impls=("conflux",)).chosen.predicted_words
+        ours = plan_request(PlanRequest(
+            "lu", n, p, NODE_MEM_WORDS,
+            impls=("conflux",))).chosen.predicted_words
         models = {
             "mkl": cm.mkl_lu_full_model(n, p, panel_width_2d(n)),
             "slate": cm.slate_lu_full_model(n, p, panel_width_2d(n)),

@@ -21,8 +21,7 @@ import numpy as np
 
 from .. import lowerbounds as lb
 from .. import pebbles
-from ..factorizations import build, conflux_lu, default_block_size
-from ..factorizations.baselines import scalapack_lu
+from ..factorizations import build, conflux_lu, default_block_size, run_impl
 from . import ablations, figures
 from .harness import RANKS_PER_NODE, max_replication, trace
 
@@ -409,7 +408,7 @@ def pivoting_stability(n: int, p: int, v: int, c: int, seed: int) -> list[dict]:
     rows = []
     for family, a in _matrix_families(n, np.random.default_rng(seed)):
         tp = conflux_lu(n, p, v=v, c=c, a=a)
-        pp = scalapack_lu(n, p, nb=v, a=a)
+        pp = run_impl("lu", "mkl", n, p, nb=v, a=a)
         rows.append({"family": family, "n": n, "nranks": p, "v": v,
                      "ratio": _residual(a, tp) / _residual(a, pp),
                      "tournament_growth": _growth(a, tp),

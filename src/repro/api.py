@@ -45,11 +45,10 @@ Schedule selection has three forms, from most to least explicit:
   :class:`~repro.planner.PlannedConfig`; the call runs that
   configuration without re-planning and attaches the passed object to
   ``PDResult.plan``;
-* ``impl="auto"`` — sugar over ``plan=``: the request is resolved
-  through the module-default :func:`~repro.planner.default_service`
-  (swap it with :func:`~repro.planner.set_default_service`) — so
-  repeated auto calls for the same ``(op, N, P, M)`` hit the service's
-  LRU instead of re-enumerating the candidate grid;
+* ``impl="auto"`` — sugar over ``plan=``: the call plans its request
+  live with :func:`~repro.planner.plan_request` and runs the winner;
+  to serve warm from a :class:`~repro.planner.PlanService` instead,
+  pass ``plan=service.plan(request)``;
 * explicit ``impl=`` + parameters (``v``/``c`` for the 2.5D schedules,
   ``nb`` for the 2D baselines, ``s``/``c`` for the matmul); a keyword
   the chosen ``impl`` does not take is rejected, never dropped.
@@ -75,9 +74,15 @@ from .layouts import BlockCyclicLayout, ScaLAPACKDescriptor, redistribute
 from .layouts.block_cyclic import discard_matrix, discard_work
 from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
-from .planner import Plan, PlannedConfig, PlanRequest, planner_labels
+from .planner import (
+    Plan,
+    PlannedConfig,
+    PlanRequest,
+    plan_request,
+    plan_workload,
+    planner_labels,
+)
 from .planner.core import call_memory, native_layout
-from .planner.service import default_service
 from .planner.workload import WorkloadPlan, WorkloadRequest, config_schedule
 
 __all__ = ["pdgetrf", "pdpotrf", "pdgemm", "pdgetrs", "pdpotrs",
@@ -103,7 +108,7 @@ class PDResult:
     width the schedule ran with.
 
     ``plan`` carries the planning evidence when there is any: the
-    ranked :class:`~repro.planner.Plan` the service produced for
+    ranked :class:`~repro.planner.Plan` ``plan_request`` produced for
     ``impl="auto"``, or whatever the caller passed via ``plan=`` (a
     :class:`Plan` or a bare :class:`~repro.planner.PlannedConfig`).
     It is None only for explicitly parameterized calls.
@@ -192,10 +197,11 @@ def _resolve(machine: Machine, op: str, desc: ScaLAPACKDescriptor,
     ``(impl, params, plan)`` — the constructor parameters of the table
     row ``(op, impl)`` and the planning evidence, if any.
 
-    ``impl="auto"`` is sugar over ``plan=``: it asks the machine's
-    planning service and then takes the same path a caller-supplied
-    plan would.  ``given`` holds the call's own keyword parameters: a
-    plan overrides them; without one, each must belong to ``impl``.
+    ``impl="auto"`` is sugar over ``plan=``: it plans the call's
+    request with :func:`~repro.planner.plan_request` and then takes the
+    same path a caller-supplied plan would.  ``given`` holds the call's
+    own keyword parameters: a plan overrides them; without one, each
+    must belong to ``impl``.
     """
     if plan is None and impl == "auto":
         # Planned >= gated: the caller holds, in whole copies, the fullest
@@ -205,7 +211,7 @@ def _resolve(machine: Machine, op: str, desc: ScaLAPACKDescriptor,
         held = 0.0 if budget is None else (
             max(store.words for store in machine.stores)
             + _layout_from_desc(desc).local_words(0) - unit)
-        plan = default_service().plan(PlanRequest(
+        plan = plan_request(PlanRequest(
             op, desc.n, machine.nranks, budget,
             api_copies=max(0, math.ceil(held / unit))))
     if plan is not None:
@@ -353,12 +359,12 @@ def pdgetrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
     ``impl`` selects the schedule: ``"conflux"`` (2.5D tournament
     pivoting, default; tile size ``v``, replication ``c``),
     ``"scalapack"`` (the 2D partial-pivoting baseline; panel width
-    ``nb``, requires ``c == 1``; ``v`` is rejected) or ``"auto"`` (the
-    machine's planning service picks implementation and parameters
-    under the memory budget, overriding ``v``/``c``/``nb``) — all run
-    through :class:`DistributedBackend` on the caller's machine, so the
-    counted volumes are directly comparable.  ``plan=`` skips planning
-    entirely and runs the given
+    ``nb``, requires ``c == 1``; ``v`` is rejected) or ``"auto"``
+    (:func:`~repro.planner.plan_request` picks implementation and
+    parameters under the memory budget, overriding ``v``/``c``/``nb``)
+    — all run through :class:`DistributedBackend` on the caller's
+    machine, so the counted volumes are directly comparable.  ``plan=``
+    skips planning entirely and runs the given
     :class:`~repro.planner.Plan`/:class:`~repro.planner.PlannedConfig`.
     """
     return _pd(machine, "lu", impl, plan, {"v": v, "c": c, "nb": nb},
@@ -374,7 +380,7 @@ def pdpotrf(machine: Machine, name: str, desc: ScaLAPACKDescriptor,
     ``impl``: ``"confchox"`` (2.5D, default; tile size ``v``,
     replication ``c``), ``"scalapack"`` (the 2D baseline; panel width
     ``nb``, requires ``c == 1``; ``v`` is rejected) or
-    ``"auto"`` (service-selected under the machine's memory budget,
+    ``"auto"`` (planned under the machine's memory budget,
     overriding ``v``/``c``/``nb``).  ``plan=`` runs a caller-supplied
     plan without re-planning.
     """
@@ -396,7 +402,7 @@ def pdgemm(machine: Machine, a_name: str, desc_a: ScaLAPACKDescriptor,
 
     The product is returned dense in ``lower`` for verification, with
     ``upper``/``perm`` unset.  ``impl``: ``"25d"`` (the caller's
-    ``s``/``c``, default) or ``"auto"`` (service-selected strip width
+    ``s``/``c``, default) or ``"auto"`` (planned strip width
     and replication under the machine's memory budget); ``plan=`` runs
     a caller-supplied plan without re-planning.
     """
@@ -475,8 +481,9 @@ def run_workload(machine: Machine,
 
     ``workload`` is a :class:`~repro.planner.workload.WorkloadPlan` or
     a bare :class:`~repro.planner.workload.WorkloadRequest`, which is
-    planned through the machine's service first (inheriting the
-    machine's enforced budget when it leaves ``mem_words`` unset).
+    planned with :func:`~repro.planner.workload.plan_workload` first
+    (inheriting the machine's enforced budget when it leaves
+    ``mem_words`` unset).
     ``inputs`` maps every external operand name to the ScaLAPACK
     descriptor its tiles already follow in the stores; ``out_names``
     optionally renames node outputs (default: the node's own name) —
@@ -499,7 +506,7 @@ def run_workload(machine: Machine,
         if request.mem_words is None and machine.enforces_memory:
             request = dataclasses.replace(request,
                                           mem_words=machine.mem_words)
-        plan = default_service().plan_workload(request)
+        plan = plan_workload(request)
     else:
         plan = workload
     request = plan.request

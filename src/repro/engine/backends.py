@@ -4,9 +4,9 @@
   :class:`~repro.machine.comm.Machine`: operands live in per-rank
   stores and move only through counted communication, so received-word
   counts come from actual data movement rather than formulas.  What
-  the pd* entry points and every one-call function (``conflux_lu``,
-  ``slate_lu`` ...) run; the parity tests check its counts against
-  the trace.
+  the pd* entry points and :func:`~repro.factorizations.run_impl` (so
+  ``conflux_lu`` and ``confchox_cholesky``) run; the parity tests
+  check its counts against the trace.
 * :class:`DenseBackend` — the analytic accounting plus global-view
   NumPy execution of every step: the algorithm without the machine,
   kept only as the benchmark's reference for simulation overhead.
@@ -36,22 +36,18 @@ __all__ = ["DenseBackend", "DistributedBackend", "MemoryReport",
            "machine_for"]
 
 
-def machine_for(schedule: Schedule, enforce_memory: bool = True,
-                slack: float = 1.0) -> Machine:
+def machine_for(schedule: Schedule) -> Machine:
     """A machine sized to the schedule's declared memory need.
 
-    The budget is ``slack * schedule.required_words()`` — the paper's
+    The budget is ``schedule.required_words()`` — the paper's
     per-processor ``M`` with the schedule's transient working set
-    accounted for — and ``enforce_memory=True`` (the default) makes the
-    stores raise :class:`~repro.machine.exceptions.MemoryBudgetExceeded`
-    on any overflow, turning the M-words constraint into a runtime
-    invariant.
+    accounted for — and it is enforced: the stores raise
+    :class:`~repro.machine.exceptions.MemoryBudgetExceeded` on any
+    overflow, turning the M-words constraint into a runtime invariant.
+    A budget-sized run is ``DistributedBackend(machine_for(schedule))``.
     """
-    if slack <= 0:
-        raise ValueError("slack must be positive")
-    return Machine(schedule.nranks,
-                   mem_words=slack * schedule.required_words(),
-                   enforce_memory=enforce_memory)
+    return Machine(schedule.nranks, mem_words=schedule.required_words(),
+                   enforce_memory=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,29 +127,16 @@ class DistributedBackend:
     machine:
         The machine to run on; its stores must have (or will receive)
         the input tiles and its :class:`CommStats` counts every word the
-        schedule moves.  If None, a fresh machine with
-        ``schedule.nranks`` ranks is created per run — unbounded by
-        default, or budget-enforced at ``schedule.required_words()``
-        when ``enforce_memory=True``.
-    enforce_memory:
-        Size the fresh machine to the schedule's declared budget and
-        enforce it (see :func:`machine_for`).  Mutually exclusive with
-        passing a ``machine`` — an explicit machine carries its own
-        enforcement policy, and silently ignoring the flag would let a
-        caller believe an unbounded machine is being checked.
+        schedule moves, under its own budget policy.  If None, a fresh
+        unbounded machine with ``schedule.nranks`` ranks is created per
+        run; for a budget-enforced one pass :func:`machine_for`.
 
     After a run, :meth:`memory_report` summarizes the per-rank memory
     high-water marks against the machine's budget.
     """
 
-    def __init__(self, machine: Machine | None = None,
-                 enforce_memory: bool = False) -> None:
-        if machine is not None and enforce_memory:
-            raise ValueError(
-                "pass either a machine (with its own enforcement policy) "
-                "or enforce_memory=True for an auto-sized one, not both")
+    def __init__(self, machine: Machine | None = None) -> None:
         self.machine = machine
-        self.enforce_memory = enforce_memory
         self._last_machine: Machine | None = None
         self._step_peaks: list[tuple[str, float]] = []
 
@@ -175,9 +158,7 @@ class DistributedBackend:
         if not schedule.supports_distributed:
             raise NotImplementedError(
                 f"{type(schedule).__name__} has no distributed execution")
-        machine = self.machine or (
-            machine_for(schedule) if self.enforce_memory
-            else Machine(schedule.nranks))
+        machine = self.machine or Machine(schedule.nranks)
         if machine.nranks != schedule.nranks:
             raise ValueError(
                 f"machine has {machine.nranks} ranks, schedule needs "

@@ -44,14 +44,11 @@ from ...layouts.block_cyclic import work_name
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import (
-    FactorizationResult,
     default_input,
-    run_impl,
     validate_problem,
 )
 
-__all__ = ["ScalapackCholeskySchedule", "scalapack_cholesky",
-           "slate_cholesky"]
+__all__ = ["ScalapackCholeskySchedule"]
 
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
@@ -256,21 +253,3 @@ class ScalapackCholeskySchedule(Schedule):
                       panels: list[np.ndarray]) -> dict[str, Any]:
         packed = gather_panels(self.grid, panels, self.n, self.nb)
         return {"lower": np.tril(packed)}
-
-
-def scalapack_cholesky(n: int, nranks: int, nb: int = 128,
-                       a: np.ndarray | None = None,
-                       rng: np.random.Generator | None = None,
-                       mem_words: float | None = None) -> FactorizationResult:
-    """One-call 2D ScaLAPACK/MKL-style Cholesky."""
-    return run_impl("cholesky", "mkl-chol", n, nranks, a=a, rng=rng,
-                    nb=nb, mem_words=mem_words)
-
-
-def slate_cholesky(n: int, nranks: int, nb: int = 128,
-                   a: np.ndarray | None = None,
-                   rng: np.random.Generator | None = None,
-                   mem_words: float | None = None) -> FactorizationResult:
-    """One-call SLATE-style 2D Cholesky."""
-    return run_impl("cholesky", "slate-chol", n, nranks, a=a, rng=rng,
-                    nb=nb, mem_words=mem_words)

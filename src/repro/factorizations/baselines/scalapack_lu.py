@@ -58,13 +58,11 @@ from ...layouts import local_to_global, work_name
 from ...machine.comm import Machine
 from ...machine.grid import ProcessorGrid3D, choose_grid_2d
 from ..common import (
-    FactorizationResult,
     default_input,
-    run_impl,
     validate_problem,
 )
 
-__all__ = ["ScalapackLUSchedule", "scalapack_lu", "slate_lu"]
+__all__ = ["ScalapackLUSchedule"]
 
 #: Store name of the in-place working matrix (not the caller's operand).
 WORK = work_name("A")
@@ -324,21 +322,3 @@ class ScalapackLUSchedule(Schedule):
         perm = blas.pivots_to_permutation(state[1], n)
         return {"lower": np.tril(packed, -1) + np.eye(n),
                 "upper": np.triu(packed), "perm": perm}
-
-
-def scalapack_lu(n: int, nranks: int, nb: int = 128,
-                 a: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None,
-                 mem_words: float | None = None) -> FactorizationResult:
-    """One-call 2D ScaLAPACK/MKL-style LU."""
-    return run_impl("lu", "mkl", n, nranks, a=a, rng=rng, nb=nb,
-                    mem_words=mem_words)
-
-
-def slate_lu(n: int, nranks: int, nb: int = 128,
-             a: np.ndarray | None = None,
-             rng: np.random.Generator | None = None,
-             mem_words: float | None = None) -> FactorizationResult:
-    """One-call SLATE-style 2D LU."""
-    return run_impl("lu", "slate", n, nranks, a=a, rng=rng,
-                    nb=nb, mem_words=mem_words)

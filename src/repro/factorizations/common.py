@@ -6,7 +6,9 @@ trace and distributed runs both produce a
 :class:`FactorizationResult`: per-rank counters plus (outside a trace)
 verifiable factors.  :func:`resolve_25d` is the one statement of
 the 2.5D default policy, :func:`default_input` the one default-matrix
-generator, and :func:`run_impl` the body of every one-call function.
+generator, and :func:`run_impl` the one way to run a row of the
+implementation table on a fresh machine (``conflux_lu`` and
+``confchox_cholesky`` are fixed-label calls of it).
 """
 
 from __future__ import annotations
@@ -123,23 +125,17 @@ class FactorizationResult:
     def step_log(self) -> ColumnarStepLog | NullStepLog:
         return self.comm.steps
 
-    def reconstruct(self) -> np.ndarray:
-        """``L @ U`` (or ``L @ L.T`` for Cholesky) — execution mode only."""
-        if self.lower is None:
-            raise ValueError("trace-mode result has no factors")
-        if self.upper is not None:
-            return self.lower @ self.upper
-        return self.lower @ self.lower.T
-
 
 def run_impl(op: str, label: str, n: int, nranks: int,
              a: np.ndarray | tuple | None = None,
              rng: np.random.Generator | None = None,
              **params: Any) -> FactorizationResult:
     """Build ``(op, label)`` from the implementation table and run it on
-    a fresh, unbounded machine — what every one-call function
-    (``conflux_lu``, ``slate_lu`` ...) is: the pd* entry points'
-    execution, with counted words and the same factors."""
+    a fresh, unbounded machine — the pd* entry points' execution, with
+    counted words and the same factors.  ``params`` are the row's
+    constructor keywords (``nb=`` for a 2D baseline, ``v=``/``c=`` for
+    the 2.5D schedules, ``s=``/``c=`` for the matmul, whose ``a`` is an
+    ``(A, B)`` pair)."""
     # Deferred: the table imports the schedule modules, which import
     # this one.
     from .registry import build

@@ -43,13 +43,11 @@ from ..kernels import blas
 from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
 from .common import (
-    FactorizationResult,
     resolve_25d,
-    run_impl,
     validate_problem,
 )
 
-__all__ = ["Matmul25DSchedule", "matmul_25d"]
+__all__ = ["Matmul25DSchedule"]
 
 #: Store names of the per-layer operand copies and the partial product
 #: (not the caller's operands).
@@ -323,15 +321,3 @@ class Matmul25DSchedule(Schedule):
                     block[chunk] = machine.store(
                         grid.rank(pi, pj, i)).get((REDUCED, pi, pj, i))
         return {"lower": out, "upper": np.eye(n)}
-
-
-def matmul_25d(n: int, nranks: int, s: int | None = None,
-               c: int | None = None, mem_words: float | None = None,
-               a: np.ndarray | None = None,
-               b: np.ndarray | None = None,
-               rng: np.random.Generator | None = None) -> FactorizationResult:
-    """One-call 2.5D matmul on a fresh, unbounded machine, with counted
-    words; the product is in ``result.lower``."""
-    return run_impl("gemm", "25d", n, nranks,
-                    a=(a, b) if b is not None else a, rng=rng,
-                    s=s, c=c, mem_words=mem_words)

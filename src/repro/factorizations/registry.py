@@ -4,7 +4,7 @@ The paper's evaluation (Section 9) is one comparison — COnfLUX/COnfCHOX
 against MKL, SLATE, CANDMC and CAPITAL — and this module is the one
 place that says which engine schedule, with which pinned constructor
 arguments, each of those labels *is*.  The sweep harness, the planner,
-the pd* entry points and the one-call functions all look labels up
+the pd* entry points and ``run_impl`` all look labels up
 here (:func:`build`); outside :mod:`repro.factorizations` nothing calls
 a schedule constructor (``tests/test_import_hygiene.py`` holds the
 tree to that).  Adding or re-flavouring an implementation is one row.

@@ -254,15 +254,6 @@ class Program:
         if len(set(names)) != len(names):
             raise DAAPError(f"{self.name}: duplicate statement names")
 
-    def statement(self, name: str) -> Statement:
-        for s in self.statements:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def total_vertices(self, n: float) -> float:
-        return float(sum(s.num_vertices(n) for s in self.statements))
-
 
 # ---------------------------------------------------------------------------
 # The three kernels analyzed in the paper, as DAAP programs.

@@ -160,10 +160,6 @@ class ColumnarStepLog:
         for i in range(self._n):
             yield self[i]
 
-    @property
-    def records(self) -> Sequence[StepRecord]:
-        return tuple(self)
-
     def total(self, field: str) -> float:
         return float(self.column(field).sum())
 
@@ -182,10 +178,6 @@ class NullStepLog:
 
     def __getitem__(self, idx: int) -> StepRecord:
         raise IndexError("NullStepLog records no steps")
-
-    @property
-    def records(self) -> Sequence[StepRecord]:
-        return ()
 
     def total(self, field: str) -> float:
         return 0.0

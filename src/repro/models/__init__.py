@@ -15,7 +15,6 @@ from .costmodels import (
     mkl_cholesky_full_model,
     mkl_lu_full_model,
     mkl_lu_paper_model,
-    slate_cholesky_full_model,
     slate_lu_full_model,
     slate_lu_paper_model,
 )
@@ -26,7 +25,7 @@ __all__ = [
     "confchox_paper_model", "confchox_full_model",
     "mkl_lu_paper_model", "mkl_lu_full_model",
     "slate_lu_paper_model", "slate_lu_full_model",
-    "mkl_cholesky_full_model", "slate_cholesky_full_model",
+    "mkl_cholesky_full_model",
     "candmc_paper_model", "capital_paper_model",
     "lu_models", "cholesky_models",
     "grid_25d_dims", "grid_2d_dims",

@@ -34,7 +34,7 @@ __all__ = [
     "confchox_paper_model", "confchox_full_model",
     "mkl_lu_paper_model", "mkl_lu_full_model",
     "slate_lu_paper_model", "slate_lu_full_model",
-    "mkl_cholesky_full_model", "slate_cholesky_full_model",
+    "mkl_cholesky_full_model",
     "candmc_paper_model", "capital_paper_model",
     "lu_models", "cholesky_models",
     "grid_25d_dims", "grid_2d_dims",
@@ -207,9 +207,6 @@ def _cholesky_2d_full_model(n: int, p: int, nb: int) -> float:
 def mkl_cholesky_full_model(n: int, p: int, nb: int = 128) -> float:
     """Closed form of the ``mkl-chol`` Cholesky schedule."""
     return _cholesky_2d_full_model(n, p, nb)
-
-
-slate_cholesky_full_model = mkl_cholesky_full_model
 
 
 # ---------------------------------------------------------------------------

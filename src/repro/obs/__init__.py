@@ -37,7 +37,6 @@ from .core import (
     default_telemetry,
     disable,
     enable,
-    enabled,
     metrics,
     set_default_telemetry,
     span,
@@ -47,7 +46,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "SpanRecord", "Telemetry", "NULL_SPAN",
-    "span", "enabled", "enable", "disable", "clock", "spans", "metrics",
+    "span", "enable", "disable", "clock", "spans", "metrics",
     "default_telemetry", "set_default_telemetry",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
 ]

@@ -36,7 +36,7 @@ from .metrics import MetricsRegistry
 
 __all__ = ["SpanRecord", "Telemetry", "NULL_SPAN",
            "default_telemetry", "set_default_telemetry",
-           "span", "enabled", "enable", "disable", "clock", "spans",
+           "span", "enable", "disable", "clock", "spans",
            "metrics"]
 
 
@@ -227,10 +227,6 @@ def set_default_telemetry(tel: Telemetry) -> Telemetry:
 def span(name: str, cat: str = "app", **args: Any):
     """``obs.span(...)`` against the process-default telemetry."""
     return _default.span(name, cat, **args)
-
-
-def enabled() -> bool:
-    return _default.enabled
 
 
 def enable(clock: Callable[[], float] | None = None) -> None:

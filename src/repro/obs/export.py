@@ -154,8 +154,8 @@ def metrics_json(*registries: MetricsRegistry | dict,
     flat JSON-ready mapping.
 
     ``prefix`` optionally names each registry; a named registry's keys
-    become ``"{name}.{key}"``, which is how the trace report keeps the
-    default-service counters apart from the global registry's.
+    become ``"{name}.{key}"``, which is how the trace report keeps a
+    plan service's counters apart from the global registry's.
     """
     out: dict[str, float] = {}
     for i, reg in enumerate(registries):

@@ -159,15 +159,5 @@ class MetricsRegistry:
                 out[m.name] = m.value
         return dict(sorted(out.items()))
 
-    def reset(self) -> None:
-        """Zero every instrument (registrations survive)."""
-        with self._lock:
-            for m in self._metrics.values():
-                if isinstance(m, Histogram):
-                    m.count, m.total = 0, 0.0
-                    m.vmin, m.vmax = math.inf, -math.inf
-                else:
-                    m._value = 0.0
-
     def __len__(self) -> int:
         return len(self._metrics)

@@ -24,7 +24,8 @@ def program_cdag(program: Program, n: int) -> CDag:
     Every statement instance is one compute vertex: a new version of the
     element it writes, whose predecessors are the current versions of the
     elements it reads.  The compute vertices are therefore exactly the
-    domain points, ``program.total_vertices(n)`` of them.  The final
+    domain points, ``sum(s.num_vertices(n) for s in
+    program.statements)`` of them.  The final
     version of every element written is an output.
     """
     if n < 1:

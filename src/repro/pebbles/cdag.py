@@ -14,7 +14,7 @@ Vertex ids are arbitrary hashables;
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import Hashable
 
 __all__ = ["CDag", "CDagError"]
 
@@ -66,9 +66,6 @@ class CDag:
     @property
     def num_vertices(self) -> int:
         return len(self._preds)
-
-    def vertices(self) -> Iterator[Hashable]:
-        return iter(self._preds.keys())
 
     def preds(self, v: Hashable) -> frozenset:
         try:

@@ -15,8 +15,7 @@ api_copies)`` — consumed by :func:`plan_request` (one request) and
 :func:`plan_batch` (many requests in **one**
 :class:`~repro.engine.accounting.TermBatch`, each distinct surviving
 schedule reduced once; bit-identical to planning each request alone,
-which the parity suite pins).  ``plan_lu`` / ``plan_cholesky`` /
-``plan_gemm`` are thin wrappers that build the request; the
+which the parity suite pins); there is no per-op shorthand.  The
 atlas/service layer (:mod:`repro.planner.atlas`,
 :mod:`repro.planner.service`) keys its caches on the request.
 
@@ -55,8 +54,7 @@ from .candidates import (
 
 __all__ = ["Plan", "PlannedConfig", "PlanRequest", "NoFeasiblePlanError",
            "planner_labels", "native_layout", "CallMemory", "call_memory",
-           "plan_request", "plan_batch", "plan_lu", "plan_cholesky",
-           "plan_gemm"]
+           "plan_request", "plan_batch"]
 
 
 class NoFeasiblePlanError(ValueError):
@@ -437,45 +435,3 @@ def plan_request(request: PlanRequest,
     :class:`NoFeasiblePlanError` when nothing fits)."""
     return plan_batch([request], machine_params=machine_params,
                       strict=True)[0]
-
-
-# ----------------------------------------------------------------------
-# The historical per-op entry points, now thin request wrappers.
-
-def plan_lu(n: int, p: int, mem_words: float | None = None,
-            machine_params: MachineParams = PIZ_DAINT_XC40,
-            api_copies: int = 0,
-            impls: tuple[str, ...] | None = None) -> Plan:
-    """Plan an LU factorization: COnfLUX (2.5D tournament pivoting) vs
-    the 2D partial-pivoting baseline, every feasible parameterization.
-
-    ``mem_words`` is the per-rank budget (None = unbounded),
-    ``api_copies`` the ``N^2/P`` copies the caller holds meanwhile;
-    ``impls`` restricts the search (None = every planner label;
-    ``("conflux",)`` tunes COnfLUX's ``(c, v)`` alone).
-    """
-    return plan_request(
-        PlanRequest(op="lu", n=n, p=p, mem_words=mem_words,
-                    api_copies=api_copies, impls=impls),
-        machine_params=machine_params)
-
-
-def plan_cholesky(n: int, p: int, mem_words: float | None = None,
-                  machine_params: MachineParams = PIZ_DAINT_XC40,
-                  api_copies: int = 0,
-                  impls: tuple[str, ...] | None = None) -> Plan:
-    """Plan a Cholesky factorization: COnfCHOX vs the 2D baseline."""
-    return plan_request(
-        PlanRequest(op="cholesky", n=n, p=p, mem_words=mem_words,
-                    api_copies=api_copies, impls=impls),
-        machine_params=machine_params)
-
-
-def plan_gemm(n: int, p: int, mem_words: float | None = None,
-              machine_params: MachineParams = PIZ_DAINT_XC40,
-              api_copies: int = 0) -> Plan:
-    """Plan a square matmul: the 2.5D SUMMA over (c, s) candidates."""
-    return plan_request(
-        PlanRequest(op="gemm", n=n, p=p, mem_words=mem_words,
-                    api_copies=api_copies),
-        machine_params=machine_params)

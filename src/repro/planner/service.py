@@ -32,10 +32,9 @@ Infeasible requests cost once: the :class:`NoFeasiblePlanError` is
 cached (as an :class:`~repro.planner.atlas.Infeasible` marker) and
 replayed on every repeat.
 
-:func:`default_service` is the module-level instance
-:mod:`repro.api`'s ``impl="auto"`` consults (install another with
-:func:`set_default_service`) — repeated auto calls on same-shaped
-machines hit the LRU instead of re-planning.
+A service is an object its caller owns; there is no process-wide
+instance.  :mod:`repro.api`'s ``impl="auto"`` plans live; to serve a
+pd* call warm, pass ``plan=service.plan(request)``.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from .atlas import Infeasible, PlanAtlas, _plan_live
 from .core import NoFeasiblePlanError, Plan, PlanRequest
 from .workload import WorkloadPlan, WorkloadRequest
 
-__all__ = ["PlanService", "ServiceStats", "default_service",
-           "set_default_service"]
+__all__ = ["PlanService", "ServiceStats"]
 
 
 class ServiceStats:
@@ -247,27 +245,3 @@ class PlanService:
 
     def __len__(self) -> int:
         return len(self._lru)
-
-
-# ----------------------------------------------------------------------
-#: The module-default service ``repro.api``'s ``impl="auto"`` consults
-#: (LRU + live planning; attach an atlas by installing your own).
-_default_service: PlanService | None = None
-
-
-def default_service() -> PlanService:
-    """The process-wide default :class:`PlanService` (created on first
-    use, LRU-only)."""
-    global _default_service
-    if _default_service is None:
-        _default_service = PlanService()
-    return _default_service
-
-
-def set_default_service(service: PlanService | None) -> PlanService | None:
-    """Install ``service`` as the process-wide default (e.g. one backed
-    by a prebuilt atlas); returns the previous default so callers can
-    restore it."""
-    global _default_service
-    previous, _default_service = _default_service, service
-    return previous

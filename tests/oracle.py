@@ -14,6 +14,7 @@ memory.
 partial-pivoting ``getrf`` in the ``(perm, lower, upper)`` form the
 schedules return.  :func:`redistribution_volume` is the COSTA volume
 reference: each element's two owners compared, one by one.
+:func:`statement` looks a DAAP program's statement up by name.
 """
 
 import numpy as np
@@ -136,3 +137,11 @@ def assert_matches_oracle(schedule) -> None:
         else:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0,
                                        err_msg=f"{name} step {field}")
+
+
+def statement(program, name):
+    """The statement of ``program`` named ``name`` (KeyError if none)."""
+    for s in program.statements:
+        if s.name == name:
+            return s
+    raise KeyError(name)

@@ -329,7 +329,7 @@ class TestTournamentTable:
     def test_columnar_equals_records(self, sched_fn):
         sched = sched_fn()
         log = sched.trace_stats(steps="columnar").steps
-        assert len(log.records) == len(log) == sched.steps()
+        assert len(tuple(log)) == len(log) == sched.steps()
         for t, rec in enumerate(log):
             assert rec == StepRecord(      # a frozen dataclass
                 label=sched.step_label(t),

@@ -5,29 +5,21 @@ import pytest
 
 from repro.analysis import harness
 from repro.api import pdgemm, pdgetrf, pdgetrs, pdpotrf, pdpotrs
-from repro.engine import machine_for
 from repro.engine.backends import DistributedBackend
 from repro.factorizations import (
     ConfchoxSchedule,
     ConfluxSchedule,
     confchox_cholesky,
     conflux_lu,
-    matmul_25d,
-)
-from repro.factorizations.baselines import (
-    scalapack_cholesky,
-    scalapack_lu,
-    slate_cholesky,
-    slate_lu,
+    run_impl,
 )
 from repro.factorizations.baselines.scalapack_lu import ScalapackLUSchedule
-from repro.factorizations.common import run_impl
 from repro.factorizations.registry import build, implementation, labels
 from repro.kernels.blas import KernelError
 from repro.layouts import BlockCyclicLayout, ScaLAPACKDescriptor
 from repro.machine import Machine, ProcessorGrid2D
 from repro.machine.exceptions import MemoryBudgetExceeded
-from repro.planner import planner_labels
+from repro.planner import PlanRequest, plan_request, planner_labels
 
 
 def setup_machine(rng, n=64, mb=16, spd=False):
@@ -88,40 +80,51 @@ class TestPdgetrf:
         assert np.allclose(pdgetrs(res, a @ x), x, atol=1e-8)
 
 
-#: The seven one-call functions, each with its table row and small
-#: parameters.
+#: The seven executable rows of the implementation table, each with
+#: small parameters.
 ONE_CALL = [
-    (conflux_lu, "lu", "conflux", {"v": 8, "c": 2}),
-    (confchox_cholesky, "cholesky", "confchox", {"v": 8, "c": 2}),
-    (matmul_25d, "gemm", "25d", {"s": 8, "c": 2}),
-    (scalapack_lu, "lu", "mkl", {"nb": 16}),
-    (slate_lu, "lu", "slate", {"nb": 16}),
-    (scalapack_cholesky, "cholesky", "mkl-chol", {"nb": 16}),
-    (slate_cholesky, "cholesky", "slate-chol", {"nb": 16}),
+    ("lu", "conflux", {"v": 8, "c": 2}),
+    ("cholesky", "confchox", {"v": 8, "c": 2}),
+    ("gemm", "25d", {"s": 8, "c": 2}),
+    ("lu", "mkl", {"nb": 16}),
+    ("lu", "slate", {"nb": 16}),
+    ("cholesky", "mkl-chol", {"nb": 16}),
+    ("cholesky", "slate-chol", {"nb": 16}),
 ]
+
+#: The package quick start: the paper's two algorithms as fixed-label
+#: ``run_impl`` calls.
+QUICK_START = {("lu", "conflux"): conflux_lu,
+               ("cholesky", "confchox"): confchox_cholesky}
 
 
 class TestOneCall:
-    """A one-call function is its implementation-table row run on a
-    fresh, unbounded :class:`DistributedBackend` — the execution a pd*
-    call makes, so it reports counted words, not a formula."""
+    """``run_impl`` runs an implementation-table row on a fresh,
+    unbounded :class:`DistributedBackend` — the execution a pd* call
+    makes, so it reports counted words, not a formula — and
+    ``conflux_lu`` / ``confchox_cholesky`` are that call."""
 
-    @pytest.mark.parametrize("fn,op,label,params", ONE_CALL,
-                             ids=[row[0].__name__ for row in ONE_CALL])
-    def test_runs_its_row_on_the_distributed_backend(self, fn, op, label,
+    @pytest.mark.parametrize("op,label,params", ONE_CALL,
+                             ids=[f"{op}-{row}" for op, row, _ in ONE_CALL])
+    def test_runs_its_row_on_the_distributed_backend(self, op, label,
                                                      params):
         n, p = 64, 8
-        one = fn(n, p, rng=np.random.default_rng(3), **params)
         ref = DistributedBackend().run(build(op, label, n, p, **params),
                                        rng=np.random.default_rng(3))
-        assert one.params == ref.params
-        for field in ("recv_words", "recv_msgs", "flops"):
-            assert np.array_equal(getattr(one.comm, field),
-                                  getattr(ref.comm, field)), field
-        for field in ("lower", "upper", "perm"):
-            mine, theirs = getattr(one, field), getattr(ref, field)
-            assert (mine is None and theirs is None
-                    or np.array_equal(mine, theirs)), field
+        runs = [run_impl(op, label, n, p, rng=np.random.default_rng(3),
+                         **params)]
+        if (op, label) in QUICK_START:
+            runs.append(QUICK_START[op, label](
+                n, p, rng=np.random.default_rng(3), **params))
+        for one in runs:
+            assert one.params == ref.params
+            for field in ("recv_words", "recv_msgs", "flops"):
+                assert np.array_equal(getattr(one.comm, field),
+                                      getattr(ref.comm, field)), field
+            for field in ("lower", "upper", "perm"):
+                mine, theirs = getattr(one, field), getattr(ref, field)
+                assert (mine is None and theirs is None
+                        or np.array_equal(mine, theirs)), field
 
     def test_conflux_lu_pivots_as_pdgetrf(self, rng):
         """On a general (non-dominant) matrix the tournament's pivots
@@ -288,10 +291,9 @@ class TestPlanKwarg:
     re-planning, and PDResult carries it (satellites 1 and 3)."""
 
     def test_pdgetrf_with_plan_object(self, rng):
-        from repro.planner import plan_lu
 
         machine, desc, _, a = setup_machine(rng)
-        plan = plan_lu(desc.n, 4)
+        plan = plan_request(PlanRequest("lu", desc.n, 4))
         res = pdgetrf(machine, "A", desc, plan=plan)
         assert res.plan is plan
         chosen = plan.chosen
@@ -300,40 +302,36 @@ class TestPlanKwarg:
         assert err / np.linalg.norm(a) < 1e-12
 
     def test_pdgetrf_with_bare_planned_config(self, rng):
-        from repro.planner import plan_lu
 
         machine, desc, _, a = setup_machine(rng)
-        config = plan_lu(desc.n, 4).chosen
+        config = plan_request(PlanRequest("lu", desc.n, 4)).chosen
         res = pdgetrf(machine, "A", desc, plan=config)
         assert res.plan is config
         assert res.params == {"impl": config.impl, **config.params}
 
     def test_plan_overrides_explicit_parameters(self, rng):
-        from repro.planner import plan_lu
 
         machine, desc, _, a = setup_machine(rng)
-        plan = plan_lu(desc.n, 4)
+        plan = plan_request(PlanRequest("lu", desc.n, 4))
         res = pdgetrf(machine, "A", desc, v=32, c=1, plan=plan)
         assert res.params == {"impl": plan.chosen.impl,
                               **plan.chosen.params}
 
     def test_pdpotrf_with_plan(self, rng):
-        from repro.planner import plan_cholesky
 
         machine, desc, _, a = setup_machine(rng, spd=True)
-        plan = plan_cholesky(desc.n, 4)
+        plan = plan_request(PlanRequest("cholesky", desc.n, 4))
         res = pdpotrf(machine, "A", desc, plan=plan)
         assert res.plan is plan
         err = np.linalg.norm(a - res.lower @ res.lower.T)
         assert err / np.linalg.norm(a) < 1e-12
 
     def test_pdgemm_with_plan(self, rng):
-        from repro.planner import plan_gemm
 
         machine, desc, layout, a = setup_machine(rng)
         b = rng.standard_normal((desc.n, desc.n))
         layout.scatter_from(machine, "B", b)
-        plan = plan_gemm(desc.n, 4)
+        plan = plan_request(PlanRequest("gemm", desc.n, 4))
         res = pdgemm(machine, "A", desc, "B", desc, plan=plan)
         assert res.plan is plan
         assert res.params == {"impl": "25d", **plan.chosen.params}
@@ -349,33 +347,86 @@ class TestPlanKwarg:
         assert pdgetrf(machine, "A", desc, v=8).plan is None
 
 
-class TestAutoUsesService:
-    @pytest.fixture
-    def service(self):
-        """A fresh default service for the test, the previous one
-        restored after."""
-        from repro.planner import PlanService, set_default_service
+class TestAutoIsPlanRequest:
+    """``impl="auto"`` is sugar over ``plan=``: the call plans its own
+    request live with ``plan_request`` — the machine's budget (None
+    when it enforces none) and the ``N^2/P`` copies the ranks already
+    hold — and then runs exactly what an explicit ``plan=`` of that
+    plan runs."""
 
-        service = PlanService()
-        previous = set_default_service(service)
-        yield service
-        set_default_service(previous)
+    N, P = 64, 4
 
-    def test_default_service_consulted_and_plan_attached(self, rng, service):
-        from repro.planner import Plan
+    def _operands(self, op, budget):
+        """A machine holding the op's operands, the descriptor and the
+        copies they are."""
+        n = self.N
+        machine = (Machine(self.P) if budget is None else
+                   Machine(self.P, mem_words=budget, enforce_memory=True))
+        desc = ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
+                                   prows=2, pcols=2)
+        layout = BlockCyclicLayout(n, n, 16, 16, ProcessorGrid2D(2, 2))
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((n, n))
+        names = {"gemm": "AB", "dft": "ABS"}.get(op, "A")
+        for name in names:
+            layout.scatter_from(machine, name, g @ g.T + n * np.eye(n))
+            g = rng.standard_normal((n, n))
+        return machine, desc, len(names)
 
-        machine, desc, _, a = setup_machine(rng)
-        res = pdgetrf(machine, "A", desc, impl="auto")
-        assert isinstance(res.plan, Plan)
-        assert service.stats.served == 1
-        assert res.params["impl"] == res.plan.chosen.impl
+    def _call(self, op, machine, desc, **kw):
+        if op == "gemm":
+            return pdgemm(machine, "A", desc, "B", desc, **kw)
+        return {"lu": pdgetrf, "cholesky": pdpotrf}[op](
+            machine, "A", desc, **kw)
 
-    def test_repeat_auto_hits_lru(self, rng, service):
-        machine, desc, _, a = setup_machine(rng)
-        pdgetrf(machine, "A", desc, impl="auto")
-        pdgetrf(machine, "A", desc, impl="auto", out_name="A:lu2")
-        assert service.stats.lru_hits == 1
-        assert service.stats.live_plans == 1
+    @pytest.mark.parametrize("budget", [None, 16 * 64 * 64 / 4],
+                             ids=["unbounded", "enforcing"])
+    @pytest.mark.parametrize("op", ["lu", "cholesky", "gemm"])
+    def test_auto_runs_what_its_plan_request_runs(self, op, budget):
+        machine, desc, held = self._operands(op, budget)
+        auto = self._call(op, machine, desc, impl="auto")
+        plan = plan_request(PlanRequest(op, self.N, self.P, budget,
+                                        0 if budget is None else held))
+        machine, desc, _ = self._operands(op, budget)
+        explicit = self._call(op, machine, desc, plan=plan)
+        assert auto.plan == plan
+        assert auto.params == explicit.params
+        assert auto.factorization_words == explicit.factorization_words
+        assert auto.reshuffle_words == explicit.reshuffle_words
+        assert np.array_equal(auto.comm.recv_words,
+                              explicit.comm.recv_words)
+        for field in ("lower", "upper", "perm"):
+            mine, theirs = getattr(auto, field), getattr(explicit, field)
+            assert (mine is None and theirs is None
+                    or np.array_equal(mine, theirs)), field
+
+    @pytest.mark.parametrize("budget", [None, 24 * 64 * 64 / 4],
+                             ids=["unbounded", "enforcing"])
+    def test_a_workload_request_runs_what_plan_workload_plans(self, budget):
+        from repro.analysis.harness import dft_workload_request
+        from repro.api import run_workload
+        from repro.planner import plan_workload
+
+        runs = []
+        for planned in (False, True):
+            machine, desc, _ = self._operands("dft", budget)
+            request = dft_workload_request(self.N, self.P, budget)
+            runs.append(run_workload(
+                machine, plan_workload(request) if planned else request,
+                {"A": desc, "B": desc, "S": desc}))
+        bare, planned = runs
+        assert bare.plan == planned.plan
+        assert bare.reused == planned.reused
+        assert bare.reshuffle_words == planned.reshuffle_words
+        assert bare.conversion_words == planned.conversion_words
+        for name, res in bare.results.items():
+            other = planned.results[name]
+            assert res.params == other.params
+            assert res.factorization_words == other.factorization_words
+            for field in ("lower", "upper", "perm"):
+                mine, theirs = getattr(res, field), getattr(other, field)
+                assert (mine is None and theirs is None
+                        or np.array_equal(mine, theirs)), (name, field)
 
 
 class TestNbKwarg:
@@ -456,8 +507,8 @@ class TestNativeCopyLifecycle:
         schedule = ConfluxSchedule(n, 4, v=16, c=1)
         per_rank = n * n / 4
         required = schedule.required_words()
-        machine = machine_for(schedule,
-                              slack=(required + 6 * per_rank) / required)
+        machine = Machine(4, mem_words=required + 6 * per_rank,
+                          enforce_memory=True)
         desc = ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
                                    prows=2, pcols=2)
         a = self._scatter(rng, machine, desc, n)

@@ -18,8 +18,7 @@ from repro.analysis.harness import (
     trace_lu,
 )
 from repro.engine import DistributedBackend
-from repro.factorizations import build
-from repro.factorizations.baselines import scalapack_cholesky, scalapack_lu
+from repro.factorizations import build, run_impl
 from repro.models import costmodels as cm
 
 
@@ -27,14 +26,14 @@ class TestScalapackLUNumerics:
     @pytest.mark.parametrize("n,p,nb", [(64, 4, 8), (96, 6, 16), (64, 1, 16)])
     def test_residual(self, rng, n, p, nb):
         a = rng.standard_normal((n, n)) + n * np.eye(n)
-        res = scalapack_lu(n, p, nb=nb, a=a)
+        res = run_impl("lu", "mkl", n, p, nb=nb, a=a)
         err = np.linalg.norm(a[res.perm] - res.lower @ res.upper)
         assert err / np.linalg.norm(a) < 1e-12
 
     def test_partial_pivoting_on_general_matrix(self, rng):
         n = 64
         a = rng.standard_normal((n, n))
-        res = scalapack_lu(n, 4, nb=8, a=a)
+        res = run_impl("lu", "mkl", n, 4, nb=8, a=a)
         err = np.linalg.norm(a[res.perm] - res.lower @ res.upper)
         assert err / np.linalg.norm(a) < 1e-10
 
@@ -43,7 +42,7 @@ class TestScalapackLUNumerics:
         same factors to rounding."""
         n = 32
         a = rng.standard_normal((n, n))
-        res = scalapack_lu(n, 4, nb=8, a=a)
+        res = run_impl("lu", "mkl", n, 4, nb=8, a=a)
         perm, lower, upper = lapack_lu(a)
         assert np.array_equal(res.perm, perm)
         assert np.abs(res.lower - lower).max() <= 1e-10
@@ -55,14 +54,14 @@ class TestScalapackCholeskyNumerics:
     def test_residual(self, rng, n, p, nb):
         g = rng.standard_normal((n, n))
         a = g @ g.T + n * np.eye(n)
-        res = scalapack_cholesky(n, p, nb=nb, a=a)
+        res = run_impl("cholesky", "mkl-chol", n, p, nb=nb, a=a)
         err = np.linalg.norm(a - res.lower @ res.lower.T)
         assert err / np.linalg.norm(a) < 1e-12
 
     def test_rejects_asymmetric(self, rng):
         a = rng.standard_normal((32, 32)) + 32 * np.eye(32)
         with pytest.raises(ValueError):
-            scalapack_cholesky(32, 4, nb=8, a=a)
+            run_impl("cholesky", "mkl-chol", 32, 4, nb=8, a=a)
 
 
 class TestVolumeModels:

@@ -18,6 +18,8 @@ from repro.lowerbounds import (
     output_reuse_weights,
 )
 
+from oracle import statement
+
 
 NON_FINITE = [(math.nan, 4, 64.0), (math.inf, 4, 64.0), (64, math.nan, 64.0),
               (64, math.inf, 64.0), (64, 4, math.nan), (64, 4, math.inf)]
@@ -199,7 +201,7 @@ class TestReuse:
         """The paper's S1->S2 output reuse: rho_S1 = 1 leaves S2's
         dominator unchanged (all weights 1)."""
         prog = lu_program()
-        weights = output_reuse_weights(prog, prog.statement("S2"),
+        weights = output_reuse_weights(prog, statement(prog, "S2"),
                                        {"S1": 1.0})
         assert weights == [1.0, 1.0, 1.0]
 
@@ -207,7 +209,7 @@ class TestReuse:
         """A producer with rho > 1 can recompute: the consumed access's
         dominator shrinks by 1/rho (Corollary 1)."""
         prog = lu_program()
-        weights = output_reuse_weights(prog, prog.statement("S2"),
+        weights = output_reuse_weights(prog, statement(prog, "S2"),
                                        {"S1": 4.0})
         # Only the A[i,k] access (the S1 output pattern) is affected.
         assert weights[1] == pytest.approx(0.25)
@@ -215,6 +217,6 @@ class TestReuse:
 
     def test_io_lower_bound_property(self):
         prog = cholesky_program()
-        analysis = analyze_statement(prog.statement("S3"), 256, 1024.0)
+        analysis = analyze_statement(statement(prog, "S3"), 256, 1024.0)
         assert analysis.io_lower_bound == pytest.approx(
             analysis.num_vertices / analysis.intensity.rho)

@@ -18,11 +18,13 @@ from repro.lowerbounds import (
     trsm_program,
 )
 
+from oracle import statement
+
 
 class TestTrsm:
     def test_update_statement_intensity(self):
         m = 1024.0
-        res = statement_intensity(trsm_program().statement("S2"), m)
+        res = statement_intensity(statement(trsm_program(), "S2"), m)
         assert res.rho == pytest.approx(math.sqrt(m) / 2, rel=1e-3)
 
     def test_bound_scales_as_matmul(self):
@@ -34,14 +36,14 @@ class TestTrsm:
             n ** 3 / math.sqrt(m), rel=0.1)
 
     def test_divide_statement_capped(self):
-        res = statement_intensity(trsm_program().statement("S1"), 4096.0)
+        res = statement_intensity(statement(trsm_program(), "S1"), 4096.0)
         assert res.rho == 1.0
 
 
 class TestSyrk:
     def test_intensity(self):
         m = 4096.0
-        res = statement_intensity(syrk_program().statement("S1"), m)
+        res = statement_intensity(statement(syrk_program(), "S1"), m)
         assert res.rho == pytest.approx(math.sqrt(m) / 2, rel=1e-3)
 
     def test_triangular_volume(self):
@@ -69,9 +71,9 @@ class TestLdlt:
     def test_statement_rhos(self):
         m = 1024.0
         prog = ldlt_program()
-        assert statement_intensity(prog.statement("S1"), m).rho == 1.0
-        assert statement_intensity(prog.statement("S2"), m).rho == 1.0
-        assert statement_intensity(prog.statement("S3"), m).rho == \
+        assert statement_intensity(statement(prog, "S1"), m).rho == 1.0
+        assert statement_intensity(statement(prog, "S2"), m).rho == 1.0
+        assert statement_intensity(statement(prog, "S3"), m).rho == \
             pytest.approx(math.sqrt(m) / 2, rel=1e-3)
 
 
@@ -92,7 +94,7 @@ class TestGemv:
         assert abs(b_small - b_large) / b_small < 0.02
 
     def test_rho_capped_at_one(self):
-        res = statement_intensity(gemv_program().statement("S1"), 2.0 ** 20)
+        res = statement_intensity(statement(gemv_program(), "S1"), 2.0 ** 20)
         assert res.rho <= 1.0 + 1e-9
 
 

@@ -226,7 +226,7 @@ def test_executed_step_log_is_columnar_and_times_as_before(pinned, key):
     log = result.step_log
     assert isinstance(log, ColumnarStepLog)
     steps = pinned[key]["steps"]
-    assert list(log.records) == [
+    assert list(log) == [
         StepRecord(**dict(zip(steps, row))) for row in zip(*steps.values())]
     got = PerfModel().evaluate(log, result.nranks,
                                result.n ** 2 / result.nranks)

@@ -10,7 +10,7 @@ from repro.analysis import (
     table1_routine_costs,
     trace_lu,
 )
-from repro.planner import config_25d, plan_lu
+from repro.planner import PlanRequest, config_25d, plan_request
 
 
 class TestFig9And10:
@@ -81,7 +81,8 @@ class TestConfigFallback:
         assert c == 8
 
     def test_planned_config_feasible(self):
-        chosen = plan_lu(16384, 1024, impls=("conflux",)).chosen
+        chosen = plan_request(PlanRequest("lu", 16384, 1024,
+                                          impls=("conflux",))).chosen
         c, v = chosen.params["c"], chosen.params["v"]
         assert 1024 % c == 0
         assert 16384 % v == 0 and v % c == 0
@@ -89,7 +90,8 @@ class TestConfigFallback:
 
     def test_planned_config_beats_max_replication_when_p_near_n(self):
         """When P approaches N the tuned c sits below P^(1/3)."""
-        chosen = plan_lu(16384, 4096, impls=("conflux",)).chosen
+        chosen = plan_request(PlanRequest("lu", 16384, 4096,
+                                          impls=("conflux",))).chosen
         assert chosen.params["c"] < 16  # 4096^(1/3) = 16
 
     def test_trace_with_awkward_n(self):

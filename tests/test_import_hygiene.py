@@ -310,7 +310,7 @@ def test_leaf_subsystems_are_imported_only_where_listed():
     it here, on purpose."""
     assert _importers_of("repro.pebbles") == {"repro/analysis/reporting.py"}
     assert _importers_of("repro.planner.service") == {
-        "repro/planner/__init__.py", "repro/api.py"}
+        "repro/planner/__init__.py"}
     assert _importers_of("repro.planner.atlas") == {
         "repro/planner/__init__.py", "repro/planner/service.py"}
     assert _importers_of("repro.runtime.fabric") == {
@@ -333,14 +333,17 @@ def _defined(path: pathlib.Path, cls: str | None = None) -> set[str]:
 def test_one_way_to_trace_factorize_and_be_served():
     """A trace is ``harness.trace``, a one-call function is a
     distributed run (``run_impl`` calls ``DistributedBackend``, not
-    ``DenseBackend``), a plan is served by ``PlanService.plan`` alone,
-    and no ``executor=`` hook survives that only tests set: no function
-    in the factorizations or the engine takes ``execute``, the planner
-    has no ``async def``, the knobs below are gone from their
-    signatures, and the surfaces that had a second way hold exactly
-    what is listed here — a new entry is a new way, added on purpose."""
+    ``DenseBackend``) and only the paper's two algorithms have one, a
+    plan is served by ``PlanService.plan`` alone, a budget-sized
+    machine is ``machine_for``'s, and no ``executor=`` hook survives
+    that only tests set: no function in the factorizations or the
+    engine takes ``execute``, the planner has no ``async def``, the
+    knobs below are gone from their signatures, and the surfaces that
+    had a second way hold exactly what is listed here — a new entry is
+    a new way, added on purpose."""
     from repro.analysis.harness import memory_feasibility
-    from repro.factorizations.baselines import scalapack_lu
+    from repro.engine import DistributedBackend, machine_for
+    from repro.factorizations import run_impl
     from repro.planner import PlanAtlas, PlanService
 
     takes_execute = [
@@ -360,16 +363,16 @@ def test_one_way_to_trace_factorize_and_be_served():
     assert asyncs == []
     for fn, knob in ((PlanService, "snap"), (memory_feasibility, "executor"),
                      (PlanAtlas.build, "executor"),
-                     (scalapack_lu, "panel_rebroadcast")):
+                     (run_impl, "panel_rebroadcast"),
+                     (DistributedBackend.__init__, "enforce_memory"),
+                     (machine_for, "enforce_memory"), (machine_for, "slack")):
         assert knob not in inspect.signature(fn).parameters, (fn, knob)
     one_call = {node.name
                 for path in (SRC / "repro" / "factorizations").rglob("*.py")
                 for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.FunctionDef)
                 and _calls(node, "run_impl")}
-    assert one_call == {"conflux_lu", "confchox_cholesky", "matmul_25d",
-                        "scalapack_lu", "slate_lu", "scalapack_cholesky",
-                        "slate_cholesky"}
+    assert one_call == {"conflux_lu", "confchox_cholesky"}
     run_impl = _functions(SRC / "repro" / "factorizations" / "common.py")[
         "run_impl"]
     assert _calls(run_impl, "DistributedBackend")
@@ -434,89 +437,124 @@ def test_the_sequential_tournament_is_dense_view_only():
 #: Definitions under ``src/repro`` that keep no caller outside tests, on
 #: purpose: name (``Class.method`` for a method) -> why it stays.
 UNCALLED = {
-    "scalapack_cholesky": "a one-call row of the implementation table, "
-                          "beside scalapack_lu",
-    "slate_cholesky": "a one-call row of the implementation table, "
-                      "beside slate_lu",
-    "matmul_25d": "a one-call row of the implementation table, beside "
-                  "conflux_lu and confchox_cholesky",
+    "pdgetrs": "the README's solve API: two local triangular solves on "
+               "pdgetrf's factors",
+    "pdpotrs": "the README's solve API: two local triangular solves on "
+               "pdpotrf's factor",
     "ServiceStats.hit_rate": "goes with the serving layer",
+    "ServiceStats.reset": "goes with the serving layer",
+    "PlanService.plan_workload": "goes with the serving layer",
 }
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _definitions(root: pathlib.Path
-                 ) -> list[tuple[pathlib.Path, int, int, str]]:
-    """``(path, first line, last line, name)`` of every non-dunder
-    function, method and class under ``root/src/repro``; a method is
-    named ``Class.method``."""
+                 ) -> list[tuple[pathlib.Path, int, str, bool]]:
+    """``(path, line, name, is_method)`` of every non-dunder function,
+    method and class under ``root/src/repro``; what a class body
+    defines is a method, named ``Class.method``."""
     found = []
     for path in (root / "src" / "repro").rglob("*.py"):
         tree = ast.parse(path.read_text())
         owner = {id(child): node.name for node in ast.walk(tree)
                  if isinstance(node, ast.ClassDef) for child in node.body}
-        found += [(path, node.lineno, node.end_lineno, ".".join(filter(
-                      None, (owner.get(id(node)), node.name))))
+        found += [(path, node.lineno, ".".join(filter(
+                      None, (owner.get(id(node)), node.name))),
+                   id(node) in owner)
                   for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
+                  if isinstance(node, _DEFS)
                   and not re.fullmatch(r"__\w+__", node.name)]
     return found
 
 
-def _lines_outside_tests(root: pathlib.Path
-                         ) -> dict[tuple[pathlib.Path, int], list[str]]:
-    """The identifier-like words of every line under ``src/``,
-    ``perf/``, ``scripts/`` and ``examples/`` of ``root`` — code,
-    docstrings and comments alike — but the lines of an ``__all__``
-    list and of a package ``__init__``'s imports."""
-    lines = {}
+def _module_names(root: pathlib.Path, path: pathlib.Path,
+                  tree: ast.Module) -> set[str]:
+    """The names ``path`` binds to a module: every ``import``, and each
+    ``from`` name that is a module or package under ``root/src``."""
+    package = list(path.relative_to(root / "src").parts[:-1]) \
+        if (root / "src") in path.parents else []
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level \
+                else []
+            base += node.module.split(".") if node.module else []
+            names.update(alias.asname or alias.name for alias in node.names
+                         if any(root.joinpath("src", *base, alias.name + ext)
+                                .exists() for ext in (".py", "")))
+    return names
+
+
+def _references(root: pathlib.Path
+                ) -> list[tuple[str, bool, tuple[tuple[pathlib.Path, int],
+                                                 ...]]]:
+    """``(name, as_method, enclosing)`` of every reference in the code
+    under ``src/``, ``perf/``, ``scripts/`` and ``examples/`` of
+    ``root`` — docstrings, comments and strings (so ``__all__``) are
+    not code.  An ``ast.Name`` or an attribute of a module names a
+    module-level definition (``as_method`` False); any attribute names
+    a method (``as_method`` True).  ``enclosing`` holds the
+    ``(path, line)`` of each definition the reference sits in."""
+    refs = []
+
+    def visit(node, path, enclosing, modules):
+        if isinstance(node, _DEFS):
+            enclosing += ((path, node.lineno),)
+        if isinstance(node, ast.Name):
+            refs.append((node.id, False, enclosing))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, True, enclosing))
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                refs.append((node.attr, False, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, enclosing, modules)
+
     for top in ("src", "perf", "scripts", "examples"):
         for path in (root / top).rglob("*.py"):
-            text = path.read_text()
-            listed = {line for node in ast.walk(ast.parse(text))
-                      if (isinstance(node, ast.Assign) and "__all__" in {
-                          getattr(t, "id", None) for t in node.targets})
-                      or (path.name == "__init__.py"
-                          and isinstance(node, ast.ImportFrom))
-                      for line in range(node.lineno, node.end_lineno + 1)}
-            lines.update(((path, lineno), re.findall(r"\w+", line))
-                         for lineno, line in enumerate(text.splitlines(), 1)
-                         if lineno not in listed)
-    return lines
+            tree = ast.parse(path.read_text())
+            visit(tree, path, (), _module_names(root, path, tree))
+    return refs
 
 
 def _uncalled(root: pathlib.Path, kept=()) -> dict[str, str]:
     """Name -> ``path:line`` of each definition under ``root/src/repro``
-    that nothing outside ``root/tests`` names, but on its own ``def``
-    line, in an ``__all__``, in an ``__init__`` re-export or in the
-    body of another such definition.  A name in ``kept`` is reported
-    too, but its body still counts as a caller."""
-    defs = _definitions(root)
-    lines = _lines_outside_tests(root)
-    uses = collections.Counter(word for words in lines.values()
-                               for word in words)
-    for path, first, _, name in defs:
-        word = name.rpartition(".")[2]
-        uses[word] -= lines[path, first].count(word)
+    that no code outside ``root/tests`` references, counting neither its
+    own body nor the body of another such definition: a module-level
+    function or class by name or as a module's attribute, a method as
+    any object's attribute.  A name in ``kept`` is reported too, but its body still
+    counts as a caller."""
+    defs = {(path, line): (name, is_method)
+            for path, line, name, is_method in _definitions(root)}
+    refs = _references(root)
+    uses = collections.Counter(ref[:2] for ref in refs)
     uncalled: dict[str, str] = {}
-    while dead := [(path, first, last, name)
-                   for path, first, last, name in defs
+    while dead := [(at, name) for at, (name, is_method) in defs.items()
                    if name not in uncalled
-                   and uses[name.rpartition(".")[2]] <= 0]:
-        for path, first, last, name in dead:
-            uncalled[name] = f"{path.relative_to(root)}:{first}"
+                   and uses[name.rpartition(".")[2], is_method] <= 0]:
+        for (path, line), name in dead:
+            uncalled[name] = f"{path.relative_to(root)}:{line}"
             if name not in kept:         # its callees lose a caller
-                uses.subtract(word for line in range(first + 1, last + 1)
-                              for word in lines.get((path, line), ()))
+                body = [ref for ref in refs if (path, line) in ref[2]]
+                uses.subtract(ref[:2] for ref in body)
+                refs = [ref for ref in refs if (path, line) not in ref[2]]
     return uncalled
 
 
 def test_every_definition_is_used_outside_tests():
-    """Each function, method and class under ``src/repro`` is named
-    somewhere outside ``tests/`` other than on a line defining that
-    name, in an ``__all__`` list, in a package ``__init__``'s
-    re-exports or in the body of a definition that fails this test:
-    code only tests call goes, or moves to ``tests/oracle.py``.
+    """Each function, method and class under ``src/repro`` is
+    referenced by code outside ``tests/`` — a function or class by name
+    or as a module's attribute, a method as an attribute — other than
+    in the body of a definition that fails this test.  Docstrings,
+    comments, ``__all__`` lists and re-exports are no references.  Code
+    only tests call goes, or moves to ``tests/oracle.py``.
     ``UNCALLED`` lists the few kept on purpose."""
     uncalled = _uncalled(ROOT, UNCALLED)
     assert uncalled.keys() - UNCALLED.keys() == set(), uncalled
@@ -624,9 +662,84 @@ class TestDefinitionGuard:
             """,
             "perf/probe.py": "probed()",
             "examples/demo.py": "shown()",
-            "scripts/tool.py": "# runs scripted() and caller()",
+            "scripts/tool.py": "scripted()\ncaller()",
         })
         assert _uncalled(root) == {}
+
+    def test_docstrings_comments_and_strings_are_no_callers(self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": '''
+                """Call ``documented()`` first."""
+
+                __all__ = ["listed"]
+
+                def documented():
+                    pass
+
+                def commented():
+                    pass
+
+                def listed():
+                    pass
+
+                NAMES = ("listed",)  # commented()
+            ''',
+        })
+        assert _uncalled(root).keys() == {"documented", "commented",
+                                          "listed"}
+
+    def test_a_function_is_named_by_name_or_as_a_module_attribute(
+            self, tmp_path):
+        root = _tree(tmp_path, {
+            "src/repro/mod.py": """
+                def by_name():
+                    pass
+
+                def by_module():
+                    pass
+
+                def by_object():
+                    pass
+            """,
+            "examples/demo.py": """
+                from repro import mod as m
+                from repro.mod import by_name
+
+                by_name()
+                m.by_module()
+                thing = object()
+                thing.by_object()
+            """,
+        })
+        assert _uncalled(root) == {"by_object": "src/repro/mod.py:7"}
+
+    def test_a_method_is_named_only_as_an_attribute(self, tmp_path):
+        """A ``ProcessorGrid2D.col_ranks`` method beside a local
+        variable named ``col_ranks`` is reported: a bare name calls no
+        method."""
+        root = _tree(tmp_path, {
+            "src/repro/grid.py": """
+                class ProcessorGrid2D:
+                    def rank(self, i, j):
+                        return i + j
+
+                    def col_ranks(self, j):
+                        return [self.rank(i, j) for i in range(2)]
+            """,
+            "src/repro/baseline.py": """
+                def broadcast(grid):
+                    col_ranks = [grid.rank(i, 0) for i in range(2)]
+                    return col_ranks
+            """,
+            "scripts/run.py": """
+                from repro.baseline import broadcast
+                from repro.grid import ProcessorGrid2D
+
+                broadcast(ProcessorGrid2D())
+            """,
+        })
+        assert _uncalled(root) == {
+            "ProcessorGrid2D.col_ranks": "src/repro/grid.py:5"}
 
     def test_callees_of_dead_code_are_dead(self, tmp_path):
         root = _tree(tmp_path, {

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import estimate_time, trace, trace_cholesky, trace_lu
-from repro.factorizations import build, conflux_lu
-from repro.factorizations.baselines import scalapack_lu
+from repro.factorizations import build, conflux_lu, run_impl
 from repro.layouts import BlockCyclicLayout, redistribute
 from repro.lowerbounds import (
     derive_cholesky_bound,
@@ -125,7 +124,7 @@ class TestConsistencyAcrossModes:
         n = 64
         a = rng.standard_normal((n, n)) + n * np.eye(n)
         r_ours = conflux_lu(n, 8, v=8, c=2, a=a)
-        r_2d = scalapack_lu(n, 4, nb=8, a=a)
+        r_2d = run_impl("lu", "mkl", n, 4, nb=8, a=a)
         x = rng.standard_normal(n)
         # Both factorizations must solve identically well.
         for r in (r_ours, r_2d):

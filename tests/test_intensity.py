@@ -25,6 +25,8 @@ from repro.lowerbounds import (
     statement_intensity,
 )
 
+from oracle import statement
+
 MATMUL = [("i", "j"), ("i", "k"), ("k", "j")]
 PANEL = [("k", "i"), ("k",)]
 GEMV = [("i",), ("i", "j"), ("j",)]
@@ -368,37 +370,37 @@ class TestLemma6:
 class TestStatementIntensity:
     @pytest.mark.parametrize("m", [64.0, 1024.0, 2.0 ** 16])
     def test_lu_s2_intensity(self, m):
-        res = statement_intensity(lu_program().statement("S2"), m)
+        res = statement_intensity(statement(lu_program(), "S2"), m)
         assert res.rho == pytest.approx(math.sqrt(m) / 2, rel=1e-9)
         assert res.x0 == pytest.approx(3 * m, rel=1e-9)
         assert res.limited_by == "x-partition"
 
     def test_lu_s1_intensity_capped_at_one(self):
-        res = statement_intensity(lu_program().statement("S1"), 1024.0)
+        res = statement_intensity(statement(lu_program(), "S1"), 1024.0)
         assert res.rho == 1.0
         assert res.limited_by == "out-degree-one"
 
     def test_cholesky_statements(self):
         m = 1024.0
         prog = cholesky_program()
-        assert statement_intensity(prog.statement("S1"), m).rho == 1.0
-        assert statement_intensity(prog.statement("S2"), m).rho == 1.0
-        s3 = statement_intensity(prog.statement("S3"), m)
+        assert statement_intensity(statement(prog, "S1"), m).rho == 1.0
+        assert statement_intensity(statement(prog, "S2"), m).rho == 1.0
+        s3 = statement_intensity(statement(prog, "S3"), m)
         assert s3.rho == pytest.approx(math.sqrt(m) / 2, rel=1e-9)
 
     def test_matmul_intensity(self):
         m = 4096.0
-        res = statement_intensity(matmul_program().statement("S1"), m)
+        res = statement_intensity(statement(matmul_program(), "S1"), m)
         assert res.rho == pytest.approx(math.sqrt(m) / 2, rel=1e-9)
 
     def test_solution_attached_for_interior_optimum(self):
-        res = statement_intensity(lu_program().statement("S2"), 256.0)
+        res = statement_intensity(statement(lu_program(), "S2"), 256.0)
         assert res.solution is not None
         # At X_0 = 3M the three access sets are each of size M.
         for size in res.solution.access_sizes:
             assert size == pytest.approx(256.0, rel=1e-9)
 
     def test_intensity_grows_with_memory(self):
-        s2 = lu_program().statement("S2")
+        s2 = statement(lu_program(), "S2")
         rhos = [statement_intensity(s2, m).rho for m in (64, 256, 1024)]
         assert rhos[0] < rhos[1] < rhos[2]

@@ -231,7 +231,7 @@ class TestColumnarStepLog:
         assert rec.flops_max == 1.0
         assert log[-1].label == "t=2"
         assert [r.label for r in log] == ["t=0", "t=1", "t=2"]
-        assert len(log.records) == 3
+        assert len(tuple(log)) == 3
 
     def test_append_record_interleaves(self):
         log = self._filled()
@@ -252,7 +252,7 @@ class TestColumnarStepLog:
                    **{f: np.full(2, 7.0) for f in STEP_FIELDS})
         for i in range(3):
             log.append(StepRecord(f"c{i}", flops_max=10.0 + i))
-        assert [r.label for r in log.records] == \
+        assert [r.label for r in log] == \
             ["a", "b", "t=5", "t=6", "c0", "c1", "c2"]
         col = log.column("flops_max")
         assert col.dtype == np.float64
@@ -281,5 +281,4 @@ class TestNullStepLog:
         log.append(StepRecord("x", flops_max=1.0))
         assert len(log) == 0
         assert list(log) == []
-        assert log.records == ()
         assert log.total("flops_max") == 0.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.harness import trace
-from repro.engine import DistributedBackend
-from repro.factorizations import build, matmul_25d
+from repro.engine import DistributedBackend, machine_for
+from repro.factorizations import build, run_impl
 from repro.lowerbounds import derive_matmul_bound
 
 
@@ -15,16 +15,17 @@ class TestNumerics:
     def test_product_correct(self, rng, n, p, s, c):
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        res = matmul_25d(n, p, s=s, c=c, a=a, b=b)
+        res = run_impl("gemm", "25d", n, p, s=s, c=c, a=(a, b))
         assert np.allclose(res.lower, a @ b)
 
     def test_random_operands_by_default(self, rng):
-        res = matmul_25d(32, 4, s=8, c=2, rng=rng)
+        res = run_impl("gemm", "25d", 32, 4, s=8, c=2, rng=rng)
         assert res.lower.shape == (32, 32)
 
     def test_slice_divisibility_checked(self):
         with pytest.raises(ValueError):
-            matmul_25d(48, 8, s=16, c=2)  # s*c=32 does not divide 48
+            # s*c=32 does not divide 48
+            run_impl("gemm", "25d", 48, 8, s=16, c=2)
 
 
 class TestAccounting:
@@ -61,12 +62,12 @@ class TestRaggedGrid:
         a, b = rng.standard_normal((2, n, n))
         sched = build("gemm", "25d", n, p, s=s, c=c)
         assert n % sched.grid.rows or n % sched.grid.cols
-        res = matmul_25d(n, p, s=s, c=c, a=a, b=b)
+        res = run_impl("gemm", "25d", n, p, s=s, c=c, a=(a, b))
         assert np.abs(res.lower - a @ b).max() <= 1e-12 * n
         [traced] = trace(sched)
         assert res.comm.total_recv_words == pytest.approx(
             traced.comm.total_recv_words, rel=1e-12)
-        backend = DistributedBackend(enforce_memory=True)
+        backend = DistributedBackend(machine_for(sched))
         backend.run(build("gemm", "25d", n, p, s=s, c=c), a=(a, b))
         assert backend.memory_report().max_peak_words <= \
             sched.required_words()

@@ -256,30 +256,16 @@ class TestMachineFor:
         assert machine.mem_words == sched.required_words()
         assert machine.nranks == sched.nranks
 
-    def test_slack_scales_budget(self):
+    def test_budget_sized_run(self):
+        """``DistributedBackend(machine_for(schedule))`` runs at the
+        schedule's declared budget, enforced."""
         sched = ConfluxSchedule(64, 8, v=8, c=2)
-        machine = machine_for(sched, slack=2.0)
-        assert machine.mem_words == 2.0 * sched.required_words()
-        with pytest.raises(ValueError):
-            machine_for(sched, slack=0.0)
-
-    def test_backend_enforce_memory_flag(self):
-        """DistributedBackend(enforce_memory=True) auto-sizes its fresh
-        machine to the schedule's declared budget."""
-        sched = ConfluxSchedule(64, 8, v=8, c=2)
-        backend = DistributedBackend(enforce_memory=True)
+        backend = DistributedBackend(machine_for(sched))
         backend.run(sched, a=_dominant(64, _seeded()))
         report = backend.memory_report()
         assert report.enforced
         assert report.budget_words == sched.required_words()
         assert report.max_peak_words <= report.budget_words
-
-    def test_explicit_machine_with_enforce_flag_rejected(self):
-        """An explicit machine carries its own enforcement policy;
-        combining it with enforce_memory=True would silently not
-        enforce, so it is an error."""
-        with pytest.raises(ValueError, match="not both"):
-            DistributedBackend(Machine(8), enforce_memory=True)
 
     def test_unbounded_report_reads_unenforced(self):
         sched = ConfluxSchedule(32, 4, v=8, c=1)

@@ -21,7 +21,6 @@ from oracle import TOTAL_FIELDS
 from repro import obs
 from repro.machine.stats import ColumnarStepLog, NullStepLog, StepRecord
 from repro.obs.export import (
-    chrome_trace,
     metrics_json,
     span_events,
     step_timeline_events,
@@ -132,15 +131,6 @@ class TestMetricsRegistry:
         reg.counter("x")
         with pytest.raises(TypeError, match="Counter"):
             reg.gauge("x")
-
-    def test_reset_zeroes_but_keeps_registrations(self):
-        reg = obs.MetricsRegistry()
-        reg.counter("c").inc(5)
-        reg.histogram("h").observe(2.0)
-        reg.reset()
-        assert len(reg) == 2
-        snap = reg.snapshot()
-        assert snap["c"] == 0.0 and snap["h.count"] == 0.0
 
 
 class TestExport:

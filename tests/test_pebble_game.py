@@ -144,7 +144,7 @@ class TestGreedyScheduler:
         for n in (3, 4, 5):
             g = program_cdag(lu_program(), n)
             game = run_greedy(g, 10)
-            used_inputs = g.inputs() & {u for v in g.vertices()
+            used_inputs = g.inputs() & {u for v in g.compute_vertices()
                                        for u in g.preds(v)}
             assert game.io_cost >= len(used_inputs) + len(g.outputs())
 
@@ -161,8 +161,8 @@ class TestGreedyScheduler:
         game.run(greedy_schedule(g, 12))
         assert game.finished() and game.max_red <= 12
         assert game.computes == len(g.compute_vertices())
-        used_inputs = g.inputs() & {u for v in g.vertices()
-                                       for u in g.preds(v)}
+        used_inputs = g.inputs() & {u for v in g.compute_vertices()
+                                   for u in g.preds(v)}
         assert game.loads >= len(used_inputs)
         assert game.stores >= len(g.outputs())
 

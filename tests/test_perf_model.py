@@ -103,7 +103,7 @@ class TestPerfModel:
         col = ConfluxSchedule(96, 12, v=12, c=3).trace_stats(
             steps="columnar")
         a = model.evaluate(col.steps, 12, 96 * 96 / 12)
-        b = model.evaluate(make_log(col.steps.records), 12, 96 * 96 / 12)
+        b = model.evaluate(make_log(tuple(col.steps)), 12, 96 * 96 / 12)
         assert a == b
 
     def test_nranks_validation(self):

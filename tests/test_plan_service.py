@@ -25,13 +25,8 @@ from repro.planner import (
     PlanAtlas,
     PlanRequest,
     PlanService,
-    default_service,
     plan_batch,
-    plan_cholesky,
-    plan_gemm,
-    plan_lu,
     plan_request,
-    set_default_service,
 )
 
 #: One Piz Daint rank's memory, as in the harness.
@@ -103,18 +98,7 @@ class TestPlanRequest:
 
 
 class TestPlanRequestRouting:
-    """plan_request / plan_batch vs the historical plan_* wrappers."""
-
-    def test_wrappers_equal_request_path(self):
-        assert (plan_lu(4096, 64, mem_words=NODE_M, api_copies=3)
-                == plan_request(PlanRequest("lu", 4096, 64, NODE_M,
-                                            api_copies=3)))
-        assert (plan_cholesky(4096, 64, mem_words=NODE_M, api_copies=3)
-                == plan_request(PlanRequest("cholesky", 4096, 64, NODE_M,
-                                            api_copies=3)))
-        assert (plan_gemm(4096, 64, mem_words=NODE_M, api_copies=3)
-                == plan_request(PlanRequest("gemm", 4096, 64, NODE_M,
-                                            api_copies=3)))
+    """plan_batch vs one plan_request per request."""
 
     def test_batch_bit_identical_to_sequential(self):
         requests = [r for r in lattice() if r.n == 4096]
@@ -132,9 +116,12 @@ class TestPlanRequestRouting:
         second = dataclasses.replace(first, **change)
         alone = [plan_request(first), plan_request(second)]
         assert alone[0] != alone[1]
-        tel.metrics.reset()
+        before = tel.metrics.snapshot()
         assert plan_batch([first, second]) == alone
-        counts = tel.metrics.snapshot()
+        after = tel.metrics.snapshot()
+        counts = {key: after[key] - before[key]
+                  for key in ("planner.candidates",
+                              "planner.schedules_reduced")}
         assert counts["planner.candidates"] == sum(
             len(plan.ranked) for plan in alone)
         assert counts["planner.schedules_reduced"] == max(
@@ -423,17 +410,3 @@ class TestAtlasBuildDedupe:
         assert stats.reused == 0
         assert len(atlas.manifest()) == 2
         assert atlas.get(req) == plan_request(req)
-
-
-class TestDefaultService:
-    def test_created_on_first_use_and_replaceable(self):
-        previous = set_default_service(None)
-        try:
-            created = default_service()
-            assert isinstance(created, PlanService)
-            assert default_service() is created
-            mine = PlanService(lru_size=8)
-            assert set_default_service(mine) is created
-            assert default_service() is mine
-        finally:
-            set_default_service(previous)

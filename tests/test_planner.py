@@ -22,9 +22,7 @@ from repro.planner import (
     config_25d,
     panel_candidates,
     panel_width_2d,
-    plan_cholesky,
-    plan_gemm,
-    plan_lu,
+    plan_request,
     replication_candidates,
     strip_candidates,
     tile_candidates,
@@ -76,18 +74,18 @@ class TestCandidates:
 
 class TestPlanDeterminism:
     def test_identical_plans(self):
-        a = plan_lu(16384, 1024, mem_words=NODE_M)
-        b = plan_lu(16384, 1024, mem_words=NODE_M)
+        a = plan_request(PlanRequest("lu", 16384, 1024, mem_words=NODE_M))
+        b = plan_request(PlanRequest("lu", 16384, 1024, mem_words=NODE_M))
         assert a == b
 
     def test_ranked_by_predicted_words(self):
-        plan = plan_lu(16384, 1024, mem_words=NODE_M)
+        plan = plan_request(PlanRequest("lu", 16384, 1024, mem_words=NODE_M))
         words = [cfg.predicted_words for cfg in plan.ranked]
         assert words == sorted(words)
         assert plan.chosen == plan.ranked[0]
 
     def test_summary_mentions_choice(self):
-        plan = plan_cholesky(8192, 256, mem_words=NODE_M)
+        plan = plan_request(PlanRequest("cholesky", 8192, 256, NODE_M))
         assert plan.chosen.impl in plan.summary()
 
 
@@ -103,31 +101,33 @@ class TestAgreementWithLegacySearch:
     @pytest.mark.parametrize("n,p", TABLE2_POINTS)
     def test_table2_points(self, n, p):
         c_old, v_old, cost_old = self.LEGACY[n, p]
-        chosen = plan_lu(n, p, mem_words=NODE_M, impls=("conflux",)).chosen
+        chosen = plan_request(PlanRequest("lu", n, p, NODE_M,
+                                          impls=("conflux",))).chosen
         assert (chosen.params["c"], chosen.params["v"]) == (c_old, v_old)
         assert chosen.predicted_words == pytest.approx(cost_old)
 
     def test_tuned_c_below_max_replication_near_n(self):
         """When P approaches N the tuned c sits below P^(1/3)."""
-        chosen = plan_lu(16384, 4096, mem_words=NODE_M,
-                         impls=("conflux",)).chosen
+        chosen = plan_request(PlanRequest("lu", 16384, 4096, NODE_M,
+                                          impls=("conflux",))).chosen
         assert chosen.params["c"] < 16      # 4096^(1/3) = 16
 
 
 class TestFeasibility:
     def test_feasible_margin_nonnegative(self):
-        plan = plan_lu(4096, 64, mem_words=NODE_M, api_copies=3)
+        plan = plan_request(PlanRequest("lu", 4096, 64, NODE_M, api_copies=3))
         for cfg in plan.ranked:
             assert cfg.mem_margin >= 0
             assert cfg.required_words <= NODE_M
 
     def test_unbounded_budget_infinite_margin(self):
-        plan = plan_gemm(256, 16)
+        plan = plan_request(PlanRequest("gemm", 256, 16))
         assert math.isinf(plan.chosen.mem_margin)
 
     def test_infeasible_raises(self):
         with pytest.raises(NoFeasiblePlanError):
-            plan_lu(16384, 64, mem_words=16384.0 * 16384 / 64 / 2)
+            plan_request(PlanRequest("lu", 16384, 64,
+                                     16384.0 * 16384 / 64 / 2))
 
     def test_infeasible_is_value_error(self):
         """The shim's historical contract: ValueError on no-fit."""
@@ -153,7 +153,7 @@ class TestFeasibility:
         n, p = 64, 4
         budget = 1.2 * n * n / p      # < required + api layout copies
         with pytest.raises(NoFeasiblePlanError):
-            plan_lu(n, p, mem_words=budget, api_copies=4)
+            plan_request(PlanRequest("lu", n, p, budget, api_copies=4))
         for impl, kw in (("conflux", {"v": 16}), ("scalapack", {"nb": 16})):
             machine = Machine(p, mem_words=budget, enforce_memory=True)
             desc = ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
@@ -167,14 +167,14 @@ class TestFeasibility:
         the pre-flight reserve, even at a budget barely above its
         requirement."""
         n, p = 64, 4
-        budget = plan_lu(n, p, api_copies=1).chosen.required_words * 1.05
+        chosen = plan_request(PlanRequest("lu", n, p, api_copies=1)).chosen
+        budget = chosen.required_words * 1.05
         machine = _auto_machine(rng, n, p, budget)[0]
         res = pdgetrf(machine, "A",
                       ScaLAPACKDescriptor(m=n, n=n, mb=16, nb=16,
                                           prows=2, pcols=2), impl="auto")
         assert res.plan is not None
         assert float(machine.peak_words_per_rank().max()) <= budget
-
 
     @pytest.mark.parametrize("k", [22, 24, 26, 28])
     def test_auto_depth_is_one_its_machine_can_hold(self, rng, k):
