@@ -5,7 +5,13 @@ of each 2.5D schedule, what a :class:`DistributedBackend` run counted
 at the commit *before* the panel fan-out and Schur update were
 batched: the per-rank received words, received messages and
 flops, every per-step column of the step log, and the per-step memory
-peaks.  An execute-path optimisation may change how the Python gets
+peaks.  Four more 2.5D grids (``GRIDS_25D``) were recorded, for
+``conflux``, ``conflux/normal`` and ``confchox`` each, at the commit
+before the two schedules became one Algorithm 1 skeleton: 4x4x4
+(``n128-p64-v8-c4``, gcd(Pc, c) = c), 2x8x8
+(``n128-p128-v8-c8-grid2x8``, gcd = c = 8), 2x4x8 (``n128-p64-v8-c8``,
+gcd 4) and 2x4x2 with 15 tiles a side (``n120-p16-v8-c2-grid2x4``,
+ragged over both grid axes).  An execute-path optimisation may change how the Python gets
 there; it may not change one of these numbers, so the comparison is
 exact equality.
 
@@ -123,6 +129,15 @@ CONFIGS_SUMMA = {f"n{n}-p{p}-s{s}-c{c}": (n, p, s, c) for n, p, s, c in
                  [(*config, 1) for config in CONFIGS_2D.values()]
                  + [(128, 32, 8, 2)]}
 
+#: name -> (n, P, v, c, grid): deeper and ragged 2.5D grids, each run
+#: for COnfLUX on both inputs and for COnfCHOX.
+GRIDS_25D = {
+    "n128-p64-v8-c4": (128, 64, 8, 4, None),
+    "n128-p128-v8-c8-grid2x8": (128, 128, 8, 8, (2, 8, 8)),
+    "n128-p64-v8-c8": (128, 64, 8, 8, None),
+    "n120-p16-v8-c2-grid2x4": (120, 16, 8, 2, (2, 4, 2)),
+}
+
 #: JSON key -> (schedule, configuration, general input?)
 CASES = {f"{impl}/{cfg}": (impl, config, False)
          for impl in ("conflux", "confchox")
@@ -137,6 +152,11 @@ CASES.update({f"{impl}/{cfg}/normal": (impl, config, True)
               for cfg, config in CONFIGS_2D.items()})
 CASES.update({f"summa/{cfg}": ("summa", config, False)
               for cfg, config in CONFIGS_SUMMA.items()})
+CASES.update({f"{impl}/{cfg}{suffix}": (impl, config, normal)
+              for cfg, config in GRIDS_25D.items()
+              for impl, suffix, normal in (("conflux", "", False),
+                                           ("conflux", "/normal", True),
+                                           ("confchox", "", False))})
 
 
 #: ``PerfModel().evaluate(step_log, P, N^2/P)`` ``(total_s,
