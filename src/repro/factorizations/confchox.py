@@ -1,63 +1,36 @@
 """COnfCHOX: near-communication-optimal parallel Cholesky (Section 7.5).
 
 From the data-flow perspective Cholesky is LU without pivoting on an SPD
-matrix, and COnfCHOX reuses COnfLUX's machinery: the same 2.5D
-``[Pr, Pc, c]`` decomposition, block-cyclic layout, layered reduction of
-the current panel, and deferred (per-layer) trailing updates.  Key
-differences (Table 1):
+matrix, and COnfCHOX reuses COnfLUX's machinery: it is the second
+setting of the Algorithm 1 schedule of :mod:`repro.factorizations.conflux`
+(2.5D grid, block-cyclic layout, layered reduction of the panel, A10
+scatter and solve, deferred per-layer updates).  Its hooks (Table 1):
 
-* no pivoting: A00 is factored by a local ``potrf`` (cost ``v^3/6``) and
-  broadcast (``v^2``);
-* one panel per step: by symmetry only the block column is reduced and
-  triangular-solved; the "A01" role is played by ``A10^T``;
-* the trailing update is ``gemmt`` (triangular output), halving the
-  computation — but the *communication* of distributing A10 along both
-  grid dimensions is the same as LU's two panels, which is why Cholesky
-  communicates as much as LU per Table 1.
+* pivot policy — none: A00 is factored by a local ``potrf`` (``v^3/6``)
+  and broadcast (``v^2``); only the block column is reduced and
+  solved, ``A10^T`` plays the role of A01;
+* update shape — the lower triangle: only the tiles ``bi >= bj`` are
+  resident, and the trailing ``gemmt`` halves the computation — but
+  distributing A10 along both grid dimensions communicates as much as
+  LU's two panels (Table 1).
 
 Total I/O per rank: ``N^3/(P sqrt(M)) + O(M)`` against the lower bound
 ``N^3/(3 P sqrt(M))``.
-
-Like COnfLUX, the algorithm is a :class:`~repro.engine.schedule.Schedule`
-with trace and distributed views (plus the dense reference the
-benchmark times); the distributed view keeps
-only the lower tiles (``bi >= bj``) resident — the schedule never reads
-the strictly-upper half.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
 
 from ..engine.accounting import StepAccounting
-from ..engine.distops import (
-    distribute_rows_1d,
-    layered_reduce,
-    local_panels,
-    panel_fan_out_update,
-    solve_1d,
-)
-from ..engine.schedule import Schedule
 from ..kernels import blas, flops
-from ..layouts.block_cyclic import work_name
 from ..machine.comm import Machine
-from ..machine.grid import ProcessorGrid3D
-from .common import (
-    FactorizationResult,
-    default_input,
-    resolve_25d,
-    run_impl,
-)
-from .conflux import A10, CR, FAN, PARTIAL, resolve_tile
+from .common import FactorizationResult, default_input, run_impl
+from .conflux import _Algorithm1, _DistState
 
 __all__ = ["ConfchoxSchedule", "confchox_cholesky"]
-
-#: Store name of a step's broadcast Cholesky factor (the other
-#: transients share COnfLUX's names).
-L00 = work_name("l00")
 
 
 class _DenseState:
@@ -69,88 +42,31 @@ class _DenseState:
         self.lower = np.zeros((n, n))
 
 
-class ConfchoxSchedule(Schedule):
-    """COnfCHOX's step sequence (COnfLUX minus pivoting) for the engine."""
+class ConfchoxSchedule(_Algorithm1):
+    """COnfCHOX's step sequence (COnfLUX minus pivoting, a lower
+    update) for the engine."""
 
     name = "confchox"
-    supports_distributed = True
+    pivoting = False
+    lower = True
 
-    def __init__(self, n: int, nranks: int, v: int | None = None,
-                 c: int | None = None, mem_words: float | None = None,
-                 grid: ProcessorGrid3D | None = None) -> None:
-        c, mem_words, grid = resolve_25d(n, nranks, c, mem_words, grid)
-        self.n = n
-        self.nranks = nranks
-        self.v = resolve_tile(n, nranks, v, c)
-        self.c = c
-        self.mem_words = mem_words
-        self.grid = grid
+    def _pivot_terms(self, acct: StepAccounting, recv) -> None:
+        """No pivoting: a local potrf of A00 on its owner (v^3/6 flops;
+        its broadcast is the skeleton's step 3)."""
+        acct.add_flops(flops.potrf_flops(self.v), gate=("i", "j", "k"))
 
-    def steps(self) -> int:
-        return self.n // self.v
-
-    def params(self) -> dict[str, Any]:
-        return {"v": self.v, "c": self.c,
-                "grid": (self.grid.rows, self.grid.cols, self.c),
-                "mem_words": self.mem_words}
-
-    def required_words(self) -> float:
-        """Per-rank capacity sufficient for the distributed view.
-
-        Same shape as COnfLUX's bound (the replication footprint
-        ``c N^2 / P`` plus one step's transients) minus the pivoting
-        terms; the distributed view stores only lower tiles, so the
-        resident term is bounded by the full tile count but realized at
-        roughly half of it.
-        """
-        n, v = self.n, self.v
-        pr, pc = self.grid.rows, self.grid.cols
-        nb = n // v
-        resident = math.ceil(nb / pr) * math.ceil(nb / pc) * v * v
-        panel = math.ceil(nb / pr) * v * v        # reduced column blocks
-        chunk = (math.ceil(n / self.nranks) + v) * v   # A10 1D chunk + ship
-        small = 3 * v * v                         # broadcast L00 + transients
-        return float(resident + panel + 4 * chunk + small)
-
-    # ------------------------------------------------------------------
-    # Trace view
-    # ------------------------------------------------------------------
-    def accounting(self, acct: StepAccounting) -> None:
-        """Cost terms mirroring COnfLUX minus pivoting.
-
-        Cholesky has no masking, so trailing *rows* are tile-aligned too
-        and counted exactly via the cyclic-ownership factors on both
-        grid axes.
-        """
-        n, v, c = self.n, self.v, self.c
-        planes = v // c
-        nrem = acct.affine(n, -v)
-        n11 = acct.affine(n - v, -v)
-        diag_owner = ("i", "j", "k")          # A00's owner at step t
-
-        # Reduce the block column (nrem x v) over layers (machine-wide
-        # reduce-scatter, as in COnfLUX step 1).
-        acct.add_recv(v * (c - 1.0) / self.nranks, step=nrem)
-
-        # Local potrf of A00 on its owner; broadcast of the factor
-        # (v^2 per rank, Table 1) and potrf flops v^3/6 at the owner.
-        acct.add_flops(flops.potrf_flops(v), gate=diag_owner)
-        acct.add_recv(float(v * v))
-
-        # Scatter A10 (n11 x v) 1D over all ranks + local trsm.
-        acct.add_recv(v / self.nranks, step=n11)
+    def _panel_terms(self, acct: StepAccounting, recv, nrem, n11) -> None:
+        """The A10 trsm, its fan-out to both sides and the ``gemmt``; no
+        masking, so rows are counted exactly by ownership too."""
+        v = self.v
+        planes = v // self.c
         acct.add_flops(v * v / self.nranks, step=n11)
-
-        # Distribute A10 for the symmetric update: each rank needs the
-        # row-part matching its trailing row tiles and the column-part
-        # matching its trailing column tiles, restricted to its layer's
-        # v/c planes — same volume as COnfLUX's two panels.
-        acct.add_recv(float(v * planes), own=("i",))
-        acct.add_recv(float(v * planes), own=("j",))
-
-        # Trailing gemmt: triangular output, half the gemm flops; each
-        # rank updates only its lower-triangular share, so roughly half
-        # its tile products contribute.
+        # A10 for the symmetric update: the rows of a rank's trailing row
+        # tiles and of its column tiles, its layer's v/c planes of each.
+        recv(float(v * planes), own=("i",))
+        recv(float(v * planes), own=("j",))
+        # Trailing gemmt: each rank's lower-triangular share, half the
+        # gemm flops.
         acct.add_flops(float(v * v * planes), own=("i", "j"))
 
     # ------------------------------------------------------------------
@@ -189,81 +105,18 @@ class ConfchoxSchedule(Schedule):
     def dense_finalize(self, state: _DenseState) -> dict[str, Any]:
         return {"lower": state.lower}
 
-    # ------------------------------------------------------------------
-    # Distributed view
-    # ------------------------------------------------------------------
-    def dist_init(self, machine: Machine, a: np.ndarray | None,
-                  rng: np.random.Generator | None,
-                  in_name: str | None = None) -> "_DistState":
-        """Lay out the lower tiles (``bi >= bj``) of the per-layer
-        partials in the rank stores; the strictly-upper half is never
-        read by the schedule (symmetry), so it is not stored."""
-        n, v = self.n, self.v
-        if in_name is None:
-            a = default_input(n, a, rng, spd=True)
-        return _DistState(n, local_panels(machine, self.grid, n // v, v,
-                                          PARTIAL, a, in_name, lower=True))
-
-    def dist_step(self, machine: Machine, st: "_DistState", t: int) -> None:
-        n, v, c = self.n, self.v, self.c
-        grid = self.grid
-        P = self.nranks
-        col0, col1 = t * v, (t + 1) * v
-        n11 = n - col1
-        all_ranks = list(range(P))
-
-        # Reduce the block column (tiles bi >= t of column t) over the
-        # layers onto layer t%c — Algorithm 1 step 1 sans masking.
-        below = np.arange(col0, n)
-        column = layered_reduce(machine, grid, st.panels, v, below,
-                                t, t + 1, t % c, (CR, t))
-
-        # Local potrf of the diagonal block at its owner (the piece
-        # that starts at the panel's first row), then broadcast of the
-        # factor to every rank (Table 1: v^2 words).
-        diag_root, diag_block = next(
-            (root, block[:v]) for root, rsel, _, block in column
-            if rsel[0] == 0)
-        l00, fl = blas.potrf(diag_block)
-        machine.compute(diag_root, fl)
-        machine.store(diag_root).put((L00, t), l00)
-        machine.bcast(diag_root, all_ranks, (L00, t))
-        st.lower[col0:col1, col0:col1] = l00
-
-        if n11 > 0:
-            # Scatter A10 1D over all ranks + local trsm against each
-            # rank's broadcast L00 copy.
-            a10 = distribute_rows_1d(
-                machine, [(root, below[rsel][keep], block[keep])
-                          for root, rsel, _, block in column
-                          if (keep := below[rsel] >= col1).any()],
-                P, (A10, t))
-            solve_1d(machine, a10, (L00, t), transpose=True)
-            st.lower[a10.ids, col0:col1] = a10.rows
-
-            # Distribute the A10 pieces each rank's trailing tiles need
-            # (row tiles for the left factor, column tiles for the
-            # transposed right factor, its layer's v/c planes) and apply
-            # the deferred symmetric update to the lower tiles.
-            panel_fan_out_update(machine, grid, st.panels, v, a10, a10,
-                                 (FAN, t), lower=True)
-
-        for root, _, _, _ in column:
-            machine.store(root).discard((CR, t))
-        for store in machine.stores:
-            store.discard((L00, t), (A10, t))
-
-    def dist_finalize(self, machine: Machine,
-                      st: "_DistState") -> dict[str, Any]:
-        return {"lower": st.lower}
-
-
-class _DistState:
-    __slots__ = ("panels", "lower")
-
-    def __init__(self, n: int, panels: list[np.ndarray]) -> None:
-        self.panels = panels
-        self.lower = np.zeros((n, n))
+    def _factor_a00(self, machine: Machine, st: _DistState, column: list,
+                    t: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """No pivoting: a local potrf of the diagonal block at its owner
+        (the piece that starts at the panel's first row), whose rows
+        are the step's pivots."""
+        v = self.v
+        root, diag = next((root, block[:v]) for root, rsel, _, block in column
+                          if rsel[0] == 0)
+        l00, fl = blas.potrf(diag)
+        machine.compute(root, fl)
+        st.lower[t * v:(t + 1) * v, t * v:(t + 1) * v] = l00
+        return root, l00, np.arange(t * v, (t + 1) * v)
 
 
 def confchox_cholesky(n: int, nranks: int, v: int | None = None,

@@ -22,15 +22,16 @@ replicated layout would double the leading-order communication.
 Per-processor I/O cost (Lemma 10): ``N^3/(P sqrt(M)) + O(M)`` — a factor
 1.5 over the lower bound ``2N^3/(3 P sqrt(M))``.
 
-:class:`ConfluxSchedule` expresses the step sequence for the execution
-engine (:mod:`repro.engine`): the *trace* view is the exact per-rank
-accounting above, vectorized over all steps at once; the *distributed*
-view runs the eleven sub-steps through counted
+Algorithm 1 is written once, as the engine schedule
+:class:`_Algorithm1`; two hooks make it COnfLUX or COnfCHOX
+(:mod:`repro.factorizations.confchox`): the *pivot policy* (COnfLUX's
+tournament, row masking, pivot ids and A01 panel) and the *update
+shape* (full, or the lower triangle).  Its *trace* view is the exact
+per-rank accounting, vectorized over all steps at once; its
+*distributed* view runs the sub-steps through counted
 :class:`~repro.machine.comm.Machine` communication on per-rank tile
-stores, so received words come from actual data movement.
-:func:`conflux_lu` is the one-call entry point on top of the
-distributed backend (a global-view *dense* view remains as the
-benchmark's machine-free reference).
+stores.  :func:`conflux_lu` is the one-call entry point (a global-view
+*dense* view remains as the benchmark's machine-free reference).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 
 from ..engine.accounting import StepAccounting, butterfly_pair_exchanges
 from ..engine.distops import (
+    Panel1D,
     assemble_cols_1d,
     distribute_rows_1d,
     layered_reduce,
@@ -66,7 +68,7 @@ from .pivoting import _candidate_rows
 
 __all__ = ["ConfluxSchedule", "conflux_lu", "default_block_size"]
 
-#: Store name of the per-layer partial-sum tiles (shared with COnfCHOX).
+#: Store name of the per-layer partial-sum tiles.
 PARTIAL = work_name("P")
 
 #: Store names of one step's transients — work names like the tiles', so
@@ -80,16 +82,11 @@ CR, RR, A00, PIV, A10, A01, TP, FAN = map(
 def default_block_size(n: int, nranks: int, c: int, a: int = 4,
                        max_steps: int = 4096) -> int:
     """The paper's tuned tile size ``v = a * P*M/N^2 = a * c`` for a small
-    constant ``a`` (Section 7.2, "Block size v").
-
-    ``v`` must be a multiple of the replication depth ``c`` (one reduction
-    plane per layer at minimum) and divide ``N``.  We pick the smallest
-    divisor of ``N`` that is a multiple of ``c`` and at least ``a * c``,
-    growing it if needed so the step count ``N/v`` stays below
-    ``max_steps`` (keeps trace-mode sweeps fast; communication totals are
-    insensitive to ``v`` in that range because the ``O(N v)`` broadcast
-    term stays lower-order).
-    """
+    constant ``a`` (Section 7.2, "Block size v"): the smallest divisor
+    of ``N`` that is a multiple of ``c`` (one reduction plane per layer)
+    and at least ``a * c``, grown if needed so that ``N/v`` stays below
+    ``max_steps`` (fast traces; totals are insensitive to ``v`` there,
+    the ``O(N v)`` broadcast term being lower-order)."""
     if n <= 0 or nranks <= 0 or c <= 0:
         raise ValueError("n, nranks, c must be positive")
     want = max(a * c, c, (n + max_steps - 1) // max_steps)
@@ -100,18 +97,6 @@ def default_block_size(n: int, nranks: int, c: int, a: int = 4,
         if d >= want:
             return d
     return candidates[-1]
-
-
-def resolve_tile(n: int, nranks: int, v: int | None, c: int) -> int:
-    """COnfLUX/COnfCHOX's tile size: the tuned
-    :func:`default_block_size` unless given, validated to divide ``N``
-    and to hold whole reduction planes (``c | v``)."""
-    if v is None:
-        v = default_block_size(n, nranks, c)
-    validate_problem(n, v, nranks)
-    if v % c != 0:
-        raise ValueError(f"v={v} must be a multiple of c={c}")
-    return v
 
 
 class _DenseState:
@@ -142,11 +127,15 @@ class _DistState:
         self.perm: list[int] = []
 
 
-class ConfluxSchedule(Schedule):
-    """The eleven sub-steps of Algorithm 1 as an engine schedule."""
+class _Algorithm1(Schedule):
+    """Algorithm 1 on the 2.5D grid.  A subclass sets the hooks: the
+    pivot policy (:attr:`pivoting`, :meth:`_factor_a00`, the terms of
+    :meth:`_pivot_terms` and :meth:`_panel_terms`) and the update shape
+    (:attr:`lower`: keep and update only the tiles ``bi >= bj``)."""
 
-    name = "conflux"
     supports_distributed = True
+    pivoting: bool
+    lower: bool
 
     def __init__(self, n: int, nranks: int, v: int | None = None,
                  c: int | None = None, mem_words: float | None = None,
@@ -154,7 +143,12 @@ class ConfluxSchedule(Schedule):
         c, mem_words, grid = resolve_25d(n, nranks, c, mem_words, grid)
         self.n = n
         self.nranks = nranks
-        self.v = resolve_tile(n, nranks, v, c)
+        if v is None:
+            v = default_block_size(n, nranks, c)
+        validate_problem(n, v, nranks)
+        if v % c != 0:
+            raise ValueError(f"v={v} must be a multiple of c={c}")
+        self.v = v
         self.c = c
         self.mem_words = mem_words
         self.grid = grid
@@ -168,89 +162,145 @@ class ConfluxSchedule(Schedule):
                 "mem_words": self.mem_words}
 
     def required_words(self) -> float:
-        """Per-rank capacity sufficient for the distributed view.
-
-        Leading term: one partial-sum replica of the matrix per layer —
-        the paper's replication footprint ``c N^2 / P`` (``mem_words``),
-        tile-granular.  On top of it, the transient working set of one
-        step of Algorithm 1: the reduced block-column tiles a fiber
-        root accumulates (step 1), the 1D A10/A01 chunks with their
-        in-flight shipped pieces (steps 4/6/8/10), and the broadcast
-        A00/pivot/tournament blocks (steps 2/3).
-        """
-        n, v, c = self.n, self.v, self.c
+        """Per-rank capacity sufficient for the distributed view: a
+        tile-granular partial-sum replica per layer, ``c N^2 / P``, plus
+        one step's transients (reduced block column, 1D chunks in flight,
+        A00, with pivoting the ids and the tournament)."""
+        n, v = self.n, self.v
         pr, pc = self.grid.rows, self.grid.cols
         nb = n // v
         resident = math.ceil(nb / pr) * math.ceil(nb / pc) * v * v
         panel = math.ceil(nb / pr) * v * v        # step-1 "cr" blocks at a root
         chunk = (math.ceil(n / self.nranks) + v) * v   # 1D chunk + ship buffer
-        small = 6 * v * v + 4 * v                 # A00, pivots, tournament
+        small = 6 * v * v + 4 * v if self.pivoting else 3 * v * v
         return float(resident + panel + 4 * chunk + small)
 
     # ------------------------------------------------------------------
     # Trace view: exact per-rank accounting as declarative cost terms
     # ------------------------------------------------------------------
     def accounting(self, acct: StepAccounting) -> None:
-        """Emit the cost terms of the 11 sub-steps.
-
-        Masked (not yet pivoted) rows are spread uniformly over the grid
-        rows — the paper's "with high probability, pivots are evenly
-        distributed" assumption — so panel shares appear as affine
-        ``nrem = N - t v`` profiles with ``1/Pr`` folded into the
-        coefficient; columns are tile-aligned and counted exactly via
-        the cyclic-ownership factor ``own=("j",)``.
-        """
-        n, v, c = self.n, self.v, self.c
-        pr = self.grid.rows
-        steps = self.steps()
-        planes = v // c                       # reduction planes per layer
+        """Emit the cost terms of Algorithm 1 in step order, the policy's
+        among them.  A lone rank receives nothing: only flops apply."""
+        n, v, c, P = self.n, self.v, self.c, self.nranks
         nrem = acct.affine(n, -v)             # unfactored rows (and cols)
         n11 = acct.affine(n - v, -v)          # trailing extent per step
-        # getrf of the (max(nrem/Pr, v) x v) local candidate panel is
-        # linear in the row count m: v^2 m + K_getrf.
+        recv = acct.add_recv if P > 1 else lambda *_, **__: None
+
+        # Step 1: reduce the block column (nrem x v) over layers, a
+        # machine-wide reduce-scatter: (c-1) of the c partial copies move,
+        # evenly over all P ranks (the paper's (N-tv)*v*M/N^2 per rank).
+        recv(v * (c - 1.0) / P, step=nrem)
+        self._pivot_terms(acct, recv)
+        # Step 3: broadcast the factored A00 (v^2, Table 1) to all, with
+        # pivoting also the v pivot indices.
+        recv(float(v * v + v * self.pivoting))
+        # Step 4: scatter A10 ((nrem - v) x v) 1D over all P ranks.
+        recv(v / P, step=n11)
+        self._panel_terms(acct, recv, nrem, n11)
+
+    # ------------------------------------------------------------------
+    # Distributed view: the same sub-steps through Machine communication
+    # ------------------------------------------------------------------
+    def dist_init(self, machine: Machine, a: np.ndarray | None,
+                  rng: np.random.Generator | None,
+                  in_name: str | None = None) -> _DistState:
+        """Lay out the per-layer partials as v x v tiles (views of
+        :func:`~repro.engine.distops.local_panels`; with :attr:`lower`
+        only ``bi >= bj``).  Layer 0 holds the input, scattered from
+        ``a`` or adopted from ``(in_name, bi, bj)`` tiles; the others
+        start from zeros.  Initial placement is free (Section 7.4)."""
+        n, v = self.n, self.v
+        if in_name is None:
+            a = default_input(n, a, rng, spd=self.lower)
+        return _DistState(n, local_panels(machine, self.grid, n // v, v,
+                                          PARTIAL, a, in_name,
+                                          lower=self.lower))
+
+    def dist_step(self, machine: Machine, st: _DistState, t: int) -> None:
+        n, v = self.n, self.v
+        P = self.nranks
+        k_piv = t % self.c                    # the pivot layer
+        col0, col1 = t * v, (t + 1) * v
+        active = st.rows_left
+
+        # Step 1: reduce the block column's active rows over the layers
+        # onto the pivot layer's panel-column ranks.
+        column = layered_reduce(machine, self.grid, st.panels, v, active,
+                                t, t + 1, k_piv, (CR, t))
+
+        # Steps 2 + 3: factor A00 at a root, broadcast it (and the ids).
+        root, a00, pivots = self._factor_a00(machine, st, column, t)
+        all_ranks = list(range(P))
+        machine.store(root).put((A00, t), a00)
+        machine.bcast(root, all_ranks, (A00, t))
+        if self.pivoting:
+            machine.store(root).put((PIV, t), pivots.astype(np.float64))
+            machine.bcast(root, all_ranks, (PIV, t))
+        masked = np.ones(active.size, dtype=bool)
+        masked[np.searchsorted(active, pivots)] = False
+
+        if col1 < n:
+            # Steps 4 + 7: scatter A10 1D over all ranks, local trsm
+            # against the broadcast U00 (or the Cholesky factor's L00^T).
+            a10 = distribute_rows_1d(
+                machine, [(root, active[rsel][keep], block[keep])
+                          for root, rsel, _, block in column
+                          if (keep := masked[rsel]).any()], P, (A10, t))
+            solve_1d(machine, a10, (A00, t), transpose=not self.pivoting)
+            st.lower[a10.ids, col0:col1] = a10.rows
+            # Steps 5 + 6 + 9; without pivoting A01 = A10^T.
+            a01t = (self._a01_panel(machine, st, column, pivots, k_piv, t)
+                    if self.pivoting else a10)
+            # Steps 8 + 10 + 11: fan out the pieces each rank's trailing
+            # tiles need (its layer's v/c planes), local Schur update.
+            panel_fan_out_update(machine, self.grid, st.panels, v, a10,
+                                 a01t, (FAN, t), lower=self.lower)
+
+        # The step's transients (with pivoting, the column went at step 5).
+        for store in machine.stores:
+            store.discard((CR, t), (A00, t), (PIV, t), (A10, t), (A01, t))
+        st.rows_left = active[masked]
+
+    def dist_finalize(self, machine: Machine,
+                      st: _DistState) -> dict[str, Any]:
+        if not self.pivoting:
+            return {"lower": st.lower}
+        perm = np.asarray(st.perm)
+        return {"lower": st.lower[perm], "upper": st.upper, "perm": perm}
+
+
+class ConfluxSchedule(_Algorithm1):
+    """The eleven sub-steps of Algorithm 1 as an engine schedule:
+    tournament pivoting with row masking, a full trailing update."""
+
+    name = "conflux"
+    pivoting = True
+    lower = False
+
+    def _pivot_terms(self, acct: StepAccounting, recv) -> None:
+        """Step 2: tournament pivoting on [*, q_col, k_piv].  Masked rows
+        are spread uniformly over the grid rows (whp), so panel shares
+        are ``nrem = N - t v`` profiles with ``1/Pr`` in the coefficient.
+        Candidate blocks (v rows plus ids, width v + 1) cross an XOR
+        butterfly of min(Pr, N/v, rows left) participants: the exact
+        :func:`~repro.engine.accounting.butterfly_pair_exchanges`, a
+        constant head plus a tail of at most Pr/v steps."""
+        n, v = self.n, self.v
+        pr = self.grid.rows
+        steps = self.steps()
+        piv_layer = ("j", "k")   # panel column of step t, pivot layer
+        # getrf of the max(nrem/Pr, v) x v candidate panel: v^2 m + K.
         k_getrf = -v ** 3 / 3.0 - v * v / 2.0 + 5.0 * v / 6.0
-        # max(N - t v, v Pr): affine while N - t v >= v Pr, a tail of at
-        # most Pr steps after.
+        # max(N - t v, v Pr): affine, then a tail of at most Pr steps.
         t_rows = np.arange(min(steps, max(0, (n - v * pr) // v + 1)), steps)
         m_rows = acct.tail(n, -v, np.maximum(n - v * t_rows, v * pr))
-
-        if self.nranks == 1:
-            # A single rank communicates nothing; only the compute
-            # terms apply (pr = pc = 1: every tile is local).
-            acct.add_flops(float(v * v), step=m_rows)
-            acct.add_flops(k_getrf)
-            acct.add_flops(2.0 * v * v, step=n11)
-            acct.add_flops(2.0 * v * planes, step=nrem, own=("j",))
-            return
-
-        piv_layer = ("j", "k")   # panel column of step t, pivot layer
-
-        # Step 1: reduce the block column (nrem x v) over layers.  The
-        # fine-grained block-cyclic layout spreads the panel over the
-        # whole machine, so the reduction is a machine-wide
-        # reduce-scatter: (c-1) of the c partial copies move, evenly over
-        # all P ranks (the paper's (N-tv)*v*M/N^2 per-processor cost).
-        acct.add_recv(v * (c - 1.0) / self.nranks, step=nrem)
-
-        # Step 2: tournament pivoting on [*, q_col, k_piv]: candidate
-        # blocks (v rows plus their global row ids, hence width v + 1)
-        # exchanged over an XOR butterfly.  Only ranks still holding
-        # active panel rows participate — min(Pr, N/v tiles, remaining
-        # rows) with high probability — and ragged participant counts
-        # drop pairings, so the exact per-step exchange total of
-        # :func:`~repro.engine.accounting.butterfly_pair_exchanges`
-        # replaces a rounds-at-every-rank idealization, spread uniformly
-        # over the panel column's pivot-layer ranks.  The participant
-        # count is min(Pr, N/v) until fewer rows remain, so every
-        # per-step count is a constant head plus a tail of at most Pr/v
-        # steps; entry 0 below is the head's.
         m_all = min(pr, n // v)
         t_part = np.arange(min(steps, (n - m_all) // v + 1), steps)
         m_t = np.concatenate(([m_all], np.minimum(m_all, n - v * t_part)))
         exch_t = butterfly_pair_exchanges(m_t)
         exch = acct.tail(exch_t[0], 0, exch_t[1:])
-        acct.add_recv(v * (v + 1.0) / pr, step=exch, gate=piv_layer,
-                      msgs=1.0 / pr, msgs_step=exch)
+        recv(v * (v + 1.0) / pr, step=exch, gate=piv_layer,
+             msgs=1.0 / pr, msgs_step=exch)
         acct.add_flops(v * v / pr, step=m_rows, gate=piv_layer)
         acct.add_flops(k_getrf, gate=piv_layer)
         rounds_m = np.ceil(np.log2(np.maximum(m_t, 1))) * m_t
@@ -258,32 +308,25 @@ class ConfluxSchedule(Schedule):
                        step=acct.tail(rounds_m[0], 0, rounds_m[1:]),
                        gate=piv_layer)
 
-        # Step 3: broadcast factored A00 (v^2) + v pivot indices to all.
-        acct.add_recv(float(v * v + v))
-
-        # Step 4: scatter A10 ((nrem - v) x v) 1D over all P ranks.
-        acct.add_recv(v / self.nranks, step=n11)
-
-        # Step 5: reduce the v pivot rows (v x n11) over layers — same
-        # machine-wide reduce-scatter convention as step 1 (pivot rows
-        # are spread evenly over the ranks with high probability).
-        acct.add_recv(v * (c - 1.0) / self.nranks, step=n11)
-
+    def _panel_terms(self, acct: StepAccounting, recv, nrem, n11) -> None:
+        """Steps 5 to 11: the pivot rows' reduce and A01 scatter, the
+        two local trsms, both panels' fan-out and the Schur update."""
+        n, v, c, P = self.n, self.v, self.c, self.nranks
+        pr = self.grid.rows
+        planes = v // c                       # reduction planes per layer
+        # Step 5: reduce the v pivot rows (v x n11) over layers, as step
+        # 1 (pivot rows are spread evenly over the ranks whp).
+        recv(v * (c - 1.0) / P, step=n11)
         # Step 6: scatter A01 (v x n11) 1D over all P ranks.
-        acct.add_recv(v / self.nranks, step=n11)
-
+        recv(v / P, step=n11)
         # Steps 7 and 9: local trsm on the 1D-decomposed panels.
-        acct.add_flops(2.0 * v * v / self.nranks, step=n11)
-
+        acct.add_flops(2.0 * v * v / P, step=n11)
         # Step 8: distribute A10 — each rank needs the rows matching its
         # local trailing tiles restricted to its layer's v/c planes.
-        acct.add_recv(planes / pr, step=acct.affine(n, -v, hi=steps - 1))
-
+        recv(planes / pr, step=acct.affine(n, -v, hi=self.steps() - 1))
         # Step 10: distribute A01 — the columns matching local tiles.
-        acct.add_recv(float(v * planes), own=("j",))
-
-        # Step 11: local Schur update (gemm, 2mnk flops), no
-        # communication.
+        recv(float(v * planes), own=("j",))
+        # Step 11: local Schur update (gemm, 2mnk flops).
         acct.add_flops(2.0 * v * planes / pr, step=nrem, own=("j",))
 
     # ------------------------------------------------------------------
@@ -353,124 +396,28 @@ class ConfluxSchedule(Schedule):
         return {"lower": state.lower[perm], "upper": state.upper,
                 "perm": perm}
 
-    # ------------------------------------------------------------------
-    # Distributed view: the same sub-steps through Machine communication
-    # ------------------------------------------------------------------
-    def dist_init(self, machine: Machine, a: np.ndarray | None,
-                  rng: np.random.Generator | None,
-                  in_name: str | None = None) -> _DistState:
-        """Lay out the per-layer partials as v x v tiles in rank stores
-        (views of :func:`~repro.engine.distops.local_panels`).
-
-        Layer 0 holds the input (either scattered from a dense ``a`` or
-        adopted from existing ``(in_name, bi, bj)`` tiles, e.g. after a
-        COSTA reshuffle); layers 1..c-1 start from zero partials.
-        Initial placement is free — the paper assumes the input already
-        resides in the algorithm's layout (Section 7.4).
-        """
-        n, v = self.n, self.v
-        if in_name is None:
-            a = default_input(n, a, rng)
-        return _DistState(n, local_panels(machine, self.grid, n // v, v,
-                                          PARTIAL, a, in_name))
-
-    def dist_step(self, machine: Machine, st: _DistState, t: int) -> None:
-        n, v, c = self.n, self.v, self.c
-        grid = self.grid
-        P = self.nranks
-        nb = n // v
-        k_piv = t % c
-        col0, col1 = t * v, (t + 1) * v
-        n11 = n - col1
-        active = st.rows_left
-        all_ranks = list(range(P))
-
-        # Step 1: reduce the block column's active rows over the layers
-        # onto the pivot layer's panel-column ranks.
-        column = layered_reduce(machine, grid, st.panels, v, active,
-                                t, t + 1, k_piv, (CR, t))
-
-        # Step 2: tournament pivoting among the panel-column ranks.
-        winners, lu00, tour_root = self._dist_tournament(
-            machine, [(root, active[rsel], block)
-                      for root, rsel, _, block in column], t)
-
-        # Step 3: broadcast the factored A00 and the pivot ids to all.
-        machine.store(tour_root).put((A00, t), lu00)
-        machine.bcast(tour_root, all_ranks, (A00, t))
-        machine.store(tour_root).put((PIV, t), winners.astype(np.float64))
-        machine.bcast(tour_root, all_ranks, (PIV, t))
-
-        masked = np.ones(active.size, dtype=bool)
-        masked[np.searchsorted(active, winners)] = False
-        nonpiv = active[masked]
-        st.lower[winners, col0:col1] = np.tril(lu00, -1) + np.eye(v)
-        st.upper[col0:col1, col0:col1] = np.triu(lu00)
-        st.perm.extend(winners.tolist())
-
-        # Steps 4 + 7: scatter A10 1D over all ranks, then local trsm
-        # against the U00 triangle of each rank's broadcast A00 copy.
-        if nonpiv.size:
-            a10 = distribute_rows_1d(
-                machine, [(root, active[rsel][keep], block[keep])
-                          for root, rsel, _, block in column
-                          if (keep := masked[rsel]).any()], P, (A10, t))
-            solve_1d(machine, a10, (A00, t))
-            st.lower[a10.ids, col0:col1] = a10.rows
-        for root, _, _, _ in column:
-            machine.store(root).discard((CR, t))
-
-        # Steps 5 + 6 + 9: reduce the pivot rows over layers, scatter
-        # the A01 panel 1D by columns (one row per column: A01
-        # transposed), local trsm against the unit L00 triangle.
-        if n11 > 0:
-            pivot_rows = layered_reduce(machine, grid, st.panels, v, winners,
-                                        t + 1, nb, k_piv, (RR, t))
-            a01t = assemble_cols_1d(machine, pivot_rows, winners,
-                                    np.arange(col1, n), P, v, (A01, t))
-            for root, _, _, _ in pivot_rows:
-                machine.store(root).discard((RR, t))
-            solve_1d(machine, a01t, (A00, t), unit_diagonal=True,
-                     transpose=True)
-            st.upper[col0:col1, col1:] = a01t.rows.T
-
-        # Steps 8 + 10 + 11: distribute the panel pieces each rank's
-        # trailing tiles need (its grid row's A10 rows, its grid
-        # column's A01 columns, its layer's v/c planes) and apply the
-        # local Schur update.
-        if n11 > 0 and nonpiv.size:
-            panel_fan_out_update(machine, grid, st.panels, v, a10, a01t,
-                                 (FAN, t))
-
-        for store in machine.stores:
-            store.discard((A00, t), (PIV, t), (A10, t), (A01, t))
-        st.rows_left = nonpiv
-
-    def _dist_tournament(self, machine: Machine,
-                         parts: list[tuple[int, np.ndarray, np.ndarray]],
-                         t: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Butterfly tournament over the panel-column ranks.
+    def _factor_a00(self, machine: Machine, st: _DistState, column: list,
+                    t: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Step 2: butterfly tournament over the panel-column ranks.
 
         Each participant selects ``v`` local candidate rows, then
         exchanges candidate blocks (rows + their global ids) with its
         XOR partner for ``ceil(log2(parts))`` rounds; participant 0's
-        accumulated set is complete, so it plays the final LU and
-        becomes the broadcast root of step 3.
+        set is complete, so it plays the final LU and is the root of
+        step 3.  Returns the root, A00's ``getrf`` and the winners.
         """
         v = self.v
         sets: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for rank, ids, block in parts:
+        for rank, rsel, _, block in column:
             cand = _candidate_rows(block, v)
             machine.compute(rank, flops.getrf_flops(block.shape[0], v))
-            sets.append((rank, ids[cand], block[cand]))
+            sets.append((rank, st.rows_left[rsel][cand], block[cand]))
         length = len(sets)
-        r = 0
-        while (1 << r) < length:
-            nxt = list(sets)
+        for r in range((length - 1).bit_length()):
             for i in range(length):
                 j = i ^ (1 << r)
-                if j >= length or j < i:
-                    continue
+                if not i < j < length:
+                    continue            # pairs are disjoint: update in place
                 ri, ids_i, blk_i = sets[i]
                 rj, ids_j, blk_j = sets[j]
                 ship(machine, ri, rj, (TP, t, r, i),
@@ -485,10 +432,8 @@ class ConfluxSchedule(Schedule):
                 fl = flops.getrf_flops(blk.shape[0], v)
                 machine.compute(ri, fl)
                 machine.compute(rj, fl)
-                nxt[i] = (ri, ids[cand], blk[cand])
-                nxt[j] = (rj, ids[cand], blk[cand])
-            sets = nxt
-            r += 1
+                sets[i] = (ri, ids[cand], blk[cand])
+                sets[j] = (rj, ids[cand], blk[cand])
         root, ids, blk = sets[0]
         if ids.size < v:
             raise ValueError(
@@ -497,12 +442,31 @@ class ConfluxSchedule(Schedule):
         lu, piv, fl = blas.getrf(blk[:, :v])
         perm = blas.pivots_to_permutation(piv, ids.size)
         machine.compute(root, fl)
-        return ids[perm[:v]], lu[:v], root
+        winners, lu00 = ids[perm[:v]], lu[:v]
+        st.lower[winners, t * v:(t + 1) * v] = np.tril(lu00, -1) + np.eye(v)
+        st.upper[t * v:(t + 1) * v, t * v:(t + 1) * v] = np.triu(lu00)
+        st.perm.extend(winners.tolist())
+        return root, lu00, winners
 
-    def dist_finalize(self, machine: Machine,
-                      st: _DistState) -> dict[str, Any]:
-        perm = np.asarray(st.perm)
-        return {"lower": st.lower[perm], "upper": st.upper, "perm": perm}
+    def _a01_panel(self, machine: Machine, st: _DistState, column: list,
+                   winners: np.ndarray, k_piv: int, t: int) -> Panel1D:
+        """Steps 5 + 6 + 9: free the reduced block column, reduce the
+        pivot rows over the layers onto the pivot layer, scatter the
+        A01 panel 1D by columns (one row per column: A01 transposed)
+        and solve it locally against the unit L00 triangle."""
+        n, v = self.n, self.v
+        col1 = (t + 1) * v
+        for root, _, _, _ in column:
+            machine.store(root).discard((CR, t))
+        pivot_rows = layered_reduce(machine, self.grid, st.panels, v,
+                                    winners, t + 1, n // v, k_piv, (RR, t))
+        a01t = assemble_cols_1d(machine, pivot_rows, winners,
+                                np.arange(col1, n), self.nranks, v, (A01, t))
+        for root, _, _, _ in pivot_rows:
+            machine.store(root).discard((RR, t))
+        solve_1d(machine, a01t, (A00, t), unit_diagonal=True, transpose=True)
+        st.upper[t * v:col1, col1:] = a01t.rows.T
+        return a01t
 
 
 def conflux_lu(n: int, nranks: int, v: int | None = None,

@@ -241,6 +241,31 @@ class TestCholeskyParity:
             lu.comm.total_recv_words, rel=0.35)
 
 
+#: (n, v) of the single-rank runs -> the traced flops of COnfLUX and
+#: COnfCHOX there: a lone rank drops the receive terms, no flop term.
+SINGLE_RANK_FLOPS = {(8, 8): (316.0, 204.0), (32, 8): (30960.0, 11056.0),
+                     (64, 8): (217568.0, 87648.0),
+                     (48, 16): (110248.0, 37256.0)}
+
+
+class TestSingleRank:
+    """A lone rank receives nothing: at P = 1 both 2.5D traces charge
+    no words and no messages, as the executed runs count.  Flops are
+    compared trace to trace only; the executed flops count the
+    kernels' work, which the trace's terms idealize."""
+
+    @pytest.mark.parametrize("n,v", SINGLE_RANK_FLOPS)
+    @pytest.mark.parametrize("pair", [lu_pair, chol_pair],
+                             ids=["conflux", "confchox"])
+    def test_nothing_is_received(self, rng, pair, n, v):
+        trace, dist, _ = pair(n, 1, v, 1, rng)
+        for field in ("recv_words", "recv_msgs"):
+            assert getattr(trace.comm, field).tolist() == [0.0], field
+            assert getattr(dist.comm, field).tolist() == [0.0], field
+        want = SINGLE_RANK_FLOPS[n, v][pair is chol_pair]
+        assert trace.comm.flops.tolist() == [want]
+
+
 class TestScalapackLUParity:
     """The 2D baseline through the same execution model — absorbing the
     retired distributed2d module's ground-truth checks, now with real

@@ -868,7 +868,7 @@ def test_executed_conflux_python_overhead_stays_batched():
     # No per-tile operand rebuilds and no per-message sends in the
     # batched path: the tournament's rounds are the only ``ship``s ...
     assert not _callers(stats, "stack") & HOT_PATH
-    assert _callers(stats, "ship") == {"_dist_tournament"}
+    assert _callers(stats, "ship") == {"_factor_a00"}
     assert HOT_PATH <= {func[2] for func in stats.stats}
     # ... and scalar flop-count arguments are validated without a trip
     # through NumPy.
