@@ -48,11 +48,22 @@ def work_name(name: str) -> tuple[str, str]:
 
 
 def _discard_names(machine: Machine, match) -> None:
+    """Discard every tuple key whose first element ``match`` accepts:
+    one walk over each store's keys, ``match`` asked once per distinct
+    first element."""
+    verdict: dict = {}
     for store in machine.stores:
-        tiles = [key for key in store.keys() if isinstance(key, tuple) and key]
-        doomed = {first for first in {key[0] for key in tiles} if match(first)}
+        doomed = []
+        for key in store.keys():
+            if isinstance(key, tuple) and key:
+                try:
+                    hit = verdict[key[0]]
+                except KeyError:
+                    hit = verdict[key[0]] = match(key[0])
+                if hit:
+                    doomed.append(key)
         if doomed:
-            store.discard(*[key for key in tiles if key[0] in doomed])
+            store.discard(*doomed)
 
 
 def discard_matrix(machine: Machine, name: Hashable) -> None:

@@ -250,15 +250,21 @@ class CommStats:
         arrays: message ``i`` moves ``words[i]`` elements from
         ``src[i]`` to ``dst[i]``; entries with ``src == dst`` are local
         and count nothing."""
-        src, dst, words = np.asarray(src), np.asarray(dst), np.asarray(words)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        words = np.asarray(words)
         if not src.shape == dst.shape == words.shape or src.ndim != 1:
             raise ValueError("src, dst and words must be equal-length vectors")
         if src.size == 0:
             return
         n = self.nranks
-        if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
+        # Read unsigned, a negative rank lies past n too: one pass per
+        # rank vector.  The words' min is nan if any is; only float
+        # counts can also be inf, which takes their max.
+        if max(src.view(np.uint64).max(), dst.view(np.uint64).max()) >= n:
             raise RankError(f"rank out of range [0, {n})")
-        if not (0 <= words.min() and words.max() < math.inf):
+        if not (0 <= words.min()
+                and (words.dtype.kind != "f" or words.max() < math.inf)):
             raise ValueError("words must be finite and non-negative")
         remote = src != dst
         dst, words = dst[remote], words[remote]

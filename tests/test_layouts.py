@@ -12,6 +12,7 @@ from repro.layouts import (
     conversion_words,
     redistribute,
 )
+from repro.layouts.block_cyclic import discard_matrix, discard_work
 from repro.machine import LayoutError, Machine, ProcessorGrid2D
 from oracle import redistribution_volume
 
@@ -227,3 +228,51 @@ class TestCosta:
         dst = BlockCyclicLayout(n, n, 8, 8, ProcessorGrid2D(4, 4))
         vol = redistribution_volume(src, dst)
         assert vol.max() <= 2.0 * n * n / p
+
+
+def _discard_three_passes(machine, match):
+    """The store sweep as it was: collect the tuple keys, then the
+    doomed first elements, then discard."""
+    for store in machine.stores:
+        tiles = [key for key in store.keys() if isinstance(key, tuple) and key]
+        doomed = {first for first in {key[0] for key in tiles} if match(first)}
+        if doomed:
+            store.discard(*[key for key in tiles if key[0] in doomed])
+
+
+class TestDiscardSweep:
+    """``discard_work`` / ``discard_matrix`` walk each store once and
+    leave what the three-pass sweep left: keys (in order), words and
+    peaks, on generated stores."""
+
+    FIRSTS = ["X", "Y", 3, ("work", "P"), ("work", "a10"), ("other", 1)]
+
+    def _stores(self, seed):
+        rng = np.random.default_rng(seed)
+        machine = Machine(4)
+        for store in machine.stores:
+            keys = {(self.FIRSTS[rng.integers(len(self.FIRSTS))],
+                     *rng.integers(0, 5, rng.integers(0, 3)).tolist())
+                    for _ in range(rng.integers(0, 40))}
+            keys |= {"plain", (), 7} if rng.random() < 0.5 else set()
+            store.put_many([(key, np.zeros(rng.integers(1, 9)))
+                            for key in sorted(keys, key=repr)])
+            store.discard(*list(store.keys())[::3])
+        return machine
+
+    @staticmethod
+    def _state(machine):
+        return [(list(store.keys()), store.words, store.peak_words,
+                 store.step_peak_words) for store in machine.stores]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_leaves_what_three_passes_left(self, seed):
+        sweeps = [(lambda m: discard_work(m, "Y", 3),
+                   lambda f: f in ("Y", 3) or (isinstance(f, tuple)
+                                               and f[:1] == ("work",))),
+                  (lambda m: discard_matrix(m, "X"), lambda f: f == "X")]
+        for sweep, match in sweeps:
+            got, want = self._stores(seed), self._stores(seed)
+            sweep(got)
+            _discard_three_passes(want, match)
+            assert self._state(got) == self._state(want)
