@@ -28,7 +28,8 @@ rank), or a row-indexed write or a per-tile-column product loop under
 On ``exec_chol25d`` the update is first: ``gemm_acc_many``, then
 ``panel_fan_out_update``'s own time (building the padded operands),
 then ``layered_reduce``, COSTA's ``redistribute``, ``put_many`` and
-COnfCHOX's ``dist_step``; a ``count_nonzero`` under the update, or an
+the ``dist_step`` COnfCHOX shares with COnfLUX (``conflux.py``, the
+Algorithm 1 skeleton); a ``count_nonzero`` under the update, or an
 ``owner_rank`` / ``_check_block`` per tile under a layout move, is a
 regression.
 On ``exec_bulk`` the top is BLAS — ``blas.gemm_acc`` inside
