@@ -119,6 +119,15 @@ class TestVectorizedRecording:
         assert s.total_flops == 0
 
 
+@pytest.mark.parametrize("dst", [[1, 3], [-1, 1], [2, -5]])
+def test_record_transfers_bounds_destinations(dst):
+    """A destination out of range is refused whatever the sources."""
+    s = CommStats(3)
+    with pytest.raises(RankError):
+        s.record_transfers([0, 1], dst, [1, 1])
+    assert s.total_recv_words == 0 and not s.recv_msgs.any()
+
+
 #: Every way words, messages or flops reach a machine's counters, each
 #: fed one bad amount ``x``.
 RECORDERS = {
