@@ -46,10 +46,14 @@ tournament root takes A00 from its pivoted factor of the winners
 instead of factoring them again, one ``getrf_flops(v, v)`` less per
 step; nothing else moved.
 
-Regenerate (only for an intended accounting change, from the commit
-whose numbers are to be pinned)::
+Add the entries of new cases (from the commit whose numbers are to be
+pinned)::
 
     PYTHONPATH=src python tests/test_exec_accounting_pinned.py
+
+It writes only missing keys; if an existing entry would change it
+prints the difference and exits 1 without writing (``pins.py``), so an
+intended accounting change edits the JSON by hand.
 """
 
 from __future__ import annotations
@@ -256,5 +260,5 @@ def test_executed_step_log_is_columnar_and_times_as_before(pinned, key):
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(
-        {key: measure(key) for key in CASES}, indent=1) + "\n")
+    from pins import regenerate
+    raise SystemExit(regenerate(PINNED, measure, CASES))
