@@ -24,10 +24,12 @@ separate accounting run — and writes the factors back in the caller's
 layout.  All three entry points share one resolution (``_resolve``:
 ``plan=`` / ``impl="auto"`` / explicit keywords to ``(impl, params)``)
 and one execution path (``_run_pd``: pre-flight memory gate, COSTA in,
-backend run, COSTA out); which schedule an ``impl`` names and how the
-factors are packed come from the implementation table
-(:mod:`repro.factorizations.registry`).  The reshuffle costs O(N^2/P)
-per rank — asymptotically free, as the paper argues (Section 7.4).
+backend run, writeback with COSTA out charged); which schedule an
+``impl`` names and how the factors are packed come from the
+implementation table (:mod:`repro.factorizations.registry`).  The
+reshuffle costs O(N^2/P) per rank — asymptotically free, as the paper
+argues (Section 7.4).  The written-back tiles are read-only views of
+one packed factor, the only host copy of the result.
 
 On a machine that *enforces* a finite ``M``-words budget
 (``Machine(..., enforce_memory=True)``), every entry point first
@@ -72,6 +74,7 @@ from .factorizations.registry import OPS, build, implementation, width
 from .kernels import blas
 from .layouts import BlockCyclicLayout, ScaLAPACKDescriptor, redistribute
 from .layouts.block_cyclic import discard_matrix, discard_work
+from .layouts.costa import charge_reshuffle
 from .machine import Machine, ProcessorGrid2D
 from .machine.stats import CommStats
 from .planner import (
@@ -96,8 +99,15 @@ class PDResult:
     The factors live back in the machine's stores under ``out_name`` in
     the caller's layout; this object carries the pivots, the counted
     communication (``comm`` — the factorization traffic only;
-    ``reshuffle_words`` covers the COSTA reshuffles), and dense copies
-    for verification convenience.
+    ``reshuffle_words`` covers the COSTA reshuffles), and the dense
+    factors for verification convenience.
+
+    The stored tiles are read-only views of one packed factor (the LAPACK
+    ``getrf``/``potrf`` packing; the product for ``pdgemm``): a write to
+    one raises.  For Cholesky and gemm that array *is* ``lower``, also
+    read-only, so ``lower`` shares its memory with every stored tile;
+    LU's ``lower``/``upper`` are the schedule's own dense factors.
+    :meth:`gather` reassembles the packed factor from the stores.
 
     ``params`` records the implementation and parameters the call
     actually ran with, uniformly across entry points — e.g.
@@ -251,10 +261,20 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
     :class:`DistributedBackend` run on the caller's machine, counted
     writeback into the caller's layout, :class:`PDResult`.
 
+    The writeback moves no data.  The packed factor
+    (``OPS[op].packed``) is made read-only and is the only host copy of
+    the result: the native factors (under ``out_name + ":native"``) and
+    the output (under ``out_name``) are registered as views of it —
+    the stores' words, peaks and refusal order are those of separate
+    tiles — and the native-to-caller COSTA pattern is charged
+    (:func:`~repro.layouts.costa.charge_reshuffle`), not copied.
+    :func:`~repro.layouts.costa.redistribute`, which moves data, serves
+    the inputs only.
+
     What the call allocates it frees: the schedule's working set
     (everything under a ``work_name``) and the prepped inputs as soon
     as the backend has run — before writeback, so they never coexist
-    with the written-back copies — and the native factors once the
+    with the written-back tiles — and the native factors once the
     caller-layout output exists; a call that raises (a singular matrix,
     a budget overrun) frees the same and propagates the exception.
 
@@ -307,10 +327,15 @@ def _run_pd(machine: Machine, op: str, impl: str, schedule: Schedule,
             discard_work(machine, *mine)
         with tel.span("pd.writeback", cat="pd-phase"):
             factors = out_name + ":native"
+            packed = OPS[op].packed(res)
+            packed.flags.writeable = False
             try:
-                native.scatter_from(machine, factors, OPS[op].packed(res))
-                resh_out = _reshuffle(machine, factors, native,
-                                      _layout_from_desc(desc), out_name)
+                native.view_from(machine, factors, packed)
+                before = machine.stats.total_recv_words
+                out = _layout_from_desc(desc)
+                charge_reshuffle(machine, native, out)
+                resh_out = machine.stats.total_recv_words - before
+                out.view_from(machine, out_name, packed)
             finally:
                 if out_name in live:
                     live[out_name][native] = factors

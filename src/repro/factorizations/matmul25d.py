@@ -173,8 +173,7 @@ class Matmul25DSchedule(Schedule):
             state.partials[k] += state.a[:, lo:lo + s] @ state.b[lo:lo + s, :]
 
     def dense_finalize(self, state: _DenseState) -> dict[str, Any]:
-        return {"lower": state.partials.sum(axis=0),
-                "upper": np.eye(self.n)}
+        return {"lower": state.partials.sum(axis=0)}
 
     # ------------------------------------------------------------------
     # Distributed view: shared operand blocks, charged broadcasts
@@ -320,4 +319,4 @@ class Matmul25DSchedule(Schedule):
                 for i, chunk in enumerate(chunks):
                     block[chunk] = machine.store(
                         grid.rank(pi, pj, i)).get((REDUCED, pi, pj, i))
-        return {"lower": out, "upper": np.eye(n)}
+        return {"lower": out}

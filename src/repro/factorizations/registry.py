@@ -45,9 +45,15 @@ class Op:
     packed: Callable[[FactorizationResult], np.ndarray]
 
 
+def _lu_packed(res: FactorizationResult) -> np.ndarray:
+    """L below the unit diagonal, U on and above it, in one new array."""
+    packed = np.tril(res.lower, -1)
+    packed += res.upper
+    return packed
+
+
 OPS: dict[str, Op] = {
-    "lu": Op(1, lambda n, p: 2.0 * n ** 3 / (3.0 * p),
-             lambda res: np.tril(res.lower, -1) + res.upper),
+    "lu": Op(1, lambda n, p: 2.0 * n ** 3 / (3.0 * p), _lu_packed),
     "cholesky": Op(1, lambda n, p: n ** 3 / (3.0 * p),
                    lambda res: res.lower),
     "gemm": Op(2, lambda n, p: 2.0 * n ** 3 / p,

@@ -193,6 +193,15 @@ class BlockCyclicLayout:
         for store, batch in batches:
             store.put_many(batch)
 
+    def _tiles(self, a: np.ndarray) -> list[list[np.ndarray]]:
+        """The tiles of global matrix ``a``, indexed ``[bi][bj]``, as
+        views of it."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != (self.m, self.n):
+            raise LayoutError(f"matrix shape {a.shape} != ({self.m},{self.n})")
+        rows, cols = self._spans()
+        return [[a[r, c] for c in cols] for r in rows]
+
     def scatter_from(self, machine: Machine, name: Hashable,
                      a: np.ndarray) -> None:
         """Place tiles of global matrix ``a`` into the owning rank stores,
@@ -202,11 +211,17 @@ class BlockCyclicLayout:
         resides in the algorithm's layout; reshuffling costs only
         O(N^2/P), see Section 7.4), so no communication is recorded.
         """
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.m, self.n):
-            raise LayoutError(f"matrix shape {a.shape} != ({self.m},{self.n})")
-        rows, cols = self._spans()
-        self._register(machine, name, [[a[r, c].copy() for c in cols] for r in rows])
+        self._register(machine, name, [[tile.copy() for tile in row]
+                                       for row in self._tiles(a)])
+
+    def view_from(self, machine: Machine, name: Hashable,
+                  a: np.ndarray) -> None:
+        """Place the tiles of global matrix ``a`` into the owning rank
+        stores as views of ``a``: the words, peaks and refusal order of
+        :meth:`scatter_from` (and, like it, free), no tile copied.  The
+        stores then share ``a``'s memory, so ``a`` should be read-only;
+        its views are then read-only too."""
+        self._register(machine, name, self._tiles(a))
 
     def gather_to(self, machine: Machine, name: Hashable) -> np.ndarray:
         """Reassemble the global matrix from the tiles the stores hold

@@ -7,6 +7,9 @@ Here we implement the redistribution over the simulated machine: every
 element moves directly from its source owner to its destination owner
 (one-shot, no store-and-forward), which is exactly COSTA's communication
 pattern, and the counters record per-rank traffic.
+:func:`redistribute` moves the data and counts it; :func:`charge_reshuffle`
+only counts it — the pd* writeback's way of placing a factor the stores
+then share as views (see :mod:`repro.api`).
 
 The paper uses the fact that any such reshuffle costs only O(N^2 / P) per
 rank — asymptotically negligible against the factorization's
@@ -24,7 +27,7 @@ from ..machine.comm import Machine
 from ..machine.exceptions import LayoutError
 from .block_cyclic import BlockCyclicLayout
 
-__all__ = ["redistribute", "conversion_words"]
+__all__ = ["redistribute", "charge_reshuffle", "conversion_words"]
 
 
 def _overlaps(extent: int, sb: int, db: int,
@@ -73,6 +76,23 @@ def _traffic(src: BlockCyclicLayout, dst: BlockCyclicLayout):
     return rows, cols, src_rank, dst_rank, moved
 
 
+def charge_reshuffle(machine: Machine, src: BlockCyclicLayout,
+                     dst: BlockCyclicLayout,
+                     ) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Count what reshuffling a matrix from layout ``src`` to ``dst``
+    moves, without moving it: every element that changes rank is
+    received once by its destination owner, one message per (source
+    rank, destination rank) pair with words to move.  Returns the row
+    and column :func:`_overlaps` of the two layouts."""
+    rows, cols, src_rank, dst_rank, words = _traffic(src, dst)
+    nranks = machine.nranks
+    moved = np.bincount((src_rank * nranks + dst_rank).ravel(),
+                        weights=words.ravel())
+    pair = np.flatnonzero(moved)
+    machine.stats.record_transfers(pair // nranks, pair % nranks, moved[pair])
+    return rows, cols
+
+
 def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
                  dst: BlockCyclicLayout, dst_name: str | None = None) -> None:
     """Reshuffle distributed matrix ``name`` from layout ``src`` to ``dst``.
@@ -81,16 +101,14 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
     ``block_key(name, bi, bj)``.  Destination tiles are created under
     ``block_key(dst_name or name + ':r', bi, bj)``.  Every element travels
     at most once between distinct ranks; co-located pieces are free.
-    One message per (source rank, destination rank) pair with words to
-    move.  The source tiles are read as the stores hold them; the new
-    tiles are stored with one ``put_many`` per rank, an overrun raising
-    in tile order.
+    The traffic is :func:`charge_reshuffle`'s.  The source tiles are
+    read as the stores hold them; the new tiles are stored with one
+    ``put_many`` per rank, an overrun raising in tile order.
     """
     out_name = dst_name if dst_name is not None else name + ":r"
-    rows, cols, src_rank, dst_rank, words = _traffic(src, dst)
-
     # The source tiles as their owners' stores hold them.
     tiles = src._held(machine, name)
+    rows, cols = charge_reshuffle(machine, src, dst)
     rows_to, cols_to = dst._spans()
     out = [[np.empty((r.stop - r.start, c.stop - c.start)) for c in cols_to]
            for r in rows_to]
@@ -98,12 +116,6 @@ def redistribute(machine: Machine, name: str, src: BlockCyclicLayout,
     for sbi, dbi, from_rows, to_rows in _cuts(rows, src.mb, dst.mb):
         for sbj, dbj, from_cols, to_cols in col_cuts:
             out[dbi][dbj][to_rows, to_cols] = tiles[sbi][sbj][from_rows, from_cols]
-
-    nranks = machine.nranks
-    moved = np.bincount((src_rank * nranks + dst_rank).ravel(),
-                        weights=words.ravel())
-    pair = np.flatnonzero(moved)
-    machine.stats.record_transfers(pair // nranks, pair % nranks, moved[pair])
     dst._register(machine, out_name, out)
 
 

@@ -12,6 +12,11 @@ forms must leave the same stored keys (in the same order), words,
 per-rank and per-step peaks, bits and counted transfers, and under a
 budget below the reference's peak refuse the same tile with the same
 ``(rank, step, key, needed_words)``.
+
+The pd* writeback's form — ``view_from`` of one read-only matrix in two
+layouts with ``costa.charge_reshuffle`` between them — is held to the
+copying pair it replaced, ``scatter_from`` then ``redistribute``, the
+same way.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.layouts import BlockCyclicLayout, redistribute
+from repro.layouts.costa import charge_reshuffle
 from repro.machine import (
     CommunicationError,
     Machine,
@@ -220,6 +226,34 @@ def test_redistribute_equals_one_copy_per_overlap(scenario):
                                           dst_name="A"),
              lambda machine: reference_redistribute(machine, "S", src, dst,
                                                     "A"), "A")
+
+
+@given(scenarios())
+@settings(max_examples=80, deadline=None)
+@example((BlockCyclicLayout(12, 12, 2, 2, ProcessorGrid2D(2, 3)),
+          BlockCyclicLayout(12, 12, 5, 4, ProcessorGrid2D(3, 2)),
+          6, {rank: 0 for rank in range(6)}, [(2, 1, 3)], 2, 1))
+def test_writeback_by_views_equals_scatter_then_redistribute(scenario):
+    src, dst, nranks, held, replaced, seed, _ = scenario
+    a = np.random.default_rng(seed).standard_normal((src.m, src.n))
+    a.flags.writeable = False
+
+    def by_views(machine):
+        src.view_from(machine, "S", a)
+        charge_reshuffle(machine, src, dst)
+        dst.view_from(machine, "A", a)
+
+    _compare(scenario, lambda machine: None, by_views,
+             lambda machine: (src.scatter_from(machine, "S", a),
+                              redistribute(machine, "S", src, dst,
+                                           dst_name="A")), "A")
+    machine = _machine(nranks, held, replaced, dst, "A")
+    by_views(machine)
+    for layout, name in ((src, "S"), (dst, "A")):
+        for store, bi, bj, rows, cols in reference_tiles(layout, machine):
+            tile = store.get((name, bi, bj))
+            assert tile.base is a and not tile.flags.writeable
+            assert np.shares_memory(tile, a[rows, cols])
 
 
 @given(scenarios())
