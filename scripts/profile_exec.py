@@ -79,9 +79,9 @@ page faults (``getrusage``) and its ``tracemalloc`` peak (bytes above
 what was traced when it started).  Both are taken with the profiler and
 ``tracemalloc`` running (the warm-up runs under ``tracemalloc`` too, so
 its tables are grown): compare them between commits, not with
-``perf/run.py``'s numbers.  ``exec_bulk`` reads about 4 900 faults and a
-peak of about one ``n x n`` matrix (8 MiB) per operation with the
-view writeback; the copying one read about 12 000 faults.
+``perf/run.py``'s numbers.  ``exec_bulk`` reads 200 to 1 200 faults
+and a 49 MiB peak with the writeback registering views; the copying
+writeback read about 5 700 faults and 72 MiB.
 """
 
 from __future__ import annotations
